@@ -45,7 +45,7 @@
 // /extension, GET /stats, GET /metrics (Prometheus text exposition), GET
 // /debug/traces (recent traces), GET /healthz (readiness; 503 while
 // loading or draining), GET /livez (liveness), POST /reload. Workers
-// speak POST /shard/v1/{begin,round,rounds,finalize,end} instead of
+// speak POST /shard/v1/{beginset,rounds,replay,finalize,end} instead of
 // /search but expose the same /metrics and /debug/traces. See
 // internal/server and internal/dshard for the request and response
 // bodies.
@@ -92,10 +92,8 @@ func main() {
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
 		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
-		roundBatch = flag.Int("round-batch", 0, "coordinator mode: max lockstep rounds per worker RPC (0 = default, 1 = one round per RPC, negative = classic per-round protocol)")
 		noSpec     = flag.Bool("no-speculation", false, "coordinator mode: disable speculative round pipelining")
 		noHedge    = flag.Bool("no-hedging", false, "coordinator mode: disable hedged round RPCs against replica workers")
-		noDelta    = flag.Bool("no-delta", false, "coordinator mode: disable proto-5 delta round framing (full round replies, for A/B measurement)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		proxMB     = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables)")
@@ -135,7 +133,7 @@ func main() {
 		return
 	}
 
-	loader, err := makeLoader(*snapPath, *setPath, *specPath, *lang, mode, *coord, *workerURL, *roundBatch, *noSpec, *noHedge, *noDelta)
+	loader, err := makeLoader(*snapPath, *setPath, *specPath, *lang, mode, *coord, *workerURL, *noSpec, *noHedge)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -287,7 +285,7 @@ func logShardLayout(inst s3.Queryable) {
 // makeLoader builds the instance-loading closure used both for the
 // initial load and for POST /reload. Snapshot and shard-set loading need
 // no language: both embed the text-pipeline configuration.
-func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coord bool, workerURLs string, roundBatch int, noSpec, noHedge, noDelta bool) (func() (s3.Queryable, error), error) {
+func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coord bool, workerURLs string, noSpec, noHedge bool) (func() (s3.Queryable, error), error) {
 	sources := 0
 	for _, p := range []string{snapPath, setPath, specPath} {
 		if p != "" {
@@ -311,17 +309,11 @@ func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coor
 			return nil, fmt.Errorf("-coordinator requires -worker-urls (comma-separated worker URLs)")
 		}
 		var copts []s3.CoordinatorOption
-		if roundBatch != 0 {
-			copts = append(copts, s3.WithRoundBatch(roundBatch))
-		}
 		if noSpec {
 			copts = append(copts, s3.WithoutSpeculation())
 		}
 		if noHedge {
 			copts = append(copts, s3.WithoutHedging())
-		}
-		if noDelta {
-			copts = append(copts, s3.WithoutDelta())
 		}
 		return func() (s3.Queryable, error) {
 			return s3.OpenCoordinator(setPath, urls, mode, copts...)

@@ -39,15 +39,6 @@ var _ Queryable = (*DistributedInstance)(nil)
 // CoordinatorOption tunes a coordinator opened by OpenCoordinator.
 type CoordinatorOption func(*dshard.CoordinatorConfig)
 
-// WithRoundBatch caps how many lockstep rounds the coordinator may
-// request from a worker in one RPC (0 = default, 1 = one round per RPC
-// over the batched endpoint, negative = classic per-round protocol
-// only). Grouping rounds into fewer RPCs never changes answers: the
-// coordinator replays every per-round stop decision locally.
-func WithRoundBatch(n int) CoordinatorOption {
-	return func(cfg *dshard.CoordinatorConfig) { cfg.MaxRoundBatch = n }
-}
-
 // WithoutSpeculation disables speculative round pipelining (issuing the
 // next batch to a worker before the coordinator has consumed the
 // previous one). Useful to price the overlap in benchmarks.
@@ -61,13 +52,6 @@ func WithoutSpeculation() CoordinatorOption {
 // for pricing the tail-latency win, not a correctness escape hatch.
 func WithoutHedging() CoordinatorOption {
 	return func(cfg *dshard.CoordinatorConfig) { cfg.NoHedging = true }
-}
-
-// WithoutDelta disables proto-5 delta round framing: workers reply with
-// classic full blocks. Framing never changes answers — this is the A/B
-// knob for pricing the delta encoding's wire savings.
-func WithoutDelta() CoordinatorOption {
-	return func(cfg *dshard.CoordinatorConfig) { cfg.NoDelta = true }
 }
 
 // OpenCoordinator opens the shard-set manifest and wires a coordinator

@@ -171,8 +171,8 @@ type CoordOptions struct {
 }
 
 // spanSource is implemented by executors that collect a span subtree per
-// protocol call (LocalExecutor with tracing enabled, RemoteExecutor for
-// worker-side spans decoded off the wire). TakeSpan returns the subtree
+// protocol call (LocalExecutor with tracing enabled, dshard's session
+// views for worker-side spans decoded off the wire). TakeSpan returns the subtree
 // recorded by the most recent call and clears it.
 type spanSource interface {
 	TakeSpan() *obs.Span

@@ -1,7 +1,6 @@
-// Tests for the proto-2 extensions: batched /shard/v1/rounds, the begin
-// frame's optional deadline, version tolerance against pre-proto-2
-// workers, worker-side warm frontiers and the tuned coordinator
-// transport.
+// Tests for batched /shard/v1/rounds framing, the beginset frame's
+// optional deadline, the probe's protocol-version check, worker-side warm
+// frontiers and the tuned coordinator transport.
 package dshard
 
 import (
@@ -13,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,25 +25,25 @@ import (
 	"s3/internal/snap"
 )
 
-// TestBatchedWireRoundTrip mirrors TestWireRoundTrip for the proto-2
+// TestBatchedWireRoundTrip mirrors TestWireRoundTrip for the rounds
 // frames: exact round trips, plus rejection of truncated, padded,
 // empty and oversized batch frames.
 func TestBatchedWireRoundTrip(t *testing.T) {
 	rr := roundsRequest{searchID: 99, from: 7, max: 16}
-	gotRR, err := decodeRoundsRequest(encodeRoundsRequest(rr))
+	gotRR, err := decodeRoundsRequest(appendRoundsRequest(nil, rr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotRR != rr {
 		t.Fatalf("rounds request round trip: %+v != %+v", gotRR, rr)
 	}
-	if _, err := decodeRoundsRequest(encodeRoundsRequest(roundsRequest{searchID: 1, from: 1, max: 0})); err == nil {
+	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: 0})); err == nil {
 		t.Error("zero-round batch request accepted")
 	}
-	if _, err := decodeRoundsRequest(encodeRoundsRequest(roundsRequest{searchID: 1, from: 1, max: maxBatchRounds + 1})); err == nil {
+	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: maxBatchRounds + 1})); err == nil {
 		t.Error("oversized batch request accepted")
 	}
-	reqFrame := encodeRoundsRequest(rr)
+	reqFrame := appendRoundsRequest(nil, rr)
 	for cut := 0; cut < len(reqFrame); cut++ {
 		if _, err := decodeRoundsRequest(reqFrame[:cut]); err == nil {
 			t.Fatalf("truncated rounds request (%d bytes) accepted", cut)
@@ -53,63 +53,75 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 		t.Error("trailing garbage on rounds request accepted")
 	}
 
-	infos := []core.RoundInfo{
+	// Three rounds of a two-member session, round-major.
+	const ns = 2
+	flat := []core.RoundInfo{
 		{N: 1, Reached: 4, Tail: math.Pow(1.5, -1), SourceTail: 1},
+		{N: 1, Reached: 4, Tail: math.Pow(1.5, -1), SourceTail: 1, Admitted: 1, Candidates: 2},
 		{
 			Kept:      []core.CandMeta{{Doc: 4, Lower: 0.25, Upper: 0.5}, {Doc: 9, Lower: 0, Upper: 0.5}},
 			Uncertain: &core.CandMeta{Doc: 11, Lower: 0.1, Upper: 0.3},
 			MaxOther:  0.125, Admitted: 2, Candidates: 6, Reached: 19,
 			N: 2, Tail: math.Pow(1.5, -2), SourceTail: math.Pow(1.5, -1),
 		},
+		{N: 2, Reached: 19, Admitted: 1, Candidates: 2, Tail: math.Pow(1.5, -2), SourceTail: math.Pow(1.5, -1),
+			Kept: []core.CandMeta{{Doc: 5, Lower: 0.125, Upper: 0.25}}},
 		{N: 3, Reached: 21, Admitted: 2, Candidates: 6, Done: true},
+		{N: 3, Reached: 21, Admitted: 1, Candidates: 2, Done: true},
 	}
-	frame := encodeRoundsReply(infos)
-	got, sp, err := decodeRoundsReply(frame, time.Now())
+	frame := appendHostRoundsReply(nil, flat, ns)
+	rows, sp, err := decodeHostRoundsReply(frame, ns, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp != nil {
 		t.Fatal("reply without span block decoded a span")
 	}
-	if len(got) != len(infos) {
-		t.Fatalf("batched reply carried %d rounds, want %d", len(got), len(infos))
+	if len(rows) != len(flat)/ns {
+		t.Fatalf("batched reply carried %d rounds, want %d", len(rows), len(flat)/ns)
 	}
-	for i := range infos {
-		want, have := infos[i], got[i]
+	for i := range flat {
+		want, have := flat[i], rows[i/ns][i%ns]
 		if (want.Uncertain == nil) != (have.Uncertain == nil) {
-			t.Fatalf("round %d uncertain presence diverged", i)
+			t.Fatalf("block %d uncertain presence diverged", i)
 		}
 		if want.Uncertain != nil && *want.Uncertain != *have.Uncertain {
-			t.Fatalf("round %d uncertain: %+v != %+v", i, have.Uncertain, want.Uncertain)
+			t.Fatalf("block %d uncertain: %+v != %+v", i, have.Uncertain, want.Uncertain)
 		}
 		want.Uncertain, have.Uncertain = nil, nil
 		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", have) {
-			t.Fatalf("round %d round trip: %+v != %+v", i, have, want)
+			t.Fatalf("block %d round trip: %+v != %+v", i, have, want)
 		}
+	}
+	// A reply for a different member count than the session's is rejected.
+	if _, _, err := decodeHostRoundsReply(frame, ns+1, time.Now()); err == nil {
+		t.Error("batched reply with the wrong shard count accepted")
 	}
 	// An empty batch is a protocol violation (the worker always executes
 	// at least one round), as is a count beyond the decode limit.
-	if _, _, err := decodeRoundsReply(encodeRoundsReply(nil), time.Now()); err == nil {
+	if _, _, err := decodeHostRoundsReply(appendHostRoundsReply(nil, nil, ns), ns, time.Now()); err == nil {
 		t.Error("empty batched reply accepted")
 	}
 	var e enc
 	e.u32(maxBatchRounds + 1)
-	if _, _, err := decodeRoundsReply(e.b, time.Now()); err == nil {
+	e.u32(ns)
+	if _, _, err := decodeHostRoundsReply(e.b, ns, time.Now()); err == nil {
 		t.Error("oversized batched reply accepted")
 	}
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := decodeRoundsReply(frame[:cut], time.Now()); err == nil {
+		if _, _, err := decodeHostRoundsReply(frame[:cut], ns, time.Now()); err == nil {
 			t.Fatalf("truncated batched reply (%d bytes) accepted", cut)
 		}
 	}
 }
 
-// TestBeginDeadlineWire covers the begin frame's optional trailing
+// TestBeginDeadlineWire covers the beginset frame's optional trailing
 // fields in every legal combination — and that the deadline never
 // changes how the rest of the frame decodes.
 func TestBeginDeadlineWire(t *testing.T) {
-	base := beginRequest{
+	base := beginSetRequest{
 		searchID: 7,
+		shards:   []int{2, 0},
 		spec: core.SearchSpec{
 			Seeker: 3, K: 10,
 			Params:  score.Params{Gamma: 1.25, Eta: 0.8},
@@ -125,7 +137,7 @@ func TestBeginDeadlineWire(t *testing.T) {
 	} {
 		r := base
 		r.traceID, r.deadlineMicros = tc.traceID, tc.deadline
-		got, err := decodeBeginRequest(encodeBeginRequest(r))
+		got, err := decodeBeginSetRequest(encodeBeginSetRequest(r))
 		if err != nil {
 			t.Fatalf("trace=%#x deadline=%d: %v", tc.traceID, tc.deadline, err)
 		}
@@ -140,15 +152,15 @@ func TestBeginDeadlineWire(t *testing.T) {
 	// A frame with a half-written optional field is rejected.
 	r := base
 	r.traceID, r.deadlineMicros = 0xfeed, 1_000_000
-	frame := encodeBeginRequest(r)
+	frame := encodeBeginSetRequest(r)
 	for _, cut := range []int{1, 7, 9, 15} {
-		if _, err := decodeBeginRequest(frame[:len(frame)-cut]); err == nil {
-			t.Errorf("begin frame truncated by %d bytes accepted", cut)
+		if _, err := decodeBeginSetRequest(frame[:len(frame)-cut]); err == nil {
+			t.Errorf("beginset frame truncated by %d bytes accepted", cut)
 		}
 	}
 }
 
-// smallSpec is the corpus the proto-2 tests share: big enough to need
+// smallSpec is the corpus the transport tests share: big enough to need
 // several rounds, small enough to keep the battery fast.
 func smallSpec() graph.Spec {
 	o := datagen.DefaultTwitterOptions()
@@ -181,133 +193,97 @@ func smallTopology(t *testing.T) (string, *snap.ShardSetSnapshot, []*Worker, []*
 	return manifestPath, set, workers, servers
 }
 
-// oldWorkerProxy wraps a modern worker handler to look like a
-// pre-proto-2 binary: /shard/v1/rounds does not exist (bare mux-style
-// 404, no JSON body) and, when hideProto is set, /healthz does not
-// advertise "proto".
-func oldWorkerProxy(inner http.Handler, hideProto bool) http.Handler {
+// openSession opens a one-shard session on a worker, bypassing the
+// coordinator; the returned view drives it like any ShardExecutor.
+func openSession(url string, id uint64, shard int) *hostShardView {
+	return newHostSession(context.Background(), http.DefaultClient, url, id, []int{shard}).views[0]
+}
+
+// rewriteProto wraps a worker handler so /healthz advertises proto (or,
+// when proto is nil, omits the field) while on is set.
+func rewriteProto(inner http.Handler, on *atomic.Bool, proto *int) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == pathRounds {
-			http.NotFound(rw, req)
+		if req.URL.Path != "/healthz" || !on.Load() {
+			inner.ServeHTTP(rw, req)
 			return
 		}
-		if hideProto && req.URL.Path == "/healthz" {
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, req)
-			var m map[string]any
-			if err := json.Unmarshal(rec.Body.Bytes(), &m); err == nil {
-				delete(m, "proto")
-				b, _ := json.Marshal(m)
-				rw.Header().Set("Content-Type", "application/json")
-				rw.WriteHeader(rec.Code)
-				rw.Write(b)
-				return
-			}
-			rw.WriteHeader(rec.Code)
-			rw.Write(rec.Body.Bytes())
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, req)
+		var m map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		inner.ServeHTTP(rw, req)
+		delete(m, "proto")
+		if proto != nil {
+			m["proto"] = *proto
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		rw.WriteHeader(rec.Code)
+		json.NewEncoder(rw).Encode(m)
 	})
 }
 
-// protocolTolerance runs the byte-identity battery through a coordinator
-// whose workers sit behind old-worker proxies, and asserts the fallback
-// engaged without benching anyone.
-func protocolTolerance(t *testing.T, hideProto bool) {
-	_, set, _, servers := smallTopology(t)
-	proxies := make([]*httptest.Server, len(servers))
-	urls := make([]string, len(servers))
-	for i, srv := range servers {
-		proxies[i] = httptest.NewServer(oldWorkerProxy(srv.Config.Handler, hideProto))
-		t.Cleanup(proxies[i].Close)
-		urls[i] = proxies[i].URL
-	}
-
-	// Reference answers over the unproxied workers, per-round protocol.
-	direct := make([]string, 0, len(servers))
-	for _, srv := range servers {
-		direct = append(direct, srv.URL)
-	}
-	ref, err := NewCoordinator(CoordinatorConfig{
-		WorkerURLs: direct, ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
-		Client: &http.Client{Timeout: 10 * time.Second}, MaxRoundBatch: -1, NoSpeculation: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Probe(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	coord := newCoordinator(t, set.Set.Layout, urls)
-	if hideProto {
-		// The probe already latched the capability off the missing proto.
-		for _, w := range coord.workers {
-			if !w.noBatch.Load() {
-				t.Fatal("probe did not latch noBatch for a proto-less worker")
-			}
+// TestProtoVersionMismatch: there is one protocol version and no
+// negotiation. A worker whose /healthz reports any other version — or
+// none — is listed unhealthy with both version numbers, is never picked,
+// and leaves its shard uncovered; once it reports the coordinator's
+// version again the next probe readmits it.
+func TestProtoVersionMismatch(t *testing.T) {
+	_, set, workers, servers := smallTopology(t)
+	older := protoVersion - 1
+	for name, proto := range map[string]*int{"older": &older, "absent": nil} {
+		var rewrite atomic.Bool
+		rewrite.Store(true)
+		proxy := httptest.NewServer(rewriteProto(workers[1].Handler(), &rewrite, proto))
+		t.Cleanup(proxy.Close)
+		coord, err := NewCoordinator(CoordinatorConfig{
+			WorkerURLs: []string{servers[0].URL, proxy.URL},
+			ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
+			Client: &http.Client{Timeout: 10 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	in := set.Set.Base
-	seekers, kwSets := queries(in)
-	checked := 0
-	for _, seeker := range seekers {
-		for _, kws := range kwSets {
-			groups, possible, err := core.ResolveKeywordGroups(in, kws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !possible {
+		err = coord.Probe(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "no healthy worker for shard 1") {
+			t.Fatalf("%s: probe over a mismatched worker returned %v, want no healthy worker for shard 1", name, err)
+		}
+		reported := 0
+		if proto != nil {
+			reported = *proto
+		}
+		for _, ws := range coord.Stats().Workers {
+			if ws.URL != proxy.URL {
+				if !ws.Healthy {
+					t.Fatalf("%s: matching worker %s benched: %s", name, ws.URL, ws.Error)
+				}
 				continue
 			}
-			spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5,
-				Params: score.Params{Gamma: 1.5, Eta: 0.8}, Epsilon: 1e-12}
-			wantSel, wantStats, err := ref.Search(spec, core.CoordOptions{})
-			if err != nil {
-				t.Fatal(err)
+			if ws.Healthy {
+				t.Fatalf("%s: mismatched worker reported healthy", name)
 			}
-			gotSel, gotStats, err := coord.Search(spec, core.CoordOptions{})
-			if err != nil {
-				t.Fatalf("search through old-worker proxy: %v", err)
+			if want := fmt.Sprintf("speaks round protocol %d, coordinator speaks %d", reported, protoVersion); !strings.Contains(ws.Error, want) {
+				t.Fatalf("%s: error %q does not name both versions (%q)", name, ws.Error, want)
 			}
-			if want, got := metaTranscript(wantSel, wantStats), metaTranscript(gotSel, gotStats); got != want {
-				t.Fatalf("seeker=%d kws=%v: fallback answer diverged\nper-round:\n%s\nfallback:\n%s",
-					seeker, kws, want, got)
-			}
-			checked++
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no queries checked")
-	}
-	// The missing endpoint must never read as a worker failure.
-	st := coord.Stats()
-	for _, w := range st.Workers {
-		if !w.Healthy {
-			t.Fatalf("worker %s benched by the fallback: %s", w.URL, w.Error)
+		if _, err := coord.pickShard(1, nil); err == nil {
+			t.Fatalf("%s: mismatched worker picked for shard 1", name)
 		}
-	}
-	if coord.retries.Load() != 0 {
-		t.Fatalf("fallback caused %d search retries", coord.retries.Load())
-	}
-	// Either way, the capability is latched off by the end.
-	for _, w := range coord.workers {
-		if !w.noBatch.Load() {
-			t.Fatal("noBatch not latched after talking to an old worker")
+		spec := deepQuery(t, set, servers[0], 1)
+		if _, _, err := coord.Search(spec, core.CoordOptions{}); err == nil {
+			t.Fatalf("%s: search succeeded with shard 1 only on a mismatched worker", name)
+		}
+
+		rewrite.Store(false)
+		if err := coord.Probe(context.Background()); err != nil {
+			t.Fatalf("%s: probe after the rewrite was lifted: %v", name, err)
+		}
+		if _, _, err := coord.Search(spec, core.CoordOptions{}); err != nil {
+			t.Fatalf("%s: search after readmission: %v", name, err)
 		}
 	}
 }
-
-// TestOldWorkerFallback: a worker that does not advertise proto 2 is
-// driven entirely over the per-round v1 protocol, byte-identically.
-func TestOldWorkerFallback(t *testing.T) { protocolTolerance(t, true) }
-
-// TestLiveRoundsFallback: a worker that advertises proto 2 but answers
-// /shard/v1/rounds with a bare 404 (rolled back between probe and
-// search) triggers the live fallback — same answers, nobody benched.
-func TestLiveRoundsFallback(t *testing.T) { protocolTolerance(t, false) }
 
 // TestWorkerDeadlineSweep: a session carrying a coordinator-propagated
 // deadline is abandoned at that deadline by the sweeper, long before
@@ -325,12 +301,13 @@ func TestWorkerDeadlineSweep(t *testing.T) {
 
 	w, srv := workers[0], servers[0]
 	// Session 1: budgeted search — ships a deadline (budget + grace).
-	budgeted := newRemoteExecutor(http.DefaultClient, srv.URL, 101).withBatching(nil, 16, 500*time.Millisecond)
+	budgeted := openSession(srv.URL, 101, 0)
+	budgeted.s.budget = 500 * time.Millisecond
 	if _, err := budgeted.Begin(spec); err != nil {
 		t.Fatal(err)
 	}
 	// Session 2: no budget, no deadline.
-	plain := newRemoteExecutor(http.DefaultClient, srv.URL, 102).withBatching(nil, 16, 0)
+	plain := openSession(srv.URL, 102, 0)
 	if _, err := plain.Begin(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -199,9 +199,8 @@ func BenchmarkTracedDistributedSearch(b *testing.B) {
 
 // hostBenchTopology is benchTopology with the shards packed onto hosts
 // by groups: one worker process per group, each hosting its shards off
-// one substrate mapping. opts tweak the coordinator config (A/B knobs
-// like NoDelta, instrument registries) before it connects.
-func hostBenchTopology(b *testing.B, groups [][]int, proxBytes int64, opts ...func(*CoordinatorConfig)) (*core.ShardedEngine, *Coordinator, []*Worker, []benchQuery) {
+// one substrate mapping.
+func hostBenchTopology(b *testing.B, groups [][]int, proxBytes int64) (*core.ShardedEngine, *Coordinator, []*Worker, []benchQuery) {
 	b.Helper()
 	o := datagen.DefaultTwitterOptions()
 	o.Users, o.Tweets, o.Seed = 300, 1200, 17
@@ -237,15 +236,11 @@ func hostBenchTopology(b *testing.B, groups [][]int, proxBytes int64, opts ...fu
 		b.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
-	cfg := CoordinatorConfig{
+	coord, err := NewCoordinator(CoordinatorConfig{
 		WorkerURLs: urls,
 		ShardCount: shards,
 		SetID:      set.Set.Layout.SetID,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	coord, err := NewCoordinator(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,116 +328,4 @@ func BenchmarkHostGroupedSearch(b *testing.B) {
 		_, coord, _, qs := hostBenchTopology(b, [][]int{{0}, {1}}, -1)
 		runDistributed(b, coord, qs)
 	})
-}
-
-// BenchmarkDeltaRounds prices the proto-5 delta round framing.
-//
-// The encode/decode rows are the steady-state codec microbenchmark: one
-// warm 5-round host reply framed as deltas vs. classic full blocks —
-// ns/op and allocs/op for the codecs, wireB/op for the frame each mode
-// puts on the wire. The search rows run the cold co-hosted battery A/B
-// (delta on vs. WithoutDelta) and report replyB/op: rounds-reply bytes
-// received per search, the deployment-level read on the wire savings.
-func BenchmarkDeltaRounds(b *testing.B) {
-	const ns = 2
-	rounds := deltaSeq(ns)
-	seedRow := rounds[0]
-	tail := flatten(rounds[1:])
-	nRounds := len(rounds) - 1
-
-	b.Run("encode-delta", func(b *testing.B) {
-		shadows := make([]roundShadow, ns)
-		var buf []byte
-		var frameLen int
-		for i := 0; i < b.N; i++ {
-			for j := range seedRow {
-				shadows[j].set(seedRow[j])
-			}
-			buf = appendDeltaFrame(buf[:0], tail, nRounds, ns, shadows, true)
-			frameLen = len(buf)
-		}
-		b.ReportMetric(float64(frameLen)/float64(nRounds), "wireB/round")
-	})
-	b.Run("encode-full", func(b *testing.B) {
-		var buf []byte
-		var frameLen int
-		for i := 0; i < b.N; i++ {
-			e := enc{b: buf[:0]}
-			e.u32(uint32(nRounds))
-			for _, info := range tail {
-				encodeRoundInfoBody(&e, info)
-			}
-			buf = e.b
-			frameLen = len(buf)
-		}
-		b.ReportMetric(float64(frameLen)/float64(nRounds), "wireB/round")
-	})
-
-	base := time.Now()
-	deltaFrame := func() []byte {
-		sh := make([]roundShadow, ns)
-		for i := range seedRow {
-			sh[i].set(seedRow[i])
-		}
-		return appendDeltaFrame(nil, tail, nRounds, ns, sh, true)
-	}()
-	fullFrame := func() []byte {
-		e := enc{}
-		e.u32(deltaMagic)
-		e.u32(uint32(nRounds))
-		e.u32(uint32(ns))
-		for r := 0; r < nRounds; r++ {
-			e.u8(deltaRoundFull)
-			for _, info := range tail[r*ns : (r+1)*ns] {
-				encodeRoundInfoBody(&e, info)
-			}
-		}
-		return e.b
-	}()
-	b.Run("decode-delta", func(b *testing.B) {
-		codec := seededCodec(ns, seedRow)
-		for i := 0; i < b.N; i++ {
-			for j := range seedRow {
-				codec.shadows[j].set(seedRow[j])
-			}
-			if _, _, err := codec.decodeHostRounds(deltaFrame, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-full", func(b *testing.B) {
-		codec := seededCodec(ns, seedRow)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := codec.decodeHostRounds(fullFrame, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	search := func(noDelta bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			reg := obs.NewRegistry()
-			_, coord, _, qs := hostBenchTopology(b, [][]int{{0, 1}}, -1, func(cfg *CoordinatorConfig) {
-				cfg.NoDelta = noDelta
-				cfg.Registry = reg
-			})
-			start := roundsRecvBytes(reg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				if _, _, err := coord.Search(q.spec, core.CoordOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(roundsRecvBytes(reg)-start)/float64(b.N), "replyB/op")
-			if !noDelta {
-				if d, _ := deltaCounters(reg); d == 0 {
-					b.Fatal("delta coordinator decoded no delta rounds")
-				}
-			}
-		}
-	}
-	b.Run("search-cohost-delta", search(false))
-	b.Run("search-cohost-full", search(true))
 }

@@ -186,7 +186,7 @@ func TestChaosKillAtRound(t *testing.T) {
 	for _, after := range []int{0, 1, 2, 4} {
 		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
 		victim := hostOf(t, servers[0].URL) // replica A of shard 0
-		for _, path := range []string{pathRound, pathRounds, pathReplay} {
+		for _, path := range []string{pathRounds, pathReplay} {
 			ft.Add(&faultnet.Rule{Host: victim, Path: path, After: after, Action: faultnet.Reset})
 		}
 		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
@@ -312,7 +312,6 @@ func TestChaosCancellation(t *testing.T) {
 	// Stall every round fetch on every worker: without cancellation the
 	// search would hang, so a prompt return proves the context propagated.
 	ft := faultnet.NewTransport(newTransport(len(urls)), 7)
-	ft.Add(&faultnet.Rule{Path: pathRound, Action: faultnet.Stall})
 	ft.Add(&faultnet.Rule{Path: pathRounds, Action: faultnet.Stall})
 	coord := chaosCoordinator(t, set, urls, ft, -1) // no RPC timeout: only the context can end the stall
 

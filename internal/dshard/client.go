@@ -1,70 +1,34 @@
-// RemoteExecutor: core.ShardExecutor over the HTTP/binary round
-// protocol. One instance drives one search on one worker; the
-// coordinator creates a fresh set per search (and per retry).
-//
-// Against proto>=2 workers the executor fetches rounds through the
-// batched /shard/v1/rounds endpoint: one RPC covers up to the
-// coordinator's planned batch, the reply's per-round infos are buffered,
-// and Round() hands them back one at a time — core.Coordinate replays
-// every per-round stop decision locally, so answers are byte-identical
-// to the per-round protocol. When speculation is allowed, the next batch
-// is issued as soon as a reply arrives (the worker computes round r+1
-// while the coordinator merges round r); a late stop wastes at most one
-// in-flight batch, which End drains and counts.
+// The coordinator's wire plumbing: per-endpoint instruments, the tuned
+// keep-alive transport, and the CRC-framed POST every session RPC goes
+// through. The session logic built on it lives in hostclient.go.
 package dshard
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"s3/internal/core"
 	"s3/internal/obs"
 )
 
-// rpc endpoint ordinals for the coordinator's per-endpoint instruments.
+// rpc endpoint ordinals for the per-endpoint instruments (both sides).
 const (
-	epBegin = iota
-	epRound
-	epFinalize
-	epEnd
+	epBeginSet = iota
 	epRounds
 	epReplay
-	epBeginSet
+	epFinalize
+	epEnd
 	epCount
 )
 
 var (
-	epPaths = [epCount]string{pathBegin, pathRound, pathFinalize, pathEnd, pathRounds, pathReplay, pathBeginSet}
-	epNames = [epCount]string{"begin", "round", "finalize", "end", "rounds", "replay", "beginset"}
+	epPaths = [epCount]string{pathBeginSet, pathRounds, pathReplay, pathFinalize, pathEnd}
+	epNames = [epCount]string{"beginset", "rounds", "replay", "finalize", "end"}
 )
-
-// errNoRoundsEndpoint marks a 404/405 from a worker whose mux has no
-// /shard/v1/rounds route (a pre-proto-2 binary): the worker is healthy,
-// the extension is just absent, so the client falls back to per-round
-// calls instead of benching it.
-var errNoRoundsEndpoint = errors.New("dshard: worker has no batched rounds endpoint")
-
-// errNoReplayEndpoint is the same capability signal for /shard/v1/replay
-// (a pre-proto-3 binary): fast-forward falls back to fetching the rounds
-// and discarding the results.
-var errNoReplayEndpoint = errors.New("dshard: worker has no replay endpoint")
-
-// errNoBeginSetEndpoint is the capability signal for /shard/v1/beginset
-// (a pre-proto-4 binary): the coordinator latches the worker as
-// set-incapable and re-plans the cover with per-shard sessions.
-var errNoBeginSetEndpoint = errors.New("dshard: worker has no beginset endpoint")
-
-// defaultMaxRoundBatch is CoordinatorConfig.MaxRoundBatch's default; it
-// matches the coordinator loop's own adaptive cap (core's maxRoundBatch).
-const defaultMaxRoundBatch = 16
 
 // rpcMetrics holds the coordinator's per-endpoint wire instruments: round
 // trip time plus bytes sent and received per protocol endpoint, the
@@ -83,12 +47,6 @@ type rpcMetrics struct {
 	hostSessions *obs.Counter
 	hostSeconds  *obs.Histogram
 	hostShards   *obs.Histogram
-
-	// Proto-5 delta-framing instruments: the reply-size histogram prices
-	// the wire savings, the per-mode round counters the delta hit ratio.
-	replyBytes  *obs.Histogram
-	deltaRounds *obs.Counter
-	fullRounds  *obs.Counter
 }
 
 // newRPCMetrics registers the wire instruments in r (idempotent).
@@ -117,13 +75,6 @@ func newRPCMetrics(r *obs.Registry) *rpcMetrics {
 	m.hostShards = r.Histogram("s3_coord_host_rpc_shards",
 		"Shards advanced by one host-grouped rounds RPC (per-host round fan-in).",
 		[]float64{1, 2, 4, 8, 16})
-	m.replyBytes = r.Histogram("s3_coord_round_reply_bytes",
-		"Body bytes of one rounds/finalize reply frame.",
-		[]float64{64, 128, 256, 512, 1024, 4096, 16384, 65536})
-	m.deltaRounds = r.Counter("s3_coord_delta_rounds_total",
-		"Rounds decoded from worker replies, by framing mode.", obs.L("mode", "delta"))
-	m.fullRounds = r.Counter("s3_coord_delta_rounds_total",
-		"Rounds decoded from worker replies, by framing mode.", obs.L("mode", "full"))
 	return m
 }
 
@@ -140,21 +91,6 @@ func (m *rpcMetrics) observe(ep int, start time.Time, sent, recv int) {
 func (m *rpcMetrics) observeBatch(rounds int) {
 	if m != nil {
 		m.batchRounds.Observe(float64(rounds))
-	}
-}
-
-// observeReply records one decoded rounds/finalize reply: its wire size
-// and how many of its rounds were delta- vs. full-framed.
-func (m *rpcMetrics) observeReply(bytes, deltaRounds, fullRounds int) {
-	if m == nil {
-		return
-	}
-	m.replyBytes.Observe(float64(bytes))
-	if deltaRounds > 0 {
-		m.deltaRounds.Add(uint64(deltaRounds))
-	}
-	if fullRounds > 0 {
-		m.fullRounds.Add(uint64(fullRounds))
 	}
 }
 
@@ -206,252 +142,61 @@ func newTransport(workers int) *http.Transport {
 	}
 }
 
-// roundsResult is one fetch's outcome: the executed rounds (at least one
-// on success), the worker-side span subtree for the whole batch, and the
-// error.
-type roundsResult struct {
-	infos []core.RoundInfo
-	span  *obs.Span
-	err   error
-}
-
-// RemoteExecutor speaks the round protocol to one worker. It implements
-// core.ShardExecutor; transport-class errors are remembered so the
-// coordinator can attribute a failed search to the worker that broke,
-// bench it and retry elsewhere. Deterministic application rejections
-// (HTTP 400 — a malformed or oversized spec the worker validated and
-// refused) are NOT recorded: every replica would reject them identically,
-// so benching on them would let one bad request drain the whole fleet.
-type RemoteExecutor struct {
-	client   *http.Client
-	base     string
-	searchID uint64
-	round    uint32 // rounds consumed by the coordinator
-	fetched  uint32 // rounds executed worker-side (>= round)
-	begun    bool
-
-	// ahead buffers fetched-but-unconsumed RoundInfos; pre, when non-nil,
-	// is the single outstanding speculative fetch. Both are touched only
-	// from the coordinator's (per-round) scatter goroutine and End.
-	ahead []core.RoundInfo
-	pre   chan roundsResult
-
-	// batchHint / wantSpec are the coordinator loop's PlanRounds state;
-	// batchCap is the configured per-RPC bound (<=0 disables the batched
-	// endpoint entirely); noBatch, when non-nil, is the per-worker
-	// "endpoint absent" latch shared across searches; budget, when
-	// positive, ships as the begin frame's deadline to proto-2 workers.
-	batchHint atomic.Int32
-	wantSpec  atomic.Bool
-	batchCap  int
-	noBatch   *atomic.Bool
-	budget    time.Duration
-
-	// traceID, when non-zero, asks the worker to record spans; span holds
-	// the worker-side subtree decoded off the most recent response until
-	// the coordinator's TakeSpan collects it.
-	traceID uint64
-	span    *obs.Span
-	metrics *rpcMetrics
-
-	// ctx, when non-nil, scopes every RPC except End (cancelled searches
-	// must still release worker sessions); rpcTimeout, when positive,
-	// bounds each RPC individually. noReplay, when non-nil, is the
-	// per-worker "no /shard/v1/replay" latch; lat, when non-nil, receives
-	// round-fetch RTTs for the coordinator's hedge-delay estimate.
-	ctx        context.Context
-	rpcTimeout time.Duration
-	noReplay   *atomic.Bool
-	lat        *latRing
-
-	// noDelta, when non-nil, is the per-worker "proto < 5" latch; nil
-	// keeps requests flagless (full-block replies), which doubles as the
-	// coordinator's delta A/B switch. codec holds the decode-side delta
-	// shadow plus the reusable RoundInfo arenas; it also tracks full-block
-	// replies so a live downgrade never desynchronizes the shadow.
-	noDelta *atomic.Bool
-	codec   *deltaCodec
-
-	mu  sync.Mutex
-	err error
-}
-
-var _ core.RoundPlanner = (*RemoteExecutor)(nil)
-
-// newRemoteExecutor binds a search id to a worker URL.
-func newRemoteExecutor(client *http.Client, baseURL string, searchID uint64) *RemoteExecutor {
-	x := &RemoteExecutor{client: client, base: baseURL, searchID: searchID}
-	x.batchHint.Store(1)
-	x.codec = newDeltaCodec(1)
-	return x
-}
-
-// withTracing asks the worker to record spans under the given trace id
-// (0 disables); withMetrics wires the coordinator's wire instruments.
-func (x *RemoteExecutor) withTracing(traceID uint64) *RemoteExecutor {
-	x.traceID = traceID
-	return x
-}
-
-func (x *RemoteExecutor) withMetrics(m *rpcMetrics) *RemoteExecutor {
-	x.metrics = m
-	return x
-}
-
-// withBatching wires the proto-2 capability: noBatch is the worker's
-// "no /shard/v1/rounds" latch (probed from /healthz, re-latched on a
-// live 404), cap bounds rounds per RPC (<=0 forces the per-round
-// protocol), and budget ships as the begin deadline when the worker
-// speaks proto 2.
-func (x *RemoteExecutor) withBatching(noBatch *atomic.Bool, maxBatch int, budget time.Duration) *RemoteExecutor {
-	x.noBatch = noBatch
-	x.batchCap = maxBatch
-	x.budget = budget
-	return x
-}
-
-// withResilience scopes RPCs to ctx (End excepted), bounds each RPC to
-// rpcTimeout when positive, wires the worker's replay-capability latch,
-// and feeds round RTTs into lat for hedge-delay estimation.
-func (x *RemoteExecutor) withResilience(ctx context.Context, rpcTimeout time.Duration, noReplay *atomic.Bool, lat *latRing) *RemoteExecutor {
-	x.ctx = ctx
-	x.rpcTimeout = rpcTimeout
-	x.noReplay = noReplay
-	x.lat = lat
-	return x
-}
-
-// withDelta wires the proto-5 capability: noDelta is the worker's
-// "proto < 5" latch (probed from /healthz). Leaving it nil — the
-// default — keeps every request flagless, so the worker replies with
-// classic full blocks.
-func (x *RemoteExecutor) withDelta(noDelta *atomic.Bool) *RemoteExecutor {
-	x.noDelta = noDelta
-	return x
-}
-
-// deltaOK reports whether rounds/finalize requests should ask for
-// proto-5 delta framing.
-func (x *RemoteExecutor) deltaOK() bool {
-	return x.noDelta != nil && !x.noDelta.Load()
-}
-
-// batchable reports whether the batched endpoint is currently usable.
-func (x *RemoteExecutor) batchable() bool {
-	return x.batchCap > 0 && (x.noBatch == nil || !x.noBatch.Load())
-}
-
-// PlanRounds implements core.RoundPlanner: the coordinator's hint for the
-// next fetch, set before every scatter.
-func (x *RemoteExecutor) PlanRounds(batch int, speculate bool) {
-	if batch < 1 {
-		batch = 1
-	}
-	x.batchHint.Store(int32(batch))
-	x.wantSpec.Store(speculate)
-}
-
-// TakeSpan implements the coordinator's span collection: the worker-side
-// span subtree decoded off the most recent response, cleared on read.
-func (x *RemoteExecutor) TakeSpan() *obs.Span {
-	sp := x.span
-	x.span = nil
-	return sp
-}
-
-// Err returns the first transport-class error this executor hit (nil
-// after a deterministic application rejection).
-func (x *RemoteExecutor) Err() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.err
-}
-
-// setErr records a transport-class error; application rejections pass
-// through without benching the worker.
-func (x *RemoteExecutor) setErr(err error) error {
-	var app *appError
-	if errors.As(err, &app) {
-		return err
-	}
-	x.mu.Lock()
-	if x.err == nil {
-		x.err = err
-	}
-	x.mu.Unlock()
-	return err
-}
-
 // appError marks a worker-side rejection that every replica would repeat
 // (the worker validated the request and said no).
 type appError struct{ msg string }
 
 func (e *appError) Error() string { return e.msg }
 
-// post sends one binary frame to an endpoint and returns the response
-// frame in a pooled buffer, recording RTT and wire bytes into the
-// coordinator's instruments. The caller owns the returned *frameBuf and
-// must putFrame it once the frame is decoded (every decoder copies what
-// it keeps).
-func (x *RemoteExecutor) post(ep int, frame []byte) (*frameBuf, error) {
-	ctx := x.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return x.postCtx(ctx, ep, frame)
+// post sends one binary frame to an endpoint under the session's RPC
+// context and returns the response frame in a pooled buffer, recording
+// RTT and wire bytes into the coordinator's instruments. The caller owns
+// the returned *frameBuf and must putFrame it once the frame is decoded
+// (every decoder copies what it keeps).
+func (s *hostSession) post(ep int, frame []byte) (*frameBuf, error) {
+	return s.postCtx(s.ctx, ep, frame)
 }
 
 // postCtx is post under an explicit context (End's teardown must outlive
 // a cancelled search context). Both directions carry a CRC-32C of the
-// frame body: a corrupted reply is a transport error here — never a
-// silently perturbed payload — so bit flips trigger failover instead of
-// breaking byte-identity.
-func (x *RemoteExecutor) postCtx(ctx context.Context, ep int, frame []byte) (*frameBuf, error) {
+// frame body: a corrupted reply — or one whose CRC header went missing —
+// is a transport error here, never a silently perturbed payload, so bit
+// flips trigger failover instead of breaking byte-identity.
+func (s *hostSession) postCtx(ctx context.Context, ep int, frame []byte) (*frameBuf, error) {
 	path := epPaths[ep]
-	if x.rpcTimeout > 0 {
+	if s.rpcTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, x.rpcTimeout)
+		ctx, cancel = context.WithTimeout(ctx, s.rpcTimeout)
 		defer cancel()
 	}
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, x.base+path, bytes.NewReader(frame))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+path, bytes.NewReader(frame))
 	if err != nil {
-		return nil, fmt.Errorf("dshard: %s%s: %w", x.base, path, err)
+		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(frameCRCHeader, frameCRC(frame))
-	resp, err := x.client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
-		x.metrics.observe(ep, start, len(frame), 0)
-		return nil, fmt.Errorf("dshard: %s%s: %w", x.base, path, err)
+		s.metrics.observe(ep, start, len(frame), 0)
+		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
 	}
 	defer resp.Body.Close()
 	fb := getFrame()
 	body, err := readAllFrame(io.LimitReader(resp.Body, maxFrameSize+1), fb)
-	x.metrics.observe(ep, start, len(frame), len(body))
+	s.metrics.observe(ep, start, len(frame), len(body))
 	if err != nil {
 		putFrame(fb)
-		return nil, fmt.Errorf("dshard: %s%s: reading response: %w", x.base, path, err)
+		return nil, fmt.Errorf("dshard: %s%s: reading response: %w", s.base, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer putFrame(fb)
-		msg := fmt.Sprintf("dshard: %s%s: HTTP %d", x.base, path, resp.StatusCode)
+		msg := fmt.Sprintf("dshard: %s%s: HTTP %d", s.base, path, resp.StatusCode)
 		var e struct {
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = fmt.Sprintf("dshard: %s%s: %s (HTTP %d)", x.base, path, e.Error, resp.StatusCode)
-		} else if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-			// A bare mux 404/405 (no JSON error body) on an extension
-			// endpoint is an old worker, not a failure: signal fallback.
-			switch ep {
-			case epRounds:
-				return nil, fmt.Errorf("%w (%s)", errNoRoundsEndpoint, msg)
-			case epReplay:
-				return nil, fmt.Errorf("%w (%s)", errNoReplayEndpoint, msg)
-			case epBeginSet:
-				return nil, fmt.Errorf("%w (%s)", errNoBeginSetEndpoint, msg)
-			}
+			msg = fmt.Sprintf("dshard: %s%s: %s (HTTP %d)", s.base, path, e.Error, resp.StatusCode)
 		}
 		if resp.StatusCode == http.StatusBadRequest {
 			// Deterministic rejection: retrying on another replica (or
@@ -462,290 +207,11 @@ func (x *RemoteExecutor) postCtx(ctx context.Context, ep int, frame []byte) (*fr
 	}
 	if err := checkFrameCRC(body, resp.Header.Get(frameCRCHeader)); err != nil {
 		putFrame(fb)
-		return nil, fmt.Errorf("dshard: %s%s: %w", x.base, path, err)
+		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
 	}
-	if x.lat != nil && (ep == epRound || ep == epRounds) {
-		x.lat.add(time.Since(start))
+	if s.lat != nil && ep == epRounds {
+		s.lat.add(time.Since(start))
 	}
 	fb.b = body
 	return fb, nil
-}
-
-// Begin implements core.ShardExecutor.
-func (x *RemoteExecutor) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
-	callStart := time.Now()
-	br := beginRequest{searchID: x.searchID, spec: spec, traceID: x.traceID}
-	if x.budget > 0 && x.batchable() {
-		// Only proto-2 workers know the trailing deadline field; older
-		// decoders reject trailing bytes. The grace keeps a worker from
-		// sweeping the session out from under the coordinator's own
-		// budget-stop finalize.
-		br.deadlineMicros = uint64((x.budget + 2*time.Second).Microseconds())
-	}
-	fb, err := x.post(epBegin, encodeBeginRequest(br))
-	if err != nil {
-		return core.BeginInfo{}, x.setErr(err)
-	}
-	info, sp, err := decodeBeginInfo(fb.b, callStart)
-	putFrame(fb)
-	if err != nil {
-		return core.BeginInfo{}, x.setErr(err)
-	}
-	x.span = sp
-	x.begun = true
-	return info, nil
-}
-
-// postRounds runs one batched fetch: up to n rounds starting at `from`.
-func (x *RemoteExecutor) postRounds(from uint32, n int) roundsResult {
-	start := time.Now()
-	rr := roundsRequest{searchID: x.searchID, from: from, max: uint32(n)}
-	if x.deltaOK() {
-		rr.flags = reqFlagDelta
-	}
-	req := getFrame()
-	req.b = appendRoundsRequest(req.b[:0], rr)
-	fb, err := x.post(epRounds, req.b)
-	putFrame(req)
-	if err != nil {
-		return roundsResult{err: err}
-	}
-	infos, sp, err := x.codec.decodeRounds(fb.b, start)
-	nBytes := len(fb.b)
-	putFrame(fb)
-	if err != nil {
-		return roundsResult{err: err}
-	}
-	x.metrics.observeBatch(len(infos))
-	x.metrics.observeReply(nBytes, x.codec.lastDelta, x.codec.lastFull)
-	return roundsResult{infos: infos, span: sp}
-}
-
-// fetch retrieves at least one round starting at `from`: batched against
-// proto-2 workers (falling back — and latching the fallback — on a live
-// 404), per-round otherwise. Safe to call from the prefetch goroutine:
-// it touches only immutable fields, atomics and the wire.
-func (x *RemoteExecutor) fetch(from uint32, batch int) roundsResult {
-	if x.batchable() {
-		n := batch
-		if n > x.batchCap {
-			n = x.batchCap
-		}
-		if n > maxBatchRounds {
-			n = maxBatchRounds
-		}
-		res := x.postRounds(from, n)
-		if !errors.Is(res.err, errNoRoundsEndpoint) {
-			return res
-		}
-		if x.noBatch != nil {
-			x.noBatch.Store(true)
-		}
-	}
-	start := time.Now()
-	fb, err := x.post(epRound, encodeRoundRequest(roundRequest{searchID: x.searchID, round: from}))
-	if err != nil {
-		return roundsResult{err: err}
-	}
-	info, sp, err := decodeRoundInfo(fb.b, start)
-	putFrame(fb)
-	if err != nil {
-		return roundsResult{err: err}
-	}
-	// Keep the delta shadow tracking the per-round fallback path too, so a
-	// later batched fetch may still delta against this round.
-	x.codec.noteLegacy(0, info)
-	return roundsResult{infos: []core.RoundInfo{info}, span: sp}
-}
-
-// fill lands the next batch of rounds in the buffer: the outstanding
-// speculative fetch if one is in flight, a fresh fetch otherwise.
-func (x *RemoteExecutor) fill() error {
-	var res roundsResult
-	if ch := x.pre; ch != nil {
-		x.pre = nil
-		res = <-ch
-	} else {
-		res = x.fetch(x.fetched+1, int(x.batchHint.Load()))
-	}
-	if res.err != nil {
-		return x.setErr(res.err)
-	}
-	if len(res.infos) == 0 {
-		return x.setErr(fmt.Errorf("dshard: %s: empty rounds reply", x.base))
-	}
-	x.ahead = res.infos
-	x.fetched += uint32(len(res.infos))
-	// The batch's span subtree is surfaced with its first consumed round.
-	x.span = res.span
-	return nil
-}
-
-// Round implements core.ShardExecutor: hand back the next buffered
-// round, fetching (or collecting the speculative fetch) when the buffer
-// is dry. Exactly one RoundInfo per call, in round order — the grouping
-// of rounds into RPCs is invisible to the coordinator's stop logic.
-//
-// The speculative fetch is issued at the moment the buffer drains, not
-// when a reply lands: the coordinator burns only merge time between
-// draining the buffer and asking for the next round, so issuing earlier
-// would buy microseconds of overlap — while sizing and gating the
-// prefetch with a round-batch hint and a speculation permission that go
-// a whole buffer stale. Late issue means both reflect the coordinator's
-// stop outlook as of the round just handed back, which is what keeps a
-// search that is visibly approaching its threshold from leaving a full
-// speculative batch burning worker CPU behind the stop.
-func (x *RemoteExecutor) Round() (core.RoundInfo, error) {
-	if len(x.ahead) == 0 {
-		x.span = nil
-		if err := x.fill(); err != nil {
-			return core.RoundInfo{}, err
-		}
-	}
-	info := x.ahead[0]
-	x.ahead = x.ahead[1:]
-	x.round++
-	if len(x.ahead) == 0 && x.pre == nil &&
-		x.wantSpec.Load() && !info.Done && info.Tail >= 1e-15 {
-		from, batch := x.fetched+1, int(x.batchHint.Load())
-		ch := make(chan roundsResult, 1)
-		x.pre = ch
-		x.metrics.addSpecIssued()
-		go func() {
-			ch <- x.fetch(from, batch)
-		}()
-	}
-	return info, nil
-}
-
-// buffered reports how many fetched rounds sit unconsumed in the buffer
-// (failover must not replay rounds the coordinator never saw) and whether
-// a speculative fetch is outstanding.
-func (x *RemoteExecutor) buffered() (ahead int, speculating bool) {
-	return len(x.ahead), x.pre != nil
-}
-
-// baseURL identifies the worker this connection talks to.
-func (x *RemoteExecutor) baseURL() string { return x.base }
-
-// hedgeable reports whether the failover layer may race this connection
-// against a hedge replica; a dedicated per-shard session always may.
-func (x *RemoteExecutor) hedgeable() bool { return true }
-
-// replayable reports whether the worker advertises the proto-3 replay
-// fast-forward.
-func (x *RemoteExecutor) replayable() bool {
-	return x.noReplay == nil || !x.noReplay.Load()
-}
-
-// FastForward advances a freshly begun session through rounds 1..upto,
-// discarding the results: the failover path, replaying a consumed round
-// history onto a replacement replica. Against proto-3 workers it loops
-// the replay endpoint (one frame per maxWorkerBatch rounds); against
-// older workers it falls back to fetching the rounds batched (or
-// per-round) and dropping the infos. Either way the worker executes the
-// identical FP operations the failed replica did, so the session state
-// after the call is bit-identical to the original timeline's.
-func (x *RemoteExecutor) FastForward(upto uint32) error {
-	for x.round < upto {
-		if x.replayable() {
-			fb, err := x.post(epReplay, encodeReplayRequest(replayRequest{
-				searchID: x.searchID, from: x.round + 1, upto: upto,
-			}))
-			if err == nil {
-				rep, derr := decodeReplayReply(fb.b)
-				putFrame(fb)
-				if derr != nil {
-					return x.setErr(derr)
-				}
-				if rep.round <= x.round || rep.round > upto {
-					return x.setErr(fmt.Errorf("dshard: %s: replay moved session to round %d (was %d, want %d)",
-						x.base, rep.round, x.round, upto))
-				}
-				x.round, x.fetched = rep.round, rep.round
-				// Replay carries no round payload, so the worker resets its
-				// delta shadow after replaying; mirror that here or the next
-				// delta reply would reference state we never decoded.
-				x.codec.reset()
-				continue
-			}
-			if !errors.Is(err, errNoReplayEndpoint) {
-				return x.setErr(err)
-			}
-			if x.noReplay != nil {
-				x.noReplay.Store(true)
-			}
-		}
-		res := x.fetch(x.round+1, int(upto-x.round))
-		if res.err != nil {
-			return x.setErr(res.err)
-		}
-		if len(res.infos) == 0 || x.round+uint32(len(res.infos)) > upto {
-			return x.setErr(fmt.Errorf("dshard: %s: replay fallback returned %d rounds past target %d",
-				x.base, len(res.infos), upto))
-		}
-		x.round += uint32(len(res.infos))
-		x.fetched = x.round
-	}
-	return nil
-}
-
-// Finalize implements core.ShardExecutor. Every finalize-reaching stop
-// (exhaustion, budget, precision) leaves the worker exactly at the
-// consumed round: batches are capped at MaxIterations, budgeted searches
-// run unbatched, and the worker itself stops a batch at exhaustion or
-// the precision floor — so the buffer is empty here by construction.
-func (x *RemoteExecutor) Finalize() (core.RoundInfo, error) {
-	callStart := time.Now()
-	rr := roundRequest{searchID: x.searchID, round: x.round}
-	if x.deltaOK() {
-		rr.flags = reqFlagDelta
-	}
-	fb, err := x.post(epFinalize, encodeRoundRequest(rr))
-	if err != nil {
-		return core.RoundInfo{}, x.setErr(err)
-	}
-	info, sp, err := x.codec.decodeFinalize(fb.b, callStart)
-	nBytes := len(fb.b)
-	putFrame(fb)
-	if err != nil {
-		return core.RoundInfo{}, x.setErr(err)
-	}
-	x.metrics.observeReply(nBytes, x.codec.lastDelta, x.codec.lastFull)
-	x.span = sp
-	return info, nil
-}
-
-// End implements core.ShardExecutor: best-effort release of the worker's
-// session. The POST is fired asynchronously — the answer is already
-// decided when End runs, and a hung worker must not stall the search's
-// return (or a failover retry) on teardown. A still-in-flight speculative
-// fetch is drained first (the worker serializes it with the session
-// teardown anyway) and its rounds counted as speculation waste, along
-// with any unconsumed buffer; the worker's TTL/deadline sweeper catches
-// anything the request fails to release.
-func (x *RemoteExecutor) End() {
-	if !x.begun {
-		return
-	}
-	x.begun = false
-	pre := x.pre
-	x.pre = nil
-	wasted := len(x.ahead)
-	x.ahead = nil
-	go func() {
-		if pre != nil {
-			if res := <-pre; res.err == nil {
-				wasted += len(res.infos)
-			}
-		}
-		x.metrics.addSpecWasted(wasted)
-		// The session must be released even when the search's context was
-		// cancelled (client disconnect) or the executor failed over away
-		// from this worker: End always runs on its own bounded context.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		fb, _ := x.postCtx(ctx, epEnd, encodeRoundRequest(roundRequest{searchID: x.searchID, round: x.round}))
-		putFrame(fb)
-	}()
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	mrand "math/rand/v2"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +38,6 @@ type CoordinatorConfig struct {
 	// fleet (see newTransport) — the membership probe then doubles as
 	// connection pre-warming, so the first search never pays a dial.
 	Client *http.Client
-	// MaxRoundBatch caps how many lockstep rounds one batched
-	// /shard/v1/rounds RPC may cover: 0 picks the default (16), 1 keeps
-	// strict one-round-per-RPC lockstep over the batched endpoint, and a
-	// negative value disables the proto-2 extension entirely (per-round
-	// v1 calls only).
-	MaxRoundBatch int
 	// NoSpeculation disables issuing a shard's next round fetch while the
 	// coordinator is still merging the previous one. Speculation never
 	// changes answers — a late stop only wastes the in-flight rounds,
@@ -70,11 +65,6 @@ type CoordinatorConfig struct {
 	// without replication never hedge regardless.
 	NoHedging  bool
 	HedgeDelay time.Duration
-	// NoDelta disables proto-5 delta round framing: every rounds/finalize
-	// request goes out flagless and workers reply with classic full
-	// blocks. Framing never changes answers — this is the A/B switch for
-	// pricing the delta encoding's wire savings.
-	NoDelta bool
 	// Registry, when non-nil, receives the coordinator's wire instruments
 	// (per-endpoint RPC round-trip time and bytes) and search counters.
 	Registry *obs.Registry
@@ -121,26 +111,14 @@ const halfOpenProbes = 2
 type workerRef struct {
 	url string
 
-	// noBatch / noReplay / noSet latch "this worker does not speak the
-	// batched rounds endpoint / the replay fast-forward / the multi-shard
-	// beginset": seeded from the probed /healthz proto version, and
-	// re-latched by a live 404 (a worker rolled back mid-search). Atomic
-	// because executors and probes read/write them concurrently.
-	noBatch  atomic.Bool
-	noReplay atomic.Bool
-	noSet    atomic.Bool
-	// noDelta latches "this worker does not speak proto-5 delta round
-	// framing"; requests to it stay flagless, so it replies full blocks.
-	noDelta atomic.Bool
-
 	// lat feeds this worker's round-RPC RTTs into the hedge-delay
 	// estimate; probing guards against overlapping probes of one worker.
 	lat     latRing
 	probing atomic.Bool
 
 	mu      sync.Mutex
-	shard   int   // primary shard; -1 until probed
-	shards  []int // every shard the worker hosts (shards[0] == shard)
+	shard   int   // first hosted shard, for /stats; -1 until probed
+	shards  []int // every shard the worker hosts
 	healthy bool
 	lastErr string
 	stats   *WorkerStats
@@ -213,9 +191,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 5 * time.Second
-	}
-	if cfg.MaxRoundBatch == 0 {
-		cfg.MaxRoundBatch = defaultMaxRoundBatch
 	}
 	if cfg.SearchRetries == 0 {
 		cfg.SearchRetries = len(cfg.WorkerURLs)
@@ -296,19 +271,18 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	case hb.Status != "serving" || code != http.StatusOK:
 		lastErr = fmt.Sprintf("worker is %s", hb.Status)
 		shard = hb.Shard
+	case hb.Proto != protoVersion:
+		// One protocol, no negotiation: a worker from another release is
+		// never sent a frame it might misread.
+		lastErr = fmt.Sprintf("worker speaks round protocol %d, coordinator speaks %d", hb.Proto, protoVersion)
 	case hb.ShardCount != c.cfg.ShardCount:
 		lastErr = fmt.Sprintf("worker serves a %d-shard set, coordinator has %d", hb.ShardCount, c.cfg.ShardCount)
 	case hb.SetID != fmt.Sprintf("%016x", c.cfg.SetID):
 		lastErr = fmt.Sprintf("worker serves set %s, coordinator has %016x", hb.SetID, c.cfg.SetID)
-	case hb.Shard < 0 || hb.Shard >= c.cfg.ShardCount:
-		lastErr = fmt.Sprintf("worker reports shard %d of %d", hb.Shard, c.cfg.ShardCount)
+	case len(hb.Shards) == 0:
+		lastErr = "worker reports no hosted shards"
 	default:
-		// Pre-proto-4 workers report a single shard; host workers list
-		// everything they serve (primary first).
 		hosted = hb.Shards
-		if len(hosted) == 0 {
-			hosted = []int{hb.Shard}
-		}
 		bad := -1
 		for _, hs := range hosted {
 			if hs < 0 || hs >= c.cfg.ShardCount {
@@ -322,16 +296,7 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 			break
 		}
 		healthy = true
-		shard = hb.Shard
-		// The probe is also the capability handshake (and, over the shared
-		// keep-alive transport, the connection pre-warm): a worker that
-		// does not advertise proto>=2 never sees a batched call or a
-		// deadline field, one below proto 3 never sees a replay, and one
-		// below proto 4 never sees a multi-shard beginset.
-		w.noBatch.Store(hb.Proto < protoBatch)
-		w.noReplay.Store(hb.Proto < protoReplay)
-		w.noSet.Store(hb.Proto < protoHost)
-		w.noDelta.Store(hb.Proto < protoDelta)
+		shard = hosted[0]
 	}
 	var st *WorkerStats
 	if healthy {
@@ -426,16 +391,9 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 	covered := make([]bool, c.cfg.ShardCount)
 	for _, w := range c.workers {
 		w.mu.Lock()
-		if w.healthy && w.shard >= 0 {
-			covered[w.shard] = true
-			// A host-capable worker covers every shard it hosts; legacy
-			// sessions can only address the primary.
-			if c.hostCapable(w) {
-				for _, s := range w.shards {
-					if s >= 0 && s < len(covered) {
-						covered[s] = true
-					}
-				}
+		if w.healthy {
+			for _, s := range w.shards {
+				covered[s] = true
 			}
 		}
 		w.mu.Unlock()
@@ -504,21 +462,11 @@ func (c *Coordinator) Run(ctx context.Context) {
 	}
 }
 
-// hostCapable reports whether host-grouped (beginset) sessions may be
-// opened on w: the worker must speak proto 4 and the coordinator must
-// have the batched rounds endpoint enabled (host replies only exist in
-// batched framing).
-func (c *Coordinator) hostCapable(w *workerRef) bool {
-	return c.cfg.MaxRoundBatch > 0 && !w.noSet.Load()
-}
-
 // pickShard selects one admissible replica of a shard, skipping excluded
 // workers: closed-breaker replicas first (rotating), then a half-open one
 // whose trial token is free — the trial IS the probe request of the
 // half-open state, and its outcome (noteWorkerSuccess / Failure) decides
-// whether the breaker closes or re-opens. A multi-shard worker serves
-// its whole hosted set when beginset is usable, but only its primary
-// shard otherwise — legacy begin cannot address the other members.
+// whether the breaker closes or re-opens.
 func (c *Coordinator) pickShard(shard int, excluded map[*workerRef]bool) (*workerRef, error) {
 	var closed, half []*workerRef
 	for _, w := range c.workers {
@@ -526,15 +474,7 @@ func (c *Coordinator) pickShard(shard int, excluded map[*workerRef]bool) (*worke
 			continue
 		}
 		w.mu.Lock()
-		ok := w.healthy && w.shard == shard
-		if !ok && w.healthy && c.hostCapable(w) {
-			for _, hs := range w.shards {
-				if hs == shard {
-					ok = true
-					break
-				}
-			}
-		}
+		ok := w.healthy && slices.Contains(w.shards, shard)
 		state := w.brState
 		w.mu.Unlock()
 		if !ok {
@@ -667,9 +607,9 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 		fxs := make([]*failoverExecutor, 0, len(refs))
 		execs := make([]core.ShardExecutor, 0, len(refs))
 		// Group the picked cover by worker: shards landing on the same
-		// proto-4 process share one host session — one beginset, one
-		// rounds RPC per batch for the whole group, one shared iterator
-		// worker-side — instead of one session (and one RPC stream) each.
+		// process share one session — one beginset, one rounds RPC per
+		// batch for the whole group, one shared iterator worker-side —
+		// instead of one session (and one RPC stream) each.
 		groups := make(map[*workerRef][]int)
 		for s, ref := range refs {
 			if ref != nil {
@@ -677,12 +617,10 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 			}
 		}
 		traceID := copts.Trace.TraceID()
-		conns := make(map[int]shardConn, c.cfg.ShardCount)
-		cancels := make(map[int]context.CancelFunc, c.cfg.ShardCount)
+		conns := make([]*hostShardView, c.cfg.ShardCount)
 		for ref, group := range groups {
-			cs, cls := c.connect(ctx, ref, group, traceID, copts.Budget)
-			for i, s := range group {
-				conns[s], cancels[s] = cs[i], cls[i]
+			for i, v := range c.connect(ctx, ref, group, traceID, copts.Budget) {
+				conns[group[i]] = v
 			}
 		}
 		for s, ref := range refs {
@@ -690,7 +628,7 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 				continue
 			}
 			served = append(served, s)
-			fx := c.newFailoverExecutor(ctx, s, ref, conns[s], cancels[s], copts, excluded)
+			fx := c.newFailoverExecutor(ctx, s, ref, conns[s], copts, excluded)
 			fxs = append(fxs, fx)
 			execs = append(execs, fx)
 		}

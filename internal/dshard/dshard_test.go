@@ -179,25 +179,10 @@ func TestDistributedEqualsSharded(t *testing.T) {
 			}
 
 			urls, stop := startWorkers(t, manifestPath, n, snap.LoadMmap)
-			// Default coordinator (batched + pipelined rounds) and a legacy
-			// one speaking the per-round v1 protocol only: both must equal
-			// the in-process sharded engine byte for byte, and so must a
-			// second, warm pass resuming the workers' cached frontiers.
+			// The coordinator must equal the in-process sharded engine byte
+			// for byte, and so must a second, warm pass resuming the workers'
+			// cached frontiers.
 			coord := newCoordinator(t, set.Set.Layout, urls)
-			legacy, err := NewCoordinator(CoordinatorConfig{
-				WorkerURLs:    urls,
-				ShardCount:    len(set.Set.Layout.Shards),
-				SetID:         set.Set.Layout.SetID,
-				Client:        &http.Client{Timeout: 10 * time.Second},
-				MaxRoundBatch: -1,
-				NoSpeculation: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := legacy.Probe(context.Background()); err != nil {
-				t.Fatal(err)
-			}
 
 			seekers, kwSets := queries(in)
 			for pass, label := range []string{"cold", "warm"} {
@@ -218,15 +203,13 @@ func TestDistributedEqualsSharded(t *testing.T) {
 						}
 						want := engineTranscript(rs, sstats)
 						spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5, Params: opts.Params, Epsilon: 1e-12}
-						for cname, c := range map[string]*Coordinator{"batched": coord, "legacy": legacy} {
-							sel, dstats, err := c.Search(spec, core.CoordOptions{})
-							if err != nil {
-								t.Fatalf("%s n=%d %s/%s: distributed search: %v", name, n, label, cname, err)
-							}
-							if got := metaTranscript(sel, dstats); got != want {
-								t.Fatalf("%s n=%d %s/%s seeker=%d kws=%v: distributed answer diverged\nsharded:\n%s\ndistributed:\n%s",
-									name, n, label, cname, seeker, kws, want, got)
-							}
+						sel, dstats, err := coord.Search(spec, core.CoordOptions{})
+						if err != nil {
+							t.Fatalf("%s n=%d %s: distributed search: %v", name, n, label, err)
+						}
+						if got := metaTranscript(sel, dstats); got != want {
+							t.Fatalf("%s n=%d %s seeker=%d kws=%v: distributed answer diverged\nsharded:\n%s\ndistributed:\n%s",
+								name, n, label, seeker, kws, want, got)
 						}
 						checked++
 					}
@@ -384,7 +367,7 @@ func TestWorkerLifecycleStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := newRemoteExecutor(http.DefaultClient, srv.URL, 42)
+	re := openSession(srv.URL, 42, 0)
 	if _, err := re.Begin(core.SearchSpec{Seeker: in.Users()[0], Groups: groups, K: 3, Params: score.Params{Gamma: 1.5, Eta: 0.8}, Epsilon: 1e-12}); err == nil {
 		t.Error("draining worker accepted a new search")
 	}
@@ -393,8 +376,9 @@ func TestWorkerLifecycleStates(t *testing.T) {
 // TestWireRoundTrip pushes representative frames through the codec: the
 // decode of an encode must reproduce every field bit for bit.
 func TestWireRoundTrip(t *testing.T) {
-	br := beginRequest{
+	br := beginSetRequest{
 		searchID: 7,
+		shards:   []int{1, 3},
 		spec: core.SearchSpec{
 			Seeker: 3, K: 10,
 			Params:  score.Params{Gamma: 1.25, Eta: 0.8},
@@ -402,21 +386,35 @@ func TestWireRoundTrip(t *testing.T) {
 			Groups:  [][]dict.ID{{1, 2, 9}, {42}},
 		},
 	}
-	gotBR, err := decodeBeginRequest(encodeBeginRequest(br))
+	gotBR, err := decodeBeginSetRequest(encodeBeginSetRequest(br))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprintf("%+v", gotBR) != fmt.Sprintf("%+v", br) {
-		t.Fatalf("begin request round trip: %+v != %+v", gotBR, br)
+		t.Fatalf("beginset request round trip: %+v != %+v", gotBR, br)
+	}
+	dup := br
+	dup.shards = []int{1, 1}
+	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(dup)); err == nil {
+		t.Error("beginset listing a shard twice accepted")
 	}
 
-	bi := core.BeginInfo{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}}}
-	gotBI, _, err := decodeBeginInfo(encodeBeginInfo(bi), time.Now())
+	bis := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}}}, {Matched: 0, GroupMasses: [][]int32{{0, 0, 0}, {0}}}}
+	gotBIs, _, err := decodeBeginSetReply(encodeBeginSetReply(bis), len(bis), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", gotBI) != fmt.Sprintf("%+v", bi) {
-		t.Fatalf("begin info round trip: %+v != %+v", gotBI, bi)
+	if fmt.Sprintf("%+v", gotBIs) != fmt.Sprintf("%+v", bis) {
+		t.Fatalf("beginset reply round trip: %+v != %+v", gotBIs, bis)
+	}
+	if _, _, err := decodeBeginSetReply(encodeBeginSetReply(bis), len(bis)+1, time.Now()); err == nil {
+		t.Error("beginset reply with the wrong shard count accepted")
+	}
+
+	fr := roundRequest{searchID: 9, round: 12}
+	gotFR, err := decodeRoundRequest(encodeRoundRequest(fr))
+	if err != nil || gotFR != fr {
+		t.Fatalf("finalize request round trip: %+v, %v (want %+v)", gotFR, err, fr)
 	}
 
 	ri := core.RoundInfo{
@@ -425,10 +423,12 @@ func TestWireRoundTrip(t *testing.T) {
 		MaxOther:  0.125, Admitted: 2, Candidates: 6, Reached: 19,
 		N: 3, Tail: math.Pow(1.5, -4), SourceTail: math.Pow(1.5, -3), Done: false,
 	}
-	gotRI, _, err := decodeRoundInfo(encodeRoundInfo(ri), time.Now())
+	frame := infoBytes(ri)
+	gotRIs, _, err := decodeHostInfosReply(frame, 1, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotRI := gotRIs[0]
 	if gotRI.Uncertain == nil || *gotRI.Uncertain != *ri.Uncertain {
 		t.Fatalf("round info uncertain round trip: %+v != %+v", gotRI.Uncertain, ri.Uncertain)
 	}
@@ -439,13 +439,18 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// Truncated and trailing-garbage frames are rejected.
-	frame := encodeRoundInfo(ri)
-	if _, _, err := decodeRoundInfo(frame[:len(frame)-3], time.Now()); err == nil {
-		t.Error("truncated round frame accepted")
+	if _, _, err := decodeHostInfosReply(frame[:len(frame)-3], 1, time.Now()); err == nil {
+		t.Error("truncated finalize reply accepted")
 	}
-	if _, _, err := decodeRoundInfo(append(bytes.Clone(frame), 0), time.Now()); err == nil {
+	if _, _, err := decodeHostInfosReply(append(bytes.Clone(frame), 0), 1, time.Now()); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+}
+
+// infoBytes frames one RoundInfo as a one-member finalize reply — the
+// exact-bits rendering the identity tests compare.
+func infoBytes(info core.RoundInfo) []byte {
+	return appendHostInfosReply(nil, []core.RoundInfo{info})
 }
 
 func jsonDecode(resp *http.Response, v any) error {

@@ -9,8 +9,7 @@
 // bit-identical to the failed replica's state. failoverExecutor exploits
 // that — on a transport error it re-begins the session on another replica
 // of the same shard (fresh search id), replays rounds 1..consumed through
-// /shard/v1/replay (or a batched fetch with discarded results against
-// older workers) and resumes lockstep. The recovered search's answer is
+// /shard/v1/replay and resumes lockstep. The recovered search's answer is
 // byte-identical to an undisturbed one, property-tested in chaos_test.go.
 //
 // The same wrapper issues hedged round RPCs: when a demand fetch is about
@@ -84,11 +83,11 @@ func (l *latRing) hedgeDelay() time.Duration {
 	return time.Duration(l.p99.Load())
 }
 
-// failoverExecutor wraps the RemoteExecutor for one shard with failover
-// and hedging. It implements core.ShardExecutor (and RoundPlanner /
+// failoverExecutor wraps one shard's session view with failover and
+// hedging. It implements core.ShardExecutor (and RoundPlanner /
 // spanSource) so core.Coordinate drives it unchanged; all methods are
 // called from that shard's scatter goroutine, so the mutable fields need
-// no locking (the hedge goroutine touches only its own remote, the
+// no locking (the hedge goroutine touches only its own view, the
 // coordinator's note methods and its result channel).
 type failoverExecutor struct {
 	c     *Coordinator
@@ -103,9 +102,8 @@ type failoverExecutor struct {
 	begun     bool
 	consumed  uint32 // rounds the coordinator consumed from this shard
 
-	cur    shardConn
-	cancel context.CancelFunc // cancels cur's RPC context
-	ref    *workerRef
+	cur *hostShardView
+	ref *workerRef
 
 	// tried is every replica this executor has held a session on (or
 	// excluded from the start); failed is the subset that broke, for the
@@ -115,7 +113,6 @@ type failoverExecutor struct {
 
 	planBatch int
 	planSpec  bool
-	relegated bool // one protocol downgrade per executor
 
 	hedging    bool
 	hedgeDelay time.Duration // fixed override; 0 derives from the worker's P99
@@ -126,18 +123,18 @@ var (
 	_ core.RoundPlanner  = (*failoverExecutor)(nil)
 )
 
-// newFailoverExecutor binds a shard's executor to its first replica.
-// conn/cancel, when non-nil, is the pre-built connection the search's
-// cover planning opened (possibly one view of a host-grouped session);
-// nil attaches a fresh one. excluded seeds the tried set (replicas
-// earlier whole-search attempts already benched).
+// newFailoverExecutor binds a shard's executor to its first replica
+// through conn, the view the search's cover planning opened (possibly one
+// member of a host-grouped session). excluded seeds the tried set
+// (replicas earlier whole-search attempts already benched).
 func (c *Coordinator) newFailoverExecutor(ctx context.Context, shard int, ref *workerRef,
-	conn shardConn, cancel context.CancelFunc,
-	copts core.CoordOptions, excluded map[*workerRef]bool) *failoverExecutor {
+	conn *hostShardView, copts core.CoordOptions, excluded map[*workerRef]bool) *failoverExecutor {
 	fx := &failoverExecutor{
 		c:          c,
 		shard:      shard,
 		ctx:        ctx,
+		cur:        conn,
+		ref:        ref,
 		traceID:    copts.Trace.TraceID(),
 		budget:     copts.Budget,
 		tried:      map[*workerRef]bool{ref: true},
@@ -149,22 +146,14 @@ func (c *Coordinator) newFailoverExecutor(ctx context.Context, shard int, ref *w
 	for w := range excluded {
 		fx.tried[w] = true
 	}
-	fx.ref = ref
-	if conn != nil {
-		fx.cur, fx.cancel = conn, cancel
-	} else {
-		fx.cur, fx.cancel = fx.attach(ref)
-	}
 	return fx
 }
 
-// attach builds a fresh single-shard connection to one replica under
-// its own cancelable context (a hedge loser must be cancellable without
-// killing the search). Against a proto-4 worker this is a one-view host
-// session — the only session kind that can address a non-primary shard.
-func (fx *failoverExecutor) attach(ref *workerRef) (shardConn, context.CancelFunc) {
-	conns, cancels := fx.c.connect(fx.ctx, ref, []int{fx.shard}, fx.traceID, fx.budget)
-	return conns[0], cancels[0]
+// attach opens a fresh single-shard session on one replica under its own
+// cancelable context (a hedge loser must be cancellable without killing
+// the search).
+func (fx *failoverExecutor) attach(ref *workerRef) *hostShardView {
+	return fx.c.connect(fx.ctx, ref, []int{fx.shard}, fx.traceID, fx.budget)[0]
 }
 
 // fatal reports errors failover cannot route around: deterministic
@@ -175,42 +164,17 @@ func (fx *failoverExecutor) fatal(err error) bool {
 	return errors.As(err, &app) || fx.ctx.Err() != nil
 }
 
-// capabilityLost reports errors that mean the worker dropped a protocol
-// extension mid-flight (a rollback): the session has already flipped the
-// relevant latch, so re-attaching selects the downgraded protocol. Not a
-// failure — the worker must not be benched for it.
-func capabilityLost(err error) bool {
-	return errors.Is(err, errNoRoundsEndpoint) || errors.Is(err, errNoBeginSetEndpoint)
-}
-
-// relegate abandons the current session and re-establishes on the SAME
-// worker over whatever protocol its latches now select, fast-forwarded
-// through the consumed rounds. Used once per executor, after a
-// capability loss.
-func (fx *failoverExecutor) relegate() error {
-	fx.cancel()
-	fx.cur.End()
-	r, cancel := fx.attach(fx.ref)
-	if err := fx.establishOn(r, fx.consumed); err != nil {
-		cancel()
-		r.End()
-		return err
-	}
-	fx.cur, fx.cancel = r, cancel
-	return nil
-}
-
 // markFailed benches the current replica and abandons its session.
 func (fx *failoverExecutor) markFailed(err error) {
 	fx.c.noteWorkerFailure(fx.ref, err)
 	fx.failed[fx.ref] = err
-	fx.cancel()
+	fx.cur.cancelConn()
 	fx.cur.End()
 }
 
 // establishOn opens a replacement session on r and fast-forwards it to
 // the consumed round. Read-only on fx (the hedge goroutine calls it).
-func (fx *failoverExecutor) establishOn(r shardConn, consumed uint32) error {
+func (fx *failoverExecutor) establishOn(r *hostShardView, consumed uint32) error {
 	r.PlanRounds(fx.planBatch, false)
 	info, err := r.Begin(fx.spec)
 	if err != nil {
@@ -218,7 +182,7 @@ func (fx *failoverExecutor) establishOn(r shardConn, consumed uint32) error {
 	}
 	if fx.begun && info.Matched != fx.beginInfo.Matched {
 		return fmt.Errorf("dshard: %s: replica diverges on begin (matched %d, had %d)",
-			r.baseURL(), info.Matched, fx.beginInfo.Matched)
+			r.s.base, info.Matched, fx.beginInfo.Matched)
 	}
 	if consumed > 0 {
 		return r.FastForward(consumed)
@@ -240,9 +204,9 @@ func (fx *failoverExecutor) failover() error {
 			return err
 		}
 		fx.tried[ref] = true
-		r, cancel := fx.attach(ref)
+		r := fx.attach(ref)
 		if err := fx.establishOn(r, fx.consumed); err != nil {
-			cancel()
+			r.cancelConn()
 			r.End()
 			if fx.fatal(err) {
 				return err
@@ -251,7 +215,7 @@ func (fx *failoverExecutor) failover() error {
 			fx.failed[ref] = err
 			continue
 		}
-		fx.cur, fx.cancel, fx.ref = r, cancel, ref
+		fx.cur, fx.ref = r, ref
 		fx.c.failovers.Add(1)
 		return nil
 	}
@@ -269,15 +233,6 @@ func (fx *failoverExecutor) Begin(spec core.SearchSpec) (core.BeginInfo, error) 
 		if fx.fatal(err) {
 			return core.BeginInfo{}, err
 		}
-		if capabilityLost(err) && !fx.relegated {
-			// Nothing consumed yet: re-attach (the latch now selects the
-			// downgraded protocol) and retry the begin on the same worker.
-			fx.relegated = true
-			fx.cancel()
-			fx.cur.End()
-			fx.cur, fx.cancel = fx.attach(fx.ref)
-			continue
-		}
 		fx.markFailed(err)
 		if err := fx.ctx.Err(); err != nil {
 			return core.BeginInfo{}, err
@@ -287,8 +242,7 @@ func (fx *failoverExecutor) Begin(spec core.SearchSpec) (core.BeginInfo, error) 
 			return core.BeginInfo{}, err
 		}
 		fx.tried[ref] = true
-		fx.cur, fx.cancel = fx.attach(ref)
-		fx.ref = ref
+		fx.cur, fx.ref = fx.attach(ref), ref
 		fx.c.failovers.Add(1)
 	}
 }
@@ -304,12 +258,6 @@ func (fx *failoverExecutor) Round() (core.RoundInfo, error) {
 		}
 		if fx.fatal(err) {
 			return core.RoundInfo{}, err
-		}
-		if capabilityLost(err) && !fx.relegated {
-			fx.relegated = true
-			if fx.relegate() == nil {
-				continue
-			}
 		}
 		fx.markFailed(err)
 		if ferr := fx.failover(); ferr != nil {
@@ -346,7 +294,7 @@ type roundOutcome struct {
 // abandoned but not benched — slowness is not failure, and benching on
 // it would let one GC pause drain the fleet.
 func (fx *failoverExecutor) hedgedRound(delay time.Duration) (core.RoundInfo, error) {
-	primary, pcancel := fx.cur, fx.cancel
+	primary := fx.cur
 	pch := make(chan roundOutcome, 1)
 	go func() {
 		info, err := primary.Round()
@@ -368,7 +316,7 @@ func (fx *failoverExecutor) hedgedRound(delay time.Duration) (core.RoundInfo, er
 	}
 	fx.tried[href] = true
 	fx.c.hedgeIssued.Add(1)
-	hrem, hcancel := fx.attach(href)
+	hrem := fx.attach(href)
 	consumed := fx.consumed
 	hch := make(chan roundOutcome, 1)
 	go func() {
@@ -383,7 +331,7 @@ func (fx *failoverExecutor) hedgedRound(delay time.Duration) (core.RoundInfo, er
 	case r := <-pch:
 		// Primary answered after all: cancel the hedge, release its
 		// session (and any half-open trial token it held).
-		hcancel()
+		hrem.cancelConn()
 		go func() {
 			<-hch
 			hrem.End()
@@ -392,9 +340,9 @@ func (fx *failoverExecutor) hedgedRound(delay time.Duration) (core.RoundInfo, er
 		return r.info, r.err
 	case hr := <-hch:
 		if hr.err != nil {
-			hcancel()
+			hrem.cancelConn()
 			hrem.End()
-			if fx.fatal(hr.err) || capabilityLost(hr.err) {
+			if fx.fatal(hr.err) {
 				fx.c.noteWorkerReleased(href)
 			} else {
 				fx.c.noteWorkerFailure(href, hr.err)
@@ -405,12 +353,12 @@ func (fx *failoverExecutor) hedgedRound(delay time.Duration) (core.RoundInfo, er
 		}
 		// Hedge won: adopt it, abandon (but do not bench) the primary.
 		fx.c.hedgeWon.Add(1)
-		pcancel()
+		primary.cancelConn()
 		go func() {
 			<-pch
 			primary.End()
 		}()
-		fx.cur, fx.cancel, fx.ref = hrem, hcancel, href
+		fx.cur, fx.ref = hrem, href
 		return hr.info, nil
 	}
 }
@@ -426,12 +374,6 @@ func (fx *failoverExecutor) Finalize() (core.RoundInfo, error) {
 		}
 		if fx.fatal(err) {
 			return core.RoundInfo{}, err
-		}
-		if capabilityLost(err) && !fx.relegated {
-			fx.relegated = true
-			if fx.relegate() == nil {
-				continue
-			}
 		}
 		fx.markFailed(err)
 		if ferr := fx.failover(); ferr != nil {

@@ -1,17 +1,19 @@
-// Tests for the proto-3 resilience extensions: the replay fast-forward
-// codec and its proto-2 fallback, frame CRC integrity, the per-worker
-// circuit breaker, the jittered probe schedule, worker drain across a
-// restart, and membership refresh racing live searches.
+// Tests for the resilience layer: the replay fast-forward codec and its
+// identity property, frame CRC integrity, the per-worker circuit breaker,
+// the jittered probe schedule, worker drain across a restart, and
+// membership refresh racing live searches.
 package dshard
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +25,7 @@ import (
 )
 
 // TestReplayWireRoundTrip mirrors TestBatchedWireRoundTrip for the
-// proto-3 replay frames: exact round trips plus rejection of truncated,
+// replay frames: exact round trips plus rejection of truncated,
 // padded, inverted and oversized ranges.
 func TestReplayWireRoundTrip(t *testing.T) {
 	rr := replayRequest{searchID: 42, from: 3, upto: 40}
@@ -69,17 +71,44 @@ func TestReplayWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameCRC covers the integrity layer: the codec-level check and the
-// worker's 422 (not 400 — a CRC mismatch is transit corruption the
-// coordinator must retry, never a deterministic rejection).
+// stripCRCTransport drops the frame CRC header from every outgoing
+// request — an intermediary that "normalizes" unknown headers.
+type stripCRCTransport struct{}
+
+func (stripCRCTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Del(frameCRCHeader)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// stripCRCResponses wraps a worker handler so its replies lose the frame
+// CRC header on the way back.
+func stripCRCResponses(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, req)
+		for k, vs := range rec.Header() {
+			if k != frameCRCHeader {
+				rw.Header()[k] = vs
+			}
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	})
+}
+
+// TestFrameCRC covers the integrity layer: the codec-level check, the
+// worker's 422 (not 400 — a CRC failure is transit corruption the
+// coordinator must retry, never a deterministic rejection), and that a
+// stripped header in either direction reads as a transport failure the
+// coordinator fails over on instead of as "integrity checking off".
 func TestFrameCRC(t *testing.T) {
 	body := []byte("round protocol frame")
 	if err := checkFrameCRC(body, frameCRC(body)); err != nil {
 		t.Fatalf("matching CRC rejected: %v", err)
 	}
-	// An absent header is tolerated (a peer that does not compute CRCs).
-	if err := checkFrameCRC(body, ""); err != nil {
-		t.Fatalf("absent CRC header rejected: %v", err)
+	if err := checkFrameCRC(body, ""); err == nil {
+		t.Fatal("absent CRC header accepted")
 	}
 	flipped := bytes.Clone(body)
 	flipped[3] ^= 0x10
@@ -87,9 +116,9 @@ func TestFrameCRC(t *testing.T) {
 		t.Fatal("corrupted body passed the CRC check")
 	}
 
-	_, _, _, servers := smallTopology(t)
+	manifestPath, set, workers, servers := smallTopology(t)
 	post := func(crc string) int {
-		req, err := http.NewRequest(http.MethodPost, servers[0].URL+pathBegin, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, servers[0].URL+pathBeginSet, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,16 +136,68 @@ func TestFrameCRC(t *testing.T) {
 	if code := post(frameCRC([]byte("something else"))); code != http.StatusUnprocessableEntity {
 		t.Fatalf("worker answered %d to a corrupt frame, want 422", code)
 	}
+	if code := post(""); code != http.StatusUnprocessableEntity {
+		t.Fatalf("worker answered %d to a frame without a CRC header, want 422", code)
+	}
 	// With a matching CRC the same garbage is a malformed frame: a
 	// deterministic 400, which the coordinator must NOT fail over on.
 	if code := post(frameCRC(body)); code != http.StatusBadRequest {
 		t.Fatalf("worker answered %d to a malformed frame, want 400", code)
 	}
+
+	// Header stripped in transit, each direction: the session records a
+	// transport-class error (the failover trigger), never an application
+	// rejection and never a decoded reply.
+	spec := deepQuery(t, set, servers[0], 1)
+	stripped := httptest.NewServer(stripCRCResponses(workers[0].Handler()))
+	t.Cleanup(stripped.Close)
+	reqStripped := openSession(servers[0].URL, 6601, 0)
+	reqStripped.s.client = &http.Client{Transport: stripCRCTransport{}}
+	for name, v := range map[string]*hostShardView{
+		"request":  reqStripped,
+		"response": openSession(stripped.URL, 6602, 0),
+	} {
+		_, err := v.Begin(spec)
+		var app *appError
+		if err == nil || errors.As(err, &app) {
+			t.Fatalf("%s header stripped: Begin returned %v, want a transport error", name, err)
+		}
+		if !strings.Contains(err.Error(), frameCRCHeader) {
+			t.Fatalf("%s header stripped: error %q does not name the missing header", name, err)
+		}
+		if v.s.err == nil {
+			t.Fatalf("%s header stripped: session did not latch the transport error", name)
+		}
+		v.End()
+	}
+
+	// End to end: shard 0's only clean replica keeps the search exact when
+	// the other one sits behind the header-stripping hop.
+	urlsB, stopB := startWorkers(t, manifestPath, 2, snap.LoadMmap)
+	defer stopB()
+	clean := newCoordinator(t, set.Set.Layout, []string{servers[0].URL, servers[1].URL})
+	wantSel, wantStats, err := clean.Search(spec, core.CoordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := newCoordinator(t, set.Set.Layout, []string{stripped.URL, servers[1].URL, urlsB[0]})
+	for i := 0; i < 4; i++ {
+		sel, stats, err := coord.Search(spec, core.CoordOptions{})
+		if err != nil {
+			t.Fatalf("search %d behind a header-stripping hop: %v", i, err)
+		}
+		if got, want := metaTranscript(sel, stats), metaTranscript(wantSel, wantStats); got != want {
+			t.Fatalf("answer diverged behind a header-stripping hop\nwant:\n%s\ngot:\n%s", want, got)
+		}
+	}
+	if coord.failovers.Load()+coord.retries.Load() == 0 {
+		t.Fatal("stripped CRC headers never triggered a failover or retry")
+	}
 }
 
 // deepQuery finds a query that runs at least minRounds lockstep rounds
-// against srv's shard without finishing, so replay tests have history to
-// fast-forward through.
+// against shard 0 (which srv must host) without finishing, so replay
+// tests have history to fast-forward through.
 func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, minRounds int) core.SearchSpec {
 	t.Helper()
 	in := set.Set.Base
@@ -134,7 +215,7 @@ func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, m
 			spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5,
 				Params: score.Params{Gamma: 1.5, Eta: 0.8}, Epsilon: 1e-12}
 			id++
-			re := newRemoteExecutor(http.DefaultClient, srv.URL, id)
+			re := openSession(srv.URL, id, 0)
 			if _, err := re.Begin(spec); err != nil {
 				t.Fatal(err)
 			}
@@ -159,99 +240,74 @@ func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, m
 	return core.SearchSpec{}
 }
 
-// replayIdentity is the replay acceptance property: a session begun
-// fresh and fast-forwarded through k consumed rounds continues — round
-// for round, bit for bit — exactly like the session that executed those
-// rounds live. hideReplay routes the replica through a proxy without
-// /shard/v1/replay, exercising the proto-2 fallback.
-func replayIdentity(t *testing.T, hideReplay bool) {
-	t.Helper()
+// TestReplayFastForward is the replay acceptance property: a session
+// begun fresh and fast-forwarded through k consumed rounds over
+// /shard/v1/replay continues — round for round, bit for bit — exactly
+// like the session that executed those rounds live, at every
+// consumed-round count a failover can strike at.
+func TestReplayFastForward(t *testing.T) {
 	_, set, _, servers := smallTopology(t)
 	srv := servers[0]
-	spec := deepQuery(t, set, srv, 4)
+	spec := deepQuery(t, set, srv, 5)
 
-	primary := newRemoteExecutor(http.DefaultClient, srv.URL, 8801)
-	bi1, err := primary.Begin(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const consumed = 3
-	for i := 0; i < consumed; i++ {
-		if _, err := primary.Round(); err != nil {
+	for consumed := 1; consumed <= 4; consumed++ {
+		primary := openSession(srv.URL, uint64(8800+2*consumed), 0)
+		bi1, err := primary.Begin(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	replicaURL := srv.URL
-	if hideReplay {
-		proxy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-			if req.URL.Path == pathReplay {
-				http.NotFound(rw, req)
-				return
+		for i := 0; i < consumed; i++ {
+			if _, err := primary.Round(); err != nil {
+				t.Fatal(err)
 			}
-			srv.Config.Handler.ServeHTTP(rw, req)
-		}))
-		t.Cleanup(proxy.Close)
-		replicaURL = proxy.URL
-	}
-	var noReplay atomic.Bool
-	replica := newRemoteExecutor(http.DefaultClient, replicaURL, 8802).
-		withResilience(context.Background(), 5*time.Second, &noReplay, nil)
-	bi2, err := replica.Begin(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bi2.Matched != bi1.Matched {
-		t.Fatalf("replica diverges on begin: matched %d vs %d", bi2.Matched, bi1.Matched)
-	}
-	if err := replica.FastForward(consumed); err != nil {
-		t.Fatal(err)
-	}
-	if noReplay.Load() != hideReplay {
-		t.Fatalf("noReplay latch = %v after fast-forward, want %v", noReplay.Load(), hideReplay)
-	}
+		}
 
-	// The stop decision belongs to the coordinator, so Done may never
-	// fire when driving executors directly: compare a fixed window of
-	// post-recovery rounds, then the finalize state at that point.
-	for i := 0; i < 6; i++ {
-		a, err := primary.Round()
+		replica := openSession(srv.URL, uint64(8801+2*consumed), 0)
+		bi2, err := replica.Begin(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := replica.Round()
+		if bi2.Matched != bi1.Matched {
+			t.Fatalf("replica diverges on begin: matched %d vs %d", bi2.Matched, bi1.Matched)
+		}
+		if err := replica.FastForward(uint32(consumed)); err != nil {
+			t.Fatal(err)
+		}
+
+		// The stop decision belongs to the coordinator, so Done may never
+		// fire when driving executors directly: compare a fixed window of
+		// post-recovery rounds, then the finalize state at that point.
+		for i := 0; i < 6; i++ {
+			a, err := primary.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := replica.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(infoBytes(a), infoBytes(b)) {
+				t.Fatalf("consumed=%d: round %d diverged after fast-forward:\nlive:   %+v\nreplay: %+v", consumed, consumed+i+1, a, b)
+			}
+			if a.Done {
+				break
+			}
+		}
+		fa, err := primary.Finalize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeRoundInfo(a), encodeRoundInfo(b)) {
-			t.Fatalf("round %d diverged after fast-forward:\nlive:   %+v\nreplay: %+v", consumed+i+1, a, b)
+		fb, err := replica.Finalize()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.Done {
-			break
+		if !bytes.Equal(infoBytes(fa), infoBytes(fb)) {
+			t.Fatalf("consumed=%d: finalize diverged after fast-forward:\nlive:   %+v\nreplay: %+v", consumed, fa, fb)
 		}
+		primary.End()
+		replica.End()
 	}
-	fa, err := primary.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := replica.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeRoundInfo(fa), encodeRoundInfo(fb)) {
-		t.Fatalf("finalize diverged after fast-forward:\nlive:   %+v\nreplay: %+v", fa, fb)
-	}
-	primary.End()
-	replica.End()
 }
-
-// TestReplayFastForward: fast-forward over /shard/v1/replay.
-func TestReplayFastForward(t *testing.T) { replayIdentity(t, false) }
-
-// TestReplayFallback: the same property against a worker without the
-// replay endpoint — the executor falls back to fetching the rounds and
-// discarding the results, and latches the capability off.
-func TestReplayFallback(t *testing.T) { replayIdentity(t, true) }
 
 // stubHealthz serves a minimal worker /healthz (+ empty /stats) whose
 // health is toggled by the test: the breaker tests drive probe outcomes
@@ -267,7 +323,7 @@ func stubHealthz(t *testing.T, setID uint64, healthy *atomic.Bool) *httptest.Ser
 			return
 		}
 		json.NewEncoder(rw).Encode(map[string]any{
-			"status": "serving", "shard": 0, "shard_count": 1,
+			"status": "serving", "shard": 0, "shards": []int{0}, "shard_count": 1,
 			"set_id": fmt.Sprintf("%016x", setID), "proto": protoVersion,
 		})
 	})
@@ -479,7 +535,7 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 	want := metaTranscript(wantSel, wantStats)
 
 	// Open a session, then start draining: the session must pin Drain.
-	inflight := newRemoteExecutor(http.DefaultClient, servers[0].URL, 7701)
+	inflight := openSession(servers[0].URL, 7701, 0)
 	if _, err := inflight.Begin(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +547,7 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 		t.Fatal("Drain returned with a session still open")
 	}
 	// New sessions are refused while the in-flight one still gets rounds.
-	refused := newRemoteExecutor(http.DefaultClient, servers[0].URL, 7702)
+	refused := openSession(servers[0].URL, 7702, 0)
 	if _, err := refused.Begin(spec); err == nil {
 		t.Fatal("draining worker accepted a new search")
 	}

@@ -1,16 +1,24 @@
-// Host-grouped sessions: the coordinator-side half of proto 4.
+// Worker sessions, coordinator side.
 //
-// When several shards of the picked cover land on the same worker
-// process, the coordinator opens ONE session covering all of them
-// (/shard/v1/beginset) instead of one per shard. The worker drives the
-// whole group off a single shared proximity iterator — one Step per
-// round feeds every co-hosted shard — and one /shard/v1/rounds RPC per
-// batch returns a RoundInfo per member per round. Coordinator-side, the
+// A session covers the shards of the picked cover that land on one
+// worker process — all of them in ONE session (/shard/v1/beginset), a
+// single shard being the one-member case. The worker drives the whole
+// group off a single shared proximity iterator — one Step per round
+// feeds every co-hosted shard — and one /shard/v1/rounds RPC per batch
+// returns a RoundInfo per member per round. Coordinator-side, the
 // shared session is split back into per-shard views (hostShardView) so
 // core.Coordinate and the failover wrapper keep seeing one
 // ShardExecutor per shard: the views serialize on the session, the
 // first one to need a round fetches for all, and the others consume
 // from the shared buffer without touching the wire.
+//
+// The reply's per-round infos are buffered and Round() hands them back
+// one at a time — core.Coordinate replays every per-round stop decision
+// locally, so how rounds are grouped into RPCs never changes an answer.
+// When speculation is allowed, the next batch is issued as soon as the
+// buffer drains (the worker computes round r+1 while the coordinator
+// merges round r); a late stop wastes at most one in-flight batch, which
+// End drains and counts.
 //
 // Failover stays per shard: a view that fails (or whose whole host
 // dies) is abandoned individually and its failoverExecutor re-begins a
@@ -22,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,54 +39,51 @@ import (
 	"s3/internal/obs"
 )
 
-// shardConn is the connection-level contract the failover wrapper
-// drives: one shard's view of a worker session. RemoteExecutor (a
-// dedicated per-shard session) and hostShardView (one member of a
-// host-grouped session) both satisfy it.
-type shardConn interface {
-	Begin(spec core.SearchSpec) (core.BeginInfo, error)
-	Round() (core.RoundInfo, error)
-	Finalize() (core.RoundInfo, error)
-	End()
-	PlanRounds(batch int, speculate bool)
-	TakeSpan() *obs.Span
-	FastForward(upto uint32) error
-	buffered() (ahead int, speculating bool)
-	baseURL() string
-	hedgeable() bool
-}
-
-var (
-	_ shardConn = (*RemoteExecutor)(nil)
-	_ shardConn = (*hostShardView)(nil)
-)
-
-// hostRoundsResult is one host-grouped fetch's outcome: round-major
-// rows (one RoundInfo per member per executed round), the worker-side
-// span subtree for the batch, and the error.
+// hostRoundsResult is one batched fetch's outcome: round-major rows (one
+// RoundInfo per member per executed round), the worker-side span subtree
+// for the batch, and the error.
 type hostRoundsResult struct {
 	rows [][]core.RoundInfo
 	span *obs.Span
 	err  error
 }
 
-// hostSession is one proto-4 worker session covering a group of
-// co-hosted shards. It reuses a RemoteExecutor purely for its post
-// plumbing (CRC framing, instruments, RPC timeout, the sticky
-// transport-error latch); the round buffer and collective begin /
-// finalize state live here, under one mutex the member views serialize
-// on. Lockstep guarantees every view consumes the same round sequence,
-// so whichever view first needs round r fetches the batch for all.
+// hostSession is one worker session covering a group of co-hosted
+// shards. The round buffer and collective begin / finalize state live
+// under one mutex the member views serialize on. Lockstep guarantees
+// every view consumes the same round sequence, so whichever view first
+// needs round r fetches the batch for all.
 type hostSession struct {
-	rx      *RemoteExecutor // post plumbing + sticky transport error
-	shards  []int           // the group, in reply order
-	noSet   *atomic.Bool    // worker's "no beginset" latch (live-404 relatch)
-	metrics *rpcMetrics
-	cancel  context.CancelFunc // cancels the session's RPC context
-	codec   *deltaCodec        // proto-5 decode shadow, one slot per member
+	// Wire identity and RPC scope, immutable once the first view is handed
+	// out. ctx scopes every RPC except End (cancelled searches must still
+	// release worker sessions); rpcTimeout, when positive, bounds each RPC
+	// individually; traceID, when non-zero, asks the worker to record
+	// spans; budget, when positive, ships as the beginset deadline; lat,
+	// when non-nil, receives round-fetch RTTs for the hedge-delay estimate.
+	client     *http.Client
+	base       string
+	searchID   uint64
+	shards     []int // the group, in reply order
+	ctx        context.Context
+	cancel     context.CancelFunc
+	rpcTimeout time.Duration
+	traceID    uint64
+	budget     time.Duration
+	lat        *latRing
+	metrics    *rpcMetrics
 
-	mu    sync.Mutex
-	begun bool
+	// batchHint / wantSpec are the coordinator loop's PlanRounds state.
+	batchHint atomic.Int32
+	wantSpec  atomic.Bool
+
+	mu sync.Mutex
+	// err is the first transport-class error the session hit: once set,
+	// every member's Round fails, so each fails over on its own.
+	// Deterministic application rejections (HTTP 400 — a malformed or
+	// oversized spec the worker validated and refused) are NOT recorded:
+	// every replica would reject them identically, so benching on them
+	// would let one bad request drain the whole fleet.
+	err error
 
 	// Collective begin: the first view to call Begin posts the beginset
 	// frame; the others pick up the stored per-member infos (or the
@@ -117,34 +123,31 @@ type hostShardView struct {
 	endedF   bool // under s.mu
 }
 
-// newHostSession opens one worker session covering shards and returns a
-// per-shard view (ordered as shards) plus each view's cancel func. The
-// beginset frame is posted lazily by the first view's Begin.
-func (c *Coordinator) newHostSession(ctx context.Context, ref *workerRef, shards []int,
-	traceID uint64, budget time.Duration) ([]shardConn, []context.CancelFunc) {
+// newHostSession binds a search id to a worker URL and a shard group, with
+// one view per shard (ordered as shards). The beginset frame is posted
+// lazily by the first view's Begin.
+func newHostSession(ctx context.Context, client *http.Client, base string, searchID uint64, shards []int) *hostSession {
 	rctx, cancel := context.WithCancel(ctx)
-	rx := newRemoteExecutor(c.client, ref.url, c.nextSearchID()).
-		withTracing(traceID).
-		withMetrics(c.metrics).
-		withBatching(&ref.noBatch, c.cfg.MaxRoundBatch, budget).
-		withResilience(rctx, c.cfg.RPCTimeout, &ref.noReplay, &ref.lat)
-	if !c.cfg.NoDelta {
-		rx.withDelta(&ref.noDelta)
-	}
-	s := &hostSession{rx: rx, shards: shards, noSet: &ref.noSet, metrics: c.metrics, cancel: cancel,
-		codec: newDeltaCodec(len(shards))}
-	conns := make([]shardConn, len(shards))
-	cancels := make([]context.CancelFunc, len(shards))
+	s := &hostSession{client: client, base: base, searchID: searchID, shards: shards, ctx: rctx, cancel: cancel}
+	s.batchHint.Store(1)
 	for i := range shards {
-		v := &hostShardView{s: s, idx: i}
-		s.views = append(s.views, v)
-		conns[i] = v
-		cancels[i] = v.cancelConn
+		s.views = append(s.views, &hostShardView{s: s, idx: i})
 	}
+	return s
+}
+
+// connect opens this search's session on ref for the shards it was picked
+// to serve and returns one view per shard.
+func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int,
+	traceID uint64, budget time.Duration) []*hostShardView {
+	s := newHostSession(ctx, c.client, ref.url, c.nextSearchID(), shards)
+	s.rpcTimeout = c.cfg.RPCTimeout
+	s.traceID, s.budget = traceID, budget
+	s.lat, s.metrics = &ref.lat, c.metrics
 	if len(shards) > 1 {
 		c.metrics.addHostSession()
 	}
-	return conns, cancels
+	return s.views
 }
 
 // cancelConn abandons this view's use of the session; the shared RPC
@@ -158,12 +161,20 @@ func (v *hostShardView) cancelConn() {
 			return
 		}
 	}
-	if s.cancel != nil {
-		s.cancel()
-	}
+	s.cancel()
 }
 
-// Begin implements shardConn: the first arriving view posts the
+// setErrLocked records a transport-class error; application rejections
+// pass through without poisoning the session.
+func (s *hostSession) setErrLocked(err error) error {
+	var app *appError
+	if !errors.As(err, &app) && s.err == nil {
+		s.err = err
+	}
+	return err
+}
+
+// Begin implements core.ShardExecutor: the first arriving view posts the
 // beginset covering the whole group; every view returns its member's
 // BeginInfo (or the shared error).
 func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
@@ -173,7 +184,6 @@ func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
 	if !s.beginDone {
 		s.beginDone = true
 		s.beginInfos, s.beginSpan, s.beginErr = s.doBeginLocked(spec)
-		s.begun = s.beginErr == nil
 	}
 	if s.beginErr != nil {
 		return core.BeginInfo{}, s.beginErr
@@ -186,77 +196,44 @@ func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
 
 func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *obs.Span, error) {
 	start := time.Now()
-	br := beginSetRequest{searchID: s.rx.searchID, shards: s.shards, spec: spec, traceID: s.rx.traceID}
-	if s.rx.budget > 0 {
-		// Proto-4 workers always understand the trailing deadline field;
-		// the grace mirrors the per-shard path's.
-		br.deadlineMicros = uint64((s.rx.budget + 2*time.Second).Microseconds())
+	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID}
+	if s.budget > 0 {
+		// The grace keeps a worker from sweeping the session out from under
+		// the coordinator's own budget-stop finalize.
+		br.deadlineMicros = uint64((s.budget + 2*time.Second).Microseconds())
 	}
-	fb, err := s.rx.post(epBeginSet, encodeBeginSetRequest(br))
+	fb, err := s.post(epBeginSet, encodeBeginSetRequest(br))
 	if err != nil {
-		if errors.Is(err, errNoBeginSetEndpoint) && s.noSet != nil {
-			// The worker rolled back below proto 4 mid-flight: latch it so
-			// the next cover plans per-shard sessions, and fail over now.
-			s.noSet.Store(true)
-		}
-		return nil, nil, s.rx.setErr(err)
+		return nil, nil, s.setErrLocked(err)
 	}
 	infos, sp, derr := decodeBeginSetReply(fb.b, len(s.shards), start)
 	putFrame(fb)
 	if derr != nil {
-		return nil, nil, s.rx.setErr(derr)
+		return nil, nil, s.setErrLocked(derr)
 	}
 	return infos, sp, nil
 }
 
-// fetchRounds runs one host-grouped batched fetch: up to batch rounds
-// starting at from, a RoundInfo per member per round. Mutex-free — the
-// speculative prefetch goroutine calls it too; it touches only
-// immutable session fields, the rx atomics and the wire.
+// fetchRounds runs one batched fetch: up to batch rounds starting at
+// from, a RoundInfo per member per round. Mutex-free — the speculative
+// prefetch goroutine calls it too; it touches only immutable session
+// fields and the wire.
 func (s *hostSession) fetchRounds(from uint32, batch int) hostRoundsResult {
-	n := batch
-	if n < 1 {
-		n = 1
-	}
-	if s.rx.batchCap > 0 && n > s.rx.batchCap {
-		n = s.rx.batchCap
-	}
-	if n > maxBatchRounds {
-		n = maxBatchRounds
-	}
 	start := time.Now()
-	rr := roundsRequest{searchID: s.rx.searchID, from: from, max: uint32(n)}
-	if s.rx.deltaOK() {
-		rr.flags = reqFlagDelta
-	}
 	req := getFrame()
-	req.b = appendRoundsRequest(req.b[:0], rr)
-	fb, err := s.rx.post(epRounds, req.b)
+	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: from, max: uint32(batch)})
+	fb, err := s.post(epRounds, req.b)
 	putFrame(req)
 	if err != nil {
-		if errors.Is(err, errNoRoundsEndpoint) {
-			// The worker lost the batched endpoint mid-flight (rollback).
-			// Host sessions only exist in batched framing, so latch both
-			// capabilities off; the failover wrapper re-attaches over the
-			// per-round protocol without benching the worker.
-			if s.rx.noBatch != nil {
-				s.rx.noBatch.Store(true)
-			}
-			if s.noSet != nil {
-				s.noSet.Store(true)
-			}
-		}
 		return hostRoundsResult{err: err}
 	}
-	rows, sp, err := s.codec.decodeHostRounds(fb.b, start)
-	nBytes := len(fb.b)
+	rows, sp, err := decodeHostRoundsReply(fb.b, len(s.shards), start)
 	putFrame(fb)
 	if err != nil {
 		return hostRoundsResult{err: err}
 	}
 	s.metrics.observeBatch(len(rows))
 	s.metrics.observeHostRPC(start, len(s.shards))
-	s.metrics.observeReply(nBytes, s.codec.lastDelta, s.codec.lastFull)
 	return hostRoundsResult{rows: rows, span: sp}
 }
 
@@ -270,13 +247,10 @@ func (s *hostSession) fillLocked() error {
 		s.pre = nil
 		res = <-ch
 	} else {
-		res = s.fetchRounds(s.fetched+1, int(s.rx.batchHint.Load()))
+		res = s.fetchRounds(s.fetched+1, int(s.batchHint.Load()))
 	}
 	if res.err != nil {
-		return s.rx.setErr(res.err)
-	}
-	if len(res.rows) == 0 {
-		return s.rx.setErr(fmt.Errorf("dshard: %s: empty host rounds reply", s.rx.base))
+		return s.setErrLocked(res.err)
 	}
 	s.buf = append(s.buf, res.rows...)
 	s.fetched += uint32(len(res.rows))
@@ -284,17 +258,17 @@ func (s *hostSession) fillLocked() error {
 	return nil
 }
 
-// Round implements shardConn: this member's next round, fetched for the
-// whole group when the shared buffer is dry. Exactly one RoundInfo per
-// call, in round order — the grouping of shards into one RPC is as
-// invisible to the coordinator's stop logic as the grouping of rounds
-// into batches.
+// Round implements core.ShardExecutor: this member's next round, fetched
+// for the whole group when the shared buffer is dry. Exactly one
+// RoundInfo per call, in round order — the grouping of shards into one
+// RPC is as invisible to the coordinator's stop logic as the grouping of
+// rounds into batches.
 func (v *hostShardView) Round() (core.RoundInfo, error) {
 	s := v.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.rx.Err(); err != nil {
-		return core.RoundInfo{}, err
+	if s.err != nil {
+		return core.RoundInfo{}, s.err
 	}
 	target := v.consumed + 1
 	for target > s.pruned+uint32(len(s.buf)) {
@@ -332,11 +306,17 @@ func (s *hostSession) pruneLocked() {
 // maybeSpeculateLocked issues the group's single speculative prefetch
 // once every live view has drained the buffer (lockstep means they all
 // arrive within one merge of each other) and the just-consumed round
-// still looks continuable — the same late-issue policy as the per-shard
-// path, so a search approaching its stop leaves no batch burning a
-// whole host's worth of shard CPU.
+// still looks continuable. The fetch is issued at the moment the buffer
+// drains, not when a reply lands: the coordinator burns only merge time
+// between draining the buffer and asking for the next round, so issuing
+// earlier would buy microseconds of overlap — while sizing and gating
+// the prefetch with a batch hint and a speculation permission that go a
+// whole buffer stale. Late issue means both reflect the coordinator's
+// stop outlook as of the round just handed back, which keeps a search
+// that is visibly approaching its threshold from leaving a batch burning
+// a whole host's worth of shard CPU behind the stop.
 func (s *hostSession) maybeSpeculateLocked(info core.RoundInfo) {
-	if s.pre != nil || !s.rx.wantSpec.Load() || info.Done || info.Tail < 1e-15 {
+	if s.pre != nil || !s.wantSpec.Load() || info.Done || info.Tail < 1e-15 {
 		return
 	}
 	for _, v := range s.views {
@@ -344,15 +324,19 @@ func (s *hostSession) maybeSpeculateLocked(info core.RoundInfo) {
 			return
 		}
 	}
-	from, batch := s.fetched+1, int(s.rx.batchHint.Load())
+	from, batch := s.fetched+1, int(s.batchHint.Load())
 	ch := make(chan hostRoundsResult, 1)
 	s.pre = ch
 	s.metrics.addSpecIssued()
 	go func() { ch <- s.fetchRounds(from, batch) }()
 }
 
-// Finalize implements shardConn: one finalize RPC per session, a
-// RoundInfo per member in the reply.
+// Finalize implements core.ShardExecutor: one finalize RPC per session, a
+// RoundInfo per member in the reply. Every finalize-reaching stop
+// (exhaustion, budget, precision) leaves the worker exactly at the
+// consumed round: batches are capped at MaxIterations, budgeted searches
+// run unbatched, and the worker itself stops a batch at exhaustion or
+// the precision floor — so the buffer is empty here by construction.
 func (v *hostShardView) Finalize() (core.RoundInfo, error) {
 	s := v.s
 	s.mu.Lock()
@@ -372,28 +356,26 @@ func (v *hostShardView) Finalize() (core.RoundInfo, error) {
 
 func (s *hostSession) doFinalizeLocked(round uint32) ([]core.RoundInfo, *obs.Span, error) {
 	start := time.Now()
-	rr := roundRequest{searchID: s.rx.searchID, round: round}
-	if s.rx.deltaOK() {
-		rr.flags = reqFlagDelta
-	}
-	fb, err := s.rx.post(epFinalize, encodeRoundRequest(rr))
+	fb, err := s.post(epFinalize, encodeRoundRequest(roundRequest{searchID: s.searchID, round: round}))
 	if err != nil {
-		return nil, nil, s.rx.setErr(err)
+		return nil, nil, s.setErrLocked(err)
 	}
-	infos, sp, derr := s.codec.decodeHostFinalize(fb.b, start)
-	nBytes := len(fb.b)
+	infos, sp, derr := decodeHostInfosReply(fb.b, len(s.shards), start)
 	putFrame(fb)
 	if derr != nil {
-		return nil, nil, s.rx.setErr(derr)
+		return nil, nil, s.setErrLocked(derr)
 	}
-	s.metrics.observeReply(nBytes, s.codec.lastDelta, s.codec.lastFull)
 	return infos, sp, nil
 }
 
-// End implements shardConn: the session is released once, when its last
-// view ends; unconsumed buffered rounds and a drained in-flight
+// End implements core.ShardExecutor: best-effort release of the worker's
+// session, once, when its last view ends. The POST is fired
+// asynchronously — the answer is already decided when End runs, and a
+// hung worker must not stall the search's return (or a failover retry)
+// on teardown. Unconsumed buffered rounds and a drained in-flight
 // prefetch are priced as speculation waste per round (not per member —
-// the worker executed each round once).
+// the worker executed each round once); the worker's TTL/deadline
+// sweeper catches anything the request fails to release.
 func (v *hostShardView) End() {
 	s := v.s
 	s.mu.Lock()
@@ -408,7 +390,7 @@ func (v *hostShardView) End() {
 	var pre chan hostRoundsResult
 	var wasted int
 	var endRound uint32
-	begun := s.begun
+	begun := s.beginDone && s.beginErr == nil
 	if last {
 		s.endSent = true
 		pre, s.pre = s.pre, nil
@@ -432,89 +414,78 @@ func (v *hostShardView) End() {
 		}
 		s.metrics.addSpecWasted(wasted)
 		if begun {
-			// Released even when the search's context died: own bounded
-			// context, same as the per-shard path.
+			// The session must be released even when the search's context
+			// was cancelled (client disconnect) or the executor failed over
+			// away from this worker: End always runs on its own bounded
+			// context.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			fb, _ := s.rx.postCtx(ctx, epEnd, encodeRoundRequest(roundRequest{searchID: s.rx.searchID, round: endRound}))
+			fb, _ := s.postCtx(ctx, epEnd, encodeRoundRequest(roundRequest{searchID: s.searchID, round: endRound}))
 			putFrame(fb)
 		}
-		if s.cancel != nil {
-			s.cancel()
-		}
+		s.cancel()
 	}()
 }
 
-// FastForward implements shardConn for the failover path. Only
-// single-view sessions are ever fast-forwarded (failover and hedging
-// attach dedicated singletons); a multi-view session cannot replay one
-// member independently, so that is a wiring bug, not a worker fault.
+// FastForward advances a freshly begun session through rounds 1..upto,
+// discarding the results: the failover path, replaying a consumed round
+// history onto a replacement replica by looping the replay endpoint (one
+// frame per maxWorkerBatch rounds). The worker executes the identical FP
+// operations the failed replica did, so the session state after the call
+// is bit-identical to the original timeline's. Only single-view sessions
+// are ever fast-forwarded (failover and hedging attach dedicated
+// singletons); a multi-view session cannot replay one member
+// independently, so that is a wiring bug, not a worker fault.
 func (v *hostShardView) FastForward(upto uint32) error {
 	s := v.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.views) > 1 {
-		return s.rx.setErr(fmt.Errorf("dshard: %s: fast-forward on a %d-view host session", s.rx.base, len(s.views)))
+		return s.setErrLocked(fmt.Errorf("dshard: %s: fast-forward on a %d-view host session", s.base, len(s.views)))
 	}
 	for v.consumed < upto {
-		fb, err := s.rx.post(epReplay, encodeReplayRequest(replayRequest{
-			searchID: s.rx.searchID, from: v.consumed + 1, upto: upto,
+		fb, err := s.post(epReplay, encodeReplayRequest(replayRequest{
+			searchID: s.searchID, from: v.consumed + 1, upto: upto,
 		}))
-		if err == nil {
-			rep, derr := decodeReplayReply(fb.b)
-			putFrame(fb)
-			if derr != nil {
-				return s.rx.setErr(derr)
-			}
-			if rep.round <= v.consumed || rep.round > upto {
-				return s.rx.setErr(fmt.Errorf("dshard: %s: replay moved session to round %d (was %d, want %d)",
-					s.rx.base, rep.round, v.consumed, upto))
-			}
-			v.consumed = rep.round
-			s.fetched, s.pruned, s.buf = rep.round, rep.round, nil
-			// Replay resets the worker's delta shadow; mirror that here.
-			s.codec.reset()
-			continue
+		if err != nil {
+			return s.setErrLocked(err)
 		}
-		if !errors.Is(err, errNoReplayEndpoint) {
-			return s.rx.setErr(err)
+		rep, derr := decodeReplayReply(fb.b)
+		putFrame(fb)
+		if derr != nil {
+			return s.setErrLocked(derr)
 		}
-		// A proto-4 worker always speaks replay; a live 404 means a
-		// mid-flight rollback. Fetch-and-discard still lands the state.
-		res := s.fetchRounds(v.consumed+1, int(upto-v.consumed))
-		if res.err != nil {
-			return s.rx.setErr(res.err)
+		if rep.round <= v.consumed || rep.round > upto {
+			return s.setErrLocked(fmt.Errorf("dshard: %s: replay moved session to round %d (was %d, want %d)",
+				s.base, rep.round, v.consumed, upto))
 		}
-		n := uint32(len(res.rows))
-		if n == 0 || v.consumed+n > upto {
-			return s.rx.setErr(fmt.Errorf("dshard: %s: replay fallback returned %d rounds past target %d",
-				s.rx.base, n, upto))
-		}
-		v.consumed += n
-		s.fetched, s.pruned, s.buf = v.consumed, v.consumed, nil
+		v.consumed = rep.round
+		s.fetched, s.pruned, s.buf = rep.round, rep.round, nil
 	}
 	return nil
 }
 
-// PlanRounds implements shardConn: lockstep hands every member the same
-// plan each scatter, so last-write-wins stores are exact.
+// PlanRounds implements core.RoundPlanner: the coordinator's hint for the
+// next fetch, set before every scatter. Lockstep hands every member the
+// same plan each scatter, so last-write-wins stores are exact.
 func (v *hostShardView) PlanRounds(batch int, speculate bool) {
-	if batch < 1 {
-		batch = 1
-	}
-	v.s.rx.batchHint.Store(int32(batch))
-	v.s.rx.wantSpec.Store(speculate)
+	v.s.batchHint.Store(int32(min(max(batch, 1), maxBatchRounds)))
+	v.s.wantSpec.Store(speculate)
 }
 
-// TakeSpan implements shardConn; only this view's own scatter goroutine
-// reads it, between its own Round calls.
+// TakeSpan implements the coordinator's span collection: the worker-side
+// span subtree decoded off the most recent response, cleared on read.
+// Only this view's own scatter goroutine reads it, between its own Round
+// calls.
 func (v *hostShardView) TakeSpan() *obs.Span {
 	sp := v.span
 	v.span = nil
 	return sp
 }
 
-// buffered reports rounds fetched but not yet consumed by THIS view.
+// buffered reports rounds fetched but not yet consumed by THIS view
+// (failover must not replay rounds the coordinator never saw) and whether
+// a speculative fetch is outstanding.
 func (v *hostShardView) buffered() (ahead int, speculating bool) {
 	s := v.s
 	s.mu.Lock()
@@ -522,37 +493,8 @@ func (v *hostShardView) buffered() (ahead int, speculating bool) {
 	return int(s.fetched - v.consumed), s.pre != nil
 }
 
-func (v *hostShardView) baseURL() string { return v.s.rx.base }
-
-// hedgeable: a hedge races the primary's Round from a helper goroutine,
-// which a multi-member session's shared mutex would deadlock against
-// its siblings; singletons hedge exactly like dedicated sessions.
+// hedgeable reports whether the failover layer may race this view against
+// a hedge replica: a hedge races the primary's Round from a helper
+// goroutine, which a multi-member session's shared mutex would deadlock
+// against its siblings; singletons hedge freely.
 func (v *hostShardView) hedgeable() bool { return len(v.s.views) == 1 }
-
-// connect opens this search's connections to ref for the shards it was
-// picked to serve: views of one host-grouped session against a proto-4
-// worker, dedicated per-shard sessions otherwise. Proto-4 workers get
-// beginset even for a single shard — legacy begin cannot address a
-// non-primary member of a multi-shard worker.
-func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int,
-	traceID uint64, budget time.Duration) ([]shardConn, []context.CancelFunc) {
-	if c.hostCapable(ref) {
-		return c.newHostSession(ctx, ref, shards, traceID, budget)
-	}
-	conns := make([]shardConn, len(shards))
-	cancels := make([]context.CancelFunc, len(shards))
-	for i := range shards {
-		rctx, cancel := context.WithCancel(ctx)
-		rx := newRemoteExecutor(c.client, ref.url, c.nextSearchID()).
-			withTracing(traceID).
-			withMetrics(c.metrics).
-			withBatching(&ref.noBatch, c.cfg.MaxRoundBatch, budget).
-			withResilience(rctx, c.cfg.RPCTimeout, &ref.noReplay, &ref.lat)
-		if !c.cfg.NoDelta {
-			rx.withDelta(&ref.noDelta)
-		}
-		conns[i] = rx
-		cancels[i] = cancel
-	}
-	return conns, cancels
-}

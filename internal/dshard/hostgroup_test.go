@@ -332,7 +332,7 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 		urls, stop := startHostWorkers(t, manifestPath, [][]int{{0, 1}, {0, 1}}, snap.LoadMmap)
 		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
 		victim := hostOf(t, urls[0])
-		for _, path := range []string{pathRound, pathRounds, pathReplay} {
+		for _, path := range []string{pathRounds, pathReplay} {
 			ft.Add(&faultnet.Rule{Host: victim, Path: path, After: after, Action: faultnet.Reset})
 		}
 		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)

@@ -1,76 +1,63 @@
 // Package dshard runs the sharded-search round protocol across
-// processes: a compact HTTP/binary transport for core.ShardExecutor, the
-// per-shard worker that serves it, and the scatter/gather coordinator
-// that drives searches over worker replicas.
+// processes: a compact HTTP/binary transport for core.HostExecutor, the
+// worker that serves it, and the scatter/gather coordinator that drives
+// searches over worker replicas.
 //
 // The protocol is deliberately tiny. Workers advance their own proximity
 // iterator over the shared substrate (identical floating-point operations
 // in identical order across processes), so a round request carries only a
-// search id and a round ordinal, and a round response carries the
-// shard-local selection (at most k candidates) plus a handful of
+// search id and a round ordinal, and a round response carries each
+// shard's local selection (at most k candidates) plus a handful of
 // aggregates — the proximity vector never crosses the wire. Distributed
 // answers are therefore byte-identical to the in-process sharded engine,
 // property-tested in dshard_test.go.
 //
-// Endpoints (all POST, application/octet-stream bodies):
+// A session covers a LIST of the shards one worker process hosts (one
+// member is a single-shard session), served off a single shared proximity
+// iterator — one Iterator.Step per round for the whole list. Five
+// endpoints drive it, all POST with little-endian
+// application/octet-stream bodies:
 //
-//	/shard/v1/begin     install a search              → BeginInfo
-//	/shard/v1/beginset  install a multi-shard search  → one BeginInfo per shard
-//	/shard/v1/round     advance one lockstep round    → RoundInfo
-//	/shard/v1/rounds    advance up to B rounds        → one RoundInfo per executed round
-//	/shard/v1/replay    fast-forward without results  → reached round ordinal
-//	/shard/v1/finalize  re-bound without stepping     → RoundInfo
+//	/shard/v1/beginset  install a search  → one BeginInfo per member shard
+//	/shard/v1/rounds    advance ≤ B rounds → per executed round, one RoundInfo per member
+//	/shard/v1/replay    fast-forward, no results → reached round ordinal
+//	/shard/v1/finalize  re-bound without stepping → one RoundInfo per member
 //	/shard/v1/end       release the search's state
 //
 // plus GET /healthz (readiness), GET /stats and POST /reload on workers.
 //
-// /shard/v1/rounds is the protocol-2 batching extension: the worker
-// advances rounds until the batch bound, the first admission, a kept-set
-// change or exhaustion, and replies with the per-round infos so the
-// coordinator replays every stop decision locally — answers stay
-// byte-identical, one RTT amortizes over the batch. Workers advertise it
-// with "proto" in /healthz; coordinators fall back to per-round calls
-// against workers that do not.
+// Frames:
 //
-// /shard/v1/replay is the protocol-3 failover extension: a replacement
-// replica fast-forwards a freshly begun session through rounds the
-// coordinator already consumed elsewhere, discarding the per-round infos
-// (workers execute identical FP ops over the shared substrate, so the
-// replayed state is bit-identical to the failed replica's). Coordinators
-// fall back to batched/per-round fetches with discarded results against
-// workers that do not speak it.
+//	beginset request   searchID u64 · nShards u32 · shard u32… · spec · [traceID u64 [deadlineµs u64]]
+//	beginset reply     nShards u32 · BeginInfo… · [span block]
+//	rounds request     searchID u64 · from u32 · max u32
+//	rounds reply       nRounds u32 · nShards u32 · RoundInfo… (round-major) · [span block]
+//	replay request     searchID u64 · from u32 · upto u32
+//	replay reply       round u32
+//	finalize request   searchID u64 · round u32 (end sends the same frame)
+//	finalize reply     nShards u32 · RoundInfo… · [span block]
 //
-// /shard/v1/beginset is the protocol-4 host extension: one session covers
-// a LIST of the shards a worker process hosts, served off a single shared
-// proximity iterator (core.HostExecutor) — one Iterator.Step per round for
-// the whole host instead of one per shard — and the session's rounds and
-// finalize replies carry one RoundInfo block per member shard. The
-// coordinator groups its shard cover by worker and scatters one rounds RPC
-// per host; against proto<4 workers it falls back to one session per
-// shard. Either way the per-shard blocks are identical bytes.
+// A rounds call advances until the batch bound, the first admission, a
+// kept-set change, exhaustion or the precision floor, and the coordinator
+// replays every returned round's stop decision locally — how rounds are
+// grouped into RPCs never changes an answer. Replay lets a replacement
+// replica catch up on rounds the coordinator already consumed elsewhere:
+// identical FP ops over the shared substrate make the replayed state
+// bit-identical to the failed replica's. Every request names the round it
+// expects the session to sit at; a worker rejects out-of-lockstep
+// ordinals, so a lost or repeated frame can never double-step an
+// exploration.
 //
-// Proto 5 adds delta round framing: a rounds/finalize reply may encode
-// each shard block as a delta against the session's previous round —
-// unchanged kept entries become varint back-references into the peer's
-// shadow of that round, changed or new entries carry zigzag-varint doc-id
-// deltas plus bound updates, cumulative counters become varint diffs, and
-// per-round scalars shared by every co-hosted shard (N, Reached, Tail,
-// SourceTail, Done) are hoisted into one header. Floats are never
-// re-derived: a back-reference copies the exact bits of the previous
-// round's value, so reconstructed RoundInfos are byte-identical to
-// full-block framing by construction. The coordinator requests deltas
-// with a trailing flags byte on the rounds/finalize request (sent only to
-// proto>=5 workers); a delta-framed reply self-identifies with a leading
-// magic word inside the CRC-protected body, so the coordinator decodes
-// whichever framing the worker actually used and a worker that stops
-// speaking deltas mid-search relegates to full blocks in place. See
-// delta.go for the frame layout and the shadow discipline.
-//
-// Every request and response frame additionally carries a CRC-32C of its
-// body in the X-S3-Frame-Crc header; receivers that find the header
-// verify it before decoding, so a fault that flips bits in transit is a
-// detected transport error (and a failover trigger), never a silently
+// CRC rule: every request and reply frame carries the CRC-32C of its body
+// in the X-S3-Frame-Crc header, and the receiver rejects a frame whose
+// header is missing or does not match before decoding it — a fault that
+// flips bits in transit (or an intermediary that strips the header) is a
+// detected transport error and a failover trigger, never a silently
 // perturbed float.
+//
+// Version rule: /healthz advertises one protocol number ("proto"), and a
+// coordinator only routes to workers reporting its own protoVersion; any
+// other worker is listed unhealthy with both numbers in its error.
 package dshard
 
 import (
@@ -106,41 +93,24 @@ const (
 
 // wire paths.
 const (
-	pathBegin    = "/shard/v1/begin"
 	pathBeginSet = "/shard/v1/beginset"
-	pathRound    = "/shard/v1/round"
 	pathRounds   = "/shard/v1/rounds"
 	pathReplay   = "/shard/v1/replay"
 	pathFinalize = "/shard/v1/finalize"
 	pathEnd      = "/shard/v1/end"
 )
 
-// Protocol capability levels, advertised by workers in /healthz ("proto").
-// Absent (old workers decode to 0) means per-round only. protoBatch added
-// the batched /shard/v1/rounds endpoint and the optional deadline field of
-// the begin frame; protoReplay added the /shard/v1/replay fast-forward
-// used by mid-search failover; protoHost added multi-shard host sessions
-// (/shard/v1/beginset installs one session covering a shard list, and the
-// session's rounds/finalize replies carry one RoundInfo block per member
-// shard); protoDelta added delta round framing (rounds/finalize replies
-// encode shard blocks as deltas against the session's previous round when
-// the request's flags byte asks for them — see delta.go). protoVersion is
-// what this build speaks.
-const (
-	protoBatch   = 2
-	protoReplay  = 3
-	protoHost    = 4
-	protoDelta   = 5
-	protoVersion = protoDelta
-)
+// protoVersion is the round-protocol version this build speaks, advertised
+// by workers in /healthz ("proto"). Coordinator and workers must agree on
+// it exactly: the membership probe lists any other worker unhealthy.
+const protoVersion = 6
 
 // maxHostShards caps the shard list of one host session; a conforming
 // coordinator never exceeds the set's shard count.
 const maxHostShards = 256
 
 // frameCRCHeader carries the CRC-32C (Castagnoli) of the frame body, as
-// lowercase hex. Optional on both directions: a missing header means the
-// peer predates frame integrity and the body is accepted unchecked.
+// lowercase hex. Mandatory in both directions.
 const frameCRCHeader = "X-S3-Frame-Crc"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -149,11 +119,13 @@ func frameCRC(b []byte) string {
 	return strconv.FormatUint(uint64(crc32.Checksum(b, crcTable)), 16)
 }
 
-// checkFrameCRC verifies a frame body against the peer's CRC header;
-// empty header (older peer) passes.
+// checkFrameCRC verifies a frame body against the peer's CRC header. A
+// missing header is rejected like a mismatch: every peer of this protocol
+// version sends one, so its absence means an intermediary stripped it and
+// corruption would otherwise pass unchecked.
 func checkFrameCRC(b []byte, header string) error {
 	if header == "" {
-		return nil
+		return fmt.Errorf("dshard: frame carries no %s header", frameCRCHeader)
 	}
 	if got := frameCRC(b); got != header {
 		return fmt.Errorf("dshard: frame CRC mismatch (got %s, header %s)", got, header)
@@ -213,49 +185,6 @@ func (d *dec) u64() uint64 {
 }
 
 func (d *dec) f64() float64 { return floatFromBits(d.u64()) }
-
-// uv / sv are the varint fields of the proto-5 delta framing. Decoded
-// values are capped well under 2^32 so a malformed frame can neither
-// size a huge allocation nor overflow the int arithmetic that
-// reconstructs cumulative counters from diffs.
-const maxVarint = 1 << 31
-
-func (e *enc) uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) sv(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-
-func (d *dec) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated or overlong varint")
-		return 0
-	}
-	if v > maxVarint {
-		d.fail("varint %d out of range", v)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) sv() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated or overlong varint")
-		return 0
-	}
-	if v > maxVarint || v < -maxVarint {
-		d.fail("varint %d out of range", v)
-		return 0
-	}
-	d.off += n
-	return v
-}
 
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
@@ -381,7 +310,7 @@ func decodeSpanBlock(d *dec, base time.Time) *obs.Span {
 }
 
 // appendSpanBlock appends a span block to a response frame (no-op on a
-// nil span — untraced responses stay byte-identical to older workers').
+// nil span: untraced responses carry none).
 func appendSpanBlock(b []byte, root *obs.Span) []byte {
 	if root == nil {
 		return b
@@ -392,8 +321,7 @@ func appendSpanBlock(b []byte, root *obs.Span) []byte {
 }
 
 // decodeTrailingSpan reads the optional trailing span block of a
-// response. Absence (no bytes left) means "untraced" — the version
-// tolerance that lets traced coordinators talk to older workers.
+// response. Absence (no bytes left) means "untraced".
 func decodeTrailingSpan(d *dec, base time.Time) *obs.Span {
 	if d.err != nil || d.off == len(d.b) {
 		return nil
@@ -401,21 +329,9 @@ func decodeTrailingSpan(d *dec, base time.Time) *obs.Span {
 	return decodeSpanBlock(d, base)
 }
 
-// --- begin ---
+// --- beginset ---
 
-// beginRequest pairs a search id with its spec, plus the optional trace
-// id under which the worker should record (and return) its spans and the
-// optional deadline (microseconds of budget from arrival) after which the
-// worker may abandon the session without waiting for an End.
-type beginRequest struct {
-	searchID       uint64
-	spec           core.SearchSpec
-	traceID        uint64
-	deadlineMicros uint64
-}
-
-// encodeSpecBody / decodeSpecBody read and write one SearchSpec — shared
-// between the legacy begin frame and the proto-4 beginset frame.
+// encodeSpecBody / decodeSpecBody read and write one SearchSpec.
 func encodeSpecBody(e *enc, spec core.SearchSpec) {
 	e.u32(uint32(spec.Seeker))
 	e.u32(uint32(spec.K))
@@ -455,46 +371,8 @@ func decodeSpecBody(d *dec) core.SearchSpec {
 	return spec
 }
 
-func encodeBeginRequest(r beginRequest) []byte {
-	var e enc
-	e.u64(r.searchID)
-	encodeSpecBody(&e, r.spec)
-	// Optional trailing fields, in fixed order: trace id, then deadline.
-	// A frame with neither is byte-identical to the pre-trace protocol.
-	// The deadline implies the trace id (written even when zero) so the
-	// decoder can tell the two 8-byte fields apart by count alone; it is
-	// only sent to proto>=2 workers, whose decoder knows the second field.
-	switch {
-	case r.deadlineMicros != 0:
-		e.u64(r.traceID)
-		e.u64(r.deadlineMicros)
-	case r.traceID != 0:
-		e.u64(r.traceID)
-	}
-	return e.b
-}
-
-func decodeBeginRequest(b []byte) (beginRequest, error) {
-	d := &dec{b: b}
-	var r beginRequest
-	r.searchID = d.u64()
-	r.spec = decodeSpecBody(d)
-	// Optional trailing trace id: absent on frames from pre-trace
-	// coordinators (and on untraced searches).
-	if d.err == nil && d.off < len(d.b) {
-		r.traceID = d.u64()
-	}
-	// Optional trailing deadline (proto 2): absent on frames from older
-	// coordinators and on unbudgeted searches.
-	if d.err == nil && d.off < len(d.b) {
-		r.deadlineMicros = d.u64()
-	}
-	return r, d.done()
-}
-
 // encodeBeginInfoBody / decodeBeginInfoBody read and write exactly one
-// BeginInfo's bytes — the unit both the single-shard reply and the
-// proto-4 beginset reply are built from.
+// BeginInfo's bytes — the unit the beginset reply is built from.
 func encodeBeginInfoBody(e *enc, info core.BeginInfo) {
 	e.u32(uint32(info.Matched))
 	e.u32(uint32(len(info.GroupMasses)))
@@ -527,284 +405,14 @@ func decodeBeginInfoBody(d *dec) core.BeginInfo {
 	return info
 }
 
-func encodeBeginInfo(info core.BeginInfo) []byte {
-	var e enc
-	encodeBeginInfoBody(&e, info)
-	return e.b
-}
-
-func decodeBeginInfo(b []byte, base time.Time) (core.BeginInfo, *obs.Span, error) {
-	d := &dec{b: b}
-	info := decodeBeginInfoBody(d)
-	sp := decodeTrailingSpan(d, base)
-	return info, sp, d.done()
-}
-
-// --- round / finalize ---
-
-// roundRequest names a search and the round the coordinator expects to
-// run next; the worker rejects out-of-lockstep ordinals, so a replayed or
-// lost frame can never silently double-step an exploration. The optional
-// trailing flags byte (proto 5, written only when nonzero, only ever sent
-// to proto>=5 workers) asks for delta reply framing on finalize; round
-// and end requests never carry it, so their frames stay byte-identical to
-// every earlier protocol.
-type roundRequest struct {
-	searchID uint64
-	round    uint32
-	flags    byte
-}
-
-// reqFlagDelta asks the worker to frame the reply as deltas against the
-// session's previous round (proto 5). The worker may still reply with
-// full-block framing — the reply self-identifies — so the flag is a
-// capability hint, never a decode contract.
-const reqFlagDelta = 1 << 0
-
-func appendRoundRequest(b []byte, r roundRequest) []byte {
-	e := enc{b: b}
-	e.u64(r.searchID)
-	e.u32(r.round)
-	if r.flags != 0 {
-		e.u8(r.flags)
-	}
-	return e.b
-}
-
-func encodeRoundRequest(r roundRequest) []byte {
-	return appendRoundRequest(nil, r)
-}
-
-func decodeRoundRequest(b []byte) (roundRequest, error) {
-	d := &dec{b: b}
-	r := roundRequest{searchID: d.u64(), round: d.u32()}
-	if d.err == nil && d.off < len(d.b) {
-		r.flags = d.u8()
-		if d.err == nil && (r.flags == 0 || r.flags&^reqFlagDelta != 0) {
-			// Canonical encoding: the flags byte is written only when
-			// nonzero, and only known bits may be set — anything else is
-			// trailing garbage, not a future extension.
-			d.fail("bad request flags 0x%02x", r.flags)
-		}
-	}
-	return r, d.done()
-}
-
-const (
-	roundFlagDone      = 1 << 0
-	roundFlagUncertain = 1 << 1
-)
-
-// encodeRoundInfoBody / decodeRoundInfoBody read and write exactly one
-// RoundInfo's bytes — the unit both the single-round reply and the
-// batched reply are built from.
-func encodeRoundInfoBody(e *enc, info core.RoundInfo) {
-	var flags byte
-	if info.Done {
-		flags |= roundFlagDone
-	}
-	if info.Uncertain != nil {
-		flags |= roundFlagUncertain
-	}
-	e.u8(flags)
-	e.u32(uint32(info.N))
-	e.u32(uint32(info.Reached))
-	e.u32(uint32(info.Admitted))
-	e.u32(uint32(info.Candidates))
-	e.f64(info.Tail)
-	e.f64(info.SourceTail)
-	e.f64(info.MaxOther)
-	e.u32(uint32(len(info.Kept)))
-	for _, c := range info.Kept {
-		e.u32(uint32(c.Doc))
-		e.f64(c.Lower)
-		e.f64(c.Upper)
-	}
-	if info.Uncertain != nil {
-		e.u32(uint32(info.Uncertain.Doc))
-		e.f64(info.Uncertain.Lower)
-		e.f64(info.Uncertain.Upper)
-	}
-}
-
-func decodeRoundInfoBody(d *dec) core.RoundInfo {
-	var info core.RoundInfo
-	flags := d.u8()
-	info.Done = flags&roundFlagDone != 0
-	info.N = int(d.u32())
-	info.Reached = int(d.u32())
-	info.Admitted = int(d.u32())
-	info.Candidates = int(d.u32())
-	info.Tail = d.f64()
-	info.SourceTail = d.f64()
-	info.MaxOther = d.f64()
-	nk := int(d.u32())
-	if d.err == nil && nk > maxKept {
-		d.fail("%d kept candidates", nk)
-	}
-	for i := 0; i < nk && d.err == nil; i++ {
-		info.Kept = append(info.Kept, core.CandMeta{Doc: graph.NID(d.u32()), Lower: d.f64(), Upper: d.f64()})
-	}
-	if flags&roundFlagUncertain != 0 {
-		info.Uncertain = &core.CandMeta{Doc: graph.NID(d.u32()), Lower: d.f64(), Upper: d.f64()}
-	}
-	return info
-}
-
-func encodeRoundInfo(info core.RoundInfo) []byte {
-	var e enc
-	encodeRoundInfoBody(&e, info)
-	return e.b
-}
-
-func decodeRoundInfo(b []byte, base time.Time) (core.RoundInfo, *obs.Span, error) {
-	d := &dec{b: b}
-	info := decodeRoundInfoBody(d)
-	sp := decodeTrailingSpan(d, base)
-	return info, sp, d.done()
-}
-
-// --- batched rounds (proto 2) ---
-
-// roundsRequest asks a worker to advance up to max lockstep rounds,
-// starting from round `from` (which must be the next round in lockstep,
-// exactly like roundRequest). The worker may execute fewer — it returns
-// early on the first admission, kept-set change, exhaustion or the
-// precision floor — but always at least one.
-// The optional trailing flags byte follows the same rules as
-// roundRequest's: written only when nonzero, only sent to proto>=5
-// workers, so flagless frames stay byte-identical to proto 2.
-type roundsRequest struct {
-	searchID uint64
-	from     uint32
-	max      uint32
-	flags    byte
-}
-
-func appendRoundsRequest(b []byte, r roundsRequest) []byte {
-	e := enc{b: b}
-	e.u64(r.searchID)
-	e.u32(r.from)
-	e.u32(r.max)
-	if r.flags != 0 {
-		e.u8(r.flags)
-	}
-	return e.b
-}
-
-func encodeRoundsRequest(r roundsRequest) []byte {
-	return appendRoundsRequest(nil, r)
-}
-
-func decodeRoundsRequest(b []byte) (roundsRequest, error) {
-	d := &dec{b: b}
-	r := roundsRequest{searchID: d.u64(), from: d.u32(), max: d.u32()}
-	if d.err == nil && (r.max == 0 || r.max > maxBatchRounds) {
-		d.fail("batch of %d rounds (cap %d)", r.max, maxBatchRounds)
-	}
-	if d.err == nil && d.off < len(d.b) {
-		r.flags = d.u8()
-		if d.err == nil && (r.flags == 0 || r.flags&^reqFlagDelta != 0) {
-			// Canonical encoding, as in decodeRoundRequest.
-			d.fail("bad request flags 0x%02x", r.flags)
-		}
-	}
-	return r, d.done()
-}
-
-// encodeRoundsReply carries one RoundInfo per executed round, in round
-// order, so the coordinator can replay its per-round stop decision on
-// each — byte-identity does not depend on how the rounds were grouped
-// into RPCs.
-func encodeRoundsReply(infos []core.RoundInfo) []byte {
-	return appendRoundsReply(nil, infos)
-}
-
-func appendRoundsReply(b []byte, infos []core.RoundInfo) []byte {
-	e := enc{b: b}
-	e.u32(uint32(len(infos)))
-	for i := range infos {
-		encodeRoundInfoBody(&e, infos[i])
-	}
-	return e.b
-}
-
-func decodeRoundsReply(b []byte, base time.Time) ([]core.RoundInfo, *obs.Span, error) {
-	d := &dec{b: b}
-	n := int(d.u32())
-	if d.err == nil && (n == 0 || n > maxBatchRounds) {
-		d.fail("%d rounds in batched reply", n)
-	}
-	infos := make([]core.RoundInfo, 0, min(n, 64))
-	for i := 0; i < n && d.err == nil; i++ {
-		infos = append(infos, decodeRoundInfoBody(d))
-	}
-	sp := decodeTrailingSpan(d, base)
-	if err := d.done(); err != nil {
-		return nil, nil, err
-	}
-	return infos, sp, nil
-}
-
-// --- replay fast-forward (proto 3) ---
-
-// replayRequest asks a worker to advance its session from round `from`
-// (which must be the next round in lockstep, exactly like roundsRequest)
-// up to and including round `upto`, discarding the per-round infos: the
-// coordinator already consumed those rounds on the replica that failed,
-// and workers execute identical FP ops over the shared substrate, so the
-// fast-forwarded state is bit-identical. The worker executes at most
-// maxWorkerBatch rounds per call and reports how far it got; the
-// coordinator loops until the session catches up.
-type replayRequest struct {
-	searchID uint64
-	from     uint32
-	upto     uint32
-}
-
-func encodeReplayRequest(r replayRequest) []byte {
-	var e enc
-	e.u64(r.searchID)
-	e.u32(r.from)
-	e.u32(r.upto)
-	return e.b
-}
-
-func decodeReplayRequest(b []byte) (replayRequest, error) {
-	d := &dec{b: b}
-	r := replayRequest{searchID: d.u64(), from: d.u32(), upto: d.u32()}
-	if d.err == nil && (r.upto < r.from || r.upto-r.from >= maxBatchRounds) {
-		d.fail("replay of rounds %d..%d (cap %d)", r.from, r.upto, maxBatchRounds)
-	}
-	return r, d.done()
-}
-
-// replayReply reports the round ordinal the session sits at after the
-// call (>= from, <= upto).
-type replayReply struct {
-	round uint32
-}
-
-func encodeReplayReply(r replayReply) []byte {
-	var e enc
-	e.u32(r.round)
-	return e.b
-}
-
-func decodeReplayReply(b []byte) (replayReply, error) {
-	d := &dec{b: b}
-	r := replayReply{round: d.u32()}
-	return r, d.done()
-}
-
-// --- host sessions (proto 4) ---
-
 // beginSetRequest installs one session covering a LIST of the worker's
 // hosted shards: the worker serves them all off a single shared proximity
 // iterator (core.HostExecutor), and every subsequent rounds/finalize reply
 // for the session carries one RoundInfo block per member shard, in list
-// order. The round/replay/end request frames are unchanged — a host
-// session is addressed by its search id like any other.
+// order. traceID, when non-zero, asks the worker to record (and return)
+// its spans under that trace; deadlineMicros, when non-zero, is the budget
+// from arrival after which the worker may abandon the session without
+// waiting for an End.
 type beginSetRequest struct {
 	searchID       uint64
 	shards         []int
@@ -821,9 +429,9 @@ func encodeBeginSetRequest(r beginSetRequest) []byte {
 		e.u32(uint32(s))
 	}
 	encodeSpecBody(&e, r.spec)
-	// Optional trailing trace id / deadline, same count-disambiguated
-	// rules as the begin frame. beginset is proto-4 only, so the decoder
-	// always knows both fields.
+	// Optional trailing fields, in fixed order: trace id, then deadline.
+	// The deadline implies the trace id (written even when zero) so the
+	// decoder can tell the two 8-byte fields apart by count alone.
 	switch {
 	case r.deadlineMicros != 0:
 		e.u64(r.traceID)
@@ -889,27 +497,108 @@ func decodeBeginSetReply(b []byte, nShards int, base time.Time) ([]core.BeginInf
 	return infos, sp, nil
 }
 
-// encodeHostRoundsReply carries, per executed round, one RoundInfo per
-// member shard (round-major, shard-list order within a round): the
+// --- rounds ---
+
+const (
+	roundFlagDone      = 1 << 0
+	roundFlagUncertain = 1 << 1
+)
+
+// encodeRoundInfoBody / decodeRoundInfoBody read and write exactly one
+// RoundInfo's bytes — the unit the rounds and finalize replies are built
+// from.
+func encodeRoundInfoBody(e *enc, info core.RoundInfo) {
+	var flags byte
+	if info.Done {
+		flags |= roundFlagDone
+	}
+	if info.Uncertain != nil {
+		flags |= roundFlagUncertain
+	}
+	e.u8(flags)
+	e.u32(uint32(info.N))
+	e.u32(uint32(info.Reached))
+	e.u32(uint32(info.Admitted))
+	e.u32(uint32(info.Candidates))
+	e.f64(info.Tail)
+	e.f64(info.SourceTail)
+	e.f64(info.MaxOther)
+	e.u32(uint32(len(info.Kept)))
+	for _, c := range info.Kept {
+		e.u32(uint32(c.Doc))
+		e.f64(c.Lower)
+		e.f64(c.Upper)
+	}
+	if info.Uncertain != nil {
+		e.u32(uint32(info.Uncertain.Doc))
+		e.f64(info.Uncertain.Lower)
+		e.f64(info.Uncertain.Upper)
+	}
+}
+
+func decodeRoundInfoBody(d *dec) core.RoundInfo {
+	var info core.RoundInfo
+	flags := d.u8()
+	info.Done = flags&roundFlagDone != 0
+	info.N = int(d.u32())
+	info.Reached = int(d.u32())
+	info.Admitted = int(d.u32())
+	info.Candidates = int(d.u32())
+	info.Tail = d.f64()
+	info.SourceTail = d.f64()
+	info.MaxOther = d.f64()
+	nk := int(d.u32())
+	if d.err == nil && nk > maxKept {
+		d.fail("%d kept candidates", nk)
+	}
+	for i := 0; i < nk && d.err == nil; i++ {
+		info.Kept = append(info.Kept, core.CandMeta{Doc: graph.NID(d.u32()), Lower: d.f64(), Upper: d.f64()})
+	}
+	if flags&roundFlagUncertain != 0 {
+		info.Uncertain = &core.CandMeta{Doc: graph.NID(d.u32()), Lower: d.f64(), Upper: d.f64()}
+	}
+	return info
+}
+
+// roundsRequest asks a worker to advance up to max lockstep rounds,
+// starting from round `from` (which must be the next round in lockstep).
+// The worker may execute fewer — it returns early on the first admission,
+// kept-set change, exhaustion or the precision floor — but always at
+// least one.
+type roundsRequest struct {
+	searchID uint64
+	from     uint32
+	max      uint32
+}
+
+func appendRoundsRequest(b []byte, r roundsRequest) []byte {
+	e := enc{b: b}
+	e.u64(r.searchID)
+	e.u32(r.from)
+	e.u32(r.max)
+	return e.b
+}
+
+func decodeRoundsRequest(b []byte) (roundsRequest, error) {
+	d := &dec{b: b}
+	r := roundsRequest{searchID: d.u64(), from: d.u32(), max: d.u32()}
+	if d.err == nil && (r.max == 0 || r.max > maxBatchRounds) {
+		d.fail("batch of %d rounds (cap %d)", r.max, maxBatchRounds)
+	}
+	return r, d.done()
+}
+
+// appendHostRoundsReply frames flat — per executed round, one RoundInfo
+// per member shard (round-major, shard-list order within a round): the
 // coordinator replays its per-round, per-shard stop decisions on each
 // block, so byte-identity does not depend on how shards were grouped onto
 // hosts or rounds into RPCs.
-func encodeHostRoundsReply(rows [][]core.RoundInfo) []byte {
-	return appendHostRoundsReply(nil, rows)
-}
-
-func appendHostRoundsReply(b []byte, rows [][]core.RoundInfo) []byte {
+func appendHostRoundsReply(b []byte, flat []core.RoundInfo, nShards int) []byte {
 	e := enc{b: b}
-	e.u32(uint32(len(rows)))
-	var nShards int
-	if len(rows) > 0 {
-		nShards = len(rows[0])
-	}
+	e.u32(uint32(len(flat) / nShards))
 	e.u32(uint32(nShards))
-	for _, row := range rows {
-		for i := range row {
-			encodeRoundInfoBody(&e, row[i])
-		}
+	for i := range flat {
+		encodeRoundInfoBody(&e, flat[i])
 	}
 	return e.b
 }
@@ -939,12 +628,82 @@ func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.Roun
 	return rows, sp, nil
 }
 
-// encodeHostInfosReply carries one RoundInfo per member shard — the host
-// session's finalize reply.
-func encodeHostInfosReply(infos []core.RoundInfo) []byte {
-	return appendHostInfosReply(nil, infos)
+// --- replay fast-forward ---
+
+// replayRequest asks a worker to advance its session from round `from`
+// (which must be the next round in lockstep, exactly like roundsRequest)
+// up to and including round `upto`, discarding the per-round infos: the
+// coordinator already consumed those rounds on the replica that failed,
+// and workers execute identical FP ops over the shared substrate, so the
+// fast-forwarded state is bit-identical. The worker executes at most
+// maxWorkerBatch rounds per call and reports how far it got; the
+// coordinator loops until the session catches up.
+type replayRequest struct {
+	searchID uint64
+	from     uint32
+	upto     uint32
 }
 
+func encodeReplayRequest(r replayRequest) []byte {
+	var e enc
+	e.u64(r.searchID)
+	e.u32(r.from)
+	e.u32(r.upto)
+	return e.b
+}
+
+func decodeReplayRequest(b []byte) (replayRequest, error) {
+	d := &dec{b: b}
+	r := replayRequest{searchID: d.u64(), from: d.u32(), upto: d.u32()}
+	if d.err == nil && (r.upto < r.from || r.upto-r.from >= maxBatchRounds) {
+		d.fail("replay of rounds %d..%d (cap %d)", r.from, r.upto, maxBatchRounds)
+	}
+	return r, d.done()
+}
+
+// replayReply reports the round ordinal the session sits at after the
+// call (>= from, <= upto).
+type replayReply struct {
+	round uint32
+}
+
+func encodeReplayReply(r replayReply) []byte {
+	var e enc
+	e.u32(r.round)
+	return e.b
+}
+
+func decodeReplayReply(b []byte) (replayReply, error) {
+	d := &dec{b: b}
+	r := replayReply{round: d.u32()}
+	return r, d.done()
+}
+
+// --- finalize / end ---
+
+// roundRequest names a search and the round the coordinator has consumed
+// up to — the finalize and end request frame. The worker re-bounds (or
+// releases) the session as it stands; it never steps.
+type roundRequest struct {
+	searchID uint64
+	round    uint32
+}
+
+func encodeRoundRequest(r roundRequest) []byte {
+	var e enc
+	e.u64(r.searchID)
+	e.u32(r.round)
+	return e.b
+}
+
+func decodeRoundRequest(b []byte) (roundRequest, error) {
+	d := &dec{b: b}
+	r := roundRequest{searchID: d.u64(), round: d.u32()}
+	return r, d.done()
+}
+
+// appendHostInfosReply carries one RoundInfo per member shard — the
+// finalize reply.
 func appendHostInfosReply(b []byte, infos []core.RoundInfo) []byte {
 	e := enc{b: b}
 	e.u32(uint32(len(infos)))

@@ -1,9 +1,9 @@
 // The shard worker: one process serving one or more shards of a set
 // through the round protocol, plus the operational endpoints a
 // coordinator and an external router need (/healthz readiness, /stats
-// counters, /reload). A multi-shard worker (proto 4) serves host
-// sessions: all its shards of one search share a single proximity
-// iterator, stepped once per round.
+// counters, /reload). Every session is a host session over a list of the
+// worker's shards: all of them share a single proximity iterator, stepped
+// once per round.
 package dshard
 
 import (
@@ -54,8 +54,8 @@ type WorkerConfig struct {
 	Mode         snap.LoadMode
 	// Shards, when non-empty, lists ALL the shard ordinals this process
 	// hosts (Shard is ignored); the worker serves them off one substrate
-	// mapping, and host sessions (proto 4) share one proximity iterator
-	// across every hosted shard of a search. Empty means []int{Shard}.
+	// mapping, and a session shares one proximity iterator across every
+	// hosted shard it covers. Empty means []int{Shard}.
 	Shards []int
 	// Verify selects when snapshot payload checksums run: snap.VerifyEager
 	// (default) fails the Load on corruption; snap.VerifyLazy starts
@@ -95,11 +95,8 @@ const maxWorkerBatch = 64
 // ends (the same discipline the serving layer uses).
 type workerGen struct {
 	ws *snap.WorkerSnapshot
-	// engines holds one engine per hosted shard, in cfg.Shards order;
-	// engine is the primary (engines[0]) — what legacy single-shard
-	// sessions run on.
+	// engines holds one engine per hosted shard, in cfg.Shards order.
 	engines  []*core.Engine
-	engine   *core.Engine
 	version  uint64
 	loadMS   int64
 	loadedAt time.Time
@@ -124,57 +121,39 @@ func (g *workerGen) release() {
 	}
 }
 
-// session is one in-flight search: an executor pinned to the generation
-// it began on. trace is non-nil when the coordinator propagated a trace
-// id in Begin — every protocol call's span subtree is both returned on
-// the wire and accumulated here for the worker's own /debug/traces ring.
+// session is one in-flight search: a host executor serving the shard list
+// `shards` off one shared iterator, pinned to the generation it began on.
+// Rounds/finalize replies carry one RoundInfo block per member. trace is
+// non-nil when the coordinator propagated a trace id in beginset — every
+// protocol call's span subtree is both returned on the wire and
+// accumulated here for the worker's own /debug/traces ring.
 type session struct {
 	mu       sync.Mutex
 	gen      *workerGen
-	exec     *core.LocalExecutor
+	host     *core.HostExecutor
+	shards   []int
 	round    uint32
 	lastUsed time.Time
 	trace    *obs.Trace
 
-	// host is set instead of exec for a proto-4 host session: one
-	// executor set serving the shard list `shards` off a shared iterator.
-	// Rounds/finalize replies then carry one RoundInfo block per member.
-	host   *core.HostExecutor
-	shards []int
-
 	// deadline, when non-zero, is when the sweeper may abandon the
 	// session even before the TTL — the coordinator shipped its search
-	// budget in Begin, so anything past it is orphaned (a stopped
+	// budget in beginset, so anything past it is orphaned (a stopped
 	// coordinator's speculative rounds, a crashed one's whole session).
 	deadline time.Time
 
-	// lastSig / lastAdmitted track the shard-local selection across
-	// rounds, so a batched-rounds call can stop at the first round whose
-	// outcome the coordinator will want to react to (admission, kept-set
-	// or certainty change). Host sessions track one slot per member shard
-	// (lastSigs/lastAdmits) and stop when ANY member trips.
-	lastSig      roundSig
-	lastAdmitted int
-	lastSigs     []roundSig
-	lastAdmits   []int
-
-	// shadows is the proto-5 delta base: the last round's RoundInfo per
-	// member shard, exactly as the coordinator last decoded it. Updated on
-	// every executed round (whatever framing the reply used), reset by
-	// replay (the coordinator never decoded those rounds), and never
-	// advanced by finalize.
-	shadows []roundShadow
+	// lastSigs / lastAdmits track each member shard's local selection
+	// across rounds, so a batched-rounds call can stop at the first round
+	// whose outcome the coordinator will want to react to (admission,
+	// kept-set or certainty change on ANY member).
+	lastSigs   []roundSig
+	lastAdmits []int
 
 	// Reply-encode scratch, reused across the session's batched-rounds
-	// calls: infos accumulates a single-shard batch, rowArena a host
-	// session's round-major blocks (HostExecutor.Round reuses its own
-	// scratch, so rows must be copied out per round), rows the row
-	// headers for legacy host framing. sigScratch/sigScratches recycle
-	// roundSig backing arrays.
-	infos        []core.RoundInfo
+	// calls: rowArena holds a batch's round-major blocks
+	// (HostExecutor.Round reuses its own scratch, so rows must be copied
+	// out per round), sigScratches recycle roundSig backing arrays.
 	rowArena     []core.RoundInfo
-	rows         [][]core.RoundInfo
-	sigScratch   []graph.NID
 	sigScratches [][]graph.NID
 }
 
@@ -249,12 +228,6 @@ type Worker struct {
 	// searches (nil when disabled); bound to the served generation so a
 	// reload purges and re-binds it.
 	prox *proxcache.Cache
-
-	// deltaOff disables proto-5 delta reply framing: full blocks even
-	// when the request asks for deltas. The reply framing is
-	// self-identifying, so flipping it mid-search never desynchronizes a
-	// session — tests use it to prove the coordinator's live downgrade.
-	deltaOff atomic.Bool
 
 	reg        *obs.Registry
 	rpcSeconds [epCount]*obs.Histogram
@@ -381,7 +354,6 @@ func (w *Worker) Load() error {
 	gen := &workerGen{
 		ws:       ws,
 		engines:  engines,
-		engine:   engines[0],
 		version:  version,
 		loadMS:   time.Since(start).Milliseconds(),
 		loadedAt: time.Now(),
@@ -454,9 +426,7 @@ func (w *Worker) acquire() *workerGen {
 // Handler returns the worker's HTTP surface.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pathBegin, w.handleBegin)
 	mux.HandleFunc("POST "+pathBeginSet, w.handleBeginSet)
-	mux.HandleFunc("POST "+pathRound, w.handleRound)
 	mux.HandleFunc("POST "+pathRounds, w.handleRounds)
 	mux.HandleFunc("POST "+pathReplay, w.handleReplay)
 	mux.HandleFunc("POST "+pathFinalize, w.handleFinalize)
@@ -502,9 +472,10 @@ func readFrame(rw http.ResponseWriter, req *http.Request) (*frameBuf, bool) {
 		writeErr(rw, http.StatusBadRequest, "frame exceeds %d bytes", maxFrameSize)
 		return nil, false
 	}
-	// A CRC mismatch is transit corruption, not a malformed request: 422
-	// (not 400, which the client treats as a deterministic rejection every
-	// replica would repeat) so the coordinator retries/fails over.
+	// A missing or mismatched CRC is transit corruption, not a malformed
+	// request: 422 (not 400, which the client treats as a deterministic
+	// rejection every replica would repeat) so the coordinator retries or
+	// fails over.
 	if err := checkFrameCRC(body, req.Header.Get(frameCRCHeader)); err != nil {
 		putFrame(fb)
 		writeErr(rw, http.StatusUnprocessableEntity, "%v", err)
@@ -517,11 +488,7 @@ func readFrame(rw http.ResponseWriter, req *http.Request) (*frameBuf, bool) {
 // its accumulated span tree (traced sessions) in the worker's ring.
 func (w *Worker) closeSession(s *session) {
 	s.mu.Lock()
-	if s.host != nil {
-		s.host.End()
-	} else {
-		s.exec.End()
-	}
+	s.host.End()
 	if s.trace != nil {
 		s.trace.Finish()
 		w.traces.Add(&obs.TraceRecord{
@@ -551,100 +518,11 @@ func (w *Worker) sweepSessions(now time.Time) {
 	}
 }
 
-func (w *Worker) handleBegin(rw http.ResponseWriter, req *http.Request) {
-	defer w.rpcSeconds[epBegin].ObserveSince(time.Now())
-	if w.state.Load() != StateServing {
-		w.rejected.Add(1)
-		writeErr(rw, http.StatusServiceUnavailable, "worker is %s", stateName(w.state.Load()))
-		return
-	}
-	fb, ok := readFrame(rw, req)
-	if !ok {
-		return
-	}
-	r, err := decodeBeginRequest(fb.b)
-	putFrame(fb)
-	if err != nil {
-		writeErr(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	gen := w.acquire()
-	if gen == nil {
-		w.rejected.Add(1)
-		writeErr(rw, http.StatusServiceUnavailable, "worker is loading")
-		return
-	}
-	if err := gen.ws.VerifyErr(); err != nil {
-		gen.release()
-		w.rejected.Add(1)
-		writeErr(rw, http.StatusServiceUnavailable, "snapshot failed verification: %v", err)
-		return
-	}
-	// A legacy single-shard begin serves the worker's primary shard.
-	s := &session{
-		gen: gen,
-		exec: core.NewShardExecutor(gen.engine, w.cfg.Workers).
-			WithCounters(&w.touched[0], &w.rounds[0]).
-			WithProxCache(w.prox).
-			WithStepCounter(&w.iterSteps),
-		lastUsed: time.Now(),
-		lastSig:  roundSig{unc: -1},
-		shadows:  make([]roundShadow, 1),
-	}
-	if r.traceID != 0 {
-		s.exec.WithTracing(true)
-		s.trace = obs.NewTraceWithID(r.traceID, "worker.search")
-	}
-	if r.deadlineMicros != 0 {
-		s.deadline = s.lastUsed.Add(time.Duration(r.deadlineMicros) * time.Microsecond)
-	}
-	w.mu.Lock()
-	w.sweepSessions(s.lastUsed)
-	if len(w.sessions) >= w.cfg.MaxSessions {
-		w.mu.Unlock()
-		gen.release()
-		w.rejected.Add(1)
-		writeErr(rw, http.StatusServiceUnavailable, "worker session table full (%d)", w.cfg.MaxSessions)
-		return
-	}
-	if _, dup := w.sessions[r.searchID]; dup {
-		w.mu.Unlock()
-		gen.release()
-		writeErr(rw, http.StatusConflict, "search %d already begun", r.searchID)
-		return
-	}
-	w.sessions[r.searchID] = s
-	w.mu.Unlock()
-
-	info, err := s.exec.Begin(r.spec)
-	if err != nil {
-		w.dropSession(r.searchID)
-		writeErr(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.exec.ResumedDepth() > 0 {
-		w.warmResumes.Add(1)
-	}
-	w.searches.Add(1)
-	writeFrame(rw, appendSpanBlock(encodeBeginInfo(info), w.takeCallSpan(s)))
-}
-
-// takeCallSpan collects the span subtree the executor recorded for the
-// just-finished call (nil when untraced), keeping a copy reference in
-// the session's own trace for the worker-side /debug/traces ring.
-func (w *Worker) takeCallSpan(s *session) *obs.Span {
-	sp := s.exec.TakeSpan()
-	if sp != nil && s.trace != nil {
-		s.trace.Span().Attach(sp)
-	}
-	return sp
-}
-
-// takeHostSpan is takeCallSpan for a host session: the per-member span
-// subtrees of the just-finished call are gathered under one wrapper.
-func (w *Worker) takeHostSpan(s *session, name string) *obs.Span {
+// hostCallSpan gathers the per-member span subtrees the executor recorded
+// for the just-finished call under one wrapper (nil when untraced).
+func hostCallSpan(h *core.HostExecutor, name string) *obs.Span {
 	var wrap *obs.Span
-	for _, sp := range s.host.TakeSpans() {
+	for _, sp := range h.TakeSpans() {
 		if sp == nil {
 			continue
 		}
@@ -655,15 +533,22 @@ func (w *Worker) takeHostSpan(s *session, name string) *obs.Span {
 	}
 	if wrap != nil {
 		wrap.End()
-		if s.trace != nil {
-			s.trace.Span().Attach(wrap)
-		}
 	}
 	return wrap
 }
 
-// handleBeginSet installs a proto-4 host session: one search covering a
-// list of this worker's hosted shards, served off a single shared
+// takeHostSpan is hostCallSpan keeping a reference in the session's own
+// trace for the worker-side /debug/traces ring.
+func (w *Worker) takeHostSpan(s *session, name string) *obs.Span {
+	wrap := hostCallSpan(s.host, name)
+	if wrap != nil && s.trace != nil {
+		s.trace.Span().Attach(wrap)
+	}
+	return wrap
+}
+
+// handleBeginSet installs a session: one search covering a list of this
+// worker's hosted shards, served off a single shared
 // proximity iterator. Every shard in the list must be hosted here; a
 // stale membership view gets 409 (a failover trigger), never a partial
 // session.
@@ -726,7 +611,6 @@ func (w *Worker) handleBeginSet(rw http.ResponseWriter, req *http.Request) {
 		lastUsed:     time.Now(),
 		lastSigs:     make([]roundSig, len(r.shards)),
 		lastAdmits:   make([]int, len(r.shards)),
-		shadows:      make([]roundShadow, len(r.shards)),
 		sigScratches: make([][]graph.NID, len(r.shards)),
 	}
 	for i := range s.lastSigs {
@@ -791,61 +675,14 @@ func (w *Worker) dropSession(id uint64) {
 	}
 }
 
-func (w *Worker) handleRound(rw http.ResponseWriter, req *http.Request) {
-	defer w.rpcSeconds[epRound].ObserveSince(time.Now())
-	fb, ok := readFrame(rw, req)
-	if !ok {
-		return
-	}
-	r, err := decodeRoundRequest(fb.b)
-	putFrame(fb)
-	if err != nil {
-		writeErr(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s := w.lookup(r.searchID)
-	if s == nil {
-		writeErr(rw, http.StatusNotFound, "unknown search %d", r.searchID)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.host != nil {
-		// Host sessions reply with one block per member shard, which the
-		// single-round frame cannot carry; a proto-4 coordinator only ever
-		// drives them through /shard/v1/rounds.
-		writeErr(rw, http.StatusConflict, "search %d is a host session; use %s", r.searchID, pathRounds)
-		return
-	}
-	if r.round != s.round+1 {
-		// Out-of-lockstep: a lost or replayed frame must never silently
-		// double-step the exploration.
-		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.round)
-		return
-	}
-	info, err := s.exec.Round()
-	if err != nil {
-		writeErr(rw, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.round++
-	// Keep the batch-stop state coherent even under per-round calls, so
-	// a coordinator may mix the two endpoints freely.
-	recycled := s.lastSig.kept
-	s.lastSig = keptSigInto(s.sigScratch, info)
-	s.sigScratch = recycled
-	s.lastAdmitted = info.Admitted
-	s.shadows[0].set(info)
-	writeFrame(rw, appendSpanBlock(encodeRoundInfo(info), w.takeCallSpan(s)))
-}
-
-// handleRounds is the proto-2 batched endpoint: advance up to max
-// lockstep rounds, returning early at the first round the coordinator
-// will want to react to — an admission, a kept-set or certainty change,
-// graph exhaustion or the precision floor. The reply carries every
-// executed round's RoundInfo, so the coordinator's stop logic replays
-// each round exactly as if it had been fetched alone; early exit is a
-// latency/waste heuristic, never a correctness requirement.
+// handleRounds advances up to max lockstep rounds, returning early at the
+// first round the coordinator will want to react to — an admission, a
+// kept-set or certainty change, graph exhaustion or the precision floor on
+// ANY member shard. Each executed round advances every member off ONE
+// iterator step, and the reply carries one RoundInfo block per member per
+// round, so the coordinator's stop logic replays each round exactly as if
+// it had been fetched alone; early exit is a latency/waste heuristic,
+// never a correctness requirement.
 func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 	defer w.rpcSeconds[epRounds].ObserveSince(time.Now())
 	fb, ok := readFrame(rw, req)
@@ -866,74 +703,12 @@ func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r.from != s.round+1 {
+		// Out-of-lockstep: a lost or replayed frame must never silently
+		// double-step the exploration.
 		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.from)
 		return
 	}
-	maxRounds := int(r.max)
-	if maxRounds > maxWorkerBatch {
-		maxRounds = maxWorkerBatch
-	}
-	delta := r.flags&reqFlagDelta != 0 && !w.deltaOff.Load()
-	if s.host != nil {
-		w.hostRounds(rw, s, maxRounds, delta)
-		return
-	}
-	infos := s.infos[:0]
-	var batchSpan *obs.Span
-	for len(infos) < maxRounds {
-		info, err := s.exec.Round()
-		if err != nil {
-			writeErr(rw, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.round++
-		if sp := s.exec.TakeSpan(); sp != nil {
-			if batchSpan == nil {
-				batchSpan = obs.NewSpan("exec.rounds")
-			}
-			batchSpan.Attach(sp)
-		}
-		infos = append(infos, info)
-		sig := keptSigInto(s.sigScratch, info)
-		stop := info.Done || info.Tail < 1e-15 ||
-			info.Admitted > s.lastAdmitted || !sig.equal(s.lastSig)
-		s.sigScratch = s.lastSig.kept
-		s.lastSig = sig
-		s.lastAdmitted = info.Admitted
-		if stop {
-			break
-		}
-	}
-	s.infos = infos
-	if batchSpan != nil {
-		batchSpan.SetInt("rounds", int64(len(infos)))
-		batchSpan.End()
-		if s.trace != nil {
-			s.trace.Span().Attach(batchSpan)
-		}
-	}
-	out := getFrame()
-	var frame []byte
-	if delta {
-		frame = appendDeltaFrame(out.b[:0], infos, len(infos), 1, s.shadows, true)
-	} else {
-		frame = appendRoundsReply(out.b[:0], infos)
-		s.shadows[0].set(infos[len(infos)-1])
-	}
-	frame = appendSpanBlock(frame, batchSpan)
-	writeFrame(rw, frame)
-	out.b = frame
-	putFrame(out)
-}
-
-// hostRounds is handleRounds for a host session: each executed round
-// advances every member shard off ONE iterator step, and the reply
-// carries one RoundInfo block per member per round. The batch stops when
-// ANY member's outcome is reaction-worthy — the coordinator replays each
-// member's stop decision independently, so an early stop is only ever a
-// latency/waste heuristic. The caller holds s.mu and verified lockstep.
-func (w *Worker) hostRounds(rw http.ResponseWriter, s *session, maxRounds int, delta bool) {
-	ns := len(s.shards)
+	maxRounds := min(int(r.max), maxWorkerBatch)
 	// HostExecutor.Round reuses its own infos scratch, so each round's
 	// blocks are copied into the session's round-major arena before the
 	// next round overwrites them.
@@ -948,18 +723,7 @@ func (w *Worker) hostRounds(rw http.ResponseWriter, s *session, maxRounds int, d
 			return
 		}
 		s.round++
-		var wrap *obs.Span
-		for _, sp := range s.host.TakeSpans() {
-			if sp == nil {
-				continue
-			}
-			if wrap == nil {
-				wrap = obs.NewSpan("exec.round")
-			}
-			wrap.Attach(sp)
-		}
-		if wrap != nil {
-			wrap.End()
+		if wrap := hostCallSpan(s.host, "exec.round"); wrap != nil {
 			if batchSpan == nil {
 				batchSpan = obs.NewSpan("exec.rounds")
 			}
@@ -991,31 +755,17 @@ func (w *Worker) hostRounds(rw http.ResponseWriter, s *session, maxRounds int, d
 		}
 	}
 	out := getFrame()
-	var frame []byte
-	if delta {
-		frame = appendDeltaFrame(out.b[:0], arena, nRounds, ns, s.shadows, true)
-	} else {
-		rows := s.rows[:0]
-		for r := 0; r < nRounds; r++ {
-			rows = append(rows, arena[r*ns:(r+1)*ns])
-		}
-		s.rows = rows
-		frame = appendHostRoundsReply(out.b[:0], rows)
-		for i := 0; i < ns; i++ {
-			s.shadows[i].set(arena[(nRounds-1)*ns+i])
-		}
-	}
-	frame = appendSpanBlock(frame, batchSpan)
+	frame := appendSpanBlock(appendHostRoundsReply(out.b[:0], arena, len(s.shards)), batchSpan)
 	writeFrame(rw, frame)
 	out.b = frame
 	putFrame(out)
 }
 
-// handleReplay is the proto-3 failover fast-forward: advance the session
-// from round `from` up to (at most) round `upto`, discarding the
-// per-round infos — the coordinator already consumed them on the replica
-// that failed, and the shared-substrate determinism makes the replayed
-// state bit-identical. Unlike handleRounds there is no early exit on
+// handleReplay is the failover fast-forward: advance the session from
+// round `from` up to (at most) round `upto`, discarding the per-round
+// infos — the coordinator already consumed them on the replica that
+// failed, and the shared-substrate determinism makes the replayed state
+// bit-identical. Unlike handleRounds there is no early exit on
 // coordinator-visible events: the target is always a round the original
 // timeline actually executed, so the session must land exactly there.
 // At most maxWorkerBatch rounds run per call (bounding how long the
@@ -1044,45 +794,20 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, req *http.Request) {
 		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.from)
 		return
 	}
-	executed := 0
-	for s.round < r.upto && executed < maxWorkerBatch {
-		if s.host != nil {
-			infos, err := s.host.Round()
-			if err != nil {
-				writeErr(rw, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			s.round++
-			executed++
-			for i, info := range infos {
-				s.lastSigs[i] = keptSig(info)
-				s.lastAdmits[i] = info.Admitted
-			}
-			if sp := w.takeHostSpan(s, "exec.round"); sp != nil {
-				_ = sp // retained in the session trace by takeHostSpan
-			}
-			continue
-		}
-		info, err := s.exec.Round()
+	for executed := 0; s.round < r.upto && executed < maxWorkerBatch; executed++ {
+		infos, err := s.host.Round()
 		if err != nil {
 			writeErr(rw, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		s.round++
-		executed++
 		// Keep the batch-stop state coherent so the resumed lockstep's
 		// batched fetches see the same signatures the original would have.
-		s.lastSig = keptSig(info)
-		s.lastAdmitted = info.Admitted
-		if sp := s.exec.TakeSpan(); sp != nil && s.trace != nil {
-			s.trace.Span().Attach(sp)
+		for i, info := range infos {
+			s.lastSigs[i] = keptSig(info)
+			s.lastAdmits[i] = info.Admitted
 		}
-	}
-	// The coordinator never decodes replayed rounds, so its delta shadows
-	// stay at the pre-failover state: invalidate ours to match — the next
-	// rounds reply opens with a full-framed round.
-	for i := range s.shadows {
-		s.shadows[i].reset()
+		w.takeHostSpan(s, "exec.round") // retained in the session trace
 	}
 	writeFrame(rw, encodeReplayReply(replayReply{round: s.round}))
 }
@@ -1106,46 +831,13 @@ func (w *Worker) handleFinalize(rw http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Finalize replies may delta against the session's last round but
-	// never advance the shadows (update=false): the round base on both
-	// ends stays the last executed round.
-	delta := r.flags&reqFlagDelta != 0 && !w.deltaOff.Load()
-	if s.host != nil {
-		infos, err := s.host.Finalize()
-		if err != nil {
-			writeErr(rw, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		out := getFrame()
-		var frame []byte
-		if delta {
-			frame = appendDeltaFrame(out.b[:0], infos, 1, len(infos), s.shadows, false)
-		} else {
-			frame = appendHostInfosReply(out.b[:0], infos)
-		}
-		frame = appendSpanBlock(frame, w.takeHostSpan(s, "exec.finalize"))
-		writeFrame(rw, frame)
-		out.b = frame
-		putFrame(out)
-		return
-	}
-	info, err := s.exec.Finalize()
+	infos, err := s.host.Finalize()
 	if err != nil {
 		writeErr(rw, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	out := getFrame()
-	var frame []byte
-	if delta {
-		flat := append(s.infos[:0], info)
-		s.infos = flat
-		frame = appendDeltaFrame(out.b[:0], flat, 1, 1, s.shadows, false)
-	} else {
-		e := enc{b: out.b[:0]}
-		encodeRoundInfoBody(&e, info)
-		frame = e.b
-	}
-	frame = appendSpanBlock(frame, w.takeCallSpan(s))
+	frame := appendSpanBlock(appendHostInfosReply(out.b[:0], infos), w.takeHostSpan(s, "exec.finalize"))
 	writeFrame(rw, frame)
 	out.b = frame
 	putFrame(out)
@@ -1173,19 +865,15 @@ func (w *Worker) handleEnd(rw http.ResponseWriter, req *http.Request) {
 type healthzBody struct {
 	Status string `json:"status"`
 	Shard  int    `json:"shard"`
-	// Shards lists every shard ordinal this process hosts (proto 4
-	// multi-shard workers; absent means just Shard). Shard stays the
-	// primary — what a legacy single-shard begin is served against.
+	// Shards lists every shard ordinal this process hosts; Shard is the
+	// first of them.
 	Shards     []int  `json:"shards,omitempty"`
 	ShardCount int    `json:"shard_count"`
 	SetID      string `json:"set_id"`
 	Version    uint64 `json:"version"`
 	Sliced     bool   `json:"sliced"`
-	// Proto advertises the round-protocol version this worker speaks
-	// (the batched /shard/v1/rounds endpoint and the begin-frame
-	// deadline arrived with 2, the /shard/v1/replay failover
-	// fast-forward with 3). Pre-proto workers omit the field, which
-	// decodes as 0 on the coordinator — per-round protocol only.
+	// Proto advertises the round-protocol version this worker speaks;
+	// the coordinator routes only to workers matching its own.
 	Proto int `json:"proto,omitempty"`
 }
 

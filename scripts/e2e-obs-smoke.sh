@@ -89,8 +89,8 @@ while ! curl -sf http://127.0.0.1:18081/debug/traces | grep -q "$trace_id"; do
 done
 
 # /metrics serves on all three processes with the mode-specific families.
-curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_rpc_seconds_count{endpoint="round"}' ||
-	{ echo "e2e-obs-smoke: coordinator /metrics missing round RPC histogram" >&2; exit 1; }
+curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_rpc_seconds_count{endpoint="rounds"}' ||
+	{ echo "e2e-obs-smoke: coordinator /metrics missing rounds RPC histogram" >&2; exit 1; }
 # The batched rounds endpoint actually carried the search: the batch-size
 # histogram must have observed at least one batch.
 batches=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_round_batch_count \([0-9]*\)$/\1/p')
@@ -104,13 +104,13 @@ curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_worker_warm_resumes_total
 	{ echo "e2e-obs-smoke: worker /metrics missing warm-resume counter" >&2; exit 1; }
 curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_search_round_seconds_count' ||
 	{ echo "e2e-obs-smoke: coordinator /metrics missing per-round latency" >&2; exit 1; }
-curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_shard_rpc_seconds_count{endpoint="round"}' ||
+curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_shard_rpc_seconds_count{endpoint="rounds"}' ||
 	{ echo "e2e-obs-smoke: worker /metrics missing shard RPC histogram" >&2; exit 1; }
 curl -sf http://127.0.0.1:18082/metrics | grep -q '^s3_worker_searches_total' ||
 	{ echo "e2e-obs-smoke: worker /metrics missing search counter" >&2; exit 1; }
 # Host grouping actually engaged: the coordinator opened host sessions
 # spanning both co-hosted shards, and the workers stepped one shared
-# iterator per round (steps > 0 proves the proto-4 path executed).
+# iterator per round (steps > 0 proves the shared-iterator path executed).
 sessions=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_host_sessions_total \([0-9]*\)$/\1/p')
 if [ -z "$sessions" ] || [ "$sessions" -eq 0 ]; then
 	echo "e2e-obs-smoke: no host-grouped sessions recorded (s3_coord_host_sessions_total=$sessions)" >&2

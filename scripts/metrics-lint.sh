@@ -1,8 +1,9 @@
 #!/bin/sh
 # metrics-lint: every metric name registered anywhere in the serving code
-# must be documented in README.md's Observability catalogue. Registered
-# names are found by grepping for the "s3_..." string literals passed to
-# the obs registry in non-test Go files.
+# must be documented in README.md's Observability catalogue, and every
+# series a catalogue row names (first cell of a "| `s3_..." table row) must
+# be registered. Registered names are found by grepping for the "s3_..."
+# string literals passed to the obs registry in non-test Go files.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,7 +21,14 @@ for name in $names; do
 		missing=1
 	fi
 done
+documented=$(sed -n 's/^| \(`s3_[^|]*\)|.*/\1/p' README.md | grep -oE 's3_[a-z0-9_]+' | sort -u)
+for name in $documented; do
+	if ! echo "$names" | grep -qx "$name"; then
+		echo "metrics-lint: README.md documents $name but nothing registers it" >&2
+		missing=1
+	fi
+done
 if [ "$missing" -ne 0 ]; then
 	exit 1
 fi
-echo "metrics-lint: $(echo "$names" | wc -l) metric names all documented"
+echo "metrics-lint: $(echo "$names" | wc -l) metric names registered, $(echo "$documented" | wc -l) documented, all matched"
