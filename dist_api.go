@@ -148,10 +148,6 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 	if cfg.opts.K <= 0 {
 		return nil, SearchInfo{}, fmt.Errorf("s3: k must be positive, got %d", cfg.opts.K)
 	}
-	eps := cfg.opts.Epsilon
-	if eps == 0 {
-		eps = 1e-12
-	}
 	groups, possible, err := core.ResolveKeywordGroups(base, keywords)
 	if err != nil {
 		return nil, SearchInfo{}, err
@@ -164,7 +160,7 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 		Groups:  groups,
 		K:       cfg.opts.K,
 		Params:  cfg.opts.Params,
-		Epsilon: eps,
+		Epsilon: cfg.opts.Epsilon,
 	}
 	copts := core.CoordOptions{
 		MaxIterations: cfg.opts.MaxIterations,

@@ -1,18 +1,19 @@
-// The per-round protocol of sharded search, made explicit.
+// The round protocol of S3k, and its one round loop.
 //
-// A sharded S3k search is a sequence of lockstep rounds: advance the
-// seeker's proximity exploration one layer, let every shard admit newly
-// discovered components, refresh its candidates' score intervals and
-// compute its shard-local greedy selection, then merge the per-shard
-// selections by score interval (topks.MergeTopK) and evaluate the global
-// stop condition of Algorithm 2 on the merged state. PR 2 buried that
-// protocol inside ShardedEngine.Search; this file extracts it into an
-// explicit ShardExecutor interface with serializable round messages, so
-// the same coordinator loop can drive in-process shards (LocalExecutor,
-// sharing one proximity iterator) and remote worker processes (each
-// advancing its own iterator over the shared substrate — identical
-// floating-point operations in identical order, hence byte-identical
-// rounds) over any transport.
+// An S3k search is a sequence of lockstep rounds: advance the seeker's
+// proximity exploration one layer, let every shard admit newly discovered
+// components, refresh its candidates' score intervals and compute its
+// shard-local greedy selection, then merge the per-shard selections by
+// score interval (topks.MergeTopK) and evaluate the global stop condition
+// of Algorithm 2 on the merged state. This file states that protocol as
+// the ShardExecutor interface with serializable round messages, and holds
+// the only loop that runs it: Coordinate. Every deployment is Coordinate
+// over some executor set — the members of one in-process HostExecutor
+// (one member for Engine.Search, N for ShardedEngine.Search, sharing one
+// proximity iterator) or remote worker processes (each host advancing its
+// own iterator over the shared substrate — identical floating-point
+// operations in identical order, hence byte-identical rounds) over any
+// transport.
 //
 // Everything the coordinator needs from a shard fits in a few dozen bytes
 // per round: the shard-local selection is at most k candidates, and the
@@ -50,16 +51,17 @@ type SearchSpec struct {
 	K int
 	// Params are the damping factors (γ, η).
 	Params score.Params
-	// Epsilon is the finite-precision tie-breaking margin (resolved by the
-	// coordinator; never zero).
+	// Epsilon is the finite-precision tie-breaking margin of Theorem 4.2.
+	// Coordinate resolves 0 to the default 1e-12 before any executor sees
+	// the spec.
 	Epsilon float64
 }
 
 // CandMeta is the serializable summary of one candidate: everything the
 // cross-shard merge and the stop decision read. The canonical order over
-// CandMeta (upper bound descending, ties by node id) equals the engine's
+// CandMeta (upper bound descending, ties by node id) equals the members'
 // candidate order, which is what keeps merged selections byte-identical
-// to single-engine ones.
+// however the components are partitioned.
 type CandMeta struct {
 	Doc          graph.NID
 	Lower, Upper float64
@@ -172,8 +174,8 @@ type CoordOptions struct {
 
 // spanSource is implemented by executors that collect a span subtree per
 // protocol call (LocalExecutor with tracing enabled, dshard's session
-// views for worker-side spans decoded off the wire). TakeSpan returns the subtree
-// recorded by the most recent call and clears it.
+// views for worker-side spans decoded off the wire). TakeSpan returns the
+// subtree recorded by the most recent call and clears it.
 type spanSource interface {
 	TakeSpan() *obs.Span
 }
@@ -190,7 +192,7 @@ type RoundPlanner interface {
 	PlanRounds(batch int, speculate bool)
 }
 
-// / maxRoundBatch caps the adaptive batch hint: one RTT amortized over up
+// maxRoundBatch caps the adaptive batch hint: one RTT amortized over up
 // to this many quiet rounds.
 const maxRoundBatch = 16
 
@@ -202,7 +204,18 @@ const maxRoundBatch = 16
 // the RTT count and the worst-case overshoot.
 const certaintyBatch = 8
 
-// / rpcScatter runs one scatter under an optional parent span: each
+// maxTracedRounds caps per-round span recording: a long any-time search
+// must not grow an unbounded trace tree (the round histogram still sees
+// every round).
+const maxTracedRounds = 256
+
+// fanoutThreshold is the amount of per-round work (candidates to bound,
+// with fresh discoveries weighted heavily) below which fanning out across
+// goroutines costs more than it saves: small queries run the shards
+// serially, candidate-heavy ones in parallel.
+const fanoutThreshold = 192
+
+// rpcScatter runs one scatter under an optional parent span: each
 // executor gets a pre-created child span (created serially, ended inside
 // its own closure, so no goroutine ever touches a sibling's), and any
 // span subtree the executor collected is attached after the barrier.
@@ -228,21 +241,25 @@ func rpcScatter(parent *obs.Span, execs []ShardExecutor, parallel bool, f func(i
 	return err
 }
 
-// Coordinate drives a sharded search over the executors: the scatter /
-// gather half of the round protocol, plus the merge and the global stop
-// decision. It returns the merged selection (best-first) and the search
-// stats; the caller resolves URIs and owns the executors' surrounding
-// state (iterator checkpoints, counters).
+// Coordinate is the S3k round loop (Algorithm 1) and the only place the
+// stop test (Algorithm 2) is evaluated: it scatters each round over the
+// executors, gathers and merges their selections, and decides globally
+// whether a provably correct top-k exists. It returns the merged
+// selection (best-first) and the search stats; the caller resolves URIs.
+// Every executor is Ended on every path.
 //
 // The answer — documents, order and score intervals — is byte-identical
-// to Engine.Search over the unpartitioned instance for any conforming
-// executor set; see the package comment of sharded.go for why the merge
-// decomposes exactly.
+// for any conforming executor set over the same instance, however its
+// components are partitioned; see the package comment of sharded.go for
+// why the merge decomposes exactly.
 func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]CandMeta, Stats, error) {
 	var stats Stats
 	start := copts.Start
 	if start.IsZero() {
 		start = time.Now()
+	}
+	if spec.Epsilon == 0 {
+		spec.Epsilon = 1e-12
 	}
 	root := copts.Trace.Span()
 	defer func() {
@@ -307,6 +324,13 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		sel, _ := merge.mergedSelect(infos, spec.K)
 		fin.End()
 		return sel, nil
+	}
+
+	// One closure for every round's scatter, not one per round.
+	round := func(i int) error {
+		var err error
+		infos[i], err = execs[i].Round()
+		return err
 	}
 
 	var planners []RoundPlanner
@@ -381,11 +405,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 
 		parallel := copts.ForceParallel || lastWork >= fanoutThreshold
-		if err := rpcScatter(sp, execs, parallel, func(i int) error {
-			var err error
-			infos[i], err = execs[i].Round()
-			return err
-		}); err != nil {
+		if err := rpcScatter(sp, execs, parallel, round); err != nil {
 			return nil, stats, err
 		}
 		prevReached := stats.NodesReached
@@ -407,6 +427,8 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		stats.ComponentsReached = admitted
 		tail, sourceTail := infos[0].Tail, infos[0].SourceTail
 
+		// Once every matching component has been discovered, no document
+		// outside the candidate set can ever match the query.
 		thr := 0.0
 		if admitted < totalMatched {
 			thr = threshold(sourceTail)
@@ -425,6 +447,10 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			sp.End()
 		}
 
+		// The answer is final when the selection is trustworthy, cannot
+		// grow from still-undiscovered components (which can only matter
+		// while the threshold is non-negligible), and provably dominates
+		// every other candidate as well as anything undiscovered.
 		mayGrow := len(selection) < spec.K && thr > spec.Epsilon
 		if certain && !mayGrow {
 			if len(selection) > 0 {
@@ -438,12 +464,18 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 					return finish(selection, StopThreshold)
 				}
 			} else if thr <= spec.Epsilon {
+				// Nothing can ever score above zero.
 				return finish(selection, StopThreshold)
 			}
 		}
 
-		// Finite-precision tie breaking (Theorem 4.2), reachable every
-		// round so disconnected matched components cannot spin forever.
+		// Finite-precision tie breaking (Theorem 4.2): when the remaining
+		// uncertainty is below the floating-point noise floor, further
+		// exploration cannot separate candidates or surface new ones. This
+		// guard must be reachable on *every* round — matched components
+		// disconnected from the seeker would otherwise keep the search
+		// spinning forever (the border cycles and never empties on cyclic
+		// graphs).
 		if tail < 1e-15 {
 			sel, err := finalize()
 			if err != nil {
@@ -452,6 +484,9 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			return finish(sel, StopPrecision)
 		}
 
+		if len(planners) == 0 {
+			continue // in-process rounds are fetched one at a time: no hint to adapt
+		}
 		// Adapt the round-batch hint from the stop's observable distance.
 		// The numeric stop violation V (how far the dominating bound and
 		// the unexplored-component threshold sit above the selection
@@ -691,12 +726,6 @@ func (m *mergeScratch) mergedSelect(infos []RoundInfo, k int) ([]CandMeta, bool)
 		return merged, true
 	}
 	return merged, false
-}
-
-// mergedSelectMeta is mergedSelect over throwaway scratch, for callers
-// outside the round loop.
-func mergedSelectMeta(infos []RoundInfo, k int) ([]CandMeta, bool) {
-	return newMergeScratch(len(infos)).mergedSelect(infos, k)
 }
 
 // mergedMaxOtherMeta computes the §4 dominating bound over the whole

@@ -1,20 +1,21 @@
-// HostExecutor: N co-hosted shard executors behind one shared proximity
-// iterator.
+// HostExecutor: the member shards of one process behind one shared
+// proximity iterator.
 //
-// A distributed worker process serving several shards of one set used to
-// run one own-iterator LocalExecutor per shard, each re-stepping an
-// identical exploration over the shared substrate — the compute
-// duplication that put cold distributed at a ~2.2-2.5× floor over
-// in-process. HostExecutor is the in-process sharing mechanism
-// (roundDriver, exactly as ShardedEngine wires it) packaged for a worker:
-// one Iterator.Step per round feeds every co-hosted shard's
-// admission/bounds/selection, and the per-shard work fans across cores
-// when GOMAXPROCS > 1.
+// Social proximity is defined over the whole network graph, so every
+// shard of a set explores the same substrate; only candidate generation
+// is per shard. A host therefore owns, once per search, everything that
+// is not per shard: it opens the seeker's iterator (resumed from the
+// proximity cache when one is wired), steps it once per round however
+// many members it serves, routes each newly discovered matching component
+// to the member owning it, and publishes the deepened frontier back when
+// the search ends. It is the only shard-side executor: Engine.Search runs
+// a one-member host, ShardedEngine.Search an N-member one (both driven
+// member by member through Coordinate), and a distributed worker drives
+// the host of its co-located shards directly, one call per round.
 //
-// The floating-point operations are identical, in identical order, to
-// both the in-process sharded engine and the one-shard-per-process
-// deployment, so round responses — and the coordinated answer — stay
-// byte-identical regardless of how shards are grouped onto hosts.
+// The floating-point operations are identical, in identical order,
+// however shards are grouped onto hosts, so round responses — and the
+// coordinated answer — are byte-identical across deployments.
 package core
 
 import (
@@ -26,33 +27,46 @@ import (
 	"s3/internal/graph"
 	"s3/internal/obs"
 	"s3/internal/proxcache"
+	"s3/internal/score"
 )
 
 // HostExecutor drives the rounds of one search for a set of co-hosted
-// shards off a single shared proximity iterator. Unlike ShardedEngine it
-// may host a strict subset of the shard set's components: discoveries
-// belonging to shards served elsewhere are routed nowhere.
+// member shards off a single shared proximity iterator. The members may
+// own a strict subset of the instance's components: discoveries belonging
+// to shards served elsewhere are routed nowhere. A host serves one search
+// at a time (Begin … End) and may be reused for the next.
 type HostExecutor struct {
-	execs   []*LocalExecutor
-	engines []*Engine
-	in      *graph.Instance
-	// compShard maps component id → hosted executor ordinal, -1 for
-	// components owned by shards this host does not serve.
-	compShard []int32
-	workers   int
+	members []*LocalExecutor
+	in      *graph.Instance // members[0]'s instance: the iterator's substrate
 
 	// pc, when non-nil, resumes the shared iterator from the deepest
-	// cached frontier at Begin and publishes the deepened frontier at End
-	// — ONE cache entry per (seeker, params) for the whole process, not
-	// one per hosted shard.
+	// cached frontier when it is opened and publishes the deepened
+	// frontier at End — ONE cache entry per (seeker, params) for the whole
+	// process, not one per member.
 	pc *proxcache.Cache
 	// steps, when non-nil, counts actual iterator steps: exactly one per
-	// round, however many shards are hosted.
+	// round, however many members are hosted.
 	steps *atomic.Uint64
 
-	drv      *roundDriver
+	// mu serialises the members' access to the shared exploration below:
+	// Coordinate scatters Begin and Round across members, and whichever
+	// member reaches a round first steps the iterator for all of them.
+	// The coordinator gathers every member before starting the next round,
+	// so what a round produced (routed, the iterator-owned AllProx) stays
+	// valid for the round's readers without the lock.
+	mu     sync.Mutex
+	seeker graph.NID
+	params score.Params
+	// owner maps each matched, not yet admitted component to the member
+	// holding its index slice. It is the search's discovery routing table,
+	// built from the members' Begin; non-nil exactly while a search is open.
+	owner    map[int32]int32
+	it       *score.Iterator // opened on first need, see iter
 	ckey     proxcache.Key
 	resumedN int
+	round    int       // rounds advanced so far
+	reached  int       // nodes discovered so far
+	routed   [][]int32 // per member: components to admit this round, in discovery order
 
 	// Per-call scratch, reused round after round so the worker's steady
 	// state allocates nothing here. The slices returned by Round, Finalize
@@ -67,65 +81,58 @@ type HostExecutor struct {
 // shards one process serves. Every engine must be a projection of the
 // same base instance; the hosted shards need not cover the full set. A
 // single unprojected engine (whole instance, no slicing) forms a valid
-// one-shard host.
+// one-shard host. That no component is hosted twice is checked per search,
+// over the components the query matches (Begin).
 func NewHostExecutor(engines []*Engine, workers int) (*HostExecutor, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("core: host executor needs at least one shard engine")
+	if err := checkMembers(engines); err != nil {
+		return nil, err
 	}
-	base := engines[0].in
-	nComp := base.NumComponents()
-	compShard := make([]int32, nComp)
-	for i := range compShard {
-		compShard[i] = -1
+	return newHost(engines, workers), nil
+}
+
+// checkMembers validates what every member set must satisfy before its
+// ownership is looked at: non-empty, projections of one instance, and
+// unprojected (owning everything) only when alone.
+func checkMembers(engines []*Engine) error {
+	if len(engines) == 0 {
+		return fmt.Errorf("core: needs at least one shard engine")
 	}
 	for i, e := range engines {
 		if e == nil {
-			return nil, fmt.Errorf("core: hosted shard %d is nil", i)
+			return fmt.Errorf("core: shard %d is nil", i)
 		}
-		if e.in.NumNodes() != base.NumNodes() || e.in.NumComponents() != nComp {
-			return nil, fmt.Errorf("core: hosted shard %d is not a projection of the same instance", i)
+		base := engines[0].in
+		if e.in.NumNodes() != base.NumNodes() || e.in.NumComponents() != base.NumComponents() {
+			return fmt.Errorf("core: shard %d is not a projection of the same instance", i)
 		}
-		owned := e.in.OwnedComponents()
-		if owned == nil {
-			// An unprojected instance owns everything; that is only
-			// consistent when it is the sole hosted shard.
-			if len(engines) != 1 {
-				return nil, fmt.Errorf("core: hosted shard %d is unprojected in a %d-shard host", i, len(engines))
-			}
-			for c := range compShard {
-				compShard[c] = 0
-			}
-			break
-		}
-		for _, c := range owned {
-			if compShard[c] != -1 {
-				return nil, fmt.Errorf("core: component %d hosted by shards %d and %d", c, compShard[c], i)
-			}
-			compShard[c] = int32(i)
+		if e.in.OwnedComponents() == nil && len(engines) != 1 {
+			return fmt.Errorf("core: shard %d is unprojected in a %d-shard set", i, len(engines))
 		}
 	}
+	return nil
+}
+
+// newHost wires a host over already validated engines.
+func newHost(engines []*Engine, workers int) *HostExecutor {
 	h := &HostExecutor{
-		engines:   engines,
-		in:        base,
-		compShard: compShard,
-		workers:   workers,
-		execs:     make([]*LocalExecutor, len(engines)),
+		in:      engines[0].in,
+		members: make([]*LocalExecutor, len(engines)),
+		routed:  make([][]int32, len(engines)),
 	}
 	for i, e := range engines {
-		// Shared-iterator children: the driver is installed at Begin, and
-		// shard i reads its own routed discovery list.
-		h.execs[i] = &LocalExecutor{e: e, workers: workers, shard: i}
+		h.members[i] = &LocalExecutor{host: h, idx: i, e: e, workers: workers}
 	}
-	return h, nil
+	return h
 }
 
 // NumShards returns the number of co-hosted shards.
-func (h *HostExecutor) NumShards() int { return len(h.execs) }
+func (h *HostExecutor) NumShards() int { return len(h.members) }
 
 // WithProxCache wires the process-wide seeker-proximity checkpoint cache:
-// the shared iterator resumes from it at Begin and publishes back at End.
-// One budget covers every hosted shard, because there is only one
-// exploration to checkpoint.
+// the shared iterator resumes from it when opened and publishes back at
+// End. Replayed layers are bit-identical to a fresh exploration, so round
+// responses do not change. One budget covers every hosted shard, because
+// there is only one exploration to checkpoint.
 func (h *HostExecutor) WithProxCache(pc *proxcache.Cache) *HostExecutor {
 	h.pc = pc
 	return h
@@ -141,24 +148,24 @@ func (h *HostExecutor) WithStepCounter(steps *atomic.Uint64) *HostExecutor {
 // WithCounters wires per-hosted-shard fan-out and round-work counters
 // (either slice may be nil; lengths must match the hosted shard count).
 func (h *HostExecutor) WithCounters(touched, rounds []*atomic.Uint64) *HostExecutor {
-	for i, x := range h.execs {
-		var t, r *atomic.Uint64
+	for i, x := range h.members {
 		if touched != nil {
-			t = touched[i]
+			x.touched = touched[i]
 		}
 		if rounds != nil {
-			r = rounds[i]
+			x.rounds = rounds[i]
 		}
-		x.WithCounters(t, r)
 	}
 	return h
 }
 
-// WithTracing enables per-call span recording on every hosted shard's
-// executor; collect with TakeSpans after each protocol call.
+// WithTracing enables per-call span recording on every member: each
+// Begin, Round and Finalize builds a span subtree (with step / admit /
+// bounds / select stage children), collected with TakeSpans — or, member
+// by member, by the coordinator's trace. Tracing is observational only.
 func (h *HostExecutor) WithTracing(on bool) *HostExecutor {
-	for _, x := range h.execs {
-		x.WithTracing(on)
+	for _, x := range h.members {
+		x.traced = on
 	}
 	return h
 }
@@ -168,30 +175,27 @@ func (h *HostExecutor) WithTracing(on bool) *HostExecutor {
 // returned slice is reused by the next TakeSpans call.
 func (h *HostExecutor) TakeSpans() []*obs.Span {
 	if h.spanScratch == nil {
-		h.spanScratch = make([]*obs.Span, len(h.execs))
+		h.spanScratch = make([]*obs.Span, len(h.members))
 	}
 	out := h.spanScratch
-	for i, x := range h.execs {
+	for i, x := range h.members {
 		out[i] = x.TakeSpan()
 	}
 	return out
 }
 
-// ResumedDepth reports how many exploration rounds the current search's
-// shared iterator replayed from a cached checkpoint.
+// ResumedDepth reports how many exploration rounds the iterator of the
+// current (or most recently ended) search replayed from a cached
+// checkpoint. The iterator opens when the first member with matching
+// components begins, so the depth is known once Begin returns on a host
+// the query has work for; 0 on a cold start.
 func (h *HostExecutor) ResumedDepth() int { return h.resumedN }
 
 // Begin opens the search on every hosted shard and returns their
-// BeginInfos in hosted order. The shared iterator is created (or resumed
-// from the process cache) exactly once.
+// BeginInfos in hosted order.
 func (h *HostExecutor) Begin(spec SearchSpec) ([]BeginInfo, error) {
-	it, ckey, resumedN := openIterator(h.in, spec.Seeker, Options{Params: spec.Params, ProxCache: h.pc})
-	drv := newRoundDriver(it).withRouting(h.in, h.compShard, len(h.execs))
-	drv.steps = h.steps
-	h.drv, h.ckey, h.resumedN = drv, ckey, resumedN
-	infos := make([]BeginInfo, len(h.execs))
-	for i, x := range h.execs {
-		x.drv = drv
+	infos := make([]BeginInfo, len(h.members))
+	for i, x := range h.members {
 		info, err := x.Begin(spec)
 		if err != nil {
 			h.End()
@@ -202,10 +206,125 @@ func (h *HostExecutor) Begin(spec SearchSpec) ([]BeginInfo, error) {
 	return infos, nil
 }
 
+// join registers a beginning member's matching components as routing
+// targets; the first member to join opens the search. A member with work
+// opens the iterator right away, a search nobody on the host matches only
+// if it is stepped after all (another host of the set has matches).
+func (h *HostExecutor) join(member int, spec SearchSpec, comps []int32) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.owner == nil {
+		h.owner = make(map[int32]int32, len(comps))
+		h.seeker, h.params = spec.Seeker, spec.Params
+		h.round, h.reached, h.resumedN = 0, 0, 0
+	}
+	for _, c := range comps {
+		if prev, dup := h.owner[c]; dup {
+			return fmt.Errorf("core: component %d hosted by shards %d and %d", c, prev, member)
+		}
+		h.owner[c] = int32(member)
+	}
+	if len(comps) > 0 {
+		h.iter()
+	}
+	return nil
+}
+
+// iter returns the search's proximity iterator, opening it on first use.
+// Called with mu held.
+func (h *HostExecutor) iter() *score.Iterator {
+	if h.it == nil {
+		h.it, h.ckey, h.resumedN = openIterator(h.in, h.seeker, h.params, h.pc)
+	}
+	return h.it
+}
+
+// openIterator builds a search's proximity iterator: resumed from the
+// deepest cached checkpoint when there is a cache (recording either way,
+// so the search can publish its final frontier back), plain otherwise.
+// Resuming is transparent to the rounds — replayed Steps yield
+// bit-identical state and discovery order, they just skip the matrix
+// propagation. The returned depth is what the cache already covers (0 on
+// a cold start); publication is worthwhile only beyond it.
+func openIterator(in *graph.Instance, seeker graph.NID, params score.Params, pc *proxcache.Cache) (*score.Iterator, proxcache.Key, int) {
+	if pc == nil {
+		return score.NewIterator(in, params, seeker), proxcache.Key{}, 0
+	}
+	ckey := proxcache.Key{Seeker: seeker, Params: params}
+	if cp := pc.Get(ckey, in); cp != nil {
+		if it, err := score.ResumeIterator(in, cp); err == nil {
+			return it, ckey, cp.N()
+		}
+	}
+	return score.NewRecordingIterator(in, params, seeker), ckey, 0
+}
+
+// roundState is what a round's readers take from the shared exploration.
+type roundState struct {
+	reached    int
+	n          int
+	tail       float64
+	sourceTail float64
+	done       bool
+	prox       []float64
+}
+
+// current returns the exploration's state without stepping (Finalize).
+func (h *HostExecutor) current() roundState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.state()
+}
+
+func (h *HostExecutor) state() roundState {
+	it := h.iter()
+	return roundState{
+		reached:    h.reached,
+		n:          it.N(),
+		tail:       it.TailBound(),
+		sourceTail: it.SourceTailBound(),
+		done:       it.Done(),
+		prox:       it.AllProx(),
+	}
+}
+
+// advance brings the shared iterator to the target round — stepping at
+// most once per round across all members — and routes the round's
+// discoveries: each newly reached component some member matched goes, in
+// discovery order (the order admission runs in), to that member's list
+// and leaves the table, so no component is admitted twice.
+func (h *HostExecutor) advance(target int) roundState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	it := h.iter()
+	for h.round < target {
+		h.round++
+		for m := range h.routed {
+			h.routed[m] = h.routed[m][:0]
+		}
+		discovered := it.Step()
+		if h.steps != nil {
+			h.steps.Add(1)
+		}
+		h.reached += len(discovered)
+		for _, nd := range discovered {
+			c := h.in.CompOf(nd)
+			if c < 0 {
+				continue
+			}
+			if m, ok := h.owner[c]; ok {
+				delete(h.owner, c)
+				h.routed[m] = append(h.routed[m], c)
+			}
+		}
+	}
+	return h.state()
+}
+
 // scratchInfos hands out the reusable per-call RoundInfo slice.
 func (h *HostExecutor) scratchInfos() []RoundInfo {
 	if h.infoScratch == nil {
-		h.infoScratch = make([]RoundInfo, len(h.execs))
+		h.infoScratch = make([]RoundInfo, len(h.members))
 	}
 	return h.infoScratch
 }
@@ -216,17 +335,17 @@ func (h *HostExecutor) scratchInfos() []RoundInfo {
 // slice is scratch, overwritten by the next Round or Finalize.
 func (h *HostExecutor) Round() ([]RoundInfo, error) {
 	infos := h.scratchInfos()
-	if len(h.execs) > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if len(h.members) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		if h.errScratch == nil {
-			h.errScratch = make([]error, len(h.execs))
+			h.errScratch = make([]error, len(h.members))
 		}
 		errs := h.errScratch
 		var wg sync.WaitGroup
-		for i := range h.execs {
+		for i := range h.members {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				infos[i], errs[i] = h.execs[i].Round()
+				infos[i], errs[i] = h.members[i].Round()
 			}(i)
 		}
 		wg.Wait()
@@ -237,7 +356,7 @@ func (h *HostExecutor) Round() ([]RoundInfo, error) {
 		}
 		return infos, nil
 	}
-	for i, x := range h.execs {
+	for i, x := range h.members {
 		info, err := x.Round()
 		if err != nil {
 			return nil, err
@@ -252,7 +371,7 @@ func (h *HostExecutor) Round() ([]RoundInfo, error) {
 // overwritten by the next Round or Finalize.
 func (h *HostExecutor) Finalize() ([]RoundInfo, error) {
 	infos := h.scratchInfos()
-	for i, x := range h.execs {
+	for i, x := range h.members {
 		info, err := x.Finalize()
 		if err != nil {
 			return nil, err
@@ -262,20 +381,22 @@ func (h *HostExecutor) Finalize() ([]RoundInfo, error) {
 	return infos, nil
 }
 
-// End releases per-shard state and publishes the shared iterator's
-// deepened frontier back to the process cache.
+// End closes the search: per-member state is dropped and the shared
+// iterator's frontier goes back to the cache — only when the search
+// deepened it (a warm search that stopped within the resumed depth would
+// copy the layers just to lose the deepen-only race against itself).
+// Publication is deepen-only, so concurrent searches racing to publish
+// can only improve the cache. Idempotent, and called only after every
+// round gathered.
 func (h *HostExecutor) End() {
-	for _, x := range h.execs {
-		x.End()
-		x.drv = nil
+	if h.owner == nil {
+		return
 	}
-	if h.drv != nil {
-		if h.pc != nil {
-			if it := h.drv.it; it.RecordedDepth() > h.resumedN {
-				h.pc.Put(h.ckey, it.Checkpoint())
-			}
-		}
-		h.drv = nil
+	for _, x := range h.members {
+		x.reset()
 	}
-	h.resumedN = 0
+	if h.pc != nil && h.it != nil && h.it.RecordedDepth() > h.resumedN {
+		h.pc.Put(h.ckey, h.it.Checkpoint())
+	}
+	h.it, h.owner = nil, nil
 }

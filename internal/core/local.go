@@ -1,161 +1,62 @@
-// In-process ShardExecutor implementations.
+// LocalExecutor: one member shard's half of the round protocol.
 //
-// Two variants share all shard-side round logic (shardState):
-//
-//   - the fan-out executor of ShardedEngine shares ONE proximity iterator
-//     across every shard of the process — whichever executor reaches a
-//     round first advances it, the rest reuse the layer (roundDriver);
-//   - NewShardExecutor gives a shard its own iterator, created at Begin —
-//     the worker-process half of distributed serving, where each process
-//     advances an identical exploration over the shared substrate.
-//
-// Both perform the identical floating-point operations in the identical
-// order, so their round responses — and therefore the coordinated answer
-// — are byte-identical.
+// A member holds everything about a search that is private to one shard —
+// the scorer over the shard's index slice, the candidate list with its
+// score intervals, and the shard-local greedy selection — and presents it
+// as a ShardExecutor. Everything the members of a process share (the
+// proximity iterator, its cache checkpoint, the routing of a round's
+// discoveries to the member owning them) belongs to their HostExecutor;
+// a member asks its host to bring the exploration to its round and then
+// admits, bounds and selects over its own components. Per-member work
+// depends only on the iterator's output, so round responses are
+// byte-identical however members are grouped onto hosts.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"s3/internal/dict"
 	"s3/internal/graph"
+	"s3/internal/index"
 	"s3/internal/obs"
 	"s3/internal/proxcache"
 	"s3/internal/score"
 )
 
-// roundDriver serialises a shared proximity iterator across the executors
-// of one search: the first executor to request a round steps the
-// iterator; later requests for the same round reuse the captured layer.
-// The coordinator gathers every executor before starting the next round,
-// so the iterator-owned slices (discovered, AllProx) stay valid for the
-// round's readers.
-type roundDriver struct {
-	mu sync.Mutex
-	it *score.Iterator
-
-	round      int
-	discovered []graph.NID
-	reached    int
-	tail       float64
-	sourceTail float64
-	done       bool
-
-	// Optional one-pass discovery routing for in-process fan-out: with
-	// many executors sharing the iterator, the step owner routes each
-	// discovered node to its owning shard once, instead of every
-	// executor scanning the whole list (O(shards × discovered)). A
-	// component mapped to a negative shard is hosted elsewhere (a host
-	// process serving a subset of the set) and is skipped.
-	in        *graph.Instance
-	compShard []int32
-	routed    [][]graph.NID
-
-	// steps, when non-nil, counts actual iterator steps — once per round
-	// regardless of how many executors share the driver, which is the
-	// observable proof that co-hosted shards share one exploration.
-	steps *atomic.Uint64
+// term is one connection of a candidate: η^|pos| times the proximity of
+// src.
+type term struct {
+	eta float64
+	src graph.NID
 }
 
-func newRoundDriver(it *score.Iterator) *roundDriver {
-	return &roundDriver{it: it, done: it.Done(), tail: it.TailBound(), sourceTail: it.SourceTailBound()}
+// cand is a candidate document with its per-group connection terms.
+type cand struct {
+	d     graph.NID
+	terms [][]term
+	lower float64
+	upper float64
 }
 
-// withRouting enables per-shard discovery routing (ShardedEngine wiring).
-func (d *roundDriver) withRouting(in *graph.Instance, compShard []int32, shards int) *roundDriver {
-	d.in, d.compShard = in, compShard
-	d.routed = make([][]graph.NID, shards)
-	return d
-}
-
-// roundState is the captured per-round iterator output.
-type roundState struct {
-	discovered []graph.NID
-	routed     [][]graph.NID // per shard, when routing is enabled
-	reached    int
-	n          int
-	tail       float64
-	sourceTail float64
-	done       bool
-	prox       []float64
-}
-
-// advance brings the shared iterator to the target round (stepping at
-// most once per round across all executors) and returns the captured
-// layer.
-func (d *roundDriver) advance(target int) roundState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.round < target {
-		d.discovered = d.it.Step()
-		if d.steps != nil {
-			d.steps.Add(1)
-		}
-		d.reached += len(d.discovered)
-		d.round++
-		d.tail = d.it.TailBound()
-		d.sourceTail = d.it.SourceTailBound()
-		d.done = d.it.Done()
-		if d.compShard != nil {
-			// Route once, in discovery order (the order admission runs in).
-			for s := range d.routed {
-				d.routed[s] = d.routed[s][:0]
-			}
-			for _, nd := range d.discovered {
-				if c := d.in.CompOf(nd); c >= 0 {
-					if s := d.compShard[c]; s >= 0 {
-						d.routed[s] = append(d.routed[s], nd)
-					}
-				}
-			}
-		}
-	}
-	return roundState{
-		discovered: d.discovered,
-		routed:     d.routed,
-		reached:    d.reached,
-		n:          d.round,
-		tail:       d.tail,
-		sourceTail: d.sourceTail,
-		done:       d.done,
-		prox:       d.it.AllProx(),
-	}
-}
-
-// current returns the driver's state without stepping (Finalize).
-func (d *roundDriver) current() roundState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return roundState{
-		reached:    d.reached,
-		n:          d.round,
-		tail:       d.tail,
-		sourceTail: d.sourceTail,
-		done:       d.done,
-		prox:       d.it.AllProx(),
-	}
-}
-
-// LocalExecutor runs one shard's rounds in-process. Create with
-// NewShardExecutor (own iterator) or let ShardedEngine wire the
-// shared-iterator variant.
+// LocalExecutor runs one member shard's rounds in-process. Members are
+// created by their host; NewShardExecutor returns the member of a
+// one-member host.
 type LocalExecutor struct {
+	host    *HostExecutor
+	idx     int // ordinal in host.members
 	e       *Engine
 	workers int
 
-	// drv is the iterator driver: shared across the executors of a
-	// ShardedEngine search, private for NewShardExecutor.
-	drv *roundDriver
-	// shard is this executor's index into the driver's routed discovery
-	// lists (-1 when the driver does not route).
-	shard int
-	// ownIterator defers iterator construction to Begin (spec carries
-	// seeker and params).
-	ownIterator bool
-
 	// touched / rounds, when non-nil, receive the shard's fan-out and
-	// per-round work counts (ShardedEngine wiring).
+	// per-round work counts: touched increments on a Begin that matched
+	// components, rounds on every round that carried candidates — the load
+	// signal behind /stats and rebalancing.
 	touched *atomic.Uint64
 	rounds  *atomic.Uint64
 
@@ -164,74 +65,40 @@ type LocalExecutor struct {
 	traced bool
 	span   *obs.Span
 
-	// pc, when non-nil (own-iterator executors only), resumes Begin's
-	// iterator from the deepest cached frontier for (seeker, params) and
-	// publishes the deepened frontier back at End. Replayed layers are
-	// bit-identical to a fresh exploration, so round responses — and the
-	// coordinated answer — do not change; ckey/resumedN carry the
-	// publication state between Begin and End.
-	pc       *proxcache.Cache
-	ckey     proxcache.Key
-	resumedN int
+	// Per-search state, installed by Begin and dropped by the host's End.
+	sc       *score.Scorer // nil outside a search
+	groups   [][]dict.ID
+	k        int
+	eps      float64
+	matched  int // components matching every query keyword
+	admitted int // of those, discovered so far
+	round    int
+	cands    []*cand
 
-	// steps, when non-nil (own-iterator executors only), counts the
-	// iterator steps this executor's searches execute.
-	steps *atomic.Uint64
+	// Refreshed every round: the shard-local greedy selection and the first
+	// candidate whose relative order is still uncertain (nil when the local
+	// selection is trustworthy).
+	kept      []*cand
+	uncertain *cand
 
-	st    *shardState
-	round int
+	// order is greedySelect's persistent sort scratch: cands is append-only,
+	// so the copy is refreshed only on rounds that admitted new candidates
+	// and merely re-sorted (by the freshly computed bounds) otherwise.
+	order []*cand
 }
 
-// NewShardExecutor returns a self-driving executor over one shard engine:
-// Begin creates a private proximity iterator for the spec's seeker, and
-// every Round advances it one layer. This is the executor a worker
-// process wraps behind a transport.
+// NewShardExecutor returns the executor of a one-member host over the
+// engine: Begin opens a private proximity iterator for the spec's seeker,
+// and every Round advances it one layer. workers parallelises candidate
+// bound computation (0 or 1: serial).
 func NewShardExecutor(e *Engine, workers int) *LocalExecutor {
-	return &LocalExecutor{e: e, workers: workers, shard: -1, ownIterator: true}
+	return newHost([]*Engine{e}, workers).members[0]
 }
 
-// WithCounters wires the shard's fan-out and round-work counters (both
-// optional): touched increments on a Begin that matched components,
-// rounds on every round that carried candidates. Workers expose these
-// through /stats for rebalancing.
-func (x *LocalExecutor) WithCounters(touched, rounds *atomic.Uint64) *LocalExecutor {
-	x.touched, x.rounds = touched, rounds
-	return x
-}
-
-// WithProxCache wires a seeker-proximity checkpoint cache into an
-// own-iterator executor: Begin resumes from the deepest cached frontier
-// for the spec's (seeker, params) and End publishes the deepened
-// frontier back. It is how a distributed worker keeps repeated seekers'
-// exploration state warm; no-op on shared-iterator executors (their
-// iterator is owned by ShardedEngine, which has its own cache hook).
+// WithProxCache wires a seeker-proximity checkpoint cache into the
+// member's host; see HostExecutor.WithProxCache.
 func (x *LocalExecutor) WithProxCache(pc *proxcache.Cache) *LocalExecutor {
-	if x.ownIterator {
-		x.pc = pc
-	}
-	return x
-}
-
-// ResumedDepth reports how many exploration rounds the current search's
-// iterator replayed from a cached checkpoint (0 on a cold start, valid
-// from Begin until End).
-func (x *LocalExecutor) ResumedDepth() int { return x.resumedN }
-
-// WithStepCounter wires a counter incremented once per actual iterator
-// step (own-iterator executors only — a shared driver's owner counts).
-func (x *LocalExecutor) WithStepCounter(steps *atomic.Uint64) *LocalExecutor {
-	if x.ownIterator {
-		x.steps = steps
-	}
-	return x
-}
-
-// WithTracing enables per-call span recording: each Begin, Round and
-// Finalize builds a span subtree (with step/admit/bounds/select stage
-// children) that TakeSpan hands to the coordinator's trace. Tracing is
-// observational only — it never changes the shard's round responses.
-func (x *LocalExecutor) WithTracing(on bool) *LocalExecutor {
-	x.traced = on
+	x.host.pc = pc
 	return x
 }
 
@@ -244,54 +111,33 @@ func (x *LocalExecutor) TakeSpan() *obs.Span {
 	return sp
 }
 
-// Begin implements ShardExecutor.
+// Begin implements ShardExecutor. The spec may come off the wire, so it is
+// validated here as well as at the query entry points.
 func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
-	if spec.K <= 0 {
-		return BeginInfo{}, fmt.Errorf("core: k must be positive, got %d", spec.K)
-	}
-	if int(spec.Seeker) < 0 || int(spec.Seeker) >= x.e.in.NumNodes() {
-		return BeginInfo{}, fmt.Errorf("core: seeker %d outside instance", spec.Seeker)
+	if err := checkQuery(x.e.in, spec.Seeker, spec.K); err != nil {
+		return BeginInfo{}, err
 	}
 	if len(spec.Groups) == 0 {
 		return BeginInfo{}, fmt.Errorf("core: empty keyword groups")
-	}
-	eps := spec.Epsilon
-	if eps == 0 {
-		eps = 1e-12
 	}
 	var sp *obs.Span
 	if x.traced {
 		sp = obs.NewSpan("exec.begin")
 	}
-	opts := Options{K: spec.K, Params: spec.Params, Workers: x.workers, Epsilon: eps}
 	sc, err := score.NewScorer(x.e.in, x.e.ix, spec.Params, spec.Groups)
 	if err != nil {
 		return BeginInfo{}, err
 	}
-	matched := make(map[int32]struct{})
-	for _, c := range x.e.ix.CompsForGroups(spec.Groups) {
-		matched[c] = struct{}{}
+	comps := x.e.ix.CompsForGroups(spec.Groups)
+	if err := x.host.join(x.idx, spec, comps); err != nil {
+		return BeginInfo{}, err
 	}
-	if len(matched) > 0 && x.touched != nil {
+	if len(comps) > 0 && x.touched != nil {
 		x.touched.Add(1)
 	}
-	x.st = &shardState{
-		e:        x.e,
-		sc:       sc,
-		groups:   spec.Groups,
-		opts:     opts,
-		eps:      eps,
-		matched:  matched,
-		admitted: make(map[int32]struct{}),
-	}
-	x.round = 0
-	if x.ownIterator {
-		it, ckey, resumedN := openIterator(x.e.in, spec.Seeker, Options{Params: spec.Params, ProxCache: x.pc})
-		x.drv = newRoundDriver(it)
-		x.drv.steps = x.steps
-		x.ckey, x.resumedN = ckey, resumedN
-	}
-	info := BeginInfo{Matched: len(matched), GroupMasses: make([][]int32, len(spec.Groups))}
+	x.sc, x.groups, x.k, x.eps = sc, spec.Groups, spec.K, spec.Epsilon
+	x.matched = len(comps)
+	info := BeginInfo{Matched: len(comps), GroupMasses: make([][]int32, len(spec.Groups))}
 	for gi, group := range spec.Groups {
 		info.GroupMasses[gi] = make([]int32, len(group))
 		for j, k := range group {
@@ -299,7 +145,7 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 		}
 	}
 	if sp != nil {
-		sp.SetInt("matched", int64(len(matched)))
+		sp.SetInt("matched", int64(len(comps)))
 		sp.End()
 		x.span = sp
 	}
@@ -308,7 +154,7 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 
 // Round implements ShardExecutor.
 func (x *LocalExecutor) Round() (RoundInfo, error) {
-	if x.st == nil || x.drv == nil {
+	if x.sc == nil {
 		return RoundInfo{}, fmt.Errorf("core: Round without Begin")
 	}
 	var sp *obs.Span
@@ -317,55 +163,27 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 	}
 	x.round++
 	step := sp.StartChild("step")
-	rs := x.drv.advance(x.round)
+	rs := x.host.advance(x.round)
 	step.End()
-	st := x.st
-	// Admit this round's newly discovered matching components, in
-	// discovery order. A routing driver hands each executor only its own
-	// shard's discoveries; an own-iterator executor (worker process)
-	// scans its iterator's full output. Shards with no matching
-	// components skip the scan entirely.
-	disc := rs.discovered
-	if x.shard >= 0 && rs.routed != nil {
-		disc = rs.routed[x.shard]
-	}
-	if len(st.matched) > 0 {
+	// A member with no matching components has nothing to admit, bound or
+	// select; it only mirrors the exploration's progress.
+	if x.matched > 0 {
 		admit := sp.StartChild("admit")
-		for _, nd := range disc {
-			comp := st.e.in.CompOf(nd)
-			if comp < 0 {
-				continue
-			}
-			if _, ok := st.matched[comp]; !ok {
-				continue
-			}
-			if _, dup := st.admitted[comp]; dup {
-				continue
-			}
-			st.admitted[comp] = struct{}{}
-			st.admitComponent(comp)
+		for _, comp := range x.host.routed[x.idx] {
+			x.admitComponent(comp)
 		}
 		admit.End()
+		x.refresh(sp, rs)
 	}
-	if len(st.cands) > 0 || len(st.matched) > 0 {
-		bounds := sp.StartChild("bounds")
-		st.computeBounds(rs.tail, rs.prox)
-		bounds.End()
-		sel := sp.StartChild("select")
-		st.kept, st.uncertain = st.greedySelect()
-		sel.End()
-	} else {
-		st.kept, st.uncertain = nil, nil
-	}
-	if x.rounds != nil && len(st.cands) > 0 {
+	if x.rounds != nil && len(x.cands) > 0 {
 		x.rounds.Add(1)
 	}
 	info := x.roundInfo(rs)
 	if sp != nil {
 		sp.SetInt("n", int64(rs.n))
-		sp.SetInt("admitted", int64(len(st.admitted)))
-		sp.SetInt("candidates", int64(len(st.cands)))
-		sp.SetInt("kept", int64(len(st.kept)))
+		sp.SetInt("admitted", int64(x.admitted))
+		sp.SetInt("candidates", int64(len(x.cands)))
+		sp.SetInt("kept", int64(len(x.kept)))
 		sp.End()
 		x.span = sp
 	}
@@ -374,68 +192,226 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 
 // Finalize implements ShardExecutor.
 func (x *LocalExecutor) Finalize() (RoundInfo, error) {
-	if x.st == nil || x.drv == nil {
+	if x.sc == nil {
 		return RoundInfo{}, fmt.Errorf("core: Finalize without Begin")
 	}
 	var sp *obs.Span
 	if x.traced {
 		sp = obs.NewSpan("exec.finalize")
 	}
-	rs := x.drv.current()
-	st := x.st
-	bounds := sp.StartChild("bounds")
-	st.computeBounds(rs.tail, rs.prox)
-	bounds.End()
-	sel := sp.StartChild("select")
-	st.kept, st.uncertain = st.greedySelect()
-	sel.End()
+	rs := x.host.current()
+	x.refresh(sp, rs)
 	info := x.roundInfo(rs)
 	if sp != nil {
-		sp.SetInt("candidates", int64(len(st.cands)))
-		sp.SetInt("kept", int64(len(st.kept)))
+		sp.SetInt("candidates", int64(len(x.cands)))
+		sp.SetInt("kept", int64(len(x.kept)))
 		sp.End()
 		x.span = sp
 	}
 	return info, nil
 }
 
-// End implements ShardExecutor.
-func (x *LocalExecutor) End() {
-	x.st = nil
-	if x.ownIterator {
-		if x.pc != nil && x.drv != nil {
-			// Publish the deepened frontier (deepen-only, so concurrent
-			// searches racing to publish can only improve the cache). The
-			// driver's mutex is free here: End is only called after every
-			// round gathered.
-			if it := x.drv.it; it.RecordedDepth() > x.resumedN {
-				x.pc.Put(x.ckey, it.Checkpoint())
-			}
-		}
-		x.drv = nil
-		x.resumedN = 0
-	}
+// End implements ShardExecutor: it closes the host's search, publishing
+// the explored frontier. The members of a host end together, so the call
+// is idempotent across them.
+func (x *LocalExecutor) End() { x.host.End() }
+
+// reset drops the member's per-search state (host End).
+func (x *LocalExecutor) reset() {
+	x.sc, x.groups = nil, nil
+	x.matched, x.admitted, x.round = 0, 0, 0
+	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
+}
+
+// refresh recomputes the candidates' score intervals at the exploration's
+// current tail and the shard-local selection over them.
+func (x *LocalExecutor) refresh(sp *obs.Span, rs roundState) {
+	bounds := sp.StartChild("bounds")
+	x.computeBounds(rs.tail, rs.prox)
+	bounds.End()
+	sel := sp.StartChild("select")
+	x.kept, x.uncertain = x.greedySelect()
+	sel.End()
 }
 
 // roundInfo serializes the shard state after a round.
 func (x *LocalExecutor) roundInfo(rs roundState) RoundInfo {
-	st := x.st
 	info := RoundInfo{
-		Kept:       make([]CandMeta, len(st.kept)),
-		MaxOther:   st.maxOtherUpper(st.kept),
-		Admitted:   len(st.admitted),
-		Candidates: len(st.cands),
+		Kept:       make([]CandMeta, len(x.kept)),
+		MaxOther:   x.maxOtherUpper(x.kept),
+		Admitted:   x.admitted,
+		Candidates: len(x.cands),
 		Reached:    rs.reached,
 		N:          rs.n,
 		Tail:       rs.tail,
 		SourceTail: rs.sourceTail,
 		Done:       rs.done,
 	}
-	for i, c := range st.kept {
+	for i, c := range x.kept {
 		info.Kept[i] = CandMeta{Doc: c.d, Lower: c.lower, Upper: c.upper}
 	}
-	if st.uncertain != nil {
-		info.Uncertain = &CandMeta{Doc: st.uncertain.d, Lower: st.uncertain.lower, Upper: st.uncertain.upper}
+	if u := x.uncertain; u != nil {
+		info.Uncertain = &CandMeta{Doc: u.d, Lower: u.lower, Upper: u.upper}
 	}
 	return info
+}
+
+// admitComponent implements GetDocuments: all documents of the component
+// satisfying the conjunctive keyword condition become candidates, with
+// their connection terms resolved once.
+func (x *LocalExecutor) admitComponent(comp int32) {
+	x.admitted++
+	in := x.e.in
+	for _, d := range x.e.ix.CandidatesInComp(comp, x.groups) {
+		c := &cand{d: d, terms: make([][]term, len(x.groups))}
+		for gi := range x.groups {
+			for _, ev := range x.sc.GroupEvents(comp, gi) {
+				rel, ok := in.PosLen(d, ev.Frag)
+				if !ok {
+					continue
+				}
+				src := ev.Src
+				if ev.Type == index.Contains {
+					src = d
+				}
+				c.terms[gi] = append(c.terms[gi], term{
+					eta: x.sc.EtaPow(int(rel)),
+					src: src,
+				})
+			}
+		}
+		x.cands = append(x.cands, c)
+	}
+}
+
+// computeBounds refreshes every candidate's score interval from the
+// given bounded proximity vector (ComputeCandidateBounds).
+func (x *LocalExecutor) computeBounds(tail float64, all []float64) {
+	workers := x.workers
+	if workers <= 1 || len(x.cands) < 64 {
+		x.boundRange(0, len(x.cands), tail, all)
+		return
+	}
+	if workers > runtime.GOMAXPROCS(0) {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	chunk := (len(x.cands) + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, len(x.cands))
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			x.boundRange(lo, hi, tail, all)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
+	for _, c := range x.cands[lo:hi] {
+		c.lower, c.upper = 1, 1
+		for _, terms := range c.terms {
+			var mLo, mHi float64
+			for _, t := range terms {
+				p := all[t.src]
+				mLo += t.eta * p
+				mHi += t.eta * math.Min(1, p+tail)
+			}
+			c.lower *= mLo
+			c.upper *= mHi
+		}
+	}
+}
+
+// candOrder is the canonical candidate order: upper bound descending,
+// ties by node id. Node ids are global across every projection of an
+// instance, so the order is identical whether candidates are walked by
+// one member or merged across several (metaBefore is the same order over
+// candidate summaries).
+func candOrder(a, b *cand) int {
+	switch {
+	case a.upper > b.upper:
+		return -1
+	case a.upper < b.upper:
+		return 1
+	}
+	return cmp.Compare(a.d, b.d)
+}
+
+// greedySelect computes the current best-possible answer: candidates are
+// visited by decreasing upper bound (ties by node id) and greedily
+// selected, skipping any candidate that is certainly dominated by an
+// already-selected vertical neighbour. If a candidate meets a selected
+// neighbour whose relative order is still uncertain, the walk stops and
+// returns that candidate (nil when the selection is trustworthy): the
+// selection so far is valid but must not be extended, and the search must
+// continue.
+func (x *LocalExecutor) greedySelect() ([]*cand, *cand) {
+	if len(x.order) != len(x.cands) {
+		x.order = append(x.order[:0], x.cands...)
+	}
+	// The comparator is a total order (ties broken by unique node id), so
+	// re-sorting the previous round's permutation under the new bounds
+	// yields the same slice a fresh copy would.
+	slices.SortFunc(x.order, candOrder)
+	var sel []*cand
+	for _, c := range x.order {
+		if c.upper <= x.eps {
+			// A document none of whose connection sources is socially
+			// reachable scores zero and is not a meaningful answer.
+			break
+		}
+		dominated := false
+		uncertain := false
+		for _, t := range sel {
+			if !x.e.in.VerticalNeighbors(t.d, c.d) {
+				continue
+			}
+			if t.lower >= c.upper-x.eps {
+				// t certainly at least as good (or an unbreakable tie,
+				// resolved deterministically in t's favour by the sort).
+				dominated = true
+				break
+			}
+			uncertain = true
+			break
+		}
+		if uncertain {
+			return sel, c
+		}
+		if dominated {
+			continue
+		}
+		sel = append(sel, c)
+		if len(sel) == x.k {
+			break
+		}
+	}
+	return sel, nil
+}
+
+// maxOtherUpper returns the best upper bound among candidates outside the
+// selection that are not certainly dominated by a selected neighbour. It
+// runs every round; sel is at most k entries, so membership is a linear
+// scan, and only for candidates that would actually raise the bound.
+func (x *LocalExecutor) maxOtherUpper(sel []*cand) float64 {
+	maxOther := 0.0
+next:
+	for _, c := range x.cands {
+		if c.upper <= maxOther {
+			continue
+		}
+		for _, t := range sel {
+			if t == c || (t.lower >= c.upper-x.eps && x.e.in.VerticalNeighbors(t.d, c.d)) {
+				continue next
+			}
+		}
+		maxOther = c.upper
+	}
+	return maxOther
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestShardExecutorWarmResume covers the distributed worker's execution
-// path: coordinated searches over own-iterator executors with a
+// path: coordinated searches over one-member host executors with a
 // proximity cache must answer byte-identically to cold executors — on
 // the first (cache-filling) pass and on the second (frontier-resuming)
 // pass — and the second pass must actually hit the cache.

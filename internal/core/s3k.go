@@ -31,10 +31,7 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"s3/internal/dict"
@@ -148,21 +145,6 @@ func (e *Engine) Instance() *graph.Instance { return e.in }
 // Index returns the engine's connection index.
 func (e *Engine) Index() *index.Index { return e.ix }
 
-// term is one connection of a candidate: η^|pos| times the proximity of
-// src.
-type term struct {
-	eta float64
-	src graph.NID
-}
-
-// cand is a candidate document with its per-group connection terms.
-type cand struct {
-	d     graph.NID
-	terms [][]term
-	lower float64
-	upper float64
-}
-
 // KeywordGroups resolves raw query keywords to their stemmed semantic
 // extensions (Definition 2.1). The keyword space K of the model contains
 // "all the URIs, plus the stemmed version of all literals" (§2): a query
@@ -177,107 +159,75 @@ func (e *Engine) KeywordGroups(keywords []string) ([][]dict.ID, bool, error) {
 
 // Search runs S3k for the query (seeker, keywords) and returns the top-k
 // answer (Definition 3.2): the k best-scoring documents such that no
-// result is a vertical neighbour of a better one.
+// result is a vertical neighbour of a better one. It is the one-shard
+// deployment of the round protocol: Coordinate over a one-member host.
 func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
-	start := time.Now()
-	var stats Stats
-	if opts.K <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive, got %d", opts.K)
-	}
-	if int(seeker) < 0 || int(seeker) >= e.in.NumNodes() || e.in.KindOf(seeker) != graph.KindUser {
-		return nil, stats, fmt.Errorf("core: seeker must be a user node")
-	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 1e-12
-	}
-
-	root := opts.Trace.Span()
-	resolve := root.StartChild("resolve")
-	groups, possible, err := e.KeywordGroups(keywords)
-	if err != nil {
-		return nil, stats, err
-	}
-	if !possible {
-		resolve.End()
-		stats.Reason = StopNoMatch
-		stats.Elapsed = time.Since(start)
-		return nil, stats, nil
-	}
-	sc, err := score.NewScorer(e.in, e.ix, opts.Params, groups)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	matched := make(map[int32]struct{})
-	for _, c := range e.ix.CompsForGroups(groups) {
-		matched[c] = struct{}{}
-	}
-	resolve.SetInt("matched_components", int64(len(matched)))
-	resolve.End()
-	stats.ComponentsMatched = len(matched)
-	if len(matched) == 0 {
-		stats.Reason = StopNoMatch
-		stats.Elapsed = time.Since(start)
-		return nil, stats, nil
-	}
-
-	it, ckey, resumedN := openIterator(e.in, seeker, opts)
-	st := &searchState{
-		shardState: shardState{
-			e:        e,
-			sc:       sc,
-			groups:   groups,
-			opts:     opts,
-			eps:      eps,
-			matched:  matched,
-			admitted: make(map[int32]struct{}),
-		},
-		it: it,
-	}
-
-	reason := st.run(start, &stats)
-	if opts.ProxCache != nil && it.RecordedDepth() > resumedN {
-		// Publish only explorations that deepened the cached frontier: a
-		// warm search that stopped within the resumed depth would copy the
-		// layers just to lose the deepen-only race against itself.
-		opts.ProxCache.Put(ckey, it.Checkpoint())
-	}
-	stats.Reason = reason
-	stats.Iterations = st.it.N()
-	stats.Candidates = len(st.cands)
-	stats.ResumedDepth = resumedN
-	stats.Elapsed = time.Since(start)
-	if root != nil {
-		root.SetInt("rounds", int64(stats.Iterations))
-		root.SetInt("resumed_depth", int64(resumedN))
-		root.SetAttr("stop", string(reason))
-	}
-	if opts.Obs != nil {
-		opts.Obs.Rounds.Observe(float64(stats.Iterations))
-	}
-
-	return st.results(), stats, nil
+	return search([]*Engine{e}, nil, nil, seeker, keywords, opts)
 }
 
-// openIterator builds the search's proximity iterator: resumed from the
-// deepest cached checkpoint when the options carry a cache (recording
-// either way, so the search can publish its final frontier back), plain
-// otherwise. Resuming is transparent to the search loop — replayed Steps
-// yield bit-identical state and discovery order, they just skip the
-// matrix propagation. The returned depth is what the cache already
-// covers (0 on a cold start); publication is worthwhile only beyond it.
-func openIterator(in *graph.Instance, seeker graph.NID, opts Options) (*score.Iterator, proxcache.Key, int) {
-	if opts.ProxCache == nil {
-		return score.NewIterator(in, opts.Params, seeker), proxcache.Key{}, 0
+// search answers one query over the member engines of one process —
+// projections of one instance owning disjoint components, or a lone
+// unprojected engine. It validates the query, resolves its keywords over
+// the shared substrate (dictionary and saturated ontology, identical in
+// every member), runs Coordinate over a host executor of the members and
+// maps the merged selection to Results. touched and rounds, when non-nil,
+// are the members' load counters.
+func search(engines []*Engine, touched, rounds []atomic.Uint64, seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
+	start := time.Now()
+	in := engines[0].in
+	if err := checkQuery(in, seeker, opts.K); err != nil {
+		return nil, Stats{}, err
 	}
-	ckey := proxcache.Key{Seeker: seeker, Params: opts.Params}
-	if cp := opts.ProxCache.Get(ckey, in); cp != nil {
-		if it, err := score.ResumeIterator(in, cp); err == nil {
-			return it, ckey, cp.N()
+	root := opts.Trace.Span()
+	resolve := root.StartChild("resolve")
+	groups, possible, err := ResolveKeywordGroups(in, keywords)
+	resolve.End()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if !possible {
+		return nil, Stats{Reason: StopNoMatch, Elapsed: time.Since(start)}, nil
+	}
+
+	h := newHost(engines, opts.Workers).WithProxCache(opts.ProxCache).WithTracing(opts.Trace != nil)
+	execs := make([]ShardExecutor, len(h.members))
+	for i, x := range h.members {
+		if touched != nil {
+			x.touched, x.rounds = &touched[i], &rounds[i]
 		}
+		execs[i] = x
 	}
-	return score.NewRecordingIterator(in, opts.Params, seeker), ckey, 0
+	sel, stats, err := Coordinate(execs,
+		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: opts.Epsilon},
+		CoordOptions{
+			MaxIterations: opts.MaxIterations,
+			Budget:        opts.Budget,
+			Start:         start,
+			Trace:         opts.Trace,
+			Obs:           opts.Obs,
+		})
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.ResumedDepth = h.ResumedDepth()
+	root.SetInt("resumed_depth", int64(stats.ResumedDepth))
+	out := make([]Result, len(sel))
+	for i, c := range sel {
+		out[i] = Result{Doc: c.Doc, URI: in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}
+	}
+	return out, stats, nil
+}
+
+// checkQuery is the query validation every entry point shares: a positive
+// k and a seeker that is a user node of the instance.
+func checkQuery(in *graph.Instance, seeker graph.NID, k int) error {
+	if k <= 0 {
+		return fmt.Errorf("core: k must be positive, got %d", k)
+	}
+	if int(seeker) < 0 || int(seeker) >= in.NumNodes() || in.KindOf(seeker) != graph.KindUser {
+		return fmt.Errorf("core: seeker must be a user node")
+	}
+	return nil
 }
 
 // WarmProximity pre-explores a seeker's social neighbourhood to the given
@@ -320,340 +270,6 @@ func (e *Engine) WarmProximity(pc *proxcache.Cache, seeker graph.NID, params sco
 	}
 	pc.Put(key, it.Checkpoint())
 	return it.N(), true
-}
-
-// shardState carries the per-shard portion of a search's mutable state:
-// matched and admitted components and the candidate list with its score
-// intervals. A single-engine search owns exactly one; a sharded search
-// (ShardedEngine) drives one per shard off a shared proximity iterator.
-type shardState struct {
-	e        *Engine
-	sc       *score.Scorer
-	groups   [][]dict.ID
-	opts     Options
-	eps      float64
-	matched  map[int32]struct{}
-	admitted map[int32]struct{}
-
-	cands []*cand
-
-	// Sharded-search scratch, refreshed every lockstep round: the
-	// shard-local greedy selection and the first candidate whose relative
-	// order is still uncertain (nil when the local selection is
-	// trustworthy).
-	kept      []*cand
-	uncertain *cand
-
-	// order is greedySelect's persistent sort scratch: cands is append-only,
-	// so the copy is refreshed only on rounds that admitted new candidates
-	// and merely re-sorted (by the freshly computed bounds) otherwise.
-	order []*cand
-}
-
-// searchState carries the mutable state of one single-engine search.
-type searchState struct {
-	shardState
-	it *score.Iterator
-
-	reached int
-
-	selection []*cand // current greedy top-k (by upper bound)
-}
-
-// maxTracedRounds caps per-round span recording: a long any-time search
-// must not grow an unbounded trace tree (the round histogram still sees
-// every round).
-const maxTracedRounds = 256
-
-// endRound records one finished exploration round into the search's
-// observability sinks (cheap no-op when untraced and unmetered).
-func (st *searchState) endRound(sp *obs.Span, roundStart time.Time) {
-	if st.opts.Obs != nil {
-		st.opts.Obs.RoundSeconds.Observe(time.Since(roundStart).Seconds())
-	}
-	if sp != nil {
-		sp.SetInt("n", int64(st.it.N()))
-		sp.SetInt("admitted", int64(len(st.admitted)))
-		sp.SetInt("candidates", int64(len(st.cands)))
-		sp.End()
-	}
-}
-
-func (st *searchState) run(start time.Time, stats *Stats) StopReason {
-	root := st.opts.Trace.Span()
-	traced := 0
-	for {
-		if st.it.Done() {
-			st.computeBounds(0, st.it.AllProx())
-			st.selection, _ = st.greedySelect()
-			return StopExhausted
-		}
-		if st.opts.MaxIterations > 0 && st.it.N() >= st.opts.MaxIterations {
-			st.computeBounds(st.it.TailBound(), st.it.AllProx())
-			st.selection, _ = st.greedySelect()
-			return StopBudget
-		}
-		if st.opts.Budget > 0 && time.Since(start) > st.opts.Budget {
-			st.computeBounds(st.it.TailBound(), st.it.AllProx())
-			st.selection, _ = st.greedySelect()
-			return StopBudget
-		}
-
-		var sp *obs.Span
-		if root != nil && traced < maxTracedRounds {
-			sp = root.StartChild("round")
-			traced++
-		}
-		var roundStart time.Time
-		if sp != nil || st.opts.Obs != nil {
-			roundStart = time.Now()
-		}
-
-		discovered := st.it.Step()
-		st.reached += len(discovered)
-		stats.NodesReached = st.reached
-		for _, nd := range discovered {
-			comp := st.e.in.CompOf(nd)
-			if comp < 0 {
-				continue
-			}
-			if _, ok := st.matched[comp]; !ok {
-				continue
-			}
-			if _, dup := st.admitted[comp]; dup {
-				continue
-			}
-			st.admitted[comp] = struct{}{}
-			st.admitComponent(comp)
-		}
-		stats.ComponentsReached = len(st.admitted)
-
-		tail := st.it.TailBound()
-		st.computeBounds(tail, st.it.AllProx())
-
-		// Once every matching component has been discovered, no document
-		// outside the candidate set can ever match the query.
-		threshold := 0.0
-		if len(st.admitted) < len(st.matched) {
-			threshold = st.sc.Threshold(st.it.SourceTailBound())
-		}
-		selection, uncertain := st.greedySelect()
-		certain := uncertain == nil
-		st.selection = selection
-
-		// The answer is final when the selection is trustworthy, cannot
-		// grow from still-undiscovered components (which can only matter
-		// while the threshold is non-negligible), and provably dominates
-		// every other candidate as well as anything undiscovered.
-		mayGrow := len(selection) < st.opts.K && threshold > st.eps
-		if certain && !mayGrow {
-			if len(selection) > 0 {
-				minLower := math.Inf(1)
-				for _, c := range selection {
-					minLower = math.Min(minLower, c.lower)
-				}
-				maxOther := st.maxOtherUpper(selection)
-				if maxOther <= minLower+st.eps && threshold <= minLower+st.eps {
-					st.endRound(sp, roundStart)
-					return StopThreshold
-				}
-			} else if threshold <= st.eps {
-				// Nothing can ever score above zero.
-				st.endRound(sp, roundStart)
-				return StopThreshold
-			}
-		}
-
-		// Finite-precision tie breaking (Theorem 4.2): when the remaining
-		// uncertainty is below the floating-point noise floor, further
-		// exploration cannot separate candidates or surface new ones.
-		// This guard must be reachable on *every* iteration — matched
-		// components disconnected from the seeker would otherwise keep
-		// the search spinning forever (the border cycles and never
-		// empties on cyclic graphs).
-		if st.it.TailBound() < 1e-15 {
-			st.computeBounds(st.it.TailBound(), st.it.AllProx())
-			st.selection, _ = st.greedySelect()
-			st.endRound(sp, roundStart)
-			return StopPrecision
-		}
-
-		st.endRound(sp, roundStart)
-	}
-}
-
-// admitComponent implements GetDocuments: all documents of the component
-// satisfying the conjunctive keyword condition become candidates, with
-// their connection terms resolved once.
-func (st *shardState) admitComponent(comp int32) {
-	in := st.e.in
-	for _, d := range st.e.ix.CandidatesInComp(comp, st.groups) {
-		c := &cand{d: d, terms: make([][]term, len(st.groups))}
-		for gi := range st.groups {
-			for _, ev := range st.sc.GroupEvents(comp, gi) {
-				rel, ok := in.PosLen(d, ev.Frag)
-				if !ok {
-					continue
-				}
-				src := ev.Src
-				if ev.Type == index.Contains {
-					src = d
-				}
-				c.terms[gi] = append(c.terms[gi], term{
-					eta: st.sc.EtaPow(int(rel)),
-					src: src,
-				})
-			}
-		}
-		st.cands = append(st.cands, c)
-	}
-}
-
-// computeBounds refreshes every candidate's score interval from the
-// given bounded proximity vector (ComputeCandidateBounds).
-func (st *shardState) computeBounds(tail float64, all []float64) {
-	workers := st.opts.Workers
-	if workers <= 1 || len(st.cands) < 64 {
-		st.boundRange(0, len(st.cands), tail, all)
-		return
-	}
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(st.cands) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(st.cands))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st.boundRange(lo, hi, tail, all)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func (st *shardState) boundRange(lo, hi int, tail float64, all []float64) {
-	for _, c := range st.cands[lo:hi] {
-		c.lower, c.upper = 1, 1
-		for _, terms := range c.terms {
-			var mLo, mHi float64
-			for _, t := range terms {
-				p := all[t.src]
-				mLo += t.eta * p
-				mHi += t.eta * math.Min(1, p+tail)
-			}
-			c.lower *= mLo
-			c.upper *= mHi
-		}
-	}
-}
-
-// candBefore is the canonical candidate order: upper bound descending,
-// ties by node id. Node ids are global across every projection of an
-// instance, so the order is identical whether candidates are walked by
-// one engine or merged across shards.
-func candBefore(a, b *cand) bool {
-	if a.upper != b.upper {
-		return a.upper > b.upper
-	}
-	return a.d < b.d
-}
-
-// greedySelect computes the current best-possible answer: candidates are
-// visited by decreasing upper bound (ties by node id) and greedily
-// selected, skipping any candidate that is certainly dominated by an
-// already-selected vertical neighbour. If a candidate meets a selected
-// neighbour whose relative order is still uncertain, the walk stops and
-// returns that candidate (nil when the selection is trustworthy): the
-// selection so far is valid but must not be extended, and the search must
-// continue.
-func (st *shardState) greedySelect() ([]*cand, *cand) {
-	if len(st.order) != len(st.cands) {
-		st.order = append(st.order[:0], st.cands...)
-	}
-	order := st.order
-	// The comparator is a total order (ties broken by unique node id), so
-	// re-sorting the previous round's permutation under the new bounds
-	// yields the same slice a fresh copy would.
-	sort.Slice(order, func(i, j int) bool { return candBefore(order[i], order[j]) })
-	var sel []*cand
-	for _, c := range order {
-		if c.upper <= st.eps {
-			// A document none of whose connection sources is socially
-			// reachable scores zero and is not a meaningful answer.
-			break
-		}
-		dominated := false
-		uncertain := false
-		for _, t := range sel {
-			if !st.e.in.VerticalNeighbors(t.d, c.d) {
-				continue
-			}
-			if t.lower >= c.upper-st.eps {
-				// t certainly at least as good (or an unbreakable tie,
-				// resolved deterministically in t's favour by the sort).
-				dominated = true
-				break
-			}
-			uncertain = true
-			break
-		}
-		if uncertain {
-			return sel, c
-		}
-		if dominated {
-			continue
-		}
-		sel = append(sel, c)
-		if len(sel) == st.opts.K {
-			break
-		}
-	}
-	return sel, nil
-}
-
-// maxOtherUpper returns the best upper bound among candidates outside the
-// selection that are not certainly dominated by a selected neighbour.
-func (st *shardState) maxOtherUpper(sel []*cand) float64 {
-	inSel := make(map[graph.NID]struct{}, len(sel))
-	for _, c := range sel {
-		inSel[c.d] = struct{}{}
-	}
-	maxOther := 0.0
-	for _, c := range st.cands {
-		if _, ok := inSel[c.d]; ok {
-			continue
-		}
-		dominated := false
-		for _, t := range sel {
-			if st.e.in.VerticalNeighbors(t.d, c.d) && t.lower >= c.upper-st.eps {
-				dominated = true
-				break
-			}
-		}
-		if !dominated && c.upper > maxOther {
-			maxOther = c.upper
-		}
-	}
-	return maxOther
-}
-
-func (st *searchState) results() []Result {
-	out := make([]Result, 0, len(st.selection))
-	for _, c := range st.selection {
-		out = append(out, Result{
-			Doc:   c.d,
-			URI:   st.e.in.URIOf(c.d),
-			Lower: c.lower,
-			Upper: c.upper,
-		})
-	}
-	return out
 }
 
 // CandidateCount returns how many distinct documents satisfy the

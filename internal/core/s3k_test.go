@@ -321,14 +321,31 @@ func TestIsolatedSeeker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(in, index.Build(in))
+	ix := index.Build(in)
 	seeker, _ := in.NIDOf("loner")
-	got, stats, err := e.Search(seeker, []string{"kw"}, Options{K: 3, Params: score.DefaultParams()})
+	opts := Options{K: 3, Params: score.DefaultParams()}
+	got, stats, err := NewEngine(in, ix).Search(seeker, []string{"kw"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("isolated seeker got results: %v (reason %s)", uris(got), stats.Reason)
+	}
+	// A fresh exploration's border is the seeker itself, so it is never
+	// exhausted before its first round: that round empties the border,
+	// reaches nothing, and its zero threshold is the stop — in every
+	// deployment.
+	if stats.Iterations != 1 || stats.Reason != StopThreshold || stats.NodesReached != 0 {
+		t.Fatalf("isolated seeker stats = %+v, want 1 iteration, threshold, 0 nodes reached", stats)
+	}
+	for _, n := range []int{1, 2} {
+		sgot, sstats, err := buildSharded(t, in, ix, n).Search(seeker, []string{"kw"}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sgot) != 0 || sstats.Iterations != stats.Iterations || sstats.Reason != stats.Reason || sstats.NodesReached != stats.NodesReached {
+			t.Fatalf("n=%d: sharded isolated seeker got %v, stats %+v; single stats %+v", n, uris(sgot), sstats, stats)
+		}
 	}
 }
 

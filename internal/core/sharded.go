@@ -24,15 +24,15 @@
 // is the wall-clock budget, which is any-time in the single engine too.
 //
 // The round protocol itself — executor interface, serializable messages,
-// coordinator loop — lives in executor.go; ShardedEngine is the
-// all-in-one-process deployment of it, wiring a LocalExecutor per shard
-// over one shared proximity iterator.
+// coordinator loop — lives in executor.go, and the shard side of it in
+// host.go and local.go; ShardedEngine is the all-in-one-process
+// deployment: Coordinate over one host executor whose members are the
+// shards.
 package core
 
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"s3/internal/graph"
 	"s3/internal/proxcache"
@@ -45,9 +45,6 @@ import (
 // concurrent Search calls.
 type ShardedEngine struct {
 	shards []*Engine
-	// compShard maps a component id to the shard owning it (the per-round
-	// discovery routing table).
-	compShard []int32
 	// touched counts, per shard, the searches for which the shard had at
 	// least one matching component (the fan-out actually reached it);
 	// rounds counts, per shard, the lockstep rounds the shard carried
@@ -63,67 +60,48 @@ type ShardedEngine struct {
 // component exactly once. A single unprojected engine forms a valid
 // one-shard set.
 func NewShardedEngine(shards []*Engine) (*ShardedEngine, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("core: sharded engine needs at least one shard")
+	if err := checkMembers(shards); err != nil {
+		return nil, err
 	}
-	base := shards[0].in
-	nComp := base.NumComponents()
-	compShard := make([]int32, nComp)
-	for i := range compShard {
-		compShard[i] = -1
-	}
-	for i, e := range shards {
-		if e == nil {
-			return nil, fmt.Errorf("core: shard %d is nil", i)
-		}
-		if e.in.NumNodes() != base.NumNodes() || e.in.NumComponents() != nComp {
-			return nil, fmt.Errorf("core: shard %d is not a projection of the same instance", i)
-		}
-		owned := e.in.OwnedComponents()
-		if owned == nil {
-			// An unprojected instance owns everything; that is only
-			// consistent when it is the sole shard.
-			if len(shards) != 1 {
-				return nil, fmt.Errorf("core: shard %d is unprojected in a %d-shard set", i, len(shards))
-			}
-			for c := range compShard {
-				compShard[c] = 0
-			}
-			break
-		}
-		for _, c := range owned {
-			if compShard[c] != -1 {
-				return nil, fmt.Errorf("core: component %d owned by shards %d and %d", c, compShard[c], i)
-			}
-			compShard[c] = int32(i)
-		}
-	}
-	for c, s := range compShard {
-		if s == -1 {
-			return nil, fmt.Errorf("core: component %d owned by no shard", c)
+	if shards[0].in.OwnedComponents() != nil { // else: alone and owning everything
+		if err := checkPartition(shards); err != nil {
+			return nil, err
 		}
 	}
 	return &ShardedEngine{
-		shards:    shards,
-		compShard: compShard,
-		touched:   make([]atomic.Uint64, len(shards)),
-		rounds:    make([]atomic.Uint64, len(shards)),
+		shards:  shards,
+		touched: make([]atomic.Uint64, len(shards)),
+		rounds:  make([]atomic.Uint64, len(shards)),
 	}, nil
+}
+
+// checkPartition builds the component → shard layout of projected shards
+// and reports any component owned twice or by no shard. The layout is only
+// needed here, once per engine: a search routes discoveries through the
+// table of components its query matched (HostExecutor.join).
+func checkPartition(shards []*Engine) error {
+	layout := make([]int32, shards[0].in.NumComponents())
+	for c := range layout {
+		layout[c] = -1
+	}
+	for i, e := range shards {
+		for _, c := range e.in.OwnedComponents() {
+			if layout[c] != -1 {
+				return fmt.Errorf("core: component %d owned by shards %d and %d", c, layout[c], i)
+			}
+			layout[c] = int32(i)
+		}
+	}
+	for c, s := range layout {
+		if s == -1 {
+			return fmt.Errorf("core: component %d owned by no shard", c)
+		}
+	}
+	return nil
 }
 
 // NumShards returns the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
-// Shard returns the i-th per-shard engine.
-func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
-
-// CountTouch increments shard i's fan-out counter. Callers that
-// short-circuit a one-shard set around Search use it to keep
-// ShardTouches the single source of truth.
-func (se *ShardedEngine) CountTouch(i int) { se.touched[i].Add(1) }
-
-// CountRounds adds to shard i's round-work counter (see CountTouch).
-func (se *ShardedEngine) CountRounds(i int, n uint64) { se.rounds[i].Add(n) }
 
 // WarmProximity pre-explores a seeker's neighbourhood into the cache over
 // the shard set's shared substrate; see Engine.WarmProximity. Warming goes
@@ -159,81 +137,5 @@ func (se *ShardedEngine) ShardRounds() []uint64 {
 // score intervals — is identical to Engine.Search over the unpartitioned
 // instance; see the package comment for why.
 func (se *ShardedEngine) Search(seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
-	start := time.Now()
-	var stats Stats
-	if opts.K <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive, got %d", opts.K)
-	}
-	in := se.shards[0].in
-	if int(seeker) < 0 || int(seeker) >= in.NumNodes() || in.KindOf(seeker) != graph.KindUser {
-		return nil, stats, fmt.Errorf("core: seeker must be a user node")
-	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 1e-12
-	}
-
-	// The dictionary and saturated ontology are shared substrate, so any
-	// shard resolves the query's keyword groups identically.
-	root := opts.Trace.Span()
-	resolve := root.StartChild("resolve")
-	groups, possible, err := se.shards[0].KeywordGroups(keywords)
-	if err != nil {
-		return nil, stats, err
-	}
-	resolve.End()
-	if !possible {
-		stats.Reason = StopNoMatch
-		stats.Elapsed = time.Since(start)
-		return nil, stats, nil
-	}
-	spec := SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: eps}
-
-	// One iterator serves every shard of the process: it runs over shard
-	// 0's projection, and projections share the substrate (node numbering
-	// and matrix), so its checkpoints serve every fan-out of this shard
-	// set. Cache wiring matches the single engine: resume from the deepest
-	// cached frontier, publish the final one back when the search deepened
-	// it.
-	it, ckey, resumedN := openIterator(in, seeker, opts)
-	drv := newRoundDriver(it).withRouting(in, se.compShard, len(se.shards))
-	execs := make([]ShardExecutor, len(se.shards))
-	for i, e := range se.shards {
-		execs[i] = &LocalExecutor{
-			e:       e,
-			workers: opts.Workers,
-			drv:     drv,
-			shard:   i,
-			touched: &se.touched[i],
-			rounds:  &se.rounds[i],
-			traced:  opts.Trace != nil,
-		}
-	}
-
-	sel, stats, err := Coordinate(execs, spec, CoordOptions{
-		MaxIterations: opts.MaxIterations,
-		Budget:        opts.Budget,
-		Start:         start,
-		Trace:         opts.Trace,
-		Obs:           opts.Obs,
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.ResumedDepth = resumedN
-	root.SetInt("resumed_depth", int64(resumedN))
-	if opts.ProxCache != nil && it.RecordedDepth() > resumedN {
-		opts.ProxCache.Put(ckey, it.Checkpoint())
-	}
-	out := make([]Result, 0, len(sel))
-	for _, c := range sel {
-		out = append(out, Result{Doc: c.Doc, URI: in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper})
-	}
-	return out, stats, nil
+	return search(se.shards, se.touched, se.rounds, seeker, keywords, opts)
 }
-
-// fanoutThreshold is the amount of per-round work (candidates to bound,
-// with fresh discoveries weighted heavily) below which fanning out across
-// goroutines costs more than it saves: small queries run the shards
-// serially, candidate-heavy ones in parallel.
-const fanoutThreshold = 192

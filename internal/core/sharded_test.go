@@ -9,6 +9,7 @@ import (
 	"s3/internal/datagen"
 	"s3/internal/graph"
 	"s3/internal/index"
+	"s3/internal/proxcache"
 	"s3/internal/score"
 	"s3/internal/text"
 )
@@ -79,9 +80,10 @@ func queries(in *graph.Instance) (seekers []graph.NID, kwSets [][]string) {
 
 // TestShardedSearchEqualsUnsharded is the answer-equivalence property
 // test of the shard-set design: for N ∈ {1, 2, 4, 7}, sharded search must
-// return byte-identical results and score intervals (and identical
-// exploration statistics) to the single-engine search, across generated
-// datasets and query shapes.
+// return byte-identical results and score intervals to the single-engine
+// search, across generated datasets and query shapes. Stats are part of
+// the contract: every field but Elapsed must agree as well — cold, while a
+// proximity cache fills, and when it resumes (ResumedDepth included).
 func TestShardedSearchEqualsUnsharded(t *testing.T) {
 	type dataset struct {
 		name string
@@ -117,29 +119,48 @@ func TestShardedSearchEqualsUnsharded(t *testing.T) {
 
 			for _, n := range []int{1, 2, 4, 7} {
 				se := buildSharded(t, in, ix, n)
-				for _, seeker := range seekers {
-					for _, kws := range kwSets {
-						for _, opts := range []Options{
-							{K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}},
-							{K: 2, Params: score.Params{Gamma: 2, Eta: 0.5}},
-							{K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}, MaxIterations: 3},
-						} {
-							want, wantStats, err1 := single.Search(seeker, kws, opts)
-							got, gotStats, err2 := se.Search(seeker, kws, opts)
-							if (err1 == nil) != (err2 == nil) {
-								t.Fatalf("n=%d seeker=%s kws=%v: errors diverge: %v vs %v",
-									n, in.URIOf(seeker), kws, err1, err2)
-							}
-							if err1 != nil {
-								continue
-							}
-							w, g := transcript(want, wantStats), transcript(got, gotStats)
-							if w != g {
-								t.Fatalf("n=%d seeker=%s kws=%v k=%d:\nunsharded:\n%s\nsharded:\n%s",
-									n, in.URIOf(seeker), kws, opts.K, w, g)
+				// One cache per engine, fed the same query sequence: pass 0
+				// runs cold (no cache), pass 1 fills, pass 2 resumes.
+				wantPC, gotPC := proxcache.New(16<<20), proxcache.New(16<<20)
+				resumed := false
+				for pass := 0; pass < 3; pass++ {
+					for _, seeker := range seekers {
+						for _, kws := range kwSets {
+							for _, opts := range []Options{
+								{K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}},
+								{K: 2, Params: score.Params{Gamma: 2, Eta: 0.5}},
+								{K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}, MaxIterations: 3},
+							} {
+								wantOpts, gotOpts := opts, opts
+								if pass > 0 {
+									wantOpts.ProxCache, gotOpts.ProxCache = wantPC, gotPC
+								}
+								want, wantStats, err1 := single.Search(seeker, kws, wantOpts)
+								got, gotStats, err2 := se.Search(seeker, kws, gotOpts)
+								if (err1 == nil) != (err2 == nil) {
+									t.Fatalf("n=%d seeker=%s kws=%v: errors diverge: %v vs %v",
+										n, in.URIOf(seeker), kws, err1, err2)
+								}
+								if err1 != nil {
+									continue
+								}
+								w, g := transcript(want, wantStats), transcript(got, gotStats)
+								if w != g {
+									t.Fatalf("n=%d pass=%d seeker=%s kws=%v k=%d:\nunsharded:\n%s\nsharded:\n%s",
+										n, pass, in.URIOf(seeker), kws, opts.K, w, g)
+								}
+								wantStats.Elapsed, gotStats.Elapsed = 0, 0
+								if wantStats != gotStats {
+									t.Fatalf("n=%d pass=%d seeker=%s kws=%v k=%d: stats diverge:\nunsharded: %+v\nsharded:   %+v",
+										n, pass, in.URIOf(seeker), kws, opts.K, wantStats, gotStats)
+								}
+								resumed = resumed || gotStats.ResumedDepth > 0
 							}
 						}
 					}
+				}
+				if !resumed {
+					t.Fatalf("n=%d: no search resumed from the warm cache", n)
 				}
 			}
 		})

@@ -146,6 +146,21 @@ func TestTraceAndRequestID(t *testing.T) {
 	if !kids["round"] {
 		t.Fatalf("trace root children %v, want at least one round span", kids)
 	}
+	// A single instance runs the same round loop as every other mode, so
+	// its tree has the same stages: resolve and begin, and per round the
+	// one member's executor subtree down to the step.
+	if !kids["resolve"] || !kids["begin"] {
+		t.Fatalf("trace root children %v, want resolve and begin spans", kids)
+	}
+	round := findSpan(resp.Trace, "round")
+	if round.Attrs["n"] == "" || round.Attrs["admitted"] == "" {
+		t.Fatalf("round span attrs %v, want n and admitted", round.Attrs)
+	}
+	for _, stage := range []string{"shard", "exec.round", "step", "admit", "bounds", "select"} {
+		if findSpan(round, stage) == nil {
+			t.Fatalf("round span has no %s span below it: %+v", stage, round)
+		}
+	}
 
 	// The trace was retained in the ring with the request id attached.
 	found := false

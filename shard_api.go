@@ -97,10 +97,6 @@ type ShardedInstance struct {
 
 	// lifecycle owns the memory mappings behind a LoadMmap shard set.
 	lifecycle
-	// single short-circuits the one-shard case straight to the plain
-	// engine, making an N=1 shard set behaviorally identical to serving
-	// the equivalent single snapshot.
-	single *core.Engine
 
 	// prox is the optional seeker-proximity checkpoint cache shared by the
 	// fan-out searches.
@@ -151,11 +147,7 @@ func newShardedInstance(base *graph.Instance, shards []*graph.Instance, ixs []*i
 	if err != nil {
 		return nil, err
 	}
-	si := &ShardedInstance{base: base, shards: shards, ixs: ixs, seng: seng}
-	if len(shards) == 1 {
-		si.single = engines[0]
-	}
-	return si, nil
+	return &ShardedInstance{base: base, shards: shards, ixs: ixs, seng: seng}, nil
 }
 
 // NumShards returns the shard count.
@@ -219,34 +211,11 @@ func (si *ShardedInstance) SearchInfoed(seekerURI string, keywords []string, opt
 		cfg.opts.ProxCache = pc.c
 	}
 	cfg.opts.Obs = si.obsm.Load()
-	var (
-		rs    []core.Result
-		stats core.Stats
-		err   error
-	)
-	if si.single != nil {
-		si.countSingle()
-		rs, stats, err = si.single.Search(seeker, keywords, cfg.opts)
-		if err == nil {
-			// Keep the short-circuited path's round counter consistent with
-			// the fan-out path: every exploration round carried the work.
-			si.seng.CountRounds(0, uint64(stats.Iterations))
-		}
-	} else {
-		rs, stats, err = si.seng.Search(seeker, keywords, cfg.opts)
-	}
+	rs, stats, err := si.seng.Search(seeker, keywords, cfg.opts)
 	if err != nil {
 		return nil, SearchInfo{}, err
 	}
 	return mapResults(si.base, rs), mapSearchInfo(stats), nil
-}
-
-// countSingle keeps the one-shard fan-out counter meaningful on the
-// short-circuited path.
-func (si *ShardedInstance) countSingle() {
-	// The sharded engine exposes no increment; route the count through a
-	// one-entry search so ShardTouches stays the source of truth.
-	si.seng.CountTouch(0)
 }
 
 // WriteShardSetFiles partitions the instance into n shards and persists

@@ -135,6 +135,63 @@ func TestShardByMatchesInstance(t *testing.T) {
 	}
 }
 
+// TestShardStatSemantics pins what ShardStat.Searches and Rounds count on
+// a ShardedInstance at every N, the one-shard set included (it runs the
+// same round loop as any other, with no counters of its own): Searches is
+// the searches that matched a component on the shard, Rounds the rounds
+// that carried candidates there.
+func TestShardStatSemantics(t *testing.T) {
+	inst := buildTestInstance(t, 60, 240, 3)
+	queries := sampleQueries(t, inst, 5)
+	one, err := inst.ShardBy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := inst.ShardBy(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterations := uint64(0)
+	for _, q := range queries {
+		_, info, err := one.SearchInfoed(q[0], []string{q[1]}, s3.WithK(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		iterations += uint64(info.Iterations)
+		if _, err := many.Search(q[0], []string{q[1]}, s3.WithK(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A query no component matches fans out nowhere and carries no work.
+	for _, si := range []*s3.ShardedInstance{one, many} {
+		if rs, err := si.Search(queries[0][0], []string{"no-such-keyword-anywhere"}); err != nil || len(rs) != 0 {
+			t.Fatalf("no-match query: %v, %v", rs, err)
+		}
+	}
+
+	got := one.Shards()[0]
+	if got.Searches != uint64(len(queries)) {
+		t.Errorf("N=1: Searches = %d, want %d (the matching searches only)", got.Searches, len(queries))
+	}
+	if got.Rounds == 0 || got.Rounds > iterations {
+		t.Errorf("N=1: Rounds = %d, want in (0, %d] (rounds carrying candidates, at most every round)", got.Rounds, iterations)
+	}
+	// The one shard holds the union of the three: a search touches it iff
+	// it touches some shard of the three, a round carries candidates on it
+	// iff it does on some shard of the three.
+	var maxS, sumS, maxR, sumR uint64
+	for _, sh := range many.Shards() {
+		maxS, sumS = max(maxS, sh.Searches), sumS+sh.Searches
+		maxR, sumR = max(maxR, sh.Rounds), sumR+sh.Rounds
+	}
+	if got.Searches < maxS || got.Searches > sumS {
+		t.Errorf("Searches: N=1 counts %d, N=3 max %d sum %d", got.Searches, maxS, sumS)
+	}
+	if got.Rounds < maxR || got.Rounds > sumR {
+		t.Errorf("Rounds: N=1 counts %d, N=3 max %d sum %d", got.Rounds, maxR, sumR)
+	}
+}
+
 // TestShardByMoreShardsThanComponents covers the over-partitioned case:
 // some shards own no components at all, both in memory and through the
 // file round trip.
