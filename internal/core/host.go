@@ -8,14 +8,17 @@
 // proximity cache when one is wired), steps it once per round however
 // many members it serves, routes each newly discovered matching component
 // to the member owning it, and publishes the deepened frontier back when
-// the search ends. It is the only shard-side executor: Engine.Search runs
+// the search ends (and the iterator itself back to its pool). It is the
+// only shard-side executor: Engine.Search runs
 // a one-member host, ShardedEngine.Search an N-member one (both driven
 // member by member through Coordinate), and a distributed worker drives
 // the host of its co-located shards directly, one call per round.
 //
-// The floating-point operations are identical, in identical order,
-// however shards are grouped onto hosts, so round responses — and the
-// coordinated answer — are byte-identical across deployments.
+// The iterator's state at a depth is a function of the depth alone (one
+// canonical summation order, see internal/score), and members read
+// nothing else of the exploration, so round responses — and the
+// coordinated answer — are byte-identical however shards are grouped
+// onto hosts.
 package core
 
 import (
@@ -38,6 +41,7 @@ import (
 type HostExecutor struct {
 	members []*LocalExecutor
 	in      *graph.Instance // members[0]'s instance: the iterator's substrate
+	iters   *sync.Pool      // members[0]'s engine's: where the iterator comes from and goes back to
 
 	// pc, when non-nil, resumes the shared iterator from the deepest
 	// cached frontier when it is opened and publishes the deepened
@@ -116,6 +120,7 @@ func checkMembers(engines []*Engine) error {
 func newHost(engines []*Engine, workers int) *HostExecutor {
 	h := &HostExecutor{
 		in:      engines[0].in,
+		iters:   &engines[0].iters,
 		members: make([]*LocalExecutor, len(engines)),
 		routed:  make([][]int32, len(engines)),
 	}
@@ -234,29 +239,36 @@ func (h *HostExecutor) join(member int, spec SearchSpec, comps []int32) error {
 // Called with mu held.
 func (h *HostExecutor) iter() *score.Iterator {
 	if h.it == nil {
-		h.it, h.ckey, h.resumedN = openIterator(h.in, h.seeker, h.params, h.pc)
+		h.it, h.ckey, h.resumedN = openIterator(h.iters, h.in, h.seeker, h.params, h.pc)
 	}
 	return h.it
 }
 
-// openIterator builds a search's proximity iterator: resumed from the
-// deepest cached checkpoint when there is a cache (recording either way,
-// so the search can publish its final frontier back), plain otherwise.
-// Resuming is transparent to the rounds — replayed Steps yield
-// bit-identical state and discovery order, they just skip the matrix
-// propagation. The returned depth is what the cache already covers (0 on
-// a cold start); publication is worthwhile only beyond it.
-func openIterator(in *graph.Instance, seeker graph.NID, params score.Params, pc *proxcache.Cache) (*score.Iterator, proxcache.Key, int) {
+// openIterator readies a search's proximity iterator — a pooled one, so a
+// search allocates no instance-sized vector once the pool is warm:
+// resumed from the deepest cached checkpoint when there is a cache
+// (recording either way, so the search can publish its final frontier
+// back), plain otherwise. Resuming is transparent to the rounds — replayed
+// Steps yield bit-identical state and discovery order, they just skip the
+// matrix propagation. The returned depth is what the cache already covers
+// (0 on a cold start); publication is worthwhile only beyond it.
+func openIterator(pool *sync.Pool, in *graph.Instance, seeker graph.NID, params score.Params, pc *proxcache.Cache) (*score.Iterator, proxcache.Key, int) {
+	it, _ := pool.Get().(*score.Iterator)
+	if it == nil {
+		it = new(score.Iterator)
+	}
 	if pc == nil {
-		return score.NewIterator(in, params, seeker), proxcache.Key{}, 0
+		it.Reset(in, params, seeker, false)
+		return it, proxcache.Key{}, 0
 	}
 	ckey := proxcache.Key{Seeker: seeker, Params: params}
 	if cp := pc.Get(ckey, in); cp != nil {
-		if it, err := score.ResumeIterator(in, cp); err == nil {
+		if err := it.Resume(in, cp); err == nil {
 			return it, ckey, cp.N()
 		}
 	}
-	return score.NewRecordingIterator(in, params, seeker), ckey, 0
+	it.Reset(in, params, seeker, true)
+	return it, ckey, 0
 }
 
 // roundState is what a round's readers take from the shared exploration.
@@ -291,8 +303,9 @@ func (h *HostExecutor) state() roundState {
 // advance brings the shared iterator to the target round — stepping at
 // most once per round across all members — and routes the round's
 // discoveries: each newly reached component some member matched goes, in
-// discovery order (the order admission runs in), to that member's list
-// and leaves the table, so no component is admitted twice.
+// discovery order (ascending node id — the order admission runs in), to
+// that member's list and leaves the table, so no component is admitted
+// twice.
 func (h *HostExecutor) advance(target int) roundState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -395,8 +408,13 @@ func (h *HostExecutor) End() {
 	for _, x := range h.members {
 		x.reset()
 	}
-	if h.pc != nil && h.it != nil && h.it.RecordedDepth() > h.resumedN {
-		h.pc.Put(h.ckey, h.it.Checkpoint())
+	if h.it != nil {
+		if h.pc != nil && h.it.RecordedDepth() > h.resumedN {
+			h.pc.Put(h.ckey, h.it.Checkpoint())
+		}
+		// Every round has gathered, so nobody reads AllProx any more, and
+		// the checkpoint shares nothing with the iterator's vectors.
+		h.iters.Put(h.it)
 	}
 	h.it, h.owner = nil, nil
 }

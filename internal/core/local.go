@@ -75,6 +75,18 @@ type LocalExecutor struct {
 	round    int
 	cands    []*cand
 
+	// Per-search slabs behind cands: candidates, their per-group list
+	// headers and their connection terms are carved out of chunks (see
+	// carve) instead of being allocated one by one, so a search's
+	// allocation count grows with the logarithm of its candidate count.
+	// docs / candScratch / evs are admitComponent's enumeration scratch.
+	candSlab    []cand
+	listSlab    [][]term
+	termSlab    []term
+	docs        []graph.NID
+	candScratch index.CandScratch
+	evs         [][]index.Event
+
 	// Refreshed every round: the shard-local greedy selection and the first
 	// candidate whose relative order is still uncertain (nil when the local
 	// selection is trustworthy).
@@ -221,6 +233,7 @@ func (x *LocalExecutor) reset() {
 	x.sc, x.groups = nil, nil
 	x.matched, x.admitted, x.round = 0, 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
+	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil
 }
 
 // refresh recomputes the candidates' score intervals at the exploration's
@@ -256,16 +269,48 @@ func (x *LocalExecutor) roundInfo(rs roundState) RoundInfo {
 	return info
 }
 
+// slabChunk is the size of a search's first slab chunk; each further
+// chunk doubles.
+const slabChunk = 64
+
+// reserve makes room for n more elements in *slab's current chunk,
+// starting a new chunk — twice the size of the last, at least n — when
+// there is none. A chunk left behind stays alive through the slices cut
+// from it, so earlier cuts never move.
+func reserve[T any](slab *[]T, n int) {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, slabChunk, 2*cap(*slab)))
+	}
+}
+
+// carve cuts n zeroed elements off the end of *slab.
+func carve[T any](slab *[]T, n int) []T {
+	reserve(slab, n)
+	s := *slab
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
 // admitComponent implements GetDocuments: all documents of the component
 // satisfying the conjunctive keyword condition become candidates, with
 // their connection terms resolved once.
 func (x *LocalExecutor) admitComponent(comp int32) {
 	x.admitted++
 	in := x.e.in
-	for _, d := range x.e.ix.CandidatesInComp(comp, x.groups) {
-		c := &cand{d: d, terms: make([][]term, len(x.groups))}
-		for gi := range x.groups {
-			for _, ev := range x.sc.GroupEvents(comp, gi) {
+	x.evs = x.evs[:0]
+	for gi := range x.groups {
+		x.evs = append(x.evs, x.sc.GroupEvents(comp, gi))
+	}
+	x.docs = x.e.ix.AppendCandidatesInComp(x.docs[:0], comp, x.groups, &x.candScratch)
+	for _, d := range x.docs {
+		c := &carve(&x.candSlab, 1)[0]
+		c.d, c.terms = d, carve(&x.listSlab, len(x.groups))
+		for gi, evs := range x.evs {
+			// A group's list is at most its events long, so with that much
+			// room reserved the appends below never leave the chunk.
+			reserve(&x.termSlab, len(evs))
+			start := len(x.termSlab)
+			for _, ev := range evs {
 				rel, ok := in.PosLen(d, ev.Frag)
 				if !ok {
 					continue
@@ -274,11 +319,10 @@ func (x *LocalExecutor) admitComponent(comp int32) {
 				if ev.Type == index.Contains {
 					src = d
 				}
-				c.terms[gi] = append(c.terms[gi], term{
-					eta: x.sc.EtaPow(int(rel)),
-					src: src,
-				})
+				x.termSlab = append(x.termSlab, term{eta: x.sc.EtaPow(int(rel)), src: src})
 			}
+			end := len(x.termSlab)
+			c.terms[gi] = x.termSlab[start:end:end]
 		}
 		x.cands = append(x.cands, c)
 	}
@@ -359,7 +403,7 @@ func (x *LocalExecutor) greedySelect() ([]*cand, *cand) {
 	// re-sorting the previous round's permutation under the new bounds
 	// yields the same slice a fresh copy would.
 	slices.SortFunc(x.order, candOrder)
-	var sel []*cand
+	sel := x.kept[:0] // last round's selection is spent: roundInfo copied it out
 	for _, c := range x.order {
 		if c.upper <= x.eps {
 			// A document none of whose connection sources is socially

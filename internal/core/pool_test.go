@@ -1,0 +1,117 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"s3/internal/datagen"
+	"s3/internal/graph"
+	"s3/internal/index"
+	"s3/internal/proxcache"
+	"s3/internal/score"
+	"s3/internal/text"
+)
+
+func twitterEngine(t *testing.T, users, tweets int, seed int64) *Engine {
+	t.Helper()
+	o := datagen.DefaultTwitterOptions()
+	o.Users, o.Tweets, o.Seed = users, tweets, seed
+	spec, _ := datagen.Twitter(o)
+	in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEngine(in, index.Build(in))
+}
+
+// searchBattery runs the queries() battery over the engine and returns
+// one transcript per (seeker, keyword set).
+func searchBattery(t *testing.T, e *Engine, opts Options) []string {
+	t.Helper()
+	seekers, kwSets := queries(e.in)
+	var out []string
+	for _, u := range seekers {
+		for _, kws := range kwSets {
+			rs, st, err := e.Search(u, kws, opts)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out = append(out, transcript(rs, st))
+		}
+	}
+	return out
+}
+
+// TestPooledIteratorEqualsFresh: every search after an engine's first
+// runs on a recycled iterator — vectors dirtied by another seeker's
+// exploration, cold or resumed from the proximity cache — and must answer
+// exactly what an engine that never searched before answers.
+func TestPooledIteratorEqualsFresh(t *testing.T) {
+	opts := Options{K: 5, Params: score.DefaultParams()}
+	used := twitterEngine(t, 60, 240, 1)
+	seekers, kwSets := queries(used.in)
+	for pass, pc := range []*proxcache.Cache{nil, proxcache.New(1 << 20), nil} {
+		o := opts
+		o.ProxCache = pc
+		for _, u := range seekers {
+			for _, kws := range kwSets {
+				got, gst, err := used.Search(u, kws, o)
+				must(t, err)
+				// Same instance, new engine: an empty pool, so a fresh iterator.
+				want, wst, err := NewEngine(used.in, used.ix).Search(u, kws, opts)
+				must(t, err)
+				if transcript(got, gst) != transcript(want, wst) {
+					t.Fatalf("pass %d seeker %d %v: pooled iterator answers\n%swant\n%s", pass, u, kws,
+						transcript(got, gst), transcript(want, wst))
+				}
+			}
+		}
+	}
+	// (Under -race sync.Pool drops puts at random.)
+	if it, _ := used.iters.Get().(*score.Iterator); it == nil && !raceEnabled {
+		t.Fatal("searches returned no iterator to the engine's pool")
+	}
+}
+
+// TestPooledIteratorsAcrossReload plays a server reload at engine level:
+// concurrent searchers each take "the current engine" and swap it, back
+// and forth, between two instances of different node counts, each with
+// its own proximity cache. Every answer must equal the serial reference
+// for the instance it ran on; under -race this is also the check that no
+// iterator vector is shared between two searches or two instances, and
+// that none is recycled while a round still reads it.
+func TestPooledIteratorsAcrossReload(t *testing.T) {
+	opts := Options{K: 5, Params: score.DefaultParams()}
+	gens := []*Engine{twitterEngine(t, 60, 240, 1), twitterEngine(t, 90, 400, 2)}
+	if gens[0].in.NumNodes() == gens[1].in.NumNodes() {
+		t.Fatal("the two generations must differ in node count")
+	}
+	want := [][]string{searchBattery(t, gens[0], opts), searchBattery(t, gens[1], opts)}
+	caches := []*proxcache.Cache{proxcache.New(1 << 20), proxcache.New(1 << 20)}
+
+	var current atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				g := current.Add(1) % 2
+				o := opts
+				if (w+i)%2 == 0 {
+					o.ProxCache = caches[g]
+				}
+				got := searchBattery(t, gens[g], o)
+				for q := range got {
+					if got[q] != want[g][q] {
+						t.Errorf("generation %d query %d: concurrent answer differs from the serial one", g, q)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

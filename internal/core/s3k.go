@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -127,11 +128,18 @@ type Stats struct {
 	ResumedDepth int
 }
 
-// Engine answers queries over one instance. It is immutable and safe for
-// concurrent Search calls.
+// Engine answers queries over one instance. It is immutable (the pool
+// aside) and safe for concurrent Search calls.
 type Engine struct {
 	in *graph.Instance
 	ix *index.Index
+
+	// iters recycles the proximity iterators of the searches whose host
+	// this engine is first member of (see HostExecutor.iter): a search
+	// takes one, with its instance-sized work vectors, and its End puts it
+	// back. The pool lives and dies with the engine, so a vector never
+	// serves another instance, let alone one of another size.
+	iters sync.Pool
 }
 
 // NewEngine pairs an instance with its connection index.

@@ -100,10 +100,10 @@ const (
 	pathEnd      = "/shard/v1/end"
 )
 
-// protoVersion is the round-protocol version this build speaks, advertised
-// by workers in /healthz ("proto"). Coordinator and workers must agree on
-// it exactly: the membership probe lists any other worker unhealthy.
-const protoVersion = 6
+// protoVersion is the round-protocol version this build speaks ("proto" in
+// worker /healthz); the probe lists a worker on any other unhealthy. It also
+// bumps when only the floats in the frames change (7: ascending summation).
+const protoVersion = 7
 
 // maxHostShards caps the shard list of one host session; a conforming
 // coordinator never exceeds the set's shard count.

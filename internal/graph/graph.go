@@ -474,22 +474,6 @@ func (in *Instance) PosLen(d, f NID) (int32, bool) {
 	return in.depth[f] - in.depth[d], true
 }
 
-// AncestorsOrSelf returns f and its ancestors, innermost first.
-func (in *Instance) AncestorsOrSelf(f NID) []NID {
-	if in.sliced != nil {
-		out := []NID{f}
-		for p := in.sliced.parentOf(f); p != NoNID; p = in.sliced.parentOf(p) {
-			out = append(out, p)
-		}
-		return out
-	}
-	out := []NID{f}
-	for p := in.parent[f]; p != NoNID; p = in.parent[p] {
-		out = append(out, p)
-	}
-	return out
-}
-
 // SubtreeOf appends to buf all nodes of the fragment rooted at n
 // (pre-order) and returns the extended slice.
 func (in *Instance) SubtreeOf(n NID, buf []NID) []NID {

@@ -24,6 +24,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"s3/internal/dict"
@@ -400,7 +401,7 @@ func (ix *Index) CompsForGroups(groups [][]dict.ID) []int32 {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -409,28 +410,61 @@ func (ix *Index) CompsForGroups(groups [][]dict.ID) []int32 {
 // as in CompsForGroups): for every group some event's fragment lies in d's
 // subtree. Result is sorted.
 func (ix *Index) CandidatesInComp(comp int32, groups [][]dict.ID) []graph.NID {
-	counts := make(map[graph.NID]int)
-	for _, group := range groups {
-		covered := make(map[graph.NID]struct{})
+	return ix.AppendCandidatesInComp(nil, comp, groups, new(CandScratch))
+}
+
+// CandScratch is the working memory of AppendCandidatesInComp. A search
+// enumerates one component after another; handing every call the same
+// scratch makes the enumeration allocation-free once it has grown.
+type CandScratch struct {
+	covered []graph.NID
+}
+
+// AppendCandidatesInComp appends CandidatesInComp(comp, groups) to dst.
+// The nodes covered by a group are gathered by walking up from each
+// event's fragment, sorted and deduplicated; the first group's set is
+// appended and every further one intersected into it in place, so the
+// appended run is ascending.
+func (ix *Index) AppendCandidatesInComp(dst []graph.NID, comp int32, groups [][]dict.ID, sc *CandScratch) []graph.NID {
+	base := len(dst)
+	for gi, group := range groups {
+		covered := sc.covered[:0]
 		for _, k := range group {
 			for _, ev := range ix.EventsInComp(k, comp) {
-				for _, d := range ix.in.AncestorsOrSelf(ev.Frag) {
-					covered[d] = struct{}{}
+				for d := ev.Frag; d != graph.NoNID; d = ix.in.ParentOf(d) {
+					covered = append(covered, d)
 				}
 			}
 		}
-		for d := range covered {
-			counts[d]++
+		slices.Sort(covered)
+		sc.covered = covered
+		covered = slices.Compact(covered)
+		if gi == 0 {
+			dst = append(dst, covered...)
+		} else {
+			dst = dst[:base+intersectSorted(dst[base:], covered)]
+		}
+		if len(dst) == base {
+			break
 		}
 	}
-	var out []graph.NID
-	for d, n := range counts {
-		if n == len(groups) {
-			out = append(out, d)
+	return dst
+}
+
+// intersectSorted keeps, at the front of a, the elements also in b (both
+// ascending and duplicate-free) and returns how many there are.
+func intersectSorted(a, b []graph.NID) int {
+	n, j := 0, 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j < len(b) && b[j] == v {
+			a[n] = v
+			n++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n
 }
 
 // ConOf reconstructs con(d, k') for one explicit keyword (diagnostics and

@@ -3,16 +3,19 @@
 // of re-propagating from depth 0.
 //
 // A checkpoint does not store the dense prox≤n vector — it stores the
-// recorded border *layers* (per depth: the reached nodes in propagation
-// order plus their borderProx values). Resuming replays those layers one
-// Step at a time, performing the exact floating-point operations of a
-// fresh exploration in the exact same order, so the iterator state at
-// every depth — and therefore every answer computed from it — is
-// bit-identical to the cold path. Only the matrix propagation (the
-// dominant serial cost of candidate-heavy queries, §5.2) is skipped; a
-// search that needs to go deeper than the checkpoint falls back to real
-// propagation seamlessly, because the replayed state at the last recorded
-// depth is the full exploration frontier.
+// recorded border *layers* (per depth: the reached nodes in ascending id
+// plus their borderProx values). Resuming replays those layers one Step
+// at a time through the same fold a propagated step ends in (Iterator's
+// reach), over the same cells in the same ascending order, so the
+// iterator state at every depth — and therefore every answer computed
+// from it — is bit-identical to the cold path. Nothing about how a layer
+// was first computed (which kernel path, what frontier history) is left
+// in it: a layer is a function of (matrix, seeker, params, depth). Only
+// the matrix propagation (the dominant serial cost of candidate-heavy
+// queries, §5.2) is skipped; a search that needs to go deeper than the
+// checkpoint falls back to real propagation seamlessly, because the
+// replayed state at the last recorded depth is the full exploration
+// frontier.
 package score
 
 import (
@@ -60,18 +63,29 @@ func (it *Iterator) Checkpoint() *ProxCheckpoint {
 // is state-identical — bit for bit — to NewRecordingIterator stepped d
 // times, for every d.
 func ResumeIterator(in *graph.Instance, cp *ProxCheckpoint) (*Iterator, error) {
+	it := new(Iterator)
+	if err := it.Resume(in, cp); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// Resume is Reset into a checkpointed exploration: the iterator restarts
+// at depth 0 as a recording iterator with the checkpoint's layers ahead
+// of it (see ResumeIterator). On error the iterator is left as it was.
+func (it *Iterator) Resume(in *graph.Instance, cp *ProxCheckpoint) error {
 	if cp == nil {
-		return nil, fmt.Errorf("score: nil checkpoint")
+		return fmt.Errorf("score: nil checkpoint")
 	}
 	if cp.in != in {
-		return nil, fmt.Errorf("score: checkpoint belongs to a different instance")
+		return fmt.Errorf("score: checkpoint belongs to a different instance")
 	}
-	it := NewRecordingIterator(in, cp.params, cp.seeker)
+	it.Reset(in, cp.params, cp.seeker, true)
 	// Full slice expression: appends past the inherited depth must
 	// reallocate rather than scribble on an array another iterator resumed
 	// from the same checkpoint may also be extending.
 	it.layers = cp.layers[:len(cp.layers):len(cp.layers)]
-	return it, nil
+	return nil
 }
 
 // N returns the exploration depth the checkpoint covers.

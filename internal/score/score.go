@@ -27,6 +27,7 @@ package score
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
@@ -71,15 +72,27 @@ func (p Params) TailBound(n int) float64 { return math.Pow(p.Gamma, -float64(n+1
 // n, one matrix step at a time — the §5.2 borderProx optimisation. It owns
 // dense work vectors sized to the instance and must not be shared across
 // goroutines.
+//
+// The exploration has one canonical floating-point order: every border
+// cell sums its contributions in ascending source-node order (the sparse
+// kernel's contract), and a step's border, discovery list and recorded
+// layer are in ascending node id. The state at depth n is therefore a
+// function of (matrix, seeker, params, n) alone — not of the order earlier
+// frontiers were reached in, nor of which kernel path computed a step,
+// nor of whether a step was propagated or replayed from a checkpoint.
 type Iterator struct {
 	in     *graph.Instance
 	params Params
 	seeker graph.NID
 
-	// border[v] = Σ_{p ∈ u⇝v, |p|=n} prox→(p) / γⁿ  (borderProx of §5.2).
+	// border[v] = Σ_{p ∈ u⇝v, |p|=n} prox→(p) / γⁿ  (borderProx of §5.2),
+	// non-zero exactly on active (ascending). next is the all-zero vector
+	// the following step accumulates into; spare is the buffer its border
+	// list is built in.
 	border  []float64
 	active  []int32
 	next    []float64
+	spare   []int32
 	scratch []bool
 
 	// all[v] = prox≤n(u, v).
@@ -90,23 +103,34 @@ type Iterator struct {
 	// semantics, like AllProx).
 	disc []graph.NID
 
+	// kernel pins one sparse kernel path (tests); the zero value lets the
+	// matrix choose by the step's edge work.
+	kernel kernelPath
+
 	// Checkpoint support. When rec is true every step records the border it
-	// produced (node list in propagation order plus values) into layers;
-	// layers[d-1] is the border at depth d. A resumed iterator starts with
-	// the layers of its checkpoint already filled in and replays them —
-	// identical floating-point operations in identical order, without the
-	// matrix propagation — before falling back to real propagation past the
+	// produced (ascending node list plus values) into layers; layers[d-1]
+	// is the border at depth d. A resumed iterator starts with the layers
+	// of its checkpoint already filled in and replays them — the same fold
+	// over the same cells in the same order, without the matrix
+	// propagation — before falling back to real propagation past the
 	// recorded depth. n ≤ len(layers) always; n < len(layers) only while a
 	// resumed iterator still has recorded depths ahead of it.
 	rec    bool
 	layers []proxLayer
 }
 
+type kernelPath uint8
+
+const (
+	kernelAuto kernelPath = iota
+	kernelSparse
+	kernelDense
+)
+
 // proxLayer is one recorded exploration border: the nodes reached by paths
-// of length exactly d, in the order the propagation emitted them (the
-// order fixes the floating-point summation sequence, which is what makes
-// replay bit-identical), with their borderProx values. Layers are
-// immutable once recorded and may be shared between checkpoints.
+// of length exactly d, in ascending id, with their borderProx values.
+// Layers are immutable once recorded and may be shared between
+// checkpoints.
 type proxLayer struct {
 	nodes []int32
 	vals  []float64
@@ -116,19 +140,8 @@ type proxLayer struct {
 // n = 0: only the empty path is known, so prox≤0(u,u) = Cγ and the border
 // is {u}.
 func NewIterator(in *graph.Instance, params Params, seeker graph.NID) *Iterator {
-	nn := in.NumNodes()
-	it := &Iterator{
-		in:      in,
-		params:  params,
-		seeker:  seeker,
-		border:  make([]float64, nn),
-		next:    make([]float64, nn),
-		scratch: make([]bool, nn),
-		all:     make([]float64, nn),
-	}
-	it.border[seeker] = 1
-	it.active = []int32{int32(seeker)}
-	it.all[seeker] = params.CGamma()
+	it := new(Iterator)
+	it.Reset(in, params, seeker, false)
 	return it
 }
 
@@ -136,9 +149,39 @@ func NewIterator(in *graph.Instance, params Params, seeker graph.NID) *Iterator 
 // every Step keeps its border layer so the exploration can later be
 // published as a ProxCheckpoint and resumed by another search.
 func NewRecordingIterator(in *graph.Instance, params Params, seeker graph.NID) *Iterator {
-	it := NewIterator(in, params, seeker)
-	it.rec = true
+	it := new(Iterator)
+	it.Reset(in, params, seeker, true)
 	return it
+}
+
+// Reset restarts the iterator as a fresh exploration from the seeker,
+// recording or not, reusing its work vectors when they are sized for the
+// instance (they are cleared in full, whatever state the previous
+// exploration left them in) and replacing them when they are not — so a
+// pooled iterator can serve any instance, and no vector ever serves two
+// dimensions. Everything a previous exploration handed out (AllProx,
+// Border, BorderProx, a discovered list) is invalid afterwards; a
+// published checkpoint is not, it shares nothing with the vectors.
+func (it *Iterator) Reset(in *graph.Instance, params Params, seeker graph.NID, record bool) {
+	nn := in.NumNodes()
+	if len(it.all) != nn {
+		*it = Iterator{
+			border:  make([]float64, nn),
+			next:    make([]float64, nn),
+			scratch: make([]bool, nn),
+			all:     make([]float64, nn),
+		}
+	} else {
+		clear(it.border)
+		clear(it.next)
+		clear(it.scratch)
+		clear(it.all)
+	}
+	it.in, it.params, it.seeker = in, params, seeker
+	it.n, it.rec, it.layers = 0, record, nil
+	it.border[seeker] = 1
+	it.active = append(it.active[:0], int32(seeker))
+	it.all[seeker] = params.CGamma()
 }
 
 // Seeker returns the node the exploration started from.
@@ -197,8 +240,9 @@ func (it *Iterator) SourceTailBound() float64 {
 // Step advances the exploration to depth n+1 and folds the new border into
 // prox≤n (feasibility property 1: prox≤n = prox≤n−1 + Uprox). It returns
 // the nodes whose proximity became non-zero for the first time — exactly
-// the nodes "discovered" at this depth. Like AllProx, the returned slice
-// is owned by the iterator and is only valid until the next Step.
+// the nodes "discovered" at this depth — in ascending id. Like AllProx,
+// the returned slice is owned by the iterator and is only valid until the
+// next Step.
 func (it *Iterator) Step() []graph.NID {
 	if it.Done() {
 		return nil
@@ -207,56 +251,95 @@ func (it *Iterator) Step() []graph.NID {
 		return it.replayStep()
 	}
 	m := it.in.Matrix()
-	nz := m.PropagateT(it.border, it.active, it.next, it.scratch)
 	invGamma := 1 / it.params.Gamma
 	cg := it.params.CGamma()
-
-	var rl proxLayer
-	if it.rec {
-		rl = proxLayer{nodes: make([]int32, len(nz)), vals: make([]float64, len(nz))}
-	}
+	all, next := it.all, it.next
 	disc := it.disc[:0]
-	for i, c := range nz {
-		v := it.next[c] * invGamma
-		it.next[c] = v
-		if it.rec {
-			rl.nodes[i], rl.vals[i] = c, v
+	var border []int32
+
+	// Both branches visit the non-zero cells of xᵀ·M in ascending order and
+	// fold each the same way: scale by 1/γ, and unless that underflowed to
+	// zero (the cell is then simply not on the border) list it and add its
+	// share to prox≤n.
+	dense := it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active)
+	if dense {
+		m.PushDense(it.border, next)
+		border = it.spare[:0]
+		for c, s := range next {
+			if s == 0 {
+				continue
+			}
+			v := s * invGamma
+			next[c] = v
+			if v == 0 {
+				continue
+			}
+			border = append(border, int32(c))
+			if reach(all, int32(c), v, cg) {
+				disc = append(disc, graph.NID(c))
+			}
 		}
-		if it.all[c] == 0 && v > 0 {
-			disc = append(disc, graph.NID(c))
+		clear(it.border)
+	} else {
+		touched := m.PushSparse(it.border, it.active, next, it.scratch, it.spare)
+		border = touched[:0]
+		for _, c := range touched {
+			v := next[c] * invGamma
+			next[c] = v
+			if v == 0 {
+				continue
+			}
+			border = append(border, c)
+			if reach(all, c, v, cg) {
+				disc = append(disc, graph.NID(c))
+			}
 		}
-		it.all[c] += cg * v
+		sparse.ZeroVec(it.border, it.active)
 	}
-	sparse.ZeroVec(it.border, it.active)
-	it.border, it.next = it.next, it.border
-	it.active = append(it.active[:0], nz...)
-	it.n++
 	if it.rec {
-		it.layers = append(it.layers, rl)
+		vals := make([]float64, len(border))
+		for i, c := range border {
+			vals[i] = next[c]
+		}
+		it.layers = append(it.layers, proxLayer{nodes: slices.Clone(border), vals: vals})
 	}
+	it.border, it.next = next, it.border
+	it.active, it.spare = border, it.active
+	it.n++
 	it.disc = disc
 	return disc
 }
 
+// reach adds border cell c's share Cγ·v to prox≤n and reports whether
+// that is the first mass the node receives. It is the one place prox≤n is
+// accumulated — propagated and replayed steps both go through it — and
+// the conversion rounds the product before the add, so no architecture
+// fuses the two.
+func reach(all []float64, c int32, v, cg float64) bool {
+	first := all[c] == 0 && v > 0
+	all[c] += float64(cg * v)
+	return first
+}
+
 // replayStep advances a resumed iterator through one recorded layer: the
-// same per-node operations as a real Step, in the same order, minus the
-// matrix propagation. The resulting (all, border, active, n) state — and
-// the discovered list — are bit-identical to a fresh iterator stepped to
-// the same depth.
+// fold of a real Step over the same cells in the same ascending order,
+// minus the matrix propagation. The resulting (all, border, active, n)
+// state — and the discovered list — are bit-identical to a fresh iterator
+// stepped to the same depth.
 func (it *Iterator) replayStep() []graph.NID {
 	l := it.layers[it.n]
 	cg := it.params.CGamma()
+	all, next := it.all, it.next
 	disc := it.disc[:0]
 	for i, c := range l.nodes {
 		v := l.vals[i]
-		it.next[c] = v
-		if it.all[c] == 0 && v > 0 {
+		next[c] = v
+		if reach(all, c, v, cg) {
 			disc = append(disc, graph.NID(c))
 		}
-		it.all[c] += cg * v
 	}
 	sparse.ZeroVec(it.border, it.active)
-	it.border, it.next = it.next, it.border
+	it.border, it.next = next, it.border
 	it.active = append(it.active[:0], l.nodes...)
 	it.n++
 	it.disc = disc
@@ -339,16 +422,15 @@ func (s *Scorer) Groups() [][]dict.ID { return s.groups }
 // tuples, so an identical tuple contributed by two extension keywords
 // counts once (Definition 2.1 keeps extensions lossless).
 func (s *Scorer) GroupEvents(comp int32, gi int) []index.Event {
-	key := compGroup{comp: comp, group: gi}
-	if evs, ok := s.cache[key]; ok {
-		return evs
-	}
 	if group := s.groups[gi]; len(group) == 1 {
 		// One keyword means one event list and nothing to deduplicate
 		// (the index stores each (type, f, src) once per keyword) — the
-		// common no-extension case skips the map entirely.
-		evs := s.ix.EventsInComp(group[0], comp)
-		s.cache[key] = evs
+		// common no-extension case is two binary searches, cheaper than
+		// the cache it would otherwise fill.
+		return s.ix.EventsInComp(group[0], comp)
+	}
+	key := compGroup{comp: comp, group: gi}
+	if evs, ok := s.cache[key]; ok {
 		return evs
 	}
 	var merged []index.Event

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,35 +111,89 @@ func TestPropagateTMatchesDense(t *testing.T) {
 	}
 }
 
-func TestPropagateTRangeCoversSameMass(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 30
-	b := NewBuilder(n)
-	for e := 0; e < 120; e++ {
-		b.Add(rng.Intn(n), rng.Intn(n), rng.Float64())
-	}
-	m := b.Build()
+// TestKernelPathsBitIdentical is the canonical-order property: over
+// random matrices (short rows, hub rows touching most columns, entries
+// small enough that products underflow to zero) and random ascending
+// frontiers from one node to every node, PushSparse and PushDense leave
+// bit-equal out vectors and name the same ascending non-zero cells — and
+// PropagateT, whichever it picks, agrees with both.
+func TestKernelPathsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(120)
+		b := NewBuilder(n)
+		val := func() float64 {
+			if rng.Intn(8) == 0 {
+				return 1e-200 * rng.Float64() // × a small x: underflows to 0
+			}
+			return rng.Float64()
+		}
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			b.Add(rng.Intn(n), rng.Intn(n), val())
+		}
+		for hubs := rng.Intn(3); hubs > 0; hubs-- {
+			r := rng.Intn(n)
+			for c := 0; c < n; c++ {
+				if rng.Intn(4) != 0 {
+					b.Add(r, c, val())
+				}
+			}
+		}
+		m := b.Build()
 
-	x := make([]float64, n)
-	var active []int32
-	for i := 0; i < n; i += 2 {
-		x[i] = rng.Float64()
-		active = append(active, int32(i))
-	}
+		// Frontier sizes sweep 1 … n; the last trials of a size class use
+		// every node.
+		size := 1 + rng.Intn(n)
+		if trial%10 == 9 {
+			size = n
+		}
+		x := make([]float64, n)
+		var active []int32
+		for _, r := range rng.Perm(n)[:size] {
+			x[r] = rng.Float64()
+			if rng.Intn(6) == 0 {
+				x[r] *= 1e-200
+			}
+			if x[r] == 0 {
+				x[r] = 1
+			}
+		}
+		for r, v := range x {
+			if v != 0 {
+				active = append(active, int32(r))
+			}
+		}
 
-	whole := make([]float64, n)
-	scratch := make([]bool, n)
-	m.PropagateT(x, active, whole, scratch)
+		scratch := make([]bool, n)
+		outS := make([]float64, n)
+		nextS := m.PushSparse(x, active, outS, scratch, nil)
+		outD := make([]float64, n)
+		m.PushDense(x, outD)
+		var nextD []int32
+		for c, v := range outD {
+			if v != 0 {
+				nextD = append(nextD, int32(c))
+			}
+		}
+		outP := make([]float64, n)
+		nextP := m.PropagateT(x, active, outP, scratch)
 
-	// Split the active set across two "workers" and sum their outputs.
-	mid := len(active) / 2
-	part1 := make([]float64, n)
-	part2 := make([]float64, n)
-	m.PropagateTRange(x, active, 0, mid, part1)
-	m.PropagateTRange(x, active, mid, len(active), part2)
-	for c := 0; c < n; c++ {
-		if math.Abs(part1[c]+part2[c]-whole[c]) > 1e-12 {
-			t.Fatalf("column %d: split %v+%v != whole %v", c, part1[c], part2[c], whole[c])
+		for c := 0; c < n; c++ {
+			if math.Float64bits(outS[c]) != math.Float64bits(outD[c]) || math.Float64bits(outP[c]) != math.Float64bits(outD[c]) {
+				t.Fatalf("trial %d (n=%d, |active|=%d): out[%d] sparse %x dense %x entry %x", trial, n, len(active), c,
+					math.Float64bits(outS[c]), math.Float64bits(outD[c]), math.Float64bits(outP[c]))
+			}
+		}
+		if !slices.Equal(nextS, nextD) || !slices.Equal(nextP, nextD) {
+			t.Fatalf("trial %d: next lists differ: sparse %v dense %v entry %v", trial, nextS, nextD, nextP)
+		}
+		if !slices.IsSorted(nextD) {
+			t.Fatalf("trial %d: next not ascending: %v", trial, nextD)
+		}
+		for i, s := range scratch {
+			if s {
+				t.Fatalf("trial %d: scratch[%d] not reset", trial, i)
+			}
 		}
 	}
 }
@@ -182,26 +238,81 @@ func TestQuickMulVec(t *testing.T) {
 	}
 }
 
-func BenchmarkPropagateT(b *testing.B) {
+// benchFrontier builds the serving-scale shape (the benchmark's twitter
+// scale-1 graph: 13,696 nodes, ≈ 5.5 edges a row) and an ascending
+// frontier over the given fraction of its rows.
+func benchFrontier(frac float64) (m *Matrix, x []float64, active []int32) {
 	rng := rand.New(rand.NewSource(1))
-	n := 10000
+	const n = 13696
 	bd := NewBuilder(n)
-	for e := 0; e < n*8; e++ {
+	for e := 0; e < n*11/2; e++ {
 		bd.Add(rng.Intn(n), rng.Intn(n), rng.Float64())
 	}
-	m := bd.Build()
-	x := make([]float64, n)
-	var active []int32
-	for i := 0; i < n; i += 10 {
-		x[i] = rng.Float64()
-		active = append(active, int32(i))
+	m = bd.Build()
+	x = make([]float64, n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < frac {
+			x[i] = rng.Float64()
+			active = append(active, int32(i))
+		}
 	}
-	out := make([]float64, n)
-	scratch := make([]bool, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nz := m.PropagateT(x, active, out, scratch)
-		ZeroVec(out, nz)
+	return m, x, active
+}
+
+// BenchmarkPropagateT times the kernel entry point where each of its two
+// paths is meant to run: sparse frontiers of 1 % and 10 % of the rows, a
+// saturated one of 75 % (what every round after the first few looks like
+// at serving scale).
+func BenchmarkPropagateT(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		frac float64
+	}{{"sparse/1pct", 0.01}, {"sparse/10pct", 0.10}, {"saturated/75pct", 0.75}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, x, active := benchFrontier(bc.frac)
+			out := make([]float64, m.N())
+			scratch := make([]bool, m.N())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nz := m.PropagateT(x, active, out, scratch)
+				ZeroVec(out, nz)
+			}
+		})
+	}
+}
+
+// BenchmarkPush times both kernel paths over the same frontiers, each
+// with what its caller pays to enumerate and clear the result — the
+// measurement denseWorkDiv is chosen from.
+func BenchmarkPush(b *testing.B) {
+	for _, frac := range []float64{0.002, 0.005, 0.01, 0.02, 0.05, 0.10, 0.75} {
+		m, x, active := benchFrontier(frac)
+		work := 0
+		for _, r := range active {
+			work += int(m.rowPtr[r+1] - m.rowPtr[r])
+		}
+		name := fmt.Sprintf("work=N_%.1f", float64(m.N())/float64(work))
+		out := make([]float64, m.N())
+		scratch := make([]bool, m.N())
+		buf := make([]int32, 0, m.N())
+		b.Run(name+"/sparse", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf = m.PushSparse(x, active, out, scratch, buf)
+				ZeroVec(out, buf)
+			}
+		})
+		b.Run(name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.PushDense(x, out)
+				buf = buf[:0]
+				for c, v := range out {
+					if v != 0 {
+						buf = append(buf, int32(c))
+					}
+				}
+				clear(out)
+			}
+		})
 	}
 }
 
