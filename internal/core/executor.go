@@ -181,28 +181,29 @@ type spanSource interface {
 }
 
 // RoundPlanner is implemented by executors whose Round calls cross a
-// network: before every scatter the coordinator hints how many lockstep
-// rounds the executor may fetch in one exchange (the executor still hands
-// back exactly one RoundInfo per Round call, buffering the rest — the
-// coordinator replays every per-round stop decision locally either way)
-// and whether it may speculatively issue the next exchange before the
-// coordinator asks. In-process executors do not implement it; their Round
-// calls are already cheap.
+// network: before every round scatter the coordinator says how many
+// lockstep rounds the executor may fetch in one exchange (the executor
+// still hands back exactly one RoundInfo per Round call, buffering the
+// rest — the coordinator replays every per-round stop decision locally
+// either way) and whether it may speculatively issue the next exchange
+// before the coordinator asks. A plan made before Begin (every search
+// without a Budget gets one) lets the executor fetch its first batch on
+// the exchange that opens the session. In-process executors do not
+// implement it; their Round calls are already cheap.
 type RoundPlanner interface {
 	PlanRounds(batch int, speculate bool)
 }
 
-// maxRoundBatch caps the adaptive batch hint: one RTT amortized over up
-// to this many quiet rounds.
+// maxRoundBatch is the round-batch plan: every exchange, the first one
+// included, asks for this many rounds, clipped only by the any-time bounds
+// (see plan in Coordinate). Overshooting the stop costs worker CPU, never
+// correctness or a round trip, and at ~0.2 ms per worker step against a
+// ~5 ms exchange that trade only goes one way. Measured on benchmark/'s
+// dist-rtt (2 ms-per-write proxies, stop rounds bimodal: 9 % of searches
+// stop at rounds 2–5, the rest at 16–43, median 26): opening at the cap
+// beat a 4-round opener 3 seeds of 3 (p50 26.5 vs 35.6 ms) and finishes
+// ≈ 85 % of searches in two exchanges; a ramp only adds exchanges.
 const maxRoundBatch = 16
-
-// certaintyBatch is the batch hint while only certainty is pending: the
-// numeric stop gate already passes but a shard still reports its local
-// selection order unresolved. That resolution happens inside the shard
-// (interval separation against neighbours the coordinator never sees),
-// so no extrapolation is possible — a moderate fixed batch bounds both
-// the RTT count and the worst-case overshoot.
-const certaintyBatch = 8
 
 // maxTracedRounds caps per-round span recording: a long any-time search
 // must not grow an unbounded trace tree (the round histogram still sees
@@ -268,6 +269,39 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 	}()
 
+	// Multi-round batches and speculation (issuing the next exchange before
+	// this one is consumed) are only safe when no any-time bound can
+	// finalize the search at an earlier tail than the executors reached: a
+	// Budget stop can land on any round, so budgeted searches stay in strict
+	// per-round lockstep, and MaxIterations caps the batch so the executors
+	// never step past the finalize point.
+	var planners []RoundPlanner
+	for _, ex := range execs {
+		if p, ok := ex.(RoundPlanner); ok {
+			planners = append(planners, p)
+		}
+	}
+	speculate := !copts.NoSpeculation && copts.Budget <= 0 && copts.MaxIterations <= 0
+	plan := func(n int) {
+		b := maxRoundBatch
+		if copts.Budget > 0 {
+			b = 1
+		}
+		if copts.MaxIterations > 0 {
+			b = max(min(b, copts.MaxIterations-n), 1)
+		}
+		for _, p := range planners {
+			p.PlanRounds(b, speculate)
+		}
+	}
+
+	// Planning before Begin lets executors fetch their first batch on the
+	// exchange that opens the session. A budgeted search makes no such
+	// plan: its budget can expire before round 1, and that stop finalizes
+	// at tail 0.
+	if copts.Budget <= 0 {
+		plan(0)
+	}
 	beginSpan := root.StartChild("begin")
 	begins := make([]BeginInfo, len(execs))
 	if err := rpcScatter(beginSpan, execs, true, func(i int) error {
@@ -333,27 +367,9 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		return err
 	}
 
-	var planners []RoundPlanner
-	for _, ex := range execs {
-		if p, ok := ex.(RoundPlanner); ok {
-			planners = append(planners, p)
-		}
-	}
-	// Speculation (issuing the next exchange before this one is consumed)
-	// and multi-round batches are only safe when no any-time bound can
-	// finalize the search at an earlier tail than the executors reached:
-	// a Budget stop can land on any round, so budgeted searches stay in
-	// strict per-round lockstep, and MaxIterations caps the batch so the
-	// executors never step past the finalize point.
-	speculate := !copts.NoSpeculation && copts.Budget <= 0 && copts.MaxIterations <= 0
-
 	n, done := 0, false
 	lastWork := 0
 	tracedRounds := 0
-	batch, ramp := 1, 1
-	prevTail := 0.0
-	v0, v1 := math.NaN(), math.NaN()
-	throttled, cautious := false, false
 	for {
 		if copts.Ctx != nil {
 			if err := copts.Ctx.Err(); err != nil {
@@ -376,24 +392,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			return finish(sel, StopBudget)
 		}
 
-		if len(planners) > 0 {
-			b := batch
-			if copts.Budget > 0 {
-				b = 1
-			}
-			if copts.MaxIterations > 0 {
-				if rem := copts.MaxIterations - n; rem < b {
-					b = rem
-				}
-			}
-			if b < 1 {
-				b = 1
-			}
-			for _, p := range planners {
-				p.PlanRounds(b, speculate && !throttled)
-			}
-		}
-
+		plan(n)
 		var sp *obs.Span
 		if root != nil && tracedRounds < maxTracedRounds {
 			sp = root.StartChild("round")
@@ -483,140 +482,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			}
 			return finish(sel, StopPrecision)
 		}
-
-		if len(planners) == 0 {
-			continue // in-process rounds are fetched one at a time: no hint to adapt
-		}
-		// Adapt the round-batch hint from the stop's observable distance.
-		// The numeric stop violation V (how far the dominating bound and
-		// the unexplored-component threshold sit above the selection
-		// gate) shrinks along the geometrically decaying tail, so two
-		// consecutive drops extrapolate to a round count; when V has
-		// already closed and only certainty (shard-local interval
-		// separation, invisible to the coordinator) is pending, the hint
-		// falls back to a moderate batch. While neither signal exists the
-		// hint ramps exponentially, and the ramp also bounds the
-		// predictor early in a search, when bounds still move too much
-		// to extrapolate. Speculation is withheld once the stop is in
-		// sight — the demand batch already reaches the predicted stop
-		// round, so a speculative fetch behind it could only burn worker
-		// CPU past the stop. Overshoot is never a correctness concern
-		// (the coordinator replays every buffered round's stop decision
-		// regardless), only wasted compute.
-		if ramp < maxRoundBatch {
-			ramp *= 2
-		}
-		v := stopViolation(infos, selection, thr, spec)
-		est, certPending := estimateStopRounds(v, v1, v0, tail, prevTail)
-		v0, v1 = v1, v
-		prevTail = tail
-		switch {
-		case est > 0:
-			cautious = cautious || est <= maxRoundBatch
-			throttled = cautious
-			batch = est
-			if batch > ramp {
-				batch = ramp
-			}
-		case certPending:
-			throttled, cautious = true, true
-			batch = certaintyBatch
-			if batch > ramp {
-				batch = ramp
-			}
-		case cautious:
-			// The stop was in sight earlier but this round broke the
-			// extrapolation (an admission bumped the violation back up).
-			// Don't snap back to a full speculative ramp right next to
-			// the stop; hold a moderate throttled batch instead.
-			throttled = true
-			batch = certaintyBatch
-			if batch > ramp {
-				batch = ramp
-			}
-		default:
-			throttled = false
-			batch = ramp
-		}
 	}
-}
-
-// stopViolation measures how far this round's state is from passing the
-// threshold stop, as a single scalar: the worst excess of the dominating
-// bound and the unexplored-component threshold over the selection gate.
-// Zero or negative means the numeric gate passes and only certainty is
-// pending. NaN means no selection exists yet (nothing to measure).
-func stopViolation(infos []RoundInfo, selection []CandMeta, thr float64, spec SearchSpec) float64 {
-	if len(selection) == 0 {
-		return math.NaN()
-	}
-	minLower := math.Inf(1)
-	for _, c := range selection {
-		minLower = math.Min(minLower, c.Lower)
-	}
-	gate := minLower + spec.Epsilon
-	v := mergedMaxOtherMeta(infos, selection) - gate
-	if t := thr - gate; t > v {
-		v = t
-	}
-	return v
-}
-
-// estimateStopRounds converts the stop-violation history into a round
-// count. The violation's per-round drops shrink roughly geometrically
-// (every bound tightens in proportion to the decaying tail), so from two
-// consecutive drops d0 = v0-v1 and d1 = v1-v the future drops form a
-// geometric series with ratio q = d1/d0; the violation closes after r
-// rounds when d1·q·(1-q^r)/(1-q) ≥ v. Returns (r, false) when the
-// extrapolation is defined, (0, true) when the numeric gate has already
-// passed and only shard-local certainty is pending (not extrapolatable
-// from coordinator state), and (0, false) when there is no usable
-// history — violation not yet monotonically decreasing, or closing
-// slower than geometrically ever reaches. The estimate is always capped
-// by the (exact) round count to the tail's 1e-15 precision floor, which
-// stops any search regardless. Estimates steer only the round-batch
-// hint; answers never depend on them.
-func estimateStopRounds(v, v1, v0, tail, prevTail float64) (est int, certPending bool) {
-	if math.IsNaN(v) {
-		return 0, false
-	}
-	if v <= 0 {
-		return 0, true
-	}
-	prec := 0
-	if prevTail > 0 && tail > 0 && tail < prevTail {
-		rho := tail / prevTail
-		prec = int(math.Ceil(math.Log(1e-15/tail) / math.Log(rho)))
-		if prec < 1 {
-			prec = 1
-		}
-	}
-	if math.IsNaN(v0) || math.IsNaN(v1) || v0 <= v1 || v1 <= v {
-		return 0, false
-	}
-	d0, d1 := v0-v1, v1-v
-	q := d1 / d0
-	r := 0
-	if q >= 1 {
-		// Drops not shrinking: linear closure or faster.
-		r = int(math.Ceil(v / d1))
-	} else {
-		x := 1 - v*(1-q)/(d1*q)
-		if x <= 0 {
-			// Geometric decay alone never closes the violation; the
-			// precision floor is the only bound in sight.
-			r = prec
-		} else {
-			r = int(math.Ceil(math.Log(x) / math.Log(q)))
-		}
-	}
-	if r < 1 {
-		r = 1
-	}
-	if prec > 0 && r > prec {
-		r = prec
-	}
-	return r, false
 }
 
 // scatter runs f(i) for every executor — across goroutines when parallel,

@@ -1,5 +1,5 @@
-// Tests for batched /shard/v1/rounds framing, the beginset frame's
-// optional deadline, the probe's protocol-version check, worker-side warm
+// Tests for batched /shard/v1/rounds framing, the beginset frame's trace
+// id and deadline, the probe's protocol-version check, worker-side warm
 // frontiers and the tuned coordinator transport.
 package dshard
 
@@ -115,9 +115,9 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBeginDeadlineWire covers the beginset frame's optional trailing
-// fields in every legal combination — and that the deadline never
-// changes how the rest of the frame decodes.
+// TestBeginDeadlineWire covers the beginset frame's trace id and deadline
+// in every combination of set and zero — and that neither changes how the
+// rest of the frame decodes.
 func TestBeginDeadlineWire(t *testing.T) {
 	base := beginSetRequest{
 		searchID: 7,
@@ -133,7 +133,7 @@ func TestBeginDeadlineWire(t *testing.T) {
 		{0, 0},
 		{0xfeed, 0},
 		{0xfeed, 1_500_000},
-		{0, 2_000_000}, // deadline without trace: trace id written as zero
+		{0, 2_000_000},
 	} {
 		r := base
 		r.traceID, r.deadlineMicros = tc.traceID, tc.deadline
@@ -142,18 +142,19 @@ func TestBeginDeadlineWire(t *testing.T) {
 			t.Fatalf("trace=%#x deadline=%d: %v", tc.traceID, tc.deadline, err)
 		}
 		if got.traceID != tc.traceID || got.deadlineMicros != tc.deadline {
-			t.Fatalf("optional fields round trip: got trace=%#x deadline=%d, want trace=%#x deadline=%d",
+			t.Fatalf("trailing fields round trip: got trace=%#x deadline=%d, want trace=%#x deadline=%d",
 				got.traceID, got.deadlineMicros, tc.traceID, tc.deadline)
 		}
 		if fmt.Sprintf("%+v", got.spec) != fmt.Sprintf("%+v", base.spec) {
-			t.Fatalf("spec perturbed by optional fields: %+v", got.spec)
+			t.Fatalf("spec perturbed by trailing fields: %+v", got.spec)
 		}
 	}
-	// A frame with a half-written optional field is rejected.
+	// The trailing fields are fixed: a frame cut anywhere inside them is
+	// rejected.
 	r := base
 	r.traceID, r.deadlineMicros = 0xfeed, 1_000_000
 	frame := encodeBeginSetRequest(r)
-	for _, cut := range []int{1, 7, 9, 15} {
+	for _, cut := range []int{1, 4, 7, 12, 15, 20} {
 		if _, err := decodeBeginSetRequest(frame[:len(frame)-cut]); err == nil {
 			t.Errorf("beginset frame truncated by %d bytes accepted", cut)
 		}

@@ -59,8 +59,29 @@ func hostOf(t *testing.T, rawURL string) string {
 // chaosQuery is one reference point: a resolved spec and the transcript
 // the in-process sharded engine produces for it.
 type chaosQuery struct {
-	spec core.SearchSpec
-	want string
+	spec  core.SearchSpec
+	want  string
+	iters int
+}
+
+// firstBatch is the coordinator's round-batch plan (core's maxRoundBatch):
+// that many rounds ride on the beginset reply, so only a search running
+// deeper ever sends a rounds RPC a fault on that endpoint could hit.
+const firstBatch = 16
+
+// deepChaosQueries keeps the queries that outlive their first batch.
+func deepChaosQueries(t *testing.T, qs []chaosQuery) []chaosQuery {
+	t.Helper()
+	var deep []chaosQuery
+	for _, q := range qs {
+		if q.iters > firstBatch {
+			deep = append(deep, q)
+		}
+	}
+	if len(deep) == 0 {
+		t.Fatalf("no chaos query runs past round %d", firstBatch)
+	}
+	return deep
 }
 
 // chaosQueries computes the reference transcripts over the opened set.
@@ -95,7 +116,8 @@ func chaosQueries(t *testing.T, set *snap.ShardSetSnapshot) []chaosQuery {
 			qs = append(qs, chaosQuery{
 				spec: core.SearchSpec{Seeker: seeker, Groups: groups, K: 5,
 					Params: opts.Params, Epsilon: 1e-12},
-				want: engineTranscript(rs, stats),
+				want:  engineTranscript(rs, stats),
+				iters: stats.Iterations,
 			})
 		}
 	}
@@ -307,7 +329,9 @@ func TestChaosCancellation(t *testing.T) {
 	for i, srv := range servers {
 		urls[i] = srv.URL
 	}
-	qs := chaosQueries(t, set)
+	// A search that outlives its first batch (which rides on the unstalled
+	// beginset) and so must fetch rounds.
+	qs := deepChaosQueries(t, chaosQueries(t, set))
 
 	// Stall every round fetch on every worker: without cancellation the
 	// search would hang, so a prompt return proves the context propagated.

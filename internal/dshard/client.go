@@ -41,9 +41,9 @@ type rpcMetrics struct {
 	specIssued  *obs.Counter
 	specWasted  *obs.Counter
 
-	// Host-grouped session instruments: one rounds RPC per host advances
-	// every shard the host serves, so the fan-in histogram is the direct
-	// read on how much RPC amplification host grouping removed.
+	// Host-grouped session instruments: one round-carrying exchange per
+	// host advances every shard the host serves, so the fan-in histogram is
+	// the direct read on how much RPC amplification host grouping removed.
 	hostSessions *obs.Counter
 	hostSeconds  *obs.Histogram
 	hostShards   *obs.Histogram
@@ -62,18 +62,18 @@ func newRPCMetrics(r *obs.Registry) *rpcMetrics {
 			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "recv"))
 	}
 	m.batchRounds = r.Histogram("s3_coord_round_batch",
-		"Lockstep rounds returned by one batched /shard/v1/rounds RPC.",
+		"Lockstep rounds returned by one round-carrying exchange (a /shard/v1/rounds RPC, or the beginset that opened the session).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
 	m.specIssued = r.Counter("s3_coord_spec_issued_total",
 		"Speculative round RPCs issued ahead of the coordinator's stop decision.")
 	m.specWasted = r.Counter("s3_coord_spec_wasted_total",
-		"Fetched rounds discarded unconsumed because the search stopped first.")
+		"Rounds workers executed but the search never consumed, because it stopped first.")
 	m.hostSessions = r.Counter("s3_coord_host_sessions_total",
 		"Multi-shard host sessions established (one beginset covering 2+ shards).")
 	m.hostSeconds = r.Histogram("s3_coord_host_rpc_seconds",
-		"Round-trip time of one host-grouped rounds RPC (all co-hosted shards advanced at once).", nil)
+		"Round-trip time of one host-grouped round-carrying exchange (all co-hosted shards advanced at once).", nil)
 	m.hostShards = r.Histogram("s3_coord_host_rpc_shards",
-		"Shards advanced by one host-grouped rounds RPC (per-host round fan-in).",
+		"Shards advanced by one host-grouped round-carrying exchange (per-host round fan-in).",
 		[]float64{1, 2, 4, 8, 16})
 	return m
 }

@@ -175,6 +175,10 @@ type Coordinator struct {
 	hedgeWon    atomic.Uint64
 
 	metrics *rpcMetrics
+
+	// batchCap, when positive, clips every session's round-batch hint. Only
+	// tests set it: regrouping rounds into exchanges must not change a byte.
+	batchCap int
 }
 
 // NewCoordinator wires a coordinator; call Probe (or start Run) before

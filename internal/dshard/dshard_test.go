@@ -385,6 +385,7 @@ func TestWireRoundTrip(t *testing.T) {
 			Epsilon: 1e-12,
 			Groups:  [][]dict.ID{{1, 2, 9}, {42}},
 		},
+		traceID: 0xfeed, deadlineMicros: 1_500_000, rounds: 16,
 	}
 	gotBR, err := decodeBeginSetRequest(encodeBeginSetRequest(br))
 	if err != nil {
@@ -398,17 +399,48 @@ func TestWireRoundTrip(t *testing.T) {
 	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(dup)); err == nil {
 		t.Error("beginset listing a shard twice accepted")
 	}
+	over := br
+	over.rounds = maxBatchRounds + 1
+	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(over)); err == nil {
+		t.Error("beginset asking for an oversized first batch accepted")
+	}
 
 	bis := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}}}, {Matched: 0, GroupMasses: [][]int32{{0, 0, 0}, {0}}}}
-	gotBIs, _, err := decodeBeginSetReply(encodeBeginSetReply(bis), len(bis), time.Now())
-	if err != nil {
-		t.Fatal(err)
+	// The reply carries the begin infos, then the first batch's rows — two
+	// rounds here, or none at all.
+	flat := []core.RoundInfo{
+		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1, Kept: []core.CandMeta{{Doc: 4, Lower: 0.25, Upper: 0.5}}},
+		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1},
+		{N: 2, Reached: 9, Tail: 0.25, SourceTail: 0.5, Done: true},
+		{N: 2, Reached: 9, Tail: 0.25, SourceTail: 0.5, Done: true},
 	}
-	if fmt.Sprintf("%+v", gotBIs) != fmt.Sprintf("%+v", bis) {
-		t.Fatalf("beginset reply round trip: %+v != %+v", gotBIs, bis)
+	for _, rounds := range [][]core.RoundInfo{flat, nil} {
+		frame := appendBeginSetReply(nil, bis, rounds)
+		gotBIs, rows, _, _, err := decodeBeginSetReply(frame, len(bis), time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", gotBIs) != fmt.Sprintf("%+v", bis) {
+			t.Fatalf("beginset reply round trip: %+v != %+v", gotBIs, bis)
+		}
+		if len(rows) != len(rounds)/len(bis) {
+			t.Fatalf("beginset reply carried %d rounds, want %d", len(rows), len(rounds)/len(bis))
+		}
+		for i := range rounds {
+			if got := rows[i/len(bis)][i%len(bis)]; fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", rounds[i]) {
+				t.Fatalf("beginset reply block %d: %+v != %+v", i, got, rounds[i])
+			}
+		}
+		if _, _, _, _, err := decodeBeginSetReply(frame, len(bis)+1, time.Now()); err == nil {
+			t.Error("beginset reply with the wrong shard count accepted")
+		}
 	}
-	if _, _, err := decodeBeginSetReply(encodeBeginSetReply(bis), len(bis)+1, time.Now()); err == nil {
-		t.Error("beginset reply with the wrong shard count accepted")
+	var e enc
+	e.u32(1)
+	encodeBeginInfoBody(&e, bis[0])
+	e.u32(maxBatchRounds + 1)
+	if _, _, _, _, err := decodeBeginSetReply(e.b, 1, time.Now()); err == nil {
+		t.Error("beginset reply with an oversized row count accepted")
 	}
 
 	fr := roundRequest{searchID: 9, round: 12}

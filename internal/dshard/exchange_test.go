@@ -1,0 +1,695 @@
+// The exchange budget: how many times a distributed search crosses the
+// wire, enforced next to the allocation budgets. The first round batch
+// rides on the beginset that opens a session and every batch is
+// maxRoundBatch rounds (core's plan), so a search of r rounds costs each
+// host ceil(r / 16) sequential round-carrying exchanges, plus at most one
+// speculative batch left behind by the stop. The same battery re-run with
+// the batch hint forced to other sizes pins that grouping rounds into
+// exchanges never changes a byte, and the edge cases pin where a batch
+// must end early (exhaustion, precision floor) or not run at all (any-time
+// budget, failover sessions, a host nobody matched on, a cancelled
+// request).
+package dshard
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"s3/internal/core"
+	"s3/internal/doc"
+	"s3/internal/faultnet"
+	"s3/internal/graph"
+	"s3/internal/index"
+	"s3/internal/obs"
+	"s3/internal/score"
+	"s3/internal/snap"
+	"s3/internal/text"
+)
+
+// wireLog records what a worker was asked: every beginset request and the
+// `from` of every rounds request, in arrival order.
+type wireLog struct {
+	mu     sync.Mutex
+	begins []beginSetRequest
+	froms  []uint32
+}
+
+func (l *wireLog) wrap(t testing.TB, inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == pathBeginSet || req.URL.Path == pathRounds {
+			body, err := io.ReadAll(req.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			l.mu.Lock()
+			if req.URL.Path == pathBeginSet {
+				if r, err := decodeBeginSetRequest(body); err == nil {
+					l.begins = append(l.begins, r)
+				}
+			} else if r, err := decodeRoundsRequest(body); err == nil {
+				l.froms = append(l.froms, r.from)
+			}
+			l.mu.Unlock()
+		}
+		inner.ServeHTTP(rw, req)
+	})
+}
+
+// take returns and clears what was logged since the last take.
+func (l *wireLog) take() (begins []beginSetRequest, froms []uint32) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	begins, froms = l.begins, l.froms
+	l.begins, l.froms = nil, nil
+	return begins, froms
+}
+
+// loggedHosts boots one worker per shard group behind a wireLog.
+func loggedHosts(t *testing.T, manifestPath string, groups [][]int) (urls []string, workers []*Worker, logs []*wireLog) {
+	t.Helper()
+	for _, g := range groups {
+		w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: g, Mode: snap.LoadMmap, ProxCacheBytes: -1})
+		if err := w.Load(); err != nil {
+			t.Fatal(err)
+		}
+		l := &wireLog{}
+		srv := httptest.NewServer(l.wrap(t, w.Handler()))
+		t.Cleanup(srv.Close)
+		urls, workers, logs = append(urls, srv.URL), append(workers, w), append(logs, l)
+	}
+	return urls, workers, logs
+}
+
+// settle waits until every session the coordinator opened has been
+// released: End is asynchronous, and it is End that drains an in-flight
+// speculative batch into the counters.
+func settle(t *testing.T, workers []*Worker) {
+	t.Helper()
+	for _, w := range workers {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := w.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// exchangeCounts is the coordinator's own view of one search's traffic.
+type exchangeCounts struct {
+	beginsets, roundRPCs, batches uint64
+	fetched                       float64
+	wasted                        uint64
+}
+
+func countExchanges(c *Coordinator) exchangeCounts {
+	m := c.metrics
+	return exchangeCounts{
+		beginsets: m.seconds[epBeginSet].Count(),
+		roundRPCs: m.seconds[epRounds].Count(),
+		batches:   m.batchRounds.Count(),
+		fetched:   m.batchRounds.Sum(),
+		wasted:    m.specWasted.Value(),
+	}
+}
+
+func (a exchangeCounts) since(b exchangeCounts) exchangeCounts {
+	return exchangeCounts{a.beginsets - b.beginsets, a.roundRPCs - b.roundRPCs, a.batches - b.batches,
+		a.fetched - b.fetched, a.wasted - b.wasted}
+}
+
+// batteryQuery is one seeded query with its in-process reference.
+type batteryQuery struct {
+	seeker graph.NID
+	kws    []string
+	spec   core.SearchSpec
+	want   string
+	iters  int
+	// hostMatched[h] is how many components the query matches on host h.
+	hostMatched []int
+}
+
+const exchangeK = 5
+
+var exchangeParams = score.Params{Gamma: 1.5, Eta: 0.8}
+
+// exchangeBattery draws seekers and keyword sets from a seeded stream and
+// answers each with the in-process sharded engine over the same set.
+func exchangeBattery(t *testing.T, set *snap.ShardSetSnapshot, groups [][]int, seed int64, opts core.Options) []batteryQuery {
+	t.Helper()
+	in := set.Set.Base
+	engines := make([]*core.Engine, len(set.Set.Shards))
+	for i := range engines {
+		engines[i] = core.NewEngine(set.Set.Shards[i], set.Set.Indexes[i])
+	}
+	se, err := core.NewShardedEngine(engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	users, kws := in.Users(), in.SortedKeywordsByFrequency()
+	var qs []batteryQuery
+	for len(qs) < 24 {
+		seeker := users[rng.Intn(len(users))]
+		words := []string{in.Dict().String(kws[rng.Intn(len(kws))])}
+		if rng.Intn(4) == 0 {
+			words = append(words, in.Dict().String(kws[rng.Intn(len(kws))]))
+		}
+		groupsKw, possible, err := core.ResolveKeywordGroups(in, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !possible {
+			continue
+		}
+		rs, stats, err := se.Search(seeker, words, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := batteryQuery{
+			seeker: seeker, kws: words,
+			spec:  core.SearchSpec{Seeker: seeker, Groups: groupsKw, K: opts.K, Params: opts.Params, Epsilon: 1e-12},
+			want:  engineTranscript(rs, stats),
+			iters: stats.Iterations,
+		}
+		for _, g := range groups {
+			n := 0
+			for _, shard := range g {
+				n += len(set.Set.Indexes[shard].CompsForGroups(groupsKw))
+			}
+			q.hostMatched = append(q.hostMatched, n)
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// exchangeTopology is the 2-host × 2-shard deployment the budget is stated
+// over, with a registry-backed coordinator so its counters can be read.
+func exchangeTopology(t *testing.T) (*snap.ShardSetSnapshot, [][]int, []*Worker, []*wireLog, func(CoordinatorConfig) *Coordinator) {
+	t.Helper()
+	in, ix := buildInstance(t, datasets(t)["twitter"])
+	manifestPath := writeSet(t, in, ix, 4)
+	set, err := snap.OpenShardSet(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	groups := [][]int{{0, 1}, {2, 3}}
+	urls, workers, logs := loggedHosts(t, manifestPath, groups)
+	newCoord := func(cfg CoordinatorConfig) *Coordinator {
+		cfg.WorkerURLs, cfg.ShardCount, cfg.SetID = urls, 4, set.Set.Layout.SetID
+		cfg.Client = &http.Client{Timeout: 10 * time.Second, Transport: newTransport(len(urls))}
+		cfg.Registry = obs.NewRegistry()
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Probe(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	return set, groups, workers, logs, newCoord
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// TestExchangeBudget: per host, a search of r rounds is ceil(r/16)
+// sequential round-carrying exchanges — the first being the beginset —
+// plus at most one speculative batch; and the any-time bounds clip the
+// first batch exactly as they clip every later one.
+func TestExchangeBudget(t *testing.T) {
+	set, groups, workers, logs, newCoord := exchangeTopology(t)
+	hosts := len(groups)
+	opts := core.Options{K: exchangeK, Params: exchangeParams}
+	qs := exchangeBattery(t, set, groups, 20, opts)
+
+	// run answers q on c, checks the bytes, and returns the coordinator's
+	// counter deltas plus what each host's beginset asked for and where its
+	// rounds RPCs started.
+	run := func(t *testing.T, c *Coordinator, q batteryQuery, copts core.CoordOptions) (d exchangeCounts, firstRounds []uint32, froms [][]uint32) {
+		t.Helper()
+		before := countExchanges(c)
+		sel, stats, err := c.Search(q.spec, copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metaTranscript(sel, stats); got != q.want {
+			t.Fatalf("seeker=%d kws=%v: answer diverged\nwant:\n%s\ngot:\n%s", q.seeker, q.kws, q.want, got)
+		}
+		settle(t, workers)
+		d = countExchanges(c).since(before)
+		if d.beginsets != uint64(hosts) {
+			t.Fatalf("%d beginsets for %d hosts", d.beginsets, hosts)
+		}
+		for h, l := range logs {
+			begins, f := l.take()
+			if len(begins) != 1 {
+				t.Fatalf("host %d saw %d beginsets for one search", h, len(begins))
+			}
+			firstRounds, froms = append(firstRounds, begins[0].rounds), append(froms, f)
+		}
+		// Every executed round was consumed or priced as waste.
+		if consumed := d.fetched - float64(d.wasted); consumed != float64(hosts*q.iters) {
+			t.Fatalf("seeker=%d kws=%v: fetched %v rounds, wasted %d, but %d hosts consumed %d each",
+				q.seeker, q.kws, d.fetched, d.wasted, hosts, q.iters)
+		}
+		return d, firstRounds, froms
+	}
+	steps := func() uint64 { return workers[0].iterSteps.Load() + workers[1].iterSteps.Load() }
+
+	deep, unmatchedHosts := 0, 0
+	for _, speculate := range []bool{true, false} {
+		c := newCoord(CoordinatorConfig{NoSpeculation: !speculate})
+		for _, q := range qs {
+			d, firstRounds, froms := run(t, c, q, core.CoordOptions{})
+			if q.iters > firstBatch {
+				deep++
+			}
+			// A host somebody matched on gets its first batch on the
+			// beginset; a host nobody matched on is asked all the same, runs
+			// none, and is stepped by rounds RPCs from round 1.
+			onBeginset := 0
+			for h, matched := range q.hostMatched {
+				if firstRounds[h] != firstBatch {
+					t.Fatalf("host %d beginset asked for %d rounds, want %d", h, firstRounds[h], firstBatch)
+				}
+				switch {
+				case q.iters == 0:
+				case matched > 0:
+					onBeginset++
+					if len(froms[h]) > 0 && froms[h][0] != firstBatch+1 {
+						t.Fatalf("matched host %d: first rounds RPC from round %d, want %d", h, froms[h][0], firstBatch+1)
+					}
+				default:
+					unmatchedHosts++
+					if len(froms[h]) == 0 || froms[h][0] != 1 {
+						t.Fatalf("unmatched host %d: rounds RPCs from %v, want the first from round 1", h, froms[h])
+					}
+				}
+			}
+			want := uint64(hosts * ceilDiv(q.iters, firstBatch))
+			if spare := d.batches - want; d.batches < want || spare > uint64(hosts) || (!speculate && spare != 0) {
+				t.Fatalf("seeker=%d kws=%v speculate=%v: %d rounds took %d round-carrying exchanges over %d hosts, want %d (+ at most one speculative each)",
+					q.seeker, q.kws, speculate, q.iters, d.batches, hosts, want)
+			}
+			if d.roundRPCs != d.batches-uint64(onBeginset) {
+				t.Fatalf("seeker=%d kws=%v: %d rounds RPCs for %d batches, %d of them on a beginset",
+					q.seeker, q.kws, d.roundRPCs, d.batches, onBeginset)
+			}
+		}
+	}
+	if deep == 0 || unmatchedHosts == 0 {
+		t.Fatalf("battery too shallow: %d searches past one batch, %d unmatched hosts", deep, unmatchedHosts)
+	}
+
+	// Budget > 0: strict lockstep — nothing rides on the beginset (the
+	// budget may expire before round 1, and that stop finalizes at tail 0)
+	// and every exchange carries one round.
+	c := newCoord(CoordinatorConfig{})
+	for _, q := range qs[:8] {
+		d, firstRounds, _ := run(t, c, q, core.CoordOptions{Budget: time.Hour})
+		for h, r := range firstRounds {
+			if r != 0 {
+				t.Fatalf("budgeted search: host %d beginset asked for %d rounds, want 0", h, r)
+			}
+		}
+		if d.fetched != float64(d.batches) || d.wasted != 0 {
+			t.Fatalf("budgeted search of %d rounds: %d batches carrying %v rounds (%d wasted), want one round per exchange",
+				q.iters, d.batches, d.fetched, d.wasted)
+		}
+	}
+
+	// MaxIterations = m < 16 caps the first batch at m: no worker steps
+	// past the round the any-time stop finalizes at.
+	const m = 5
+	capped := opts
+	capped.MaxIterations = m
+	atCap := 0
+	for _, q := range exchangeBattery(t, set, groups, 20, capped)[:8] {
+		before := steps()
+		d, firstRounds, _ := run(t, c, q, core.CoordOptions{MaxIterations: m})
+		for h, r := range firstRounds {
+			if r != m {
+				t.Fatalf("MaxIterations=%d: host %d beginset asked for %d rounds", m, h, r)
+			}
+		}
+		if got := steps() - before; got > uint64(hosts*m) {
+			t.Fatalf("MaxIterations=%d: hosts stepped %d times", m, got)
+		}
+		if q.iters == m {
+			atCap++
+			if d.wasted != 0 || d.batches != uint64(hosts) {
+				t.Fatalf("MaxIterations=%d: a search stopped by the cap took %d batches and left %d rounds unconsumed", m, d.batches, d.wasted)
+			}
+		}
+	}
+	if atCap == 0 {
+		t.Fatalf("no search of the battery reached MaxIterations=%d", m)
+	}
+}
+
+// TestFailoverSessionsBeginWithoutRounds: the single-shard sessions the
+// failover layer attaches ask for no rounds on their beginset — replay
+// fast-forwards them, and replay must start from round 0.
+func TestFailoverSessionsBeginWithoutRounds(t *testing.T) {
+	in, ix := buildInstance(t, smallSpec())
+	manifestPath := writeSet(t, in, ix, 2)
+	set, err := snap.OpenShardSet(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	qs := deepChaosQueries(t, chaosQueries(t, set))
+
+	// Two hosts, replicas of each other; the first loses its rounds endpoint.
+	urls, _, logs := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
+	ft := faultnet.NewTransport(newTransport(len(urls)), 1)
+	ft.Add(&faultnet.Rule{Host: hostOf(t, urls[0]), Path: pathRounds, Action: faultnet.Reset})
+	coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
+	for qi, q := range qs[:2] {
+		sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metaTranscript(sel, stats); got != q.want {
+			t.Fatalf("query %d: answer diverged across the failover\nwant:\n%s\ngot:\n%s", qi, q.want, got)
+		}
+	}
+	if coord.failovers.Load() < 2 {
+		t.Fatalf("%d failovers, want both shards of the dead host's search", coord.failovers.Load())
+	}
+	attached := 0
+	for _, l := range logs {
+		begins, _ := l.take()
+		for _, b := range begins {
+			switch {
+			case len(b.shards) == 2 && b.rounds == firstBatch: // a cover session
+			case len(b.shards) == 1 && b.rounds == 0:
+				attached++
+			default:
+				t.Fatalf("beginset over shards %v asked for %d rounds", b.shards, b.rounds)
+			}
+		}
+	}
+	if attached < 2 {
+		t.Fatalf("saw %d failover-attached beginsets, want >= 2", attached)
+	}
+}
+
+// TestGroupingIndependence: the battery answered with the batch hint
+// forced to 1, 3 and 16 — and with speculation on and off — returns the
+// same bytes and the same iteration counts as the in-process engine.
+func TestGroupingIndependence(t *testing.T) {
+	set, groups, workers, _, newCoord := exchangeTopology(t)
+	qs := exchangeBattery(t, set, groups, 21, core.Options{K: exchangeK, Params: exchangeParams})
+	for _, hint := range []int{1, 3, 16} {
+		for _, noSpec := range []bool{false, true} {
+			c := newCoord(CoordinatorConfig{NoSpeculation: noSpec})
+			c.batchCap = hint
+			before := countExchanges(c)
+			rounds := 0
+			for _, q := range qs {
+				sel, stats, err := c.Search(q.spec, core.CoordOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := metaTranscript(sel, stats); got != q.want {
+					t.Fatalf("hint=%d seeker=%d kws=%v: answer depends on the grouping\nwant:\n%s\ngot:\n%s",
+						hint, q.seeker, q.kws, q.want, got)
+				}
+				if stats.Iterations != q.iters {
+					t.Fatalf("hint=%d: %d iterations, reference %d", hint, stats.Iterations, q.iters)
+				}
+				rounds += stats.Iterations
+			}
+			settle(t, workers)
+			// The hook really regrouped: no batch exceeds the forced size.
+			d := countExchanges(c).since(before)
+			if d.batches == 0 || d.fetched > float64(d.batches)*float64(hint) {
+				t.Fatalf("hint=%d: %d batches carried %v rounds", hint, d.batches, d.fetched)
+			}
+			if hint == 1 && d.fetched-float64(d.wasted) != float64(len(groups)*rounds) {
+				t.Fatalf("hint=1: fetched %v, wasted %d, consumed %d×%d", d.fetched, d.wasted, len(groups), rounds)
+			}
+		}
+	}
+}
+
+// islandSet is a hand-built 2-shard set whose searches for "kw" run into
+// the two conditions that end a worker's batch early. A matched component
+// nobody reaches keeps the search from ever admitting everything. Acyclic,
+// the seeker's island is one edge to a friend who posted nothing: the
+// exploration is exhausted after a couple of rounds (the stop test passes
+// on that very round — nothing reachable can score — so the reason reads
+// threshold, but the batch must end there all the same). Cyclic, seeker
+// and friend follow each other (the border never empties), the friend's
+// one document leaves the selection short of k, and the unreached
+// component holds "kw" in so many fragments that its threshold outlasts the tail:
+// only the precision floor stops the search.
+func islandSet(t *testing.T, cyclic bool) (*snap.ShardSetSnapshot, string) {
+	t.Helper()
+	b := graph.NewBuilder(text.Analyzer{Lang: text.None})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := func(uri, user string, fragments int) {
+		root := &doc.Node{URI: uri, Keywords: []string{"kw"}}
+		for i := 1; i < fragments; i++ {
+			root.Children = append(root.Children, &doc.Node{Keywords: []string{"kw"}})
+		}
+		must(b.AddDocument(root))
+		must(b.AddPost(uri, user))
+	}
+	must(b.AddUser("seeker"))
+	must(b.AddUser("friend"))
+	must(b.AddUser("hermit"))
+	must(b.AddSocial("seeker", "friend", 1, ""))
+	if cyclic {
+		must(b.AddSocial("friend", "seeker", 1, ""))
+		post("near", "friend", 1)
+	}
+	post("far", "hermit", 4000)
+	in, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := writeSet(t, in, index.Build(in), 2)
+	set, err := snap.OpenShardSet(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	return set, manifestPath
+}
+
+// TestFinalizeAtConsumedRound: a batch that hits exhaustion or the
+// precision floor ends there — on the beginset as on a rounds RPC — so
+// the finalize that follows finds the worker at exactly the consumed
+// round: every executed round was consumed, none wasted.
+func TestFinalizeAtConsumedRound(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cyclic bool
+		reason core.StopReason
+	}{
+		{"exhausted", false, core.StopThreshold},
+		{"precision", true, core.StopPrecision},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set, manifestPath := islandSet(t, tc.cyclic)
+			in := set.Set.Base
+			seeker, _ := in.NIDOf("seeker")
+			groups, possible, err := core.ResolveKeywordGroups(in, []string{"kw"})
+			if err != nil || !possible {
+				t.Fatal("unusable query")
+			}
+			spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: exchangeK, Params: exchangeParams, Epsilon: 1e-12}
+			engines := []*core.Engine{
+				core.NewEngine(set.Set.Shards[0], set.Set.Indexes[0]),
+				core.NewEngine(set.Set.Shards[1], set.Set.Indexes[1]),
+			}
+			se, err := core.NewShardedEngine(engines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, rstats, err := se.Search(seeker, []string{"kw"}, core.Options{K: exchangeK, Params: exchangeParams})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rstats.Reason != tc.reason || rstats.Iterations%firstBatch == 0 {
+				t.Fatalf("fixture stops by %s after %d rounds, want %s mid-batch", rstats.Reason, rstats.Iterations, tc.reason)
+			}
+
+			urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0}, {1}})
+			c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 2, SetID: set.Set.Layout.SetID,
+				Client: &http.Client{Timeout: 10 * time.Second}, Registry: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Probe(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			sel, stats, err := c.Search(spec, core.CoordOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := metaTranscript(sel, stats), engineTranscript(rs, rstats); got != want {
+				t.Fatalf("answer diverged\nwant:\n%s\ngot:\n%s", want, got)
+			}
+			settle(t, workers)
+			d := countExchanges(c)
+			if d.wasted != 0 || d.fetched != float64(2*stats.Iterations) {
+				t.Fatalf("%d-round search: hosts returned %v rounds, %d unconsumed — the finalize did not find them at the consumed round",
+					stats.Iterations, d.fetched, d.wasted)
+			}
+			// The worker that matched stepped exactly the consumed rounds.
+			stepped := uint64(0)
+			for _, w := range workers {
+				stepped = max(stepped, w.iterSteps.Load())
+			}
+			if stepped != uint64(stats.Iterations) {
+				t.Fatalf("a worker stepped %d times for a %d-round search", stepped, stats.Iterations)
+			}
+		})
+	}
+}
+
+// TestBeginSetFailureLeavesNoSession: a beginset whose first batch fails
+// worker-side — here because the request is already cancelled — answers
+// an error and releases the session it had installed: the coordinator
+// never learned it was open and would never End it.
+func TestBeginSetFailureLeavesNoSession(t *testing.T) {
+	_, set, workers, servers := smallTopology(t)
+	spec := deepQuery(t, set, servers[0], 2)
+	w := workers[0]
+	settle(t, workers[:1])
+	steps := w.iterSteps.Load()
+
+	frame := encodeBeginSetRequest(beginSetRequest{searchID: 4242, shards: []int{0}, spec: spec, rounds: firstBatch})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, pathBeginSet, bytes.NewReader(frame)).WithContext(ctx)
+	req.Header.Set(frameCRCHeader, frameCRC(frame))
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, req)
+	if rec.Code == http.StatusOK {
+		t.Fatal("beginset with a failed first batch answered 200")
+	}
+	w.mu.Lock()
+	open := len(w.sessions)
+	w.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("failed beginset left %d sessions behind", open)
+	}
+	if got := w.iterSteps.Load() - steps; got != 0 {
+		t.Fatalf("worker stepped %d rounds for a cancelled request", got)
+	}
+}
+
+// gateCtx lets a test single-step a worker's round loop: the loop asks
+// its request context between rounds, and every ask parks here until the
+// test releases it.
+type gateCtx struct {
+	context.Context
+	arrive, release, quit chan struct{}
+}
+
+func (g *gateCtx) Err() error {
+	select {
+	case g.arrive <- struct{}{}:
+		select {
+		case <-g.release:
+		case <-g.quit:
+		}
+	case <-g.quit: // the test is over: never leave a handler parked
+	}
+	return g.Context.Err()
+}
+
+// TestCancelStopsWorkerStepping: a worker mid-batch whose coordinator
+// cancelled (client disconnect) stops stepping at the next round
+// boundary instead of finishing the batch for nobody.
+func TestCancelStopsWorkerStepping(t *testing.T) {
+	manifestPath, set, _, servers := smallTopology(t)
+	q := deepChaosQueries(t, chaosQueries(t, set))[0]
+
+	// Shard 1's worker, with its rounds handler gated round by round.
+	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: 1, Mode: snap.LoadMmap})
+	if err := w.Load(); err != nil {
+		t.Fatal(err)
+	}
+	arrive, release, quit := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	reqCtx := make(chan context.Context, 1)
+	inner := w.Handler()
+	gated := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == pathRounds {
+			reqCtx <- req.Context()
+			req = req.WithContext(&gateCtx{req.Context(), arrive, release, quit})
+		}
+		inner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(gated.Close)
+	t.Cleanup(func() { close(quit) }) // runs before gated.Close
+	coord := newCoordinator(t, set.Set.Layout, []string{servers[0].URL, gated.URL})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := coord.Search(q.spec, core.CoordOptions{Ctx: ctx})
+		done <- err
+	}()
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	// The search outlives its first batch, so a rounds RPC arrives and
+	// parks before its first round. Let two rounds run.
+	wait(arrive, "the rounds RPC")
+	base := w.iterSteps.Load()
+	for i := 0; i < 2; i++ {
+		release <- struct{}{}
+		wait(arrive, "the next round boundary")
+	}
+	if got := w.iterSteps.Load() - base; got != 2 {
+		t.Fatalf("worker stepped %d rounds across 2 releases", got)
+	}
+	// Cancel the search while the worker sits at a round boundary with most
+	// of its batch still to run; once the disconnect reaches the worker's
+	// request context, let it look.
+	cancel()
+	wait((<-reqCtx).Done(), "the worker to see the disconnect")
+	release <- struct{}{}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("cancelled search returned no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled search did not return")
+	}
+	ctxDrain, cancelDrain := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelDrain()
+	if err := w.Drain(ctxDrain); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.iterSteps.Load() - base; got != 2 {
+		t.Fatalf("worker stepped %d rounds of its batch after the cancel, want it to stop at the boundary (2)", got)
+	}
+}

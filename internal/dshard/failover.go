@@ -173,13 +173,15 @@ func (fx *failoverExecutor) markFailed(err error) {
 }
 
 // establishOn opens a replacement session on r and fast-forwards it to
-// the consumed round. Read-only on fx (the hedge goroutine calls it).
+// the consumed round. The session begins unplanned — no rounds ride on
+// its beginset, because replay must start from round 0 — and inherits the
+// current plan afterwards. Read-only on fx (the hedge goroutine calls it).
 func (fx *failoverExecutor) establishOn(r *hostShardView, consumed uint32) error {
-	r.PlanRounds(fx.planBatch, false)
 	info, err := r.Begin(fx.spec)
 	if err != nil {
 		return err
 	}
+	r.PlanRounds(fx.planBatch, false)
 	if fx.begun && info.Matched != fx.beginInfo.Matched {
 		return fmt.Errorf("dshard: %s: replica diverges on begin (matched %d, had %d)",
 			r.s.base, info.Matched, fx.beginInfo.Matched)

@@ -4,21 +4,25 @@
 // worker process — all of them in ONE session (/shard/v1/beginset), a
 // single shard being the one-member case. The worker drives the whole
 // group off a single shared proximity iterator — one Step per round
-// feeds every co-hosted shard — and one /shard/v1/rounds RPC per batch
-// returns a RoundInfo per member per round. Coordinator-side, the
+// feeds every co-hosted shard — and every batch returns a RoundInfo per
+// member per round: the first rides on the beginset reply (when the
+// coordinator planned one before Begin), the rest are one
+// /shard/v1/rounds RPC each. Coordinator-side, the
 // shared session is split back into per-shard views (hostShardView) so
 // core.Coordinate and the failover wrapper keep seeing one
 // ShardExecutor per shard: the views serialize on the session, the
 // first one to need a round fetches for all, and the others consume
 // from the shared buffer without touching the wire.
 //
-// The reply's per-round infos are buffered and Round() hands them back
-// one at a time — core.Coordinate replays every per-round stop decision
+// A batch's per-round infos are buffered and Round() hands them back one
+// at a time — core.Coordinate replays every per-round stop decision
 // locally, so how rounds are grouped into RPCs never changes an answer.
-// When speculation is allowed, the next batch is issued as soon as the
-// buffer drains (the worker computes round r+1 while the coordinator
-// merges round r); a late stop wastes at most one in-flight batch, which
-// End drains and counts.
+// Batches are as large as the coordinator's plan allows; the worker cuts
+// one short only at exhaustion or the precision floor. When speculation
+// is allowed, the next batch is issued as soon as the buffer drains (this
+// host computes it while the scatter still waits on a slower one). A stop
+// therefore leaves at most the rest of one batch plus one in-flight batch
+// executed but unconsumed — worker CPU only, which End drains and counts.
 //
 // Failover stays per shard: a view that fails (or whose whole host
 // dies) is abandoned individually and its failoverExecutor re-begins a
@@ -72,9 +76,13 @@ type hostSession struct {
 	lat        *latRing
 	metrics    *rpcMetrics
 
-	// batchHint / wantSpec are the coordinator loop's PlanRounds state.
+	// batchHint / wantSpec are the coordinator loop's PlanRounds state;
+	// the hint is 0 until the first plan, and a session begun unplanned
+	// asks for no rounds on its beginset. batchCap, when positive, clips
+	// every hint (tests force a grouping with it).
 	batchHint atomic.Int32
 	wantSpec  atomic.Bool
+	batchCap  int
 
 	mu sync.Mutex
 	// err is the first transport-class error the session hit: once set,
@@ -87,7 +95,8 @@ type hostSession struct {
 
 	// Collective begin: the first view to call Begin posts the beginset
 	// frame; the others pick up the stored per-member infos (or the
-	// stored error — a failed beginset fails every member).
+	// stored error — a failed beginset fails every member). Rounds the
+	// reply carried are already in the round buffer below.
 	beginDone  bool
 	beginInfos []core.BeginInfo
 	beginErr   error
@@ -129,7 +138,6 @@ type hostShardView struct {
 func newHostSession(ctx context.Context, client *http.Client, base string, searchID uint64, shards []int) *hostSession {
 	rctx, cancel := context.WithCancel(ctx)
 	s := &hostSession{client: client, base: base, searchID: searchID, shards: shards, ctx: rctx, cancel: cancel}
-	s.batchHint.Store(1)
 	for i := range shards {
 		s.views = append(s.views, &hostShardView{s: s, idx: i})
 	}
@@ -143,7 +151,7 @@ func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int,
 	s := newHostSession(ctx, c.client, ref.url, c.nextSearchID(), shards)
 	s.rpcTimeout = c.cfg.RPCTimeout
 	s.traceID, s.budget = traceID, budget
-	s.lat, s.metrics = &ref.lat, c.metrics
+	s.lat, s.metrics, s.batchCap = &ref.lat, c.metrics, c.batchCap
 	if len(shards) > 1 {
 		c.metrics.addHostSession()
 	}
@@ -196,7 +204,8 @@ func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
 
 func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *obs.Span, error) {
 	start := time.Now()
-	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID}
+	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID,
+		rounds: uint32(s.batchHint.Load())}
 	if s.budget > 0 {
 		// The grace keeps a worker from sweeping the session out from under
 		// the coordinator's own budget-stop finalize.
@@ -206,12 +215,22 @@ func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *ob
 	if err != nil {
 		return nil, nil, s.setErrLocked(err)
 	}
-	infos, sp, derr := decodeBeginSetReply(fb.b, len(s.shards), start)
+	infos, rows, sp, bsp, derr := decodeBeginSetReply(fb.b, len(s.shards), start)
 	putFrame(fb)
 	if derr != nil {
 		return nil, nil, s.setErrLocked(derr)
 	}
+	if len(rows) > 0 {
+		s.observeRounds(start, len(rows))
+		s.landLocked(hostRoundsResult{rows: rows, span: bsp})
+	}
 	return infos, sp, nil
+}
+
+// observeRounds records one round-carrying exchange (nil-safe metrics).
+func (s *hostSession) observeRounds(start time.Time, rounds int) {
+	s.metrics.observeBatch(rounds)
+	s.metrics.observeHostRPC(start, len(s.shards))
 }
 
 // fetchRounds runs one batched fetch: up to batch rounds starting at
@@ -221,7 +240,7 @@ func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *ob
 func (s *hostSession) fetchRounds(from uint32, batch int) hostRoundsResult {
 	start := time.Now()
 	req := getFrame()
-	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: from, max: uint32(batch)})
+	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: from, max: uint32(max(batch, 1))})
 	fb, err := s.post(epRounds, req.b)
 	putFrame(req)
 	if err != nil {
@@ -232,23 +251,12 @@ func (s *hostSession) fetchRounds(from uint32, batch int) hostRoundsResult {
 	if err != nil {
 		return hostRoundsResult{err: err}
 	}
-	s.metrics.observeBatch(len(rows))
-	s.metrics.observeHostRPC(start, len(s.shards))
+	s.observeRounds(start, len(rows))
 	return hostRoundsResult{rows: rows, span: sp}
 }
 
-// fillLocked lands the next batch in the shared buffer: the outstanding
-// speculative fetch if one is in flight, a fresh fetch otherwise. The
-// session mutex stays held across the RPC on purpose — sibling views
-// blocking on it need exactly the rounds this fetch returns.
-func (s *hostSession) fillLocked() error {
-	var res hostRoundsResult
-	if ch := s.pre; ch != nil {
-		s.pre = nil
-		res = <-ch
-	} else {
-		res = s.fetchRounds(s.fetched+1, int(s.batchHint.Load()))
-	}
+// landLocked appends one batch to the shared buffer.
+func (s *hostSession) landLocked(res hostRoundsResult) error {
 	if res.err != nil {
 		return s.setErrLocked(res.err)
 	}
@@ -256,6 +264,18 @@ func (s *hostSession) fillLocked() error {
 	s.fetched += uint32(len(res.rows))
 	s.batchSpan = res.span
 	return nil
+}
+
+// fillLocked lands the next batch in the shared buffer: the outstanding
+// speculative fetch if one is in flight, a fresh fetch otherwise. The
+// session mutex stays held across the RPC on purpose — sibling views
+// blocking on it need exactly the rounds this fetch returns.
+func (s *hostSession) fillLocked() error {
+	if ch := s.pre; ch != nil {
+		s.pre = nil
+		return s.landLocked(<-ch)
+	}
+	return s.landLocked(s.fetchRounds(s.fetched+1, int(s.batchHint.Load())))
 }
 
 // Round implements core.ShardExecutor: this member's next round, fetched
@@ -306,15 +326,10 @@ func (s *hostSession) pruneLocked() {
 // maybeSpeculateLocked issues the group's single speculative prefetch
 // once every live view has drained the buffer (lockstep means they all
 // arrive within one merge of each other) and the just-consumed round
-// still looks continuable. The fetch is issued at the moment the buffer
-// drains, not when a reply lands: the coordinator burns only merge time
-// between draining the buffer and asking for the next round, so issuing
-// earlier would buy microseconds of overlap — while sizing and gating
-// the prefetch with a batch hint and a speculation permission that go a
-// whole buffer stale. Late issue means both reflect the coordinator's
-// stop outlook as of the round just handed back, which keeps a search
-// that is visibly approaching its threshold from leaving a batch burning
-// a whole host's worth of shard CPU behind the stop.
+// still looks continuable. What it buys is overlap across hosts: this
+// host computes its next batch while the coordinator's scatter still
+// waits on a slower one. At most one is ever outstanding, so a stop
+// leaves at most one speculative batch behind.
 func (s *hostSession) maybeSpeculateLocked(info core.RoundInfo) {
 	if s.pre != nil || !s.wantSpec.Load() || info.Done || info.Tail < 1e-15 {
 		return
@@ -335,8 +350,9 @@ func (s *hostSession) maybeSpeculateLocked(info core.RoundInfo) {
 // RoundInfo per member in the reply. Every finalize-reaching stop
 // (exhaustion, budget, precision) leaves the worker exactly at the
 // consumed round: batches are capped at MaxIterations, budgeted searches
-// run unbatched, and the worker itself stops a batch at exhaustion or
-// the precision floor — so the buffer is empty here by construction.
+// run unbatched (and open with no rounds on the beginset), and the worker
+// itself stops a batch at exhaustion or the precision floor — so the
+// buffer is empty here by construction.
 func (v *hostShardView) Finalize() (core.RoundInfo, error) {
 	s := v.s
 	s.mu.Lock()
@@ -465,10 +481,13 @@ func (v *hostShardView) FastForward(upto uint32) error {
 	return nil
 }
 
-// PlanRounds implements core.RoundPlanner: the coordinator's hint for the
+// PlanRounds implements core.RoundPlanner: the coordinator's plan for the
 // next fetch, set before every scatter. Lockstep hands every member the
 // same plan each scatter, so last-write-wins stores are exact.
 func (v *hostShardView) PlanRounds(batch int, speculate bool) {
+	if c := v.s.batchCap; c > 0 {
+		batch = min(batch, c)
+	}
 	v.s.batchHint.Store(int32(min(max(batch, 1), maxBatchRounds)))
 	v.s.wantSpec.Store(speculate)
 }

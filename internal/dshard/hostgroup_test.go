@@ -314,9 +314,14 @@ func TestHostSharedProxCacheBudget(t *testing.T) {
 }
 
 // TestChaosKillMultiShardWorker kills the round endpoints of a worker
-// hosting BOTH shards after its f-th round RPC: every shard it carried
+// hosting BOTH shards after its f-th rounds RPC: every shard it carried
 // must fail over to the surviving host (re-begin + replay) and the
-// answer must stay byte-identical.
+// answer must stay byte-identical. The first 16 rounds of a search ride
+// on its beginset, so the battery is the queries that run deeper — each
+// sends the host it landed on exactly one rounds RPC, for round 17 on —
+// repeated until the victim (picked for every other search) has been
+// asked for more than f of them: the kill always lands mid-search, with
+// 16 consumed rounds to replay.
 func TestChaosKillMultiShardWorker(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -325,7 +330,7 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { set.Close() })
-	qs := chaosQueries(t, set)
+	qs := deepChaosQueries(t, chaosQueries(t, set))
 
 	for _, after := range []int{0, 1, 2, 4} {
 		// Two hosts, each hosting both shards (replicas of each other).
@@ -336,14 +341,17 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 			ft.Add(&faultnet.Rule{Host: victim, Path: path, After: after, Action: faultnet.Reset})
 		}
 		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
-		for qi, q := range qs {
-			sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
-			if err != nil {
-				t.Fatalf("after=%d query %d: %v", after, qi, err)
-			}
-			if got := metaTranscript(sel, stats); got != q.want {
-				t.Fatalf("after=%d query %d: answer diverged after multi-shard host kill\nwant:\n%s\ngot:\n%s",
-					after, qi, q.want, got)
+		for searches := 0; searches < 2*(after+2); {
+			for qi, q := range qs {
+				sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
+				if err != nil {
+					t.Fatalf("after=%d query %d: %v", after, qi, err)
+				}
+				if got := metaTranscript(sel, stats); got != q.want {
+					t.Fatalf("after=%d query %d: answer diverged after multi-shard host kill\nwant:\n%s\ngot:\n%s",
+						after, qi, q.want, got)
+				}
+				searches++
 			}
 		}
 		// The dead host carried both shards of at least one search: each

@@ -18,7 +18,7 @@
 // endpoints drive it, all POST with little-endian
 // application/octet-stream bodies:
 //
-//	/shard/v1/beginset  install a search  → one BeginInfo per member shard
+//	/shard/v1/beginset  install a search, advance ≤ B rounds → one BeginInfo per member shard, then as rounds replies
 //	/shard/v1/rounds    advance ≤ B rounds → per executed round, one RoundInfo per member
 //	/shard/v1/replay    fast-forward, no results → reached round ordinal
 //	/shard/v1/finalize  re-bound without stepping → one RoundInfo per member
@@ -28,8 +28,8 @@
 //
 // Frames:
 //
-//	beginset request   searchID u64 · nShards u32 · shard u32… · spec · [traceID u64 [deadlineµs u64]]
-//	beginset reply     nShards u32 · BeginInfo… · [span block]
+//	beginset request   searchID u64 · nShards u32 · shard u32… · spec · traceID u64 · deadlineµs u64 · rounds u32
+//	beginset reply     nShards u32 · BeginInfo… · nRounds u32 · RoundInfo… (round-major) · [span block [span block]]
 //	rounds request     searchID u64 · from u32 · max u32
 //	rounds reply       nRounds u32 · nShards u32 · RoundInfo… (round-major) · [span block]
 //	replay request     searchID u64 · from u32 · upto u32
@@ -37,10 +37,13 @@
 //	finalize request   searchID u64 · round u32 (end sends the same frame)
 //	finalize reply     nShards u32 · RoundInfo… · [span block]
 //
-// A rounds call advances until the batch bound, the first admission, a
-// kept-set change, exhaustion or the precision floor, and the coordinator
-// replays every returned round's stop decision locally — how rounds are
-// grouped into RPCs never changes an answer. Replay lets a replacement
+// A batch — the one riding on beginset or a rounds call — advances until
+// its bound, ending early only at exhaustion or the precision floor (where
+// the coordinator finalizes, and finalize needs the worker at exactly the
+// consumed round). The coordinator replays every returned round's stop
+// decision locally — how rounds are grouped into RPCs never changes an
+// answer, and rounds executed past the stop cost worker CPU only. Replay
+// lets a replacement
 // replica catch up on rounds the coordinator already consumed elsewhere:
 // identical FP ops over the shared substrate make the replayed state
 // bit-identical to the failed replica's. Every request names the round it
@@ -102,8 +105,9 @@ const (
 
 // protoVersion is the round-protocol version this build speaks ("proto" in
 // worker /healthz); the probe lists a worker on any other unhealthy. It also
-// bumps when only the floats in the frames change (7: ascending summation).
-const protoVersion = 7
+// bumps when only the floats in the frames change (7: ascending summation;
+// 8: beginset carries the first round batch, its trailing fields are fixed).
+const protoVersion = 8
 
 // maxHostShards caps the shard list of one host session; a conforming
 // coordinator never exceeds the set's shard count.
@@ -412,13 +416,15 @@ func decodeBeginInfoBody(d *dec) core.BeginInfo {
 // order. traceID, when non-zero, asks the worker to record (and return)
 // its spans under that trace; deadlineMicros, when non-zero, is the budget
 // from arrival after which the worker may abandon the session without
-// waiting for an End.
+// waiting for an End; rounds is the size of the round batch the worker
+// runs right after the begin and returns on the same reply (0: none).
 type beginSetRequest struct {
 	searchID       uint64
 	shards         []int
 	spec           core.SearchSpec
 	traceID        uint64
 	deadlineMicros uint64
+	rounds         uint32
 }
 
 func encodeBeginSetRequest(r beginSetRequest) []byte {
@@ -429,16 +435,9 @@ func encodeBeginSetRequest(r beginSetRequest) []byte {
 		e.u32(uint32(s))
 	}
 	encodeSpecBody(&e, r.spec)
-	// Optional trailing fields, in fixed order: trace id, then deadline.
-	// The deadline implies the trace id (written even when zero) so the
-	// decoder can tell the two 8-byte fields apart by count alone.
-	switch {
-	case r.deadlineMicros != 0:
-		e.u64(r.traceID)
-		e.u64(r.deadlineMicros)
-	case r.traceID != 0:
-		e.u64(r.traceID)
-	}
+	e.u64(r.traceID)
+	e.u64(r.deadlineMicros)
+	e.u32(r.rounds)
 	return e.b
 }
 
@@ -460,41 +459,54 @@ func decodeBeginSetRequest(b []byte) (beginSetRequest, error) {
 		r.shards = append(r.shards, s)
 	}
 	r.spec = decodeSpecBody(d)
-	if d.err == nil && d.off < len(d.b) {
-		r.traceID = d.u64()
-	}
-	if d.err == nil && d.off < len(d.b) {
-		r.deadlineMicros = d.u64()
+	r.traceID = d.u64()
+	r.deadlineMicros = d.u64()
+	r.rounds = d.u32()
+	if d.err == nil && r.rounds > maxBatchRounds {
+		d.fail("batch of %d rounds in beginset (cap %d)", r.rounds, maxBatchRounds)
 	}
 	return r, d.done()
 }
 
-// encodeBeginSetReply carries one BeginInfo per member shard, in the
-// request's shard-list order, plus the optional trailing span block.
-func encodeBeginSetReply(infos []core.BeginInfo) []byte {
-	var e enc
+// appendBeginSetReply carries one BeginInfo per member shard, in the
+// request's shard-list order, then the rounds the worker ran on the spot
+// (flat, round-major like a rounds reply; possibly none), plus — traced
+// sessions only — the begin's span block and then, when rounds ran, the
+// batch's.
+func appendBeginSetReply(b []byte, infos []core.BeginInfo, flat []core.RoundInfo) []byte {
+	e := enc{b: b}
 	e.u32(uint32(len(infos)))
 	for i := range infos {
 		encodeBeginInfoBody(&e, infos[i])
 	}
+	e.u32(uint32(len(flat) / len(infos)))
+	for i := range flat {
+		encodeRoundInfoBody(&e, flat[i])
+	}
 	return e.b
 }
 
-func decodeBeginSetReply(b []byte, nShards int, base time.Time) ([]core.BeginInfo, *obs.Span, error) {
+func decodeBeginSetReply(b []byte, nShards int, base time.Time) (infos []core.BeginInfo, rows [][]core.RoundInfo, begin, batch *obs.Span, err error) {
 	d := &dec{b: b}
 	n := int(d.u32())
 	if d.err == nil && n != nShards {
 		d.fail("beginset reply covers %d shards, session has %d", n, nShards)
 	}
-	infos := make([]core.BeginInfo, 0, min(n, maxHostShards))
+	infos = make([]core.BeginInfo, 0, min(n, maxHostShards))
 	for i := 0; i < n && d.err == nil; i++ {
 		infos = append(infos, decodeBeginInfoBody(d))
 	}
-	sp := decodeTrailingSpan(d, base)
-	if err := d.done(); err != nil {
-		return nil, nil, err
+	nr := int(d.u32())
+	if d.err == nil && nr > maxBatchRounds {
+		d.fail("%d rounds in beginset reply", nr)
 	}
-	return infos, sp, nil
+	rows = decodeRoundRows(d, nr, nShards)
+	begin = decodeTrailingSpan(d, base)
+	batch = decodeTrailingSpan(d, base)
+	if err := d.done(); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return infos, rows, begin, batch, nil
 }
 
 // --- rounds ---
@@ -562,9 +574,8 @@ func decodeRoundInfoBody(d *dec) core.RoundInfo {
 
 // roundsRequest asks a worker to advance up to max lockstep rounds,
 // starting from round `from` (which must be the next round in lockstep).
-// The worker may execute fewer — it returns early on the first admission,
-// kept-set change, exhaustion or the precision floor — but always at
-// least one.
+// The worker executes fewer only when the exploration is exhausted or hits
+// the precision floor inside the batch — but always at least one.
 type roundsRequest struct {
 	searchID uint64
 	from     uint32
@@ -603,6 +614,20 @@ func appendHostRoundsReply(b []byte, flat []core.RoundInfo, nShards int) []byte 
 	return e.b
 }
 
+// decodeRoundRows reads n round-major rows of nShards RoundInfos each; the
+// caller has bounded n.
+func decodeRoundRows(d *dec, n, nShards int) [][]core.RoundInfo {
+	rows := make([][]core.RoundInfo, 0, min(n, 64))
+	for i := 0; i < n && d.err == nil; i++ {
+		row := make([]core.RoundInfo, 0, nShards)
+		for j := 0; j < nShards && d.err == nil; j++ {
+			row = append(row, decodeRoundInfoBody(d))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.RoundInfo, *obs.Span, error) {
 	d := &dec{b: b}
 	n := int(d.u32())
@@ -613,14 +638,7 @@ func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.Roun
 	if d.err == nil && ns != nShards {
 		d.fail("host rounds reply covers %d shards, session has %d", ns, nShards)
 	}
-	rows := make([][]core.RoundInfo, 0, min(n, 64))
-	for i := 0; i < n && d.err == nil; i++ {
-		row := make([]core.RoundInfo, 0, nShards)
-		for j := 0; j < ns && d.err == nil; j++ {
-			row = append(row, decodeRoundInfoBody(d))
-		}
-		rows = append(rows, row)
-	}
+	rows := decodeRoundRows(d, n, nShards)
 	sp := decodeTrailingSpan(d, base)
 	if err := d.done(); err != nil {
 		return nil, nil, err

@@ -60,9 +60,8 @@ func sampleSpan() *obs.Span {
 // wireDecoder is one decoder of the protocol with a pristine frame for it.
 // check decodes b and fails the test if a frame that decoded WITHOUT error
 // violates the decoder's own caps or contract; optionalTail is how many
-// trailing bytes of frame are optional fields (a trace id, a deadline, a
-// span block), where a truncation may legitimately yield a valid shorter
-// frame.
+// trailing bytes of frame are optional (span blocks), where a truncation
+// may legitimately yield a valid shorter frame.
 type wireDecoder struct {
 	name         string
 	frame        []byte
@@ -87,11 +86,13 @@ func wireDecoders() []wireDecoder {
 		{
 			name: "beginset-request",
 			frame: encodeBeginSetRequest(beginSetRequest{searchID: 99, shards: []int{0, 2}, spec: spec,
-				traceID: 0xdeadbeef, deadlineMicros: 1_000_000}),
-			optionalTail: 16,
+				traceID: 0xdeadbeef, deadlineMicros: 1_000_000, rounds: 16}),
 			check: func(t *testing.T, b []byte) error {
 				r, err := decodeBeginSetRequest(b)
 				if err == nil {
+					if r.rounds > maxBatchRounds {
+						t.Fatalf("decoded a first batch of %d rounds without error", r.rounds)
+					}
 					if len(r.shards) == 0 || len(r.shards) > maxHostShards {
 						t.Fatalf("decoded %d shards without error", len(r.shards))
 					}
@@ -109,12 +110,22 @@ func wireDecoders() []wireDecoder {
 		},
 		{
 			name:         "beginset-reply",
-			frame:        append(encodeBeginSetReply(begins), span...),
-			optionalTail: len(span),
+			frame:        append(append(appendBeginSetReply(nil, begins, flat), span...), span...),
+			optionalTail: 2 * len(span),
 			check: func(t *testing.T, b []byte) error {
-				infos, _, err := decodeBeginSetReply(b, ns, base)
-				if err == nil && len(infos) != ns {
-					t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
+				infos, rows, _, _, err := decodeBeginSetReply(b, ns, base)
+				if err == nil {
+					if len(infos) != ns {
+						t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
+					}
+					if len(rows) > maxBatchRounds {
+						t.Fatalf("decoded %d rounds without error", len(rows))
+					}
+					for _, row := range rows {
+						if len(row) != ns {
+							t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
+						}
+					}
 				}
 				return err
 			},

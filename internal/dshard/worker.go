@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"s3/internal/core"
-	"s3/internal/graph"
 	"s3/internal/obs"
 	"s3/internal/proxcache"
 	"s3/internal/snap"
@@ -84,8 +83,8 @@ type WorkerConfig struct {
 // config leaves ProxCacheBytes zero (matches the serving layer).
 const DefaultProxCacheBytes int64 = 64 << 20
 
-// maxWorkerBatch caps how many rounds one /shard/v1/rounds call may
-// execute regardless of what the coordinator asked for: the session
+// maxWorkerBatch caps how many rounds one beginset, rounds or replay call
+// may execute regardless of what the coordinator asked for: the session
 // mutex is held for the whole batch, and a bounded batch keeps reloads
 // and sweeps responsive.
 const maxWorkerBatch = 64
@@ -142,63 +141,10 @@ type session struct {
 	// coordinator's speculative rounds, a crashed one's whole session).
 	deadline time.Time
 
-	// lastSigs / lastAdmits track each member shard's local selection
-	// across rounds, so a batched-rounds call can stop at the first round
-	// whose outcome the coordinator will want to react to (admission,
-	// kept-set or certainty change on ANY member).
-	lastSigs   []roundSig
-	lastAdmits []int
-
-	// Reply-encode scratch, reused across the session's batched-rounds
-	// calls: rowArena holds a batch's round-major blocks
-	// (HostExecutor.Round reuses its own scratch, so rows must be copied
-	// out per round), sigScratches recycle roundSig backing arrays.
-	rowArena     []core.RoundInfo
-	sigScratches [][]graph.NID
-}
-
-// roundSig is the reaction-worthy summary of one round's shard-local
-// state: the kept membership and the uncertainty marker. Bounds are
-// deliberately excluded — they tighten every round.
-type roundSig struct {
-	kept []graph.NID // sorted by id
-	unc  graph.NID   // -1 when the selection is certain
-}
-
-func keptSig(info core.RoundInfo) roundSig {
-	return keptSigInto(nil, info)
-}
-
-// keptSigInto builds the signature into buf's backing array (which may be
-// nil, or a previous signature's backing being recycled).
-func keptSigInto(buf []graph.NID, info core.RoundInfo) roundSig {
-	sig := roundSig{kept: buf[:0], unc: -1}
-	for _, c := range info.Kept {
-		sig.kept = append(sig.kept, c.Doc)
-	}
-	// Kept arrives best-first by upper bound; order shifts as bounds
-	// tighten without the membership changing, so compare as a set.
-	for i := 1; i < len(sig.kept); i++ {
-		for j := i; j > 0 && sig.kept[j] < sig.kept[j-1]; j-- {
-			sig.kept[j], sig.kept[j-1] = sig.kept[j-1], sig.kept[j]
-		}
-	}
-	if info.Uncertain != nil {
-		sig.unc = info.Uncertain.Doc
-	}
-	return sig
-}
-
-func (a roundSig) equal(b roundSig) bool {
-	if a.unc != b.unc || len(a.kept) != len(b.kept) {
-		return false
-	}
-	for i := range a.kept {
-		if a.kept[i] != b.kept[i] {
-			return false
-		}
-	}
-	return true
+	// rowArena is reply-encode scratch reused across the session's round
+	// batches: it holds a batch's round-major blocks (HostExecutor.Round
+	// reuses its own scratch, so rows must be copied out per round).
+	rowArena []core.RoundInfo
 }
 
 // Worker serves one shard of a set over the round protocol. Create with
@@ -604,18 +550,7 @@ func (w *Worker) handleBeginSet(rw http.ResponseWriter, req *http.Request) {
 	host.WithProxCache(w.prox).
 		WithStepCounter(&w.iterSteps).
 		WithCounters(touched, rounds)
-	s := &session{
-		gen:          gen,
-		host:         host,
-		shards:       r.shards,
-		lastUsed:     time.Now(),
-		lastSigs:     make([]roundSig, len(r.shards)),
-		lastAdmits:   make([]int, len(r.shards)),
-		sigScratches: make([][]graph.NID, len(r.shards)),
-	}
-	for i := range s.lastSigs {
-		s.lastSigs[i] = roundSig{unc: -1}
-	}
+	s := &session{gen: gen, host: host, shards: r.shards, lastUsed: time.Now()}
 	if r.traceID != 0 {
 		host.WithTracing(true)
 		s.trace = obs.NewTraceWithID(r.traceID, "worker.search")
@@ -651,7 +586,34 @@ func (w *Worker) handleBeginSet(rw http.ResponseWriter, req *http.Request) {
 		w.warmResumes.Add(1)
 	}
 	w.searches.Add(1)
-	writeFrame(rw, appendSpanBlock(encodeBeginSetReply(infos), w.takeHostSpan(s, "exec.beginset")))
+	beginSpan := w.takeHostSpan(s, "exec.beginset")
+	// The first round batch rides on the session open — unless nobody here
+	// matched: such a host is stepped only if another host of the set has
+	// matches, and until then it opens no iterator.
+	matched := 0
+	for _, info := range infos {
+		matched += info.Matched
+	}
+	out := getFrame()
+	defer putFrame(out)
+	s.mu.Lock()
+	var flat []core.RoundInfo
+	var batchSpan *obs.Span
+	if r.rounds > 0 && matched > 0 {
+		flat, batchSpan, err = w.stepRounds(req.Context(), s, int(r.rounds))
+	}
+	if err == nil {
+		out.b = appendBeginSetReply(out.b[:0], infos, flat)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		// The coordinator never learns this session opened: release it.
+		w.dropSession(r.searchID)
+		writeErr(rw, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	out.b = appendSpanBlock(appendSpanBlock(out.b, beginSpan), batchSpan)
+	writeFrame(rw, out.b)
 }
 
 // lookup fetches a session and bumps its liveness.
@@ -675,14 +637,58 @@ func (w *Worker) dropSession(id uint64) {
 	}
 }
 
-// handleRounds advances up to max lockstep rounds, returning early at the
-// first round the coordinator will want to react to — an admission, a
-// kept-set or certainty change, graph exhaustion or the precision floor on
-// ANY member shard. Each executed round advances every member off ONE
-// iterator step, and the reply carries one RoundInfo block per member per
-// round, so the coordinator's stop logic replays each round exactly as if
-// it had been fetched alone; early exit is a latency/waste heuristic,
-// never a correctness requirement.
+// stepRounds advances the session up to limit lockstep rounds (s.mu held):
+// the one round loop behind a beginset's first batch and a rounds call.
+// Each round advances every member off ONE iterator step and contributes
+// one RoundInfo block per member to the returned round-major arena, so the
+// coordinator's stop logic replays each round exactly as if it had been
+// fetched alone. The batch runs to its bound — rounds past the search's
+// stop cost CPU only — except where the coordinator will finalize:
+// exhaustion and the precision floor end it, because finalize needs the
+// session at exactly the consumed round. A request whose context is done
+// (client disconnect, RPC timeout, hedge loser) stops stepping at the next
+// round boundary: nobody will read the reply, and the coordinator never
+// resumes such a session.
+func (w *Worker) stepRounds(ctx context.Context, s *session, limit int) ([]core.RoundInfo, *obs.Span, error) {
+	// HostExecutor.Round reuses its own infos scratch, so each round's
+	// blocks are copied into the session's arena before the next round
+	// overwrites them.
+	arena := s.rowArena[:0]
+	var batchSpan *obs.Span
+	for n := min(limit, maxWorkerBatch); n > 0; n-- {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		infos, err := s.host.Round()
+		if err != nil {
+			return nil, nil, err
+		}
+		s.round++
+		if wrap := hostCallSpan(s.host, "exec.round"); wrap != nil {
+			if batchSpan == nil {
+				batchSpan = obs.NewSpan("exec.rounds")
+			}
+			batchSpan.Attach(wrap)
+		}
+		arena = append(arena, infos...)
+		// Members share the iterator: its state is the same in every block.
+		if infos[0].Done || infos[0].Tail < 1e-15 {
+			break
+		}
+	}
+	s.rowArena = arena
+	if batchSpan != nil {
+		batchSpan.SetInt("rounds", int64(len(arena)/len(s.shards)))
+		batchSpan.End()
+		if s.trace != nil {
+			s.trace.Span().Attach(batchSpan)
+		}
+	}
+	return arena, batchSpan, nil
+}
+
+// handleRounds advances the session by one batch of lockstep rounds (see
+// stepRounds) from the round the request names.
 func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 	defer w.rpcSeconds[epRounds].ObserveSince(time.Now())
 	fb, ok := readFrame(rw, req)
@@ -708,54 +714,13 @@ func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.from)
 		return
 	}
-	maxRounds := min(int(r.max), maxWorkerBatch)
-	// HostExecutor.Round reuses its own infos scratch, so each round's
-	// blocks are copied into the session's round-major arena before the
-	// next round overwrites them.
-	arena := s.rowArena[:0]
-	nRounds := 0
-	var batchSpan *obs.Span
-	for nRounds < maxRounds {
-		infos, err := s.host.Round()
-		if err != nil {
-			s.rowArena = arena
-			writeErr(rw, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.round++
-		if wrap := hostCallSpan(s.host, "exec.round"); wrap != nil {
-			if batchSpan == nil {
-				batchSpan = obs.NewSpan("exec.rounds")
-			}
-			batchSpan.Attach(wrap)
-		}
-		arena = append(arena, infos...)
-		nRounds++
-		stop := false
-		for i, info := range infos {
-			sig := keptSigInto(s.sigScratches[i], info)
-			if info.Done || info.Tail < 1e-15 ||
-				info.Admitted > s.lastAdmits[i] || !sig.equal(s.lastSigs[i]) {
-				stop = true
-			}
-			s.sigScratches[i] = s.lastSigs[i].kept
-			s.lastSigs[i] = sig
-			s.lastAdmits[i] = info.Admitted
-		}
-		if stop {
-			break
-		}
-	}
-	s.rowArena = arena
-	if batchSpan != nil {
-		batchSpan.SetInt("rounds", int64(nRounds))
-		batchSpan.End()
-		if s.trace != nil {
-			s.trace.Span().Attach(batchSpan)
-		}
+	flat, batchSpan, err := w.stepRounds(req.Context(), s, int(r.max))
+	if err != nil {
+		writeErr(rw, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	out := getFrame()
-	frame := appendSpanBlock(appendHostRoundsReply(out.b[:0], arena, len(s.shards)), batchSpan)
+	frame := appendSpanBlock(appendHostRoundsReply(out.b[:0], flat, len(s.shards)), batchSpan)
 	writeFrame(rw, frame)
 	out.b = frame
 	putFrame(out)
@@ -765,12 +730,10 @@ func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 // round `from` up to (at most) round `upto`, discarding the per-round
 // infos — the coordinator already consumed them on the replica that
 // failed, and the shared-substrate determinism makes the replayed state
-// bit-identical. Unlike handleRounds there is no early exit on
-// coordinator-visible events: the target is always a round the original
-// timeline actually executed, so the session must land exactly there.
-// At most maxWorkerBatch rounds run per call (bounding how long the
-// session mutex is held); the reply reports the reached round and the
-// coordinator loops.
+// bit-identical. The target is always a round the original timeline
+// actually executed, so the session lands exactly there. At most
+// maxWorkerBatch rounds run per call (bounding how long the session mutex
+// is held); the reply reports the reached round and the coordinator loops.
 func (w *Worker) handleReplay(rw http.ResponseWriter, req *http.Request) {
 	defer w.rpcSeconds[epReplay].ObserveSince(time.Now())
 	fb, ok := readFrame(rw, req)
@@ -795,18 +758,11 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for executed := 0; s.round < r.upto && executed < maxWorkerBatch; executed++ {
-		infos, err := s.host.Round()
-		if err != nil {
+		if _, err := s.host.Round(); err != nil {
 			writeErr(rw, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		s.round++
-		// Keep the batch-stop state coherent so the resumed lockstep's
-		// batched fetches see the same signatures the original would have.
-		for i, info := range infos {
-			s.lastSigs[i] = keptSig(info)
-			s.lastAdmits[i] = info.Admitted
-		}
 		w.takeHostSpan(s, "exec.round") // retained in the session trace
 	}
 	writeFrame(rw, encodeReplayReply(replayReply{round: s.round}))

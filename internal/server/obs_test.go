@@ -402,8 +402,10 @@ func TestDistributedObservability(t *testing.T) {
 	if !hexID.MatchString(resp.TraceID) || resp.Trace == nil {
 		t.Fatalf("traced distributed search returned no trace: id=%q", resp.TraceID)
 	}
-	if resp.Iterations < 1 {
-		t.Fatalf("iterations = %d, want >= 1", resp.Iterations)
+	// The first 16 rounds ride on the beginset replies; the rounds-endpoint
+	// assertions below need a search that outlives them.
+	if resp.Iterations <= 16 {
+		t.Fatalf("iterations = %d, want a search that outlives its first round batch (> 16)", resp.Iterations)
 	}
 
 	// One stitched tree: a coordinator round span holds per-shard scatter
@@ -420,9 +422,19 @@ func TestDistributedObservability(t *testing.T) {
 	if exec := findSpan(shard, "exec."); exec == nil {
 		t.Fatalf("shard span carries no worker-side exec span — trace did not cross the wire: %+v", shard)
 	}
+	// The rounds a worker ran on the session open crossed the wire in the
+	// beginset reply and surface under the first round, one exec.round per
+	// executed round — not under begin.
+	batch := findSpan(round, "exec.rounds")
+	if batch == nil || batch.Attrs["rounds"] != "16" || len(batch.Children) != 16 {
+		t.Fatalf("first round does not carry the beginset's 16-round batch: %+v", batch)
+	}
 	begin := findSpan(resp.Trace, "begin")
 	if begin == nil || findSpan(begin, "exec.") == nil {
 		t.Fatal("begin phase lost its worker-side spans")
+	}
+	if findSpan(begin, "exec.round") != nil {
+		t.Fatal("begin phase swallowed the first batch's round spans")
 	}
 
 	// Coordinator-mode /metrics: HTTP outcome + engine rounds + wire RPC
@@ -447,9 +459,14 @@ func TestDistributedObservability(t *testing.T) {
 	if got := samples[`s3_coord_rpc_bytes_total{direction="recv",endpoint="rounds"}`]; got <= 0 {
 		t.Fatalf("recv bytes on rounds endpoint = %v, want > 0", got)
 	}
-	// The batch-size histogram fires once per rounds RPC.
-	if got := samples["s3_coord_round_batch_count"]; got < 1 {
-		t.Fatalf("s3_coord_round_batch_count = %v, want >= 1", got)
+	// The batch-size histogram fires once per round-carrying exchange:
+	// each host's beginset (16 rounds) and each rounds RPC.
+	beginsets, roundRPCs := samples[`s3_coord_rpc_seconds_count{endpoint="beginset"}`], samples[`s3_coord_rpc_seconds_count{endpoint="rounds"}`]
+	if got := samples["s3_coord_round_batch_count"]; beginsets != 2 || got != beginsets+roundRPCs {
+		t.Fatalf("s3_coord_round_batch_count = %v, want %v beginsets + %v rounds RPCs", got, beginsets, roundRPCs)
+	}
+	if got := samples["s3_coord_round_batch_sum"]; got < 2*float64(resp.Iterations) {
+		t.Fatalf("s3_coord_round_batch_sum = %v, want >= %d (every consumed round of both hosts)", got, 2*resp.Iterations)
 	}
 
 	// Worker /metrics: the round protocol's server side.

@@ -32,7 +32,7 @@ go build -o "$tmp/s3faultproxy" ./cmd/s3faultproxy
 # Two host-grouped workers, replicas of each other: each hosts both
 # shards off one substrate mapping. Host A (18181) is only reachable
 # through the proxy, which adds a little per-write latency so that
-# connection kills land while rounds are in flight.
+# connection kills land while a search's exchanges are in flight.
 "$tmp/s3serve" -shardset "$tmp/i.set" -shards-of 0,1 -addr 127.0.0.1:18181 2>"$tmp/w0.log" &
 W0=$!
 PIDS="$PIDS $W0"
