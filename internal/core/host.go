@@ -135,7 +135,7 @@ func (h *HostExecutor) NumShards() int { return len(h.members) }
 
 // WithProxCache wires the process-wide seeker-proximity checkpoint cache:
 // the shared iterator resumes from it when opened and publishes back at
-// End. Replayed layers are bit-identical to a fresh exploration, so round
+// End. Replayed depths are bit-identical to a fresh exploration, so round
 // responses do not change. One budget covers every hosted shard, because
 // there is only one exploration to checkpoint.
 func (h *HostExecutor) WithProxCache(pc *proxcache.Cache) *HostExecutor {
@@ -249,9 +249,10 @@ func (h *HostExecutor) iter() *score.Iterator {
 // resumed from the deepest cached checkpoint when there is a cache
 // (recording either way, so the search can publish its final frontier
 // back), plain otherwise. Resuming is transparent to the rounds — replayed
-// Steps yield bit-identical state and discovery order, they just skip the
+// Steps yield bit-identical prox≤n and discovery order, they just skip the
 // matrix propagation. The returned depth is what the cache already covers
-// (0 on a cold start); publication is worthwhile only beyond it.
+// (0 on a cold start); publication is worthwhile only beyond it. Every
+// opened iterator goes back through closeIterator.
 func openIterator(pool *sync.Pool, in *graph.Instance, seeker graph.NID, params score.Params, pc *proxcache.Cache) (*score.Iterator, proxcache.Key, int) {
 	it, _ := pool.Get().(*score.Iterator)
 	if it == nil {
@@ -269,6 +270,21 @@ func openIterator(pool *sync.Pool, in *graph.Instance, seeker graph.NID, params 
 	}
 	it.Reset(in, params, seeker, true)
 	return it, ckey, 0
+}
+
+// closeIterator ends an exploration opened by openIterator: its frontier
+// goes to the cache — only when it deepened what the cache covered (one
+// that stopped within the resumed depth would copy the layers just to lose
+// the deepen-only race against itself) — and the iterator back to the
+// pool, holding nothing of the checkpoint it resumed or published: a
+// pooled iterator must not pin an entry the cache evicts or purges, nor
+// offer its next user a snapshot the cache owns as a work vector.
+func closeIterator(pool *sync.Pool, it *score.Iterator, pc *proxcache.Cache, ckey proxcache.Key, covered int) {
+	if pc != nil && it.RecordedDepth() > covered {
+		pc.Put(ckey, it.Checkpoint())
+	}
+	it.Release()
+	pool.Put(it)
 }
 
 // roundState is what a round's readers take from the shared exploration.
@@ -394,13 +410,11 @@ func (h *HostExecutor) Finalize() ([]RoundInfo, error) {
 	return infos, nil
 }
 
-// End closes the search: per-member state is dropped and the shared
-// iterator's frontier goes back to the cache — only when the search
-// deepened it (a warm search that stopped within the resumed depth would
-// copy the layers just to lose the deepen-only race against itself).
-// Publication is deepen-only, so concurrent searches racing to publish
-// can only improve the cache. Idempotent, and called only after every
-// round gathered.
+// End closes the search: per-member state is dropped, the shared
+// iterator's frontier goes back to the cache if the search deepened it,
+// and the iterator to the pool (closeIterator). Publication is
+// deepen-only, so concurrent searches racing to publish can only improve
+// the cache. Idempotent, and called only after every round gathered.
 func (h *HostExecutor) End() {
 	if h.owner == nil {
 		return
@@ -409,12 +423,8 @@ func (h *HostExecutor) End() {
 		x.reset()
 	}
 	if h.it != nil {
-		if h.pc != nil && h.it.RecordedDepth() > h.resumedN {
-			h.pc.Put(h.ckey, h.it.Checkpoint())
-		}
-		// Every round has gathered, so nobody reads AllProx any more, and
-		// the checkpoint shares nothing with the iterator's vectors.
-		h.iters.Put(h.it)
+		// Every round has gathered, so nobody reads AllProx any more.
+		closeIterator(h.iters, h.it, h.pc, h.ckey, h.resumedN)
 	}
 	h.it, h.owner = nil, nil
 }

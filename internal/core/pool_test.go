@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,4 +115,59 @@ func TestPooledIteratorsAcrossReload(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPooledIteratorHoldsNoCheckpoint: a warm search that stops inside the
+// recorded depth ends with its iterator reading a snapshot the cache
+// owns. End must hand the pool an iterator that has let go of it: the
+// next explorations on that iterator — driven directly, then by cold and
+// warm searches of another seeker — write only the iterator's own
+// vectors, so the cached entry still answers like a cold search.
+func TestPooledIteratorHoldsNoCheckpoint(t *testing.T) {
+	// One P, so what End puts in the pool is what the next Get finds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	params := score.DefaultParams()
+	opts := Options{K: 5, Params: params}
+	// Large enough for saturated, snapshot-form depths.
+	e := twitterEngine(t, 150, 600, 5)
+	seekers, kwSets := queries(e.in)
+	a, b, kws := seekers[0], seekers[1], kwSets[0]
+	ref := NewEngine(e.in, e.ix)
+	wantRs, wantSt, err := ref.Search(a, kws, opts)
+	must(t, err)
+	want := transcript(wantRs, wantSt)
+
+	pc := proxcache.New(64 << 20)
+	warm := opts
+	warm.ProxCache = pc
+	if depth, seeded := e.WarmProximity(pc, a, params, 3*wantSt.Iterations); !seeded || depth < wantSt.Iterations {
+		t.Fatalf("warmed to depth %d (seeded %v), the search needs %d", depth, seeded, wantSt.Iterations)
+	}
+	for pass := 0; pass < 3; pass++ {
+		rs, st, err := e.Search(a, kws, warm)
+		must(t, err)
+		if st.ResumedDepth < st.Iterations {
+			t.Fatalf("pass %d: the warm search left the recorded depth", pass)
+		}
+		if got := transcript(rs, st); got != want {
+			t.Fatalf("pass %d: warm answer\n%swant\n%s", pass, got, want)
+		}
+		// Whatever the pool now holds explores another seeker, deeply.
+		if it, _ := e.iters.Get().(*score.Iterator); it != nil {
+			it.Reset(e.in, params, b, false)
+			for d := 0; d < 12 && !it.Done(); d++ {
+				it.Step()
+			}
+			e.iters.Put(it)
+		} else if !raceEnabled {
+			t.Fatal("the warm search returned no iterator to the pool")
+		}
+		_, _, err = e.Search(b, kws, opts)
+		must(t, err)
+		_, _, err = e.Search(b, kws, warm)
+		must(t, err)
+	}
+	if st := pc.Stats(); st.Hits < 3 {
+		t.Fatalf("warm searches hit the cache %d times, want ≥ 3", st.Hits)
+	}
 }

@@ -241,11 +241,11 @@ func checkQuery(in *graph.Instance, seeker graph.NID, k int) error {
 // WarmProximity pre-explores a seeker's social neighbourhood to the given
 // depth (bounded by graph exhaustion and the precision floor) and
 // publishes the frontier into the cache, deepening any existing
-// checkpoint. The next search for (seeker, params) replays the recorded
-// layers instead of propagating the matrix. It returns the depth now
-// covered by the cache for the key (0 when warming is not possible) and
-// whether this call actually deepened it — a no-op on an already-covered
-// key reports seeded == false.
+// checkpoint, on a pooled iterator like a search's. The next search for
+// (seeker, params) replays the recorded depths instead of propagating the
+// matrix. It returns the depth now covered by the cache for the key (0
+// when warming is not possible) and whether this call actually deepened
+// it — a no-op on an already-covered key reports seeded == false.
 func (e *Engine) WarmProximity(pc *proxcache.Cache, seeker graph.NID, params score.Params, maxDepth int) (depth int, seeded bool) {
 	if pc == nil || maxDepth <= 0 {
 		return 0, false
@@ -256,28 +256,15 @@ func (e *Engine) WarmProximity(pc *proxcache.Cache, seeker graph.NID, params sco
 	if err := params.Validate(); err != nil {
 		return 0, false
 	}
-	key := proxcache.Key{Seeker: seeker, Params: params}
-	var it *score.Iterator
-	covered := 0
-	if cp := pc.Get(key, e.in); cp != nil {
-		if cp.N() >= maxDepth {
-			return cp.N(), false
-		}
-		covered = cp.N()
-		it, _ = score.ResumeIterator(e.in, cp)
-	}
-	if it == nil {
-		it = score.NewRecordingIterator(e.in, params, seeker)
-	}
+	it, key, covered := openIterator(&e.iters, e.in, seeker, params, pc)
 	for !it.Done() && it.N() < maxDepth && it.TailBound() >= 1e-15 {
 		it.Step()
 	}
-	if it.RecordedDepth() <= covered {
-		// The graph was exhausted within the covered depth: nothing new.
-		return covered, false
-	}
-	pc.Put(key, it.Checkpoint())
-	return it.N(), true
+	// Nothing is new when the cache already covered maxDepth, or the graph
+	// was exhausted within the covered depth.
+	depth = it.RecordedDepth()
+	closeIterator(&e.iters, it, pc, key, covered)
+	return depth, depth > covered
 }
 
 // CandidateCount returns how many distinct documents satisfy the

@@ -3,19 +3,25 @@
 // The §5.2 borderProx exploration is the dominant serial cost of
 // candidate-heavy queries, and real social-search workloads are heavily
 // seeker-skewed: the same user issues many queries in a row. A Cache maps
-// (seeker, damping params) to the deepest recorded exploration frontier
+// (seeker, damping params) to the deepest recorded exploration
 // (score.ProxCheckpoint) seen so far, so a repeated-seeker search replays
-// the recorded layers instead of re-propagating the matrix from depth 0 —
-// with answers bit-identical to the cold path, because replay performs the
-// exact floating-point operations of a fresh exploration.
+// the recorded depths instead of re-propagating the matrix from depth 0 —
+// with answers bit-identical to the cold path, because what a replayed
+// step yields is the recording search's own prox≤d vector (a saturated
+// depth, adopted without touching a cell) or the same fold over the same
+// border (a narrow depth).
 //
-// Checkpoints are large (the recorded layers sum to O(reached nodes) per
-// depth), so the cache budget is in bytes, not entries, and eviction is
-// LRU by memory. Replacement is deepen-only: a shallower checkpoint never
-// overwrites a deeper one for the same key, so concurrent searches racing
-// to publish can only improve the cache. Entries recorded over a stale
-// instance generation (after a hot reload) are detected on lookup and
-// dropped — the instance pointer is part of checkpoint identity.
+// Checkpoints are large — 8·N bytes per saturated depth, 12 per border
+// cell of a narrow one, whichever is smaller depth by depth, plus the
+// border of the last depth — so the cache budget is in bytes, not
+// entries, and eviction is LRU by memory. Entries are immutable and
+// shared: a search reads a cached snapshot in place, concurrently with
+// others, and keeps no reference past its End. Replacement is
+// deepen-only: a shallower checkpoint never overwrites a deeper one for
+// the same key, so concurrent searches racing to publish can only improve
+// the cache. Entries recorded over a stale instance generation (after a
+// hot reload) are detected on lookup and dropped — the instance pointer
+// is part of checkpoint identity.
 package proxcache
 
 import (

@@ -2,37 +2,51 @@
 // exploration that a later search from the same seeker can resume instead
 // of re-propagating from depth 0.
 //
-// A checkpoint does not store the dense prox≤n vector — it stores the
-// recorded border *layers* (per depth: the reached nodes in ascending id
-// plus their borderProx values). Resuming replays those layers one Step
-// at a time through the same fold a propagated step ends in (Iterator's
-// reach), over the same cells in the same ascending order, so the
-// iterator state at every depth — and therefore every answer computed
-// from it — is bit-identical to the cold path. Nothing about how a layer
-// was first computed (which kernel path, what frontier history) is left
-// in it: a layer is a function of (matrix, seeker, params, depth). Only
-// the matrix propagation (the dominant serial cost of candidate-heavy
-// queries, §5.2) is skipped; a search that needs to go deeper than the
-// checkpoint falls back to real propagation seamlessly, because the
-// replayed state at the last recorded depth is the full exploration
-// frontier.
+// A checkpoint stores each explored depth d in the smaller of two forms
+// (proxLayer). A narrow depth is its border — the reached nodes in
+// ascending id plus their borderProx values — and is replayed through the
+// same fold a propagated step ends in (Iterator's reach), over the same
+// cells in the same order. A saturated depth, whose border would take as
+// many bytes as a dense vector (12·|border| ≥ 8·N), is the prox≤d vector
+// the recording search held at that depth plus that depth's discovery
+// list; a resumed iterator adopts it by pointing AllProx at it, touching
+// no cell. Either way everything a search round reads — AllProx, the
+// discoveries, n, the tail bounds, Done — is the very bits the recording
+// search computed, so every answer is bit-identical to the cold path.
+// Nothing about how a depth was first computed (which kernel path, what
+// frontier history) is left in it: a layer is a function of (matrix,
+// seeker, params, depth).
+//
+// The border itself is what a propagation starts from, and a replay can
+// only start propagating at the checkpoint's last depth — so that is the
+// one border a checkpoint keeps besides its narrow layers (last). A
+// search that needs to go deeper copies the adopted snapshot into its own
+// vector, scatters that border and propagates on. Iterator.Border and
+// BorderProx are accordingly defined at depth 0 and from the checkpoint's
+// depth onward, not strictly inside it.
 package score
 
 import (
 	"fmt"
+	"slices"
 
 	"s3/internal/graph"
 )
 
 // ProxCheckpoint is a frozen exploration of one (instance, seeker, params)
 // triple up to some depth. It is immutable and safe to share across
-// concurrent searches; resumed iterators never mutate the recorded layers.
+// concurrent searches; resumed iterators read the recorded layers, the
+// snapshots included, and never write them.
 type ProxCheckpoint struct {
 	in     *graph.Instance
 	params Params
 	seeker graph.NID
 	layers []proxLayer
-	bytes  int64
+	// last is the border at depth len(layers), in narrow form: the last
+	// layer itself when that is narrow, a separate copy when it is a
+	// snapshot, empty at depth 0 (the border is the seeker).
+	last  proxLayer
+	bytes int64
 }
 
 // Checkpoint publishes the exploration recorded so far. It returns nil on
@@ -44,13 +58,19 @@ func (it *Iterator) Checkpoint() *ProxCheckpoint {
 	if !it.rec {
 		return nil
 	}
-	layers := make([]proxLayer, len(it.layers))
-	copy(layers, it.layers)
 	cp := &ProxCheckpoint{
 		in:     it.in,
 		params: it.params,
 		seeker: it.seeker,
-		layers: layers,
+		layers: slices.Clone(it.layers),
+		last:   it.last,
+	}
+	// An iterator still on its inherited depths passes the inherited border
+	// on; one that propagated holds the live border of the last depth.
+	if d := len(it.layers); d > 0 && it.n == d && !it.stale {
+		if cp.last = it.layers[d-1]; cp.last.all != nil {
+			cp.last = borderLayer(it.active, it.border)
+		}
 	}
 	cp.bytes = cp.footprint()
 	return cp
@@ -59,9 +79,10 @@ func (it *Iterator) Checkpoint() *ProxCheckpoint {
 // ResumeIterator continues a checkpointed exploration over the same
 // instance. The returned iterator starts at depth 0 with the recorded
 // layers ahead of it: each Step replays a layer (no matrix work) until the
-// recorded depth is passed, then propagates for real. Stepped d times it
-// is state-identical — bit for bit — to NewRecordingIterator stepped d
-// times, for every d.
+// recorded depth is passed, then propagates for real. Stepped d times its
+// AllProx, discovered list, N, tail bounds and Done are identical — bit
+// for bit — to NewRecordingIterator stepped d times, for every d; so are
+// Border and BorderProx wherever they are defined (see Iterator.Border).
 func ResumeIterator(in *graph.Instance, cp *ProxCheckpoint) (*Iterator, error) {
 	it := new(Iterator)
 	if err := it.Resume(in, cp); err != nil {
@@ -85,6 +106,7 @@ func (it *Iterator) Resume(in *graph.Instance, cp *ProxCheckpoint) error {
 	// reallocate rather than scribble on an array another iterator resumed
 	// from the same checkpoint may also be extending.
 	it.layers = cp.layers[:len(cp.layers):len(cp.layers)]
+	it.last = cp.last
 	return nil
 }
 
@@ -113,19 +135,29 @@ func (cp *ProxCheckpoint) Supersedes(old *ProxCheckpoint) bool {
 // byte-budgeted cache accounts evictions in.
 func (cp *ProxCheckpoint) Bytes() int64 { return cp.bytes }
 
-// layerEntryBytes is the cost of one recorded (node, value) pair; layer
-// and struct overheads are folded into fixed per-layer/per-checkpoint
-// constants.
+// Accounting units: a narrow layer's (node, value) pair, a snapshot's cell
+// and discovery; slice headers and the struct are folded into fixed
+// per-layer/per-checkpoint constants.
 const (
 	layerEntryBytes     = 4 + 8
-	layerOverheadBytes  = 48
-	checkpointBaseBytes = 96
+	snapshotCellBytes   = 8
+	discoveryBytes      = 4
+	layerOverheadBytes  = 96
+	checkpointBaseBytes = 192
 )
+
+func (l proxLayer) footprint() int64 {
+	return layerOverheadBytes + int64(len(l.nodes))*layerEntryBytes +
+		int64(len(l.all))*snapshotCellBytes + int64(len(l.disc))*discoveryBytes
+}
 
 func (cp *ProxCheckpoint) footprint() int64 {
 	b := int64(checkpointBaseBytes)
 	for _, l := range cp.layers {
-		b += layerOverheadBytes + int64(len(l.nodes))*layerEntryBytes
+		b += l.footprint()
+	}
+	if d := len(cp.layers); d > 0 && cp.layers[d-1].all != nil {
+		b += cp.last.footprint() // a copy, not the last layer itself
 	}
 	return b
 }

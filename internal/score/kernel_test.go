@@ -1,6 +1,7 @@
 package score
 
 import (
+	"slices"
 	"testing"
 
 	"s3/internal/datagen"
@@ -39,13 +40,16 @@ func pinned(it *Iterator, k kernelPath) *Iterator {
 
 // TestKernelPathsStateIdentical: an iterator pinned to the sparse kernel
 // path, one pinned to the dense path and one left to choose are
-// state-identical — AllProx, Border, BorderProx and the discovered list,
-// bit for bit — at every depth until the graph is exhausted or proximity
-// underflows, with ascending borders and discovery lists throughout. A
-// checkpoint recorded on one path resumes bit-identically on the other,
-// whichever side of the hand-over depth it is taken on.
+// state-identical — AllProx, Border, BorderProx, the discovered list, N,
+// the tail bounds and Done, bit for bit — at every depth until the graph
+// is exhausted or proximity underflows, with ascending borders and
+// discovery lists throughout. A checkpoint recorded on one path resumes
+// bit-identically on the other, whichever side of the kernel switch or of
+// the first snapshot-form depth it is cut on: the round-visible state at
+// every depth, Border and BorderProx from the cut onward.
 func TestKernelPathsStateIdentical(t *testing.T) {
 	const maxDepth = 60
+	snapshots := 0 // explorations with a checkpoint cut mid-saturation
 	for name, in := range generatorInstances(t) {
 		users := in.Users()
 		crossings := 0 // explorations that opened sparse and turned dense
@@ -61,7 +65,7 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 					if switched < 0 && in.Matrix().Saturated(auto.Border()) {
 						switched = d
 					}
-					want := captureState(sp, sp.Step())
+					want := captureState(sp, sp.Step(), true)
 					snaps = append(snaps, want)
 					for i := 1; i < len(want.active); i++ {
 						if want.active[i-1] >= want.active[i] {
@@ -73,10 +77,10 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 							t.Fatalf("%s u=%d d=%d: discoveries not ascending", name, u, d+1)
 						}
 					}
-					if !statesEqual(captureState(de, de.Step()), want) {
+					if got := captureState(de, de.Step(), true); !got.hasBorder || !statesEqual(got, want) {
 						t.Fatalf("%s u=%d d=%d: dense path diverges from sparse path", name, u, d+1)
 					}
-					if !statesEqual(captureState(auto, auto.Step()), want) {
+					if got := captureState(auto, auto.Step(), true); !got.hasBorder || !statesEqual(got, want) {
 						t.Fatalf("%s u=%d d=%d: chosen path diverges from sparse path", name, u, d+1)
 					}
 					spCPs = append(spCPs, sp.Checkpoint())
@@ -89,10 +93,18 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 					crossings++
 				}
 				// Checkpoints just before and just after the switch depth
-				// (the first depths, for a seeker that never crosses it),
-				// each resumed on the other path.
+				// (the first depths, for a seeker that never crosses it) and
+				// on and after the first depth recorded as a snapshot, each
+				// resumed on the other path.
 				switched = max(switched, 1)
-				for _, m := range []int{switched - 1, switched, switched + 1} {
+				cuts := []int{switched - 1, switched, switched + 1}
+				if first := slices.IndexFunc(sp.layers, func(l proxLayer) bool { return l.all != nil }); first >= 0 {
+					cuts = append(cuts, first, first+1, first+2)
+					if first+2 < len(snaps) {
+						snapshots++
+					}
+				}
+				for _, m := range cuts {
 					if m < 0 || m >= len(snaps) {
 						continue
 					}
@@ -106,8 +118,14 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 						}
 						pinned(it, c.path)
 						for d := range snaps {
-							if !statesEqual(captureState(it, it.Step()), snaps[d]) {
+							// The checkpoint covers depth m+1; leave its hand-off to
+							// the propagating Step on the auto path.
+							got := captureState(it, it.Step(), d != m || c.path != kernelAuto)
+							if !statesEqual(got, snaps[d]) {
 								t.Fatalf("%s u=%d: checkpoint at depth %d resumed on path %d differs at depth %d", name, u, m+1, c.path, d+1)
+							}
+							if d > m && !got.hasBorder {
+								t.Fatalf("%s u=%d: checkpoint at depth %d: no border past the hand-off, at depth %d", name, u, m+1, d+1)
 							}
 						}
 					}
@@ -117,6 +135,10 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 		if crossings == 0 {
 			t.Fatalf("%s: no exploration crosses the kernel switch", name)
 		}
+	}
+	// (Only the twitter shape reaches two thirds of its nodes in one step.)
+	if snapshots == 0 {
+		t.Fatal("no checkpoint is cut mid-saturation")
 	}
 }
 
@@ -142,11 +164,11 @@ func TestResetReusesVectorsCleanly(t *testing.T) {
 		t.Fatal("Reset on the same instance reallocated the vectors")
 	}
 	fresh := NewIterator(in, params, users[1])
-	if !statesEqual(captureState(it, nil), captureState(fresh, nil)) {
+	if !statesEqual(captureState(it, nil, true), captureState(fresh, nil, true)) {
 		t.Fatal("reset iterator's initial state differs from a fresh one")
 	}
 	for d := 0; d < 12 && !fresh.Done(); d++ {
-		if !statesEqual(captureState(it, it.Step()), captureState(fresh, fresh.Step())) {
+		if !statesEqual(captureState(it, it.Step(), true), captureState(fresh, fresh.Step(), true)) {
 			t.Fatalf("reused iterator diverges from a fresh one at depth %d", d+1)
 		}
 	}
@@ -159,7 +181,7 @@ func TestResetReusesVectorsCleanly(t *testing.T) {
 	}
 	fresh = NewRecordingIterator(other, params, other.Users()[0])
 	for d := 0; d < 6 && !fresh.Done(); d++ {
-		if !statesEqual(captureState(it, it.Step()), captureState(fresh, fresh.Step())) {
+		if !statesEqual(captureState(it, it.Step(), true), captureState(fresh, fresh.Step(), true)) {
 			t.Fatalf("resized iterator diverges from a fresh one at depth %d", d+1)
 		}
 	}

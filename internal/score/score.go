@@ -27,7 +27,6 @@ package score
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
@@ -88,16 +87,21 @@ type Iterator struct {
 	// border[v] = Σ_{p ∈ u⇝v, |p|=n} prox→(p) / γⁿ  (borderProx of §5.2),
 	// non-zero exactly on active (ascending). next is the all-zero vector
 	// the following step accumulates into; spare is the buffer its border
-	// list is built in.
+	// list is built in. While stale (see below) border and active still
+	// describe depth 0.
 	border  []float64
 	active  []int32
 	next    []float64
 	spare   []int32
 	scratch []bool
 
-	// all[v] = prox≤n(u, v).
-	all []float64
-	n   int
+	// all[v] = prox≤n(u, v): the iterator's own vector, or — after a
+	// replayed saturated depth — a checkpoint's immutable snapshot, which
+	// is only ever read. Every write goes through ownAll.
+	all  []float64
+	own  []float64
+	n    int
+	done bool // the border at depth n is empty
 
 	// disc is the scratch buffer behind Step's return value (borrow
 	// semantics, like AllProx).
@@ -107,16 +111,22 @@ type Iterator struct {
 	// matrix choose by the step's edge work.
 	kernel kernelPath
 
-	// Checkpoint support. When rec is true every step records the border it
-	// produced (ascending node list plus values) into layers; layers[d-1]
-	// is the border at depth d. A resumed iterator starts with the layers
-	// of its checkpoint already filled in and replays them — the same fold
-	// over the same cells in the same order, without the matrix
-	// propagation — before falling back to real propagation past the
-	// recorded depth. n ≤ len(layers) always; n < len(layers) only while a
-	// resumed iterator still has recorded depths ahead of it.
+	// Checkpoint support. When rec is true every step records the depth it
+	// produced into layers; layers[d-1] is depth d. A resumed iterator
+	// starts with the layers of its checkpoint already filled in and
+	// replays them — adopting a saturated depth's snapshot, folding a
+	// narrow depth's border — before falling back to real propagation past
+	// the recorded depth. n ≤ len(layers) always; n < len(layers) only
+	// while a resumed iterator still has recorded depths ahead of it.
+	//
+	// A replayed step maintains all, n and done but not the border: stale
+	// marks border/active as not yet describing depth n. The hand-off — the
+	// first real Step, or a Border/BorderProx call, at the inherited depth —
+	// scatters last, the checkpoint's saved border of that depth.
 	rec    bool
 	layers []proxLayer
+	last   proxLayer
+	stale  bool
 }
 
 type kernelPath uint8
@@ -127,14 +137,26 @@ const (
 	kernelDense
 )
 
-// proxLayer is one recorded exploration border: the nodes reached by paths
-// of length exactly d, in ascending id, with their borderProx values.
-// Layers are immutable once recorded and may be shared between
-// checkpoints.
+// proxLayer is one recorded exploration depth d, in the smaller of two
+// forms. A narrow depth is its border: the nodes reached by paths of
+// length exactly d, in ascending id, with their borderProx values (all is
+// nil). A saturated depth — one whose border would take at least the
+// bytes of a dense vector, 12·|border| ≥ 8·N — is the prox≤d vector
+// itself plus the nodes first reached at d, ascending (nodes and vals are
+// nil). Layers are immutable once recorded and are shared between
+// checkpoints and, read-only, with the iterators resumed from them.
 type proxLayer struct {
 	nodes []int32
 	vals  []float64
+
+	all  []float64
+	disc []graph.NID
 }
+
+// saturatedLayer reports whether a border of b cells over n nodes is
+// recorded as a snapshot: the form is chosen by bytes, so it is a property
+// of the exploration, not a setting.
+func saturatedLayer(b, n int) bool { return 12*b >= 8*n }
 
 // NewIterator starts an exploration at the seeker. The initial state is
 // n = 0: only the empty path is known, so prox≤0(u,u) = Cγ and the border
@@ -146,7 +168,7 @@ func NewIterator(in *graph.Instance, params Params, seeker graph.NID) *Iterator 
 }
 
 // NewRecordingIterator is NewIterator with checkpoint recording enabled:
-// every Step keeps its border layer so the exploration can later be
+// every Step records the depth it reached so the exploration can later be
 // published as a ProxCheckpoint and resumed by another search.
 func NewRecordingIterator(in *graph.Instance, params Params, seeker graph.NID) *Iterator {
 	it := new(Iterator)
@@ -161,27 +183,40 @@ func NewRecordingIterator(in *graph.Instance, params Params, seeker graph.NID) *
 // pooled iterator can serve any instance, and no vector ever serves two
 // dimensions. Everything a previous exploration handed out (AllProx,
 // Border, BorderProx, a discovered list) is invalid afterwards; a
-// published checkpoint is not, it shares nothing with the vectors.
+// published checkpoint is not — the iterator keeps no reference into one,
+// and never wrote a vector it borrowed from one.
 func (it *Iterator) Reset(in *graph.Instance, params Params, seeker graph.NID, record bool) {
 	nn := in.NumNodes()
-	if len(it.all) != nn {
+	if len(it.own) != nn {
 		*it = Iterator{
 			border:  make([]float64, nn),
 			next:    make([]float64, nn),
 			scratch: make([]bool, nn),
-			all:     make([]float64, nn),
+			own:     make([]float64, nn),
 		}
 	} else {
 		clear(it.border)
 		clear(it.next)
 		clear(it.scratch)
-		clear(it.all)
+		clear(it.own)
 	}
 	it.in, it.params, it.seeker = in, params, seeker
-	it.n, it.rec, it.layers = 0, record, nil
+	it.n, it.done = 0, false
+	it.rec, it.layers, it.last, it.stale = record, nil, proxLayer{}, false
 	it.border[seeker] = 1
 	it.active = append(it.active[:0], int32(seeker))
+	it.all = it.own
 	it.all[seeker] = params.CGamma()
+}
+
+// Release drops every reference the iterator holds into checkpoint
+// memory — the inherited layers, the saved hand-off border, a borrowed
+// prox≤n snapshot — so an iterator parked in a pool pins no cache entry
+// and can hand no later user a vector the cache owns. Only Reset and
+// Resume are meaningful afterwards.
+func (it *Iterator) Release() {
+	it.layers, it.last, it.rec = nil, proxLayer{}, false
+	it.all = it.own
 }
 
 // Seeker returns the node the exploration started from.
@@ -193,17 +228,30 @@ func (it *Iterator) Params() Params { return it.params }
 // N returns the current exploration depth n.
 func (it *Iterator) N() int { return it.n }
 
-// AllProx returns the prox≤n vector. The slice is owned by the iterator
-// and changes on every Step.
+// AllProx returns the prox≤n vector. The slice is read-only to the caller
+// (it may be a checkpoint's snapshot, shared with other searches) and only
+// valid until the next Step.
 func (it *Iterator) AllProx() []float64 { return it.all }
 
 // Border returns the indices of the current exploration border (nodes
-// reached by at least one path of length exactly n).
-func (it *Iterator) Border() []int32 { return it.active }
+// reached by at least one path of length exactly n). Border and BorderProx
+// are defined wherever the next Step would propagate: at every depth of an
+// iterator that was not resumed, and on a resumed one at depth 0 and from
+// the checkpoint's depth onward. Strictly inside the checkpoint's depths
+// the border is not kept — a saturated depth stores prox≤n instead — and
+// both panic.
+func (it *Iterator) Border() []int32 {
+	it.handOff()
+	return it.active
+}
 
 // BorderProx returns the dense borderProx vector, non-zero exactly on
-// Border(). The slice is owned by the iterator and changes on every Step.
-func (it *Iterator) BorderProx() []float64 { return it.border }
+// Border() and defined where Border is. The slice is owned by the
+// iterator and changes on every Step.
+func (it *Iterator) BorderProx() []float64 {
+	it.handOff()
+	return it.border
+}
 
 // RecordedDepth returns the depth a recording iterator has layers for:
 // max(N(), inherited checkpoint depth). Callers use it to publish only
@@ -212,7 +260,7 @@ func (it *Iterator) RecordedDepth() int { return len(it.layers) }
 
 // Done reports whether the border is empty — the entire reachable graph
 // has been accounted for and prox≤n is exact.
-func (it *Iterator) Done() bool { return len(it.active) == 0 }
+func (it *Iterator) Done() bool { return it.done }
 
 // TailBound returns B>n for the current n (0 when Done, since exploration
 // is exact then).
@@ -241,19 +289,19 @@ func (it *Iterator) SourceTailBound() float64 {
 // prox≤n (feasibility property 1: prox≤n = prox≤n−1 + Uprox). It returns
 // the nodes whose proximity became non-zero for the first time — exactly
 // the nodes "discovered" at this depth — in ascending id. Like AllProx,
-// the returned slice is owned by the iterator and is only valid until the
-// next Step.
+// the returned slice is read-only and only valid until the next Step.
 func (it *Iterator) Step() []graph.NID {
-	if it.Done() {
+	if it.done {
 		return nil
 	}
-	if it.rec && it.n < len(it.layers) {
+	if it.n < len(it.layers) {
 		return it.replayStep()
 	}
+	it.handOff()
 	m := it.in.Matrix()
 	invGamma := 1 / it.params.Gamma
 	cg := it.params.CGamma()
-	all, next := it.all, it.next
+	all, next := it.ownAll(), it.next
 	disc := it.disc[:0]
 	var border []int32
 
@@ -297,53 +345,108 @@ func (it *Iterator) Step() []graph.NID {
 		sparse.ZeroVec(it.border, it.active)
 	}
 	if it.rec {
-		vals := make([]float64, len(border))
-		for i, c := range border {
-			vals[i] = next[c]
+		var l proxLayer
+		if saturatedLayer(len(border), len(all)) {
+			l.all, l.disc = frozen(all), frozen(disc)
+		} else {
+			l = borderLayer(border, next)
 		}
-		it.layers = append(it.layers, proxLayer{nodes: slices.Clone(border), vals: vals})
+		it.layers = append(it.layers, l)
 	}
 	it.border, it.next = next, it.border
 	it.active, it.spare = border, it.active
 	it.n++
+	it.done = len(border) == 0
 	it.disc = disc
 	return disc
 }
 
+// borderLayer copies a border (ascending nodes, values in the dense
+// vector) into its recorded sparse form.
+func borderLayer(nodes []int32, dense []float64) proxLayer {
+	vals := make([]float64, len(nodes))
+	for i, c := range nodes {
+		vals[i] = dense[c]
+	}
+	return proxLayer{nodes: frozen(nodes), vals: vals}
+}
+
+// frozen copies xs into a slice of exactly its length: a recorded layer
+// lives as long as a cache entry and is accounted by length, so it carries
+// no append slack.
+func frozen[T any](xs []T) []T {
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
 // reach adds border cell c's share Cγ·v to prox≤n and reports whether
 // that is the first mass the node receives. It is the one place prox≤n is
-// accumulated — propagated and replayed steps both go through it — and
-// the conversion rounds the product before the add, so no architecture
-// fuses the two.
+// accumulated — propagated steps and replayed narrow layers both go
+// through it — and the conversion rounds the product before the add, so
+// no architecture fuses the two.
 func reach(all []float64, c int32, v, cg float64) bool {
 	first := all[c] == 0 && v > 0
 	all[c] += float64(cg * v)
 	return first
 }
 
-// replayStep advances a resumed iterator through one recorded layer: the
-// fold of a real Step over the same cells in the same ascending order,
-// minus the matrix propagation. The resulting (all, border, active, n)
-// state — and the discovered list — are bit-identical to a fresh iterator
-// stepped to the same depth.
+// replayStep advances a resumed iterator through one recorded depth. A
+// saturated depth is adopted: AllProx becomes the recorded snapshot and
+// the recorded discoveries are returned, no cell is touched. A narrow one
+// is the fold of a real Step over the same cells in the same ascending
+// order, minus the matrix propagation. Either way prox≤n, n, Done and the
+// discovered list are the very bits the recording exploration had; the
+// border is left for handOff.
 func (it *Iterator) replayStep() []graph.NID {
-	l := it.layers[it.n]
+	l := &it.layers[it.n]
+	it.n++
+	it.stale = true
+	if l.all != nil {
+		// A saturated border is never empty.
+		it.all, it.done = l.all, false
+		return l.disc
+	}
+	all := it.ownAll()
 	cg := it.params.CGamma()
-	all, next := it.all, it.next
 	disc := it.disc[:0]
 	for i, c := range l.nodes {
-		v := l.vals[i]
-		next[c] = v
-		if reach(all, c, v, cg) {
+		if reach(all, c, l.vals[i], cg) {
 			disc = append(disc, graph.NID(c))
 		}
 	}
-	sparse.ZeroVec(it.border, it.active)
-	it.border, it.next = next, it.border
-	it.active = append(it.active[:0], l.nodes...)
-	it.n++
+	it.done = len(l.nodes) == 0
 	it.disc = disc
 	return disc
+}
+
+// ownAll makes prox≤n the iterator's own, writable vector — copying a
+// borrowed snapshot out of the checkpoint first — and returns it.
+func (it *Iterator) ownAll() []float64 {
+	if &it.all[0] != &it.own[0] {
+		copy(it.own, it.all)
+		it.all = it.own
+	}
+	return it.own
+}
+
+// handOff makes border/active describe depth n after replayed steps, from
+// the border the checkpoint saved for its last depth. That is the one
+// depth a replay can leave by propagating, so it is the one border a
+// checkpoint keeps.
+func (it *Iterator) handOff() {
+	if !it.stale {
+		return
+	}
+	if it.n < len(it.layers) {
+		panic("score: the border is not kept inside a checkpoint's recorded depths")
+	}
+	sparse.ZeroVec(it.border, it.active) // depth 0, left by Reset
+	for i, c := range it.last.nodes {
+		it.border[c] = it.last.vals[i]
+	}
+	it.active = append(it.active[:0], it.last.nodes...)
+	it.stale = false
 }
 
 // ExactProximity iterates until the tail bound falls below eps (or the
