@@ -21,12 +21,18 @@ bench-e2e-smoke:
 	cd benchmark && go vet . && go test .
 	sh benchmark/run.sh -smoke
 
-# fuzz-smoke runs every round-protocol fuzz target for FUZZTIME each (go
-# test -fuzz takes one target per invocation).
+# fuzz-smoke runs every fuzz target of the packages that decode outside
+# input — the round protocol's wire (internal/dshard) and the snapshot
+# files (internal/snap) — for FUZZTIME each (go test -fuzz takes one
+# package and one target per invocation). Minimisation is capped: left at
+# its 60 s default, shrinking one multi-kB snapshot input that found new
+# coverage outlasts the whole smoke.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	for f in $$(go test ./internal/dshard -list '^Fuzz' | grep '^Fuzz'); do \
-		go test ./internal/dshard -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	for p in ./internal/dshard ./internal/snap; do \
+		for f in $$(go test $$p -list '^Fuzz' | grep '^Fuzz'); do \
+			go test $$p -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s || exit 1; \
+		done; \
 	done
 
 # metrics-lint fails if any registered /metrics name is missing from the

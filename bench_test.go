@@ -303,41 +303,6 @@ func BenchmarkSpecRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad measures the snapshot cold-start path over the
-// same instance: reading the frozen tables back from the binary format.
-// Compare with BenchmarkSpecRebuild — the gap is what a serving process
-// saves on every restart and every hot reload.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	o := datagen.DefaultTwitterOptions()
-	o.Users, o.Tweets = 300, 1200
-	spec, _ := datagen.Twitter(o)
-	var specBuf bytes.Buffer
-	if err := spec.Encode(&specBuf); err != nil {
-		b.Fatal(err)
-	}
-	inst, err := BuildFromSpec(&specBuf, Raw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := inst.WriteSnapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		restored, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if restored.Stats().Users != 300 {
-			b.Fatal("bad load")
-		}
-	}
-}
-
 // BenchmarkSnapshotWrite measures serialisation cost (the price paid once
 // per build or reload cycle).
 func BenchmarkSnapshotWrite(b *testing.B) {

@@ -78,16 +78,36 @@ func main() {
 			log.Fatal(err)
 		}
 	case *snapOut != "":
-		f, err := os.Create(*snapOut)
-		if err != nil {
+		if err := writeSnapshot(in, *snapOut); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := snap.Write(f, in, index.Build(in)); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapOut)
 	}
+}
+
+// writeSnapshot persists the instance as a plain snapshot at path. The
+// bytes go to "<path>.tmp" and are renamed into place once the file is
+// closed: a write or close error never reports success, and a server that
+// has path mapped keeps serving its old inode instead of faulting on a
+// truncated one (snap.WriteShardSetFiles does the same for shard sets).
+func writeSnapshot(in *graph.Instance, path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = snap.Write(f, in, index.Build(in))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	fmt.Printf("snapshot written to %s\n", path)
+	return nil
 }
 
 // writeShardSet persists the instance as a shard-set manifest plus one

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"s3"
@@ -65,5 +68,95 @@ func TestWriteShardSetFiles(t *testing.T) {
 	}
 	if si.Stats() != in.Stats() {
 		t.Errorf("shard set stats %+v, generated instance %+v", si.Stats(), in.Stats())
+	}
+}
+
+// TestRegenerateUnderMappedInstance regenerates a snapshot and a shard set
+// over paths a LoadMmap instance still holds open. The writers must
+// replace the files by rename: the held instance keeps answering from its
+// old inode (an in-place rewrite truncates the pages under it and the
+// next search dies with SIGBUS), a fresh open sees the new instance, and
+// no temporary is left behind.
+func TestRegenerateUnderMappedInstance(t *testing.T) {
+	build := func(seed int64) *graph.Instance {
+		spec, _, err := Generate("twitter", 0.1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	transcript := func(q s3.Queryable) string {
+		var b strings.Builder
+		for u := 0; u < 4; u++ {
+			for h := 1; h <= 3; h++ {
+				rs, err := q.Search(fmt.Sprintf("tw:u%d", u), []string{fmt.Sprintf("#h%d", h)}, s3.WithK(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintln(&b, rs)
+			}
+		}
+		return b.String()
+	}
+	first, second := build(7), build(8)
+	if first.Stats() == second.Stats() {
+		t.Fatal("the two generated instances must differ")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		write func(in *graph.Instance, path string) error
+		open  func(path string) (s3.Queryable, error)
+	}{
+		{"snapshot", writeSnapshot, func(path string) (s3.Queryable, error) { return s3.OpenSnapshot(path, s3.LoadMmap) }},
+		{"shardset",
+			func(in *graph.Instance, path string) error { return writeShardSet(in, path, 3) },
+			func(path string) (s3.Queryable, error) { return s3.OpenShardSet(path, s3.LoadMmap) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "i1")
+			if err := tc.write(first, path); err != nil {
+				t.Fatal(err)
+			}
+			held, err := tc.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer held.Close()
+			want := transcript(held)
+
+			if err := tc.write(second, path); err != nil {
+				t.Fatal(err)
+			}
+			if got := transcript(held); got != want {
+				t.Error("the held instance answers differently after its path was regenerated")
+			}
+			fresh, err := tc.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if fresh.Stats() != second.Stats() {
+				t.Errorf("fresh open serves %+v, regenerated instance is %+v", fresh.Stats(), second.Stats())
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Errorf("temporaries left behind: %v", tmps)
+			}
+		})
+	}
+
+	// A write that cannot complete reports the error and leaves neither
+	// the final path nor a temporary.
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "i1.snap")
+	if err := writeSnapshot(first, missing); err == nil {
+		t.Error("writing into a missing directory reported success")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("failed write left %s behind", missing)
 	}
 }

@@ -247,9 +247,9 @@ func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, prox
 		}
 		st := w.Stats()
 		for _, row := range st.Shards {
-			log.Printf("shard %d of %d ready in %v: %d documents, %d components, mapped %d bytes (sliced=%v)",
+			log.Printf("shard %d of %d ready in %v: %d documents, %d components, mapped %d bytes",
 				row.Shard, st.ShardCount, time.Since(start).Round(time.Millisecond),
-				row.Documents, row.Components, st.MappedBytes, st.Sliced)
+				row.Documents, row.Components, st.MappedBytes)
 		}
 	}()
 	// On SIGTERM, flip readiness off so coordinators bench this replica,

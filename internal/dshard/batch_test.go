@@ -233,6 +233,10 @@ func rewriteProto(inner http.Handler, on *atomic.Bool, proto *int) http.Handler 
 func TestProtoVersionMismatch(t *testing.T) {
 	_, set, workers, servers := smallTopology(t)
 	older := protoVersion - 1
+	// One probe session for both cases: deepQuery numbers its sessions from
+	// a fixed id and ends them asynchronously, so a second call can find
+	// the first one's session still open on the worker (409).
+	spec := deepQuery(t, set, servers[0], 1)
 	for name, proto := range map[string]*int{"older": &older, "absent": nil} {
 		var rewrite atomic.Bool
 		rewrite.Store(true)
@@ -271,7 +275,6 @@ func TestProtoVersionMismatch(t *testing.T) {
 		if _, err := coord.pickShard(1, nil); err == nil {
 			t.Fatalf("%s: mismatched worker picked for shard 1", name)
 		}
-		spec := deepQuery(t, set, servers[0], 1)
 		if _, _, err := coord.Search(spec, core.CoordOptions{}); err == nil {
 			t.Fatalf("%s: search succeeded with shard 1 only on a mismatched worker", name)
 		}

@@ -827,7 +827,6 @@ type healthzBody struct {
 	ShardCount int    `json:"shard_count"`
 	SetID      string `json:"set_id"`
 	Version    uint64 `json:"version"`
-	Sliced     bool   `json:"sliced"`
 	// Proto advertises the round-protocol version this worker speaks;
 	// the coordinator routes only to workers matching its own.
 	Proto int `json:"proto,omitempty"`
@@ -848,7 +847,6 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 		body.ShardCount = len(gen.ws.Layout.Shards)
 		body.SetID = fmt.Sprintf("%016x", gen.ws.Layout.SetID)
 		body.Version = gen.version
-		body.Sliced = gen.ws.Sliced
 		if err := gen.ws.VerifyErr(); err != nil {
 			// Deferred verification found corruption: report unready so the
 			// coordinator routes away (open sessions keep answering — their
@@ -884,7 +882,6 @@ type WorkerStats struct {
 	ShardCount  int              `json:"shard_count"`
 	SetID       string           `json:"set_id"`
 	Version     uint64           `json:"version"`
-	Sliced      bool             `json:"sliced"`
 	LoadMS      int64            `json:"load_ms"`
 	MappedBytes int64            `json:"mapped_bytes"`
 	UptimeMS    int64            `json:"uptime_ms"`
@@ -912,7 +909,6 @@ func (w *Worker) Stats() WorkerStats {
 		st.ShardCount = len(gen.ws.Layout.Shards)
 		st.SetID = fmt.Sprintf("%016x", gen.ws.Layout.SetID)
 		st.Version = gen.version
-		st.Sliced = gen.ws.Sliced
 		st.LoadMS = gen.loadMS
 		st.MappedBytes = gen.ws.MappedBytes()
 		st.Shards = make([]WorkerShardRow, len(w.cfg.Shards))
@@ -954,6 +950,5 @@ func (w *Worker) handleReload(rw http.ResponseWriter, _ *http.Request) {
 		"version":      gen.version,
 		"reload_ms":    time.Since(start).Milliseconds(),
 		"mapped_bytes": gen.ws.MappedBytes(),
-		"sliced":       gen.ws.Sliced,
 	})
 }

@@ -1,4 +1,4 @@
-// The v3 aligned container: a snapshot-family file whose section table
+// The aligned container: a snapshot-family file whose section table
 // carries absolute offsets, lengths and checksums in fixed-width fields,
 // with the heavy payloads stored as raw little-endian arrays at 64-byte
 // aligned offsets. A reader that memory-maps the file can hand each raw
@@ -17,8 +17,7 @@
 //	64-byte aligned offsets, varint sections are packed. Gaps are zero.
 //
 // The writer emits sections in ascending id order with deterministic
-// padding, so the canonical-bytes property of the v1 format carries over:
-// the same instance always serialises to the same v3 bytes.
+// padding: the same instance always serialises to the same bytes.
 package snap
 
 import (
@@ -58,13 +57,13 @@ type asec struct {
 	data []byte
 }
 
-// writeAligned assembles and emits an aligned file. Sections must be in
-// ascending id order (the canonical order).
-func writeAligned(w io.Writer, magic string, version uint16, secs []asec) error {
+// writeAligned assembles and emits an aligned file of the current format
+// version. Sections must be in ascending id order (the canonical order).
+func writeAligned(w io.Writer, magic string, secs []asec) error {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], version)
+	binary.LittleEndian.PutUint16(u16[:], Version)
 	buf.Write(u16[:])
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(secs)))
@@ -121,14 +120,6 @@ func writeAligned(w io.Writer, magic string, version uint16, secs []asec) error 
 	return nil
 }
 
-// readAligned parses an aligned file over data (typically a memory
-// mapping) and returns the per-section payload views, checksum-verified.
-// The views alias data; nothing is copied.
-func readAligned(data []byte, magic string, what string) (map[byte][]byte, error) {
-	payloads, _, err := readAlignedPick(data, magic, what, nil)
-	return payloads, err
-}
-
 // secSpan locates one section's payload inside an aligned file.
 type secSpan struct {
 	id       byte
@@ -137,13 +128,21 @@ type secSpan struct {
 }
 
 // parseAlignedTable validates an aligned file's header and section table
-// (bounds, ordering, alignment, the header's own checksum) and returns
-// the section spans plus the table's end offset — everything a reader
-// needs to locate payloads. Payload bytes are not touched: checksum
-// verification is the caller's job, per section it actually keeps.
+// (magic, format version, bounds, ordering, alignment, the header's own
+// checksum) and returns the section spans plus the table's end offset —
+// everything a reader needs to locate payloads. It is the only place a
+// file's header is interpreted, for all three magics. Payload bytes are
+// not touched: checksum verification is the caller's job, per section it
+// actually keeps.
 func parseAlignedTable(data []byte, magic string, what string) ([]secSpan, int64, error) {
-	if len(data) < len(magic)+10 || string(data[:len(magic)]) != magic {
+	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
 		return nil, 0, fmt.Errorf("snap: not a %s (bad magic)", what)
+	}
+	if ver := binary.LittleEndian.Uint16(data[len(magic):]); ver != Version {
+		return nil, 0, fmt.Errorf("snap: %s is format version %d, this build reads %d — %s", what, ver, Version, regenerate)
+	}
+	if len(data) < len(magic)+10 {
+		return nil, 0, fmt.Errorf("snap: %s header is truncated", what)
 	}
 	count := int(binary.LittleEndian.Uint32(data[len(magic)+2:]))
 	tableEnd := int64(len(magic)) + 10 + alignedEntrySize*int64(count)
@@ -186,53 +185,49 @@ func parseAlignedTable(data []byte, magic string, what string) ([]secSpan, int64
 	return out, tableEnd, nil
 }
 
-// readAlignedPick is readAligned restricted to the sections keep accepts
-// (nil keeps everything): skipped sections are bounds-checked through the
-// table but their payloads are neither checksummed nor touched — which is
-// what lets a partial reader run over a mapping whose unwanted pages it
-// is about to trim away. The second return locates the kept payloads for
-// range-based mapping maintenance (Trim, Advise).
-func readAlignedPick(data []byte, magic string, what string, keep func(id byte) bool) (map[byte][]byte, []secSpan, error) {
-	return readAlignedPickDeferred(data, magic, what, keep, nil)
+// alignedFile is a parsed aligned file: the payload views of the sections
+// a reader kept (aliasing the file's bytes; nothing is copied) and where
+// they sit, for range-based mapping maintenance (Trim, Advise).
+type alignedFile struct {
+	payloads map[byte][]byte
+	spans    []secSpan
+	tableEnd int64
 }
 
-// readAlignedPickDeferred is readAlignedPick with an optional deferred
-// verifier: when dv is non-nil the kept payloads' checksum pass runs in
-// the background (checksum-on-fault — see verify.go) instead of blocking
-// the open. Header and table validation stays synchronous either way.
-func readAlignedPickDeferred(data []byte, magic string, what string, keep func(id byte) bool, dv *DeferredVerify) (map[byte][]byte, []secSpan, error) {
-	entries, _, err := parseAlignedTable(data, magic, what)
+// readAligned parses an aligned file over data (a private buffer or a
+// memory mapping), restricted to the section ids in keep (nil keeps
+// everything): skipped sections are bounds-checked through the table but
+// their payloads are neither checksummed nor touched — which is what lets
+// a partial reader run over a mapping whose unwanted pages it is about to
+// trim away. The kept payloads' checksum pass is memory-bandwidth bound
+// and the dominant cost of a mapped cold start: it runs inline (parallel)
+// when dv is nil and in dv's background collector otherwise (see
+// verify.go). Header and table validation is synchronous either way.
+func readAligned(data []byte, magic string, what string, keep []byte, dv *DeferredVerify) (*alignedFile, error) {
+	entries, tableEnd, err := parseAlignedTable(data, magic, what)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	payloads := make(map[byte][]byte, len(entries))
-	kept := make([]secSpan, 0, len(entries))
+	f := &alignedFile{payloads: make(map[byte][]byte, len(entries)), tableEnd: tableEnd}
 	for _, en := range entries {
-		if keep != nil && !keep(en.id) {
+		if keep != nil && bytes.IndexByte(keep, en.id) < 0 {
 			continue
 		}
-		payloads[en.id] = data[en.off : en.off+en.len]
-		kept = append(kept, en)
+		f.payloads[en.id] = data[en.off : en.off+en.len]
+		f.spans = append(f.spans, en)
 	}
-	// The checksum pass is memory-bandwidth bound and is the dominant
-	// cost of a mapped cold start: run it inline (parallel) when eager,
-	// hand it to the background collector when deferred.
-	if dv != nil {
-		spans := append([]secSpan(nil), kept...)
-		dv.spawn(func() error { return verifyAlignedSpans(data, spans, what) })
-		return payloads, kept, nil
+	if err := dv.check(func() error { return verifyAlignedSpans(data, f.spans, what) }); err != nil {
+		return nil, err
 	}
-	if err := verifyAlignedSpans(data, kept, what); err != nil {
-		return nil, nil, err
-	}
-	return payloads, kept, nil
+	return f, nil
 }
 
-// fileVersion sniffs the format version of a snapshot-family file without
-// committing to a container layout.
-func fileVersion(data []byte, magic string) (uint16, error) {
-	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
-		return 0, fmt.Errorf("snap: bad magic")
+// requireSections reports the first of ids missing from a file's payloads.
+func requireSections(payloads map[byte][]byte, what string, ids []byte) error {
+	for _, id := range ids {
+		if _, ok := payloads[id]; !ok {
+			return fmt.Errorf("snap: %s missing required section %d", what, id)
+		}
 	}
-	return binary.LittleEndian.Uint16(data[len(magic):]), nil
+	return nil
 }

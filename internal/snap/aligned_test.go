@@ -11,7 +11,7 @@ import (
 	"s3/internal/text"
 )
 
-// alignedSpans parses a v3 file's section table and returns the byte
+// alignedSpans parses an aligned file's section table and returns the byte
 // ranges that are covered by integrity checks: the header+table prefix
 // and every section payload. Bytes outside (alignment padding) are
 // legitimately unchecked.
@@ -29,11 +29,10 @@ func alignedSpans(t *testing.T, data []byte, magic string) [][2]int {
 	return spans
 }
 
-// TestAlignedRejectsCorruption mirrors the v1 fuzzing for the aligned
-// format, with a stronger guarantee: every bit flip inside the header,
-// the section table or any section payload must be rejected (the v1
-// varint format could only promise "no panic"). Both the copying reader
-// and the mapped opener are exercised.
+// TestAlignedRejectsCorruption holds the aligned format to its guarantee:
+// every bit flip inside the header, the section table or any section
+// payload must be rejected, not merely survive without a panic. Both the
+// copying reader and the mapped opener are exercised.
 func TestAlignedRejectsCorruption(t *testing.T) {
 	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})
 	var buf bytes.Buffer
@@ -41,9 +40,6 @@ func TestAlignedRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if ver, _ := fileVersion(good, Magic); ver != VersionAligned {
-		t.Fatalf("Write produced version %d, want %d", ver, VersionAligned)
-	}
 	dir := t.TempDir()
 
 	checkRejected := func(t *testing.T, data []byte, what string) {
@@ -82,36 +78,7 @@ func TestAlignedRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLegacyWriteStillReadable pins the compatibility matrix from the
-// writer side: WriteLegacy produces a version-1 file whose restored
-// instance answers the search battery identically, and re-serialising it
-// with WriteLegacy is canonical.
-func TestLegacyWriteStillReadable(t *testing.T) {
-	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})
-	var buf bytes.Buffer
-	if err := WriteLegacy(&buf, in, ix); err != nil {
-		t.Fatal(err)
-	}
-	if ver, _ := fileVersion(buf.Bytes(), Magic); ver != VersionVarint {
-		t.Fatalf("WriteLegacy produced version %d", ver)
-	}
-	in2, ix2, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := searchAll(t, in2, ix2), searchAll(t, in, ix); got != want {
-		t.Error("legacy round-trip changed search results")
-	}
-	var again bytes.Buffer
-	if err := WriteLegacy(&again, in2, ix2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("legacy format is not canonical after round-trip")
-	}
-}
-
-// TestMappedOpenMatchesRead checks the two v3 decode paths against each
+// TestMappedOpenMatchesRead checks the two decode paths against each
 // other at the package level (the facade-level property test covers whole
 // datasets): identical search transcripts and statistics.
 func TestMappedOpenMatchesRead(t *testing.T) {

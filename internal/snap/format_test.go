@@ -1,0 +1,214 @@
+package snap
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"s3/internal/datagen"
+	"s3/internal/graph"
+	"s3/internal/text"
+)
+
+// rebuildAligned re-assembles an aligned file from its own sections,
+// passing each through edit (nil keeps everything), which returns the
+// payload to write and whether to keep the section at all.
+func rebuildAligned(t testing.TB, data []byte, magic string, edit func(id byte, payload []byte) ([]byte, bool)) []byte {
+	t.Helper()
+	f, err := readAligned(data, magic, "file under test", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []asec
+	for _, sp := range f.spans {
+		payload, keep := f.payloads[sp.id], true
+		if edit != nil {
+			payload, keep = edit(sp.id, payload)
+		}
+		if keep {
+			secs = append(secs, asec{id: sp.id, raw: sp.id >= sec3DictArena, data: payload})
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeAligned(&buf, magic, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// repointManifest rewrites the manifest file so that its layout vouches
+// for shard, the new bytes of shard file i.
+func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []byte) {
+	t.Helper()
+	manifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := rebuildAligned(t, manifest, ManifestMagic, func(id byte, p []byte) ([]byte, bool) {
+		if id != secLayout {
+			return p, true
+		}
+		layout, err := decodeLayout(p, nComp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout.Shards[i].Sum = uint64(crc32.Checksum(shard, castagnoli))
+		return encodeLayout(layout), true
+	})
+	if err := os.WriteFile(manifestPath, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantRegenerate fails unless an open ended in the regenerate error;
+// whatever it opened instead (nil for a stream read) is closed.
+func wantRegenerate(t testing.TB, what string, opened interface{ Close() error }, err error) {
+	t.Helper()
+	if err == nil {
+		if opened != nil {
+			opened.Close()
+		}
+		t.Errorf("%s: accepted", what)
+	} else if !strings.Contains(err.Error(), regenerate) {
+		t.Errorf("%s: rejected with %q, want the %q error", what, err, regenerate)
+	}
+}
+
+// wantSetRejected fails unless every open of the shard set — all shards
+// in one process, or a worker host of hosted under either verify mode —
+// ends in the regenerate error.
+func wantSetRejected(t testing.TB, what, manifestPath string, hosted []int, mode LoadMode) {
+	t.Helper()
+	set, err := OpenShardSet(manifestPath, mode)
+	wantRegenerate(t, what+": OpenShardSet", set, err)
+	for _, verify := range []VerifyMode{VerifyEager, VerifyLazy} {
+		w, err := OpenWorkerHost(manifestPath, hosted, mode, verify)
+		wantRegenerate(t, fmt.Sprintf("%s: OpenWorkerHost verify=%v", what, verify), w, err)
+	}
+}
+
+// assertNotMapped fails if the process still maps a file whose path
+// contains path (observable on Linux only; elsewhere it checks nothing).
+func assertNotMapped(t testing.TB, path string) {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return
+	}
+	if bytes.Contains(maps, []byte(path)) {
+		t.Errorf("a mapping of %s outlived its failed open", path)
+	}
+}
+
+// TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
+// writers produce for two fixed instances. The digests were computed at
+// the commit before the version-1 format was deleted; they change only
+// when the format does.
+func TestFormatGolden(t *testing.T) {
+	check := func(what string, data []byte, want uint32) {
+		t.Helper()
+		if got := crc32.Checksum(data, castagnoli); got != want {
+			t.Errorf("%s: CRC-32C %#08x, golden %#08x — the on-disk format changed: bump Version and these digests together", what, got, want)
+		}
+	}
+	o := datagen.DefaultTwitterOptions()
+	o.Users, o.Tweets, o.Seed = 70, 260, 9
+	twitter, _ := datagen.Twitter(o)
+	for _, tc := range []struct {
+		name               string
+		spec               graph.Spec
+		an                 text.Analyzer
+		snapshot, manifest uint32
+		shards             [3]uint32
+	}{
+		{"hand", handSpec(), text.Analyzer{Lang: text.English},
+			0x987603f9, 0x7aaa7967, [3]uint32{0xdc3218e5, 0x1486e3a3, 0xa35b81c2}},
+		{"twitter", twitter, text.Analyzer{Lang: text.None},
+			0xa6b6064d, 0x17bcc050, [3]uint32{0x3c3f1125, 0x72a8b712, 0x798508b4}},
+	} {
+		in, ix := build(t, tc.spec, tc.an)
+		var buf bytes.Buffer
+		if err := Write(&buf, in, ix); err != nil {
+			t.Fatal(err)
+		}
+		check(tc.name+" snapshot", buf.Bytes(), tc.snapshot)
+		manifest, shards := writeSet(t, in, ix, 3)
+		check(tc.name+" manifest", manifest, tc.manifest)
+		for i, s := range shards {
+			check(fmt.Sprintf("%s shard %d", tc.name, i), s, tc.shards[i])
+		}
+	}
+}
+
+// TestOtherVersionRejected stamps versions 1, 2 and 4 into the header of
+// each file kind: every opener, copying or mapping, must answer with the
+// regenerate error — no panic, no mapping left open. (The version field
+// is read before the header checksum, which a version-1 file never had.)
+func TestOtherVersionRejected(t *testing.T) {
+	manifestPath, in, ix := writeSetFiles(t, 40, 150, 11, 2)
+	dir := filepath.Dir(manifestPath)
+	shardPath := filepath.Join(dir, layoutName(manifestPath, 0))
+	snapPath := filepath.Join(dir, "i.snap")
+	var buf bytes.Buffer
+	if err := Write(&buf, in, ix); err != nil {
+		t.Fatal(err)
+	}
+	goodSnap := buf.Bytes()
+	goodManifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodShard, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(data []byte, ver uint16) []byte {
+		out := bytes.Clone(data)
+		binary.LittleEndian.PutUint16(out[len(Magic):], ver)
+		return out
+	}
+	put := func(path string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, ver := range []uint16{1, 2, 4} {
+		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+			what := func(s string) string { return fmt.Sprintf("%s version=%d mode=%v", s, ver, mode) }
+
+			put(snapPath, stamp(goodSnap, ver))
+			s, err := Open(snapPath, mode)
+			wantRegenerate(t, what("Open"), s, err)
+			_, _, err = Read(bytes.NewReader(stamp(goodSnap, ver)))
+			wantRegenerate(t, what("Read"), nil, err)
+
+			put(manifestPath, stamp(goodManifest, ver))
+			m, err := OpenManifest(manifestPath, mode)
+			wantRegenerate(t, what("OpenManifest"), m, err)
+			wantSetRejected(t, what("stale manifest"), manifestPath, []int{0, 1}, mode)
+
+			// A stale shard file under a current manifest that vouches for
+			// its bytes (otherwise the digest would reject it first).
+			stale := stamp(goodShard, ver)
+			put(manifestPath, goodManifest)
+			put(shardPath, stale)
+			repointManifest(t, manifestPath, in.NumComponents(), 0, stale)
+			wantSetRejected(t, what("stale shard"), manifestPath, []int{0, 1}, mode)
+			put(shardPath, goodShard)
+			put(manifestPath, goodManifest)
+
+			assertNotMapped(t, dir)
+		}
+	}
+
+	// The bare eight-byte header of a version-1 file is enough to be told.
+	_, _, err = Read(bytes.NewReader([]byte(Magic + "\x01\x00")))
+	wantRegenerate(t, "bare version-1 header", nil, err)
+}

@@ -1,0 +1,119 @@
+package snap
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
+	"testing"
+
+	"s3/internal/core"
+	"s3/internal/graph"
+	"s3/internal/index"
+	"s3/internal/text"
+)
+
+// Fuzz targets for the three file kinds, through the copying decoder (the
+// one that promises to re-validate every entry of an untrusted file).
+// Property: decoding never panics, and whatever decodes without error
+// answers a search without panicking.
+
+// reseal recomputes, in place, the section checksums and the header
+// checksum of a mutated aligned file — as far as its table still locates
+// them — so the mutation reaches the section decoders instead of dying at
+// a CRC.
+func reseal(data []byte) {
+	const head = int64(len(Magic) + 10)
+	if int64(len(data)) < head {
+		return
+	}
+	tableEnd := head + alignedEntrySize*int64(binary.LittleEndian.Uint32(data[len(Magic)+2:]))
+	if tableEnd > int64(len(data)) {
+		return
+	}
+	for e := data[head:tableEnd]; len(e) > 0; e = e[alignedEntrySize:] {
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if end := off + length; end >= off && end <= uint64(len(data)) {
+			binary.LittleEndian.PutUint64(e[24:], uint64(crc32.Checksum(data[off:end], castagnoli)))
+		}
+	}
+	binary.LittleEndian.PutUint32(data[len(Magic)+6:], 0)
+	binary.LittleEndian.PutUint32(data[len(Magic)+6:], crc32.Checksum(data[:tableEnd], castagnoli))
+}
+
+// addSeeds seeds a target with a valid file, truncations of it and the
+// same file stamped version 1.
+func addSeeds(f *testing.F, good []byte) {
+	f.Add(good)
+	for _, cut := range []int{0, 7, 8, 15, 16, len(good) / 3, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	old := bytes.Clone(good)
+	binary.LittleEndian.PutUint16(old[len(Magic):], 1)
+	f.Add(old)
+}
+
+// probe runs one bounded search over a decoded instance.
+func probe(in *graph.Instance, ix *index.Index) {
+	users, kws := in.Users(), in.SortedKeywordsByFrequency()
+	if len(users) == 0 || len(kws) == 0 {
+		return
+	}
+	opts := core.Options{K: 3, Params: defaultParams(), MaxIterations: 8}
+	_, _, _ = core.NewEngine(in, ix).Search(users[0], []string{in.Dict().String(kws[0])}, opts)
+}
+
+func FuzzDecodeSnapshot(f *testing.F) {
+	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
+	var buf bytes.Buffer
+	if err := Write(&buf, in, ix); err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		reseal(data)
+		if in, ix, _, err := decodeSnapshot(data, false); err == nil {
+			probe(in, ix)
+		}
+	})
+}
+
+func FuzzDecodeManifest(f *testing.F) {
+	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
+	manifest, _ := writeSet(f, in, ix, 2)
+	addSeeds(f, manifest)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		reseal(data)
+		base, _, _, err := decodeManifest(data, false)
+		if err != nil {
+			return
+		}
+		// What a coordinator does with a manifest: resolve the query.
+		if kws := base.SortedKeywordsByFrequency(); len(kws) > 0 {
+			_, _, _ = core.ResolveKeywordGroups(base, []string{base.Dict().String(kws[0])})
+		}
+	})
+}
+
+func FuzzDecodeShard(f *testing.F) {
+	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
+	manifest, shards := writeSet(f, in, ix, 2)
+	base, layout, _, err := decodeManifest(manifest, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, shards[0])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		reseal(data)
+		// The manifest vouches for the mutated bytes, as reseal does for
+		// the sections: the digest is a checksum like the others.
+		vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
+		vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
+		if proj, six, _, err := decodeShard(data, base, vouching, 0, false); err == nil {
+			probe(proj, six)
+		}
+	})
+}

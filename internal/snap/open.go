@@ -1,19 +1,22 @@
 // Path-based snapshot opening with a load mode: the seam between the
-// on-disk formats and the two ways of getting an instance into memory.
+// on-disk format and the two ways of getting an instance into memory.
+// loadFile is the one place a path becomes bytes; the four role openers
+// (Open, OpenManifest, OpenShardSet here, OpenWorkerHost in worker.go)
+// decode what it returns.
 //
 // LoadCopy builds a fully private, GC-owned instance — hash-map
 // dictionary, indexed ontology, materialised strings — by decoding the
-// file (either version). It is portable, needs nothing kept open, and the
-// file can be rewritten or unlinked freely afterwards.
+// file and re-validating every entry. It is portable, needs nothing kept
+// open, and the file can be rewritten or unlinked freely afterwards.
 //
 // LoadMmap maps the file and builds the instance as typed views into the
 // mapping: slices point at the page cache, lookups go through the stored
 // binary-search structures, and open time is dominated by the per-section
 // checksum pass plus allocation-free validation scans. The returned
 // Mapping owns the pages; whoever holds the instance must hold a mapping
-// reference and Release it when the instance is retired. Version-1 files
-// and non-mappable platforms fall back to LoadCopy transparently (the
-// result reports the mode that actually happened).
+// reference and Release it when the instance is retired. Platforms whose
+// struct layout cannot alias the on-disk encoding fall back to LoadCopy
+// transparently (the result reports the mode that actually happened).
 package snap
 
 import (
@@ -53,8 +56,8 @@ type Snapshot struct {
 	// snapshot owns one reference and must Release it when done.
 	Mapping *mman.Mapping
 	// Mode is the load mode that actually happened (LoadMmap requests
-	// fall back to LoadCopy for version-1 files and on platforms whose
-	// struct layout cannot alias the on-disk encoding).
+	// fall back to LoadCopy on platforms whose struct layout cannot alias
+	// the on-disk encoding).
 	Mode LoadMode
 }
 
@@ -80,10 +83,10 @@ func (s *Snapshot) Close() error {
 // backing pages of whatever was mapped.
 type ShardSetSnapshot struct {
 	Set *ShardSet
-	// Mappings holds one entry per mapped file; files that fell back to
-	// the copying decoder contribute nothing.
+	// Mappings holds one entry per file under LoadMmap, none under
+	// LoadCopy.
 	Mappings []*mman.Mapping
-	// Mode is LoadMmap when at least one file is mapped.
+	// Mode is the load mode that actually happened.
 	Mode LoadMode
 }
 
@@ -128,14 +131,47 @@ func sectionAdvice(id byte) mman.Advice {
 	return mman.AdviseNormal
 }
 
-// adviseMapped applies per-section access advice to a freshly mapped
-// aligned file. Failures (and non-aligned files) are ignored: advice is
-// a performance hint, never a correctness requirement.
-func adviseMapped(m *mman.Mapping, magic, what string) {
-	spans, _, err := parseAlignedTable(m.Data(), magic, what)
-	if err != nil {
-		return
+// loadFile gets one file into memory. LoadCopy reads it into a private
+// buffer. LoadMmap maps it and returns the mapping, which the caller now
+// owns one reference to (and must Release if decoding fails) — unless the
+// platform's struct layout cannot alias the on-disk encoding, when it
+// degrades to the private buffer. A non-nil mapping is what selects the
+// zero-copy decode.
+func loadFile(path string, mode LoadMode) ([]byte, *mman.Mapping, error) {
+	if mode != LoadMmap || !layoutMappable() {
+		data, err := os.ReadFile(path)
+		return data, nil, err
 	}
+	m, err := mman.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.Data(), m, nil
+}
+
+// loadKept is loadFile for an open that spans several files: a mapping
+// joins *kept at once, so the Close of whoever owns the list releases it
+// on a failed open too.
+func loadKept(path string, mode LoadMode, kept *[]*mman.Mapping) ([]byte, *mman.Mapping, error) {
+	data, m, err := loadFile(path, mode)
+	if m != nil {
+		*kept = append(*kept, m)
+	}
+	return data, m, err
+}
+
+// modeOf reports the load mode a loadFile result amounts to.
+func modeOf(m *mman.Mapping) LoadMode {
+	if m != nil {
+		return LoadMmap
+	}
+	return LoadCopy
+}
+
+// adviseMapped applies per-section access advice to the sections a reader
+// kept of a freshly mapped file (a no-op on a nil mapping). Failures are
+// ignored: advice is a performance hint, never a correctness requirement.
+func adviseMapped(m *mman.Mapping, spans []secSpan) {
 	for _, sp := range spans {
 		if a := sectionAdvice(sp.id); a != mman.AdviseNormal {
 			_ = m.Advise(mman.Range{Off: sp.off, Len: sp.len}, a)
@@ -146,57 +182,36 @@ func adviseMapped(m *mman.Mapping, magic, what string) {
 // OpenShardSet loads a shard set from disk in the requested mode: the
 // manifest at manifestPath plus the shard files it names (resolved in the
 // manifest's directory), fully validated. In LoadMmap mode each file is
-// mapped independently; legacy files fall back to copying per file.
+// mapped independently.
 func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error) {
 	out := &ShardSetSnapshot{Set: &ShardSet{}}
-	// loadFile maps or reads one file, appending any mapping to out;
-	// zeroCopy reports whether the returned bytes outlive the call.
-	loadFile := func(path string, magic string) (data []byte, zeroCopy bool, err error) {
-		if mode != LoadMmap {
-			data, err = os.ReadFile(path)
-			return data, false, err
-		}
-		m, err := mman.Open(path)
-		if err != nil {
-			return nil, false, err
-		}
-		ver, err := fileVersion(m.Data(), magic)
-		if err == nil && ver == VersionAligned && layoutMappable() {
-			out.Mappings = append(out.Mappings, m)
-			out.Mode = LoadMmap
-			adviseMapped(m, magic, "shard-set file")
-			return m.Data(), true, nil
-		}
-		// Nothing mappable in this file: decode a private copy and drop
-		// the mapping (a bad magic surfaces as a decode error below).
-		data = append([]byte(nil), m.Data()...)
-		m.Release()
-		return data, false, nil
-	}
 	fail := func(err error) (*ShardSetSnapshot, error) {
 		out.Close()
 		return nil, err
 	}
 
-	mdata, mz, err := loadFile(manifestPath, ManifestMagic)
+	mdata, mm, err := loadKept(manifestPath, mode, &out.Mappings)
 	if err != nil {
 		return fail(err)
 	}
-	base, layout, err := decodeManifest(mdata, mz)
+	out.Mode = modeOf(mm)
+	base, layout, spans, err := decodeManifest(mdata, mm != nil)
 	if err != nil {
 		return fail(err)
 	}
+	adviseMapped(mm, spans)
 	out.Set.Base, out.Set.Layout = base, layout
 	dir := filepath.Dir(manifestPath)
 	for i, desc := range layout.Shards {
-		sdata, sz, err := loadFile(filepath.Join(dir, desc.Name), ShardMagic)
+		sdata, sm, err := loadKept(filepath.Join(dir, desc.Name), mode, &out.Mappings)
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", i, err))
 		}
-		proj, ix, err := decodeShard(sdata, base, layout, i, sz)
+		proj, ix, spans, err := decodeShard(sdata, base, layout, i, sm != nil)
 		if err != nil {
 			return fail(err)
 		}
+		adviseMapped(sm, spans)
 		out.Set.Shards = append(out.Set.Shards, proj)
 		out.Set.Indexes = append(out.Set.Indexes, ix)
 	}
@@ -232,79 +247,30 @@ func (s *ManifestSnapshot) Close() error {
 
 // OpenManifest loads a shard-set manifest alone, in the requested mode.
 func OpenManifest(path string, mode LoadMode) (*ManifestSnapshot, error) {
-	if mode != LoadMmap {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		base, layout, err := decodeManifest(data, false)
-		if err != nil {
-			return nil, err
-		}
-		return &ManifestSnapshot{Base: base, Layout: layout, Mode: LoadCopy}, nil
-	}
-	m, err := mman.Open(path)
+	data, m, err := loadFile(path, mode)
 	if err != nil {
 		return nil, err
 	}
-	ver, err := fileVersion(m.Data(), ManifestMagic)
-	if err != nil {
-		m.Release()
-		return nil, fmt.Errorf("snap: not a shard-set manifest (bad magic)")
-	}
-	if ver != VersionAligned || !layoutMappable() {
-		base, layout, derr := decodeManifest(m.Data(), false)
-		m.Release()
-		if derr != nil {
-			return nil, derr
-		}
-		return &ManifestSnapshot{Base: base, Layout: layout, Mode: LoadCopy}, nil
-	}
-	base, layout, err := decodeManifest(m.Data(), true)
+	base, layout, spans, err := decodeManifest(data, m != nil)
 	if err != nil {
 		m.Release()
 		return nil, err
 	}
-	adviseMapped(m, ManifestMagic, "shard-set manifest")
-	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: LoadMmap}, nil
+	adviseMapped(m, spans)
+	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: modeOf(m)}, nil
 }
 
 // Open loads a snapshot file in the requested mode.
 func Open(path string, mode LoadMode) (*Snapshot, error) {
-	if mode != LoadMmap {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		in, ix, err := decodeSnapshot(data, false)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{Instance: in, Index: ix, Mode: LoadCopy}, nil
-	}
-	m, err := mman.Open(path)
+	data, m, err := loadFile(path, mode)
 	if err != nil {
 		return nil, err
 	}
-	ver, err := fileVersion(m.Data(), Magic)
-	if err != nil {
-		m.Release()
-		return nil, fmt.Errorf("snap: not a snapshot (bad magic)")
-	}
-	if ver != VersionAligned || !layoutMappable() {
-		// Nothing to map: decode out of the mapping, then drop it.
-		in, ix, err := decodeSnapshot(m.Data(), false)
-		m.Release()
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{Instance: in, Index: ix, Mode: LoadCopy}, nil
-	}
-	in, ix, err := decodeSnapshot(m.Data(), true)
+	in, ix, spans, err := decodeSnapshot(data, m != nil)
 	if err != nil {
 		m.Release()
 		return nil, err
 	}
-	adviseMapped(m, Magic, "snapshot")
-	return &Snapshot{Instance: in, Index: ix, Mapping: m, Mode: LoadMmap}, nil
+	adviseMapped(m, spans)
+	return &Snapshot{Instance: in, Index: ix, Mapping: m, Mode: modeOf(m)}, nil
 }

@@ -10,7 +10,9 @@
 // graph: per-shard proximity over a trimmed graph would change scores.
 // What scales with content and partitions cleanly by the §5.2 component
 // grain is the connection index, so each shard file carries exactly its
-// components' index slice.
+// components' index slice — and those components' node rows, sliced out
+// of the manifest's node tables, so a worker host (worker.go) can serve
+// the shard without mapping the full tables.
 //
 // Every shard file embeds the manifest's set id (a digest of the
 // substrate payloads) and its ordinal, and the manifest records each
@@ -19,7 +21,8 @@
 //
 //	manifest:  "S3SHMF" + version + sections {dict, meta, nodes, graph,
 //	           matrix, entities, ontology, layout}
-//	shard i:   "S3SHRD" + version + sections {shard header, index slice}
+//	shard i:   "S3SHRD" + version + sections {shard header, index slice,
+//	           sliced node tables}
 package snap
 
 import (
@@ -42,24 +45,6 @@ const ManifestMagic = "S3SHMF"
 // ShardMagic starts a per-shard snapshot file.
 const ShardMagic = "S3SHRD"
 
-// ShardSetVersionVarint is the legacy varint shard-set format version
-// (readable, no longer written).
-const ShardSetVersionVarint = 1
-
-// ShardSetVersion is the current shard-set format version (manifest and
-// shard files move in lockstep): the aligned layout of the snapshot's
-// version 3, so shard-set substrates and index slices can be
-// memory-mapped exactly like single snapshots.
-const ShardSetVersion = VersionAligned
-
-// sliceShardTables gates the sliced node-table sections of shard files.
-// Always on in production writers; tests flip it to reproduce sets
-// written before the sections existed (the unsliced compatibility path).
-var sliceShardTables = true
-
-// manifestSections lists the ids a manifest reader requires.
-var manifestSections = []byte{secDict, secMeta, secNodes, secGraph, secMatrix, secEntities, secOntology, secLayout}
-
 // ShardDesc describes one shard file from the manifest's point of view.
 type ShardDesc struct {
 	// Name is the shard file's name, relative to the manifest (no
@@ -71,11 +56,10 @@ type ShardDesc struct {
 	// count, cross-checked against the shard payload on read.
 	Docs   int
 	Events int
-	// Sum is the digest of the shard file's bytes: CRC-32C (in the low 32
-	// bits) for aligned sets, FNV-64a for legacy v1 sets — the same
-	// hardware-accelerated checksum the aligned container uses per
-	// section, so validating a mapped shard costs one memory-bandwidth
-	// pass.
+	// Sum is the digest of the shard file's bytes: CRC-32C in the low 32
+	// bits — the same hardware-accelerated checksum the aligned container
+	// uses per section, so validating a mapped shard costs one
+	// memory-bandwidth pass.
 	Sum uint64
 }
 
@@ -203,16 +187,14 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 
 		var file bytes.Buffer
 		secs := append([]asec{{secShardHeader, false, hdr.Bytes()}}, alignedIndexSections(rawIn.Comp, postings)...)
-		if sliceShardTables {
-			secs = append(secs,
-				asec{sec3SliceNIDs, true, encI32s(nids)},
-				asec{sec3SliceKind, true, kinds},
-				asec{sec3SliceParent, true, encI32s(parents)},
-				asec{sec3SliceDepth, true, encI32s(depths)},
-				asec{sec3SliceDocOf, true, encI32s(docOfs)},
-			)
-		}
-		if err := writeAligned(&file, ShardMagic, ShardSetVersion, secs); err != nil {
+		secs = append(secs,
+			asec{sec3SliceNIDs, true, encI32s(nids)},
+			asec{sec3SliceKind, true, kinds},
+			asec{sec3SliceParent, true, encI32s(parents)},
+			asec{sec3SliceDepth, true, encI32s(depths)},
+			asec{sec3SliceDocOf, true, encI32s(docOfs)},
+		)
+		if err := writeAligned(&file, ShardMagic, secs); err != nil {
 			return err
 		}
 		desc.Sum = uint64(crc32.Checksum(file.Bytes(), castagnoli))
@@ -222,6 +204,14 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 		layout.Shards = append(layout.Shards, desc)
 	}
 
+	// secLayout (9) sorts before the raw substrate ids (32+), secMeta (2)
+	// before both; splice it into canonical id order.
+	msecs := append([]asec{subs[0], {secLayout, false, encodeLayout(&layout)}}, subs[1:]...)
+	return writeAligned(manifest, ManifestMagic, msecs)
+}
+
+// encodeLayout serialises the manifest's layout section.
+func encodeLayout(layout *Layout) []byte {
 	var lay encoder
 	lay.uint(layout.SetID)
 	lay.int(len(layout.Shards))
@@ -235,59 +225,59 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 		lay.int(d.Events)
 		lay.uint(d.Sum)
 	}
-	// secLayout (9) sorts before the raw substrate ids (32+), secMeta (2)
-	// before both; splice it into canonical id order.
-	msecs := append([]asec{subs[0], {secLayout, false, lay.Bytes()}}, subs[1:]...)
-	return writeAligned(manifest, ManifestMagic, ShardSetVersion, msecs)
+	return lay.Bytes()
 }
 
 // WriteShardSetFiles persists a shard set to disk: the manifest at
 // manifestPath plus one "<manifest base name>.shard-<i>" file per
 // component group next to it (the names readers resolve relative to the
-// manifest). Close errors are surfaced — a shard set is only reported
-// written once every file has been flushed. Returns the shard file
+// manifest). Every file is written to "<name>.tmp" beside its final path
+// and renamed into place once all of them are flushed and closed — a
+// path some server has mapped is replaced, never rewritten — shard files
+// first and the manifest last, so an interrupted replacement leaves a set
+// that fails its set-id check instead of serving. Returns the shard file
 // paths.
 func WriteShardSetFiles(manifestPath string, in *graph.Instance, ix *index.Index, parts [][]int32) ([]string, error) {
 	dir, base := filepath.Dir(manifestPath), filepath.Base(manifestPath)
 	names := make([]string, len(parts))
-	paths := make([]string, len(parts))
-	writers := make([]io.Writer, len(parts))
-	var files []*os.File
-	closeAll := func() error {
-		var first error
-		for _, f := range files {
-			if err := f.Close(); err != nil && first == nil {
-				first = fmt.Errorf("snap: closing %s: %w", f.Name(), err)
-			}
-		}
-		files = nil
-		return first
-	}
+	finals := make([]string, len(parts), len(parts)+1)
 	for s := range parts {
 		names[s] = fmt.Sprintf("%s.shard-%d", base, s)
-		paths[s] = filepath.Join(dir, names[s])
-		f, err := os.Create(paths[s])
+		finals[s] = filepath.Join(dir, names[s])
+	}
+	finals = append(finals, manifestPath)
+
+	var files []*os.File
+	fail := func(err error) ([]string, error) {
+		for _, f := range files {
+			f.Close()
+			os.Remove(f.Name())
+		}
+		return nil, err
+	}
+	writers := make([]io.Writer, len(finals))
+	for i, path := range finals {
+		f, err := os.Create(path + ".tmp")
 		if err != nil {
-			closeAll()
-			return nil, err
+			return fail(err)
 		}
 		files = append(files, f)
-		writers[s] = f
+		writers[i] = f
 	}
-	mf, err := os.Create(manifestPath)
-	if err != nil {
-		closeAll()
-		return nil, err
+	if err := WriteShardSet(writers[len(parts)], writers[:len(parts)], names, in, ix, parts); err != nil {
+		return fail(err)
 	}
-	files = append(files, mf)
-	if err := WriteShardSet(mf, writers, names, in, ix, parts); err != nil {
-		closeAll()
-		return nil, err
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			return fail(fmt.Errorf("snap: closing %s: %w", f.Name(), err))
+		}
 	}
-	if err := closeAll(); err != nil {
-		return nil, err
+	for i, f := range files {
+		if err := os.Rename(f.Name(), finals[i]); err != nil {
+			return fail(err)
+		}
 	}
-	return paths, nil
+	return finals[:len(parts)], nil
 }
 
 // validateShardName rejects names a reader could be tricked into
@@ -304,67 +294,31 @@ func validateShardName(name string) error {
 	return nil
 }
 
-// ReadManifest parses a shard-set manifest: the shared base instance and
-// the shard layout. The instance is decoded into private memory; for the
-// zero-copy mapped variant see OpenShardSet.
-func ReadManifest(r io.Reader) (*graph.Instance, *Layout, error) {
-	data, err := io.ReadAll(r)
+// decodeManifest reconstructs the shared base instance and the shard
+// layout from a manifest file's bytes, returning the file's section spans
+// alongside. With zeroCopy the instance views the payload bytes.
+func decodeManifest(data []byte, zeroCopy bool) (*graph.Instance, *Layout, []secSpan, error) {
+	const what = "shard-set manifest"
+	f, err := readAligned(data, ManifestMagic, what, nil, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: reading manifest: %w", err)
+		return nil, nil, nil, err
 	}
-	return decodeManifest(data, false)
-}
-
-// decodeManifest dispatches on the manifest's container version. With
-// zeroCopy (aligned manifests only) the instance views the payload bytes.
-func decodeManifest(data []byte, zeroCopy bool) (*graph.Instance, *Layout, error) {
-	ver, err := fileVersion(data, ManifestMagic)
+	if err := requireSections(f.payloads, what, []byte{secLayout}); err != nil {
+		return nil, nil, nil, err
+	}
+	s, err := substrateFromPayloads(f.payloads, what, zeroCopy)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: not a shard-set manifest (bad magic)")
+		return nil, nil, nil, err
 	}
-	var (
-		in  *graph.Instance
-		lay []byte
-	)
-	switch ver {
-	case ShardSetVersionVarint:
-		payloads, err := readSections(data, ManifestMagic, ShardSetVersionVarint, "shard-set manifest")
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, id := range manifestSections {
-			if _, ok := payloads[id]; !ok {
-				return nil, nil, fmt.Errorf("snap: manifest missing required section %d", id)
-			}
-		}
-		if in, err = decodeInstance(payloads); err != nil {
-			return nil, nil, err
-		}
-		lay = payloads[secLayout]
-	case ShardSetVersion:
-		payloads, err := readAligned(data, ManifestMagic, "shard-set manifest")
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, ok := payloads[secLayout]; !ok {
-			return nil, nil, fmt.Errorf("snap: manifest missing required section %d", secLayout)
-		}
-		s, err := substrateFromPayloads(payloads, "shard-set manifest", zeroCopy)
-		if err != nil {
-			return nil, nil, err
-		}
-		if in, err = instanceFromV3(s, zeroCopy); err != nil {
-			return nil, nil, err
-		}
-		lay = payloads[secLayout]
-	default:
-		return nil, nil, fmt.Errorf("snap: unsupported shard-set manifest format version %d (want %d or %d)", ver, ShardSetVersionVarint, ShardSetVersion)
-	}
-	layout, err := decodeLayout(lay, in.NumComponents())
+	in, err := instanceFromV3(s, zeroCopy)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return in, layout, nil
+	layout, err := decodeLayout(f.payloads[secLayout], in.NumComponents())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return in, layout, f.spans, nil
 }
 
 // decodeLayout parses and fully validates the layout section against the
@@ -416,126 +370,84 @@ func decodeLayout(data []byte, nComp int) (*Layout, error) {
 	return layout, nil
 }
 
-// ReadShard parses and validates shard i of a set against its manifest:
-// digest, set id, ordinal, component assignment and counts must all line
-// up. It returns the shard's component projection of the base instance
-// and its index slice.
-func ReadShard(r io.Reader, base *graph.Instance, layout *Layout, i int) (*graph.Instance, *index.Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snap: reading shard %d: %w", i, err)
-	}
-	return decodeShard(data, base, layout, i, false)
-}
-
-// decodeShard dispatches on the shard file's container version. With
-// zeroCopy (aligned shards only) the index slice views the payload bytes.
-func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroCopy bool) (*graph.Instance, *index.Index, error) {
+// parseShard validates shard i's file against the manifest layout — file
+// digest, container, required sections, linking header (set id, ordinal,
+// component assignment) — without decoding its tables. With dv the
+// digest pass is deferred along with the payload checksums.
+func parseShard(data []byte, layout *Layout, i int, dv *DeferredVerify) (*alignedFile, shardHeader, error) {
+	const what = "shard snapshot"
 	if i < 0 || i >= len(layout.Shards) {
-		return nil, nil, fmt.Errorf("snap: shard %d outside layout of %d shards", i, len(layout.Shards))
+		return nil, shardHeader{}, fmt.Errorf("snap: shard %d outside layout of %d shards", i, len(layout.Shards))
 	}
 	desc := layout.Shards[i]
-	ver, err := fileVersion(data, ShardMagic)
+	if err := dv.check(func() error {
+		if uint64(crc32.Checksum(data, castagnoli)) != desc.Sum {
+			return fmt.Errorf("snap: shard %d (%s) digest mismatch: file does not match manifest", i, desc.Name)
+		}
+		return nil
+	}); err != nil {
+		return nil, shardHeader{}, err
+	}
+	f, err := readAligned(data, ShardMagic, what, nil, dv)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: not a shard snapshot (bad magic)")
+		return nil, shardHeader{}, err
 	}
-	var sum uint64
-	if ver == ShardSetVersionVarint {
-		h := fnv.New64a()
-		h.Write(data)
-		sum = h.Sum64()
-	} else {
-		sum = uint64(crc32.Checksum(data, castagnoli))
+	if err := requireSections(f.payloads, what, []byte{secShardHeader}); err != nil {
+		return nil, shardHeader{}, err
 	}
-	if sum != desc.Sum {
-		return nil, nil, fmt.Errorf("snap: shard %d (%s) digest mismatch: file does not match manifest", i, desc.Name)
+	if requireSections(f.payloads, what, slice3Sections) != nil {
+		return nil, shardHeader{}, fmt.Errorf("snap: shard %d (%s) carries no sliced node tables — %s", i, desc.Name, regenerate)
 	}
-	var payloads map[byte][]byte
-	switch ver {
-	case ShardSetVersionVarint:
-		if payloads, err = readSections(data, ShardMagic, ShardSetVersionVarint, "shard snapshot"); err != nil {
-			return nil, nil, err
-		}
-		for _, id := range []byte{secShardHeader, secIndex} {
-			if _, ok := payloads[id]; !ok {
-				return nil, nil, fmt.Errorf("snap: shard %d missing required section %d", i, id)
-			}
-		}
-	case ShardSetVersion:
-		if payloads, err = readAligned(data, ShardMagic, "shard snapshot"); err != nil {
-			return nil, nil, err
-		}
-		if _, ok := payloads[secShardHeader]; !ok {
-			return nil, nil, fmt.Errorf("snap: shard %d missing required section %d", i, secShardHeader)
-		}
-	default:
-		return nil, nil, fmt.Errorf("snap: unsupported shard format version %d (want %d or %d)", ver, ShardSetVersionVarint, ShardSetVersion)
+	hdr, err := decodeShardHeader(f.payloads[secShardHeader], layout, i)
+	if err != nil {
+		return nil, shardHeader{}, err
 	}
+	return f, hdr, nil
+}
 
-	hdr, err := decodeShardHeader(payloads[secShardHeader], layout, i)
+// decodeShard reconstructs shard i of a set from its file's bytes,
+// validated against the manifest: digest, set id, ordinal, component
+// assignment and counts must all line up. It returns the shard's
+// component projection of the base instance and its index slice, plus the
+// file's section spans. With zeroCopy the index slice views the payload
+// bytes.
+func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroCopy bool) (*graph.Instance, *index.Index, []secSpan, error) {
+	f, hdr, err := parseShard(data, layout, i, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	comps, docs, events := hdr.comps, hdr.docs, hdr.events
-
-	proj, err := base.ProjectComponents(comps)
+	desc := layout.Shards[i]
+	proj, err := base.ProjectComponents(hdr.comps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
+		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
 	}
-	if got := len(proj.DocRoots()); got != docs || docs != desc.Docs {
-		return nil, nil, fmt.Errorf("snap: shard %d has %d documents, header says %d, manifest %d", i, got, docs, desc.Docs)
+	if got := len(proj.DocRoots()); got != hdr.docs || hdr.docs != desc.Docs {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d documents, header says %d, manifest %d", i, got, hdr.docs, desc.Docs)
 	}
-	var ix *index.Index
-	if ver == ShardSetVersionVarint {
-		postings, err := decodeIndex(payloads[secIndex])
-		if err != nil {
-			return nil, nil, err
-		}
-		got := 0
-		for _, p := range postings {
-			for _, ev := range p.Events {
-				if ev.Frag < 0 || int(ev.Frag) >= base.NumNodes() {
-					return nil, nil, fmt.Errorf("snap: shard %d event fragment %d outside instance", i, ev.Frag)
+	ix, err := indexFromPayloads(proj, f.payloads, "shard snapshot", zeroCopy)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	got := ix.NumEvents()
+	if !zeroCopy {
+		// Copying path: beyond the counts, every event must live in an
+		// owned component (FromRaw already bounded the fragments). The
+		// zero-copy path trusts the shard digest, which binds the file to
+		// its manifest, for component ownership.
+		got = 0
+		for _, kw := range ix.Keywords() {
+			for _, ev := range ix.Events(kw) {
+				if !proj.OwnsComponent(base.CompOf(ev.Frag)) {
+					return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, base.CompOf(ev.Frag))
 				}
 				got++
 			}
 		}
-		if got != events {
-			return nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, events)
-		}
-		if ix, err = index.FromRaw(proj, postings); err != nil {
-			return nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
-		}
-	} else {
-		if ix, err = indexFromPayloads(proj, payloads, "shard snapshot", zeroCopy); err != nil {
-			return nil, nil, err
-		}
 	}
-	if zeroCopy {
-		// Trusted path: the shard digest binds the file to its manifest,
-		// so component ownership is the writer's responsibility; only the
-		// counts are cross-checked.
-		if got := ix.NumEvents(); got != events || events != desc.Events {
-			return nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d, manifest %d", i, got, events, desc.Events)
-		}
-		return proj, ix, nil
+	if got != hdr.events || hdr.events != desc.Events {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d, manifest %d", i, got, hdr.events, desc.Events)
 	}
-	// Copying path: every event must live in an owned component, and the
-	// total must match the header and manifest (FromRaw already bounded
-	// the fragments).
-	got := 0
-	for _, kw := range ix.Keywords() {
-		for _, ev := range ix.Events(kw) {
-			if !proj.OwnsComponent(base.CompOf(ev.Frag)) {
-				return nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, base.CompOf(ev.Frag))
-			}
-			got++
-		}
-	}
-	if got != events || events != desc.Events {
-		return nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d, manifest %d", i, got, events, desc.Events)
-	}
-	return proj, ix, nil
+	return proj, ix, f.spans, nil
 }
 
 // shardHeader is a parsed per-shard header, cross-checked against the
@@ -579,26 +491,4 @@ func decodeShardHeader(payload []byte, layout *Layout, i int) (shardHeader, erro
 		}
 	}
 	return shardHeader{comps: comps, docs: docs, events: events}, nil
-}
-
-// ReadShardSet loads a complete shard set: the manifest and every shard
-// file, in layout order, fully validated.
-func ReadShardSet(manifest io.Reader, shards []io.Reader) (*ShardSet, error) {
-	base, layout, err := ReadManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
-	if len(shards) != len(layout.Shards) {
-		return nil, fmt.Errorf("snap: %d shard readers for a %d-shard set", len(shards), len(layout.Shards))
-	}
-	set := &ShardSet{Base: base, Layout: layout}
-	for i, r := range shards {
-		proj, ix, err := ReadShard(r, base, layout, i)
-		if err != nil {
-			return nil, err
-		}
-		set.Shards = append(set.Shards, proj)
-		set.Indexes = append(set.Indexes, ix)
-	}
-	return set, nil
 }

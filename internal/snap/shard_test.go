@@ -40,12 +40,24 @@ func writeSet(t testing.TB, in *graph.Instance, ix *index.Index, n int) (manifes
 	return mbuf.Bytes(), shards
 }
 
+// readSet decodes a whole in-memory shard set the way OpenShardSet does
+// over files in LoadCopy mode: the manifest, then shards[i] as the file
+// the layout names for shard i.
 func readSet(manifest []byte, shards [][]byte) (*ShardSet, error) {
-	rs := make([]io.Reader, len(shards))
-	for i, b := range shards {
-		rs[i] = bytes.NewReader(b)
+	base, layout, _, err := decodeManifest(manifest, false)
+	if err != nil {
+		return nil, err
 	}
-	return ReadShardSet(bytes.NewReader(manifest), rs)
+	set := &ShardSet{Base: base, Layout: layout}
+	for i, data := range shards {
+		proj, ix, _, err := decodeShard(data, base, layout, i, false)
+		if err != nil {
+			return nil, err
+		}
+		set.Shards = append(set.Shards, proj)
+		set.Indexes = append(set.Indexes, ix)
+	}
+	return set, nil
 }
 
 // TestShardSetRoundTrip writes a shard set, reads it back and checks that
@@ -140,9 +152,9 @@ func TestShardSetRejectsMixups(t *testing.T) {
 	if _, err := readSet(manifest, [][]byte{shards[0], shards2[1], shards[2]}); err == nil {
 		t.Error("foreign shard file accepted")
 	}
-	// Wrong shard count.
-	if _, err := readSet(manifest, shards[:2]); err == nil {
-		t.Error("short shard list accepted")
+	// More shard files than the layout names.
+	if _, err := readSet(manifest, append(shards, shards[0])); err == nil {
+		t.Error("a shard file beyond the layout accepted")
 	}
 	// A plain snapshot is not a manifest.
 	var snapBuf bytes.Buffer
@@ -169,7 +181,7 @@ func TestShardSetRejectsCorruption(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
-				t.Errorf("%s: ReadShardSet panicked: %v", name, r)
+				t.Errorf("%s: decoding the set panicked: %v", name, r)
 			}
 		}()
 		if set, err := readSet(m, ss); err == nil && set == nil {

@@ -6,35 +6,24 @@
 // cold-starts by reading flat arrays from disk instead of re-running
 // ontology saturation, matrix normalisation and the index fixpoint.
 //
-// # Formats
+// # Format
 //
-// Two container layouts coexist. The current version-3 format stores the
-// heavy tables as page-aligned raw little-endian arrays behind a
-// fixed-width, checksummed section table (see aligned.go and v3.go): it
-// is what Write emits and what the zero-copy mapped loader consumes, and
-// it additionally persists the derived lookup structures (sorted
+// There is one format version, written by Write / WriteShardSet and read
+// by every opener: the heavy tables are page-aligned raw little-endian
+// arrays behind a fixed-width, checksummed section table (see aligned.go
+// and v3.go), which the zero-copy mapped loader reinterprets in place and
+// the copying loader decodes into private memory. Besides the tables of
+// the instance it persists the derived lookup structures (sorted
 // dictionary permutation, triple permutations, children CSR, URI→node
 // table, per-event components) so loading does validation scans instead
-// of rebuilds. Version 2 is intentionally skipped so the snapshot and
-// shard-set formats share one current version number.
+// of rebuilds. The small bookkeeping sections (meta, shard layout, shard
+// header) are varint-encoded: unsigned varints (encoding/binary), floats
+// as IEEE-754 bits in little-endian order, strings length-prefixed.
 //
-// The legacy version-1 layout is a magic header, a varint section table
-// and varint payloads:
+// A file of any other version is rejected with an error that says to
+// regenerate it with s3gen; there is no migration path.
 //
-//	"S3SNAP"  magic (6 bytes)
-//	uint16    format version, little-endian (1)
-//	uvarint   section count
-//	repeated  section id (1 byte) + uvarint payload length
-//	payloads  concatenated in table order
-//
-// Integers are unsigned varints (encoding/binary); optional references
-// (parents, tag keywords, event sources) are biased by one so the zero
-// varint means "none"; floats are IEEE-754 bits in little-endian order.
-// Strings are length-prefixed raw bytes. Version-1 files remain fully
-// readable (through the copying decoder only — there is nothing aligned
-// to map); WriteLegacy still produces them for downgrade paths.
-//
-// Both writers emit sections in canonical order with map-backed tables
+// The writers emit sections in canonical order with map-backed tables
 // sorted by key, so the same instance always serialises to the same
 // bytes (snapshots can be content-addressed and diffed).
 package snap
@@ -46,237 +35,76 @@ import (
 	"io"
 	"math"
 
-	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
-	"s3/internal/rdf"
 	"s3/internal/text"
 )
 
 // Magic starts every snapshot file.
 const Magic = "S3SNAP"
 
-// VersionVarint is the legacy varint-only format version (readable, no
-// longer written).
-const VersionVarint = 1
+// Version is the one format version this build reads and writes, for
+// snapshots, shard-set manifests and shard files alike (they move in
+// lockstep).
+const Version = 3
 
-// VersionAligned is the page-aligned raw-section format version. Version
-// 2 is deliberately unused.
-const VersionAligned = 3
+// regenerate ends the error for a well-formed file this build cannot
+// serve.
+const regenerate = "regenerate it with s3gen"
 
-// Version is the current write version.
-const Version = VersionAligned
-
-// Section ids. Values are part of the on-disk format; never renumber.
+// Section ids of the varint-encoded bookkeeping sections (the raw array
+// sections are listed in v3.go). Values are part of the on-disk format;
+// never renumber.
 const (
-	secDict     byte = 1
-	secMeta     byte = 2
-	secNodes    byte = 3
-	secGraph    byte = 4
-	secMatrix   byte = 5
-	secEntities byte = 6
-	secOntology byte = 7
-	secIndex    byte = 8
+	secMeta byte = 2
 	// Shard-set sections (see shard.go): the layout table of a shard-set
 	// manifest and the linking header of a per-shard file.
 	secLayout      byte = 9
 	secShardHeader byte = 10
 )
 
-// requiredSections lists the ids a version-1 reader refuses to run
-// without.
-var requiredSections = []byte{secDict, secMeta, secNodes, secGraph, secMatrix, secEntities, secOntology, secIndex}
-
-// section is one encoded payload with its table id.
-type section struct {
-	id  byte
-	buf *bytes.Buffer
-}
-
-// instanceSections encodes the substrate of an instance — every section
-// except the connection index — in canonical order.
-func instanceSections(raw *graph.Raw) []section {
-	return []section{
-		{secDict, encodeDict(raw)},
-		{secMeta, encodeMeta(raw)},
-		{secNodes, encodeNodes(raw)},
-		{secGraph, encodeGraph(raw)},
-		{secMatrix, encodeMatrix(raw)},
-		{secEntities, encodeEntities(raw)},
-		{secOntology, encodeOntology(raw)},
-	}
-}
-
-// writeSections emits a snapshot-family file: magic, version, section
-// table, payloads.
-func writeSections(w io.Writer, magic string, version uint16, sections []section) error {
-	var head bytes.Buffer
-	head.WriteString(magic)
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], version)
-	head.Write(v[:])
-	head.Write(binary.AppendUvarint(nil, uint64(len(sections))))
-	for _, s := range sections {
-		head.WriteByte(s.id)
-		head.Write(binary.AppendUvarint(nil, uint64(s.buf.Len())))
-	}
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("snap: writing header: %w", err)
-	}
-	for _, s := range sections {
-		if _, err := w.Write(s.buf.Bytes()); err != nil {
-			return fmt.Errorf("snap: writing section %d: %w", s.id, err)
-		}
-	}
-	return nil
-}
-
-// Write serialises the instance and its connection index in the current
-// (version-3, aligned) format.
+// Write serialises the instance and its connection index.
 func Write(w io.Writer, in *graph.Instance, ix *index.Index) error {
 	raw := in.Raw()
 	secs := append(alignedInstanceSections(raw), alignedIndexSections(raw.Comp, ix.Raw())...)
-	return writeAligned(w, Magic, VersionAligned, secs)
+	return writeAligned(w, Magic, secs)
 }
 
-// WriteLegacy serialises in the version-1 varint format, for readers that
-// predate the aligned layout.
-func WriteLegacy(w io.Writer, in *graph.Instance, ix *index.Index) error {
-	sections := append(instanceSections(in.Raw()), section{secIndex, encodeIndex(ix.Raw())})
-	return writeSections(w, Magic, VersionVarint, sections)
-}
-
-// readSections parses a snapshot-family file: it verifies magic and
-// version, walks the section table and returns the per-section payloads.
-// what names the file kind in error messages.
-func readSections(data []byte, magic string, version uint16, what string) (map[byte][]byte, error) {
-	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("snap: not a %s (bad magic)", what)
-	}
-	ver := binary.LittleEndian.Uint16(data[len(magic):])
-	if ver != version {
-		return nil, fmt.Errorf("snap: unsupported %s format version %d (want %d)", what, ver, version)
-	}
-	d := &decoder{data: data, pos: len(magic) + 2}
-	nSec := int(d.uint())
-	type entry struct {
-		id  byte
-		len uint64
-	}
-	table := make([]entry, 0, nSec)
-	for i := 0; i < nSec && d.err == nil; i++ {
-		id := d.byte()
-		table = append(table, entry{id: id, len: d.uint()})
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("snap: corrupt section table: %w", d.err)
-	}
-	payloads := make(map[byte][]byte, nSec)
-	off := d.pos
-	for _, e := range table {
-		end := off + int(e.len)
-		if end < off || end > len(data) {
-			return nil, fmt.Errorf("snap: section %d overruns %s (%d bytes past %d)", e.id, what, end, len(data))
-		}
-		if _, dup := payloads[e.id]; dup {
-			return nil, fmt.Errorf("snap: duplicate section %d", e.id)
-		}
-		payloads[e.id] = data[off:end]
-		off = end
-	}
-	return payloads, nil
-}
-
-// decodeInstance rebuilds the frozen instance from the substrate section
-// payloads (everything but the connection index).
-func decodeInstance(payloads map[byte][]byte) (*graph.Instance, error) {
-	raw := &graph.Raw{}
-	if err := decodeDict(payloads[secDict], raw); err != nil {
-		return nil, err
-	}
-	numNodes, err := decodeMeta(payloads[secMeta], raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeNodes(payloads[secNodes], numNodes, raw); err != nil {
-		return nil, err
-	}
-	if err := decodeGraph(payloads[secGraph], numNodes, raw); err != nil {
-		return nil, err
-	}
-	if err := decodeMatrix(payloads[secMatrix], numNodes, raw); err != nil {
-		return nil, err
-	}
-	if err := decodeEntities(payloads[secEntities], raw); err != nil {
-		return nil, err
-	}
-	if err := decodeOntology(payloads[secOntology], raw); err != nil {
-		return nil, err
-	}
-	in, err := graph.FromRaw(raw)
-	if err != nil {
-		return nil, fmt.Errorf("snap: %w", err)
-	}
-	return in, nil
-}
-
-// Read deserialises a snapshot written by Write (either format version)
-// and reconstructs the frozen instance and its index in private memory.
-// For the zero-copy mapped load, see Open.
+// Read deserialises a snapshot written by Write from a stream and
+// reconstructs the frozen instance and its index in private memory
+// (LoadCopy semantics). For files, and the zero-copy mapped load, see
+// Open.
 func Read(r io.Reader) (*graph.Instance, *index.Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("snap: reading snapshot: %w", err)
 	}
-	return decodeSnapshot(data, false)
+	in, ix, _, err := decodeSnapshot(data, false)
+	return in, ix, err
 }
 
-// decodeSnapshot dispatches on the container version. zeroCopy selects
-// the view-based decode of the aligned format (the caller then owns the
-// lifetime of data); version-1 files ignore it and always copy.
-func decodeSnapshot(data []byte, zeroCopy bool) (*graph.Instance, *index.Index, error) {
-	ver, err := fileVersion(data, Magic)
+// decodeSnapshot reconstructs instance and index from a snapshot file's
+// bytes, returning the file's section spans alongside. zeroCopy selects
+// the view-based decode (the caller then owns the lifetime of data);
+// otherwise everything is copied and re-validated entry by entry.
+func decodeSnapshot(data []byte, zeroCopy bool) (*graph.Instance, *index.Index, []secSpan, error) {
+	f, err := readAligned(data, Magic, "snapshot", nil, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: not a snapshot (bad magic)")
+		return nil, nil, nil, err
 	}
-	switch ver {
-	case VersionVarint:
-		return decodeSnapshotV1(data)
-	case VersionAligned:
-		payloads, err := readAligned(data, Magic, "snapshot")
-		if err != nil {
-			return nil, nil, err
-		}
-		return decodeV3(payloads, zeroCopy)
-	default:
-		return nil, nil, fmt.Errorf("snap: unsupported snapshot format version %d (want %d or %d)", ver, VersionVarint, VersionAligned)
-	}
-}
-
-// decodeSnapshotV1 is the legacy varint decoder.
-func decodeSnapshotV1(data []byte) (*graph.Instance, *index.Index, error) {
-	payloads, err := readSections(data, Magic, VersionVarint, "snapshot")
+	s, err := substrateFromPayloads(f.payloads, "snapshot", zeroCopy)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	for _, id := range requiredSections {
-		if _, ok := payloads[id]; !ok {
-			return nil, nil, fmt.Errorf("snap: missing required section %d", id)
-		}
-	}
-	in, err := decodeInstance(payloads)
+	in, err := instanceFromV3(s, zeroCopy)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	postings, err := decodeIndex(payloads[secIndex])
+	ix, err := indexFromPayloads(in, f.payloads, "snapshot", zeroCopy)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ix, err := index.FromRaw(in, postings)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snap: %w", err)
-	}
-	return in, ix, nil
+	return in, ix, f.spans, nil
 }
 
 // --- encoding ---
@@ -299,26 +127,6 @@ func (e *encoder) f64(f float64) {
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 	e.Write(b[:])
 }
-func (e *encoder) nid(v graph.NID) {
-	// NoNID (-1) → 0; valid nodes are biased by one.
-	e.uint(uint64(int64(v) + 1))
-}
-func (e *encoder) id(v dict.ID) {
-	if v == dict.NoID {
-		e.uint(0)
-		return
-	}
-	e.uint(uint64(v) + 1)
-}
-
-func encodeDict(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	e.int(len(r.Strings))
-	for _, s := range r.Strings {
-		e.str(s)
-	}
-	return &e.Buffer
-}
 
 func encodeMeta(r *graph.Raw) *bytes.Buffer {
 	var e encoder
@@ -335,120 +143,6 @@ func encodeMeta(r *graph.Raw) *bytes.Buffer {
 		e.int(v)
 	}
 	e.f64(s.AvgSocialDegree)
-	return &e.Buffer
-}
-
-func encodeNodes(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	for v := range r.DictID {
-		e.id(r.DictID[v])
-		e.byte1(byte(r.Kind[v]))
-		e.nid(r.Parent[v])
-		e.uint(uint64(r.Depth[v]))
-		e.uint(uint64(int64(r.DocOf[v]) + 1)) // -1 → 0
-		e.id(r.NodeName[v])
-		e.uint(uint64(int64(r.Comp[v]) + 1)) // -1 → 0
-		e.int(len(r.Keywords[v]))
-		for _, k := range r.Keywords[v] {
-			e.id(k)
-		}
-	}
-	return &e.Buffer
-}
-
-func encodeGraph(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	for v := range r.Out {
-		e.int(len(r.Out[v]))
-		for _, edge := range r.Out[v] {
-			e.nid(edge.To)
-			e.id(edge.Prop)
-			e.f64(edge.W)
-		}
-	}
-	for _, w := range r.TotalW {
-		e.f64(w)
-	}
-	return &e.Buffer
-}
-
-func encodeMatrix(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	for _, p := range r.MatrixRowPtr {
-		e.uint(uint64(p))
-	}
-	e.int(len(r.MatrixCol))
-	for _, c := range r.MatrixCol {
-		e.uint(uint64(c))
-	}
-	for _, v := range r.MatrixVal {
-		e.f64(v)
-	}
-	return &e.Buffer
-}
-
-func encodeEntities(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	for _, lst := range [][]graph.NID{r.Users, r.DocRoots, r.TagList} {
-		e.int(len(lst))
-		for _, v := range lst {
-			e.nid(v)
-		}
-	}
-	for _, ti := range r.TagInfos {
-		e.nid(ti.Subject)
-		e.nid(ti.Author)
-		e.id(ti.Keyword)
-		e.id(ti.Type)
-	}
-	e.int(len(r.Comments))
-	for _, c := range r.Comments {
-		e.nid(c.Comment)
-		e.nid(c.Target)
-		e.id(c.Prop)
-	}
-	e.int(len(r.Posts))
-	for _, p := range r.Posts {
-		e.nid(p.Doc)
-		e.nid(p.User)
-	}
-	e.int(len(r.KwFreqKeys))
-	for i, k := range r.KwFreqKeys {
-		e.id(k)
-		e.uint(uint64(r.KwFreqCounts[i]))
-	}
-	return &e.Buffer
-}
-
-func encodeOntology(r *graph.Raw) *bytes.Buffer {
-	var e encoder
-	e.int(len(r.Triples))
-	for _, t := range r.Triples {
-		e.id(t.S)
-		e.id(t.P)
-		e.id(t.O)
-		if t.W == 1 {
-			e.byte1(1)
-		} else {
-			e.byte1(0)
-			e.f64(t.W)
-		}
-	}
-	return &e.Buffer
-}
-
-func encodeIndex(postings []index.RawPosting) *bytes.Buffer {
-	var e encoder
-	e.int(len(postings))
-	for _, p := range postings {
-		e.id(p.Kw)
-		e.int(len(p.Events))
-		for _, ev := range p.Events {
-			e.nid(ev.Frag)
-			e.nid(ev.Src)
-			e.byte1(byte(ev.Type))
-		}
-	}
 	return &e.Buffer
 }
 
@@ -538,43 +232,6 @@ func (d *decoder) str() string {
 	return s
 }
 
-func (d *decoder) nid() graph.NID {
-	v := d.uint()
-	if v == 0 {
-		return graph.NoNID
-	}
-	if v > uint64(math.MaxInt32) {
-		d.fail("node id %d overflows", v)
-		return graph.NoNID
-	}
-	return graph.NID(v - 1)
-}
-
-func (d *decoder) id() dict.ID {
-	v := d.uint()
-	if v == 0 {
-		return dict.NoID
-	}
-	if v > uint64(math.MaxUint32) {
-		d.fail("dictionary id %d overflows", v)
-		return dict.NoID
-	}
-	return dict.ID(v - 1)
-}
-
-func decodeDict(data []byte, r *graph.Raw) error {
-	d := &decoder{data: data}
-	n := d.count(1)
-	r.Strings = make([]string, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Strings = append(r.Strings, d.str())
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: dict section: %w", d.err)
-	}
-	return nil
-}
-
 func decodeMeta(data []byte, r *graph.Raw) (int, error) {
 	d := &decoder{data: data}
 	r.Lang = text.Lang(d.byte())
@@ -598,172 +255,4 @@ func decodeMeta(data []byte, r *graph.Raw) (int, error) {
 		return 0, fmt.Errorf("snap: meta section: unknown analyzer language %d", r.Lang)
 	}
 	return numNodes, nil
-}
-
-func decodeNodes(data []byte, numNodes int, r *graph.Raw) error {
-	d := &decoder{data: data}
-	// Every node occupies at least 8 bytes (seven varints and a kind
-	// byte), bounding the allocation a corrupt node count can cause.
-	if numNodes < 0 || numNodes > len(data)/8+1 {
-		return fmt.Errorf("snap: nodes section: %d nodes but %d bytes", numNodes, len(data))
-	}
-	r.DictID = make([]dict.ID, numNodes)
-	r.Kind = make([]graph.NodeKind, numNodes)
-	r.Parent = make([]graph.NID, numNodes)
-	r.Depth = make([]int32, numNodes)
-	r.DocOf = make([]int32, numNodes)
-	r.NodeName = make([]dict.ID, numNodes)
-	r.Comp = make([]int32, numNodes)
-	r.Keywords = make([][]dict.ID, numNodes)
-	for v := 0; v < numNodes && d.err == nil; v++ {
-		r.DictID[v] = d.id()
-		r.Kind[v] = graph.NodeKind(d.byte())
-		r.Parent[v] = d.nid()
-		r.Depth[v] = int32(d.uint())
-		r.DocOf[v] = int32(d.uint()) - 1
-		r.NodeName[v] = d.id()
-		r.Comp[v] = int32(d.uint()) - 1
-		nk := d.count(1)
-		if nk > 0 {
-			r.Keywords[v] = make([]dict.ID, 0, nk)
-			for i := 0; i < nk && d.err == nil; i++ {
-				r.Keywords[v] = append(r.Keywords[v], d.id())
-			}
-		}
-		if r.Kind[v] > graph.KindTag {
-			d.fail("unknown node kind %d", r.Kind[v])
-		}
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: nodes section: %w", d.err)
-	}
-	return nil
-}
-
-func decodeGraph(data []byte, numNodes int, r *graph.Raw) error {
-	d := &decoder{data: data}
-	r.Out = make([][]graph.Edge, numNodes)
-	for v := 0; v < numNodes && d.err == nil; v++ {
-		deg := d.count(1)
-		if deg > 0 {
-			r.Out[v] = make([]graph.Edge, 0, deg)
-			for i := 0; i < deg && d.err == nil; i++ {
-				to := d.nid()
-				prop := d.id()
-				w := d.f64()
-				r.Out[v] = append(r.Out[v], graph.Edge{To: to, Prop: prop, W: w})
-			}
-		}
-	}
-	r.TotalW = make([]float64, numNodes)
-	for v := 0; v < numNodes && d.err == nil; v++ {
-		r.TotalW[v] = d.f64()
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: graph section: %w", d.err)
-	}
-	return nil
-}
-
-func decodeMatrix(data []byte, numNodes int, r *graph.Raw) error {
-	d := &decoder{data: data}
-	r.MatrixRowPtr = make([]int32, numNodes+1)
-	for i := range r.MatrixRowPtr {
-		r.MatrixRowPtr[i] = int32(d.uint())
-	}
-	nnz := d.count(1)
-	r.MatrixCol = make([]int32, nnz)
-	for i := 0; i < nnz && d.err == nil; i++ {
-		r.MatrixCol[i] = int32(d.uint())
-	}
-	r.MatrixVal = make([]float64, nnz)
-	for i := 0; i < nnz && d.err == nil; i++ {
-		r.MatrixVal[i] = d.f64()
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: matrix section: %w", d.err)
-	}
-	return nil
-}
-
-func decodeEntities(data []byte, r *graph.Raw) error {
-	d := &decoder{data: data}
-	readNIDs := func() []graph.NID {
-		n := d.count(1)
-		out := make([]graph.NID, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			out = append(out, d.nid())
-		}
-		return out
-	}
-	r.Users = readNIDs()
-	r.DocRoots = readNIDs()
-	r.TagList = readNIDs()
-	r.TagInfos = make([]graph.TagInfo, len(r.TagList))
-	for i := range r.TagInfos {
-		r.TagInfos[i] = graph.TagInfo{
-			Subject: d.nid(), Author: d.nid(), Keyword: d.id(), Type: d.id(),
-		}
-	}
-	nc := d.count(3)
-	r.Comments = make([]graph.CommentEdge, 0, nc)
-	for i := 0; i < nc && d.err == nil; i++ {
-		r.Comments = append(r.Comments, graph.CommentEdge{Comment: d.nid(), Target: d.nid(), Prop: d.id()})
-	}
-	np := d.count(2)
-	r.Posts = make([]graph.PostEdge, 0, np)
-	for i := 0; i < np && d.err == nil; i++ {
-		r.Posts = append(r.Posts, graph.PostEdge{Doc: d.nid(), User: d.nid()})
-	}
-	nf := d.count(2)
-	r.KwFreqKeys = make([]dict.ID, 0, nf)
-	r.KwFreqCounts = make([]int32, 0, nf)
-	for i := 0; i < nf && d.err == nil; i++ {
-		r.KwFreqKeys = append(r.KwFreqKeys, d.id())
-		r.KwFreqCounts = append(r.KwFreqCounts, int32(d.uint()))
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: entities section: %w", d.err)
-	}
-	return nil
-}
-
-func decodeOntology(data []byte, r *graph.Raw) error {
-	d := &decoder{data: data}
-	n := d.count(4)
-	r.Triples = make([]rdf.Triple, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		t := rdf.Triple{S: d.id(), P: d.id(), O: d.id()}
-		if d.byte() == 1 {
-			t.W = 1
-		} else {
-			t.W = d.f64()
-		}
-		r.Triples = append(r.Triples, t)
-	}
-	if d.err != nil {
-		return fmt.Errorf("snap: ontology section: %w", d.err)
-	}
-	return nil
-}
-
-func decodeIndex(data []byte) ([]index.RawPosting, error) {
-	d := &decoder{data: data}
-	n := d.count(2)
-	postings := make([]index.RawPosting, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		p := index.RawPosting{Kw: d.id()}
-		ne := d.count(3)
-		p.Events = make([]index.Event, 0, ne)
-		for j := 0; j < ne && d.err == nil; j++ {
-			p.Events = append(p.Events, index.Event{
-				Frag: d.nid(), Src: d.nid(), Type: index.ConnType(d.byte()),
-			})
-		}
-		postings = append(postings, p)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("snap: index section: %w", d.err)
-	}
-	return postings, nil
 }

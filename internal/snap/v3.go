@@ -1,4 +1,4 @@
-// Version-3 snapshot sections: every heavy table of the instance as a
+// The snapshot's sections: every heavy table of the instance as a
 // fixed-width little-endian array in the aligned container (aligned.go),
 // alongside the varint meta section. The encoding of each array equals
 // the in-memory representation of its Go element type on little-endian
@@ -6,8 +6,8 @@
 // lets the mapped loader reinterpret a section as a typed slice with
 // unsafe.Slice instead of decoding it.
 //
-// Beyond the v1 tables, v3 also stores the derived lookup structures a
-// loader would otherwise have to rebuild: the dictionary's sorted
+// Beside the instance's own tables the format stores the derived lookup
+// structures a loader would otherwise have to rebuild: the dictionary's sorted
 // permutation (binary-searched lookups over the string arena), the
 // ontology's (S,P,O)- and (P,O,S)-sorted triple permutations (frozen RDF
 // graph), the children lists in CSR form, the dense URI→node table, and
@@ -28,9 +28,9 @@ import (
 	"s3/internal/rdf"
 )
 
-// Section ids of the v3 format. Values are part of the on-disk format;
-// never renumber. Ids below 32 are varint sections shared with v1 / the
-// shard-set format; 32 and up are raw aligned arrays.
+// Section ids of the raw aligned arrays (32 and up; ids below 32 are the
+// varint sections of snap.go). Values are part of the on-disk format;
+// never renumber.
 const (
 	sec3DictArena    byte = 32 // []byte    string arena, entries concatenated in id order
 	sec3DictOffs     byte = 33 // []int64   n+1 arena offsets
@@ -72,12 +72,11 @@ const (
 	sec3IndexCompIDs byte = 69 // []int32   distinct components per posting, flattened
 	sec3IndexMaxRun  byte = 70 // []int32   per posting: longest single-component event run
 
-	// Sliced node tables of a shard file (optional; present in shard sets
-	// written since the distributed-serving format revision): the rows of
-	// the shard's own components' nodes, keyed by the sorted node list. A
-	// worker process serving one shard maps these instead of the
-	// manifest's full node tables, shrinking its per-process mapped bytes
-	// to matrix + component table + its own rows.
+	// Sliced node tables of a shard file: the rows of the shard's own
+	// components' nodes, keyed by the sorted node list. A worker process
+	// hosting the shard maps these instead of the manifest's full node
+	// tables, shrinking its per-process mapped bytes to matrix + component
+	// table + its own rows.
 	sec3SliceNIDs   byte = 71 // []NID     nodes of the shard's components, ascending
 	sec3SliceKind   byte = 72 // []byte    parallel node kinds
 	sec3SliceParent byte = 73 // []NID     parallel tree parents
@@ -85,7 +84,7 @@ const (
 	sec3SliceDocOf  byte = 75 // []int32   parallel document ordinals
 )
 
-// required3Substrate lists the sections a v3 substrate (instance without
+// required3Substrate lists the sections a substrate (instance without
 // index) reader refuses to run without.
 var required3Substrate = []byte{
 	secMeta,
@@ -100,16 +99,14 @@ var required3Substrate = []byte{
 	sec3ChildOff, sec3ChildList, sec3NIDByID,
 }
 
-// required3Index lists the index sections of a v3 snapshot or shard file.
+// required3Index lists the index sections of a snapshot or shard file.
 var required3Index = []byte{
 	sec3IndexKw, sec3IndexEvOff, sec3IndexEvents, sec3IndexComps,
 	sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun,
 }
 
-// slice3Sections lists the sliced node-table sections of a shard file.
-// They travel together: a shard file has either all of them (sliced,
-// worker-servable without the manifest's node tables) or none (legacy
-// unsliced set — workers fall back to mapping the full manifest).
+// slice3Sections lists the sliced node-table sections of a shard file,
+// which make it worker-servable without the manifest's node tables.
 var slice3Sections = []byte{sec3SliceNIDs, sec3SliceKind, sec3SliceParent, sec3SliceDepth, sec3SliceDocOf}
 
 // manifestSubstrateSections lists the manifest sections a sliced worker
@@ -134,7 +131,7 @@ var hostLittleEndian = func() bool {
 }()
 
 // layoutMappable reports whether the in-memory layout of every struct
-// element type matches the on-disk v3 encoding, byte for byte. On exotic
+// element type matches the on-disk encoding, byte for byte. On exotic
 // platforms (big-endian, unusual padding) the mapped loader falls back to
 // the copying decoder; the file format itself is platform-independent.
 func layoutMappable() bool {
@@ -412,11 +409,10 @@ func decEvents(p []byte, what string) ([]index.Event, error) {
 	return out, nil
 }
 
-// --- writer: v3 sections from a Raw ---
+// --- writer: sections from a Raw ---
 
 // alignedInstanceSections encodes the substrate of an instance (every
-// section except the connection index) as v3 sections in canonical id
-// order.
+// section except the connection index) in canonical id order.
 func alignedInstanceSections(r *graph.Raw) []asec {
 	n := len(r.DictID)
 
@@ -535,9 +531,9 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 	}
 }
 
-// alignedIndexSections encodes the connection index as v3 sections: the
-// postings flattened to (keywords, offsets, events) plus the precomputed
-// per-event component ids. comp is the node→component table.
+// alignedIndexSections encodes the connection index: the postings
+// flattened to (keywords, offsets, events) plus the precomputed per-event
+// component ids. comp is the node→component table.
 func alignedIndexSections(comp []int32, postings []index.RawPosting) []asec {
 	kws := make([]dict.ID, 0, len(postings))
 	evOff := make([]int64, 1, len(postings)+1)
@@ -604,8 +600,8 @@ func checkOffsets(off []int64, n int, total int, what string) error {
 	return nil
 }
 
-// v3Substrate holds the decoded (or viewed) substrate arrays of a v3
-// file, ready for instance assembly.
+// v3Substrate holds the decoded (or viewed) substrate arrays of a file,
+// ready for instance assembly.
 type v3Substrate struct {
 	raw *graph.Raw
 
@@ -629,10 +625,8 @@ type v3Substrate struct {
 // arrays are views into the payload bytes (which must then outlive the
 // instance); otherwise everything is copied into private memory.
 func substrateFromPayloads(payloads map[byte][]byte, what string, zeroCopy bool) (*v3Substrate, error) {
-	for _, id := range required3Substrate {
-		if _, ok := payloads[id]; !ok {
-			return nil, fmt.Errorf("snap: %s missing required section %d", what, id)
-		}
+	if err := requireSections(payloads, what, required3Substrate); err != nil {
+		return nil, err
 	}
 	s := &v3Substrate{raw: &graph.Raw{}}
 	numNodes, err := decodeMeta(payloads[secMeta], s.raw)
@@ -843,13 +837,11 @@ func instanceFromV3(s *v3Substrate, zeroCopy bool) (*graph.Instance, error) {
 	return in, nil
 }
 
-// indexFromPayloads assembles the connection index of a v3 snapshot or
+// indexFromPayloads assembles the connection index of a snapshot or
 // shard file over its (projected) instance.
 func indexFromPayloads(in *graph.Instance, payloads map[byte][]byte, what string, zeroCopy bool) (*index.Index, error) {
-	for _, id := range required3Index {
-		if _, ok := payloads[id]; !ok {
-			return nil, fmt.Errorf("snap: %s missing required section %d", what, id)
-		}
+	if err := requireSections(payloads, what, required3Index); err != nil {
+		return nil, err
 	}
 	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
 	kws := loadU32s[dict.ID](g, sec3IndexKw, "posting keywords")
@@ -890,22 +882,4 @@ func indexFromPayloads(in *graph.Instance, payloads map[byte][]byte, what string
 		return nil, fmt.Errorf("snap: %w", err)
 	}
 	return ix, nil
-}
-
-// decodeV3 reconstructs instance and index from an aligned snapshot's
-// payloads.
-func decodeV3(payloads map[byte][]byte, zeroCopy bool) (*graph.Instance, *index.Index, error) {
-	s, err := substrateFromPayloads(payloads, "snapshot", zeroCopy)
-	if err != nil {
-		return nil, nil, err
-	}
-	in, err := instanceFromV3(s, zeroCopy)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix, err := indexFromPayloads(in, payloads, "snapshot", zeroCopy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, ix, nil
 }

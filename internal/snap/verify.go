@@ -1,6 +1,6 @@
 // Deferred integrity verification: checksum-on-fault for large mappings.
 //
-// The v3 aligned container validates its header and section table on
+// The aligned container validates its header and section table on
 // every open (cheap: a few KB), but the per-section payload CRC-32C pass
 // is memory-bandwidth bound over the whole file — on a large mapping it
 // IS the cold-start cost. VerifyLazy moves that pass off the open path
@@ -57,6 +57,17 @@ func (d *DeferredVerify) spawn(f func() error) {
 			d.mu.Unlock()
 		}
 	}()
+}
+
+// check runs one integrity pass where the open's VerifyMode wants it:
+// inline on a nil collector (VerifyEager — the error fails the open), in
+// the background otherwise.
+func (d *DeferredVerify) check(f func() error) error {
+	if d == nil {
+		return f()
+	}
+	d.spawn(f)
+	return nil
 }
 
 // Wait blocks until every deferred check has completed and returns the

@@ -6,7 +6,7 @@
 // defined over — the whole-graph transition matrix and the
 // node→component table — plus the meta/layout bookkeeping; each hosted
 // shard's own node rows (kind, parent, depth, document ordinal) arrive
-// sliced inside its shard file, alongside the index slice it always had.
+// sliced inside its shard file, alongside its index slice.
 // OpenWorkerHost therefore maps the manifest ONCE, parses and checksums
 // only the substrate sections, builds every hosted shard's sliced
 // instance over that one substrate, and *trims* the rest of the mapping
@@ -15,23 +15,14 @@
 // madvise is applied to what remains (random access for matrix and
 // postings, prefetch for the warm-path tables).
 //
-// Integrity: VerifyEager checksums every payload during the open (the
-// historical behaviour, kept for all single-shard compatibility paths);
+// Integrity: VerifyEager checksums every payload during the open;
 // VerifyLazy defers the memory-bandwidth passes — manifest substrate
 // section CRCs, shard-file digests, shard section CRCs — to a background
 // collector surfaced through WaitVerify/VerifyErr (see verify.go).
-//
-// Compatibility: shard files written before the sliced sections existed
-// (or legacy v1 sets) fall back to the full open — map/decode the whole
-// manifest, project each hosted shard's components — which answers
-// identically and simply maps more.
 package snap
 
 import (
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
-	"os"
 	"path/filepath"
 
 	"s3/internal/graph"
@@ -44,7 +35,7 @@ import (
 type WorkerSnapshot struct {
 	// Instance/Index are the first hosted shard's inputs (the whole view
 	// for a single-shard worker); Instances/Indexes hold every hosted
-	// shard in Shards order, sharing one substrate on the sliced path.
+	// shard in Shards order, sharing one substrate.
 	Instance  *graph.Instance
 	Index     *index.Index
 	Instances []*graph.Instance
@@ -54,11 +45,8 @@ type WorkerSnapshot struct {
 	Layout *Layout
 	Shard  int
 	Shards []int
-	// Sliced reports whether the host runs over the sliced substrate
-	// (manifest node tables trimmed away) rather than the full manifest.
-	Sliced bool
-	// Mappings holds the live mappings (manifest first); Mode is LoadMmap
-	// when at least one file stayed mapped.
+	// Mappings holds the live mappings (manifest first); Mode is the load
+	// mode that actually happened.
 	Mappings []*mman.Mapping
 	Mode     LoadMode
 
@@ -111,14 +99,6 @@ func (s *WorkerSnapshot) Close() error {
 	return first
 }
 
-// OpenShardWorker opens the manifest plus one shard of a set, fully
-// validated (digest, set id, ordinal, counts), for a per-shard worker
-// process. It is OpenWorkerHost for a single shard with eager
-// verification — the historical single-shard contract.
-func OpenShardWorker(manifestPath string, shard int, mode LoadMode) (*WorkerSnapshot, error) {
-	return OpenWorkerHost(manifestPath, []int{shard}, mode, VerifyEager)
-}
-
 // OpenWorkerHost opens the manifest plus a set of co-hosted shards for
 // one worker process: one substrate mapping shared by every hosted
 // shard's sliced instance. See the package comment for the trimming and
@@ -134,7 +114,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		}
 		seen[s] = true
 	}
-	out := &WorkerSnapshot{Shard: shards[0], Shards: append([]int(nil), shards...), Mode: LoadCopy}
+	out := &WorkerSnapshot{Shard: shards[0], Shards: append([]int(nil), shards...)}
 	var dv *DeferredVerify
 	if verify == VerifyLazy {
 		dv = &DeferredVerify{}
@@ -144,72 +124,30 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		out.Close() // waits out deferred verification before unmapping
 		return nil, err
 	}
-	// loadFile maps or reads one file; zeroCopy reports whether the bytes
-	// outlive the call (a kept mapping). Legacy and non-mappable files
-	// fall back to private copies, mirroring OpenShardSet.
-	loadFile := func(path, magic string) (data []byte, m *mman.Mapping, err error) {
-		if mode != LoadMmap {
-			data, err = os.ReadFile(path)
-			return data, nil, err
-		}
-		mp, err := mman.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		ver, err := fileVersion(mp.Data(), magic)
-		if err == nil && ver == VersionAligned && layoutMappable() {
-			out.Mappings = append(out.Mappings, mp)
-			out.Mode = LoadMmap
-			return mp.Data(), mp, nil
-		}
-		data = append([]byte(nil), mp.Data()...)
-		mp.Release()
-		return data, nil, nil
-	}
 
-	mdata, mmapping, err := loadFile(manifestPath, ManifestMagic)
+	// Partial manifest parse: locate, checksum and decode only the worker
+	// substrate sections. The rest of the file is bounds-checked through
+	// the table but never touched.
+	const what = "shard-set manifest"
+	mdata, mm, err := loadKept(manifestPath, mode, &out.Mappings)
 	if err != nil {
 		return fail(err)
 	}
-	mver, err := fileVersion(mdata, ManifestMagic)
+	out.Mode = modeOf(mm)
+	mf, err := readAligned(mdata, ManifestMagic, what, manifestSubstrateSections, dv)
 	if err != nil {
-		return fail(fmt.Errorf("snap: not a shard-set manifest (bad magic)"))
+		return fail(err)
 	}
-
-	var layout *Layout
-	var sub workerSubstrate
-	sliceable := mver == ShardSetVersion
-	if sliceable {
-		// Partial manifest parse: locate, checksum and decode only the
-		// worker substrate sections. The rest of the file is bounds-checked
-		// through the table but never touched.
-		keep := make(map[byte]bool, len(manifestSubstrateSections))
-		for _, id := range manifestSubstrateSections {
-			keep[id] = true
-		}
-		payloads, _, err := readAlignedPickDeferred(mdata, ManifestMagic, "shard-set manifest", func(id byte) bool { return keep[id] }, dv)
-		if err != nil {
-			return fail(err)
-		}
-		for _, id := range manifestSubstrateSections {
-			if _, ok := payloads[id]; !ok {
-				return fail(fmt.Errorf("snap: manifest missing required section %d", id))
-			}
-		}
-		if sub, err = decodeWorkerSubstrate(payloads, mmapping != nil); err != nil {
-			return fail(err)
-		}
-		if layout, err = decodeLayout(payloads[secLayout], sub.raw.NComp); err != nil {
-			return fail(err)
-		}
-	} else {
-		// Legacy manifest: nothing to slice; decode it whole.
-		base, lay, err := decodeManifest(mdata, false)
-		if err != nil {
-			return fail(err)
-		}
-		layout = lay
-		sub.base = base
+	if err := requireSections(mf.payloads, what, manifestSubstrateSections); err != nil {
+		return fail(err)
+	}
+	sub, err := decodeWorkerSubstrate(mf.payloads, mm != nil)
+	if err != nil {
+		return fail(err)
+	}
+	layout, err := decodeLayout(mf.payloads[secLayout], sub.raw.NComp)
+	if err != nil {
+		return fail(err)
 	}
 	for _, s := range shards {
 		if s < 0 || s >= len(layout.Shards) {
@@ -218,124 +156,39 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 	}
 	out.Layout = layout
 
-	// Load and digest-check every hosted shard file before committing to
-	// the sliced or fallback build: mixing is not worth the complexity, so
-	// one unsliced (or legacy) shard sends the whole host down the
-	// full-manifest fallback.
-	type openedShard struct {
-		desc     ShardDesc
-		data     []byte
-		mapping  *mman.Mapping
-		payloads map[byte][]byte
-	}
-	opened := make([]openedShard, len(shards))
-	allSliced := sliceable
-	for i, shard := range shards {
+	for _, shard := range shards {
 		desc := layout.Shards[shard]
-		sdata, smapping, err := loadFile(filepath.Join(filepath.Dir(manifestPath), desc.Name), ShardMagic)
+		sdata, sm, err := loadKept(filepath.Join(filepath.Dir(manifestPath), desc.Name), mode, &out.Mappings)
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", shard, err))
 		}
-		sver, err := fileVersion(sdata, ShardMagic)
-		if err != nil {
-			return fail(fmt.Errorf("snap: not a shard snapshot (bad magic)"))
-		}
-		digest := func() error {
-			var sum uint64
-			if sver == ShardSetVersionVarint {
-				h := fnv.New64a()
-				h.Write(sdata)
-				sum = h.Sum64()
-			} else {
-				sum = uint64(crc32.Checksum(sdata, castagnoli))
-			}
-			if sum != desc.Sum {
-				return fmt.Errorf("snap: shard %d (%s) digest mismatch: file does not match manifest", shard, desc.Name)
-			}
-			return nil
-		}
-		if dv != nil {
-			dv.spawn(digest)
-		} else if err := digest(); err != nil {
-			return fail(err)
-		}
-		o := openedShard{desc: desc, data: sdata, mapping: smapping}
-		if sliceable && sver == ShardSetVersion {
-			spayloads, _, err := readAlignedPickDeferred(sdata, ShardMagic, "shard snapshot", nil, dv)
-			if err != nil {
-				return fail(err)
-			}
-			o.payloads = spayloads
-			for _, id := range slice3Sections {
-				if _, ok := spayloads[id]; !ok {
-					allSliced = false
-					break
-				}
-			}
-		} else {
-			allSliced = false
-		}
-		opened[i] = o
-	}
-
-	if allSliced {
-		out.Instances = make([]*graph.Instance, len(shards))
-		out.Indexes = make([]*index.Index, len(shards))
-		for i, shard := range shards {
-			o := opened[i]
-			hdr, err := decodeShardHeader(o.payloads[secShardHeader], layout, shard)
-			if err != nil {
-				return fail(err)
-			}
-			in, ix, err := buildSlicedShard(sub, o.payloads, hdr, o.desc, o.mapping != nil)
-			if err != nil {
-				return fail(err)
-			}
-			out.Instances[i], out.Indexes[i] = in, ix
-			if o.mapping != nil {
-				adviseMapped(o.mapping, ShardMagic, "shard snapshot")
-			}
-		}
-		out.Instance, out.Index, out.Sliced = out.Instances[0], out.Indexes[0], true
-		// The manifest mapping now backs only the substrate sections:
-		// punch the rest out and advise what remains.
-		if mmapping != nil {
-			trimWorkerManifest(mmapping, mdata)
-		}
-		return out, nil
-	}
-
-	// Fallback: an unsliced shard file (or legacy container) — decode the
-	// whole manifest and project each hosted shard's components, exactly
-	// as the all-shards open would.
-	base := sub.base
-	if base == nil {
-		if base, _, err = decodeManifest(mdata, mmapping != nil); err != nil {
-			return fail(err)
-		}
-	}
-	out.Instances = make([]*graph.Instance, len(shards))
-	out.Indexes = make([]*index.Index, len(shards))
-	for i, shard := range shards {
-		o := opened[i]
-		proj, ix, err := decodeShard(o.data, base, layout, shard, o.mapping != nil)
+		sf, hdr, err := parseShard(sdata, layout, shard, dv)
 		if err != nil {
 			return fail(err)
 		}
-		out.Instances[i], out.Indexes[i] = proj, ix
-		if o.mapping != nil {
-			adviseMapped(o.mapping, ShardMagic, "shard snapshot")
+		in, ix, err := buildSlicedShard(sub, sf.payloads, hdr, desc, sm != nil)
+		if err != nil {
+			return fail(err)
 		}
+		adviseMapped(sm, sf.spans)
+		out.Instances = append(out.Instances, in)
+		out.Indexes = append(out.Indexes, ix)
 	}
 	out.Instance, out.Index = out.Instances[0], out.Indexes[0]
-	if mmapping != nil {
-		adviseMapped(mmapping, ManifestMagic, "shard-set manifest")
+
+	// The manifest mapping now backs only the header, the table and the
+	// substrate sections: punch the rest out and advise what remains.
+	keep := []mman.Range{{Off: 0, Len: mf.tableEnd}}
+	for _, sp := range mf.spans {
+		keep = append(keep, mman.Range{Off: sp.off, Len: sp.len})
 	}
+	mm.Trim(keep)
+	adviseMapped(mm, mf.spans)
 	return out, nil
 }
 
-// workerSubstrate carries the partial-manifest decode: either the sliced
-// worker inputs (v3) or a fully decoded base instance (legacy).
+// workerSubstrate carries the partial-manifest decode: what every hosted
+// shard's sliced instance shares.
 type workerSubstrate struct {
 	raw    graph.Raw // meta only: NComp, Stats, analyzer config
 	comp   []int32
@@ -343,8 +196,6 @@ type workerSubstrate struct {
 	col    []int32
 	val    []float64
 	nn     int
-
-	base *graph.Instance // legacy fallback
 }
 
 // decodeWorkerSubstrate decodes the substrate sections a sliced worker
@@ -424,33 +275,4 @@ func buildSlicedShard(sub workerSubstrate, spayloads map[byte][]byte, hdr shardH
 		return nil, nil, fmt.Errorf("snap: sliced shard has %d events, header says %d, manifest %d", got, hdr.events, desc.Events)
 	}
 	return in, ix, nil
-}
-
-// trimWorkerManifest punches every non-substrate section out of a sliced
-// worker's manifest mapping and advises the remainder: the mapping keeps
-// the header/table plus matrix, component table, meta and layout.
-func trimWorkerManifest(m *mman.Mapping, data []byte) {
-	spans, tableEnd, err := parseAlignedTable(data, ManifestMagic, "shard-set manifest")
-	if err != nil {
-		return
-	}
-	keepIDs := make(map[byte]bool, len(manifestSubstrateSections))
-	for _, id := range manifestSubstrateSections {
-		keepIDs[id] = true
-	}
-	keep := []mman.Range{{Off: 0, Len: tableEnd}}
-	for _, sp := range spans {
-		if keepIDs[sp.id] {
-			keep = append(keep, mman.Range{Off: sp.off, Len: sp.len})
-		}
-	}
-	m.Trim(keep)
-	for _, sp := range spans {
-		if !keepIDs[sp.id] {
-			continue
-		}
-		if a := sectionAdvice(sp.id); a != mman.AdviseNormal {
-			_ = m.Advise(mman.Range{Off: sp.off, Len: sp.len}, a)
-		}
-	}
 }

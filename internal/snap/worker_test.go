@@ -104,14 +104,11 @@ func TestOpenShardWorkerSliced(t *testing.T) {
 		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 			workers := make([]*WorkerSnapshot, n)
 			for i := 0; i < n; i++ {
-				w, err := OpenShardWorker(manifestPath, i, mode)
+				w, err := OpenWorkerHost(manifestPath, []int{i}, mode, VerifyEager)
 				if err != nil {
 					t.Fatalf("n=%d mode=%v shard %d: %v", n, mode, i, err)
 				}
 				defer w.Close()
-				if !w.Sliced {
-					t.Fatalf("n=%d mode=%v shard %d: expected sliced open", n, mode, i)
-				}
 				if !w.Instance.IsSliced() {
 					t.Fatalf("n=%d mode=%v shard %d: instance not sliced", n, mode, i)
 				}
@@ -160,48 +157,38 @@ func TestOpenShardWorkerSliced(t *testing.T) {
 	}
 }
 
-// TestOpenShardWorkerUnslicedFallback reproduces a set written before the
-// sliced sections existed: OpenShardWorker must fall back to the full
-// manifest + projection and still answer identically.
-func TestOpenShardWorkerUnslicedFallback(t *testing.T) {
-	sliceShardTables = false
-	defer func() { sliceShardTables = true }()
+// TestUnslicedShardRejected assembles a shard file without the sliced
+// node tables — what shard sets looked like before the sections existed —
+// under a manifest that vouches for it: every open of the set must end in
+// the regenerate error, with no mapping left behind.
+func TestUnslicedShardRejected(t *testing.T) {
 	manifestPath, in, _ := writeSetFiles(t, 40, 150, 11, 2)
-	sliceShardTables = true
-	slicedPath, _, _ := writeSetFiles(t, 40, 150, 11, 2)
+	shardPath := filepath.Join(filepath.Dir(manifestPath), layoutName(manifestPath, 0))
+	shard, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same := rebuildAligned(t, shard, ShardMagic, nil); !bytes.Equal(same, shard) {
+		t.Fatal("rebuildAligned does not reproduce an untouched file")
+	}
+	unsliced := rebuildAligned(t, shard, ShardMagic, func(id byte, p []byte) ([]byte, bool) {
+		return p, bytes.IndexByte(slice3Sections, id) < 0
+	})
+	if err := os.WriteFile(shardPath, unsliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	repointManifest(t, manifestPath, in.NumComponents(), 0, unsliced)
 
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
-		for i := 0; i < 2; i++ {
-			w, err := OpenShardWorker(manifestPath, i, mode)
-			if err != nil {
-				t.Fatalf("mode=%v shard %d: %v", mode, i, err)
-			}
-			if w.Sliced {
-				t.Fatalf("mode=%v shard %d: unsliced set reported sliced", mode, i)
-			}
-			s, err := OpenShardWorker(slicedPath, i, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seekers, kwSets := workerQueries(in)
-			for _, seeker := range seekers[:2] {
-				for _, kws := range kwSets {
-					groups, possible, err := core.ResolveKeywordGroups(in, kws)
-					if err != nil || !possible {
-						continue
-					}
-					spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5, Params: defaultParams(), Epsilon: 1e-12}
-					want := workerTranscript(t, []core.ShardExecutor{core.NewShardExecutor(core.NewEngine(w.Instance, w.Index), 0)}, spec)
-					got := workerTranscript(t, []core.ShardExecutor{core.NewShardExecutor(core.NewEngine(s.Instance, s.Index), 0)}, spec)
-					if got != want {
-						t.Fatalf("mode=%v shard %d: fallback answer diverged", mode, i)
-					}
-				}
-			}
-			w.Close()
-			s.Close()
-		}
+		wantSetRejected(t, fmt.Sprintf("mode=%v", mode), manifestPath, []int{0}, mode)
+		assertNotMapped(t, manifestPath)
 	}
+	// The shard that kept its tables still opens: the set is otherwise sound.
+	w, err := OpenWorkerHost(manifestPath, []int{1}, LoadCopy, VerifyEager)
+	if err != nil {
+		t.Fatalf("sliced sibling shard: %v", err)
+	}
+	w.Close()
 }
 
 // TestOpenShardWorkerRejectsCorruption flips bytes through a sliced shard
@@ -224,11 +211,11 @@ func TestOpenShardWorkerRejectsCorruption(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
-				t.Errorf("%s: OpenShardWorker panicked: %v", name, r)
+				t.Errorf("%s: OpenWorkerHost panicked: %v", name, r)
 			}
 		}()
 		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
-			if w, err := OpenShardWorker(manifestPath, 0, mode); err == nil {
+			if w, err := OpenWorkerHost(manifestPath, []int{0}, mode, VerifyEager); err == nil {
 				w.Close()
 				t.Errorf("%s (mode=%v): corrupt file accepted", name, mode)
 			}
@@ -285,10 +272,10 @@ func TestOpenShardWorkerRejectsCorruption(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Errorf("manifest byte %d: OpenShardWorker panicked: %v", i, r)
+						t.Errorf("manifest byte %d: OpenWorkerHost panicked: %v", i, r)
 					}
 				}()
-				if w, err := OpenShardWorker(manifestPath, 0, LoadCopy); err == nil {
+				if w, err := OpenWorkerHost(manifestPath, []int{0}, LoadCopy, VerifyEager); err == nil {
 					w.Close()
 				}
 			}()
@@ -297,7 +284,7 @@ func TestOpenShardWorkerRejectsCorruption(t *testing.T) {
 	restore(manifestPath, manifest)
 
 	// Out-of-range shard ordinal.
-	if w, err := OpenShardWorker(manifestPath, 9, LoadCopy); err == nil {
+	if w, err := OpenWorkerHost(manifestPath, []int{9}, LoadCopy, VerifyEager); err == nil {
 		w.Close()
 		t.Error("out-of-range shard ordinal accepted")
 	}

@@ -39,7 +39,7 @@ func TestOpenWorkerHostMultiShard(t *testing.T) {
 
 		singles := make([]*WorkerSnapshot, len(hosted))
 		for i, s := range hosted {
-			w, err := OpenShardWorker(manifestPath, s, mode)
+			w, err := OpenWorkerHost(manifestPath, []int{s}, mode, VerifyEager)
 			if err != nil {
 				t.Fatalf("mode=%v shard %d: single open: %v", mode, s, err)
 			}
@@ -50,7 +50,7 @@ func TestOpenWorkerHostMultiShard(t *testing.T) {
 		// The headline claim: hosting both shards in one process maps
 		// fewer bytes than two separate workers, because the trimmed
 		// manifest substrate is shared instead of duplicated.
-		if mode == LoadMmap && host.Mode == LoadMmap && host.Sliced && mman.TrimSupported() {
+		if mode == LoadMmap && host.Mode == LoadMmap && mman.TrimSupported() {
 			var separate int64
 			for _, w := range singles {
 				separate += w.MappedBytes()

@@ -12,7 +12,6 @@ import (
 	"s3/internal/datagen"
 	"s3/internal/doc"
 	"s3/internal/graph"
-	"s3/internal/snap"
 )
 
 // writeSnapshotTo persists the instance to a fresh snapshot file and
@@ -229,44 +228,4 @@ func TestMmapSurvivesUnlink(t *testing.T) {
 	if err := mmapIn.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-}
-
-// TestMmapLegacyV1FallsBack checks the compatibility matrix: a version-1
-// varint snapshot opened with LoadMmap loads through the copying decoder
-// (no mapping retained) and answers identically.
-func TestMmapLegacyV1FallsBack(t *testing.T) {
-	inst := buildTestInstance(t, 60, 240, 9)
-	queries := sampleQueries(t, inst, 3)
-
-	// Reach the internal (instance, index) pair by round-tripping the
-	// facade snapshot, then re-encode it in the legacy format.
-	var buf bytes.Buffer
-	if err := inst.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	gin, ix, err := snap.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.WriteLegacy(f, gin, ix); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := s3.OpenSnapshot(path, s3.LoadMmap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if loaded.MappedBytes() != 0 {
-		t.Errorf("v1 snapshot reports %d mapped bytes; want copy fallback", loaded.MappedBytes())
-	}
-	battery(t, "v1-fallback", inst, loaded, queries)
 }

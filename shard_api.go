@@ -2,7 +2,6 @@ package s3
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"s3/internal/core"
@@ -228,17 +227,6 @@ func (i *Instance) WriteShardSetFiles(manifestPath string, n int) ([]string, err
 		return nil, err
 	}
 	return snap.WriteShardSetFiles(manifestPath, i.in, i.ix, parts)
-}
-
-// ReadShardSet loads a shard set from readers (manifest first, then the
-// shard files in layout order), fully validating the set, and returns the
-// fan-out/merge instance (LoadCopy semantics).
-func ReadShardSet(manifest io.Reader, shards []io.Reader) (*ShardedInstance, error) {
-	set, err := snap.ReadShardSet(manifest, shards)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedInstance(set.Base, set.Shards, set.Indexes)
 }
 
 // OpenShardSet loads a shard set from disk in the given mode: the

@@ -22,9 +22,8 @@ const (
 	// validation scans, replicas of one snapshot on a host share physical
 	// pages, and hot reload swaps mappings instead of re-decoding.
 	// Close must be called when the instance is retired (searches still
-	// running must finish first); legacy version-1 files and platforms
-	// whose struct layout cannot alias the on-disk encoding fall back to
-	// LoadCopy transparently.
+	// running must finish first); platforms whose struct layout cannot
+	// alias the on-disk encoding fall back to LoadCopy transparently.
 	LoadMmap LoadMode = LoadMode(snap.LoadMmap)
 )
 
