@@ -303,6 +303,52 @@ func BenchmarkSpecRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildInstance times what s3gen does between generating a spec
+// and writing its files — graph.BuildSpec then index.Build — at the s3gen
+// default sizes and at four times them. Construction is linear in the
+// instance, so ns/edge (time over Figure 4's edge count) should read about
+// the same at both scales; a quadratic coming back shows as ns/edge rising
+// with scale.
+func BenchmarkBuildInstance(b *testing.B) {
+	for _, ds := range []struct {
+		name string
+		spec func(scale int) graph.Spec
+	}{
+		{"twitter", func(scale int) graph.Spec {
+			o := datagen.DefaultTwitterOptions()
+			o.Users, o.Tweets = scale*o.Users, scale*o.Tweets
+			spec, _ := datagen.Twitter(o)
+			return spec
+		}},
+		{"vodkaster", func(scale int) graph.Spec {
+			o := datagen.DefaultVodkasterOptions()
+			o.Users, o.Movies = scale*o.Users, scale*o.Movies
+			return datagen.Vodkaster(o)
+		}},
+		{"yelp", func(scale int) graph.Spec {
+			o := datagen.DefaultYelpOptions()
+			o.Users, o.Businesses = scale*o.Users, scale*o.Businesses
+			return datagen.Yelp(o)
+		}},
+	} {
+		for _, scale := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/scale=%d", ds.name, scale), func(b *testing.B) {
+				spec := ds.spec(scale)
+				edges := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					in := mustBuild(spec)
+					if ix := index.Build(in); ix.NumEvents() == 0 {
+						b.Fatal("empty index")
+					}
+					edges = in.Stats().Edges
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+			})
+		}
+	}
+}
+
 // BenchmarkSnapshotWrite measures serialisation cost (the price paid once
 // per build or reload cycle).
 func BenchmarkSnapshotWrite(b *testing.B) {

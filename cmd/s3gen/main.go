@@ -6,7 +6,9 @@
 // s3search cold-start from without rebuilding; with -shards N (N > 1) the
 // frozen instance is written as a component-sharded shard set instead —
 // the manifest at the -snap path plus one "<name>.shard-i" file per shard
-// — which s3serve -shardset fans queries out over.
+// — which s3serve -shardset fans queries out over. The last line of output
+// is the wall time of the run by phase (generate, graph build, index
+// build, file writes); a phase that did not run reads 0.
 //
 // Usage:
 //
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"s3/internal/datagen"
 	"s3/internal/graph"
@@ -48,14 +51,22 @@ func main() {
 		log.Fatal("-shards needs -snap (the shard-set manifest path)")
 	}
 
+	start := time.Now()
 	spec, extra, err := Generate(*dataset, *scale, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	generated := time.Now()
 	in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
 	if err != nil {
 		log.Fatal(err)
 	}
+	graphed := time.Now()
+	var ix *index.Index
+	if *snapOut != "" {
+		ix = index.Build(in)
+	}
+	indexed := time.Now()
 	fmt.Printf("dataset %s (scale %.2g)\n\n%s", *dataset, *scale, in.Stats())
 	if extra != "" {
 		fmt.Println(extra)
@@ -74,14 +85,19 @@ func main() {
 	}
 	switch {
 	case *snapOut != "" && *shards > 1:
-		if err := writeShardSet(in, *snapOut, *shards); err != nil {
+		if err := writeShardSet(in, ix, *snapOut, *shards); err != nil {
 			log.Fatal(err)
 		}
 	case *snapOut != "":
-		if err := writeSnapshot(in, *snapOut); err != nil {
+		if err := writeSnapshot(in, ix, *snapOut); err != nil {
 			log.Fatal(err)
 		}
 	}
+	// "write" is everything after the index: the statistics above, -out, -snap.
+	done := time.Now()
+	ms := func(from, to time.Time) int64 { return to.Sub(from).Milliseconds() }
+	fmt.Printf("built in %d ms: generate %d, graph %d, index %d, write %d\n",
+		ms(start, done), ms(start, generated), ms(generated, graphed), ms(graphed, indexed), ms(indexed, done))
 }
 
 // writeSnapshot persists the instance as a plain snapshot at path. The
@@ -89,13 +105,13 @@ func main() {
 // closed: a write or close error never reports success, and a server that
 // has path mapped keeps serving its old inode instead of faulting on a
 // truncated one (snap.WriteShardSetFiles does the same for shard sets).
-func writeSnapshot(in *graph.Instance, path string) error {
+func writeSnapshot(in *graph.Instance, ix *index.Index, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	err = snap.Write(f, in, index.Build(in))
+	err = snap.Write(f, in, ix)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -112,12 +128,12 @@ func writeSnapshot(in *graph.Instance, path string) error {
 
 // writeShardSet persists the instance as a shard-set manifest plus one
 // file per component shard, and prints the layout.
-func writeShardSet(in *graph.Instance, manifestPath string, n int) error {
+func writeShardSet(in *graph.Instance, ix *index.Index, manifestPath string, n int) error {
 	parts, err := graph.PartitionComponents(in, n)
 	if err != nil {
 		return err
 	}
-	paths, err := snap.WriteShardSetFiles(manifestPath, in, index.Build(in), parts)
+	paths, err := snap.WriteShardSetFiles(manifestPath, in, ix, parts)
 	if err != nil {
 		return err
 	}

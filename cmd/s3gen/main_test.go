@@ -9,6 +9,7 @@ import (
 
 	"s3"
 	"s3/internal/graph"
+	"s3/internal/index"
 	"s3/internal/text"
 )
 
@@ -56,7 +57,7 @@ func TestWriteShardSetFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(t.TempDir(), "i1.set")
-	if err := writeShardSet(in, manifest, 3); err != nil {
+	if err := writeShardSet(in, index.Build(in), manifest, 3); err != nil {
 		t.Fatal(err)
 	}
 	si, err := s3.OpenShardSet(manifest, s3.LoadCopy)
@@ -112,9 +113,11 @@ func TestRegenerateUnderMappedInstance(t *testing.T) {
 		write func(in *graph.Instance, path string) error
 		open  func(path string) (s3.Queryable, error)
 	}{
-		{"snapshot", writeSnapshot, func(path string) (s3.Queryable, error) { return s3.OpenSnapshot(path, s3.LoadMmap) }},
+		{"snapshot",
+			func(in *graph.Instance, path string) error { return writeSnapshot(in, index.Build(in), path) },
+			func(path string) (s3.Queryable, error) { return s3.OpenSnapshot(path, s3.LoadMmap) }},
 		{"shardset",
-			func(in *graph.Instance, path string) error { return writeShardSet(in, path, 3) },
+			func(in *graph.Instance, path string) error { return writeShardSet(in, index.Build(in), path, 3) },
 			func(path string) (s3.Queryable, error) { return s3.OpenShardSet(path, s3.LoadMmap) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,7 +156,7 @@ func TestRegenerateUnderMappedInstance(t *testing.T) {
 	// A write that cannot complete reports the error and leaves neither
 	// the final path nor a temporary.
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "i1.snap")
-	if err := writeSnapshot(first, missing); err == nil {
+	if err := writeSnapshot(first, index.Build(first), missing); err == nil {
 		t.Error("writing into a missing directory reported success")
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {

@@ -24,6 +24,7 @@
 package index
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -93,10 +94,18 @@ type eventKey struct {
 	typ  ConnType
 }
 
+// tagEntry is one connection carried by a tag: keyword kw reaches
+// fragment frag with source src.
 type tagEntry struct {
 	kw   dict.ID
 	frag graph.NID
 	src  graph.NID
+}
+
+// tagEntryKey dedups (tag, connection entry) pairs during the fixpoint.
+type tagEntryKey struct {
+	tag graph.NID
+	tagEntry
 }
 
 type kwEvent struct {
@@ -104,75 +113,113 @@ type kwEvent struct {
 	ev Event
 }
 
-// Build computes the connection fixpoint for an instance.
+// kwFrag says "keyword kw is connected to fragment frag", by whatever
+// type and source.
+type kwFrag struct {
+	kw   dict.ID
+	frag graph.NID
+}
+
+// Build computes the connection fixpoint for an instance. Its cost is
+// linear in the instance plus the events it produces: every list the
+// fixpoint re-reads is consumed through a cursor, and no list holds an
+// item twice.
 func Build(in *graph.Instance) *Index {
+	n := in.NumNodes()
+	// The containment events — one per (node, keyword) — are a floor for
+	// the event and pair sets.
+	contained := 0
+	for v := 0; v < n; v++ {
+		contained += len(in.KeywordsOf(graph.NID(v)))
+	}
 	b := &ixBuilder{
-		in:          in,
-		seen:        make(map[eventKey]struct{}),
-		byKw:        make(map[dict.ID][]Event),
-		perDoc:      make(map[graph.NID][]kwEvent),
-		tagCon:      make(map[graph.NID][]tagEntry),
-		tagSeenFull: make(map[tagEntryKey]struct{}),
+		in:            in,
+		seen:          make(map[eventKey]struct{}, contained),
+		byKw:          make(map[dict.ID][]Event),
+		perDoc:        make([][]kwEvent, n),
+		pairs:         make([][]kwFrag, n),
+		pairSeen:      make(map[kwFrag]struct{}, contained),
+		tags:          make([]tagState, n),
+		tagSeen:       make(map[tagEntryKey]struct{}, len(in.Tags())),
+		commentCursor: make([]int, len(in.Comments())),
 	}
 	b.run()
 	return b.freeze()
 }
 
+// ixBuilder is the state of the fixpoint. perDoc, pairs and tags are
+// indexed by node id, commentCursor by position in in.Comments().
 type ixBuilder struct {
-	in     *graph.Instance
-	seen   map[eventKey]struct{}
-	byKw   map[dict.ID][]Event
-	perDoc map[graph.NID][]kwEvent // doc root → events anchored in that doc
+	in   *graph.Instance
+	seen map[eventKey]struct{}
+	byKw map[dict.ID][]Event
 
-	tagCon      map[graph.NID][]tagEntry
-	tagSeenFull map[tagEntryKey]struct{}
+	// perDoc[root] lists the events anchored in that document, for rule 4.
+	perDoc [][]kwEvent
+	// pairs[root] lists the distinct (keyword, fragment) pairs among
+	// perDoc[root], in first-seen order, for rule 3: an endorser inherits a
+	// connection once per pair, however many sources — the other
+	// endorsers among them — reach the fragment with that keyword.
+	pairs    [][]kwFrag
+	pairSeen map[kwFrag]struct{}
 
-	// cursors for incremental pulls during the fixpoint
-	commentCursor map[int]int       // comment edge index → perDoc offset
-	endorseCursor map[graph.NID]int // endorsement tag → offset (perDoc or subject tagCon)
-	flowCursor    map[graph.NID]int // tag → offset into its own tagCon already flowed out
+	tags    []tagState
+	tagSeen map[tagEntryKey]struct{}
+
+	commentCursor []int // how much of perDoc[comment] the edge has carried over
 	changed       bool
 }
 
+// tagState is the connections of one tag and how far the fixpoint has
+// read the lists that feed and drain them.
+type tagState struct {
+	con []tagEntry
+	// endorsed: an endorsement's offset into what it inherits from —
+	// pairs[root of its subject], or the subject tag's con.
+	endorsed int
+	// flowed: how much of con has flowed out to the subject.
+	flowed int
+}
+
+// insert adds k to set and reports whether it was absent — one probe of
+// the table where a lookup followed by an assignment makes two.
+func insert[K comparable](set map[K]struct{}, k K) bool {
+	n := len(set)
+	set[k] = struct{}{}
+	return len(set) > n
+}
+
 func (b *ixBuilder) addEvent(kw dict.ID, ev Event) {
-	k := eventKey{kw: kw, frag: ev.Frag, src: ev.Src, typ: ev.Type}
-	if _, dup := b.seen[k]; dup {
+	if !insert(b.seen, eventKey{kw: kw, frag: ev.Frag, src: ev.Src, typ: ev.Type}) {
 		return
 	}
-	b.seen[k] = struct{}{}
 	b.byKw[kw] = append(b.byKw[kw], ev)
 	root := b.in.DocRootOf(ev.Frag)
 	b.perDoc[root] = append(b.perDoc[root], kwEvent{kw: kw, ev: ev})
+	if p := (kwFrag{kw: kw, frag: ev.Frag}); insert(b.pairSeen, p) {
+		b.pairs[root] = append(b.pairs[root], p)
+	}
 	b.changed = true
 }
 
-// tagEntryKey dedups (tag, connection entry) pairs during the fixpoint.
-type tagEntryKey struct {
-	tag  graph.NID
-	kw   dict.ID
-	frag graph.NID
-	src  graph.NID
-}
-
 func (b *ixBuilder) addTagEntry(tag graph.NID, e tagEntry) {
-	key := tagEntryKey{tag: tag, kw: e.kw, frag: e.frag, src: e.src}
-	if _, dup := b.tagSeenFull[key]; dup {
+	if !insert(b.tagSeen, tagEntryKey{tag: tag, tagEntry: e}) {
 		return
 	}
-	b.tagSeenFull[key] = struct{}{}
-	b.tagCon[tag] = append(b.tagCon[tag], e)
+	b.tags[tag].con = append(b.tags[tag].con, e)
 	b.changed = true
 }
 
 func (b *ixBuilder) run() {
 	in := b.in
 
-	// Rule 1: containment events.
+	// Rule 1: containment events. A keyword a node lists twice is one
+	// event (addEvent deduplicates).
+	var nodes []graph.NID
 	for _, root := range in.DocRoots() {
-		var nodes []graph.NID
-		nodes = in.SubtreeOf(root, nodes)
+		nodes = in.SubtreeOf(root, nodes[:0])
 		for _, n := range nodes {
-			for _, kw := range dedupe(in.KeywordsOf(n)) {
+			for _, kw := range in.KeywordsOf(n) {
 				b.addEvent(kw, Event{Frag: n, Src: graph.NoNID, Type: Contains})
 			}
 		}
@@ -188,12 +235,10 @@ func (b *ixBuilder) run() {
 		b.addTagEntry(tag, tagEntry{kw: ti.Keyword, frag: b.bottomFragment(tag), src: ti.Author})
 	}
 
-	b.commentCursor = make(map[int]int)
-	b.endorseCursor = make(map[graph.NID]int)
-	b.flowCursor = make(map[graph.NID]int)
-
 	// Fixpoint: endorsement inheritance, tag-chain flow and comment
-	// propagation feed each other.
+	// propagation feed each other. A step reads each list from its cursor
+	// to the length it had when the step reached it; what the step itself
+	// appends is the next round's.
 	for {
 		b.changed = false
 		b.stepTags()
@@ -218,28 +263,26 @@ func (b *ixBuilder) stepTags() {
 	in := b.in
 	for _, tag := range in.Tags() {
 		ti, _ := in.TagInfoOf(tag)
+		st := &b.tags[tag]
+		onDoc := in.KindOf(ti.Subject) == graph.KindDocNode
 
 		// Rule 3: endorsements inherit the subject's connections with the
 		// endorser as source.
 		if ti.Keyword == dict.NoID {
-			if in.KindOf(ti.Subject) == graph.KindDocNode {
-				root := in.DocRootOf(ti.Subject)
-				list := b.perDoc[root]
-				for i := b.endorseCursor[tag]; i < len(list); i++ {
-					ke := list[i]
-					if !in.IsAncestorOrSelf(ti.Subject, ke.ev.Frag) {
-						continue
+			if onDoc {
+				list := b.pairs[in.DocRootOf(ti.Subject)]
+				for _, p := range list[st.endorsed:] {
+					if in.IsAncestorOrSelf(ti.Subject, p.frag) {
+						b.addTagEntry(tag, tagEntry{kw: p.kw, frag: p.frag, src: ti.Author})
 					}
-					b.addTagEntry(tag, tagEntry{kw: ke.kw, frag: ke.ev.Frag, src: ti.Author})
 				}
-				b.endorseCursor[tag] = len(list)
+				st.endorsed = len(list)
 			} else { // endorsement of a tag
-				list := b.tagCon[ti.Subject]
-				for i := b.endorseCursor[tag]; i < len(list); i++ {
-					e := list[i]
+				list := b.tags[ti.Subject].con
+				for _, e := range list[st.endorsed:] {
 					b.addTagEntry(tag, tagEntry{kw: e.kw, frag: e.frag, src: ti.Author})
 				}
-				b.endorseCursor[tag] = len(list)
+				st.endorsed = len(list)
 			}
 		}
 
@@ -247,25 +290,22 @@ func (b *ixBuilder) stepTags() {
 		// ancestors (as events) if the subject is a document node, or into
 		// the subject tag (higher-level tags add their connections to the
 		// thing they annotate).
-		list := b.tagCon[tag]
-		for i := b.flowCursor[tag]; i < len(list); i++ {
-			e := list[i]
-			if in.KindOf(ti.Subject) == graph.KindDocNode {
+		list := st.con
+		for _, e := range list[st.flowed:] {
+			if onDoc {
 				b.addEvent(e.kw, Event{Frag: e.frag, Src: e.src, Type: RelatedTo})
 			} else {
 				b.addTagEntry(ti.Subject, e)
 			}
 		}
-		b.flowCursor[tag] = len(list)
+		st.flowed = len(list)
 	}
 }
 
 func (b *ixBuilder) stepComments() {
-	in := b.in
-	for ci, ce := range in.Comments() {
+	for ci, ce := range b.in.Comments() {
 		list := b.perDoc[ce.Comment] // the comment is a document root
-		for i := b.commentCursor[ci]; i < len(list); i++ {
-			ke := list[i]
+		for _, ke := range list[b.commentCursor[ci]:] {
 			src := ke.ev.Src
 			if ke.ev.Type == Contains {
 				// The source of a containment connection of the comment is
@@ -278,6 +318,10 @@ func (b *ixBuilder) stepComments() {
 	}
 }
 
+// freeze sorts every keyword's events by (component, fragment, type,
+// source) — a total order on the events of one keyword, so the frozen
+// index depends on the set the fixpoint reached and not on the order it
+// reached it in.
 func (b *ixBuilder) freeze() *Index {
 	in := b.in
 	ix := &Index{
@@ -286,25 +330,33 @@ func (b *ixBuilder) freeze() *Index {
 		compsByKw:     make(map[dict.ID][]int32, len(b.byKw)),
 		maxCompEvents: make(map[dict.ID]int, len(b.byKw)),
 	}
+	type keyed struct {
+		comp int32
+		ev   Event
+	}
+	var buf []keyed
 	for kw, evs := range b.byKw {
-		sort.Slice(evs, func(i, j int) bool {
-			ci, cj := in.CompOf(evs[i].Frag), in.CompOf(evs[j].Frag)
-			if ci != cj {
-				return ci < cj
+		buf = buf[:0]
+		for _, e := range evs {
+			buf = append(buf, keyed{comp: in.CompOf(e.Frag), ev: e})
+		}
+		slices.SortFunc(buf, func(x, y keyed) int {
+			if x.comp != y.comp {
+				return cmp.Compare(x.comp, y.comp)
 			}
-			if evs[i].Frag != evs[j].Frag {
-				return evs[i].Frag < evs[j].Frag
+			if x.ev.Frag != y.ev.Frag {
+				return cmp.Compare(x.ev.Frag, y.ev.Frag)
 			}
-			if evs[i].Type != evs[j].Type {
-				return evs[i].Type < evs[j].Type
+			if x.ev.Type != y.ev.Type {
+				return cmp.Compare(x.ev.Type, y.ev.Type)
 			}
-			return evs[i].Src < evs[j].Src
+			return cmp.Compare(x.ev.Src, y.ev.Src)
 		})
 		comps := make([]int32, len(evs))
 		var uniq []int32
 		maxRun, run := 0, 0
-		for i, e := range evs {
-			comps[i] = in.CompOf(e.Frag)
+		for i, k := range buf {
+			evs[i], comps[i] = k.ev, k.comp
 			if i == 0 || comps[i] != comps[i-1] {
 				uniq = append(uniq, comps[i])
 				run = 0
@@ -319,22 +371,6 @@ func (b *ixBuilder) freeze() *Index {
 		ix.maxCompEvents[kw] = maxRun
 	}
 	return ix
-}
-
-func dedupe(ids []dict.ID) []dict.ID {
-	if len(ids) < 2 {
-		return ids
-	}
-	seen := make(map[dict.ID]struct{}, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
 }
 
 // Keywords returns the indexed keywords in ascending id order.

@@ -106,9 +106,11 @@ func assertNotMapped(t testing.TB, path string) {
 }
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
-// writers produce for two fixed instances. The digests were computed at
-// the commit before the version-1 format was deleted; they change only
-// when the format does.
+// writers produce for a hand-built instance and one from each dataset
+// generator. The hand and twitter digests were computed at the commit
+// before the version-1 format was deleted, the vodkaster and yelp ones at
+// the commit before instance construction was made linear; they change
+// only when the format does — not when the builders are rewritten.
 func TestFormatGolden(t *testing.T) {
 	check := func(what string, data []byte, want uint32) {
 		t.Helper()
@@ -119,6 +121,10 @@ func TestFormatGolden(t *testing.T) {
 	o := datagen.DefaultTwitterOptions()
 	o.Users, o.Tweets, o.Seed = 70, 260, 9
 	twitter, _ := datagen.Twitter(o)
+	vo := datagen.DefaultVodkasterOptions()
+	vo.Users, vo.Movies, vo.Seed = 60, 50, 9
+	yo := datagen.DefaultYelpOptions()
+	yo.Users, yo.Businesses, yo.Seed = 80, 60, 9
 	for _, tc := range []struct {
 		name               string
 		spec               graph.Spec
@@ -130,6 +136,10 @@ func TestFormatGolden(t *testing.T) {
 			0x987603f9, 0x7aaa7967, [3]uint32{0xdc3218e5, 0x1486e3a3, 0xa35b81c2}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
 			0xa6b6064d, 0x17bcc050, [3]uint32{0x3c3f1125, 0x72a8b712, 0x798508b4}},
+		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
+			0x8076a68f, 0xb5560f6a, [3]uint32{0xa1db52e2, 0xa2dccab3, 0xe2b6feb8}},
+		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
+			0x75b65107, 0xbc72722a, [3]uint32{0x7c1678c2, 0xe70c8e23, 0x91ca8060}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer

@@ -20,6 +20,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -59,8 +60,11 @@ func (b *Builder) Add(row, col int, val float64) {
 	b.entries++
 }
 
-// Build produces the CSR matrix. Duplicate coordinates are summed;
-// explicit zeros are dropped.
+// Build produces the CSR matrix. Each row is ordered by a stable sort on
+// column and every run of one column is summed in the order its entries
+// were added — a matrix value is the same left-to-right sum whatever else
+// the row holds. A run that sums to zero is dropped. Rows are sorted in
+// place; the cost is O(entries · log(widest row)).
 func (b *Builder) Build() *Matrix {
 	m := &Matrix{
 		n:      b.n,
@@ -68,24 +72,17 @@ func (b *Builder) Build() *Matrix {
 		col:    make([]int32, 0, b.entries),
 		val:    make([]float64, 0, b.entries),
 	}
-	// Per-row merge via a scratch accumulator indexed by column.
-	acc := make(map[int32]float64)
 	for r, row := range b.rows {
-		clear(acc)
-		for _, e := range row {
-			acc[e.col] += e.val
-		}
-		cols := make([]int32, 0, len(acc))
-		for c, v := range acc {
-			if v != 0 {
-				cols = append(cols, c)
+		slices.SortStableFunc(row, func(x, y entry) int { return cmp.Compare(x.col, y.col) })
+		for i := 0; i < len(row); {
+			c, sum := row[i].col, 0.0
+			for ; i < len(row) && row[i].col == c; i++ {
+				sum += row[i].val
 			}
-		}
-		// Sort columns for cache-friendly access and determinism.
-		sortInt32(cols)
-		for _, c := range cols {
-			m.col = append(m.col, c)
-			m.val = append(m.val, acc[c])
+			if sum != 0 {
+				m.col = append(m.col, c)
+				m.val = append(m.val, sum)
+			}
 		}
 		m.rowPtr[r+1] = int32(len(m.col))
 	}
@@ -284,28 +281,5 @@ func (m *Matrix) Dense() [][]float64 {
 func ZeroVec(x []float64, idx []int32) {
 	for _, i := range idx {
 		x[i] = 0
-	}
-}
-
-// sortInsertionMax bounds the insertion sort in sortInt32: above it the
-// O(n²) cost on high-degree hub rows overtakes slices.Sort's overhead.
-const sortInsertionMax = 32
-
-func sortInt32(a []int32) {
-	// Insertion sort for typical short rows (node out-degrees); avoids
-	// the generic-sort overhead on the hot build path. Hub rows fall back
-	// to the O(n log n) standard sort.
-	if len(a) > sortInsertionMax {
-		slices.Sort(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }

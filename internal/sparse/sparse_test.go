@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -316,11 +317,12 @@ func BenchmarkPush(b *testing.B) {
 	}
 }
 
-// TestBuildHubRow pins the hub-row sort fallback: rows longer than the
-// insertion-sort threshold must still come out with strictly ascending,
-// duplicate-summed columns.
+// TestBuildHubRow: a row far wider than its neighbours, filled in
+// descending column order, must still come out with strictly ascending,
+// duplicate-summed columns (every row takes the same stable sort; there is
+// no length threshold).
 func TestBuildHubRow(t *testing.T) {
-	const n = 4 * sortInsertionMax
+	const n = 128
 	b := NewBuilder(n)
 	// A hub row touching every column in reverse order, with duplicates
 	// to exercise the accumulator.
@@ -330,7 +332,7 @@ func TestBuildHubRow(t *testing.T) {
 			b.Add(0, c, 1)
 		}
 	}
-	b.Add(1, 5, 2) // a short row keeps the insertion-sort path covered
+	b.Add(1, 5, 2) // a short row after the hub
 	m := b.Build()
 	var prev int = -1
 	got := 0
@@ -350,5 +352,81 @@ func TestBuildHubRow(t *testing.T) {
 	})
 	if got != n {
 		t.Fatalf("hub row has %d entries, want %d", got, n)
+	}
+}
+
+// TestBuildMergesInInsertionOrder checks Build against the definition: a
+// cell is the left-to-right sum, in Add order, of what was added at its
+// coordinate. Same rowPtr / col, values equal bit for bit — a merge that
+// summed a run in any other order would differ in the last place.
+func TestBuildMergesInInsertionOrder(t *testing.T) {
+	type cell struct{ row, col int32 }
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		hub := -1
+		if trial%8 == 0 {
+			n, hub = 10_000, 3+rng.Intn(5)
+		}
+		b := NewBuilder(n)
+		sums := make(map[cell]float64)
+		add := func(r, c int, v float64) {
+			b.Add(r, c, v)
+			sums[cell{int32(r), int32(c)}] += v
+		}
+		for r := 0; r < min(n, 60); r++ {
+			switch {
+			case r == hub:
+				for c := n - 1; c >= 0; c-- {
+					add(r, c, rng.Float64())
+				}
+				for i := 0; i < 400; i++ { // runs of several duplicates inside the hub
+					add(r, rng.Intn(40), rng.NormFloat64())
+				}
+			case r%7 == 6: // empty row
+			default:
+				for i, k := 0, 1+rng.Intn(12); i < k; i++ {
+					c, v := rng.Intn(n), rng.NormFloat64()
+					add(r, c, v)
+					switch rng.Intn(4) {
+					case 0: // cancels to exactly zero → dropped
+						add(r, c, -sums[cell{int32(r), int32(c)}])
+					case 1: // rounding-sensitive duplicates
+						add(r, c, 1e-17*rng.Float64())
+						add(r, c, 1/3.0)
+					}
+				}
+			}
+		}
+
+		keys := make([]cell, 0, len(sums))
+		for k, v := range sums {
+			if v != 0 {
+				keys = append(keys, k)
+			}
+		}
+		slices.SortFunc(keys, func(x, y cell) int {
+			return cmp.Or(cmp.Compare(x.row, y.row), cmp.Compare(x.col, y.col))
+		})
+		wantPtr := make([]int32, n+1)
+		wantCol := make([]int32, len(keys))
+		wantVal := make([]float64, len(keys))
+		for i, k := range keys {
+			wantPtr[k.row+1]++
+			wantCol[i], wantVal[i] = k.col, sums[k]
+		}
+		for r := 0; r < n; r++ {
+			wantPtr[r+1] += wantPtr[r]
+		}
+
+		_, rowPtr, col, val := b.Build().Raw()
+		if !slices.Equal(rowPtr, wantPtr) || !slices.Equal(col, wantCol) {
+			t.Fatalf("trial %d (n=%d): structure differs from the per-cell reference", trial, n)
+		}
+		for i := range val {
+			if math.Float64bits(val[i]) != math.Float64bits(wantVal[i]) {
+				t.Fatalf("trial %d: value %d (col %d) = %x, reference %x", trial, i, col[i], math.Float64bits(val[i]), math.Float64bits(wantVal[i]))
+			}
+		}
 	}
 }
