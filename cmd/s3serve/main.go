@@ -45,7 +45,7 @@
 // /extension, GET /stats, GET /metrics (Prometheus text exposition), GET
 // /debug/traces (recent traces), GET /healthz (readiness; 503 while
 // loading or draining), GET /livez (liveness), POST /reload. Workers
-// speak POST /shard/v1/{beginset,rounds,replay,finalize,end} instead of
+// speak POST /shard/v1/{beginset,rounds,finalize,end} instead of
 // /search but expose the same /metrics and /debug/traces. See
 // internal/server and internal/dshard for the request and response
 // bodies.
@@ -86,14 +86,12 @@ func main() {
 		setPath    = flag.String("shardset", "", "serve a sharded instance from this shard-set manifest (s3gen -shards)")
 		specPath   = flag.String("spec", "", "rebuild the instance from this spec (gob) when -snapshot is not given")
 		lang       = flag.String("lang", "raw", "text pipeline for -spec builds: english | french | raw")
-		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; legacy v1 files fall back to copying)")
+		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
 		shardOf    = flag.Int("shard-of", -1, "worker mode: serve only this shard of -shardset over the distributed round protocol")
 		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (shared proximity iterator per search, one round RPC per host; e.g. -shards-of 0,2)")
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
 		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
-		noSpec     = flag.Bool("no-speculation", false, "coordinator mode: disable speculative round pipelining")
-		noHedge    = flag.Bool("no-hedging", false, "coordinator mode: disable hedged round RPCs against replica workers")
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		proxMB     = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables)")
@@ -133,7 +131,7 @@ func main() {
 		return
 	}
 
-	loader, err := makeLoader(*snapPath, *setPath, *specPath, *lang, mode, *coord, *workerURL, *noSpec, *noHedge)
+	loader, err := makeLoader(*snapPath, *setPath, *specPath, *lang, mode, *coord, *workerURL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -285,7 +283,7 @@ func logShardLayout(inst s3.Queryable) {
 // makeLoader builds the instance-loading closure used both for the
 // initial load and for POST /reload. Snapshot and shard-set loading need
 // no language: both embed the text-pipeline configuration.
-func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coord bool, workerURLs string, noSpec, noHedge bool) (func() (s3.Queryable, error), error) {
+func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coord bool, workerURLs string) (func() (s3.Queryable, error), error) {
 	sources := 0
 	for _, p := range []string{snapPath, setPath, specPath} {
 		if p != "" {
@@ -308,15 +306,8 @@ func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coor
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("-coordinator requires -worker-urls (comma-separated worker URLs)")
 		}
-		var copts []s3.CoordinatorOption
-		if noSpec {
-			copts = append(copts, s3.WithoutSpeculation())
-		}
-		if noHedge {
-			copts = append(copts, s3.WithoutHedging())
-		}
 		return func() (s3.Queryable, error) {
-			return s3.OpenCoordinator(setPath, urls, mode, copts...)
+			return s3.OpenCoordinator(setPath, urls, mode)
 		}, nil
 	}
 	switch {

@@ -39,21 +39,6 @@ var _ Queryable = (*DistributedInstance)(nil)
 // CoordinatorOption tunes a coordinator opened by OpenCoordinator.
 type CoordinatorOption func(*dshard.CoordinatorConfig)
 
-// WithoutSpeculation disables speculative round pipelining (issuing the
-// next batch to a worker before the coordinator has consumed the
-// previous one). Useful to price the overlap in benchmarks.
-func WithoutSpeculation() CoordinatorOption {
-	return func(cfg *dshard.CoordinatorConfig) { cfg.NoSpeculation = true }
-}
-
-// WithoutHedging disables hedged round RPCs (racing a replica when the
-// primary's reply is slower than its observed P99). Hedges never change
-// answers — both replicas compute identical rounds — so this is a knob
-// for pricing the tail-latency win, not a correctness escape hatch.
-func WithoutHedging() CoordinatorOption {
-	return func(cfg *dshard.CoordinatorConfig) { cfg.NoHedging = true }
-}
-
 // OpenCoordinator opens the shard-set manifest and wires a coordinator
 // over the worker URLs. Membership is probed immediately and refreshed
 // in the background; workers that are still loading join as soon as

@@ -156,10 +156,6 @@ type CoordOptions struct {
 	// the per-round work estimate — the right choice when executor calls
 	// leave the process (network latency dwarfs goroutine overhead).
 	ForceParallel bool
-	// NoSpeculation withholds the speculative-fetch permission from
-	// RoundPlanner executors: rounds are only fetched when the
-	// coordinator asks for them. Answers are identical either way.
-	NoSpeculation bool
 	// Trace, when non-nil, records the coordinated search's stages (begin,
 	// each lockstep round with its per-shard fan-out, finalize) as spans
 	// under the trace's root. Executors that implement TakeSpan (remote
@@ -179,31 +175,6 @@ type CoordOptions struct {
 type spanSource interface {
 	TakeSpan() *obs.Span
 }
-
-// RoundPlanner is implemented by executors whose Round calls cross a
-// network: before every round scatter the coordinator says how many
-// lockstep rounds the executor may fetch in one exchange (the executor
-// still hands back exactly one RoundInfo per Round call, buffering the
-// rest — the coordinator replays every per-round stop decision locally
-// either way) and whether it may speculatively issue the next exchange
-// before the coordinator asks. A plan made before Begin (every search
-// without a Budget gets one) lets the executor fetch its first batch on
-// the exchange that opens the session. In-process executors do not
-// implement it; their Round calls are already cheap.
-type RoundPlanner interface {
-	PlanRounds(batch int, speculate bool)
-}
-
-// maxRoundBatch is the round-batch plan: every exchange, the first one
-// included, asks for this many rounds, clipped only by the any-time bounds
-// (see plan in Coordinate). Overshooting the stop costs worker CPU, never
-// correctness or a round trip, and at ~0.2 ms per worker step against a
-// ~5 ms exchange that trade only goes one way. Measured on benchmark/'s
-// dist-rtt (2 ms-per-write proxies, stop rounds bimodal: 9 % of searches
-// stop at rounds 2–5, the rest at 16–43, median 26): opening at the cap
-// beat a 4-round opener 3 seeds of 3 (p50 26.5 vs 35.6 ms) and finishes
-// ≈ 85 % of searches in two exchanges; a ramp only adds exchanges.
-const maxRoundBatch = 16
 
 // maxTracedRounds caps per-round span recording: a long any-time search
 // must not grow an unbounded trace tree (the round histogram still sees
@@ -269,39 +240,6 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 	}()
 
-	// Multi-round batches and speculation (issuing the next exchange before
-	// this one is consumed) are only safe when no any-time bound can
-	// finalize the search at an earlier tail than the executors reached: a
-	// Budget stop can land on any round, so budgeted searches stay in strict
-	// per-round lockstep, and MaxIterations caps the batch so the executors
-	// never step past the finalize point.
-	var planners []RoundPlanner
-	for _, ex := range execs {
-		if p, ok := ex.(RoundPlanner); ok {
-			planners = append(planners, p)
-		}
-	}
-	speculate := !copts.NoSpeculation && copts.Budget <= 0 && copts.MaxIterations <= 0
-	plan := func(n int) {
-		b := maxRoundBatch
-		if copts.Budget > 0 {
-			b = 1
-		}
-		if copts.MaxIterations > 0 {
-			b = max(min(b, copts.MaxIterations-n), 1)
-		}
-		for _, p := range planners {
-			p.PlanRounds(b, speculate)
-		}
-	}
-
-	// Planning before Begin lets executors fetch their first batch on the
-	// exchange that opens the session. A budgeted search makes no such
-	// plan: its budget can expire before round 1, and that stop finalizes
-	// at tail 0.
-	if copts.Budget <= 0 {
-		plan(0)
-	}
 	beginSpan := root.StartChild("begin")
 	begins := make([]BeginInfo, len(execs))
 	if err := rpcScatter(beginSpan, execs, true, func(i int) error {
@@ -392,7 +330,6 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			return finish(sel, StopBudget)
 		}
 
-		plan(n)
 		var sp *obs.Span
 		if root != nil && tracedRounds < maxTracedRounds {
 			sp = root.StartChild("round")

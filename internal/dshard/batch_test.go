@@ -40,7 +40,7 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: 0})); err == nil {
 		t.Error("zero-round batch request accepted")
 	}
-	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: maxBatchRounds + 1})); err == nil {
+	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: maxWorkerBatch + 1})); err == nil {
 		t.Error("oversized batch request accepted")
 	}
 	reqFrame := appendRoundsRequest(nil, rr)
@@ -103,7 +103,7 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 		t.Error("empty batched reply accepted")
 	}
 	var e enc
-	e.u32(maxBatchRounds + 1)
+	e.u32(maxWorkerBatch + 1)
 	e.u32(ns)
 	if _, _, err := decodeHostRoundsReply(e.b, ns, time.Now()); err == nil {
 		t.Error("oversized batched reply accepted")

@@ -64,9 +64,9 @@ type chaosQuery struct {
 	iters int
 }
 
-// firstBatch is the coordinator's round-batch plan (core's maxRoundBatch):
-// that many rounds ride on the beginset reply, so only a search running
-// deeper ever sends a rounds RPC a fault on that endpoint could hit.
+// firstBatch is the coordinator's round batch (roundBatch): that many
+// rounds ride on the beginset reply, so only a search running deeper ever
+// sends a rounds RPC a fault on that endpoint could hit.
 const firstBatch = 16
 
 // deepChaosQueries keeps the queries that outlive their first batch.
@@ -148,7 +148,7 @@ func chaosCoordinator(t *testing.T, set *snap.ShardSetSnapshot, urls []string,
 // replica per shard hit with resets, stalls, truncations, bit flips or
 // plain latency on its round-protocol endpoints — every answer must stay
 // byte-identical to the in-process sharded engine, because each shard
-// keeps one untouched replica to fail over (or hedge) onto.
+// keeps one untouched replica to fail over onto.
 func TestChaosByteIdentity(t *testing.T) {
 	set, _, servers := chaosTopology(t)
 	urls := make([]string, len(servers))
@@ -195,7 +195,7 @@ func TestChaosByteIdentity(t *testing.T) {
 
 // TestChaosKillAtRound kills one replica's round endpoints after its
 // f-th round RPC, for a sweep of f: the search must fail over mid-flight
-// (re-begin + replay on the surviving replica) and still answer
+// (re-begin + fast-forward on the surviving replica) and still answer
 // byte-identically.
 func TestChaosKillAtRound(t *testing.T) {
 	set, _, servers := chaosTopology(t)
@@ -208,9 +208,7 @@ func TestChaosKillAtRound(t *testing.T) {
 	for _, after := range []int{0, 1, 2, 4} {
 		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
 		victim := hostOf(t, servers[0].URL) // replica A of shard 0
-		for _, path := range []string{pathRounds, pathReplay} {
-			ft.Add(&faultnet.Rule{Host: victim, Path: path, After: after, Action: faultnet.Reset})
-		}
+		ft.Add(&faultnet.Rule{Host: victim, Path: pathRounds, After: after, Action: faultnet.Reset})
 		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
 		for qi, q := range qs {
 			sel, stats, err := coord.Search(q.spec, core.CoordOptions{})

@@ -19,26 +19,24 @@ import (
 const (
 	epBeginSet = iota
 	epRounds
-	epReplay
 	epFinalize
 	epEnd
 	epCount
 )
 
 var (
-	epPaths = [epCount]string{pathBeginSet, pathRounds, pathReplay, pathFinalize, pathEnd}
-	epNames = [epCount]string{"beginset", "rounds", "replay", "finalize", "end"}
+	epPaths = [epCount]string{pathBeginSet, pathRounds, pathFinalize, pathEnd}
+	epNames = [epCount]string{"beginset", "rounds", "finalize", "end"}
 )
 
 // rpcMetrics holds the coordinator's per-endpoint wire instruments: round
 // trip time plus bytes sent and received per protocol endpoint, the
-// batched-RPC round count distribution and the speculation counters.
+// batched-RPC round count distribution and the unconsumed-round counter.
 type rpcMetrics struct {
 	seconds     [epCount]*obs.Histogram
 	bytesSent   [epCount]*obs.Counter
 	bytesRecv   [epCount]*obs.Counter
 	batchRounds *obs.Histogram
-	specIssued  *obs.Counter
 	specWasted  *obs.Counter
 
 	// Host-grouped session instruments: one round-carrying exchange per
@@ -64,10 +62,8 @@ func newRPCMetrics(r *obs.Registry) *rpcMetrics {
 	m.batchRounds = r.Histogram("s3_coord_round_batch",
 		"Lockstep rounds returned by one round-carrying exchange (a /shard/v1/rounds RPC, or the beginset that opened the session).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
-	m.specIssued = r.Counter("s3_coord_spec_issued_total",
-		"Speculative round RPCs issued ahead of the coordinator's stop decision.")
 	m.specWasted = r.Counter("s3_coord_spec_wasted_total",
-		"Rounds workers executed but the search never consumed, because it stopped first.")
+		"Rounds a worker executed that the search never consumed (the rest of its last batch).")
 	m.hostSessions = r.Counter("s3_coord_host_sessions_total",
 		"Multi-shard host sessions established (one beginset covering 2+ shards).")
 	m.hostSeconds = r.Histogram("s3_coord_host_rpc_seconds",
@@ -91,12 +87,6 @@ func (m *rpcMetrics) observe(ep int, start time.Time, sent, recv int) {
 func (m *rpcMetrics) observeBatch(rounds int) {
 	if m != nil {
 		m.batchRounds.Observe(float64(rounds))
-	}
-}
-
-func (m *rpcMetrics) addSpecIssued() {
-	if m != nil {
-		m.specIssued.Add(1)
 	}
 }
 
@@ -208,9 +198,6 @@ func (s *hostSession) postCtx(ctx context.Context, ep int, frame []byte) (*frame
 	if err := checkFrameCRC(body, resp.Header.Get(frameCRCHeader)); err != nil {
 		putFrame(fb)
 		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
-	}
-	if s.lat != nil && ep == epRounds {
-		s.lat.add(time.Since(start))
 	}
 	fb.b = body
 	return fb, nil

@@ -38,11 +38,6 @@ type CoordinatorConfig struct {
 	// fleet (see newTransport) — the membership probe then doubles as
 	// connection pre-warming, so the first search never pays a dial.
 	Client *http.Client
-	// NoSpeculation disables issuing a shard's next round fetch while the
-	// coordinator is still merging the previous one. Speculation never
-	// changes answers — a late stop only wastes the in-flight rounds,
-	// which s3_coord_spec_wasted_total prices.
-	NoSpeculation bool
 	// ProbeInterval paces the background membership refresh (default 5s).
 	ProbeInterval time.Duration
 	// SearchRetries is how many times a failed search is retried on other
@@ -59,12 +54,6 @@ type CoordinatorConfig struct {
 	// timeout). A timed-out RPC is a transport error: the worker is
 	// benched and the search fails over to a replica.
 	RPCTimeout time.Duration
-	// NoHedging disables hedged round RPCs; HedgeDelay, when positive,
-	// replaces the per-worker P99-derived hedge delay with a fixed one.
-	// A hedge needs a second healthy replica of the shard, so topologies
-	// without replication never hedge regardless.
-	NoHedging  bool
-	HedgeDelay time.Duration
 	// Registry, when non-nil, receives the coordinator's wire instruments
 	// (per-endpoint RPC round-trip time and bytes) and search counters.
 	Registry *obs.Registry
@@ -111,9 +100,7 @@ const halfOpenProbes = 2
 type workerRef struct {
 	url string
 
-	// lat feeds this worker's round-RPC RTTs into the hedge-delay
-	// estimate; probing guards against overlapping probes of one worker.
-	lat     latRing
+	// probing guards against overlapping probes of one worker.
 	probing atomic.Bool
 
 	mu      sync.Mutex
@@ -167,16 +154,14 @@ type Coordinator struct {
 	idBase uint64
 	idSeq  atomic.Uint64
 
-	searches    atomic.Uint64
-	retries     atomic.Uint64
-	failures    atomic.Uint64
-	failovers   atomic.Uint64
-	hedgeIssued atomic.Uint64
-	hedgeWon    atomic.Uint64
+	searches  atomic.Uint64
+	retries   atomic.Uint64
+	failures  atomic.Uint64
+	failovers atomic.Uint64
 
 	metrics *rpcMetrics
 
-	// batchCap, when positive, clips every session's round-batch hint. Only
+	// batchCap, when positive, clips every session's round batch. Only
 	// tests set it: regrouping rounds into exchanges must not change a byte.
 	batchCap int
 }
@@ -244,12 +229,6 @@ func (c *Coordinator) AttachRegistry(r *obs.Registry) {
 	r.CounterFunc("s3_coord_failover_total",
 		"Mid-search failovers: a session re-begun on a replica and fast-forwarded through the consumed rounds.",
 		func() float64 { return float64(c.failovers.Load()) })
-	r.CounterFunc("s3_coord_hedge_issued_total",
-		"Hedged round RPCs issued against a replica after the primary overstayed the hedge delay.",
-		func() float64 { return float64(c.hedgeIssued.Load()) })
-	r.CounterFunc("s3_coord_hedge_won_total",
-		"Hedged round RPCs that answered before the primary (the hedge session was adopted).",
-		func() float64 { return float64(c.hedgeWon.Load()) })
 	for _, w := range c.workers {
 		r.GaugeFunc("s3_coord_breaker_state",
 			"Per-worker circuit breaker state: 0 closed, 1 half-open, 2 open.",
@@ -552,7 +531,7 @@ func (c *Coordinator) noteWorkerSuccess(w *workerRef) {
 }
 
 // noteWorkerReleased hands back a half-open trial token without a
-// verdict (the search failed elsewhere, or a hedge was cancelled).
+// verdict (the search failed elsewhere).
 func (c *Coordinator) noteWorkerReleased(w *workerRef) {
 	w.mu.Lock()
 	w.trial = false
@@ -584,7 +563,6 @@ func (c *Coordinator) SearchPartial(spec core.SearchSpec, copts core.CoordOption
 
 func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, partial bool) ([]core.CandMeta, core.Stats, *Degradation, error) {
 	copts.ForceParallel = true
-	copts.NoSpeculation = copts.NoSpeculation || c.cfg.NoSpeculation
 	ctx := copts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -620,10 +598,9 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 				groups[ref] = append(groups[ref], s)
 			}
 		}
-		traceID := copts.Trace.TraceID()
 		conns := make([]*hostShardView, c.cfg.ShardCount)
 		for ref, group := range groups {
-			for i, v := range c.connect(ctx, ref, group, traceID, copts.Budget) {
+			for i, v := range c.connect(ctx, ref, group, copts) {
 				conns[group[i]] = v
 			}
 		}
@@ -676,17 +653,15 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 // /stats exposes: its own counters plus the per-worker statuses (with
 // each worker's cumulative per-shard search/round counts as probed).
 type CoordinatorStats struct {
-	Role        string           `json:"role"`
-	ShardCount  int              `json:"shard_count"`
-	SetID       string           `json:"set_id"`
-	Searches    uint64           `json:"searches"`
-	Retries     uint64           `json:"retries"`
-	Failures    uint64           `json:"failures"`
-	Failovers   uint64           `json:"failovers"`
-	HedgeIssued uint64           `json:"hedge_issued"`
-	HedgeWon    uint64           `json:"hedge_won"`
-	Workers     []WorkerStatus   `json:"workers"`
-	Shards      []WorkerShardRow `json:"shards"`
+	Role       string           `json:"role"`
+	ShardCount int              `json:"shard_count"`
+	SetID      string           `json:"set_id"`
+	Searches   uint64           `json:"searches"`
+	Retries    uint64           `json:"retries"`
+	Failures   uint64           `json:"failures"`
+	Failovers  uint64           `json:"failovers"`
+	Workers    []WorkerStatus   `json:"workers"`
+	Shards     []WorkerShardRow `json:"shards"`
 }
 
 // Stats snapshots the coordinator's view: per-worker statuses from the
@@ -694,15 +669,13 @@ type CoordinatorStats struct {
 // content counts from any replica of the shard).
 func (c *Coordinator) Stats() CoordinatorStats {
 	out := CoordinatorStats{
-		Role:        "coordinator",
-		ShardCount:  c.cfg.ShardCount,
-		SetID:       fmt.Sprintf("%016x", c.cfg.SetID),
-		Searches:    c.searches.Load(),
-		Retries:     c.retries.Load(),
-		Failures:    c.failures.Load(),
-		Failovers:   c.failovers.Load(),
-		HedgeIssued: c.hedgeIssued.Load(),
-		HedgeWon:    c.hedgeWon.Load(),
+		Role:       "coordinator",
+		ShardCount: c.cfg.ShardCount,
+		SetID:      fmt.Sprintf("%016x", c.cfg.SetID),
+		Searches:   c.searches.Load(),
+		Retries:    c.retries.Load(),
+		Failures:   c.failures.Load(),
+		Failovers:  c.failovers.Load(),
 	}
 	rows := make([]WorkerShardRow, c.cfg.ShardCount)
 	for s := range rows {

@@ -400,7 +400,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Error("beginset listing a shard twice accepted")
 	}
 	over := br
-	over.rounds = maxBatchRounds + 1
+	over.rounds = maxWorkerBatch + 1
 	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(over)); err == nil {
 		t.Error("beginset asking for an oversized first batch accepted")
 	}
@@ -438,7 +438,7 @@ func TestWireRoundTrip(t *testing.T) {
 	var e enc
 	e.u32(1)
 	encodeBeginInfoBody(&e, bis[0])
-	e.u32(maxBatchRounds + 1)
+	e.u32(maxWorkerBatch + 1)
 	if _, _, _, _, err := decodeBeginSetReply(e.b, 1, time.Now()); err == nil {
 		t.Error("beginset reply with an oversized row count accepted")
 	}

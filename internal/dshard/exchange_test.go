@@ -1,14 +1,13 @@
 // The exchange budget: how many times a distributed search crosses the
 // wire, enforced next to the allocation budgets. The first round batch
-// rides on the beginset that opens a session and every batch is
-// maxRoundBatch rounds (core's plan), so a search of r rounds costs each
-// host ceil(r / 16) sequential round-carrying exchanges, plus at most one
-// speculative batch left behind by the stop. The same battery re-run with
-// the batch hint forced to other sizes pins that grouping rounds into
-// exchanges never changes a byte, and the edge cases pin where a batch
-// must end early (exhaustion, precision floor) or not run at all (any-time
-// budget, failover sessions, a host nobody matched on, a cancelled
-// request).
+// rides on the beginset that opens a session and every batch is roundBatch
+// rounds, so a search of r rounds costs each host exactly ceil(r / 16)
+// sequential round-carrying exchanges and leaves less than one batch
+// unconsumed. The same battery re-run with the batch forced to other sizes
+// pins that grouping rounds into exchanges never changes a byte, and the
+// edge cases pin where a batch must end early (exhaustion, precision floor
+// — on a failover's replacement session too) or not run at all (any-time
+// budget, a host nobody matched on, a cancelled request).
 package dshard
 
 import (
@@ -89,8 +88,8 @@ func loggedHosts(t *testing.T, manifestPath string, groups [][]int) (urls []stri
 }
 
 // settle waits until every session the coordinator opened has been
-// released: End is asynchronous, and it is End that drains an in-flight
-// speculative batch into the counters.
+// released (End is asynchronous), so the next search's wire log and the
+// workers' step counters start clean.
 func settle(t *testing.T, workers []*Worker) {
 	t.Helper()
 	for _, w := range workers {
@@ -223,9 +222,9 @@ func exchangeTopology(t *testing.T) (*snap.ShardSetSnapshot, [][]int, []*Worker,
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// TestExchangeBudget: per host, a search of r rounds is ceil(r/16)
+// TestExchangeBudget: per host, a search of r rounds is exactly ceil(r/16)
 // sequential round-carrying exchanges — the first being the beginset —
-// plus at most one speculative batch; and the any-time bounds clip the
+// leaving less than one batch unconsumed; and the any-time bounds clip the
 // first batch exactly as they clip every later one.
 func TestExchangeBudget(t *testing.T) {
 	set, groups, workers, logs, newCoord := exchangeTopology(t)
@@ -268,44 +267,47 @@ func TestExchangeBudget(t *testing.T) {
 	steps := func() uint64 { return workers[0].iterSteps.Load() + workers[1].iterSteps.Load() }
 
 	deep, unmatchedHosts := 0, 0
-	for _, speculate := range []bool{true, false} {
-		c := newCoord(CoordinatorConfig{NoSpeculation: !speculate})
-		for _, q := range qs {
-			d, firstRounds, froms := run(t, c, q, core.CoordOptions{})
-			if q.iters > firstBatch {
-				deep++
+	c := newCoord(CoordinatorConfig{})
+	for _, q := range qs {
+		d, firstRounds, froms := run(t, c, q, core.CoordOptions{})
+		if q.iters > firstBatch {
+			deep++
+		}
+		// A host somebody matched on gets its first batch on the
+		// beginset; a host nobody matched on is asked all the same, runs
+		// none, and is stepped by rounds RPCs from round 1.
+		onBeginset := 0
+		for h, matched := range q.hostMatched {
+			if firstRounds[h] != firstBatch {
+				t.Fatalf("host %d beginset asked for %d rounds, want %d", h, firstRounds[h], firstBatch)
 			}
-			// A host somebody matched on gets its first batch on the
-			// beginset; a host nobody matched on is asked all the same, runs
-			// none, and is stepped by rounds RPCs from round 1.
-			onBeginset := 0
-			for h, matched := range q.hostMatched {
-				if firstRounds[h] != firstBatch {
-					t.Fatalf("host %d beginset asked for %d rounds, want %d", h, firstRounds[h], firstBatch)
+			switch {
+			case q.iters == 0:
+			case matched > 0:
+				onBeginset++
+				if len(froms[h]) > 0 && froms[h][0] != firstBatch+1 {
+					t.Fatalf("matched host %d: first rounds RPC from round %d, want %d", h, froms[h][0], firstBatch+1)
 				}
-				switch {
-				case q.iters == 0:
-				case matched > 0:
-					onBeginset++
-					if len(froms[h]) > 0 && froms[h][0] != firstBatch+1 {
-						t.Fatalf("matched host %d: first rounds RPC from round %d, want %d", h, froms[h][0], firstBatch+1)
-					}
-				default:
-					unmatchedHosts++
-					if len(froms[h]) == 0 || froms[h][0] != 1 {
-						t.Fatalf("unmatched host %d: rounds RPCs from %v, want the first from round 1", h, froms[h])
-					}
+			default:
+				unmatchedHosts++
+				if len(froms[h]) == 0 || froms[h][0] != 1 {
+					t.Fatalf("unmatched host %d: rounds RPCs from %v, want the first from round 1", h, froms[h])
 				}
 			}
-			want := uint64(hosts * ceilDiv(q.iters, firstBatch))
-			if spare := d.batches - want; d.batches < want || spare > uint64(hosts) || (!speculate && spare != 0) {
-				t.Fatalf("seeker=%d kws=%v speculate=%v: %d rounds took %d round-carrying exchanges over %d hosts, want %d (+ at most one speculative each)",
-					q.seeker, q.kws, speculate, q.iters, d.batches, hosts, want)
-			}
-			if d.roundRPCs != d.batches-uint64(onBeginset) {
-				t.Fatalf("seeker=%d kws=%v: %d rounds RPCs for %d batches, %d of them on a beginset",
-					q.seeker, q.kws, d.roundRPCs, d.batches, onBeginset)
-			}
+		}
+		if want := uint64(hosts * ceilDiv(q.iters, firstBatch)); d.batches != want {
+			t.Fatalf("seeker=%d kws=%v: %d rounds took %d round-carrying exchanges over %d hosts, want exactly %d",
+				q.seeker, q.kws, q.iters, d.batches, hosts, want)
+		}
+		// No exchange carries more than a batch, so every host sits less
+		// than one batch past the round the search consumed.
+		if d.fetched > float64(d.batches*firstBatch) || d.wasted > uint64(hosts*(firstBatch-1)) {
+			t.Fatalf("seeker=%d kws=%v: %d exchanges carried %v rounds, %d unconsumed over %d hosts",
+				q.seeker, q.kws, d.batches, d.fetched, d.wasted, hosts)
+		}
+		if d.roundRPCs != d.batches-uint64(onBeginset) {
+			t.Fatalf("seeker=%d kws=%v: %d rounds RPCs for %d batches, %d of them on a beginset",
+				q.seeker, q.kws, d.roundRPCs, d.batches, onBeginset)
 		}
 	}
 	if deep == 0 || unmatchedHosts == 0 {
@@ -315,7 +317,6 @@ func TestExchangeBudget(t *testing.T) {
 	// Budget > 0: strict lockstep — nothing rides on the beginset (the
 	// budget may expire before round 1, and that stop finalizes at tail 0)
 	// and every exchange carries one round.
-	c := newCoord(CoordinatorConfig{})
 	for _, q := range qs[:8] {
 		d, firstRounds, _ := run(t, c, q, core.CoordOptions{Budget: time.Hour})
 		for h, r := range firstRounds {
@@ -358,10 +359,10 @@ func TestExchangeBudget(t *testing.T) {
 	}
 }
 
-// TestFailoverSessionsBeginWithoutRounds: the single-shard sessions the
-// failover layer attaches ask for no rounds on their beginset — replay
-// fast-forwards them, and replay must start from round 0.
-func TestFailoverSessionsBeginWithoutRounds(t *testing.T) {
+// TestFailoverSessionsBeginLikeAnyOther: the single-shard sessions the
+// failover layer attaches open the way a cover session does — the first
+// batch of the rounds they fast-forward through rides on their beginset.
+func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
 	set, err := snap.OpenShardSet(manifestPath, snap.LoadCopy)
@@ -392,12 +393,11 @@ func TestFailoverSessionsBeginWithoutRounds(t *testing.T) {
 	for _, l := range logs {
 		begins, _ := l.take()
 		for _, b := range begins {
-			switch {
-			case len(b.shards) == 2 && b.rounds == firstBatch: // a cover session
-			case len(b.shards) == 1 && b.rounds == 0:
+			if b.rounds != firstBatch {
+				t.Fatalf("beginset over shards %v asked for %d rounds, want %d", b.shards, b.rounds, firstBatch)
+			}
+			if len(b.shards) == 1 {
 				attached++
-			default:
-				t.Fatalf("beginset over shards %v asked for %d rounds", b.shards, b.rounds)
 			}
 		}
 	}
@@ -406,41 +406,39 @@ func TestFailoverSessionsBeginWithoutRounds(t *testing.T) {
 	}
 }
 
-// TestGroupingIndependence: the battery answered with the batch hint
-// forced to 1, 3 and 16 — and with speculation on and off — returns the
-// same bytes and the same iteration counts as the in-process engine.
+// TestGroupingIndependence: the battery answered with the batch forced to
+// 1, 3 and 16 returns the same bytes and the same iteration counts as the
+// in-process engine.
 func TestGroupingIndependence(t *testing.T) {
 	set, groups, workers, _, newCoord := exchangeTopology(t)
 	qs := exchangeBattery(t, set, groups, 21, core.Options{K: exchangeK, Params: exchangeParams})
 	for _, hint := range []int{1, 3, 16} {
-		for _, noSpec := range []bool{false, true} {
-			c := newCoord(CoordinatorConfig{NoSpeculation: noSpec})
-			c.batchCap = hint
-			before := countExchanges(c)
-			rounds := 0
-			for _, q := range qs {
-				sel, stats, err := c.Search(q.spec, core.CoordOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := metaTranscript(sel, stats); got != q.want {
-					t.Fatalf("hint=%d seeker=%d kws=%v: answer depends on the grouping\nwant:\n%s\ngot:\n%s",
-						hint, q.seeker, q.kws, q.want, got)
-				}
-				if stats.Iterations != q.iters {
-					t.Fatalf("hint=%d: %d iterations, reference %d", hint, stats.Iterations, q.iters)
-				}
-				rounds += stats.Iterations
+		c := newCoord(CoordinatorConfig{})
+		c.batchCap = hint
+		before := countExchanges(c)
+		rounds := 0
+		for _, q := range qs {
+			sel, stats, err := c.Search(q.spec, core.CoordOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			settle(t, workers)
-			// The hook really regrouped: no batch exceeds the forced size.
-			d := countExchanges(c).since(before)
-			if d.batches == 0 || d.fetched > float64(d.batches)*float64(hint) {
-				t.Fatalf("hint=%d: %d batches carried %v rounds", hint, d.batches, d.fetched)
+			if got := metaTranscript(sel, stats); got != q.want {
+				t.Fatalf("hint=%d seeker=%d kws=%v: answer depends on the grouping\nwant:\n%s\ngot:\n%s",
+					hint, q.seeker, q.kws, q.want, got)
 			}
-			if hint == 1 && d.fetched-float64(d.wasted) != float64(len(groups)*rounds) {
-				t.Fatalf("hint=1: fetched %v, wasted %d, consumed %d×%d", d.fetched, d.wasted, len(groups), rounds)
+			if stats.Iterations != q.iters {
+				t.Fatalf("hint=%d: %d iterations, reference %d", hint, stats.Iterations, q.iters)
 			}
+			rounds += stats.Iterations
+		}
+		settle(t, workers)
+		// The hook really regrouped: no batch exceeds the forced size.
+		d := countExchanges(c).since(before)
+		if d.batches == 0 || d.fetched > float64(d.batches)*float64(hint) {
+			t.Fatalf("hint=%d: %d batches carried %v rounds", hint, d.batches, d.fetched)
+		}
+		if hint == 1 && d.fetched-float64(d.wasted) != float64(len(groups)*rounds) {
+			t.Fatalf("hint=1: fetched %v, wasted %d, consumed %d×%d", d.fetched, d.wasted, len(groups), rounds)
 		}
 	}
 }
@@ -498,15 +496,23 @@ func islandSet(t *testing.T, cyclic bool) (*snap.ShardSetSnapshot, string) {
 // TestFinalizeAtConsumedRound: a batch that hits exhaustion or the
 // precision floor ends there — on the beginset as on a rounds RPC — so
 // the finalize that follows finds the worker at exactly the consumed
-// round: every executed round was consumed, none wasted.
+// round: every executed round was consumed, none wasted. The same holds
+// for the replacement sessions of a failover that struck with one or two
+// full batches consumed (the fetch of round 17, or of round 33, failed):
+// the fast-forward leaves them exactly there, not a batch further.
 func TestFinalizeAtConsumedRound(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cyclic bool
 		reason core.StopReason
+		// killAfter, when >= 0, is how many rounds RPCs the first of two
+		// replica hosts answers before its rounds endpoint dies.
+		killAfter int
 	}{
-		{"exhausted", false, core.StopThreshold},
-		{"precision", true, core.StopPrecision},
+		{"exhausted", false, core.StopThreshold, -1},
+		{"precision", true, core.StopPrecision, -1},
+		{"failover-at-17", true, core.StopPrecision, 0},
+		{"failover-at-33", true, core.StopPrecision, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set, manifestPath := islandSet(t, tc.cyclic)
@@ -531,6 +537,10 @@ func TestFinalizeAtConsumedRound(t *testing.T) {
 			}
 			if rstats.Reason != tc.reason || rstats.Iterations%firstBatch == 0 {
 				t.Fatalf("fixture stops by %s after %d rounds, want %s mid-batch", rstats.Reason, rstats.Iterations, tc.reason)
+			}
+			if tc.killAfter >= 0 {
+				finalizeAfterFailover(t, set, manifestPath, spec, engineTranscript(rs, rstats), rstats.Iterations, tc.killAfter)
+				return
 			}
 
 			urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0}, {1}})
@@ -564,6 +574,54 @@ func TestFinalizeAtConsumedRound(t *testing.T) {
 				t.Fatalf("a worker stepped %d times for a %d-round search", stepped, stats.Iterations)
 			}
 		})
+	}
+}
+
+// finalizeAfterFailover runs the search twice over two hosts carrying both
+// shards, the first of which resets every rounds RPC past its killAfter-th:
+// the rotation lands one of the two searches on it, which fails over both
+// shards with (killAfter+1) full batches consumed.
+func finalizeAfterFailover(t *testing.T, set *snap.ShardSetSnapshot, manifestPath string,
+	spec core.SearchSpec, want string, iters, killAfter int) {
+	t.Helper()
+	struck := (killAfter + 1) * firstBatch
+	if iters <= struck {
+		t.Fatalf("fixture stops after %d rounds, before the fetch of round %d", iters, struck+1)
+	}
+	urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
+	ft := faultnet.NewTransport(newTransport(len(urls)), 1)
+	ft.Add(&faultnet.Rule{Host: hostOf(t, urls[0]), Path: pathRounds, After: killAfter, Action: faultnet.Reset})
+	c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 2, SetID: set.Set.Layout.SetID,
+		Client: &http.Client{Timeout: 10 * time.Second, Transport: ft}, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Probe(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		sel, stats, err := c.Search(spec, core.CoordOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metaTranscript(sel, stats); got != want {
+			t.Fatalf("search %d: answer diverged\nwant:\n%s\ngot:\n%s", i, want, got)
+		}
+	}
+	settle(t, workers)
+	if f := c.failovers.Load(); f != 2 {
+		t.Fatalf("%d failovers, want both shards of the one search that landed on the dying host", f)
+	}
+	// The struck session fetched and consumed `struck` rounds; the clean
+	// search's session and the two replacement sessions each fetched the
+	// search's rounds and not one more.
+	d := countExchanges(c)
+	if d.wasted != 0 || d.fetched != float64(struck+3*iters) {
+		t.Fatalf("%d-round search struck at round %d: sessions returned %v rounds, %d unconsumed — a replacement did not sit at the consumed round",
+			iters, struck+1, d.fetched, d.wasted)
+	}
+	if dead, alive := workers[0].iterSteps.Load(), workers[1].iterSteps.Load(); dead != uint64(struck) || alive != uint64(3*iters) {
+		t.Fatalf("the dying host stepped %d times (want %d), the surviving one %d (want 3×%d)", dead, struck, alive, iters)
 	}
 }
 

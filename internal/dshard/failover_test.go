@@ -1,5 +1,5 @@
-// Tests for the resilience layer: the replay fast-forward codec and its
-// identity property, frame CRC integrity, the per-worker circuit breaker,
+// Tests for the resilience layer: the fast-forward identity property,
+// frame CRC integrity, the per-worker circuit breaker,
 // the jittered probe schedule, worker drain across a restart, and
 // membership refresh racing live searches.
 package dshard
@@ -23,53 +23,6 @@ import (
 	"s3/internal/score"
 	"s3/internal/snap"
 )
-
-// TestReplayWireRoundTrip mirrors TestBatchedWireRoundTrip for the
-// replay frames: exact round trips plus rejection of truncated,
-// padded, inverted and oversized ranges.
-func TestReplayWireRoundTrip(t *testing.T) {
-	rr := replayRequest{searchID: 42, from: 3, upto: 40}
-	gotRR, err := decodeReplayRequest(encodeReplayRequest(rr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRR != rr {
-		t.Fatalf("replay request round trip: %+v != %+v", gotRR, rr)
-	}
-	if _, err := decodeReplayRequest(encodeReplayRequest(replayRequest{searchID: 1, from: 5, upto: 4})); err == nil {
-		t.Error("inverted replay range accepted")
-	}
-	if _, err := decodeReplayRequest(encodeReplayRequest(replayRequest{searchID: 1, from: 1, upto: 1 + maxBatchRounds})); err == nil {
-		t.Error("oversized replay range accepted")
-	}
-	reqFrame := encodeReplayRequest(rr)
-	for cut := 0; cut < len(reqFrame); cut++ {
-		if _, err := decodeReplayRequest(reqFrame[:cut]); err == nil {
-			t.Fatalf("truncated replay request (%d bytes) accepted", cut)
-		}
-	}
-	if _, err := decodeReplayRequest(append(bytes.Clone(reqFrame), 0)); err == nil {
-		t.Error("trailing garbage on replay request accepted")
-	}
-
-	rep := replayReply{round: 17}
-	gotRep, err := decodeReplayReply(encodeReplayReply(rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRep != rep {
-		t.Fatalf("replay reply round trip: %+v != %+v", gotRep, rep)
-	}
-	repFrame := encodeReplayReply(rep)
-	for cut := 0; cut < len(repFrame); cut++ {
-		if _, err := decodeReplayReply(repFrame[:cut]); err == nil {
-			t.Fatalf("truncated replay reply (%d bytes) accepted", cut)
-		}
-	}
-	if _, err := decodeReplayReply(append(bytes.Clone(repFrame), 0)); err == nil {
-		t.Error("trailing garbage on replay reply accepted")
-	}
-}
 
 // stripCRCTransport drops the frame CRC header from every outgoing
 // request — an intermediary that "normalizes" unknown headers.
@@ -196,8 +149,8 @@ func TestFrameCRC(t *testing.T) {
 }
 
 // deepQuery finds a query that runs at least minRounds lockstep rounds
-// against shard 0 (which srv must host) without finishing, so replay
-// tests have history to fast-forward through.
+// against shard 0 (which srv must host) without finishing, so
+// fast-forward tests have history to go through.
 func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, minRounds int) core.SearchSpec {
 	t.Helper()
 	in := set.Set.Base
@@ -236,76 +189,91 @@ func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, m
 			}
 		}
 	}
-	t.Fatal("no query runs deep enough for a replay test")
+	t.Fatal("no query runs deep enough for a fast-forward test")
 	return core.SearchSpec{}
 }
 
-// TestReplayFastForward is the replay acceptance property: a session
-// begun fresh and fast-forwarded through k consumed rounds over
-// /shard/v1/replay continues — round for round, bit for bit — exactly
-// like the session that executed those rounds live, at every
-// consumed-round count a failover can strike at.
+// TestReplayFastForward is the failover acceptance property: a session
+// begun fresh and fast-forwarded through k consumed rounds continues —
+// round for round, bit for bit — exactly like the session that executed
+// those rounds live, at every consumed-round count a failover can strike
+// at. The batch is forced to 1 (every round its own rounds RPC), to 3
+// (fast-forward stops inside a batch and keeps its tail buffered) and left
+// at 16 (the history rides on the beginset).
 func TestReplayFastForward(t *testing.T) {
 	_, set, _, servers := smallTopology(t)
 	srv := servers[0]
 	spec := deepQuery(t, set, srv, 5)
 
-	for consumed := 1; consumed <= 4; consumed++ {
-		primary := openSession(srv.URL, uint64(8800+2*consumed), 0)
-		bi1, err := primary.Begin(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < consumed; i++ {
-			if _, err := primary.Round(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		replica := openSession(srv.URL, uint64(8801+2*consumed), 0)
-		bi2, err := replica.Begin(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bi2.Matched != bi1.Matched {
-			t.Fatalf("replica diverges on begin: matched %d vs %d", bi2.Matched, bi1.Matched)
-		}
-		if err := replica.FastForward(uint32(consumed)); err != nil {
-			t.Fatal(err)
-		}
-
-		// The stop decision belongs to the coordinator, so Done may never
-		// fire when driving executors directly: compare a fixed window of
-		// post-recovery rounds, then the finalize state at that point.
-		for i := 0; i < 6; i++ {
-			a, err := primary.Round()
+	id := uint64(8800)
+	open := func(batch int) *hostShardView {
+		id++
+		v := openSession(srv.URL, id, 0)
+		v.s.batchCap = batch
+		return v
+	}
+	for _, batch := range []int{1, 3, roundBatch} {
+		for consumed := 1; consumed <= 4; consumed++ {
+			primary := open(batch)
+			bi1, err := primary.Begin(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := replica.Round()
+			for i := 0; i < consumed; i++ {
+				if _, err := primary.Round(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			replica := open(batch)
+			bi2, err := replica.Begin(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(infoBytes(a), infoBytes(b)) {
-				t.Fatalf("consumed=%d: round %d diverged after fast-forward:\nlive:   %+v\nreplay: %+v", consumed, consumed+i+1, a, b)
+			if bi2.Matched != bi1.Matched {
+				t.Fatalf("replica diverges on begin: matched %d vs %d", bi2.Matched, bi1.Matched)
 			}
-			if a.Done {
-				break
+			if err := replica.FastForward(uint32(consumed)); err != nil {
+				t.Fatal(err)
 			}
+			if replica.consumed != uint32(consumed) || replica.s.fetched != primary.s.fetched {
+				t.Fatalf("batch=%d consumed=%d: fast-forward left the replica at round %d with %d fetched, the live session has %d fetched",
+					batch, consumed, replica.consumed, replica.s.fetched, primary.s.fetched)
+			}
+
+			// The stop decision belongs to the coordinator, so Done may never
+			// fire when driving executors directly: compare a fixed window of
+			// post-recovery rounds, then the finalize state at that point.
+			for i := 0; i < 6; i++ {
+				a, err := primary.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := replica.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(infoBytes(a), infoBytes(b)) {
+					t.Fatalf("batch=%d consumed=%d: round %d diverged after fast-forward:\nlive:   %+v\nreplay: %+v", batch, consumed, consumed+i+1, a, b)
+				}
+				if a.Done {
+					break
+				}
+			}
+			fa, err := primary.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, err := replica.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(infoBytes(fa), infoBytes(fb)) {
+				t.Fatalf("batch=%d consumed=%d: finalize diverged after fast-forward:\nlive:   %+v\nreplay: %+v", batch, consumed, fa, fb)
+			}
+			primary.End()
+			replica.End()
 		}
-		fa, err := primary.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := replica.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(infoBytes(fa), infoBytes(fb)) {
-			t.Fatalf("consumed=%d: finalize diverged after fast-forward:\nlive:   %+v\nreplay: %+v", consumed, fa, fb)
-		}
-		primary.End()
-		replica.End()
 	}
 }
 
@@ -535,7 +503,10 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 	want := metaTranscript(wantSel, wantStats)
 
 	// Open a session, then start draining: the session must pin Drain.
+	// Budgeted, it fetches one round per exchange, so the Round below
+	// crosses the wire.
 	inflight := openSession(servers[0].URL, 7701, 0)
+	inflight.s.budget = time.Hour
 	if _, err := inflight.Begin(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -5,24 +5,22 @@
 // single shard being the one-member case. The worker drives the whole
 // group off a single shared proximity iterator — one Step per round
 // feeds every co-hosted shard — and every batch returns a RoundInfo per
-// member per round: the first rides on the beginset reply (when the
-// coordinator planned one before Begin), the rest are one
-// /shard/v1/rounds RPC each. Coordinator-side, the
-// shared session is split back into per-shard views (hostShardView) so
-// core.Coordinate and the failover wrapper keep seeing one
-// ShardExecutor per shard: the views serialize on the session, the
-// first one to need a round fetches for all, and the others consume
-// from the shared buffer without touching the wire.
+// member per round: the first rides on the beginset reply (unless the
+// search is budgeted), the rest are one /shard/v1/rounds RPC each.
+// Coordinator-side, the shared session is split back into per-shard views
+// (hostShardView) so core.Coordinate and the failover wrapper keep seeing
+// one ShardExecutor per shard: the views serialize on the session, the
+// first one to need a round fetches for all, and the others consume from
+// the shared buffer without touching the wire.
 //
-// A batch's per-round infos are buffered and Round() hands them back one
-// at a time — core.Coordinate replays every per-round stop decision
-// locally, so how rounds are grouped into RPCs never changes an answer.
-// Batches are as large as the coordinator's plan allows; the worker cuts
-// one short only at exhaustion or the precision floor. When speculation
-// is allowed, the next batch is issued as soon as the buffer drains (this
-// host computes it while the scatter still waits on a slower one). A stop
-// therefore leaves at most the rest of one batch plus one in-flight batch
-// executed but unconsumed — worker CPU only, which End drains and counts.
+// Rounds move one way: when a view needs a round the buffer does not hold,
+// the session asks its worker for the next batch (see batchLocked). A
+// batch's per-round infos are buffered and Round() hands them back one at
+// a time — core.Coordinate replays every per-round stop decision locally,
+// so how rounds are grouped into RPCs never changes an answer. The worker
+// cuts a batch short only at exhaustion or the precision floor, so a stop
+// leaves at most the rest of one batch executed but unconsumed — worker
+// CPU only, which End counts.
 //
 // Failover stays per shard: a view that fails (or whose whole host
 // dies) is abandoned individually and its failoverExecutor re-begins a
@@ -43,14 +41,16 @@ import (
 	"s3/internal/obs"
 )
 
-// hostRoundsResult is one batched fetch's outcome: round-major rows (one
-// RoundInfo per member per executed round), the worker-side span subtree
-// for the batch, and the error.
-type hostRoundsResult struct {
-	rows [][]core.RoundInfo
-	span *obs.Span
-	err  error
-}
+// roundBatch is how many rounds every exchange, the first one included,
+// asks for, clipped only by the any-time bounds (see batchLocked).
+// Overshooting the stop costs worker CPU, never correctness or a round
+// trip, and at ~0.2 ms per worker step against a ~5 ms exchange that trade
+// only goes one way. Measured on benchmark/'s dist-rtt (2 ms-per-write
+// proxies, stop rounds bimodal: 9 % of searches stop at rounds 2–5, the
+// rest at 16–43, median 26): opening at 16 beat a 4-round opener 3 seeds
+// of 3 (p50 26.5 vs 35.6 ms) and finishes ≈ 85 % of searches in two
+// exchanges; a ramp only adds exchanges.
+const roundBatch = 16
 
 // hostSession is one worker session covering a group of co-hosted
 // shards. The round buffer and collective begin / finalize state live
@@ -62,8 +62,9 @@ type hostSession struct {
 	// out. ctx scopes every RPC except End (cancelled searches must still
 	// release worker sessions); rpcTimeout, when positive, bounds each RPC
 	// individually; traceID, when non-zero, asks the worker to record
-	// spans; budget, when positive, ships as the beginset deadline; lat,
-	// when non-nil, receives round-fetch RTTs for the hedge-delay estimate.
+	// spans; budget, when positive, ships as the beginset deadline, and with
+	// maxIter (the search's MaxIterations) sizes every batch; batchCap, when
+	// positive, clips the batch further (tests force a grouping with it).
 	client     *http.Client
 	base       string
 	searchID   uint64
@@ -73,16 +74,9 @@ type hostSession struct {
 	rpcTimeout time.Duration
 	traceID    uint64
 	budget     time.Duration
-	lat        *latRing
+	maxIter    int
+	batchCap   int
 	metrics    *rpcMetrics
-
-	// batchHint / wantSpec are the coordinator loop's PlanRounds state;
-	// the hint is 0 until the first plan, and a session begun unplanned
-	// asks for no rounds on its beginset. batchCap, when positive, clips
-	// every hint (tests force a grouping with it).
-	batchHint atomic.Int32
-	wantSpec  atomic.Bool
-	batchCap  int
 
 	mu sync.Mutex
 	// err is the first transport-class error the session hit: once set,
@@ -104,11 +98,9 @@ type hostSession struct {
 
 	// The shared round buffer. buf[i] is round pruned+1+i, one RoundInfo
 	// per member; rows are pruned once every live view has consumed them.
-	// pre, when non-nil, is the single outstanding speculative fetch.
 	fetched   uint32
 	pruned    uint32
 	buf       [][]core.RoundInfo
-	pre       chan hostRoundsResult
 	batchSpan *obs.Span
 
 	// Collective finalize, same shape as begin.
@@ -146,12 +138,11 @@ func newHostSession(ctx context.Context, client *http.Client, base string, searc
 
 // connect opens this search's session on ref for the shards it was picked
 // to serve and returns one view per shard.
-func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int,
-	traceID uint64, budget time.Duration) []*hostShardView {
+func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int, copts core.CoordOptions) []*hostShardView {
 	s := newHostSession(ctx, c.client, ref.url, c.nextSearchID(), shards)
 	s.rpcTimeout = c.cfg.RPCTimeout
-	s.traceID, s.budget = traceID, budget
-	s.lat, s.metrics, s.batchCap = &ref.lat, c.metrics, c.batchCap
+	s.traceID, s.budget, s.maxIter = copts.Trace.TraceID(), copts.Budget, copts.MaxIterations
+	s.metrics, s.batchCap = c.metrics, c.batchCap
 	if len(shards) > 1 {
 		c.metrics.addHostSession()
 	}
@@ -202,14 +193,35 @@ func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
 	return s.beginInfos[v.idx], nil
 }
 
+// batchLocked is how many rounds the next exchange asks for: the any-time
+// bounds must never let a worker step past the round a stop finalizes at.
+// A Budget stop can land on any round, so budgeted searches run one round
+// per exchange; MaxIterations clips the batch at the cap.
+func (s *hostSession) batchLocked() uint32 {
+	if s.budget > 0 {
+		return 1
+	}
+	b := roundBatch
+	if s.batchCap > 0 {
+		b = min(b, s.batchCap)
+	}
+	if s.maxIter > 0 {
+		b = max(min(b, s.maxIter-int(s.fetched)), 1)
+	}
+	return uint32(b)
+}
+
 func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *obs.Span, error) {
 	start := time.Now()
-	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID,
-		rounds: uint32(s.batchHint.Load())}
+	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID}
+	// The first batch rides on the beginset — except a budgeted search's,
+	// whose budget can expire before round 1: that stop finalizes at tail 0.
 	if s.budget > 0 {
 		// The grace keeps a worker from sweeping the session out from under
 		// the coordinator's own budget-stop finalize.
 		br.deadlineMicros = uint64((s.budget + 2*time.Second).Microseconds())
+	} else {
+		br.rounds = s.batchLocked()
 	}
 	fb, err := s.post(epBeginSet, encodeBeginSetRequest(br))
 	if err != nil {
@@ -221,61 +233,41 @@ func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *ob
 		return nil, nil, s.setErrLocked(derr)
 	}
 	if len(rows) > 0 {
-		s.observeRounds(start, len(rows))
-		s.landLocked(hostRoundsResult{rows: rows, span: bsp})
+		s.landLocked(start, rows, bsp)
 	}
 	return infos, sp, nil
 }
 
-// observeRounds records one round-carrying exchange (nil-safe metrics).
-func (s *hostSession) observeRounds(start time.Time, rounds int) {
-	s.metrics.observeBatch(rounds)
+// landLocked appends one batch to the shared buffer and records the
+// round-carrying exchange that began at start (nil-safe metrics).
+func (s *hostSession) landLocked(start time.Time, rows [][]core.RoundInfo, span *obs.Span) {
+	s.metrics.observeBatch(len(rows))
 	s.metrics.observeHostRPC(start, len(s.shards))
+	s.buf = append(s.buf, rows...)
+	s.fetched += uint32(len(rows))
+	s.batchSpan = span
 }
 
-// fetchRounds runs one batched fetch: up to batch rounds starting at
-// from, a RoundInfo per member per round. Mutex-free — the speculative
-// prefetch goroutine calls it too; it touches only immutable session
-// fields and the wire.
-func (s *hostSession) fetchRounds(from uint32, batch int) hostRoundsResult {
+// fillLocked fetches the next batch — a RoundInfo per member per round,
+// starting at the round after the last one fetched — into the shared
+// buffer. The session mutex stays held across the RPC on purpose: sibling
+// views blocking on it need exactly the rounds this fetch returns.
+func (s *hostSession) fillLocked() error {
 	start := time.Now()
 	req := getFrame()
-	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: from, max: uint32(max(batch, 1))})
+	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: s.fetched + 1, max: s.batchLocked()})
 	fb, err := s.post(epRounds, req.b)
 	putFrame(req)
 	if err != nil {
-		return hostRoundsResult{err: err}
+		return s.setErrLocked(err)
 	}
 	rows, sp, err := decodeHostRoundsReply(fb.b, len(s.shards), start)
 	putFrame(fb)
 	if err != nil {
-		return hostRoundsResult{err: err}
+		return s.setErrLocked(err)
 	}
-	s.observeRounds(start, len(rows))
-	return hostRoundsResult{rows: rows, span: sp}
-}
-
-// landLocked appends one batch to the shared buffer.
-func (s *hostSession) landLocked(res hostRoundsResult) error {
-	if res.err != nil {
-		return s.setErrLocked(res.err)
-	}
-	s.buf = append(s.buf, res.rows...)
-	s.fetched += uint32(len(res.rows))
-	s.batchSpan = res.span
+	s.landLocked(start, rows, sp)
 	return nil
-}
-
-// fillLocked lands the next batch in the shared buffer: the outstanding
-// speculative fetch if one is in flight, a fresh fetch otherwise. The
-// session mutex stays held across the RPC on purpose — sibling views
-// blocking on it need exactly the rounds this fetch returns.
-func (s *hostSession) fillLocked() error {
-	if ch := s.pre; ch != nil {
-		s.pre = nil
-		return s.landLocked(<-ch)
-	}
-	return s.landLocked(s.fetchRounds(s.fetched+1, int(s.batchHint.Load())))
 }
 
 // Round implements core.ShardExecutor: this member's next round, fetched
@@ -303,10 +295,8 @@ func (v *hostShardView) Round() (core.RoundInfo, error) {
 		// on whichever member got there first.
 		v.span, s.batchSpan = s.batchSpan, nil
 	}
-	info := row[v.idx]
 	s.pruneLocked()
-	s.maybeSpeculateLocked(info)
-	return info, nil
+	return row[v.idx], nil
 }
 
 // pruneLocked drops buffered rows every live view has consumed.
@@ -321,29 +311,6 @@ func (s *hostSession) pruneLocked() {
 		s.buf = s.buf[drop:]
 		s.pruned = minC
 	}
-}
-
-// maybeSpeculateLocked issues the group's single speculative prefetch
-// once every live view has drained the buffer (lockstep means they all
-// arrive within one merge of each other) and the just-consumed round
-// still looks continuable. What it buys is overlap across hosts: this
-// host computes its next batch while the coordinator's scatter still
-// waits on a slower one. At most one is ever outstanding, so a stop
-// leaves at most one speculative batch behind.
-func (s *hostSession) maybeSpeculateLocked(info core.RoundInfo) {
-	if s.pre != nil || !s.wantSpec.Load() || info.Done || info.Tail < 1e-15 {
-		return
-	}
-	for _, v := range s.views {
-		if !v.dead.Load() && v.consumed < s.fetched {
-			return
-		}
-	}
-	from, batch := s.fetched+1, int(s.batchHint.Load())
-	ch := make(chan hostRoundsResult, 1)
-	s.pre = ch
-	s.metrics.addSpecIssued()
-	go func() { ch <- s.fetchRounds(from, batch) }()
 }
 
 // Finalize implements core.ShardExecutor: one finalize RPC per session, a
@@ -388,10 +355,9 @@ func (s *hostSession) doFinalizeLocked(round uint32) ([]core.RoundInfo, *obs.Spa
 // session, once, when its last view ends. The POST is fired
 // asynchronously — the answer is already decided when End runs, and a
 // hung worker must not stall the search's return (or a failover retry)
-// on teardown. Unconsumed buffered rounds and a drained in-flight
-// prefetch are priced as speculation waste per round (not per member —
-// the worker executed each round once); the worker's TTL/deadline
-// sweeper catches anything the request fails to release.
+// on teardown. Rounds fetched but never consumed are priced per round (not
+// per member — the worker executed each round once); the worker's
+// TTL/deadline sweeper catches anything the request fails to release.
 func (v *hostShardView) End() {
 	s := v.s
 	s.mu.Lock()
@@ -403,19 +369,16 @@ func (v *hostShardView) End() {
 	v.dead.Store(true)
 	s.ended++
 	last := s.ended == len(s.views) && !s.endSent
-	var pre chan hostRoundsResult
-	var wasted int
 	var endRound uint32
 	begun := s.beginDone && s.beginErr == nil
 	if last {
 		s.endSent = true
-		pre, s.pre = s.pre, nil
 		for _, vv := range s.views {
 			if vv.consumed > endRound {
 				endRound = vv.consumed
 			}
 		}
-		wasted = int(s.fetched - endRound)
+		s.metrics.addSpecWasted(int(s.fetched - endRound))
 		s.buf = nil
 	}
 	s.mu.Unlock()
@@ -423,12 +386,6 @@ func (v *hostShardView) End() {
 		return
 	}
 	go func() {
-		if pre != nil {
-			if res := <-pre; res.err == nil {
-				wasted += len(res.rows)
-			}
-		}
-		s.metrics.addSpecWasted(wasted)
 		if begun {
 			// The session must be released even when the search's context
 			// was cancelled (client disconnect) or the executor failed over
@@ -443,15 +400,16 @@ func (v *hostShardView) End() {
 	}()
 }
 
-// FastForward advances a freshly begun session through rounds 1..upto,
-// discarding the results: the failover path, replaying a consumed round
-// history onto a replacement replica by looping the replay endpoint (one
-// frame per maxWorkerBatch rounds). The worker executes the identical FP
+// FastForward advances a freshly begun session through rounds 1..upto and
+// drops their rows: the failover path, bringing a replacement replica to
+// the round the coordinator has consumed. It loops the ordinary fill — the
+// batches the failed replica was asked for, so the replacement ends on the
+// same batch boundary — and the worker executes the identical FP
 // operations the failed replica did, so the session state after the call
 // is bit-identical to the original timeline's. Only single-view sessions
-// are ever fast-forwarded (failover and hedging attach dedicated
-// singletons); a multi-view session cannot replay one member
-// independently, so that is a wiring bug, not a worker fault.
+// are ever fast-forwarded (failover attaches dedicated singletons); a
+// multi-view session cannot replay one member independently, so that is a
+// wiring bug, not a worker fault.
 func (v *hostShardView) FastForward(upto uint32) error {
 	s := v.s
 	s.mu.Lock()
@@ -460,36 +418,15 @@ func (v *hostShardView) FastForward(upto uint32) error {
 		return s.setErrLocked(fmt.Errorf("dshard: %s: fast-forward on a %d-view host session", s.base, len(s.views)))
 	}
 	for v.consumed < upto {
-		fb, err := s.post(epReplay, encodeReplayRequest(replayRequest{
-			searchID: s.searchID, from: v.consumed + 1, upto: upto,
-		}))
-		if err != nil {
-			return s.setErrLocked(err)
+		if v.consumed == s.fetched {
+			if err := s.fillLocked(); err != nil {
+				return err
+			}
 		}
-		rep, derr := decodeReplayReply(fb.b)
-		putFrame(fb)
-		if derr != nil {
-			return s.setErrLocked(derr)
-		}
-		if rep.round <= v.consumed || rep.round > upto {
-			return s.setErrLocked(fmt.Errorf("dshard: %s: replay moved session to round %d (was %d, want %d)",
-				s.base, rep.round, v.consumed, upto))
-		}
-		v.consumed = rep.round
-		s.fetched, s.pruned, s.buf = rep.round, rep.round, nil
+		v.consumed = min(upto, s.fetched)
+		s.pruneLocked()
 	}
 	return nil
-}
-
-// PlanRounds implements core.RoundPlanner: the coordinator's plan for the
-// next fetch, set before every scatter. Lockstep hands every member the
-// same plan each scatter, so last-write-wins stores are exact.
-func (v *hostShardView) PlanRounds(batch int, speculate bool) {
-	if c := v.s.batchCap; c > 0 {
-		batch = min(batch, c)
-	}
-	v.s.batchHint.Store(int32(min(max(batch, 1), maxBatchRounds)))
-	v.s.wantSpec.Store(speculate)
 }
 
 // TakeSpan implements the coordinator's span collection: the worker-side
@@ -501,19 +438,3 @@ func (v *hostShardView) TakeSpan() *obs.Span {
 	v.span = nil
 	return sp
 }
-
-// buffered reports rounds fetched but not yet consumed by THIS view
-// (failover must not replay rounds the coordinator never saw) and whether
-// a speculative fetch is outstanding.
-func (v *hostShardView) buffered() (ahead int, speculating bool) {
-	s := v.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.fetched - v.consumed), s.pre != nil
-}
-
-// hedgeable reports whether the failover layer may race this view against
-// a hedge replica: a hedge races the primary's Round from a helper
-// goroutine, which a multi-member session's shared mutex would deadlock
-// against its siblings; singletons hedge freely.
-func (v *hostShardView) hedgeable() bool { return len(v.s.views) == 1 }

@@ -2,8 +2,8 @@
 // processes (one shared proximity iterator per host, one rounds RPC per
 // host per batch) must answer byte-identically to the in-process sharded
 // engine across every way of packing shards onto hosts — and a host that
-// dies mid-search must fail over every shard it carried, with replay
-// keeping the answer exact.
+// dies mid-search must fail over every shard it carried, with the
+// fast-forward keeping the answer exact.
 package dshard
 
 import (
@@ -159,10 +159,8 @@ func scrapeCounter(t *testing.T, baseURL, name string) float64 {
 // TestHostSharedIteratorSteps pins the tentpole mechanism in /metrics:
 // with both shards co-hosted, the worker steps ONE shared proximity
 // iterator per round — exactly half the steps two single-shard hosts
-// spend answering the same queries. Speculation is disabled so both
-// topologies execute the identical round schedule (byte-identity
-// guarantees the same rounds; speculation would add timing-dependent
-// extras).
+// spend answering the same queries (byte-identity guarantees the same
+// rounds, and every host is asked for the same batches of them).
 func TestHostSharedIteratorSteps(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -176,8 +174,7 @@ func TestHostSharedIteratorSteps(t *testing.T) {
 		defer stop()
 		c, err := NewCoordinator(CoordinatorConfig{
 			WorkerURLs: u, ShardCount: len(m.Layout.Shards), SetID: m.Layout.SetID,
-			Client:        &http.Client{Timeout: 10 * time.Second},
-			NoSpeculation: true,
+			Client: &http.Client{Timeout: 10 * time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -315,13 +312,13 @@ func TestHostSharedProxCacheBudget(t *testing.T) {
 
 // TestChaosKillMultiShardWorker kills the round endpoints of a worker
 // hosting BOTH shards after its f-th rounds RPC: every shard it carried
-// must fail over to the surviving host (re-begin + replay) and the
+// must fail over to the surviving host (re-begin + fast-forward) and the
 // answer must stay byte-identical. The first 16 rounds of a search ride
 // on its beginset, so the battery is the queries that run deeper — each
 // sends the host it landed on exactly one rounds RPC, for round 17 on —
 // repeated until the victim (picked for every other search) has been
 // asked for more than f of them: the kill always lands mid-search, with
-// 16 consumed rounds to replay.
+// 16 consumed rounds to fast-forward through.
 func TestChaosKillMultiShardWorker(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -337,9 +334,7 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 		urls, stop := startHostWorkers(t, manifestPath, [][]int{{0, 1}, {0, 1}}, snap.LoadMmap)
 		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
 		victim := hostOf(t, urls[0])
-		for _, path := range []string{pathRounds, pathReplay} {
-			ft.Add(&faultnet.Rule{Host: victim, Path: path, After: after, Action: faultnet.Reset})
-		}
+		ft.Add(&faultnet.Rule{Host: victim, Path: pathRounds, After: after, Action: faultnet.Reset})
 		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
 		for searches := 0; searches < 2*(after+2); {
 			for qi, q := range qs {

@@ -14,13 +14,12 @@
 //
 // A session covers a LIST of the shards one worker process hosts (one
 // member is a single-shard session), served off a single shared proximity
-// iterator — one Iterator.Step per round for the whole list. Five
+// iterator — one Iterator.Step per round for the whole list. Four
 // endpoints drive it, all POST with little-endian
 // application/octet-stream bodies:
 //
 //	/shard/v1/beginset  install a search, advance ≤ B rounds → one BeginInfo per member shard, then as rounds replies
 //	/shard/v1/rounds    advance ≤ B rounds → per executed round, one RoundInfo per member
-//	/shard/v1/replay    fast-forward, no results → reached round ordinal
 //	/shard/v1/finalize  re-bound without stepping → one RoundInfo per member
 //	/shard/v1/end       release the search's state
 //
@@ -32,8 +31,6 @@
 //	beginset reply     nShards u32 · BeginInfo… · nRounds u32 · RoundInfo… (round-major) · [span block [span block]]
 //	rounds request     searchID u64 · from u32 · max u32
 //	rounds reply       nRounds u32 · nShards u32 · RoundInfo… (round-major) · [span block]
-//	replay request     searchID u64 · from u32 · upto u32
-//	replay reply       round u32
 //	finalize request   searchID u64 · round u32 (end sends the same frame)
 //	finalize reply     nShards u32 · RoundInfo… · [span block]
 //
@@ -42,14 +39,13 @@
 // the coordinator finalizes, and finalize needs the worker at exactly the
 // consumed round). The coordinator replays every returned round's stop
 // decision locally — how rounds are grouped into RPCs never changes an
-// answer, and rounds executed past the stop cost worker CPU only. Replay
-// lets a replacement
-// replica catch up on rounds the coordinator already consumed elsewhere:
-// identical FP ops over the shared substrate make the replayed state
-// bit-identical to the failed replica's. Every request names the round it
-// expects the session to sit at; a worker rejects out-of-lockstep
-// ordinals, so a lost or repeated frame can never double-step an
-// exploration.
+// answer, and rounds executed past the stop cost worker CPU only. A
+// replacement replica catches up on rounds the coordinator already
+// consumed elsewhere by being asked for them again: identical FP ops over
+// the shared substrate make its state bit-identical to the failed
+// replica's. Every request names the round it expects the session to sit
+// at; a worker rejects out-of-lockstep ordinals, so a lost or repeated
+// frame can never double-step an exploration.
 //
 // CRC rule: every request and reply frame carries the CRC-32C of its body
 // in the X-S3-Frame-Crc header, and the receiver rejects a frame whose
@@ -83,22 +79,27 @@ import (
 // Decode limits: a conforming coordinator never exceeds these, and a
 // worker must not let a malformed frame size an allocation.
 const (
-	maxGroups      = 256
-	maxGroupLen    = 1 << 20
-	maxKept        = 1 << 16
-	maxFrameSize   = 64 << 20
-	maxWireSpans   = 512
-	maxSpanName    = 256
-	maxSpanAttrs   = 32
-	maxAttrLen     = 1024
-	maxBatchRounds = 1024
+	maxGroups    = 256
+	maxGroupLen  = 1 << 20
+	maxKept      = 1 << 16
+	maxFrameSize = 64 << 20
+	maxWireSpans = 512
+	maxSpanName  = 256
+	maxSpanAttrs = 32
+	maxAttrLen   = 1024
 )
+
+// maxWorkerBatch caps how many rounds one beginset or rounds call may ask
+// for, carry back, and execute: the worker holds the session mutex for the
+// whole batch, and a bounded batch keeps reloads and sweeps responsive.
+// The decoders reject anything larger, so no frame asks for rounds the
+// worker would not run.
+const maxWorkerBatch = 64
 
 // wire paths.
 const (
 	pathBeginSet = "/shard/v1/beginset"
 	pathRounds   = "/shard/v1/rounds"
-	pathReplay   = "/shard/v1/replay"
 	pathFinalize = "/shard/v1/finalize"
 	pathEnd      = "/shard/v1/end"
 )
@@ -106,8 +107,9 @@ const (
 // protoVersion is the round-protocol version this build speaks ("proto" in
 // worker /healthz); the probe lists a worker on any other unhealthy. It also
 // bumps when only the floats in the frames change (7: ascending summation;
-// 8: beginset carries the first round batch, its trailing fields are fixed).
-const protoVersion = 8
+// 8: beginset carries the first round batch, its trailing fields are fixed;
+// 9: four endpoints, a batch is at most maxWorkerBatch rounds).
+const protoVersion = 9
 
 // maxHostShards caps the shard list of one host session; a conforming
 // coordinator never exceeds the set's shard count.
@@ -462,8 +464,8 @@ func decodeBeginSetRequest(b []byte) (beginSetRequest, error) {
 	r.traceID = d.u64()
 	r.deadlineMicros = d.u64()
 	r.rounds = d.u32()
-	if d.err == nil && r.rounds > maxBatchRounds {
-		d.fail("batch of %d rounds in beginset (cap %d)", r.rounds, maxBatchRounds)
+	if d.err == nil && r.rounds > maxWorkerBatch {
+		d.fail("batch of %d rounds in beginset (cap %d)", r.rounds, maxWorkerBatch)
 	}
 	return r, d.done()
 }
@@ -497,7 +499,7 @@ func decodeBeginSetReply(b []byte, nShards int, base time.Time) (infos []core.Be
 		infos = append(infos, decodeBeginInfoBody(d))
 	}
 	nr := int(d.u32())
-	if d.err == nil && nr > maxBatchRounds {
+	if d.err == nil && nr > maxWorkerBatch {
 		d.fail("%d rounds in beginset reply", nr)
 	}
 	rows = decodeRoundRows(d, nr, nShards)
@@ -593,8 +595,8 @@ func appendRoundsRequest(b []byte, r roundsRequest) []byte {
 func decodeRoundsRequest(b []byte) (roundsRequest, error) {
 	d := &dec{b: b}
 	r := roundsRequest{searchID: d.u64(), from: d.u32(), max: d.u32()}
-	if d.err == nil && (r.max == 0 || r.max > maxBatchRounds) {
-		d.fail("batch of %d rounds (cap %d)", r.max, maxBatchRounds)
+	if d.err == nil && (r.max == 0 || r.max > maxWorkerBatch) {
+		d.fail("batch of %d rounds (cap %d)", r.max, maxWorkerBatch)
 	}
 	return r, d.done()
 }
@@ -631,7 +633,7 @@ func decodeRoundRows(d *dec, n, nShards int) [][]core.RoundInfo {
 func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.RoundInfo, *obs.Span, error) {
 	d := &dec{b: b}
 	n := int(d.u32())
-	if d.err == nil && (n == 0 || n > maxBatchRounds) {
+	if d.err == nil && (n == 0 || n > maxWorkerBatch) {
 		d.fail("%d rounds in host batched reply", n)
 	}
 	ns := int(d.u32())
@@ -644,57 +646,6 @@ func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.Roun
 		return nil, nil, err
 	}
 	return rows, sp, nil
-}
-
-// --- replay fast-forward ---
-
-// replayRequest asks a worker to advance its session from round `from`
-// (which must be the next round in lockstep, exactly like roundsRequest)
-// up to and including round `upto`, discarding the per-round infos: the
-// coordinator already consumed those rounds on the replica that failed,
-// and workers execute identical FP ops over the shared substrate, so the
-// fast-forwarded state is bit-identical. The worker executes at most
-// maxWorkerBatch rounds per call and reports how far it got; the
-// coordinator loops until the session catches up.
-type replayRequest struct {
-	searchID uint64
-	from     uint32
-	upto     uint32
-}
-
-func encodeReplayRequest(r replayRequest) []byte {
-	var e enc
-	e.u64(r.searchID)
-	e.u32(r.from)
-	e.u32(r.upto)
-	return e.b
-}
-
-func decodeReplayRequest(b []byte) (replayRequest, error) {
-	d := &dec{b: b}
-	r := replayRequest{searchID: d.u64(), from: d.u32(), upto: d.u32()}
-	if d.err == nil && (r.upto < r.from || r.upto-r.from >= maxBatchRounds) {
-		d.fail("replay of rounds %d..%d (cap %d)", r.from, r.upto, maxBatchRounds)
-	}
-	return r, d.done()
-}
-
-// replayReply reports the round ordinal the session sits at after the
-// call (>= from, <= upto).
-type replayReply struct {
-	round uint32
-}
-
-func encodeReplayReply(r replayReply) []byte {
-	var e enc
-	e.u32(r.round)
-	return e.b
-}
-
-func decodeReplayReply(b []byte) (replayReply, error) {
-	d := &dec{b: b}
-	r := replayReply{round: d.u32()}
-	return r, d.done()
 }
 
 // --- finalize / end ---

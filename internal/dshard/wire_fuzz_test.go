@@ -90,7 +90,7 @@ func wireDecoders() []wireDecoder {
 			check: func(t *testing.T, b []byte) error {
 				r, err := decodeBeginSetRequest(b)
 				if err == nil {
-					if r.rounds > maxBatchRounds {
+					if r.rounds > maxWorkerBatch {
 						t.Fatalf("decoded a first batch of %d rounds without error", r.rounds)
 					}
 					if len(r.shards) == 0 || len(r.shards) > maxHostShards {
@@ -118,7 +118,7 @@ func wireDecoders() []wireDecoder {
 					if len(infos) != ns {
 						t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
 					}
-					if len(rows) > maxBatchRounds {
+					if len(rows) > maxWorkerBatch {
 						t.Fatalf("decoded %d rounds without error", len(rows))
 					}
 					for _, row := range rows {
@@ -135,7 +135,7 @@ func wireDecoders() []wireDecoder {
 			frame: appendRoundsRequest(nil, roundsRequest{searchID: 5, from: 3, max: 16}),
 			check: func(t *testing.T, b []byte) error {
 				r, err := decodeRoundsRequest(b)
-				if err == nil && (r.max == 0 || r.max > maxBatchRounds) {
+				if err == nil && (r.max == 0 || r.max > maxWorkerBatch) {
 					t.Fatalf("decoded a batch of %d rounds without error", r.max)
 				}
 				return err
@@ -148,7 +148,7 @@ func wireDecoders() []wireDecoder {
 			check: func(t *testing.T, b []byte) error {
 				rows, _, err := decodeHostRoundsReply(b, ns, base)
 				if err == nil {
-					if len(rows) == 0 || len(rows) > maxBatchRounds {
+					if len(rows) == 0 || len(rows) > maxWorkerBatch {
 						t.Fatalf("decoded %d rounds without error", len(rows))
 					}
 					for _, row := range rows {
@@ -162,25 +162,6 @@ func wireDecoders() []wireDecoder {
 						}
 					}
 				}
-				return err
-			},
-		},
-		{
-			name:  "replay-request",
-			frame: encodeReplayRequest(replayRequest{searchID: 42, from: 3, upto: 40}),
-			check: func(t *testing.T, b []byte) error {
-				r, err := decodeReplayRequest(b)
-				if err == nil && (r.upto < r.from || r.upto-r.from >= maxBatchRounds) {
-					t.Fatalf("decoded replay range %d..%d without error", r.from, r.upto)
-				}
-				return err
-			},
-		},
-		{
-			name:  "replay-reply",
-			frame: encodeReplayReply(replayReply{round: 17}),
-			check: func(t *testing.T, b []byte) error {
-				_, err := decodeReplayReply(b)
 				return err
 			},
 		},
@@ -290,8 +271,6 @@ func FuzzDecodeBeginSetRequest(f *testing.F) { fuzzWire(f, "beginset-request") }
 func FuzzDecodeBeginSetReply(f *testing.F)   { fuzzWire(f, "beginset-reply") }
 func FuzzDecodeRoundsRequest(f *testing.F)   { fuzzWire(f, "rounds-request") }
 func FuzzDecodeHostRoundsReply(f *testing.F) { fuzzWire(f, "rounds-reply") }
-func FuzzDecodeReplayRequest(f *testing.F)   { fuzzWire(f, "replay-request") }
-func FuzzDecodeReplayReply(f *testing.F)     { fuzzWire(f, "replay-reply") }
 func FuzzDecodeRoundRequest(f *testing.F)    { fuzzWire(f, "finalize-request") }
 func FuzzDecodeHostInfosReply(f *testing.F)  { fuzzWire(f, "finalize-reply") }
 func FuzzDecodeSpanBlock(f *testing.F)       { fuzzWire(f, "span-block") }

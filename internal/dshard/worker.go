@@ -83,12 +83,6 @@ type WorkerConfig struct {
 // config leaves ProxCacheBytes zero (matches the serving layer).
 const DefaultProxCacheBytes int64 = 64 << 20
 
-// maxWorkerBatch caps how many rounds one beginset, rounds or replay call
-// may execute regardless of what the coordinator asked for: the session
-// mutex is held for the whole batch, and a bounded batch keeps reloads
-// and sweeps responsive.
-const maxWorkerBatch = 64
-
 // workerGen is one loaded generation of the shard, reference-counted so a
 // reload unmaps the old snapshot only after its last in-flight search
 // ends (the same discipline the serving layer uses).
@@ -137,8 +131,8 @@ type session struct {
 
 	// deadline, when non-zero, is when the sweeper may abandon the
 	// session even before the TTL — the coordinator shipped its search
-	// budget in beginset, so anything past it is orphaned (a stopped
-	// coordinator's speculative rounds, a crashed one's whole session).
+	// budget in beginset, so anything past it is orphaned (a session whose
+	// End was lost, a crashed coordinator's whole session).
 	deadline time.Time
 
 	// rowArena is reply-encode scratch reused across the session's round
@@ -374,7 +368,6 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+pathBeginSet, w.handleBeginSet)
 	mux.HandleFunc("POST "+pathRounds, w.handleRounds)
-	mux.HandleFunc("POST "+pathReplay, w.handleReplay)
 	mux.HandleFunc("POST "+pathFinalize, w.handleFinalize)
 	mux.HandleFunc("POST "+pathEnd, w.handleEnd)
 	mux.HandleFunc("GET /healthz", w.handleHealthz)
@@ -451,9 +444,8 @@ func (w *Worker) closeSession(s *session) {
 
 // sweepSessions evicts searches idle past the TTL (their coordinator is
 // gone) and searches past their coordinator-propagated deadline (the
-// coordinator's budget expired — anything still open is an orphan, e.g.
-// a speculative round left behind by an early stop); the caller must
-// hold w.mu.
+// coordinator's budget expired — anything still open is an orphan); the
+// caller must hold w.mu.
 func (w *Worker) sweepSessions(now time.Time) {
 	for id, s := range w.sessions {
 		if now.Sub(s.lastUsed) > w.cfg.SessionTTL ||
@@ -646,16 +638,16 @@ func (w *Worker) dropSession(id uint64) {
 // stop cost CPU only — except where the coordinator will finalize:
 // exhaustion and the precision floor end it, because finalize needs the
 // session at exactly the consumed round. A request whose context is done
-// (client disconnect, RPC timeout, hedge loser) stops stepping at the next
-// round boundary: nobody will read the reply, and the coordinator never
-// resumes such a session.
+// (client disconnect, RPC timeout, a search that failed over) stops
+// stepping at the next round boundary: nobody will read the reply, and the
+// coordinator never resumes such a session.
 func (w *Worker) stepRounds(ctx context.Context, s *session, limit int) ([]core.RoundInfo, *obs.Span, error) {
 	// HostExecutor.Round reuses its own infos scratch, so each round's
 	// blocks are copied into the session's arena before the next round
 	// overwrites them.
 	arena := s.rowArena[:0]
 	var batchSpan *obs.Span
-	for n := min(limit, maxWorkerBatch); n > 0; n-- {
+	for n := limit; n > 0; n-- {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -724,48 +716,6 @@ func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 	writeFrame(rw, frame)
 	out.b = frame
 	putFrame(out)
-}
-
-// handleReplay is the failover fast-forward: advance the session from
-// round `from` up to (at most) round `upto`, discarding the per-round
-// infos — the coordinator already consumed them on the replica that
-// failed, and the shared-substrate determinism makes the replayed state
-// bit-identical. The target is always a round the original timeline
-// actually executed, so the session lands exactly there. At most
-// maxWorkerBatch rounds run per call (bounding how long the session mutex
-// is held); the reply reports the reached round and the coordinator loops.
-func (w *Worker) handleReplay(rw http.ResponseWriter, req *http.Request) {
-	defer w.rpcSeconds[epReplay].ObserveSince(time.Now())
-	fb, ok := readFrame(rw, req)
-	if !ok {
-		return
-	}
-	r, err := decodeReplayRequest(fb.b)
-	putFrame(fb)
-	if err != nil {
-		writeErr(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s := w.lookup(r.searchID)
-	if s == nil {
-		writeErr(rw, http.StatusNotFound, "unknown search %d", r.searchID)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r.from != s.round+1 {
-		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.from)
-		return
-	}
-	for executed := 0; s.round < r.upto && executed < maxWorkerBatch; executed++ {
-		if _, err := s.host.Round(); err != nil {
-			writeErr(rw, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.round++
-		w.takeHostSpan(s, "exec.round") // retained in the session trace
-	}
-	writeFrame(rw, encodeReplayReply(replayReply{round: s.round}))
 }
 
 func (w *Worker) handleFinalize(rw http.ResponseWriter, req *http.Request) {

@@ -13,10 +13,12 @@ import (
 	"s3/internal/text"
 )
 
-// Fuzz targets for the three file kinds, through the copying decoder (the
-// one that promises to re-validate every entry of an untrusted file).
-// Property: decoding never panics, and whatever decodes without error
-// answers a search without panicking.
+// Fuzz targets for the three file kinds, through both decoders: the
+// copying one (zeroCopy false, which promises to re-validate every entry
+// of an untrusted file) and the one every -mmap deployment runs (zeroCopy
+// true, serving views of the file's own bytes). Property: decoding never
+// panics, and whatever decodes without error answers a search without
+// panicking.
 
 // reseal recomputes, in place, the section checksums and the header
 // checksum of a mutated aligned file — as far as its table still locates
@@ -42,15 +44,20 @@ func reseal(data []byte) {
 }
 
 // addSeeds seeds a target with a valid file, truncations of it and the
-// same file stamped version 1.
+// same file stamped version 1, each through both decoders.
 func addSeeds(f *testing.F, good []byte) {
-	f.Add(good)
+	seeds := [][]byte{good}
 	for _, cut := range []int{0, 7, 8, 15, 16, len(good) / 3, len(good) - 1} {
-		f.Add(good[:cut])
+		seeds = append(seeds, good[:cut])
 	}
 	old := bytes.Clone(good)
 	binary.LittleEndian.PutUint16(old[len(Magic):], 1)
-	f.Add(old)
+	seeds = append(seeds, old)
+	for _, zeroCopy := range []bool{false, true} {
+		for _, seed := range seeds {
+			f.Add(seed, zeroCopy)
+		}
+	}
 }
 
 // probe runs one bounded search over a decoded instance.
@@ -70,10 +77,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
 		data = bytes.Clone(data)
 		reseal(data)
-		if in, ix, _, err := decodeSnapshot(data, false); err == nil {
+		if in, ix, _, err := decodeSnapshot(data, zeroCopy); err == nil {
 			probe(in, ix)
 		}
 	})
@@ -83,10 +90,10 @@ func FuzzDecodeManifest(f *testing.F) {
 	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
 	manifest, _ := writeSet(f, in, ix, 2)
 	addSeeds(f, manifest)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
 		data = bytes.Clone(data)
 		reseal(data)
-		base, _, _, err := decodeManifest(data, false)
+		base, _, _, err := decodeManifest(data, zeroCopy)
 		if err != nil {
 			return
 		}
@@ -105,14 +112,14 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, shards[0])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
 		data = bytes.Clone(data)
 		reseal(data)
 		// The manifest vouches for the mutated bytes, as reseal does for
 		// the sections: the digest is a checksum like the others.
 		vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
 		vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
-		if proj, six, _, err := decodeShard(data, base, vouching, 0, false); err == nil {
+		if proj, six, _, err := decodeShard(data, base, vouching, 0, zeroCopy); err == nil {
 			probe(proj, six)
 		}
 	})

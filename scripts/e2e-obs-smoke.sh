@@ -99,8 +99,8 @@ if [ -z "$batches" ] || [ "$batches" -eq 0 ]; then
 	echo "e2e-obs-smoke: no round batches observed (s3_coord_round_batch_count=$batches)" >&2
 	exit 1
 fi
-curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_spec_issued_total' ||
-	{ echo "e2e-obs-smoke: coordinator /metrics missing speculation counters" >&2; exit 1; }
+curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_spec_wasted_total' ||
+	{ echo "e2e-obs-smoke: coordinator /metrics missing the unconsumed-rounds counter" >&2; exit 1; }
 curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_worker_warm_resumes_total' ||
 	{ echo "e2e-obs-smoke: worker /metrics missing warm-resume counter" >&2; exit 1; }
 curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_search_round_seconds_count' ||
