@@ -26,8 +26,8 @@
 // search substrate plus its hosted shards (sliced node tables); answers
 // are byte-identical to the single-process shard set. A worker hosting
 // several shards (-shards-of) drives them all off ONE shared proximity
-// iterator — one graph step per round for the whole group — and the
-// coordinator sends it one round RPC per batch instead of one per shard:
+// iterator — one graph step per round for the whole group — and streams
+// the search's rounds to the coordinator on one reply, not one per shard:
 //
 //	s3serve -shardset i1.set -shards-of 0,2 -mmap -addr :8081
 //	s3serve -shardset i1.set -shards-of 1,3 -mmap -addr :8082
@@ -88,7 +88,7 @@ func main() {
 		lang       = flag.String("lang", "raw", "text pipeline for -spec builds: english | french | raw")
 		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
 		shardOf    = flag.Int("shard-of", -1, "worker mode: serve only this shard of -shardset over the distributed round protocol")
-		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (shared proximity iterator per search, one round RPC per host; e.g. -shards-of 0,2)")
+		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (shared proximity iterator per search, one round stream per host; e.g. -shards-of 0,2)")
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
 		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")

@@ -36,29 +36,22 @@ type DistributedInstance struct {
 
 var _ Queryable = (*DistributedInstance)(nil)
 
-// CoordinatorOption tunes a coordinator opened by OpenCoordinator.
-type CoordinatorOption func(*dshard.CoordinatorConfig)
-
 // OpenCoordinator opens the shard-set manifest and wires a coordinator
 // over the worker URLs. Membership is probed immediately and refreshed
 // in the background; workers that are still loading join as soon as
 // their /healthz turns serving, so it is not an error if coverage is
 // incomplete at open time (searches fail until every shard has a live
 // worker). Close stops the probe loop and releases the manifest.
-func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode, opts ...CoordinatorOption) (*DistributedInstance, error) {
+func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*DistributedInstance, error) {
 	man, err := snap.OpenManifest(manifestPath, snap.LoadMode(mode))
 	if err != nil {
 		return nil, err
 	}
-	cfg := dshard.CoordinatorConfig{
+	coord, err := dshard.NewCoordinator(dshard.CoordinatorConfig{
 		WorkerURLs: workerURLs,
 		ShardCount: len(man.Layout.Shards),
 		SetID:      man.Layout.SetID,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	coord, err := dshard.NewCoordinator(cfg)
+	})
 	if err != nil {
 		man.Close()
 		return nil, err

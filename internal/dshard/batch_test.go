@@ -1,4 +1,4 @@
-// Tests for batched /shard/v1/rounds framing, the beginset frame's trace
+// Tests for /shard/v1/rounds streams, the beginset request's trace
 // id and deadline, the probe's protocol-version check, worker-side warm
 // frontiers and the tuned coordinator transport.
 package dshard
@@ -26,8 +26,8 @@ import (
 )
 
 // TestBatchedWireRoundTrip mirrors TestWireRoundTrip for the rounds
-// frames: exact round trips, plus rejection of truncated, padded,
-// empty and oversized batch frames.
+// request and a rounds stream: exact round trips, plus rejection of
+// truncated, padded, empty, miscounted and over-cap streams.
 func TestBatchedWireRoundTrip(t *testing.T) {
 	rr := roundsRequest{searchID: 99, from: 7, max: 16}
 	gotRR, err := decodeRoundsRequest(appendRoundsRequest(nil, rr))
@@ -38,10 +38,10 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 		t.Fatalf("rounds request round trip: %+v != %+v", gotRR, rr)
 	}
 	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: 0})); err == nil {
-		t.Error("zero-round batch request accepted")
+		t.Error("zero-round rounds request accepted")
 	}
 	if _, err := decodeRoundsRequest(appendRoundsRequest(nil, roundsRequest{searchID: 1, from: 1, max: maxWorkerBatch + 1})); err == nil {
-		t.Error("oversized batch request accepted")
+		t.Error("oversized rounds request accepted")
 	}
 	reqFrame := appendRoundsRequest(nil, rr)
 	for cut := 0; cut < len(reqFrame); cut++ {
@@ -69,16 +69,13 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 		{N: 3, Reached: 21, Admitted: 2, Candidates: 6, Done: true},
 		{N: 3, Reached: 21, Admitted: 1, Candidates: 2, Done: true},
 	}
-	frame := appendHostRoundsReply(nil, flat, ns)
-	rows, sp, err := decodeHostRoundsReply(frame, ns, time.Now())
+	frame := encodeStream(ns, nil, flat)
+	_, rows, err := decodeStream(frame, ns, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp != nil {
-		t.Fatal("reply without span block decoded a span")
-	}
 	if len(rows) != len(flat)/ns {
-		t.Fatalf("batched reply carried %d rounds, want %d", len(rows), len(flat)/ns)
+		t.Fatalf("rounds stream carried %d rounds, want %d", len(rows), len(flat)/ns)
 	}
 	for i := range flat {
 		want, have := flat[i], rows[i/ns][i%ns]
@@ -93,25 +90,30 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 			t.Fatalf("block %d round trip: %+v != %+v", i, have, want)
 		}
 	}
-	// A reply for a different member count than the session's is rejected.
-	if _, _, err := decodeHostRoundsReply(frame, ns+1, time.Now()); err == nil {
-		t.Error("batched reply with the wrong shard count accepted")
+	// A stream for a different member count than the session's is rejected.
+	if _, _, err := decodeStream(frame, ns+1, 3, false); err == nil {
+		t.Error("rounds stream with the wrong shard count accepted")
 	}
-	// An empty batch is a protocol violation (the worker always executes
-	// at least one round), as is a count beyond the decode limit.
-	if _, _, err := decodeHostRoundsReply(appendHostRoundsReply(nil, nil, ns), ns, time.Now()); err == nil {
-		t.Error("empty batched reply accepted")
+	// A stream that ends before its first round is a protocol violation
+	// (the worker steps at least once or says nothing), as is one carrying
+	// a round past its cap, or a trailer that miscounts.
+	if _, _, err := decodeStream(encodeStream(ns, nil, nil), ns, 3, false); err == nil {
+		t.Error("empty rounds stream accepted")
 	}
-	var e enc
-	e.u32(maxWorkerBatch + 1)
-	e.u32(ns)
-	if _, _, err := decodeHostRoundsReply(e.b, ns, time.Now()); err == nil {
-		t.Error("oversized batched reply accepted")
+	if _, _, err := decodeStream(encodeStream(ns, nil, flat[:4]), ns, 1, false); err == nil {
+		t.Error("over-cap rounds stream accepted")
+	}
+	miscounted := appendTrailer(appendRoundRecord(nil, flat[:ns], nil), 2)
+	if _, _, err := decodeStream(miscounted, ns, 1, false); err == nil {
+		t.Error("trailer miscounting its stream accepted")
 	}
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := decodeHostRoundsReply(frame[:cut], ns, time.Now()); err == nil {
-			t.Fatalf("truncated batched reply (%d bytes) accepted", cut)
+		if _, _, err := decodeStream(frame[:cut], ns, 3, false); err == nil {
+			t.Fatalf("truncated rounds stream (%d bytes) accepted", cut)
 		}
+	}
+	if _, _, err := decodeStream(append(bytes.Clone(frame), 0), ns, 3, false); err == nil {
+		t.Error("bytes past the trailer accepted")
 	}
 }
 
@@ -415,8 +417,9 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 // TestNoRedialAcrossSearch: the membership probe pre-warms the tuned
-// keep-alive transport, so a whole search — begin, batched rounds,
-// speculation, finalize, end — performs zero new dials.
+// keep-alive transport, so a whole search — begin, streamed rounds,
+// finalize, end — dials no connection but the one per host that replaces
+// the stream it hung up on (a half-read reply's connection is closed).
 func TestNoRedialAcrossSearch(t *testing.T) {
 	_, set, _, servers := smallTopology(t)
 	urls := make([]string, len(servers))
@@ -466,7 +469,7 @@ func TestNoRedialAcrossSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if after := dials.Load(); after != before {
-		t.Fatalf("search re-dialed %d times over the pre-warmed transport", after-before)
+	if after := dials.Load(); after-before > int32(len(urls)) {
+		t.Fatalf("search re-dialed %d times to %d hosts over the pre-warmed transport", after-before, len(urls))
 	}
 }

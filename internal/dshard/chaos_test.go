@@ -11,6 +11,7 @@ package dshard
 import (
 	"context"
 	"net/url"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,24 +65,71 @@ type chaosQuery struct {
 	iters int
 }
 
-// firstBatch is the coordinator's round batch (roundBatch): that many
-// rounds ride on the beginset reply, so only a search running deeper ever
-// sends a rounds RPC a fault on that endpoint could hit.
-const firstBatch = 16
+// deepRounds is how deep every query deepChaosQueries keeps runs: the
+// suites cut or gate a worker's streams at or before it, so the fault lands
+// mid-search, with consumed rounds to fast-forward through.
+const deepRounds = 8
 
-// deepChaosQueries keeps the queries that outlive their first batch.
+// deepChaosQueries keeps the queries that run past deepRounds.
 func deepChaosQueries(t *testing.T, qs []chaosQuery) []chaosQuery {
 	t.Helper()
 	var deep []chaosQuery
 	for _, q := range qs {
-		if q.iters > firstBatch {
+		if q.iters > deepRounds {
 			deep = append(deep, q)
 		}
 	}
 	if len(deep) == 0 {
-		t.Fatalf("no chaos query runs past round %d", firstBatch)
+		t.Fatalf("no chaos query runs past round %d", deepRounds)
 	}
 	return deep
+}
+
+// setRoundHook installs h in w's stream loop (see Worker.roundHook).
+func setRoundHook(w *Worker, h func(ctx context.Context, round uint32) bool) { w.roundHook.Store(&h) }
+
+// cutStreamsAt makes w cut every stream it serves before stepping round r:
+// the session's first r-1 rounds arrive, then the reply ends without its
+// trailer — a worker that died mid-stream.
+func cutStreamsAt(w *Worker, r uint32) {
+	setRoundHook(w, func(_ context.Context, round uint32) bool { return round < r })
+}
+
+// leakCheck is the teardown of a suite that cuts streams, set up once its
+// workers exist and before any search: after the test every worker's
+// session table is empty again (s3_worker_sessions back to 0), and once the
+// idle connections of every client passed to track are closed the process
+// is back to the goroutine count it had here within a bounded wait — no
+// stream reader, record timer or /end poster outlives its search.
+func leakCheck(t *testing.T, workers []*Worker) (track func(*http.Client)) {
+	t.Helper()
+	var clients []*http.Client
+	closeIdle := func() {
+		for _, c := range clients {
+			c.CloseIdleConnections()
+		}
+	}
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		settle(t, workers)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			closeIdle()
+			n := runtime.NumGoroutine()
+			if n <= base {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines at teardown, %d before the searches:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	})
+	return func(c *http.Client) { clients = append(clients, c) }
 }
 
 // chaosQueries computes the reference transcripts over the opened set.
@@ -193,23 +241,23 @@ func TestChaosByteIdentity(t *testing.T) {
 	}
 }
 
-// TestChaosKillAtRound kills one replica's round endpoints after its
-// f-th round RPC, for a sweep of f: the search must fail over mid-flight
-// (re-begin + fast-forward on the surviving replica) and still answer
-// byte-identically.
+// TestChaosKillAtRound kills one replica mid-stream after f rounds of
+// every session it serves, for a sweep of f: the search must fail over
+// mid-flight (re-begin + fast-forward on the surviving replica) and still
+// answer byte-identically.
 func TestChaosKillAtRound(t *testing.T) {
-	set, _, servers := chaosTopology(t)
+	set, workers, servers := chaosTopology(t)
 	urls := make([]string, len(servers))
 	for i, srv := range servers {
 		urls[i] = srv.URL
 	}
 	qs := chaosQueries(t, set)
 
+	track := leakCheck(t, workers)
 	for _, after := range []int{0, 1, 2, 4} {
-		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
-		victim := hostOf(t, servers[0].URL) // replica A of shard 0
-		ft.Add(&faultnet.Rule{Host: victim, Path: pathRounds, After: after, Action: faultnet.Reset})
-		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
+		cutStreamsAt(workers[0], uint32(after)+1) // replica A of shard 0
+		coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), 2*time.Second)
+		track(coord.client)
 		for qi, q := range qs {
 			sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
 			if err != nil {
@@ -327,15 +375,23 @@ func TestChaosCancellation(t *testing.T) {
 	for i, srv := range servers {
 		urls[i] = srv.URL
 	}
-	// A search that outlives its first batch (which rides on the unstalled
-	// beginset) and so must fetch rounds.
+	// A search that outlives its first round, which every worker then
+	// withholds until its request is gone.
 	qs := deepChaosQueries(t, chaosQueries(t, set))
 
-	// Stall every round fetch on every worker: without cancellation the
-	// search would hang, so a prompt return proves the context propagated.
-	ft := faultnet.NewTransport(newTransport(len(urls)), 7)
-	ft.Add(&faultnet.Rule{Path: pathRounds, Action: faultnet.Stall})
-	coord := chaosCoordinator(t, set, urls, ft, -1) // no RPC timeout: only the context can end the stall
+	// Stall every stream after its first round on every worker: without
+	// cancellation the search would hang, so a prompt return proves the
+	// context propagated.
+	for _, w := range workers {
+		setRoundHook(w, func(ctx context.Context, round uint32) bool {
+			if round > 1 {
+				<-ctx.Done()
+			}
+			return true
+		})
+	}
+	coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), -1) // no RPC timeout: only the context can end the stall
+	leakCheck(t, workers)(coord.client)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -343,7 +399,7 @@ func TestChaosCancellation(t *testing.T) {
 		_, _, err := coord.Search(qs[0].spec, core.CoordOptions{Ctx: ctx})
 		done <- err
 	}()
-	// Begins are not stalled: wait for the search to hold sessions.
+	// Wait for the search to hold sessions.
 	waitUntil(t, 5*time.Second, func() bool {
 		open := 0
 		for _, w := range workers {

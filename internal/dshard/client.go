@@ -1,5 +1,5 @@
 // The coordinator's wire plumbing: per-endpoint instruments, the tuned
-// keep-alive transport, and the CRC-framed POST every session RPC goes
+// keep-alive transport, and the record-framed POST every session RPC goes
 // through. The session logic built on it lives in hostclient.go.
 package dshard
 
@@ -7,9 +7,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"s3/internal/obs"
@@ -31,7 +33,7 @@ var (
 
 // rpcMetrics holds the coordinator's per-endpoint wire instruments: round
 // trip time plus bytes sent and received per protocol endpoint, the
-// batched-RPC round count distribution and the unconsumed-round counter.
+// rounds-per-stream distribution and the unconsumed-round counter.
 type rpcMetrics struct {
 	seconds     [epCount]*obs.Histogram
 	bytesSent   [epCount]*obs.Counter
@@ -60,10 +62,10 @@ func newRPCMetrics(r *obs.Registry) *rpcMetrics {
 			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "recv"))
 	}
 	m.batchRounds = r.Histogram("s3_coord_round_batch",
-		"Lockstep rounds returned by one round-carrying exchange (a /shard/v1/rounds RPC, or the beginset that opened the session).",
+		"Lockstep rounds read from one round stream (a /shard/v1/rounds reply, or the beginset reply that opened the session).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
 	m.specWasted = r.Counter("s3_coord_spec_wasted_total",
-		"Rounds a worker executed that the search never consumed (the rest of its last batch).")
+		"Rounds a stream delivered that the search never consumed.")
 	m.hostSessions = r.Counter("s3_coord_host_sessions_total",
 		"Multi-shard host sessions established (one beginset covering 2+ shards).")
 	m.hostSeconds = r.Histogram("s3_coord_host_rpc_seconds",
@@ -110,10 +112,10 @@ func (m *rpcMetrics) observeHostRPC(start time.Time, shards int) {
 }
 
 // newTransport returns an http.Transport tuned for the round protocol's
-// hot path: a search multiplexes many small POST frames over one
-// keep-alive connection per worker, so the pool must retain idle
-// connections across rounds AND searches (per-worker headroom covers the
-// async End post racing the next search's Begin). The membership probe
+// hot path: searches reuse keep-alive connections to every worker, so the
+// pool must retain idle connections across searches (per-worker headroom
+// covers the async End post racing the next search's Begin; a stream the
+// coordinator hung up on costs its connection). The membership probe
 // shares this transport, which pre-warms every worker's connection before
 // the first search dials.
 func newTransport(workers int) *http.Transport {
@@ -126,7 +128,7 @@ func newTransport(workers int) *http.Transport {
 		MaxIdleConnsPerHost: perHost,
 		MaxIdleConns:        (workers + 1) * perHost,
 		IdleConnTimeout:     90 * time.Second,
-		// Frames are small binary bodies; advertising gzip only buys a
+		// Bodies are small binary records; advertising gzip only buys a
 		// per-response header dance.
 		DisableCompression: true,
 	}
@@ -138,67 +140,93 @@ type appError struct{ msg string }
 
 func (e *appError) Error() string { return e.msg }
 
-// post sends one binary frame to an endpoint under the session's RPC
-// context and returns the response frame in a pooled buffer, recording
-// RTT and wire bytes into the coordinator's instruments. The caller owns
-// the returned *frameBuf and must putFrame it once the frame is decoded
-// (every decoder copies what it keeps).
-func (s *hostSession) post(ep int, frame []byte) (*frameBuf, error) {
-	return s.postCtx(s.ctx, ep, frame)
+// reply is one open response body of the round protocol, with its bytes
+// for the instruments and the RPC-timeout timer that cancels its request.
+type reply struct {
+	body     io.ReadCloser
+	recv     int
+	sent     int
+	start    time.Time
+	ep       int
+	cancel   context.CancelFunc
+	timeout  time.Duration
+	timer    *time.Timer
+	timedOut atomic.Bool
 }
 
-// postCtx is post under an explicit context (End's teardown must outlive
-// a cancelled search context). Both directions carry a CRC-32C of the
-// frame body: a corrupted reply — or one whose CRC header went missing —
-// is a transport error here, never a silently perturbed payload, so bit
-// flips trigger failover instead of breaking byte-identity.
-func (s *hostSession) postCtx(ctx context.Context, ep int, frame []byte) (*frameBuf, error) {
+// Read reads the body, each call bounded by the RPC timeout: a stream that
+// stalls between records fails over like a stalled RPC.
+func (r *reply) Read(p []byte) (int, error) {
+	if r.timer != nil {
+		r.timer.Reset(r.timeout)
+		defer r.timer.Stop()
+	}
+	n, err := r.body.Read(p)
+	r.recv += n
+	if err != nil && r.timedOut.Load() {
+		err = fmt.Errorf("nothing read within %v: %w", r.timeout, err)
+	}
+	return n, err
+}
+
+// post sends one request record to an endpoint under ctx and returns the
+// reply of a 200 — any other status is an error carrying the worker's
+// message, and a 400 an appError. The caller closes the reply (close).
+func (s *hostSession) post(ctx context.Context, ep int, payload []byte) (*reply, error) {
 	path := epPaths[ep]
-	if s.rpcTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.rpcTimeout)
-		defer cancel()
+	frame := appendRecord(nil, payload)
+	r := &reply{start: time.Now(), ep: ep, sent: len(frame), timeout: s.rpcTimeout}
+	ctx, r.cancel = context.WithCancel(ctx)
+	if r.timeout > 0 {
+		r.timer = time.AfterFunc(r.timeout, func() {
+			r.timedOut.Store(true)
+			r.cancel()
+		})
 	}
-	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+path, bytes.NewReader(frame))
+	var resp *http.Response
+	if err == nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+		resp, err = s.client.Do(req)
+	}
+	if r.timer != nil {
+		r.timer.Stop() // Read re-arms it per read
+	}
 	if err != nil {
+		s.close(r)
 		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(frameCRCHeader, frameCRC(frame))
-	resp, err := s.client.Do(req)
-	if err != nil {
-		s.metrics.observe(ep, start, len(frame), 0)
-		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
+	if r.body = resp.Body; resp.StatusCode == http.StatusOK {
+		return r, nil
 	}
-	defer resp.Body.Close()
-	fb := getFrame()
-	body, err := readAllFrame(io.LimitReader(resp.Body, maxFrameSize+1), fb)
-	s.metrics.observe(ep, start, len(frame), len(body))
-	if err != nil {
-		putFrame(fb)
-		return nil, fmt.Errorf("dshard: %s%s: reading response: %w", s.base, path, err)
+	body, _ := io.ReadAll(io.LimitReader(r, 1<<16))
+	s.close(r)
+	msg := fmt.Sprintf("dshard: %s%s: HTTP %d", s.base, path, resp.StatusCode)
+	var e struct {
+		Error string `json:"error"`
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer putFrame(fb)
-		msg := fmt.Sprintf("dshard: %s%s: HTTP %d", s.base, path, resp.StatusCode)
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = fmt.Sprintf("dshard: %s%s: %s (HTTP %d)", s.base, path, e.Error, resp.StatusCode)
-		}
-		if resp.StatusCode == http.StatusBadRequest {
-			// Deterministic rejection: retrying on another replica (or
-			// benching this one) cannot help.
-			return nil, &appError{msg: msg}
-		}
-		return nil, fmt.Errorf("%s", msg)
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		msg = fmt.Sprintf("dshard: %s%s: %s (HTTP %d)", s.base, path, e.Error, resp.StatusCode)
 	}
-	if err := checkFrameCRC(body, resp.Header.Get(frameCRCHeader)); err != nil {
-		putFrame(fb)
-		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
+	if resp.StatusCode == http.StatusBadRequest {
+		// Deterministic rejection: retrying on another replica (or
+		// benching this one) cannot help.
+		return nil, &appError{msg: msg}
 	}
-	fb.b = body
-	return fb, nil
+	return nil, errors.New(msg)
+}
+
+// close ends a reply and records its round trip — a stream's lasts until
+// it is read to its end or abandoned. An abandoned stream's connection is
+// closed (Go does not reuse a half-read body), which ends the worker's
+// request context: that is how the coordinator hangs up on a stream.
+func (s *hostSession) close(r *reply) {
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	if r.body != nil {
+		r.body.Close()
+	}
+	r.cancel()
+	s.metrics.observe(r.ep, r.start, r.sent, r.recv)
 }

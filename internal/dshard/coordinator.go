@@ -49,10 +49,11 @@ type CoordinatorConfig struct {
 	// survives any number of dead replicas as long as every shard keeps a
 	// live one. Negative disables retries.
 	SearchRetries int
-	// RPCTimeout bounds each individual round-protocol RPC (0 picks 10s;
-	// negative disables the per-RPC bound, leaving only the client's own
-	// timeout). A timed-out RPC is a transport error: the worker is
-	// benched and the search fails over to a replica.
+	// RPCTimeout bounds each individual round-protocol RPC, and the wait
+	// for each record of a round stream (0 picks 10s; negative disables
+	// the bound, leaving only the client's own timeout). A timed-out RPC or
+	// stalled stream is a transport error: the worker is benched and the
+	// search fails over to a replica.
 	RPCTimeout time.Duration
 	// Registry, when non-nil, receives the coordinator's wire instruments
 	// (per-endpoint RPC round-trip time and bytes) and search counters.
@@ -161,9 +162,9 @@ type Coordinator struct {
 
 	metrics *rpcMetrics
 
-	// batchCap, when positive, clips every session's round batch. Only
-	// tests set it: regrouping rounds into exchanges must not change a byte.
-	batchCap int
+	// streamCap, when positive, caps every session's round streams. Only
+	// tests set it: regrouping rounds into streams must not change a byte.
+	streamCap int
 }
 
 // NewCoordinator wires a coordinator; call Probe (or start Run) before
@@ -589,9 +590,9 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 		fxs := make([]*failoverExecutor, 0, len(refs))
 		execs := make([]core.ShardExecutor, 0, len(refs))
 		// Group the picked cover by worker: shards landing on the same
-		// process share one session — one beginset, one rounds RPC per
-		// batch for the whole group, one shared iterator worker-side —
-		// instead of one session (and one RPC stream) each.
+		// process share one session — one beginset, one round stream for
+		// the whole group, one shared iterator worker-side — instead of one
+		// session (and one stream) each.
 		groups := make(map[*workerRef][]int)
 		for s, ref := range refs {
 			if ref != nil {

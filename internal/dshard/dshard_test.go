@@ -402,12 +402,12 @@ func TestWireRoundTrip(t *testing.T) {
 	over := br
 	over.rounds = maxWorkerBatch + 1
 	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(over)); err == nil {
-		t.Error("beginset asking for an oversized first batch accepted")
+		t.Error("beginset asking for an oversized first stream accepted")
 	}
 
 	bis := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}}}, {Matched: 0, GroupMasses: [][]int32{{0, 0, 0}, {0}}}}
-	// The reply carries the begin infos, then the first batch's rows — two
-	// rounds here, or none at all.
+	// A beginset stream: the begin record, then one record per round — two
+	// rounds here, or none at all — then the trailer.
 	flat := []core.RoundInfo{
 		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1, Kept: []core.CandMeta{{Doc: 4, Lower: 0.25, Upper: 0.5}}},
 		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1},
@@ -415,32 +415,26 @@ func TestWireRoundTrip(t *testing.T) {
 		{N: 2, Reached: 9, Tail: 0.25, SourceTail: 0.5, Done: true},
 	}
 	for _, rounds := range [][]core.RoundInfo{flat, nil} {
-		frame := appendBeginSetReply(nil, bis, rounds)
-		gotBIs, rows, _, _, err := decodeBeginSetReply(frame, len(bis), time.Now())
+		limit := uint32(len(rounds) / len(bis)) // nothing streams after a 0-round beginset
+		frame := encodeStream(len(bis), bis, rounds)
+		gotBIs, rows, err := decodeStream(frame, len(bis), limit, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprintf("%+v", gotBIs) != fmt.Sprintf("%+v", bis) {
-			t.Fatalf("beginset reply round trip: %+v != %+v", gotBIs, bis)
+			t.Fatalf("begin record round trip: %+v != %+v", gotBIs, bis)
 		}
 		if len(rows) != len(rounds)/len(bis) {
-			t.Fatalf("beginset reply carried %d rounds, want %d", len(rows), len(rounds)/len(bis))
+			t.Fatalf("beginset stream carried %d rounds, want %d", len(rows), len(rounds)/len(bis))
 		}
 		for i := range rounds {
 			if got := rows[i/len(bis)][i%len(bis)]; fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", rounds[i]) {
-				t.Fatalf("beginset reply block %d: %+v != %+v", i, got, rounds[i])
+				t.Fatalf("round record block %d: %+v != %+v", i, got, rounds[i])
 			}
 		}
-		if _, _, _, _, err := decodeBeginSetReply(frame, len(bis)+1, time.Now()); err == nil {
-			t.Error("beginset reply with the wrong shard count accepted")
+		if _, _, err := decodeStream(frame, len(bis)+1, limit, true); err == nil {
+			t.Error("beginset stream with the wrong shard count accepted")
 		}
-	}
-	var e enc
-	e.u32(1)
-	encodeBeginInfoBody(&e, bis[0])
-	e.u32(maxWorkerBatch + 1)
-	if _, _, _, _, err := decodeBeginSetReply(e.b, 1, time.Now()); err == nil {
-		t.Error("beginset reply with an oversized row count accepted")
 	}
 
 	fr := roundRequest{searchID: 9, round: 12}

@@ -1,13 +1,15 @@
 // The exchange budget: how many times a distributed search crosses the
-// wire, enforced next to the allocation budgets. The first round batch
-// rides on the beginset that opens a session and every batch is roundBatch
-// rounds, so a search of r rounds costs each host exactly ceil(r / 16)
-// sequential round-carrying exchanges and leaves less than one batch
-// unconsumed. The same battery re-run with the batch forced to other sizes
-// pins that grouping rounds into exchanges never changes a byte, and the
-// edge cases pin where a batch must end early (exhaustion, precision floor
-// — on a failover's replacement session too) or not run at all (any-time
-// budget, a host nobody matched on, a cancelled request).
+// wire, enforced next to the allocation budgets. Rounds stream to the
+// coordinator on the beginset reply that opens a session, up to
+// maxWorkerBatch of them, so a search of r rounds costs each host exactly
+// ceil(r / 64) sequential round-carrying exchanges — one for every search
+// of the battery — and the coordinator hangs up on the stream at the round
+// it stops at. The same battery re-run with the stream cap forced to other
+// sizes pins that grouping rounds into streams never changes a byte, and
+// the edge cases pin where a stream must end by itself (exhaustion,
+// precision floor — on a failover's replacement session too), carry one
+// round (any-time budget) or none (a host nobody matched on), and where
+// the worker stops (a cancelled request, a coordinator that hung up).
 package dshard
 
 import (
@@ -15,15 +17,17 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"s3/internal/core"
 	"s3/internal/doc"
-	"s3/internal/faultnet"
 	"s3/internal/graph"
 	"s3/internal/index"
 	"s3/internal/obs"
@@ -48,12 +52,14 @@ func (l *wireLog) wrap(t testing.TB, inner http.Handler) http.Handler {
 				t.Error(err)
 			}
 			req.Body = io.NopCloser(bytes.NewReader(body))
+			rr := recordReader{r: bytes.NewReader(body), fb: new(frameBuf)}
+			payload, _ := rr.next()
 			l.mu.Lock()
 			if req.URL.Path == pathBeginSet {
-				if r, err := decodeBeginSetRequest(body); err == nil {
+				if r, err := decodeBeginSetRequest(payload); err == nil {
 					l.begins = append(l.begins, r)
 				}
-			} else if r, err := decodeRoundsRequest(body); err == nil {
+			} else if r, err := decodeRoundsRequest(payload); err == nil {
 				l.froms = append(l.froms, r.from)
 			}
 			l.mu.Unlock()
@@ -191,9 +197,22 @@ func exchangeBattery(t *testing.T, set *snap.ShardSetSnapshot, groups [][]int, s
 	return qs
 }
 
+// dialCounting makes tr count the connections it dials into n.
+func dialCounting(tr *http.Transport, n *atomic.Int64) *http.Transport {
+	dialer := &net.Dialer{Timeout: 5 * time.Second}
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		n.Add(1)
+		return dialer.DialContext(ctx, network, addr)
+	}
+	return tr
+}
+
 // exchangeTopology is the 2-host × 2-shard deployment the budget is stated
-// over, with a registry-backed coordinator so its counters can be read.
-func exchangeTopology(t *testing.T) (*snap.ShardSetSnapshot, [][]int, []*Worker, []*wireLog, func(CoordinatorConfig) *Coordinator) {
+// over, with registry-backed coordinators so their counters can be read,
+// and the connections they dial counted into dials. Its teardown is a leak
+// check.
+func exchangeTopology(t *testing.T) (set *snap.ShardSetSnapshot, groups [][]int, workers []*Worker, logs []*wireLog,
+	dials *atomic.Int64, newCoord func(CoordinatorConfig) *Coordinator) {
 	t.Helper()
 	in, ix := buildInstance(t, datasets(t)["twitter"])
 	manifestPath := writeSet(t, in, ix, 4)
@@ -202,12 +221,15 @@ func exchangeTopology(t *testing.T) (*snap.ShardSetSnapshot, [][]int, []*Worker,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { set.Close() })
-	groups := [][]int{{0, 1}, {2, 3}}
+	groups = [][]int{{0, 1}, {2, 3}}
 	urls, workers, logs := loggedHosts(t, manifestPath, groups)
-	newCoord := func(cfg CoordinatorConfig) *Coordinator {
+	dials = new(atomic.Int64)
+	track := leakCheck(t, workers)
+	newCoord = func(cfg CoordinatorConfig) *Coordinator {
 		cfg.WorkerURLs, cfg.ShardCount, cfg.SetID = urls, 4, set.Set.Layout.SetID
-		cfg.Client = &http.Client{Timeout: 10 * time.Second, Transport: newTransport(len(urls))}
+		cfg.Client = &http.Client{Timeout: 10 * time.Second, Transport: dialCounting(newTransport(len(urls)), dials)}
 		cfg.Registry = obs.NewRegistry()
+		track(cfg.Client)
 		c, err := NewCoordinator(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -217,24 +239,26 @@ func exchangeTopology(t *testing.T) (*snap.ShardSetSnapshot, [][]int, []*Worker,
 		}
 		return c
 	}
-	return set, groups, workers, logs, newCoord
+	return set, groups, workers, logs, dials, newCoord
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// TestExchangeBudget: per host, a search of r rounds is exactly ceil(r/16)
-// sequential round-carrying exchanges — the first being the beginset —
-// leaving less than one batch unconsumed; and the any-time bounds clip the
-// first batch exactly as they clip every later one.
+// TestExchangeBudget: per host, a search of r rounds is exactly
+// ceil(r/64) sequential round-carrying exchanges — the first being the
+// beginset — so one for every search of the battery; the coordinator reads
+// no round it does not consume and re-dials at most the one connection per
+// host it hung up on; and the any-time bounds cap the first stream exactly
+// as they cap every later one.
 func TestExchangeBudget(t *testing.T) {
-	set, groups, workers, logs, newCoord := exchangeTopology(t)
+	set, groups, workers, logs, dials, newCoord := exchangeTopology(t)
 	hosts := len(groups)
 	opts := core.Options{K: exchangeK, Params: exchangeParams}
 	qs := exchangeBattery(t, set, groups, 20, opts)
 
 	// run answers q on c, checks the bytes, and returns the coordinator's
 	// counter deltas plus what each host's beginset asked for and where its
-	// rounds RPCs started.
+	// rounds streams started.
 	run := func(t *testing.T, c *Coordinator, q batteryQuery, copts core.CoordOptions) (d exchangeCounts, firstRounds []uint32, froms [][]uint32) {
 		t.Helper()
 		before := countExchanges(c)
@@ -257,9 +281,9 @@ func TestExchangeBudget(t *testing.T) {
 			}
 			firstRounds, froms = append(firstRounds, begins[0].rounds), append(froms, f)
 		}
-		// Every executed round was consumed or priced as waste.
-		if consumed := d.fetched - float64(d.wasted); consumed != float64(hosts*q.iters) {
-			t.Fatalf("seeker=%d kws=%v: fetched %v rounds, wasted %d, but %d hosts consumed %d each",
+		// Rounds are read on demand: every one read was consumed.
+		if d.wasted != 0 || d.fetched != float64(hosts*q.iters) {
+			t.Fatalf("seeker=%d kws=%v: read %v rounds, %d unconsumed, but %d hosts consumed %d each",
 				q.seeker, q.kws, d.fetched, d.wasted, hosts, q.iters)
 		}
 		return d, firstRounds, froms
@@ -268,50 +292,48 @@ func TestExchangeBudget(t *testing.T) {
 
 	deep, unmatchedHosts := 0, 0
 	c := newCoord(CoordinatorConfig{})
+	dialsBefore := dials.Load()
 	for _, q := range qs {
 		d, firstRounds, froms := run(t, c, q, core.CoordOptions{})
-		if q.iters > firstBatch {
+		if q.iters > 16 {
 			deep++
 		}
-		// A host somebody matched on gets its first batch on the
-		// beginset; a host nobody matched on is asked all the same, runs
-		// none, and is stepped by rounds RPCs from round 1.
+		// A host somebody matched on gets its whole stream on the beginset;
+		// a host nobody matched on is asked all the same, runs none, and is
+		// stepped by a rounds stream from round 1.
 		onBeginset := 0
 		for h, matched := range q.hostMatched {
-			if firstRounds[h] != firstBatch {
-				t.Fatalf("host %d beginset asked for %d rounds, want %d", h, firstRounds[h], firstBatch)
+			if firstRounds[h] != maxWorkerBatch {
+				t.Fatalf("host %d beginset asked for %d rounds, want %d", h, firstRounds[h], maxWorkerBatch)
 			}
 			switch {
 			case q.iters == 0:
 			case matched > 0:
 				onBeginset++
-				if len(froms[h]) > 0 && froms[h][0] != firstBatch+1 {
-					t.Fatalf("matched host %d: first rounds RPC from round %d, want %d", h, froms[h][0], firstBatch+1)
+				if len(froms[h]) > 0 {
+					t.Fatalf("matched host %d: rounds streams from %v for a %d-round search", h, froms[h], q.iters)
 				}
 			default:
 				unmatchedHosts++
-				if len(froms[h]) == 0 || froms[h][0] != 1 {
-					t.Fatalf("unmatched host %d: rounds RPCs from %v, want the first from round 1", h, froms[h])
+				if len(froms[h]) != 1 || froms[h][0] != 1 {
+					t.Fatalf("unmatched host %d: rounds streams from %v, want one from round 1", h, froms[h])
 				}
 			}
 		}
-		if want := uint64(hosts * ceilDiv(q.iters, firstBatch)); d.batches != want {
+		if want := uint64(hosts * ceilDiv(q.iters, maxWorkerBatch)); d.batches != want {
 			t.Fatalf("seeker=%d kws=%v: %d rounds took %d round-carrying exchanges over %d hosts, want exactly %d",
 				q.seeker, q.kws, q.iters, d.batches, hosts, want)
 		}
-		// No exchange carries more than a batch, so every host sits less
-		// than one batch past the round the search consumed.
-		if d.fetched > float64(d.batches*firstBatch) || d.wasted > uint64(hosts*(firstBatch-1)) {
-			t.Fatalf("seeker=%d kws=%v: %d exchanges carried %v rounds, %d unconsumed over %d hosts",
-				q.seeker, q.kws, d.batches, d.fetched, d.wasted, hosts)
-		}
 		if d.roundRPCs != d.batches-uint64(onBeginset) {
-			t.Fatalf("seeker=%d kws=%v: %d rounds RPCs for %d batches, %d of them on a beginset",
+			t.Fatalf("seeker=%d kws=%v: %d rounds streams for %d round-carrying exchanges, %d of them on a beginset",
 				q.seeker, q.kws, d.roundRPCs, d.batches, onBeginset)
 		}
 	}
 	if deep == 0 || unmatchedHosts == 0 {
-		t.Fatalf("battery too shallow: %d searches past one batch, %d unmatched hosts", deep, unmatchedHosts)
+		t.Fatalf("battery too shallow: %d searches past 16 rounds, %d unmatched hosts", deep, unmatchedHosts)
+	}
+	if got := dials.Load() - dialsBefore; got > int64(hosts*len(qs)) {
+		t.Fatalf("%d searches dialed %d connections, want at most one per host per search (the one it hung up on)", len(qs), got)
 	}
 
 	// Budget > 0: strict lockstep — nothing rides on the beginset (the
@@ -324,14 +346,14 @@ func TestExchangeBudget(t *testing.T) {
 				t.Fatalf("budgeted search: host %d beginset asked for %d rounds, want 0", h, r)
 			}
 		}
-		if d.fetched != float64(d.batches) || d.wasted != 0 {
-			t.Fatalf("budgeted search of %d rounds: %d batches carrying %v rounds (%d wasted), want one round per exchange",
-				q.iters, d.batches, d.fetched, d.wasted)
+		if d.fetched != float64(d.batches) {
+			t.Fatalf("budgeted search of %d rounds: %d exchanges carrying %v rounds, want one round per exchange",
+				q.iters, d.batches, d.fetched)
 		}
 	}
 
-	// MaxIterations = m < 16 caps the first batch at m: no worker steps
-	// past the round the any-time stop finalizes at.
+	// MaxIterations = m caps the first stream at m: no worker steps past the
+	// round the any-time stop finalizes at.
 	const m = 5
 	capped := opts
 	capped.MaxIterations = m
@@ -349,8 +371,8 @@ func TestExchangeBudget(t *testing.T) {
 		}
 		if q.iters == m {
 			atCap++
-			if d.wasted != 0 || d.batches != uint64(hosts) {
-				t.Fatalf("MaxIterations=%d: a search stopped by the cap took %d batches and left %d rounds unconsumed", m, d.batches, d.wasted)
+			if d.batches != uint64(hosts) {
+				t.Fatalf("MaxIterations=%d: a search stopped by the cap took %d exchanges", m, d.batches)
 			}
 		}
 	}
@@ -360,8 +382,8 @@ func TestExchangeBudget(t *testing.T) {
 }
 
 // TestFailoverSessionsBeginLikeAnyOther: the single-shard sessions the
-// failover layer attaches open the way a cover session does — the first
-// batch of the rounds they fast-forward through rides on their beginset.
+// failover layer attaches open the way a cover session does — the rounds
+// they fast-forward through stream on their beginset.
 func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -372,11 +394,13 @@ func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	t.Cleanup(func() { set.Close() })
 	qs := deepChaosQueries(t, chaosQueries(t, set))
 
-	// Two hosts, replicas of each other; the first loses its rounds endpoint.
-	urls, _, logs := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
-	ft := faultnet.NewTransport(newTransport(len(urls)), 1)
-	ft.Add(&faultnet.Rule{Host: hostOf(t, urls[0]), Path: pathRounds, Action: faultnet.Reset})
-	coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
+	// Two hosts, replicas of each other; the first dies two rounds into
+	// every stream.
+	urls, workers, logs := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
+	cutStreamsAt(workers[0], 3)
+	track := leakCheck(t, workers)
+	coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), 2*time.Second)
+	track(coord.client)
 	for qi, q := range qs[:2] {
 		sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
 		if err != nil {
@@ -393,8 +417,8 @@ func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	for _, l := range logs {
 		begins, _ := l.take()
 		for _, b := range begins {
-			if b.rounds != firstBatch {
-				t.Fatalf("beginset over shards %v asked for %d rounds, want %d", b.shards, b.rounds, firstBatch)
+			if b.rounds != maxWorkerBatch {
+				t.Fatalf("beginset over shards %v asked for %d rounds, want %d", b.shards, b.rounds, maxWorkerBatch)
 			}
 			if len(b.shards) == 1 {
 				attached++
@@ -406,15 +430,15 @@ func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	}
 }
 
-// TestGroupingIndependence: the battery answered with the batch forced to
-// 1, 3 and 16 returns the same bytes and the same iteration counts as the
-// in-process engine.
+// TestGroupingIndependence: the battery answered with the stream cap forced
+// to 1, 3 and 16 returns the same bytes and the same iteration counts as
+// the in-process engine.
 func TestGroupingIndependence(t *testing.T) {
-	set, groups, workers, _, newCoord := exchangeTopology(t)
+	set, groups, workers, _, _, newCoord := exchangeTopology(t)
 	qs := exchangeBattery(t, set, groups, 21, core.Options{K: exchangeK, Params: exchangeParams})
 	for _, hint := range []int{1, 3, 16} {
 		c := newCoord(CoordinatorConfig{})
-		c.batchCap = hint
+		c.streamCap = hint
 		before := countExchanges(c)
 		rounds := 0
 		for _, q := range qs {
@@ -432,10 +456,10 @@ func TestGroupingIndependence(t *testing.T) {
 			rounds += stats.Iterations
 		}
 		settle(t, workers)
-		// The hook really regrouped: no batch exceeds the forced size.
+		// The hook really regrouped: no stream exceeds the forced cap.
 		d := countExchanges(c).since(before)
 		if d.batches == 0 || d.fetched > float64(d.batches)*float64(hint) {
-			t.Fatalf("hint=%d: %d batches carried %v rounds", hint, d.batches, d.fetched)
+			t.Fatalf("hint=%d: %d streams carried %v rounds", hint, d.batches, d.fetched)
 		}
 		if hint == 1 && d.fetched-float64(d.wasted) != float64(len(groups)*rounds) {
 			t.Fatalf("hint=1: fetched %v, wasted %d, consumed %d×%d", d.fetched, d.wasted, len(groups), rounds)
@@ -444,12 +468,12 @@ func TestGroupingIndependence(t *testing.T) {
 }
 
 // islandSet is a hand-built 2-shard set whose searches for "kw" run into
-// the two conditions that end a worker's batch early. A matched component
+// the two conditions that end a worker's stream by itself. A matched component
 // nobody reaches keeps the search from ever admitting everything. Acyclic,
 // the seeker's island is one edge to a friend who posted nothing: the
 // exploration is exhausted after a couple of rounds (the stop test passes
 // on that very round — nothing reachable can score — so the reason reads
-// threshold, but the batch must end there all the same). Cyclic, seeker
+// threshold, but the stream must end there all the same). Cyclic, seeker
 // and friend follow each other (the border never empties), the friend's
 // one document leaves the selection short of k, and the unreached
 // component holds "kw" in so many fragments that its threshold outlasts the tail:
@@ -493,26 +517,26 @@ func islandSet(t *testing.T, cyclic bool) (*snap.ShardSetSnapshot, string) {
 	return set, manifestPath
 }
 
-// TestFinalizeAtConsumedRound: a batch that hits exhaustion or the
-// precision floor ends there — on the beginset as on a rounds RPC — so
+// TestFinalizeAtConsumedRound: a stream that hits exhaustion or the
+// precision floor ends there — on the beginset as on a rounds stream — so
 // the finalize that follows finds the worker at exactly the consumed
 // round: every executed round was consumed, none wasted. The same holds
-// for the replacement sessions of a failover that struck with one or two
-// full batches consumed (the fetch of round 17, or of round 33, failed):
-// the fast-forward leaves them exactly there, not a batch further.
+// for the replacement sessions of a failover that struck with 16 or 32
+// rounds consumed (the worker died before round 17, or 33): their streams
+// end at the precision floor too, not a round further.
 func TestFinalizeAtConsumedRound(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cyclic bool
 		reason core.StopReason
-		// killAfter, when >= 0, is how many rounds RPCs the first of two
-		// replica hosts answers before its rounds endpoint dies.
-		killAfter int
+		// struck, when positive, is how many rounds the first of two
+		// replica hosts streams in every session before it dies.
+		struck int
 	}{
-		{"exhausted", false, core.StopThreshold, -1},
-		{"precision", true, core.StopPrecision, -1},
-		{"failover-at-17", true, core.StopPrecision, 0},
-		{"failover-at-33", true, core.StopPrecision, 1},
+		{"exhausted", false, core.StopThreshold, 0},
+		{"precision", true, core.StopPrecision, 0},
+		{"failover-at-17", true, core.StopPrecision, 16},
+		{"failover-at-33", true, core.StopPrecision, 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set, manifestPath := islandSet(t, tc.cyclic)
@@ -535,17 +559,19 @@ func TestFinalizeAtConsumedRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rstats.Reason != tc.reason || rstats.Iterations%firstBatch == 0 {
-				t.Fatalf("fixture stops by %s after %d rounds, want %s mid-batch", rstats.Reason, rstats.Iterations, tc.reason)
+			if rstats.Reason != tc.reason || rstats.Iterations%maxWorkerBatch == 0 {
+				t.Fatalf("fixture stops by %s after %d rounds, want %s mid-stream", rstats.Reason, rstats.Iterations, tc.reason)
 			}
-			if tc.killAfter >= 0 {
-				finalizeAfterFailover(t, set, manifestPath, spec, engineTranscript(rs, rstats), rstats.Iterations, tc.killAfter)
+			if tc.struck > 0 {
+				finalizeAfterFailover(t, set, manifestPath, spec, engineTranscript(rs, rstats), rstats.Iterations, tc.struck)
 				return
 			}
 
 			urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0}, {1}})
+			client := &http.Client{Timeout: 10 * time.Second, Transport: newTransport(len(urls))}
+			leakCheck(t, workers)(client)
 			c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 2, SetID: set.Set.Layout.SetID,
-				Client: &http.Client{Timeout: 10 * time.Second}, Registry: obs.NewRegistry()})
+				Client: client, Registry: obs.NewRegistry()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,21 +604,21 @@ func TestFinalizeAtConsumedRound(t *testing.T) {
 }
 
 // finalizeAfterFailover runs the search twice over two hosts carrying both
-// shards, the first of which resets every rounds RPC past its killAfter-th:
+// shards, the first of which cuts every stream before its round struck+1:
 // the rotation lands one of the two searches on it, which fails over both
-// shards with (killAfter+1) full batches consumed.
+// shards with struck rounds consumed.
 func finalizeAfterFailover(t *testing.T, set *snap.ShardSetSnapshot, manifestPath string,
-	spec core.SearchSpec, want string, iters, killAfter int) {
+	spec core.SearchSpec, want string, iters, struck int) {
 	t.Helper()
-	struck := (killAfter + 1) * firstBatch
 	if iters <= struck {
-		t.Fatalf("fixture stops after %d rounds, before the fetch of round %d", iters, struck+1)
+		t.Fatalf("fixture stops after %d rounds, before round %d", iters, struck+1)
 	}
 	urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
-	ft := faultnet.NewTransport(newTransport(len(urls)), 1)
-	ft.Add(&faultnet.Rule{Host: hostOf(t, urls[0]), Path: pathRounds, After: killAfter, Action: faultnet.Reset})
+	cutStreamsAt(workers[0], uint32(struck)+1)
+	client := &http.Client{Timeout: 10 * time.Second, Transport: newTransport(len(urls))}
+	leakCheck(t, workers)(client)
 	c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 2, SetID: set.Set.Layout.SetID,
-		Client: &http.Client{Timeout: 10 * time.Second, Transport: ft}, Registry: obs.NewRegistry()})
+		Client: client, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,12 +638,12 @@ func finalizeAfterFailover(t *testing.T, set *snap.ShardSetSnapshot, manifestPat
 	if f := c.failovers.Load(); f != 2 {
 		t.Fatalf("%d failovers, want both shards of the one search that landed on the dying host", f)
 	}
-	// The struck session fetched and consumed `struck` rounds; the clean
-	// search's session and the two replacement sessions each fetched the
+	// The struck session read and consumed `struck` rounds; the clean
+	// search's session and the two replacement sessions each read the
 	// search's rounds and not one more.
 	d := countExchanges(c)
 	if d.wasted != 0 || d.fetched != float64(struck+3*iters) {
-		t.Fatalf("%d-round search struck at round %d: sessions returned %v rounds, %d unconsumed — a replacement did not sit at the consumed round",
+		t.Fatalf("%d-round search struck at round %d: sessions read %v rounds, %d unconsumed — a replacement did not sit at the consumed round",
 			iters, struck+1, d.fetched, d.wasted)
 	}
 	if dead, alive := workers[0].iterSteps.Load(), workers[1].iterSteps.Load(); dead != uint64(struck) || alive != uint64(3*iters) {
@@ -625,10 +651,10 @@ func finalizeAfterFailover(t *testing.T, set *snap.ShardSetSnapshot, manifestPat
 	}
 }
 
-// TestBeginSetFailureLeavesNoSession: a beginset whose first batch fails
-// worker-side — here because the request is already cancelled — answers
-// an error and releases the session it had installed: the coordinator
-// never learned it was open and would never End it.
+// TestBeginSetFailureLeavesNoSession: a beginset whose request is gone
+// before its stream starts — here already cancelled — answers an error and
+// releases the session it had installed: the coordinator never learned it
+// was open and would never End it.
 func TestBeginSetFailureLeavesNoSession(t *testing.T) {
 	_, set, workers, servers := smallTopology(t)
 	spec := deepQuery(t, set, servers[0], 2)
@@ -636,15 +662,14 @@ func TestBeginSetFailureLeavesNoSession(t *testing.T) {
 	settle(t, workers[:1])
 	steps := w.iterSteps.Load()
 
-	frame := encodeBeginSetRequest(beginSetRequest{searchID: 4242, shards: []int{0}, spec: spec, rounds: firstBatch})
+	frame := appendRecord(nil, encodeBeginSetRequest(beginSetRequest{searchID: 4242, shards: []int{0}, spec: spec, rounds: maxWorkerBatch}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, pathBeginSet, bytes.NewReader(frame)).WithContext(ctx)
-	req.Header.Set(frameCRCHeader, frameCRC(frame))
 	rec := httptest.NewRecorder()
 	w.Handler().ServeHTTP(rec, req)
 	if rec.Code == http.StatusOK {
-		t.Fatal("beginset with a failed first batch answered 200")
+		t.Fatal("beginset for a cancelled request answered 200")
 	}
 	w.mu.Lock()
 	open := len(w.sessions)
@@ -657,45 +682,50 @@ func TestBeginSetFailureLeavesNoSession(t *testing.T) {
 	}
 }
 
-// gateCtx lets a test single-step a worker's round loop: the loop asks
-// its request context between rounds, and every ask parks here until the
-// test releases it.
-type gateCtx struct {
-	context.Context
-	arrive, release, quit chan struct{}
-}
-
-func (g *gateCtx) Err() error {
-	select {
-	case g.arrive <- struct{}{}:
-		select {
-		case <-g.release:
-		case <-g.quit:
+// gateRounds gates w's stream loop: before stepping each round it reports
+// the round on arrive and parks until the test sends on release, or — with
+// honourCancel — until the stream's request is gone. quit frees every
+// parked stream for good once the test is over.
+func gateRounds(w *Worker, honourCancel bool) (arrive chan uint32, release, quit chan struct{}) {
+	arrive, release, quit = make(chan uint32), make(chan struct{}), make(chan struct{})
+	setRoundHook(w, func(ctx context.Context, round uint32) bool {
+		var gone <-chan struct{}
+		if honourCancel {
+			gone = ctx.Done()
 		}
-	case <-g.quit: // the test is over: never leave a handler parked
-	}
-	return g.Context.Err()
+		select {
+		case arrive <- round:
+			select {
+			case <-release:
+			case <-gone:
+			case <-quit:
+			}
+		case <-gone:
+		case <-quit:
+		}
+		return true
+	})
+	return arrive, release, quit
 }
 
-// TestCancelStopsWorkerStepping: a worker mid-batch whose coordinator
-// cancelled (client disconnect) stops stepping at the next round
-// boundary instead of finishing the batch for nobody.
+// TestCancelStopsWorkerStepping: a worker mid-stream whose coordinator
+// cancelled (client disconnect) stops stepping at the next round boundary
+// instead of running the stream out for nobody.
 func TestCancelStopsWorkerStepping(t *testing.T) {
 	manifestPath, set, _, servers := smallTopology(t)
 	q := deepChaosQueries(t, chaosQueries(t, set))[0]
 
-	// Shard 1's worker, with its rounds handler gated round by round.
+	// Shard 1's worker, its stream loop gated round by round.
 	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: 1, Mode: snap.LoadMmap})
 	if err := w.Load(); err != nil {
 		t.Fatal(err)
 	}
-	arrive, release, quit := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	arrive, release, quit := gateRounds(w, false)
 	reqCtx := make(chan context.Context, 1)
 	inner := w.Handler()
 	gated := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == pathRounds {
+		if req.URL.Path == pathBeginSet {
 			reqCtx <- req.Context()
-			req = req.WithContext(&gateCtx{req.Context(), arrive, release, quit})
 		}
 		inner.ServeHTTP(rw, req)
 	}))
@@ -709,30 +739,33 @@ func TestCancelStopsWorkerStepping(t *testing.T) {
 		_, _, err := coord.Search(q.spec, core.CoordOptions{Ctx: ctx})
 		done <- err
 	}()
-	wait := func(ch <-chan struct{}, what string) {
+	wait := func(what string) {
 		t.Helper()
 		select {
-		case <-ch:
+		case <-arrive:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
-	// The search outlives its first batch, so a rounds RPC arrives and
-	// parks before its first round. Let two rounds run.
-	wait(arrive, "the rounds RPC")
+	// The beginset's stream parks before its first round. Let two rounds run.
+	wait("the beginset stream")
 	base := w.iterSteps.Load()
 	for i := 0; i < 2; i++ {
 		release <- struct{}{}
-		wait(arrive, "the next round boundary")
+		wait("the next round boundary")
 	}
 	if got := w.iterSteps.Load() - base; got != 2 {
 		t.Fatalf("worker stepped %d rounds across 2 releases", got)
 	}
 	// Cancel the search while the worker sits at a round boundary with most
-	// of its batch still to run; once the disconnect reaches the worker's
+	// of its stream still to run; once the disconnect reaches the worker's
 	// request context, let it look.
 	cancel()
-	wait((<-reqCtx).Done(), "the worker to see the disconnect")
+	select {
+	case <-(<-reqCtx).Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the worker to see the disconnect")
+	}
 	release <- struct{}{}
 	select {
 	case err := <-done:
@@ -748,6 +781,104 @@ func TestCancelStopsWorkerStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := w.iterSteps.Load() - base; got != 2 {
-		t.Fatalf("worker stepped %d rounds of its batch after the cancel, want it to stop at the boundary (2)", got)
+		t.Fatalf("worker stepped %d rounds of its stream after the cancel, want it to stop at the boundary (2)", got)
+	}
+}
+
+// TestStreamAnswersAtStopRound is what a batch could not do: the worker's
+// round s+1 never runs until its request is gone, and the coordinator
+// still answers a query that stops at round s — byte-identically — off
+// the rounds already streamed. Hanging up cuts the gated stream, its
+// handler returns without stepping round s+1, the /end that follows
+// leaves the worker with no session, and the search dialed at most the one
+// connection it hung up on.
+func TestStreamAnswersAtStopRound(t *testing.T) {
+	in, ix := buildInstance(t, smallSpec())
+	manifestPath := writeSet(t, in, ix, 2)
+	set, err := snap.OpenShardSet(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	var q chaosQuery
+	for _, c := range deepChaosQueries(t, chaosQueries(t, set)) {
+		if strings.Contains(c.want, "reason="+string(core.StopThreshold)) {
+			q = c
+		}
+	}
+	if q.iters == 0 {
+		t.Fatal("no query of the battery stops by threshold")
+	}
+
+	// One host carrying both shards: one stream carries the whole search.
+	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{0, 1}, Mode: snap.LoadMmap, ProxCacheBytes: -1})
+	if err := w.Load(); err != nil {
+		t.Fatal(err)
+	}
+	gated := make(chan struct{}, 1)
+	setRoundHook(w, func(ctx context.Context, round uint32) bool {
+		if round == uint32(q.iters)+1 {
+			gated <- struct{}{}
+			<-ctx.Done()
+		}
+		return true
+	})
+	streamDone := make(chan struct{}, 1)
+	inner := w.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		inner.ServeHTTP(rw, req)
+		if req.URL.Path == pathBeginSet {
+			streamDone <- struct{}{}
+		}
+	}))
+	t.Cleanup(srv.Close)
+	var dials atomic.Int64
+	client := &http.Client{Timeout: 10 * time.Second, Transport: dialCounting(newTransport(1), &dials)}
+	leakCheck(t, []*Worker{w})(client)
+	coord, err := NewCoordinator(CoordinatorConfig{WorkerURLs: []string{srv.URL}, ShardCount: 2,
+		SetID: set.Set.Layout.SetID, Client: client, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Probe(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	probed := dials.Load()
+	done := make(chan string, 1)
+	go func() {
+		sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
+		if err != nil {
+			done <- err.Error()
+			return
+		}
+		done <- metaTranscript(sel, stats)
+	}()
+	select {
+	case got := <-done:
+		if got != q.want {
+			t.Fatalf("answer with round %d withheld diverged\nwant:\n%s\ngot:\n%s", q.iters+1, q.want, got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("search stopping at round %d waited on round %d", q.iters, q.iters+1)
+	}
+	// The worker calls the hook right after flushing round s, so it gets
+	// there whether or not the answer arrived first.
+	select {
+	case <-gated:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the stream never reached round %d", q.iters+1)
+	}
+	select {
+	case <-streamDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the hung-up stream's handler never returned")
+	}
+	settle(t, []*Worker{w})
+	if got := w.iterSteps.Load(); got != uint64(q.iters) {
+		t.Fatalf("worker stepped %d rounds for a search that stopped at %d", got, q.iters)
+	}
+	if got := dials.Load() - probed; got > 1 {
+		t.Fatalf("one search dialed %d connections to its one host, want at most the one it hung up on", got)
 	}
 }

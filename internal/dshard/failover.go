@@ -13,9 +13,9 @@
 // lockstep. The recovered search's answer is byte-identical to an
 // undisturbed one, property-tested in chaos_test.go.
 //
-// A worker that is slow but alive takes the same road: its RPC times out
-// (CoordinatorConfig.RPCTimeout), which is a transport error like any
-// other — failover, then the breaker.
+// A worker that is slow but alive takes the same road: its RPC or the
+// next record of its stream times out (CoordinatorConfig.RPCTimeout),
+// which is a transport error like any other — failover, then the breaker.
 package dshard
 
 import (
@@ -98,7 +98,7 @@ func (fx *failoverExecutor) markFailed(err error) {
 }
 
 // establishOn opens a replacement session on r — like any other, its first
-// batch rides on the beginset — and fast-forwards it to the consumed round.
+// stream rides on the beginset — and fast-forwards it to the consumed round.
 func (fx *failoverExecutor) establishOn(r *hostShardView) error {
 	info, err := r.Begin(fx.spec)
 	if err != nil {
@@ -188,8 +188,8 @@ func (fx *failoverExecutor) Round() (core.RoundInfo, error) {
 }
 
 // Finalize implements core.ShardExecutor, with the same failover loop as
-// Round (a failed-over session was asked for the batches the failed one
-// was, so wherever that one would have sat at the consumed round, so does
+// Round (a failed-over session's stream ends wherever the failed one's
+// did, so wherever that one would have sat at the consumed round, so does
 // it).
 func (fx *failoverExecutor) Finalize() (core.RoundInfo, error) {
 	for {

@@ -1,5 +1,5 @@
 // Tests for the resilience layer: the fast-forward identity property,
-// frame CRC integrity, the per-worker circuit breaker,
+// record CRC integrity, the per-worker circuit breaker,
 // the jittered probe schedule, worker drain across a restart, and
 // membership refresh racing live searches.
 package dshard
@@ -7,6 +7,7 @@ package dshard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,108 +25,96 @@ import (
 	"s3/internal/snap"
 )
 
-// stripCRCTransport drops the frame CRC header from every outgoing
-// request — an intermediary that "normalizes" unknown headers.
-type stripCRCTransport struct{}
-
-func (stripCRCTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	req = req.Clone(req.Context())
-	req.Header.Del(frameCRCHeader)
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// stripCRCResponses wraps a worker handler so its replies lose the frame
-// CRC header on the way back.
-func stripCRCResponses(inner http.Handler) http.Handler {
+// flipRecord wraps a worker handler so the k-th record of every beginset
+// reply reaches the coordinator with one payload byte flipped — corruption
+// in transit, behind a CRC that still describes the original bytes.
+func flipRecord(inner http.Handler, k int) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != pathBeginSet {
+			inner.ServeHTTP(rw, req)
+			return
+		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, req)
-		for k, vs := range rec.Header() {
-			if k != frameCRCHeader {
-				rw.Header()[k] = vs
-			}
+		body := rec.Body.Bytes()
+		off := 0
+		for i := 0; i < k && off+recordHeader <= len(body); i++ {
+			off += recordHeader + int(binary.LittleEndian.Uint32(body[off:]))
+		}
+		if off+recordHeader < len(body) {
+			body[off+recordHeader] ^= 0x10
+		}
+		for h, vs := range rec.Header() {
+			rw.Header()[h] = vs
 		}
 		rw.WriteHeader(rec.Code)
-		rw.Write(rec.Body.Bytes())
+		rw.Write(body)
 	})
 }
 
-// TestFrameCRC covers the integrity layer: the codec-level check, the
-// worker's 422 (not 400 — a CRC failure is transit corruption the
-// coordinator must retry, never a deterministic rejection), and that a
-// stripped header in either direction reads as a transport failure the
-// coordinator fails over on instead of as "integrity checking off".
+// TestFrameCRC covers record integrity: at the codec, every single bit
+// flipped anywhere in a stream is an error, never a perturbed round; the
+// worker answers a request record that fails its CRC or arrives cut short
+// with 422 (not 400 — transit corruption the coordinator must retry, never
+// a deterministic rejection); and a flipped byte in any record of a reply
+// is a transport failure the coordinator fails over on.
 func TestFrameCRC(t *testing.T) {
-	body := []byte("round protocol frame")
-	if err := checkFrameCRC(body, frameCRC(body)); err != nil {
-		t.Fatalf("matching CRC rejected: %v", err)
-	}
-	if err := checkFrameCRC(body, ""); err == nil {
-		t.Fatal("absent CRC header accepted")
-	}
-	flipped := bytes.Clone(body)
-	flipped[3] ^= 0x10
-	if err := checkFrameCRC(flipped, frameCRC(body)); err == nil {
-		t.Fatal("corrupted body passed the CRC check")
+	const ns = 2
+	begins := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}, {1, 1}}}, {GroupMasses: [][]int32{{0, 0, 0}, {0}, {0, 0}}}}
+	pristine := encodeStream(ns, begins, sampleRoundInfos())
+	for bit := 0; bit < 8*len(pristine); bit++ {
+		checkFlippedStream(t, pristine, ns, streamFuzzCap, uint32(bit))
 	}
 
 	manifestPath, set, workers, servers := smallTopology(t)
-	post := func(crc string) int {
-		req, err := http.NewRequest(http.MethodPost, servers[0].URL+pathBeginSet, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		if crc != "" {
-			req.Header.Set(frameCRCHeader, crc)
-		}
-		resp, err := http.DefaultClient.Do(req)
+	post := func(body []byte) int {
+		resp, err := http.Post(servers[0].URL+pathBeginSet, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post(frameCRC([]byte("something else"))); code != http.StatusUnprocessableEntity {
-		t.Fatalf("worker answered %d to a corrupt frame, want 422", code)
+	garbage := appendRecord(nil, []byte("round protocol frame"))
+	corrupt := bytes.Clone(garbage)
+	corrupt[recordHeader+3] ^= 0x10
+	if code := post(corrupt); code != http.StatusUnprocessableEntity {
+		t.Fatalf("worker answered %d to a corrupt record, want 422", code)
 	}
-	if code := post(""); code != http.StatusUnprocessableEntity {
-		t.Fatalf("worker answered %d to a frame without a CRC header, want 422", code)
+	if code := post(garbage[:len(garbage)-2]); code != http.StatusUnprocessableEntity {
+		t.Fatalf("worker answered %d to a record cut short, want 422", code)
 	}
-	// With a matching CRC the same garbage is a malformed frame: a
+	// With a matching CRC the same garbage is a malformed request: a
 	// deterministic 400, which the coordinator must NOT fail over on.
-	if code := post(frameCRC(body)); code != http.StatusBadRequest {
-		t.Fatalf("worker answered %d to a malformed frame, want 400", code)
+	if code := post(garbage); code != http.StatusBadRequest {
+		t.Fatalf("worker answered %d to a malformed request, want 400", code)
 	}
 
-	// Header stripped in transit, each direction: the session records a
-	// transport-class error (the failover trigger), never an application
-	// rejection and never a decoded reply.
-	spec := deepQuery(t, set, servers[0], 1)
-	stripped := httptest.NewServer(stripCRCResponses(workers[0].Handler()))
-	t.Cleanup(stripped.Close)
-	reqStripped := openSession(servers[0].URL, 6601, 0)
-	reqStripped.s.client = &http.Client{Transport: stripCRCTransport{}}
-	for name, v := range map[string]*hostShardView{
-		"request":  reqStripped,
-		"response": openSession(stripped.URL, 6602, 0),
-	} {
+	// A byte flipped in the begin record, the first round's or the second
+	// round's: the session records a transport-class error (the failover
+	// trigger) on the call that reads it, never an application rejection
+	// and never a decoded round.
+	spec := deepQuery(t, set, servers[0], 3)
+	for k := 0; k < 3; k++ {
+		flipped := httptest.NewServer(flipRecord(workers[0].Handler(), k))
+		v := openSession(flipped.URL, uint64(6601+k), 0)
 		_, err := v.Begin(spec)
-		var app *appError
-		if err == nil || errors.As(err, &app) {
-			t.Fatalf("%s header stripped: Begin returned %v, want a transport error", name, err)
+		for r := 0; r < k && err == nil; r++ {
+			_, err = v.Round()
 		}
-		if !strings.Contains(err.Error(), frameCRCHeader) {
-			t.Fatalf("%s header stripped: error %q does not name the missing header", name, err)
+		var app *appError
+		if err == nil || errors.As(err, &app) || !strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("record %d flipped: returned %v, want a CRC transport error", k, err)
 		}
 		if v.s.err == nil {
-			t.Fatalf("%s header stripped: session did not latch the transport error", name)
+			t.Fatalf("record %d flipped: session did not latch the transport error", k)
 		}
 		v.End()
+		flipped.Close()
 	}
 
 	// End to end: shard 0's only clean replica keeps the search exact when
-	// the other one sits behind the header-stripping hop.
+	// the other one sits behind the corrupting hop.
 	urlsB, stopB := startWorkers(t, manifestPath, 2, snap.LoadMmap)
 	defer stopB()
 	clean := newCoordinator(t, set.Set.Layout, []string{servers[0].URL, servers[1].URL})
@@ -133,18 +122,20 @@ func TestFrameCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := newCoordinator(t, set.Set.Layout, []string{stripped.URL, servers[1].URL, urlsB[0]})
+	flipped := httptest.NewServer(flipRecord(workers[0].Handler(), 1))
+	t.Cleanup(flipped.Close)
+	coord := newCoordinator(t, set.Set.Layout, []string{flipped.URL, servers[1].URL, urlsB[0]})
 	for i := 0; i < 4; i++ {
 		sel, stats, err := coord.Search(spec, core.CoordOptions{})
 		if err != nil {
-			t.Fatalf("search %d behind a header-stripping hop: %v", i, err)
+			t.Fatalf("search %d behind a corrupting hop: %v", i, err)
 		}
 		if got, want := metaTranscript(sel, stats), metaTranscript(wantSel, wantStats); got != want {
-			t.Fatalf("answer diverged behind a header-stripping hop\nwant:\n%s\ngot:\n%s", want, got)
+			t.Fatalf("answer diverged behind a corrupting hop\nwant:\n%s\ngot:\n%s", want, got)
 		}
 	}
 	if coord.failovers.Load()+coord.retries.Load() == 0 {
-		t.Fatal("stripped CRC headers never triggered a failover or retry")
+		t.Fatal("flipped records never triggered a failover or retry")
 	}
 }
 
@@ -197,11 +188,12 @@ func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, m
 // begun fresh and fast-forwarded through k consumed rounds continues —
 // round for round, bit for bit — exactly like the session that executed
 // those rounds live, at every consumed-round count a failover can strike
-// at. The batch is forced to 1 (every round its own rounds RPC), to 3
-// (fast-forward stops inside a batch and keeps its tail buffered) and left
-// at 16 (the history rides on the beginset).
+// at. The stream cap is forced to 1 (every round its own rounds stream),
+// to 3 (fast-forward stops inside a stream and reads on from it) and left
+// at 64 (the history streams on the beginset).
 func TestReplayFastForward(t *testing.T) {
-	_, set, _, servers := smallTopology(t)
+	_, set, workers, servers := smallTopology(t)
+	leakCheck(t, workers)(http.DefaultClient)
 	srv := servers[0]
 	spec := deepQuery(t, set, srv, 5)
 
@@ -209,10 +201,10 @@ func TestReplayFastForward(t *testing.T) {
 	open := func(batch int) *hostShardView {
 		id++
 		v := openSession(srv.URL, id, 0)
-		v.s.batchCap = batch
+		v.s.streamCap = batch
 		return v
 	}
-	for _, batch := range []int{1, 3, roundBatch} {
+	for _, batch := range []int{1, 3, maxWorkerBatch} {
 		for consumed := 1; consumed <= 4; consumed++ {
 			primary := open(batch)
 			bi1, err := primary.Begin(spec)
@@ -237,7 +229,7 @@ func TestReplayFastForward(t *testing.T) {
 				t.Fatal(err)
 			}
 			if replica.consumed != uint32(consumed) || replica.s.fetched != primary.s.fetched {
-				t.Fatalf("batch=%d consumed=%d: fast-forward left the replica at round %d with %d fetched, the live session has %d fetched",
+				t.Fatalf("batch=%d consumed=%d: fast-forward left the replica at round %d with %d read, the live session has %d read",
 					batch, consumed, replica.consumed, replica.s.fetched, primary.s.fetched)
 			}
 

@@ -4,23 +4,24 @@
 // worker process — all of them in ONE session (/shard/v1/beginset), a
 // single shard being the one-member case. The worker drives the whole
 // group off a single shared proximity iterator — one Step per round
-// feeds every co-hosted shard — and every batch returns a RoundInfo per
-// member per round: the first rides on the beginset reply (unless the
-// search is budgeted), the rest are one /shard/v1/rounds RPC each.
-// Coordinator-side, the shared session is split back into per-shard views
-// (hostShardView) so core.Coordinate and the failover wrapper keep seeing
-// one ShardExecutor per shard: the views serialize on the session, the
-// first one to need a round fetches for all, and the others consume from
-// the shared buffer without touching the wire.
+// feeds every co-hosted shard — and streams one record per round, a
+// RoundInfo per member in each: the beginset reply goes on streaming after
+// its begin record (unless the search is budgeted), and a /shard/v1/rounds
+// reply carries any stream after that. Coordinator-side, the shared
+// session is split back into per-shard views (hostShardView) so
+// core.Coordinate and the failover wrapper keep seeing one ShardExecutor
+// per shard: the views serialize on the session, the first one to need a
+// round reads it for all, and the others consume from the shared buffer
+// without touching the wire.
 //
-// Rounds move one way: when a view needs a round the buffer does not hold,
-// the session asks its worker for the next batch (see batchLocked). A
-// batch's per-round infos are buffered and Round() hands them back one at
-// a time — core.Coordinate replays every per-round stop decision locally,
-// so how rounds are grouped into RPCs never changes an answer. The worker
-// cuts a batch short only at exhaustion or the precision floor, so a stop
-// leaves at most the rest of one batch executed but unconsumed — worker
-// CPU only, which End counts.
+// Rounds move one way: the session keeps the open stream, and a view that
+// needs a round the buffer does not hold reads the next record of it —
+// a new rounds stream opens only when the last one ended at its cap (see
+// capLocked). core.Coordinate replays every per-round stop decision
+// locally, so how rounds are grouped into streams never changes an answer.
+// When the search stops, End hangs up on the stream and the worker stops
+// stepping within a round: the rounds it ran past the stop are the
+// stream's delivery lag, worker CPU only.
 //
 // Failover stays per shard: a view that fails (or whose whole host
 // dies) is abandoned individually and its failoverExecutor re-begins a
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -41,30 +43,20 @@ import (
 	"s3/internal/obs"
 )
 
-// roundBatch is how many rounds every exchange, the first one included,
-// asks for, clipped only by the any-time bounds (see batchLocked).
-// Overshooting the stop costs worker CPU, never correctness or a round
-// trip, and at ~0.2 ms per worker step against a ~5 ms exchange that trade
-// only goes one way. Measured on benchmark/'s dist-rtt (2 ms-per-write
-// proxies, stop rounds bimodal: 9 % of searches stop at rounds 2–5, the
-// rest at 16–43, median 26): opening at 16 beat a 4-round opener 3 seeds
-// of 3 (p50 26.5 vs 35.6 ms) and finishes ≈ 85 % of searches in two
-// exchanges; a ramp only adds exchanges.
-const roundBatch = 16
-
 // hostSession is one worker session covering a group of co-hosted
 // shards. The round buffer and collective begin / finalize state live
 // under one mutex the member views serialize on. Lockstep guarantees
 // every view consumes the same round sequence, so whichever view first
-// needs round r fetches the batch for all.
+// needs round r reads it for all.
 type hostSession struct {
 	// Wire identity and RPC scope, immutable once the first view is handed
 	// out. ctx scopes every RPC except End (cancelled searches must still
 	// release worker sessions); rpcTimeout, when positive, bounds each RPC
-	// individually; traceID, when non-zero, asks the worker to record
-	// spans; budget, when positive, ships as the beginset deadline, and with
-	// maxIter (the search's MaxIterations) sizes every batch; batchCap, when
-	// positive, clips the batch further (tests force a grouping with it).
+	// and each record of a stream; traceID, when non-zero, asks the worker
+	// to record spans; budget, when positive, ships as the beginset
+	// deadline, and with maxIter (the search's MaxIterations) caps every
+	// stream; streamCap, when positive, caps it further (tests force a
+	// grouping with it).
 	client     *http.Client
 	base       string
 	searchID   uint64
@@ -75,7 +67,7 @@ type hostSession struct {
 	traceID    uint64
 	budget     time.Duration
 	maxIter    int
-	batchCap   int
+	streamCap  int
 	metrics    *rpcMetrics
 
 	mu sync.Mutex
@@ -87,10 +79,10 @@ type hostSession struct {
 	// would let one bad request drain the whole fleet.
 	err error
 
-	// Collective begin: the first view to call Begin posts the beginset
-	// frame; the others pick up the stored per-member infos (or the
-	// stored error — a failed beginset fails every member). Rounds the
-	// reply carried are already in the round buffer below.
+	// Collective begin: the first view to call Begin posts the beginset;
+	// the others pick up the stored per-member infos (or the stored error —
+	// a failed beginset fails every member). The reply stays open as the
+	// session's first stream.
 	beginDone  bool
 	beginInfos []core.BeginInfo
 	beginErr   error
@@ -98,10 +90,13 @@ type hostSession struct {
 
 	// The shared round buffer. buf[i] is round pruned+1+i, one RoundInfo
 	// per member; rows are pruned once every live view has consumed them.
-	fetched   uint32
-	pruned    uint32
-	buf       [][]core.RoundInfo
-	batchSpan *obs.Span
+	// stream, when non-nil, is the open reply the next rounds are read
+	// from, through its transport reply sr.
+	fetched uint32
+	pruned  uint32
+	buf     [][]core.RoundInfo
+	stream  *roundStream
+	sr      *reply
 
 	// Collective finalize, same shape as begin.
 	finDone  bool
@@ -125,8 +120,8 @@ type hostShardView struct {
 }
 
 // newHostSession binds a search id to a worker URL and a shard group, with
-// one view per shard (ordered as shards). The beginset frame is posted
-// lazily by the first view's Begin.
+// one view per shard (ordered as shards). The beginset is posted lazily by
+// the first view's Begin.
 func newHostSession(ctx context.Context, client *http.Client, base string, searchID uint64, shards []int) *hostSession {
 	rctx, cancel := context.WithCancel(ctx)
 	s := &hostSession{client: client, base: base, searchID: searchID, shards: shards, ctx: rctx, cancel: cancel}
@@ -142,7 +137,7 @@ func (c *Coordinator) connect(ctx context.Context, ref *workerRef, shards []int,
 	s := newHostSession(ctx, c.client, ref.url, c.nextSearchID(), shards)
 	s.rpcTimeout = c.cfg.RPCTimeout
 	s.traceID, s.budget, s.maxIter = copts.Trace.TraceID(), copts.Budget, copts.MaxIterations
-	s.metrics, s.batchCap = c.metrics, c.batchCap
+	s.metrics, s.streamCap = c.metrics, c.streamCap
 	if len(shards) > 1 {
 		c.metrics.addHostSession()
 	}
@@ -193,88 +188,116 @@ func (v *hostShardView) Begin(spec core.SearchSpec) (core.BeginInfo, error) {
 	return s.beginInfos[v.idx], nil
 }
 
-// batchLocked is how many rounds the next exchange asks for: the any-time
+// capLocked is how many rounds the next stream may carry: the any-time
 // bounds must never let a worker step past the round a stop finalizes at.
-// A Budget stop can land on any round, so budgeted searches run one round
-// per exchange; MaxIterations clips the batch at the cap.
-func (s *hostSession) batchLocked() uint32 {
+// A Budget stop can land on any round, so budgeted searches stream one
+// round per exchange; MaxIterations caps the stream at the bound.
+func (s *hostSession) capLocked() uint32 {
 	if s.budget > 0 {
 		return 1
 	}
-	b := roundBatch
-	if s.batchCap > 0 {
-		b = min(b, s.batchCap)
+	c := maxWorkerBatch
+	if s.streamCap > 0 {
+		c = min(c, s.streamCap)
 	}
 	if s.maxIter > 0 {
-		b = max(min(b, s.maxIter-int(s.fetched)), 1)
+		c = max(min(c, s.maxIter-int(s.fetched)), 1)
 	}
-	return uint32(b)
+	return uint32(c)
 }
 
 func (s *hostSession) doBeginLocked(spec core.SearchSpec) ([]core.BeginInfo, *obs.Span, error) {
 	start := time.Now()
 	br := beginSetRequest{searchID: s.searchID, shards: s.shards, spec: spec, traceID: s.traceID}
-	// The first batch rides on the beginset — except a budgeted search's,
+	// The first stream rides on the beginset — except a budgeted search's,
 	// whose budget can expire before round 1: that stop finalizes at tail 0.
 	if s.budget > 0 {
 		// The grace keeps a worker from sweeping the session out from under
 		// the coordinator's own budget-stop finalize.
 		br.deadlineMicros = uint64((s.budget + 2*time.Second).Microseconds())
 	} else {
-		br.rounds = s.batchLocked()
+		br.rounds = s.capLocked()
 	}
-	fb, err := s.post(epBeginSet, encodeBeginSetRequest(br))
+	if err := s.openLocked(epBeginSet, encodeBeginSetRequest(br), br.rounds); err != nil {
+		return nil, nil, err
+	}
+	infos, sp, err := s.stream.begin(start)
 	if err != nil {
-		return nil, nil, s.setErrLocked(err)
+		return nil, nil, s.streamErrLocked(err)
 	}
-	infos, rows, sp, bsp, derr := decodeBeginSetReply(fb.b, len(s.shards), start)
-	putFrame(fb)
-	if derr != nil {
-		return nil, nil, s.setErrLocked(derr)
-	}
-	if len(rows) > 0 {
-		s.landLocked(start, rows, bsp)
+	if s.stream.done {
+		s.closeStreamLocked()
 	}
 	return infos, sp, nil
 }
 
-// landLocked appends one batch to the shared buffer and records the
-// round-carrying exchange that began at start (nil-safe metrics).
-func (s *hostSession) landLocked(start time.Time, rows [][]core.RoundInfo, span *obs.Span) {
-	s.metrics.observeBatch(len(rows))
-	s.metrics.observeHostRPC(start, len(s.shards))
-	s.buf = append(s.buf, rows...)
-	s.fetched += uint32(len(rows))
-	s.batchSpan = span
-}
-
-// fillLocked fetches the next batch — a RoundInfo per member per round,
-// starting at the round after the last one fetched — into the shared
-// buffer. The session mutex stays held across the RPC on purpose: sibling
-// views blocking on it need exactly the rounds this fetch returns.
-func (s *hostSession) fillLocked() error {
-	start := time.Now()
-	req := getFrame()
-	req.b = appendRoundsRequest(req.b[:0], roundsRequest{searchID: s.searchID, from: s.fetched + 1, max: s.batchLocked()})
-	fb, err := s.post(epRounds, req.b)
-	putFrame(req)
+// openLocked posts a beginset or rounds request whose reply streams at
+// most max rounds, and keeps the reply open as the session's stream.
+func (s *hostSession) openLocked(ep int, payload []byte, max uint32) error {
+	r, err := s.post(s.ctx, ep, payload)
 	if err != nil {
 		return s.setErrLocked(err)
 	}
-	rows, sp, err := decodeHostRoundsReply(fb.b, len(s.shards), start)
-	putFrame(fb)
-	if err != nil {
-		return s.setErrLocked(err)
-	}
-	s.landLocked(start, rows, sp)
+	s.sr = r
+	s.stream = &roundStream{rr: recordReader{r: r, fb: getFrame()}, nShards: len(s.shards), left: max}
 	return nil
 }
 
-// Round implements core.ShardExecutor: this member's next round, fetched
-// for the whole group when the shared buffer is dry. Exactly one
-// RoundInfo per call, in round order — the grouping of shards into one
-// RPC is as invisible to the coordinator's stop logic as the grouping of
-// rounds into batches.
+// closeStreamLocked releases the open stream, read to its end or
+// abandoned mid-way (see close), and records it as one round-carrying
+// exchange if it carried rounds.
+func (s *hostSession) closeStreamLocked() {
+	if s.stream == nil {
+		return
+	}
+	if n := s.stream.read; n > 0 {
+		s.metrics.observeBatch(int(n))
+		s.metrics.observeHostRPC(s.sr.start, len(s.shards))
+	}
+	s.close(s.sr)
+	putFrame(s.stream.rr.fb)
+	s.stream, s.sr = nil, nil
+}
+
+// streamErrLocked hangs up on a stream that failed to read or decode: a
+// cut, stalled or corrupted stream poisons the session like any transport
+// failure.
+func (s *hostSession) streamErrLocked(err error) error {
+	err = fmt.Errorf("dshard: %s%s: %w", s.base, epPaths[s.sr.ep], err)
+	s.closeStreamLocked()
+	return s.setErrLocked(err)
+}
+
+// nextLocked reads the next round into the shared buffer — from the open
+// stream, or from a rounds stream it opens at the round after the last one
+// read — and returns the round's worker-side span. The session mutex stays
+// held across the read on purpose: sibling views blocking on it need
+// exactly the round it returns.
+func (s *hostSession) nextLocked() (*obs.Span, error) {
+	if s.stream == nil {
+		c := s.capLocked()
+		req := appendRoundsRequest(nil, roundsRequest{searchID: s.searchID, from: s.fetched + 1, max: c})
+		if err := s.openLocked(epRounds, req, c); err != nil {
+			return nil, err
+		}
+	}
+	row, sp, err := s.stream.round(time.Now())
+	if err != nil {
+		return nil, s.streamErrLocked(err)
+	}
+	s.buf = append(s.buf, row)
+	s.fetched++
+	if s.stream.done {
+		s.closeStreamLocked()
+	}
+	return sp, nil
+}
+
+// Round implements core.ShardExecutor: this member's next round, read for
+// the whole group when the shared buffer is dry. Exactly one RoundInfo per
+// call, in round order — the grouping of shards into one session is as
+// invisible to the coordinator's stop logic as the grouping of rounds into
+// streams.
 func (v *hostShardView) Round() (core.RoundInfo, error) {
 	s := v.s
 	s.mu.Lock()
@@ -283,18 +306,16 @@ func (v *hostShardView) Round() (core.RoundInfo, error) {
 		return core.RoundInfo{}, s.err
 	}
 	target := v.consumed + 1
-	for target > s.pruned+uint32(len(s.buf)) {
-		if err := s.fillLocked(); err != nil {
+	for target > s.fetched {
+		// A round's span subtree surfaces with it, on whichever member read
+		// it off the wire.
+		var err error
+		if v.span, err = s.nextLocked(); err != nil {
 			return core.RoundInfo{}, err
 		}
 	}
 	row := s.buf[target-s.pruned-1]
 	v.consumed = target
-	if s.batchSpan != nil {
-		// The batch's span subtree surfaces with its first consumed round,
-		// on whichever member got there first.
-		v.span, s.batchSpan = s.batchSpan, nil
-	}
 	s.pruneLocked()
 	return row[v.idx], nil
 }
@@ -316,10 +337,10 @@ func (s *hostSession) pruneLocked() {
 // Finalize implements core.ShardExecutor: one finalize RPC per session, a
 // RoundInfo per member in the reply. Every finalize-reaching stop
 // (exhaustion, budget, precision) leaves the worker exactly at the
-// consumed round: batches are capped at MaxIterations, budgeted searches
-// run unbatched (and open with no rounds on the beginset), and the worker
-// itself stops a batch at exhaustion or the precision floor — so the
-// buffer is empty here by construction.
+// consumed round: streams are capped at MaxIterations, budgeted searches
+// stream one round at a time (and open with no rounds on the beginset),
+// and the worker itself ends a stream at exhaustion or the precision floor
+// — so the stream has ended at the consumed round by construction.
 func (v *hostShardView) Finalize() (core.RoundInfo, error) {
 	s := v.s
 	s.mu.Lock()
@@ -339,24 +360,34 @@ func (v *hostShardView) Finalize() (core.RoundInfo, error) {
 
 func (s *hostSession) doFinalizeLocked(round uint32) ([]core.RoundInfo, *obs.Span, error) {
 	start := time.Now()
-	fb, err := s.post(epFinalize, encodeRoundRequest(roundRequest{searchID: s.searchID, round: round}))
+	r, err := s.post(s.ctx, epFinalize, encodeRoundRequest(roundRequest{searchID: s.searchID, round: round}))
 	if err != nil {
 		return nil, nil, s.setErrLocked(err)
 	}
-	infos, sp, derr := decodeHostInfosReply(fb.b, len(s.shards), start)
-	putFrame(fb)
-	if derr != nil {
-		return nil, nil, s.setErrLocked(derr)
+	defer s.close(r)
+	rr := recordReader{r: r, fb: getFrame()}
+	defer putFrame(rr.fb)
+	p, err := rr.next()
+	if err == nil {
+		err = rr.eof()
+	}
+	if err != nil {
+		return nil, nil, s.setErrLocked(fmt.Errorf("dshard: %s%s: %w", s.base, pathFinalize, err))
+	}
+	infos, sp, err := decodeHostInfosReply(p, len(s.shards), start)
+	if err != nil {
+		return nil, nil, s.setErrLocked(err)
 	}
 	return infos, sp, nil
 }
 
 // End implements core.ShardExecutor: best-effort release of the worker's
-// session, once, when its last view ends. The POST is fired
-// asynchronously — the answer is already decided when End runs, and a
-// hung worker must not stall the search's return (or a failover retry)
-// on teardown. Rounds fetched but never consumed are priced per round (not
-// per member — the worker executed each round once); the worker's
+// session, once, when its last view ends. A stream still open is hung up
+// on, which stops the worker stepping it; the /end POST is then fired
+// asynchronously — the answer is already decided when End runs, and a hung
+// worker must not stall the search's return (or a failover retry) on
+// teardown. Rounds read but never consumed are priced per round (not per
+// member — the worker executed each round once); the worker's
 // TTL/deadline sweeper catches anything the request fails to release.
 func (v *hostShardView) End() {
 	s := v.s
@@ -380,6 +411,7 @@ func (v *hostShardView) End() {
 		}
 		s.metrics.addSpecWasted(int(s.fetched - endRound))
 		s.buf = nil
+		s.closeStreamLocked()
 	}
 	s.mu.Unlock()
 	if !last {
@@ -393,8 +425,10 @@ func (v *hostShardView) End() {
 			// context.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			fb, _ := s.postCtx(ctx, epEnd, encodeRoundRequest(roundRequest{searchID: s.searchID, round: endRound}))
-			putFrame(fb)
+			if r, err := s.post(ctx, epEnd, encodeRoundRequest(roundRequest{searchID: s.searchID, round: endRound})); err == nil {
+				_, _ = io.Copy(io.Discard, r) // the empty reply: keeps the connection
+				s.close(r)
+			}
 		}
 		s.cancel()
 	}()
@@ -402,14 +436,12 @@ func (v *hostShardView) End() {
 
 // FastForward advances a freshly begun session through rounds 1..upto and
 // drops their rows: the failover path, bringing a replacement replica to
-// the round the coordinator has consumed. It loops the ordinary fill — the
-// batches the failed replica was asked for, so the replacement ends on the
-// same batch boundary — and the worker executes the identical FP
-// operations the failed replica did, so the session state after the call
-// is bit-identical to the original timeline's. Only single-view sessions
-// are ever fast-forwarded (failover attaches dedicated singletons); a
-// multi-view session cannot replay one member independently, so that is a
-// wiring bug, not a worker fault.
+// the round the coordinator has consumed. The worker executes the FP
+// operations the failed replica did, so the session ends up bit-identical
+// to the original timeline — and where that would finalize, the stream
+// ends too. Only single-view sessions are ever fast-forwarded (failover
+// attaches dedicated singletons); a multi-view session cannot replay one
+// member independently, so that is a wiring bug, not a worker fault.
 func (v *hostShardView) FastForward(upto uint32) error {
 	s := v.s
 	s.mu.Lock()
@@ -417,22 +449,19 @@ func (v *hostShardView) FastForward(upto uint32) error {
 	if len(s.views) > 1 {
 		return s.setErrLocked(fmt.Errorf("dshard: %s: fast-forward on a %d-view host session", s.base, len(s.views)))
 	}
-	for v.consumed < upto {
-		if v.consumed == s.fetched {
-			if err := s.fillLocked(); err != nil {
-				return err
-			}
+	for s.fetched < upto {
+		if _, err := s.nextLocked(); err != nil {
+			return err
 		}
-		v.consumed = min(upto, s.fetched)
-		s.pruneLocked()
 	}
+	v.consumed = upto
+	s.pruneLocked()
 	return nil
 }
 
 // TakeSpan implements the coordinator's span collection: the worker-side
-// span subtree decoded off the most recent response, cleared on read.
-// Only this view's own scatter goroutine reads it, between its own Round
-// calls.
+// span subtree decoded off the most recent record, cleared on read. Only
+// this view's own scatter goroutine reads it, between its own Round calls.
 func (v *hostShardView) TakeSpan() *obs.Span {
 	sp := v.span
 	v.span = nil

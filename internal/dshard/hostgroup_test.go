@@ -1,6 +1,6 @@
 // Host-grouping property suite: a coordinator over multi-shard worker
-// processes (one shared proximity iterator per host, one rounds RPC per
-// host per batch) must answer byte-identically to the in-process sharded
+// processes (one shared proximity iterator per host, one round stream
+// per host) must answer byte-identically to the in-process sharded
 // engine across every way of packing shards onto hosts — and a host that
 // dies mid-search must fail over every shard it carried, with the
 // fast-forward keeping the answer exact.
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"s3/internal/core"
-	"s3/internal/faultnet"
 	"s3/internal/score"
 	"s3/internal/snap"
 )
@@ -158,9 +157,8 @@ func scrapeCounter(t *testing.T, baseURL, name string) float64 {
 
 // TestHostSharedIteratorSteps pins the tentpole mechanism in /metrics:
 // with both shards co-hosted, the worker steps ONE shared proximity
-// iterator per round — exactly half the steps two single-shard hosts
-// spend answering the same queries (byte-identity guarantees the same
-// rounds, and every host is asked for the same batches of them).
+// iterator per round — half the steps two single-shard hosts spend
+// answering the same queries (byte-identity guarantees the same rounds).
 func TestHostSharedIteratorSteps(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -182,6 +180,10 @@ func TestHostSharedIteratorSteps(t *testing.T) {
 		if err := c.Probe(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		// One-round streams: no worker steps past the round it was asked
+		// for, so the counters hold the rounds the searches consumed, not
+		// a hang-up's timing.
+		c.streamCap = 1
 		seekers, kwSets := queries(in)
 		for _, seeker := range seekers {
 			for _, kws := range kwSets {
@@ -221,9 +223,8 @@ func TestHostSharedIteratorSteps(t *testing.T) {
 			sharedRounds, sharedSteps)
 	}
 	// The headline: the co-hosted topology steps its one shared iterator
-	// roughly once where the split topology steps twice. Batch overshoot
-	// differs between the two (a host batch stops as soon as ANY member
-	// trips), so assert "measurably fewer", not exact halving.
+	// roughly once where the split topology steps twice; assert
+	// "measurably fewer", not exact halving.
 	if 3*sharedSteps > 2*splitSteps {
 		t.Errorf("shared iterator not measurably cheaper: co-hosted %v steps vs split hosts %v",
 			sharedSteps, splitSteps)
@@ -310,15 +311,12 @@ func TestHostSharedProxCacheBudget(t *testing.T) {
 	}
 }
 
-// TestChaosKillMultiShardWorker kills the round endpoints of a worker
-// hosting BOTH shards after its f-th rounds RPC: every shard it carried
-// must fail over to the surviving host (re-begin + fast-forward) and the
-// answer must stay byte-identical. The first 16 rounds of a search ride
-// on its beginset, so the battery is the queries that run deeper — each
-// sends the host it landed on exactly one rounds RPC, for round 17 on —
-// repeated until the victim (picked for every other search) has been
-// asked for more than f of them: the kill always lands mid-search, with
-// 16 consumed rounds to fast-forward through.
+// TestChaosKillMultiShardWorker kills a worker hosting BOTH shards
+// mid-stream after f rounds of every session it serves: every shard it
+// carried must fail over to the surviving host (re-begin + fast-forward)
+// and the answer must stay byte-identical. The battery is the queries that
+// run past round f+1, repeated so the victim (picked for every other
+// search) is hit several times.
 func TestChaosKillMultiShardWorker(t *testing.T) {
 	in, ix := buildInstance(t, smallSpec())
 	manifestPath := writeSet(t, in, ix, 2)
@@ -331,11 +329,11 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 
 	for _, after := range []int{0, 1, 2, 4} {
 		// Two hosts, each hosting both shards (replicas of each other).
-		urls, stop := startHostWorkers(t, manifestPath, [][]int{{0, 1}, {0, 1}}, snap.LoadMmap)
-		ft := faultnet.NewTransport(newTransport(len(urls)), uint64(after)+100)
-		victim := hostOf(t, urls[0])
-		ft.Add(&faultnet.Rule{Host: victim, Path: pathRounds, After: after, Action: faultnet.Reset})
-		coord := chaosCoordinator(t, set, urls, ft, 2*time.Second)
+		urls, workers, _ := loggedHosts(t, manifestPath, [][]int{{0, 1}, {0, 1}})
+		cutStreamsAt(workers[0], uint32(after)+1)
+		track := leakCheck(t, workers)
+		coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), 2*time.Second)
+		track(coord.client)
 		for searches := 0; searches < 2*(after+2); {
 			for qi, q := range qs {
 				sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
@@ -354,6 +352,5 @@ func TestChaosKillMultiShardWorker(t *testing.T) {
 		if f := coord.failovers.Load(); f < 2 {
 			t.Errorf("after=%d: multi-shard host killed but only %d failovers recorded (want >= 2)", after, f)
 		}
-		stop()
 	}
 }

@@ -18,41 +18,43 @@
 // endpoints drive it, all POST with little-endian
 // application/octet-stream bodies:
 //
-//	/shard/v1/beginset  install a search, advance ≤ B rounds → one BeginInfo per member shard, then as rounds replies
-//	/shard/v1/rounds    advance ≤ B rounds → per executed round, one RoundInfo per member
+//	/shard/v1/beginset  install a search, stream ≤ B rounds → a begin record, then as a rounds stream
+//	/shard/v1/rounds    stream ≤ B rounds → one record per round, then a trailer
 //	/shard/v1/finalize  re-bound without stepping → one RoundInfo per member
 //	/shard/v1/end       release the search's state
 //
 // plus GET /healthz (readiness), GET /stats and POST /reload on workers.
 //
-// Frames:
+// Every request and reply body is a sequence of records, each
+// `len u32 · CRC-32C(payload) u32 · payload`. Requests and the finalize
+// reply are one record; the beginset and rounds replies are streams,
+// written as HTTP/1.1 chunks and flushed one round at a time. Payloads:
 //
 //	beginset request   searchID u64 · nShards u32 · shard u32… · spec · traceID u64 · deadlineµs u64 · rounds u32
-//	beginset reply     nShards u32 · BeginInfo… · nRounds u32 · RoundInfo… (round-major) · [span block [span block]]
 //	rounds request     searchID u64 · from u32 · max u32
-//	rounds reply       nRounds u32 · nShards u32 · RoundInfo… (round-major) · [span block]
-//	finalize request   searchID u64 · round u32 (end sends the same frame)
+//	finalize request   searchID u64 · round u32 (end sends the same payload; its reply is empty)
 //	finalize reply     nShards u32 · RoundInfo… · [span block]
+//	begin record       'B' · nShards u32 · BeginInfo… · [span block]
+//	round record       'R' · nShards u32 · RoundInfo… · [span block]
+//	trailer            'T' · rounds u32
 //
-// A batch — the one riding on beginset or a rounds call — advances until
-// its bound, ending early only at exhaustion or the precision floor (where
-// the coordinator finalizes, and finalize needs the worker at exactly the
-// consumed round). The coordinator replays every returned round's stop
-// decision locally — how rounds are grouped into RPCs never changes an
-// answer, and rounds executed past the stop cost worker CPU only. A
-// replacement replica catches up on rounds the coordinator already
-// consumed elsewhere by being asked for them again: identical FP ops over
-// the shared substrate make its state bit-identical to the failed
+// A stream runs to its bound, ending early only at exhaustion or the
+// precision floor (where the coordinator finalizes, and finalize needs the
+// worker at exactly the consumed round) or when its request is gone: the
+// coordinator hangs up at the round its search stops at, and the worker
+// stops stepping. The coordinator replays every round's stop decision
+// locally, so how rounds are grouped into streams never changes an
+// answer. A replacement replica catches up on rounds the coordinator
+// already consumed elsewhere by being asked for them again: identical FP
+// ops over the shared substrate make its state bit-identical to the failed
 // replica's. Every request names the round it expects the session to sit
 // at; a worker rejects out-of-lockstep ordinals, so a lost or repeated
-// frame can never double-step an exploration.
+// request can never double-step an exploration.
 //
-// CRC rule: every request and reply frame carries the CRC-32C of its body
-// in the X-S3-Frame-Crc header, and the receiver rejects a frame whose
-// header is missing or does not match before decoding it — a fault that
-// flips bits in transit (or an intermediary that strips the header) is a
-// detected transport error and a failover trigger, never a silently
-// perturbed float.
+// CRC rule: the receiver checks every record's CRC before decoding it, and
+// a stream must end with a trailer counting its rounds — a fault that
+// flips bits in transit or cuts a reply short is a detected transport
+// error and a failover trigger, never a silently perturbed float.
 //
 // Version rule: /healthz advertises one protocol number ("proto"), and a
 // coordinator only routes to workers reporting its own protoVersion; any
@@ -65,7 +67,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,10 +91,10 @@ const (
 	maxAttrLen   = 1024
 )
 
-// maxWorkerBatch caps how many rounds one beginset or rounds call may ask
-// for, carry back, and execute: the worker holds the session mutex for the
-// whole batch, and a bounded batch keeps reloads and sweeps responsive.
-// The decoders reject anything larger, so no frame asks for rounds the
+// maxWorkerBatch caps how many rounds one beginset or rounds stream may
+// ask for, carry, and execute: the worker holds the session mutex for the
+// whole stream, and a bounded stream keeps reloads and sweeps responsive.
+// The decoders reject anything larger, so no request asks for rounds the
 // worker would not run.
 const maxWorkerBatch = 64
 
@@ -108,34 +110,173 @@ const (
 // worker /healthz); the probe lists a worker on any other unhealthy. It also
 // bumps when only the floats in the frames change (7: ascending summation;
 // 8: beginset carries the first round batch, its trailing fields are fixed;
-// 9: four endpoints, a batch is at most maxWorkerBatch rounds).
-const protoVersion = 9
+// 9: four endpoints, a batch is at most maxWorkerBatch rounds; 10: bodies
+// are CRC'd records and replies stream one round at a time).
+const protoVersion = 10
 
 // maxHostShards caps the shard list of one host session; a conforming
 // coordinator never exceeds the set's shard count.
 const maxHostShards = 256
 
-// frameCRCHeader carries the CRC-32C (Castagnoli) of the frame body, as
-// lowercase hex. Mandatory in both directions.
-const frameCRCHeader = "X-S3-Frame-Crc"
+// --- records ---
+
+// recordHeader is a record's length and CRC-32C (Castagnoli) of its payload.
+const recordHeader = 8
+
+// Kinds of the records a beginset or rounds stream is made of.
+const (
+	recBegin   byte = 'B'
+	recRound   byte = 'R'
+	recTrailer byte = 'T'
+)
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func frameCRC(b []byte) string {
-	return strconv.FormatUint(uint64(crc32.Checksum(b, crcTable)), 16)
+// openRecord reserves a record's header; sealRecord fills it in once the
+// payload has been appended after it.
+func openRecord(b []byte) (*enc, int) {
+	return &enc{b: append(b, make([]byte, recordHeader)...)}, len(b)
 }
 
-// checkFrameCRC verifies a frame body against the peer's CRC header. A
-// missing header is rejected like a mismatch: every peer of this protocol
-// version sends one, so its absence means an intermediary stripped it and
-// corruption would otherwise pass unchecked.
-func checkFrameCRC(b []byte, header string) error {
-	if header == "" {
-		return fmt.Errorf("dshard: frame carries no %s header", frameCRCHeader)
+func sealRecord(e *enc, start int) []byte {
+	p := e.b[start+recordHeader:]
+	binary.LittleEndian.PutUint32(e.b[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(e.b[start+4:], crc32.Checksum(p, crcTable))
+	return e.b
+}
+
+// appendRecord frames payload as one record.
+func appendRecord(b, payload []byte) []byte {
+	e, start := openRecord(b)
+	e.b = append(e.b, payload...)
+	return sealRecord(e, start)
+}
+
+// recordReader reads one body's records into a pooled buffer; a payload is
+// valid until the next call (every decoder copies what it keeps).
+type recordReader struct {
+	r  io.Reader
+	fb *frameBuf
+}
+
+// next returns the next record's payload. A body that ends where a record
+// should start is cut short like one that ends inside a record: every body
+// of the protocol says where it ends.
+func (rr *recordReader) next() ([]byte, error) {
+	var h [recordHeader]byte
+	if _, err := io.ReadFull(rr.r, h[:]); err != nil {
+		return nil, cutShort(err)
 	}
-	if got := frameCRC(b); got != header {
-		return fmt.Errorf("dshard: frame CRC mismatch (got %s, header %s)", got, header)
+	n := binary.LittleEndian.Uint32(h[:4])
+	if n > maxFrameSize {
+		return nil, fmt.Errorf("dshard: record of %d bytes (cap %d)", n, maxFrameSize)
 	}
+	// Grow with what arrives, not with what the header claims: a corrupted
+	// length must not size an allocation.
+	p := rr.fb.b[:0]
+	for len(p) < int(n) {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(int(n)-len(p), max(cap(p), 4096)))
+		}
+		m, err := rr.r.Read(p[len(p):min(cap(p), int(n))])
+		if p = p[:len(p)+m]; err != nil && len(p) < int(n) {
+			return nil, cutShort(err)
+		}
+	}
+	rr.fb.b = p
+	if got, want := crc32.Checksum(p, crcTable), binary.LittleEndian.Uint32(h[4:]); got != want {
+		return nil, fmt.Errorf("dshard: record CRC mismatch (got %08x, header %08x)", got, want)
+	}
+	return p, nil
+}
+
+func cutShort(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// eof checks that the body ends here.
+func (rr *recordReader) eof() error {
+	var b [1]byte
+	if n, err := rr.r.Read(b[:]); n > 0 || err == nil {
+		return fmt.Errorf("dshard: bytes past the last record")
+	} else if err != io.EOF {
+		return err
+	}
+	return nil
+}
+
+// streamEnds reports whether a worker ends its stream at this round: the
+// finalize points, where the coordinator needs the worker at exactly the
+// consumed round. Members share the iterator, so any member's block says.
+func streamEnds(info core.RoundInfo) bool { return info.Done || info.Tail < 1e-15 }
+
+// roundStream decodes one beginset or rounds reply as the coordinator reads
+// it: [begin record] · one round record per round · trailer · end of body.
+// left is how many rounds it may still carry; it ends at its cap, at a
+// finalize point, or — after a begin nobody on the host matched — with no
+// rounds at all.
+type roundStream struct {
+	rr      recordReader
+	nShards int
+	left    uint32
+	read    uint32
+	done    bool // the trailer and the end of the body have been read
+}
+
+func (st *roundStream) begin(base time.Time) ([]core.BeginInfo, *obs.Span, error) {
+	p, err := st.rr.next()
+	if err != nil {
+		return nil, nil, err
+	}
+	infos, sp, err := decodeBeginRecord(p, st.nShards, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !slices.ContainsFunc(infos, func(i core.BeginInfo) bool { return i.Matched > 0 }) {
+		st.left = 0
+	}
+	if st.left == 0 {
+		err = st.end()
+	}
+	return infos, sp, err
+}
+
+func (st *roundStream) round(base time.Time) ([]core.RoundInfo, *obs.Span, error) {
+	p, err := st.rr.next()
+	if err != nil {
+		return nil, nil, err
+	}
+	row, sp, err := decodeRoundRecord(p, st.nShards, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.left--
+	st.read++
+	if st.left == 0 || streamEnds(row[0]) {
+		err = st.end()
+	}
+	return row, sp, err
+}
+
+// end reads the trailer, which must count the rounds read, and the end of
+// the body.
+func (st *roundStream) end() error {
+	p, err := st.rr.next()
+	if err != nil {
+		return err
+	}
+	d := &dec{b: p}
+	d.head(recTrailer, int(st.read))
+	if err := d.done(); err != nil {
+		return err
+	}
+	if err := st.rr.eof(); err != nil {
+		return err
+	}
+	st.done = true
 	return nil
 }
 
@@ -232,6 +373,9 @@ func (d *dec) done() error {
 const spanNoParent = ^uint32(0)
 
 func encodeSpanBlock(e *enc, root *obs.Span) {
+	if root == nil {
+		return // untraced: no block
+	}
 	type item struct {
 		sp     *obs.Span
 		parent uint32
@@ -313,17 +457,6 @@ func decodeSpanBlock(d *dec, base time.Time) *obs.Span {
 		return nil
 	}
 	return spans[0]
-}
-
-// appendSpanBlock appends a span block to a response frame (no-op on a
-// nil span: untraced responses carry none).
-func appendSpanBlock(b []byte, root *obs.Span) []byte {
-	if root == nil {
-		return b
-	}
-	e := &enc{b: b}
-	encodeSpanBlock(e, root)
-	return e.b
 }
 
 // decodeTrailingSpan reads the optional trailing span block of a
@@ -418,8 +551,8 @@ func decodeBeginInfoBody(d *dec) core.BeginInfo {
 // order. traceID, when non-zero, asks the worker to record (and return)
 // its spans under that trace; deadlineMicros, when non-zero, is the budget
 // from arrival after which the worker may abandon the session without
-// waiting for an End; rounds is the size of the round batch the worker
-// runs right after the begin and returns on the same reply (0: none).
+// waiting for an End; rounds caps the round stream the worker runs right
+// after the begin, on the same reply (0: none).
 type beginSetRequest struct {
 	searchID       uint64
 	shards         []int
@@ -465,50 +598,52 @@ func decodeBeginSetRequest(b []byte) (beginSetRequest, error) {
 	r.deadlineMicros = d.u64()
 	r.rounds = d.u32()
 	if d.err == nil && r.rounds > maxWorkerBatch {
-		d.fail("batch of %d rounds in beginset (cap %d)", r.rounds, maxWorkerBatch)
+		d.fail("stream of %d rounds in beginset (cap %d)", r.rounds, maxWorkerBatch)
 	}
 	return r, d.done()
 }
 
-// appendBeginSetReply carries one BeginInfo per member shard, in the
-// request's shard-list order, then the rounds the worker ran on the spot
-// (flat, round-major like a rounds reply; possibly none), plus — traced
-// sessions only — the begin's span block and then, when rounds ran, the
-// batch's.
-func appendBeginSetReply(b []byte, infos []core.BeginInfo, flat []core.RoundInfo) []byte {
-	e := enc{b: b}
+// appendBeginRecord frames a beginset stream's first record: one BeginInfo
+// per member shard, in the request's shard-list order, plus — traced
+// sessions only — the begin's span block.
+func appendBeginRecord(b []byte, infos []core.BeginInfo, sp *obs.Span) []byte {
+	e, start := openRecord(b)
+	e.u8(recBegin)
 	e.u32(uint32(len(infos)))
 	for i := range infos {
-		encodeBeginInfoBody(&e, infos[i])
+		encodeBeginInfoBody(e, infos[i])
 	}
-	e.u32(uint32(len(flat) / len(infos)))
-	for i := range flat {
-		encodeRoundInfoBody(&e, flat[i])
-	}
-	return e.b
+	encodeSpanBlock(e, sp)
+	return sealRecord(e, start)
 }
 
-func decodeBeginSetReply(b []byte, nShards int, base time.Time) (infos []core.BeginInfo, rows [][]core.RoundInfo, begin, batch *obs.Span, err error) {
-	d := &dec{b: b}
-	n := int(d.u32())
-	if d.err == nil && n != nShards {
-		d.fail("beginset reply covers %d shards, session has %d", n, nShards)
+// head reads the start of a stream record: its kind and the count that
+// follows (the members of a begin or round record, the rounds of a
+// trailer), both as the reader expects them.
+func (d *dec) head(kind byte, want int) int {
+	if k := d.u8(); d.err == nil && k != kind {
+		d.fail("record kind %q where %q belongs", k, kind)
 	}
-	infos = make([]core.BeginInfo, 0, min(n, maxHostShards))
+	n := int(d.u32())
+	if d.err == nil && n != want {
+		d.fail("record %q counts %d, want %d", kind, n, want)
+	}
+	return n
+}
+
+// decodeBeginRecord reads a begin record's payload.
+func decodeBeginRecord(p []byte, nShards int, base time.Time) ([]core.BeginInfo, *obs.Span, error) {
+	d := &dec{b: p}
+	n := d.head(recBegin, nShards)
+	infos := make([]core.BeginInfo, 0, min(n, maxHostShards))
 	for i := 0; i < n && d.err == nil; i++ {
 		infos = append(infos, decodeBeginInfoBody(d))
 	}
-	nr := int(d.u32())
-	if d.err == nil && nr > maxWorkerBatch {
-		d.fail("%d rounds in beginset reply", nr)
-	}
-	rows = decodeRoundRows(d, nr, nShards)
-	begin = decodeTrailingSpan(d, base)
-	batch = decodeTrailingSpan(d, base)
+	sp := decodeTrailingSpan(d, base)
 	if err := d.done(); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	return infos, rows, begin, batch, nil
+	return infos, sp, nil
 }
 
 // --- rounds ---
@@ -574,10 +709,10 @@ func decodeRoundInfoBody(d *dec) core.RoundInfo {
 	return info
 }
 
-// roundsRequest asks a worker to advance up to max lockstep rounds,
+// roundsRequest asks a worker to stream up to max lockstep rounds,
 // starting from round `from` (which must be the next round in lockstep).
-// The worker executes fewer only when the exploration is exhausted or hits
-// the precision floor inside the batch — but always at least one.
+// The worker streams fewer only when the exploration is exhausted or hits
+// the precision floor, or when the coordinator hangs up.
 type roundsRequest struct {
 	searchID uint64
 	from     uint32
@@ -596,56 +731,48 @@ func decodeRoundsRequest(b []byte) (roundsRequest, error) {
 	d := &dec{b: b}
 	r := roundsRequest{searchID: d.u64(), from: d.u32(), max: d.u32()}
 	if d.err == nil && (r.max == 0 || r.max > maxWorkerBatch) {
-		d.fail("batch of %d rounds (cap %d)", r.max, maxWorkerBatch)
+		d.fail("stream of %d rounds (cap %d)", r.max, maxWorkerBatch)
 	}
 	return r, d.done()
 }
 
-// appendHostRoundsReply frames flat — per executed round, one RoundInfo
-// per member shard (round-major, shard-list order within a round): the
-// coordinator replays its per-round, per-shard stop decisions on each
-// block, so byte-identity does not depend on how shards were grouped onto
-// hosts or rounds into RPCs.
-func appendHostRoundsReply(b []byte, flat []core.RoundInfo, nShards int) []byte {
-	e := enc{b: b}
-	e.u32(uint32(len(flat) / nShards))
-	e.u32(uint32(nShards))
-	for i := range flat {
-		encodeRoundInfoBody(&e, flat[i])
+// appendRoundRecord frames one streamed round: a RoundInfo per member
+// shard, in shard-list order, plus — traced sessions only — the round's
+// span block. The coordinator replays its per-round, per-shard stop
+// decisions on each record, so byte-identity does not depend on how shards
+// were grouped onto hosts or rounds into streams.
+func appendRoundRecord(b []byte, infos []core.RoundInfo, sp *obs.Span) []byte {
+	e, start := openRecord(b)
+	e.u8(recRound)
+	e.u32(uint32(len(infos)))
+	for i := range infos {
+		encodeRoundInfoBody(e, infos[i])
 	}
-	return e.b
+	encodeSpanBlock(e, sp)
+	return sealRecord(e, start)
 }
 
-// decodeRoundRows reads n round-major rows of nShards RoundInfos each; the
-// caller has bounded n.
-func decodeRoundRows(d *dec, n, nShards int) [][]core.RoundInfo {
-	rows := make([][]core.RoundInfo, 0, min(n, 64))
-	for i := 0; i < n && d.err == nil; i++ {
-		row := make([]core.RoundInfo, 0, nShards)
-		for j := 0; j < nShards && d.err == nil; j++ {
-			row = append(row, decodeRoundInfoBody(d))
-		}
-		rows = append(rows, row)
+// decodeRoundRecord reads a round record's payload.
+func decodeRoundRecord(p []byte, nShards int, base time.Time) ([]core.RoundInfo, *obs.Span, error) {
+	d := &dec{b: p}
+	ns := d.head(recRound, nShards)
+	row := make([]core.RoundInfo, 0, min(ns, maxHostShards))
+	for j := 0; j < ns && d.err == nil; j++ {
+		row = append(row, decodeRoundInfoBody(d))
 	}
-	return rows
-}
-
-func decodeHostRoundsReply(b []byte, nShards int, base time.Time) ([][]core.RoundInfo, *obs.Span, error) {
-	d := &dec{b: b}
-	n := int(d.u32())
-	if d.err == nil && (n == 0 || n > maxWorkerBatch) {
-		d.fail("%d rounds in host batched reply", n)
-	}
-	ns := int(d.u32())
-	if d.err == nil && ns != nShards {
-		d.fail("host rounds reply covers %d shards, session has %d", ns, nShards)
-	}
-	rows := decodeRoundRows(d, n, nShards)
 	sp := decodeTrailingSpan(d, base)
 	if err := d.done(); err != nil {
 		return nil, nil, err
 	}
-	return rows, sp, nil
+	return row, sp, nil
+}
+
+// appendTrailer frames the record that ends a stream of n rounds.
+func appendTrailer(b []byte, n int) []byte {
+	e, start := openRecord(b)
+	e.u8(recTrailer)
+	e.u32(uint32(n))
+	return sealRecord(e, start)
 }
 
 // --- finalize / end ---
@@ -708,10 +835,10 @@ func floatFromBits(v uint64) float64 { return math.Float64frombits(v) }
 
 // --- frame buffer pool ---
 
-// frameBuf is a pooled byte buffer for encoding request/reply frames and
-// for reading HTTP bodies: the round hot path builds and consumes every
-// frame within one call, so the backing arrays recycle instead of
-// pressuring the GC once per round.
+// frameBuf is a pooled byte buffer for encoding records and for reading
+// HTTP bodies: the round hot path builds and consumes every record within
+// one call, so the backing arrays recycle instead of pressuring the GC
+// once per round.
 type frameBuf struct{ b []byte }
 
 // maxPooledFrame bounds what a returned buffer may retain: a frame that
@@ -729,28 +856,4 @@ func putFrame(f *frameBuf) {
 	}
 	f.b = f.b[:0]
 	framePool.Put(f)
-}
-
-// readAllFrame reads r to EOF into fb's backing array (growing it as
-// needed), returning the body. It is io.ReadAll with a caller-owned
-// buffer, so steady-state frame reads allocate nothing.
-func readAllFrame(r io.Reader, fb *frameBuf) ([]byte, error) {
-	b := fb.b[:0]
-	if cap(b) == 0 {
-		b = make([]byte, 0, 4096)
-	}
-	for {
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		fb.b = b
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
 }

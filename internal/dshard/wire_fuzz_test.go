@@ -1,6 +1,7 @@
 package dshard
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"s3/internal/score"
 )
 
-// sampleRoundInfos builds a representative batched reply: three rounds of
-// a two-member session (round-major), kept lists of varying length, an
-// uncertain candidate, non-trivial float bounds.
+// sampleRoundInfos builds a representative stream's rounds: three rounds
+// of a two-member session (round-major, the last one Done), kept lists of
+// varying length, an uncertain candidate, non-trivial float bounds.
 func sampleRoundInfos() []core.RoundInfo {
 	return []core.RoundInfo{
 		{
@@ -47,12 +48,11 @@ func sampleRoundInfos() []core.RoundInfo {
 }
 
 func sampleSpan() *obs.Span {
-	root := obs.NewSpan("exec.rounds")
+	root := obs.NewSpan("exec.round")
 	child := obs.NewSpan("exec.round")
 	child.SetInt("shard", 1)
 	child.End()
 	root.Attach(child)
-	root.SetInt("rounds", 3)
 	root.End()
 	return root
 }
@@ -72,7 +72,8 @@ type wireDecoder struct {
 func wireDecoders() []wireDecoder {
 	const ns = 2
 	base := time.Unix(0, 0)
-	span := appendSpanBlock(nil, sampleSpan())
+	var span enc
+	encodeSpanBlock(&span, sampleSpan())
 	spec := core.SearchSpec{
 		Seeker:  graph.NID(17),
 		Groups:  [][]dict.ID{{1, 2, 3}, {9}, {4, 5}},
@@ -91,7 +92,7 @@ func wireDecoders() []wireDecoder {
 				r, err := decodeBeginSetRequest(b)
 				if err == nil {
 					if r.rounds > maxWorkerBatch {
-						t.Fatalf("decoded a first batch of %d rounds without error", r.rounds)
+						t.Fatalf("decoded a first stream of %d rounds without error", r.rounds)
 					}
 					if len(r.shards) == 0 || len(r.shards) > maxHostShards {
 						t.Fatalf("decoded %d shards without error", len(r.shards))
@@ -110,21 +111,27 @@ func wireDecoders() []wireDecoder {
 		},
 		{
 			name:         "beginset-reply",
-			frame:        append(append(appendBeginSetReply(nil, begins, flat), span...), span...),
-			optionalTail: 2 * len(span),
+			frame:        appendBeginRecord(nil, begins, sampleSpan())[recordHeader:],
+			optionalTail: len(span.b),
 			check: func(t *testing.T, b []byte) error {
-				infos, rows, _, _, err := decodeBeginSetReply(b, ns, base)
-				if err == nil {
-					if len(infos) != ns {
-						t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
-					}
-					if len(rows) > maxWorkerBatch {
-						t.Fatalf("decoded %d rounds without error", len(rows))
-					}
-					for _, row := range rows {
-						if len(row) != ns {
-							t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
-						}
+				infos, _, err := decodeBeginRecord(b, ns, base)
+				if err == nil && len(infos) != ns {
+					t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
+				}
+				return err
+			},
+		},
+		{
+			name:  "record-stream",
+			frame: encodeStream(ns, begins, flat),
+			check: func(t *testing.T, b []byte) error {
+				_, rows, err := decodeStream(b, ns, streamFuzzCap, true)
+				if len(rows) > streamFuzzCap {
+					t.Fatalf("decoded %d rounds past a %d-round cap", len(rows), streamFuzzCap)
+				}
+				for _, row := range rows {
+					if len(row) != ns {
+						t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
 					}
 				}
 				return err
@@ -143,22 +150,17 @@ func wireDecoders() []wireDecoder {
 		},
 		{
 			name:         "rounds-reply",
-			frame:        append(appendHostRoundsReply(nil, flat, ns), span...),
-			optionalTail: len(span),
+			frame:        appendRoundRecord(nil, flat[:ns], sampleSpan())[recordHeader:],
+			optionalTail: len(span.b),
 			check: func(t *testing.T, b []byte) error {
-				rows, _, err := decodeHostRoundsReply(b, ns, base)
+				row, _, err := decodeRoundRecord(b, ns, base)
 				if err == nil {
-					if len(rows) == 0 || len(rows) > maxWorkerBatch {
-						t.Fatalf("decoded %d rounds without error", len(rows))
+					if len(row) != ns {
+						t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
 					}
-					for _, row := range rows {
-						if len(row) != ns {
-							t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
-						}
-						for _, info := range row {
-							if len(info.Kept) > maxKept {
-								t.Fatalf("decoded %d kept candidates past the cap", len(info.Kept))
-							}
+					for _, info := range row {
+						if len(info.Kept) > maxKept {
+							t.Fatalf("decoded %d kept candidates past the cap", len(info.Kept))
 						}
 					}
 				}
@@ -175,8 +177,8 @@ func wireDecoders() []wireDecoder {
 		},
 		{
 			name:         "finalize-reply",
-			frame:        append(appendHostInfosReply(nil, flat[:ns]), span...),
-			optionalTail: len(span),
+			frame:        append(appendHostInfosReply(nil, flat[:ns]), span.b...),
+			optionalTail: len(span.b),
 			check: func(t *testing.T, b []byte) error {
 				infos, _, err := decodeHostInfosReply(b, ns, base)
 				if err == nil && len(infos) != ns {
@@ -187,7 +189,7 @@ func wireDecoders() []wireDecoder {
 		},
 		{
 			name:  "span-block",
-			frame: span,
+			frame: span.b,
 			check: func(t *testing.T, b []byte) error {
 				d := &dec{b: b}
 				root := decodeSpanBlock(d, base)
@@ -265,6 +267,97 @@ func fuzzWire(f *testing.F, name string) {
 		return
 	}
 	f.Fatalf("no wire decoder named %q", name)
+}
+
+// streamFuzzCap is the round cap the record-stream decoder is fuzzed
+// under: the sample stream ends (Done) inside it, so one more round record
+// is over the cap.
+const streamFuzzCap = 4
+
+// encodeStream frames what a worker streams: the begin record when infos
+// is non-nil, one round record per ns blocks of flat, then the trailer.
+func encodeStream(ns int, infos []core.BeginInfo, flat []core.RoundInfo) []byte {
+	var b []byte
+	if infos != nil {
+		b = appendBeginRecord(b, infos, nil)
+	}
+	for i := 0; i < len(flat); i += ns {
+		b = appendRoundRecord(b, flat[i:i+ns], nil)
+	}
+	return appendTrailer(b, len(flat)/ns)
+}
+
+// decodeStream reads a whole stream the way a session does, returning the
+// rounds decoded before any error.
+func decodeStream(b []byte, ns int, limit uint32, begin bool) (infos []core.BeginInfo, rows [][]core.RoundInfo, err error) {
+	st := roundStream{rr: recordReader{r: bytes.NewReader(b), fb: new(frameBuf)}, nShards: ns, left: limit}
+	base := time.Unix(0, 0)
+	if begin {
+		if infos, _, err = st.begin(base); err != nil {
+			return nil, nil, err
+		}
+	}
+	for !st.done {
+		row, _, err := st.round(base)
+		if err != nil {
+			return infos, rows, err
+		}
+		rows = append(rows, row)
+	}
+	return infos, rows, nil
+}
+
+// checkFlippedStream flips one bit of a pristine stream: the decode must
+// fail, and every round it returned first must be the pristine one.
+func checkFlippedStream(t *testing.T, pristine []byte, ns int, limit uint32, bit uint32) {
+	t.Helper()
+	_, want, err := decodeStream(pristine, ns, limit, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := bytes.Clone(pristine)
+	k := bit % uint32(8*len(mut))
+	mut[k/8] ^= 1 << (k % 8)
+	_, rows, err := decodeStream(mut, ns, limit, true)
+	if err == nil {
+		t.Fatalf("bit %d flipped: the stream decoded without error", k)
+	}
+	for i, row := range rows {
+		if !bytes.Equal(appendHostInfosReply(nil, row), appendHostInfosReply(nil, want[i])) {
+			t.Fatalf("bit %d flipped: round %d decoded perturbed", k, i+1)
+		}
+	}
+}
+
+// FuzzDecodeRecordStream drives the record-stream decoder — a session's
+// view of a beginset reply — with arbitrary bytes (it must not panic or
+// exceed its cap) and with the pristine stream under one flipped bit (an
+// error, never a decoded round). The seeds are the shapes a stream breaks
+// in: truncated, an oversized length, a flipped CRC, no trailer, over cap.
+func FuzzDecodeRecordStream(f *testing.F) {
+	const ns = 2
+	begins := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}, {1, 1}}}, {GroupMasses: [][]int32{{0, 0, 0}, {0}, {0, 0}}}}
+	pristine := encodeStream(ns, begins, sampleRoundInfos())
+	oversized := bytes.Clone(pristine)
+	oversized[3] = 0xff
+	crcFlipped := bytes.Clone(pristine)
+	crcFlipped[5] ^= 0x20
+	noTrailer := pristine[:len(pristine)-recordHeader-5]
+	undone := sampleRoundInfos()[:4]
+	overCap := encodeStream(ns, begins, append(append(undone, undone...), undone[:2]...))
+	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], oversized, crcFlipped, noTrailer, overCap} {
+		f.Add(b, uint32(i*977))
+	}
+	var check func(t *testing.T, b []byte) error
+	for _, wd := range wireDecoders() {
+		if wd.name == "record-stream" {
+			check = wd.check
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte, bit uint32) {
+		_ = check(t, b)
+		checkFlippedStream(t, pristine, ns, streamFuzzCap, bit)
+	})
 }
 
 func FuzzDecodeBeginSetRequest(f *testing.F) { fuzzWire(f, "beginset-request") }

@@ -9,9 +9,10 @@ package dshard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,7 +117,7 @@ func (g *workerGen) release() {
 
 // session is one in-flight search: a host executor serving the shard list
 // `shards` off one shared iterator, pinned to the generation it began on.
-// Rounds/finalize replies carry one RoundInfo block per member. trace is
+// Round records and finalize replies carry one RoundInfo per member. trace is
 // non-nil when the coordinator propagated a trace id in beginset — every
 // protocol call's span subtree is both returned on the wire and
 // accumulated here for the worker's own /debug/traces ring.
@@ -134,11 +135,6 @@ type session struct {
 	// budget in beginset, so anything past it is orphaned (a session whose
 	// End was lost, a crashed coordinator's whole session).
 	deadline time.Time
-
-	// rowArena is reply-encode scratch reused across the session's round
-	// batches: it holds a batch's round-major blocks (HostExecutor.Round
-	// reuses its own scratch, so rows must be copied out per round).
-	rowArena []core.RoundInfo
 }
 
 // Worker serves one shard of a set over the round protocol. Create with
@@ -172,6 +168,10 @@ type Worker struct {
 	reg        *obs.Registry
 	rpcSeconds [epCount]*obs.Histogram
 	traces     *obs.TraceRing
+
+	// roundHook, when set (tests only), runs before a stream steps its next
+	// round; false cuts the stream there, as a worker dying mid-stream would.
+	roundHook atomic.Pointer[func(ctx context.Context, round uint32) bool]
 }
 
 // NewWorker returns a worker in the loading state; call Load to serve.
@@ -388,39 +388,32 @@ func writeErr(rw http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(rw, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func writeFrame(rw http.ResponseWriter, frame []byte) {
+// writeBody answers 200 with a body of records.
+func writeBody(rw http.ResponseWriter, records []byte) {
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set(frameCRCHeader, frameCRC(frame))
 	rw.WriteHeader(http.StatusOK)
-	_, _ = rw.Write(frame)
+	_, _ = rw.Write(records)
 }
 
-// readFrame reads the request body into a pooled buffer; the caller owns
-// the returned frameBuf (its request decode copies everything it keeps)
-// and must putFrame it when done.
+// readFrame reads a request body — one record — into a pooled buffer; the
+// caller owns the returned frameBuf (its request decode copies everything
+// it keeps) and must putFrame it when done. A record that fails its CRC or
+// arrives cut short is transit corruption, not a malformed request: 422
+// (not 400, which the client treats as a deterministic rejection every
+// replica would repeat) so the coordinator retries or fails over.
 func readFrame(rw http.ResponseWriter, req *http.Request) (*frameBuf, bool) {
-	fb := getFrame()
-	body, err := readAllFrame(io.LimitReader(req.Body, maxFrameSize+1), fb)
+	rr := recordReader{r: req.Body, fb: getFrame()}
+	p, err := rr.next()
+	if err == nil {
+		err = rr.eof()
+	}
 	if err != nil {
-		putFrame(fb)
-		writeErr(rw, http.StatusBadRequest, "reading frame: %v", err)
+		putFrame(rr.fb)
+		writeErr(rw, http.StatusUnprocessableEntity, "reading request: %v", err)
 		return nil, false
 	}
-	if len(body) > maxFrameSize {
-		putFrame(fb)
-		writeErr(rw, http.StatusBadRequest, "frame exceeds %d bytes", maxFrameSize)
-		return nil, false
-	}
-	// A missing or mismatched CRC is transit corruption, not a malformed
-	// request: 422 (not 400, which the client treats as a deterministic
-	// rejection every replica would repeat) so the coordinator retries or
-	// fails over.
-	if err := checkFrameCRC(body, req.Header.Get(frameCRCHeader)); err != nil {
-		putFrame(fb)
-		writeErr(rw, http.StatusUnprocessableEntity, "%v", err)
-		return nil, false
-	}
-	return fb, true
+	rr.fb.b = p
+	return rr.fb, true
 }
 
 // closeSession releases a session's executor and generation, retaining
@@ -579,33 +572,29 @@ func (w *Worker) handleBeginSet(rw http.ResponseWriter, req *http.Request) {
 	}
 	w.searches.Add(1)
 	beginSpan := w.takeHostSpan(s, "exec.beginset")
-	// The first round batch rides on the session open — unless nobody here
+	// The first round stream rides on the session open — unless nobody here
 	// matched: such a host is stepped only if another host of the set has
 	// matches, and until then it opens no iterator.
-	matched := 0
-	for _, info := range infos {
-		matched += info.Matched
+	limit := int(r.rounds)
+	if !slices.ContainsFunc(infos, func(i core.BeginInfo) bool { return i.Matched > 0 }) {
+		limit = 0
+	}
+	if err := req.Context().Err(); err != nil {
+		// The coordinator is gone before a byte was written, so it never
+		// learns this session opened: release it.
+		w.dropSession(r.searchID)
+		writeErr(rw, http.StatusServiceUnavailable, "%v", err)
+		return
 	}
 	out := getFrame()
 	defer putFrame(out)
+	out.b = appendBeginRecord(out.b[:0], infos, beginSpan)
 	s.mu.Lock()
-	var flat []core.RoundInfo
-	var batchSpan *obs.Span
-	if r.rounds > 0 && matched > 0 {
-		flat, batchSpan, err = w.stepRounds(req.Context(), s, int(r.rounds))
-	}
-	if err == nil {
-		out.b = appendBeginSetReply(out.b[:0], infos, flat)
-	}
+	ended := w.streamRounds(req.Context(), rw, s, out, limit)
 	s.mu.Unlock()
-	if err != nil {
-		// The coordinator never learns this session opened: release it.
+	if !ended {
 		w.dropSession(r.searchID)
-		writeErr(rw, http.StatusInternalServerError, "%v", err)
-		return
 	}
-	out.b = appendSpanBlock(appendSpanBlock(out.b, beginSpan), batchSpan)
-	writeFrame(rw, out.b)
 }
 
 // lookup fetches a session and bumps its liveness.
@@ -629,58 +618,61 @@ func (w *Worker) dropSession(id uint64) {
 	}
 }
 
-// stepRounds advances the session up to limit lockstep rounds (s.mu held):
-// the one round loop behind a beginset's first batch and a rounds call.
-// Each round advances every member off ONE iterator step and contributes
-// one RoundInfo block per member to the returned round-major arena, so the
-// coordinator's stop logic replays each round exactly as if it had been
-// fetched alone. The batch runs to its bound — rounds past the search's
-// stop cost CPU only — except where the coordinator will finalize:
-// exhaustion and the precision floor end it, because finalize needs the
-// session at exactly the consumed round. A request whose context is done
-// (client disconnect, RPC timeout, a search that failed over) stops
-// stepping at the next round boundary: nobody will read the reply, and the
-// coordinator never resumes such a session.
-func (w *Worker) stepRounds(ctx context.Context, s *session, limit int) ([]core.RoundInfo, *obs.Span, error) {
-	// HostExecutor.Round reuses its own infos scratch, so each round's
-	// blocks are copied into the session's arena before the next round
-	// overwrites them.
-	arena := s.rowArena[:0]
-	var batchSpan *obs.Span
-	for n := limit; n > 0; n-- {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+// streamRounds steps the session up to limit lockstep rounds (s.mu held)
+// and streams them: the one round loop behind a beginset's first stream
+// and a rounds call, encoding into out, which holds what the stream has
+// yet to write (a beginset's begin record). Each round advances every
+// member off ONE iterator step and goes out — flushed — as one record, so
+// the coordinator decides its stop on a round while the next one runs. The stream runs to its bound except where the
+// coordinator will finalize: exhaustion and the precision floor end it,
+// because finalize needs the session at exactly the consumed round, and
+// the last record leaves with the trailer. A request whose context is done
+// — the coordinator hung up at its stop round, timed out, or failed over —
+// stops stepping at the next round boundary and gets no trailer: nobody is
+// reading, and no coordinator resumes a session whose stream was cut, so
+// the caller releases it (ended false) without waiting for an End.
+func (w *Worker) streamRounds(ctx context.Context, rw http.ResponseWriter, s *session, out *frameBuf, limit int) (ended bool) {
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rc := http.NewResponseController(rw)
+	n := 0
+	for n < limit {
+		if len(out.b) > 0 {
+			if _, err := rw.Write(out.b); err != nil {
+				return false
+			}
+			if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+				return false
+			}
+			out.b = out.b[:0]
+		}
+		if h := w.roundHook.Load(); h != nil && !(*h)(ctx, s.round+1) {
+			return false
+		}
+		if ctx.Err() != nil {
+			return false
 		}
 		infos, err := s.host.Round()
 		if err != nil {
-			return nil, nil, err
+			return false
 		}
 		s.round++
-		if wrap := hostCallSpan(s.host, "exec.round"); wrap != nil {
-			if batchSpan == nil {
-				batchSpan = obs.NewSpan("exec.rounds")
-			}
-			batchSpan.Attach(wrap)
+		n++
+		sp := hostCallSpan(s.host, "exec.round")
+		if sp != nil && s.trace != nil {
+			s.trace.Span().Attach(sp)
 		}
-		arena = append(arena, infos...)
-		// Members share the iterator: its state is the same in every block.
-		if infos[0].Done || infos[0].Tail < 1e-15 {
+		out.b = appendRoundRecord(out.b, infos, sp)
+		if streamEnds(infos[0]) {
 			break
 		}
 	}
-	s.rowArena = arena
-	if batchSpan != nil {
-		batchSpan.SetInt("rounds", int64(len(arena)/len(s.shards)))
-		batchSpan.End()
-		if s.trace != nil {
-			s.trace.Span().Attach(batchSpan)
-		}
-	}
-	return arena, batchSpan, nil
+	out.b = appendTrailer(out.b, n)
+	_, err := rw.Write(out.b)
+	return err == nil
 }
 
-// handleRounds advances the session by one batch of lockstep rounds (see
-// stepRounds) from the round the request names.
+// handleRounds streams the session's next lockstep rounds (see
+// streamRounds) from the round the request names.
 func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 	defer w.rpcSeconds[epRounds].ObserveSince(time.Now())
 	fb, ok := readFrame(rw, req)
@@ -699,23 +691,21 @@ func (w *Worker) handleRounds(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if r.from != s.round+1 {
-		// Out-of-lockstep: a lost or replayed frame must never silently
+		s.mu.Unlock()
+		// Out-of-lockstep: a lost or replayed request must never silently
 		// double-step the exploration.
 		writeErr(rw, http.StatusConflict, "search %d at round %d, request says %d", r.searchID, s.round, r.from)
 		return
 	}
-	flat, batchSpan, err := w.stepRounds(req.Context(), s, int(r.max))
-	if err != nil {
-		writeErr(rw, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	out := getFrame()
-	frame := appendSpanBlock(appendHostRoundsReply(out.b[:0], flat, len(s.shards)), batchSpan)
-	writeFrame(rw, frame)
-	out.b = frame
-	putFrame(out)
+	defer putFrame(out)
+	out.b = out.b[:0]
+	ended := w.streamRounds(req.Context(), rw, s, out, int(r.max))
+	s.mu.Unlock()
+	if !ended {
+		w.dropSession(r.searchID)
+	}
 }
 
 func (w *Worker) handleFinalize(rw http.ResponseWriter, req *http.Request) {
@@ -743,10 +733,12 @@ func (w *Worker) handleFinalize(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	out := getFrame()
-	frame := appendSpanBlock(appendHostInfosReply(out.b[:0], infos), w.takeHostSpan(s, "exec.finalize"))
-	writeFrame(rw, frame)
-	out.b = frame
-	putFrame(out)
+	defer putFrame(out)
+	e, start := openRecord(out.b[:0])
+	e.b = appendHostInfosReply(e.b, infos)
+	encodeSpanBlock(e, w.takeHostSpan(s, "exec.finalize"))
+	out.b = sealRecord(e, start)
+	writeBody(rw, out.b)
 }
 
 func (w *Worker) handleEnd(rw http.ResponseWriter, req *http.Request) {
@@ -762,7 +754,7 @@ func (w *Worker) handleEnd(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.dropSession(r.searchID)
-	writeJSON(rw, http.StatusOK, map[string]string{"status": "ended"})
+	writeBody(rw, nil)
 }
 
 // healthzBody is the /healthz JSON: everything a coordinator's membership

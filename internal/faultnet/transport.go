@@ -5,10 +5,10 @@
 // so a test can say "kill the round RPCs of worker 2 starting at its
 // 7th request" and assert the recovered answer byte-identical.
 //
-// The injected corruption faults (Truncate, Flip) deliberately leave the
-// HTTP headers — including the round protocol's CRC header — intact:
-// they model a payload corrupted in transit, which the receiver must
-// detect, not a forged checksum.
+// The injected corruption faults (Truncate, Flip) touch only the body
+// bytes: they model a payload corrupted in transit, which the receiver
+// must detect (the round protocol's records carry their own CRCs), not a
+// forged checksum.
 package faultnet
 
 import (
@@ -42,8 +42,7 @@ const (
 	// short — a connection dropped mid-reply.
 	Truncate
 	// Flip passes the request through and flips one random bit of the
-	// response body — corruption in transit. Headers (and so the frame
-	// CRC) are untouched: the receiver must catch the mismatch.
+	// response body — corruption in transit the receiver must catch.
 	Flip
 )
 

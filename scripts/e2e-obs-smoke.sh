@@ -91,12 +91,12 @@ done
 # /metrics serves on all three processes with the mode-specific families.
 curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_rpc_seconds_count{endpoint="rounds"}' ||
 	{ echo "e2e-obs-smoke: coordinator /metrics missing rounds RPC histogram" >&2; exit 1; }
-# Round batches actually carried the search — on the beginset replies that
-# opened the sessions, and on the rounds endpoint past the first 16 rounds:
-# the batch-size histogram must have observed at least one batch.
+# Round streams actually carried the search — on the beginset replies that
+# opened the sessions (and the rounds endpoint past 64 rounds): the
+# rounds-per-stream histogram must have observed at least one stream.
 batches=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_round_batch_count \([0-9]*\)$/\1/p')
 if [ -z "$batches" ] || [ "$batches" -eq 0 ]; then
-	echo "e2e-obs-smoke: no round batches observed (s3_coord_round_batch_count=$batches)" >&2
+	echo "e2e-obs-smoke: no round streams observed (s3_coord_round_batch_count=$batches)" >&2
 	exit 1
 fi
 curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_spec_wasted_total' ||
