@@ -22,7 +22,7 @@ bench-e2e-smoke:
 	sh benchmark/run.sh -smoke
 
 # fuzz-smoke runs every fuzz target of the packages that decode outside
-# input — the round protocol's wire (internal/dshard) and the snapshot
+# input — the distributed tier's wire (internal/dshard) and the snapshot
 # files (internal/snap) — for FUZZTIME each (go test -fuzz takes one
 # package and one target per invocation). Minimisation is capped: left at
 # its 60 s default, shrinking one multi-kB snapshot input that found new

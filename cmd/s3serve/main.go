@@ -20,14 +20,14 @@
 //	s3gen -dataset twitter -shards 4 -snap i1.set
 //	s3serve -shardset i1.set -addr :8080
 //
-// Distributed serving — worker processes hosting one or more shards each
-// plus a coordinator that scatter/gathers the lockstep search rounds
-// over a compact binary protocol. Each worker maps only the manifest's
-// search substrate plus its hosted shards (sliced node tables); answers
-// are byte-identical to the single-process shard set. A worker hosting
-// several shards (-shards-of) drives them all off ONE shared proximity
-// iterator — one graph step per round for the whole group — and streams
-// the search's rounds to the coordinator on one reply, not one per shard:
+// Distributed serving — worker processes holding one or more shards' slices
+// of the connection index each, plus a coordinator that runs every search
+// over the substrate it maps with the manifest: it fetches the query
+// keywords' postings from each worker host in one binary exchange and
+// explores in process. Each worker maps only the manifest's search
+// substrate plus its hosted shards (sliced node tables); answers are
+// byte-identical to the single-process shard set. A worker hosting several
+// shards (-shards-of) answers for all of them in one reply:
 //
 //	s3serve -shardset i1.set -shards-of 0,2 -mmap -addr :8081
 //	s3serve -shardset i1.set -shards-of 1,3 -mmap -addr :8082
@@ -45,7 +45,7 @@
 // /extension, GET /stats, GET /metrics (Prometheus text exposition), GET
 // /debug/traces (recent traces), GET /healthz (readiness; 503 while
 // loading or draining), GET /livez (liveness), POST /reload. Workers
-// speak POST /shard/v1/{beginset,rounds,finalize,end} instead of
+// speak POST /shard/v1/postings (and serve GET /manifest) instead of
 // /search but expose the same /metrics and /debug/traces. See
 // internal/server and internal/dshard for the request and response
 // bodies.
@@ -87,14 +87,14 @@ func main() {
 		specPath   = flag.String("spec", "", "rebuild the instance from this spec (gob) when -snapshot is not given")
 		lang       = flag.String("lang", "raw", "text pipeline for -spec builds: english | french | raw")
 		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
-		shardOf    = flag.Int("shard-of", -1, "worker mode: serve only this shard of -shardset over the distributed round protocol")
-		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (shared proximity iterator per search, one round stream per host; e.g. -shards-of 0,2)")
+		shardOf    = flag.Int("shard-of", -1, "worker mode: serve only this shard of -shardset to a coordinator (postings requests)")
+		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (one substrate mapping, one postings reply per search for all of them; e.g. -shards-of 0,2)")
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
 		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
-		proxMB     = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables)")
+		proxMB     = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables; ignored in worker and coordinator mode)")
 		workers    = flag.Int("workers", 0, "max concurrently executing searches (0 = GOMAXPROCS)")
 		maxQueue   = flag.Int("max-queue", 0, "max searches waiting for a worker slot before arrivals are shed with 429 (0 = 8x workers, negative = unbounded)")
 		queueWait  = flag.Int("queue-wait-ms", 0, "max milliseconds a queued search waits for a worker slot before 429 (0 = 2000, negative = uncapped)")
@@ -123,11 +123,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		workerProxBytes := int64(*proxMB) << 20
-		if *proxMB <= 0 {
-			workerProxBytes = -1
-		}
-		runWorker(*setPath, shards, mode, *addr, workerProxBytes, verify)
+		runWorker(*setPath, shards, mode, *addr, verify)
 		return
 	}
 
@@ -224,19 +220,18 @@ func serveHTTP(addr string, handler http.Handler, drain func()) {
 	<-drained
 }
 
-// runWorker serves one or more shards of a set over the round protocol
-// from a single process. The HTTP listener comes up immediately with
+// runWorker serves one or more shards of a set to coordinators from a
+// single process. The HTTP listener comes up immediately with
 // /healthz reporting "loading"; the shards load in the background (into
 // one shared mapping — the substrate is mapped once however many shards
 // ride on it) and readiness flips to "serving" when they are queryable —
 // exactly what a coordinator's membership probe expects.
-func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, proxBytes int64, verify snap.VerifyMode) {
+func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, verify snap.VerifyMode) {
 	w := dshard.NewWorker(dshard.WorkerConfig{
-		ManifestPath:   setPath,
-		Shards:         shards,
-		Mode:           snap.LoadMode(mode),
-		ProxCacheBytes: proxBytes,
-		Verify:         verify,
+		ManifestPath: setPath,
+		Shards:       shards,
+		Mode:         snap.LoadMode(mode),
+		Verify:       verify,
 	})
 	go func() {
 		start := time.Now()
@@ -250,18 +245,9 @@ func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, prox
 				row.Documents, row.Components, st.MappedBytes)
 		}
 	}()
-	// On SIGTERM, flip readiness off so coordinators bench this replica,
-	// then finish the in-flight sessions before the HTTP shutdown starts:
-	// a mid-search kill would force every coordinator to fail over, a
-	// drained exit costs nothing.
-	serveHTTP(addr, w.Handler(), func() {
-		w.SetDraining()
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := w.Drain(ctx); err != nil {
-			log.Printf("drain: %v", err)
-		}
-	})
+	// On SIGTERM, flip readiness off so coordinators bench this replica;
+	// the HTTP shutdown then answers the requests already in flight.
+	serveHTTP(addr, w.Handler(), w.SetDraining)
 }
 
 // logShardLayout prints the per-shard layout when serving a shard set.

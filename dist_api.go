@@ -13,35 +13,35 @@ import (
 )
 
 // DistributedInstance is a Queryable that fronts a fleet of per-shard
-// worker processes: it owns only the shard-set manifest (seeker and
-// keyword resolution, URI mapping, shard table) and scatter/gathers the
-// lockstep search rounds across worker replicas over the binary round
-// protocol. Answers — documents, order and score intervals — are
-// byte-identical to serving the same shard set in one process; worker
-// membership is driven by their /healthz and failed searches retry on
-// surviving replicas.
+// worker processes: it owns the shard-set manifest (seeker and keyword
+// resolution, URI mapping, shard table, and the substrate every search
+// explores) and runs each search itself, over the query keywords' postings
+// gathered from worker replicas in one exchange per worker host. Answers —
+// documents, order and score intervals — are byte-identical to serving the
+// same shard set in one process; worker membership is driven by their
+// /healthz, and a failed fetch is re-issued on surviving replicas.
 //
-// The proximity exploration runs inside the workers, so the local
-// proximity-cache hooks (SetProxCache, WarmProximity) are no-ops here.
+// The proximity-cache hooks (SetProxCache, WarmProximity) are no-ops
+// here: no workload measures a coordinator-side cache yet.
 type DistributedInstance struct {
 	man    *snap.ManifestSnapshot
 	coord  *dshard.Coordinator
 	cancel context.CancelFunc
 
 	// obsm is the optional search-metrics sink fed by the coordinated
-	// rounds (the coordinator observes round latency on its side of the
-	// wire).
+	// rounds.
 	obsm atomic.Pointer[SearchMetrics]
 }
 
 var _ Queryable = (*DistributedInstance)(nil)
 
 // OpenCoordinator opens the shard-set manifest and wires a coordinator
-// over the worker URLs. Membership is probed immediately and refreshed
-// in the background; workers that are still loading join as soon as
-// their /healthz turns serving, so it is not an error if coverage is
-// incomplete at open time (searches fail until every shard has a live
-// worker). Close stops the probe loop and releases the manifest.
+// over its substrate and the worker URLs. Membership is probed
+// immediately and refreshed in the background; workers that are still
+// loading join as soon as their /healthz turns serving, so it is not an
+// error if coverage is incomplete at open time (searches fail until every
+// shard has a live worker). Close stops the probe loop and releases the
+// manifest.
 func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*DistributedInstance, error) {
 	man, err := snap.OpenManifest(manifestPath, snap.LoadMode(mode))
 	if err != nil {
@@ -51,6 +51,8 @@ func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*
 		WorkerURLs: workerURLs,
 		ShardCount: len(man.Layout.Shards),
 		SetID:      man.Layout.SetID,
+		Substrate:  man.Base,
+		Layout:     man.Layout,
 	})
 	if err != nil {
 		man.Close()
@@ -87,8 +89,8 @@ func (di *DistributedInstance) Extension(keyword string) []string {
 func (di *DistributedInstance) Stats() Stats { return di.man.Base.Stats() }
 
 // Shards reports the per-shard rows: content counts from the worker
-// fleet's probed stats (aggregated across replicas), falling back to the
-// manifest layout before the first probe lands.
+// fleet's probed stats, falling back to the manifest layout before the
+// first probe lands, and the coordinator's own search and round counts.
 func (di *DistributedInstance) Shards() []ShardStat {
 	cs := di.coord.Stats()
 	out := make([]ShardStat, len(di.man.Layout.Shards))
@@ -172,16 +174,16 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 	return mapResults(base, rs), info, nil
 }
 
-// SetProxCache is a no-op: proximity exploration (and its caching)
-// belongs to the worker processes.
+// SetProxCache is a no-op: a coordinator-side proximity cache is left for
+// when a workload measures it.
 func (di *DistributedInstance) SetProxCache(*ProxCache) {}
 
 // SetSearchMetrics attaches (or with nil, detaches) the instrument
 // bundle fed by subsequent coordinated searches.
 func (di *DistributedInstance) SetSearchMetrics(m *SearchMetrics) { di.obsm.Store(m) }
 
-// AttachRegistry wires the coordinator's wire instruments (per-endpoint
-// RPC round-trip time and bytes) and search counters into r. The serving
+// AttachRegistry wires the coordinator's wire instruments (fetch
+// round-trip time and bytes) and search counters into r. The serving
 // layer calls this once after opening, before the instance takes
 // traffic.
 func (di *DistributedInstance) AttachRegistry(r *obs.Registry) { di.coord.AttachRegistry(r) }

@@ -8,18 +8,14 @@
 // of Algorithm 2 on the merged state. This file states that protocol as
 // the ShardExecutor interface with serializable round messages, and holds
 // the only loop that runs it: Coordinate. Every deployment is Coordinate
-// over some executor set — the members of one in-process HostExecutor
-// (one member for Engine.Search, N for ShardedEngine.Search, sharing one
-// proximity iterator) or remote worker processes (each host advancing its
-// own iterator over the shared substrate — identical floating-point
-// operations in identical order, hence byte-identical rounds) over any
-// transport.
+// over the members of one HostExecutor sharing one proximity iterator:
+// one member for Engine.Search and for a distributed coordinator (over
+// the postings its workers sent), N for ShardedEngine.Search.
 //
-// Everything the coordinator needs from a shard fits in a few dozen bytes
-// per round: the shard-local selection is at most k candidates, and the
+// Everything the loop needs from a shard fits in a few dozen bytes per
+// round: the shard-local selection is at most k candidates, and the
 // global stop decision needs only per-shard aggregates (admitted counts,
-// the dominating bound, the iterator's tail bounds). The proximity vector
-// itself never crosses the boundary.
+// the dominating bound, the iterator's tail bounds).
 package core
 
 import (
@@ -152,16 +148,12 @@ type CoordOptions struct {
 	Budget        time.Duration
 	// Start anchors the budget clock (the caller's search start).
 	Start time.Time
-	// ForceParallel scatters every round across goroutines regardless of
-	// the per-round work estimate — the right choice when executor calls
-	// leave the process (network latency dwarfs goroutine overhead).
-	ForceParallel bool
 	// Trace, when non-nil, records the coordinated search's stages (begin,
 	// each lockstep round with its per-shard fan-out, finalize) as spans
-	// under the trace's root. Executors that implement TakeSpan (remote
-	// shards, tracing-enabled local ones) contribute their own span
-	// subtrees, stitched under the per-shard fan-out spans. Tracing is
-	// observational only: it never changes the answer.
+	// under the trace's root. Executors that implement TakeSpan
+	// (tracing-enabled local ones) contribute their own span subtrees,
+	// stitched under the per-shard fan-out spans. Tracing is observational
+	// only: it never changes the answer.
 	Trace *obs.Trace
 	// Obs, when non-nil, receives the search's metrics observations
 	// (rounds per search, per-round latency).
@@ -169,8 +161,7 @@ type CoordOptions struct {
 }
 
 // spanSource is implemented by executors that collect a span subtree per
-// protocol call (LocalExecutor with tracing enabled, dshard's session
-// views for worker-side spans decoded off the wire). TakeSpan returns the
+// protocol call (LocalExecutor with tracing enabled). TakeSpan returns the
 // subtree recorded by the most recent call and clears it.
 type spanSource interface {
 	TakeSpan() *obs.Span
@@ -286,7 +277,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 	}
 	finalize := func() ([]CandMeta, error) {
 		fin := root.StartChild("finalize")
-		if err := rpcScatter(fin, execs, copts.ForceParallel, func(i int) error {
+		if err := rpcScatter(fin, execs, false, func(i int) error {
 			var err error
 			infos[i], err = execs[i].Finalize()
 			return err
@@ -340,8 +331,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			roundStart = time.Now()
 		}
 
-		parallel := copts.ForceParallel || lastWork >= fanoutThreshold
-		if err := rpcScatter(sp, execs, parallel, round); err != nil {
+		if err := rpcScatter(sp, execs, lastWork >= fanoutThreshold, round); err != nil {
 			return nil, stats, err
 		}
 		prevReached := stats.NodesReached

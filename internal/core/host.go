@@ -9,26 +9,22 @@
 // many members it serves, routes each newly discovered matching component
 // to the member owning it, and publishes the deepened frontier back when
 // the search ends (and the iterator itself back to its pool). It is the
-// only shard-side executor: Engine.Search runs
-// a one-member host, ShardedEngine.Search an N-member one (both driven
-// member by member through Coordinate), and a distributed worker drives
-// the host of its co-located shards directly, one call per round.
+// only shard-side executor: Engine.Search runs a one-member host,
+// ShardedEngine.Search an N-member one, and a distributed coordinator a
+// one-member host over the whole substrate and the postings its workers
+// sent — all driven member by member through Coordinate.
 //
 // The iterator's state at a depth is a function of the depth alone (one
 // canonical summation order, see internal/score), and members read
 // nothing else of the exploration, so round responses — and the
-// coordinated answer — are byte-identical however shards are grouped
-// onto hosts.
+// coordinated answer — are byte-identical however shards are grouped.
 package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"s3/internal/graph"
-	"s3/internal/obs"
 	"s3/internal/proxcache"
 	"s3/internal/score"
 )
@@ -37,7 +33,7 @@ import (
 // member shards off a single shared proximity iterator. The members may
 // own a strict subset of the instance's components: discoveries belonging
 // to shards served elsewhere are routed nowhere. A host serves one search
-// at a time (Begin … End) and may be reused for the next.
+// at a time (its members' Begin … End) and may be reused for the next.
 type HostExecutor struct {
 	members []*LocalExecutor
 	in      *graph.Instance // members[0]'s instance: the iterator's substrate
@@ -48,9 +44,6 @@ type HostExecutor struct {
 	// frontier at End — ONE cache entry per (seeker, params) for the whole
 	// process, not one per member.
 	pc *proxcache.Cache
-	// steps, when non-nil, counts actual iterator steps: exactly one per
-	// round, however many members are hosted.
-	steps *atomic.Uint64
 
 	// mu serialises the members' access to the shared exploration below:
 	// Coordinate scatters Begin and Round across members, and whichever
@@ -71,27 +64,6 @@ type HostExecutor struct {
 	round    int       // rounds advanced so far
 	reached  int       // nodes discovered so far
 	routed   [][]int32 // per member: components to admit this round, in discovery order
-
-	// Per-call scratch, reused round after round so the worker's steady
-	// state allocates nothing here. The slices returned by Round, Finalize
-	// and TakeSpans are overwritten by the next call of the same kind —
-	// callers that keep them must copy.
-	infoScratch []RoundInfo
-	errScratch  []error
-	spanScratch []*obs.Span
-}
-
-// NewHostExecutor assembles a host-level executor over the engines of the
-// shards one process serves. Every engine must be a projection of the
-// same base instance; the hosted shards need not cover the full set. A
-// single unprojected engine (whole instance, no slicing) forms a valid
-// one-shard host. That no component is hosted twice is checked per search,
-// over the components the query matches (Begin).
-func NewHostExecutor(engines []*Engine, workers int) (*HostExecutor, error) {
-	if err := checkMembers(engines); err != nil {
-		return nil, err
-	}
-	return newHost(engines, workers), nil
 }
 
 // checkMembers validates what every member set must satisfy before its
@@ -120,7 +92,7 @@ func checkMembers(engines []*Engine) error {
 func newHost(engines []*Engine, workers int) *HostExecutor {
 	h := &HostExecutor{
 		in:      engines[0].in,
-		iters:   &engines[0].iters,
+		iters:   engines[0].iters,
 		members: make([]*LocalExecutor, len(engines)),
 		routed:  make([][]int32, len(engines)),
 	}
@@ -129,9 +101,6 @@ func newHost(engines []*Engine, workers int) *HostExecutor {
 	}
 	return h
 }
-
-// NumShards returns the number of co-hosted shards.
-func (h *HostExecutor) NumShards() int { return len(h.members) }
 
 // WithProxCache wires the process-wide seeker-proximity checkpoint cache:
 // the shared iterator resumes from it when opened and publishes back at
@@ -143,50 +112,15 @@ func (h *HostExecutor) WithProxCache(pc *proxcache.Cache) *HostExecutor {
 	return h
 }
 
-// WithStepCounter wires a counter incremented once per actual iterator
-// step — the /metrics proof that co-hosted shards share one exploration.
-func (h *HostExecutor) WithStepCounter(steps *atomic.Uint64) *HostExecutor {
-	h.steps = steps
-	return h
-}
-
-// WithCounters wires per-hosted-shard fan-out and round-work counters
-// (either slice may be nil; lengths must match the hosted shard count).
-func (h *HostExecutor) WithCounters(touched, rounds []*atomic.Uint64) *HostExecutor {
-	for i, x := range h.members {
-		if touched != nil {
-			x.touched = touched[i]
-		}
-		if rounds != nil {
-			x.rounds = rounds[i]
-		}
-	}
-	return h
-}
-
 // WithTracing enables per-call span recording on every member: each
 // Begin, Round and Finalize builds a span subtree (with step / admit /
-// bounds / select stage children), collected with TakeSpans — or, member
-// by member, by the coordinator's trace. Tracing is observational only.
+// bounds / select stage children), collected member by member by the
+// coordinator's trace. Tracing is observational only.
 func (h *HostExecutor) WithTracing(on bool) *HostExecutor {
 	for _, x := range h.members {
 		x.traced = on
 	}
 	return h
-}
-
-// TakeSpans returns, per hosted shard, the span subtree recorded by the
-// most recent protocol call (entries are nil when tracing is off). The
-// returned slice is reused by the next TakeSpans call.
-func (h *HostExecutor) TakeSpans() []*obs.Span {
-	if h.spanScratch == nil {
-		h.spanScratch = make([]*obs.Span, len(h.members))
-	}
-	out := h.spanScratch
-	for i, x := range h.members {
-		out[i] = x.TakeSpan()
-	}
-	return out
 }
 
 // ResumedDepth reports how many exploration rounds the iterator of the
@@ -195,21 +129,6 @@ func (h *HostExecutor) TakeSpans() []*obs.Span {
 // components begins, so the depth is known once Begin returns on a host
 // the query has work for; 0 on a cold start.
 func (h *HostExecutor) ResumedDepth() int { return h.resumedN }
-
-// Begin opens the search on every hosted shard and returns their
-// BeginInfos in hosted order.
-func (h *HostExecutor) Begin(spec SearchSpec) ([]BeginInfo, error) {
-	infos := make([]BeginInfo, len(h.members))
-	for i, x := range h.members {
-		info, err := x.Begin(spec)
-		if err != nil {
-			h.End()
-			return nil, err
-		}
-		infos[i] = info
-	}
-	return infos, nil
-}
 
 // join registers a beginning member's matching components as routing
 // targets; the first member to join opens the search. A member with work
@@ -332,9 +251,6 @@ func (h *HostExecutor) advance(target int) roundState {
 			h.routed[m] = h.routed[m][:0]
 		}
 		discovered := it.Step()
-		if h.steps != nil {
-			h.steps.Add(1)
-		}
 		h.reached += len(discovered)
 		for _, nd := range discovered {
 			c := h.in.CompOf(nd)
@@ -348,66 +264,6 @@ func (h *HostExecutor) advance(target int) roundState {
 		}
 	}
 	return h.state()
-}
-
-// scratchInfos hands out the reusable per-call RoundInfo slice.
-func (h *HostExecutor) scratchInfos() []RoundInfo {
-	if h.infoScratch == nil {
-		h.infoScratch = make([]RoundInfo, len(h.members))
-	}
-	return h.infoScratch
-}
-
-// Round advances the search one lockstep round on every hosted shard —
-// one iterator step total, per-shard admission/bounds/selection fanned
-// across goroutines when more than one core is available. The returned
-// slice is scratch, overwritten by the next Round or Finalize.
-func (h *HostExecutor) Round() ([]RoundInfo, error) {
-	infos := h.scratchInfos()
-	if len(h.members) > 1 && runtime.GOMAXPROCS(0) > 1 {
-		if h.errScratch == nil {
-			h.errScratch = make([]error, len(h.members))
-		}
-		errs := h.errScratch
-		var wg sync.WaitGroup
-		for i := range h.members {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				infos[i], errs[i] = h.members[i].Round()
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return infos, nil
-	}
-	for i, x := range h.members {
-		info, err := x.Round()
-		if err != nil {
-			return nil, err
-		}
-		infos[i] = info
-	}
-	return infos, nil
-}
-
-// Finalize re-evaluates every hosted shard's selection at the current
-// exploration depth without stepping. The returned slice is scratch,
-// overwritten by the next Round or Finalize.
-func (h *HostExecutor) Finalize() ([]RoundInfo, error) {
-	infos := h.scratchInfos()
-	for i, x := range h.members {
-		info, err := x.Finalize()
-		if err != nil {
-			return nil, err
-		}
-		infos[i] = info
-	}
-	return infos, nil
 }
 
 // End closes the search: per-member state is dropped, the shared

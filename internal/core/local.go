@@ -114,6 +114,13 @@ func (x *LocalExecutor) WithProxCache(pc *proxcache.Cache) *LocalExecutor {
 	return x
 }
 
+// WithTracing enables per-call span recording on the member's host; see
+// HostExecutor.WithTracing.
+func (x *LocalExecutor) WithTracing(on bool) *LocalExecutor {
+	x.host.WithTracing(on)
+	return x
+}
+
 // TakeSpan implements the coordinator's span collection: it returns the
 // span subtree recorded by the most recent protocol call and clears it
 // (nil when tracing is off).

@@ -12,8 +12,8 @@ import (
 	"s3/internal/text"
 )
 
-// TestShardExecutorWarmResume covers the distributed worker's execution
-// path: coordinated searches over one-member host executors with a
+// TestShardExecutorWarmResume covers NewShardExecutor with a cache:
+// coordinated searches over one-member host executors with a
 // proximity cache must answer byte-identically to cold executors — on
 // the first (cache-filling) pass and on the second (frontier-resuming)
 // pass — and the second pass must actually hit the cache.
@@ -44,7 +44,7 @@ func TestShardExecutorWarmResume(t *testing.T) {
 		}
 		engines[i] = NewEngine(proj, pix)
 	}
-	// One cache per shard, mirroring one cache per worker process.
+	// One cache per shard.
 	caches := make([]*proxcache.Cache, shards)
 	for i := range caches {
 		caches[i] = proxcache.New(16 << 20)

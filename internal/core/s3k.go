@@ -137,14 +137,23 @@ type Engine struct {
 	// iters recycles the proximity iterators of the searches whose host
 	// this engine is first member of (see HostExecutor.iter): a search
 	// takes one, with its instance-sized work vectors, and its End puts it
-	// back. The pool lives and dies with the engine, so a vector never
-	// serves another instance, let alone one of another size.
-	iters sync.Pool
+	// back. The pool is shared only by the engines WithIndex derives, which
+	// run over the same instance, so a vector never serves another
+	// instance, let alone one of another size.
+	iters *sync.Pool
 }
 
 // NewEngine pairs an instance with its connection index.
 func NewEngine(in *graph.Instance, ix *index.Index) *Engine {
-	return &Engine{in: in, ix: ix}
+	return &Engine{in: in, ix: ix, iters: new(sync.Pool)}
+}
+
+// WithIndex returns an engine over the same instance with another
+// connection index — one of the instance's, or one built over it from
+// fetched postings — sharing this engine's iterator pool, so a process
+// that builds an index per search still recycles its iterators.
+func (e *Engine) WithIndex(ix *index.Index) *Engine {
+	return &Engine{in: e.in, ix: ix, iters: e.iters}
 }
 
 // Instance returns the engine's instance.
@@ -256,14 +265,14 @@ func (e *Engine) WarmProximity(pc *proxcache.Cache, seeker graph.NID, params sco
 	if err := params.Validate(); err != nil {
 		return 0, false
 	}
-	it, key, covered := openIterator(&e.iters, e.in, seeker, params, pc)
+	it, key, covered := openIterator(e.iters, e.in, seeker, params, pc)
 	for !it.Done() && it.N() < maxDepth && it.TailBound() >= 1e-15 {
 		it.Step()
 	}
 	// Nothing is new when the cache already covered maxDepth, or the graph
 	// was exhausted within the covered depth.
 	depth = it.RecordedDepth()
-	closeIterator(&e.iters, it, pc, key, covered)
+	closeIterator(e.iters, it, pc, key, covered)
 	return depth, depth > covered
 }
 

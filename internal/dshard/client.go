@@ -1,6 +1,6 @@
-// The coordinator's wire plumbing: per-endpoint instruments, the tuned
-// keep-alive transport, and the record-framed POST every session RPC goes
-// through. The session logic built on it lives in hostclient.go.
+// The coordinator's wire plumbing: the wire instruments, the tuned
+// keep-alive transport, and fetch — the one request a search sends a
+// worker host.
 package dshard
 
 import (
@@ -11,113 +11,51 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
+	"slices"
 	"time"
 
+	"s3/internal/dict"
+	"s3/internal/index"
 	"s3/internal/obs"
 )
 
-// rpc endpoint ordinals for the per-endpoint instruments (both sides).
-const (
-	epBeginSet = iota
-	epRounds
-	epFinalize
-	epEnd
-	epCount
-)
-
-var (
-	epPaths = [epCount]string{pathBeginSet, pathRounds, pathFinalize, pathEnd}
-	epNames = [epCount]string{"beginset", "rounds", "finalize", "end"}
-)
-
-// rpcMetrics holds the coordinator's per-endpoint wire instruments: round
-// trip time plus bytes sent and received per protocol endpoint, the
-// rounds-per-stream distribution and the unconsumed-round counter.
+// rpcMetrics holds the coordinator's wire instruments: round-trip time of
+// one postings fetch, and bytes sent and received.
 type rpcMetrics struct {
-	seconds     [epCount]*obs.Histogram
-	bytesSent   [epCount]*obs.Counter
-	bytesRecv   [epCount]*obs.Counter
-	batchRounds *obs.Histogram
-	specWasted  *obs.Counter
-
-	// Host-grouped session instruments: one round-carrying exchange per
-	// host advances every shard the host serves, so the fan-in histogram is
-	// the direct read on how much RPC amplification host grouping removed.
-	hostSessions *obs.Counter
-	hostSeconds  *obs.Histogram
-	hostShards   *obs.Histogram
+	seconds   *obs.Histogram
+	bytesSent *obs.Counter
+	bytesRecv *obs.Counter
 }
 
 // newRPCMetrics registers the wire instruments in r (idempotent).
 func newRPCMetrics(r *obs.Registry) *rpcMetrics {
-	m := &rpcMetrics{}
-	for ep := 0; ep < epCount; ep++ {
-		lbl := obs.L("endpoint", epNames[ep])
-		m.seconds[ep] = r.Histogram("s3_coord_rpc_seconds",
-			"Round-trip time of one worker RPC, by protocol endpoint.", nil, lbl)
-		m.bytesSent[ep] = r.Counter("s3_coord_rpc_bytes_total",
-			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "sent"))
-		m.bytesRecv[ep] = r.Counter("s3_coord_rpc_bytes_total",
-			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "recv"))
+	lbl := obs.L("endpoint", "postings")
+	return &rpcMetrics{
+		seconds: r.Histogram("s3_coord_rpc_seconds",
+			"Round-trip time of one worker RPC, by endpoint: a postings fetch, its reply read to the end.", nil, lbl),
+		bytesSent: r.Counter("s3_coord_rpc_bytes_total",
+			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "sent")),
+		bytesRecv: r.Counter("s3_coord_rpc_bytes_total",
+			"Wire bytes exchanged with workers, by endpoint and direction.", lbl, obs.L("direction", "recv")),
 	}
-	m.batchRounds = r.Histogram("s3_coord_round_batch",
-		"Lockstep rounds read from one round stream (a /shard/v1/rounds reply, or the beginset reply that opened the session).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-	m.specWasted = r.Counter("s3_coord_spec_wasted_total",
-		"Rounds a stream delivered that the search never consumed.")
-	m.hostSessions = r.Counter("s3_coord_host_sessions_total",
-		"Multi-shard host sessions established (one beginset covering 2+ shards).")
-	m.hostSeconds = r.Histogram("s3_coord_host_rpc_seconds",
-		"Round-trip time of one host-grouped round-carrying exchange (all co-hosted shards advanced at once).", nil)
-	m.hostShards = r.Histogram("s3_coord_host_rpc_shards",
-		"Shards advanced by one host-grouped round-carrying exchange (per-host round fan-in).",
-		[]float64{1, 2, 4, 8, 16})
-	return m
 }
 
-// observe records one finished RPC (nil-safe).
-func (m *rpcMetrics) observe(ep int, start time.Time, sent, recv int) {
+// observe records one finished fetch (nil-safe).
+func (m *rpcMetrics) observe(start time.Time, sent, recv int) {
 	if m == nil {
 		return
 	}
-	m.seconds[ep].ObserveSince(start)
-	m.bytesSent[ep].Add(uint64(sent))
-	m.bytesRecv[ep].Add(uint64(recv))
+	m.seconds.ObserveSince(start)
+	m.bytesSent.Add(uint64(sent))
+	m.bytesRecv.Add(uint64(recv))
 }
 
-func (m *rpcMetrics) observeBatch(rounds int) {
-	if m != nil {
-		m.batchRounds.Observe(float64(rounds))
-	}
-}
-
-func (m *rpcMetrics) addSpecWasted(rounds int) {
-	if m != nil && rounds > 0 {
-		m.specWasted.Add(uint64(rounds))
-	}
-}
-
-func (m *rpcMetrics) addHostSession() {
-	if m != nil {
-		m.hostSessions.Add(1)
-	}
-}
-
-func (m *rpcMetrics) observeHostRPC(start time.Time, shards int) {
-	if m != nil {
-		m.hostSeconds.ObserveSince(start)
-		m.hostShards.Observe(float64(shards))
-	}
-}
-
-// newTransport returns an http.Transport tuned for the round protocol's
-// hot path: searches reuse keep-alive connections to every worker, so the
-// pool must retain idle connections across searches (per-worker headroom
-// covers the async End post racing the next search's Begin; a stream the
-// coordinator hung up on costs its connection). The membership probe
-// shares this transport, which pre-warms every worker's connection before
-// the first search dials.
+// newTransport returns an http.Transport tuned for the coordinator's hot
+// path: every search fetches from each host of its cover over a kept-alive
+// connection, so the pool retains idle connections across searches (the
+// headroom covers concurrent searches). The membership probe shares this
+// transport, which pre-warms every worker's connection before the first
+// search dials.
 func newTransport(workers int) *http.Transport {
 	const perHost = 8
 	if workers < 1 {
@@ -128,7 +66,7 @@ func newTransport(workers int) *http.Transport {
 		MaxIdleConnsPerHost: perHost,
 		MaxIdleConns:        (workers + 1) * perHost,
 		IdleConnTimeout:     90 * time.Second,
-		// Bodies are small binary records; advertising gzip only buys a
+		// Bodies are binary records; advertising gzip only buys a
 		// per-response header dance.
 		DisableCompression: true,
 	}
@@ -140,93 +78,89 @@ type appError struct{ msg string }
 
 func (e *appError) Error() string { return e.msg }
 
-// reply is one open response body of the round protocol, with its bytes
-// for the instruments and the RPC-timeout timer that cancels its request.
-type reply struct {
-	body     io.ReadCloser
-	recv     int
-	sent     int
-	start    time.Time
-	ep       int
-	cancel   context.CancelFunc
-	timeout  time.Duration
-	timer    *time.Timer
-	timedOut atomic.Bool
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
 }
 
-// Read reads the body, each call bounded by the RPC timeout: a stream that
-// stalls between records fails over like a stalled RPC.
-func (r *reply) Read(p []byte) (int, error) {
-	if r.timer != nil {
-		r.timer.Reset(r.timeout)
-		defer r.timer.Stop()
-	}
-	n, err := r.body.Read(p)
-	r.recv += n
-	if err != nil && r.timedOut.Load() {
-		err = fmt.Errorf("nothing read within %v: %w", r.timeout, err)
-	}
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
 	return n, err
 }
 
-// post sends one request record to an endpoint under ctx and returns the
-// reply of a 200 — any other status is an error carrying the worker's
-// message, and a 400 an appError. The caller closes the reply (close).
-func (s *hostSession) post(ctx context.Context, ep int, payload []byte) (*reply, error) {
-	path := epPaths[ep]
-	frame := appendRecord(nil, payload)
-	r := &reply{start: time.Now(), ep: ep, sent: len(frame), timeout: s.rpcTimeout}
-	ctx, r.cancel = context.WithCancel(ctx)
-	if r.timeout > 0 {
-		r.timer = time.AfterFunc(r.timeout, func() {
-			r.timedOut.Store(true)
-			r.cancel()
-		})
+// fetch asks the worker at base for the events of kws on shards, bounded
+// by the RPC timeout, and decodes the reply, vetting every event with
+// check. Any non-200 status is an error carrying the worker's message, a
+// 400 an appError; a reply that fails its CRC, is cut short or does not
+// decode is an error like a reset.
+func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check eventCheck) ([][]index.Event, *obs.Span, error) {
+	if c.cfg.RPCTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.RPCTimeout)
+		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+path, bytes.NewReader(frame))
-	var resp *http.Response
-	if err == nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err = s.client.Do(req)
+	frame := appendRecord(nil, appendPostingsRequest(nil, r))
+	start := time.Now()
+	body := &countingReader{}
+	defer func() { c.metrics.observe(start, len(frame), body.n) }()
+	fail := func(err error) ([][]index.Event, *obs.Span, error) {
+		return nil, nil, fmt.Errorf("dshard: %s%s: %w", base, pathPostings, err)
 	}
-	if r.timer != nil {
-		r.timer.Stop() // Read re-arms it per read
-	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+pathPostings, bytes.NewReader(frame))
 	if err != nil {
-		s.close(r)
-		return nil, fmt.Errorf("dshard: %s%s: %w", s.base, path, err)
+		return fail(err)
 	}
-	if r.body = resp.Body; resp.StatusCode == http.StatusOK {
-		return r, nil
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return fail(err)
 	}
-	body, _ := io.ReadAll(io.LimitReader(r, 1<<16))
-	s.close(r)
-	msg := fmt.Sprintf("dshard: %s%s: HTTP %d", s.base, path, resp.StatusCode)
-	var e struct {
-		Error string `json:"error"`
+	defer resp.Body.Close()
+	body.r = resp.Body
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(body, 1<<16))
+		var e struct {
+			Error string `json:"error"`
+		}
+		err := fmt.Errorf("HTTP %d", resp.StatusCode)
+		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+			err = fmt.Errorf("%s (HTTP %d)", e.Error, resp.StatusCode)
+		}
+		if resp.StatusCode == http.StatusBadRequest {
+			// Deterministic rejection: retrying on another replica (or
+			// benching this one) cannot help.
+			return nil, nil, &appError{msg: fmt.Sprintf("dshard: %s%s: %v", base, pathPostings, err)}
+		}
+		return fail(err)
 	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		msg = fmt.Sprintf("dshard: %s%s: %s (HTTP %d)", s.base, path, e.Error, resp.StatusCode)
+	p, err := readBody(body)
+	if err != nil {
+		return fail(err)
 	}
-	if resp.StatusCode == http.StatusBadRequest {
-		// Deterministic rejection: retrying on another replica (or
-		// benching this one) cannot help.
-		return nil, &appError{msg: msg}
+	evs, sp, err := decodePostingsReply(p, r.shards, len(r.kws), check, start)
+	if err != nil {
+		return fail(err)
 	}
-	return nil, errors.New(msg)
+	return evs, sp, nil
 }
 
-// close ends a reply and records its round trip — a stream's lasts until
-// it is read to its end or abandoned. An abandoned stream's connection is
-// closed (Go does not reuse a half-read body), which ends the worker's
-// request context: that is how the coordinator hangs up on a stream.
-func (s *hostSession) close(r *reply) {
-	if r.timer != nil {
-		r.timer.Stop()
+// isFatal reports errors a failover cannot route around: deterministic
+// rejections (every replica would repeat them) and the search's own
+// cancellation.
+func isFatal(ctx context.Context, err error) bool {
+	var app *appError
+	return errors.As(err, &app) || ctx.Err() != nil
+}
+
+// queryKeywords lists the keyword ids of a spec's groups once each, in
+// ascending order: what a postings request asks for.
+func queryKeywords(groups [][]dict.ID) []dict.ID {
+	var kws []dict.ID
+	for _, g := range groups {
+		kws = append(kws, g...)
 	}
-	if r.body != nil {
-		r.body.Close()
-	}
-	r.cancel()
-	s.metrics.observe(r.ep, r.start, r.sent, r.recv)
+	slices.Sort(kws)
+	return slices.Compact(kws)
 }

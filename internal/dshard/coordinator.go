@@ -1,13 +1,13 @@
-// The scatter/gather coordinator: drives coordinated searches over
-// per-shard worker replicas, with /healthz-driven membership, per-search
-// retry onto surviving replicas, and per-worker /stats aggregation.
+// The coordinator: runs every search over the substrate it maps,
+// gathering the query keywords' postings from per-shard worker replicas,
+// with /healthz-driven membership, failover onto surviving replicas, and
+// per-worker /stats aggregation.
 package dshard
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand/v2"
@@ -18,7 +18,11 @@ import (
 	"time"
 
 	"s3/internal/core"
+	"s3/internal/dict"
+	"s3/internal/graph"
+	"s3/internal/index"
 	"s3/internal/obs"
+	"s3/internal/snap"
 )
 
 // CoordinatorConfig assembles a Coordinator.
@@ -33,30 +37,35 @@ type CoordinatorConfig struct {
 	// different sets into one search.
 	ShardCount int
 	SetID      uint64
-	// Client is the HTTP client for rounds and probes; nil gets a default
+	// Substrate and Layout are the set's base instance and shard table,
+	// from the coordinator's copy of the manifest: searches explore the
+	// substrate, and every event a worker sends is checked against the
+	// layout. Set both or neither; when nil, Probe fetches the manifest
+	// once from a healthy worker (GET /manifest) and requires its set id to
+	// equal SetID.
+	Substrate *graph.Instance
+	Layout    *snap.Layout
+	// Client is the HTTP client for fetches and probes; nil gets a default
 	// with a 30s timeout over a keep-alive transport sized to the worker
 	// fleet (see newTransport) — the membership probe then doubles as
 	// connection pre-warming, so the first search never pays a dial.
 	Client *http.Client
 	// ProbeInterval paces the background membership refresh (default 5s).
 	ProbeInterval time.Duration
-	// SearchRetries is how many times a failed search is retried on other
-	// replicas. Mid-search failover (re-begin + deterministic replay on a
-	// replica) handles most worker deaths without reaching this loop; the
-	// whole-search retry remains the backstop for failures failover cannot
-	// absorb. Each failed attempt benches at least one worker, so the
-	// default — one retry per configured worker — guarantees a search
-	// survives any number of dead replicas as long as every shard keeps a
-	// live one. Negative disables retries.
+	// SearchRetries is how many times a search re-issues the fetches that
+	// failed, each time on other replicas of the failed hosts' shards.
+	// Every failed fetch benches its worker, so the default — one retry
+	// per configured worker — guarantees a search survives any number of
+	// dead replicas as long as every shard keeps a live one. Negative
+	// disables retries.
 	SearchRetries int
-	// RPCTimeout bounds each individual round-protocol RPC, and the wait
-	// for each record of a round stream (0 picks 10s; negative disables
-	// the bound, leaving only the client's own timeout). A timed-out RPC or
-	// stalled stream is a transport error: the worker is benched and the
-	// search fails over to a replica.
+	// RPCTimeout bounds each postings fetch, reply included (0 picks 10s;
+	// negative disables the bound, leaving only the client's own timeout).
+	// A timed-out fetch is a transport error: the worker is benched and its
+	// shards are fetched from replicas.
 	RPCTimeout time.Duration
 	// Registry, when non-nil, receives the coordinator's wire instruments
-	// (per-endpoint RPC round-trip time and bytes) and search counters.
+	// (fetch round-trip time and bytes) and search counters.
 	Registry *obs.Registry
 }
 
@@ -144,27 +153,68 @@ type Degradation struct {
 	Served []int `json:"served"`
 }
 
-// Coordinator scatter/gathers lockstep rounds across worker replicas.
-// It is safe for concurrent Search calls.
+// substrate is what searches run over: an engine over the set's base
+// instance, whose iterator pool lives as long as the coordinator, and the
+// layout's component → shard table.
+type substrate struct {
+	eng   *core.Engine
+	owner []int32
+}
+
+func newSubstrate(in *graph.Instance, layout *snap.Layout) *substrate {
+	owner := make([]int32, in.NumComponents())
+	for c := range owner {
+		owner[c] = -1
+	}
+	for s, desc := range layout.Shards {
+		for _, c := range desc.Comps {
+			owner[c] = int32(s)
+		}
+	}
+	return &substrate{eng: core.NewEngine(in, nil), owner: owner}
+}
+
+// check accepts an event of the block a reply carries for shard only if
+// it names nodes of the instance, a known connection type, and a fragment
+// in a component the layout assigns to that shard: a worker answering
+// with another shard's events would otherwise duplicate candidates.
+func (s *substrate) check(shard int, ev index.Event) error {
+	n := graph.NID(s.eng.Instance().NumNodes())
+	switch {
+	case ev.Frag < 0 || ev.Frag >= n:
+		return fmt.Errorf("dshard: event fragment %d outside the instance's %d nodes", ev.Frag, n)
+	case ev.Src != graph.NoNID && (ev.Src < 0 || ev.Src >= n):
+		return fmt.Errorf("dshard: event source %d outside the instance's %d nodes", ev.Src, n)
+	case ev.Type > index.CommentsOn:
+		return fmt.Errorf("dshard: unknown connection type %d", ev.Type)
+	}
+	if c := s.eng.Instance().CompOf(ev.Frag); c < 0 || s.owner[c] != int32(shard) {
+		return fmt.Errorf("dshard: event on fragment %d (component %d) in shard %d's reply, which does not own it", ev.Frag, c, shard)
+	}
+	return nil
+}
+
+// Coordinator runs searches over its substrate with postings gathered
+// from worker replicas. It is safe for concurrent Search calls.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	client  *http.Client
 	workers []*workerRef
 	rr      []atomic.Uint32 // per-shard replica rotation
 
-	idBase uint64
-	idSeq  atomic.Uint64
+	sub   atomic.Pointer[substrate]
+	subMu sync.Mutex // serialises loading sub from a worker
 
 	searches  atomic.Uint64
 	retries   atomic.Uint64
 	failures  atomic.Uint64
 	failovers atomic.Uint64
+	// touched and rounds count, per shard, the searches that matched
+	// components there and the rounds those searches ran.
+	touched []atomic.Uint64
+	rounds  []atomic.Uint64
 
 	metrics *rpcMetrics
-
-	// streamCap, when positive, caps every session's round streams. Only
-	// tests set it: regrouping rounds into streams must not change a byte.
-	streamCap int
 }
 
 // NewCoordinator wires a coordinator; call Probe (or start Run) before
@@ -193,15 +243,21 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.RPCTimeout = 0
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		client: cfg.Client,
-		rr:     make([]atomic.Uint32, cfg.ShardCount),
+		cfg:     cfg,
+		client:  cfg.Client,
+		rr:      make([]atomic.Uint32, cfg.ShardCount),
+		touched: make([]atomic.Uint64, cfg.ShardCount),
+		rounds:  make([]atomic.Uint64, cfg.ShardCount),
 	}
-	var seed [8]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("dshard: seeding search ids: %w", err)
+	if (cfg.Substrate == nil) != (cfg.Layout == nil) {
+		return nil, fmt.Errorf("dshard: coordinator needs both a substrate and its layout, or neither")
 	}
-	c.idBase = binary.LittleEndian.Uint64(seed[:])
+	if cfg.Substrate != nil {
+		if err := c.checkLayout(cfg.Layout); err != nil {
+			return nil, err
+		}
+		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout))
+	}
 	for _, u := range cfg.WorkerURLs {
 		c.workers = append(c.workers, &workerRef{url: u, shard: -1})
 	}
@@ -209,10 +265,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-func (c *Coordinator) nextSearchID() uint64 { return c.idBase + c.idSeq.Add(1) }
+// checkLayout accepts the shard table of the set the coordinator serves.
+func (c *Coordinator) checkLayout(l *snap.Layout) error {
+	if l.SetID != c.cfg.SetID || len(l.Shards) != c.cfg.ShardCount {
+		return fmt.Errorf("dshard: manifest of set %016x with %d shards, coordinator serves set %016x with %d",
+			l.SetID, len(l.Shards), c.cfg.SetID, c.cfg.ShardCount)
+	}
+	return nil
+}
 
-// AttachRegistry wires the coordinator's wire instruments (per-endpoint
-// RPC round-trip time and bytes) and search counters into r; nil is a
+// AttachRegistry wires the coordinator's wire instruments (fetch
+// round-trip time and bytes) and search counters into r; nil is a
 // no-op. Attach before serving searches — the instrument set is read
 // without synchronisation. Re-attaching after a reload rebinds the
 // registry's func-backed counters to this coordinator.
@@ -223,12 +286,12 @@ func (c *Coordinator) AttachRegistry(r *obs.Registry) {
 	c.metrics = newRPCMetrics(r)
 	r.CounterFunc("s3_coord_searches_total", "Coordinated searches completed.",
 		func() float64 { return float64(c.searches.Load()) })
-	r.CounterFunc("s3_coord_retries_total", "Searches restarted on other replicas after a worker failure.",
+	r.CounterFunc("s3_coord_retries_total", "Rounds of postings fetches re-issued on other replicas after a worker failure.",
 		func() float64 { return float64(c.retries.Load()) })
 	r.CounterFunc("s3_coord_failures_total", "Coordinated searches that failed after all retries.",
 		func() float64 { return float64(c.failures.Load()) })
 	r.CounterFunc("s3_coord_failover_total",
-		"Mid-search failovers: a session re-begun on a replica and fast-forwarded through the consumed rounds.",
+		"Failovers: a shard's postings re-fetched from a replica after its worker failed.",
 		func() float64 { return float64(c.failovers.Load()) })
 	for _, w := range c.workers {
 		r.GaugeFunc("s3_coord_breaker_state",
@@ -258,7 +321,7 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	case hb.Proto != protoVersion:
 		// One protocol, no negotiation: a worker from another release is
 		// never sent a frame it might misread.
-		lastErr = fmt.Sprintf("worker speaks round protocol %d, coordinator speaks %d", hb.Proto, protoVersion)
+		lastErr = fmt.Sprintf("worker speaks protocol %d, coordinator speaks %d", hb.Proto, protoVersion)
 	case hb.ShardCount != c.cfg.ShardCount:
 		lastErr = fmt.Sprintf("worker serves a %d-shard set, coordinator has %d", hb.ShardCount, c.cfg.ShardCount)
 	case hb.SetID != fmt.Sprintf("%016x", c.cfg.SetID):
@@ -339,28 +402,33 @@ func (c *Coordinator) openBreakerLocked(w *workerRef) {
 	w.nextProbe = w.openUntil
 }
 
-func (c *Coordinator) getJSON(ctx context.Context, url string, v any) (int, error) {
+// get fetches url, reading at most limit bytes of the body.
+func (c *Coordinator) get(ctx context.Context, url string, limit int64) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return resp.StatusCode, err
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, body, err
+}
+
+func (c *Coordinator) getJSON(ctx context.Context, url string, v any) (int, error) {
+	code, body, err := c.get(ctx, url, 1<<20)
+	if err == nil {
+		err = json.Unmarshal(body, v)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return resp.StatusCode, err
-	}
-	return resp.StatusCode, nil
+	return code, err
 }
 
 // Probe refreshes membership for every worker (concurrently) and reports
-// whether every shard has at least one healthy replica.
+// whether every shard has at least one healthy replica. A coordinator
+// built without its substrate loads it here, from the first healthy
+// worker that serves a manifest of its set.
 func (c *Coordinator) Probe(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
@@ -372,6 +440,10 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 		}(w)
 	}
 	wg.Wait()
+	var subErr error
+	if c.sub.Load() == nil {
+		subErr = c.loadSubstrate(ctx)
+	}
 	covered := make([]bool, c.cfg.ShardCount)
 	for _, w := range c.workers {
 		w.mu.Lock()
@@ -387,7 +459,54 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 			return fmt.Errorf("dshard: no healthy worker for shard %d", s)
 		}
 	}
-	return nil
+	return subErr
+}
+
+// maxManifestBytes caps the manifest a coordinator reads from a worker
+// (one cut at the cap fails its checks).
+const maxManifestBytes = 4 << 30
+
+// loadSubstrate fetches the manifest from the healthy workers in turn and
+// keeps the first one of the coordinator's set.
+func (c *Coordinator) loadSubstrate(ctx context.Context) error {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	if c.sub.Load() != nil {
+		return nil
+	}
+	err := errors.New("dshard: no healthy worker to load the manifest from")
+	for _, w := range c.workers {
+		w.mu.Lock()
+		healthy := w.healthy
+		w.mu.Unlock()
+		if !healthy {
+			continue
+		}
+		var man *snap.ManifestSnapshot
+		if man, err = c.fetchManifest(ctx, w.url); err == nil {
+			c.sub.Store(newSubstrate(man.Base, man.Layout))
+			return nil
+		}
+	}
+	return err
+}
+
+func (c *Coordinator) fetchManifest(ctx context.Context, base string) (*snap.ManifestSnapshot, error) {
+	code, data, err := c.get(ctx, base+pathManifest, maxManifestBytes)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("HTTP %d", code)
+	}
+	var man *snap.ManifestSnapshot
+	if err == nil {
+		man, err = snap.ParseManifest(data)
+	}
+	if err == nil {
+		err = c.checkLayout(man.Layout)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dshard: %s%s: %w", base, pathManifest, err)
+	}
+	return man, nil
 }
 
 // scheduleProbe sets when the Run loop owes w its next probe: the
@@ -539,14 +658,11 @@ func (c *Coordinator) noteWorkerReleased(w *workerRef) {
 	w.mu.Unlock()
 }
 
-// Search runs one coordinated search across the shard set. A worker
-// failure mid-search fails over to a replica: the session is re-begun
-// there and fast-forwarded through the rounds already consumed (workers
-// execute identical FP ops over the shared substrate, so the recovered
-// search stays byte-identical to an undisturbed one). Only when failover
-// exhausts a shard's replicas does the whole search restart on other
-// workers, up to SearchRetries times; failing workers are benched (and
-// their breakers fed) until a probe sees them healthy again. Answers are
+// Search runs one search across the shard set: it fetches the query
+// keywords' postings from one replica of every shard — one request per
+// host — and runs S3k over its substrate and those postings. A host whose
+// fetch fails is benched (its breaker fed) until a probe sees it healthy
+// again, and its shards are fetched from other replicas. Answers are
 // byte-identical to the in-process sharded engine over the same set.
 func (c *Coordinator) Search(spec core.SearchSpec, copts core.CoordOptions) ([]core.CandMeta, core.Stats, error) {
 	sel, stats, _, err := c.search(spec, copts, false)
@@ -563,96 +679,190 @@ func (c *Coordinator) SearchPartial(spec core.SearchSpec, copts core.CoordOption
 }
 
 func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, partial bool) ([]core.CandMeta, core.Stats, *Degradation, error) {
-	copts.ForceParallel = true
+	if copts.Start.IsZero() {
+		copts.Start = time.Now() // the budget covers the fetch too
+	}
+	sel, stats, deg, err := c.run(spec, copts, partial)
+	if err != nil {
+		c.failures.Add(1)
+		return nil, stats, nil, err
+	}
+	c.searches.Add(1)
+	return sel, stats, deg, nil
+}
+
+func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial bool) ([]core.CandMeta, core.Stats, *Degradation, error) {
+	sub := c.sub.Load()
+	if sub == nil {
+		return nil, core.Stats{}, nil, errors.New("dshard: no substrate: no healthy worker has served the manifest yet")
+	}
 	ctx := copts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	kws := queryKeywords(spec.Groups)
+	if len(kws) > maxKeywords {
+		return nil, core.Stats{}, nil, fmt.Errorf("dshard: query of %d keywords (cap %d)", len(kws), maxKeywords)
+	}
+	span := copts.Trace.Span().StartChild("fetch")
+	evs, served, lost, err := c.gather(ctx, sub, kws, copts.Trace.TraceID(), span, partial)
+	span.End()
+	if err != nil {
+		return nil, core.Stats{}, nil, err
+	}
+	postings := make([]index.RawPosting, 0, len(kws))
+	for i, k := range kws {
+		if len(evs[i]) > 0 {
+			postings = append(postings, index.RawPosting{Kw: k, Events: evs[i]})
+		}
+	}
+	ix, err := index.FromRaw(sub.eng.Instance(), postings)
+	if err != nil {
+		return nil, core.Stats{}, nil, err
+	}
+	x := core.NewShardExecutor(sub.eng.WithIndex(ix), 0).WithTracing(copts.Trace != nil)
+	sel, stats, err := core.Coordinate([]core.ShardExecutor{x}, spec, copts)
+	if err != nil {
+		return nil, stats, nil, err
+	}
+	matched := make([]bool, c.cfg.ShardCount)
+	for _, comp := range ix.CompsForGroups(spec.Groups) {
+		matched[sub.owner[comp]] = true
+	}
+	for s, m := range matched {
+		if m {
+			c.touched[s].Add(1)
+			c.rounds[s].Add(uint64(stats.Iterations))
+		}
+	}
+	var deg *Degradation
+	if len(lost) > 0 {
+		deg = &Degradation{Lost: lost, Served: served}
+	}
+	return sel, stats, deg, nil
+}
+
+// hostFetch is one request of a gather: a worker and the shards it was
+// picked for.
+type hostFetch struct {
+	ref    *workerRef
+	shards []int
+	evs    [][]index.Event
+	err    error
+}
+
+// gather fetches the postings of kws on every shard — one concurrent
+// request per host of the cover — and re-fetches the shards of a host
+// whose request failed from their other replicas, at most SearchRetries
+// times. It returns, per keyword, the events of every shard served, the
+// served shards and, in partial mode, the shards left without a replica.
+func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID, traceID uint64, span *obs.Span, partial bool) (evs [][]index.Event, served, lost []int, err error) {
+	refs, lost := c.pickCover(nil)
+	if len(lost) > 0 && (!partial || len(lost) == c.cfg.ShardCount) {
+		c.release(refs)
+		return nil, nil, nil, fmt.Errorf("dshard: no healthy worker for shard %d", lost[0])
+	}
+	evs = make([][]index.Event, len(kws))
 	excluded := make(map[*workerRef]bool)
 	var lastErr error
-	var lastStats core.Stats
-	for attempt := 0; attempt <= c.cfg.SearchRetries; attempt++ {
-		refs, lost := c.pickCover(excluded)
-		if len(lost) > 0 && (!partial || len(lost) == c.cfg.ShardCount) {
-			err := fmt.Errorf("dshard: no healthy worker for shard %d", lost[0])
-			if lastErr != nil {
-				err = fmt.Errorf("%w (after: %v)", err, lastErr)
-			}
-			for _, ref := range refs {
-				if ref != nil {
-					c.noteWorkerReleased(ref) // hand back any trial tokens
-				}
-			}
-			c.failures.Add(1)
-			return nil, lastStats, nil, err
-		}
-		var served []int
-		fxs := make([]*failoverExecutor, 0, len(refs))
-		execs := make([]core.ShardExecutor, 0, len(refs))
-		// Group the picked cover by worker: shards landing on the same
-		// process share one session — one beginset, one round stream for
-		// the whole group, one shared iterator worker-side — instead of one
-		// session (and one stream) each.
-		groups := make(map[*workerRef][]int)
-		for s, ref := range refs {
-			if ref != nil {
-				groups[ref] = append(groups[ref], s)
-			}
-		}
-		conns := make([]*hostShardView, c.cfg.ShardCount)
-		for ref, group := range groups {
-			for i, v := range c.connect(ctx, ref, group, copts) {
-				conns[group[i]] = v
-			}
-		}
+	for attempt := 0; ; attempt++ {
+		var hosts []*hostFetch
+		byRef := make(map[*workerRef]*hostFetch)
 		for s, ref := range refs {
 			if ref == nil {
 				continue
 			}
-			served = append(served, s)
-			fx := c.newFailoverExecutor(ctx, s, ref, conns[s], copts, excluded)
-			fxs = append(fxs, fx)
-			execs = append(execs, fx)
+			if byRef[ref] == nil {
+				byRef[ref] = &hostFetch{ref: ref}
+				hosts = append(hosts, byRef[ref])
+			}
+			byRef[ref].shards = append(byRef[ref].shards, s)
 		}
-		sel, stats, err := core.Coordinate(execs, spec, copts)
-		transport := false
-		for _, fx := range fxs {
-			fx.settle(err)
-			for w, werr := range fx.failed {
-				transport = true
-				excluded[w] = true
-				_ = werr
+		var wg sync.WaitGroup
+		for _, h := range hosts {
+			sp := span.StartChild("host")
+			if sp != nil {
+				sp.SetAttr("worker", h.ref.url)
+				sp.SetAttr("shards", fmt.Sprint(h.shards))
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var wsp *obs.Span
+				h.evs, wsp, h.err = c.fetch(ctx, h.ref.url, postingsRequest{traceID: traceID, shards: h.shards, kws: kws}, sub.check)
+				sp.Attach(wsp)
+				sp.End()
+			}()
+		}
+		wg.Wait()
+		refs = make([]*workerRef, c.cfg.ShardCount)
+		var failed []int
+		var fatal error
+		for _, h := range hosts {
+			switch {
+			case h.err == nil:
+				c.noteWorkerSuccess(h.ref)
+				for k := range evs {
+					evs[k] = append(evs[k], h.evs[k]...)
+				}
+				served = append(served, h.shards...)
+			case isFatal(ctx, h.err):
+				c.noteWorkerReleased(h.ref)
+				if fatal == nil {
+					fatal = h.err
+				}
+			default:
+				c.noteWorkerFailure(h.ref, h.err)
+				excluded[h.ref] = true
+				lastErr = h.err
+				failed = append(failed, h.shards...)
 			}
 		}
-		if err == nil {
-			c.searches.Add(1)
-			var deg *Degradation
-			if len(lost) > 0 {
-				deg = &Degradation{Lost: lost, Served: served}
-			}
-			return sel, stats, deg, nil
+		if fatal != nil {
+			return nil, nil, nil, fatal
 		}
-		lastErr, lastStats = err, stats
-		if ctx.Err() != nil {
-			// The caller is gone; retrying for nobody burns worker rounds.
-			c.failures.Add(1)
-			return nil, stats, nil, err
+		if len(failed) == 0 {
+			break
 		}
-		if !transport {
-			// A logic error (diverged executors, bad spec) will not go
-			// away on other replicas.
-			c.failures.Add(1)
-			return nil, stats, nil, err
+		if attempt == c.cfg.SearchRetries {
+			return nil, nil, nil, fmt.Errorf("%w (after %d retries)", lastErr, attempt)
 		}
 		c.retries.Add(1)
+		for _, s := range failed {
+			ref, err := c.pickShard(s, excluded)
+			if err != nil {
+				if !partial {
+					c.release(refs)
+					return nil, nil, nil, fmt.Errorf("%w (after: %v)", err, lastErr)
+				}
+				lost = append(lost, s)
+				continue
+			}
+			refs[s] = ref
+			c.failovers.Add(1)
+		}
 	}
-	c.failures.Add(1)
-	return nil, lastStats, nil, lastErr
+	if len(served) == 0 {
+		return nil, nil, nil, fmt.Errorf("dshard: no healthy worker for any shard (after: %v)", lastErr)
+	}
+	slices.Sort(served)
+	slices.Sort(lost)
+	return evs, served, lost, nil
+}
+
+// release hands back the half-open trial tokens of picked workers that
+// will not be asked.
+func (c *Coordinator) release(refs []*workerRef) {
+	for _, ref := range refs {
+		if ref != nil {
+			c.noteWorkerReleased(ref)
+		}
+	}
 }
 
 // CoordinatorStats is the aggregated serving view the coordinator's
-// /stats exposes: its own counters plus the per-worker statuses (with
-// each worker's cumulative per-shard search/round counts as probed).
+// /stats exposes: its own counters plus the per-worker statuses and
+// per-shard rows.
 type CoordinatorStats struct {
 	Role       string           `json:"role"`
 	ShardCount int              `json:"shard_count"`
@@ -666,8 +876,8 @@ type CoordinatorStats struct {
 }
 
 // Stats snapshots the coordinator's view: per-worker statuses from the
-// last probe and per-shard rows aggregated across replicas (counter sums;
-// content counts from any replica of the shard).
+// last probe and per-shard rows — content counts from any replica of the
+// shard, search and round counts from the searches this coordinator ran.
 func (c *Coordinator) Stats() CoordinatorStats {
 	out := CoordinatorStats{
 		Role:       "coordinator",
@@ -681,6 +891,8 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	rows := make([]WorkerShardRow, c.cfg.ShardCount)
 	for s := range rows {
 		rows[s].Shard = s
+		rows[s].Searches = c.touched[s].Load()
+		rows[s].Rounds = c.rounds[s].Load()
 	}
 	for _, w := range c.workers {
 		w.mu.Lock()
@@ -698,8 +910,6 @@ func (c *Coordinator) Stats() CoordinatorStats {
 				rows[r.Shard].Documents = r.Documents
 				rows[r.Shard].Components = r.Components
 				rows[r.Shard].Tags = r.Tags
-				rows[r.Shard].Searches += r.Searches
-				rows[r.Shard].Rounds += r.Rounds
 			}
 		}
 	}

@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,7 +71,8 @@ func startWorkers(t testing.TB, manifestPath string, n int, mode snap.LoadMode) 
 	}
 }
 
-// newCoordinator wires and probes a coordinator over the workers.
+// newCoordinator wires and probes a coordinator over the workers; it has
+// no substrate, so its probe fetches the manifest from a worker.
 func newCoordinator(t testing.TB, layout *snap.Layout, urls []string) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(CoordinatorConfig{
@@ -159,7 +162,8 @@ func datasets(t testing.TB) map[string]graph.Spec {
 // TestDistributedEqualsSharded is the acceptance property: a coordinator
 // over N worker processes answers byte-identically — documents, order,
 // score intervals and termination stats — to core.ShardedEngine over the
-// same shard set, across datasets × N ∈ {1, 2, 4}.
+// same shard set, across datasets × N ∈ {1, 2, 4}, whether it was given
+// its substrate or fetched the manifest from a worker.
 func TestDistributedEqualsSharded(t *testing.T) {
 	for name, spec := range datasets(t) {
 		in, ix := buildInstance(t, spec)
@@ -179,13 +183,18 @@ func TestDistributedEqualsSharded(t *testing.T) {
 			}
 
 			urls, stop := startWorkers(t, manifestPath, n, snap.LoadMmap)
-			// The coordinator must equal the in-process sharded engine byte
-			// for byte, and so must a second, warm pass resuming the workers'
-			// cached frontiers.
-			coord := newCoordinator(t, set.Set.Layout, urls)
+			given, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: n, SetID: set.Set.Layout.SetID,
+				Substrate: set.Set.Base, Layout: set.Set.Layout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := given.Probe(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			coords := map[string]*Coordinator{"given": given, "fetched": newCoordinator(t, set.Set.Layout, urls)}
 
 			seekers, kwSets := queries(in)
-			for pass, label := range []string{"cold", "warm"} {
+			for label, coord := range coords {
 				checked := 0
 				for _, seeker := range seekers {
 					for _, kws := range kwSets {
@@ -215,12 +224,47 @@ func TestDistributedEqualsSharded(t *testing.T) {
 					}
 				}
 				if checked == 0 {
-					t.Fatalf("%s n=%d pass=%d: no queries checked", name, n, pass)
+					t.Fatalf("%s n=%d %s: no queries checked", name, n, label)
 				}
 			}
 			stop()
 			set.Close()
 		}
+	}
+}
+
+// TestSubstrateFetchChecksSet: a coordinator built without its substrate
+// takes the manifest a worker serves only if it is of the coordinator's
+// set. One renamed over the worker's path mid-roll is refused, and
+// searches fail instead of exploring another graph.
+func TestSubstrateFetchChecksSet(t *testing.T) {
+	in, ix := buildInstance(t, smallSpec())
+	manifestPath := writeSet(t, in, ix, 1)
+	m, err := snap.OpenManifest(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, stop := startWorkers(t, manifestPath, 1, snap.LoadMmap)
+	defer stop()
+	other, oix := buildInstance(t, datasets(t)["vodkaster"])
+	if err := os.Rename(writeSet(t, other, oix, 1), manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 1, SetID: m.Layout.SetID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Probe(context.Background()); err == nil || !strings.Contains(err.Error(), "manifest of set") {
+		t.Fatalf("probe loading another set's manifest returned %v", err)
+	}
+	seekers, kwSets := queries(in)
+	groups, _, err := core.ResolveKeywordGroups(in, kwSets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.SearchSpec{Seeker: seekers[0], Groups: groups, K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}}
+	if _, _, err := c.Search(spec, core.CoordOptions{}); err == nil || !strings.Contains(err.Error(), "no substrate") {
+		t.Fatalf("a coordinator without a substrate answered: %v", err)
 	}
 }
 
@@ -255,8 +299,8 @@ func TestCoordinatorRetryAndMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill replica set A. Searches keep succeeding on B (retries bench
-	// the dead workers after their first failure).
+	// Kill replica set A. Searches keep succeeding on B (a failed fetch
+	// benches its worker and re-fetches the shard from the replica).
 	stopA()
 	for i := 0; i < 6; i++ {
 		got, _, err := coord.Search(sspec, core.CoordOptions{})
@@ -272,9 +316,6 @@ func TestCoordinatorRetryAndMembership(t *testing.T) {
 			}
 		}
 	}
-	// Recovery may happen as an in-executor failover (mid-search) or as a
-	// whole-search retry (failure before the first round); either way the
-	// coordinator must have recorded the recovery work.
 	if coord.retries.Load() == 0 && coord.failovers.Load() == 0 {
 		t.Error("no retries or failovers recorded after killing a replica set")
 	}
@@ -362,121 +403,74 @@ func TestWorkerLifecycleStates(t *testing.T) {
 	if err := c.Probe(context.Background()); err == nil {
 		t.Error("probe accepted a draining worker")
 	}
-	// New searches are refused while draining.
-	groups, _, err := core.ResolveKeywordGroups(in, []string{in.Dict().String(in.SortedKeywordsByFrequency()[0])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := openSession(srv.URL, 42, 0)
-	if _, err := re.Begin(core.SearchSpec{Seeker: in.Users()[0], Groups: groups, K: 3, Params: score.Params{Gamma: 1.5, Eta: 0.8}, Epsilon: 1e-12}); err == nil {
-		t.Error("draining worker accepted a new search")
+	// New requests are refused while draining.
+	if code := postPostings(t, srv.URL, postingsRequest{shards: []int{0}, kws: in.SortedKeywordsByFrequency()[:1]}); code != http.StatusServiceUnavailable {
+		t.Errorf("draining worker answered a postings request with %d, want 503", code)
 	}
 }
 
-// TestWireRoundTrip pushes representative frames through the codec: the
-// decode of an encode must reproduce every field bit for bit.
+// postPostings sends one postings request straight to a worker and
+// returns the status it answered with.
+func postPostings(t testing.TB, url string, r postingsRequest) int {
+	t.Helper()
+	body := appendRecord(nil, appendPostingsRequest(nil, r))
+	resp, err := http.Post(url+pathPostings, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// acceptAll is the event check of codec tests that carry no substrate.
+func acceptAll(int, index.Event) error { return nil }
+
+// TestWireRoundTrip pushes a request and a reply through the codec: the
+// decode of an encode must reproduce every field, and the request decoder
+// rejects what no conforming coordinator sends.
 func TestWireRoundTrip(t *testing.T) {
-	br := beginSetRequest{
-		searchID: 7,
-		shards:   []int{1, 3},
-		spec: core.SearchSpec{
-			Seeker: 3, K: 10,
-			Params:  score.Params{Gamma: 1.25, Eta: 0.8},
-			Epsilon: 1e-12,
-			Groups:  [][]dict.ID{{1, 2, 9}, {42}},
-		},
-		traceID: 0xfeed, deadlineMicros: 1_500_000, rounds: 16,
-	}
-	gotBR, err := decodeBeginSetRequest(encodeBeginSetRequest(br))
+	r := postingsRequest{traceID: 0xfeed, shards: []int{1, 3}, kws: []dict.ID{2, 9, 42}}
+	got, err := decodePostingsRequest(appendPostingsRequest(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", gotBR) != fmt.Sprintf("%+v", br) {
-		t.Fatalf("beginset request round trip: %+v != %+v", gotBR, br)
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", r) {
+		t.Fatalf("postings request round trip: %+v != %+v", got, r)
 	}
-	dup := br
-	dup.shards = []int{1, 1}
-	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(dup)); err == nil {
-		t.Error("beginset listing a shard twice accepted")
-	}
-	over := br
-	over.rounds = maxWorkerBatch + 1
-	if _, err := decodeBeginSetRequest(encodeBeginSetRequest(over)); err == nil {
-		t.Error("beginset asking for an oversized first stream accepted")
-	}
-
-	bis := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}}}, {Matched: 0, GroupMasses: [][]int32{{0, 0, 0}, {0}}}}
-	// A beginset stream: the begin record, then one record per round — two
-	// rounds here, or none at all — then the trailer.
-	flat := []core.RoundInfo{
-		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1, Kept: []core.CandMeta{{Doc: 4, Lower: 0.25, Upper: 0.5}}},
-		{N: 1, Reached: 4, Tail: 0.5, SourceTail: 1},
-		{N: 2, Reached: 9, Tail: 0.25, SourceTail: 0.5, Done: true},
-		{N: 2, Reached: 9, Tail: 0.25, SourceTail: 0.5, Done: true},
-	}
-	for _, rounds := range [][]core.RoundInfo{flat, nil} {
-		limit := uint32(len(rounds) / len(bis)) // nothing streams after a 0-round beginset
-		frame := encodeStream(len(bis), bis, rounds)
-		gotBIs, rows, err := decodeStream(frame, len(bis), limit, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprintf("%+v", gotBIs) != fmt.Sprintf("%+v", bis) {
-			t.Fatalf("begin record round trip: %+v != %+v", gotBIs, bis)
-		}
-		if len(rows) != len(rounds)/len(bis) {
-			t.Fatalf("beginset stream carried %d rounds, want %d", len(rows), len(rounds)/len(bis))
-		}
-		for i := range rounds {
-			if got := rows[i/len(bis)][i%len(bis)]; fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", rounds[i]) {
-				t.Fatalf("round record block %d: %+v != %+v", i, got, rounds[i])
-			}
-		}
-		if _, _, err := decodeStream(frame, len(bis)+1, limit, true); err == nil {
-			t.Error("beginset stream with the wrong shard count accepted")
+	for name, bad := range map[string]postingsRequest{
+		"a shard listed twice": {shards: []int{1, 1}, kws: r.kws},
+		"no shards":            {kws: r.kws},
+		"no keywords":          {shards: r.shards},
+	} {
+		if _, err := decodePostingsRequest(appendPostingsRequest(nil, bad)); err == nil {
+			t.Errorf("postings request with %s accepted", name)
 		}
 	}
 
-	fr := roundRequest{searchID: 9, round: 12}
-	gotFR, err := decodeRoundRequest(encodeRoundRequest(fr))
-	if err != nil || gotFR != fr {
-		t.Fatalf("finalize request round trip: %+v, %v (want %+v)", gotFR, err, fr)
+	// A reply for two shards and two keywords: each keyword's events come
+	// back with both shards' concatenated, the span block with its tree.
+	blocks := [][][]index.Event{
+		{{{Frag: 4, Src: graph.NoNID, Type: index.Contains}}, nil},
+		{{{Frag: 9, Src: 2, Type: index.RelatedTo}, {Frag: 11, Src: 3, Type: index.CommentsOn}}, {{Frag: 12, Src: 5, Type: index.RelatedTo}}},
 	}
-
-	ri := core.RoundInfo{
-		Kept:      []core.CandMeta{{Doc: 4, Lower: 0.25, Upper: 0.5}, {Doc: 9, Lower: 0, Upper: 0.5}},
-		Uncertain: &core.CandMeta{Doc: 11, Lower: 0.1, Upper: 0.3},
-		MaxOther:  0.125, Admitted: 2, Candidates: 6, Reached: 19,
-		N: 3, Tail: math.Pow(1.5, -4), SourceTail: math.Pow(1.5, -3), Done: false,
+	e := &enc{}
+	for _, shard := range blocks {
+		for _, evs := range shard {
+			appendEvents(e, evs)
+		}
 	}
-	frame := infoBytes(ri)
-	gotRIs, _, err := decodeHostInfosReply(frame, 1, time.Now())
+	encodeSpanBlock(e, sampleSpan())
+	evs, sp, err := decodePostingsReply(e.b, []int{1, 3}, 2, acceptAll, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRI := gotRIs[0]
-	if gotRI.Uncertain == nil || *gotRI.Uncertain != *ri.Uncertain {
-		t.Fatalf("round info uncertain round trip: %+v != %+v", gotRI.Uncertain, ri.Uncertain)
+	want := [][]index.Event{append(blocks[0][0], blocks[1][0]...), blocks[1][1]}
+	if fmt.Sprint(evs) != fmt.Sprint(want) {
+		t.Fatalf("postings reply round trip: %v != %v", evs, want)
 	}
-	gotFlat, riFlat := gotRI, ri
-	gotFlat.Uncertain, riFlat.Uncertain = nil, nil
-	if fmt.Sprintf("%+v", gotFlat) != fmt.Sprintf("%+v", riFlat) {
-		t.Fatalf("round info round trip: %+v != %+v", gotFlat, riFlat)
+	if sp == nil || sp.Name != "exec.round" || len(sp.Children) != 1 {
+		t.Fatalf("span block round trip: %+v", sp)
 	}
-
-	// Truncated and trailing-garbage frames are rejected.
-	if _, _, err := decodeHostInfosReply(frame[:len(frame)-3], 1, time.Now()); err == nil {
-		t.Error("truncated finalize reply accepted")
-	}
-	if _, _, err := decodeHostInfosReply(append(bytes.Clone(frame), 0), 1, time.Now()); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-}
-
-// infoBytes frames one RoundInfo as a one-member finalize reply — the
-// exact-bits rendering the identity tests compare.
-func infoBytes(info core.RoundInfo) []byte {
-	return appendHostInfosReply(nil, []core.RoundInfo{info})
 }
 
 func jsonDecode(resp *http.Response, v any) error {

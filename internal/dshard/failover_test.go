@@ -1,51 +1,43 @@
-// Tests for the resilience layer: the fast-forward identity property,
-// record CRC integrity, the per-worker circuit breaker,
-// the jittered probe schedule, worker drain across a restart, and
-// membership refresh racing live searches.
+// Tests for the resilience layer: record CRC integrity, mis-sharded
+// replies, the per-worker circuit breaker, the jittered probe schedule,
+// worker drain across a restart, and membership refresh racing live
+// searches.
 package dshard
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"s3/internal/core"
-	"s3/internal/score"
 	"s3/internal/snap"
 )
 
-// flipRecord wraps a worker handler so the k-th record of every beginset
-// reply reaches the coordinator with one payload byte flipped — corruption
-// in transit, behind a CRC that still describes the original bytes.
-func flipRecord(inner http.Handler, k int) http.Handler {
+// flipReply wraps a worker handler so that every postings reply reaches
+// the coordinator with the byte at offset *at flipped (when the reply is
+// that long) — corruption in transit, behind a CRC that still describes
+// the original bytes.
+func flipReply(inner http.Handler, at *atomic.Int64) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != pathBeginSet {
+		if req.URL.Path != pathPostings {
 			inner.ServeHTTP(rw, req)
 			return
 		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, req)
 		body := rec.Body.Bytes()
-		off := 0
-		for i := 0; i < k && off+recordHeader <= len(body); i++ {
-			off += recordHeader + int(binary.LittleEndian.Uint32(body[off:]))
-		}
-		if off+recordHeader < len(body) {
-			body[off+recordHeader] ^= 0x10
-		}
-		for h, vs := range rec.Header() {
-			rw.Header()[h] = vs
+		if k := at.Load(); k < int64(len(body)) {
+			body[k] ^= 0x10
 		}
 		rw.WriteHeader(rec.Code)
 		rw.Write(body)
@@ -53,29 +45,41 @@ func flipRecord(inner http.Handler, k int) http.Handler {
 }
 
 // TestFrameCRC covers record integrity: at the codec, every single bit
-// flipped anywhere in a stream is an error, never a perturbed round; the
-// worker answers a request record that fails its CRC or arrives cut short
-// with 422 (not 400 — transit corruption the coordinator must retry, never
-// a deterministic rejection); and a flipped byte in any record of a reply
-// is a transport failure the coordinator fails over on.
+// flipped anywhere in a request or reply body is an error, never a
+// perturbed event; the worker answers a request record that fails its CRC
+// or arrives cut short with 422 (not 400 — transit corruption the
+// coordinator must fail over on, never a deterministic rejection); and a
+// byte flipped at any offset of a live reply is a transport failure the
+// coordinator fails over on, keeping the answer exact.
 func TestFrameCRC(t *testing.T) {
-	const ns = 2
-	begins := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}, {1, 1}}}, {GroupMasses: [][]int32{{0, 0, 0}, {0}, {0, 0}}}}
-	pristine := encodeStream(ns, begins, sampleRoundInfos())
-	for bit := 0; bit < 8*len(pristine); bit++ {
-		checkFlippedStream(t, pristine, ns, streamFuzzCap, uint32(bit))
+	fx := loadWireFixture()
+	request := appendRecord(nil, appendPostingsRequest(nil, fx.req))
+	for bit := 0; bit < 8*len(request); bit++ {
+		p, err := readBody(bytes.NewReader(flipBit(request, uint32(bit))))
+		if err == nil {
+			_, err = decodePostingsRequest(p)
+		}
+		if err == nil {
+			t.Fatalf("request bit %d flipped: decoded without error", bit)
+		}
+	}
+	reply := appendRecord(nil, fx.reply)
+	for bit := 0; bit < 8*len(reply); bit++ {
+		if replyBodyErr(flipBit(reply, uint32(bit))) == nil {
+			t.Fatalf("reply bit %d flipped: decoded without error", bit)
+		}
 	}
 
 	manifestPath, set, workers, servers := smallTopology(t)
 	post := func(body []byte) int {
-		resp, err := http.Post(servers[0].URL+pathBeginSet, "application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Post(servers[0].URL+pathPostings, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	garbage := appendRecord(nil, []byte("round protocol frame"))
+	garbage := appendRecord(nil, []byte("not a postings request"))
 	corrupt := bytes.Clone(garbage)
 	corrupt[recordHeader+3] ^= 0x10
 	if code := post(corrupt); code != http.StatusUnprocessableEntity {
@@ -90,183 +94,128 @@ func TestFrameCRC(t *testing.T) {
 		t.Fatalf("worker answered %d to a malformed request, want 400", code)
 	}
 
-	// A byte flipped in the begin record, the first round's or the second
-	// round's: the session records a transport-class error (the failover
-	// trigger) on the call that reads it, never an application rejection
-	// and never a decoded round.
-	spec := deepQuery(t, set, servers[0], 3)
-	for k := 0; k < 3; k++ {
-		flipped := httptest.NewServer(flipRecord(workers[0].Handler(), k))
-		v := openSession(flipped.URL, uint64(6601+k), 0)
-		_, err := v.Begin(spec)
-		for r := 0; r < k && err == nil; r++ {
-			_, err = v.Round()
-		}
-		var app *appError
-		if err == nil || errors.As(err, &app) || !strings.Contains(err.Error(), "CRC") {
-			t.Fatalf("record %d flipped: returned %v, want a CRC transport error", k, err)
-		}
-		if v.s.err == nil {
-			t.Fatalf("record %d flipped: session did not latch the transport error", k)
-		}
-		v.End()
-		flipped.Close()
-	}
-
-	// End to end: shard 0's only clean replica keeps the search exact when
-	// the other one sits behind the corrupting hop.
+	// A byte flipped at every offset of a live reply of shard 0's worker:
+	// each fetch is a transport-class error, never an application
+	// rejection and never a decoded reply.
+	spec := deepQuery(t, set, 3)
+	var at atomic.Int64
+	flipped := httptest.NewServer(flipReply(workers[0].Handler(), &at))
+	t.Cleanup(flipped.Close)
 	urlsB, stopB := startWorkers(t, manifestPath, 2, snap.LoadMmap)
 	defer stopB()
+	coord := newCoordinator(t, set.Set.Layout, []string{flipped.URL, servers[1].URL, urlsB[0]})
+	r := postingsRequest{shards: []int{0}, kws: queryKeywords(spec.Groups)}
+	resp, err := http.Post(servers[0].URL+pathPostings, "application/octet-stream", bytes.NewReader(appendRecord(nil, appendPostingsRequest(nil, r))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(live))
+	for k := int64(0); k < size; k++ {
+		at.Store(k)
+		_, _, err := coord.fetch(context.Background(), flipped.URL, r, coord.sub.Load().check)
+		var app *appError
+		if err == nil || errors.As(err, &app) {
+			t.Fatalf("byte %d of %d flipped: fetch returned %v, want a transport error", k, size, err)
+		}
+	}
+
+	// End to end: shard 0's clean replica keeps every search exact while
+	// the corrupting hop flips a byte in the record header, the payload or
+	// its last byte.
 	clean := newCoordinator(t, set.Set.Layout, []string{servers[0].URL, servers[1].URL})
 	wantSel, wantStats, err := clean.Search(spec, core.CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := httptest.NewServer(flipRecord(workers[0].Handler(), 1))
-	t.Cleanup(flipped.Close)
-	coord := newCoordinator(t, set.Set.Layout, []string{flipped.URL, servers[1].URL, urlsB[0]})
-	for i := 0; i < 4; i++ {
-		sel, stats, err := coord.Search(spec, core.CoordOptions{})
+	for _, k := range []int64{0, 5, recordHeader + 1, size / 2, size - 1} {
+		at.Store(k)
+		for i := 0; i < 2; i++ {
+			sel, stats, err := coord.Search(spec, core.CoordOptions{})
+			if err != nil {
+				t.Fatalf("search behind a hop flipping byte %d: %v", k, err)
+			}
+			if got, want := metaTranscript(sel, stats), metaTranscript(wantSel, wantStats); got != want {
+				t.Fatalf("answer diverged behind a hop flipping byte %d\nwant:\n%s\ngot:\n%s", k, want, got)
+			}
+		}
+	}
+	if coord.failovers.Load() == 0 {
+		t.Fatal("flipped replies never triggered a failover")
+	}
+}
+
+// swapShards wraps a worker handler hosting shards 0 and 1 so that it
+// answers a postings request for one of them with the other's events — a
+// mis-sharded worker whose reply is well formed.
+func swapShards(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == pathPostings {
+			p, err := readBody(req.Body)
+			r, derr := decodePostingsRequest(p)
+			if err != nil || derr != nil {
+				http.Error(rw, "bad request", http.StatusBadRequest)
+				return
+			}
+			for i, s := range r.shards {
+				r.shards[i] = 1 - s
+			}
+			req.Body = io.NopCloser(bytes.NewReader(appendRecord(nil, appendPostingsRequest(nil, r))))
+		}
+		inner.ServeHTTP(rw, req)
+	})
+}
+
+// TestFailoverOnMisShardedReply: a worker answering for the wrong shard
+// sends events the layout assigns elsewhere; the coordinator rejects the
+// reply and fails its shards over to a replica, so the answer stays exact
+// instead of duplicating candidates.
+func TestFailoverOnMisShardedReply(t *testing.T) {
+	manifestPath, set, _, _ := smallTopology(t)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{0, 1}, Mode: snap.LoadMmap})
+		if err := w.Load(); err != nil {
+			t.Fatal(err)
+		}
+		h := w.Handler()
+		if i == 0 {
+			h = swapShards(h)
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	coord := newCoordinator(t, set.Set.Layout, urls)
+	for qi, q := range chaosQueries(t, set) {
+		sel, stats, err := coord.Search(q.spec, core.CoordOptions{})
 		if err != nil {
-			t.Fatalf("search %d behind a corrupting hop: %v", i, err)
+			t.Fatalf("query %d: %v", qi, err)
 		}
-		if got, want := metaTranscript(sel, stats), metaTranscript(wantSel, wantStats); got != want {
-			t.Fatalf("answer diverged behind a corrupting hop\nwant:\n%s\ngot:\n%s", want, got)
+		if got := metaTranscript(sel, stats); got != q.want {
+			t.Fatalf("query %d: answer diverged behind a mis-sharded worker\nwant:\n%s\ngot:\n%s", qi, q.want, got)
 		}
 	}
-	if coord.failovers.Load()+coord.retries.Load() == 0 {
-		t.Fatal("flipped records never triggered a failover or retry")
+	if coord.failovers.Load() == 0 {
+		t.Fatal("the mis-sharded worker's replies never triggered a failover")
 	}
 }
 
-// deepQuery finds a query that runs at least minRounds lockstep rounds
-// against shard 0 (which srv must host) without finishing, so
-// fast-forward tests have history to go through.
-func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, srv *httptest.Server, minRounds int) core.SearchSpec {
+// deepQuery finds a query of the set's battery whose search runs at least
+// minRounds rounds.
+func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, minRounds int) core.SearchSpec {
 	t.Helper()
-	in := set.Set.Base
-	seekers, kwSets := queries(in)
-	id := uint64(990000)
-	for _, seeker := range seekers {
-		for _, kws := range kwSets {
-			groups, possible, err := core.ResolveKeywordGroups(in, kws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !possible {
-				continue
-			}
-			spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5,
-				Params: score.Params{Gamma: 1.5, Eta: 0.8}, Epsilon: 1e-12}
-			id++
-			re := openSession(srv.URL, id, 0)
-			if _, err := re.Begin(spec); err != nil {
-				t.Fatal(err)
-			}
-			deep := true
-			for i := 0; i < minRounds; i++ {
-				info, err := re.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.Done {
-					deep = false
-					break
-				}
-			}
-			re.End()
-			if deep {
-				return spec
-			}
+	for _, q := range chaosQueries(t, set) {
+		if q.iters >= minRounds {
+			return q.spec
 		}
 	}
-	t.Fatal("no query runs deep enough for a fast-forward test")
+	t.Fatalf("no query runs %d rounds", minRounds)
 	return core.SearchSpec{}
-}
-
-// TestReplayFastForward is the failover acceptance property: a session
-// begun fresh and fast-forwarded through k consumed rounds continues —
-// round for round, bit for bit — exactly like the session that executed
-// those rounds live, at every consumed-round count a failover can strike
-// at. The stream cap is forced to 1 (every round its own rounds stream),
-// to 3 (fast-forward stops inside a stream and reads on from it) and left
-// at 64 (the history streams on the beginset).
-func TestReplayFastForward(t *testing.T) {
-	_, set, workers, servers := smallTopology(t)
-	leakCheck(t, workers)(http.DefaultClient)
-	srv := servers[0]
-	spec := deepQuery(t, set, srv, 5)
-
-	id := uint64(8800)
-	open := func(batch int) *hostShardView {
-		id++
-		v := openSession(srv.URL, id, 0)
-		v.s.streamCap = batch
-		return v
-	}
-	for _, batch := range []int{1, 3, maxWorkerBatch} {
-		for consumed := 1; consumed <= 4; consumed++ {
-			primary := open(batch)
-			bi1, err := primary.Begin(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < consumed; i++ {
-				if _, err := primary.Round(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			replica := open(batch)
-			bi2, err := replica.Begin(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bi2.Matched != bi1.Matched {
-				t.Fatalf("replica diverges on begin: matched %d vs %d", bi2.Matched, bi1.Matched)
-			}
-			if err := replica.FastForward(uint32(consumed)); err != nil {
-				t.Fatal(err)
-			}
-			if replica.consumed != uint32(consumed) || replica.s.fetched != primary.s.fetched {
-				t.Fatalf("batch=%d consumed=%d: fast-forward left the replica at round %d with %d read, the live session has %d read",
-					batch, consumed, replica.consumed, replica.s.fetched, primary.s.fetched)
-			}
-
-			// The stop decision belongs to the coordinator, so Done may never
-			// fire when driving executors directly: compare a fixed window of
-			// post-recovery rounds, then the finalize state at that point.
-			for i := 0; i < 6; i++ {
-				a, err := primary.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := replica.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(infoBytes(a), infoBytes(b)) {
-					t.Fatalf("batch=%d consumed=%d: round %d diverged after fast-forward:\nlive:   %+v\nreplay: %+v", batch, consumed, consumed+i+1, a, b)
-				}
-				if a.Done {
-					break
-				}
-			}
-			fa, err := primary.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb, err := replica.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(infoBytes(fa), infoBytes(fb)) {
-				t.Fatalf("batch=%d consumed=%d: finalize diverged after fast-forward:\nlive:   %+v\nreplay: %+v", batch, consumed, fa, fb)
-			}
-			primary.End()
-			replica.End()
-		}
-	}
 }
 
 // stubHealthz serves a minimal worker /healthz (+ empty /stats) whose
@@ -474,50 +423,59 @@ func TestProbeJitter(t *testing.T) {
 	}
 }
 
-// TestWorkerDrainAndRestart is the graceful-shutdown satellite: a
-// draining worker refuses new sessions but finishes the one in flight
-// (Drain blocks until End), the fleet keeps answering byte-identically
-// through its replica meanwhile, and a restarted worker on the same
+// TestWorkerDrainAndRestart is the graceful-shutdown path: a draining
+// worker refuses new requests while its HTTP server's Shutdown lets the
+// one in flight finish, the fleet keeps answering byte-identically
+// through the replica meanwhile, and a restarted worker on the same
 // address rejoins membership.
 func TestWorkerDrainAndRestart(t *testing.T) {
 	manifestPath, set, workers, servers := smallTopology(t)
 	urlsB, stopB := startWorkers(t, manifestPath, 2, snap.LoadMmap)
 	defer stopB()
-	urls := []string{servers[0].URL, servers[1].URL}
-	urls = append(urls, urlsB...)
-	coord := newCoordinator(t, set.Set.Layout, urls)
 
-	spec := deepQuery(t, set, servers[0], 2)
-	wantSel, wantStats, err := coord.Search(spec, core.CoordOptions{})
+	// Shard 0's worker A holds every postings reply it has computed until
+	// the test releases it.
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	inner := workers[0].Handler()
+	a := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != pathPostings {
+			inner.ServeHTTP(rw, req)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, req)
+		held <- struct{}{}
+		<-release
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	coord := newCoordinator(t, set.Set.Layout, []string{a.URL, servers[1].URL, urlsB[0]})
+	spec := deepQuery(t, set, 2)
+	clean := newCoordinator(t, set.Set.Layout, []string{servers[0].URL, servers[1].URL})
+	wantSel, wantStats, err := clean.Search(spec, core.CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := metaTranscript(wantSel, wantStats)
 
-	// Open a session, then start draining: the session must pin Drain.
-	// Budgeted, it fetches one round per exchange, so the Round below
-	// crosses the wire.
-	inflight := openSession(servers[0].URL, 7701, 0)
-	inflight.s.budget = time.Hour
-	if _, err := inflight.Begin(spec); err != nil {
-		t.Fatal(err)
-	}
+	// A fetch in flight on A, then SIGTERM's sequence: drain, shut down.
+	r := postingsRequest{shards: []int{0}, kws: queryKeywords(spec.Groups)}
+	inflight := make(chan error, 1)
+	go func() {
+		_, _, err := coord.fetch(context.Background(), a.URL, r, coord.sub.Load().check)
+		inflight <- err
+	}()
+	<-held
 	workers[0].SetDraining()
-	short, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
-	err = workers[0].Drain(short)
-	cancel()
-	if err == nil {
-		t.Fatal("Drain returned with a session still open")
-	}
-	// New sessions are refused while the in-flight one still gets rounds.
-	refused := openSession(servers[0].URL, 7702, 0)
-	if _, err := refused.Begin(spec); err == nil {
-		t.Fatal("draining worker accepted a new search")
-	}
-	if _, err := inflight.Round(); err != nil {
-		t.Fatalf("draining worker refused an in-flight round: %v", err)
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- a.Config.Shutdown(context.Background()) }()
+	if code := postPostings(t, servers[0].URL, r); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining worker answered a new request with %d, want 503", code)
 	}
 	// The fleet keeps answering through the replica.
+	if err := coord.Probe(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		sel, stats, err := coord.Search(spec, core.CoordOptions{})
 		if err != nil {
@@ -527,17 +485,18 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 			t.Fatalf("answer diverged while worker drained\nwant:\n%s\ngot:\n%s", want, got)
 		}
 	}
-	inflight.End()
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := workers[0].Drain(drainCtx); err != nil {
-		t.Fatalf("drain after End: %v", err)
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Fatalf("the fetch in flight at the drain failed: %v", err)
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 
 	// Restart on the same address: the freed port is rebound, a fresh
 	// worker loads, and the coordinator's probe readmits it.
-	addr := servers[0].Listener.Addr().String()
-	servers[0].Close()
+	addr := a.Listener.Addr().String()
+	a.Close()
 	var ln net.Listener
 	waitUntil(t, 5*time.Second, func() bool {
 		l, err := net.Listen("tcp", addr)
@@ -600,7 +559,7 @@ func TestMembershipRefreshDuringSearches(t *testing.T) {
 	defer cancel()
 	go coord.Run(ctx)
 
-	spec := deepQuery(t, set, servers[0], 2)
+	spec := deepQuery(t, set, 2)
 	wantSel, wantStats, err := coord.Search(spec, core.CoordOptions{})
 	if err != nil {
 		t.Fatal(err)

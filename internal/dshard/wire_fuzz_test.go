@@ -2,50 +2,20 @@ package dshard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
-	"s3/internal/core"
 	"s3/internal/dict"
 	"s3/internal/graph"
+	"s3/internal/index"
 	"s3/internal/obs"
-	"s3/internal/score"
+	"s3/internal/snap"
+	"s3/internal/text"
 )
-
-// sampleRoundInfos builds a representative stream's rounds: three rounds
-// of a two-member session (round-major, the last one Done), kept lists of
-// varying length, an uncertain candidate, non-trivial float bounds.
-func sampleRoundInfos() []core.RoundInfo {
-	return []core.RoundInfo{
-		{
-			N: 3, Reached: 120, Admitted: 4, Candidates: 9,
-			Tail: 0.25, SourceTail: 0.125, MaxOther: 0.75,
-			Kept: []core.CandMeta{
-				{Doc: 11, Lower: 0.5, Upper: 0.9},
-				{Doc: 7, Lower: 0.4, Upper: 0.8},
-			},
-			Uncertain: &core.CandMeta{Doc: 42, Lower: 0.3, Upper: 0.85},
-		},
-		{N: 3, Reached: 120, Tail: 0.25, SourceTail: 0.125},
-		{
-			N: 4, Reached: 180, Admitted: 4, Candidates: 9,
-			Tail: 0.125, SourceTail: 0.0625, MaxOther: 0.6,
-			Kept: []core.CandMeta{{Doc: 11, Lower: 0.55, Upper: 0.82}},
-		},
-		{
-			N: 4, Reached: 180, Admitted: 1, Candidates: 2,
-			Tail: 0.125, SourceTail: 0.0625,
-			Kept: []core.CandMeta{{Doc: 90, Lower: 0.1, Upper: 0.2}},
-		},
-		{
-			N: 5, Reached: 240, Admitted: 5, Candidates: 11,
-			Tail: 0.0625, SourceTail: 0.03125, MaxOther: 0.5,
-			Done: true,
-		},
-		{N: 5, Reached: 240, Admitted: 1, Candidates: 2, Tail: 0.0625, SourceTail: 0.03125, Done: true},
-	}
-}
 
 func sampleSpan() *obs.Span {
 	root := obs.NewSpan("exec.round")
@@ -55,6 +25,101 @@ func sampleSpan() *obs.Span {
 	root.Attach(child)
 	root.End()
 	return root
+}
+
+// wireFixture is a live 2-shard set's substrate, a request for three of
+// its keywords on both shards, and the reply payload a worker hosting
+// both would send (span block included): the shapes the corruption tests
+// and fuzz targets start from.
+type wireFixture struct {
+	sub     *substrate
+	ix      *index.Index
+	req     postingsRequest
+	reply   []byte
+	spanLen int
+}
+
+var (
+	fixtureOnce sync.Once
+	fixture     wireFixture
+)
+
+func loadWireFixture() *wireFixture {
+	fixtureOnce.Do(func() {
+		in, err := graph.BuildSpec(smallSpec(), text.Analyzer{Lang: text.None})
+		if err != nil {
+			panic(err)
+		}
+		parts, err := graph.PartitionComponents(in, 2)
+		if err != nil {
+			panic(err)
+		}
+		fixture.sub = newSubstrate(in, &snap.Layout{Shards: []snap.ShardDesc{{Comps: parts[0]}, {Comps: parts[1]}}})
+		fixture.ix = index.Build(in)
+		kws := in.SortedKeywordsByFrequency()
+		fixture.req = postingsRequest{traceID: 7, shards: []int{0, 1}, kws: []dict.ID{kws[len(kws)/4], kws[len(kws)/2], kws[len(kws)-1]}}
+		slices.Sort(fixture.req.kws)
+		e := &enc{}
+		appendShardBlocks(e, fixture.ix, fixture.sub, fixture.req.shards, fixture.req.kws)
+		n := len(e.b)
+		encodeSpanBlock(e, sampleSpan())
+		fixture.reply, fixture.spanLen = e.b, len(e.b)-n
+	})
+	return &fixture
+}
+
+// appendShardBlocks appends the blocks a worker hosting shards sends for
+// kws, from the whole instance's index split by the layout.
+func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kws []dict.ID) {
+	for _, s := range shards {
+		for _, k := range kws {
+			var evs []index.Event
+			for _, ev := range ix.Events(k) {
+				if sub.owner[sub.eng.Instance().CompOf(ev.Frag)] == int32(s) {
+					evs = append(evs, ev)
+				}
+			}
+			appendEvents(e, evs)
+		}
+	}
+}
+
+// replyErr decodes a reply payload to a request for the fixture's keywords
+// on shards the way the coordinator does, every event checked against the
+// fixture's substrate.
+func replyErr(p []byte, shards []int) error {
+	fx := loadWireFixture()
+	_, _, err := decodePostingsReply(p, shards, len(fx.req.kws), fx.sub.check, time.Unix(0, 0))
+	return err
+}
+
+// replyBodyErr is replyErr for a whole reply body to the fixture's
+// request, record framing included.
+func replyBodyErr(body []byte) error {
+	p, err := readBody(bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	return replyErr(p, loadWireFixture().req.shards)
+}
+
+func checkRequest(t *testing.T, b []byte) error {
+	r, err := decodePostingsRequest(b)
+	if err == nil && (len(r.shards) == 0 || len(r.shards) > maxHostShards || len(r.kws) == 0 || len(r.kws) > maxKeywords) {
+		t.Fatalf("decoded %d shards and %d keywords without error", len(r.shards), len(r.kws))
+	}
+	return err
+}
+
+// framed is check behind the record framing: the whole body a peer reads.
+func framed(check func(t *testing.T, p []byte) error) func(t *testing.T, b []byte) error {
+	return func(t *testing.T, b []byte) error {
+		p, err := readBody(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		return check(t, p)
+	}
 }
 
 // wireDecoder is one decoder of the protocol with a pristine frame for it.
@@ -69,130 +134,51 @@ type wireDecoder struct {
 	check        func(t *testing.T, b []byte) error
 }
 
+// wireDecoders lists the frames the corruption storm and the fuzz targets
+// start from. The postings-, record- and span- entries are the fixture's exchange as
+// it crosses the wire. The beginset-, rounds- and finalize- entries keep
+// the names of the round-protocol exchanges (proto 10 and before) whose
+// fuzz targets now drive them, and carry the shapes the fixture's exchange
+// does not take: the request record as a worker reads it, the smallest
+// request, a request at the shard cap, a one-shard reply record, an
+// untraced reply (no optional tail, so every cut must fail) and a reply
+// of empty blocks.
 func wireDecoders() []wireDecoder {
-	const ns = 2
-	base := time.Unix(0, 0)
+	fx := loadWireFixture()
 	var span enc
 	encodeSpanBlock(&span, sampleSpan())
-	spec := core.SearchSpec{
-		Seeker:  graph.NID(17),
-		Groups:  [][]dict.ID{{1, 2, 3}, {9}, {4, 5}},
-		K:       5,
-		Params:  score.Params{Gamma: 1.5, Eta: 0.8},
-		Epsilon: 1e-12,
+	replyFor := func(shards []int) func(*testing.T, []byte) error {
+		return func(_ *testing.T, b []byte) error { return replyErr(b, shards) }
 	}
-	begins := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}, {1, 1}}}, {GroupMasses: [][]int32{{0, 0, 0}, {0}, {0, 0}}}}
-	flat := sampleRoundInfos()
+	smallest := postingsRequest{shards: []int{1}, kws: fx.req.kws[:1]}
+	atCap := postingsRequest{traceID: fx.req.traceID, kws: fx.req.kws}
+	for s := range maxHostShards {
+		atCap.shards = append(atCap.shards, s)
+	}
+	oneShard := &enc{}
+	appendShardBlocks(oneShard, fx.ix, fx.sub, []int{1}, fx.req.kws)
+	empty := &enc{}
+	for range len(fx.req.shards) * len(fx.req.kws) {
+		appendEvents(empty, nil)
+	}
+	blocks := len(empty.b)
+	encodeSpanBlock(empty, sampleSpan())
 	return []wireDecoder{
-		{
-			name: "beginset-request",
-			frame: encodeBeginSetRequest(beginSetRequest{searchID: 99, shards: []int{0, 2}, spec: spec,
-				traceID: 0xdeadbeef, deadlineMicros: 1_000_000, rounds: 16}),
-			check: func(t *testing.T, b []byte) error {
-				r, err := decodeBeginSetRequest(b)
-				if err == nil {
-					if r.rounds > maxWorkerBatch {
-						t.Fatalf("decoded a first stream of %d rounds without error", r.rounds)
-					}
-					if len(r.shards) == 0 || len(r.shards) > maxHostShards {
-						t.Fatalf("decoded %d shards without error", len(r.shards))
-					}
-					if len(r.spec.Groups) == 0 || len(r.spec.Groups) > maxGroups {
-						t.Fatalf("decoded %d keyword groups without error", len(r.spec.Groups))
-					}
-					for _, g := range r.spec.Groups {
-						if len(g) == 0 || len(g) > maxGroupLen {
-							t.Fatalf("decoded a group of %d ids without error", len(g))
-						}
-					}
-				}
-				return err
-			},
-		},
-		{
-			name:         "beginset-reply",
-			frame:        appendBeginRecord(nil, begins, sampleSpan())[recordHeader:],
-			optionalTail: len(span.b),
-			check: func(t *testing.T, b []byte) error {
-				infos, _, err := decodeBeginRecord(b, ns, base)
-				if err == nil && len(infos) != ns {
-					t.Fatalf("decoded %d begin infos for a %d-member session without error", len(infos), ns)
-				}
-				return err
-			},
-		},
-		{
-			name:  "record-stream",
-			frame: encodeStream(ns, begins, flat),
-			check: func(t *testing.T, b []byte) error {
-				_, rows, err := decodeStream(b, ns, streamFuzzCap, true)
-				if len(rows) > streamFuzzCap {
-					t.Fatalf("decoded %d rounds past a %d-round cap", len(rows), streamFuzzCap)
-				}
-				for _, row := range rows {
-					if len(row) != ns {
-						t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
-					}
-				}
-				return err
-			},
-		},
-		{
-			name:  "rounds-request",
-			frame: appendRoundsRequest(nil, roundsRequest{searchID: 5, from: 3, max: 16}),
-			check: func(t *testing.T, b []byte) error {
-				r, err := decodeRoundsRequest(b)
-				if err == nil && (r.max == 0 || r.max > maxWorkerBatch) {
-					t.Fatalf("decoded a batch of %d rounds without error", r.max)
-				}
-				return err
-			},
-		},
-		{
-			name:         "rounds-reply",
-			frame:        appendRoundRecord(nil, flat[:ns], sampleSpan())[recordHeader:],
-			optionalTail: len(span.b),
-			check: func(t *testing.T, b []byte) error {
-				row, _, err := decodeRoundRecord(b, ns, base)
-				if err == nil {
-					if len(row) != ns {
-						t.Fatalf("decoded a row of %d blocks for a %d-member session", len(row), ns)
-					}
-					for _, info := range row {
-						if len(info.Kept) > maxKept {
-							t.Fatalf("decoded %d kept candidates past the cap", len(info.Kept))
-						}
-					}
-				}
-				return err
-			},
-		},
-		{
-			name:  "finalize-request",
-			frame: encodeRoundRequest(roundRequest{searchID: 8, round: 21}),
-			check: func(t *testing.T, b []byte) error {
-				_, err := decodeRoundRequest(b)
-				return err
-			},
-		},
-		{
-			name:         "finalize-reply",
-			frame:        append(appendHostInfosReply(nil, flat[:ns]), span.b...),
-			optionalTail: len(span.b),
-			check: func(t *testing.T, b []byte) error {
-				infos, _, err := decodeHostInfosReply(b, ns, base)
-				if err == nil && len(infos) != ns {
-					t.Fatalf("decoded %d infos for a %d-member session without error", len(infos), ns)
-				}
-				return err
-			},
-		},
+		{name: "postings-request", frame: appendPostingsRequest(nil, fx.req), check: checkRequest},
+		{name: "postings-reply", frame: fx.reply, optionalTail: fx.spanLen, check: replyFor(fx.req.shards)},
+		{name: "record-stream", frame: appendRecord(nil, fx.reply), check: framed(replyFor(fx.req.shards))},
+		{name: "beginset-request", frame: appendRecord(nil, appendPostingsRequest(nil, fx.req)), check: framed(checkRequest)},
+		{name: "rounds-request", frame: appendPostingsRequest(nil, smallest), check: checkRequest},
+		{name: "finalize-request", frame: appendPostingsRequest(nil, atCap), check: checkRequest},
+		{name: "beginset-reply", frame: appendRecord(nil, oneShard.b), check: framed(replyFor([]int{1}))},
+		{name: "rounds-reply", frame: fx.reply[:len(fx.reply)-fx.spanLen], check: replyFor(fx.req.shards)},
+		{name: "finalize-reply", frame: empty.b, optionalTail: len(empty.b) - blocks, check: replyFor(fx.req.shards)},
 		{
 			name:  "span-block",
 			frame: span.b,
 			check: func(t *testing.T, b []byte) error {
 				d := &dec{b: b}
-				root := decodeSpanBlock(d, base)
+				root := decodeSpanBlock(d, time.Unix(0, 0))
 				if err := d.done(); err != nil {
 					return err
 				}
@@ -219,11 +205,11 @@ func wireDecoders() []wireDecoder {
 
 // TestWireCorruption drives every decoder of the protocol through every
 // truncation point and a deterministic storm of random bit flips: a
-// corrupted frame must either decode (flips inside float payloads or list
-// bodies can be value-preserving-shaped) or fail with an error — never
-// panic, hang, or size an allocation past the decode caps. This is the
-// tolerance a peer relies on when the other end (or the network)
-// misbehaves and the CRC happens to agree.
+// corrupted frame must either decode (flips inside ids or list bodies can
+// be shape-preserving) or fail with an error — never panic, hang, or size
+// an allocation past the decode caps. This is the tolerance a peer relies
+// on when the other end (or the network) misbehaves and the CRC happens to
+// agree.
 func TestWireCorruption(t *testing.T) {
 	for _, wd := range wireDecoders() {
 		t.Run(wd.name, func(t *testing.T) {
@@ -252,8 +238,104 @@ func TestWireCorruption(t *testing.T) {
 	}
 }
 
-// fuzzWire lets `go test -fuzz` explore one decoder beyond the
-// deterministic storm; in normal test runs the target replays its seed
+// flipBit returns body with one bit flipped.
+func flipBit(body []byte, bit uint32) []byte {
+	mut := bytes.Clone(body)
+	k := bit % uint32(8*len(mut))
+	mut[k/8] ^= 1 << (k % 8)
+	return mut
+}
+
+// reseal frames payload as a record whose CRC describes it: corruption
+// that a worker, not the network, introduced.
+func reseal(payload []byte) []byte { return appendRecord(nil, payload) }
+
+// FuzzDecodePostingsRequest drives the worker's request decoding — record,
+// then payload — with arbitrary bytes (never a panic or a decoded request
+// past the caps) and with the pristine request under one flipped bit (an
+// error, always). Seeds: pristine, truncated, an oversized shard count, a
+// flipped CRC.
+func FuzzDecodePostingsRequest(f *testing.F) {
+	pristine := appendRecord(nil, appendPostingsRequest(nil, loadWireFixture().req))
+	oversized := bytes.Clone(pristine[recordHeader:])
+	binary.LittleEndian.PutUint32(oversized[8:], 1<<30)
+	crcFlipped := bytes.Clone(pristine)
+	crcFlipped[5] ^= 0x20
+	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], reseal(oversized), crcFlipped} {
+		f.Add(b, uint32(i*977))
+	}
+	decode := framed(checkRequest)
+	f.Fuzz(func(t *testing.T, b []byte, bit uint32) {
+		_ = decode(t, b)
+		if decode(t, flipBit(pristine, bit)) == nil {
+			t.Fatalf("bit %d flipped: the request decoded without error", bit%uint32(8*len(pristine)))
+		}
+	})
+}
+
+// FuzzDecodePostingsReply drives the coordinator's reply decoding — record,
+// payload and the substrate check of every event — with arbitrary bytes
+// (never a panic or a reply of the wrong shape) and with the pristine reply
+// under one flipped bit (an error, always: no flipped bit becomes an
+// event). Seeds: pristine, truncated, an oversized event count, a flipped
+// CRC, an event outside the instance, and blocks answering for the wrong
+// shards — the last two CRC-valid, as a faulty worker would send them.
+func FuzzDecodePostingsReply(f *testing.F) {
+	fx := loadWireFixture()
+	pristine := appendRecord(nil, fx.reply)
+	oversized := bytes.Clone(fx.reply)
+	binary.LittleEndian.PutUint32(oversized, 1<<30)
+	crcFlipped := bytes.Clone(pristine)
+	crcFlipped[5] ^= 0x20
+	// Point the first event of the reply past the last node.
+	outside := bytes.Clone(fx.reply)
+	off := 0
+	for binary.LittleEndian.Uint32(outside[off:]) == 0 {
+		off += 4
+	}
+	binary.LittleEndian.PutUint32(outside[off+4:], uint32(fx.sub.eng.Instance().NumNodes()))
+	swapped := &enc{}
+	appendShardBlocks(swapped, fx.ix, fx.sub, []int{1, 0}, fx.req.kws)
+	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], reseal(oversized), crcFlipped, reseal(outside), reseal(swapped.b)} {
+		if (i == 0) != (replyBodyErr(b) == nil) {
+			f.Fatalf("seed %d: decode error %v", i, replyBodyErr(b))
+		}
+		f.Add(b, uint32(i*977))
+	}
+	f.Fuzz(func(t *testing.T, b []byte, bit uint32) {
+		_ = replyBodyErr(b)
+		if replyBodyErr(flipBit(pristine, bit)) == nil {
+			t.Fatalf("bit %d flipped: the reply decoded without error", bit%uint32(8*len(pristine)))
+		}
+	})
+}
+
+// FuzzDecodeRecordStream drives the record framing every body travels in
+// with arbitrary bytes — a body decodes only if it is exactly one record
+// of the payload it yields — and with the fixture's reply record under one
+// flipped bit (an error, always). Seeds: pristine, truncated, a length
+// over the frame cap, a flipped CRC, a byte past the record, empty.
+func FuzzDecodeRecordStream(f *testing.F) {
+	pristine := appendRecord(nil, loadWireFixture().reply)
+	overCap := bytes.Clone(pristine)
+	binary.LittleEndian.PutUint32(overCap, maxFrameSize+1)
+	crcFlipped := bytes.Clone(pristine)
+	crcFlipped[5] ^= 0x20
+	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], overCap, crcFlipped, append(bytes.Clone(pristine), 0), {}} {
+		f.Add(b, uint32(i*977))
+	}
+	f.Fuzz(func(t *testing.T, b []byte, bit uint32) {
+		if p, err := readBody(bytes.NewReader(b)); err == nil && !bytes.Equal(appendRecord(nil, p), b) {
+			t.Fatalf("a %d-byte body decoded to a %d-byte payload it is not the record of", len(b), len(p))
+		}
+		if _, err := readBody(bytes.NewReader(flipBit(pristine, bit))); err == nil {
+			t.Fatalf("bit %d flipped: the record decoded without error", bit%uint32(8*len(pristine)))
+		}
+	})
+}
+
+// fuzzWire lets `go test -fuzz` explore one decoder of wireDecoders beyond
+// the deterministic storm; in normal test runs the target replays its seed
 // corpus (the pristine frame plus shape-probing mutants) as plain subtests.
 func fuzzWire(f *testing.F, name string) {
 	for _, wd := range wireDecoders() {
@@ -267,97 +349,6 @@ func fuzzWire(f *testing.F, name string) {
 		return
 	}
 	f.Fatalf("no wire decoder named %q", name)
-}
-
-// streamFuzzCap is the round cap the record-stream decoder is fuzzed
-// under: the sample stream ends (Done) inside it, so one more round record
-// is over the cap.
-const streamFuzzCap = 4
-
-// encodeStream frames what a worker streams: the begin record when infos
-// is non-nil, one round record per ns blocks of flat, then the trailer.
-func encodeStream(ns int, infos []core.BeginInfo, flat []core.RoundInfo) []byte {
-	var b []byte
-	if infos != nil {
-		b = appendBeginRecord(b, infos, nil)
-	}
-	for i := 0; i < len(flat); i += ns {
-		b = appendRoundRecord(b, flat[i:i+ns], nil)
-	}
-	return appendTrailer(b, len(flat)/ns)
-}
-
-// decodeStream reads a whole stream the way a session does, returning the
-// rounds decoded before any error.
-func decodeStream(b []byte, ns int, limit uint32, begin bool) (infos []core.BeginInfo, rows [][]core.RoundInfo, err error) {
-	st := roundStream{rr: recordReader{r: bytes.NewReader(b), fb: new(frameBuf)}, nShards: ns, left: limit}
-	base := time.Unix(0, 0)
-	if begin {
-		if infos, _, err = st.begin(base); err != nil {
-			return nil, nil, err
-		}
-	}
-	for !st.done {
-		row, _, err := st.round(base)
-		if err != nil {
-			return infos, rows, err
-		}
-		rows = append(rows, row)
-	}
-	return infos, rows, nil
-}
-
-// checkFlippedStream flips one bit of a pristine stream: the decode must
-// fail, and every round it returned first must be the pristine one.
-func checkFlippedStream(t *testing.T, pristine []byte, ns int, limit uint32, bit uint32) {
-	t.Helper()
-	_, want, err := decodeStream(pristine, ns, limit, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := bytes.Clone(pristine)
-	k := bit % uint32(8*len(mut))
-	mut[k/8] ^= 1 << (k % 8)
-	_, rows, err := decodeStream(mut, ns, limit, true)
-	if err == nil {
-		t.Fatalf("bit %d flipped: the stream decoded without error", k)
-	}
-	for i, row := range rows {
-		if !bytes.Equal(appendHostInfosReply(nil, row), appendHostInfosReply(nil, want[i])) {
-			t.Fatalf("bit %d flipped: round %d decoded perturbed", k, i+1)
-		}
-	}
-}
-
-// FuzzDecodeRecordStream drives the record-stream decoder — a session's
-// view of a beginset reply — with arbitrary bytes (it must not panic or
-// exceed its cap) and with the pristine stream under one flipped bit (an
-// error, never a decoded round). The seeds are the shapes a stream breaks
-// in: truncated, an oversized length, a flipped CRC, no trailer, over cap.
-func FuzzDecodeRecordStream(f *testing.F) {
-	const ns = 2
-	begins := []core.BeginInfo{{Matched: 3, GroupMasses: [][]int32{{5, 0, 7}, {2}, {1, 1}}}, {GroupMasses: [][]int32{{0, 0, 0}, {0}, {0, 0}}}}
-	pristine := encodeStream(ns, begins, sampleRoundInfos())
-	oversized := bytes.Clone(pristine)
-	oversized[3] = 0xff
-	crcFlipped := bytes.Clone(pristine)
-	crcFlipped[5] ^= 0x20
-	noTrailer := pristine[:len(pristine)-recordHeader-5]
-	undone := sampleRoundInfos()[:4]
-	overCap := encodeStream(ns, begins, append(append(undone, undone...), undone[:2]...))
-	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], oversized, crcFlipped, noTrailer, overCap} {
-		f.Add(b, uint32(i*977))
-	}
-	var check func(t *testing.T, b []byte) error
-	for _, wd := range wireDecoders() {
-		if wd.name == "record-stream" {
-			check = wd.check
-		}
-	}
-	f.Fuzz(func(t *testing.T, b []byte, bit uint32) {
-		_ = check(t, b)
-		checkFlippedStream(t, pristine, ns, streamFuzzCap, bit)
-	})
 }
 
 func FuzzDecodeBeginSetRequest(f *testing.F) { fuzzWire(f, "beginset-request") }

@@ -2,12 +2,12 @@
 // fault-injecting http.RoundTripper for in-process suites and a TCP
 // listener proxy for multi-process topologies. Fault schedules are
 // scripted per endpoint (host/path matching with skip/limit counters),
-// so a test can say "kill the round RPCs of worker 2 starting at its
-// 7th request" and assert the recovered answer byte-identical.
+// so a test can say "kill the postings fetches of worker 2 starting at
+// its 7th request" and assert the recovered answer byte-identical.
 //
 // The injected corruption faults (Truncate, Flip) touch only the body
 // bytes: they model a payload corrupted in transit, which the receiver
-// must detect (the round protocol's records carry their own CRCs), not a
+// must detect (the dshard wire's records carry their own CRCs), not a
 // forged checksum.
 package faultnet
 

@@ -356,10 +356,10 @@ func findSpan(sp *obs.SpanJSON, prefix string) *obs.SpanJSON {
 
 // TestDistributedObservability is the end-to-end acceptance check: a
 // coordinator-mode server over two worker processes answers a ?trace=1
-// search with ONE stitched span tree (coordinator rounds containing
-// worker-side executor spans carried back over the wire), all three
-// processes expose parseable /metrics, and the workers retain the
-// propagated trace id in their own /debug/traces rings.
+// search with ONE stitched span tree (the fetch from each worker, carrying
+// the worker-side span back over the wire, then the coordinator's own
+// rounds), all three processes expose parseable /metrics, and the workers
+// retain the propagated trace id in their own /debug/traces rings.
 func TestDistributedObservability(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)
@@ -406,27 +406,31 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("iterations = %d, want a search of several rounds", resp.Iterations)
 	}
 
-	// One stitched tree: a coordinator round span holds per-shard scatter
-	// spans, and inside a shard span sits the worker-side executor span
-	// that crossed the wire.
-	round := findSpan(resp.Trace, "round")
-	if round == nil {
-		t.Fatalf("no round span in distributed trace: %+v", resp.Trace)
+	// One stitched tree: the fetch holds one host span per worker, each
+	// carrying the worker-side span that crossed the wire.
+	fetch := findSpan(resp.Trace, "fetch")
+	if fetch == nil {
+		t.Fatalf("no fetch span in distributed trace: %+v", resp.Trace)
 	}
-	shard := findSpan(round, "shard")
-	if shard == nil {
-		t.Fatalf("round span has no shard scatter spans: %+v", round)
+	hosts := 0
+	for _, c := range fetch.Children {
+		if c.Name == "host" {
+			if findSpan(c, "worker.postings") == nil {
+				t.Fatalf("host span carries no worker-side span — trace did not cross the wire: %+v", c)
+			}
+			hosts++
+		}
 	}
-	if exec := findSpan(shard, "exec."); exec == nil {
-		t.Fatalf("shard span carries no worker-side exec span — trace did not cross the wire: %+v", shard)
+	if hosts != 2 {
+		t.Fatalf("%d host spans under fetch, want one per worker", hosts)
 	}
-	// The rounds a worker streams on the beginset reply cross the wire one
-	// record each and surface under their own round — not under begin.
+	// The coordinator runs the rounds: each round span holds its shard
+	// scatter span with the executor's exec.round inside.
 	rounds := 0
 	for _, c := range resp.Trace.Children {
 		if c.Name == "round" {
-			if findSpan(c, "exec.round") == nil {
-				t.Fatalf("round span carries no worker-side exec.round: %+v", c)
+			if findSpan(findSpan(c, "shard"), "exec.round") == nil {
+				t.Fatalf("round span carries no exec.round: %+v", c)
 			}
 			rounds++
 		}
@@ -435,11 +439,8 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("%d traced rounds, want one per round of a %d-round search", rounds, resp.Iterations)
 	}
 	begin := findSpan(resp.Trace, "begin")
-	if begin == nil || findSpan(begin, "exec.") == nil {
-		t.Fatal("begin phase lost its worker-side spans")
-	}
-	if findSpan(begin, "exec.round") != nil {
-		t.Fatal("begin phase swallowed the first round's spans")
+	if begin == nil || findSpan(begin, "exec.begin") == nil {
+		t.Fatal("begin phase lost its executor span")
 	}
 
 	// Coordinator-mode /metrics: HTTP outcome + engine rounds + wire RPC
@@ -447,9 +448,9 @@ func TestDistributedObservability(t *testing.T) {
 	samples := scrapeMetrics(t, h)
 	obstest.CheckHistogram(t, samples, "s3_http_search_seconds", `outcome="cold"`)
 	obstest.CheckHistogram(t, samples, "s3_search_round_seconds", "")
-	obstest.CheckHistogram(t, samples, "s3_coord_rpc_seconds", `endpoint="beginset"`)
-	if got := samples[`s3_coord_rpc_seconds_count{endpoint="beginset"}`]; got < 1 {
-		t.Fatalf("coordinator beginset RPCs = %v, want >= 1", got)
+	obstest.CheckHistogram(t, samples, "s3_coord_rpc_seconds", `endpoint="postings"`)
+	if got := samples[`s3_coord_rpc_seconds_count{endpoint="postings"}`]; got != 2 {
+		t.Fatalf("coordinator postings fetches = %v, want one per worker", got)
 	}
 	if got := samples["s3_search_round_seconds_count"]; got < 1 {
 		t.Fatalf("s3_search_round_seconds_count = %v, want >= 1", got)
@@ -458,56 +459,29 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("s3_coord_searches_total = %v, want >= 1", got)
 	}
 	// Wire accounting flows both ways (labels render sorted by key).
-	if got := samples[`s3_coord_rpc_bytes_total{direction="sent",endpoint="beginset"}`]; got <= 0 {
-		t.Fatalf("sent bytes on beginset endpoint = %v, want > 0", got)
+	if got := samples[`s3_coord_rpc_bytes_total{direction="sent",endpoint="postings"}`]; got <= 0 {
+		t.Fatalf("sent bytes on postings endpoint = %v, want > 0", got)
 	}
-	if got := samples[`s3_coord_rpc_bytes_total{direction="recv",endpoint="beginset"}`]; got <= 0 {
-		t.Fatalf("recv bytes on beginset endpoint = %v, want > 0", got)
-	}
-	// The rounds-per-stream histogram fires once per round-carrying
-	// exchange: each host's beginset stream and each rounds stream.
-	beginsets, roundRPCs := samples[`s3_coord_rpc_seconds_count{endpoint="beginset"}`], samples[`s3_coord_rpc_seconds_count{endpoint="rounds"}`]
-	if got := samples["s3_coord_round_batch_count"]; beginsets != 2 || got != beginsets+roundRPCs {
-		t.Fatalf("s3_coord_round_batch_count = %v, want %v beginsets + %v rounds RPCs", got, beginsets, roundRPCs)
-	}
-	if got := samples["s3_coord_round_batch_sum"]; got < 2*float64(resp.Iterations) {
-		t.Fatalf("s3_coord_round_batch_sum = %v, want >= %d (every consumed round of both hosts)", got, 2*resp.Iterations)
+	if got := samples[`s3_coord_rpc_bytes_total{direction="recv",endpoint="postings"}`]; got <= 0 {
+		t.Fatalf("recv bytes on postings endpoint = %v, want > 0", got)
 	}
 
-	// Worker /metrics: the round protocol's server side.
-	touched := 0.0
+	// Worker /metrics: the postings endpoint's server side, and the same
+	// trace id filed in each worker's own ring — proof the id propagated.
+	answered := 0.0
 	for _, srv := range workers {
-		// A beginset handler returns once its stream ends, which for a
-		// stream the coordinator hung up on can trail the answer: poll.
 		ws := scrapeURL(t, srv.URL+"/metrics")
-		for wait := time.Now().Add(3 * time.Second); ws[`s3_shard_rpc_seconds_count{endpoint="beginset"}`] < 1 && time.Now().Before(wait); {
-			time.Sleep(10 * time.Millisecond)
-			ws = scrapeURL(t, srv.URL+"/metrics")
+		obstest.CheckHistogram(t, ws, "s3_shard_rpc_seconds", `endpoint="postings"`)
+		if got := ws[`s3_shard_rpc_seconds_count{endpoint="postings"}`]; got < 1 {
+			t.Fatalf("worker %s saw %v postings requests, want >= 1", srv.URL, got)
 		}
-		obstest.CheckHistogram(t, ws, "s3_shard_rpc_seconds", `endpoint="beginset"`)
-		if got := ws[`s3_shard_rpc_seconds_count{endpoint="beginset"}`]; got < 1 {
-			t.Fatalf("worker %s saw %v beginset RPCs, want >= 1", srv.URL, got)
+		answered += ws["s3_worker_searches_total"]
+		if !workerHasTrace(t, srv.URL, resp.TraceID) {
+			t.Fatalf("worker %s never retained trace %s", srv.URL, resp.TraceID)
 		}
-		touched += ws["s3_worker_searches_total"]
 	}
-	if touched < 2 {
-		t.Fatalf("worker fleet began %v sessions, want one per worker", touched)
-	}
-
-	// The workers file the search under the SAME trace id in their own
-	// rings — proof the id propagated over the v1 wire protocol. Session
-	// close is asynchronous (the coordinator's end RPC), so poll briefly.
-	deadline := time.Now().Add(3 * time.Second)
-	for _, srv := range workers {
-		for {
-			if workerHasTrace(t, srv.URL, resp.TraceID) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("worker %s never retained trace %s", srv.URL, resp.TraceID)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+	if answered < 2 {
+		t.Fatalf("worker fleet answered %v postings requests, want one per worker", answered)
 	}
 }
 
@@ -544,7 +518,7 @@ func workerHasTrace(t testing.TB, base, traceID string) bool {
 	}
 	for _, tr := range body.Traces {
 		if tr.TraceID == traceID {
-			if tr.Spans == nil || tr.Spans.Name != "worker.search" {
+			if tr.Spans == nil || tr.Spans.Name != "worker.postings" {
 				t.Fatalf("worker trace %s has wrong root: %+v", traceID, tr.Spans)
 			}
 			return true

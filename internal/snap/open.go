@@ -260,6 +260,17 @@ func OpenManifest(path string, mode LoadMode) (*ManifestSnapshot, error) {
 	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: modeOf(m)}, nil
 }
 
+// ParseManifest decodes a shard-set manifest held in memory — one fetched
+// over the network, say — into a private copy, validated (checksums
+// included) as a LoadCopy open validates the file.
+func ParseManifest(data []byte) (*ManifestSnapshot, error) {
+	base, layout, _, err := decodeManifest(data, false)
+	if err != nil {
+		return nil, err
+	}
+	return &ManifestSnapshot{Base: base, Layout: layout, Mode: LoadCopy}, nil
+}
+
 // Open loads a snapshot file in the requested mode.
 func Open(path string, mode LoadMode) (*Snapshot, error) {
 	data, m, err := loadFile(path, mode)

@@ -5,8 +5,8 @@
 # load running against the coordinator, then repeatedly sever the
 # proxied host's live connections and finally SIGKILL the process
 # mid-load. Every query must keep answering from the surviving host —
-# every shard the dead host carried fails over — and the coordinator
-# must record mid-search failovers (s3_coord_failover_total > 0). Run by
+# every shard the dead host carried is re-fetched there — and the
+# coordinator must record failovers (s3_coord_failover_total > 0). Run by
 # CI next to the observability smoke.
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,7 +32,7 @@ go build -o "$tmp/s3faultproxy" ./cmd/s3faultproxy
 # Two host-grouped workers, replicas of each other: each hosts both
 # shards off one substrate mapping. Host A (18181) is only reachable
 # through the proxy, which adds a little per-write latency so that
-# connection kills land while a search's exchanges are in flight.
+# connection kills land while a search's fetches are in flight.
 "$tmp/s3serve" -shardset "$tmp/i.set" -shards-of 0,1 -addr 127.0.0.1:18181 2>"$tmp/w0.log" &
 W0=$!
 PIDS="$PIDS $W0"
@@ -114,7 +114,7 @@ done
 kill -9 "$W0" 2>/dev/null || true
 sleep 1
 
-# The coordinator must have recovered searches mid-flight.
+# The coordinator must have re-fetched shards from the surviving host.
 failovers=0
 i=0
 while [ "$i" -lt 50 ]; do
@@ -140,7 +140,7 @@ if [ "$count" -lt 20 ]; then
 	exit 1
 fi
 if [ -z "$failovers" ] || [ "$failovers" -eq 0 ]; then
-	echo "e2e-chaos-smoke: no mid-search failovers recorded (s3_coord_failover_total=$failovers)" >&2
+	echo "e2e-chaos-smoke: no failovers recorded (s3_coord_failover_total=$failovers)" >&2
 	cat "$tmp/c.log" >&2
 	exit 1
 fi

@@ -69,61 +69,40 @@ if [ -z "$trace_id" ]; then
 	echo "e2e-obs-smoke: traced search returned no trace_id: $resp" >&2
 	exit 1
 fi
+# The coordinator runs the rounds itself: its own executor's exec.round
+# spans, after the fetch that carried each worker's span back.
 if ! printf '%s' "$resp" | grep -q '"name":"exec.round"'; then
+	echo "e2e-obs-smoke: trace carries no executor round spans: $resp" >&2
+	exit 1
+fi
+if ! printf '%s' "$resp" | grep -q '"name":"worker.postings"'; then
 	echo "e2e-obs-smoke: trace carries no worker-side spans: $resp" >&2
 	exit 1
 fi
 
-# The trace is retained on the coordinator and (after the async session
-# close) propagated to the workers' rings under the same id.
+# The trace is retained on the coordinator and on the workers' rings under
+# the same id.
 curl -sf http://127.0.0.1:18080/debug/traces | grep -q "$trace_id" ||
 	{ echo "e2e-obs-smoke: coordinator ring lost trace $trace_id" >&2; exit 1; }
-i=0
-while ! curl -sf http://127.0.0.1:18081/debug/traces | grep -q "$trace_id"; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "e2e-obs-smoke: worker ring never saw trace $trace_id" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+curl -sf http://127.0.0.1:18081/debug/traces | grep -q "$trace_id" ||
+	{ echo "e2e-obs-smoke: worker ring never saw trace $trace_id" >&2; exit 1; }
 
-# /metrics serves on all three processes with the mode-specific families.
-curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_rpc_seconds_count{endpoint="rounds"}' ||
-	{ echo "e2e-obs-smoke: coordinator /metrics missing rounds RPC histogram" >&2; exit 1; }
-# Round streams actually carried the search — on the beginset replies that
-# opened the sessions (and the rounds endpoint past 64 rounds): the
-# rounds-per-stream histogram must have observed at least one stream.
-batches=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_round_batch_count \([0-9]*\)$/\1/p')
-if [ -z "$batches" ] || [ "$batches" -eq 0 ]; then
-	echo "e2e-obs-smoke: no round streams observed (s3_coord_round_batch_count=$batches)" >&2
+# /metrics serves on all three processes with the mode-specific families:
+# one postings fetch per host on the coordinator, its handling on each
+# worker.
+fetches=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_rpc_seconds_count{endpoint="postings"} \([0-9]*\)$/\1/p')
+if [ -z "$fetches" ] || [ "$fetches" -eq 0 ]; then
+	echo "e2e-obs-smoke: coordinator /metrics missing postings fetches (count=$fetches)" >&2
 	exit 1
 fi
-curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_spec_wasted_total' ||
-	{ echo "e2e-obs-smoke: coordinator /metrics missing the unconsumed-rounds counter" >&2; exit 1; }
-curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_worker_warm_resumes_total' ||
-	{ echo "e2e-obs-smoke: worker /metrics missing warm-resume counter" >&2; exit 1; }
 curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_search_round_seconds_count' ||
 	{ echo "e2e-obs-smoke: coordinator /metrics missing per-round latency" >&2; exit 1; }
-curl -sf http://127.0.0.1:18081/metrics | grep -q '^s3_shard_rpc_seconds_count{endpoint="rounds"}' ||
-	{ echo "e2e-obs-smoke: worker /metrics missing shard RPC histogram" >&2; exit 1; }
-curl -sf http://127.0.0.1:18082/metrics | grep -q '^s3_worker_searches_total' ||
-	{ echo "e2e-obs-smoke: worker /metrics missing search counter" >&2; exit 1; }
-# Host grouping actually engaged: the coordinator opened host sessions
-# spanning both co-hosted shards, and the workers stepped one shared
-# iterator per round (steps > 0 proves the shared-iterator path executed).
-sessions=$(curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^s3_coord_host_sessions_total \([0-9]*\)$/\1/p')
-if [ -z "$sessions" ] || [ "$sessions" -eq 0 ]; then
-	echo "e2e-obs-smoke: no host-grouped sessions recorded (s3_coord_host_sessions_total=$sessions)" >&2
-	exit 1
-fi
-curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_coord_host_rpc_shards_bucket' ||
-	{ echo "e2e-obs-smoke: coordinator /metrics missing host fan-in histogram" >&2; exit 1; }
-steps=$(curl -sf http://127.0.0.1:18081/metrics | sed -n 's/^s3_worker_iter_steps_total \([0-9]*\)$/\1/p')
-if [ -z "$steps" ] || [ "$steps" -eq 0 ]; then
-	echo "e2e-obs-smoke: worker executed no shared-iterator steps (s3_worker_iter_steps_total=$steps)" >&2
-	exit 1
-fi
+for port in 18081 18082; do
+	curl -sf http://127.0.0.1:$port/metrics | grep -q '^s3_shard_rpc_seconds_count{endpoint="postings"} [1-9]' ||
+		{ echo "e2e-obs-smoke: worker $port /metrics missing postings histogram" >&2; exit 1; }
+	curl -sf http://127.0.0.1:$port/metrics | grep -q '^s3_worker_searches_total' ||
+		{ echo "e2e-obs-smoke: worker $port /metrics missing search counter" >&2; exit 1; }
+done
 
 # The slow-query log (threshold 1ms may or may not fire on loopback) must
 # at least leave the counter scrapeable, and pprof answers on the debug
