@@ -24,8 +24,8 @@
 // of the connection index each, plus a coordinator that runs every search
 // over the substrate it maps with the manifest: it fetches the query
 // keywords' postings from each worker host in one binary exchange and
-// explores in process. Each worker maps only the manifest's search
-// substrate plus its hosted shards (sliced node tables); answers are
+// explores in process. A worker reads only the manifest's meta and layout
+// and keeps nothing but its hosted shard files; answers are
 // byte-identical to the single-process shard set. A worker hosting several
 // shards (-shards-of) answers for all of them in one reply:
 //
@@ -87,8 +87,7 @@ func main() {
 		specPath   = flag.String("spec", "", "rebuild the instance from this spec (gob) when -snapshot is not given")
 		lang       = flag.String("lang", "raw", "text pipeline for -spec builds: english | french | raw")
 		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
-		shardOf    = flag.Int("shard-of", -1, "worker mode: serve only this shard of -shardset to a coordinator (postings requests)")
-		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset from one process (one substrate mapping, one postings reply per search for all of them; e.g. -shards-of 0,2)")
+		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset to a coordinator from one process (one postings reply per search for all of them; e.g. -shards-of 0,2, or -shards-of 1 for one shard)")
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
 		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
@@ -112,12 +111,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *shardOf >= 0 && len(shards) == 0 {
-		shards = []int{*shardOf}
-	}
 	if len(shards) > 0 {
 		if *setPath == "" || *snapPath != "" || *specPath != "" || *coord {
-			log.Fatal("-shard-of/-shards-of requires -shardset (and excludes -snapshot, -spec and -coordinator)")
+			log.Fatal("-shards-of requires -shardset (and excludes -snapshot, -spec and -coordinator)")
 		}
 		verify, err := parseVerify(*verifyMode)
 		if err != nil {
@@ -222,10 +218,9 @@ func serveHTTP(addr string, handler http.Handler, drain func()) {
 
 // runWorker serves one or more shards of a set to coordinators from a
 // single process. The HTTP listener comes up immediately with
-// /healthz reporting "loading"; the shards load in the background (into
-// one shared mapping — the substrate is mapped once however many shards
-// ride on it) and readiness flips to "serving" when they are queryable —
-// exactly what a coordinator's membership probe expects.
+// /healthz reporting "loading"; the shards load in the background and
+// readiness flips to "serving" when they are queryable — exactly what a
+// coordinator's membership probe expects.
 func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, verify snap.VerifyMode) {
 	w := dshard.NewWorker(dshard.WorkerConfig{
 		ManifestPath: setPath,

@@ -378,12 +378,12 @@ func TestMmapLoaderEndToEnd(t *testing.T) {
 }
 
 // startTestWorker boots one in-process shard worker over loopback HTTP —
-// the same Worker the -shard-of mode serves.
+// the same Worker the -shards-of mode serves.
 func startTestWorker(t *testing.T, manifest string, shard int) *httptest.Server {
 	t.Helper()
 	w := dshard.NewWorker(dshard.WorkerConfig{
 		ManifestPath: manifest,
-		Shard:        shard,
+		Shards:       []int{shard},
 		Mode:         snap.LoadMmap,
 	})
 	if err := w.Load(); err != nil {
@@ -395,8 +395,8 @@ func startTestWorker(t *testing.T, manifest string, shard int) *httptest.Server 
 }
 
 // TestServeDistributedEndToEnd exercises the full distributed serving
-// pipeline over loopback: shard set on disk → two shard workers (mapped,
-// sliced) → coordinator through the public HTTP API. Every answer must
+// pipeline over loopback: shard set on disk → two shard workers (mapped)
+// → coordinator through the public HTTP API. Every answer must
 // be byte-identical to searching the in-memory instance directly, and
 // /stats must expose the aggregated per-worker counters.
 func TestServeDistributedEndToEnd(t *testing.T) {

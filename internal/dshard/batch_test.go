@@ -97,7 +97,7 @@ func smallTopology(t *testing.T) (string, *snap.ShardSetSnapshot, []*Worker, []*
 	workers := make([]*Worker, 2)
 	servers := make([]*httptest.Server, 2)
 	for i := range workers {
-		workers[i] = NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: i, Mode: snap.LoadMmap})
+		workers[i] = NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{i}, Mode: snap.LoadMmap})
 		if err := workers[i].Load(); err != nil {
 			t.Fatal(err)
 		}

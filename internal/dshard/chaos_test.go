@@ -38,7 +38,7 @@ func chaosTopology(t *testing.T) (*snap.ShardSetSnapshot, []*Worker, []*httptest
 	workers := make([]*Worker, 4)
 	servers := make([]*httptest.Server, 4)
 	for i := range workers {
-		workers[i] = NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: i % 2, Mode: snap.LoadMmap})
+		workers[i] = NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{i % 2}, Mode: snap.LoadMmap})
 		if err := workers[i].Load(); err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func startWorkers(t testing.TB, manifestPath string, n int, mode snap.LoadMode) 
 	urls := make([]string, n)
 	var servers []*httptest.Server
 	for i := 0; i < n; i++ {
-		w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: i, Mode: mode})
+		w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{i}, Mode: mode})
 		if err := w.Load(); err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestWorkerLifecycleStates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: 0, Mode: snap.LoadCopy})
+	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{0}, Mode: snap.LoadCopy})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 

@@ -506,7 +506,7 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 		ln = l
 		return true
 	})
-	w2 := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shard: 0, Mode: snap.LoadMmap})
+	w2 := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{0}, Mode: snap.LoadMmap})
 	if err := w2.Load(); err != nil {
 		t.Fatal(err)
 	}

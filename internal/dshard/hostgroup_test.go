@@ -17,8 +17,7 @@ import (
 )
 
 // startHostWorkers boots one worker process per host, each hosting the
-// given shard group off a single substrate mapping, and returns the host
-// URLs plus a shutdown func.
+// given shard group, and returns the host URLs plus a shutdown func.
 func startHostWorkers(t testing.TB, manifestPath string, groups [][]int, mode snap.LoadMode) ([]string, func()) {
 	t.Helper()
 	urls := make([]string, len(groups))

@@ -41,16 +41,12 @@ func stateName(s int32) string {
 
 // WorkerConfig assembles a Worker.
 type WorkerConfig struct {
-	// ManifestPath and Shard select the shard-set manifest and this
-	// worker's ordinal; Mode is the load mode (snap.LoadMmap maps the
-	// sliced substrate).
+	// ManifestPath selects the shard-set manifest and Shards every shard
+	// ordinal this process hosts (at least one). Mode is the load mode:
+	// snap.LoadMmap maps the hosted shard files, and nothing else.
 	ManifestPath string
-	Shard        int
+	Shards       []int
 	Mode         snap.LoadMode
-	// Shards, when non-empty, lists ALL the shard ordinals this process
-	// hosts (Shard is ignored); the worker serves them off one substrate
-	// mapping. Empty means []int{Shard}.
-	Shards []int
 	// Verify selects when snapshot payload checksums run: snap.VerifyEager
 	// (default) fails the Load on corruption; snap.VerifyLazy starts
 	// serving as soon as the section tables parse and flips the worker
@@ -99,7 +95,7 @@ func (g *workerGen) release() {
 type Worker struct {
 	cfg WorkerConfig
 	// shardIdx maps hosted shard ordinal → index in cfg.Shards (and in
-	// the per-shard slices below and the snapshot's Indexes).
+	// the per-shard slices below and the snapshot's Postings).
 	shardIdx map[int]int
 	state    atomic.Int32
 	cur      atomic.Pointer[workerGen]
@@ -120,10 +116,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{cfg.Shard}
-	}
-	cfg.Shard = cfg.Shards[0]
 	w := &Worker{
 		cfg:      cfg,
 		shardIdx: make(map[int]int, len(cfg.Shards)),
@@ -287,7 +279,7 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 	e, start := openRecord(nil)
 	events := 0
 	for _, idx := range hosted {
-		ix := gen.ws.Indexes[idx]
+		ix := &gen.ws.Postings[idx]
 		found := 0
 		for _, k := range r.kws {
 			evs := ix.Events(k)
@@ -349,9 +341,18 @@ type healthzBody struct {
 	Proto int `json:"proto,omitempty"`
 }
 
+// firstShard is the "shard" the wire bodies report: the first hosted
+// ordinal (-1 for a worker configured with none, which never loads).
+func (w *Worker) firstShard() int {
+	if len(w.cfg.Shards) == 0 {
+		return -1
+	}
+	return w.cfg.Shards[0]
+}
+
 func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	state := w.state.Load()
-	body := healthzBody{Status: stateName(state), Shard: w.cfg.Shard, Shards: w.cfg.Shards, Proto: protoVersion}
+	body := healthzBody{Status: stateName(state), Shard: w.firstShard(), Shards: w.cfg.Shards, Proto: protoVersion}
 	status := http.StatusServiceUnavailable
 	verified := true
 	if gen := w.acquire(); gen != nil {
@@ -408,7 +409,7 @@ func (w *Worker) Stats() WorkerStats {
 	st := WorkerStats{
 		Role:     "worker",
 		Status:   stateName(w.state.Load()),
-		Shard:    w.cfg.Shard,
+		Shard:    w.firstShard(),
 		UptimeMS: time.Since(w.start).Milliseconds(),
 		Searches: w.searches.Load(),
 		Rejected: w.rejected.Load(),
@@ -421,12 +422,12 @@ func (w *Worker) Stats() WorkerStats {
 		st.MappedBytes = gen.ws.MappedBytes()
 		st.Shards = make([]WorkerShardRow, len(w.cfg.Shards))
 		for i, shard := range w.cfg.Shards {
-			is := gen.ws.Instances[i].Stats()
+			desc := gen.ws.Layout.Shards[shard]
 			st.Shards[i] = WorkerShardRow{
 				Shard:      shard,
-				Documents:  is.Documents,
-				Components: is.Components,
-				Tags:       is.Tags,
+				Documents:  desc.Docs,
+				Components: len(desc.Comps),
+				Tags:       gen.ws.Tags[i],
 				Searches:   w.touched[i].Load(),
 			}
 		}

@@ -174,11 +174,6 @@ type Instance struct {
 	// components (see ProjectComponents). The substrate tables above are
 	// shared with the base instance.
 	proj *projection
-
-	// sliced, when non-nil, marks a worker substrate whose node tables
-	// cover only its owned components' rows (see FromSliced). Such an
-	// instance has no dictionary, ontology or content-entity tables.
-	sliced *slicedNodes
 }
 
 // Dict returns the shared dictionary.
@@ -191,12 +186,7 @@ func (in *Instance) Ontology() *rdf.Graph { return in.ont }
 func (in *Instance) Analyzer() text.Analyzer { return in.analyzer }
 
 // NumNodes returns the number of instance nodes (users + doc nodes + tags).
-func (in *Instance) NumNodes() int {
-	if in.sliced != nil {
-		return in.sliced.numNodes
-	}
-	return len(in.dictID)
-}
+func (in *Instance) NumNodes() int { return len(in.dictID) }
 
 // NIDOf resolves a URI to its node.
 func (in *Instance) NIDOf(uri string) (NID, bool) {
@@ -221,43 +211,23 @@ func (in *Instance) URIOf(n NID) string { return in.dict.String(in.dictID[n]) }
 // DictIDOf returns the dictionary id of a node's URI.
 func (in *Instance) DictIDOf(n NID) dict.ID { return in.dictID[n] }
 
-// KindOf returns the node kind. On a sliced instance, rows outside the
-// slice report KindUser (the neutral non-document default).
-func (in *Instance) KindOf(n NID) NodeKind {
-	if in.sliced != nil {
-		return in.sliced.kindOf(n)
-	}
-	return in.kind[n]
-}
+// KindOf returns the node kind.
+func (in *Instance) KindOf(n NID) NodeKind { return in.kind[n] }
 
 // ParentOf returns the tree parent of a document node (NoNID for roots and
 // non-document nodes).
-func (in *Instance) ParentOf(n NID) NID {
-	if in.sliced != nil {
-		return in.sliced.parentOf(n)
-	}
-	return in.parent[n]
-}
+func (in *Instance) ParentOf(n NID) NID { return in.parent[n] }
 
 // DepthOf returns the tree depth of a document node (0 for roots, users
 // and tags).
-func (in *Instance) DepthOf(n NID) int32 {
-	if in.sliced != nil {
-		return in.sliced.depthOf(n)
-	}
-	return in.depth[n]
-}
+func (in *Instance) DepthOf(n NID) int32 { return in.depth[n] }
 
 // ChildrenOf returns the tree children of a document node.
 func (in *Instance) ChildrenOf(n NID) []NID { return in.children[n] }
 
 // DocRootOf returns the root of the document a node belongs to, or NoNID
-// for users and tags. Sliced instances carry no document-root list and
-// always report NoNID (result assembly is the coordinator's job).
+// for users and tags.
 func (in *Instance) DocRootOf(n NID) NID {
-	if in.sliced != nil {
-		return NoNID
-	}
 	if in.docOf[n] < 0 {
 		return NoNID
 	}
@@ -422,24 +392,6 @@ func (in *Instance) KeywordFrequencies() map[dict.ID]int {
 // IsAncestorOrSelf reports whether a is an ancestor of b or equal to it,
 // within the same document tree.
 func (in *Instance) IsAncestorOrSelf(a, b NID) bool {
-	if s := in.sliced; s != nil {
-		ra, rb := s.row(a), s.row(b)
-		if ra < 0 || rb < 0 || s.kind[ra] != KindDocNode || s.kind[rb] != KindDocNode {
-			return a == b
-		}
-		if s.docOf[ra] != s.docOf[rb] {
-			return false
-		}
-		da, db := s.depth[ra], s.depth[rb]
-		if da > db {
-			return false
-		}
-		for b != NoNID && db > da {
-			b = s.parentOf(b)
-			db--
-		}
-		return a == b
-	}
 	if in.kind[a] != KindDocNode || in.kind[b] != KindDocNode {
 		return a == b
 	}
@@ -467,9 +419,6 @@ func (in *Instance) VerticalNeighbors(a, b NID) bool {
 func (in *Instance) PosLen(d, f NID) (int32, bool) {
 	if !in.IsAncestorOrSelf(d, f) {
 		return 0, false
-	}
-	if in.sliced != nil {
-		return in.sliced.depthOf(f) - in.sliced.depthOf(d), true
 	}
 	return in.depth[f] - in.depth[d], true
 }

@@ -40,9 +40,6 @@ func (in *Instance) ProjectComponents(comps []int32) (*Instance, error) {
 	if in.proj != nil {
 		return nil, fmt.Errorf("graph: cannot project an already-projected instance")
 	}
-	if in.sliced != nil {
-		return nil, fmt.Errorf("graph: cannot project a sliced instance")
-	}
 	p := &projection{
 		// Non-nil even when empty: OwnedComponents distinguishes "owns
 		// nothing" (a valid shard of an over-partitioned instance) from
@@ -141,9 +138,6 @@ func (in *Instance) projectedStats(p *projection) Stats {
 // but non-nil for a projection owning nothing — or nil for an
 // unprojected instance (which owns every component).
 func (in *Instance) OwnedComponents() []int32 {
-	if in.sliced != nil {
-		return in.sliced.comps
-	}
 	if in.proj == nil {
 		return nil
 	}
@@ -155,9 +149,6 @@ func (in *Instance) OwnedComponents() []int32 {
 func (in *Instance) OwnsComponent(c int32) bool {
 	if c < 0 || int(c) >= in.nComp {
 		return false
-	}
-	if in.sliced != nil {
-		return in.sliced.owns[c]
 	}
 	if in.proj == nil {
 		return true

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"s3/internal/dict"
@@ -28,64 +29,95 @@ func (ix *Index) Raw() []RawPosting {
 }
 
 // Flat is the zero-copy import form of an index: the canonically-ordered
-// flat arrays of a v3 snapshot, including the precomputed per-posting
-// component summaries (CompOff/CompIDs list each posting's distinct
-// components in event order; MaxRuns bounds its longest single-component
-// run — the §4 threshold input).
+// flat arrays of a snapshot or shard file (Evs holds every posting's
+// events back to back, EvOff where each starts), including the
+// precomputed per-posting component summaries (CompOff/CompIDs list each
+// posting's distinct components in event order; MaxRuns bounds its
+// longest single-component run — the §4 threshold input).
 type Flat struct {
 	Kws     []dict.ID
 	EvOff   []int64
-	Events  []Event
+	Evs     []Event
 	Comps   []int32
 	CompOff []int64
 	CompIDs []int32
 	MaxRuns []int32
 }
 
+// Validate checks whatever could make a read of the flat form panic or
+// hang — array lengths, offset monotonicity, keyword order, event
+// fragments and sources as indices of an instance of numNodes nodes, and
+// event types — with cheap sequential scans. It trusts the *semantic* content of the
+// arrays (canonical event order, component summaries): integrity comes
+// from the caller's per-section checksums, correctness from the writer.
+func (f *Flat) Validate(numNodes int) error {
+	nkw := len(f.Kws)
+	if err := checkOff(f.EvOff, nkw, len(f.Evs), "event"); err != nil {
+		return err
+	}
+	if err := checkOff(f.CompOff, nkw, len(f.CompIDs), "component summary"); err != nil {
+		return err
+	}
+	if len(f.Comps) != len(f.Evs) {
+		return fmt.Errorf("index: %d component ids for %d events", len(f.Comps), len(f.Evs))
+	}
+	if len(f.MaxRuns) != nkw {
+		return fmt.Errorf("index: %d run bounds for %d keywords", len(f.MaxRuns), nkw)
+	}
+	for i := 1; i < nkw; i++ {
+		if f.Kws[i-1] >= f.Kws[i] {
+			return fmt.Errorf("index: posting keywords out of order at %d", i)
+		}
+	}
+	// Fragments and sources are used as node indices by the scorer, and
+	// types index its per-type weights. The pass is a branch-free max
+	// reduction — uint32(x) folds the negative cases in, and the +1 bias
+	// maps the NoNID source sentinel (-1) to 0, which every bound accepts.
+	var maxFrag, maxSrc1 uint32
+	var maxType ConnType
+	for i := range f.Evs {
+		if v := uint32(f.Evs[i].Frag); v > maxFrag {
+			maxFrag = v
+		}
+		if v := uint32(f.Evs[i].Src) + 1; v > maxSrc1 {
+			maxSrc1 = v
+		}
+		maxType = max(maxType, f.Evs[i].Type)
+	}
+	n := uint32(numNodes)
+	if len(f.Evs) > 0 && (maxFrag >= n || maxSrc1 > n) {
+		return fmt.Errorf("index: event fragment or source outside instance of %d nodes", n)
+	}
+	if maxType > CommentsOn {
+		return fmt.Errorf("index: unknown connection type %d", maxType)
+	}
+	return nil
+}
+
+// Events returns the events of keyword k (nil when it has none): a
+// binary search over Kws, then a sub-slice by EvOff. The flat form must
+// have passed Validate.
+func (f *Flat) Events(k dict.ID) []Event {
+	i, ok := slices.BinarySearch(f.Kws, k)
+	if !ok {
+		return nil
+	}
+	lo, hi := f.EvOff[i], f.EvOff[i+1]
+	return f.Evs[lo:hi:hi]
+}
+
 // FromFlat reconstructs an index over a frozen instance from its flat
 // form without copying: every per-keyword list is a sub-slice of the
 // supplied arrays (which typically point into a memory mapping — see
-// graph.Raw's immutability contract).
-//
-// FromFlat validates whatever could panic or hang — array lengths,
-// offset monotonicity, keyword order, event index bounds — with cheap
-// sequential scans, but trusts the *semantic* content of the arrays
-// (canonical event order, component summaries): integrity comes from the
-// caller's per-section checksums, correctness from the writer. Loaders
-// that cannot extend that trust (foreign files, no checksums) should
-// rebuild through FromRaw, which re-derives and validates everything.
+// graph.Raw's immutability contract). The arrays are checked by Validate
+// first. Loaders that cannot extend its trust (foreign files, no
+// checksums) should rebuild through FromRaw, which re-derives and
+// validates everything.
 func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
+	if err := f.Validate(in.NumNodes()); err != nil {
+		return nil, err
+	}
 	nkw := len(f.Kws)
-	if err := checkOff(f.EvOff, nkw, len(f.Events), "event"); err != nil {
-		return nil, err
-	}
-	if err := checkOff(f.CompOff, nkw, len(f.CompIDs), "component summary"); err != nil {
-		return nil, err
-	}
-	if len(f.Comps) != len(f.Events) {
-		return nil, fmt.Errorf("index: %d component ids for %d events", len(f.Comps), len(f.Events))
-	}
-	if len(f.MaxRuns) != nkw {
-		return nil, fmt.Errorf("index: %d run bounds for %d keywords", len(f.MaxRuns), nkw)
-	}
-	// Panic-safety scan: fragments and sources are used as node indices
-	// by the scorer, so they are bounds-checked. The pass is a branch-free
-	// max reduction — uint32(x) folds the negative cases in, and the +1
-	// bias maps the NoNID source sentinel (-1) to 0, which every bound
-	// accepts; the canonical order and component labels stay trusted.
-	var maxFrag, maxSrc1 uint32
-	for i := range f.Events {
-		if v := uint32(f.Events[i].Frag); v > maxFrag {
-			maxFrag = v
-		}
-		if v := uint32(f.Events[i].Src) + 1; v > maxSrc1 {
-			maxSrc1 = v
-		}
-	}
-	n := uint32(in.NumNodes())
-	if len(f.Events) > 0 && (maxFrag >= n || maxSrc1 > n) {
-		return nil, fmt.Errorf("index: event fragment or source outside instance of %d nodes", n)
-	}
 	ix := &Index{
 		in:            in,
 		byKw:          make(map[dict.ID]*kwList, nkw),
@@ -94,11 +126,8 @@ func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 	}
 	lists := make([]kwList, nkw)
 	for i, kw := range f.Kws {
-		if i > 0 && f.Kws[i-1] >= kw {
-			return nil, fmt.Errorf("index: posting keywords out of order at %d", i)
-		}
 		lo, hi := f.EvOff[i], f.EvOff[i+1]
-		lists[i] = kwList{evs: f.Events[lo:hi:hi], comps: f.Comps[lo:hi:hi]}
+		lists[i] = kwList{evs: f.Evs[lo:hi:hi], comps: f.Comps[lo:hi:hi]}
 		ix.byKw[kw] = &lists[i]
 		clo, chi := f.CompOff[i], f.CompOff[i+1]
 		ix.compsByKw[kw] = f.CompIDs[clo:chi:chi]

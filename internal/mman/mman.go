@@ -17,7 +17,6 @@ package mman
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 )
 
@@ -26,9 +25,6 @@ import (
 type Mapping struct {
 	data []byte
 	path string
-	// trimmed counts the bytes Trim has unmapped (holes punched out of the
-	// original range); Size reports the remaining effective mapping.
-	trimmed int64
 	// refs counts live holders; the pages are unmapped when it reaches
 	// zero. A zero or negative count means the mapping is dead.
 	refs atomic.Int64
@@ -64,8 +60,8 @@ func Open(path string) (*Mapping, error) {
 // from it) is valid only while the caller holds a reference.
 func (m *Mapping) Data() []byte { return m.data }
 
-// Size returns the mapped length in bytes, net of trimmed holes.
-func (m *Mapping) Size() int64 { return int64(len(m.data)) - m.trimmed }
+// Size returns the mapped length in bytes.
+func (m *Mapping) Size() int64 { return int64(len(m.data)) }
 
 // Path returns the file path the mapping was opened from (diagnostics;
 // the file may have been unlinked or replaced since).
@@ -125,72 +121,6 @@ func (m *Mapping) Advise(r Range, a Advice) error {
 		hi += page - rem
 	}
 	return adviseRange(m.data[lo:hi], a)
-}
-
-// Trim releases every whole page of the mapping that no kept range
-// touches, shrinking the process's file-backed footprint to
-// (page-rounded) keep spans. Trimmed ranges are replaced in place with
-// PROT_NONE anonymous reservations — the address space stays owned by
-// the mapping (so Release's whole-range munmap can never hit a foreign
-// mapping that moved into a hole), but the pages are gone: reading a
-// trimmed hole faults. Use it when a file is mapped for a reader that
-// provably touches only a subset of its sections — e.g. a shard worker
-// that takes the matrix and component table from a manifest but gets its
-// node rows from a sliced shard file. Off Linux (and on the no-mmap
-// fallback) the call is a no-op reporting 0. Returns the number of bytes
-// released.
-// TrimSupported reports whether Trim can actually release pages on this
-// platform (Linux with a real mapping); elsewhere Trim is a no-op.
-func TrimSupported() bool { return canPunch }
-
-func (m *Mapping) Trim(keep []Range) int64 {
-	if m == nil || m.data == nil || !canPunch {
-		return 0
-	}
-	page := int64(os.Getpagesize())
-	size := int64(len(m.data))
-	// Normalise: clamp, drop empties, sort, and round each kept span OUT
-	// to page boundaries (a partially-kept page must survive).
-	spans := make([]Range, 0, len(keep))
-	for _, r := range keep {
-		if r.Len <= 0 {
-			continue
-		}
-		lo := max(r.Off, 0) &^ (page - 1)
-		hi := r.Off + r.Len
-		hi = min((hi+page-1)&^(page-1), size)
-		if lo < hi {
-			spans = append(spans, Range{Off: lo, Len: hi - lo})
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Off < spans[j].Off })
-	var trimmed int64
-	cursor := int64(0)
-	punchGap := func(lo, hi int64) {
-		// Only whole pages between kept spans are unmapped; the trailing
-		// partial page of the file stays (munmap length rounds up past the
-		// mapping otherwise).
-		hi = hi &^ (page - 1)
-		if hi <= lo {
-			return
-		}
-		if punchRange(m.data[lo:hi]) == nil {
-			trimmed += hi - lo
-		}
-	}
-	for _, s := range spans {
-		if s.Off > cursor {
-			punchGap(cursor, s.Off)
-		}
-		if end := s.Off + s.Len; end > cursor {
-			cursor = end
-		}
-	}
-	if cursor < size {
-		punchGap(cursor, size)
-	}
-	m.trimmed += trimmed
-	return trimmed
 }
 
 // Release drops one reference and unmaps the file when it was the last.

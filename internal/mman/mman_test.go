@@ -84,45 +84,3 @@ func TestOpenEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTrimReleasesUnkeptPages(t *testing.T) {
-	if !TrimSupported() {
-		t.Skip("Trim is a no-op on this platform")
-	}
-	page := int64(os.Getpagesize())
-	// Six pages: keep the first and the fifth, trim the rest.
-	data := make([]byte, 6*page)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	path := filepath.Join(t.TempDir(), "f")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := []Range{{Off: 0, Len: page}, {Off: 4 * page, Len: page}}
-	trimmed := m.Trim(keep)
-	if trimmed != 4*page {
-		t.Fatalf("trimmed %d bytes, want %d", trimmed, 4*page)
-	}
-	if m.Size() != 2*page {
-		t.Fatalf("Size() = %d after trim, want %d", m.Size(), 2*page)
-	}
-	// Kept ranges stay readable with their file content.
-	for _, r := range keep {
-		for off := r.Off; off < r.Off+r.Len; off += 37 {
-			if m.Data()[off] != byte(off) {
-				t.Fatalf("kept byte %d = %d, want %d", off, m.Data()[off], byte(off))
-			}
-		}
-	}
-	// The trimmed ranges must still belong to this mapping (PROT_NONE
-	// reservations), so a full-range Release is safe — and anything the
-	// process maps afterwards cannot have landed inside the holes.
-	if err := m.Release(); err != nil {
-		t.Fatal(err)
-	}
-}

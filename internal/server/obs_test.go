@@ -371,7 +371,7 @@ func TestDistributedObservability(t *testing.T) {
 	var workers []*httptest.Server
 	urls := make([]string, 2)
 	for i := 0; i < 2; i++ {
-		w := dshard.NewWorker(dshard.WorkerConfig{ManifestPath: manifest, Shard: i, Mode: snap.LoadCopy})
+		w := dshard.NewWorker(dshard.WorkerConfig{ManifestPath: manifest, Shards: []int{i}, Mode: snap.LoadCopy})
 		if err := w.Load(); err != nil {
 			t.Fatal(err)
 		}

@@ -187,28 +187,27 @@ func parseAlignedTable(data []byte, magic string, what string) ([]secSpan, int64
 
 // alignedFile is a parsed aligned file: the payload views of the sections
 // a reader kept (aliasing the file's bytes; nothing is copied) and where
-// they sit, for range-based mapping maintenance (Trim, Advise).
+// they sit, for per-section madvise.
 type alignedFile struct {
 	payloads map[byte][]byte
 	spans    []secSpan
-	tableEnd int64
 }
 
 // readAligned parses an aligned file over data (a private buffer or a
 // memory mapping), restricted to the section ids in keep (nil keeps
 // everything): skipped sections are bounds-checked through the table but
-// their payloads are neither checksummed nor touched — which is what lets
-// a partial reader run over a mapping whose unwanted pages it is about to
-// trim away. The kept payloads' checksum pass is memory-bandwidth bound
-// and the dominant cost of a mapped cold start: it runs inline (parallel)
-// when dv is nil and in dv's background collector otherwise (see
-// verify.go). Header and table validation is synchronous either way.
+// their payloads are neither checksummed nor touched, so a reader that
+// needs a few small sections of a mapped file faults in only their pages.
+// The kept payloads' checksum pass is memory-bandwidth bound and the
+// dominant cost of a mapped cold start: it runs inline (parallel) when dv
+// is nil and in dv's background collector otherwise (see verify.go).
+// Header and table validation is synchronous either way.
 func readAligned(data []byte, magic string, what string, keep []byte, dv *DeferredVerify) (*alignedFile, error) {
-	entries, tableEnd, err := parseAlignedTable(data, magic, what)
+	entries, _, err := parseAlignedTable(data, magic, what)
 	if err != nil {
 		return nil, err
 	}
-	f := &alignedFile{payloads: make(map[byte][]byte, len(entries)), tableEnd: tableEnd}
+	f := &alignedFile{payloads: make(map[byte][]byte, len(entries))}
 	for _, en := range entries {
 		if keep != nil && bytes.IndexByte(keep, en.id) < 0 {
 			continue

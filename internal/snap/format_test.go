@@ -94,6 +94,8 @@ func wantSetRejected(t testing.TB, what, manifestPath string, hosted []int, mode
 
 // assertNotMapped fails if the process still maps a file whose path
 // contains path (observable on Linux only; elsewhere it checks nothing).
+// A path ending in "\n" matches one file exactly: /proc/self/maps ends
+// each line with the mapped path.
 func assertNotMapped(t testing.TB, path string) {
 	t.Helper()
 	maps, err := os.ReadFile("/proc/self/maps")
@@ -101,16 +103,17 @@ func assertNotMapped(t testing.TB, path string) {
 		return
 	}
 	if bytes.Contains(maps, []byte(path)) {
-		t.Errorf("a mapping of %s outlived its failed open", path)
+		t.Errorf("%q is still mapped", path)
 	}
 }
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
 // writers produce for a hand-built instance and one from each dataset
-// generator. The hand and twitter digests were computed at the commit
-// before the version-1 format was deleted, the vodkaster and yelp ones at
-// the commit before instance construction was made linear; they change
-// only when the format does — not when the builders are rewritten.
+// generator. They were recomputed when version 4 dropped the shard files'
+// node tables and added the shard header's tag count; every section
+// payload other than the shard headers and the manifest's layout (which
+// records the shard-file digests) is byte-identical to version 3's. They
+// change only when the format does — not when the builders are rewritten.
 func TestFormatGolden(t *testing.T) {
 	check := func(what string, data []byte, want uint32) {
 		t.Helper()
@@ -133,13 +136,13 @@ func TestFormatGolden(t *testing.T) {
 		shards             [3]uint32
 	}{
 		{"hand", handSpec(), text.Analyzer{Lang: text.English},
-			0x987603f9, 0x7aaa7967, [3]uint32{0xdc3218e5, 0x1486e3a3, 0xa35b81c2}},
+			0x112ba06a, 0x0afd701d, [3]uint32{0x51f5e01d, 0x2942ac43, 0x94c0ad93}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
-			0xa6b6064d, 0x17bcc050, [3]uint32{0x3c3f1125, 0x72a8b712, 0x798508b4}},
+			0x5a2ca365, 0xeaf7ccd3, [3]uint32{0xec97d978, 0x07faa5d4, 0x547640ad}},
 		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
-			0x8076a68f, 0xb5560f6a, [3]uint32{0xa1db52e2, 0xa2dccab3, 0xe2b6feb8}},
+			0xcee0023f, 0xf05f9c6c, [3]uint32{0xf228626c, 0xdb981341, 0xa4bdac1f}},
 		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
-			0x75b65107, 0xbc72722a, [3]uint32{0x7c1678c2, 0xe70c8e23, 0x91ca8060}},
+			0x8593413e, 0xbdf8917c, [3]uint32{0x5d4f350b, 0x18a8bb79, 0xfcf3a5d1}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer
@@ -155,7 +158,7 @@ func TestFormatGolden(t *testing.T) {
 	}
 }
 
-// TestOtherVersionRejected stamps versions 1, 2 and 4 into the header of
+// TestOtherVersionRejected stamps versions 1, 2, 3 and 5 into the header of
 // each file kind: every opener, copying or mapping, must answer with the
 // regenerate error — no panic, no mapping left open. (The version field
 // is read before the header checksum, which a version-1 file never had.)
@@ -189,7 +192,7 @@ func TestOtherVersionRejected(t *testing.T) {
 		}
 	}
 
-	for _, ver := range []uint16{1, 2, 4} {
+	for _, ver := range []uint16{1, 2, 3, 5} {
 		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 			what := func(s string) string { return fmt.Sprintf("%s version=%d mode=%v", s, ver, mode) }
 

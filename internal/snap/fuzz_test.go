@@ -122,5 +122,12 @@ func FuzzDecodeShard(f *testing.F) {
 		if proj, six, _, err := decodeShard(data, base, vouching, 0, zeroCopy); err == nil {
 			probe(proj, six)
 		}
+		// What a worker host does with the same file: validate the flat
+		// postings, then answer every keyword.
+		if flat, _, _, err := decodeWorkerShard(data, vouching, 0, base.NumNodes(), zeroCopy, nil); err == nil {
+			for _, kw := range flat.Kws {
+				flat.Events(kw)
+			}
+		}
 	})
 }

@@ -124,8 +124,7 @@ func sectionAdvice(id byte) mman.Advice {
 		return mman.AdviseRandom
 	case sec3DictArena, sec3DictOffs, sec3DictPerm,
 		sec3NodeKind, sec3NodeParent, sec3NodeDepth, sec3NodeDocOf, sec3NodeComp, sec3NIDByID,
-		sec3IndexKw, sec3IndexEvOff, sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun,
-		sec3SliceNIDs, sec3SliceKind, sec3SliceParent, sec3SliceDepth, sec3SliceDocOf:
+		sec3IndexKw, sec3IndexEvOff, sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun:
 		return mman.AdviseWillNeed
 	}
 	return mman.AdviseNormal

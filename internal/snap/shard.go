@@ -10,9 +10,7 @@
 // graph: per-shard proximity over a trimmed graph would change scores.
 // What scales with content and partitions cleanly by the §5.2 component
 // grain is the connection index, so each shard file carries exactly its
-// components' index slice — and those components' node rows, sliced out
-// of the manifest's node tables, so a worker host (worker.go) can serve
-// the shard without mapping the full tables.
+// components' index slice: all a worker host (worker.go) serves.
 //
 // Every shard file embeds the manifest's set id (a digest of the
 // substrate payloads) and its ordinal, and the manifest records each
@@ -21,8 +19,7 @@
 //
 //	manifest:  "S3SHMF" + version + sections {dict, meta, nodes, graph,
 //	           matrix, entities, ontology, layout}
-//	shard i:   "S3SHRD" + version + sections {shard header, index slice,
-//	           sliced node tables}
+//	shard i:   "S3SHRD" + version + sections {shard header, index slice}
 package snap
 
 import (
@@ -119,14 +116,9 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 	for _, s := range subs {
 		setID.Write(s.data)
 	}
-
-	// Sliced node tables: per shard, the sorted nodes of its components.
-	// Ascending NID order falls out of the single component-table pass.
-	sliceNIDs := make([][]graph.NID, len(parts))
-	for v, c := range rawIn.Comp {
-		if c >= 0 {
-			sliceNIDs[owner[c]] = append(sliceNIDs[owner[c]], graph.NID(v))
-		}
+	tags := make([]int, len(parts))
+	for _, t := range in.Tags() {
+		tags[owner[in.CompOf(t)]]++
 	}
 
 	layout := Layout{SetID: setID.Sum64()}
@@ -170,30 +162,10 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 		}
 		hdr.int(desc.Docs)
 		hdr.int(desc.Events)
-
-		// The shard's sliced node tables: the rows a worker process needs
-		// beyond the manifest's matrix and component table.
-		nids := sliceNIDs[s]
-		kinds := make([]byte, len(nids))
-		parents := make([]graph.NID, len(nids))
-		depths := make([]int32, len(nids))
-		docOfs := make([]int32, len(nids))
-		for j, v := range nids {
-			kinds[j] = byte(rawIn.Kind[v])
-			parents[j] = rawIn.Parent[v]
-			depths[j] = rawIn.Depth[v]
-			docOfs[j] = rawIn.DocOf[v]
-		}
+		hdr.int(tags[s])
 
 		var file bytes.Buffer
 		secs := append([]asec{{secShardHeader, false, hdr.Bytes()}}, alignedIndexSections(rawIn.Comp, postings)...)
-		secs = append(secs,
-			asec{sec3SliceNIDs, true, encI32s(nids)},
-			asec{sec3SliceKind, true, kinds},
-			asec{sec3SliceParent, true, encI32s(parents)},
-			asec{sec3SliceDepth, true, encI32s(depths)},
-			asec{sec3SliceDocOf, true, encI32s(docOfs)},
-		)
 		if err := writeAligned(&file, ShardMagic, secs); err != nil {
 			return err
 		}
@@ -395,9 +367,6 @@ func parseShard(data []byte, layout *Layout, i int, dv *DeferredVerify) (*aligne
 	if err := requireSections(f.payloads, what, []byte{secShardHeader}); err != nil {
 		return nil, shardHeader{}, err
 	}
-	if requireSections(f.payloads, what, slice3Sections) != nil {
-		return nil, shardHeader{}, fmt.Errorf("snap: shard %d (%s) carries no sliced node tables — %s", i, desc.Name, regenerate)
-	}
 	hdr, err := decodeShardHeader(f.payloads[secShardHeader], layout, i)
 	if err != nil {
 		return nil, shardHeader{}, err
@@ -416,13 +385,15 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroC
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	desc := layout.Shards[i]
 	proj, err := base.ProjectComponents(hdr.comps)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
 	}
-	if got := len(proj.DocRoots()); got != hdr.docs || hdr.docs != desc.Docs {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d documents, header says %d, manifest %d", i, got, hdr.docs, desc.Docs)
+	if got := len(proj.DocRoots()); got != hdr.docs {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d documents, header says %d", i, got, hdr.docs)
+	}
+	if got := len(proj.Tags()); got != hdr.tags {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d tags, header says %d", i, got, hdr.tags)
 	}
 	ix, err := indexFromPayloads(proj, f.payloads, "shard snapshot", zeroCopy)
 	if err != nil {
@@ -444,8 +415,8 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroC
 			}
 		}
 	}
-	if got != hdr.events || hdr.events != desc.Events {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d, manifest %d", i, got, hdr.events, desc.Events)
+	if got != hdr.events {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, hdr.events)
 	}
 	return proj, ix, f.spans, nil
 }
@@ -453,13 +424,13 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroC
 // shardHeader is a parsed per-shard header, cross-checked against the
 // manifest layout.
 type shardHeader struct {
-	comps        []int32
-	docs, events int
+	comps              []int32
+	docs, events, tags int
 }
 
 // decodeShardHeader parses shard i's header section and validates it
-// against the layout: set id, ordinal, shard count and component list
-// must all line up.
+// against the layout: set id, ordinal, shard count, component list and
+// document and event counts must all line up.
 func decodeShardHeader(payload []byte, layout *Layout, i int) (shardHeader, error) {
 	desc := layout.Shards[i]
 	d := &decoder{data: payload}
@@ -473,6 +444,7 @@ func decodeShardHeader(payload []byte, layout *Layout, i int) (shardHeader, erro
 	}
 	docs := int(d.uint())
 	events := int(d.uint())
+	tags := int(d.uint())
 	if d.err != nil {
 		return shardHeader{}, fmt.Errorf("snap: shard %d header: %w", i, d.err)
 	}
@@ -490,5 +462,8 @@ func decodeShardHeader(payload []byte, layout *Layout, i int) (shardHeader, erro
 			return shardHeader{}, fmt.Errorf("snap: shard %d component list diverges from manifest at %d", i, j)
 		}
 	}
-	return shardHeader{comps: comps, docs: docs, events: events}, nil
+	if docs != desc.Docs || events != desc.Events {
+		return shardHeader{}, fmt.Errorf("snap: shard %d header counts %d documents and %d events, manifest %d and %d", i, docs, events, desc.Docs, desc.Events)
+	}
+	return shardHeader{comps: comps, docs: docs, events: events, tags: tags}, nil
 }

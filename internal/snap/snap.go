@@ -46,7 +46,7 @@ const Magic = "S3SNAP"
 // Version is the one format version this build reads and writes, for
 // snapshots, shard-set manifests and shard files alike (they move in
 // lockstep).
-const Version = 3
+const Version = 4
 
 // regenerate ends the error for a well-formed file this build cannot
 // serve.

@@ -71,17 +71,6 @@ const (
 	sec3IndexCompOff byte = 68 // []int64   nkw+1 offsets into the component summary
 	sec3IndexCompIDs byte = 69 // []int32   distinct components per posting, flattened
 	sec3IndexMaxRun  byte = 70 // []int32   per posting: longest single-component event run
-
-	// Sliced node tables of a shard file: the rows of the shard's own
-	// components' nodes, keyed by the sorted node list. A worker process
-	// hosting the shard maps these instead of the manifest's full node
-	// tables, shrinking its per-process mapped bytes to matrix + component
-	// table + its own rows.
-	sec3SliceNIDs   byte = 71 // []NID     nodes of the shard's components, ascending
-	sec3SliceKind   byte = 72 // []byte    parallel node kinds
-	sec3SliceParent byte = 73 // []NID     parallel tree parents
-	sec3SliceDepth  byte = 74 // []int32   parallel tree depths
-	sec3SliceDocOf  byte = 75 // []int32   parallel document ordinals
 )
 
 // required3Substrate lists the sections a substrate (instance without
@@ -103,22 +92,6 @@ var required3Substrate = []byte{
 var required3Index = []byte{
 	sec3IndexKw, sec3IndexEvOff, sec3IndexEvents, sec3IndexComps,
 	sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun,
-}
-
-// slice3Sections lists the sliced node-table sections of a shard file,
-// which make it worker-servable without the manifest's node tables.
-var slice3Sections = []byte{sec3SliceNIDs, sec3SliceKind, sec3SliceParent, sec3SliceDepth, sec3SliceDocOf}
-
-// manifestSubstrateSections lists the manifest sections a sliced worker
-// still needs in full: the search-time substrate that social proximity is
-// defined over (whole-graph transition matrix, node→component routing)
-// plus the meta and layout bookkeeping. Everything else — dictionary,
-// edges, ontology, tag/entity lists and the full node tables — is either
-// sliced into the shard file or owned by the coordinator.
-var manifestSubstrateSections = []byte{
-	secMeta, secLayout,
-	sec3NodeComp,
-	sec3MatRowPtr, sec3MatCol, sec3MatVal,
 }
 
 // --- platform gate for the zero-copy view path ---
@@ -837,28 +810,35 @@ func instanceFromV3(s *v3Substrate, zeroCopy bool) (*graph.Instance, error) {
 	return in, nil
 }
 
+// flatFromPayloads decodes (or, with zeroCopy, views) the connection
+// index sections of a snapshot or shard file into their flat form, not
+// yet validated.
+func flatFromPayloads(payloads map[byte][]byte, what string, zeroCopy bool) (index.Flat, error) {
+	if err := requireSections(payloads, what, required3Index); err != nil {
+		return index.Flat{}, err
+	}
+	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
+	f := index.Flat{
+		Kws:     loadU32s[dict.ID](g, sec3IndexKw, "posting keywords"),
+		EvOff:   loadI64s(g, sec3IndexEvOff, "event offsets"),
+		Evs:     loadTyped[index.Event](g, sec3IndexEvents, "events", decEvents),
+		Comps:   loadI32s[int32](g, sec3IndexComps, "event components"),
+		CompOff: loadI64s(g, sec3IndexCompOff, "component summary offsets"),
+		CompIDs: loadI32s[int32](g, sec3IndexCompIDs, "component summaries"),
+		MaxRuns: loadI32s[int32](g, sec3IndexMaxRun, "component run bounds"),
+	}
+	return f, g.err
+}
+
 // indexFromPayloads assembles the connection index of a snapshot or
 // shard file over its (projected) instance.
 func indexFromPayloads(in *graph.Instance, payloads map[byte][]byte, what string, zeroCopy bool) (*index.Index, error) {
-	if err := requireSections(payloads, what, required3Index); err != nil {
+	f, err := flatFromPayloads(payloads, what, zeroCopy)
+	if err != nil {
 		return nil, err
 	}
-	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
-	kws := loadU32s[dict.ID](g, sec3IndexKw, "posting keywords")
-	evOff := loadI64s(g, sec3IndexEvOff, "event offsets")
-	events := loadTyped[index.Event](g, sec3IndexEvents, "events", decEvents)
-	comps := loadI32s[int32](g, sec3IndexComps, "event components")
-	compOff := loadI64s(g, sec3IndexCompOff, "component summary offsets")
-	compIDs := loadI32s[int32](g, sec3IndexCompIDs, "component summaries")
-	maxRuns := loadI32s[int32](g, sec3IndexMaxRun, "component run bounds")
-	if g.err != nil {
-		return nil, g.err
-	}
 	if zeroCopy {
-		ix, err := index.FromFlat(in, index.Flat{
-			Kws: kws, EvOff: evOff, Events: events, Comps: comps,
-			CompOff: compOff, CompIDs: compIDs, MaxRuns: maxRuns,
-		})
+		ix, err := index.FromFlat(in, f)
 		if err != nil {
 			return nil, fmt.Errorf("snap: %w", err)
 		}
@@ -866,16 +846,13 @@ func indexFromPayloads(in *graph.Instance, payloads map[byte][]byte, what string
 	}
 	// Classic path: rebuild postings and let index.FromRaw re-derive and
 	// re-validate everything (including the canonical sort).
-	if err := checkOffsets(evOff, len(kws), len(events), "event"); err != nil {
-		return nil, err
+	if err := f.Validate(in.NumNodes()); err != nil {
+		return nil, fmt.Errorf("snap: %w", err)
 	}
-	postings := make([]index.RawPosting, len(kws))
-	for i, kw := range kws {
-		if i > 0 && kws[i-1] >= kw {
-			return nil, fmt.Errorf("snap: posting keywords out of order at %d", i)
-		}
-		lo, hi := evOff[i], evOff[i+1]
-		postings[i] = index.RawPosting{Kw: kw, Events: events[lo:hi:hi]}
+	postings := make([]index.RawPosting, len(f.Kws))
+	for i, kw := range f.Kws {
+		lo, hi := f.EvOff[i], f.EvOff[i+1]
+		postings[i] = index.RawPosting{Kw: kw, Events: f.Evs[lo:hi:hi]}
 	}
 	ix, err := index.FromRaw(in, postings)
 	if err != nil {

@@ -1,24 +1,20 @@
-// Worker-host loading: the memory footprint half of distributed shard
-// serving.
+// Worker-host loading: what a shard worker process opens.
 //
-// A worker process serves one or more co-hosted shards of a set. What it
-// needs from the shared manifest is the substrate social proximity is
-// defined over — the whole-graph transition matrix and the
-// node→component table — plus the meta/layout bookkeeping; each hosted
-// shard's own node rows (kind, parent, depth, document ordinal) arrive
-// sliced inside its shard file, alongside its index slice.
-// OpenWorkerHost therefore maps the manifest ONCE, parses and checksums
-// only the substrate sections, builds every hosted shard's sliced
-// instance over that one substrate, and *trims* the rest of the mapping
-// away (mman.Trim punches page holes): hosting N shards costs one
-// substrate mapping plus N shard files, not N× the substrate. Per-section
-// madvise is applied to what remains (random access for matrix and
-// postings, prefetch for the warm-path tables).
+// A worker answers postings requests for one or more co-hosted shards of
+// a set — the events of a keyword on a shard — and nothing else: the
+// coordinator runs the exploration over the substrate it maps with the
+// manifest. So OpenWorkerHost reads just two small sections of the
+// manifest (meta, for the node and component counts, and the layout),
+// checksums them, and lets the manifest go; then it binds each hosted
+// shard file to that layout and decodes its connection index into an
+// index.Flat. Mapped, a worker host holds its shard files and nothing
+// more.
 //
-// Integrity: VerifyEager checksums every payload during the open;
-// VerifyLazy defers the memory-bandwidth passes — manifest substrate
-// section CRCs, shard-file digests, shard section CRCs — to a background
-// collector surfaced through WaitVerify/VerifyErr (see verify.go).
+// Integrity: the manifest's two sections are checksummed during the open
+// in either mode. VerifyEager checksums every shard payload during the
+// open too; VerifyLazy defers the shard-file digests and section CRCs to
+// a background collector surfaced through WaitVerify/VerifyErr (see
+// verify.go).
 package snap
 
 import (
@@ -31,22 +27,18 @@ import (
 )
 
 // WorkerSnapshot is an opened worker-host view of a shard set: the hosted
-// shards' engine inputs plus the mappings backing them.
+// shards' postings plus the mappings backing them.
 type WorkerSnapshot struct {
-	// Instance/Index are the first hosted shard's inputs (the whole view
-	// for a single-shard worker); Instances/Indexes hold every hosted
-	// shard in Shards order, sharing one substrate.
-	Instance  *graph.Instance
-	Index     *index.Index
-	Instances []*graph.Instance
-	Indexes   []*index.Index
-	// Layout is the manifest's shard table; Shard the first hosted
-	// ordinal, Shards every hosted ordinal in hosted order.
+	// Layout is the manifest's shard table; Shards every hosted ordinal in
+	// hosted order.
 	Layout *Layout
-	Shard  int
 	Shards []int
-	// Mappings holds the live mappings (manifest first); Mode is the load
-	// mode that actually happened.
+	// Postings holds each hosted shard's connection index, validated, and
+	// Tags its tag count (from the shard header), both in Shards order.
+	Postings []index.Flat
+	Tags     []int
+	// Mappings holds the live shard-file mappings; Mode is the load mode
+	// that actually happened.
 	Mappings []*mman.Mapping
 	Mode     LoadMode
 
@@ -55,8 +47,7 @@ type WorkerSnapshot struct {
 	verify *DeferredVerify
 }
 
-// MappedBytes sums the effective sizes of the backing mappings (net of
-// trimmed holes).
+// MappedBytes sums the sizes of the backing mappings.
 func (s *WorkerSnapshot) MappedBytes() int64 {
 	var total int64
 	for _, m := range s.Mappings {
@@ -99,10 +90,9 @@ func (s *WorkerSnapshot) Close() error {
 	return first
 }
 
-// OpenWorkerHost opens the manifest plus a set of co-hosted shards for
-// one worker process: one substrate mapping shared by every hosted
-// shard's sliced instance. See the package comment for the trimming and
-// verification behaviour.
+// OpenWorkerHost opens a set of co-hosted shards for one worker process:
+// the manifest's meta and layout, then each hosted shard file's postings.
+// See the package comment for what is read and when it is verified.
 func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify VerifyMode) (*WorkerSnapshot, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("snap: worker host needs at least one shard")
@@ -114,7 +104,17 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		}
 		seen[s] = true
 	}
-	out := &WorkerSnapshot{Shard: shards[0], Shards: append([]int(nil), shards...)}
+	numNodes, layout, err := readWorkerManifest(manifestPath, mode)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range shards {
+		if s < 0 || s >= len(layout.Shards) {
+			return nil, fmt.Errorf("snap: shard %d outside layout of %d shards", s, len(layout.Shards))
+		}
+	}
+
+	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...)}
 	var dv *DeferredVerify
 	if verify == VerifyLazy {
 		dv = &DeferredVerify{}
@@ -124,155 +124,71 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		out.Close() // waits out deferred verification before unmapping
 		return nil, err
 	}
-
-	// Partial manifest parse: locate, checksum and decode only the worker
-	// substrate sections. The rest of the file is bounds-checked through
-	// the table but never touched.
-	const what = "shard-set manifest"
-	mdata, mm, err := loadKept(manifestPath, mode, &out.Mappings)
-	if err != nil {
-		return fail(err)
-	}
-	out.Mode = modeOf(mm)
-	mf, err := readAligned(mdata, ManifestMagic, what, manifestSubstrateSections, dv)
-	if err != nil {
-		return fail(err)
-	}
-	if err := requireSections(mf.payloads, what, manifestSubstrateSections); err != nil {
-		return fail(err)
-	}
-	sub, err := decodeWorkerSubstrate(mf.payloads, mm != nil)
-	if err != nil {
-		return fail(err)
-	}
-	layout, err := decodeLayout(mf.payloads[secLayout], sub.raw.NComp)
-	if err != nil {
-		return fail(err)
-	}
-	for _, s := range shards {
-		if s < 0 || s >= len(layout.Shards) {
-			return fail(fmt.Errorf("snap: shard %d outside layout of %d shards", s, len(layout.Shards)))
-		}
-	}
-	out.Layout = layout
-
 	for _, shard := range shards {
-		desc := layout.Shards[shard]
-		sdata, sm, err := loadKept(filepath.Join(filepath.Dir(manifestPath), desc.Name), mode, &out.Mappings)
+		sdata, sm, err := loadKept(filepath.Join(filepath.Dir(manifestPath), layout.Shards[shard].Name), mode, &out.Mappings)
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", shard, err))
 		}
-		sf, hdr, err := parseShard(sdata, layout, shard, dv)
+		out.Mode = modeOf(sm)
+		flat, hdr, spans, err := decodeWorkerShard(sdata, layout, shard, numNodes, sm != nil, dv)
 		if err != nil {
 			return fail(err)
 		}
-		in, ix, err := buildSlicedShard(sub, sf.payloads, hdr, desc, sm != nil)
-		if err != nil {
-			return fail(err)
-		}
-		adviseMapped(sm, sf.spans)
-		out.Instances = append(out.Instances, in)
-		out.Indexes = append(out.Indexes, ix)
+		adviseMapped(sm, spans)
+		out.Postings = append(out.Postings, flat)
+		out.Tags = append(out.Tags, hdr.tags)
 	}
-	out.Instance, out.Index = out.Instances[0], out.Indexes[0]
-
-	// The manifest mapping now backs only the header, the table and the
-	// substrate sections: punch the rest out and advise what remains.
-	keep := []mman.Range{{Off: 0, Len: mf.tableEnd}}
-	for _, sp := range mf.spans {
-		keep = append(keep, mman.Range{Off: sp.off, Len: sp.len})
-	}
-	mm.Trim(keep)
-	adviseMapped(mm, mf.spans)
 	return out, nil
 }
 
-// workerSubstrate carries the partial-manifest decode: what every hosted
-// shard's sliced instance shares.
-type workerSubstrate struct {
-	raw    graph.Raw // meta only: NComp, Stats, analyzer config
-	comp   []int32
-	rowPtr []int32
-	col    []int32
-	val    []float64
-	nn     int
+// decodeWorkerShard binds shard i's file to the layout and decodes its
+// connection index into a validated index.Flat over an instance of
+// numNodes nodes, returning the file's section spans alongside. With
+// zeroCopy the arrays view data; with dv the checksum passes are deferred.
+func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int, zeroCopy bool, dv *DeferredVerify) (index.Flat, shardHeader, []secSpan, error) {
+	f, hdr, err := parseShard(data, layout, i, dv)
+	if err != nil {
+		return index.Flat{}, hdr, nil, err
+	}
+	flat, err := flatFromPayloads(f.payloads, "shard snapshot", zeroCopy)
+	if err != nil {
+		return index.Flat{}, hdr, nil, err
+	}
+	if err := flat.Validate(numNodes); err != nil {
+		return index.Flat{}, hdr, nil, fmt.Errorf("snap: shard %d: %w", i, err)
+	}
+	if len(flat.Evs) != hdr.events {
+		return index.Flat{}, hdr, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, len(flat.Evs), hdr.events)
+	}
+	return flat, hdr, f.spans, nil
 }
 
-// decodeWorkerSubstrate decodes the substrate sections a sliced worker
-// needs from the manifest's picked payloads.
-func decodeWorkerSubstrate(payloads map[byte][]byte, zeroCopy bool) (workerSubstrate, error) {
-	var s workerSubstrate
-	nn, err := decodeMeta(payloads[secMeta], &s.raw)
+// readWorkerManifest reads what a worker host needs of the manifest — the
+// node count from meta, and the layout — checksumming both sections, and
+// releases the file again: nothing decoded from it aliases its bytes.
+func readWorkerManifest(path string, mode LoadMode) (int, *Layout, error) {
+	const what = "shard-set manifest"
+	data, m, err := loadFile(path, mode)
 	if err != nil {
-		return s, err
+		return 0, nil, err
 	}
-	s.nn = nn
-	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
-	s.comp = loadI32s[int32](g, sec3NodeComp, "node components")
-	s.rowPtr = loadI32s[int32](g, sec3MatRowPtr, "matrix row pointers")
-	s.col = loadI32s[int32](g, sec3MatCol, "matrix columns")
-	s.val = loadF64s(g, sec3MatVal, "matrix values")
-	if g.err != nil {
-		return s, g.err
-	}
-	return s, nil
-}
-
-// buildSlicedShard assembles the sliced worker instance and its index
-// slice from the shard file's payloads.
-func buildSlicedShard(sub workerSubstrate, spayloads map[byte][]byte, hdr shardHeader, desc ShardDesc, zeroCopy bool) (*graph.Instance, *index.Index, error) {
-	g := &loader{payloads: spayloads, zeroCopy: zeroCopy}
-	nids := loadI32s[graph.NID](g, sec3SliceNIDs, "sliced nodes")
-	parents := loadI32s[graph.NID](g, sec3SliceParent, "sliced parents")
-	depths := loadI32s[int32](g, sec3SliceDepth, "sliced depths")
-	docOfs := loadI32s[int32](g, sec3SliceDocOf, "sliced documents")
-	var kinds []graph.NodeKind
-	if kb := spayloads[sec3SliceKind]; zeroCopy {
-		kinds = unsafeKinds(kb)
-	} else {
-		kinds = make([]graph.NodeKind, len(kb))
-		for i, b := range kb {
-			kinds[i] = graph.NodeKind(b)
-		}
-	}
-	if g.err != nil {
-		return nil, nil, g.err
-	}
-	stats := sub.raw.Stats
-	numDocs := stats.Documents
-	stats.Documents = desc.Docs
-	stats.Components = len(hdr.comps)
-	stats.Tags = 0
-	for _, k := range kinds {
-		if k == graph.KindTag {
-			stats.Tags++
-		}
-	}
-	in, err := graph.FromSliced(graph.SlicedConfig{
-		NumNodes:     sub.nn,
-		Comp:         sub.comp,
-		NComp:        sub.raw.NComp,
-		MatrixRowPtr: sub.rowPtr,
-		MatrixCol:    sub.col,
-		MatrixVal:    sub.val,
-		Comps:        hdr.comps,
-		NIDs:         nids,
-		Kind:         kinds,
-		Parent:       parents,
-		Depth:        depths,
-		DocOf:        docOfs,
-		NumDocs:      numDocs,
-		Stats:        stats,
-	})
+	defer m.Release()
+	keep := []byte{secMeta, secLayout}
+	f, err := readAligned(data, ManifestMagic, what, keep, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snap: shard slice: %w", err)
+		return 0, nil, err
 	}
-	ix, err := indexFromPayloads(in, spayloads, "shard snapshot", zeroCopy)
+	if err := requireSections(f.payloads, what, keep); err != nil {
+		return 0, nil, err
+	}
+	var meta graph.Raw
+	numNodes, err := decodeMeta(f.payloads[secMeta], &meta)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
-	if got := ix.NumEvents(); got != hdr.events || hdr.events != desc.Events {
-		return nil, nil, fmt.Errorf("snap: sliced shard has %d events, header says %d, manifest %d", got, hdr.events, desc.Events)
+	layout, err := decodeLayout(f.payloads[secLayout], meta.NComp)
+	if err != nil {
+		return 0, nil, err
 	}
-	return in, ix, nil
+	return numNodes, layout, nil
 }

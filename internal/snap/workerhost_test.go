@@ -5,84 +5,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"s3/internal/core"
-	"s3/internal/mman"
 )
 
-// TestOpenWorkerHostMultiShard is the host-grouping property test: a
-// single OpenWorkerHost over several shards must answer the coordinated
-// round protocol byte-identically to separate single-shard opens — and,
-// in mapped mode, with measurably fewer mapped bytes, because the
-// manifest substrate is mapped once instead of once per shard.
+// TestOpenWorkerHostMultiShard is the host-grouping property test: one
+// OpenWorkerHost over several shards, in any order, serves each of them
+// exactly as the whole shard set holds it, and maps exactly their files.
 func TestOpenWorkerHostMultiShard(t *testing.T) {
-	const n = 4
-	hosted := []int{0, 2}
-	manifestPath, in, _ := writeSetFiles(t, 60, 220, 7, n)
-
+	manifestPath, _, _ := writeSetFiles(t, 60, 220, 7, 4)
+	set, err := OpenShardSet(manifestPath, LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
-		host, err := OpenWorkerHost(manifestPath, hosted, mode, VerifyEager)
-		if err != nil {
-			t.Fatalf("mode=%v: host open: %v", mode, err)
-		}
-		defer host.Close()
-		if got := host.Shards; len(got) != len(hosted) || got[0] != hosted[0] || got[1] != hosted[1] {
-			t.Fatalf("mode=%v: host shards = %v, want %v", mode, got, hosted)
-		}
-		if len(host.Instances) != len(hosted) || len(host.Indexes) != len(hosted) {
-			t.Fatalf("mode=%v: host holds %d instances / %d indexes, want %d",
-				mode, len(host.Instances), len(host.Indexes), len(hosted))
-		}
-		if host.Instance != host.Instances[0] || host.Index != host.Indexes[0] {
-			t.Fatalf("mode=%v: first-shard aliases do not point at Instances[0]/Indexes[0]", mode)
-		}
-
-		singles := make([]*WorkerSnapshot, len(hosted))
-		for i, s := range hosted {
-			w, err := OpenWorkerHost(manifestPath, []int{s}, mode, VerifyEager)
-			if err != nil {
-				t.Fatalf("mode=%v shard %d: single open: %v", mode, s, err)
-			}
-			defer w.Close()
-			singles[i] = w
-		}
-
-		// The headline claim: hosting both shards in one process maps
-		// fewer bytes than two separate workers, because the trimmed
-		// manifest substrate is shared instead of duplicated.
-		if mode == LoadMmap && host.Mode == LoadMmap && mman.TrimSupported() {
-			var separate int64
-			for _, w := range singles {
-				separate += w.MappedBytes()
-			}
-			if hb := host.MappedBytes(); hb >= separate {
-				t.Errorf("host maps %d bytes, separate workers map %d — substrate not shared", hb, separate)
-			}
-		}
-
-		// Byte-identical rounds: coordinated search over the host's
-		// instances vs over the single-shard opens.
-		seekers, kwSets := workerQueries(in)
-		for _, seeker := range seekers {
-			for _, kws := range kwSets {
-				groups, possible, err := core.ResolveKeywordGroups(in, kws)
-				if err != nil || !possible {
-					continue
-				}
-				spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: 5, Params: defaultParams(), Epsilon: 1e-12}
-				hostExecs := make([]core.ShardExecutor, len(hosted))
-				singleExecs := make([]core.ShardExecutor, len(hosted))
-				for i := range hosted {
-					hostExecs[i] = core.NewShardExecutor(core.NewEngine(host.Instances[i], host.Indexes[i]), 0)
-					singleExecs[i] = core.NewShardExecutor(core.NewEngine(singles[i].Instance, singles[i].Index), 0)
-				}
-				want := workerTranscript(t, singleExecs, spec)
-				got := workerTranscript(t, hostExecs, spec)
-				if got != want {
-					t.Fatalf("mode=%v seeker=%d kws=%v: host answer diverged\nsingle:\n%s\nhost:\n%s",
-						mode, seeker, kws, want, got)
-				}
-			}
+		for _, hosted := range [][]int{{0, 2}, {3, 1}, {0, 1, 2, 3}} {
+			assertWorkerPostings(t, manifestPath, hosted, mode, set.Set)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 #!/bin/sh
 # e2e-obs-smoke: boot the full distributed topology (2 host-grouped
-# workers serving 2 shards each + a coordinator, plus a pprof debug
-# listener) from the built binaries and assert the observability surface
-# actually serves: /metrics parses on every process, POST /search?trace=1
-# returns a stitched trace, /debug/traces retains it, and /debug/pprof
-# answers on the debug listener. Run by CI next to the benchmark smoke.
+# workers serving 2 shards each, one of them mapped, + a coordinator,
+# plus a pprof debug listener) from the built binaries and assert the
+# observability surface actually serves: /metrics parses on every
+# process, the mapped worker maps exactly its shard files, POST
+# /search?trace=1 returns a stitched trace, /debug/traces retains it, and
+# /debug/pprof answers on the debug listener. Run by CI next to the
+# benchmark smoke.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,7 +26,7 @@ go build -o "$tmp/s3gen" ./cmd/s3gen
 go build -o "$tmp/s3serve" ./cmd/s3serve
 "$tmp/s3gen" -dataset twitter -scale 0.2 -snap "$tmp/i.set" -shards 4 >/dev/null
 
-"$tmp/s3serve" -shardset "$tmp/i.set" -shards-of 0,2 -addr 127.0.0.1:18081 2>"$tmp/w0.log" &
+"$tmp/s3serve" -shardset "$tmp/i.set" -shards-of 0,2 -mmap -addr 127.0.0.1:18081 2>"$tmp/w0.log" &
 W0=$!
 "$tmp/s3serve" -shardset "$tmp/i.set" -shards-of 1,3 -addr 127.0.0.1:18082 2>"$tmp/w1.log" &
 W1=$!
@@ -48,6 +50,15 @@ wait_healthy() {
 wait_healthy 18081
 wait_healthy 18082
 wait_healthy 18080
+
+# The mapped worker holds its hosted shard files and nothing else: not
+# the manifest.
+want=$(($(stat -c %s "$tmp/i.set.shard-0") + $(stat -c %s "$tmp/i.set.shard-2")))
+mapped=$(curl -sf http://127.0.0.1:18081/metrics | sed -n 's/^s3_worker_mapped_bytes \([0-9]*\)$/\1/p')
+if [ "$mapped" != "$want" ]; then
+	echo "e2e-obs-smoke: worker maps $mapped bytes, its shard files hold $want" >&2
+	exit 1
+fi
 
 # A traced search: probe generated seekers/keywords until one answers.
 resp=""
@@ -112,4 +123,4 @@ curl -sf http://127.0.0.1:18080/metrics | grep -q '^s3_slowlog_emitted_total' ||
 curl -sf http://127.0.0.1:18079/debug/pprof/cmdline >/dev/null ||
 	{ echo "e2e-obs-smoke: pprof debug listener not serving" >&2; exit 1; }
 
-echo "e2e-obs-smoke: traced distributed search + 3x /metrics + rings + pprof all serving"
+echo "e2e-obs-smoke: traced distributed search + 3x /metrics + mapped bytes + rings + pprof all serving"
