@@ -36,8 +36,8 @@
 //
 // With -mmap the snapshot (or shard set) is memory-mapped and served
 // through zero-copy views: cold start and /reload cost page faults plus
-// checksum validation instead of a full decode, and replicas of one
-// snapshot on a host share physical pages. The old mapping is unmapped
+// checksum validation instead of a read of the whole file, and replicas
+// of one snapshot on a host share physical pages. The old mapping is unmapped
 // only after the last in-flight search on it finishes, so snapshots are
 // replaced by writing a temp file and renaming it over the served path.
 //

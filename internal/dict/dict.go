@@ -8,7 +8,7 @@
 //
 // A dictionary comes in two flavours:
 //
-//   - map-backed (New, FromStrings): the mutable form used by builders.
+//   - map-backed (New): the mutable form used by builders.
 //     Safe for concurrent readers once no more writers call Intern;
 //     interleaving Intern with readers requires external locking.
 //   - arena-backed (FromArena): a read-only base over one contiguous byte
@@ -20,6 +20,7 @@
 package dict
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,7 +35,7 @@ type ID uint32
 const NoID ID = ^ID(0)
 
 // Dict interns strings into dense IDs and resolves IDs back to strings.
-// The zero value is not usable; call New, FromStrings or FromArena.
+// The zero value is not usable; call New or FromArena.
 type Dict struct {
 	byStr map[string]ID
 	strs  []string
@@ -193,20 +194,6 @@ func (d *Dict) String(id ID) string {
 	return d.strs[id]
 }
 
-// FromStrings reconstructs a dictionary from a slice of strings in ID
-// order, as returned by Strings. The slice is retained. It fails on
-// duplicates, which would silently re-map IDs.
-func FromStrings(strs []string) (*Dict, error) {
-	d := &Dict{byStr: make(map[string]ID, len(strs)), strs: strs}
-	for i, s := range strs {
-		if _, dup := d.byStr[s]; dup {
-			return nil, fmt.Errorf("dict: duplicate string %q at id %d", s, i)
-		}
-		d.byStr[s] = ID(i)
-	}
-	return d, nil
-}
-
 // FromArena reconstructs a read-only dictionary over a contiguous string
 // arena: entry i is arena[offs[i]:offs[i+1]], and perm lists the ids in
 // ascending string order (the lookup index, as produced by SortPerm). The
@@ -216,9 +203,9 @@ func FromStrings(strs []string) (*Dict, error) {
 // built over it) is in use.
 //
 // FromArena validates structure (offset monotonicity, index bounds) so
-// no lookup can panic, but trusts the sort order of perm — the caller is
-// expected to have verified the bytes' integrity (checksums) and to
-// trust their writer; an unsorted index would merely make Lookup miss.
+// no lookup can panic, and that perm lists the entries in strictly
+// ascending string order — which makes it a permutation, proves the
+// strings distinct, and is the order Lookup's binary search needs.
 func FromArena(arena []byte, offs []int64, perm []int32) (*Dict, error) {
 	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != int64(len(arena)) {
 		return nil, fmt.Errorf("dict: arena offsets do not span %d bytes", len(arena))
@@ -232,12 +219,16 @@ func FromArena(arena []byte, offs []int64, perm []int32) (*Dict, error) {
 	if len(perm) != n {
 		return nil, fmt.Errorf("dict: sort index has %d entries for %d strings", len(perm), n)
 	}
-	for _, p := range perm {
+	d := &Dict{arena: arena, offs: offs, perm: perm}
+	for i, p := range perm {
 		if uint32(p) >= uint32(n) {
 			return nil, fmt.Errorf("dict: sort index entry %d out of range", p)
 		}
+		if i > 0 && bytes.Compare(d.baseBytes(perm[i-1]), d.baseBytes(p)) >= 0 {
+			return nil, fmt.Errorf("dict: sort index is not strictly ascending at %d", i)
+		}
 	}
-	return &Dict{arena: arena, offs: offs, perm: perm}, nil
+	return d, nil
 }
 
 // Len returns the number of interned strings.

@@ -210,4 +210,14 @@ func TestFromArenaRejectsBadStructure(t *testing.T) {
 	if _, err := FromArena(arena, offs, []int32{0, 9}); err == nil {
 		t.Error("out-of-range permutation accepted")
 	}
+	if _, err := FromArena(arena, offs, []int32{1, 0}); err == nil {
+		t.Error("descending permutation accepted")
+	}
+	if _, err := FromArena(arena, offs, []int32{0, 0}); err == nil {
+		t.Error("permutation repeating an entry accepted")
+	}
+	dup, dupOffs, dupPerm := arenaOf([]string{"a", "a"})
+	if _, err := FromArena(dup, dupOffs, dupPerm); err == nil {
+		t.Error("duplicate strings accepted")
+	}
 }

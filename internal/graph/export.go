@@ -40,7 +40,6 @@ func (in *Instance) ExportRDF() *rdf.Graph {
 		g.AddT(in.dictID[u], typeP, userC, 1)
 	}
 	for v := range in.dictID {
-		n := NID(v)
 		switch in.kind[v] {
 		case KindDocNode:
 			g.AddT(in.dictID[v], typeP, docC, 1)
@@ -54,7 +53,7 @@ func (in *Instance) ExportRDF() *rdf.Graph {
 				g.AddT(in.dictID[v], nodeName, in.nodeName[v], 1)
 			}
 		case KindTag:
-			ti := in.tagInfo[n]
+			ti, _ := in.TagInfoOf(NID(v))
 			g.AddT(in.dictID[v], typeP, ti.Type, 1)
 			if ti.Type != relatedC {
 				g.AddT(in.dictID[v], typeP, relatedC, 1)

@@ -125,7 +125,7 @@ type Instance struct {
 	docOf    []int32 // document index for doc nodes, -1 otherwise
 	children [][]NID
 	keywords [][]dict.ID       // stemmed content keywords (doc nodes)
-	kwLazy   *lazyCSR[dict.ID] // trusted imports: flat form, materialised on demand
+	kwLazy   *lazyCSR[dict.ID] // snapshot imports: flat form, materialised on demand
 	nodeName []dict.ID         // node name (doc nodes), dict.NoID otherwise
 
 	// URI → node resolution: frozen instances use the dense nidByID table
@@ -134,11 +134,11 @@ type Instance struct {
 	nidOf   map[dict.ID]NID
 	nidByID []NID
 
-	// Direct network out-edges. The builder and the classic import fill
-	// the per-node slices; trusted (mapped) imports keep the flat CSR
-	// form behind a shared lazy holder (a pointer, so projections — which
-	// copy the Instance struct — share the materialisation) — neither
-	// this nor keywords is on the search hot path.
+	// Direct network out-edges. The builder fills the per-node slices;
+	// snapshot imports keep the flat CSR form behind a shared lazy holder
+	// (a pointer, so projections — which copy the Instance struct — share
+	// the materialisation) — neither this nor keywords is on the search
+	// hot path.
 	out     [][]Edge
 	outLazy *lazyCSR[Edge]
 
@@ -238,7 +238,7 @@ func (in *Instance) DocRootOf(n NID) NID {
 func (in *Instance) KeywordsOf(n NID) []dict.ID { return in.kwTable()[n] }
 
 // kwTable returns the per-node keyword lists, materialising the slice
-// headers from the flat CSR arrays on first use for trusted imports.
+// headers from the flat CSR arrays on first use for snapshot imports.
 func (in *Instance) kwTable() [][]dict.ID {
 	if in.keywords != nil {
 		return in.keywords
@@ -304,7 +304,7 @@ func (in *Instance) Posts() []PostEdge {
 func (in *Instance) OutEdges(n NID) []Edge { return in.outTable()[n] }
 
 // outTable returns the per-node out-edge lists, materialising the slice
-// headers from the flat CSR arrays on first use for trusted imports.
+// headers from the flat CSR arrays on first use for snapshot imports.
 func (in *Instance) outTable() [][]Edge {
 	if in.out != nil {
 		return in.out

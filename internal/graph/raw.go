@@ -17,12 +17,12 @@ import (
 // (internal/snap).
 //
 // Children lists and the URI→node table are intentionally absent — both
-// are derived deterministically from Parent and DictID on import (or
-// supplied precomputed through an Accel).
+// follow from Parent and DictID, and an import takes them precomputed
+// through an Accel, checked against those tables.
 //
 // # Immutability contract
 //
-// FromRaw retains every slice it is handed and Raw() shares the
+// FromRawAccel retains every slice it is handed and Raw() shares the
 // instance's own slices: a Raw is a *view*, never a copy. Whoever
 // produces the backing arrays owns their lifetime and must keep them
 // readable and unmodified for as long as the instance lives — this is
@@ -76,14 +76,14 @@ type Raw struct {
 	Stats Stats
 }
 
-// Accel carries structures that FromRaw would otherwise derive from the
-// Raw tables, prebuilt so a zero-copy load does no per-entry work: the
-// dictionary and frozen ontology are constructed by the caller (over
-// mapped arenas and permutations), and the children / URI→node tables
-// arrive as flat arrays pointing into the same mapping. FromRaw
-// cross-validates each table against the Raw it claims to accelerate —
-// cheap, allocation-free linear scans — so a corrupt serialisation is
-// still rejected rather than trusted.
+// Accel carries the structures an import takes prebuilt instead of
+// deriving them from the Raw tables, so a load does no per-entry work: the
+// dictionary and frozen ontology are constructed by the caller (over the
+// stored arenas and permutations), and the children / URI→node tables and
+// the CSR lists arrive as flat arrays into the same snapshot bytes.
+// FromRawAccel checks each table against the Raw it accelerates — cheap,
+// allocation-free linear scans — so an inconsistent serialisation is
+// rejected rather than trusted.
 type Accel struct {
 	// Dict is the prebuilt dictionary whose content equals Raw.Strings.
 	Dict *dict.Dict
@@ -161,24 +161,19 @@ func (in *Instance) Raw() *Raw {
 	return r
 }
 
-// FromRaw reconstructs a frozen Instance from its flat view, validating
-// cross-references so a corrupt or truncated serialisation is rejected
-// instead of panicking at query time. The Raw's slices are retained (see
-// the immutability contract above).
-func FromRaw(r *Raw) (*Instance, error) { return FromRawAccel(r, nil) }
-
-// FromRawAccel is FromRaw with optional prebuilt acceleration structures
-// (acc may be nil).
+// FromRawAccel reconstructs a frozen Instance from its flat view plus the
+// prebuilt structures of acc, over arrays whose integrity the caller has
+// checksummed (the sections of a snapshot, mapped or read into a private
+// buffer). The Raw's and acc's slices are retained (see the immutability
+// contract above).
 //
-// With an Accel the load takes the *trusted* path: the per-section
-// checksums of the aligned snapshot vouch for integrity, so the
-// per-entry cross-validation of the classic path is replaced by the
-// structural checks that keep slicing and tree walks panic-free —
-// offset-table monotonicity, index bounds and parent pre-order, all
-// sequential integer scans. Content invariants (sort orders, component
-// ids, cross-references) are trusted the way a process trusts a shared
-// library it maps; loaders of unchecksummed or foreign bytes must use
-// the classic path, which validates everything.
+// Every check is an allocation-free linear scan. The structural ones keep
+// slicing and tree walks panic-free: offset-table monotonicity, index
+// bounds and parent pre-order. The content ones hold the stored derived
+// arrays to what the tables imply: the children CSR to Parent, the
+// URI→node table to DictID, and the tag and frequency-keyword lists to the
+// ascending order their binary searches need. So a file that passes its
+// checksums but is internally inconsistent is refused, never served.
 func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
@@ -196,195 +191,6 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	if len(r.KwFreqCounts) != len(r.KwFreqKeys) {
 		return nil, fmt.Errorf("graph: %d keyword counts for %d keywords", len(r.KwFreqCounts), len(r.KwFreqKeys))
 	}
-	if acc != nil {
-		return fromRawTrusted(r, acc, n)
-	}
-	if len(r.Keywords) != n || len(r.Out) != n {
-		return nil, fmt.Errorf("graph: raw node tables have %d/%d entries for %d nodes", len(r.Keywords), len(r.Out), n)
-	}
-
-	d, err := dict.FromStrings(r.Strings)
-	if err != nil {
-		return nil, err
-	}
-	ont := rdf.FromTriples(d, r.Triples, true)
-	nd := dict.ID(d.Len())
-	checkID := func(id dict.ID, what string) error {
-		if id >= nd && id != dict.NoID {
-			return fmt.Errorf("graph: %s id %d outside dictionary of %d", what, id, nd)
-		}
-		return nil
-	}
-	checkNID := func(v NID, what string) error {
-		if (v < 0 || int(v) >= n) && v != NoNID {
-			return fmt.Errorf("graph: %s node %d outside instance of %d nodes", what, v, n)
-		}
-		return nil
-	}
-	for _, t := range r.Triples {
-		if err := checkID(t.S, "triple subject"); err != nil {
-			return nil, err
-		}
-		if err := checkID(t.P, "triple property"); err != nil {
-			return nil, err
-		}
-		if err := checkID(t.O, "triple object"); err != nil {
-			return nil, err
-		}
-	}
-
-	in := &Instance{
-		dict:     d,
-		ont:      ont,
-		analyzer: text.Analyzer{Lang: r.Lang, KeepStopwords: r.KeepStopwords},
-		dictID:   r.DictID,
-		kind:     r.Kind,
-		parent:   r.Parent,
-		depth:    r.Depth,
-		docOf:    r.DocOf,
-		keywords: r.Keywords,
-		nodeName: r.NodeName,
-		out:      r.Out,
-		totalW:   r.TotalW,
-		comp:     r.Comp,
-		nComp:    r.NComp,
-		users:    r.Users,
-		docRoots: r.DocRoots,
-		tagList:  r.TagList,
-		comments: r.Comments,
-		posts:    r.Posts,
-		stats:    r.Stats,
-	}
-	in.nidByID = make([]NID, nd)
-	for i := range in.nidByID {
-		in.nidByID[i] = NoNID
-	}
-	in.children = make([][]NID, n)
-
-	for v := 0; v < n; v++ {
-		id := r.DictID[v]
-		if id == dict.NoID {
-			return nil, fmt.Errorf("graph: node %d has no URI", v)
-		}
-		if err := checkID(id, "node URI"); err != nil {
-			return nil, err
-		}
-		if err := checkID(r.NodeName[v], "node name"); err != nil {
-			return nil, err
-		}
-		for _, k := range r.Keywords[v] {
-			if err := checkID(k, "content keyword"); err != nil {
-				return nil, err
-			}
-		}
-		p := r.Parent[v]
-		if err := checkNID(p, "parent"); err != nil {
-			return nil, err
-		}
-		if p != NoNID {
-			// Nodes are numbered in document pre-order, so a parent always
-			// precedes its children; enforcing that rules out parent cycles
-			// (which would hang the ancestor walks at query time) and makes
-			// appending in NID order reproduce the original child ordering
-			// exactly.
-			if p >= NID(v) {
-				return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
-			}
-			in.children[p] = append(in.children[p], NID(v))
-		}
-		if r.DocOf[v] >= 0 && int(r.DocOf[v]) >= len(r.DocRoots) {
-			return nil, fmt.Errorf("graph: node %d in document %d of %d", v, r.DocOf[v], len(r.DocRoots))
-		}
-		if in.nidByID[id] != NoNID {
-			return nil, fmt.Errorf("graph: URI id %d names two nodes", id)
-		}
-		in.nidByID[id] = NID(v)
-		for _, e := range r.Out[v] {
-			if err := checkNID(e.To, "edge target"); err != nil {
-				return nil, err
-			}
-			if err := checkID(e.Prop, "edge property"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, lst := range [][]NID{r.Users, r.DocRoots, r.TagList} {
-		for _, v := range lst {
-			if err := checkNID(v, "entity list"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i, t := range r.TagList {
-		ti := r.TagInfos[i]
-		if err := checkNID(ti.Subject, "tag subject"); err != nil {
-			return nil, err
-		}
-		if err := checkNID(ti.Author, "tag author"); err != nil {
-			return nil, err
-		}
-		if err := checkID(ti.Keyword, "tag keyword"); err != nil {
-			return nil, err
-		}
-		if err := checkID(ti.Type, "tag type"); err != nil {
-			return nil, err
-		}
-		// The builder registers tags in node-creation order, so TagList is
-		// ascending and TagInfoOf can binary-search it; a serialisation
-		// that lost that order falls back to the map.
-		if in.tagInfo == nil && in.tagInfos == nil && i > 0 && r.TagList[i-1] >= t {
-			in.tagInfo = make(map[NID]TagInfo, len(r.TagList))
-			for j := 0; j < i; j++ {
-				in.tagInfo[r.TagList[j]] = r.TagInfos[j]
-			}
-		}
-		if in.tagInfo != nil {
-			in.tagInfo[t] = ti
-		}
-	}
-	if in.tagInfo == nil {
-		in.tagInfos = r.TagInfos
-	}
-	for _, c := range r.Comments {
-		if err := checkNID(c.Comment, "comment"); err != nil {
-			return nil, err
-		}
-		if err := checkNID(c.Target, "comment target"); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range r.Posts {
-		if err := checkNID(p.Doc, "post doc"); err != nil {
-			return nil, err
-		}
-		if err := checkNID(p.User, "post user"); err != nil {
-			return nil, err
-		}
-	}
-	for i, k := range r.KwFreqKeys {
-		if err := checkID(k, "frequency keyword"); err != nil {
-			return nil, err
-		}
-		// Ascending keys are what the frozen binary search relies on (and
-		// the canonical serialisation order).
-		if i > 0 && r.KwFreqKeys[i-1] >= k {
-			return nil, fmt.Errorf("graph: frequency keywords out of order at %d", i)
-		}
-	}
-	in.kwFreq = make(map[dict.ID]int, len(r.KwFreqKeys))
-	for i, k := range r.KwFreqKeys {
-		in.kwFreq[k] = int(r.KwFreqCounts[i])
-	}
-	in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal)
-	if err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-// fromRawTrusted assembles an instance over checksummed, writer-trusted
-// arrays: structural checks only (see FromRawAccel).
-func fromRawTrusted(r *Raw, acc *Accel, n int) (*Instance, error) {
 	d, ont := acc.Dict, acc.Ont
 	if d == nil || ont == nil {
 		return nil, fmt.Errorf("graph: accel without dictionary or ontology")
@@ -421,17 +227,16 @@ func fromRawTrusted(r *Raw, acc *Accel, n int) (*Instance, error) {
 	if err := checkCSR(acc.EdgeOff, n, len(acc.EdgeList), "edge"); err != nil {
 		return nil, err
 	}
-	// Panic-safety scans: everything a query can use as an index is
-	// bounds-checked with sequential compare-only passes (parent
-	// pre-order additionally keeps the ancestor walks cycle-free).
-	// Semantic cross-checks stay trusted; these scans only guarantee that
-	// no lookup can panic or hang.
 	nDocs := len(r.DocRoots)
+	withParent := 0
 	for v := 0; v < n; v++ {
-		// Parent pre-order is per-index (p < v), so it stays a branchy
-		// scan; uint32 folds the negative case in.
-		if p := r.Parent[v]; p != NoNID && uint32(p) >= uint32(v) {
-			return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
+		// Parent pre-order keeps the ancestor walks cycle-free; uint32
+		// folds the negative case in.
+		if p := r.Parent[v]; p != NoNID {
+			if uint32(p) >= uint32(v) {
+				return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
+			}
+			withParent++
 		}
 	}
 	var maxURI, maxName1, maxDoc1, maxComp1 uint32
@@ -501,6 +306,9 @@ func fromRawTrusted(r *Raw, acc *Accel, n int) (*Instance, error) {
 	if err := checkNIDs(r.TagList, "tag"); err != nil {
 		return nil, err
 	}
+	if !strictlyAscending(r.TagList) {
+		return nil, fmt.Errorf("graph: tag list is not strictly ascending")
+	}
 	for _, ti := range r.TagInfos {
 		if ti.Subject < 0 || int(ti.Subject) >= n || ti.Author < 0 || int(ti.Author) >= n {
 			return nil, fmt.Errorf("graph: tag info outside instance of %d nodes", n)
@@ -524,20 +332,48 @@ func fromRawTrusted(r *Raw, acc *Accel, n int) (*Instance, error) {
 			return nil, fmt.Errorf("graph: frequency keyword outside dictionary of %d", nd)
 		}
 	}
+	if !strictlyAscending(r.KwFreqKeys) {
+		return nil, fmt.Errorf("graph: frequency keywords are not strictly ascending")
+	}
+	// The URI→node table is the inverse of DictID: every node is found
+	// under its own URI, and no other id names a node (so no URI names
+	// two).
 	if len(acc.NIDByID) != int(nd) {
 		return nil, fmt.Errorf("graph: URI→node table has %d entries for %d dictionary ids", len(acc.NIDByID), nd)
 	}
+	named := 0
 	for _, v := range acc.NIDByID {
-		if v != NoNID && (v < 0 || int(v) >= n) {
-			return nil, fmt.Errorf("graph: URI→node table points outside instance of %d nodes", n)
+		if v != NoNID {
+			if uint32(v) >= uint32(n) {
+				return nil, fmt.Errorf("graph: URI→node table points outside instance of %d nodes", n)
+			}
+			named++
 		}
 	}
+	for v, id := range r.DictID {
+		if acc.NIDByID[id] != NID(v) {
+			return nil, fmt.Errorf("graph: URI→node table does not map node %d's URI to it", v)
+		}
+	}
+	if named != n {
+		return nil, fmt.Errorf("graph: URI→node table names %d nodes, the instance has %d", named, n)
+	}
+	// The children CSR lists exactly the nodes Parent files under each
+	// node, ascending: every listed child names that node as its parent,
+	// rows ascend (so none is listed twice), and as many are listed as
+	// nodes have a parent.
 	if err := checkCSR(acc.ChildOff, n, len(acc.ChildList), "children"); err != nil {
 		return nil, err
 	}
-	for _, c := range acc.ChildList {
-		if c < 0 || int(c) >= n {
-			return nil, fmt.Errorf("graph: children list points outside instance of %d nodes", n)
+	if len(acc.ChildList) != withParent {
+		return nil, fmt.Errorf("graph: children lists hold %d nodes, %d nodes have a parent", len(acc.ChildList), withParent)
+	}
+	for v := 0; v < n; v++ {
+		row := acc.ChildList[acc.ChildOff[v]:acc.ChildOff[v+1]]
+		for i, c := range row {
+			if uint32(c) >= uint32(n) || r.Parent[c] != NID(v) || (i > 0 && row[i-1] >= c) {
+				return nil, fmt.Errorf("graph: children list of node %d disagrees with the parent table", v)
+			}
 		}
 	}
 	in.nidByID = acc.NIDByID
@@ -549,6 +385,16 @@ func fromRawTrusted(r *Raw, acc *Accel, n int) (*Instance, error) {
 		return nil, err
 	}
 	return in, nil
+}
+
+// strictlyAscending reports whether s ascends with no repeats.
+func strictlyAscending[T dict.ID | NID](s []T) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // checkCSR validates an n+1-entry offset table spanning [0, total]

@@ -340,18 +340,7 @@ func (b *ixBuilder) freeze() *Index {
 		for _, e := range evs {
 			buf = append(buf, keyed{comp: in.CompOf(e.Frag), ev: e})
 		}
-		slices.SortFunc(buf, func(x, y keyed) int {
-			if x.comp != y.comp {
-				return cmp.Compare(x.comp, y.comp)
-			}
-			if x.ev.Frag != y.ev.Frag {
-				return cmp.Compare(x.ev.Frag, y.ev.Frag)
-			}
-			if x.ev.Type != y.ev.Type {
-				return cmp.Compare(x.ev.Type, y.ev.Type)
-			}
-			return cmp.Compare(x.ev.Src, y.ev.Src)
-		})
+		slices.SortFunc(buf, func(x, y keyed) int { return compareEvents(x.comp, x.ev, y.comp, y.ev) })
 		comps := make([]int32, len(evs))
 		var uniq []int32
 		maxRun, run := 0, 0
@@ -371,6 +360,22 @@ func (b *ixBuilder) freeze() *Index {
 		ix.maxCompEvents[kw] = maxRun
 	}
 	return ix
+}
+
+// compareEvents orders two events of one keyword, a in component ca and b
+// in cb, by (component, fragment, type, source): the canonical order of a
+// posting — total, since a posting holds each event once.
+func compareEvents(ca int32, a Event, cb int32, b Event) int {
+	if ca != cb {
+		return cmp.Compare(ca, cb)
+	}
+	if a.Frag != b.Frag {
+		return cmp.Compare(a.Frag, b.Frag)
+	}
+	if a.Type != b.Type {
+		return cmp.Compare(a.Type, b.Type)
+	}
+	return cmp.Compare(a.Src, b.Src)
 }
 
 // Keywords returns the indexed keywords in ascending id order.

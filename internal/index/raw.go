@@ -28,7 +28,7 @@ func (ix *Index) Raw() []RawPosting {
 	return out
 }
 
-// Flat is the zero-copy import form of an index: the canonically-ordered
+// Flat is the snapshot import form of an index: the canonically-ordered
 // flat arrays of a snapshot or shard file (Evs holds every posting's
 // events back to back, EvOff where each starts), including the
 // precomputed per-posting component summaries (CompOff/CompIDs list each
@@ -47,9 +47,9 @@ type Flat struct {
 // Validate checks whatever could make a read of the flat form panic or
 // hang — array lengths, offset monotonicity, keyword order, event
 // fragments and sources as indices of an instance of numNodes nodes, and
-// event types — with cheap sequential scans. It trusts the *semantic* content of the
-// arrays (canonical event order, component summaries): integrity comes
-// from the caller's per-section checksums, correctness from the writer.
+// event types — with cheap sequential scans. It is all a holder of the
+// events alone can check; FromFlat, which has the instance, also checks
+// the event order and component summaries against it.
 func (f *Flat) Validate(numNodes int) error {
 	nkw := len(f.Kws)
 	if err := checkOff(f.EvOff, nkw, len(f.Evs), "event"); err != nil {
@@ -108,11 +108,10 @@ func (f *Flat) Events(k dict.ID) []Event {
 
 // FromFlat reconstructs an index over a frozen instance from its flat
 // form without copying: every per-keyword list is a sub-slice of the
-// supplied arrays (which typically point into a memory mapping — see
-// graph.Raw's immutability contract). The arrays are checked by Validate
-// first. Loaders that cannot extend its trust (foreign files, no
-// checksums) should rebuild through FromRaw, which re-derives and
-// validates everything.
+// supplied arrays (which point into a snapshot's bytes — see graph.Raw's
+// immutability contract). The arrays are checked by Validate first, then
+// each posting's stored derived arrays against what its events imply
+// (checkPosting), so an inconsistent file is refused, never served.
 func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 	if err := f.Validate(in.NumNodes()); err != nil {
 		return nil, err
@@ -124,16 +123,61 @@ func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 		compsByKw:     make(map[dict.ID][]int32, nkw),
 		maxCompEvents: make(map[dict.ID]int, nkw),
 	}
+	comp := in.CompTable()
 	lists := make([]kwList, nkw)
 	for i, kw := range f.Kws {
 		lo, hi := f.EvOff[i], f.EvOff[i+1]
+		clo, chi := f.CompOff[i], f.CompOff[i+1]
+		if err := checkPosting(comp, f.Evs[lo:hi], f.Comps[lo:hi], f.CompIDs[clo:chi], f.MaxRuns[i]); err != nil {
+			return nil, fmt.Errorf("index: posting of keyword %d: %w", kw, err)
+		}
 		lists[i] = kwList{evs: f.Evs[lo:hi:hi], comps: f.Comps[lo:hi:hi]}
 		ix.byKw[kw] = &lists[i]
-		clo, chi := f.CompOff[i], f.CompOff[i+1]
 		ix.compsByKw[kw] = f.CompIDs[clo:chi:chi]
 		ix.maxCompEvents[kw] = int(f.MaxRuns[i])
 	}
 	return ix, nil
+}
+
+// checkPosting checks one posting's stored derived arrays against its
+// events, allocation-free: events strictly in compareEvents' order,
+// comps[i] the component of event i's fragment, compIDs the distinct runs
+// of comps and maxRun the longest of them — what Build and FromRaw derive.
+// comps must be as long as evs.
+func checkPosting(comp []int32, evs []Event, comps, compIDs []int32, maxRun int32) error {
+	comps = comps[:len(evs)]
+	runs, run, longest := 0, int32(0), int32(0)
+	for i, e := range evs {
+		c := comp[e.Frag]
+		if comps[i] != c {
+			return fmt.Errorf("event %d is filed under component %d, its fragment lies in %d", i, comps[i], c)
+		}
+		if i > 0 && c == comps[i-1] {
+			// Within a component, (fragment, type, source) ascends.
+			p := evs[i-1]
+			if e.Frag < p.Frag || e.Frag == p.Frag && (e.Type < p.Type || e.Type == p.Type && e.Src <= p.Src) {
+				return fmt.Errorf("events out of canonical order at %d", i)
+			}
+			run++
+		} else {
+			if i > 0 && c < comps[i-1] {
+				return fmt.Errorf("events out of canonical order at %d", i)
+			}
+			if runs == len(compIDs) || compIDs[runs] != c {
+				return fmt.Errorf("component summary diverges from the events at run %d", runs)
+			}
+			runs++
+			run = 1
+		}
+		longest = max(longest, run)
+	}
+	if runs != len(compIDs) {
+		return fmt.Errorf("component summary lists %d components, the events %d", len(compIDs), runs)
+	}
+	if longest != maxRun {
+		return fmt.Errorf("run bound %d, the longest run is %d", maxRun, longest)
+	}
+	return nil
 }
 
 // checkOff validates an n+1-entry offset table spanning [0, total]
@@ -185,18 +229,8 @@ func FromRaw(in *graph.Instance, postings []RawPosting) (*Index, error) {
 				return nil, fmt.Errorf("index: unknown connection type %d", e.Type)
 			}
 		}
-		sort.Slice(evs, func(i, j int) bool {
-			ci, cj := in.CompOf(evs[i].Frag), in.CompOf(evs[j].Frag)
-			if ci != cj {
-				return ci < cj
-			}
-			if evs[i].Frag != evs[j].Frag {
-				return evs[i].Frag < evs[j].Frag
-			}
-			if evs[i].Type != evs[j].Type {
-				return evs[i].Type < evs[j].Type
-			}
-			return evs[i].Src < evs[j].Src
+		slices.SortFunc(evs, func(a, b Event) int {
+			return compareEvents(in.CompOf(a.Frag), a, in.CompOf(b.Frag), b)
 		})
 		comps := make([]int32, len(evs))
 		var uniq []int32

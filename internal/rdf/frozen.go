@@ -19,12 +19,10 @@ import (
 // (P, O, S) respectively (as produced by TriplePerms). All three slices
 // are retained without copying.
 //
-// Structure is validated — triple ids against the dictionary, permutation
-// entries against the triple count — so no lookup can panic; the *sort
-// order* of the permutations is trusted (the caller has checksummed the
-// bytes and trusts their writer; a mis-sorted index would merely return
-// wrong extension sets, exactly like a mis-sorted triple list fed to the
-// classic FromTriples would index wrong statements).
+// Triple ids are validated against the dictionary, and each permutation
+// must list the triples in strictly ascending order: that makes it a
+// permutation, keeps every lookup in range, and is the order the binary
+// searches need (a mis-sorted index would return wrong extension sets).
 //
 // A frozen graph rejects every mutation (Add, AddT, Saturate); it is safe
 // for concurrent readers by construction.
@@ -35,21 +33,24 @@ func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Graph
 			return nil, fmt.Errorf("rdf: triple %d references ids outside dictionary of %d", i, nd)
 		}
 	}
-	check := func(perm []int32, name string) error {
+	check := func(perm []int32, name string, less func(a, b Triple) bool) error {
 		if len(perm) != len(triples) {
 			return fmt.Errorf("rdf: %s permutation has %d entries for %d triples", name, len(perm), len(triples))
 		}
-		for _, p := range perm {
+		for i, p := range perm {
 			if p < 0 || int(p) >= len(triples) {
 				return fmt.Errorf("rdf: %s permutation entry %d out of range", name, p)
+			}
+			if i > 0 && !less(triples[perm[i-1]], triples[p]) {
+				return fmt.Errorf("rdf: %s permutation is not strictly ascending at %d", name, i)
 			}
 		}
 		return nil
 	}
-	if err := check(spo, "spo"); err != nil {
+	if err := check(spo, "spo", lessSPO); err != nil {
 		return nil, err
 	}
-	if err := check(pos, "pos"); err != nil {
+	if err := check(pos, "pos", lessPOS); err != nil {
 		return nil, err
 	}
 	g := &Graph{

@@ -150,7 +150,7 @@ func TestFrozenIsReadOnly(t *testing.T) {
 	}
 }
 
-// TestFrozenRejectsBadStructure covers the structural validation.
+// TestFrozenRejectsBadStructure covers the structural and order validation.
 func TestFrozenRejectsBadStructure(t *testing.T) {
 	g := buildSaturated(3)
 	spo, pos := TriplePerms(g.Triples())
@@ -161,6 +161,11 @@ func TestFrozenRejectsBadStructure(t *testing.T) {
 	bad[0] = int32(len(g.Triples()))
 	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), bad, pos); err == nil {
 		t.Error("out-of-range spo entry accepted")
+	}
+	swapped := append([]int32(nil), pos...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), spo, swapped); err == nil {
+		t.Error("mis-sorted pos permutation accepted")
 	}
 	d := dict.New()
 	if _, err := FromTriplesFrozen(d, g.Triples(), spo, pos); err == nil {

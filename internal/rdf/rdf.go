@@ -84,19 +84,6 @@ func New(d *dict.Dict) *Graph {
 // NewWithDict returns an empty graph with a fresh private dictionary.
 func NewWithDict() *Graph { return New(dict.New()) }
 
-// FromTriples reconstructs a graph from a triple list previously obtained
-// via Triples, rebuilding all indexes without re-running entailment. When
-// saturated is true the triples are assumed to already be a closure and
-// the graph resumes incremental maintenance from them.
-func FromTriples(d *dict.Dict, triples []Triple, saturated bool) *Graph {
-	g := New(d)
-	for _, t := range triples {
-		g.insert(t.S, t.P, t.O, t.W)
-	}
-	g.saturated = saturated
-	return g
-}
-
 // Dict returns the dictionary shared by the graph.
 func (g *Graph) Dict() *dict.Dict { return g.dict }
 

@@ -201,8 +201,13 @@ type alignedFile struct {
 // The kept payloads' checksum pass is memory-bandwidth bound and the
 // dominant cost of a mapped cold start: it runs inline (parallel) when dv
 // is nil and in dv's background collector otherwise (see verify.go).
-// Header and table validation is synchronous either way.
+// Header and table validation is synchronous either way. It is the one
+// entry of every decode, so it is where a host that cannot view the
+// format in place is refused.
 func readAligned(data []byte, magic string, what string, keep []byte, dv *DeferredVerify) (*alignedFile, error) {
+	if !layoutMappable() {
+		return nil, errUnaliasableHost
+	}
 	entries, _, err := parseAlignedTable(data, magic, what)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func alignedSpans(t *testing.T, data []byte, magic string) [][2]int {
 // TestAlignedRejectsCorruption holds the aligned format to its guarantee:
 // every bit flip inside the header, the section table or any section
 // payload must be rejected, not merely survive without a panic. Both the
-// copying reader and the mapped opener are exercised.
+// stream reader and the mapped opener are exercised.
 func TestAlignedRejectsCorruption(t *testing.T) {
 	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})
 	var buf bytes.Buffer
@@ -78,8 +78,8 @@ func TestAlignedRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestMappedOpenMatchesRead checks the two decode paths against each
-// other at the package level (the facade-level property test covers whole
+// TestMappedOpenMatchesRead checks the two load modes against each other
+// at the package level (the facade-level property test covers whole
 // datasets): identical search transcripts and statistics.
 func TestMappedOpenMatchesRead(t *testing.T) {
 	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})

@@ -13,12 +13,11 @@ import (
 	"s3/internal/text"
 )
 
-// Fuzz targets for the three file kinds, through both decoders: the
-// copying one (zeroCopy false, which promises to re-validate every entry
-// of an untrusted file) and the one every -mmap deployment runs (zeroCopy
-// true, serving views of the file's own bytes). Property: decoding never
-// panics, and whatever decodes without error answers a search without
-// panicking.
+// Fuzz targets for the three file kinds, through the one decoder every
+// open runs, mapped or copied: it serves views of the file's own bytes.
+// Inputs are resealed, so mutations reach the section checks instead of
+// dying at a CRC. Property: decoding never panics, and whatever decodes
+// without error answers a search without panicking.
 
 // reseal recomputes, in place, the section checksums and the header
 // checksum of a mutated aligned file — as far as its table still locates
@@ -43,8 +42,9 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(Magic)+6:], crc32.Checksum(data[:tableEnd], castagnoli))
 }
 
-// addSeeds seeds a target with a valid file, truncations of it and the
-// same file stamped version 1, each through both decoders.
+// addSeeds seeds a target with a valid file, truncations of it, the same
+// file stamped version 1, and nine one-byte flips spread over its body
+// (which the target reseals, so each reaches whatever section it hit).
 func addSeeds(f *testing.F, good []byte) {
 	seeds := [][]byte{good}
 	for _, cut := range []int{0, 7, 8, 15, 16, len(good) / 3, len(good) - 1} {
@@ -53,10 +53,13 @@ func addSeeds(f *testing.F, good []byte) {
 	old := bytes.Clone(good)
 	binary.LittleEndian.PutUint16(old[len(Magic):], 1)
 	seeds = append(seeds, old)
-	for _, zeroCopy := range []bool{false, true} {
-		for _, seed := range seeds {
-			f.Add(seed, zeroCopy)
-		}
+	for i := 1; i <= 9; i++ {
+		flip := bytes.Clone(good)
+		flip[len(good)*i/10] ^= 0x55
+		seeds = append(seeds, flip)
+	}
+	for _, seed := range seeds {
+		f.Add(seed)
 	}
 }
 
@@ -77,10 +80,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
-		data = bytes.Clone(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = alignedCopy(data)
 		reseal(data)
-		if in, ix, _, err := decodeSnapshot(data, zeroCopy); err == nil {
+		if in, ix, _, err := decodeSnapshot(data); err == nil {
 			probe(in, ix)
 		}
 	})
@@ -90,10 +93,10 @@ func FuzzDecodeManifest(f *testing.F) {
 	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
 	manifest, _ := writeSet(f, in, ix, 2)
 	addSeeds(f, manifest)
-	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
-		data = bytes.Clone(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = alignedCopy(data)
 		reseal(data)
-		base, _, _, err := decodeManifest(data, zeroCopy)
+		base, _, _, err := decodeManifest(data)
 		if err != nil {
 			return
 		}
@@ -107,24 +110,24 @@ func FuzzDecodeManifest(f *testing.F) {
 func FuzzDecodeShard(f *testing.F) {
 	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
 	manifest, shards := writeSet(f, in, ix, 2)
-	base, layout, _, err := decodeManifest(manifest, false)
+	base, layout, _, err := decodeManifest(manifest)
 	if err != nil {
 		f.Fatal(err)
 	}
 	addSeeds(f, shards[0])
-	f.Fuzz(func(t *testing.T, data []byte, zeroCopy bool) {
-		data = bytes.Clone(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = alignedCopy(data)
 		reseal(data)
 		// The manifest vouches for the mutated bytes, as reseal does for
 		// the sections: the digest is a checksum like the others.
 		vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
 		vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
-		if proj, six, _, err := decodeShard(data, base, vouching, 0, zeroCopy); err == nil {
+		if proj, six, _, err := decodeShard(data, base, vouching, 0); err == nil {
 			probe(proj, six)
 		}
 		// What a worker host does with the same file: validate the flat
 		// postings, then answer every keyword.
-		if flat, _, _, err := decodeWorkerShard(data, vouching, 0, base.NumNodes(), zeroCopy, nil); err == nil {
+		if flat, _, _, err := decodeWorkerShard(data, vouching, 0, base.NumNodes(), nil); err == nil {
 			for _, kw := range flat.Kws {
 				flat.Events(kw)
 			}

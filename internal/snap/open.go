@@ -1,28 +1,31 @@
 // Path-based snapshot opening with a load mode: the seam between the
-// on-disk format and the two ways of getting an instance into memory.
+// on-disk format and the two ways of getting a file's bytes into memory.
 // loadFile is the one place a path becomes bytes; the four role openers
 // (Open, OpenManifest, OpenShardSet here, OpenWorkerHost in worker.go)
-// decode what it returns.
+// decode what it returns, and both modes run the same decoder over it:
+// the instance's tables are typed views of the bytes, lookups go through
+// the stored binary-search structures, and open time is the per-section
+// checksum pass plus allocation-free scans that check structure and hold
+// every stored derived array to the tables it derives from.
 //
-// LoadCopy builds a fully private, GC-owned instance — hash-map
-// dictionary, indexed ontology, materialised strings — by decoding the
-// file and re-validating every entry. It is portable, needs nothing kept
-// open, and the file can be rewritten or unlinked freely afterwards.
+// LoadCopy reads the file into a private, 8-byte-aligned buffer that the
+// garbage collector owns: nothing is kept open, and the file can be
+// rewritten or unlinked freely afterwards.
 //
-// LoadMmap maps the file and builds the instance as typed views into the
-// mapping: slices point at the page cache, lookups go through the stored
-// binary-search structures, and open time is dominated by the per-section
-// checksum pass plus allocation-free validation scans. The returned
-// Mapping owns the pages; whoever holds the instance must hold a mapping
-// reference and Release it when the instance is retired. Platforms whose
-// struct layout cannot alias the on-disk encoding fall back to LoadCopy
-// transparently (the result reports the mode that actually happened).
+// LoadMmap maps the file, so the views point at the page cache. The
+// returned Mapping owns the pages; whoever holds the instance must hold a
+// mapping reference and Release it when the instance is retired.
+//
+// Either way the host's struct layout must alias the on-disk encoding
+// (layoutMappable); elsewhere every opener returns errUnaliasableHost.
 package snap
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"s3/internal/graph"
 	"s3/internal/index"
@@ -33,10 +36,10 @@ import (
 type LoadMode int
 
 const (
-	// LoadCopy decodes into private memory (the writer-compatible
-	// default).
+	// LoadCopy reads the file into private memory and serves queries from
+	// views of it (the default).
 	LoadCopy LoadMode = iota
-	// LoadMmap maps the file and serves queries from zero-copy views.
+	// LoadMmap maps the file and serves queries from views of the mapping.
 	LoadMmap
 )
 
@@ -55,9 +58,7 @@ type Snapshot struct {
 	// Mapping is non-nil exactly when Mode is LoadMmap; the holder of the
 	// snapshot owns one reference and must Release it when done.
 	Mapping *mman.Mapping
-	// Mode is the load mode that actually happened (LoadMmap requests
-	// fall back to LoadCopy on platforms whose struct layout cannot alias
-	// the on-disk encoding).
+	// Mode is the load mode of the open.
 	Mode LoadMode
 }
 
@@ -86,7 +87,7 @@ type ShardSetSnapshot struct {
 	// Mappings holds one entry per file under LoadMmap, none under
 	// LoadCopy.
 	Mappings []*mman.Mapping
-	// Mode is the load mode that actually happened.
+	// Mode is the load mode of the open.
 	Mode LoadMode
 }
 
@@ -131,14 +132,11 @@ func sectionAdvice(id byte) mman.Advice {
 }
 
 // loadFile gets one file into memory. LoadCopy reads it into a private
-// buffer. LoadMmap maps it and returns the mapping, which the caller now
-// owns one reference to (and must Release if decoding fails) — unless the
-// platform's struct layout cannot alias the on-disk encoding, when it
-// degrades to the private buffer. A non-nil mapping is what selects the
-// zero-copy decode.
+// aligned buffer. LoadMmap maps it and returns the mapping, which the
+// caller now owns one reference to (and must Release if decoding fails).
 func loadFile(path string, mode LoadMode) ([]byte, *mman.Mapping, error) {
-	if mode != LoadMmap || !layoutMappable() {
-		data, err := os.ReadFile(path)
+	if mode != LoadMmap {
+		data, err := readPrivate(path)
 		return data, nil, err
 	}
 	m, err := mman.Open(path)
@@ -146,6 +144,40 @@ func loadFile(path string, mode LoadMode) ([]byte, *mman.Mapping, error) {
 		return nil, nil, err
 	}
 	return m.Data(), m, nil
+}
+
+// readPrivate reads a whole file into an aligned private buffer.
+func readPrivate(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := alignedBuf(st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("snap: reading %s: %w", path, err)
+	}
+	return data, nil
+}
+
+// alignedBuf returns n zero bytes backed by a []uint64, so each raw
+// section (at a 64-byte file offset) starts 8-byte aligned in memory, as
+// a mapping's page-aligned base gives it: the widest element alignment a
+// typed view of the format needs.
+func alignedBuf(n int64) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+}
+
+// alignedCopy copies data into an aligned private buffer.
+func alignedCopy(data []byte) []byte {
+	out := alignedBuf(int64(len(data)))
+	copy(out, data)
+	return out
 }
 
 // loadKept is loadFile for an open that spans several files: a mapping
@@ -157,14 +189,6 @@ func loadKept(path string, mode LoadMode, kept *[]*mman.Mapping) ([]byte, *mman.
 		*kept = append(*kept, m)
 	}
 	return data, m, err
-}
-
-// modeOf reports the load mode a loadFile result amounts to.
-func modeOf(m *mman.Mapping) LoadMode {
-	if m != nil {
-		return LoadMmap
-	}
-	return LoadCopy
 }
 
 // adviseMapped applies per-section access advice to the sections a reader
@@ -183,7 +207,7 @@ func adviseMapped(m *mman.Mapping, spans []secSpan) {
 // manifest's directory), fully validated. In LoadMmap mode each file is
 // mapped independently.
 func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error) {
-	out := &ShardSetSnapshot{Set: &ShardSet{}}
+	out := &ShardSetSnapshot{Set: &ShardSet{}, Mode: mode}
 	fail := func(err error) (*ShardSetSnapshot, error) {
 		out.Close()
 		return nil, err
@@ -193,8 +217,7 @@ func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error)
 	if err != nil {
 		return fail(err)
 	}
-	out.Mode = modeOf(mm)
-	base, layout, spans, err := decodeManifest(mdata, mm != nil)
+	base, layout, spans, err := decodeManifest(mdata)
 	if err != nil {
 		return fail(err)
 	}
@@ -206,7 +229,7 @@ func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error)
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", i, err))
 		}
-		proj, ix, spans, err := decodeShard(sdata, base, layout, i, sm != nil)
+		proj, ix, spans, err := decodeShard(sdata, base, layout, i)
 		if err != nil {
 			return fail(err)
 		}
@@ -250,20 +273,20 @@ func OpenManifest(path string, mode LoadMode) (*ManifestSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, layout, spans, err := decodeManifest(data, m != nil)
+	base, layout, spans, err := decodeManifest(data)
 	if err != nil {
 		m.Release()
 		return nil, err
 	}
 	adviseMapped(m, spans)
-	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: modeOf(m)}, nil
+	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: mode}, nil
 }
 
 // ParseManifest decodes a shard-set manifest held in memory — one fetched
-// over the network, say — into a private copy, validated (checksums
-// included) as a LoadCopy open validates the file.
+// over the network, say — as a LoadCopy open decodes the file: from a
+// private aligned copy of data, checksums and every check included.
 func ParseManifest(data []byte) (*ManifestSnapshot, error) {
-	base, layout, _, err := decodeManifest(data, false)
+	base, layout, _, err := decodeManifest(alignedCopy(data))
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +299,11 @@ func Open(path string, mode LoadMode) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, ix, spans, err := decodeSnapshot(data, m != nil)
+	in, ix, spans, err := decodeSnapshot(data)
 	if err != nil {
 		m.Release()
 		return nil, err
 	}
 	adviseMapped(m, spans)
-	return &Snapshot{Instance: in, Index: ix, Mapping: m, Mode: modeOf(m)}, nil
+	return &Snapshot{Instance: in, Index: ix, Mapping: m, Mode: mode}, nil
 }

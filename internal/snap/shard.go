@@ -266,10 +266,10 @@ func validateShardName(name string) error {
 	return nil
 }
 
-// decodeManifest reconstructs the shared base instance and the shard
-// layout from a manifest file's bytes, returning the file's section spans
-// alongside. With zeroCopy the instance views the payload bytes.
-func decodeManifest(data []byte, zeroCopy bool) (*graph.Instance, *Layout, []secSpan, error) {
+// decodeManifest reconstructs the shared base instance, as views of a
+// manifest file's bytes, and the shard layout, returning the file's
+// section spans alongside.
+func decodeManifest(data []byte) (*graph.Instance, *Layout, []secSpan, error) {
 	const what = "shard-set manifest"
 	f, err := readAligned(data, ManifestMagic, what, nil, nil)
 	if err != nil {
@@ -278,11 +278,7 @@ func decodeManifest(data []byte, zeroCopy bool) (*graph.Instance, *Layout, []sec
 	if err := requireSections(f.payloads, what, []byte{secLayout}); err != nil {
 		return nil, nil, nil, err
 	}
-	s, err := substrateFromPayloads(f.payloads, what, zeroCopy)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	in, err := instanceFromV3(s, zeroCopy)
+	in, err := instanceFromPayloads(f.payloads, what)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -376,11 +372,11 @@ func parseShard(data []byte, layout *Layout, i int, dv *DeferredVerify) (*aligne
 
 // decodeShard reconstructs shard i of a set from its file's bytes,
 // validated against the manifest: digest, set id, ordinal, component
-// assignment and counts must all line up. It returns the shard's
-// component projection of the base instance and its index slice, plus the
-// file's section spans. With zeroCopy the index slice views the payload
-// bytes.
-func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroCopy bool) (*graph.Instance, *index.Index, []secSpan, error) {
+// assignment and counts must all line up, and every event must lie in an
+// owned component. It returns the shard's component projection of the
+// base instance and its index slice (views of data), plus the file's
+// section spans.
+func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int) (*graph.Instance, *index.Index, []secSpan, error) {
 	f, hdr, err := parseShard(data, layout, i, nil)
 	if err != nil {
 		return nil, nil, nil, err
@@ -395,27 +391,22 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int, zeroC
 	if got := len(proj.Tags()); got != hdr.tags {
 		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d tags, header says %d", i, got, hdr.tags)
 	}
-	ix, err := indexFromPayloads(proj, f.payloads, "shard snapshot", zeroCopy)
+	flat, err := flatFromPayloads(f.payloads, "shard snapshot")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	got := ix.NumEvents()
-	if !zeroCopy {
-		// Copying path: beyond the counts, every event must live in an
-		// owned component (FromRaw already bounded the fragments). The
-		// zero-copy path trusts the shard digest, which binds the file to
-		// its manifest, for component ownership.
-		got = 0
-		for _, kw := range ix.Keywords() {
-			for _, ev := range ix.Events(kw) {
-				if !proj.OwnsComponent(base.CompOf(ev.Frag)) {
-					return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, base.CompOf(ev.Frag))
-				}
-				got++
-			}
+	// FromFlat holds the summaries to the events' components, so owned
+	// summaries mean owned events.
+	for _, c := range flat.CompIDs {
+		if !proj.OwnsComponent(c) {
+			return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
 		}
 	}
-	if got != hdr.events {
+	ix, err := index.FromFlat(proj, flat)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
+	}
+	if got := len(flat.Evs); got != hdr.events {
 		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, hdr.events)
 	}
 	return proj, ix, f.spans, nil

@@ -42,15 +42,15 @@ func writeSet(t testing.TB, in *graph.Instance, ix *index.Index, n int) (manifes
 
 // readSet decodes a whole in-memory shard set the way OpenShardSet does
 // over files in LoadCopy mode: the manifest, then shards[i] as the file
-// the layout names for shard i.
+// the layout names for shard i, each from an aligned private copy.
 func readSet(manifest []byte, shards [][]byte) (*ShardSet, error) {
-	base, layout, _, err := decodeManifest(manifest, false)
+	base, layout, _, err := decodeManifest(alignedCopy(manifest))
 	if err != nil {
 		return nil, err
 	}
 	set := &ShardSet{Base: base, Layout: layout}
 	for i, data := range shards {
-		proj, ix, _, err := decodeShard(data, base, layout, i, false)
+		proj, ix, _, err := decodeShard(alignedCopy(data), base, layout, i)
 		if err != nil {
 			return nil, err
 		}

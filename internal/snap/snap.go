@@ -11,12 +11,12 @@
 // There is one format version, written by Write / WriteShardSet and read
 // by every opener: the heavy tables are page-aligned raw little-endian
 // arrays behind a fixed-width, checksummed section table (see aligned.go
-// and v3.go), which the zero-copy mapped loader reinterprets in place and
-// the copying loader decodes into private memory. Besides the tables of
-// the instance it persists the derived lookup structures (sorted
-// dictionary permutation, triple permutations, children CSR, URI→node
-// table, per-event components) so loading does validation scans instead
-// of rebuilds. The small bookkeeping sections (meta, shard layout, shard
+// and v3.go), which the one decoder reinterprets in place — in a memory
+// mapping or in a private copy of the file. Besides the tables of the
+// instance it persists the derived lookup structures (sorted dictionary
+// permutation, triple permutations, children CSR, URI→node table,
+// per-event components) so loading does validation scans instead of
+// rebuilds. The small bookkeeping sections (meta, shard layout, shard
 // header) are varint-encoded: unsigned varints (encoding/binary), floats
 // as IEEE-754 bits in little-endian order, strings length-prefixed.
 //
@@ -70,39 +70,39 @@ func Write(w io.Writer, in *graph.Instance, ix *index.Index) error {
 	return writeAligned(w, Magic, secs)
 }
 
-// Read deserialises a snapshot written by Write from a stream and
-// reconstructs the frozen instance and its index in private memory
-// (LoadCopy semantics). For files, and the zero-copy mapped load, see
-// Open.
+// Read deserialises a snapshot written by Write from a stream into a
+// private, 8-byte-aligned buffer and decodes it exactly as Open does a
+// file (LoadCopy semantics: nothing aliases the reader). For files, and
+// the mapped load, see Open.
 func Read(r io.Reader) (*graph.Instance, *index.Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("snap: reading snapshot: %w", err)
 	}
-	in, ix, _, err := decodeSnapshot(data, false)
+	in, ix, _, err := decodeSnapshot(alignedCopy(data))
 	return in, ix, err
 }
 
-// decodeSnapshot reconstructs instance and index from a snapshot file's
-// bytes, returning the file's section spans alongside. zeroCopy selects
-// the view-based decode (the caller then owns the lifetime of data);
-// otherwise everything is copied and re-validated entry by entry.
-func decodeSnapshot(data []byte, zeroCopy bool) (*graph.Instance, *index.Index, []secSpan, error) {
-	f, err := readAligned(data, Magic, "snapshot", nil, nil)
+// decodeSnapshot reconstructs instance and index as views of a snapshot
+// file's bytes (which must outlive them), returning the file's section
+// spans alongside.
+func decodeSnapshot(data []byte) (*graph.Instance, *index.Index, []secSpan, error) {
+	const what = "snapshot"
+	f, err := readAligned(data, Magic, what, nil, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s, err := substrateFromPayloads(f.payloads, "snapshot", zeroCopy)
+	in, err := instanceFromPayloads(f.payloads, what)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	in, err := instanceFromV3(s, zeroCopy)
+	flat, err := flatFromPayloads(f.payloads, what)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ix, err := indexFromPayloads(in, f.payloads, "snapshot", zeroCopy)
+	ix, err := index.FromFlat(in, flat)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("snap: %w", err)
 	}
 	return in, ix, f.spans, nil
 }

@@ -3,8 +3,8 @@
 // alongside the varint meta section. The encoding of each array equals
 // the in-memory representation of its Go element type on little-endian
 // machines (struct sections write explicit zero padding), which is what
-// lets the mapped loader reinterpret a section as a typed slice with
-// unsafe.Slice instead of decoding it.
+// lets the decoder reinterpret a section as a typed slice with
+// unsafe.Slice instead of decoding it, whether the file is mapped or read.
 //
 // Beside the instance's own tables the format stores the derived lookup
 // structures a loader would otherwise have to rebuild: the dictionary's sorted
@@ -12,11 +12,13 @@
 // ontology's (S,P,O)- and (P,O,S)-sorted triple permutations (frozen RDF
 // graph), the children lists in CSR form, the dense URI→node table, and
 // the per-event component ids of the connection index. They are all
-// cheap to validate and free to load.
+// free to load and cheap to check against the tables they derive from,
+// which every open does.
 package snap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -94,7 +96,7 @@ var required3Index = []byte{
 	sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun,
 }
 
-// --- platform gate for the zero-copy view path ---
+// --- the host gate and typed views ---
 
 // hostLittleEndian reports whether the running machine stores integers
 // little-endian (the on-disk byte order).
@@ -103,10 +105,14 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+// errUnaliasableHost is every opener's answer on a host where
+// layoutMappable does not hold (32-bit x86, big-endian): the one decoder
+// reads the format's arrays in place, and there is no other. The file
+// format itself is platform-independent; the writers run anywhere.
+var errUnaliasableHost = errors.New("snap: this host's struct layout cannot alias the snapshot format (it needs little-endian integers and 8-byte-aligned float64 fields)")
+
 // layoutMappable reports whether the in-memory layout of every struct
-// element type matches the on-disk encoding, byte for byte. On exotic
-// platforms (big-endian, unusual padding) the mapped loader falls back to
-// the copying decoder; the file format itself is platform-independent.
+// element type matches the on-disk encoding, byte for byte.
 func layoutMappable() bool {
 	return hostLittleEndian &&
 		unsafe.Sizeof(graph.Edge{}) == 16 &&
@@ -131,7 +137,8 @@ func layoutMappable() bool {
 }
 
 // view reinterprets a raw section as a typed slice without copying. The
-// payload aliases the mapping; see graph.Raw's immutability contract.
+// slice aliases the file's bytes — a mapping or a private buffer; see
+// graph.Raw's immutability contract.
 func view[T any](p []byte, what string) ([]T, error) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
@@ -243,143 +250,6 @@ func encEvents(a []index.Event) []byte {
 		// bytes 9-11 are padding, left zero
 	}
 	return out
-}
-
-// --- fixed-width decoders (portable copy path) ---
-
-func decI32s[T ~int32](p []byte, what string) ([]T, error) {
-	if len(p)%4 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of int32s", what, len(p))
-	}
-	out := make([]T, len(p)/4)
-	for i := range out {
-		out[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out, nil
-}
-
-func decU32s[T ~uint32](p []byte, what string) ([]T, error) {
-	if len(p)%4 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of uint32s", what, len(p))
-	}
-	out := make([]T, len(p)/4)
-	for i := range out {
-		out[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out, nil
-}
-
-func decI64s(p []byte, what string) ([]int64, error) {
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of int64s", what, len(p))
-	}
-	out := make([]int64, len(p)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return out, nil
-}
-
-func decF64s(p []byte, what string) ([]float64, error) {
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of float64s", what, len(p))
-	}
-	out := make([]float64, len(p)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return out, nil
-}
-
-func decEdges(p []byte, what string) ([]graph.Edge, error) {
-	if len(p)%16 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of edges", what, len(p))
-	}
-	out := make([]graph.Edge, len(p)/16)
-	for i := range out {
-		out[i] = graph.Edge{
-			To:   graph.NID(binary.LittleEndian.Uint32(p[16*i:])),
-			Prop: dict.ID(binary.LittleEndian.Uint32(p[16*i+4:])),
-			W:    math.Float64frombits(binary.LittleEndian.Uint64(p[16*i+8:])),
-		}
-	}
-	return out, nil
-}
-
-func decTriples(p []byte, what string) ([]rdf.Triple, error) {
-	if len(p)%24 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of triples", what, len(p))
-	}
-	out := make([]rdf.Triple, len(p)/24)
-	for i := range out {
-		out[i] = rdf.Triple{
-			S: dict.ID(binary.LittleEndian.Uint32(p[24*i:])),
-			P: dict.ID(binary.LittleEndian.Uint32(p[24*i+4:])),
-			O: dict.ID(binary.LittleEndian.Uint32(p[24*i+8:])),
-			W: math.Float64frombits(binary.LittleEndian.Uint64(p[24*i+16:])),
-		}
-	}
-	return out, nil
-}
-
-func decTagInfos(p []byte, what string) ([]graph.TagInfo, error) {
-	if len(p)%16 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of tag infos", what, len(p))
-	}
-	out := make([]graph.TagInfo, len(p)/16)
-	for i := range out {
-		out[i] = graph.TagInfo{
-			Subject: graph.NID(binary.LittleEndian.Uint32(p[16*i:])),
-			Author:  graph.NID(binary.LittleEndian.Uint32(p[16*i+4:])),
-			Keyword: dict.ID(binary.LittleEndian.Uint32(p[16*i+8:])),
-			Type:    dict.ID(binary.LittleEndian.Uint32(p[16*i+12:])),
-		}
-	}
-	return out, nil
-}
-
-func decComments(p []byte, what string) ([]graph.CommentEdge, error) {
-	if len(p)%12 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of comment edges", what, len(p))
-	}
-	out := make([]graph.CommentEdge, len(p)/12)
-	for i := range out {
-		out[i] = graph.CommentEdge{
-			Comment: graph.NID(binary.LittleEndian.Uint32(p[12*i:])),
-			Target:  graph.NID(binary.LittleEndian.Uint32(p[12*i+4:])),
-			Prop:    dict.ID(binary.LittleEndian.Uint32(p[12*i+8:])),
-		}
-	}
-	return out, nil
-}
-
-func decPosts(p []byte, what string) ([]graph.PostEdge, error) {
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of post edges", what, len(p))
-	}
-	out := make([]graph.PostEdge, len(p)/8)
-	for i := range out {
-		out[i] = graph.PostEdge{
-			Doc:  graph.NID(binary.LittleEndian.Uint32(p[8*i:])),
-			User: graph.NID(binary.LittleEndian.Uint32(p[8*i+4:])),
-		}
-	}
-	return out, nil
-}
-
-func decEvents(p []byte, what string) ([]index.Event, error) {
-	if len(p)%12 != 0 {
-		return nil, fmt.Errorf("snap: %s section of %d bytes is not a whole number of events", what, len(p))
-	}
-	out := make([]index.Event, len(p)/12)
-	for i := range out {
-		out[i] = index.Event{
-			Frag: graph.NID(binary.LittleEndian.Uint32(p[12*i:])),
-			Src:  graph.NID(binary.LittleEndian.Uint32(p[12*i+4:])),
-			Type: index.ConnType(p[12*i+8]),
-		}
-	}
-	return out, nil
 }
 
 // --- writer: sections from a Raw ---
@@ -555,308 +425,107 @@ func alignedIndexSections(comp []int32, postings []index.RawPosting) []asec {
 
 // --- readers ---
 
-// checkOffsets validates a CSR offset table: n+1 entries spanning
-// [0, total] monotonically. Every slicing of a flattened array goes
-// through this before any sub-slice header is built.
-func checkOffsets(off []int64, n int, total int, what string) error {
-	if len(off) != n+1 {
-		return fmt.Errorf("snap: %s offsets have %d entries for %d rows", what, len(off), n)
-	}
-	if off[0] != 0 || off[n] != int64(total) {
-		return fmt.Errorf("snap: %s offsets span [%d, %d] for %d entries", what, off[0], off[n], total)
-	}
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return fmt.Errorf("snap: decreasing %s offset at row %d", what, i)
-		}
-	}
-	return nil
-}
-
-// v3Substrate holds the decoded (or viewed) substrate arrays of a file,
-// ready for instance assembly.
-type v3Substrate struct {
-	raw *graph.Raw
-
-	arena    []byte
-	dictOffs []int64
-	dictPerm []int32
-
-	childOff  []int64
-	childList []graph.NID
-	nidByID   []graph.NID
-
-	kwOff   []int64
-	kwIDs   []dict.ID
-	edgeOff []int64
-	edges   []graph.Edge
-
-	spo, pos []int32
-}
-
-// substrateFromPayloads decodes the substrate sections. With zeroCopy the
-// arrays are views into the payload bytes (which must then outlive the
-// instance); otherwise everything is copied into private memory.
-func substrateFromPayloads(payloads map[byte][]byte, what string, zeroCopy bool) (*v3Substrate, error) {
-	if err := requireSections(payloads, what, required3Substrate); err != nil {
-		return nil, err
-	}
-	s := &v3Substrate{raw: &graph.Raw{}}
-	numNodes, err := decodeMeta(payloads[secMeta], s.raw)
-	if err != nil {
-		return nil, err
-	}
-
-	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
-	s.arena = payloads[sec3DictArena]
-	if !zeroCopy {
-		s.arena = append([]byte(nil), s.arena...)
-	}
-	s.dictOffs = loadI64s(g, sec3DictOffs, "dictionary offsets")
-	s.dictPerm = loadI32s[int32](g, sec3DictPerm, "dictionary permutation")
-	s.raw.DictID = loadU32s[dict.ID](g, sec3NodeDictID, "node URIs")
-	if kinds := payloads[sec3NodeKind]; zeroCopy {
-		s.raw.Kind = unsafeKinds(kinds)
-	} else {
-		s.raw.Kind = make([]graph.NodeKind, len(kinds))
-		for i, b := range kinds {
-			s.raw.Kind[i] = graph.NodeKind(b)
-		}
-	}
-	s.raw.Parent = loadI32s[graph.NID](g, sec3NodeParent, "node parents")
-	s.raw.Depth = loadI32s[int32](g, sec3NodeDepth, "node depths")
-	s.raw.DocOf = loadI32s[int32](g, sec3NodeDocOf, "node documents")
-	s.raw.NodeName = loadU32s[dict.ID](g, sec3NodeName, "node names")
-	s.raw.Comp = loadI32s[int32](g, sec3NodeComp, "node components")
-	kwOff := loadI64s(g, sec3NodeKwOff, "keyword offsets")
-	kwIDs := loadU32s[dict.ID](g, sec3NodeKwIDs, "content keywords")
-	edgeOff := loadI64s(g, sec3EdgeOff, "edge offsets")
-	edges := g.edges(sec3Edges, "edges")
-	s.raw.TotalW = loadF64s(g, sec3TotalW, "out-weights")
-	s.raw.MatrixRowPtr = loadI32s[int32](g, sec3MatRowPtr, "matrix row pointers")
-	s.raw.MatrixCol = loadI32s[int32](g, sec3MatCol, "matrix columns")
-	s.raw.MatrixVal = loadF64s(g, sec3MatVal, "matrix values")
-	s.raw.Triples = g.triples(sec3Triples, "ontology triples")
-	s.spo = loadI32s[int32](g, sec3TripleSPO, "triple spo permutation")
-	s.pos = loadI32s[int32](g, sec3TriplePOS, "triple pos permutation")
-	s.raw.Users = loadI32s[graph.NID](g, sec3Users, "users")
-	s.raw.DocRoots = loadI32s[graph.NID](g, sec3DocRoots, "document roots")
-	s.raw.TagList = loadI32s[graph.NID](g, sec3TagList, "tags")
-	s.raw.TagInfos = g.tagInfos(sec3TagInfos, "tag infos")
-	s.raw.Comments = g.comments(sec3Comments, "comment edges")
-	s.raw.Posts = g.posts(sec3Posts, "post edges")
-	s.raw.KwFreqKeys = loadU32s[dict.ID](g, sec3KwFreqKeys, "frequency keywords")
-	s.raw.KwFreqCounts = loadI32s[int32](g, sec3KwFreqCount, "frequency counts")
-	s.childOff = loadI64s(g, sec3ChildOff, "children offsets")
-	s.childList = loadI32s[graph.NID](g, sec3ChildList, "children list")
-	s.nidByID = loadI32s[graph.NID](g, sec3NIDByID, "URI→node table")
-	if g.err != nil {
-		return nil, g.err
-	}
-
-	if numNodes != len(s.raw.DictID) {
-		return nil, fmt.Errorf("snap: meta says %d nodes, node table has %d", numNodes, len(s.raw.DictID))
-	}
-	n := len(s.raw.DictID)
-	s.kwOff, s.kwIDs = kwOff, kwIDs
-	s.edgeOff, s.edges = edgeOff, edges
-	if zeroCopy {
-		// The accelerated import takes the flat CSR arrays as-is (offset
-		// tables validated there) and materialises per-node headers
-		// lazily.
-		return s, nil
-	}
-	if err := checkOffsets(kwOff, n, len(kwIDs), "content keyword"); err != nil {
-		return nil, err
-	}
-	s.raw.Keywords = make([][]dict.ID, n)
-	for v := 0; v < n; v++ {
-		if lo, hi := kwOff[v], kwOff[v+1]; lo < hi {
-			s.raw.Keywords[v] = kwIDs[lo:hi:hi]
-		}
-	}
-	if err := checkOffsets(edgeOff, n, len(edges), "edge"); err != nil {
-		return nil, err
-	}
-	s.raw.Out = make([][]graph.Edge, n)
-	for v := 0; v < n; v++ {
-		if lo, hi := edgeOff[v], edgeOff[v+1]; lo < hi {
-			s.raw.Out[v] = edges[lo:hi:hi]
-		}
-	}
-	return s, nil
-}
-
-// unsafeKinds reinterprets the kind byte section as []NodeKind (both are
-// one byte; no alignment constraint).
-func unsafeKinds(p []byte) []graph.NodeKind {
-	if len(p) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*graph.NodeKind)(unsafe.Pointer(&p[0])), len(p))
-}
-
-// loader wraps the per-section decode/view dispatch with a sticky error.
+// loader views sections of a parsed file as typed slices, with a sticky
+// error.
 type loader struct {
 	payloads map[byte][]byte
-	zeroCopy bool
 	err      error
 }
 
-func loadTyped[T any](g *loader, sec byte, what string, dec func(p []byte, what string) ([]T, error)) []T {
+func load[T any](g *loader, sec byte, what string) []T {
 	if g.err != nil {
 		return nil
 	}
-	var out []T
-	var err error
-	if g.zeroCopy {
-		out, err = view[T](g.payloads[sec], what)
-	} else {
-		out, err = dec(g.payloads[sec], what)
-	}
-	if err != nil {
-		g.err = err
-	}
+	out, err := view[T](g.payloads[sec], what)
+	g.err = err
 	return out
 }
 
-func loadI32s[T ~int32](g *loader, sec byte, what string) []T {
-	return loadTyped[T](g, sec, what, decI32s[T])
-}
-
-func loadU32s[T ~uint32](g *loader, sec byte, what string) []T {
-	return loadTyped[T](g, sec, what, decU32s[T])
-}
-
-func loadI64s(g *loader, sec byte, what string) []int64 {
-	return loadTyped[int64](g, sec, what, func(p []byte, w string) ([]int64, error) { return decI64s(p, w) })
-}
-
-func loadF64s(g *loader, sec byte, what string) []float64 {
-	return loadTyped[float64](g, sec, what, func(p []byte, w string) ([]float64, error) { return decF64s(p, w) })
-}
-
-func (g *loader) edges(sec byte, what string) []graph.Edge {
-	return loadTyped[graph.Edge](g, sec, what, decEdges)
-}
-
-func (g *loader) triples(sec byte, what string) []rdf.Triple {
-	return loadTyped[rdf.Triple](g, sec, what, decTriples)
-}
-
-func (g *loader) tagInfos(sec byte, what string) []graph.TagInfo {
-	return loadTyped[graph.TagInfo](g, sec, what, decTagInfos)
-}
-
-func (g *loader) comments(sec byte, what string) []graph.CommentEdge {
-	return loadTyped[graph.CommentEdge](g, sec, what, decComments)
-}
-
-func (g *loader) posts(sec byte, what string) []graph.PostEdge {
-	return loadTyped[graph.PostEdge](g, sec, what, decPosts)
-}
-
-// instanceFromV3 assembles an instance from decoded substrate arrays.
-// With zeroCopy it builds the arena dictionary, the frozen ontology and
-// the accelerated instance (validation scans only); otherwise it strings
-// everything through the classic constructors, yielding a fully private,
-// GC-owned instance.
-func instanceFromV3(s *v3Substrate, zeroCopy bool) (*graph.Instance, error) {
-	if !zeroCopy {
-		// Materialise private strings; the classic FromRaw path hashes
-		// them into a map dictionary and ignores the stored accelerators.
-		if len(s.dictOffs) == 0 {
-			return nil, fmt.Errorf("snap: empty dictionary offset section")
-		}
-		if err := checkOffsets(s.dictOffs, len(s.dictOffs)-1, len(s.arena), "dictionary"); err != nil {
-			return nil, err
-		}
-		strs := make([]string, len(s.dictOffs)-1)
-		for i := range strs {
-			strs[i] = string(s.arena[s.dictOffs[i]:s.dictOffs[i+1]])
-		}
-		s.raw.Strings = strs
-		in, err := graph.FromRaw(s.raw)
-		if err != nil {
-			return nil, fmt.Errorf("snap: %w", err)
-		}
-		return in, nil
+// instanceFromPayloads assembles the substrate instance (everything but
+// the connection index) of a snapshot or manifest as views of its
+// payloads, which must outlive the instance: the arena dictionary, the
+// frozen ontology and graph.FromRawAccel, whose scans check every table.
+func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instance, error) {
+	if err := requireSections(payloads, what, required3Substrate); err != nil {
+		return nil, err
+	}
+	raw := &graph.Raw{}
+	numNodes, err := decodeMeta(payloads[secMeta], raw)
+	if err != nil {
+		return nil, err
+	}
+	g := &loader{payloads: payloads}
+	arena := payloads[sec3DictArena]
+	dictOffs := load[int64](g, sec3DictOffs, "dictionary offsets")
+	dictPerm := load[int32](g, sec3DictPerm, "dictionary permutation")
+	raw.DictID = load[dict.ID](g, sec3NodeDictID, "node URIs")
+	raw.Kind = load[graph.NodeKind](g, sec3NodeKind, "node kinds")
+	raw.Parent = load[graph.NID](g, sec3NodeParent, "node parents")
+	raw.Depth = load[int32](g, sec3NodeDepth, "node depths")
+	raw.DocOf = load[int32](g, sec3NodeDocOf, "node documents")
+	raw.NodeName = load[dict.ID](g, sec3NodeName, "node names")
+	raw.Comp = load[int32](g, sec3NodeComp, "node components")
+	raw.TotalW = load[float64](g, sec3TotalW, "out-weights")
+	raw.MatrixRowPtr = load[int32](g, sec3MatRowPtr, "matrix row pointers")
+	raw.MatrixCol = load[int32](g, sec3MatCol, "matrix columns")
+	raw.MatrixVal = load[float64](g, sec3MatVal, "matrix values")
+	raw.Triples = load[rdf.Triple](g, sec3Triples, "ontology triples")
+	spo := load[int32](g, sec3TripleSPO, "triple spo permutation")
+	pos := load[int32](g, sec3TriplePOS, "triple pos permutation")
+	raw.Users = load[graph.NID](g, sec3Users, "users")
+	raw.DocRoots = load[graph.NID](g, sec3DocRoots, "document roots")
+	raw.TagList = load[graph.NID](g, sec3TagList, "tags")
+	raw.TagInfos = load[graph.TagInfo](g, sec3TagInfos, "tag infos")
+	raw.Comments = load[graph.CommentEdge](g, sec3Comments, "comment edges")
+	raw.Posts = load[graph.PostEdge](g, sec3Posts, "post edges")
+	raw.KwFreqKeys = load[dict.ID](g, sec3KwFreqKeys, "frequency keywords")
+	raw.KwFreqCounts = load[int32](g, sec3KwFreqCount, "frequency counts")
+	acc := &graph.Accel{
+		KwOff:     load[int64](g, sec3NodeKwOff, "keyword offsets"),
+		KwList:    load[dict.ID](g, sec3NodeKwIDs, "content keywords"),
+		EdgeOff:   load[int64](g, sec3EdgeOff, "edge offsets"),
+		EdgeList:  load[graph.Edge](g, sec3Edges, "edges"),
+		ChildOff:  load[int64](g, sec3ChildOff, "children offsets"),
+		ChildList: load[graph.NID](g, sec3ChildList, "children list"),
+		NIDByID:   load[graph.NID](g, sec3NIDByID, "URI→node table"),
+	}
+	if g.err != nil {
+		return nil, g.err
+	}
+	if numNodes != len(raw.DictID) {
+		return nil, fmt.Errorf("snap: meta says %d nodes, node table has %d", numNodes, len(raw.DictID))
 	}
 
-	d, err := dict.FromArena(s.arena, s.dictOffs, s.dictPerm)
-	if err != nil {
+	if acc.Dict, err = dict.FromArena(arena, dictOffs, dictPerm); err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	// Raw.Strings stays nil: the trusted import never touches it, and a
-	// later Raw() export materialises the table from the dictionary.
-	ont, err := rdf.FromTriplesFrozen(d, s.raw.Triples, s.spo, s.pos)
-	if err != nil {
+	// Raw.Strings stays nil: the import never touches it, and a later
+	// Raw() export materialises the table from the dictionary.
+	if acc.Ont, err = rdf.FromTriplesFrozen(acc.Dict, raw.Triples, spo, pos); err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	in, err := graph.FromRawAccel(s.raw, &graph.Accel{
-		Dict:      d,
-		Ont:       ont,
-		NIDByID:   s.nidByID,
-		ChildOff:  s.childOff,
-		ChildList: s.childList,
-		EdgeOff:   s.edgeOff,
-		EdgeList:  s.edges,
-		KwOff:     s.kwOff,
-		KwList:    s.kwIDs,
-	})
+	in, err := graph.FromRawAccel(raw, acc)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
 	return in, nil
 }
 
-// flatFromPayloads decodes (or, with zeroCopy, views) the connection
-// index sections of a snapshot or shard file into their flat form, not
-// yet validated.
-func flatFromPayloads(payloads map[byte][]byte, what string, zeroCopy bool) (index.Flat, error) {
+// flatFromPayloads views the connection index sections of a snapshot or
+// shard file in their flat form, not yet validated.
+func flatFromPayloads(payloads map[byte][]byte, what string) (index.Flat, error) {
 	if err := requireSections(payloads, what, required3Index); err != nil {
 		return index.Flat{}, err
 	}
-	g := &loader{payloads: payloads, zeroCopy: zeroCopy}
+	g := &loader{payloads: payloads}
 	f := index.Flat{
-		Kws:     loadU32s[dict.ID](g, sec3IndexKw, "posting keywords"),
-		EvOff:   loadI64s(g, sec3IndexEvOff, "event offsets"),
-		Evs:     loadTyped[index.Event](g, sec3IndexEvents, "events", decEvents),
-		Comps:   loadI32s[int32](g, sec3IndexComps, "event components"),
-		CompOff: loadI64s(g, sec3IndexCompOff, "component summary offsets"),
-		CompIDs: loadI32s[int32](g, sec3IndexCompIDs, "component summaries"),
-		MaxRuns: loadI32s[int32](g, sec3IndexMaxRun, "component run bounds"),
+		Kws:     load[dict.ID](g, sec3IndexKw, "posting keywords"),
+		EvOff:   load[int64](g, sec3IndexEvOff, "event offsets"),
+		Evs:     load[index.Event](g, sec3IndexEvents, "events"),
+		Comps:   load[int32](g, sec3IndexComps, "event components"),
+		CompOff: load[int64](g, sec3IndexCompOff, "component summary offsets"),
+		CompIDs: load[int32](g, sec3IndexCompIDs, "component summaries"),
+		MaxRuns: load[int32](g, sec3IndexMaxRun, "component run bounds"),
 	}
 	return f, g.err
-}
-
-// indexFromPayloads assembles the connection index of a snapshot or
-// shard file over its (projected) instance.
-func indexFromPayloads(in *graph.Instance, payloads map[byte][]byte, what string, zeroCopy bool) (*index.Index, error) {
-	f, err := flatFromPayloads(payloads, what, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	if zeroCopy {
-		ix, err := index.FromFlat(in, f)
-		if err != nil {
-			return nil, fmt.Errorf("snap: %w", err)
-		}
-		return ix, nil
-	}
-	// Classic path: rebuild postings and let index.FromRaw re-derive and
-	// re-validate everything (including the canonical sort).
-	if err := f.Validate(in.NumNodes()); err != nil {
-		return nil, fmt.Errorf("snap: %w", err)
-	}
-	postings := make([]index.RawPosting, len(f.Kws))
-	for i, kw := range f.Kws {
-		lo, hi := f.EvOff[i], f.EvOff[i+1]
-		postings[i] = index.RawPosting{Kw: kw, Events: f.Evs[lo:hi:hi]}
-	}
-	ix, err := index.FromRaw(in, postings)
-	if err != nil {
-		return nil, fmt.Errorf("snap: %w", err)
-	}
-	return ix, nil
 }

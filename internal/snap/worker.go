@@ -37,8 +37,8 @@ type WorkerSnapshot struct {
 	// Tags its tag count (from the shard header), both in Shards order.
 	Postings []index.Flat
 	Tags     []int
-	// Mappings holds the live shard-file mappings; Mode is the load mode
-	// that actually happened.
+	// Mappings holds the live shard-file mappings (none under LoadCopy);
+	// Mode is the load mode of the open.
 	Mappings []*mman.Mapping
 	Mode     LoadMode
 
@@ -114,7 +114,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		}
 	}
 
-	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...)}
+	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...), Mode: mode}
 	var dv *DeferredVerify
 	if verify == VerifyLazy {
 		dv = &DeferredVerify{}
@@ -129,8 +129,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", shard, err))
 		}
-		out.Mode = modeOf(sm)
-		flat, hdr, spans, err := decodeWorkerShard(sdata, layout, shard, numNodes, sm != nil, dv)
+		flat, hdr, spans, err := decodeWorkerShard(sdata, layout, shard, numNodes, dv)
 		if err != nil {
 			return fail(err)
 		}
@@ -143,14 +142,14 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 
 // decodeWorkerShard binds shard i's file to the layout and decodes its
 // connection index into a validated index.Flat over an instance of
-// numNodes nodes, returning the file's section spans alongside. With
-// zeroCopy the arrays view data; with dv the checksum passes are deferred.
-func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int, zeroCopy bool, dv *DeferredVerify) (index.Flat, shardHeader, []secSpan, error) {
+// numNodes nodes, as views of data, returning the file's section spans
+// alongside. With dv the checksum passes are deferred.
+func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int, dv *DeferredVerify) (index.Flat, shardHeader, []secSpan, error) {
 	f, hdr, err := parseShard(data, layout, i, dv)
 	if err != nil {
 		return index.Flat{}, hdr, nil, err
 	}
-	flat, err := flatFromPayloads(f.payloads, "shard snapshot", zeroCopy)
+	flat, err := flatFromPayloads(f.payloads, "shard snapshot")
 	if err != nil {
 		return index.Flat{}, hdr, nil, err
 	}

@@ -2,6 +2,8 @@ package s3
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,6 +81,44 @@ func TestWriteRDF(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("export missing %q in:\n%s", frag, out)
 		}
+	}
+}
+
+// TestWriteRDFSurvivesSnapshot checks that an instance loaded from a
+// snapshot, copied or mapped, exports exactly the RDF the built instance
+// does — tags included, whose descriptions a loaded instance keeps in its
+// sorted tag table rather than the builder's map.
+func TestWriteRDFSurvivesSnapshot(t *testing.T) {
+	inst := buildFigure1(t)
+	export := func(i *Instance) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := i.WriteRDF(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := export(inst)
+	path := filepath.Join(t.TempDir(), "i.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+		loaded, err := OpenSnapshot(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := export(loaded); got != want {
+			t.Errorf("mode %d: WriteRDF of the loaded instance (%d B) differs from the built one (%d B):\n%s", mode, len(got), len(want), got)
+		}
+		loaded.Close()
 	}
 }
 

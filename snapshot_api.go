@@ -12,18 +12,22 @@ import (
 // instance.
 type LoadMode int
 
+// Both modes run the same decoder and the same checks, and need a host
+// whose struct layout aliases the on-disk encoding (little-endian, with
+// 8-byte-aligned float64 fields, as on amd64 and arm64); on any other
+// host every open fails with an error that says so.
 const (
-	// LoadCopy decodes the file into private, GC-owned memory: portable,
-	// self-contained, and independent of the file afterwards. This is the
-	// writer-compatible default.
+	// LoadCopy reads the file into private, GC-owned memory and serves
+	// queries from views of it: self-contained, and independent of the
+	// file afterwards, which may be rewritten or unlinked. This is the
+	// default.
 	LoadCopy LoadMode = LoadMode(snap.LoadCopy)
-	// LoadMmap memory-maps the file and serves queries from zero-copy
-	// views of its pages: cold start is O(page faults) plus checksum and
-	// validation scans, replicas of one snapshot on a host share physical
-	// pages, and hot reload swaps mappings instead of re-decoding.
-	// Close must be called when the instance is retired (searches still
-	// running must finish first); platforms whose struct layout cannot
-	// alias the on-disk encoding fall back to LoadCopy transparently.
+	// LoadMmap memory-maps the file and serves queries from views of its
+	// pages: cold start is O(page faults) plus checksum and validation
+	// scans, replicas of one snapshot on a host share physical pages, and
+	// hot reload swaps mappings instead of re-reading. Close must be
+	// called when the instance is retired (searches still running must
+	// finish first).
 	LoadMmap LoadMode = LoadMode(snap.LoadMmap)
 )
 
@@ -45,8 +49,8 @@ func (i *Instance) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot reconstructs an instance from a snapshot written by
-// WriteSnapshot, fully copied into private memory (LoadCopy semantics —
-// use OpenSnapshot for the zero-copy mapped load). The snapshot embeds
+// WriteSnapshot, read into private memory (LoadCopy semantics — use
+// OpenSnapshot for the mapped load). The snapshot embeds
 // the text-pipeline configuration, so no language parameter is needed.
 // Corrupt or truncated snapshots are rejected with an error.
 func ReadSnapshot(r io.Reader) (*Instance, error) {
