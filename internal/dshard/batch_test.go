@@ -29,9 +29,11 @@ import (
 func TestBatchedWireRoundTrip(t *testing.T) {
 	shards := []int{0, 2}
 	// Shard s owns the fragments with s == frag % 4.
-	owns := func(shard int, ev index.Event) error {
-		if int(ev.Frag)%4 != shard {
-			return fmt.Errorf("fragment %d is not shard %d's", ev.Frag, shard)
+	owns := func(shard int, evs []index.Event) error {
+		for _, ev := range evs {
+			if int(ev.Frag)%4 != shard {
+				return fmt.Errorf("fragment %d is not shard %d's", ev.Frag, shard)
+			}
 		}
 		return nil
 	}

@@ -95,7 +95,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // check. Any non-200 status is an error carrying the worker's message, a
 // 400 an appError; a reply that fails its CRC, is cut short or does not
 // decode is an error like a reset.
-func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check eventCheck) ([][]index.Event, *obs.Span, error) {
+func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check blockCheck) ([][]index.Event, *obs.Span, error) {
 	if c.cfg.RPCTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RPCTimeout)

@@ -174,22 +174,30 @@ func newSubstrate(in *graph.Instance, layout *snap.Layout) *substrate {
 	return &substrate{eng: core.NewEngine(in, nil), owner: owner}
 }
 
-// check accepts an event of the block a reply carries for shard only if
-// it names nodes of the instance, a known connection type, and a fragment
-// in a component the layout assigns to that shard: a worker answering
-// with another shard's events would otherwise duplicate candidates.
-func (s *substrate) check(shard int, ev index.Event) error {
-	n := graph.NID(s.eng.Instance().NumNodes())
-	switch {
-	case ev.Frag < 0 || ev.Frag >= n:
-		return fmt.Errorf("dshard: event fragment %d outside the instance's %d nodes", ev.Frag, n)
-	case ev.Src != graph.NoNID && (ev.Src < 0 || ev.Src >= n):
-		return fmt.Errorf("dshard: event source %d outside the instance's %d nodes", ev.Src, n)
-	case ev.Type > index.CommentsOn:
-		return fmt.Errorf("dshard: unknown connection type %d", ev.Type)
+// check accepts the block a reply carries for shard only if every event
+// names nodes of the instance, a known connection type, and a fragment in
+// a component the layout assigns to that shard — a worker answering with
+// another shard's events would otherwise duplicate candidates — and the
+// events are strictly in canonical order, as the shard file stores them:
+// a repeated event would otherwise count twice.
+func (s *substrate) check(shard int, evs []index.Event) error {
+	in := s.eng.Instance()
+	n := graph.NID(in.NumNodes())
+	for _, ev := range evs {
+		switch {
+		case ev.Frag < 0 || ev.Frag >= n:
+			return fmt.Errorf("dshard: event fragment %d outside the instance's %d nodes", ev.Frag, n)
+		case ev.Src != graph.NoNID && (ev.Src < 0 || ev.Src >= n):
+			return fmt.Errorf("dshard: event source %d outside the instance's %d nodes", ev.Src, n)
+		case ev.Type > index.CommentsOn:
+			return fmt.Errorf("dshard: unknown connection type %d", ev.Type)
+		}
+		if c := in.CompOf(ev.Frag); c < 0 || s.owner[c] != int32(shard) {
+			return fmt.Errorf("dshard: event on fragment %d (component %d) in shard %d's reply, which does not own it", ev.Frag, c, shard)
+		}
 	}
-	if c := s.eng.Instance().CompOf(ev.Frag); c < 0 || s.owner[c] != int32(shard) {
-		return fmt.Errorf("dshard: event on fragment %d (component %d) in shard %d's reply, which does not own it", ev.Frag, c, shard)
+	if err := index.CheckOrder(in, evs); err != nil {
+		return fmt.Errorf("dshard: shard %d's reply: %w", shard, err)
 	}
 	return nil
 }

@@ -422,8 +422,8 @@ func postPostings(t testing.TB, url string, r postingsRequest) int {
 	return resp.StatusCode
 }
 
-// acceptAll is the event check of codec tests that carry no substrate.
-func acceptAll(int, index.Event) error { return nil }
+// acceptAll is the block check of codec tests that carry no substrate.
+func acceptAll(int, []index.Event) error { return nil }
 
 // TestWireRoundTrip pushes a request and a reply through the codec: the
 // decode of an encode must reproduce every field, and the request decoder

@@ -170,11 +170,54 @@ func swapShards(inner http.Handler) http.Handler {
 	})
 }
 
-// TestFailoverOnMisShardedReply: a worker answering for the wrong shard
-// sends events the layout assigns elsewhere; the coordinator rejects the
-// reply and fails its shards over to a replica, so the answer stays exact
-// instead of duplicating candidates.
-func TestFailoverOnMisShardedReply(t *testing.T) {
+// repeatEvent wraps a worker handler so that every postings reply repeats
+// the first event of its first non-empty block: a well-formed reply, under
+// a valid CRC, that counts one connection twice.
+func repeatEvent(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != pathPostings {
+			inner.ServeHTTP(rw, req)
+			return
+		}
+		p, err := readBody(req.Body)
+		r, derr := decodePostingsRequest(p)
+		if err != nil || derr != nil {
+			http.Error(rw, "bad request", http.StatusBadRequest)
+			return
+		}
+		req.Body = io.NopCloser(bytes.NewReader(appendRecord(nil, p)))
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, req)
+		reply, err := readBody(bytes.NewReader(rec.Body.Bytes()))
+		if rec.Code != http.StatusOK || err != nil {
+			http.Error(rw, "worker failed", http.StatusInternalServerError)
+			return
+		}
+		d, e, repeated := &dec{b: reply}, &enc{}, false
+		for range len(r.shards) * len(r.kws) {
+			n := int(d.u32())
+			evs := d.b[d.off : d.off+eventSize*n]
+			d.off += len(evs)
+			if n > 0 && !repeated {
+				e.u32(uint32(n + 1))
+				e.b = append(e.b, evs[:eventSize]...)
+				repeated = true
+			} else {
+				e.u32(uint32(n))
+			}
+			e.b = append(e.b, evs...)
+		}
+		e.b = append(e.b, d.b[d.off:]...) // the span block, if any
+		rw.Write(appendRecord(nil, e.b))
+	})
+}
+
+// wantFailoverExact runs the chaos battery against two workers that each
+// host both shards of the small topology, the first behind wrap: every
+// answer must equal the reference, and the first worker's replies must
+// have been failed over at least once.
+func wantFailoverExact(t *testing.T, wrap func(http.Handler) http.Handler, what string) {
+	t.Helper()
 	manifestPath, set, _, _ := smallTopology(t)
 	var urls []string
 	for i := 0; i < 2; i++ {
@@ -184,7 +227,7 @@ func TestFailoverOnMisShardedReply(t *testing.T) {
 		}
 		h := w.Handler()
 		if i == 0 {
-			h = swapShards(h)
+			h = wrap(h)
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
@@ -197,12 +240,28 @@ func TestFailoverOnMisShardedReply(t *testing.T) {
 			t.Fatalf("query %d: %v", qi, err)
 		}
 		if got := metaTranscript(sel, stats); got != q.want {
-			t.Fatalf("query %d: answer diverged behind a mis-sharded worker\nwant:\n%s\ngot:\n%s", qi, q.want, got)
+			t.Fatalf("query %d: answer diverged behind %s\nwant:\n%s\ngot:\n%s", qi, what, q.want, got)
 		}
 	}
 	if coord.failovers.Load() == 0 {
-		t.Fatal("the mis-sharded worker's replies never triggered a failover")
+		t.Fatalf("the replies of %s never triggered a failover", what)
 	}
+}
+
+// TestFailoverOnMisShardedReply: a worker answering for the wrong shard
+// sends events the layout assigns elsewhere; the coordinator rejects the
+// reply and fails its shards over to a replica, so the answer stays exact
+// instead of duplicating candidates.
+func TestFailoverOnMisShardedReply(t *testing.T) {
+	wantFailoverExact(t, swapShards, "a mis-sharded worker")
+}
+
+// TestFailoverOnRepeatedEvent: a worker whose reply repeats an event would
+// count that connection twice, in the candidates' scores and in the run
+// bound. The coordinator rejects a block that is not strictly in canonical
+// order and fails its shards over to a replica, so the answer stays exact.
+func TestFailoverOnRepeatedEvent(t *testing.T) {
+	wantFailoverExact(t, repeatEvent, "a worker repeating an event")
 }
 
 // deepQuery finds a query of the set's battery whose search runs at least

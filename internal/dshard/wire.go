@@ -28,14 +28,16 @@
 //	         · [span block]
 //
 // A shard's events for a keyword are its index.Events, in canonical order;
-// the coordinator re-sorts them anyway, as FromRaw does.
+// the coordinator re-sorts the concatenation of the shards' blocks, as
+// FromRaw does.
 //
 // CRC rule: the receiver checks a record's CRC before decoding it, and a
 // body must end where its record does. A fault that flips bits in transit
 // or cuts a body short is a detected transport error — 422 from the
 // worker, a failover on the coordinator — never a silently perturbed
 // answer. The coordinator also checks every event against its substrate
-// and layout, so a worker answering for a shard it does not hold is a
+// and layout, and every block for strictly canonical order, so a worker
+// answering for a shard it does not hold, or repeating an event, is a
 // failover too.
 //
 // Version rule: /healthz advertises one protocol number ("proto"), and a
@@ -409,27 +411,27 @@ func appendEvents(e *enc, evs []index.Event) {
 	}
 }
 
-// eventCheck vets one event of the block a reply carries for a shard; a
-// non-nil error rejects the whole reply.
-type eventCheck func(shard int, ev index.Event) error
+// blockCheck vets the block of one keyword's events a reply carries for a
+// shard; a non-nil error rejects the whole reply.
+type blockCheck func(shard int, evs []index.Event) error
 
 // decodePostingsReply reads the reply to a request for nKw keywords on
 // shards and returns, per keyword, the events of every shard
-// concatenated, plus the worker's span (nil when untraced). Every event
+// concatenated, plus the worker's span (nil when untraced). Every block
 // passes check before it is kept; base anchors the span's start times.
-func decodePostingsReply(p []byte, shards []int, nKw int, check eventCheck, base time.Time) ([][]index.Event, *obs.Span, error) {
+func decodePostingsReply(p []byte, shards []int, nKw int, check blockCheck, base time.Time) ([][]index.Event, *obs.Span, error) {
 	d := &dec{b: p}
 	out := make([][]index.Event, nKw)
 	for _, s := range shards {
 		for k := 0; k < nKw && d.err == nil; k++ {
 			n := d.count(eventSize, "events")
+			start := len(out[k])
 			out[k] = slices.Grow(out[k], n)
 			for i := 0; i < n && d.err == nil; i++ {
-				ev := index.Event{Frag: graph.NID(d.u32()), Src: graph.NID(d.u32()), Type: index.ConnType(d.u8())}
-				if err := check(s, ev); err != nil && d.err == nil {
-					d.err = err
-				}
-				out[k] = append(out[k], ev)
+				out[k] = append(out[k], index.Event{Frag: graph.NID(d.u32()), Src: graph.NID(d.u32()), Type: index.ConnType(d.u8())})
+			}
+			if d.err == nil {
+				d.err = check(s, out[k][start:])
 			}
 		}
 	}

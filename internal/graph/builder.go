@@ -263,21 +263,20 @@ func (b *Builder) Build() (*Instance, error) {
 		dict:     d,
 		ont:      ont,
 		analyzer: b.analyzer,
-		nidOf:    make(map[dict.ID]NID),
 		tagInfo:  make(map[NID]TagInfo),
 		kwFreq:   make(map[dict.ID]int),
 	}
 
+	nidOf := make(map[dict.ID]NID)
 	addNode := func(uri string, kind NodeKind) NID {
 		id := d.Intern(uri)
 		n := NID(len(in.dictID))
-		in.nidOf[id] = n
+		nidOf[id] = n
 		in.dictID = append(in.dictID, id)
 		in.kind = append(in.kind, kind)
 		in.parent = append(in.parent, NoNID)
 		in.depth = append(in.depth, 0)
 		in.docOf = append(in.docOf, -1)
-		in.children = append(in.children, nil)
 		in.keywords = append(in.keywords, nil)
 		in.nodeName = append(in.nodeName, dict.NoID)
 		return n
@@ -296,9 +295,7 @@ func (b *Builder) Build() (*Instance, error) {
 				in.keywords[n] = append(in.keywords[n], d.Intern(kw))
 			}
 			if p := node.Parent(); p != nil {
-				pn := in.nidOf[mustLookup(d, p.URI)]
-				in.parent[n] = pn
-				in.children[pn] = append(in.children[pn], n)
+				in.parent[n] = nidOf[mustLookup(d, p.URI)]
 			} else {
 				in.docRoots = append(in.docRoots, n)
 			}
@@ -306,8 +303,8 @@ func (b *Builder) Build() (*Instance, error) {
 	}
 	for _, t := range b.spec.Tags {
 		n := addNode(t.URI, KindTag)
-		subj := in.nidOf[mustLookup(d, t.Subject)]
-		auth := in.nidOf[mustLookup(d, t.Author)]
+		subj := nidOf[mustLookup(d, t.Subject)]
+		auth := nidOf[mustLookup(d, t.Author)]
 		kw := dict.NoID
 		if t.Keyword != "" {
 			kw = d.Intern(stemKeyword(b.analyzer, t.Keyword))
@@ -319,6 +316,7 @@ func (b *Builder) Build() (*Instance, error) {
 		in.tagList = append(in.tagList, n)
 		in.tagInfo[n] = TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)}
 	}
+	in.childOff, in.childList = childrenOf(in.parent)
 
 	// Keyword document frequencies (used by workload generators and the
 	// semantic-reachability measure).
@@ -348,13 +346,13 @@ func (b *Builder) Build() (*Instance, error) {
 		if prop == "" {
 			prop = PropSocial
 		}
-		from := in.nidOf[mustLookup(d, s.From)]
-		to := in.nidOf[mustLookup(d, s.To)]
+		from := nidOf[mustLookup(d, s.From)]
+		to := nidOf[mustLookup(d, s.To)]
 		addEdge(from, to, s.W, prop)
 	}
 	for _, p := range b.spec.Posts {
-		dn := in.nidOf[mustLookup(d, p.Doc)]
-		un := in.nidOf[mustLookup(d, p.User)]
+		dn := nidOf[mustLookup(d, p.Doc)]
+		un := nidOf[mustLookup(d, p.User)]
 		addEdge(dn, un, 1, PropPostedBy)
 		addEdge(un, dn, 1, PropPostedByInv)
 		in.posts = append(in.posts, PostEdge{Doc: dn, User: un})
@@ -364,8 +362,8 @@ func (b *Builder) Build() (*Instance, error) {
 		if prop == "" {
 			prop = PropCommentsOn
 		}
-		cn := in.nidOf[mustLookup(d, c.Comment)]
-		tn := in.nidOf[mustLookup(d, c.Target)]
+		cn := nidOf[mustLookup(d, c.Comment)]
+		tn := nidOf[mustLookup(d, c.Target)]
 		addEdge(cn, tn, 1, prop)
 		addEdge(tn, cn, 1, PropCommentsOnInv)
 		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: d.Intern(prop)})
@@ -381,6 +379,10 @@ func (b *Builder) Build() (*Instance, error) {
 	in.buildMatrix()
 	in.buildComponents()
 	in.computeStats(b)
+	var err error
+	if in.nidByID, err = nodesByURI(in.dictID, d.Len()); err != nil {
+		return nil, err
+	}
 	return in, nil
 }
 
@@ -420,7 +422,7 @@ func (in *Instance) buildMatrix() {
 	var subtreeWeight func(v NID) float64
 	subtreeWeight = func(v NID) float64 {
 		w := ownW[v]
-		for _, c := range in.children[v] {
+		for _, c := range in.ChildrenOf(v) {
 			w += subtreeWeight(c)
 		}
 		subW[v] = w

@@ -122,16 +122,18 @@ type Instance struct {
 	kind     []NodeKind
 	parent   []NID
 	depth    []int32
-	docOf    []int32 // document index for doc nodes, -1 otherwise
-	children [][]NID
+	docOf    []int32           // document index for doc nodes, -1 otherwise
 	keywords [][]dict.ID       // stemmed content keywords (doc nodes)
 	kwLazy   *lazyCSR[dict.ID] // snapshot imports: flat form, materialised on demand
 	nodeName []dict.ID         // node name (doc nodes), dict.NoID otherwise
 
-	// URI → node resolution: frozen instances use the dense nidByID table
-	// (indexed by dict.ID, NoNID where the id names no node); the builder
-	// grows nidOf incrementally. Exactly one of the two is set.
-	nidOf   map[dict.ID]NID
+	// Tree children, derived from parent (childrenOf): those of v are
+	// childList[childOff[v]:childOff[v+1]], ascending.
+	childOff  []int32
+	childList []NID
+
+	// URI → node resolution: a dense table indexed by dict.ID holding the
+	// node plus one, 0 where the id names no node (nodesByURI).
 	nidByID []NID
 
 	// Direct network out-edges. The builder fills the per-node slices;
@@ -191,18 +193,11 @@ func (in *Instance) NumNodes() int { return len(in.dictID) }
 // NIDOf resolves a URI to its node.
 func (in *Instance) NIDOf(uri string) (NID, bool) {
 	id, ok := in.dict.Lookup(uri)
-	if !ok {
+	if !ok || int(id) >= len(in.nidByID) { // the latter: interned after the freeze (e.g. RDF export)
 		return NoNID, false
 	}
-	if in.nidByID != nil {
-		if int(id) >= len(in.nidByID) {
-			return NoNID, false // interned after the freeze (e.g. RDF export)
-		}
-		n := in.nidByID[id]
-		return n, n != NoNID
-	}
-	n, ok := in.nidOf[id]
-	return n, ok
+	n := in.nidByID[id] - 1
+	return n, n != NoNID
 }
 
 // URIOf returns the URI of a node.
@@ -223,7 +218,10 @@ func (in *Instance) ParentOf(n NID) NID { return in.parent[n] }
 func (in *Instance) DepthOf(n NID) int32 { return in.depth[n] }
 
 // ChildrenOf returns the tree children of a document node.
-func (in *Instance) ChildrenOf(n NID) []NID { return in.children[n] }
+func (in *Instance) ChildrenOf(n NID) []NID {
+	lo, hi := in.childOff[n], in.childOff[n+1]
+	return in.childList[lo:hi:hi]
+}
 
 // DocRootOf returns the root of the document a node belongs to, or NoNID
 // for users and tags.
@@ -350,10 +348,6 @@ func (in *Instance) NeighborhoodOutWeight(n NID) float64 { return in.totalW[n] }
 // relation over partOf, commentsOn and hasSubject edges (§5.2).
 func (in *Instance) CompOf(n NID) int32 { return in.comp[n] }
 
-// CompTable exposes the whole node→component table for tight validation
-// loops (read-only, indexed by NID).
-func (in *Instance) CompTable() []int32 { return in.comp }
-
 // NumComponents returns the number of components.
 func (in *Instance) NumComponents() int { return in.nComp }
 
@@ -427,7 +421,7 @@ func (in *Instance) PosLen(d, f NID) (int32, bool) {
 // (pre-order) and returns the extended slice.
 func (in *Instance) SubtreeOf(n NID, buf []NID) []NID {
 	buf = append(buf, n)
-	for _, c := range in.children[n] {
+	for _, c := range in.ChildrenOf(n) {
 		buf = in.SubtreeOf(c, buf)
 	}
 	return buf

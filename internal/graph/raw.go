@@ -17,8 +17,7 @@ import (
 // (internal/snap).
 //
 // Children lists and the URI→node table are intentionally absent — both
-// follow from Parent and DictID, and an import takes them precomputed
-// through an Accel, checked against those tables.
+// follow from Parent and DictID, and FromRawAccel derives them.
 //
 // # Immutability contract
 //
@@ -77,27 +76,17 @@ type Raw struct {
 }
 
 // Accel carries the structures an import takes prebuilt instead of
-// deriving them from the Raw tables, so a load does no per-entry work: the
-// dictionary and frozen ontology are constructed by the caller (over the
-// stored arenas and permutations), and the children / URI→node tables and
-// the CSR lists arrive as flat arrays into the same snapshot bytes.
-// FromRawAccel checks each table against the Raw it accelerates — cheap,
-// allocation-free linear scans — so an inconsistent serialisation is
-// rejected rather than trusted.
+// building them from the Raw tables: the dictionary and frozen ontology
+// are constructed by the caller (over the stored arenas and sorted
+// permutations, whose order is cheaper to check than to rebuild), and the
+// out-edge and keyword lists arrive as flat CSR arrays into the same
+// snapshot bytes. FromRawAccel checks each against the Raw it accelerates
+// with allocation-free linear scans.
 type Accel struct {
 	// Dict is the prebuilt dictionary whose content equals Raw.Strings.
 	Dict *dict.Dict
 	// Ont is the prebuilt (frozen) ontology over Dict.
 	Ont *rdf.Graph
-	// NIDByID maps every dictionary id to its node, NoNID where the id
-	// names no node. Length must equal Dict.Len().
-	NIDByID []NID
-	// ChildOff / ChildList are the children lists in CSR form: the
-	// children of node v are ChildList[ChildOff[v]:ChildOff[v+1]], in
-	// ascending NID order (= original document order, by pre-order
-	// numbering).
-	ChildOff  []int64
-	ChildList []NID
 	// EdgeOff / EdgeList and KwOff / KwList are the out-edges and content
 	// keywords in CSR form; they substitute for Raw.Out and Raw.Keywords
 	// (which an accelerated import leaves nil), and the per-node headers
@@ -169,11 +158,12 @@ func (in *Instance) Raw() *Raw {
 //
 // Every check is an allocation-free linear scan. The structural ones keep
 // slicing and tree walks panic-free: offset-table monotonicity, index
-// bounds and parent pre-order. The content ones hold the stored derived
-// arrays to what the tables imply: the children CSR to Parent, the
-// URI→node table to DictID, and the tag and frequency-keyword lists to the
-// ascending order their binary searches need. So a file that passes its
-// checksums but is internally inconsistent is refused, never served.
+// bounds and parent pre-order. The content ones hold the stored tag and
+// frequency-keyword lists to the ascending order their binary searches
+// need. The children lists and the URI→node table are derived, each in
+// one pass over Parent or DictID (the latter refusing a URI that names
+// two nodes). So a file that passes its checksums but is internally
+// inconsistent is refused, never served.
 func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
@@ -228,15 +218,11 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 		return nil, err
 	}
 	nDocs := len(r.DocRoots)
-	withParent := 0
 	for v := 0; v < n; v++ {
 		// Parent pre-order keeps the ancestor walks cycle-free; uint32
 		// folds the negative case in.
-		if p := r.Parent[v]; p != NoNID {
-			if uint32(p) >= uint32(v) {
-				return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
-			}
-			withParent++
+		if p := r.Parent[v]; p != NoNID && uint32(p) >= uint32(v) {
+			return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
 		}
 	}
 	var maxURI, maxName1, maxDoc1, maxComp1 uint32
@@ -335,56 +321,58 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	if !strictlyAscending(r.KwFreqKeys) {
 		return nil, fmt.Errorf("graph: frequency keywords are not strictly ascending")
 	}
-	// The URI→node table is the inverse of DictID: every node is found
-	// under its own URI, and no other id names a node (so no URI names
-	// two).
-	if len(acc.NIDByID) != int(nd) {
-		return nil, fmt.Errorf("graph: URI→node table has %d entries for %d dictionary ids", len(acc.NIDByID), nd)
-	}
-	named := 0
-	for _, v := range acc.NIDByID {
-		if v != NoNID {
-			if uint32(v) >= uint32(n) {
-				return nil, fmt.Errorf("graph: URI→node table points outside instance of %d nodes", n)
-			}
-			named++
-		}
-	}
-	for v, id := range r.DictID {
-		if acc.NIDByID[id] != NID(v) {
-			return nil, fmt.Errorf("graph: URI→node table does not map node %d's URI to it", v)
-		}
-	}
-	if named != n {
-		return nil, fmt.Errorf("graph: URI→node table names %d nodes, the instance has %d", named, n)
-	}
-	// The children CSR lists exactly the nodes Parent files under each
-	// node, ascending: every listed child names that node as its parent,
-	// rows ascend (so none is listed twice), and as many are listed as
-	// nodes have a parent.
-	if err := checkCSR(acc.ChildOff, n, len(acc.ChildList), "children"); err != nil {
+	var err error
+	if in.nidByID, err = nodesByURI(r.DictID, int(nd)); err != nil {
 		return nil, err
 	}
-	if len(acc.ChildList) != withParent {
-		return nil, fmt.Errorf("graph: children lists hold %d nodes, %d nodes have a parent", len(acc.ChildList), withParent)
-	}
-	for v := 0; v < n; v++ {
-		row := acc.ChildList[acc.ChildOff[v]:acc.ChildOff[v+1]]
-		for i, c := range row {
-			if uint32(c) >= uint32(n) || r.Parent[c] != NID(v) || (i > 0 && row[i-1] >= c) {
-				return nil, fmt.Errorf("graph: children list of node %d disagrees with the parent table", v)
-			}
-		}
-	}
-	in.nidByID = acc.NIDByID
-	in.children = childrenFromCSR(acc, n)
-
-	var err error
+	in.childOff, in.childList = childrenOf(r.Parent)
 	in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal)
 	if err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// nodesByURI derives the dense URI→node table over a dictionary of nd ids
+// from the node URIs (each below nd). An entry holds its node plus one, so
+// the zero a fresh table holds means the id names no node, and the table
+// needs no filling pass. A URI that names two nodes is refused.
+func nodesByURI(dictID []dict.ID, nd int) ([]NID, error) {
+	byID := make([]NID, nd)
+	for v, id := range dictID {
+		if byID[id] != 0 {
+			return nil, fmt.Errorf("graph: nodes %d and %d share one URI", byID[id]-1, v)
+		}
+		byID[id] = NID(v) + 1
+	}
+	return byID, nil
+}
+
+// childrenOf derives the children lists from a pre-order parent table
+// (every parent below its child) in CSR form with one counting sort: the
+// children of v are list[off[v]:off[v+1]]. They are placed in ascending
+// NID order, which pre-order numbering makes document order.
+func childrenOf(parent []NID) (off []int32, list []NID) {
+	n := len(parent)
+	// Counted at p+2 and summed, off[p+1] is where p's children start; it
+	// advances as they are placed, ending where p+1's start.
+	off = make([]int32, n+2)
+	for _, p := range parent {
+		if p != NoNID {
+			off[p+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	list = make([]NID, off[n+1])
+	for v, p := range parent {
+		if p != NoNID {
+			list[off[p+1]] = NID(v)
+			off[p+1]++
+		}
+	}
+	return off[:n+1], list
 }
 
 // strictlyAscending reports whether s ascends with no repeats.
@@ -412,17 +400,4 @@ func checkCSR(off []int64, n, total int, what string) error {
 		}
 	}
 	return nil
-}
-
-// childrenFromCSR builds the per-node child slice headers over the shared
-// CSR list — one allocation for the headers, zero copies of the data.
-func childrenFromCSR(acc *Accel, n int) [][]NID {
-	children := make([][]NID, n)
-	for v := 0; v < n; v++ {
-		lo, hi := acc.ChildOff[v], acc.ChildOff[v+1]
-		if lo < hi {
-			children[v] = acc.ChildList[lo:hi:hi]
-		}
-	}
-	return children
 }

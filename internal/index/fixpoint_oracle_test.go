@@ -149,7 +149,7 @@ func refBuild(in *graph.Instance) []RawPosting {
 		tagSeenFull: make(map[refTagEntryKey]struct{}),
 	}
 	b.run()
-	return b.freeze().Raw()
+	return b.freeze()
 }
 
 type refBuilder struct {
@@ -312,14 +312,11 @@ func (b *refBuilder) stepComments() {
 	}
 }
 
-func (b *refBuilder) freeze() *Index {
+// freeze sorts each posting into the canonical order and lists the
+// postings by keyword.
+func (b *refBuilder) freeze() []RawPosting {
 	in := b.in
-	ix := &Index{
-		in:            in,
-		byKw:          make(map[dict.ID]*kwList, len(b.byKw)),
-		compsByKw:     make(map[dict.ID][]int32, len(b.byKw)),
-		maxCompEvents: make(map[dict.ID]int, len(b.byKw)),
-	}
+	var out []RawPosting
 	for kw, evs := range b.byKw {
 		sort.Slice(evs, func(i, j int) bool {
 			ci, cj := in.CompOf(evs[i].Frag), in.CompOf(evs[j].Frag)
@@ -334,25 +331,10 @@ func (b *refBuilder) freeze() *Index {
 			}
 			return evs[i].Src < evs[j].Src
 		})
-		comps := make([]int32, len(evs))
-		var uniq []int32
-		maxRun, run := 0, 0
-		for i, e := range evs {
-			comps[i] = in.CompOf(e.Frag)
-			if i == 0 || comps[i] != comps[i-1] {
-				uniq = append(uniq, comps[i])
-				run = 0
-			}
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		}
-		ix.byKw[kw] = &kwList{evs: evs, comps: comps}
-		ix.compsByKw[kw] = uniq
-		ix.maxCompEvents[kw] = maxRun
+		out = append(out, RawPosting{Kw: kw, Events: evs})
 	}
-	return ix
+	sort.Slice(out, func(i, j int) bool { return out[i].Kw < out[j].Kw })
+	return out
 }
 
 func refDedupe(ids []dict.ID) []dict.ID {

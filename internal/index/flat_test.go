@@ -9,28 +9,23 @@ import (
 
 // flatten lays an index out in its flat form, the way a snapshot writer
 // does.
-func flatten(in *graph.Instance, ix *Index) Flat {
-	f := Flat{EvOff: []int64{0}, CompOff: []int64{0}}
+func flatten(ix *Index) Flat {
+	f := Flat{EvOff: []int64{0}}
 	for _, p := range ix.Raw() {
 		f.Kws = append(f.Kws, p.Kw)
-		for _, ev := range p.Events {
-			f.Evs = append(f.Evs, ev)
-			f.Comps = append(f.Comps, in.CompOf(ev.Frag))
-		}
+		f.Evs = append(f.Evs, p.Events...)
 		f.EvOff = append(f.EvOff, int64(len(f.Evs)))
-		f.CompIDs = append(f.CompIDs, ix.Comps(p.Kw)...)
-		f.CompOff = append(f.CompOff, int64(len(f.CompIDs)))
-		f.MaxRuns = append(f.MaxRuns, int32(ix.MaxCompEvents(p.Kw)))
 	}
 	return f
 }
 
 // TestFlatEventsAndValidate checks that Flat.Events answers what the
-// index it was laid out from answers, and that Validate (which FromFlat
-// runs too) rejects every array that would make a read panic.
+// index it was laid out from answers, that FromFlat derives the same
+// component summaries Build does, and that Validate (which FromFlat runs
+// too) rejects every array that would make a read panic.
 func TestFlatEventsAndValidate(t *testing.T) {
 	in, ix := figure1(t)
-	f := flatten(in, ix)
+	f := flatten(ix)
 	if err := f.Validate(in.NumNodes()); err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +37,16 @@ func TestFlatEventsAndValidate(t *testing.T) {
 	if evs := f.Events(f.Kws[len(f.Kws)-1] + 1); evs != nil {
 		t.Errorf("unknown keyword has events %v", evs)
 	}
+	loaded, err := FromFlat(in, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kw := range ix.Keywords() {
+		if !slices.Equal(loaded.Comps(kw), ix.Comps(kw)) || loaded.MaxCompEvents(kw) != ix.MaxCompEvents(kw) {
+			t.Errorf("keyword %d: FromFlat derives %v / %d, Build %v / %d", kw,
+				loaded.Comps(kw), loaded.MaxCompEvents(kw), ix.Comps(kw), ix.MaxCompEvents(kw))
+		}
+	}
 
 	n := graph.NID(in.NumNodes())
 	for name, mutate := range map[string]func(f *Flat){
@@ -52,10 +57,8 @@ func TestFlatEventsAndValidate(t *testing.T) {
 		"negative fragment": func(f *Flat) { f.Evs[0].Frag = -1 },
 		"source too big":    func(f *Flat) { f.Evs[0].Src = n },
 		"unknown type":      func(f *Flat) { f.Evs[0].Type = CommentsOn + 1 },
-		"component count":   func(f *Flat) { f.Comps = f.Comps[1:] },
-		"run bound count":   func(f *Flat) { f.MaxRuns = f.MaxRuns[1:] },
 	} {
-		bad := flatten(in, ix)
+		bad := flatten(ix)
 		mutate(&bad)
 		if err := bad.Validate(in.NumNodes()); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -25,6 +25,7 @@ package index
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -67,24 +68,27 @@ type Event struct {
 	Type ConnType
 }
 
-// kwList holds the events of one keyword sorted by component id, with the
-// aligned comps slice enabling binary-searched per-component slicing.
-type kwList struct {
-	evs   []Event
-	comps []int32
+// posting is the events of one keyword in canonical order, with what
+// summarize reads off them.
+type posting struct {
+	evs []Event
+	// lo and hi delimit, in the index's comps, the components holding an
+	// event, ascending.
+	lo, hi int32
+	// maxRun is the most events in a single component; since every
+	// connection of a single candidate d lives in d's component and η ≤ 1,
+	// it bounds the connection mass Σ η^|pos| of any candidate for the
+	// keyword (used for the §4 threshold).
+	maxRun int32
 }
 
 // Index is the frozen connection index of an instance. It is immutable
 // and safe for concurrent readers.
 type Index struct {
-	in        *graph.Instance
-	byKw      map[dict.ID]*kwList
-	compsByKw map[dict.ID][]int32
-	// maxCompEvents[k] = max over components of the number of events of k
-	// in that component; since every connection of a single candidate d
-	// lives in d's component and η ≤ 1, this bounds the connection mass
-	// Σ η^|pos| of any candidate for k (used for the §4 threshold).
-	maxCompEvents map[dict.ID]int
+	in   *graph.Instance
+	byKw map[dict.ID]posting
+	// comps holds every posting's component list, back to back.
+	comps []int32
 }
 
 type eventKey struct {
@@ -324,12 +328,7 @@ func (b *ixBuilder) stepComments() {
 // reached it in.
 func (b *ixBuilder) freeze() *Index {
 	in := b.in
-	ix := &Index{
-		in:            in,
-		byKw:          make(map[dict.ID]*kwList, len(b.byKw)),
-		compsByKw:     make(map[dict.ID][]int32, len(b.byKw)),
-		maxCompEvents: make(map[dict.ID]int, len(b.byKw)),
-	}
+	ix := newIndex(in, len(b.byKw))
 	type keyed struct {
 		comp int32
 		ev   Event
@@ -341,41 +340,89 @@ func (b *ixBuilder) freeze() *Index {
 			buf = append(buf, keyed{comp: in.CompOf(e.Frag), ev: e})
 		}
 		slices.SortFunc(buf, func(x, y keyed) int { return compareEvents(x.comp, x.ev, y.comp, y.ev) })
-		comps := make([]int32, len(evs))
-		var uniq []int32
-		maxRun, run := 0, 0
 		for i, k := range buf {
-			evs[i], comps[i] = k.ev, k.comp
-			if i == 0 || comps[i] != comps[i-1] {
-				uniq = append(uniq, comps[i])
-				run = 0
-			}
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
+			evs[i] = k.ev
 		}
-		ix.byKw[kw] = &kwList{evs: evs, comps: comps}
-		ix.compsByKw[kw] = uniq
-		ix.maxCompEvents[kw] = maxRun
+		if err := ix.add(kw, evs); err != nil {
+			// addEvent filed each event once, so the sorted postings ascend.
+			panic("index: internal error: " + err.Error())
+		}
 	}
 	return ix
+}
+
+// newIndex returns an empty index over in with room for nkw postings.
+func newIndex(in *graph.Instance, nkw int) *Index {
+	return &Index{in: in, byKw: make(map[dict.ID]posting, nkw)}
+}
+
+// add files evs under kw, deriving the posting's component list (appended
+// to ix.comps) and run bound with summarize. It refuses a second posting
+// of kw.
+func (ix *Index) add(kw dict.ID, evs []Event) error {
+	lo := len(ix.comps)
+	comps, maxRun, err := summarize(ix.in, evs, ix.comps)
+	if err != nil {
+		return fmt.Errorf("index: posting of keyword %d: %w", kw, err)
+	}
+	ix.comps = comps
+	n := len(ix.byKw)
+	ix.byKw[kw] = posting{evs: evs, lo: int32(lo), hi: int32(len(comps)), maxRun: int32(maxRun)}
+	if len(ix.byKw) == n {
+		return fmt.Errorf("index: duplicate posting for keyword %d", kw)
+	}
+	return nil
+}
+
+// summarize is the one derivation of a posting's component summary. It
+// checks that evs, whose fragments must be nodes of in, are strictly in
+// canonical order (compareEvents), appends their distinct components in
+// event order to comps and returns it with the longest single-component
+// run.
+func summarize(in *graph.Instance, evs []Event, comps []int32) ([]int32, int, error) {
+	var prev int32
+	run, longest := 0, 0
+	for i := range evs {
+		c := in.CompOf(evs[i].Frag)
+		switch {
+		case i == 0 || c > prev:
+			comps = append(comps, c)
+			run = 0
+		case c < prev || !precedes(&evs[i-1], &evs[i]):
+			return nil, 0, fmt.Errorf("events out of canonical order at %d", i)
+		}
+		run++
+		longest = max(longest, run)
+		prev = c
+	}
+	return comps, longest, nil
 }
 
 // compareEvents orders two events of one keyword, a in component ca and b
 // in cb, by (component, fragment, type, source): the canonical order of a
 // posting — total, since a posting holds each event once.
 func compareEvents(ca int32, a Event, cb int32, b Event) int {
-	if ca != cb {
+	switch {
+	case ca != cb:
 		return cmp.Compare(ca, cb)
+	case a == b:
+		return 0
+	case precedes(&a, &b):
+		return -1
 	}
+	return 1
+}
+
+// precedes reports whether a sorts strictly before b by (fragment, type,
+// source): the canonical order within one component.
+func precedes(a, b *Event) bool {
 	if a.Frag != b.Frag {
-		return cmp.Compare(a.Frag, b.Frag)
+		return a.Frag < b.Frag
 	}
 	if a.Type != b.Type {
-		return cmp.Compare(a.Type, b.Type)
+		return a.Type < b.Type
 	}
-	return cmp.Compare(a.Src, b.Src)
+	return a.Src < b.Src
 }
 
 // Keywords returns the indexed keywords in ascending id order.
@@ -389,32 +436,28 @@ func (ix *Index) Keywords() []dict.ID {
 }
 
 // Events returns all events of an explicit keyword, sorted by component.
-func (ix *Index) Events(k dict.ID) []Event {
-	if l := ix.byKw[k]; l != nil {
-		return l.evs
-	}
-	return nil
-}
+func (ix *Index) Events(k dict.ID) []Event { return ix.byKw[k].evs }
 
 // EventsInComp returns the events of keyword k anchored in the given
-// component.
+// component: a binary search over the events by their fragments'
+// components.
 func (ix *Index) EventsInComp(k dict.ID, comp int32) []Event {
-	l := ix.byKw[k]
-	if l == nil {
-		return nil
-	}
-	lo := sort.Search(len(l.comps), func(i int) bool { return l.comps[i] >= comp })
-	hi := sort.Search(len(l.comps), func(i int) bool { return l.comps[i] > comp })
-	return l.evs[lo:hi]
+	evs := ix.byKw[k].evs
+	lo := sort.Search(len(evs), func(i int) bool { return ix.in.CompOf(evs[i].Frag) >= comp })
+	evs = evs[lo:]
+	return evs[:sort.Search(len(evs), func(i int) bool { return ix.in.CompOf(evs[i].Frag) > comp })]
 }
 
 // Comps returns the sorted component ids containing at least one event of
 // keyword k.
-func (ix *Index) Comps(k dict.ID) []int32 { return ix.compsByKw[k] }
+func (ix *Index) Comps(k dict.ID) []int32 {
+	p := ix.byKw[k]
+	return ix.comps[p.lo:p.hi:p.hi]
+}
 
 // MaxCompEvents returns the maximum number of events of k within a single
 // component — an upper bound on |con(d, k)| for any candidate d.
-func (ix *Index) MaxCompEvents(k dict.ID) int { return ix.maxCompEvents[k] }
+func (ix *Index) MaxCompEvents(k dict.ID) int { return int(ix.byKw[k].maxRun) }
 
 // CompsForGroups intersects, across keyword groups (each group being the
 // semantic extension of one query keyword), the unions of components
@@ -524,8 +567,8 @@ func (ix *Index) ConOf(d graph.NID, k dict.ID) []Event {
 // NumEvents returns the total number of indexed events.
 func (ix *Index) NumEvents() int {
 	total := 0
-	for _, l := range ix.byKw {
-		total += len(l.evs)
+	for _, p := range ix.byKw {
+		total += len(p.evs)
 	}
 	return total
 }

@@ -17,7 +17,7 @@ import (
 //	  "university";
 //	u4 tags d0.5.1 with "university";
 //	the ontology states ms ≺sc degree.
-func figure1(t *testing.T) (*graph.Instance, *Index) {
+func figure1(t testing.TB) (*graph.Instance, *Index) {
 	t.Helper()
 	b := graph.NewBuilder(text.Analyzer{Lang: text.None})
 	for _, u := range []string{"u0", "u1", "u2", "u3", "u4", "u5"} {
@@ -57,7 +57,7 @@ func figure1(t *testing.T) (*graph.Instance, *Index) {
 	return in, Build(in)
 }
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

@@ -21,48 +21,32 @@ type RawPosting struct {
 // the index and must not be modified.
 func (ix *Index) Raw() []RawPosting {
 	out := make([]RawPosting, 0, len(ix.byKw))
-	for kw, l := range ix.byKw {
-		out = append(out, RawPosting{Kw: kw, Events: l.evs})
+	for kw, p := range ix.byKw {
+		out = append(out, RawPosting{Kw: kw, Events: p.evs})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kw < out[j].Kw })
 	return out
 }
 
 // Flat is the snapshot import form of an index: the canonically-ordered
-// flat arrays of a snapshot or shard file (Evs holds every posting's
-// events back to back, EvOff where each starts), including the
-// precomputed per-posting component summaries (CompOff/CompIDs list each
-// posting's distinct components in event order; MaxRuns bounds its
-// longest single-component run — the §4 threshold input).
+// flat arrays of a snapshot or shard file. Evs holds every posting's
+// events back to back, and EvOff where each starts. The per-posting
+// component summaries are not part of it: FromFlat derives them.
 type Flat struct {
-	Kws     []dict.ID
-	EvOff   []int64
-	Evs     []Event
-	Comps   []int32
-	CompOff []int64
-	CompIDs []int32
-	MaxRuns []int32
+	Kws   []dict.ID
+	EvOff []int64
+	Evs   []Event
 }
 
 // Validate checks whatever could make a read of the flat form panic or
-// hang — array lengths, offset monotonicity, keyword order, event
-// fragments and sources as indices of an instance of numNodes nodes, and
-// event types — with cheap sequential scans. It is all a holder of the
-// events alone can check; FromFlat, which has the instance, also checks
-// the event order and component summaries against it.
+// hang — offset monotonicity, keyword order, event fragments and sources
+// as indices of an instance of numNodes nodes, and event types — with
+// cheap sequential scans. It is all a holder of the events alone can
+// check; FromFlat, which has the instance, also checks the event order.
 func (f *Flat) Validate(numNodes int) error {
 	nkw := len(f.Kws)
 	if err := checkOff(f.EvOff, nkw, len(f.Evs), "event"); err != nil {
 		return err
-	}
-	if err := checkOff(f.CompOff, nkw, len(f.CompIDs), "component summary"); err != nil {
-		return err
-	}
-	if len(f.Comps) != len(f.Evs) {
-		return fmt.Errorf("index: %d component ids for %d events", len(f.Comps), len(f.Evs))
-	}
-	if len(f.MaxRuns) != nkw {
-		return fmt.Errorf("index: %d run bounds for %d keywords", len(f.MaxRuns), nkw)
 	}
 	for i := 1; i < nkw; i++ {
 		if f.Kws[i-1] >= f.Kws[i] {
@@ -107,77 +91,33 @@ func (f *Flat) Events(k dict.ID) []Event {
 }
 
 // FromFlat reconstructs an index over a frozen instance from its flat
-// form without copying: every per-keyword list is a sub-slice of the
-// supplied arrays (which point into a snapshot's bytes — see graph.Raw's
-// immutability contract). The arrays are checked by Validate first, then
-// each posting's stored derived arrays against what its events imply
-// (checkPosting), so an inconsistent file is refused, never served.
+// form. The events are not copied: every posting is a sub-slice of f.Evs
+// (which points into a snapshot's bytes — see graph.Raw's immutability
+// contract). The arrays are checked by Validate first. Then each
+// posting's component list and run bound are derived from its events,
+// which must be strictly in canonical order (summarize), so a file whose
+// events are out of order is refused, never served. All the postings'
+// component lists share one backing array.
 func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 	if err := f.Validate(in.NumNodes()); err != nil {
 		return nil, err
 	}
-	nkw := len(f.Kws)
-	ix := &Index{
-		in:            in,
-		byKw:          make(map[dict.ID]*kwList, nkw),
-		compsByKw:     make(map[dict.ID][]int32, nkw),
-		maxCompEvents: make(map[dict.ID]int, nkw),
-	}
-	comp := in.CompTable()
-	lists := make([]kwList, nkw)
+	ix := newIndex(in, len(f.Kws))
 	for i, kw := range f.Kws {
 		lo, hi := f.EvOff[i], f.EvOff[i+1]
-		clo, chi := f.CompOff[i], f.CompOff[i+1]
-		if err := checkPosting(comp, f.Evs[lo:hi], f.Comps[lo:hi], f.CompIDs[clo:chi], f.MaxRuns[i]); err != nil {
-			return nil, fmt.Errorf("index: posting of keyword %d: %w", kw, err)
+		if err := ix.add(kw, f.Evs[lo:hi:hi]); err != nil {
+			return nil, err
 		}
-		lists[i] = kwList{evs: f.Evs[lo:hi:hi], comps: f.Comps[lo:hi:hi]}
-		ix.byKw[kw] = &lists[i]
-		ix.compsByKw[kw] = f.CompIDs[clo:chi:chi]
-		ix.maxCompEvents[kw] = int(f.MaxRuns[i])
 	}
 	return ix, nil
 }
 
-// checkPosting checks one posting's stored derived arrays against its
-// events, allocation-free: events strictly in compareEvents' order,
-// comps[i] the component of event i's fragment, compIDs the distinct runs
-// of comps and maxRun the longest of them — what Build and FromRaw derive.
-// comps must be as long as evs.
-func checkPosting(comp []int32, evs []Event, comps, compIDs []int32, maxRun int32) error {
-	comps = comps[:len(evs)]
-	runs, run, longest := 0, int32(0), int32(0)
-	for i, e := range evs {
-		c := comp[e.Frag]
-		if comps[i] != c {
-			return fmt.Errorf("event %d is filed under component %d, its fragment lies in %d", i, comps[i], c)
-		}
-		if i > 0 && c == comps[i-1] {
-			// Within a component, (fragment, type, source) ascends.
-			p := evs[i-1]
-			if e.Frag < p.Frag || e.Frag == p.Frag && (e.Type < p.Type || e.Type == p.Type && e.Src <= p.Src) {
-				return fmt.Errorf("events out of canonical order at %d", i)
-			}
-			run++
-		} else {
-			if i > 0 && c < comps[i-1] {
-				return fmt.Errorf("events out of canonical order at %d", i)
-			}
-			if runs == len(compIDs) || compIDs[runs] != c {
-				return fmt.Errorf("component summary diverges from the events at run %d", runs)
-			}
-			runs++
-			run = 1
-		}
-		longest = max(longest, run)
-	}
-	if runs != len(compIDs) {
-		return fmt.Errorf("component summary lists %d components, the events %d", len(compIDs), runs)
-	}
-	if longest != maxRun {
-		return fmt.Errorf("run bound %d, the longest run is %d", maxRun, longest)
-	}
-	return nil
+// CheckOrder reports an error unless evs, whose fragments must be nodes
+// of in, are strictly in the canonical order of a posting: the order
+// Events returns and a shard file stores.
+func CheckOrder(in *graph.Instance, evs []Event) error {
+	_, _, err := summarize(in, evs, nil)
+	return err
 }
 
 // checkOff validates an n+1-entry offset table spanning [0, total]
@@ -198,26 +138,17 @@ func checkOff(off []int64, n, total int, what string) error {
 }
 
 // FromRaw reconstructs an index over a frozen instance from its postings.
-// The per-keyword component tables and bounds are re-derived (they are
-// cheap linear scans); events are re-sorted with the canonical freeze
-// order, so postings may arrive in any order. Cross-references are
-// validated against the instance.
+// Events are range-checked against the instance and re-sorted into the
+// canonical order, so they may arrive in any order; a posting that lists
+// one event twice, or two postings of one keyword, are refused. The
+// component lists and run bounds are derived as FromFlat derives them.
 func FromRaw(in *graph.Instance, postings []RawPosting) (*Index, error) {
 	n := graph.NID(in.NumNodes())
-	ix := &Index{
-		in:            in,
-		byKw:          make(map[dict.ID]*kwList, len(postings)),
-		compsByKw:     make(map[dict.ID][]int32, len(postings)),
-		maxCompEvents: make(map[dict.ID]int, len(postings)),
-	}
+	ix := newIndex(in, len(postings))
 	for _, p := range postings {
-		if _, dup := ix.byKw[p.Kw]; dup {
-			return nil, fmt.Errorf("index: duplicate posting for keyword %d", p.Kw)
-		}
 		// Copy before sorting: postings may share backing arrays with a
 		// live index (Raw documents them as read-only).
-		evs := make([]Event, len(p.Events))
-		copy(evs, p.Events)
+		evs := slices.Clone(p.Events)
 		for _, e := range evs {
 			if e.Frag < 0 || e.Frag >= n {
 				return nil, fmt.Errorf("index: event fragment %d outside instance of %d nodes", e.Frag, n)
@@ -232,23 +163,9 @@ func FromRaw(in *graph.Instance, postings []RawPosting) (*Index, error) {
 		slices.SortFunc(evs, func(a, b Event) int {
 			return compareEvents(in.CompOf(a.Frag), a, in.CompOf(b.Frag), b)
 		})
-		comps := make([]int32, len(evs))
-		var uniq []int32
-		maxRun, run := 0, 0
-		for i, e := range evs {
-			comps[i] = in.CompOf(e.Frag)
-			if i == 0 || comps[i] != comps[i-1] {
-				uniq = append(uniq, comps[i])
-				run = 0
-			}
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
+		if err := ix.add(p.Kw, evs); err != nil {
+			return nil, err
 		}
-		ix.byKw[p.Kw] = &kwList{evs: evs, comps: comps}
-		ix.compsByKw[p.Kw] = uniq
-		ix.maxCompEvents[p.Kw] = maxRun
 	}
 	return ix, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"s3/internal/graph"
 	"s3/internal/text"
 )
 
@@ -74,26 +75,16 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comps := sectionOf(t, good, Magic, sec3IndexComps)
+		evs := sectionOf(t, good, Magic, sec3IndexEvents)
+		comp := func(i int64) int32 { return in.CompOf(graph.NID(get32(evs, 3*int(i)))) }
 		for k := 0; k+1 < len(evOff); k++ {
 			for i := evOff[k]; i+1 < evOff[k+1]; i++ {
-				if get32(comps, int(i)) == get32(comps, int(i+1)) {
+				if comp(i) == comp(i+1) {
 					return int(i)
 				}
 			}
 		}
 		t.Fatal("no posting has two events in one component")
-		return 0
-	}
-	// firstNoNID is the first dictionary id that names no node.
-	firstNoNID := func() int {
-		p := sectionOf(t, good, Magic, sec3NIDByID)
-		for i := 0; i < len(p)/4; i++ {
-			if int32(get32(p, i)) == -1 {
-				return i
-			}
-		}
-		t.Fatal("every dictionary id names a node")
 		return 0
 	}
 
@@ -105,8 +96,7 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 	}{
 		{"dictionary order", sec3DictPerm, func(p []byte) { swap32(p, 0, 1) }, "sort index is not strictly ascending"},
 		{"triple order", sec3TripleSPO, func(p []byte) { swap32(p, 0, 1) }, "spo permutation is not strictly ascending"},
-		{"a second URI names a node", sec3NIDByID, func(p []byte) { put32(p, firstNoNID(), 0) }, "URI→node table names"},
-		{"children lists", sec3ChildList, func(p []byte) { swap32(p, 0, 1) }, "children list of node"},
+		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
 		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
 		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},
 		{"event order", sec3IndexEvents, func(p []byte) {
@@ -115,9 +105,6 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 			copy(p[12*i:], b)
 			copy(p[12*i+12:], a)
 		}, "out of canonical order"},
-		{"event components", sec3IndexComps, func(p []byte) { put32(p, 0, get32(p, 0)+1) }, "is filed under component"},
-		{"component summaries", sec3IndexCompIDs, func(p []byte) { put32(p, 0, get32(p, 0)+1) }, "component summary"},
-		{"run bounds", sec3IndexMaxRun, func(p []byte) { put32(p, 0, get32(p, 0)+1) }, "run bound"},
 	} {
 		data := bytes.Clone(good)
 		row.edit(sectionOf(t, data, Magic, row.sec))
@@ -133,26 +120,44 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		wantRefused(t, row.name+" Read", row.want, nil, err)
 	}
 
-	// A shard file whose events all lie in another shard's component: each
-	// section agrees with the others, but the manifest gives the component
-	// to shard 1.
+	// A shard file whose events all lie in another shard's components:
+	// shard 1's index sections under shard 0's header, with the event
+	// count of the header and the manifest repointed to match. Every
+	// section agrees with the others, but the manifest gives the events'
+	// components to shard 1.
 	manifestPath, _, _ := writeSetFiles(t, 40, 150, 11, 2)
 	m, err := OpenManifest(manifestPath, LoadCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, nComp := m.Layout.Shards[1].Comps[0], m.Base.NumComponents()
-	shardPath := filepath.Join(filepath.Dir(manifestPath), layoutName(manifestPath, 0))
-	shard, err := os.ReadFile(shardPath)
-	if err != nil {
+	dir = filepath.Dir(manifestPath)
+	read := func(i int) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, layoutName(manifestPath, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	shard0, shard1 := read(0), read(1)
+	events := m.Layout.Shards[1].Events
+	shard := rebuildAligned(t, shard0, ShardMagic, func(id byte, p []byte) ([]byte, bool) {
+		switch id {
+		case secShardHeader:
+			hdr, err := decodeShardHeader(p, m.Layout, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr.events = events
+			return encodeShardHeader(m.Layout.SetID, 0, len(m.Layout.Shards), hdr), true
+		case sec3IndexKw, sec3IndexEvOff, sec3IndexEvents:
+			return sectionOf(t, shard1, ShardMagic, id), true
+		}
+		return p, true
+	})
+	if err := os.WriteFile(filepath.Join(dir, layoutName(manifestPath, 0)), shard, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	put32(sectionOf(t, shard, ShardMagic, sec3IndexCompIDs), 0, uint32(foreign))
-	reseal(shard)
-	if err := os.WriteFile(shardPath, shard, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	repointManifest(t, manifestPath, nComp, 0, shard)
+	repointManifest(t, manifestPath, m.Base.NumComponents(), 0, shard, func(d *ShardDesc) { d.Events = events })
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 		set, err := OpenShardSet(manifestPath, mode)
 		wantRefused(t, "shard ownership mode="+mode.String(), "foreign component", set, err)

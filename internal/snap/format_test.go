@@ -42,8 +42,9 @@ func rebuildAligned(t testing.TB, data []byte, magic string, edit func(id byte, 
 }
 
 // repointManifest rewrites the manifest file so that its layout vouches
-// for shard, the new bytes of shard file i.
-func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []byte) {
+// for shard, the new bytes of shard file i, after passing shard i's
+// layout entry through edits.
+func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []byte, edits ...func(*ShardDesc)) {
 	t.Helper()
 	manifest, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -56,6 +57,9 @@ func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []by
 		layout, err := decodeLayout(p, nComp)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, edit := range edits {
+			edit(&layout.Shards[i])
 		}
 		layout.Shards[i].Sum = uint64(crc32.Checksum(shard, castagnoli))
 		return encodeLayout(layout), true
@@ -109,11 +113,13 @@ func assertNotMapped(t testing.TB, path string) {
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
 // writers produce for a hand-built instance and one from each dataset
-// generator. They were recomputed when version 4 dropped the shard files'
-// node tables and added the shard header's tag count; every section
-// payload other than the shard headers and the manifest's layout (which
-// records the shard-file digests) is byte-identical to version 3's. They
-// change only when the format does — not when the builders are rewritten.
+// generator. They were recomputed when version 5 stopped storing the
+// children lists, the URI→node table and the per-event and per-posting
+// component sections; every section payload it still writes, other than
+// the manifest's layout and the shard headers (which record the shard-file
+// digests and the substrate's set id), is byte-identical to version 4's.
+// They change only when the format does — not when the builders are
+// rewritten.
 func TestFormatGolden(t *testing.T) {
 	check := func(what string, data []byte, want uint32) {
 		t.Helper()
@@ -136,13 +142,13 @@ func TestFormatGolden(t *testing.T) {
 		shards             [3]uint32
 	}{
 		{"hand", handSpec(), text.Analyzer{Lang: text.English},
-			0x112ba06a, 0x0afd701d, [3]uint32{0x51f5e01d, 0x2942ac43, 0x94c0ad93}},
+			0x64dbf7f2, 0xe278d294, [3]uint32{0x81cb5ed0, 0x41e170b7, 0x7bbd504c}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
-			0x5a2ca365, 0xeaf7ccd3, [3]uint32{0xec97d978, 0x07faa5d4, 0x547640ad}},
+			0x67b8a95b, 0x691b975b, [3]uint32{0x57a7bbe2, 0xe9ec1644, 0xc0aeade8}},
 		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
-			0xcee0023f, 0xf05f9c6c, [3]uint32{0xf228626c, 0xdb981341, 0xa4bdac1f}},
+			0xe9c86bce, 0x4e337f01, [3]uint32{0xc017aa51, 0x68c098b1, 0xd4b12b32}},
 		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
-			0x8593413e, 0xbdf8917c, [3]uint32{0x5d4f350b, 0x18a8bb79, 0xfcf3a5d1}},
+			0x14e64d40, 0x4bdda50d, [3]uint32{0x6660cb93, 0x671bba95, 0x0b058663}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer
@@ -158,7 +164,7 @@ func TestFormatGolden(t *testing.T) {
 	}
 }
 
-// TestOtherVersionRejected stamps versions 1, 2, 3 and 5 into the header of
+// TestOtherVersionRejected stamps versions 1 to 4 and 6 into the header of
 // each file kind: every opener, copying or mapping, must answer with the
 // regenerate error — no panic, no mapping left open. (The version field
 // is read before the header checksum, which a version-1 file never had.)
@@ -192,7 +198,7 @@ func TestOtherVersionRejected(t *testing.T) {
 		}
 	}
 
-	for _, ver := range []uint16{1, 2, 3, 5} {
+	for _, ver := range []uint16{1, 2, 3, 4, 6} {
 		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 			what := func(s string) string { return fmt.Sprintf("%s version=%d mode=%v", s, ver, mode) }
 

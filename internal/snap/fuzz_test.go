@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"s3/internal/core"
@@ -107,21 +110,35 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-func FuzzDecodeShard(f *testing.F) {
-	in, ix := build(f, handSpec(), text.Analyzer{Lang: text.English})
-	manifest, shards := writeSet(f, in, ix, 2)
+// shardFuzzSet is what FuzzDecodeShard decodes its inputs against: the
+// base instance and layout of a two-shard set of the hand-built instance,
+// and the bytes of its shard 0.
+func shardFuzzSet(t testing.TB) (*graph.Instance, *Layout, []byte) {
+	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})
+	manifest, shards := writeSet(t, in, ix, 2)
 	base, layout, _, err := decodeManifest(manifest)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	addSeeds(f, shards[0])
+	return base, layout, shards[0]
+}
+
+// vouchFor returns a copy of layout whose shard 0 entry vouches for data,
+// as reseal does for the sections: the digest is a checksum like the
+// others.
+func vouchFor(layout *Layout, data []byte) *Layout {
+	vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
+	vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
+	return vouching
+}
+
+func FuzzDecodeShard(f *testing.F) {
+	base, layout, shard := shardFuzzSet(f)
+	addSeeds(f, shard)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = alignedCopy(data)
 		reseal(data)
-		// The manifest vouches for the mutated bytes, as reseal does for
-		// the sections: the digest is a checksum like the others.
-		vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
-		vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
+		vouching := vouchFor(layout, data)
 		if proj, six, _, err := decodeShard(data, base, vouching, 0); err == nil {
 			probe(proj, six)
 		}
@@ -133,4 +150,32 @@ func FuzzDecodeShard(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShardFuzzRegressionReachesValidate replays the FuzzDecodeShard input
+// that found an out-of-range event type panicking a search. It is a file
+// of the current format version, so both shard decoders must refuse it
+// for its event type. Were it refused at the version check instead, it
+// would quietly stop covering what it was added for: after a version bump
+// it has to be rewritten in the new version.
+func TestShardFuzzRegressionReachesValidate(t *testing.T) {
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzDecodeShard/ea8d81a7d240e182")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A corpus file is "go test fuzz v1" and one []byte("…") line.
+	lines := strings.Split(string(corpus), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := alignedCopy([]byte(s))
+	reseal(data)
+	base, layout, _ := shardFuzzSet(t)
+	vouching := vouchFor(layout, data)
+	const want = "unknown connection type"
+	_, _, _, err = decodeShard(data, base, vouching, 0)
+	wantRefused(t, "decodeShard", want, nil, err)
+	_, _, _, err = decodeWorkerShard(data, vouching, 0, base.NumNodes(), nil)
+	wantRefused(t, "decodeWorkerShard", want, nil, err)
 }

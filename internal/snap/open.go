@@ -5,8 +5,10 @@
 // decode what it returns, and both modes run the same decoder over it:
 // the instance's tables are typed views of the bytes, lookups go through
 // the stored binary-search structures, and open time is the per-section
-// checksum pass plus allocation-free scans that check structure and hold
-// every stored derived array to the tables it derives from.
+// checksum pass, allocation-free scans that check structure and hold the
+// stored sorted permutations to their order, and the linear passes that
+// derive what the file does not store (children lists, the URI→node table,
+// the postings' component summaries) into private memory.
 //
 // LoadCopy reads the file into a private, 8-byte-aligned buffer that the
 // garbage collector owns: nothing is kept open, and the file can be
@@ -121,11 +123,11 @@ func (s *ShardSetSnapshot) Close() error {
 // default.
 func sectionAdvice(id byte) mman.Advice {
 	switch id {
-	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents, sec3IndexComps:
+	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents:
 		return mman.AdviseRandom
 	case sec3DictArena, sec3DictOffs, sec3DictPerm,
-		sec3NodeKind, sec3NodeParent, sec3NodeDepth, sec3NodeDocOf, sec3NodeComp, sec3NIDByID,
-		sec3IndexKw, sec3IndexEvOff, sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun:
+		sec3NodeKind, sec3NodeParent, sec3NodeDepth, sec3NodeDocOf, sec3NodeComp,
+		sec3IndexKw, sec3IndexEvOff:
 		return mman.AdviseWillNeed
 	}
 	return mman.AdviseNormal

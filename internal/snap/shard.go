@@ -151,21 +151,9 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 			}
 		}
 
-		var hdr encoder
-		hdr.uint(layout.SetID)
-		hdr.int(s)
-		hdr.int(len(parts))
-		hdr.int(len(desc.Comps))
-		for _, c := range desc.Comps {
-			e := uint64(c)
-			hdr.uint(e)
-		}
-		hdr.int(desc.Docs)
-		hdr.int(desc.Events)
-		hdr.int(tags[s])
-
+		hdr := encodeShardHeader(layout.SetID, s, len(parts), shardHeader{comps: desc.Comps, docs: desc.Docs, events: desc.Events, tags: tags[s]})
 		var file bytes.Buffer
-		secs := append([]asec{{secShardHeader, false, hdr.Bytes()}}, alignedIndexSections(rawIn.Comp, postings)...)
+		secs := append([]asec{{secShardHeader, false, hdr}}, alignedIndexSections(postings)...)
 		if err := writeAligned(&file, ShardMagic, secs); err != nil {
 			return err
 		}
@@ -395,19 +383,20 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int) (*gra
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// FromFlat holds the summaries to the events' components, so owned
-	// summaries mean owned events.
-	for _, c := range flat.CompIDs {
-		if !proj.OwnsComponent(c) {
-			return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
-		}
-	}
 	ix, err := index.FromFlat(proj, flat)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
 	}
 	if got := len(flat.Evs); got != hdr.events {
 		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, hdr.events)
+	}
+	// The derived component lists name every event's component.
+	for _, kw := range flat.Kws {
+		for _, c := range ix.Comps(kw) {
+			if !proj.OwnsComponent(c) {
+				return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
+			}
+		}
 	}
 	return proj, ix, f.spans, nil
 }
@@ -417,6 +406,23 @@ func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int) (*gra
 type shardHeader struct {
 	comps              []int32
 	docs, events, tags int
+}
+
+// encodeShardHeader serialises the header section of shard i of n in the
+// set setID.
+func encodeShardHeader(setID uint64, i, n int, h shardHeader) []byte {
+	var e encoder
+	e.uint(setID)
+	e.int(i)
+	e.int(n)
+	e.int(len(h.comps))
+	for _, c := range h.comps {
+		e.uint(uint64(c))
+	}
+	e.int(h.docs)
+	e.int(h.events)
+	e.int(h.tags)
+	return e.Bytes()
 }
 
 // decodeShardHeader parses shard i's header section and validates it

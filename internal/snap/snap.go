@@ -1,10 +1,11 @@
 // Package snap implements the versioned binary snapshot format for frozen
-// S3 instances. A snapshot stores every derived structure of an instance —
-// the interned dictionary, node tables, network adjacency with weights,
-// the normalised transition matrix, the component partition, the saturated
-// ontology and the connection-index postings — so a query engine
-// cold-starts by reading flat arrays from disk instead of re-running
-// ontology saturation, matrix normalisation and the index fixpoint.
+// S3 instances. A snapshot stores what is expensive to recompute from an
+// instance's spec — the interned dictionary, node tables, network
+// adjacency with weights, the normalised transition matrix, the component
+// partition, the saturated ontology and the connection-index postings — so
+// a query engine cold-starts by reading flat arrays from disk instead of
+// re-running ontology saturation, matrix normalisation and the index
+// fixpoint.
 //
 // # Format
 //
@@ -13,12 +14,13 @@
 // arrays behind a fixed-width, checksummed section table (see aligned.go
 // and v3.go), which the one decoder reinterprets in place — in a memory
 // mapping or in a private copy of the file. Besides the tables of the
-// instance it persists the derived lookup structures (sorted dictionary
-// permutation, triple permutations, children CSR, URI→node table,
-// per-event components) so loading does validation scans instead of
-// rebuilds. The small bookkeeping sections (meta, shard layout, shard
-// header) are varint-encoded: unsigned varints (encoding/binary), floats
-// as IEEE-754 bits in little-endian order, strings length-prefixed.
+// instance it persists the sorted permutations (dictionary, triples),
+// which an open checks in a linear scan instead of re-sorting; what one
+// linear pass derives (children lists, URI→node table, per-posting
+// component summaries) is derived at open time instead of stored. The
+// small bookkeeping sections (meta, shard layout, shard header) are
+// varint-encoded: unsigned varints (encoding/binary), floats as IEEE-754
+// bits in little-endian order, strings length-prefixed.
 //
 // A file of any other version is rejected with an error that says to
 // regenerate it with s3gen; there is no migration path.
@@ -46,7 +48,7 @@ const Magic = "S3SNAP"
 // Version is the one format version this build reads and writes, for
 // snapshots, shard-set manifests and shard files alike (they move in
 // lockstep).
-const Version = 4
+const Version = 5
 
 // regenerate ends the error for a well-formed file this build cannot
 // serve.
@@ -66,7 +68,7 @@ const (
 // Write serialises the instance and its connection index.
 func Write(w io.Writer, in *graph.Instance, ix *index.Index) error {
 	raw := in.Raw()
-	secs := append(alignedInstanceSections(raw), alignedIndexSections(raw.Comp, ix.Raw())...)
+	secs := append(alignedInstanceSections(raw), alignedIndexSections(ix.Raw())...)
 	return writeAligned(w, Magic, secs)
 }
 

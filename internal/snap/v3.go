@@ -6,14 +6,14 @@
 // lets the decoder reinterpret a section as a typed slice with
 // unsafe.Slice instead of decoding it, whether the file is mapped or read.
 //
-// Beside the instance's own tables the format stores the derived lookup
-// structures a loader would otherwise have to rebuild: the dictionary's sorted
-// permutation (binary-searched lookups over the string arena), the
-// ontology's (S,P,O)- and (P,O,S)-sorted triple permutations (frozen RDF
-// graph), the children lists in CSR form, the dense URI→node table, and
-// the per-event component ids of the connection index. They are all
-// free to load and cheap to check against the tables they derive from,
-// which every open does.
+// Beside the instance's own tables the format stores only the derived
+// structures whose check is cheaper than their derivation: the
+// dictionary's sorted permutation (binary-searched lookups over the string
+// arena) and the ontology's (S,P,O)- and (P,O,S)-sorted triple
+// permutations (frozen RDF graph) — sorts to build, linear scans to check,
+// which every open does. What one linear pass derives is not stored: the
+// children lists, the URI→node table and the connection index's
+// per-posting component summaries are derived at open time.
 package snap
 
 import (
@@ -34,45 +34,40 @@ import (
 // varint sections of snap.go). Values are part of the on-disk format;
 // never renumber.
 const (
-	sec3DictArena    byte = 32 // []byte    string arena, entries concatenated in id order
-	sec3DictOffs     byte = 33 // []int64   n+1 arena offsets
-	sec3DictPerm     byte = 34 // []int32   ids in ascending string order
-	sec3NodeDictID   byte = 35 // []dict.ID node URI ids
-	sec3NodeKind     byte = 36 // []byte    node kinds
-	sec3NodeParent   byte = 37 // []NID     tree parents (NoNID for roots)
-	sec3NodeDepth    byte = 38 // []int32   tree depths
-	sec3NodeDocOf    byte = 39 // []int32   document ordinals (-1 outside docs)
-	sec3NodeName     byte = 40 // []dict.ID node names
-	sec3NodeComp     byte = 41 // []int32   component ids
-	sec3NodeKwOff    byte = 42 // []int64   n+1 offsets into the keyword list
-	sec3NodeKwIDs    byte = 43 // []dict.ID flattened content keywords
-	sec3EdgeOff      byte = 44 // []int64   n+1 offsets into the edge array
-	sec3Edges        byte = 45 // []Edge    flattened out-edges (16 B each)
-	sec3TotalW       byte = 46 // []float64 neighbourhood out-weights
-	sec3MatRowPtr    byte = 47 // []int32   CSR row pointers (n+1)
-	sec3MatCol       byte = 48 // []int32   CSR column indices
-	sec3MatVal       byte = 49 // []float64 CSR values
-	sec3Triples      byte = 50 // []Triple  saturated ontology (24 B each)
-	sec3TripleSPO    byte = 51 // []int32   triples sorted by (S,P,O)
-	sec3TriplePOS    byte = 52 // []int32   triples sorted by (P,O,S)
-	sec3Users        byte = 53 // []NID     user nodes
-	sec3DocRoots     byte = 54 // []NID     document roots
-	sec3TagList      byte = 55 // []NID     tag nodes (ascending)
-	sec3TagInfos     byte = 56 // []TagInfo aligned with the tag list (16 B each)
-	sec3Comments     byte = 57 // []CommentEdge (12 B each)
-	sec3Posts        byte = 58 // []PostEdge (8 B each)
-	sec3KwFreqKeys   byte = 59 // []dict.ID frequency keywords (ascending)
-	sec3KwFreqCount  byte = 60 // []int32   frequency counts
-	sec3ChildOff     byte = 61 // []int64   n+1 offsets into the children list
-	sec3ChildList    byte = 62 // []NID     flattened children (CSR)
-	sec3NIDByID      byte = 63 // []NID     dictionary id → node (NoNID elsewhere)
-	sec3IndexKw      byte = 64 // []dict.ID posting keywords (ascending)
-	sec3IndexEvOff   byte = 65 // []int64   nkw+1 offsets into the event array
-	sec3IndexEvents  byte = 66 // []Event   flattened events (12 B each)
-	sec3IndexComps   byte = 67 // []int32   component id of each event's fragment
-	sec3IndexCompOff byte = 68 // []int64   nkw+1 offsets into the component summary
-	sec3IndexCompIDs byte = 69 // []int32   distinct components per posting, flattened
-	sec3IndexMaxRun  byte = 70 // []int32   per posting: longest single-component event run
+	sec3DictArena   byte = 32 // []byte    string arena, entries concatenated in id order
+	sec3DictOffs    byte = 33 // []int64   n+1 arena offsets
+	sec3DictPerm    byte = 34 // []int32   ids in ascending string order
+	sec3NodeDictID  byte = 35 // []dict.ID node URI ids
+	sec3NodeKind    byte = 36 // []byte    node kinds
+	sec3NodeParent  byte = 37 // []NID     tree parents (NoNID for roots)
+	sec3NodeDepth   byte = 38 // []int32   tree depths
+	sec3NodeDocOf   byte = 39 // []int32   document ordinals (-1 outside docs)
+	sec3NodeName    byte = 40 // []dict.ID node names
+	sec3NodeComp    byte = 41 // []int32   component ids
+	sec3NodeKwOff   byte = 42 // []int64   n+1 offsets into the keyword list
+	sec3NodeKwIDs   byte = 43 // []dict.ID flattened content keywords
+	sec3EdgeOff     byte = 44 // []int64   n+1 offsets into the edge array
+	sec3Edges       byte = 45 // []Edge    flattened out-edges (16 B each)
+	sec3TotalW      byte = 46 // []float64 neighbourhood out-weights
+	sec3MatRowPtr   byte = 47 // []int32   CSR row pointers (n+1)
+	sec3MatCol      byte = 48 // []int32   CSR column indices
+	sec3MatVal      byte = 49 // []float64 CSR values
+	sec3Triples     byte = 50 // []Triple  saturated ontology (24 B each)
+	sec3TripleSPO   byte = 51 // []int32   triples sorted by (S,P,O)
+	sec3TriplePOS   byte = 52 // []int32   triples sorted by (P,O,S)
+	sec3Users       byte = 53 // []NID     user nodes
+	sec3DocRoots    byte = 54 // []NID     document roots
+	sec3TagList     byte = 55 // []NID     tag nodes (ascending)
+	sec3TagInfos    byte = 56 // []TagInfo aligned with the tag list (16 B each)
+	sec3Comments    byte = 57 // []CommentEdge (12 B each)
+	sec3Posts       byte = 58 // []PostEdge (8 B each)
+	sec3KwFreqKeys  byte = 59 // []dict.ID frequency keywords (ascending)
+	sec3KwFreqCount byte = 60 // []int32   frequency counts
+	// Ids 61–63 and 67–70 are retired (version 4 stored derived arrays
+	// under them) and must not be reused.
+	sec3IndexKw     byte = 64 // []dict.ID posting keywords (ascending)
+	sec3IndexEvOff  byte = 65 // []int64   nkw+1 offsets into the event array
+	sec3IndexEvents byte = 66 // []Event   flattened events (12 B each)
 )
 
 // required3Substrate lists the sections a substrate (instance without
@@ -87,14 +82,10 @@ var required3Substrate = []byte{
 	sec3Triples, sec3TripleSPO, sec3TriplePOS,
 	sec3Users, sec3DocRoots, sec3TagList, sec3TagInfos, sec3Comments, sec3Posts,
 	sec3KwFreqKeys, sec3KwFreqCount,
-	sec3ChildOff, sec3ChildList, sec3NIDByID,
 }
 
 // required3Index lists the index sections of a snapshot or shard file.
-var required3Index = []byte{
-	sec3IndexKw, sec3IndexEvOff, sec3IndexEvents, sec3IndexComps,
-	sec3IndexCompOff, sec3IndexCompIDs, sec3IndexMaxRun,
-}
+var required3Index = []byte{sec3IndexKw, sec3IndexEvOff, sec3IndexEvents}
 
 // --- the host gate and typed views ---
 
@@ -298,38 +289,6 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		edgeOff[v+1] = int64(len(edges))
 	}
 
-	// Children lists in CSR form, derived from Parent. Appending nodes in
-	// ascending NID order reproduces the original document child order
-	// (pre-order numbering).
-	childOff := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		if p := r.Parent[v]; p != graph.NoNID {
-			childOff[p+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		childOff[v+1] += childOff[v]
-	}
-	childList := make([]graph.NID, childOff[n])
-	cursor := make([]int64, n)
-	for v := 0; v < n; v++ {
-		if p := r.Parent[v]; p != graph.NoNID {
-			childList[childOff[p]+cursor[p]] = graph.NID(v)
-			cursor[p]++
-		}
-	}
-
-	// Dense URI→node table over the dictionary.
-	nidByID := make([]graph.NID, len(r.Strings))
-	for i := range nidByID {
-		nidByID[i] = graph.NoNID
-	}
-	for v, id := range r.DictID {
-		if int64(id) < int64(len(nidByID)) {
-			nidByID[id] = graph.NID(v)
-		}
-	}
-
 	spo, pos := rdf.TriplePerms(r.Triples)
 
 	kinds := make([]byte, n)
@@ -368,16 +327,12 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3Posts, true, encPosts(r.Posts)},
 		{sec3KwFreqKeys, true, encU32s(r.KwFreqKeys)},
 		{sec3KwFreqCount, true, encI32s(r.KwFreqCounts)},
-		{sec3ChildOff, true, encI64s(childOff)},
-		{sec3ChildList, true, encI32s(childList)},
-		{sec3NIDByID, true, encI32s(nidByID)},
 	}
 }
 
 // alignedIndexSections encodes the connection index: the postings
-// flattened to (keywords, offsets, events) plus the precomputed per-event
-// component ids. comp is the node→component table.
-func alignedIndexSections(comp []int32, postings []index.RawPosting) []asec {
+// flattened to (keywords, offsets, events).
+func alignedIndexSections(postings []index.RawPosting) []asec {
 	kws := make([]dict.ID, 0, len(postings))
 	evOff := make([]int64, 1, len(postings)+1)
 	ne := 0
@@ -385,41 +340,15 @@ func alignedIndexSections(comp []int32, postings []index.RawPosting) []asec {
 		ne += len(p.Events)
 	}
 	events := make([]index.Event, 0, ne)
-	comps := make([]int32, 0, ne)
-	compOff := make([]int64, 1, len(postings)+1)
-	var compIDs []int32
-	maxRuns := make([]int32, 0, len(postings))
 	for _, p := range postings {
 		kws = append(kws, p.Kw)
-		var maxRun, run int32
-		for i, ev := range p.Events {
-			events = append(events, ev)
-			c := int32(-1)
-			if ev.Frag >= 0 && int(ev.Frag) < len(comp) {
-				c = comp[ev.Frag]
-			}
-			comps = append(comps, c)
-			if i == 0 || c != comps[len(comps)-2] {
-				compIDs = append(compIDs, c)
-				run = 0
-			}
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		}
+		events = append(events, p.Events...)
 		evOff = append(evOff, int64(len(events)))
-		compOff = append(compOff, int64(len(compIDs)))
-		maxRuns = append(maxRuns, maxRun)
 	}
 	return []asec{
 		{sec3IndexKw, true, encU32s(kws)},
 		{sec3IndexEvOff, true, encI64s(evOff)},
 		{sec3IndexEvents, true, encEvents(events)},
-		{sec3IndexComps, true, encI32s(comps)},
-		{sec3IndexCompOff, true, encI64s(compOff)},
-		{sec3IndexCompIDs, true, encI32s(compIDs)},
-		{sec3IndexMaxRun, true, encI32s(maxRuns)},
 	}
 }
 
@@ -481,13 +410,10 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.KwFreqKeys = load[dict.ID](g, sec3KwFreqKeys, "frequency keywords")
 	raw.KwFreqCounts = load[int32](g, sec3KwFreqCount, "frequency counts")
 	acc := &graph.Accel{
-		KwOff:     load[int64](g, sec3NodeKwOff, "keyword offsets"),
-		KwList:    load[dict.ID](g, sec3NodeKwIDs, "content keywords"),
-		EdgeOff:   load[int64](g, sec3EdgeOff, "edge offsets"),
-		EdgeList:  load[graph.Edge](g, sec3Edges, "edges"),
-		ChildOff:  load[int64](g, sec3ChildOff, "children offsets"),
-		ChildList: load[graph.NID](g, sec3ChildList, "children list"),
-		NIDByID:   load[graph.NID](g, sec3NIDByID, "URI→node table"),
+		KwOff:    load[int64](g, sec3NodeKwOff, "keyword offsets"),
+		KwList:   load[dict.ID](g, sec3NodeKwIDs, "content keywords"),
+		EdgeOff:  load[int64](g, sec3EdgeOff, "edge offsets"),
+		EdgeList: load[graph.Edge](g, sec3Edges, "edges"),
 	}
 	if g.err != nil {
 		return nil, g.err
@@ -519,13 +445,9 @@ func flatFromPayloads(payloads map[byte][]byte, what string) (index.Flat, error)
 	}
 	g := &loader{payloads: payloads}
 	f := index.Flat{
-		Kws:     load[dict.ID](g, sec3IndexKw, "posting keywords"),
-		EvOff:   load[int64](g, sec3IndexEvOff, "event offsets"),
-		Evs:     load[index.Event](g, sec3IndexEvents, "events"),
-		Comps:   load[int32](g, sec3IndexComps, "event components"),
-		CompOff: load[int64](g, sec3IndexCompOff, "component summary offsets"),
-		CompIDs: load[int32](g, sec3IndexCompIDs, "component summaries"),
-		MaxRuns: load[int32](g, sec3IndexMaxRun, "component run bounds"),
+		Kws:   load[dict.ID](g, sec3IndexKw, "posting keywords"),
+		EvOff: load[int64](g, sec3IndexEvOff, "event offsets"),
+		Evs:   load[index.Event](g, sec3IndexEvents, "events"),
 	}
 	return f, g.err
 }
