@@ -13,9 +13,9 @@
 //	curl -s -X POST localhost:8080/reload   # after regenerating i1.snap
 //
 // Sharded serving — generate a shard set and point -shardset at the
-// manifest; each query fans out across the shard engines in parallel and
-// merges per-shard answers (identical to unsharded answers, often faster
-// on multi-component instances):
+// manifest; the shards' postings are merged into one index at open, every
+// query answers exactly as on the unsharded instance, and /stats reports
+// each shard's load:
 //
 //	s3gen -dataset twitter -shards 4 -snap i1.set
 //	s3serve -shardset i1.set -addr :8080

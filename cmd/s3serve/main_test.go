@@ -397,8 +397,10 @@ func startTestWorker(t *testing.T, manifest string, shard int) *httptest.Server 
 // TestServeDistributedEndToEnd exercises the full distributed serving
 // pipeline over loopback: shard set on disk → two shard workers (mapped)
 // → coordinator through the public HTTP API. Every answer must
-// be byte-identical to searching the in-memory instance directly, and
-// /stats must expose the aggregated per-worker counters.
+// be byte-identical to searching the in-memory instance directly, /stats
+// must expose the aggregated per-worker counters, and the per-shard rows
+// must be the ones the same set opened in process reports for the same
+// searches.
 func TestServeDistributedEndToEnd(t *testing.T) {
 	o := datagen.DefaultTwitterOptions()
 	o.Users, o.Tweets, o.Seed = 60, 240, 11
@@ -440,9 +442,16 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	local, err := s3.OpenShardSet(manifest, s3.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Every seeker: on a few queries each shard's matched components are
+	// all discovered in the first round, which cannot tell "rounds the
+	// searches ran" from "rounds that carried candidates on the shard".
 	checked := 0
-	for u := 0; u < 60 && checked < 4; u++ {
+	for u := 0; u < 60; u++ {
 		seeker := fmt.Sprintf("tw:u%d", u)
 		if !built.HasUser(seeker) {
 			continue
@@ -475,6 +484,9 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 			resp.Body.Close()
 			if !got.Exact {
 				t.Fatalf("distributed search for %s %q not exact", seeker, kw)
+			}
+			if _, err := local.Search(seeker, []string{kw}, s3.WithK(5)); err != nil {
+				t.Fatal(err)
 			}
 			if len(got.Results) != len(want) {
 				t.Fatalf("distributed search for %s %q: %d results, want %d", seeker, kw, len(got.Results), len(want))
@@ -534,5 +546,14 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 	}
 	if searches == 0 || rounds == 0 {
 		t.Fatalf("aggregated worker counters empty: searches=%d rounds=%d", searches, rounds)
+	}
+	dist, inproc := di.Shards(), local.Shards()
+	if len(dist) != len(inproc) {
+		t.Fatalf("%d distributed shard rows, %d in process", len(dist), len(inproc))
+	}
+	for s := range dist {
+		if dist[s] != inproc[s] {
+			t.Errorf("shard %d: distributed row %+v, in-process row %+v", s, dist[s], inproc[s])
+		}
 	}
 }

@@ -147,7 +147,7 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 		Budget:        cfg.opts.Budget,
 		Trace:         cfg.opts.Trace,
 		Obs:           di.obsm.Load(),
-		Ctx:           cfg.ctx,
+		Ctx:           cfg.opts.Ctx,
 	}
 	var (
 		sel   []core.CandMeta

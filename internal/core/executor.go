@@ -1,29 +1,28 @@
-// The round protocol of S3k, and its one round loop.
+// The round loop of S3k.
 //
-// An S3k search is a sequence of lockstep rounds: advance the seeker's
-// proximity exploration one layer, let every shard admit newly discovered
-// components, refresh its candidates' score intervals and compute its
-// shard-local greedy selection, then merge the per-shard selections by
-// score interval (topks.MergeTopK) and evaluate the global stop condition
-// of Algorithm 2 on the merged state. This file states that protocol as
-// the ShardExecutor interface with serializable round messages, and holds
-// the only loop that runs it: Coordinate. Every deployment is Coordinate
-// over the members of one HostExecutor sharing one proximity iterator:
-// one member for Engine.Search and for a distributed coordinator (over
-// the postings its workers sent), N for ShardedEngine.Search.
+// An S3k search is a sequence of rounds: advance the seeker's proximity
+// exploration one layer, admit newly discovered matching components,
+// refresh the candidates' score intervals and compute the greedy
+// selection, then evaluate the stop condition of Algorithm 2. This file
+// states a round as the ShardExecutor interface with its round messages,
+// and holds the only loop that runs it: Coordinate. Every search —
+// Engine.Search over one instance or a shard set's merged index, and a
+// distributed coordinator's over the postings its workers sent — is
+// Coordinate over one LocalExecutor.
 //
-// Everything the loop needs from a shard fits in a few dozen bytes per
-// round: the shard-local selection is at most k candidates, and the
-// global stop decision needs only per-shard aggregates (admitted counts,
-// the dominating bound, the iterator's tail bounds).
+// Coordinate still accepts several executors over component-disjoint
+// indexes, each exploring on its own, and merges their selections by
+// score interval (topks.MergeTopK); only benchmark probes run it that
+// way. Everything the loop needs from an executor fits in a few dozen
+// bytes per round: the selection is at most k candidates, and the stop
+// decision needs only aggregates (admitted counts, the dominating bound,
+// the iterator's tail bounds).
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"s3/internal/dict"
@@ -33,10 +32,9 @@ import (
 	"s3/internal/topks"
 )
 
-// SearchSpec describes one sharded search to an executor. All fields are
-// plain values, resolved against the shared substrate by the coordinator
-// (keyword groups are dictionary ids, identical in every process mapping
-// the same manifest), so the spec serializes verbatim.
+// SearchSpec describes one search to an executor. All fields are plain
+// values resolved against the instance (keyword groups are dictionary ids,
+// identical in every process mapping the same manifest).
 type SearchSpec struct {
 	// Seeker is the querying user node.
 	Seeker graph.NID
@@ -53,11 +51,11 @@ type SearchSpec struct {
 	Epsilon float64
 }
 
-// CandMeta is the serializable summary of one candidate: everything the
-// cross-shard merge and the stop decision read. The canonical order over
-// CandMeta (upper bound descending, ties by node id) equals the members'
-// candidate order, which is what keeps merged selections byte-identical
-// however the components are partitioned.
+// CandMeta is the summary of one candidate: everything the merge and the
+// stop decision read. The canonical order over CandMeta (upper bound
+// descending, ties by node id) equals the executors' candidate order,
+// which is what keeps merged selections byte-identical however the
+// components are split.
 type CandMeta struct {
 	Doc          graph.NID
 	Lower, Upper float64
@@ -71,89 +69,85 @@ func metaBefore(a, b CandMeta) bool {
 	return a.Doc < b.Doc
 }
 
-// BeginInfo is a shard's response to Begin: what the coordinator needs to
-// size the search and build the global threshold.
+// BeginInfo is an executor's response to Begin: what Coordinate needs to
+// size the search and build the threshold.
 type BeginInfo struct {
-	// Matched is the number of this shard's components matching every
+	// Matched is the number of the index's components matching every
 	// query keyword.
 	Matched int
-	// GroupMasses[gi][j] is MaxCompEvents of Groups[gi][j] in this shard's
-	// index slice. The coordinator takes the element-wise maximum across
-	// shards — exactly the bound the unsharded index computes, since the
-	// shards partition its components.
+	// GroupMasses[gi][j] is MaxCompEvents of Groups[gi][j] in the
+	// executor's index. Coordinate takes the element-wise maximum across
+	// executors — exactly the bound one index over their union computes,
+	// since their components are disjoint.
 	GroupMasses [][]int32
 }
 
-// RoundInfo is a shard's response to one lockstep round (or to Finalize):
-// the shard-local selection plus the per-shard aggregates of the global
-// stop decision.
+// RoundInfo is an executor's response to one round (or to Finalize): its
+// selection plus the aggregates of the stop decision.
 type RoundInfo struct {
-	// Kept is the shard-local greedy selection, best-first (at most k).
+	// Kept is the executor's greedy selection, best-first (at most k).
 	Kept []CandMeta
 	// Uncertain is the first candidate whose relative order is still
-	// unresolved (nil when the local selection is trustworthy).
+	// unresolved (nil when the selection is trustworthy).
 	Uncertain *CandMeta
-	// MaxOther is the best upper bound among the shard's candidates that
-	// are outside Kept and not certainly dominated by a kept neighbour.
+	// MaxOther is the best upper bound among the executor's candidates
+	// that are outside Kept and not certainly dominated by a kept
+	// neighbour.
 	MaxOther float64
 	// Admitted and Candidates are cumulative counts for this search.
 	Admitted   int
 	Candidates int
 	// Reached is the cumulative number of nodes discovered by the
-	// proximity exploration — identical across shards (they advance the
-	// same exploration).
+	// proximity exploration.
 	Reached int
 	// N, Tail, SourceTail and Done describe the iterator after this
 	// round's step: exploration depth, B>n, the unexplored-component
-	// source bound, and whether the reachable graph is exhausted. They are
-	// byte-identical across shards; the coordinator cross-checks N and
-	// Done to catch divergent replicas.
+	// source bound, and whether the reachable graph is exhausted. They
+	// depend on the depth alone, so Coordinate cross-checks N and Done
+	// across executors to catch a divergent one.
 	N          int
 	Tail       float64
 	SourceTail float64
 	Done       bool
 }
 
-// ShardExecutor runs one shard's half of the lockstep round protocol. A
-// search is one Begin, any number of Rounds, at most one Finalize, and
-// exactly one End (which must be called on every path, including errors).
-// Executors are single-search and not safe for concurrent calls, but
-// distinct executors may run concurrently — the coordinator scatters each
-// round across shards.
+// ShardExecutor runs the rounds of one search over one index. A search is
+// one Begin, any number of Rounds, at most one Finalize, and exactly one
+// End (which must be called on every path, including errors). Executors
+// are single-search and not safe for concurrent calls.
 type ShardExecutor interface {
-	// Begin installs the search and reports the shard's matched
+	// Begin installs the search and reports the index's matched
 	// components and threshold masses.
 	Begin(spec SearchSpec) (BeginInfo, error)
 	// Round advances the proximity exploration one layer, admits newly
 	// discovered matching components, refreshes candidate bounds at the
-	// new tail and recomputes the shard-local selection.
+	// new tail and recomputes the selection.
 	Round() (RoundInfo, error)
 	// Finalize recomputes bounds and the selection at the current tail
 	// without advancing the exploration — the non-threshold stops
 	// (exhaustion, budget, precision) take the greedy prefix as-is.
 	Finalize() (RoundInfo, error)
-	// End releases the search's per-shard state.
+	// End releases the search's state.
 	End()
 }
 
-// CoordOptions configure one coordinated search.
+// CoordOptions configure one run of Coordinate.
 type CoordOptions struct {
-	// Ctx, when non-nil, cancels the coordinated search: it is checked
-	// before every round, so a disconnected client stops burning shard
-	// rounds at the next lockstep boundary (the deferred Ends still run,
-	// releasing per-shard sessions).
+	// Ctx, when non-nil, cancels the search: it is checked before every
+	// round, so a disconnected client stops the search at the next round
+	// boundary with Ctx's error (the deferred Ends still run, returning
+	// the iterators to their pool).
 	Ctx context.Context
 	// MaxIterations and Budget are the any-time stop bounds (0 = none).
 	MaxIterations int
 	Budget        time.Duration
 	// Start anchors the budget clock (the caller's search start).
 	Start time.Time
-	// Trace, when non-nil, records the coordinated search's stages (begin,
-	// each lockstep round with its per-shard fan-out, finalize) as spans
-	// under the trace's root. Executors that implement TakeSpan
-	// (tracing-enabled local ones) contribute their own span subtrees,
-	// stitched under the per-shard fan-out spans. Tracing is observational
-	// only: it never changes the answer.
+	// Trace, when non-nil, records the search's stages (begin, each round
+	// with a span per executor, finalize) as spans under the trace's root.
+	// Executors that implement TakeSpan (tracing-enabled local ones)
+	// contribute their own span subtrees, stitched under their executor's
+	// span. Tracing is observational only: it never changes the answer.
 	Trace *obs.Trace
 	// Obs, when non-nil, receives the search's metrics observations
 	// (rounds per search, per-round latency).
@@ -172,49 +166,38 @@ type spanSource interface {
 // every round).
 const maxTracedRounds = 256
 
-// fanoutThreshold is the amount of per-round work (candidates to bound,
-// with fresh discoveries weighted heavily) below which fanning out across
-// goroutines costs more than it saves: small queries run the shards
-// serially, candidate-heavy ones in parallel.
-const fanoutThreshold = 192
-
-// rpcScatter runs one scatter under an optional parent span: each
-// executor gets a pre-created child span (created serially, ended inside
-// its own closure, so no goroutine ever touches a sibling's), and any
-// span subtree the executor collected is attached after the barrier.
-func rpcScatter(parent *obs.Span, execs []ShardExecutor, parallel bool, f func(i int) error) error {
-	if parent == nil {
-		return scatter(execs, parallel, f)
-	}
-	children := make([]*obs.Span, len(execs))
-	for i := range execs {
-		children[i] = parent.StartChild("shard")
-		children[i].SetInt("shard", int64(i))
-	}
-	err := scatter(execs, parallel, func(i int) error {
-		ferr := f(i)
-		children[i].End()
-		return ferr
-	})
+// scatter runs f for every executor in order, each under its own "shard"
+// child span of parent (nil: none) with the span subtree the executor
+// collected attached, and returns the first error.
+func scatter(parent *obs.Span, execs []ShardExecutor, f func(i int) error) error {
+	var first error
 	for i, ex := range execs {
+		sp := parent.StartChild("shard")
+		sp.SetInt("shard", int64(i))
+		if err := f(i); err != nil && first == nil {
+			first = err
+		}
+		sp.End()
 		if src, ok := ex.(spanSource); ok {
-			children[i].Attach(src.TakeSpan())
+			sp.Attach(src.TakeSpan())
 		}
 	}
-	return err
+	return first
 }
 
 // Coordinate is the S3k round loop (Algorithm 1) and the only place the
-// stop test (Algorithm 2) is evaluated: it scatters each round over the
-// executors, gathers and merges their selections, and decides globally
-// whether a provably correct top-k exists. It returns the merged
-// selection (best-first) and the search stats; the caller resolves URIs.
-// Every executor is Ended on every path.
+// stop test (Algorithm 2) is evaluated: it runs each round on the
+// executors, merges their selections, and decides whether a provably
+// correct top-k exists. It returns the selection (best-first) and the
+// search stats; the caller resolves URIs. Every executor is Ended on
+// every path. It starts no goroutines.
 //
 // The answer — documents, order and score intervals — is byte-identical
 // for any conforming executor set over the same instance, however its
-// components are partitioned; see the package comment of sharded.go for
-// why the merge decomposes exactly.
+// components are split between the executors' indexes: every connection
+// of a candidate lives in the candidate's component, and vertical
+// neighbours share a component, so the per-executor selections, their
+// certainty and the dominating-bound test decompose exactly.
 func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]CandMeta, Stats, error) {
 	var stats Stats
 	start := copts.Start
@@ -233,7 +216,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 
 	beginSpan := root.StartChild("begin")
 	begins := make([]BeginInfo, len(execs))
-	if err := rpcScatter(beginSpan, execs, true, func(i int) error {
+	if err := scatter(beginSpan, execs, func(i int) error {
 		var err error
 		begins[i], err = execs[i].Begin(spec)
 		return err
@@ -277,7 +260,7 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 	}
 	finalize := func() ([]CandMeta, error) {
 		fin := root.StartChild("finalize")
-		if err := rpcScatter(fin, execs, false, func(i int) error {
+		if err := scatter(fin, execs, func(i int) error {
 			var err error
 			infos[i], err = execs[i].Finalize()
 			return err
@@ -297,7 +280,6 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 	}
 
 	n, done := 0, false
-	lastWork := 0
 	tracedRounds := 0
 	for {
 		if copts.Ctx != nil {
@@ -331,24 +313,20 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			roundStart = time.Now()
 		}
 
-		if err := rpcScatter(sp, execs, lastWork >= fanoutThreshold, round); err != nil {
+		if err := scatter(sp, execs, round); err != nil {
 			return nil, stats, err
 		}
-		prevReached := stats.NodesReached
 		n, done = infos[0].N, infos[0].Done
 		admitted := 0
-		lastWork = 0
 		for i, info := range infos {
 			if info.N != n || info.Done != done {
 				return nil, stats, fmt.Errorf("core: shard executor %d diverged (round %d/%d, done %v/%v)", i, info.N, n, info.Done, done)
 			}
 			admitted += info.Admitted
-			lastWork += info.Candidates
 			if info.Reached > stats.NodesReached {
 				stats.NodesReached = info.Reached
 			}
 		}
-		lastWork += 64 * (stats.NodesReached - prevReached)
 		stats.Iterations = n
 		stats.ComponentsReached = admitted
 		tail, sourceTail := infos[0].Tail, infos[0].SourceTail
@@ -361,8 +339,8 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 		selection, certain := merge.mergedSelect(infos, spec.K)
 
-		// The round span covers the scatter and the merge; the stop
-		// decision below is a handful of comparisons.
+		// The round span covers the executors' rounds and the merge; the
+		// stop decision below is a handful of comparisons.
 		if copts.Obs != nil {
 			copts.Obs.RoundSeconds.Observe(time.Since(roundStart).Seconds())
 		}
@@ -410,36 +388,6 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			return finish(sel, StopPrecision)
 		}
 	}
-}
-
-// scatter runs f(i) for every executor — across goroutines when parallel,
-// in order otherwise — and returns the first error.
-func scatter(execs []ShardExecutor, parallel bool, f func(i int) error) error {
-	if len(execs) == 1 || !parallel || runtime.GOMAXPROCS(0) == 1 {
-		var first error
-		for i := range execs {
-			if err := f(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, len(execs))
-	var wg sync.WaitGroup
-	for i := range execs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // thresholdFromMasses builds Bscore over the whole shard set from the

@@ -1,15 +1,14 @@
-// LocalExecutor: one member shard's half of the round protocol.
+// LocalExecutor: the rounds of one search, in process.
 //
-// A member holds everything about a search that is private to one shard —
-// the scorer over the shard's index slice, the candidate list with its
-// score intervals, and the shard-local greedy selection — and presents it
-// as a ShardExecutor. Everything the members of a process share (the
-// proximity iterator, its cache checkpoint, the routing of a round's
-// discoveries to the member owning them) belongs to their HostExecutor;
-// a member asks its host to bring the exploration to its round and then
-// admits, bounds and selects over its own components. Per-member work
-// depends only on the iterator's output, so round responses are
-// byte-identical however members are grouped onto hosts.
+// An executor holds everything about a search: the seeker's proximity
+// iterator (resumed from, and published back to, the proximity cache
+// when one is wired), the scorer over its engine's index, the candidate
+// list with its score intervals, and the greedy selection. Each round it
+// steps the iterator once and admits, in discovery order, the matching
+// components the step reached. The iterator's state at a depth is a
+// function of the depth alone (one canonical summation order, see
+// internal/score), so round responses are byte-identical however the
+// instance's components are split between indexes.
 package core
 
 import (
@@ -19,7 +18,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
@@ -44,35 +42,39 @@ type cand struct {
 	upper float64
 }
 
-// LocalExecutor runs one member shard's rounds in-process. Members are
-// created by their host; NewShardExecutor returns the member of a
-// one-member host.
+// LocalExecutor runs the rounds of one search over an engine. It serves
+// one search at a time (Begin … End) and may be reused for the next.
 type LocalExecutor struct {
-	host    *HostExecutor
-	idx     int // ordinal in host.members
 	e       *Engine
 	workers int
 
-	// touched / rounds, when non-nil, receive the shard's fan-out and
-	// per-round work counts: touched increments on a Begin that matched
-	// components, rounds on every round that carried candidates — the load
-	// signal behind /stats and rebalancing.
-	touched *atomic.Uint64
-	rounds  *atomic.Uint64
+	// pc, when non-nil, resumes the iterator from the deepest cached
+	// frontier when it is opened and publishes the deepened frontier at
+	// End.
+	pc *proxcache.Cache
 
 	// traced enables per-call span recording; span holds the most recent
 	// call's subtree until TakeSpan collects it.
 	traced bool
 	span   *obs.Span
 
-	// Per-search state, installed by Begin and dropped by the host's End.
+	// Per-search state, installed by Begin and dropped by End.
 	sc       *score.Scorer // nil outside a search
+	seeker   graph.NID
+	params   score.Params
 	groups   [][]dict.ID
 	k        int
 	eps      float64
-	matched  int // components matching every query keyword
-	admitted int // of those, discovered so far
-	round    int
+	it       *score.Iterator // opened on first need, see iter
+	ckey     proxcache.Key
+	resumedN int
+	reached  int // nodes discovered so far
+	// comps lists the components matching every query keyword, ascending;
+	// it outlives End (see Matched). pending holds those not yet
+	// discovered: a discovery admits its component once and removes it.
+	comps    []int32
+	pending  map[int32]struct{}
+	admitted int // matched components discovered so far
 	cands    []*cand
 
 	// Per-search slabs behind cands: candidates, their per-group list
@@ -87,9 +89,9 @@ type LocalExecutor struct {
 	candScratch index.CandScratch
 	evs         [][]index.Event
 
-	// Refreshed every round: the shard-local greedy selection and the first
-	// candidate whose relative order is still uncertain (nil when the local
-	// selection is trustworthy).
+	// Refreshed every round: the greedy selection and the first candidate
+	// whose relative order is still uncertain (nil when the selection is
+	// trustworthy).
 	kept      []*cand
 	uncertain *cand
 
@@ -99,27 +101,41 @@ type LocalExecutor struct {
 	order []*cand
 }
 
-// NewShardExecutor returns the executor of a one-member host over the
-// engine: Begin opens a private proximity iterator for the spec's seeker,
-// and every Round advances it one layer. workers parallelises candidate
-// bound computation (0 or 1: serial).
+// NewShardExecutor returns an executor over the engine: its first round
+// opens a proximity iterator for the spec's seeker, and every Round
+// advances it one layer. workers parallelises candidate bound computation
+// (0 or 1: serial).
 func NewShardExecutor(e *Engine, workers int) *LocalExecutor {
-	return newHost([]*Engine{e}, workers).members[0]
+	return &LocalExecutor{e: e, workers: workers}
 }
 
-// WithProxCache wires a seeker-proximity checkpoint cache into the
-// member's host; see HostExecutor.WithProxCache.
+// WithProxCache wires a seeker-proximity checkpoint cache: the iterator
+// resumes from it when opened and publishes back at End. Replayed depths
+// are bit-identical to a fresh exploration, so round responses do not
+// change.
 func (x *LocalExecutor) WithProxCache(pc *proxcache.Cache) *LocalExecutor {
-	x.host.pc = pc
+	x.pc = pc
 	return x
 }
 
-// WithTracing enables per-call span recording on the member's host; see
-// HostExecutor.WithTracing.
+// WithTracing enables per-call span recording: each Begin, Round and
+// Finalize builds a span subtree (with step / admit / bounds / select
+// stage children), collected by Coordinate's trace. Tracing is
+// observational only.
 func (x *LocalExecutor) WithTracing(on bool) *LocalExecutor {
-	x.host.WithTracing(on)
+	x.traced = on
 	return x
 }
+
+// ResumedDepth reports how many exploration rounds the iterator of the
+// current (or most recently ended) search replayed from a cached
+// checkpoint: 0 on a cold start, or when the search never explored.
+func (x *LocalExecutor) ResumedDepth() int { return x.resumedN }
+
+// Matched returns the components matching every query keyword of the
+// current (or most recently ended) search, ascending: the list Begin
+// computed. It must not be modified.
+func (x *LocalExecutor) Matched() []int32 { return x.comps }
 
 // TakeSpan implements the coordinator's span collection: it returns the
 // span subtree recorded by the most recent protocol call and clears it
@@ -130,8 +146,8 @@ func (x *LocalExecutor) TakeSpan() *obs.Span {
 	return sp
 }
 
-// Begin implements ShardExecutor. The spec may come off the wire, so it is
-// validated here as well as at the query entry points.
+// Begin implements ShardExecutor. The spec is validated here as well as
+// at the query entry points.
 func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 	if err := checkQuery(x.e.in, spec.Seeker, spec.K); err != nil {
 		return BeginInfo{}, err
@@ -148,14 +164,12 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 		return BeginInfo{}, err
 	}
 	comps := x.e.ix.CompsForGroups(spec.Groups)
-	if err := x.host.join(x.idx, spec, comps); err != nil {
-		return BeginInfo{}, err
+	x.pending = make(map[int32]struct{}, len(comps))
+	for _, c := range comps {
+		x.pending[c] = struct{}{}
 	}
-	if len(comps) > 0 && x.touched != nil {
-		x.touched.Add(1)
-	}
-	x.sc, x.groups, x.k, x.eps = sc, spec.Groups, spec.K, spec.Epsilon
-	x.matched = len(comps)
+	x.sc, x.seeker, x.params, x.groups, x.k, x.eps = sc, spec.Seeker, spec.Params, spec.Groups, spec.K, spec.Epsilon
+	x.comps, x.resumedN = comps, 0
 	info := BeginInfo{Matched: len(comps), GroupMasses: make([][]int32, len(spec.Groups))}
 	for gi, group := range spec.Groups {
 		info.GroupMasses[gi] = make([]int32, len(group))
@@ -171,6 +185,14 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 	return info, nil
 }
 
+// iter returns the search's proximity iterator, opening it on first use.
+func (x *LocalExecutor) iter() *score.Iterator {
+	if x.it == nil {
+		x.it, x.ckey, x.resumedN = openIterator(x.e.iters, x.e.in, x.seeker, x.params, x.pc)
+	}
+	return x.it
+}
+
 // Round implements ShardExecutor.
 func (x *LocalExecutor) Round() (RoundInfo, error) {
 	if x.sc == nil {
@@ -180,26 +202,30 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 	if x.traced {
 		sp = obs.NewSpan("exec.round")
 	}
-	x.round++
 	step := sp.StartChild("step")
-	rs := x.host.advance(x.round)
+	discovered := x.iter().Step()
+	x.reached += len(discovered)
 	step.End()
-	// A member with no matching components has nothing to admit, bound or
-	// select; it only mirrors the exploration's progress.
-	if x.matched > 0 {
+	// With no matching components there is nothing to admit, bound or
+	// select; the executor only reports the exploration's progress.
+	if len(x.comps) > 0 {
 		admit := sp.StartChild("admit")
-		for _, comp := range x.host.routed[x.idx] {
-			x.admitComponent(comp)
+		// Users have no component; once every match is admitted, the rest
+		// of the exploration has nothing to look up.
+		for i := 0; i < len(discovered) && len(x.pending) > 0; i++ {
+			if c := x.e.in.CompOf(discovered[i]); c >= 0 {
+				if _, ok := x.pending[c]; ok {
+					delete(x.pending, c)
+					x.admitComponent(c)
+				}
+			}
 		}
 		admit.End()
-		x.refresh(sp, rs)
+		x.refresh(sp)
 	}
-	if x.rounds != nil && len(x.cands) > 0 {
-		x.rounds.Add(1)
-	}
-	info := x.roundInfo(rs)
+	info := x.roundInfo()
 	if sp != nil {
-		sp.SetInt("n", int64(rs.n))
+		sp.SetInt("n", int64(info.N))
 		sp.SetInt("admitted", int64(x.admitted))
 		sp.SetInt("candidates", int64(len(x.cands)))
 		sp.SetInt("kept", int64(len(x.kept)))
@@ -218,9 +244,8 @@ func (x *LocalExecutor) Finalize() (RoundInfo, error) {
 	if x.traced {
 		sp = obs.NewSpan("exec.finalize")
 	}
-	rs := x.host.current()
-	x.refresh(sp, rs)
-	info := x.roundInfo(rs)
+	x.refresh(sp)
+	info := x.roundInfo()
 	if sp != nil {
 		sp.SetInt("candidates", int64(len(x.cands)))
 		sp.SetInt("kept", int64(len(x.kept)))
@@ -230,42 +255,89 @@ func (x *LocalExecutor) Finalize() (RoundInfo, error) {
 	return info, nil
 }
 
-// End implements ShardExecutor: it closes the host's search, publishing
-// the explored frontier. The members of a host end together, so the call
-// is idempotent across them.
-func (x *LocalExecutor) End() { x.host.End() }
-
-// reset drops the member's per-search state (host End).
-func (x *LocalExecutor) reset() {
-	x.sc, x.groups = nil, nil
-	x.matched, x.admitted, x.round = 0, 0, 0
+// End implements ShardExecutor: the iterator's frontier goes back to the
+// cache if the search deepened it, and the iterator to the pool
+// (closeIterator); the per-search state is dropped. Idempotent.
+func (x *LocalExecutor) End() {
+	if x.it != nil {
+		closeIterator(x.e.iters, x.it, x.pc, x.ckey, x.resumedN)
+	}
+	x.it, x.sc, x.groups, x.pending = nil, nil, nil, nil
+	x.reached, x.admitted = 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
 	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil
 }
 
+// openIterator readies a search's proximity iterator — a pooled one, so a
+// search allocates no instance-sized vector once the pool is warm:
+// resumed from the deepest cached checkpoint when there is a cache
+// (recording either way, so the search can publish its final frontier
+// back), plain otherwise. Resuming is transparent to the rounds — replayed
+// Steps yield bit-identical prox≤n and discovery order, they just skip the
+// matrix propagation. The returned depth is what the cache already covers
+// (0 on a cold start); publication is worthwhile only beyond it. Every
+// opened iterator goes back through closeIterator.
+func openIterator(pool *sync.Pool, in *graph.Instance, seeker graph.NID, params score.Params, pc *proxcache.Cache) (*score.Iterator, proxcache.Key, int) {
+	it, _ := pool.Get().(*score.Iterator)
+	if it == nil {
+		it = new(score.Iterator)
+	}
+	if pc == nil {
+		it.Reset(in, params, seeker, false)
+		return it, proxcache.Key{}, 0
+	}
+	ckey := proxcache.Key{Seeker: seeker, Params: params}
+	if cp := pc.Get(ckey, in); cp != nil {
+		if err := it.Resume(in, cp); err == nil {
+			return it, ckey, cp.N()
+		}
+	}
+	it.Reset(in, params, seeker, true)
+	return it, ckey, 0
+}
+
+// closeIterator ends an exploration opened by openIterator: its frontier
+// goes to the cache — only when it deepened what the cache covered (one
+// that stopped within the resumed depth would copy the layers just to lose
+// the deepen-only race against itself) — and the iterator back to the
+// pool, holding nothing of the checkpoint it resumed or published: a
+// pooled iterator must not pin an entry the cache evicts or purges, nor
+// offer its next user a snapshot the cache owns as a work vector.
+// Publication is deepen-only, so concurrent searches racing to publish can
+// only improve the cache.
+func closeIterator(pool *sync.Pool, it *score.Iterator, pc *proxcache.Cache, ckey proxcache.Key, covered int) {
+	if pc != nil && it.RecordedDepth() > covered {
+		pc.Put(ckey, it.Checkpoint())
+	}
+	it.Release()
+	pool.Put(it)
+}
+
 // refresh recomputes the candidates' score intervals at the exploration's
-// current tail and the shard-local selection over them.
-func (x *LocalExecutor) refresh(sp *obs.Span, rs roundState) {
+// current tail and the selection over them.
+func (x *LocalExecutor) refresh(sp *obs.Span) {
+	it := x.iter()
 	bounds := sp.StartChild("bounds")
-	x.computeBounds(rs.tail, rs.prox)
+	x.computeBounds(it.TailBound(), it.AllProx())
 	bounds.End()
 	sel := sp.StartChild("select")
 	x.kept, x.uncertain = x.greedySelect()
 	sel.End()
 }
 
-// roundInfo serializes the shard state after a round.
-func (x *LocalExecutor) roundInfo(rs roundState) RoundInfo {
+// roundInfo reports the executor's state after a round.
+func (x *LocalExecutor) roundInfo() RoundInfo {
+	it := x.iter()
 	info := RoundInfo{
 		Kept:       make([]CandMeta, len(x.kept)),
 		MaxOther:   x.maxOtherUpper(x.kept),
 		Admitted:   x.admitted,
 		Candidates: len(x.cands),
-		Reached:    rs.reached,
-		N:          rs.n,
-		Tail:       rs.tail,
-		SourceTail: rs.sourceTail,
-		Done:       rs.done,
+		Reached:    x.reached,
+		N:          it.N(),
+		Tail:       it.TailBound(),
+		SourceTail: it.SourceTailBound(),
+		Done:       it.Done(),
 	}
 	for i, c := range x.kept {
 		info.Kept[i] = CandMeta{Doc: c.d, Lower: c.lower, Upper: c.upper}
@@ -380,10 +452,10 @@ func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
 }
 
 // candOrder is the canonical candidate order: upper bound descending,
-// ties by node id. Node ids are global across every projection of an
-// instance, so the order is identical whether candidates are walked by
-// one member or merged across several (metaBefore is the same order over
-// candidate summaries).
+// ties by node id. Node ids are global to the instance, so the order is
+// identical whether candidates are walked by one executor or merged
+// across several (metaBefore is the same order over candidate
+// summaries).
 func candOrder(a, b *cand) int {
 	switch {
 	case a.upper > b.upper:

@@ -13,7 +13,7 @@ import (
 )
 
 // TestShardExecutorWarmResume covers NewShardExecutor with a cache:
-// coordinated searches over one-member host executors with a
+// coordinated searches over one executor per component slice with a
 // proximity cache must answer byte-identically to cold executors — on
 // the first (cache-filling) pass and on the second (frontier-resuming)
 // pass — and the second pass must actually hit the cache.
@@ -28,22 +28,7 @@ func TestShardExecutorWarmResume(t *testing.T) {
 	ix := index.Build(in)
 
 	const shards = 2
-	parts, err := graph.PartitionComponents(in, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*Engine, shards)
-	for i, comps := range parts {
-		proj, err := in.ProjectComponents(comps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pix, err := ix.Project(proj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = NewEngine(proj, pix)
-	}
+	ixs := shardIndexes(t, in, ix, shards)
 	// One cache per shard.
 	caches := make([]*proxcache.Cache, shards)
 	for i := range caches {
@@ -64,7 +49,7 @@ func TestShardExecutorWarmResume(t *testing.T) {
 				}
 				execs := make([]ShardExecutor, shards)
 				for i := range execs {
-					le := NewShardExecutor(engines[i], 0)
+					le := NewShardExecutor(NewEngine(in, ixs[i]), 0)
 					if warm {
 						le = le.WithProxCache(caches[i])
 					}

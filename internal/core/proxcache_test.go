@@ -15,9 +15,10 @@ import (
 // TestCachedSearchEqualsUncached is the cached-path correctness property:
 // with a shared proximity cache enabled — including cross-query checkpoint
 // reuse between queries of the same seeker, cold and warm passes, and
-// depth-capped any-time stops — Engine.Search and ShardedEngine.Search for
-// N ∈ {1, 2, 4} must return byte-identical answers (documents, order,
-// score-interval float bits) and statistics to the uncached single engine.
+// depth-capped any-time stops — Engine.Search, and Coordinate over N ∈
+// {1, 2, 4} executors over component slices of the index, must return
+// byte-identical answers (documents, order, score-interval float bits)
+// and statistics to the uncached single engine.
 func TestCachedSearchEqualsUncached(t *testing.T) {
 	type dataset struct {
 		name string
@@ -103,8 +104,10 @@ func TestCachedSearchEqualsUncached(t *testing.T) {
 
 			check("single", single.Search)
 			for _, n := range []int{1, 2, 4} {
-				se := buildSharded(t, in, ix, n)
-				check(fmt.Sprintf("sharded/n=%d", n), se.Search)
+				ixs := shardIndexes(t, in, ix, n)
+				check(fmt.Sprintf("sharded/n=%d", n), func(seeker graph.NID, kws []string, opts Options) ([]Result, Stats, error) {
+					return coordinated(in, ixs, seeker, kws, opts)
+				})
 			}
 		})
 	}

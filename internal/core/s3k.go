@@ -30,9 +30,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"s3/internal/dict"
@@ -77,6 +77,9 @@ type Options struct {
 	// Obs, when non-nil, receives the search's metrics observations
 	// (rounds per search, per-round latency).
 	Obs *obs.SearchMetrics
+	// Ctx, when non-nil, cancels the search: it is checked before every
+	// round (CoordOptions.Ctx), and a cancelled search returns Ctx's error.
+	Ctx context.Context
 }
 
 // DefaultOptions returns a top-10 search with default damping.
@@ -134,13 +137,18 @@ type Engine struct {
 	in *graph.Instance
 	ix *index.Index
 
-	// iters recycles the proximity iterators of the searches whose host
-	// this engine is first member of (see HostExecutor.iter): a search
-	// takes one, with its instance-sized work vectors, and its End puts it
-	// back. The pool is shared only by the engines WithIndex derives, which
+	// iters recycles the proximity iterators of the searches run over this
+	// engine (see LocalExecutor.iter): a search takes one, with its
+	// instance-sized work vectors, and its End puts it back. The pool is
+	// shared only by the engines WithIndex and WithShardLoad derive, which
 	// run over the same instance, so a vector never serves another
 	// instance, let alone one of another size.
 	iters *sync.Pool
+
+	// load, when non-nil, counts every completed search on the shards of
+	// owner's table that hold a component the search matched.
+	load  *ShardLoad
+	owner []int32
 }
 
 // NewEngine pairs an instance with its connection index.
@@ -154,6 +162,14 @@ func NewEngine(in *graph.Instance, ix *index.Index) *Engine {
 // that builds an index per search still recycles its iterators.
 func (e *Engine) WithIndex(ix *index.Index) *Engine {
 	return &Engine{in: e.in, ix: ix, iters: e.iters}
+}
+
+// WithShardLoad returns an engine like e, sharing its iterator pool,
+// whose searches also count on load: each completed search adds itself to
+// the shards (owner maps a component to its shard) holding a component it
+// matched, from the matched list its executor computed (ShardLoad.Add).
+func (e *Engine) WithShardLoad(owner []int32, load *ShardLoad) *Engine {
+	return &Engine{in: e.in, ix: e.ix, iters: e.iters, load: load, owner: owner}
 }
 
 // Instance returns the engine's instance.
@@ -176,22 +192,12 @@ func (e *Engine) KeywordGroups(keywords []string) ([][]dict.ID, bool, error) {
 
 // Search runs S3k for the query (seeker, keywords) and returns the top-k
 // answer (Definition 3.2): the k best-scoring documents such that no
-// result is a vertical neighbour of a better one. It is the one-shard
-// deployment of the round protocol: Coordinate over a one-member host.
+// result is a vertical neighbour of a better one. It validates the query,
+// resolves its keywords, runs Coordinate over one LocalExecutor and maps
+// the selection to Results.
 func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
-	return search([]*Engine{e}, nil, nil, seeker, keywords, opts)
-}
-
-// search answers one query over the member engines of one process —
-// projections of one instance owning disjoint components, or a lone
-// unprojected engine. It validates the query, resolves its keywords over
-// the shared substrate (dictionary and saturated ontology, identical in
-// every member), runs Coordinate over a host executor of the members and
-// maps the merged selection to Results. touched and rounds, when non-nil,
-// are the members' load counters.
-func search(engines []*Engine, touched, rounds []atomic.Uint64, seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
 	start := time.Now()
-	in := engines[0].in
+	in := e.in
 	if err := checkQuery(in, seeker, opts.K); err != nil {
 		return nil, Stats{}, err
 	}
@@ -206,17 +212,11 @@ func search(engines []*Engine, touched, rounds []atomic.Uint64, seeker graph.NID
 		return nil, Stats{Reason: StopNoMatch, Elapsed: time.Since(start)}, nil
 	}
 
-	h := newHost(engines, opts.Workers).WithProxCache(opts.ProxCache).WithTracing(opts.Trace != nil)
-	execs := make([]ShardExecutor, len(h.members))
-	for i, x := range h.members {
-		if touched != nil {
-			x.touched, x.rounds = &touched[i], &rounds[i]
-		}
-		execs[i] = x
-	}
-	sel, stats, err := Coordinate(execs,
+	x := NewShardExecutor(e, opts.Workers).WithProxCache(opts.ProxCache).WithTracing(opts.Trace != nil)
+	sel, stats, err := Coordinate([]ShardExecutor{x},
 		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: opts.Epsilon},
 		CoordOptions{
+			Ctx:           opts.Ctx,
 			MaxIterations: opts.MaxIterations,
 			Budget:        opts.Budget,
 			Start:         start,
@@ -226,7 +226,10 @@ func search(engines []*Engine, touched, rounds []atomic.Uint64, seeker graph.NID
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.ResumedDepth = h.ResumedDepth()
+	if e.load != nil {
+		e.load.Add(e.owner, x.Matched(), stats.Iterations)
+	}
+	stats.ResumedDepth = x.ResumedDepth()
 	root.SetInt("resumed_depth", int64(stats.ResumedDepth))
 	out := make([]Result, len(sel))
 	for i, c := range sel {

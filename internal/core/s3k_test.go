@@ -339,7 +339,7 @@ func TestIsolatedSeeker(t *testing.T) {
 		t.Fatalf("isolated seeker stats = %+v, want 1 iteration, threshold, 0 nodes reached", stats)
 	}
 	for _, n := range []int{1, 2} {
-		sgot, sstats, err := buildSharded(t, in, ix, n).Search(seeker, []string{"kw"}, opts)
+		sgot, sstats, err := coordinated(in, shardIndexes(t, in, ix, n), seeker, []string{"kw"}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

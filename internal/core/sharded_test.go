@@ -14,31 +14,70 @@ import (
 	"s3/internal/text"
 )
 
-// buildSharded partitions an instance into n component shards and wires a
-// ShardedEngine over the projections.
-func buildSharded(t testing.TB, in *graph.Instance, ix *index.Index, n int) *ShardedEngine {
+// shardIndexes slices ix into n indexes over in by PartitionComponents,
+// as a shard set's files slice it.
+func shardIndexes(t testing.TB, in *graph.Instance, ix *index.Index, n int) []*index.Index {
 	t.Helper()
 	parts, err := graph.PartitionComponents(in, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := make([]*Engine, n)
-	for i, comps := range parts {
-		proj, err := in.ProjectComponents(comps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pix, err := ix.Project(proj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = NewEngine(proj, pix)
-	}
-	se, err := NewShardedEngine(engines)
+	owner, err := graph.ComponentOwners(in.NumComponents(), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return se
+	postings := make([][]index.RawPosting, n)
+	for _, p := range ix.Raw() {
+		evs := make([][]index.Event, n)
+		for _, ev := range p.Events {
+			s := owner[in.CompOf(ev.Frag)]
+			evs[s] = append(evs[s], ev)
+		}
+		for s := range evs {
+			if len(evs[s]) > 0 {
+				postings[s] = append(postings[s], index.RawPosting{Kw: p.Kw, Events: evs[s]})
+			}
+		}
+	}
+	ixs := make([]*index.Index, n)
+	for s := range ixs {
+		if ixs[s], err = index.FromRaw(in, postings[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ixs
+}
+
+// coordinated answers a query the way Engine.Search does, but with
+// Coordinate over one executor per index — the topology a benchmark probe
+// still runs. The executors share opts.ProxCache; ResumedDepth is the
+// first one's.
+func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
+	if err := checkQuery(in, seeker, opts.K); err != nil {
+		return nil, Stats{}, err
+	}
+	groups, possible, err := ResolveKeywordGroups(in, keywords)
+	if err != nil || !possible {
+		return nil, Stats{Reason: StopNoMatch}, err
+	}
+	xs := make([]*LocalExecutor, len(ixs))
+	execs := make([]ShardExecutor, len(ixs))
+	for i, ix := range ixs {
+		xs[i] = NewShardExecutor(NewEngine(in, ix), 0).WithProxCache(opts.ProxCache)
+		execs[i] = xs[i]
+	}
+	sel, stats, err := Coordinate(execs,
+		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: opts.Epsilon},
+		CoordOptions{MaxIterations: opts.MaxIterations, Budget: opts.Budget})
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.ResumedDepth = xs[0].ResumedDepth()
+	rs := make([]Result, len(sel))
+	for i, c := range sel {
+		rs[i] = Result{Doc: c.Doc, URI: in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}
+	}
+	return rs, stats, nil
 }
 
 // transcript renders results and stats so two searches can be compared
@@ -78,12 +117,13 @@ func queries(in *graph.Instance) (seekers []graph.NID, kwSets [][]string) {
 	return seekers, kwSets
 }
 
-// TestShardedSearchEqualsUnsharded is the answer-equivalence property
-// test of the shard-set design: for N ∈ {1, 2, 4, 7}, sharded search must
-// return byte-identical results and score intervals to the single-engine
-// search, across generated datasets and query shapes. Stats are part of
-// the contract: every field but Elapsed must agree as well — cold, while a
-// proximity cache fills, and when it resumes (ResumedDepth included).
+// TestShardedSearchEqualsUnsharded is the answer-equivalence property of
+// Coordinate's merge: for N ∈ {1, 2, 4, 7}, Coordinate over one executor
+// per component slice of the index must return byte-identical results and
+// score intervals to Engine.Search, across generated datasets and query
+// shapes. Stats are part of the contract: every field but Elapsed must
+// agree as well — cold, while a proximity cache fills, and when it
+// resumes (ResumedDepth included).
 func TestShardedSearchEqualsUnsharded(t *testing.T) {
 	type dataset struct {
 		name string
@@ -118,8 +158,8 @@ func TestShardedSearchEqualsUnsharded(t *testing.T) {
 			seekers, kwSets := queries(in)
 
 			for _, n := range []int{1, 2, 4, 7} {
-				se := buildSharded(t, in, ix, n)
-				// One cache per engine, fed the same query sequence: pass 0
+				ixs := shardIndexes(t, in, ix, n)
+				// One cache per topology, fed the same query sequence: pass 0
 				// runs cold (no cache), pass 1 fills, pass 2 resumes.
 				wantPC, gotPC := proxcache.New(16<<20), proxcache.New(16<<20)
 				resumed := false
@@ -136,7 +176,7 @@ func TestShardedSearchEqualsUnsharded(t *testing.T) {
 									wantOpts.ProxCache, gotOpts.ProxCache = wantPC, gotPC
 								}
 								want, wantStats, err1 := single.Search(seeker, kws, wantOpts)
-								got, gotStats, err2 := se.Search(seeker, kws, gotOpts)
+								got, gotStats, err2 := coordinated(in, ixs, seeker, kws, gotOpts)
 								if (err1 == nil) != (err2 == nil) {
 									t.Fatalf("n=%d seeker=%s kws=%v: errors diverge: %v vs %v",
 										n, in.URIOf(seeker), kws, err1, err2)
@@ -164,55 +204,5 @@ func TestShardedSearchEqualsUnsharded(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedEngineValidation exercises the shard-set invariants.
-func TestShardedEngineValidation(t *testing.T) {
-	o := datagen.DefaultTwitterOptions()
-	o.Users, o.Tweets, o.Seed = 30, 100, 5
-	spec, _ := datagen.Twitter(o)
-	in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.Build(in)
-
-	if _, err := NewShardedEngine(nil); err == nil {
-		t.Error("empty shard set accepted")
-	}
-	// An unprojected engine next to another shard owns overlapping
-	// components.
-	full := NewEngine(in, ix)
-	if _, err := NewShardedEngine([]*Engine{full, full}); err == nil {
-		t.Error("unprojected multi-shard set accepted")
-	}
-	// Missing components must be rejected.
-	parts, err := graph.PartitionComponents(in, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := in.ProjectComponents(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pix, err := ix.Project(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedEngine([]*Engine{NewEngine(proj, pix)}); err == nil {
-		t.Error("shard set with unowned components accepted")
-	}
-	// Overlapping ownership must be rejected.
-	if _, err := NewShardedEngine([]*Engine{NewEngine(proj, pix), NewEngine(proj, pix)}); err == nil {
-		t.Error("shard set with doubly-owned components accepted")
-	}
-	// A single unprojected shard is the degenerate valid set.
-	se, err := NewShardedEngine([]*Engine{full})
-	if err != nil {
-		t.Fatalf("single unprojected shard rejected: %v", err)
-	}
-	if se.NumShards() != 1 {
-		t.Errorf("NumShards = %d", se.NumShards())
 	}
 }

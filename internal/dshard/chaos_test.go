@@ -58,7 +58,7 @@ func hostOf(t *testing.T, rawURL string) string {
 }
 
 // chaosQuery is one reference point: a resolved spec and the transcript
-// (and rounds) the in-process sharded engine produces for it.
+// (and rounds) the in-process shard set produces for it.
 type chaosQuery struct {
 	spec  core.SearchSpec
 	want  string
@@ -99,15 +99,7 @@ func leakCheck(t *testing.T) (track func(*http.Client)) {
 // chaosQueries computes the reference transcripts over the opened set.
 func chaosQueries(t *testing.T, set *snap.ShardSetSnapshot) []chaosQuery {
 	t.Helper()
-	n := len(set.Set.Shards)
-	engines := make([]*core.Engine, n)
-	for i := 0; i < n; i++ {
-		engines[i] = core.NewEngine(set.Set.Shards[i], set.Set.Indexes[i])
-	}
-	se, err := core.NewShardedEngine(engines)
-	if err != nil {
-		t.Fatal(err)
-	}
+	se := core.NewEngine(set.Set.Base, set.Set.Index)
 	in := set.Set.Base
 	seekers, kwSets := queries(in)
 	var qs []chaosQuery
@@ -159,7 +151,7 @@ func chaosCoordinator(t *testing.T, set *snap.ShardSetSnapshot, urls []string,
 // TestChaosByteIdentity: across seeded fault schedules — one victim
 // replica per shard hit with resets, stalls, truncations, bit flips or
 // plain latency on its postings endpoint — every answer must stay
-// byte-identical to the in-process sharded engine, because each shard
+// byte-identical to the in-process shard set, because each shard
 // keeps one untouched replica to fail over onto.
 func TestChaosByteIdentity(t *testing.T) {
 	set, _, servers := chaosTopology(t)
@@ -232,9 +224,9 @@ func TestChaosShardLoss(t *testing.T) {
 	}
 
 	// Reference for the degraded answer: core.Coordinate over shard 0
-	// alone — exactly the executor set the coordinator serves once shard 1
-	// is lost (a sharded engine would reject the partial coverage).
-	eng0 := core.NewEngine(set.Set.Shards[0], set.Set.Indexes[0])
+	// alone — exactly the postings the coordinator searches once shard 1
+	// is lost.
+	eng0 := core.NewEngine(set.Set.Base, set.Set.Indexes[0])
 	shard0 := func(spec core.SearchSpec) string {
 		le := core.NewShardExecutor(eng0, 0)
 		sel, stats, err := core.Coordinate([]core.ShardExecutor{le}, spec, core.CoordOptions{})

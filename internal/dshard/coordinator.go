@@ -162,16 +162,7 @@ type substrate struct {
 }
 
 func newSubstrate(in *graph.Instance, layout *snap.Layout) *substrate {
-	owner := make([]int32, in.NumComponents())
-	for c := range owner {
-		owner[c] = -1
-	}
-	for s, desc := range layout.Shards {
-		for _, c := range desc.Comps {
-			owner[c] = int32(s)
-		}
-	}
-	return &substrate{eng: core.NewEngine(in, nil), owner: owner}
+	return &substrate{eng: core.NewEngine(in, nil), owner: layout.Owner}
 }
 
 // check accepts the block a reply carries for shard only if every event
@@ -217,10 +208,9 @@ type Coordinator struct {
 	retries   atomic.Uint64
 	failures  atomic.Uint64
 	failovers atomic.Uint64
-	// touched and rounds count, per shard, the searches that matched
-	// components there and the rounds those searches ran.
-	touched []atomic.Uint64
-	rounds  []atomic.Uint64
+	// load counts, per shard, the searches that matched components there
+	// and the rounds those searches ran.
+	load *core.ShardLoad
 
 	metrics *rpcMetrics
 }
@@ -251,11 +241,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.RPCTimeout = 0
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		client:  cfg.Client,
-		rr:      make([]atomic.Uint32, cfg.ShardCount),
-		touched: make([]atomic.Uint64, cfg.ShardCount),
-		rounds:  make([]atomic.Uint64, cfg.ShardCount),
+		cfg:    cfg,
+		client: cfg.Client,
+		rr:     make([]atomic.Uint32, cfg.ShardCount),
+		load:   core.NewShardLoad(cfg.ShardCount),
 	}
 	if (cfg.Substrate == nil) != (cfg.Layout == nil) {
 		return nil, fmt.Errorf("dshard: coordinator needs both a substrate and its layout, or neither")
@@ -671,7 +660,7 @@ func (c *Coordinator) noteWorkerReleased(w *workerRef) {
 // host — and runs S3k over its substrate and those postings. A host whose
 // fetch fails is benched (its breaker fed) until a probe sees it healthy
 // again, and its shards are fetched from other replicas. Answers are
-// byte-identical to the in-process sharded engine over the same set.
+// byte-identical to the in-process shard set's over the same files.
 func (c *Coordinator) Search(spec core.SearchSpec, copts core.CoordOptions) ([]core.CandMeta, core.Stats, error) {
 	sel, stats, _, err := c.search(spec, copts, false)
 	return sel, stats, err
@@ -733,16 +722,7 @@ func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial
 	if err != nil {
 		return nil, stats, nil, err
 	}
-	matched := make([]bool, c.cfg.ShardCount)
-	for _, comp := range ix.CompsForGroups(spec.Groups) {
-		matched[sub.owner[comp]] = true
-	}
-	for s, m := range matched {
-		if m {
-			c.touched[s].Add(1)
-			c.rounds[s].Add(uint64(stats.Iterations))
-		}
-	}
+	c.load.Add(sub.owner, x.Matched(), stats.Iterations)
 	var deg *Degradation
 	if len(lost) > 0 {
 		deg = &Degradation{Lost: lost, Served: served}
@@ -899,8 +879,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	rows := make([]WorkerShardRow, c.cfg.ShardCount)
 	for s := range rows {
 		rows[s].Shard = s
-		rows[s].Searches = c.touched[s].Load()
-		rows[s].Rounds = c.rounds[s].Load()
+		rows[s].Searches, rows[s].Rounds = c.load.Shard(s)
 	}
 	for _, w := range c.workers {
 		w.mu.Lock()

@@ -161,8 +161,8 @@ func datasets(t testing.TB) map[string]graph.Spec {
 
 // TestDistributedEqualsSharded is the acceptance property: a coordinator
 // over N worker processes answers byte-identically — documents, order,
-// score intervals and termination stats — to core.ShardedEngine over the
-// same shard set, across datasets × N ∈ {1, 2, 4}, whether it was given
+// score intervals and termination stats — to one engine over the base
+// instance and the merged index of the same shard set, across datasets × N ∈ {1, 2, 4}, whether it was given
 // its substrate or fetched the manifest from a worker.
 func TestDistributedEqualsSharded(t *testing.T) {
 	for name, spec := range datasets(t) {
@@ -173,14 +173,7 @@ func TestDistributedEqualsSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			engines := make([]*core.Engine, n)
-			for i := 0; i < n; i++ {
-				engines[i] = core.NewEngine(set.Set.Shards[i], set.Set.Indexes[i])
-			}
-			se, err := core.NewShardedEngine(engines)
-			if err != nil {
-				t.Fatal(err)
-			}
+			se := core.NewEngine(set.Set.Base, set.Set.Index)
 
 			urls, stop := startWorkers(t, manifestPath, n, snap.LoadMmap)
 			given, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: n, SetID: set.Set.Layout.SetID,

@@ -427,14 +427,7 @@ func TestFinalizeAtConsumedRound(t *testing.T) {
 				t.Fatal("unusable query")
 			}
 			spec := core.SearchSpec{Seeker: seeker, Groups: groups, K: exchangeK, Params: exchangeParams, Epsilon: 1e-12}
-			engines := []*core.Engine{
-				core.NewEngine(set.Set.Shards[0], set.Set.Indexes[0]),
-				core.NewEngine(set.Set.Shards[1], set.Set.Indexes[1]),
-			}
-			se, err := core.NewShardedEngine(engines)
-			if err != nil {
-				t.Fatal(err)
-			}
+			se := core.NewEngine(in, set.Set.Index)
 			rs, rstats, err := se.Search(seeker, []string{"kw"}, core.Options{K: exchangeK, Params: exchangeParams})
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,6 @@
 // Host-grouping property suite: a coordinator over multi-shard worker
 // processes (one postings exchange per host) must answer byte-identically
-// to the in-process sharded engine across every way of packing shards
+// to the in-process shard set across every way of packing shards
 // onto hosts — and a host that dies mid-fetch must fail over every shard
 // it carried, with the answer exact.
 package dshard
@@ -59,8 +59,8 @@ func hostGroupings(n int) [][][]int {
 
 // TestHostGroupedEqualsSharded is the tentpole acceptance property: a
 // coordinator over host-grouped workers — shards packed onto processes
-// in several arrangements — answers byte-identically to core.ShardedEngine
-// over the same set, across datasets × N ∈ {1, 2, 4}, cold and warm.
+// in several arrangements — answers byte-identically to one engine over
+// the same set's base instance and merged index, across datasets × N ∈ {1, 2, 4}, cold and warm.
 func TestHostGroupedEqualsSharded(t *testing.T) {
 	for name, spec := range datasets(t) {
 		in, ix := buildInstance(t, spec)
@@ -70,14 +70,7 @@ func TestHostGroupedEqualsSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			engines := make([]*core.Engine, n)
-			for i := 0; i < n; i++ {
-				engines[i] = core.NewEngine(set.Set.Shards[i], set.Set.Indexes[i])
-			}
-			se, err := core.NewShardedEngine(engines)
-			if err != nil {
-				t.Fatal(err)
-			}
+			se := core.NewEngine(set.Set.Base, set.Set.Index)
 
 			for gi, groups := range hostGroupings(n) {
 				urls, stop := startHostWorkers(t, manifestPath, groups, snap.LoadMmap)

@@ -10,7 +10,7 @@
 // coordinator asks each host of its shard cover for the events of the
 // query's keywords on the shards it picked there, builds an index over
 // the substrate from the replies (index.FromRaw) and runs S3k over it in
-// process. Its answer is byte-identical to the in-process sharded engine's,
+// process. Its answer is byte-identical to the in-process shard set's,
 // property-tested in dshard_test.go.
 //
 // One search endpoint, POST with little-endian application/octet-stream

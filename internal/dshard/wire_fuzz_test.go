@@ -54,7 +54,11 @@ func loadWireFixture() *wireFixture {
 		if err != nil {
 			panic(err)
 		}
-		fixture.sub = newSubstrate(in, &snap.Layout{Shards: []snap.ShardDesc{{Comps: parts[0]}, {Comps: parts[1]}}})
+		owner, err := graph.ComponentOwners(in.NumComponents(), parts)
+		if err != nil {
+			panic(err)
+		}
+		fixture.sub = newSubstrate(in, &snap.Layout{Shards: []snap.ShardDesc{{Comps: parts[0]}, {Comps: parts[1]}}, Owner: owner})
 		fixture.ix = index.Build(in)
 		kws := in.SortedKeywordsByFrequency()
 		fixture.req = postingsRequest{traceID: 7, shards: []int{0, 1}, kws: []dict.ID{kws[len(kws)/4], kws[len(kws)/2], kws[len(kws)-1]}}

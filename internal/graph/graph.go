@@ -138,9 +138,7 @@ type Instance struct {
 
 	// Direct network out-edges. The builder fills the per-node slices;
 	// snapshot imports keep the flat CSR form behind a shared lazy holder
-	// (a pointer, so projections — which copy the Instance struct — share
-	// the materialisation) — neither this nor keywords is on the search
-	// hot path.
+	// — neither this nor keywords is on the search hot path.
 	out     [][]Edge
 	outLazy *lazyCSR[Edge]
 
@@ -171,11 +169,6 @@ type Instance struct {
 	kwFreqCounts []int32
 
 	stats Stats
-
-	// proj, when non-nil, restricts the content layer to a subset of
-	// components (see ProjectComponents). The substrate tables above are
-	// shared with the base instance.
-	proj *projection
 }
 
 // Dict returns the shared dictionary.
@@ -247,26 +240,14 @@ func (in *Instance) kwTable() [][]dict.ID {
 // NodeNameOf returns the node name of a document node.
 func (in *Instance) NodeNameOf(n NID) dict.ID { return in.nodeName[n] }
 
-// Users returns all user nodes. Users are shared substrate: projections
-// return the full list.
+// Users returns all user nodes.
 func (in *Instance) Users() []NID { return in.users }
 
-// DocRoots returns the roots of all owned documents (all documents for an
-// unprojected instance).
-func (in *Instance) DocRoots() []NID {
-	if in.proj != nil {
-		return in.proj.docRoots
-	}
-	return in.docRoots
-}
+// DocRoots returns the roots of all documents.
+func (in *Instance) DocRoots() []NID { return in.docRoots }
 
-// Tags returns all owned tag nodes.
-func (in *Instance) Tags() []NID {
-	if in.proj != nil {
-		return in.proj.tags
-	}
-	return in.tagList
-}
+// Tags returns all tag nodes.
+func (in *Instance) Tags() []NID { return in.tagList }
 
 // TagInfoOf returns the description of a tag node.
 func (in *Instance) TagInfoOf(n NID) (TagInfo, bool) {
@@ -281,21 +262,11 @@ func (in *Instance) TagInfoOf(n NID) (TagInfo, bool) {
 	return ti, ok
 }
 
-// Comments returns all owned comment edges.
-func (in *Instance) Comments() []CommentEdge {
-	if in.proj != nil {
-		return in.proj.comments
-	}
-	return in.comments
-}
+// Comments returns all comment edges.
+func (in *Instance) Comments() []CommentEdge { return in.comments }
 
-// Posts returns all owned authorship edges.
-func (in *Instance) Posts() []PostEdge {
-	if in.proj != nil {
-		return in.proj.posts
-	}
-	return in.posts
-}
+// Posts returns all authorship edges.
+func (in *Instance) Posts() []PostEdge { return in.posts }
 
 // OutEdges returns the direct network out-edges of a node (without the
 // vertical-neighbourhood extension).
@@ -311,9 +282,8 @@ func (in *Instance) outTable() [][]Edge {
 }
 
 // lazyCSR defers the per-row slice-header materialisation of a flat CSR
-// list until first use. It is held by pointer so projections (which copy
-// the Instance struct) share one materialisation; the sync.Once makes
-// that materialisation safe under concurrent readers.
+// list until first use; the sync.Once makes that materialisation safe
+// under concurrent readers.
 type lazyCSR[T any] struct {
 	once sync.Once
 	off  []int64
@@ -351,12 +321,9 @@ func (in *Instance) CompOf(n NID) int32 { return in.comp[n] }
 // NumComponents returns the number of components.
 func (in *Instance) NumComponents() int { return in.nComp }
 
-// KeywordFrequency returns, for a stemmed keyword, the number of owned
+// KeywordFrequency returns, for a stemmed keyword, the number of
 // document nodes whose content contains it.
 func (in *Instance) KeywordFrequency(k dict.ID) int {
-	if in.proj != nil {
-		return in.proj.kwFreq[k]
-	}
 	if in.kwFreqKeys != nil {
 		if i, ok := slices.BinarySearch(in.kwFreqKeys, k); ok {
 			return int(in.kwFreqCounts[i])
@@ -370,9 +337,6 @@ func (in *Instance) KeywordFrequency(k dict.ID) int {
 // frozen instance materialises it per call; prefer KeywordFrequency for
 // point lookups.
 func (in *Instance) KeywordFrequencies() map[dict.ID]int {
-	if in.proj != nil {
-		return in.proj.kwFreq
-	}
 	if in.kwFreqKeys != nil {
 		m := make(map[dict.ID]int, len(in.kwFreqKeys))
 		for i, k := range in.kwFreqKeys {
@@ -427,11 +391,5 @@ func (in *Instance) SubtreeOf(n NID, buf []NID) []NID {
 	return buf
 }
 
-// Stats returns the instance statistics (Figure 4), restricted to the
-// owned components for a projection.
-func (in *Instance) Stats() Stats {
-	if in.proj != nil {
-		return in.proj.stats
-	}
-	return in.stats
-}
+// Stats returns the instance statistics (Figure 4).
+func (in *Instance) Stats() Stats { return in.stats }

@@ -99,8 +99,6 @@ type Accel struct {
 
 // Raw flattens the instance. The returned struct shares slices with the
 // instance wherever possible; callers must treat it as read-only.
-// Projections flatten their *base* tables: the snapshot format always
-// stores the full instance, and shard sets re-derive projections on load.
 func (in *Instance) Raw() *Raw {
 	r := &Raw{
 		Strings:       in.dict.Strings(),

@@ -375,16 +375,18 @@ func (ix *Index) add(kw dict.ID, evs []Event) error {
 }
 
 // summarize is the one derivation of a posting's component summary. It
-// checks that evs, whose fragments must be nodes of in, are strictly in
-// canonical order (compareEvents), appends their distinct components in
-// event order to comps and returns it with the longest single-component
-// run.
+// checks that evs, whose fragments must be nodes of in, lie in components
+// (a user node has none) and are strictly in canonical order
+// (compareEvents), appends their distinct components in event order to
+// comps and returns it with the longest single-component run.
 func summarize(in *graph.Instance, evs []Event, comps []int32) ([]int32, int, error) {
 	var prev int32
 	run, longest := 0, 0
 	for i := range evs {
 		c := in.CompOf(evs[i].Frag)
 		switch {
+		case c < 0:
+			return nil, 0, fmt.Errorf("event fragment %d lies in no component", evs[i].Frag)
 		case i == 0 || c > prev:
 			comps = append(comps, c)
 			run = 0

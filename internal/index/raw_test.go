@@ -27,6 +27,37 @@ func TestFromRawRejectsRepeatedEvent(t *testing.T) {
 	}
 }
 
+// TestUserFragmentRefused: a user node has no component, so an event
+// anchored on one would list component -1 among a posting's components,
+// which a shard owner table or a component lookup would then index. Every
+// way of building an index refuses it, wherever the event sits in its
+// posting.
+func TestUserFragmentRefused(t *testing.T) {
+	in, ix := figure1(t)
+	user := in.Users()[0]
+	const want = "lies in no component"
+	for i, p := range ix.Raw() {
+		for _, at := range []int{0, len(p.Events) - 1} {
+			evs := slices.Clone(p.Events)
+			evs[at].Frag = user
+			bad := []RawPosting{{Kw: p.Kw, Events: evs}}
+			if _, err := FromRaw(in, bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("posting %d event %d: FromRaw: %v, want %q", i, at, err, want)
+			}
+			flat := Flat{Kws: []dict.ID{p.Kw}, EvOff: []int64{0, int64(len(evs))}, Evs: evs}
+			if _, err := FromFlat(in, flat); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("posting %d event %d: FromFlat: %v, want %q", i, at, err, want)
+			}
+			if _, err := Merge(in, []Flat{flat}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("posting %d event %d: Merge: %v, want %q", i, at, err, want)
+			}
+			if err := CheckOrder(in, evs); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("posting %d event %d: CheckOrder: %v, want %q", i, at, err, want)
+			}
+		}
+	}
+}
+
 // encodePostings is the inverse of decodePostings, for seeding.
 func encodePostings(ps []RawPosting) []byte {
 	var b []byte

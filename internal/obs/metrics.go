@@ -354,16 +354,16 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // SearchMetrics bundles the engine-level instruments threaded through a
-// search (core.Options.Obs / core.CoordOptions.Obs): how many lockstep
-// rounds a search ran and how long each round took. One set serves every
+// search (core.Options.Obs / core.CoordOptions.Obs): how many rounds a
+// search ran and how long each round took. One set serves every
 // deployment of the engine in a process — single, sharded and
 // coordinated searches record into the same pair.
 type SearchMetrics struct {
 	// Rounds observes rounds-per-search at search end.
 	Rounds *Histogram
-	// RoundSeconds observes one lockstep round: proximity step, admission,
-	// bound refresh and selection across every shard (for a distributed
-	// search: including the worker round trips).
+	// RoundSeconds observes one round: proximity step, admission, bound
+	// refresh and selection (a distributed search fetches its postings
+	// before the first round).
 	RoundSeconds *Histogram
 }
 
@@ -372,6 +372,6 @@ type SearchMetrics struct {
 func NewSearchMetrics(r *Registry) *SearchMetrics {
 	return &SearchMetrics{
 		Rounds:       r.Histogram("s3_search_rounds", "Proximity exploration rounds per search.", RoundBuckets),
-		RoundSeconds: r.Histogram("s3_search_round_seconds", "Duration of one lockstep search round across all shards.", nil),
+		RoundSeconds: r.Histogram("s3_search_round_seconds", "Duration of one search round.", nil),
 	}
 }

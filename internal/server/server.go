@@ -752,6 +752,11 @@ func (s *Server) runSearch(ctx context.Context, state *instanceState, sr *search
 	s.searches.Add(1)
 	results, info, err := state.inst.SearchInfoed(sr.Seeker, sr.Keywords, opts...)
 	if err != nil {
+		if ctx.Err() != nil {
+			// A 503 also sends coalesced followers, whose clients are still
+			// there, to a search of their own.
+			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "client went away"}
+		}
 		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 	resp := &searchResponse{

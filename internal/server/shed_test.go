@@ -171,3 +171,21 @@ func TestPartialBypassesCache(t *testing.T) {
 		t.Error("partial request was served from the cache")
 	}
 }
+
+// TestCancelledSearchIsUnavailable: a search whose client has gone away —
+// here before it starts, with a worker slot free — stops at its first
+// round and answers 503, the status on which coalesced followers run a
+// search of their own, never 400.
+func TestCancelledSearchIsUnavailable(t *testing.T) {
+	inst := testInstance(t, 60, 240, 3)
+	seeker, kw := aQuery(t, inst)
+	s := newTestServer(t, Config{Instance: inst})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	state := s.acquire()
+	defer state.release()
+	_, herr := s.runSearch(ctx, state, &searchRequest{Seeker: seeker, Keywords: []string{kw}, K: 5}, nil, false)
+	if herr == nil || herr.status != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled search answered %+v, want 503", herr)
+	}
+}

@@ -105,6 +105,7 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 			copy(p[12*i:], b)
 			copy(p[12*i+12:], a)
 		}, "out of canonical order"},
+		{"event on a user node", sec3IndexEvents, func(p []byte) { put32(p, 0, uint32(in.Users()[0])) }, "lies in no component"},
 	} {
 		data := bytes.Clone(good)
 		row.edit(sectionOf(t, data, Magic, row.sec))
@@ -161,6 +162,29 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 		set, err := OpenShardSet(manifestPath, mode)
 		wantRefused(t, "shard ownership mode="+mode.String(), "foreign component", set, err)
+	}
+
+	// A shard file whose first event lies on a user node, which has no
+	// component and so no owner. (A worker host holds no node table and
+	// serves it; the coordinator refuses the reply.)
+	manifestPath, _, _ = writeSetFiles(t, 40, 150, 11, 2)
+	m, err = OpenManifest(manifestPath, LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardPath := filepath.Join(filepath.Dir(manifestPath), layoutName(manifestPath, 0))
+	shard0, err = os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard = userFragmentShard(t, m.Base, shard0)
+	if err := os.WriteFile(shardPath, shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	repointManifest(t, manifestPath, m.Base.NumComponents(), 0, shard)
+	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+		set, err := OpenShardSet(manifestPath, mode)
+		wantRefused(t, "user-node event mode="+mode.String(), "lies in no component", set, err)
 	}
 }
 

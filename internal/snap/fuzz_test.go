@@ -127,20 +127,30 @@ func shardFuzzSet(t testing.TB) (*graph.Instance, *Layout, []byte) {
 // as reseal does for the sections: the digest is a checksum like the
 // others.
 func vouchFor(layout *Layout, data []byte) *Layout {
-	vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards)}
+	vouching := &Layout{SetID: layout.SetID, Shards: slices.Clone(layout.Shards), Owner: layout.Owner}
 	vouching.Shards[0].Sum = uint64(crc32.Checksum(data, castagnoli))
 	return vouching
+}
+
+// userFragmentShard returns a resealed copy of a shard file whose first
+// event lies on a user node of base: an event in no component.
+func userFragmentShard(t testing.TB, base *graph.Instance, shard []byte) []byte {
+	data := bytes.Clone(shard)
+	put32(sectionOf(t, data, ShardMagic, sec3IndexEvents), 0, uint32(base.Users()[0]))
+	reseal(data)
+	return data
 }
 
 func FuzzDecodeShard(f *testing.F) {
 	base, layout, shard := shardFuzzSet(f)
 	addSeeds(f, shard)
+	f.Add(userFragmentShard(f, base, shard))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = alignedCopy(data)
 		reseal(data)
 		vouching := vouchFor(layout, data)
-		if proj, six, _, err := decodeShard(data, base, vouching, 0); err == nil {
-			probe(proj, six)
+		if _, six, _, err := decodeShard(data, newSetBase(base, vouching), 0); err == nil {
+			probe(base, six)
 		}
 		// What a worker host does with the same file: validate the flat
 		// postings, then answer every keyword.
@@ -174,7 +184,7 @@ func TestShardFuzzRegressionReachesValidate(t *testing.T) {
 	base, layout, _ := shardFuzzSet(t)
 	vouching := vouchFor(layout, data)
 	const want = "unknown connection type"
-	_, _, _, err = decodeShard(data, base, vouching, 0)
+	_, _, _, err = decodeShard(data, newSetBase(base, vouching), 0)
 	wantRefused(t, "decodeShard", want, nil, err)
 	_, _, _, err = decodeWorkerShard(data, vouching, 0, base.NumNodes(), nil)
 	wantRefused(t, "decodeWorkerShard", want, nil, err)

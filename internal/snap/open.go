@@ -206,8 +206,10 @@ func adviseMapped(m *mman.Mapping, spans []secSpan) {
 
 // OpenShardSet loads a shard set from disk in the requested mode: the
 // manifest at manifestPath plus the shard files it names (resolved in the
-// manifest's directory), fully validated. In LoadMmap mode each file is
-// mapped independently.
+// manifest's directory), fully validated, and merges the shards' postings
+// into one index over the base instance (index.Merge). In LoadMmap mode
+// each file is mapped independently; the merged events are copied to the
+// heap.
 func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error) {
 	out := &ShardSetSnapshot{Set: &ShardSet{}, Mode: mode}
 	fail := func(err error) (*ShardSetSnapshot, error) {
@@ -225,19 +227,25 @@ func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error)
 	}
 	adviseMapped(mm, spans)
 	out.Set.Base, out.Set.Layout = base, layout
+	sb := newSetBase(base, layout)
 	dir := filepath.Dir(manifestPath)
+	flats := make([]index.Flat, len(layout.Shards))
 	for i, desc := range layout.Shards {
 		sdata, sm, err := loadKept(filepath.Join(dir, desc.Name), mode, &out.Mappings)
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", i, err))
 		}
-		proj, ix, spans, err := decodeShard(sdata, base, layout, i)
+		flat, ix, spans, err := decodeShard(sdata, sb, i)
 		if err != nil {
 			return fail(err)
 		}
 		adviseMapped(sm, spans)
-		out.Set.Shards = append(out.Set.Shards, proj)
+		flats[i] = flat
+		out.Set.Shards = append(out.Set.Shards, base)
 		out.Set.Indexes = append(out.Set.Indexes, ix)
+	}
+	if out.Set.Index, err = index.Merge(base, flats); err != nil {
+		return fail(fmt.Errorf("snap: merging the shards' postings: %w", err))
 	}
 	return out, nil
 }

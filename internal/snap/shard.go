@@ -66,13 +66,25 @@ type Layout struct {
 	// shard file of the set embeds it.
 	SetID  uint64
 	Shards []ShardDesc
+	// Owner maps each component to the shard owning it: the table of the
+	// shards' component lists (graph.ComponentOwners), derived when the
+	// layout is decoded — which refuses a layout that does not assign
+	// every component to exactly one shard — and not stored.
+	Owner []int32
 }
 
 // ShardSet is a fully loaded and validated shard set: the base instance
-// plus, per shard, its component projection and index slice.
+// and one index over it merged from every shard's postings, which is what
+// searches run on.
+//
+// Shards and Indexes exist for a benchmark probe that still runs one
+// executor per shard: Shards[i] is Base for every i, and Indexes[i] is
+// shard i's postings as an index over Base. The next benchmark change
+// retires that probe and deletes both fields with it.
 type ShardSet struct {
 	Base    *graph.Instance
 	Layout  *Layout
+	Index   *index.Index
 	Shards  []*graph.Instance
 	Indexes []*index.Index
 }
@@ -89,25 +101,9 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 	if len(parts) == 0 {
 		return fmt.Errorf("snap: shard set needs at least one shard")
 	}
-	owner := make([]int, in.NumComponents())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for s, comps := range parts {
-		for _, c := range comps {
-			if c < 0 || int(c) >= len(owner) {
-				return fmt.Errorf("snap: component %d outside instance of %d components", c, len(owner))
-			}
-			if owner[c] != -1 {
-				return fmt.Errorf("snap: component %d assigned to shards %d and %d", c, owner[c], s)
-			}
-			owner[c] = s
-		}
-	}
-	for c, s := range owner {
-		if s == -1 {
-			return fmt.Errorf("snap: component %d assigned to no shard", c)
-		}
+	owner, err := graph.ComponentOwners(in.NumComponents(), parts)
+	if err != nil {
+		return fmt.Errorf("snap: %w", err)
 	}
 
 	rawIn := in.Raw()
@@ -116,44 +112,31 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 	for _, s := range subs {
 		setID.Write(s.data)
 	}
-	tags := make([]int, len(parts))
-	for _, t := range in.Tags() {
-		tags[owner[in.CompOf(t)]]++
+	docs, tags := graph.ShardContent(in, owner, len(parts))
+	postings := make([][]index.RawPosting, len(parts))
+	for _, p := range ix.Raw() {
+		for _, ev := range p.Events {
+			ps := &postings[owner[in.CompOf(ev.Frag)]]
+			if n := len(*ps); n == 0 || (*ps)[n-1].Kw != p.Kw {
+				*ps = append(*ps, index.RawPosting{Kw: p.Kw})
+			}
+			last := &(*ps)[len(*ps)-1]
+			last.Events = append(last.Events, ev)
+		}
 	}
 
 	layout := Layout{SetID: setID.Sum64()}
-	raw := ix.Raw()
 	for s, comps := range parts {
 		if err := validateShardName(names[s]); err != nil {
 			return err
 		}
-		desc := ShardDesc{Name: names[s], Comps: append([]int32(nil), comps...)}
-		ownedComp := make(map[int32]struct{}, len(comps))
-		for _, c := range comps {
-			ownedComp[c] = struct{}{}
+		desc := ShardDesc{Name: names[s], Comps: append([]int32(nil), comps...), Docs: docs[s]}
+		for _, p := range postings[s] {
+			desc.Events += len(p.Events)
 		}
-		for _, r := range in.DocRoots() {
-			if _, ok := ownedComp[in.CompOf(r)]; ok {
-				desc.Docs++
-			}
-		}
-		var postings []index.RawPosting
-		for _, p := range raw {
-			var evs []index.Event
-			for _, ev := range p.Events {
-				if _, ok := ownedComp[in.CompOf(ev.Frag)]; ok {
-					evs = append(evs, ev)
-				}
-			}
-			if len(evs) > 0 {
-				postings = append(postings, index.RawPosting{Kw: p.Kw, Events: evs})
-				desc.Events += len(evs)
-			}
-		}
-
 		hdr := encodeShardHeader(layout.SetID, s, len(parts), shardHeader{comps: desc.Comps, docs: desc.Docs, events: desc.Events, tags: tags[s]})
 		var file bytes.Buffer
-		secs := append([]asec{{secShardHeader, false, hdr}}, alignedIndexSections(postings)...)
+		secs := append([]asec{{secShardHeader, false, hdr}}, alignedIndexSections(postings[s])...)
 		if err := writeAligned(&file, ShardMagic, secs); err != nil {
 			return err
 		}
@@ -283,7 +266,6 @@ func decodeLayout(data []byte, nComp int) (*Layout, error) {
 	d := &decoder{data: data}
 	layout := &Layout{SetID: d.uint()}
 	n := d.count(2)
-	seen := make(map[int32]int)
 	for s := 0; s < n && d.err == nil; s++ {
 		desc := ShardDesc{Name: d.str()}
 		nc := d.count(1)
@@ -304,15 +286,6 @@ func decodeLayout(data []byte, nComp int) (*Layout, error) {
 				return nil, err
 			}
 		}
-		for _, c := range desc.Comps {
-			if c < 0 || c >= int32(nComp) {
-				return nil, fmt.Errorf("snap: manifest assigns unknown component %d to shard %d", c, s)
-			}
-			if prev, dup := seen[c]; dup {
-				return nil, fmt.Errorf("snap: manifest assigns component %d to shards %d and %d", c, prev, s)
-			}
-			seen[c] = s
-		}
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("snap: layout section: %w", d.err)
@@ -320,8 +293,13 @@ func decodeLayout(data []byte, nComp int) (*Layout, error) {
 	if len(layout.Shards) == 0 {
 		return nil, fmt.Errorf("snap: manifest describes no shards")
 	}
-	if len(seen) != nComp {
-		return nil, fmt.Errorf("snap: manifest covers %d of %d components", len(seen), nComp)
+	parts := make([][]int32, len(layout.Shards))
+	for s := range layout.Shards {
+		parts[s] = layout.Shards[s].Comps
+	}
+	var err error
+	if layout.Owner, err = graph.ComponentOwners(nComp, parts); err != nil {
+		return nil, fmt.Errorf("snap: manifest layout: %w", err)
 	}
 	return layout, nil
 }
@@ -358,47 +336,57 @@ func parseShard(data []byte, layout *Layout, i int, dv *DeferredVerify) (*aligne
 	return f, hdr, nil
 }
 
-// decodeShard reconstructs shard i of a set from its file's bytes,
-// validated against the manifest: digest, set id, ordinal, component
-// assignment and counts must all line up, and every event must lie in an
-// owned component. It returns the shard's component projection of the
-// base instance and its index slice (views of data), plus the file's
-// section spans.
-func decodeShard(data []byte, base *graph.Instance, layout *Layout, i int) (*graph.Instance, *index.Index, []secSpan, error) {
-	f, hdr, err := parseShard(data, layout, i, nil)
+// setBase is what a set's shard files are decoded against: the base
+// instance and the layout, and per shard the documents and tags the base
+// holds in the shard's components (graph.ShardContent over the layout's
+// owner table), counted once per set.
+type setBase struct {
+	in         *graph.Instance
+	layout     *Layout
+	docs, tags []int
+}
+
+func newSetBase(in *graph.Instance, layout *Layout) *setBase {
+	docs, tags := graph.ShardContent(in, layout.Owner, len(layout.Shards))
+	return &setBase{in: in, layout: layout, docs: docs, tags: tags}
+}
+
+// decodeShard decodes shard i of a set from its file's bytes, validated
+// against the manifest: digest, set id, ordinal and component assignment
+// must line up, the header's document and tag counts must be what the
+// base instance holds in the shard's components, and no event may lie in
+// a component the layout gives another shard. It returns the shard's
+// postings and their index over the base instance (views of data), plus
+// the file's section spans.
+func decodeShard(data []byte, b *setBase, i int) (index.Flat, *index.Index, []secSpan, error) {
+	f, hdr, err := parseShard(data, b.layout, i, nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return index.Flat{}, nil, nil, err
 	}
-	proj, err := base.ProjectComponents(hdr.comps)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
-	}
-	if got := len(proj.DocRoots()); got != hdr.docs {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d documents, header says %d", i, got, hdr.docs)
-	}
-	if got := len(proj.Tags()); got != hdr.tags {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d tags, header says %d", i, got, hdr.tags)
+	if b.docs[i] != hdr.docs || b.tags[i] != hdr.tags {
+		return index.Flat{}, nil, nil, fmt.Errorf("snap: shard %d has %d documents and %d tags, header says %d and %d", i, b.docs[i], b.tags[i], hdr.docs, hdr.tags)
 	}
 	flat, err := flatFromPayloads(f.payloads, "shard snapshot")
 	if err != nil {
-		return nil, nil, nil, err
+		return index.Flat{}, nil, nil, err
 	}
-	ix, err := index.FromFlat(proj, flat)
+	ix, err := index.FromFlat(b.in, flat)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
+		return index.Flat{}, nil, nil, fmt.Errorf("snap: shard %d: %w", i, err)
 	}
 	if got := len(flat.Evs); got != hdr.events {
-		return nil, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, hdr.events)
+		return index.Flat{}, nil, nil, fmt.Errorf("snap: shard %d has %d events, header says %d", i, got, hdr.events)
 	}
-	// The derived component lists name every event's component.
+	// The derived component lists name every event's component, and
+	// FromFlat refused a fragment in none.
 	for _, kw := range flat.Kws {
 		for _, c := range ix.Comps(kw) {
-			if !proj.OwnsComponent(c) {
-				return nil, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
+			if b.layout.Owner[c] != int32(i) {
+				return index.Flat{}, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
 			}
 		}
 	}
-	return proj, ix, f.spans, nil
+	return flat, ix, f.spans, nil
 }
 
 // shardHeader is a parsed per-shard header, cross-checked against the

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"s3/internal/core"
@@ -42,27 +46,35 @@ func writeSet(t testing.TB, in *graph.Instance, ix *index.Index, n int) (manifes
 
 // readSet decodes a whole in-memory shard set the way OpenShardSet does
 // over files in LoadCopy mode: the manifest, then shards[i] as the file
-// the layout names for shard i, each from an aligned private copy.
+// the layout names for shard i, each from an aligned private copy, and
+// the merge of their postings.
 func readSet(manifest []byte, shards [][]byte) (*ShardSet, error) {
 	base, layout, _, err := decodeManifest(alignedCopy(manifest))
 	if err != nil {
 		return nil, err
 	}
 	set := &ShardSet{Base: base, Layout: layout}
+	sb := newSetBase(base, layout)
+	var flats []index.Flat
 	for i, data := range shards {
-		proj, ix, _, err := decodeShard(alignedCopy(data), base, layout, i)
+		flat, ix, _, err := decodeShard(alignedCopy(data), sb, i)
 		if err != nil {
 			return nil, err
 		}
-		set.Shards = append(set.Shards, proj)
+		flats = append(flats, flat)
+		set.Shards = append(set.Shards, base)
 		set.Indexes = append(set.Indexes, ix)
+	}
+	if set.Index, err = index.Merge(base, flats); err != nil {
+		return nil, err
 	}
 	return set, nil
 }
 
 // TestShardSetRoundTrip writes a shard set, reads it back and checks that
-// the fan-out/merge engine over the loaded shards answers exactly like
-// the original single engine.
+// the merged index holds every event of the original once, and that one
+// engine over the base instance and the merged index answers exactly like
+// the original engine.
 func TestShardSetRoundTrip(t *testing.T) {
 	o := datagen.DefaultTwitterOptions()
 	o.Users, o.Tweets, o.Seed = 70, 260, 9
@@ -79,25 +91,25 @@ func TestShardSetRoundTrip(t *testing.T) {
 			if set.Base.Stats() != in.Stats() {
 				t.Errorf("base stats changed: %+v vs %+v", set.Base.Stats(), in.Stats())
 			}
-			// Per-shard stats must sum back to the instance totals.
-			docs, comps := 0, 0
-			for _, sh := range set.Shards {
-				docs += sh.Stats().Documents
-				comps += sh.Stats().Components
+			// The shards' events add up to the instance's, and the merge
+			// files each of them once, in the original order.
+			events := 0
+			for s, six := range set.Indexes {
+				if set.Shards[s] != set.Base {
+					t.Errorf("shard %d is not the base instance", s)
+				}
+				events += six.NumEvents()
 			}
-			if docs != in.Stats().Documents || comps != in.Stats().Components {
-				t.Errorf("shards hold %d docs / %d comps, instance %d / %d",
-					docs, comps, in.Stats().Documents, in.Stats().Components)
+			if events != ix.NumEvents() || set.Index.NumEvents() != ix.NumEvents() {
+				t.Errorf("shards hold %d events, merged index %d, instance %d", events, set.Index.NumEvents(), ix.NumEvents())
+			}
+			for _, kw := range ix.Keywords() {
+				if !slices.Equal(set.Index.Events(kw), ix.Events(kw)) {
+					t.Fatalf("keyword %d: merged events diverge", kw)
+				}
 			}
 
-			engines := make([]*core.Engine, len(set.Shards))
-			for i := range set.Shards {
-				engines[i] = core.NewEngine(set.Shards[i], set.Indexes[i])
-			}
-			se, err := core.NewShardedEngine(engines)
-			if err != nil {
-				t.Fatal(err)
-			}
+			merged := core.NewEngine(set.Base, set.Index)
 			single := core.NewEngine(in, ix)
 			users := in.Users()
 			kws := in.SortedKeywordsByFrequency()
@@ -107,7 +119,7 @@ func TestShardSetRoundTrip(t *testing.T) {
 					kw := in.Dict().String(kws[ki])
 					opts := core.Options{K: 5, Params: score.Params{Gamma: 1.5, Eta: 0.8}}
 					want, _, err1 := single.Search(users[s], []string{kw}, opts)
-					got, _, err2 := se.Search(users[s], []string{kw}, opts)
+					got, _, err2 := merged.Search(users[s], []string{kw}, opts)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("search errors: %v / %v", err1, err2)
 					}
@@ -214,5 +226,71 @@ func TestShardSetRejectsCorruption(t *testing.T) {
 		if _, err := readSet(manifest, [][]byte{s0, shards[1]}); err == nil {
 			t.Errorf("shard byte %d: corrupt shard accepted", i)
 		}
+	}
+}
+
+// TestWriteShardSetRefusesBadPartitions: a layout must assign every
+// component to exactly one shard. The writer refuses partitions that do
+// not, and so does every open of a manifest whose layout was edited to
+// break the rule and resealed.
+func TestWriteShardSetRefusesBadPartitions(t *testing.T) {
+	manifestPath, in, ix := writeSetFiles(t, 40, 150, 11, 2)
+	good, err := graph.PartitionComponents(in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := good[0][0], good[1][0]
+	for _, row := range []struct {
+		name  string
+		parts [][]int32
+		want  string
+	}{
+		{"component in two groups", [][]int32{good[0], append(slices.Clone(good[1]), c0)}, "assigned to groups 0 and 1"},
+		{"component in no group", [][]int32{good[0], good[1][1:]}, fmt.Sprintf("component %d assigned to no group", c1)},
+		{"component out of range", [][]int32{good[0], append(slices.Clone(good[1]), int32(in.NumComponents()))}, "outside instance"},
+	} {
+		ws := []io.Writer{io.Discard, io.Discard}
+		err := WriteShardSet(io.Discard, ws, []string{"s-0", "s-1"}, in, ix, row.parts)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: %v, want an error containing %q", row.name, err, row.want)
+		}
+	}
+
+	nComp := in.NumComponents()
+	for _, row := range []struct {
+		name string
+		edit func(l *Layout)
+		want string
+	}{
+		{"component twice", func(l *Layout) { l.Shards[1].Comps = append(l.Shards[1].Comps, l.Shards[0].Comps[0]) }, "assigned to groups 0 and 1"},
+		{"component left out", func(l *Layout) { l.Shards[1].Comps = l.Shards[1].Comps[1:] }, "assigned to no group"},
+	} {
+		edited := filepath.Join(t.TempDir(), "edited.set")
+		manifest, err := os.ReadFile(manifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := rebuildAligned(t, manifest, ManifestMagic, func(id byte, p []byte) ([]byte, bool) {
+			if id != secLayout {
+				return p, true
+			}
+			layout, err := decodeLayout(p, nComp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.edit(layout)
+			return encodeLayout(layout), true
+		})
+		if err := os.WriteFile(edited, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+			set, err := OpenShardSet(edited, mode)
+			wantRefused(t, row.name+" OpenShardSet mode="+mode.String(), row.want, set, err)
+			man, err := OpenManifest(edited, mode)
+			wantRefused(t, row.name+" OpenManifest mode="+mode.String(), row.want, man, err)
+		}
+		_, err = ParseManifest(out)
+		wantRefused(t, row.name+" ParseManifest", row.want, nil, err)
 	}
 }

@@ -58,6 +58,7 @@ func assertWorkerPostings(t *testing.T, manifestPath string, hosted []int, mode 
 	if !slices.Equal(host.Shards, hosted) || len(host.Postings) != len(hosted) || len(host.Tags) != len(hosted) {
 		t.Fatalf("%s: host holds shards %v, %d postings, %d tag counts", what, host.Shards, len(host.Postings), len(host.Tags))
 	}
+	_, tags := graph.ShardContent(set.Base, set.Layout.Owner, len(set.Layout.Shards))
 	var files int64
 	for i, s := range hosted {
 		ix, flat := set.Indexes[s], &host.Postings[i]
@@ -71,7 +72,7 @@ func assertWorkerPostings(t *testing.T, manifestPath string, hosted []int, mode 
 		if got := flat.Events(dict.ID(1 << 30)); got != nil {
 			t.Fatalf("%s shard %d: unknown keyword has events %v", what, s, got)
 		}
-		if want := set.Shards[s].Stats().Tags; host.Tags[i] != want {
+		if want := tags[s]; host.Tags[i] != want {
 			t.Errorf("%s shard %d: %d tags, shard set %d", what, s, host.Tags[i], want)
 		}
 		st, err := os.Stat(filepath.Join(filepath.Dir(manifestPath), layoutName(manifestPath, s)))

@@ -21,7 +21,7 @@ func MergeTopK[T any](k int, lists [][]T, less func(a, b T) bool) []T {
 
 // Merger is a reusable MergeTopK: one instance amortizes the cursor-heap
 // and output allocations across merges, so a steady-state caller (one
-// merge per lockstep round) allocates nothing. The slice returned by
+// merge per round) allocates nothing. The slice returned by
 // Merge is valid only until the next Merge on the same Merger — callers
 // that keep it longer must copy. A Merger is not safe for concurrent
 // use.

@@ -78,17 +78,9 @@ func (i *Instance) SetProxCache(pc *ProxCache) {
 	i.prox.Store(pc)
 }
 
-// SetProxCache attaches (or, with nil, detaches) a proximity cache shared
-// by the shard set's fan-out searches; see Instance.SetProxCache for the
-// binding semantics.
-func (si *ShardedInstance) SetProxCache(pc *ProxCache) {
-	if pc != nil {
-		// Fan-out searches run their iterator over shard 0's projection;
-		// that is the instance pointer checkpoints carry.
-		pc.c.Bind(si.shards[0])
-	}
-	si.prox.Store(pc)
-}
+// SetProxCache attaches (or, with nil, detaches) a proximity cache; see
+// Instance.SetProxCache.
+func (si *ShardedInstance) SetProxCache(pc *ProxCache) { si.inst.SetProxCache(pc) }
 
 // WarmProximity pre-explores a seeker's social neighbourhood to maxDepth
 // under the given damping factors and publishes the frontier into the
@@ -116,17 +108,5 @@ func (i *Instance) WarmProximity(seekerURI string, gamma, eta float64, maxDepth 
 // WarmProximity pre-explores a seeker over the shard set's shared
 // substrate; see Instance.WarmProximity.
 func (si *ShardedInstance) WarmProximity(seekerURI string, gamma, eta float64, maxDepth int) (int, bool) {
-	pc := si.prox.Load()
-	if pc == nil {
-		return 0, false
-	}
-	n, ok := si.base.NIDOf(seekerURI)
-	if !ok {
-		return 0, false
-	}
-	d, seeded := si.seng.WarmProximity(pc.c, n, score.Params{Gamma: gamma, Eta: eta}, maxDepth)
-	if seeded {
-		pc.warmed.Add(1)
-	}
-	return d, seeded
+	return si.inst.WarmProximity(seekerURI, gamma, eta, maxDepth)
 }

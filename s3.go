@@ -323,7 +323,6 @@ type SearchInfo struct {
 
 type searchConfig struct {
 	opts    core.Options
-	ctx     context.Context
 	partial bool
 }
 
@@ -368,12 +367,12 @@ func WithTrace(t *Trace) Option {
 	return func(c *searchConfig) { c.opts.Trace = t }
 }
 
-// WithContext cancels the search when ctx does: a distributed search
-// checks it between lockstep rounds and releases its worker sessions on
-// the way out. Local searches currently ignore it (their rounds are
-// in-process and bounded by WithBudget).
+// WithContext cancels the search when ctx does: the search checks it
+// before every exploration round and, once ctx is done, stops with ctx's
+// error (context.Canceled or context.DeadlineExceeded). A distributed
+// search also abandons its postings fetches.
 func WithContext(ctx context.Context) Option {
-	return func(c *searchConfig) { c.ctx = ctx }
+	return func(c *searchConfig) { c.opts.Ctx = ctx }
 }
 
 // WithPartial lets a distributed search answer from the surviving shards

@@ -1,12 +1,10 @@
 package s3
 
 import (
-	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"s3/internal/core"
 	"s3/internal/graph"
-	"s3/internal/index"
 	"s3/internal/snap"
 )
 
@@ -58,14 +56,13 @@ type ShardStat struct {
 	Documents  int
 	Components int
 	Tags       int
-	// Searches counts the queries that fanned out to this shard (for a
-	// sharded instance: had a matching component there; for a plain
-	// instance: every search).
+	// Searches counts the queries that matched a component on this shard
+	// (for a plain instance: every search).
 	Searches uint64
-	// Rounds counts the lockstep search rounds that carried candidate
-	// work on this shard — with Searches, the load signal a shard
-	// rebalancer consumes. A plain instance counts every exploration
-	// round of every search (each round carries the whole query's work).
+	// Rounds counts the exploration rounds of those searches — with
+	// Searches, the load signal a shard rebalancer consumes. A sharded
+	// instance and a distributed coordinator over the same set count it
+	// the same way.
 	Rounds uint64
 }
 
@@ -81,140 +78,102 @@ func (i *Instance) Shards() []ShardStat {
 	}}
 }
 
-// ShardedInstance is a frozen S3 instance partitioned by component into N
-// shards sharing one proximity substrate (dictionary, node tables,
-// network matrix, ontology). Searches fan out across per-shard engines in
-// lockstep and merge per-shard answers by score interval; the result —
-// documents, order and score intervals — is identical to searching the
-// unsharded instance (see internal/core's sharded engine). It is
-// immutable (counters aside) and safe for concurrent searches.
+// ShardedInstance is a frozen S3 instance whose components are split into
+// N shards, as a shard set's files split them. The split is a file layout
+// and a load signal, not a search topology: a search runs as one engine
+// over the shared substrate (dictionary, node tables, network matrix,
+// ontology) and one index holding every shard's postings, so the result —
+// documents, order and score intervals — is the unsharded instance's. The
+// per-shard rows count what a distributed coordinator over the same set
+// counts. It is immutable (counters aside) and safe for concurrent
+// searches.
 type ShardedInstance struct {
-	base   *graph.Instance
-	shards []*graph.Instance
-	ixs    []*index.Index
-	seng   *core.ShardedEngine
+	// inst searches with an engine that counts every search on load.
+	inst *Instance
+	load *core.ShardLoad
+	// content holds each shard's content counts, fixed at construction.
+	content []ShardStat
 
 	// lifecycle owns the memory mappings behind a LoadMmap shard set.
 	lifecycle
-
-	// prox is the optional seeker-proximity checkpoint cache shared by the
-	// fan-out searches.
-	prox atomic.Pointer[ProxCache]
-
-	// obsm is the optional search-metrics sink shared by the fan-out
-	// searches.
-	obsm atomic.Pointer[SearchMetrics]
 }
 
 // SetSearchMetrics attaches (or with nil, detaches) the instrument
 // bundle fed by subsequent searches.
-func (si *ShardedInstance) SetSearchMetrics(m *SearchMetrics) { si.obsm.Store(m) }
+func (si *ShardedInstance) SetSearchMetrics(m *SearchMetrics) { si.inst.SetSearchMetrics(m) }
 
 // ShardBy partitions the instance into n component shards in memory
 // (without going through shard-set files): components are spread by
-// balanced document count, each shard receives its component projection
-// and index slice, and the result searches through the fan-out/merge
-// engine. Useful for exploiting multi-core parallelism on one box and for
-// testing shard layouts before persisting them.
+// balanced document count, as WriteShardSetFiles spreads them. Searches
+// run over the instance's own index and answer exactly as the instance
+// does; the shards are what Shards reports on. Useful for testing shard
+// layouts before persisting them.
 func (i *Instance) ShardBy(n int) (*ShardedInstance, error) {
 	parts, err := graph.PartitionComponents(i.in, n)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]*graph.Instance, n)
-	ixs := make([]*index.Index, n)
-	for s, comps := range parts {
-		proj, err := i.in.ProjectComponents(comps)
-		if err != nil {
-			return nil, err
-		}
-		pix, err := i.ix.Project(proj)
-		if err != nil {
-			return nil, err
-		}
-		shards[s], ixs[s] = proj, pix
-	}
-	return newShardedInstance(i.in, shards, ixs)
-}
-
-func newShardedInstance(base *graph.Instance, shards []*graph.Instance, ixs []*index.Index) (*ShardedInstance, error) {
-	engines := make([]*core.Engine, len(shards))
-	for s := range shards {
-		engines[s] = core.NewEngine(shards[s], ixs[s])
-	}
-	seng, err := core.NewShardedEngine(engines)
+	owner, err := graph.ComponentOwners(i.in.NumComponents(), parts)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedInstance{base: base, shards: shards, ixs: ixs, seng: seng}, nil
+	return newShardedInstance(i.eng, owner, n), nil
+}
+
+// newShardedInstance wraps eng as a set of n shards, owner mapping each
+// component to its shard: searches run on eng and count on the shards.
+func newShardedInstance(eng *core.Engine, owner []int32, n int) *ShardedInstance {
+	in := eng.Instance()
+	load := core.NewShardLoad(n)
+	content := make([]ShardStat, n)
+	docs, tags := graph.ShardContent(in, owner, n)
+	for s := range content {
+		content[s].Documents, content[s].Tags = docs[s], tags[s]
+	}
+	for _, s := range owner {
+		content[s].Components++
+	}
+	inst := &Instance{in: in, ix: eng.Index(), eng: eng.WithShardLoad(owner, load)}
+	return &ShardedInstance{inst: inst, load: load, content: content}
 }
 
 // NumShards returns the shard count.
-func (si *ShardedInstance) NumShards() int { return len(si.shards) }
+func (si *ShardedInstance) NumShards() int { return len(si.content) }
 
 // Stats returns the whole-instance statistics (identical to the
 // unsharded instance's: the substrate is shared, the shards partition the
 // content).
-func (si *ShardedInstance) Stats() Stats { return si.base.Stats() }
+func (si *ShardedInstance) Stats() Stats { return si.inst.Stats() }
 
 // HasUser reports whether uri names a user (users are shared substrate,
 // so every shard can act for any seeker).
-func (si *ShardedInstance) HasUser(uri string) bool {
-	n, ok := si.base.NIDOf(uri)
-	return ok && si.base.KindOf(n) == graph.KindUser
-}
+func (si *ShardedInstance) HasUser(uri string) bool { return si.inst.HasUser(uri) }
 
 // Extension returns the semantic extension of a keyword (the ontology is
 // shared substrate).
-func (si *ShardedInstance) Extension(keyword string) []string {
-	return extension(si.base, keyword)
-}
+func (si *ShardedInstance) Extension(keyword string) []string { return si.inst.Extension(keyword) }
 
-// Shards describes the shard layout with per-shard content counts and
-// fan-out search counts.
+// Shards describes the shard layout: per shard, its content counts and
+// the searches that matched a component there with the rounds they ran.
 func (si *ShardedInstance) Shards() []ShardStat {
-	touches := si.seng.ShardTouches()
-	rounds := si.seng.ShardRounds()
-	out := make([]ShardStat, len(si.shards))
-	for s, sh := range si.shards {
-		st := sh.Stats()
-		out[s] = ShardStat{
-			Documents:  st.Documents,
-			Components: st.Components,
-			Tags:       st.Tags,
-			Searches:   touches[s],
-			Rounds:     rounds[s],
-		}
+	out := slices.Clone(si.content)
+	for s := range out {
+		out[s].Searches, out[s].Rounds = si.load.Shard(s)
 	}
 	return out
 }
 
-// Search runs a sharded S3k top-k search; the answer equals the unsharded
+// Search runs an S3k top-k search; the answer equals the unsharded
 // answer.
 func (si *ShardedInstance) Search(seekerURI string, keywords []string, opts ...Option) ([]Result, error) {
 	rs, _, err := si.SearchInfoed(seekerURI, keywords, opts...)
 	return rs, err
 }
 
-// SearchInfoed is Search returning termination information as well.
+// SearchInfoed is Search returning termination information as well. A
+// search counts on every shard holding a component it matched.
 func (si *ShardedInstance) SearchInfoed(seekerURI string, keywords []string, opts ...Option) ([]Result, SearchInfo, error) {
-	cfg := searchConfig{opts: core.DefaultOptions()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	seeker, ok := si.base.NIDOf(seekerURI)
-	if !ok {
-		return nil, SearchInfo{}, fmt.Errorf("s3: unknown seeker %q", seekerURI)
-	}
-	if pc := si.prox.Load(); pc != nil {
-		cfg.opts.ProxCache = pc.c
-	}
-	cfg.opts.Obs = si.obsm.Load()
-	rs, stats, err := si.seng.Search(seeker, keywords, cfg.opts)
-	if err != nil {
-		return nil, SearchInfo{}, err
-	}
-	return mapResults(si.base, rs), mapSearchInfo(stats), nil
+	return si.inst.SearchInfoed(seekerURI, keywords, opts...)
 }
 
 // WriteShardSetFiles partitions the instance into n shards and persists
@@ -231,19 +190,17 @@ func (i *Instance) WriteShardSetFiles(manifestPath string, n int) ([]string, err
 
 // OpenShardSet loads a shard set from disk in the given mode: the
 // manifest plus the shard files it names (resolved in the manifest's
-// directory). With LoadMmap the shared substrate and every per-shard
-// index slice are views into the mapped files; call Close when the
-// instance is retired (after in-flight searches finish) to unmap them.
+// directory), with the shards' postings merged into one index at open.
+// With LoadMmap the shared substrate is a view into the mapped manifest
+// (the merged index lives on the heap); call Close when the instance is
+// retired (after in-flight searches finish) to unmap the files.
 func OpenShardSet(manifestPath string, mode LoadMode) (*ShardedInstance, error) {
 	s, err := snap.OpenShardSet(manifestPath, snap.LoadMode(mode))
 	if err != nil {
 		return nil, err
 	}
-	si, err := newShardedInstance(s.Set.Base, s.Set.Shards, s.Set.Indexes)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
+	set := s.Set
+	si := newShardedInstance(core.NewEngine(set.Base, set.Index), set.Layout.Owner, len(set.Layout.Shards))
 	si.setMapped(s.MappedBytes(), s.Close)
 	return si, nil
 }

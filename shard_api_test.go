@@ -2,6 +2,8 @@ package s3_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -136,10 +138,10 @@ func TestShardByMatchesInstance(t *testing.T) {
 }
 
 // TestShardStatSemantics pins what ShardStat.Searches and Rounds count on
-// a ShardedInstance at every N, the one-shard set included (it runs the
-// same round loop as any other, with no counters of its own): Searches is
-// the searches that matched a component on the shard, Rounds the rounds
-// that carried candidates there.
+// a ShardedInstance at every N, the one-shard set included, by the
+// definition a distributed coordinator counts with: Searches is the
+// searches that matched a component on the shard, Rounds the exploration
+// rounds those searches ran.
 func TestShardStatSemantics(t *testing.T) {
 	inst := buildTestInstance(t, 60, 240, 3)
 	queries := sampleQueries(t, inst, 5)
@@ -174,11 +176,11 @@ func TestShardStatSemantics(t *testing.T) {
 		t.Errorf("N=1: Searches = %d, want %d (the matching searches only)", got.Searches, len(queries))
 	}
 	if got.Rounds == 0 || got.Rounds > iterations {
-		t.Errorf("N=1: Rounds = %d, want in (0, %d] (rounds carrying candidates, at most every round)", got.Rounds, iterations)
+		t.Errorf("N=1: Rounds = %d, want in (0, %d] (the matching searches' rounds)", got.Rounds, iterations)
 	}
 	// The one shard holds the union of the three: a search touches it iff
-	// it touches some shard of the three, a round carries candidates on it
-	// iff it does on some shard of the three.
+	// it touches some shard of the three, and its rounds count wherever
+	// it does.
 	var maxS, sumS, maxR, sumR uint64
 	for _, sh := range many.Shards() {
 		maxS, sumS = max(maxS, sh.Searches), sumS+sh.Searches
@@ -189,6 +191,25 @@ func TestShardStatSemantics(t *testing.T) {
 	}
 	if got.Rounds < maxR || got.Rounds > sumR {
 		t.Errorf("Rounds: N=1 counts %d, N=3 max %d sum %d", got.Rounds, maxR, sumR)
+	}
+}
+
+// TestCancelledContextStopsLocalSearches: WithContext reaches the local
+// round loop, so a search whose context is done returns the context's
+// error instead of running to the end, on a plain and a sharded instance.
+func TestCancelledContextStopsLocalSearches(t *testing.T) {
+	inst := buildTestInstance(t, 60, 240, 3)
+	q := sampleQueries(t, inst, 1)[0]
+	si, err := inst.ShardBy(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, qi := range map[string]s3.Queryable{"instance": inst, "sharded": si} {
+		if _, _, err := qi.SearchInfoed(q[0], []string{q[1]}, s3.WithK(5), s3.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: search with a cancelled context returned %v, want context.Canceled", name, err)
+		}
 	}
 }
 

@@ -34,13 +34,15 @@ const (
 // WriteSnapshot serialises the frozen instance — dictionary, graph
 // tables, normalised transition matrix, saturated ontology and the
 // connection index — in the versioned binary snapshot format of
-// internal/snap (currently version 3: page-aligned raw sections that a
+// internal/snap (currently version 5: page-aligned raw sections that a
 // mmap-based reader serves without decoding). Unlike EncodeSpec, which
 // stores the declarative content and re-runs the whole build pipeline on
-// load, a snapshot stores every derived structure, so ReadSnapshot
-// cold-starts in the time it takes to read flat arrays from disk — and
-// OpenSnapshot with LoadMmap in little more than the time it takes to
-// map them.
+// load, a snapshot stores the built structures; only what one linear
+// pass derives more cheaply than a check could verify it (tree children,
+// the URI → node table, the postings' component summaries) is left out
+// and rebuilt at open. So ReadSnapshot cold-starts in the time it takes
+// to read flat arrays from disk and scan them — and OpenSnapshot with
+// LoadMmap in little more than the time it takes to map and scan them.
 //
 // The format is canonical: the same instance always produces the same
 // bytes, so snapshots can be content-addressed, cached and diffed.
