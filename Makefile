@@ -24,7 +24,7 @@ bench-e2e-smoke:
 # fuzz-smoke runs every fuzz target of the packages that decode outside
 # input — the distributed tier's wire (internal/dshard), the snapshot
 # files (internal/snap) and the connection index (internal/index), which
-# a coordinator's fetched postings enter through index.FromRaw — for
+# a coordinator's fetched postings enter through index.Merge — for
 # FUZZTIME each (go test -fuzz takes one package and one target per
 # invocation). Minimisation is capped: left at its 60 s default,
 # shrinking one multi-kB snapshot input that found new coverage outlasts

@@ -1,6 +1,6 @@
 // Command s3serve runs the long-lived S3 query server: it loads a frozen
-// instance from a binary snapshot, a component-sharded shard set, or a
-// spec rebuild, and serves S3k searches over an HTTP JSON API with result
+// instance from a binary snapshot or a component-sharded shard set, and
+// serves S3k searches over an HTTP JSON API with result
 // caching, concurrent-query coalescing, a bounded search worker pool and
 // atomic hot reload (with cache re-warming).
 //
@@ -84,8 +84,6 @@ func main() {
 	var (
 		snapPath   = flag.String("snapshot", "", "serve the instance from this binary snapshot (fast cold start)")
 		setPath    = flag.String("shardset", "", "serve a sharded instance from this shard-set manifest (s3gen -shards)")
-		specPath   = flag.String("spec", "", "rebuild the instance from this spec (gob) when -snapshot is not given")
-		lang       = flag.String("lang", "raw", "text pipeline for -spec builds: english | french | raw")
 		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
 		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset to a coordinator from one process (one postings reply per search for all of them; e.g. -shards-of 0,2, or -shards-of 1 for one shard)")
 		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
@@ -112,8 +110,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if len(shards) > 0 {
-		if *setPath == "" || *snapPath != "" || *specPath != "" || *coord {
-			log.Fatal("-shards-of requires -shardset (and excludes -snapshot, -spec and -coordinator)")
+		if *setPath == "" || *snapPath != "" || *coord {
+			log.Fatal("-shards-of requires -shardset (and excludes -snapshot and -coordinator)")
 		}
 		verify, err := parseVerify(*verifyMode)
 		if err != nil {
@@ -123,7 +121,7 @@ func main() {
 		return
 	}
 
-	loader, err := makeLoader(*snapPath, *setPath, *specPath, *lang, mode, *coord, *workerURL)
+	loader, err := makeLoader(*snapPath, *setPath, mode, *coord, *workerURL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -262,17 +260,11 @@ func logShardLayout(inst s3.Queryable) {
 }
 
 // makeLoader builds the instance-loading closure used both for the
-// initial load and for POST /reload. Snapshot and shard-set loading need
-// no language: both embed the text-pipeline configuration.
-func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coord bool, workerURLs string) (func() (s3.Queryable, error), error) {
-	sources := 0
-	for _, p := range []string{snapPath, setPath, specPath} {
-		if p != "" {
-			sources++
-		}
-	}
-	if sources > 1 {
-		return nil, fmt.Errorf("-snapshot, -shardset and -spec are mutually exclusive")
+// initial load and for POST /reload. Snapshots and shard sets embed the
+// text-pipeline configuration, so loading needs no language.
+func makeLoader(snapPath, setPath string, mode s3.LoadMode, coord bool, workerURLs string) (func() (s3.Queryable, error), error) {
+	if snapPath != "" && setPath != "" {
+		return nil, fmt.Errorf("-snapshot and -shardset are mutually exclusive")
 	}
 	if coord {
 		if setPath == "" {
@@ -300,21 +292,8 @@ func makeLoader(snapPath, setPath, specPath, lang string, mode s3.LoadMode, coor
 		return func() (s3.Queryable, error) {
 			return s3.OpenShardSet(setPath, mode)
 		}, nil
-	case specPath != "":
-		l, err := parseLang(lang)
-		if err != nil {
-			return nil, err
-		}
-		return func() (s3.Queryable, error) {
-			f, err := os.Open(specPath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return s3.BuildFromSpec(f, l)
-		}, nil
 	default:
-		return nil, fmt.Errorf("one of -snapshot, -shardset or -spec is required")
+		return nil, fmt.Errorf("one of -snapshot or -shardset is required")
 	}
 }
 
@@ -355,18 +334,5 @@ func parseVerify(s string) (snap.VerifyMode, error) {
 		return snap.VerifyEager, nil
 	default:
 		return 0, fmt.Errorf("unknown -verify %q (want lazy or eager)", s)
-	}
-}
-
-func parseLang(s string) (s3.Lang, error) {
-	switch s {
-	case "english":
-		return s3.English, nil
-	case "french":
-		return s3.French, nil
-	case "raw":
-		return s3.Raw, nil
-	default:
-		return 0, fmt.Errorf("unknown -lang %q (want english, french or raw)", s)
 	}
 }

@@ -54,7 +54,7 @@ func writeSnapshotFile(t *testing.T) (string, *s3.Instance) {
 func TestServeFromSnapshotEndToEnd(t *testing.T) {
 	path, built := writeSnapshotFile(t)
 
-	loader, err := makeLoader(path, "", "", "raw", s3.LoadCopy, false, "")
+	loader, err := makeLoader(path, "", s3.LoadCopy, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,26 +156,20 @@ func TestServeFromSnapshotEndToEnd(t *testing.T) {
 }
 
 func TestMakeLoaderValidation(t *testing.T) {
-	if _, err := makeLoader("", "", "", "raw", s3.LoadCopy, false, ""); err == nil {
+	if _, err := makeLoader("", "", s3.LoadCopy, false, ""); err == nil {
 		t.Error("no source accepted")
 	}
-	if _, err := makeLoader("a.snap", "", "b.spec", "raw", s3.LoadCopy, false, ""); err == nil {
-		t.Error("snapshot+spec accepted")
-	}
-	if _, err := makeLoader("a.snap", "a.set", "", "raw", s3.LoadCopy, false, ""); err == nil {
+	if _, err := makeLoader("a.snap", "a.set", s3.LoadCopy, false, ""); err == nil {
 		t.Error("snapshot+shardset accepted")
 	}
-	if _, err := makeLoader("", "", "b.spec", "klingon", s3.LoadCopy, false, ""); err == nil {
-		t.Error("unknown language accepted")
-	}
-	loader, err := makeLoader(filepath.Join(t.TempDir(), "missing.snap"), "", "", "raw", s3.LoadCopy, false, "")
+	loader, err := makeLoader(filepath.Join(t.TempDir(), "missing.snap"), "", s3.LoadCopy, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loader(); err == nil {
 		t.Error("missing snapshot file loaded")
 	}
-	loader, err = makeLoader("", filepath.Join(t.TempDir(), "missing.set"), "", "raw", s3.LoadCopy, false, "")
+	loader, err = makeLoader("", filepath.Join(t.TempDir(), "missing.set"), s3.LoadCopy, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ func TestServeFromShardSetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loader, err := makeLoader("", manifest, "", "raw", s3.LoadCopy, false, "")
+	loader, err := makeLoader("", manifest, s3.LoadCopy, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +325,7 @@ func TestServeFromShardSetEndToEnd(t *testing.T) {
 // identically to the in-memory instance.
 func TestMmapLoaderEndToEnd(t *testing.T) {
 	path, built := writeSnapshotFile(t)
-	loader, err := makeLoader(path, "", "", "raw", s3.LoadMmap, false, "")
+	loader, err := makeLoader(path, "", s3.LoadMmap, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +415,7 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 	w0 := startTestWorker(t, manifest, 0)
 	w1 := startTestWorker(t, manifest, 1)
 
-	loader, err := makeLoader("", manifest, "", "raw", s3.LoadMmap, true, w0.URL+","+w1.URL)
+	loader, err := makeLoader("", manifest, s3.LoadMmap, true, w0.URL+","+w1.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

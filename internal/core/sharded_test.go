@@ -26,22 +26,10 @@ func shardIndexes(t testing.TB, in *graph.Instance, ix *index.Index, n int) []*i
 	if err != nil {
 		t.Fatal(err)
 	}
-	postings := make([][]index.RawPosting, n)
-	for _, p := range ix.Raw() {
-		evs := make([][]index.Event, n)
-		for _, ev := range p.Events {
-			s := owner[in.CompOf(ev.Frag)]
-			evs[s] = append(evs[s], ev)
-		}
-		for s := range evs {
-			if len(evs[s]) > 0 {
-				postings[s] = append(postings[s], index.RawPosting{Kw: p.Kw, Events: evs[s]})
-			}
-		}
-	}
+	flats := index.Split(in, ix.Flat(), owner, n)
 	ixs := make([]*index.Index, n)
 	for s := range ixs {
-		if ixs[s], err = index.FromRaw(in, postings[s]); err != nil {
+		if ixs[s], err = index.FromFlat(in, flats[s]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"s3/internal/core"
 	"s3/internal/datagen"
+	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
 	"s3/internal/snap"
@@ -48,30 +50,31 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 		[]index.Event{{Frag: 4, Src: 1, Type: index.RelatedTo}}, []index.Event{{Frag: 8, Src: graph.NoNID}},
 		nil, []index.Event{{Frag: 2, Src: 7, Type: index.CommentsOn}, {Frag: 6, Src: 7, Type: index.CommentsOn}},
 	)
-	evs, _, err := decodePostingsReply(reply, shards, 2, owns, time.Now())
+	kws := []dict.ID{3, 5}
+	parts, _, err := decodePostingsReply(reply, shards, kws, owns, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs[0]) != 1 || len(evs[1]) != 3 {
-		t.Fatalf("decoded %d and %d events, want 1 and 3", len(evs[0]), len(evs[1]))
+	if !slices.Equal(parts[0].Kws, kws) || len(parts[0].Evs) != 2 || !slices.Equal(parts[1].Kws, kws[1:]) || len(parts[1].Evs) != 2 {
+		t.Fatalf("decoded shards %+v, want keywords %v with 2 events and %v with 2", parts, kws, kws[1:])
 	}
-	if _, _, err := decodePostingsReply(reply, []int{2, 0}, 2, owns, time.Now()); err == nil {
+	if _, _, err := decodePostingsReply(reply, []int{2, 0}, kws, owns, time.Now()); err == nil {
 		t.Error("blocks answering for each other's shards accepted")
 	}
-	if _, _, err := decodePostingsReply(reply, append(shards, 1), 2, owns, time.Now()); err == nil {
+	if _, _, err := decodePostingsReply(reply, append(shards, 1), kws, owns, time.Now()); err == nil {
 		t.Error("a reply missing a requested shard's blocks accepted")
 	}
 	overrun := bytes.Clone(reply)
 	binary.LittleEndian.PutUint32(overrun, 1000) // the first block claims events the payload cannot hold
-	if _, _, err := decodePostingsReply(overrun, shards, 2, owns, time.Now()); err == nil || !strings.Contains(err.Error(), "overrun") {
+	if _, _, err := decodePostingsReply(overrun, shards, kws, owns, time.Now()); err == nil || !strings.Contains(err.Error(), "overrun") {
 		t.Errorf("event count overrunning the payload: %v", err)
 	}
 	for cut := 0; cut < len(reply); cut++ {
-		if _, _, err := decodePostingsReply(reply[:cut], shards, 2, owns, time.Now()); err == nil {
+		if _, _, err := decodePostingsReply(reply[:cut], shards, kws, owns, time.Now()); err == nil {
 			t.Fatalf("reply truncated to %d of %d bytes accepted", cut, len(reply))
 		}
 	}
-	if _, _, err := decodePostingsReply(append(bytes.Clone(reply), 0), shards, 2, owns, time.Now()); err == nil {
+	if _, _, err := decodePostingsReply(append(bytes.Clone(reply), 0), shards, kws, owns, time.Now()); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }

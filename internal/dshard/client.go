@@ -95,7 +95,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // check. Any non-200 status is an error carrying the worker's message, a
 // 400 an appError; a reply that fails its CRC, is cut short or does not
 // decode is an error like a reset.
-func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check blockCheck) ([][]index.Event, *obs.Span, error) {
+func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check blockCheck) ([]index.Flat, *obs.Span, error) {
 	if c.cfg.RPCTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RPCTimeout)
@@ -105,7 +105,7 @@ func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest,
 	start := time.Now()
 	body := &countingReader{}
 	defer func() { c.metrics.observe(start, len(frame), body.n) }()
-	fail := func(err error) ([][]index.Event, *obs.Span, error) {
+	fail := func(err error) ([]index.Flat, *obs.Span, error) {
 		return nil, nil, fmt.Errorf("dshard: %s%s: %w", base, pathPostings, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+pathPostings, bytes.NewReader(frame))
@@ -139,11 +139,11 @@ func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest,
 	if err != nil {
 		return fail(err)
 	}
-	evs, sp, err := decodePostingsReply(p, r.shards, len(r.kws), check, start)
+	parts, sp, err := decodePostingsReply(p, r.shards, r.kws, check, start)
 	if err != nil {
 		return fail(err)
 	}
-	return evs, sp, nil
+	return parts, sp, nil
 }
 
 // isFatal reports errors a failover cannot route around: deterministic

@@ -702,18 +702,12 @@ func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial
 		return nil, core.Stats{}, nil, fmt.Errorf("dshard: query of %d keywords (cap %d)", len(kws), maxKeywords)
 	}
 	span := copts.Trace.Span().StartChild("fetch")
-	evs, served, lost, err := c.gather(ctx, sub, kws, copts.Trace.TraceID(), span, partial)
+	parts, served, lost, err := c.gather(ctx, sub, kws, copts.Trace.TraceID(), span, partial)
 	span.End()
 	if err != nil {
 		return nil, core.Stats{}, nil, err
 	}
-	postings := make([]index.RawPosting, 0, len(kws))
-	for i, k := range kws {
-		if len(evs[i]) > 0 {
-			postings = append(postings, index.RawPosting{Kw: k, Events: evs[i]})
-		}
-	}
-	ix, err := index.FromRaw(sub.eng.Instance(), postings)
+	ix, err := index.Merge(sub.eng.Instance(), parts)
 	if err != nil {
 		return nil, core.Stats{}, nil, err
 	}
@@ -730,27 +724,27 @@ func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial
 	return sel, stats, deg, nil
 }
 
-// hostFetch is one request of a gather: a worker and the shards it was
-// picked for.
+// hostFetch is one request of a gather: a worker, the shards it was
+// picked for and, once fetched, their postings.
 type hostFetch struct {
 	ref    *workerRef
 	shards []int
-	evs    [][]index.Event
+	parts  []index.Flat
 	err    error
 }
 
 // gather fetches the postings of kws on every shard — one concurrent
 // request per host of the cover — and re-fetches the shards of a host
 // whose request failed from their other replicas, at most SearchRetries
-// times. It returns, per keyword, the events of every shard served, the
-// served shards and, in partial mode, the shards left without a replica.
-func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID, traceID uint64, span *obs.Span, partial bool) (evs [][]index.Event, served, lost []int, err error) {
+// times. It returns the postings of every shard served, one index.Flat
+// each, the served shards and, in partial mode, the shards left without a
+// replica.
+func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID, traceID uint64, span *obs.Span, partial bool) (parts []index.Flat, served, lost []int, err error) {
 	refs, lost := c.pickCover(nil)
 	if len(lost) > 0 && (!partial || len(lost) == c.cfg.ShardCount) {
 		c.release(refs)
 		return nil, nil, nil, fmt.Errorf("dshard: no healthy worker for shard %d", lost[0])
 	}
-	evs = make([][]index.Event, len(kws))
 	excluded := make(map[*workerRef]bool)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -777,7 +771,7 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 			go func() {
 				defer wg.Done()
 				var wsp *obs.Span
-				h.evs, wsp, h.err = c.fetch(ctx, h.ref.url, postingsRequest{traceID: traceID, shards: h.shards, kws: kws}, sub.check)
+				h.parts, wsp, h.err = c.fetch(ctx, h.ref.url, postingsRequest{traceID: traceID, shards: h.shards, kws: kws}, sub.check)
 				sp.Attach(wsp)
 				sp.End()
 			}()
@@ -790,9 +784,7 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 			switch {
 			case h.err == nil:
 				c.noteWorkerSuccess(h.ref)
-				for k := range evs {
-					evs[k] = append(evs[k], h.evs[k]...)
-				}
+				parts = append(parts, h.parts...)
 				served = append(served, h.shards...)
 			case isFatal(ctx, h.err):
 				c.noteWorkerReleased(h.ref)
@@ -835,7 +827,7 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 	}
 	slices.Sort(served)
 	slices.Sort(lost)
-	return evs, served, lost, nil
+	return parts, served, lost, nil
 }
 
 // release hands back the half-open trial tokens of picked workers that

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -440,8 +441,8 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A reply for two shards and two keywords: each keyword's events come
-	// back with both shards' concatenated, the span block with its tree.
+	// A reply for two shards and two keywords: each shard's blocks come
+	// back as that shard's flat postings, the span block with its tree.
 	blocks := [][][]index.Event{
 		{{{Frag: 4, Src: graph.NoNID, Type: index.Contains}}, nil},
 		{{{Frag: 9, Src: 2, Type: index.RelatedTo}, {Frag: 11, Src: 3, Type: index.CommentsOn}}, {{Frag: 12, Src: 5, Type: index.RelatedTo}}},
@@ -453,13 +454,16 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 	encodeSpanBlock(e, sampleSpan())
-	evs, sp, err := decodePostingsReply(e.b, []int{1, 3}, 2, acceptAll, time.Now())
+	parts, sp, err := decodePostingsReply(e.b, []int{1, 3}, []dict.ID{2, 9}, acceptAll, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]index.Event{append(blocks[0][0], blocks[1][0]...), blocks[1][1]}
-	if fmt.Sprint(evs) != fmt.Sprint(want) {
-		t.Fatalf("postings reply round trip: %v != %v", evs, want)
+	want := []index.Flat{
+		{Kws: []dict.ID{2}, EvOff: []int64{0, 1}, Evs: blocks[0][0]},
+		{Kws: []dict.ID{2, 9}, EvOff: []int64{0, 2, 3}, Evs: append(slices.Clone(blocks[1][0]), blocks[1][1]...)},
+	}
+	if fmt.Sprint(parts) != fmt.Sprint(want) {
+		t.Fatalf("postings reply round trip: %v != %v", parts, want)
 	}
 	if sp == nil || sp.Name != "exec.round" || len(sp.Children) != 1 {
 		t.Fatalf("span block round trip: %+v", sp)

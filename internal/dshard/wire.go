@@ -8,8 +8,8 @@
 // connection index's postings for the query's keywords, and only they are
 // sharded. So a search is one postings exchange per worker host: the
 // coordinator asks each host of its shard cover for the events of the
-// query's keywords on the shards it picked there, builds an index over
-// the substrate from the replies (index.FromRaw) and runs S3k over it in
+// query's keywords on the shards it picked there, merges the replies into
+// an index over the substrate (index.Merge) and runs S3k over it in
 // process. Its answer is byte-identical to the in-process shard set's,
 // property-tested in dshard_test.go.
 //
@@ -27,9 +27,10 @@
 //	reply    per requested shard, per requested keyword: n u32 · (frag u32 · src u32 · type u8)×n
 //	         · [span block]
 //
-// A shard's events for a keyword are its index.Events, in canonical order;
-// the coordinator re-sorts the concatenation of the shards' blocks, as
-// FromRaw does.
+// A shard's events for a keyword are its index.Events, in canonical order.
+// The coordinator decodes each shard's blocks into that shard's
+// index.Flat, the form its shard file stores, and merges the shards'
+// postings by component as an in-process shard set does: no sort.
 //
 // CRC rule: the receiver checks a record's CRC before decoding it, and a
 // body must end where its record does. A fault that flips bits in transit
@@ -415,23 +416,30 @@ func appendEvents(e *enc, evs []index.Event) {
 // shard; a non-nil error rejects the whole reply.
 type blockCheck func(shard int, evs []index.Event) error
 
-// decodePostingsReply reads the reply to a request for nKw keywords on
-// shards and returns, per keyword, the events of every shard
-// concatenated, plus the worker's span (nil when untraced). Every block
-// passes check before it is kept; base anchors the span's start times.
-func decodePostingsReply(p []byte, shards []int, nKw int, check blockCheck, base time.Time) ([][]index.Event, *obs.Span, error) {
+// decodePostingsReply reads the reply to a request for kws (ascending) on
+// shards and returns, per requested shard, its blocks as one index.Flat of
+// the keywords it has events for, plus the worker's span (nil when
+// untraced). Every block passes check before it is kept; base anchors the
+// span's start times.
+func decodePostingsReply(p []byte, shards []int, kws []dict.ID, check blockCheck, base time.Time) ([]index.Flat, *obs.Span, error) {
 	d := &dec{b: p}
-	out := make([][]index.Event, nKw)
-	for _, s := range shards {
-		for k := 0; k < nKw && d.err == nil; k++ {
+	out := make([]index.Flat, len(shards))
+	for j, s := range shards {
+		f := &out[j]
+		f.EvOff = []int64{0}
+		for k := 0; k < len(kws) && d.err == nil; k++ {
 			n := d.count(eventSize, "events")
-			start := len(out[k])
-			out[k] = slices.Grow(out[k], n)
+			start := len(f.Evs)
+			f.Evs = slices.Grow(f.Evs, n)
 			for i := 0; i < n && d.err == nil; i++ {
-				out[k] = append(out[k], index.Event{Frag: graph.NID(d.u32()), Src: graph.NID(d.u32()), Type: index.ConnType(d.u8())})
+				f.Evs = append(f.Evs, index.Event{Frag: graph.NID(d.u32()), Src: graph.NID(d.u32()), Type: index.ConnType(d.u8())})
 			}
 			if d.err == nil {
-				d.err = check(s, out[k][start:])
+				d.err = check(s, f.Evs[start:])
+			}
+			if len(f.Evs) > start {
+				f.Kws = append(f.Kws, kws[k])
+				f.EvOff = append(f.EvOff, int64(len(f.Evs)))
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kw
 // fixture's substrate.
 func replyErr(p []byte, shards []int) error {
 	fx := loadWireFixture()
-	_, _, err := decodePostingsReply(p, shards, len(fx.req.kws), fx.sub.check, time.Unix(0, 0))
+	_, _, err := decodePostingsReply(p, shards, fx.req.kws, fx.sub.check, time.Unix(0, 0))
 	return err
 }
 

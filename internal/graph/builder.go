@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"s3/internal/dict"
 	"s3/internal/doc"
@@ -263,10 +265,11 @@ func (b *Builder) Build() (*Instance, error) {
 		dict:     d,
 		ont:      ont,
 		analyzer: b.analyzer,
-		tagInfo:  make(map[NID]TagInfo),
-		kwFreq:   make(map[dict.ID]int),
 	}
 
+	// Per-node lists (keywords here, out-edges below) are gathered in
+	// locals and frozen into CSR form once complete.
+	var keywords [][]dict.ID
 	nidOf := make(map[dict.ID]NID)
 	addNode := func(uri string, kind NodeKind) NID {
 		id := d.Intern(uri)
@@ -277,8 +280,8 @@ func (b *Builder) Build() (*Instance, error) {
 		in.parent = append(in.parent, NoNID)
 		in.depth = append(in.depth, 0)
 		in.docOf = append(in.docOf, -1)
-		in.keywords = append(in.keywords, nil)
 		in.nodeName = append(in.nodeName, dict.NoID)
+		keywords = append(keywords, nil)
 		return n
 	}
 
@@ -292,7 +295,7 @@ func (b *Builder) Build() (*Instance, error) {
 			in.depth[n] = int32(node.Depth())
 			in.nodeName[n] = d.Intern(node.Name)
 			for _, kw := range node.Keywords {
-				in.keywords[n] = append(in.keywords[n], d.Intern(kw))
+				keywords[n] = append(keywords[n], d.Intern(kw))
 			}
 			if p := node.Parent(); p != nil {
 				in.parent[n] = nidOf[mustLookup(d, p.URI)]
@@ -313,33 +316,41 @@ func (b *Builder) Build() (*Instance, error) {
 		if t.Type != "" {
 			typ = t.Type
 		}
+		// Tags are numbered after every user and document node, in order,
+		// so the tag list ascends.
 		in.tagList = append(in.tagList, n)
-		in.tagInfo[n] = TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)}
+		in.tagInfos = append(in.tagInfos, TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)})
 	}
 	in.childOff, in.childList = childrenOf(in.parent)
+	in.kwOff, in.kwList = flatten(keywords)
 
 	// Keyword document frequencies (used by workload generators and the
-	// semantic-reachability measure).
-	for _, root := range in.docRoots {
-		var stack []NID
-		stack = in.SubtreeOf(root, stack)
-		for _, n := range stack {
-			seen := make(map[dict.ID]struct{}, len(in.keywords[n]))
-			for _, k := range in.keywords[n] {
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				in.kwFreq[k]++
+	// semantic-reachability measure): every keyword id is below nk, so a
+	// dense count per id, read in id order, is the sorted table. A node
+	// counts a keyword once however often it lists it.
+	nk := d.Len()
+	freq := make([]int32, nk)
+	lastNode := make([]NID, nk) // the node plus one that last counted the keyword
+	for v, ks := range keywords {
+		for _, k := range ks {
+			if lastNode[k] != NID(v)+1 {
+				lastNode[k] = NID(v) + 1
+				freq[k]++
 			}
+		}
+	}
+	for k, c := range freq {
+		if c > 0 {
+			in.kwFreqKeys = append(in.kwFreqKeys, dict.ID(k))
+			in.kwFreqCounts = append(in.kwFreqCounts, c)
 		}
 	}
 
 	// Network edges (§2.5): social, postedBy, commentsOn, hasSubject,
 	// hasAuthor — plus the inverse of each non-social edge.
-	in.out = make([][]Edge, len(in.dictID))
+	out := make([][]Edge, len(in.dictID))
 	addEdge := func(from, to NID, w float64, prop string) {
-		in.out[from] = append(in.out[from], Edge{To: to, W: w, Prop: d.Intern(prop)})
+		out[from] = append(out[from], Edge{To: to, W: w, Prop: d.Intern(prop)})
 	}
 	for _, s := range b.spec.Social {
 		prop := s.Prop
@@ -368,13 +379,14 @@ func (b *Builder) Build() (*Instance, error) {
 		addEdge(tn, cn, 1, PropCommentsOnInv)
 		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: d.Intern(prop)})
 	}
-	for _, n := range in.tagList {
-		ti := in.tagInfo[n]
+	for i, n := range in.tagList {
+		ti := in.tagInfos[i]
 		addEdge(n, ti.Subject, 1, PropHasSubject)
 		addEdge(ti.Subject, n, 1, PropHasSubjectInv)
 		addEdge(n, ti.Author, 1, PropHasAuthor)
 		addEdge(ti.Author, n, 1, PropHasAuthorInv)
 	}
+	in.edgeOff, in.edgeList = flatten(out)
 
 	in.buildMatrix()
 	in.buildComponents()
@@ -412,8 +424,8 @@ func (in *Instance) buildMatrix() {
 	in.totalW = make([]float64, n)
 
 	ownW := make([]float64, n)
-	for v, edges := range in.out {
-		for _, e := range edges {
+	for v := range ownW {
+		for _, e := range in.OutEdges(NID(v)) {
 			ownW[v] += e.W
 		}
 	}
@@ -459,7 +471,7 @@ func (in *Instance) buildMatrix() {
 			members = append(members, NID(v))
 		}
 		for _, m := range members {
-			for _, e := range in.out[m] {
+			for _, e := range in.OutEdges(m) {
 				bld.Add(v, int(e.To), e.W/in.totalW[v])
 			}
 		}
@@ -498,8 +510,8 @@ func (in *Instance) buildComponents() {
 	for _, c := range in.comments {
 		union(c.Comment, c.Target)
 	}
-	for _, t := range in.tagList {
-		union(t, in.tagInfo[t].Subject)
+	for i, t := range in.tagList {
+		union(t, in.tagInfos[i].Subject)
 	}
 
 	in.comp = make([]int32, n)
@@ -524,17 +536,12 @@ func (in *Instance) buildComponents() {
 // ascending document frequency (ties broken by keyword string for
 // determinism). Used to build rare/common query workloads (§5.1).
 func (in *Instance) SortedKeywordsByFrequency() []dict.ID {
-	freq := in.KeywordFrequencies()
-	kws := make([]dict.ID, 0, len(freq))
-	for k := range freq {
-		kws = append(kws, k)
-	}
-	sort.Slice(kws, func(i, j int) bool {
-		fi, fj := freq[kws[i]], freq[kws[j]]
-		if fi != fj {
-			return fi < fj
+	kws := slices.Clone(in.kwFreqKeys)
+	slices.SortFunc(kws, func(a, b dict.ID) int {
+		if c := cmp.Compare(in.KeywordFrequency(a), in.KeywordFrequency(b)); c != 0 {
+			return c
 		}
-		return in.dict.String(kws[i]) < in.dict.String(kws[j])
+		return strings.Compare(in.dict.String(a), in.dict.String(b))
 	})
 	return kws
 }

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"s3/internal/dict"
 	"s3/internal/rdf"
@@ -111,7 +110,9 @@ type PostEdge struct {
 }
 
 // Instance is a frozen, queryable S3 instance. It is immutable after Build
-// and safe for concurrent readers.
+// and safe for concurrent readers. It holds the same tables whether it was
+// built or loaded: the ones a snapshot stores, in the form it stores them
+// (see Raw), plus the children lists and URI→node table derived from them.
 type Instance struct {
 	dict     *dict.Dict
 	ont      *rdf.Graph
@@ -122,10 +123,13 @@ type Instance struct {
 	kind     []NodeKind
 	parent   []NID
 	depth    []int32
-	docOf    []int32           // document index for doc nodes, -1 otherwise
-	keywords [][]dict.ID       // stemmed content keywords (doc nodes)
-	kwLazy   *lazyCSR[dict.ID] // snapshot imports: flat form, materialised on demand
-	nodeName []dict.ID         // node name (doc nodes), dict.NoID otherwise
+	docOf    []int32   // document index for doc nodes, -1 otherwise
+	nodeName []dict.ID // node name (doc nodes), dict.NoID otherwise
+
+	// Stemmed content keywords (doc nodes) in CSR form: those of v are
+	// kwList[kwOff[v]:kwOff[v+1]].
+	kwOff  []int64
+	kwList []dict.ID
 
 	// Tree children, derived from parent (childrenOf): those of v are
 	// childList[childOff[v]:childOff[v+1]], ascending.
@@ -136,11 +140,10 @@ type Instance struct {
 	// node plus one, 0 where the id names no node (nodesByURI).
 	nidByID []NID
 
-	// Direct network out-edges. The builder fills the per-node slices;
-	// snapshot imports keep the flat CSR form behind a shared lazy holder
-	// — neither this nor keywords is on the search hot path.
-	out     [][]Edge
-	outLazy *lazyCSR[Edge]
+	// Direct network out-edges in CSR form: those of v are
+	// edgeList[edgeOff[v]:edgeOff[v+1]].
+	edgeOff  []int64
+	edgeList []Edge
 
 	totalW []float64
 	matrix *sparse.Matrix
@@ -150,21 +153,15 @@ type Instance struct {
 
 	users    []NID
 	docRoots []NID
+	// Tags, ascending, and their descriptions aligned with them.
 	tagList  []NID
-	// Tag descriptions: frozen instances keep tagInfos aligned with the
-	// (ascending) tagList and binary-search it; the builder fills the
-	// tagInfo map. Exactly one of the two is set.
-	tagInfo  map[NID]TagInfo
 	tagInfos []TagInfo
 	comments []CommentEdge
 	posts    []PostEdge
 
 	// Per-keyword document frequency (number of document nodes whose
-	// content contains the stemmed keyword). The builder fills the map;
-	// frozen instances keep the two sorted parallel slices and
-	// binary-search them, so loading builds no map at all. Exactly one
-	// representation is set.
-	kwFreq       map[dict.ID]int
+	// content contains the stemmed keyword): two parallel slices ascending
+	// by keyword, binary-searched.
 	kwFreqKeys   []dict.ID
 	kwFreqCounts []int32
 
@@ -226,15 +223,9 @@ func (in *Instance) DocRootOf(n NID) NID {
 }
 
 // KeywordsOf returns the stemmed content keywords of a document node.
-func (in *Instance) KeywordsOf(n NID) []dict.ID { return in.kwTable()[n] }
-
-// kwTable returns the per-node keyword lists, materialising the slice
-// headers from the flat CSR arrays on first use for snapshot imports.
-func (in *Instance) kwTable() [][]dict.ID {
-	if in.keywords != nil {
-		return in.keywords
-	}
-	return in.kwLazy.table(len(in.dictID))
+func (in *Instance) KeywordsOf(n NID) []dict.ID {
+	lo, hi := in.kwOff[n], in.kwOff[n+1]
+	return in.kwList[lo:hi:hi]
 }
 
 // NodeNameOf returns the node name of a document node.
@@ -251,15 +242,11 @@ func (in *Instance) Tags() []NID { return in.tagList }
 
 // TagInfoOf returns the description of a tag node.
 func (in *Instance) TagInfoOf(n NID) (TagInfo, bool) {
-	if in.tagInfos != nil {
-		i, ok := slices.BinarySearch(in.tagList, n)
-		if !ok {
-			return TagInfo{}, false
-		}
-		return in.tagInfos[i], true
+	i, ok := slices.BinarySearch(in.tagList, n)
+	if !ok {
+		return TagInfo{}, false
 	}
-	ti, ok := in.tagInfo[n]
-	return ti, ok
+	return in.tagInfos[i], true
 }
 
 // Comments returns all comment edges.
@@ -270,38 +257,9 @@ func (in *Instance) Posts() []PostEdge { return in.posts }
 
 // OutEdges returns the direct network out-edges of a node (without the
 // vertical-neighbourhood extension).
-func (in *Instance) OutEdges(n NID) []Edge { return in.outTable()[n] }
-
-// outTable returns the per-node out-edge lists, materialising the slice
-// headers from the flat CSR arrays on first use for snapshot imports.
-func (in *Instance) outTable() [][]Edge {
-	if in.out != nil {
-		return in.out
-	}
-	return in.outLazy.table(len(in.dictID))
-}
-
-// lazyCSR defers the per-row slice-header materialisation of a flat CSR
-// list until first use; the sync.Once makes that materialisation safe
-// under concurrent readers.
-type lazyCSR[T any] struct {
-	once sync.Once
-	off  []int64
-	list []T
-	rows [][]T
-}
-
-func (l *lazyCSR[T]) table(n int) [][]T {
-	l.once.Do(func() {
-		rows := make([][]T, n)
-		for v := 0; v < n; v++ {
-			if lo, hi := l.off[v], l.off[v+1]; lo < hi {
-				rows[v] = l.list[lo:hi:hi]
-			}
-		}
-		l.rows = rows
-	})
-	return l.rows
+func (in *Instance) OutEdges(n NID) []Edge {
+	lo, hi := in.edgeOff[n], in.edgeOff[n+1]
+	return in.edgeList[lo:hi:hi]
 }
 
 // Matrix returns the normalised transition matrix M over nodes:
@@ -324,27 +282,10 @@ func (in *Instance) NumComponents() int { return in.nComp }
 // KeywordFrequency returns, for a stemmed keyword, the number of
 // document nodes whose content contains it.
 func (in *Instance) KeywordFrequency(k dict.ID) int {
-	if in.kwFreqKeys != nil {
-		if i, ok := slices.BinarySearch(in.kwFreqKeys, k); ok {
-			return int(in.kwFreqCounts[i])
-		}
-		return 0
+	if i, ok := slices.BinarySearch(in.kwFreqKeys, k); ok {
+		return int(in.kwFreqCounts[i])
 	}
-	return in.kwFreq[k]
-}
-
-// KeywordFrequencies exposes the whole frequency table (read-only). A
-// frozen instance materialises it per call; prefer KeywordFrequency for
-// point lookups.
-func (in *Instance) KeywordFrequencies() map[dict.ID]int {
-	if in.kwFreqKeys != nil {
-		m := make(map[dict.ID]int, len(in.kwFreqKeys))
-		for i, k := range in.kwFreqKeys {
-			m[k] = int(in.kwFreqCounts[i])
-		}
-		return m
-	}
-	return in.kwFreq
+	return 0
 }
 
 // IsAncestorOrSelf reports whether a is an ancestor of b or equal to it,

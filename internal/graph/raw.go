@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"s3/internal/dict"
 	"s3/internal/rdf"
@@ -12,16 +11,17 @@ import (
 
 // Raw is the flat, exported view of a frozen Instance: every table needed
 // to reconstruct it without re-running the build pipeline (no ontology
-// saturation, no matrix normalisation, no component union-find). It is the
-// contract between the graph package and the snapshot serialiser
-// (internal/snap).
+// saturation, no matrix normalisation, no component union-find), each in
+// the form the instance holds it and the snapshot serialiser
+// (internal/snap) stores it — per-node lists as CSR offsets plus one flat
+// list. It is the contract between the two packages.
 //
 // Children lists and the URI→node table are intentionally absent — both
-// follow from Parent and DictID, and FromRawAccel derives them.
+// follow from Parent and DictID, and FromRaw derives them.
 //
 // # Immutability contract
 //
-// FromRawAccel retains every slice it is handed and Raw() shares the
+// FromRaw retains every slice it is handed and Raw() shares the
 // instance's own slices: a Raw is a *view*, never a copy. Whoever
 // produces the backing arrays owns their lifetime and must keep them
 // readable and unmodified for as long as the instance lives — this is
@@ -39,17 +39,20 @@ type Raw struct {
 	// Triples is the saturated ontology in insertion order.
 	Triples []rdf.Triple
 
-	// Node tables, indexed by NID.
+	// Node tables, indexed by NID. The content keywords of v are
+	// KwList[KwOff[v]:KwOff[v+1]].
 	DictID   []dict.ID
 	Kind     []NodeKind
 	Parent   []NID
 	Depth    []int32
 	DocOf    []int32
-	Keywords [][]dict.ID
 	NodeName []dict.ID
+	KwOff    []int64
+	KwList   []dict.ID
 
-	// Network layer.
-	Out          [][]Edge
+	// Network layer. The out-edges of v are EdgeList[EdgeOff[v]:EdgeOff[v+1]].
+	EdgeOff      []int64
+	EdgeList     []Edge
 	TotalW       []float64
 	MatrixRowPtr []int32
 	MatrixCol    []int32
@@ -75,30 +78,8 @@ type Raw struct {
 	Stats Stats
 }
 
-// Accel carries the structures an import takes prebuilt instead of
-// building them from the Raw tables: the dictionary and frozen ontology
-// are constructed by the caller (over the stored arenas and sorted
-// permutations, whose order is cheaper to check than to rebuild), and the
-// out-edge and keyword lists arrive as flat CSR arrays into the same
-// snapshot bytes. FromRawAccel checks each against the Raw it accelerates
-// with allocation-free linear scans.
-type Accel struct {
-	// Dict is the prebuilt dictionary whose content equals Raw.Strings.
-	Dict *dict.Dict
-	// Ont is the prebuilt (frozen) ontology over Dict.
-	Ont *rdf.Graph
-	// EdgeOff / EdgeList and KwOff / KwList are the out-edges and content
-	// keywords in CSR form; they substitute for Raw.Out and Raw.Keywords
-	// (which an accelerated import leaves nil), and the per-node headers
-	// are materialised lazily on first use.
-	EdgeOff  []int64
-	EdgeList []Edge
-	KwOff    []int64
-	KwList   []dict.ID
-}
-
-// Raw flattens the instance. The returned struct shares slices with the
-// instance wherever possible; callers must treat it as read-only.
+// Raw returns the instance's flat view. It shares every slice with the
+// instance; callers must treat it as read-only.
 func (in *Instance) Raw() *Raw {
 	r := &Raw{
 		Strings:       in.dict.Strings(),
@@ -110,49 +91,35 @@ func (in *Instance) Raw() *Raw {
 		Parent:        in.parent,
 		Depth:         in.depth,
 		DocOf:         in.docOf,
-		Keywords:      in.kwTable(),
 		NodeName:      in.nodeName,
-		Out:           in.outTable(),
+		KwOff:         in.kwOff,
+		KwList:        in.kwList,
+		EdgeOff:       in.edgeOff,
+		EdgeList:      in.edgeList,
 		TotalW:        in.totalW,
 		Comp:          in.comp,
 		NComp:         in.nComp,
 		Users:         in.users,
 		DocRoots:      in.docRoots,
 		TagList:       in.tagList,
+		TagInfos:      in.tagInfos,
 		Comments:      in.comments,
 		Posts:         in.posts,
+		KwFreqKeys:    in.kwFreqKeys,
+		KwFreqCounts:  in.kwFreqCounts,
 		Stats:         in.stats,
 	}
 	_, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal = in.matrix.Raw()
-	if in.tagInfos != nil {
-		r.TagInfos = in.tagInfos
-	} else {
-		r.TagInfos = make([]TagInfo, len(in.tagList))
-		for i, t := range in.tagList {
-			r.TagInfos[i] = in.tagInfo[t]
-		}
-	}
-	if in.kwFreqKeys != nil {
-		r.KwFreqKeys, r.KwFreqCounts = in.kwFreqKeys, in.kwFreqCounts
-	} else {
-		r.KwFreqKeys = make([]dict.ID, 0, len(in.kwFreq))
-		for k := range in.kwFreq {
-			r.KwFreqKeys = append(r.KwFreqKeys, k)
-		}
-		sort.Slice(r.KwFreqKeys, func(i, j int) bool { return r.KwFreqKeys[i] < r.KwFreqKeys[j] })
-		r.KwFreqCounts = make([]int32, len(r.KwFreqKeys))
-		for i, k := range r.KwFreqKeys {
-			r.KwFreqCounts[i] = int32(in.kwFreq[k])
-		}
-	}
 	return r
 }
 
-// FromRawAccel reconstructs a frozen Instance from its flat view plus the
-// prebuilt structures of acc, over arrays whose integrity the caller has
-// checksummed (the sections of a snapshot, mapped or read into a private
-// buffer). The Raw's and acc's slices are retained (see the immutability
-// contract above).
+// FromRaw reconstructs a frozen Instance from its flat view, over arrays
+// whose integrity the caller has checksummed (the sections of a snapshot,
+// mapped or read into a private buffer). The dictionary d, whose content
+// must equal r.Strings, and the frozen ontology ont over it come prebuilt:
+// the caller constructs them over the stored arenas and sorted
+// permutations, whose order is cheaper to check than to rebuild. The
+// Raw's slices are retained (see the immutability contract above).
 //
 // Every check is an allocation-free linear scan. The structural ones keep
 // slicing and tree walks panic-free: offset-table monotonicity, index
@@ -162,7 +129,7 @@ func (in *Instance) Raw() *Raw {
 // one pass over Parent or DictID (the latter refusing a URI that names
 // two nodes). So a file that passes its checksums but is internally
 // inconsistent is refused, never served.
-func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
+func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
 		"Kind": len(r.Kind), "Parent": len(r.Parent), "Depth": len(r.Depth),
@@ -179,9 +146,8 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	if len(r.KwFreqCounts) != len(r.KwFreqKeys) {
 		return nil, fmt.Errorf("graph: %d keyword counts for %d keywords", len(r.KwFreqCounts), len(r.KwFreqKeys))
 	}
-	d, ont := acc.Dict, acc.Ont
 	if d == nil || ont == nil {
-		return nil, fmt.Errorf("graph: accel without dictionary or ontology")
+		return nil, fmt.Errorf("graph: raw import without dictionary or ontology")
 	}
 	nd := dict.ID(d.Len())
 	in := &Instance{
@@ -193,9 +159,11 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 		parent:       r.Parent,
 		depth:        r.Depth,
 		docOf:        r.DocOf,
-		kwLazy:       &lazyCSR[dict.ID]{off: acc.KwOff, list: acc.KwList},
 		nodeName:     r.NodeName,
-		outLazy:      &lazyCSR[Edge]{off: acc.EdgeOff, list: acc.EdgeList},
+		kwOff:        r.KwOff,
+		kwList:       r.KwList,
+		edgeOff:      r.EdgeOff,
+		edgeList:     r.EdgeList,
 		totalW:       r.TotalW,
 		comp:         r.Comp,
 		nComp:        r.NComp,
@@ -209,10 +177,10 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 		kwFreqCounts: r.KwFreqCounts,
 		stats:        r.Stats,
 	}
-	if err := checkCSR(acc.KwOff, n, len(acc.KwList), "content keyword"); err != nil {
+	if err := checkCSR(r.KwOff, n, len(r.KwList), "content keyword"); err != nil {
 		return nil, err
 	}
-	if err := checkCSR(acc.EdgeOff, n, len(acc.EdgeList), "edge"); err != nil {
+	if err := checkCSR(r.EdgeOff, n, len(r.EdgeList), "edge"); err != nil {
 		return nil, err
 	}
 	nDocs := len(r.DocRoots)
@@ -253,7 +221,7 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 	// negatives in, and the +1 bias maps the NoID/NoNID sentinels (-1) to
 	// 0, which every bound accepts.
 	var maxKw1 uint32
-	for _, k := range acc.KwList {
+	for _, k := range r.KwList {
 		if v := uint32(k) + 1; v > maxKw1 {
 			maxKw1 = v
 		}
@@ -262,15 +230,15 @@ func FromRawAccel(r *Raw, acc *Accel) (*Instance, error) {
 		return nil, fmt.Errorf("graph: content keyword outside dictionary of %d", nd)
 	}
 	var maxTo, maxProp1 uint32
-	for i := range acc.EdgeList {
-		if v := uint32(acc.EdgeList[i].To); v > maxTo {
+	for i := range r.EdgeList {
+		if v := uint32(r.EdgeList[i].To); v > maxTo {
 			maxTo = v
 		}
-		if v := uint32(acc.EdgeList[i].Prop) + 1; v > maxProp1 {
+		if v := uint32(r.EdgeList[i].Prop) + 1; v > maxProp1 {
 			maxProp1 = v
 		}
 	}
-	if len(acc.EdgeList) > 0 && (maxTo >= uint32(n) || maxProp1 > uint32(nd)) {
+	if len(r.EdgeList) > 0 && (maxTo >= uint32(n) || maxProp1 > uint32(nd)) {
 		return nil, fmt.Errorf("graph: edge outside instance of %d nodes / dictionary of %d", n, nd)
 	}
 	checkNIDs := func(vs []NID, what string) error {
@@ -371,6 +339,20 @@ func childrenOf(parent []NID) (off []int32, list []NID) {
 		}
 	}
 	return off[:n+1], list
+}
+
+// flatten freezes per-node lists into CSR form, the one an instance holds
+// them in: the list of v is list[off[v]:off[v+1]].
+func flatten[T any](rows [][]T) (off []int64, list []T) {
+	off = make([]int64, len(rows)+1)
+	for v, r := range rows {
+		off[v+1] = off[v] + int64(len(r))
+	}
+	list = make([]T, 0, off[len(rows)])
+	for _, r := range rows {
+		list = append(list, r...)
+	}
+	return off, list
 }
 
 // strictlyAscending reports whether s ascends with no repeats.

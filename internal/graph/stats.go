@@ -48,17 +48,16 @@ func (in *Instance) computeStats(b *Builder) {
 		if in.kind[v] == KindDocNode && in.parent[v] != NoNID {
 			s.Fragments++
 		}
-		s.KeywordOccurrences += len(in.keywords[v])
-		s.Edges += len(in.out[v])
 	}
 	// Tree edges count once per non-root document node.
-	s.Edges += s.Fragments
-	s.DistinctKeywords = len(in.kwFreq)
+	s.Edges = len(in.edgeList) + s.Fragments
+	s.KeywordOccurrences = len(in.kwList)
+	s.DistinctKeywords = len(in.kwFreqKeys)
 
 	usersWithEdges, social := 0, 0
 	for _, u := range in.users {
 		n := 0
-		for _, e := range in.out[u] {
+		for _, e := range in.OutEdges(u) {
 			if in.kind[e.To] == KindUser {
 				n++
 			}

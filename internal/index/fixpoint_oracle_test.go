@@ -20,17 +20,17 @@ import (
 func TestBuildEqualsNaiveFixpoint(t *testing.T) {
 	check := func(name string, in *graph.Instance) {
 		t.Helper()
-		got, want := Build(in).Raw(), refBuild(in)
-		if len(want) == 0 {
+		got, want := Build(in).Flat(), refBuild(in)
+		if len(want.Kws) == 0 {
 			t.Fatalf("%s: the reference indexed nothing", name)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d postings, reference %d", name, len(got), len(want))
+		if !slices.Equal(got.Kws, want.Kws) {
+			t.Fatalf("%s: keywords %v, reference %v", name, got.Kws, want.Kws)
 		}
-		for i := range want {
-			if got[i].Kw != want[i].Kw || !slices.Equal(got[i].Events, want[i].Events) {
-				t.Fatalf("%s: posting %d (%s) differs from the reference:\n got %v\nwant %v", name, i,
-					in.Dict().String(want[i].Kw), got[i].Events, want[i].Events)
+		for _, kw := range want.Kws {
+			if !slices.Equal(got.Events(kw), want.Events(kw)) {
+				t.Fatalf("%s: posting of %s differs from the reference:\n got %v\nwant %v", name,
+					in.Dict().String(kw), got.Events(kw), want.Events(kw))
 			}
 		}
 	}
@@ -139,7 +139,7 @@ type refKwEvent struct {
 }
 
 // refBuild is the reference fixpoint, frozen and flattened.
-func refBuild(in *graph.Instance) []RawPosting {
+func refBuild(in *graph.Instance) Flat {
 	b := &refBuilder{
 		in:          in,
 		seen:        make(map[refEventKey]struct{}),
@@ -312,12 +312,17 @@ func (b *refBuilder) stepComments() {
 	}
 }
 
-// freeze sorts each posting into the canonical order and lists the
-// postings by keyword.
-func (b *refBuilder) freeze() []RawPosting {
+// freeze sorts each posting into the canonical order and lays the
+// postings out by keyword.
+func (b *refBuilder) freeze() Flat {
 	in := b.in
-	var out []RawPosting
-	for kw, evs := range b.byKw {
+	out := Flat{EvOff: []int64{0}}
+	for kw := range b.byKw {
+		out.Kws = append(out.Kws, kw)
+	}
+	slices.Sort(out.Kws)
+	for _, kw := range out.Kws {
+		evs := b.byKw[kw]
 		sort.Slice(evs, func(i, j int) bool {
 			ci, cj := in.CompOf(evs[i].Frag), in.CompOf(evs[j].Frag)
 			if ci != cj {
@@ -331,9 +336,9 @@ func (b *refBuilder) freeze() []RawPosting {
 			}
 			return evs[i].Src < evs[j].Src
 		})
-		out = append(out, RawPosting{Kw: kw, Events: evs})
+		out.Evs = append(out.Evs, evs...)
+		out.EvOff = append(out.EvOff, int64(len(out.Evs)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kw < out[j].Kw })
 	return out
 }
 

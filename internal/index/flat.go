@@ -3,39 +3,33 @@ package index
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
 )
 
-// RawPosting is the event list of one keyword, the serialisable unit of
-// the connection index.
-type RawPosting struct {
-	Kw     dict.ID
-	Events []Event
-}
-
-// Raw flattens the index into postings sorted by keyword id (canonical
-// order, so serialising is deterministic). Event slices are shared with
-// the index and must not be modified.
-func (ix *Index) Raw() []RawPosting {
-	out := make([]RawPosting, 0, len(ix.byKw))
-	for kw, p := range ix.byKw {
-		out = append(out, RawPosting{Kw: kw, Events: p.evs})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kw < out[j].Kw })
-	return out
-}
-
-// Flat is the snapshot import form of an index: the canonically-ordered
-// flat arrays of a snapshot or shard file. Evs holds every posting's
-// events back to back, and EvOff where each starts. The per-posting
-// component summaries are not part of it: FromFlat derives them.
+// Flat is the one serialised form of an index: the canonically-ordered
+// flat arrays a snapshot or shard file stores, a postings reply decodes
+// into, and Merge and Split work on. Kws ascends, Evs holds every
+// posting's events back to back, and EvOff where each starts. The
+// per-posting component summaries are not part of it: FromFlat derives
+// them.
 type Flat struct {
 	Kws   []dict.ID
 	EvOff []int64
 	Evs   []Event
+}
+
+// Flat lays the index out in its flat form, the events copied into one new
+// array.
+func (ix *Index) Flat() Flat {
+	kws := ix.Keywords()
+	f := Flat{Kws: kws, EvOff: make([]int64, 1, len(kws)+1), Evs: make([]Event, 0, ix.NumEvents())}
+	for _, kw := range kws {
+		f.Evs = append(f.Evs, ix.byKw[kw].evs...)
+		f.EvOff = append(f.EvOff, int64(len(f.Evs)))
+	}
+	return f
 }
 
 // Validate checks whatever could make a read of the flat form panic or
@@ -135,37 +129,4 @@ func checkOff(off []int64, n, total int, what string) error {
 		}
 	}
 	return nil
-}
-
-// FromRaw reconstructs an index over a frozen instance from its postings.
-// Events are range-checked against the instance and re-sorted into the
-// canonical order, so they may arrive in any order; a posting that lists
-// one event twice, or two postings of one keyword, are refused. The
-// component lists and run bounds are derived as FromFlat derives them.
-func FromRaw(in *graph.Instance, postings []RawPosting) (*Index, error) {
-	n := graph.NID(in.NumNodes())
-	ix := newIndex(in, len(postings))
-	for _, p := range postings {
-		// Copy before sorting: postings may share backing arrays with a
-		// live index (Raw documents them as read-only).
-		evs := slices.Clone(p.Events)
-		for _, e := range evs {
-			if e.Frag < 0 || e.Frag >= n {
-				return nil, fmt.Errorf("index: event fragment %d outside instance of %d nodes", e.Frag, n)
-			}
-			if e.Src != graph.NoNID && (e.Src < 0 || e.Src >= n) {
-				return nil, fmt.Errorf("index: event source %d outside instance of %d nodes", e.Src, n)
-			}
-			if e.Type > CommentsOn {
-				return nil, fmt.Errorf("index: unknown connection type %d", e.Type)
-			}
-		}
-		slices.SortFunc(evs, func(a, b Event) int {
-			return compareEvents(in.CompOf(a.Frag), a, in.CompOf(b.Frag), b)
-		})
-		if err := ix.add(p.Kw, evs); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
 }

@@ -2,22 +2,12 @@ package index
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
+	"s3/internal/dict"
 	"s3/internal/graph"
 )
-
-// flatten lays an index out in its flat form, the way a snapshot writer
-// does.
-func flatten(ix *Index) Flat {
-	f := Flat{EvOff: []int64{0}}
-	for _, p := range ix.Raw() {
-		f.Kws = append(f.Kws, p.Kw)
-		f.Evs = append(f.Evs, p.Events...)
-		f.EvOff = append(f.EvOff, int64(len(f.Evs)))
-	}
-	return f
-}
 
 // TestFlatEventsAndValidate checks that Flat.Events answers what the
 // index it was laid out from answers, that FromFlat derives the same
@@ -25,7 +15,7 @@ func flatten(ix *Index) Flat {
 // too) rejects every array that would make a read panic.
 func TestFlatEventsAndValidate(t *testing.T) {
 	in, ix := figure1(t)
-	f := flatten(ix)
+	f := ix.Flat()
 	if err := f.Validate(in.NumNodes()); err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +48,62 @@ func TestFlatEventsAndValidate(t *testing.T) {
 		"source too big":    func(f *Flat) { f.Evs[0].Src = n },
 		"unknown type":      func(f *Flat) { f.Evs[0].Type = CommentsOn + 1 },
 	} {
-		bad := flatten(ix)
+		bad := ix.Flat()
 		mutate(&bad)
 		if err := bad.Validate(in.NumNodes()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if _, err := FromFlat(in, bad); err == nil {
 			t.Errorf("%s: FromFlat accepted", name)
+		}
+	}
+}
+
+// TestRepeatedEventRejected: a posting that lists one event twice would
+// count the event's connection twice — a longer run bound and a doubled
+// term mass — so FromFlat and Merge refuse it, whatever posting it is in.
+func TestRepeatedEventRejected(t *testing.T) {
+	in, ix := figure1(t)
+	good := ix.Flat()
+	for i, kw := range good.Kws {
+		lo := good.EvOff[i]
+		bad := Flat{Kws: good.Kws, EvOff: slices.Clone(good.EvOff), Evs: slices.Insert(slices.Clone(good.Evs), int(lo), good.Evs[lo])}
+		for j := i + 1; j < len(bad.EvOff); j++ {
+			bad.EvOff[j]++
+		}
+		const want = "out of canonical order"
+		if _, err := FromFlat(in, bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("keyword %d with its first event repeated: FromFlat: %v, want %q", kw, err, want)
+		}
+		if _, err := Merge(in, []Flat{bad}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("keyword %d with its first event repeated: Merge: %v, want %q", kw, err, want)
+		}
+	}
+}
+
+// TestUserFragmentRefused: a user node has no component, so an event
+// anchored on one would list component -1 among a posting's components,
+// which a shard owner table or a component lookup would then index. Every
+// way of building an index refuses it, wherever the event sits in its
+// posting.
+func TestUserFragmentRefused(t *testing.T) {
+	in, ix := figure1(t)
+	user := in.Users()[0]
+	const want = "lies in no component"
+	for _, kw := range ix.Keywords() {
+		for _, at := range []int{0, len(ix.Events(kw)) - 1} {
+			evs := slices.Clone(ix.Events(kw))
+			evs[at].Frag = user
+			flat := Flat{Kws: []dict.ID{kw}, EvOff: []int64{0, int64(len(evs))}, Evs: evs}
+			if _, err := FromFlat(in, flat); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("keyword %d event %d: FromFlat: %v, want %q", kw, at, err, want)
+			}
+			if _, err := Merge(in, []Flat{flat}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("keyword %d event %d: Merge: %v, want %q", kw, at, err, want)
+			}
+			if err := CheckOrder(in, evs); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("keyword %d event %d: CheckOrder: %v, want %q", kw, at, err, want)
+			}
 		}
 	}
 }

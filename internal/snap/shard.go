@@ -106,37 +106,23 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 		return fmt.Errorf("snap: %w", err)
 	}
 
-	rawIn := in.Raw()
-	subs := alignedInstanceSections(rawIn)
+	subs := alignedInstanceSections(in.Raw())
 	setID := fnv.New64a()
 	for _, s := range subs {
 		setID.Write(s.data)
 	}
 	docs, tags := graph.ShardContent(in, owner, len(parts))
-	postings := make([][]index.RawPosting, len(parts))
-	for _, p := range ix.Raw() {
-		for _, ev := range p.Events {
-			ps := &postings[owner[in.CompOf(ev.Frag)]]
-			if n := len(*ps); n == 0 || (*ps)[n-1].Kw != p.Kw {
-				*ps = append(*ps, index.RawPosting{Kw: p.Kw})
-			}
-			last := &(*ps)[len(*ps)-1]
-			last.Events = append(last.Events, ev)
-		}
-	}
+	flats := index.Split(in, ix.Flat(), owner, len(parts))
 
 	layout := Layout{SetID: setID.Sum64()}
 	for s, comps := range parts {
 		if err := validateShardName(names[s]); err != nil {
 			return err
 		}
-		desc := ShardDesc{Name: names[s], Comps: append([]int32(nil), comps...), Docs: docs[s]}
-		for _, p := range postings[s] {
-			desc.Events += len(p.Events)
-		}
+		desc := ShardDesc{Name: names[s], Comps: append([]int32(nil), comps...), Docs: docs[s], Events: len(flats[s].Evs)}
 		hdr := encodeShardHeader(layout.SetID, s, len(parts), shardHeader{comps: desc.Comps, docs: desc.Docs, events: desc.Events, tags: tags[s]})
 		var file bytes.Buffer
-		secs := append([]asec{{secShardHeader, false, hdr}}, alignedIndexSections(postings[s])...)
+		secs := append([]asec{{secShardHeader, false, hdr}}, alignedIndexSections(flats[s])...)
 		if err := writeAligned(&file, ShardMagic, secs); err != nil {
 			return err
 		}

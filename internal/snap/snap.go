@@ -25,9 +25,14 @@
 // A file of any other version is rejected with an error that says to
 // regenerate it with s3gen; there is no migration path.
 //
-// The writers emit sections in canonical order with map-backed tables
-// sorted by key, so the same instance always serialises to the same
-// bytes (snapshots can be content-addressed and diffed).
+// The in-memory forms are the file's: a graph.Instance holds its tables
+// as graph.Raw lays them out (per-node lists in CSR form), built or
+// loaded, and the postings travel as index.Flat (keywords ascending,
+// events in canonical order), which Write encodes, WriteShardSet splits by
+// owner (index.Split) and OpenShardSet merges back (index.Merge). The
+// writers encode those arrays as they are, sections in canonical order,
+// so the same instance always serialises to the same bytes (snapshots can
+// be content-addressed and diffed).
 package snap
 
 import (
@@ -67,8 +72,7 @@ const (
 
 // Write serialises the instance and its connection index.
 func Write(w io.Writer, in *graph.Instance, ix *index.Index) error {
-	raw := in.Raw()
-	secs := append(alignedInstanceSections(raw), alignedIndexSections(ix.Raw())...)
+	secs := append(alignedInstanceSections(in.Raw()), alignedIndexSections(ix.Flat())...)
 	return writeAligned(w, Magic, secs)
 }
 

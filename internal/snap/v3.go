@@ -243,7 +243,7 @@ func encEvents(a []index.Event) []byte {
 	return out
 }
 
-// --- writer: sections from a Raw ---
+// --- writer: sections from the flat forms ---
 
 // alignedInstanceSections encodes the substrate of an instance (every
 // section except the connection index) in canonical id order.
@@ -267,28 +267,6 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 	}
 	sort.Slice(dictPerm, func(i, j int) bool { return r.Strings[dictPerm[i]] < r.Strings[dictPerm[j]] })
 
-	// Content keywords and out-edges, flattened to CSR.
-	kwOff := make([]int64, n+1)
-	nkw := 0
-	for _, ks := range r.Keywords {
-		nkw += len(ks)
-	}
-	kwIDs := make([]dict.ID, 0, nkw)
-	for v, ks := range r.Keywords {
-		kwIDs = append(kwIDs, ks...)
-		kwOff[v+1] = int64(len(kwIDs))
-	}
-	edgeOff := make([]int64, n+1)
-	ne := 0
-	for _, es := range r.Out {
-		ne += len(es)
-	}
-	edges := make([]graph.Edge, 0, ne)
-	for v, es := range r.Out {
-		edges = append(edges, es...)
-		edgeOff[v+1] = int64(len(edges))
-	}
-
 	spo, pos := rdf.TriplePerms(r.Triples)
 
 	kinds := make([]byte, n)
@@ -308,10 +286,10 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3NodeDocOf, true, encI32s(r.DocOf)},
 		{sec3NodeName, true, encU32s(r.NodeName)},
 		{sec3NodeComp, true, encI32s(r.Comp)},
-		{sec3NodeKwOff, true, encI64s(kwOff)},
-		{sec3NodeKwIDs, true, encU32s(kwIDs)},
-		{sec3EdgeOff, true, encI64s(edgeOff)},
-		{sec3Edges, true, encEdges(edges)},
+		{sec3NodeKwOff, true, encI64s(r.KwOff)},
+		{sec3NodeKwIDs, true, encU32s(r.KwList)},
+		{sec3EdgeOff, true, encI64s(r.EdgeOff)},
+		{sec3Edges, true, encEdges(r.EdgeList)},
 		{sec3TotalW, true, encF64s(r.TotalW)},
 		{sec3MatRowPtr, true, encI32s(r.MatrixRowPtr)},
 		{sec3MatCol, true, encI32s(r.MatrixCol)},
@@ -330,25 +308,13 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 	}
 }
 
-// alignedIndexSections encodes the connection index: the postings
-// flattened to (keywords, offsets, events).
-func alignedIndexSections(postings []index.RawPosting) []asec {
-	kws := make([]dict.ID, 0, len(postings))
-	evOff := make([]int64, 1, len(postings)+1)
-	ne := 0
-	for _, p := range postings {
-		ne += len(p.Events)
-	}
-	events := make([]index.Event, 0, ne)
-	for _, p := range postings {
-		kws = append(kws, p.Kw)
-		events = append(events, p.Events...)
-		evOff = append(evOff, int64(len(events)))
-	}
+// alignedIndexSections encodes the connection index in its flat form:
+// keywords, offsets, events.
+func alignedIndexSections(f index.Flat) []asec {
 	return []asec{
-		{sec3IndexKw, true, encU32s(kws)},
-		{sec3IndexEvOff, true, encI64s(evOff)},
-		{sec3IndexEvents, true, encEvents(events)},
+		{sec3IndexKw, true, encU32s(f.Kws)},
+		{sec3IndexEvOff, true, encI64s(f.EvOff)},
+		{sec3IndexEvents, true, encEvents(f.Evs)},
 	}
 }
 
@@ -373,7 +339,7 @@ func load[T any](g *loader, sec byte, what string) []T {
 // instanceFromPayloads assembles the substrate instance (everything but
 // the connection index) of a snapshot or manifest as views of its
 // payloads, which must outlive the instance: the arena dictionary, the
-// frozen ontology and graph.FromRawAccel, whose scans check every table.
+// frozen ontology and graph.FromRaw, whose scans check every table.
 func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instance, error) {
 	if err := requireSections(payloads, what, required3Substrate); err != nil {
 		return nil, err
@@ -393,6 +359,10 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.Depth = load[int32](g, sec3NodeDepth, "node depths")
 	raw.DocOf = load[int32](g, sec3NodeDocOf, "node documents")
 	raw.NodeName = load[dict.ID](g, sec3NodeName, "node names")
+	raw.KwOff = load[int64](g, sec3NodeKwOff, "keyword offsets")
+	raw.KwList = load[dict.ID](g, sec3NodeKwIDs, "content keywords")
+	raw.EdgeOff = load[int64](g, sec3EdgeOff, "edge offsets")
+	raw.EdgeList = load[graph.Edge](g, sec3Edges, "edges")
 	raw.Comp = load[int32](g, sec3NodeComp, "node components")
 	raw.TotalW = load[float64](g, sec3TotalW, "out-weights")
 	raw.MatrixRowPtr = load[int32](g, sec3MatRowPtr, "matrix row pointers")
@@ -409,12 +379,6 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.Posts = load[graph.PostEdge](g, sec3Posts, "post edges")
 	raw.KwFreqKeys = load[dict.ID](g, sec3KwFreqKeys, "frequency keywords")
 	raw.KwFreqCounts = load[int32](g, sec3KwFreqCount, "frequency counts")
-	acc := &graph.Accel{
-		KwOff:    load[int64](g, sec3NodeKwOff, "keyword offsets"),
-		KwList:   load[dict.ID](g, sec3NodeKwIDs, "content keywords"),
-		EdgeOff:  load[int64](g, sec3EdgeOff, "edge offsets"),
-		EdgeList: load[graph.Edge](g, sec3Edges, "edges"),
-	}
 	if g.err != nil {
 		return nil, g.err
 	}
@@ -422,15 +386,17 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 		return nil, fmt.Errorf("snap: meta says %d nodes, node table has %d", numNodes, len(raw.DictID))
 	}
 
-	if acc.Dict, err = dict.FromArena(arena, dictOffs, dictPerm); err != nil {
+	d, err := dict.FromArena(arena, dictOffs, dictPerm)
+	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
 	// Raw.Strings stays nil: the import never touches it, and a later
 	// Raw() export materialises the table from the dictionary.
-	if acc.Ont, err = rdf.FromTriplesFrozen(acc.Dict, raw.Triples, spo, pos); err != nil {
+	ont, err := rdf.FromTriplesFrozen(d, raw.Triples, spo, pos)
+	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	in, err := graph.FromRawAccel(raw, acc)
+	in, err := graph.FromRaw(raw, d, ont)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}

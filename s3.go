@@ -222,20 +222,24 @@ func (b *Builder) Build() (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newInstance(in), nil
+	return newInstance(in, index.Build(in)), nil
 }
 
-// newInstance indexes a frozen graph instance and wires the engine.
-func newInstance(in *graph.Instance) *Instance {
-	ix := index.Build(in)
-	return &Instance{in: in, ix: ix, eng: core.NewEngine(in, ix)}
+// newInstance wires a frozen graph instance and its index into an engine
+// whose searches count on one shard holding every component, as a
+// one-shard set's do. Building, BuildFromSpec, ReadSnapshot and
+// OpenSnapshot all go through it.
+func newInstance(in *graph.Instance, ix *index.Index) *Instance {
+	load := core.NewShardLoad(1)
+	eng := core.NewEngine(in, ix).WithShardLoad(make([]int32, in.NumComponents()), load)
+	return &Instance{in: in, ix: ix, eng: eng, load: load}
 }
 
 // Stats summarises an instance (Figure 4 of the paper).
 type Stats = graph.Stats
 
-// Instance is a frozen, queryable S3 instance. It is immutable (a search
-// counter aside) and safe for concurrent searches.
+// Instance is a frozen, queryable S3 instance. It is immutable (search
+// counters aside) and safe for concurrent searches.
 type Instance struct {
 	in   *graph.Instance
 	ix   *index.Index
@@ -246,10 +250,9 @@ type Instance struct {
 	// (Close / MappedBytes); zero for built and copy-loaded instances.
 	lifecycle
 
-	// searches counts SearchInfoed calls over the instance's lifetime;
-	// rounds accumulates their exploration rounds (surfaced by Shards).
-	searches atomic.Uint64
-	rounds   atomic.Uint64
+	// load counts the searches that matched a component and the rounds
+	// they ran, on the one shard Shards reports.
+	load *core.ShardLoad
 
 	// prox is the optional seeker-proximity checkpoint cache (atomic so it
 	// can be attached or swapped while searches are in flight).
@@ -404,12 +407,10 @@ func (i *Instance) SearchInfoed(seekerURI string, keywords []string, opts ...Opt
 		cfg.opts.ProxCache = pc.c
 	}
 	cfg.opts.Obs = i.obsm.Load()
-	i.searches.Add(1)
 	rs, stats, err := i.eng.Search(seeker, keywords, cfg.opts)
 	if err != nil {
 		return nil, SearchInfo{}, err
 	}
-	i.rounds.Add(uint64(stats.Iterations))
 	return mapResults(i.in, rs), mapSearchInfo(stats), nil
 }
 

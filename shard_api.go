@@ -57,7 +57,7 @@ type ShardStat struct {
 	Components int
 	Tags       int
 	// Searches counts the queries that matched a component on this shard
-	// (for a plain instance: every search).
+	// (a plain instance is one shard holding every component).
 	Searches uint64
 	// Rounds counts the exploration rounds of those searches — with
 	// Searches, the load signal a shard rebalancer consumes. A sharded
@@ -69,12 +69,13 @@ type ShardStat struct {
 // Shards describes a plain instance as a single shard holding everything.
 func (i *Instance) Shards() []ShardStat {
 	s := i.in.Stats()
+	searches, rounds := i.load.Shard(0)
 	return []ShardStat{{
 		Documents:  s.Documents,
 		Components: s.Components,
 		Tags:       s.Tags,
-		Searches:   i.searches.Load(),
-		Rounds:     i.rounds.Load(),
+		Searches:   searches,
+		Rounds:     rounds,
 	}}
 }
 

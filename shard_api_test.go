@@ -138,8 +138,8 @@ func TestShardByMatchesInstance(t *testing.T) {
 }
 
 // TestShardStatSemantics pins what ShardStat.Searches and Rounds count on
-// a ShardedInstance at every N, the one-shard set included, by the
-// definition a distributed coordinator counts with: Searches is the
+// a ShardedInstance at every N, the one-shard set included, and on a plain
+// instance, by the definition a distributed coordinator counts with: Searches is the
 // searches that matched a component on the shard, Rounds the exploration
 // rounds those searches ran.
 func TestShardStatSemantics(t *testing.T) {
@@ -153,6 +153,17 @@ func TestShardStatSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Plain instances, fresh from each constructor, count as one shard
+	// holding every component.
+	var snapshot bytes.Buffer
+	if err := inst.WriteSnapshot(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	read, err := s3.ReadSnapshot(&snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plains := map[string]*s3.Instance{"built": buildTestInstance(t, 60, 240, 3), "read": read}
 	iterations := uint64(0)
 	for _, q := range queries {
 		_, info, err := one.SearchInfoed(q[0], []string{q[1]}, s3.WithK(5))
@@ -160,14 +171,22 @@ func TestShardStatSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		iterations += uint64(info.Iterations)
-		if _, err := many.Search(q[0], []string{q[1]}, s3.WithK(5)); err != nil {
-			t.Fatal(err)
+		for _, qi := range []s3.Queryable{many, plains["built"], plains["read"]} {
+			if _, err := qi.Search(q[0], []string{q[1]}, s3.WithK(5)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// A query no component matches fans out nowhere and carries no work.
-	for _, si := range []*s3.ShardedInstance{one, many} {
-		if rs, err := si.Search(queries[0][0], []string{"no-such-keyword-anywhere"}); err != nil || len(rs) != 0 {
+	// A query no component matches fans out nowhere and carries no work,
+	// and neither does a search cancelled before it starts.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, qi := range []s3.Queryable{one, many, plains["built"], plains["read"]} {
+		if rs, err := qi.Search(queries[0][0], []string{"no-such-keyword-anywhere"}); err != nil || len(rs) != 0 {
 			t.Fatalf("no-match query: %v, %v", rs, err)
+		}
+		if _, err := qi.Search(queries[0][0], []string{queries[0][1]}, s3.WithContext(cancelled)); err == nil {
+			t.Fatal("a cancelled search succeeded")
 		}
 	}
 
@@ -177,6 +196,11 @@ func TestShardStatSemantics(t *testing.T) {
 	}
 	if got.Rounds == 0 || got.Rounds > iterations {
 		t.Errorf("N=1: Rounds = %d, want in (0, %d] (the matching searches' rounds)", got.Rounds, iterations)
+	}
+	for name, plain := range plains {
+		if p := plain.Shards()[0]; p.Searches != got.Searches || p.Rounds != got.Rounds {
+			t.Errorf("%s instance counts %d searches / %d rounds, ShardBy(1) %d / %d", name, p.Searches, p.Rounds, got.Searches, got.Rounds)
+		}
 	}
 	// The one shard holds the union of the three: a search touches it iff
 	// it touches some shard of the three, and its rounds count wherever

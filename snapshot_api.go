@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync/atomic"
 
-	"s3/internal/core"
 	"s3/internal/snap"
 )
 
@@ -60,7 +59,7 @@ func ReadSnapshot(r io.Reader) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{in: in, ix: ix, eng: core.NewEngine(in, ix)}, nil
+	return newInstance(in, ix), nil
 }
 
 // OpenSnapshot loads a snapshot file in the given mode. With LoadMmap the
@@ -73,7 +72,7 @@ func OpenSnapshot(path string, mode LoadMode) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	i := &Instance{in: s.Instance, ix: s.Index, eng: core.NewEngine(s.Instance, s.Index)}
+	i := newInstance(s.Instance, s.Index)
 	i.setMapped(s.MappedBytes(), s.Close)
 	return i, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"s3/internal/graph"
+	"s3/internal/index"
 )
 
 // EncodeSpec serialises everything the builder has accumulated so far —
@@ -29,5 +30,5 @@ func BuildFromSpec(r io.Reader, lang Lang) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s3: rebuilding spec: %w", err)
 	}
-	return newInstance(in), nil
+	return newInstance(in, index.Build(in)), nil
 }
