@@ -14,7 +14,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -70,10 +69,12 @@ type LocalExecutor struct {
 	resumedN int
 	reached  int // nodes discovered so far
 	// comps lists the components matching every query keyword, ascending;
-	// it outlives End (see Matched). pending holds those not yet
-	// discovered: a discovery admits its component once and removes it.
+	// it outlives End (see Matched). want, indexed by component id, marks
+	// those not yet discovered: a discovery admits its component once and
+	// clears its mark. End clears the marks left, so the table is all
+	// false between searches and an executor reused keeps it.
 	comps    []int32
-	pending  map[int32]struct{}
+	want     []bool
 	admitted int // matched components discovered so far
 	cands    []*cand
 
@@ -96,8 +97,8 @@ type LocalExecutor struct {
 	uncertain *cand
 
 	// order is greedySelect's persistent sort scratch: cands is append-only,
-	// so the copy is refreshed only on rounds that admitted new candidates
-	// and merely re-sorted (by the freshly computed bounds) otherwise.
+	// so each round appends the candidates it admitted to last round's
+	// order and re-sorts it by the freshly computed bounds.
 	order []*cand
 }
 
@@ -164,9 +165,11 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 		return BeginInfo{}, err
 	}
 	comps := x.e.ix.CompsForGroups(spec.Groups)
-	x.pending = make(map[int32]struct{}, len(comps))
+	if n := x.e.in.NumComponents(); len(x.want) != n {
+		x.want = make([]bool, n)
+	}
 	for _, c := range comps {
-		x.pending[c] = struct{}{}
+		x.want[c] = true
 	}
 	x.sc, x.seeker, x.params, x.groups, x.k, x.eps = sc, spec.Seeker, spec.Params, spec.Groups, spec.K, spec.Epsilon
 	x.comps, x.resumedN = comps, 0
@@ -212,12 +215,10 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 		admit := sp.StartChild("admit")
 		// Users have no component; once every match is admitted, the rest
 		// of the exploration has nothing to look up.
-		for i := 0; i < len(discovered) && len(x.pending) > 0; i++ {
-			if c := x.e.in.CompOf(discovered[i]); c >= 0 {
-				if _, ok := x.pending[c]; ok {
-					delete(x.pending, c)
-					x.admitComponent(c)
-				}
+		for i := 0; i < len(discovered) && x.admitted < len(x.comps); i++ {
+			if c := x.e.in.CompOf(discovered[i]); c >= 0 && x.want[c] {
+				x.want[c] = false
+				x.admitComponent(c)
 			}
 		}
 		admit.End()
@@ -262,7 +263,12 @@ func (x *LocalExecutor) End() {
 	if x.it != nil {
 		closeIterator(x.e.iters, x.it, x.pc, x.ckey, x.resumedN)
 	}
-	x.it, x.sc, x.groups, x.pending = nil, nil, nil, nil
+	if x.admitted < len(x.comps) {
+		for _, c := range x.comps {
+			x.want[c] = false
+		}
+	}
+	x.it, x.sc, x.groups = nil, nil, nil
 	x.reached, x.admitted = 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
 	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil
@@ -443,7 +449,11 @@ func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
 			for _, t := range terms {
 				p := all[t.src]
 				mLo += t.eta * p
-				mHi += t.eta * math.Min(1, p+tail)
+				h := p + tail
+				if h > 1 {
+					h = 1
+				}
+				mHi += t.eta * h
 			}
 			c.lower *= mLo
 			c.upper *= mHi
@@ -475,12 +485,11 @@ func candOrder(a, b *cand) int {
 // selection so far is valid but must not be extended, and the search must
 // continue.
 func (x *LocalExecutor) greedySelect() ([]*cand, *cand) {
-	if len(x.order) != len(x.cands) {
-		x.order = append(x.order[:0], x.cands...)
-	}
+	x.order = append(x.order, x.cands[len(x.order):]...)
 	// The comparator is a total order (ties broken by unique node id), so
 	// re-sorting the previous round's permutation under the new bounds
-	// yields the same slice a fresh copy would.
+	// yields the same slice a fresh copy would, and starts from an order
+	// that is nearly sorted already.
 	slices.SortFunc(x.order, candOrder)
 	sel := x.kept[:0] // last round's selection is spent: roundInfo copied it out
 	for _, c := range x.order {

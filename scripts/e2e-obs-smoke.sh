@@ -51,6 +51,21 @@ wait_healthy 18081
 wait_healthy 18082
 wait_healthy 18080
 
+# The coordinator serves /healthz before its start-up probe has reached
+# the workers, and the next probe comes seconds later: wait until its
+# /stats lists both workers healthy, so the first search finds them.
+i=0
+while [ "$(curl -sf http://127.0.0.1:18080/stats | grep -o '"healthy":true' | wc -l)" -lt 2 ]; do
+	i=$((i + 1))
+	if [ "$i" -gt 150 ]; then
+		echo "e2e-obs-smoke: coordinator never saw both workers healthy" >&2
+		curl -s http://127.0.0.1:18080/stats >&2
+		cat "$tmp"/*.log >&2
+		exit 1
+	fi
+	sleep 0.1
+done
+
 # The mapped worker holds its hosted shard files and nothing else: not
 # the manifest.
 want=$(($(stat -c %s "$tmp/i.set.shard-0") + $(stat -c %s "$tmp/i.set.shard-2")))
