@@ -136,11 +136,10 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 		return nil, SearchInfo{Exact: true}, nil
 	}
 	spec := core.SearchSpec{
-		Seeker:  seeker,
-		Groups:  groups,
-		K:       cfg.opts.K,
-		Params:  cfg.opts.Params,
-		Epsilon: cfg.opts.Epsilon,
+		Seeker: seeker,
+		Groups: groups,
+		K:      cfg.opts.K,
+		Params: cfg.opts.Params,
 	}
 	copts := core.CoordOptions{
 		MaxIterations: cfg.opts.MaxIterations,

@@ -59,9 +59,6 @@ type Options struct {
 	// Workers parallelises candidate bound computation (§5.2 runs eight
 	// threads; we size by GOMAXPROCS). 0 or 1 disables parallelism.
 	Workers int
-	// Epsilon is the finite-precision tie-breaking margin of Theorem 4.2.
-	// 0 defaults to 1e-12.
-	Epsilon float64
 	// ProxCache, when non-nil, caches seeker-proximity checkpoints across
 	// searches: exploration resumes from the deepest cached frontier for
 	// (seeker, Params) and the final frontier is published back after the
@@ -214,7 +211,7 @@ func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Re
 
 	x := NewShardExecutor(e, opts.Workers).WithProxCache(opts.ProxCache).WithTracing(opts.Trace != nil)
 	sel, stats, err := Coordinate([]ShardExecutor{x},
-		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: opts.Epsilon},
+		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params},
 		CoordOptions{
 			Ctx:           opts.Ctx,
 			MaxIterations: opts.MaxIterations,

@@ -55,7 +55,7 @@ func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywo
 		execs[i] = xs[i]
 	}
 	sel, stats, err := Coordinate(execs,
-		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params, Epsilon: opts.Epsilon},
+		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params},
 		CoordOptions{MaxIterations: opts.MaxIterations, Budget: opts.Budget})
 	if err != nil {
 		return nil, stats, err

@@ -34,10 +34,8 @@ type Ontology struct {
 	// ClassNames lists the class keywords (usable as query keywords with
 	// non-trivial extensions).
 	ClassNames []string
-	// EntityTokens lists the entity keywords, indexed by entity id; the
-	// i-th entity is typed with class classOf[i].
+	// EntityTokens lists the entity keywords, indexed by entity id.
 	EntityTokens []string
-	classOf      []int
 }
 
 // GenOntology builds a synthetic class forest with typed entities:
@@ -64,12 +62,8 @@ func GenOntology(rng *rand.Rand, o OntologyOptions) *Ontology {
 		tok := fmt.Sprintf("ent:%s-%d", Word(e*3+11), e)
 		cls := rng.Intn(o.Classes)
 		ont.EntityTokens = append(ont.EntityTokens, tok)
-		ont.classOf = append(ont.classOf, cls)
 		ont.Triples = append(ont.Triples, [3]string{tok, rdf.TypeURI, ont.ClassNames[cls]})
 		ont.Triples = append(ont.Triples, [3]string{tok, "foaf:name", Word(e*3 + 11)})
 	}
 	return ont
 }
-
-// ClassOf returns the class index of entity e.
-func (o *Ontology) ClassOf(e int) int { return o.classOf[e] }

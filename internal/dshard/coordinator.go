@@ -52,13 +52,6 @@ type CoordinatorConfig struct {
 	Client *http.Client
 	// ProbeInterval paces the background membership refresh (default 5s).
 	ProbeInterval time.Duration
-	// SearchRetries is how many times a search re-issues the fetches that
-	// failed, each time on other replicas of the failed hosts' shards.
-	// Every failed fetch benches its worker, so the default — one retry
-	// per configured worker — guarantees a search survives any number of
-	// dead replicas as long as every shard keeps a live one. Negative
-	// disables retries.
-	SearchRetries int
 	// RPCTimeout bounds each postings fetch, reply included (0 picks 10s;
 	// negative disables the bound, leaving only the client's own timeout).
 	// A timed-out fetch is a transport error: the worker is benched and its
@@ -229,11 +222,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 5 * time.Second
-	}
-	if cfg.SearchRetries == 0 {
-		cfg.SearchRetries = len(cfg.WorkerURLs)
-	} else if cfg.SearchRetries < 0 {
-		cfg.SearchRetries = 0
 	}
 	if cfg.RPCTimeout == 0 {
 		cfg.RPCTimeout = 10 * time.Second
@@ -735,10 +723,12 @@ type hostFetch struct {
 
 // gather fetches the postings of kws on every shard — one concurrent
 // request per host of the cover — and re-fetches the shards of a host
-// whose request failed from their other replicas, at most SearchRetries
-// times. It returns the postings of every shard served, one index.Flat
-// each, the served shards and, in partial mode, the shards left without a
-// replica.
+// whose request failed from their other replicas, at most once per
+// configured worker: every failed fetch benches its worker, so that bound
+// lets a search survive any number of dead replicas as long as every
+// shard keeps a live one. It returns the postings of every shard served,
+// one index.Flat each, the served shards and, in partial mode, the shards
+// left without a replica.
 func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID, traceID uint64, span *obs.Span, partial bool) (parts []index.Flat, served, lost []int, err error) {
 	refs, lost := c.pickCover(nil)
 	if len(lost) > 0 && (!partial || len(lost) == c.cfg.ShardCount) {
@@ -804,7 +794,7 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 		if len(failed) == 0 {
 			break
 		}
-		if attempt == c.cfg.SearchRetries {
+		if attempt == len(c.workers) {
 			return nil, nil, nil, fmt.Errorf("%w (after %d retries)", lastErr, attempt)
 		}
 		c.retries.Add(1)

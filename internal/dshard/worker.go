@@ -61,33 +61,17 @@ type WorkerConfig struct {
 	Registry *obs.Registry
 }
 
-// workerGen is one loaded generation of the shards, reference-counted so
-// a reload unmaps the old snapshot only after its last in-flight request
-// ends (the same discipline the serving layer uses).
-type workerGen struct {
-	ws      *snap.WorkerSnapshot
-	version uint64
-	loadMS  int64
-	refs    atomic.Int64
+// loadedShards is what a worker hot-swaps: the opened shards and how long
+// the open took. The worker holds it in a snap.Current, so a reload
+// unmaps the old shard files only after their last in-flight request ends
+// (the same discipline the serving layer uses).
+type loadedShards struct {
+	ws     *snap.WorkerSnapshot
+	loadMS int64
 }
 
-func (g *workerGen) retain() bool {
-	for {
-		r := g.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if g.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
-func (g *workerGen) release() {
-	if g.refs.Add(-1) == 0 {
-		_ = g.ws.Close()
-	}
-}
+// Close closes the shards; their generation calls it once it retires.
+func (l loadedShards) Close() error { return l.ws.Close() }
 
 // Worker serves shards of a set to coordinators. Create with NewWorker,
 // then Load (or let the HTTP layer report "loading" while a background
@@ -98,7 +82,7 @@ type Worker struct {
 	// the per-shard slices below and the snapshot's Postings).
 	shardIdx map[int]int
 	state    atomic.Int32
-	cur      atomic.Pointer[workerGen]
+	cur      snap.Current[loadedShards]
 	reloadMu sync.Mutex
 
 	start    time.Time
@@ -144,15 +128,15 @@ func NewWorker(cfg WorkerConfig) *Worker {
 			return float64(n)
 		})
 	w.reg.GaugeFunc("s3_worker_generation", "Loaded snapshot generation (increments per reload).", func() float64 {
-		if g := w.cur.Load(); g != nil {
-			return float64(g.version)
+		if g := w.cur.Peek(); g != nil {
+			return float64(g.Version)
 		}
 		return 0
 	})
 	w.reg.GaugeFunc("s3_worker_mapped_bytes", "Bytes memory-mapped by the served generation.", func() float64 {
-		if g := w.acquire(); g != nil {
-			defer g.release()
-			return float64(g.ws.MappedBytes())
+		if g := w.cur.Acquire(); g != nil {
+			defer g.Release()
+			return float64(g.Value.ws.MappedBytes())
 		}
 		return 0
 	})
@@ -170,17 +154,7 @@ func (w *Worker) Load() error {
 	if err != nil {
 		return err
 	}
-	old := w.cur.Load()
-	version := uint64(1)
-	if old != nil {
-		version = old.version + 1
-	}
-	gen := &workerGen{ws: ws, version: version, loadMS: time.Since(start).Milliseconds()}
-	gen.refs.Store(1)
-	w.cur.Store(gen)
-	if old != nil {
-		old.release()
-	}
+	w.cur.Install(loadedShards{ws, time.Since(start).Milliseconds()})
 	w.state.CompareAndSwap(StateLoading, StateServing)
 	return nil
 }
@@ -189,20 +163,6 @@ func (w *Worker) Load() error {
 // turns 503 so coordinators stop picking this worker; requests already in
 // flight are the HTTP server's Shutdown to wait for.
 func (w *Worker) SetDraining() { w.state.Store(StateDraining) }
-
-// acquire returns the current generation with a reference held, or nil
-// while loading.
-func (w *Worker) acquire() *workerGen {
-	for {
-		g := w.cur.Load()
-		if g == nil {
-			return nil
-		}
-		if g.retain() {
-			return g
-		}
-	}
-}
 
 // Handler returns the worker's HTTP surface.
 func (w *Worker) Handler() http.Handler {
@@ -251,14 +211,14 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 		writeErr(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	gen := w.acquire()
+	gen := w.cur.Acquire()
 	if gen == nil {
 		w.rejected.Add(1)
 		writeErr(rw, http.StatusServiceUnavailable, "worker is loading")
 		return
 	}
-	defer gen.release()
-	if err := gen.ws.VerifyErr(); err != nil {
+	defer gen.Release()
+	if err := gen.Value.ws.VerifyErr(); err != nil {
 		w.rejected.Add(1)
 		writeErr(rw, http.StatusServiceUnavailable, "snapshot failed verification: %v", err)
 		return
@@ -279,7 +239,7 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 	e, start := openRecord(nil)
 	events := 0
 	for _, idx := range hosted {
-		ix := &gen.ws.Postings[idx]
+		ix := &gen.Value.ws.Postings[idx]
 		found := 0
 		for _, k := range r.kws {
 			evs := ix.Events(k)
@@ -355,17 +315,17 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	body := healthzBody{Status: stateName(state), Shard: w.firstShard(), Shards: w.cfg.Shards, Proto: protoVersion}
 	status := http.StatusServiceUnavailable
 	verified := true
-	if gen := w.acquire(); gen != nil {
-		body.ShardCount = len(gen.ws.Layout.Shards)
-		body.SetID = fmt.Sprintf("%016x", gen.ws.Layout.SetID)
-		body.Version = gen.version
-		if err := gen.ws.VerifyErr(); err != nil {
+	if gen := w.cur.Acquire(); gen != nil {
+		body.ShardCount = len(gen.Value.ws.Layout.Shards)
+		body.SetID = fmt.Sprintf("%016x", gen.Value.ws.Layout.SetID)
+		body.Version = gen.Version
+		if err := gen.Value.ws.VerifyErr(); err != nil {
 			// Deferred verification found corruption: report unready so the
 			// coordinator routes away.
 			body.Status = "corrupt"
 			verified = false
 		}
-		gen.release()
+		gen.Release()
 	}
 	if state == StateServing && verified {
 		status = http.StatusOK
@@ -414,24 +374,24 @@ func (w *Worker) Stats() WorkerStats {
 		Searches: w.searches.Load(),
 		Rejected: w.rejected.Load(),
 	}
-	if gen := w.acquire(); gen != nil {
-		st.ShardCount = len(gen.ws.Layout.Shards)
-		st.SetID = fmt.Sprintf("%016x", gen.ws.Layout.SetID)
-		st.Version = gen.version
-		st.LoadMS = gen.loadMS
-		st.MappedBytes = gen.ws.MappedBytes()
+	if gen := w.cur.Acquire(); gen != nil {
+		st.ShardCount = len(gen.Value.ws.Layout.Shards)
+		st.SetID = fmt.Sprintf("%016x", gen.Value.ws.Layout.SetID)
+		st.Version = gen.Version
+		st.LoadMS = gen.Value.loadMS
+		st.MappedBytes = gen.Value.ws.MappedBytes()
 		st.Shards = make([]WorkerShardRow, len(w.cfg.Shards))
 		for i, shard := range w.cfg.Shards {
-			desc := gen.ws.Layout.Shards[shard]
+			desc := gen.Value.ws.Layout.Shards[shard]
 			st.Shards[i] = WorkerShardRow{
 				Shard:      shard,
 				Documents:  desc.Docs,
 				Components: len(desc.Comps),
-				Tags:       gen.ws.Tags[i],
+				Tags:       gen.Value.ws.Tags[i],
 				Searches:   w.touched[i].Load(),
 			}
 		}
-		gen.release()
+		gen.Release()
 	}
 	return st
 }
@@ -451,12 +411,12 @@ func (w *Worker) handleReload(rw http.ResponseWriter, _ *http.Request) {
 		writeErr(rw, http.StatusInternalServerError, "reload failed: %v", err)
 		return
 	}
-	gen := w.acquire()
-	defer gen.release()
+	gen := w.cur.Acquire()
+	defer gen.Release()
 	writeJSON(rw, http.StatusOK, map[string]any{
 		"status":       "reloaded",
-		"version":      gen.version,
+		"version":      gen.Version,
 		"reload_ms":    time.Since(start).Milliseconds(),
-		"mapped_bytes": gen.ws.MappedBytes(),
+		"mapped_bytes": gen.Value.ws.MappedBytes(),
 	})
 }

@@ -193,9 +193,6 @@ func (in *Instance) NIDOf(uri string) (NID, bool) {
 // URIOf returns the URI of a node.
 func (in *Instance) URIOf(n NID) string { return in.dict.String(in.dictID[n]) }
 
-// DictIDOf returns the dictionary id of a node's URI.
-func (in *Instance) DictIDOf(n NID) dict.ID { return in.dictID[n] }
-
 // KindOf returns the node kind.
 func (in *Instance) KindOf(n NID) NodeKind { return in.kind[n] }
 
@@ -227,9 +224,6 @@ func (in *Instance) KeywordsOf(n NID) []dict.ID {
 	lo, hi := in.kwOff[n], in.kwOff[n+1]
 	return in.kwList[lo:hi:hi]
 }
-
-// NodeNameOf returns the node name of a document node.
-func (in *Instance) NodeNameOf(n NID) dict.ID { return in.nodeName[n] }
 
 // Users returns all user nodes.
 func (in *Instance) Users() []NID { return in.users }

@@ -4,14 +4,12 @@
 // typed slices and therefore must keep the Mapping alive for as long as
 // any such slice may be read.
 //
-// Lifetime is reference-counted, not GC-driven: the opener holds the
-// first reference, every long-lived structure built over the bytes takes
-// its own via Retain, and the pages are unmapped exactly when the last
-// holder calls Release. This is what lets a serving process hot-swap
-// instances: the old snapshot's mapping stays valid while in-flight
-// searches still read it and disappears deterministically when the last
-// one finishes — even if the file has been unlinked or rewritten on disk
-// in the meantime (the mapping pins the old inode).
+// A Mapping has exactly one owner, the open that made it, and is
+// unmapped when that owner calls Release — deterministically, not when
+// the garbage collector gets round to it. How long the owner keeps it
+// (across a hot swap, until the last in-flight search ends) is decided
+// above this package, in internal/snap. The pages stay readable after the
+// file is unlinked or rewritten on disk: the mapping pins the old inode.
 package mman
 
 import (
@@ -20,19 +18,15 @@ import (
 	"sync/atomic"
 )
 
-// Mapping is a read-only memory-mapped file. Use Open, share with Retain,
-// drop with Release.
+// Mapping is a read-only memory-mapped file. Use Open, drop with Release.
 type Mapping struct {
-	data []byte
-	path string
-	// refs counts live holders; the pages are unmapped when it reaches
-	// zero. A zero or negative count means the mapping is dead.
-	refs atomic.Int64
+	data     []byte
+	released atomic.Bool
 }
 
-// Open maps the whole file read-only and returns a Mapping holding one
-// reference. On platforms without mmap support the file is read into
-// private memory instead; the Mapping API is identical either way.
+// Open maps the whole file read-only. On platforms without mmap support
+// the file is read into private memory instead; the Mapping API is
+// identical either way.
 func Open(path string) (*Mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -51,40 +45,15 @@ func Open(path string) (*Mapping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mman: mapping %s: %w", path, err)
 	}
-	m := &Mapping{data: data, path: path}
-	m.refs.Store(1)
-	return m, nil
+	return &Mapping{data: data}, nil
 }
 
 // Data returns the mapped bytes. The slice (and anything reinterpreted
-// from it) is valid only while the caller holds a reference.
+// from it) is valid only until Release.
 func (m *Mapping) Data() []byte { return m.data }
 
 // Size returns the mapped length in bytes.
 func (m *Mapping) Size() int64 { return int64(len(m.data)) }
-
-// Path returns the file path the mapping was opened from (diagnostics;
-// the file may have been unlinked or replaced since).
-func (m *Mapping) Path() string { return m.path }
-
-// Retain adds a reference. It must be called while at least one
-// reference is still held (a dead mapping cannot be revived). The CAS
-// loop keeps a misuse panic from resurrecting the count: a dead mapping
-// stays dead, so a later misuse still panics deterministically.
-func (m *Mapping) Retain() {
-	if m == nil {
-		return
-	}
-	for {
-		r := m.refs.Load()
-		if r <= 0 {
-			panic("mman: Retain on a released mapping")
-		}
-		if m.refs.CompareAndSwap(r, r+1) {
-			return
-		}
-	}
-}
 
 // Range is a byte span [Off, Off+Len) of a mapping.
 type Range struct {
@@ -123,19 +92,14 @@ func (m *Mapping) Advise(r Range, a Advice) error {
 	return adviseRange(m.data[lo:hi], a)
 }
 
-// Release drops one reference and unmaps the file when it was the last.
-// Releasing more times than retaining panics: it would mean some holder
-// can still read pages that are about to vanish.
+// Release unmaps the file. Releasing twice panics: it would mean some
+// holder can still read pages that are already gone.
 func (m *Mapping) Release() error {
 	if m == nil {
 		return nil
 	}
-	n := m.refs.Add(-1)
-	if n > 0 {
-		return nil
-	}
-	if n < 0 {
-		panic("mman: Release without a matching reference")
+	if m.released.Swap(true) {
+		panic("mman: Release of a released mapping")
 	}
 	data := m.data
 	m.data = nil

@@ -28,44 +28,37 @@ func TestOpenReadsFile(t *testing.T) {
 	}
 }
 
-func TestRefcountLifetime(t *testing.T) {
+// TestMappingLifetime: the pages outlive the file's name, and the one
+// owner releases them exactly once.
+func TestMappingLifetime(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	if err := os.WriteFile(path, []byte("refcounted"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("one owner"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Retain()
 	// Unlinking must not invalidate the mapping: the inode stays pinned.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(); err != nil {
-		t.Fatal(err)
-	}
-	// One reference left: the data must still be readable.
-	if string(m.Data()) != "refcounted" {
-		t.Error("data unreadable after unlink with a live reference")
+	if string(m.Data()) != "one owner" {
+		t.Error("data unreadable after unlink")
 	}
 	if err := m.Release(); err != nil {
 		t.Fatal(err)
 	}
-	// Over-releasing and reviving are programming errors.
-	for name, f := range map[string]func(){
-		"release after death": func() { m.Release() },
-		"retain after death":  func() { m.Retain() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
+	if m.Data() != nil {
+		t.Error("released mapping still hands out its bytes")
 	}
+	// A second Release is a programming error.
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release did not panic")
+		}
+	}()
+	m.Release()
 }
 
 func TestOpenEmptyFile(t *testing.T) {

@@ -230,14 +230,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return m.h
 }
 
-// Names returns every registered metric name in registration order
-// (metrics-lint walks this against the README catalogue).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // renderLabels renders {k="v",...} with label values escaped, plus an
 // optional extra label (the histogram "le").
 func renderLabels(b *strings.Builder, labels []Label, extraKey, extraVal string) {

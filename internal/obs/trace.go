@@ -75,13 +75,6 @@ func (s *Span) SetInt(k string, v int64) {
 	}
 }
 
-// SetFloat records a float attribute.
-func (s *Span) SetFloat(k string, v float64) {
-	if s != nil {
-		s.Attrs = append(s.Attrs, Attr{Key: k, Value: fmt.Sprintf("%g", v)})
-	}
-}
-
 // Trace is one search's span tree plus the id that stitches
 // coordinator-side and worker-side spans together.
 type Trace struct {

@@ -3,7 +3,7 @@
 // snapshot-backed instance or a component-sharded shard set, both served
 // through the s3.Queryable abstraction (a plain instance is the
 // degenerate one-shard case, with no behavioural difference). The
-// instance is held behind an atomic pointer so it can be hot-swapped
+// instance is held in a snap.Current so it can be hot-swapped
 // (POST /reload) while searches are in flight; finished answers go
 // through an LRU result cache, which is re-warmed after a reload by
 // replaying the cached queries against the new instance; identical
@@ -39,6 +39,7 @@ import (
 
 	"s3"
 	"s3/internal/obs"
+	"s3/internal/snap"
 )
 
 // Config assembles a Server.
@@ -95,63 +96,22 @@ const DefaultProxCacheBytes int64 = 64 << 20
 // MaxQueueWait 0.
 const DefaultMaxQueueWait = 2 * time.Second
 
-// instanceState is the unit of atomic hot-swap: an instance (single or
-// sharded) plus its load generation, reference-counted so a mapped
-// instance is closed (unmapped) only after the swap drops the server's
-// reference and the last in-flight request finishes with it.
-type instanceState struct {
+// served is the unit of hot-swap: an instance (single or sharded) and
+// how it was loaded. The server holds it in a snap.Current, so a mapped
+// instance is closed (unmapped) only after a reload has swapped it out
+// and the last in-flight request reading it has finished.
+type served struct {
 	inst     s3.Queryable
-	version  uint64
 	loadedAt time.Time
 	loadMS   int64
-
-	// refs starts at 1 (the server's own reference, dropped when a reload
-	// swaps the state out); every request holds one while it reads the
-	// instance.
-	refs atomic.Int64
 }
 
-func newInstanceState(inst s3.Queryable, version uint64, loadMS int64) *instanceState {
-	st := &instanceState{inst: inst, version: version, loadedAt: time.Now(), loadMS: loadMS}
-	st.refs.Store(1)
-	return st
-}
+// Close closes the instance; its generation calls it once it retires.
+func (v served) Close() error { return v.inst.Close() }
 
-// retain takes a reference; it fails only on a state that already hit
-// zero (retired with no readers), which the acquire loop handles by
-// re-reading the current pointer.
-func (st *instanceState) retain() bool {
-	for {
-		r := st.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if st.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
-// release drops a reference and closes the instance at zero. Close is
-// what unmaps a LoadMmap instance, so it must happen exactly when the
-// last reader is done — not at swap time.
-func (st *instanceState) release() {
-	if st.refs.Add(-1) == 0 {
-		_ = st.inst.Close()
-	}
-}
-
-// acquire returns the current state with a reference held. The loop
-// covers the race where a reload retires the state between the load and
-// the retain.
-func (s *Server) acquire() *instanceState {
-	for {
-		st := s.cur.Load()
-		if st.retain() {
-			return st
-		}
-	}
-}
+// generation is one installed instance with its load generation (the
+// cache keys' and /stats' version).
+type generation = snap.Generation[served]
 
 // call is one in-flight search other identical requests can wait on.
 type call struct {
@@ -163,7 +123,7 @@ type call struct {
 // Server serves S3k queries over HTTP. Create with New.
 type Server struct {
 	cfg   Config
-	cur   atomic.Pointer[instanceState]
+	cur   snap.Current[served]
 	sem   chan struct{}
 	start time.Time
 
@@ -289,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Instance.SetProxCache(s.prox)
 	}
 	s.instrument(cfg.Instance)
-	s.cur.Store(newInstanceState(cfg.Instance, 1, cfg.LoadMS))
+	s.cur.Install(served{inst: cfg.Instance, loadedAt: time.Now(), loadMS: cfg.LoadMS})
 	return s, nil
 }
 
@@ -300,7 +260,7 @@ func (s *Server) registerFuncMetrics() {
 	r.GaugeFunc("s3_uptime_seconds", "Seconds since the serving process started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("s3_server_generation", "Load generation of the served instance (bumped by /reload).",
-		func() float64 { return float64(s.cur.Load().version) })
+		func() float64 { return float64(s.cur.Peek().Version) })
 	r.CounterFunc("s3_http_searches_total", "Engine searches executed (cache hits and coalesced joins excluded).",
 		func() float64 { return float64(s.searches.Load()) })
 	r.CounterFunc("s3_http_coalesced_total", "Requests that joined an identical in-flight search.",
@@ -340,9 +300,9 @@ func (s *Server) registerFuncMetrics() {
 		prox(func(st s3.ProxCacheStats) float64 { return float64(st.Entries) }))
 	r.GaugeFunc("s3_mapped_bytes", "Snapshot bytes backing the served instance through memory mappings.",
 		func() float64 {
-			st := s.acquire()
-			defer st.release()
-			return float64(st.inst.MappedBytes())
+			st := s.cur.Acquire()
+			defer st.Release()
+			return float64(st.Value.inst.MappedBytes())
 		})
 }
 
@@ -522,9 +482,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 		sr.Eta = 0.8
 	}
 
-	state := s.acquire()
-	defer state.release()
-	if !state.inst.HasUser(sr.Seeker) {
+	state := s.cur.Acquire()
+	defer state.Release()
+	if !state.Value.inst.HasUser(sr.Seeker) {
 		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown seeker %q", sr.Seeker)})
 		return
 	}
@@ -533,7 +493,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	// the result cache and coalescing entirely — a hit would return
 	// instantly with nothing to trace. ?partial=1 bypasses for coverage
 	// reasons (see above).
-	key := sr.cacheKey(state.version)
+	key := sr.cacheKey(state.Version)
 	if sr.cacheable() && !bypass {
 		s.mu.Lock()
 		if resp, ok := s.cache.get(key); ok {
@@ -618,7 +578,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 // emits the slow-log line, and retains explicitly requested and slow
 // traces in the /debug/traces ring. The returned response carries the
 // span tree only for ?trace=1 requests.
-func (s *Server) observedSearch(ctx context.Context, state *instanceState, sr *searchRequest, rid string, wantTrace, partial bool) (*searchResponse, *httpError) {
+func (s *Server) observedSearch(ctx context.Context, state *generation, sr *searchRequest, rid string, wantTrace, partial bool) (*searchResponse, *httpError) {
 	var tr *s3.Trace
 	if wantTrace || s.slow.Enabled() {
 		tr = obs.NewTrace("search")
@@ -646,7 +606,7 @@ func (s *Server) observedSearch(ctx context.Context, state *instanceState, sr *s
 			K:         sr.K,
 			Outcome:   outcome,
 			Rounds:    resp.Iterations,
-			Shards:    len(state.inst.Shards()),
+			Shards:    len(state.Value.inst.Shards()),
 			StagesMS:  obs.StagesMS(tr.Root),
 		})
 		if wantTrace || emitted {
@@ -716,7 +676,7 @@ func (s *Server) admit(ctx context.Context, qsp *obs.Span) *httpError {
 // maxQueueWait — past either bound it is shed with 429 and a Retry-After
 // hint, because piling more work onto a saturated process makes every
 // in-flight search slower without making any answer arrive sooner.
-func (s *Server) runSearch(ctx context.Context, state *instanceState, sr *searchRequest, tr *s3.Trace, partial bool) (*searchResponse, *httpError) {
+func (s *Server) runSearch(ctx context.Context, state *generation, sr *searchRequest, tr *s3.Trace, partial bool) (*searchResponse, *httpError) {
 	qsp := tr.Span().StartChild("queue")
 	if herr := s.admit(ctx, qsp); herr != nil {
 		return nil, herr
@@ -750,7 +710,7 @@ func (s *Server) runSearch(ctx context.Context, state *instanceState, sr *search
 	}
 
 	s.searches.Add(1)
-	results, info, err := state.inst.SearchInfoed(sr.Seeker, sr.Keywords, opts...)
+	results, info, err := state.Value.inst.SearchInfoed(sr.Seeker, sr.Keywords, opts...)
 	if err != nil {
 		if ctx.Err() != nil {
 			// A 503 also sends coalesced followers, whose clients are still
@@ -765,7 +725,7 @@ func (s *Server) runSearch(ctx context.Context, state *instanceState, sr *search
 		Iterations:   info.Iterations,
 		ElapsedMS:    float64(info.Elapsed.Microseconds()) / 1000,
 		Warm:         info.Warm,
-		Version:      state.version,
+		Version:      state.Version,
 		Degraded:     info.Degraded,
 		ShardsServed: info.ServedShards,
 	}
@@ -783,9 +743,9 @@ func (s *Server) handleExtension(w http.ResponseWriter, req *http.Request) {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "missing keyword parameter"})
 		return
 	}
-	state := s.acquire()
-	ext := state.inst.Extension(kw)
-	state.release()
+	state := s.cur.Acquire()
+	ext := state.Value.inst.Extension(kw)
+	state.Release()
 	if ext == nil {
 		ext = []string{}
 	}
@@ -870,8 +830,8 @@ type cacheStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	state := s.acquire()
-	defer state.release()
+	state := s.cur.Acquire()
+	defer state.Release()
 	s.mu.Lock()
 	cs := cacheStats{
 		Capacity:  s.cache.cap,
@@ -883,7 +843,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Warmed:    s.warmed.Load(),
 	}
 	s.mu.Unlock()
-	shards := state.inst.Shards()
+	shards := state.Value.inst.Shards()
 	rows := make([]shardStatsJSON, len(shards))
 	for i, sh := range shards {
 		rows[i] = shardStatsJSON{
@@ -896,7 +856,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	var distributed any
-	if p, ok := state.inst.(distributedStatsProvider); ok {
+	if p, ok := state.Value.inst.(distributedStatsProvider); ok {
 		distributed = p.DistributedStats()
 	}
 	var ps proxCacheStats
@@ -916,14 +876,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, &statsResponse{
-		Instance:    state.inst.Stats(),
-		Version:     state.version,
-		LoadedAt:    state.loadedAt,
-		LoadMS:      state.loadMS,
-		MappedBytes: state.inst.MappedBytes(),
+		Instance:    state.Value.inst.Stats(),
+		Version:     state.Version,
+		LoadedAt:    state.Value.loadedAt,
+		LoadMS:      state.Value.loadMS,
+		MappedBytes: state.Value.inst.MappedBytes(),
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		UptimeS:     time.Since(s.start).Seconds(),
-		Generation:  state.version,
+		Generation:  state.Version,
 		Workers:     cap(s.sem),
 		Searches:    s.searches.Load(),
 		Reloads:     s.reloads.Load(),
@@ -946,7 +906,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, status, map[string]any{
 		"status":  state,
-		"version": s.cur.Load().version,
+		"version": s.cur.Peek().Version,
 	})
 }
 
@@ -968,8 +928,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, &httpError{status: http.StatusInternalServerError, msg: "reload failed: " + err.Error()})
 		return
 	}
-	old := s.cur.Load()
-	next := newInstanceState(inst, old.version+1, time.Since(loadStart).Milliseconds())
+	loaded := served{inst: inst, loadedAt: time.Now(), loadMS: time.Since(loadStart).Milliseconds()}
 	// Remember what the cache held before the swap invalidates it: those
 	// keys are the hot query set, worth paying for again up front.
 	s.mu.Lock()
@@ -982,13 +941,14 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 		inst.SetProxCache(s.prox)
 	}
 	s.instrument(inst)
-	s.cur.Store(next)
+	// Installing drops the server's reference to the outgoing generation:
+	// in-flight requests still hold theirs, and the last one out closes
+	// (unmaps) the old instance — the swapped-out snapshot file can be
+	// unlinked or rewritten immediately.
+	s.cur.Install(loaded)
 	s.reloads.Add(1)
-	// Drop the server's reference to the outgoing state: in-flight
-	// requests still hold theirs, and the last one out closes (unmaps)
-	// the old instance — the swapped-out snapshot file can be unlinked or
-	// rewritten immediately.
-	old.release()
+	next := s.cur.Acquire()
+	defer next.Release()
 	s.mu.Lock()
 	s.cache.purge()
 	s.mu.Unlock()
@@ -996,7 +956,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	proxWarmed := s.warmProximity(next, hot)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "reloaded",
-		"version":     next.version,
+		"version":     next.Version,
 		"warmed":      warmed,
 		"prox_warmed": proxWarmed,
 		"instance":    inst.Stats(),
@@ -1016,14 +976,14 @@ const maxWarmReplay = 256
 // order the old one had; queries whose seeker vanished from the new
 // instance are skipped. Returns how many entries were warmed (also
 // accumulated in the cache.warmed counter).
-func (s *Server) warmCache(state *instanceState, hot []searchRequest) int {
+func (s *Server) warmCache(state *generation, hot []searchRequest) int {
 	if len(hot) > maxWarmReplay {
 		hot = hot[:maxWarmReplay]
 	}
 	warmed := 0
 	for i := len(hot) - 1; i >= 0; i-- {
 		sr := hot[i]
-		if !state.inst.HasUser(sr.Seeker) {
+		if !state.Value.inst.HasUser(sr.Seeker) {
 			continue
 		}
 		resp, herr := s.runSearch(context.Background(), state, &sr, nil, false)
@@ -1031,7 +991,7 @@ func (s *Server) warmCache(state *instanceState, hot []searchRequest) int {
 			continue
 		}
 		s.mu.Lock()
-		s.cache.put(sr.cacheKey(state.version), sr, resp)
+		s.cache.put(sr.cacheKey(state.Version), sr, resp)
 		s.mu.Unlock()
 		warmed++
 	}
@@ -1055,7 +1015,7 @@ const maxWarmSeekers = 128
 // including the tail the replay cap skipped — so a result-cache miss
 // right after a reload still starts from a warm frontier. Returns how
 // many seeds were performed.
-func (s *Server) warmProximity(state *instanceState, hot []searchRequest) int {
+func (s *Server) warmProximity(state *generation, hot []searchRequest) int {
 	if s.prox == nil {
 		return 0
 	}
@@ -1074,7 +1034,7 @@ func (s *Server) warmProximity(state *instanceState, hot []searchRequest) int {
 			continue
 		}
 		seen[t] = struct{}{}
-		if _, seeded := state.inst.WarmProximity(sr.Seeker, sr.Gamma, sr.Eta, warmProxDepth); seeded {
+		if _, seeded := state.Value.inst.WarmProximity(sr.Seeker, sr.Gamma, sr.Eta, warmProxDepth); seeded {
 			warmed++
 		}
 	}
@@ -1082,7 +1042,7 @@ func (s *Server) warmProximity(state *instanceState, hot []searchRequest) int {
 }
 
 // Instance returns the currently served instance (tests and diagnostics).
-func (s *Server) Instance() s3.Queryable { return s.cur.Load().inst }
+func (s *Server) Instance() s3.Queryable { return s.cur.Peek().Value.inst }
 
 // Version returns the current instance generation.
-func (s *Server) Version() uint64 { return s.cur.Load().version }
+func (s *Server) Version() uint64 { return s.cur.Peek().Version }

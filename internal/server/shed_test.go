@@ -182,8 +182,8 @@ func TestCancelledSearchIsUnavailable(t *testing.T) {
 	s := newTestServer(t, Config{Instance: inst})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	state := s.acquire()
-	defer state.release()
+	state := s.cur.Acquire()
+	defer state.Release()
 	_, herr := s.runSearch(ctx, state, &searchRequest{Seeker: seeker, Keywords: []string{kw}, K: 5}, nil, false)
 	if herr == nil || herr.status != http.StatusServiceUnavailable {
 		t.Fatalf("cancelled search answered %+v, want 503", herr)

@@ -99,14 +99,14 @@ func TestMappedOpenMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Mode != LoadMmap || s.Mapping == nil || s.MappedBytes() == 0 {
+	if s.Mode != LoadMmap || len(s.Mappings) != 1 || s.MappedBytes() == 0 {
 		t.Fatalf("expected a live mapping, got mode=%v mapped=%d", s.Mode, s.MappedBytes())
 	}
 	c, err := Open(path, LoadCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Mode != LoadCopy || c.Mapping != nil {
+	if c.Mode != LoadCopy || c.Mappings != nil {
 		t.Fatalf("copy open returned mode=%v", c.Mode)
 	}
 	if got, want := searchAll(t, s.Instance, s.Index), searchAll(t, c.Instance, c.Index); got != want {

@@ -1,8 +1,9 @@
 // Path-based snapshot opening with a load mode: the seam between the
 // on-disk format and the two ways of getting a file's bytes into memory.
-// loadFile is the one place a path becomes bytes; the four role openers
+// Files.load is the one place a path becomes bytes; the four role openers
 // (Open, OpenManifest, OpenShardSet here, OpenWorkerHost in worker.go)
-// decode what it returns, and both modes run the same decoder over it:
+// each load through the Files their result embeds and decode what it
+// returns, and both modes run the same decoder over it:
 // the instance's tables are typed views of the bytes, lookups go through
 // the stored binary-search structures, and open time is the per-section
 // checksum pass, allocation-free scans that check structure and hold the
@@ -15,8 +16,10 @@
 // rewritten or unlinked freely afterwards.
 //
 // LoadMmap maps the file, so the views point at the page cache. The
-// returned Mapping owns the pages; whoever holds the instance must hold a
-// mapping reference and Release it when the instance is retired.
+// opened result's Files owns every mapping the open made, and its Close
+// unmaps them: a failed open closes them at once, and a served result is
+// closed when the Generation holding it (generation.go) retires — after
+// the last search reading it ends.
 //
 // Either way the host's struct layout must alias the on-disk encoding
 // (layoutMappable); elsewhere every opener returns errUnaliasableHost.
@@ -52,75 +55,87 @@ func (m LoadMode) String() string {
 	return "copy"
 }
 
-// Snapshot is an opened snapshot: the instance, its index, and — in
-// mapped mode — the mapping that owns their backing pages.
-type Snapshot struct {
-	Instance *graph.Instance
-	Index    *index.Index
-	// Mapping is non-nil exactly when Mode is LoadMmap; the holder of the
-	// snapshot owns one reference and must Release it when done.
-	Mapping *mman.Mapping
-	// Mode is the load mode of the open.
-	Mode LoadMode
-}
-
-// MappedBytes returns the size of the backing mapping, 0 for a copied
-// snapshot.
-func (s *Snapshot) MappedBytes() int64 {
-	if s.Mapping == nil {
-		return 0
-	}
-	return s.Mapping.Size()
-}
-
-// Close releases the mapping reference held by the snapshot (a no-op for
-// copied snapshots). The instance and index must not be used afterwards.
-func (s *Snapshot) Close() error {
-	m := s.Mapping
-	s.Mapping = nil
-	return m.Release()
-}
-
-// ShardSetSnapshot is an opened shard set: the fully validated set plus
-// the mappings (manifest first, then shards in layout order) that own the
-// backing pages of whatever was mapped.
-type ShardSetSnapshot struct {
-	Set *ShardSet
-	// Mappings holds one entry per file under LoadMmap, none under
-	// LoadCopy.
+// Files owns the files one open loaded: in LoadMmap mode one mapping per
+// file, in load order, which back every view the open decoded; in
+// LoadCopy mode none (the private copies belong to the garbage
+// collector).
+type Files struct {
 	Mappings []*mman.Mapping
 	// Mode is the load mode of the open.
 	Mode LoadMode
 }
 
-// MappedBytes sums the sizes of the backing mappings.
-func (s *ShardSetSnapshot) MappedBytes() int64 {
+// MappedBytes sums the sizes of the backing mappings (0 when copied).
+func (f *Files) MappedBytes() int64 {
 	var total int64
-	for _, m := range s.Mappings {
+	for _, m := range f.Mappings {
 		total += m.Size()
 	}
 	return total
 }
 
-// Close releases every mapping reference held by the shard set.
-func (s *ShardSetSnapshot) Close() error {
+// Close unmaps every file the open mapped; nothing decoded from them may
+// be read afterwards. A second Close is a no-op.
+func (f *Files) Close() error {
 	var first error
-	for _, m := range s.Mappings {
+	for _, m := range f.Mappings {
 		if err := m.Release(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.Mappings = nil
+	f.Mappings = nil
 	return first
 }
 
+// load gets one file into memory in f's mode. LoadCopy reads it into a
+// private aligned buffer. LoadMmap maps it and adds the mapping to f at
+// once, so f's Close releases it whether or not the decode that follows
+// succeeds; the mapping is returned for the section advice.
+func (f *Files) load(path string) ([]byte, *mman.Mapping, error) {
+	if f.Mode != LoadMmap {
+		data, err := readPrivate(path)
+		return data, nil, err
+	}
+	m, err := mman.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	f.Mappings = append(f.Mappings, m)
+	return m.Data(), m, nil
+}
+
+// Snapshot is an opened snapshot: the instance, its index, and the files
+// backing them.
+type Snapshot struct {
+	Instance *graph.Instance
+	Index    *index.Index
+	Files
+}
+
+// ShardSetSnapshot is an opened shard set: the fully validated set plus
+// the files (manifest first, then shards in layout order) backing it.
+type ShardSetSnapshot struct {
+	Set *ShardSet
+	Files
+}
+
 // sectionAdvice classifies a section for madvise: postings and matrix
-// arrays are point-looked-up (per border node, per admitted component),
-// so readahead around a fault is wasted bandwidth — MADV_RANDOM; the
-// lookup structures every search walks (dictionary, node tables,
-// offsets) are small and hot — MADV_WILLNEED prefetches them off the
-// first queries' critical path. Everything else keeps the kernel
-// default.
+// arrays are point-looked-up (per border node, per admitted component) —
+// MADV_RANDOM; the lookup structures every search walks (dictionary, node
+// tables, offsets) are small and hot — MADV_WILLNEED. Everything else
+// keeps the kernel default.
+//
+// Every opener gives the advice after its checksum pass has read the
+// advised bytes, so it changes little about which pages are resident in
+// the page cache. What it buys is resident set size. On Linux with
+// transparent huge pages in "madvise" mode, the checksum pass maps the
+// head of a mapped file as one 2 MiB huge page (FilePmdMapped); advice
+// on a sub-range splits the mapping's VMA at the section boundaries,
+// which drops that huge-page mapping, and the sections nothing touches
+// afterwards stay unmapped. On the twitter scale-1 snapshot (seed 1, on
+// ext4) the mapping's Rss was 1,972 kB with the advice (4 VMAs) and
+// 4,020 kB without it (1 VMA, 2,048 kB of it FilePmdMapped), and the
+// benchmark's single-cold peak_rss_mb rose by ≈ 1 MiB without it.
 func sectionAdvice(id byte) mman.Advice {
 	switch id {
 	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents:
@@ -131,21 +146,6 @@ func sectionAdvice(id byte) mman.Advice {
 		return mman.AdviseWillNeed
 	}
 	return mman.AdviseNormal
-}
-
-// loadFile gets one file into memory. LoadCopy reads it into a private
-// aligned buffer. LoadMmap maps it and returns the mapping, which the
-// caller now owns one reference to (and must Release if decoding fails).
-func loadFile(path string, mode LoadMode) ([]byte, *mman.Mapping, error) {
-	if mode != LoadMmap {
-		data, err := readPrivate(path)
-		return data, nil, err
-	}
-	m, err := mman.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.Data(), m, nil
 }
 
 // readPrivate reads a whole file into an aligned private buffer.
@@ -182,17 +182,6 @@ func alignedCopy(data []byte) []byte {
 	return out
 }
 
-// loadKept is loadFile for an open that spans several files: a mapping
-// joins *kept at once, so the Close of whoever owns the list releases it
-// on a failed open too.
-func loadKept(path string, mode LoadMode, kept *[]*mman.Mapping) ([]byte, *mman.Mapping, error) {
-	data, m, err := loadFile(path, mode)
-	if m != nil {
-		*kept = append(*kept, m)
-	}
-	return data, m, err
-}
-
 // adviseMapped applies per-section access advice to the sections a reader
 // kept of a freshly mapped file (a no-op on a nil mapping). Failures are
 // ignored: advice is a performance hint, never a correctness requirement.
@@ -211,13 +200,13 @@ func adviseMapped(m *mman.Mapping, spans []secSpan) {
 // each file is mapped independently; the merged events are copied to the
 // heap.
 func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error) {
-	out := &ShardSetSnapshot{Set: &ShardSet{}, Mode: mode}
+	out := &ShardSetSnapshot{Set: &ShardSet{}, Files: Files{Mode: mode}}
 	fail := func(err error) (*ShardSetSnapshot, error) {
 		out.Close()
 		return nil, err
 	}
 
-	mdata, mm, err := loadKept(manifestPath, mode, &out.Mappings)
+	mdata, mm, err := out.load(manifestPath)
 	if err != nil {
 		return fail(err)
 	}
@@ -231,7 +220,7 @@ func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error)
 	dir := filepath.Dir(manifestPath)
 	flats := make([]index.Flat, len(layout.Shards))
 	for i, desc := range layout.Shards {
-		sdata, sm, err := loadKept(filepath.Join(dir, desc.Name), mode, &out.Mappings)
+		sdata, sm, err := out.load(filepath.Join(dir, desc.Name))
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", i, err))
 		}
@@ -253,43 +242,28 @@ func OpenShardSet(manifestPath string, mode LoadMode) (*ShardSetSnapshot, error)
 // ManifestSnapshot is an opened shard-set manifest without its shard
 // files: the shared base instance and the layout — what a scatter/gather
 // coordinator needs (seeker resolution, keyword groups, URI mapping,
-// shard table) without loading any index slice.
+// shard table) without loading any index slice — and the file backing
+// them.
 type ManifestSnapshot struct {
 	Base   *graph.Instance
 	Layout *Layout
-	// Mapping is non-nil exactly when the manifest stayed mapped.
-	Mapping *mman.Mapping
-	Mode    LoadMode
-}
-
-// MappedBytes returns the size of the backing mapping, 0 when copied.
-func (s *ManifestSnapshot) MappedBytes() int64 {
-	if s.Mapping == nil {
-		return 0
-	}
-	return s.Mapping.Size()
-}
-
-// Close releases the mapping reference held by the manifest snapshot.
-func (s *ManifestSnapshot) Close() error {
-	m := s.Mapping
-	s.Mapping = nil
-	return m.Release()
+	Files
 }
 
 // OpenManifest loads a shard-set manifest alone, in the requested mode.
 func OpenManifest(path string, mode LoadMode) (*ManifestSnapshot, error) {
-	data, m, err := loadFile(path, mode)
-	if err != nil {
-		return nil, err
+	out := &ManifestSnapshot{Files: Files{Mode: mode}}
+	data, m, err := out.load(path)
+	var spans []secSpan
+	if err == nil {
+		out.Base, out.Layout, spans, err = decodeManifest(data)
 	}
-	base, layout, spans, err := decodeManifest(data)
 	if err != nil {
-		m.Release()
+		out.Close()
 		return nil, err
 	}
 	adviseMapped(m, spans)
-	return &ManifestSnapshot{Base: base, Layout: layout, Mapping: m, Mode: mode}, nil
+	return out, nil
 }
 
 // ParseManifest decodes a shard-set manifest held in memory — one fetched
@@ -300,20 +274,21 @@ func ParseManifest(data []byte) (*ManifestSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ManifestSnapshot{Base: base, Layout: layout, Mode: LoadCopy}, nil
+	return &ManifestSnapshot{Base: base, Layout: layout, Files: Files{Mode: LoadCopy}}, nil
 }
 
 // Open loads a snapshot file in the requested mode.
 func Open(path string, mode LoadMode) (*Snapshot, error) {
-	data, m, err := loadFile(path, mode)
-	if err != nil {
-		return nil, err
+	out := &Snapshot{Files: Files{Mode: mode}}
+	data, m, err := out.load(path)
+	var spans []secSpan
+	if err == nil {
+		out.Instance, out.Index, spans, err = decodeSnapshot(data)
 	}
-	in, ix, spans, err := decodeSnapshot(data)
 	if err != nil {
-		m.Release()
+		out.Close()
 		return nil, err
 	}
 	adviseMapped(m, spans)
-	return &Snapshot{Instance: in, Index: ix, Mapping: m, Mode: mode}, nil
+	return out, nil
 }

@@ -36,19 +36,16 @@ const (
 // DeferredVerify collects integrity checks deferred off an open path.
 // Checks run in background goroutines; the first failure sticks.
 type DeferredVerify struct {
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	err  error
-	open atomic.Int64 // checks still running
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
 }
 
 // spawn runs one deferred check in the background.
 func (d *DeferredVerify) spawn(f func() error) {
 	d.wg.Add(1)
-	d.open.Add(1)
 	go func() {
 		defer d.wg.Done()
-		defer d.open.Add(-1)
 		if err := f(); err != nil {
 			d.mu.Lock()
 			if d.err == nil {
@@ -85,9 +82,6 @@ func (d *DeferredVerify) Err() error {
 	defer d.mu.Unlock()
 	return d.err
 }
-
-// Pending reports how many deferred checks are still running.
-func (d *DeferredVerify) Pending() int { return int(d.open.Load()) }
 
 // verifyAlignedSpans checksums the given section payloads of data in
 // parallel: the pass is memory-bandwidth bound, so spreading it over

@@ -8,7 +8,9 @@
 // checksums them, and lets the manifest go; then it binds each hosted
 // shard file to that layout and decodes its connection index into an
 // index.Flat. Mapped, a worker host holds its shard files and nothing
-// more.
+// more: the manifest is loaded through a Files of its own, closed before
+// the open returns, and each shard file through the WorkerSnapshot's
+// Files, whose Close unmaps them once deferred verification is done.
 //
 // Integrity: the manifest's two sections are checksummed during the open
 // in either mode. VerifyEager checksums every shard payload during the
@@ -23,11 +25,10 @@ import (
 
 	"s3/internal/graph"
 	"s3/internal/index"
-	"s3/internal/mman"
 )
 
 // WorkerSnapshot is an opened worker-host view of a shard set: the hosted
-// shards' postings plus the mappings backing them.
+// shards' postings plus the files backing them.
 type WorkerSnapshot struct {
 	// Layout is the manifest's shard table; Shards every hosted ordinal in
 	// hosted order.
@@ -37,23 +38,11 @@ type WorkerSnapshot struct {
 	// Tags its tag count (from the shard header), both in Shards order.
 	Postings []index.Flat
 	Tags     []int
-	// Mappings holds the live shard-file mappings (none under LoadCopy);
-	// Mode is the load mode of the open.
-	Mappings []*mman.Mapping
-	Mode     LoadMode
+	Files
 
 	// verify collects the integrity checks a VerifyLazy open deferred
 	// (nil after an eager open: everything already verified).
 	verify *DeferredVerify
-}
-
-// MappedBytes sums the sizes of the backing mappings.
-func (s *WorkerSnapshot) MappedBytes() int64 {
-	var total int64
-	for _, m := range s.Mappings {
-		total += m.Size()
-	}
-	return total
 }
 
 // WaitVerify blocks until any deferred integrity checks complete and
@@ -74,20 +63,13 @@ func (s *WorkerSnapshot) VerifyErr() error {
 	return s.verify.Err()
 }
 
-// Close releases every mapping reference held by the worker snapshot,
-// first waiting out any deferred verification still reading them.
+// Close unmaps the shard files, first waiting out any deferred
+// verification still reading them.
 func (s *WorkerSnapshot) Close() error {
 	if s.verify != nil {
 		_ = s.verify.Wait()
 	}
-	var first error
-	for _, m := range s.Mappings {
-		if err := m.Release(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.Mappings = nil
-	return first
+	return s.Files.Close()
 }
 
 // OpenWorkerHost opens a set of co-hosted shards for one worker process:
@@ -114,7 +96,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		}
 	}
 
-	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...), Mode: mode}
+	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...), Files: Files{Mode: mode}}
 	var dv *DeferredVerify
 	if verify == VerifyLazy {
 		dv = &DeferredVerify{}
@@ -125,7 +107,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		return nil, err
 	}
 	for _, shard := range shards {
-		sdata, sm, err := loadKept(filepath.Join(filepath.Dir(manifestPath), layout.Shards[shard].Name), mode, &out.Mappings)
+		sdata, sm, err := out.load(filepath.Join(filepath.Dir(manifestPath), layout.Shards[shard].Name))
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", shard, err))
 		}
@@ -167,11 +149,12 @@ func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int, dv *Deferre
 // releases the file again: nothing decoded from it aliases its bytes.
 func readWorkerManifest(path string, mode LoadMode) (int, *Layout, error) {
 	const what = "shard-set manifest"
-	data, m, err := loadFile(path, mode)
+	files := Files{Mode: mode}
+	defer files.Close()
+	data, _, err := files.load(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer m.Release()
 	keep := []byte{secMeta, secLayout}
 	f, err := readAligned(data, ManifestMagic, what, keep, nil)
 	if err != nil {
