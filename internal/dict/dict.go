@@ -6,25 +6,24 @@
 // the hot paths allocation-free and makes node identity a single integer
 // comparison.
 //
-// A dictionary comes in two flavours:
-//
-//   - map-backed (New): the mutable form used by builders.
-//     Safe for concurrent readers once no more writers call Intern;
-//     interleaving Intern with readers requires external locking.
-//   - arena-backed (FromArena): a read-only base over one contiguous byte
-//     arena (typically a memory-mapped snapshot section) plus a sorted
-//     permutation for binary-searched lookups. No per-entry allocation
-//     happens on construction. A small mutex-guarded overflow layer still
-//     accepts Intern of genuinely new strings (e.g. the lazy RDF export),
-//     so arena dictionaries are safe for concurrent use throughout.
+// A dictionary has one form: a read-only base over one contiguous byte
+// arena plus a sorted permutation for binary-searched lookups — the form a
+// snapshot stores, so a loaded dictionary (FromArena) is a view of the
+// file with no per-entry allocation — and a small mutex-guarded overflow
+// that accepts Intern of strings the base lacks. A builder interns into
+// the overflow of an empty base (New) and calls Freeze once it is done,
+// which lays everything into a fresh base; later Intern calls (the lazy
+// RDF export, say) go to the overflow again and never reach the base that
+// Arena hands the snapshot writer. Every method is safe for concurrent
+// use.
 package dict
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
-	"unsafe"
 )
 
 // ID is a dense identifier for an interned string. IDs are assigned
@@ -37,18 +36,15 @@ const NoID ID = ^ID(0)
 // Dict interns strings into dense IDs and resolves IDs back to strings.
 // The zero value is not usable; call New or FromArena.
 type Dict struct {
-	byStr map[string]ID
-	strs  []string
-
-	// Arena mode: entry i is arena[offs[i]:offs[i+1]] (no per-entry
+	// The base: entry i is arena[offs[i]:offs[i+1]] (no per-entry
 	// materialisation at all — lookups binary-search perm, which lists
 	// ids in ascending string order, comparing bytes straight out of the
-	// arena), and the overflow below accepts post-freeze Intern calls.
-	// byStr and strs are nil.
+	// arena). It is never modified.
 	arena []byte
 	offs  []int64
 	perm  []int32
 
+	// The overflow: ids from the base's length on.
 	mu     sync.RWMutex
 	moreBy map[string]ID
 	more   []string
@@ -56,27 +52,11 @@ type Dict struct {
 
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{byStr: make(map[string]ID)}
+	return &Dict{offs: []int64{0}}
 }
 
 // Intern returns the ID for s, assigning a fresh one if s was never seen.
 func (d *Dict) Intern(s string) ID {
-	if d.offs != nil {
-		return d.internArena(s)
-	}
-	if id, ok := d.byStr[s]; ok {
-		return id
-	}
-	id := ID(len(d.strs))
-	if id == NoID {
-		panic("dict: identifier space exhausted")
-	}
-	d.byStr[s] = id
-	d.strs = append(d.strs, s)
-	return id
-}
-
-func (d *Dict) internArena(s string) ID {
 	if id, ok := d.lookupBase(s); ok {
 		return id
 	}
@@ -150,16 +130,12 @@ func (d *Dict) lookupBase(s string) (ID, bool) {
 
 // Lookup returns the ID for s if it was interned.
 func (d *Dict) Lookup(s string) (ID, bool) {
-	if d.offs != nil {
-		if id, ok := d.lookupBase(s); ok {
-			return id, true
-		}
-		d.mu.RLock()
-		id, ok := d.moreBy[s]
-		d.mu.RUnlock()
-		return id, ok
+	if id, ok := d.lookupBase(s); ok {
+		return id, true
 	}
-	id, ok := d.byStr[s]
+	d.mu.RLock()
+	id, ok := d.moreBy[s]
+	d.mu.RUnlock()
 	return id, ok
 }
 
@@ -172,35 +148,27 @@ func (d *Dict) Has(s string) bool {
 // String resolves an ID back to the interned string. It panics on an ID
 // that was never issued, which always indicates a programming error.
 //
-// For an arena-backed dictionary the result is a private copy: returned
-// strings never alias the arena, so they stay valid after the mapping
-// backing the arena is released. (Strings, used by the snapshot writer,
-// is the one accessor that returns arena-aliasing views.)
+// The result is a private copy: returned strings never alias the arena,
+// so they stay valid after the mapping backing the arena is released.
 func (d *Dict) String(id ID) string {
-	if d.offs != nil {
-		if int(id) < d.baseLen() {
-			return string(d.baseBytes(int32(id)))
-		}
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		if i := int(id) - d.baseLen(); i >= 0 && i < len(d.more) {
-			return d.more[i]
-		}
-		panic(fmt.Sprintf("dict: unknown id %d (size %d)", id, d.Len()))
+	if int(id) < d.baseLen() {
+		return string(d.baseBytes(int32(id)))
 	}
-	if int(id) >= len(d.strs) {
-		panic(fmt.Sprintf("dict: unknown id %d (size %d)", id, len(d.strs)))
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if i := int(id) - d.baseLen(); i >= 0 && i < len(d.more) {
+		return d.more[i]
 	}
-	return d.strs[id]
+	panic(fmt.Sprintf("dict: unknown id %d (size %d)", id, d.baseLen()+len(d.more)))
 }
 
-// FromArena reconstructs a read-only dictionary over a contiguous string
-// arena: entry i is arena[offs[i]:offs[i+1]], and perm lists the ids in
-// ascending string order (the lookup index, as produced by SortPerm). The
-// arena and perm are retained, and the entry strings alias the arena
-// without copying — the caller owns the arena's lifetime and must keep it
-// readable and unmodified for as long as the dictionary (or any instance
-// built over it) is in use.
+// FromArena reconstructs a dictionary over a contiguous string arena:
+// entry i is arena[offs[i]:offs[i+1]], and perm lists the ids in
+// ascending string order (the lookup index, as Freeze produces it). The
+// arena, offsets and perm are retained as the base without copying — the
+// caller owns their lifetime and must keep them readable and unmodified
+// for as long as the dictionary (or any instance built over it) is in
+// use.
 //
 // FromArena validates structure (offset monotonicity, index bounds) so
 // no lookup can panic, and that perm lists the entries in strictly
@@ -231,34 +199,46 @@ func FromArena(arena []byte, offs []int64, perm []int32) (*Dict, error) {
 	return d, nil
 }
 
-// Len returns the number of interned strings.
-func (d *Dict) Len() int {
-	if d.offs != nil {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		return d.baseLen() + len(d.more)
+// Freeze returns a dictionary whose base holds every string of d — base
+// and overflow — under the same ids, in a fresh arena with its sorted
+// permutation, and whose overflow is empty. d itself is unchanged.
+func (d *Dict) Freeze() *Dict {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := d.baseLen() + len(d.more)
+	size := len(d.arena)
+	for _, s := range d.more {
+		size += len(s)
 	}
-	return len(d.strs)
+	arena := make([]byte, 0, size)
+	arena = append(arena, d.arena...)
+	offs := make([]int64, 1, n+1)
+	offs = append(offs, d.offs[1:]...)
+	for _, s := range d.more {
+		arena = append(arena, s...)
+		offs = append(offs, int64(len(arena)))
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		return bytes.Compare(arena[offs[a]:offs[a+1]], arena[offs[b]:offs[b+1]])
+	})
+	return &Dict{arena: arena, offs: offs, perm: perm}
 }
 
-// Strings returns all interned strings in ID order. For a map-backed
-// dictionary the returned slice is shared and must not be modified; an
-// arena-backed dictionary returns a fresh slice whose entries alias the
-// arena.
-func (d *Dict) Strings() []string {
-	if d.offs != nil {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		out := make([]string, 0, d.baseLen()+len(d.more))
-		for i := 0; i < d.baseLen(); i++ {
-			b := d.baseBytes(int32(i))
-			if len(b) == 0 {
-				out = append(out, "")
-				continue
-			}
-			out = append(out, unsafe.String(&b[0], len(b)))
-		}
-		return append(out, d.more...)
-	}
-	return d.strs
+// Arena returns the base in the form FromArena takes back: the string
+// arena, its n+1 offsets and the ids in ascending string order. Strings
+// interned into the overflow are not part of it. The slices are shared
+// with the dictionary and must not be modified.
+func (d *Dict) Arena() (arena []byte, offs []int64, perm []int32) {
+	return d.arena, d.offs, d.perm
+}
+
+// Len returns the number of interned strings.
+func (d *Dict) Len() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.baseLen() + len(d.more)
 }

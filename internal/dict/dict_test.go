@@ -73,13 +73,12 @@ func TestStringsSliceOrder(t *testing.T) {
 	for _, s := range want {
 		d.Intern(s)
 	}
-	got := d.Strings()
-	if len(got) != len(want) {
-		t.Fatalf("Strings() has %d entries, want %d", len(got), len(want))
+	if d.Len() != len(want) {
+		t.Fatalf("Len() = %d, want %d", d.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Strings()[%d] = %q, want %q", i, got[i], want[i])
+		if got := d.String(ID(i)); got != want[i] {
+			t.Fatalf("String(%d) = %q, want %q", i, got, want[i])
 		}
 	}
 }
@@ -159,12 +158,6 @@ func TestFromArenaLookups(t *testing.T) {
 	if _, ok := d.Lookup("urn:missing"); ok {
 		t.Error("Lookup found a string that was never interned")
 	}
-	got := d.Strings()
-	for i := range strs {
-		if got[i] != strs[i] {
-			t.Errorf("Strings()[%d] = %q, want %q", i, got[i], strs[i])
-		}
-	}
 }
 
 // TestFromArenaOverflowIntern checks the post-freeze overflow layer: new
@@ -219,5 +212,44 @@ func TestFromArenaRejectsBadStructure(t *testing.T) {
 	dup, dupOffs, dupPerm := arenaOf([]string{"a", "a"})
 	if _, err := FromArena(dup, dupOffs, dupPerm); err == nil {
 		t.Error("duplicate strings accepted")
+	}
+}
+
+// TestFreezeKeepsIDs checks that Freeze lays a builder's strings into a
+// base under the same ids, with the permutation FromArena accepts (the
+// one arenaOf sorts), and that strings interned afterwards stay out of
+// the base that Arena hands the snapshot writer.
+func TestFreezeKeepsIDs(t *testing.T) {
+	strs := []string{"urn:b", "urn:a", "", "kw:zeta", "kw:alpha", "é"}
+	d := New()
+	for _, s := range strs {
+		d.Intern(s)
+	}
+	fz := d.Freeze()
+	if d.Len() != len(strs) || fz.Len() != len(strs) {
+		t.Fatalf("Len() = %d before / %d after the freeze, want %d", d.Len(), fz.Len(), len(strs))
+	}
+	arena, offs, perm := fz.Arena()
+	wantArena, wantOffs, wantPerm := arenaOf(strs)
+	if fmt.Sprint(arena, offs, perm) != fmt.Sprint(wantArena, wantOffs, wantPerm) {
+		t.Fatalf("Arena() = %v %v %v, want %v %v %v", arena, offs, perm, wantArena, wantOffs, wantPerm)
+	}
+	if _, err := FromArena(arena, offs, perm); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range strs {
+		if id, ok := fz.Lookup(s); !ok || id != ID(i) || fz.String(ID(i)) != s {
+			t.Errorf("frozen Lookup(%q) = %d/%v, want %d", s, id, ok, i)
+		}
+	}
+	if id := fz.Intern("late"); id != ID(len(strs)) || fz.String(id) != "late" {
+		t.Fatalf("Intern after the freeze = %d, want %d", id, len(strs))
+	}
+	if a, o, p := fz.Arena(); len(a) != len(arena) || len(o) != len(offs) || len(p) != len(perm) {
+		t.Fatal("a string interned after the freeze reached the base")
+	}
+	again := fz.Freeze()
+	if again.Len() != len(strs)+1 || again.String(ID(len(strs))) != "late" {
+		t.Fatal("refreezing lost the overflow")
 	}
 }

@@ -107,7 +107,7 @@ func (b *Builder) AddSocial(from, to string, w float64, prop string) error {
 	if from == to {
 		return fmt.Errorf("graph: self social edge on %q", from)
 	}
-	if w <= 0 || w > 1 {
+	if !(w > 0 && w <= 1) {
 		return fmt.Errorf("graph: social weight %v outside (0,1]", w)
 	}
 	if prop != "" && prop != PropSocial {
@@ -246,8 +246,9 @@ func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
 
 // Build freezes the builder into an immutable Instance: it saturates the
 // ontology, assigns dense node ids, materialises network edges with their
-// inverses, the normalised transition matrix, the component partition and
-// the instance statistics.
+// inverses, freezes the dictionary and the ontology into their sorted
+// forms, and derives the normalised transition matrix, the component
+// partition and the instance statistics.
 func (b *Builder) Build() (*Instance, error) {
 	d := dict.New()
 	ont := rdf.New(d)
@@ -261,11 +262,7 @@ func (b *Builder) Build() (*Instance, error) {
 	ont.Add(PropNodeName, rdf.DomainURI, ClassDoc)
 	ont.Saturate()
 
-	in := &Instance{
-		dict:     d,
-		ont:      ont,
-		analyzer: b.analyzer,
-	}
+	in := &Instance{analyzer: b.analyzer}
 
 	// Per-node lists (keywords here, out-edges below) are gathered in
 	// locals and frozen into CSR form once complete.
@@ -388,11 +385,19 @@ func (b *Builder) Build() (*Instance, error) {
 	}
 	in.edgeOff, in.edgeList = flatten(out)
 
+	// Nothing is interned from here on: the dictionary and the ontology
+	// freeze into the sorted forms a snapshot stores and a loaded
+	// instance holds.
+	in.dict = d.Freeze()
+	spo, pos := rdf.TriplePerms(ont.Triples())
+	var err error
+	if in.ont, err = rdf.FromTriplesFrozen(in.dict, ont.Triples(), spo, pos); err != nil {
+		return nil, err
+	}
 	in.buildMatrix()
 	in.buildComponents()
 	in.computeStats(b)
-	var err error
-	if in.nidByID, err = nodesByURI(in.dictID, d.Len()); err != nil {
+	if in.nidByID, err = nodesByURI(in.dictID, in.dict.Len()); err != nil {
 		return nil, err
 	}
 	return in, nil

@@ -115,7 +115,7 @@ type PostEdge struct {
 // (see Raw), plus the children lists and URI→node table derived from them.
 type Instance struct {
 	dict     *dict.Dict
-	ont      *rdf.Graph
+	ont      *rdf.Ontology
 	analyzer text.Analyzer
 
 	// Node tables, indexed by NID.
@@ -171,8 +171,9 @@ type Instance struct {
 // Dict returns the shared dictionary.
 func (in *Instance) Dict() *dict.Dict { return in.dict }
 
-// Ontology returns the saturated RDF layer (schema + entity triples).
-func (in *Instance) Ontology() *rdf.Graph { return in.ont }
+// Ontology returns the saturated RDF layer (schema + entity triples) in
+// sorted form.
+func (in *Instance) Ontology() *rdf.Ontology { return in.ont }
 
 // Analyzer returns the text analyzer the instance was built with.
 func (in *Instance) Analyzer() text.Analyzer { return in.analyzer }

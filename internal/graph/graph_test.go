@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"s3/internal/doc"
@@ -251,6 +252,9 @@ func TestBuilderValidation(t *testing.T) {
 		if err := b.AddSocial("u", "v", 1.5, ""); err == nil {
 			t.Fatal("expected error for weight 1.5")
 		}
+		if err := b.AddSocial("u", "v", math.NaN(), ""); err == nil {
+			t.Fatal("expected error for weight NaN")
+		}
 	})
 	t.Run("duplicate document", func(t *testing.T) {
 		b := NewBuilder(a)
@@ -340,7 +344,7 @@ func TestHigherLevelTags(t *testing.T) {
 		t.Fatal("a2's subject must be the tag a1")
 	}
 	// The custom type is a subclass of S3:relatedTo in the ontology.
-	if !in.Ontology().HasStr("NLP:recognize", "rdfs:subClassOf", ClassRelatedTo) {
+	if !inExtension(in, ClassRelatedTo, "NLP:recognize") {
 		t.Fatal("custom tag class not registered as subclass of S3:relatedTo")
 	}
 	if in.NumComponents() != 1 {
@@ -464,7 +468,15 @@ func TestCustomSocialSubProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.Ontology().HasStr("vdk:follow", "rdfs:subPropertyOf", PropSocial) {
+	if !inExtension(in, PropSocial, "vdk:follow") {
 		t.Fatal("vdk:follow not registered under S3:social")
 	}
+}
+
+// inExtension reports whether b is in the ontology extension of keyword k
+// (Definition 2.1): k's sub-classes, sub-properties and instances.
+func inExtension(in *Instance, k, b string) bool {
+	kid, ok1 := in.Dict().Lookup(k)
+	bid, ok2 := in.Dict().Lookup(b)
+	return ok1 && ok2 && slices.Contains(in.Ontology().Ext(kid), bid)
 }

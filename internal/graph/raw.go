@@ -30,14 +30,21 @@ import (
 // behind a mapping) while an instance built over it is in use is
 // undefined behaviour.
 type Raw struct {
-	// Strings is the dictionary content in ID order.
-	Strings []string
+	// The dictionary in the form dict.FromArena takes: string i is
+	// DictArena[DictOffs[i]:DictOffs[i+1]], and DictPerm lists the ids in
+	// ascending string order.
+	DictArena []byte
+	DictOffs  []int64
+	DictPerm  []int32
 	// Lang / KeepStopwords describe the text analyzer the instance was
 	// built with (queries stem keywords through it).
 	Lang          text.Lang
 	KeepStopwords bool
-	// Triples is the saturated ontology in insertion order.
-	Triples []rdf.Triple
+	// Triples is the saturated ontology in insertion order; TripleSPO and
+	// TriplePOS list its indices sorted by (S,P,O) and by (P,O,S).
+	Triples   []rdf.Triple
+	TripleSPO []int32
+	TriplePOS []int32
 
 	// Node tables, indexed by NID. The content keywords of v are
 	// KwList[KwOff[v]:KwOff[v+1]].
@@ -78,11 +85,12 @@ type Raw struct {
 	Stats Stats
 }
 
-// Raw returns the instance's flat view. It shares every slice with the
-// instance; callers must treat it as read-only.
+// Raw returns the instance's flat view, FromRaw's exact inverse. It
+// shares every slice with the instance; callers must treat it as
+// read-only. Strings interned into the dictionary's overflow after the
+// instance was made (by the RDF export) are not part of it.
 func (in *Instance) Raw() *Raw {
 	r := &Raw{
-		Strings:       in.dict.Strings(),
 		Lang:          in.analyzer.Lang,
 		KeepStopwords: in.analyzer.KeepStopwords,
 		Triples:       in.ont.Triples(),
@@ -109,27 +117,30 @@ func (in *Instance) Raw() *Raw {
 		KwFreqCounts:  in.kwFreqCounts,
 		Stats:         in.stats,
 	}
+	r.DictArena, r.DictOffs, r.DictPerm = in.dict.Arena()
+	r.TripleSPO, r.TriplePOS = in.ont.Perms()
 	_, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal = in.matrix.Raw()
 	return r
 }
 
 // FromRaw reconstructs a frozen Instance from its flat view, over arrays
 // whose integrity the caller has checksummed (the sections of a snapshot,
-// mapped or read into a private buffer). The dictionary d, whose content
-// must equal r.Strings, and the frozen ontology ont over it come prebuilt:
-// the caller constructs them over the stored arenas and sorted
-// permutations, whose order is cheaper to check than to rebuild. The
-// Raw's slices are retained (see the immutability contract above).
+// mapped or read into a private buffer). It builds the dictionary
+// (dict.FromArena) and the sorted ontology (rdf.FromTriplesFrozen) over
+// the stored arenas and permutations, whose order is cheaper to check
+// than to rebuild. The Raw's slices are retained (see the immutability
+// contract above).
 //
 // Every check is an allocation-free linear scan. The structural ones keep
 // slicing and tree walks panic-free: offset-table monotonicity, index
-// bounds and parent pre-order. The content ones hold the stored tag and
-// frequency-keyword lists to the ascending order their binary searches
-// need. The children lists and the URI→node table are derived, each in
-// one pass over Parent or DictID (the latter refusing a URI that names
-// two nodes). So a file that passes its checksums but is internally
-// inconsistent is refused, never served.
-func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
+// bounds and parent pre-order. The content ones hold the stored
+// dictionary, triple, tag and frequency-keyword lists to the ascending
+// order their binary searches need, and triple and edge weights to the
+// ranges the builder accepts. The children lists and the URI→node table
+// are derived, each in one pass over Parent or DictID (the latter
+// refusing a URI that names two nodes). So a file that passes its
+// checksums but is internally inconsistent is refused, never served.
+func FromRaw(r *Raw) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
 		"Kind": len(r.Kind), "Parent": len(r.Parent), "Depth": len(r.Depth),
@@ -146,8 +157,13 @@ func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
 	if len(r.KwFreqCounts) != len(r.KwFreqKeys) {
 		return nil, fmt.Errorf("graph: %d keyword counts for %d keywords", len(r.KwFreqCounts), len(r.KwFreqKeys))
 	}
-	if d == nil || ont == nil {
-		return nil, fmt.Errorf("graph: raw import without dictionary or ontology")
+	d, err := dict.FromArena(r.DictArena, r.DictOffs, r.DictPerm)
+	if err != nil {
+		return nil, err
+	}
+	ont, err := rdf.FromTriplesFrozen(d, r.Triples, r.TripleSPO, r.TriplePOS)
+	if err != nil {
+		return nil, err
 	}
 	nd := dict.ID(d.Len())
 	in := &Instance{
@@ -230,6 +246,7 @@ func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
 		return nil, fmt.Errorf("graph: content keyword outside dictionary of %d", nd)
 	}
 	var maxTo, maxProp1 uint32
+	badW := false
 	for i := range r.EdgeList {
 		if v := uint32(r.EdgeList[i].To); v > maxTo {
 			maxTo = v
@@ -237,9 +254,16 @@ func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
 		if v := uint32(r.EdgeList[i].Prop) + 1; v > maxProp1 {
 			maxProp1 = v
 		}
+		// The range Builder.AddSocial accepts; NaN fails it too.
+		if w := r.EdgeList[i].W; !(w > 0 && w <= 1) {
+			badW = true
+		}
 	}
 	if len(r.EdgeList) > 0 && (maxTo >= uint32(n) || maxProp1 > uint32(nd)) {
 		return nil, fmt.Errorf("graph: edge outside instance of %d nodes / dictionary of %d", n, nd)
+	}
+	if badW {
+		return nil, fmt.Errorf("graph: edge weight outside (0,1]")
 	}
 	checkNIDs := func(vs []NID, what string) error {
 		for _, v := range vs {
@@ -287,7 +311,6 @@ func FromRaw(r *Raw, d *dict.Dict, ont *rdf.Graph) (*Instance, error) {
 	if !strictlyAscending(r.KwFreqKeys) {
 		return nil, fmt.Errorf("graph: frequency keywords are not strictly ascending")
 	}
-	var err error
 	if in.nidByID, err = nodesByURI(r.DictID, int(nd)); err != nil {
 		return nil, err
 	}

@@ -366,7 +366,7 @@ func TestCompsForGroupsIntersects(t *testing.T) {
 // so querying the group {degree, ms} reaches d1's component.
 func TestSemanticExtensionGroups(t *testing.T) {
 	in, ix := figure1(t)
-	degree := in.Ontology().ExtStr("degree")
+	degree := in.Ontology().Ext(kwid(t, in, "degree"))
 	if len(degree) < 2 {
 		t.Fatalf("Ext(degree) = %d entries, want ≥ 2", len(degree))
 	}

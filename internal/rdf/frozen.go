@@ -1,10 +1,10 @@
-// Frozen graphs: a read-only view over an already-saturated triple list
-// that answers the index lookups (Objects, Subjects, PropertyPairs, Has,
-// Weight) by binary search over two precomputed sorted permutations
-// instead of hash maps. Nothing is inserted and no per-triple allocation
-// happens on construction, which is what lets a memory-mapped snapshot
-// expose its ontology without materialising it: the triple array is the
-// mapped section itself and the permutations are two more mapped arrays.
+// The sorted form: a read-only saturated ontology over a triple list and
+// two precomputed sorted permutations, answering keyword extensions by
+// binary search instead of hash maps. Nothing is inserted and no
+// per-triple allocation happens on construction, which is what lets a
+// memory-mapped snapshot expose its ontology without materialising it:
+// the triple array is the mapped section itself and the permutations are
+// two more mapped arrays. A built instance holds the same form.
 package rdf
 
 import (
@@ -14,23 +14,34 @@ import (
 	"s3/internal/dict"
 )
 
-// FromTriplesFrozen builds a read-only saturated graph over triples, with
-// spo and pos the permutations of triple indices sorted by (S, P, O) and
-// (P, O, S) respectively (as produced by TriplePerms). All three slices
-// are retained without copying.
+// Ontology is a saturated triple list in sorted form: what an S3 instance
+// reads of its RDF layer. It cannot be mutated, so it is safe for
+// concurrent readers by construction.
+type Ontology struct {
+	triples  []Triple
+	spo, pos []int32
+
+	typeP, scP, spP ID
+}
+
+// FromTriplesFrozen builds the sorted form of a saturated triple list,
+// with spo and pos the permutations of triple indices sorted by (S, P, O)
+// and (P, O, S) respectively (as produced by TriplePerms). All three
+// slices are retained without copying.
 //
-// Triple ids are validated against the dictionary, and each permutation
-// must list the triples in strictly ascending order: that makes it a
-// permutation, keeps every lookup in range, and is the order the binary
-// searches need (a mis-sorted index would return wrong extension sets).
-//
-// A frozen graph rejects every mutation (Add, AddT, Saturate); it is safe
-// for concurrent readers by construction.
-func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Graph, error) {
+// Triple ids are validated against the dictionary and weights against
+// [0, 1], and each permutation must list the triples in strictly
+// ascending order: that makes it a permutation, keeps every lookup in
+// range, and is the order the binary searches need (a mis-sorted index
+// would return wrong extension sets).
+func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Ontology, error) {
 	nd := ID(d.Len())
 	for i, t := range triples {
 		if t.S >= nd || t.P >= nd || t.O >= nd {
 			return nil, fmt.Errorf("rdf: triple %d references ids outside dictionary of %d", i, nd)
+		}
+		if !(t.W >= 0 && t.W <= 1) {
+			return nil, fmt.Errorf("rdf: triple %d has weight %v outside [0,1]", i, t.W)
 		}
 	}
 	check := func(perm []int32, name string, less func(a, b Triple) bool) error {
@@ -53,16 +64,8 @@ func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Graph
 	if err := check(pos, "pos", lessPOS); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		dict:      d,
-		triples:   triples,
-		spo:       spo,
-		pos:       pos,
-		frozen:    true,
-		saturated: true,
-	}
-	// The well-known vocabulary is resolved without interning: a frozen
-	// graph never grows the dictionary. An ontology that never mentions a
+	// The well-known vocabulary is resolved without interning: the sorted
+	// form never grows the dictionary. An ontology that never mentions a
 	// vocabulary term keeps the NoID sentinel, which matches no triple.
 	lookup := func(uri string) ID {
 		if id, ok := d.Lookup(uri); ok {
@@ -70,12 +73,50 @@ func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Graph
 		}
 		return dict.NoID
 	}
-	g.typeP = lookup(TypeURI)
-	g.scP = lookup(SubClassOfURI)
-	g.spP = lookup(SubPropertyOfURI)
-	g.domP = lookup(DomainURI)
-	g.rngP = lookup(RangeURI)
-	return g, nil
+	return &Ontology{
+		triples: triples,
+		spo:     spo,
+		pos:     pos,
+		typeP:   lookup(TypeURI),
+		scP:     lookup(SubClassOfURI),
+		spP:     lookup(SubPropertyOfURI),
+	}, nil
+}
+
+// Len returns the number of statements.
+func (o *Ontology) Len() int { return len(o.triples) }
+
+// Triples returns the statements. The slice is shared and must not be
+// modified.
+func (o *Ontology) Triples() []Triple { return o.triples }
+
+// Perms returns the (S,P,O)- and (P,O,S)-sorted permutations, in the
+// form FromTriplesFrozen takes them back. They are shared and must not
+// be modified.
+func (o *Ontology) Perms() (spo, pos []int32) { return o.spo, o.pos }
+
+// Ext returns the extension of keyword k per Definition 2.1, as
+// Graph.Ext does.
+func (o *Ontology) Ext(k ID) []ID {
+	return extension(k, o.typeP, o.scP, o.spP, o.subjects)
+}
+
+// subjects returns every s with (s, p, obj) by binary search over the pos
+// permutation, where they form one contiguous run.
+func (o *Ontology) subjects(p, obj ID) []ID {
+	lo := sort.Search(len(o.pos), func(i int) bool {
+		t := o.triples[o.pos[i]]
+		return t.P > p || (t.P == p && t.O >= obj)
+	})
+	var out []ID
+	for i := lo; i < len(o.pos); i++ {
+		t := o.triples[o.pos[i]]
+		if t.P != p || t.O != obj {
+			break
+		}
+		out = append(out, t.S)
+	}
+	return out
 }
 
 // TriplePerms computes the (S,P,O)- and (P,O,S)-sorted permutations of a
@@ -111,73 +152,4 @@ func lessPOS(a, b Triple) bool {
 		return a.O < b.O
 	}
 	return a.S < b.S
-}
-
-// frozenObjects answers Objects by binary search over the spo
-// permutation; the objects of one (s, p) are a contiguous run.
-func (g *Graph) frozenObjects(s, p ID) []ID {
-	lo := sort.Search(len(g.spo), func(i int) bool {
-		t := g.triples[g.spo[i]]
-		return t.S > s || (t.S == s && t.P >= p)
-	})
-	var out []ID
-	for i := lo; i < len(g.spo); i++ {
-		t := g.triples[g.spo[i]]
-		if t.S != s || t.P != p {
-			break
-		}
-		out = append(out, t.O)
-	}
-	return out
-}
-
-// frozenSubjects answers Subjects by binary search over the pos
-// permutation.
-func (g *Graph) frozenSubjects(p, o ID) []ID {
-	lo := sort.Search(len(g.pos), func(i int) bool {
-		t := g.triples[g.pos[i]]
-		return t.P > p || (t.P == p && t.O >= o)
-	})
-	var out []ID
-	for i := lo; i < len(g.pos); i++ {
-		t := g.triples[g.pos[i]]
-		if t.P != p || t.O != o {
-			break
-		}
-		out = append(out, t.S)
-	}
-	return out
-}
-
-// frozenPropertyPairs answers PropertyPairs (weight-1 statements of one
-// property) from the pos permutation's per-property run.
-func (g *Graph) frozenPropertyPairs(p ID) []Pair {
-	lo := sort.Search(len(g.pos), func(i int) bool {
-		return g.triples[g.pos[i]].P >= p
-	})
-	var out []Pair
-	for i := lo; i < len(g.pos); i++ {
-		t := g.triples[g.pos[i]]
-		if t.P != p {
-			break
-		}
-		if t.W == 1 {
-			out = append(out, Pair{t.S, t.O})
-		}
-	}
-	return out
-}
-
-// frozenWeight answers Weight/Has by exact binary search over spo.
-func (g *Graph) frozenWeight(s, p, o ID) (float64, bool) {
-	key := Triple{S: s, P: p, O: o}
-	lo := sort.Search(len(g.spo), func(i int) bool {
-		return !lessSPO(g.triples[g.spo[i]], key)
-	})
-	if lo < len(g.spo) {
-		if t := g.triples[g.spo[lo]]; t.S == s && t.P == p && t.O == o {
-			return t.W, true
-		}
-	}
-	return 0, false
 }

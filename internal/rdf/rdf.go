@@ -53,12 +53,6 @@ type Graph struct {
 	po     map[spKey][]ID // (p,o) → subjects
 	byProp map[ID][]Pair  // p → (s,o) pairs, weight-1 triples only
 
-	// Frozen graphs (FromTriplesFrozen) answer the lookups above from the
-	// spo / pos sorted permutations instead of the maps, and reject every
-	// mutation.
-	frozen   bool
-	spo, pos []int32
-
 	typeP, scP, spP, domP, rngP ID
 
 	saturated bool
@@ -110,9 +104,6 @@ func (g *Graph) AddWeighted(s, p, o string, w float64) bool {
 // derived immediately (incremental saturation, cf. the paper's citation of
 // incremental RDF maintenance [10]).
 func (g *Graph) AddT(s, p, o ID, w float64) bool {
-	if g.frozen {
-		panic("rdf: frozen graph is read-only")
-	}
 	if w < 0 || w > 1 {
 		panic(fmt.Sprintf("rdf: weight %v out of [0,1]", w))
 	}
@@ -163,10 +154,6 @@ func (g *Graph) fixWeight(k key3, w float64) {
 
 // Has reports whether the statement (s,p,o) is present with any weight.
 func (g *Graph) Has(s, p, o ID) bool {
-	if g.frozen {
-		_, ok := g.frozenWeight(s, p, o)
-		return ok
-	}
 	_, ok := g.weights[key3{s, p, o}]
 	return ok
 }
@@ -184,36 +171,23 @@ func (g *Graph) HasStr(s, p, o string) bool {
 
 // Weight returns the weight of the statement if present.
 func (g *Graph) Weight(s, p, o ID) (float64, bool) {
-	if g.frozen {
-		return g.frozenWeight(s, p, o)
-	}
 	w, ok := g.weights[key3{s, p, o}]
 	return w, ok
 }
 
-// Objects returns all o with (s,p,o) in the graph. A frozen graph
-// materialises the (small) answer per call.
+// Objects returns all o with (s,p,o) in the graph.
 func (g *Graph) Objects(s, p ID) []ID {
-	if g.frozen {
-		return g.frozenObjects(s, p)
-	}
 	return g.sp[spKey{s, p}]
 }
 
 // Subjects returns all s with (s,p,o) in the graph.
 func (g *Graph) Subjects(p, o ID) []ID {
-	if g.frozen {
-		return g.frozenSubjects(p, o)
-	}
 	return g.po[spKey{p, o}]
 }
 
 // PropertyPairs returns the (s,o) pairs of all weight-1 triples with
 // property p.
 func (g *Graph) PropertyPairs(p ID) []Pair {
-	if g.frozen {
-		return g.frozenPropertyPairs(p)
-	}
 	return g.byProp[p]
 }
 
@@ -230,9 +204,6 @@ func (g *Graph) PropertyPairs(p ID) []Pair {
 // Entailed triples always have weight 1. Saturate returns the number of
 // triples inferred; it is idempotent.
 func (g *Graph) Saturate() int {
-	if g.frozen {
-		panic("rdf: frozen graph is read-only")
-	}
 	seed := make([]Triple, 0, len(g.triples))
 	for _, t := range g.triples {
 		if t.W == 1 {
@@ -319,6 +290,12 @@ func (g *Graph) Saturated() bool { return g.saturated }
 // (saturated) graph. The result is sorted and duplicate-free; k is always
 // first.
 func (g *Graph) Ext(k ID) []ID {
+	return extension(k, g.typeP, g.scP, g.spP, g.Subjects)
+}
+
+// extension is the one body of Ext over both forms, given the property
+// ids of the vocabulary and the form's (p, o) → subjects lookup.
+func extension(k, typeP, scP, spP ID, subjects func(p, o ID) []ID) []ID {
 	seen := map[ID]struct{}{k: {}}
 	out := []ID{k}
 	collect := func(ids []ID) {
@@ -330,9 +307,9 @@ func (g *Graph) Ext(k ID) []ID {
 			out = append(out, b)
 		}
 	}
-	collect(g.Subjects(g.typeP, k))
-	collect(g.Subjects(g.scP, k))
-	collect(g.Subjects(g.spP, k))
+	collect(subjects(typeP, k))
+	collect(subjects(scP, k))
+	collect(subjects(spP, k))
 	sort.Slice(out[1:], func(i, j int) bool { return out[i+1] < out[j+1] })
 	return out
 }

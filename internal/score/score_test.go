@@ -295,8 +295,9 @@ func TestGroupEventsDeduplicate(t *testing.T) {
 // testGroups builds a two-keyword query with semantic extensions from the
 // instance ontology.
 func testGroups(in *graph.Instance) [][]dict.ID {
-	g1 := in.Ontology().ExtStr("kw0")
-	g2 := in.Ontology().ExtStr("kw1")
+	// A keyword the instance lacks is interned and extends to itself.
+	g1 := in.Ontology().Ext(in.Dict().Intern("kw0"))
+	g2 := in.Ontology().Ext(in.Dict().Intern("kw1"))
 	return [][]dict.ID{g1, g2}
 }
 

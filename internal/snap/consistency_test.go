@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,7 @@ func sectionOf(t testing.TB, data []byte, magic string, id byte) []byte {
 
 func get32(p []byte, i int) uint32    { return binary.LittleEndian.Uint32(p[4*i:]) }
 func put32(p []byte, i int, v uint32) { binary.LittleEndian.PutUint32(p[4*i:], v) }
+func putF64(p []byte, v float64)      { binary.LittleEndian.PutUint64(p, math.Float64bits(v)) }
 func swap32(p []byte, i, j int) {
 	a, b := get32(p, i), get32(p, j)
 	put32(p, i, b)
@@ -96,6 +98,8 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 	}{
 		{"dictionary order", sec3DictPerm, func(p []byte) { swap32(p, 0, 1) }, "sort index is not strictly ascending"},
 		{"triple order", sec3TripleSPO, func(p []byte) { swap32(p, 0, 1) }, "spo permutation is not strictly ascending"},
+		{"triple weight", sec3Triples, func(p []byte) { putF64(p[16:], 2) }, "weight 2 outside [0,1]"},
+		{"edge weight", sec3Edges, func(p []byte) { putF64(p[8:], 3) }, "edge weight outside (0,1]"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
 		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
 		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},

@@ -128,7 +128,8 @@ func TestRoundTripHandInstance(t *testing.T) {
 
 	// Semantic layer must survive: the extension of "degree" includes the
 	// stemmed subclasses.
-	ext := in2.Ontology().ExtStr("degre")
+	degre, _ := in2.Dict().Lookup("degre")
+	ext := in2.Ontology().Ext(degre)
 	if len(ext) < 2 {
 		t.Errorf("ontology lost: Ext(degre) = %d entries", len(ext))
 	}

@@ -10,10 +10,10 @@
 // structures whose check is cheaper than their derivation: the
 // dictionary's sorted permutation (binary-searched lookups over the string
 // arena) and the ontology's (S,P,O)- and (P,O,S)-sorted triple
-// permutations (frozen RDF graph) — sorts to build, linear scans to check,
-// which every open does. What one linear pass derives is not stored: the
-// children lists, the URI→node table and the connection index's
-// per-posting component summaries are derived at open time.
+// permutations — sorts to build (graph.Builder.Build runs them), linear
+// scans to check, which every open does. What one linear pass derives is
+// not stored: the children lists, the URI→node table and the connection
+// index's per-posting component summaries are derived at open time.
 package snap
 
 import (
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"s3/internal/dict"
@@ -246,29 +245,11 @@ func encEvents(a []index.Event) []byte {
 // --- writer: sections from the flat forms ---
 
 // alignedInstanceSections encodes the substrate of an instance (every
-// section except the connection index) in canonical id order.
+// section except the connection index): each of the Raw's arrays as it
+// stands, the dictionary's and the ontology's sorted permutations
+// included.
 func alignedInstanceSections(r *graph.Raw) []asec {
 	n := len(r.DictID)
-
-	// Dictionary: arena + offsets + sorted permutation.
-	arenaLen := 0
-	for _, s := range r.Strings {
-		arenaLen += len(s)
-	}
-	arena := make([]byte, 0, arenaLen)
-	dictOffs := make([]int64, len(r.Strings)+1)
-	for i, s := range r.Strings {
-		arena = append(arena, s...)
-		dictOffs[i+1] = int64(len(arena))
-	}
-	dictPerm := make([]int32, len(r.Strings))
-	for i := range dictPerm {
-		dictPerm[i] = int32(i)
-	}
-	sort.Slice(dictPerm, func(i, j int) bool { return r.Strings[dictPerm[i]] < r.Strings[dictPerm[j]] })
-
-	spo, pos := rdf.TriplePerms(r.Triples)
-
 	kinds := make([]byte, n)
 	for v, k := range r.Kind {
 		kinds[v] = byte(k)
@@ -276,9 +257,9 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 
 	return []asec{
 		{secMeta, false, encodeMeta(r).Bytes()},
-		{sec3DictArena, true, arena},
-		{sec3DictOffs, true, encI64s(dictOffs)},
-		{sec3DictPerm, true, encI32s(dictPerm)},
+		{sec3DictArena, true, r.DictArena},
+		{sec3DictOffs, true, encI64s(r.DictOffs)},
+		{sec3DictPerm, true, encI32s(r.DictPerm)},
 		{sec3NodeDictID, true, encU32s(r.DictID)},
 		{sec3NodeKind, true, kinds},
 		{sec3NodeParent, true, encI32s(r.Parent)},
@@ -295,8 +276,8 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3MatCol, true, encI32s(r.MatrixCol)},
 		{sec3MatVal, true, encF64s(r.MatrixVal)},
 		{sec3Triples, true, encTriples(r.Triples)},
-		{sec3TripleSPO, true, encI32s(spo)},
-		{sec3TriplePOS, true, encI32s(pos)},
+		{sec3TripleSPO, true, encI32s(r.TripleSPO)},
+		{sec3TriplePOS, true, encI32s(r.TriplePOS)},
 		{sec3Users, true, encI32s(r.Users)},
 		{sec3DocRoots, true, encI32s(r.DocRoots)},
 		{sec3TagList, true, encI32s(r.TagList)},
@@ -338,8 +319,8 @@ func load[T any](g *loader, sec byte, what string) []T {
 
 // instanceFromPayloads assembles the substrate instance (everything but
 // the connection index) of a snapshot or manifest as views of its
-// payloads, which must outlive the instance: the arena dictionary, the
-// frozen ontology and graph.FromRaw, whose scans check every table.
+// payloads, which must outlive the instance, through graph.FromRaw, whose
+// scans check every table.
 func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instance, error) {
 	if err := requireSections(payloads, what, required3Substrate); err != nil {
 		return nil, err
@@ -350,9 +331,9 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 		return nil, err
 	}
 	g := &loader{payloads: payloads}
-	arena := payloads[sec3DictArena]
-	dictOffs := load[int64](g, sec3DictOffs, "dictionary offsets")
-	dictPerm := load[int32](g, sec3DictPerm, "dictionary permutation")
+	raw.DictArena = payloads[sec3DictArena]
+	raw.DictOffs = load[int64](g, sec3DictOffs, "dictionary offsets")
+	raw.DictPerm = load[int32](g, sec3DictPerm, "dictionary permutation")
 	raw.DictID = load[dict.ID](g, sec3NodeDictID, "node URIs")
 	raw.Kind = load[graph.NodeKind](g, sec3NodeKind, "node kinds")
 	raw.Parent = load[graph.NID](g, sec3NodeParent, "node parents")
@@ -369,8 +350,8 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.MatrixCol = load[int32](g, sec3MatCol, "matrix columns")
 	raw.MatrixVal = load[float64](g, sec3MatVal, "matrix values")
 	raw.Triples = load[rdf.Triple](g, sec3Triples, "ontology triples")
-	spo := load[int32](g, sec3TripleSPO, "triple spo permutation")
-	pos := load[int32](g, sec3TriplePOS, "triple pos permutation")
+	raw.TripleSPO = load[int32](g, sec3TripleSPO, "triple spo permutation")
+	raw.TriplePOS = load[int32](g, sec3TriplePOS, "triple pos permutation")
 	raw.Users = load[graph.NID](g, sec3Users, "users")
 	raw.DocRoots = load[graph.NID](g, sec3DocRoots, "document roots")
 	raw.TagList = load[graph.NID](g, sec3TagList, "tags")
@@ -386,17 +367,7 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 		return nil, fmt.Errorf("snap: meta says %d nodes, node table has %d", numNodes, len(raw.DictID))
 	}
 
-	d, err := dict.FromArena(arena, dictOffs, dictPerm)
-	if err != nil {
-		return nil, fmt.Errorf("snap: %w", err)
-	}
-	// Raw.Strings stays nil: the import never touches it, and a later
-	// Raw() export materialises the table from the dictionary.
-	ont, err := rdf.FromTriplesFrozen(d, raw.Triples, spo, pos)
-	if err != nil {
-		return nil, fmt.Errorf("snap: %w", err)
-	}
-	in, err := graph.FromRaw(raw, d, ont)
+	in, err := graph.FromRaw(raw)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}

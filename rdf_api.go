@@ -33,6 +33,11 @@ func (i *Instance) rdfGraph() *rdf.Graph {
 //	inst.QueryRDF("?c S3:commentsOn ?d", "?c S3:postedBy ?author")
 //
 // The result is one map per match, binding variable names to values.
+//
+// The view is built on first use and interns its vocabulary into the
+// instance's dictionary, apart from the part a snapshot stores: QueryRDF
+// and WriteRDF are safe alongside searches, and WriteSnapshot writes the
+// same bytes before and after them.
 func (i *Instance) QueryRDF(patterns ...string) ([]map[string]string, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("s3: empty RDF query")
@@ -54,7 +59,8 @@ func (i *Instance) QueryRDF(patterns ...string) ([]map[string]string, error) {
 }
 
 // WriteRDF serialises the instance's full RDF view in (weighted)
-// N-Triples — the interoperability format of requirement R6.
+// N-Triples — the interoperability format of requirement R6. Like
+// QueryRDF, it is safe alongside searches.
 func (i *Instance) WriteRDF(w io.Writer) error {
 	return i.rdfGraph().WriteNTriples(w)
 }

@@ -2,9 +2,12 @@ package s3
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -100,16 +103,7 @@ func TestWriteRDFSurvivesSnapshot(t *testing.T) {
 	}
 	want := export(inst)
 	path := filepath.Join(t.TempDir(), "i.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, inst, path)
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 		loaded, err := OpenSnapshot(path, mode)
 		if err != nil {
@@ -138,5 +132,125 @@ func TestSearchContentOnlyFacade(t *testing.T) {
 		if r.Document == "" || r.Lower != r.Upper {
 			t.Fatalf("bad content-only result %+v", r)
 		}
+	}
+}
+
+// TestRDFExportConcurrentWithSearch runs searches on several goroutines
+// while the lazy RDF export is built and queried, on a built and on a
+// mapped instance. The export interns its vocabulary into the instance
+// dictionary that searches read, so under -race this checks that the
+// two may overlap.
+func TestRDFExportConcurrentWithSearch(t *testing.T) {
+	built := buildFigure1(t)
+	path := filepath.Join(t.TempDir(), "i.snap")
+	writeSnapshotFile(t, built, path)
+	mapped, err := OpenSnapshot(path, LoadMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for name, inst := range map[string]*Instance{"built": built, "mapped": mapped} {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for n := 0; n < 20; n++ {
+					if _, err := inst.Search("u1", []string{"degree"}, WithK(3)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := inst.QueryRDF("?u rdf:type S3:user"); err != nil {
+				errs <- err
+				return
+			}
+			if err := inst.WriteRDF(io.Discard); err != nil {
+				errs <- err
+			}
+		}()
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestWriteSnapshotIgnoresRDFExport checks that the RDF export, which
+// interns its vocabulary into the instance dictionary, leaves the
+// snapshot bytes alone: a built instance and a loaded one (read, copied
+// or mapped) write the same bytes before and after QueryRDF, and a
+// loaded one writes its file's bytes exactly.
+func TestWriteSnapshotIgnoresRDFExport(t *testing.T) {
+	snapshot := func(i *Instance) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := i.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	query := func(i *Instance) {
+		t.Helper()
+		if _, err := i.QueryRDF("?c S3:commentsOn ?d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := buildFigure1(t)
+	want := snapshot(built)
+	query(built)
+	if got := snapshot(built); !bytes.Equal(got, want) {
+		t.Fatalf("built: WriteSnapshot after QueryRDF is %d B, before it %d B", len(got), len(want))
+	}
+	path := filepath.Join(t.TempDir(), "i.snap")
+	writeSnapshotFile(t, built, path)
+
+	read, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := map[string]*Instance{"read": read}
+	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+		inst, err := OpenSnapshot(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		loaded[fmt.Sprintf("open mode %d", mode)] = inst
+	}
+	for name, inst := range loaded {
+		if got := snapshot(inst); !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteSnapshot is %d B, the file %d B", name, len(got), len(want))
+		}
+		query(inst)
+		if got := snapshot(inst); !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteSnapshot after QueryRDF is %d B, the file %d B", name, len(got), len(want))
+		}
+	}
+}
+
+// writeSnapshotFile writes inst's snapshot to path.
+func writeSnapshotFile(t *testing.T, inst *Instance, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
