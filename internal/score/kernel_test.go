@@ -142,6 +142,43 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 	}
 }
 
+// TestDenseStepFromUncoveredSeeker: at serving scale a few users have no
+// incoming edge, so no matrix entry points to them and their row is not
+// on the dense kernel's live list. The first step from such a seeker is
+// the one border PushDense must splice a row into; pinned dense, it must
+// leave the state of the sparse step bit for bit.
+func TestDenseStepFromUncoveredSeeker(t *testing.T) {
+	spec, _ := datagen.Twitter(datagen.DefaultTwitterOptions())
+	in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, col, _ := in.Matrix().Raw()
+	covered := make([]bool, in.NumNodes())
+	for _, c := range col {
+		covered[c] = true
+	}
+	seekers := 0
+	for _, u := range in.Users() {
+		if covered[u] {
+			continue
+		}
+		seekers++
+		sp := pinned(NewIterator(in, DefaultParams(), u), kernelSparse)
+		de := pinned(NewIterator(in, DefaultParams(), u), kernelDense)
+		want := captureState(sp, sp.Step(), true)
+		if len(want.active) == 0 {
+			t.Fatalf("u=%d: the first step reaches no node", u)
+		}
+		if got := captureState(de, de.Step(), true); !statesEqual(got, want) {
+			t.Fatalf("u=%d: dense step from a seeker nothing points to diverges from the sparse step", u)
+		}
+	}
+	if seekers == 0 {
+		t.Fatal("no user without an incoming edge")
+	}
+}
+
 // TestResetReusesVectorsCleanly: an iterator Reset after a deep
 // exploration walks a second seeker's trajectory bit-identically to a
 // fresh iterator, keeps its vectors on the same instance and replaces

@@ -305,28 +305,15 @@ func (it *Iterator) Step() []graph.NID {
 	disc := it.disc[:0]
 	var border []int32
 
-	// Both branches visit the non-zero cells of xᵀ·M in ascending order and
-	// fold each the same way: scale by 1/γ, and unless that underflowed to
-	// zero (the cell is then simply not on the border) list it and add its
-	// share to prox≤n.
+	// Both paths fold the cells of xᵀ·M in ascending order the same way:
+	// scale by 1/γ; a cell still non-zero is on the border and adds its
+	// share to prox≤n, one that is zero (never reached, or its scaled mass
+	// underflowed) does not. The sparse path folds the cells its push
+	// touched, the dense path every cell, without a branch (foldDense).
 	dense := it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active)
 	if dense {
 		m.PushDense(it.border, next)
-		border = it.spare[:0]
-		for c, s := range next {
-			if s == 0 {
-				continue
-			}
-			v := s * invGamma
-			next[c] = v
-			if v == 0 {
-				continue
-			}
-			border = append(border, int32(c))
-			if reach(all, int32(c), v, cg) {
-				disc = append(disc, graph.NID(c))
-			}
-		}
+		border, disc = foldDense(next, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)
 		clear(it.border)
 	} else {
 		touched := m.PushSparse(it.border, it.active, next, it.scratch, it.spare)
@@ -361,6 +348,52 @@ func (it *Iterator) Step() []graph.NID {
 	return disc
 }
 
+// foldDense is the dense path's fold: one pass over every cell of next
+// with no data-dependent branch. Every cell adds its share to prox≤n — a
+// cell off the border adds +0, which leaves prox≤n's bits as they were —
+// and border and disc (each of length len(next)) take every cell id, their
+// cursors advancing by a flag only past the ones listed; they come back
+// cut to what was listed, ascending. The adds and the lists are reach's.
+func foldDense(next, all []float64, border []int32, disc []graph.NID, invGamma, cg float64) ([]int32, []graph.NID) {
+	all = all[:len(next)]
+	border = border[:len(next)]
+	disc = disc[:len(next)]
+	nb, nd := 0, 0
+	for c, s := range next {
+		v := s * invGamma
+		next[c] = v
+		a := all[c]
+		all[c] = a + float64(cg*v)
+		// v and a are non-negative, never −0 and never NaN, so testing
+		// their bits against zero is the float test without its NaN
+		// handling: v != 0 (and v > 0), a == 0.
+		on := flag(math.Float64bits(v) != 0)
+		border[nb] = int32(c)
+		nb += on
+		disc[nd] = graph.NID(c)
+		nd += flag(math.Float64bits(a) == 0) & on
+	}
+	return border[:nb], disc[:nd]
+}
+
+// resized returns xs with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}
+
+// flag is 1 for true and 0 for false; the compiler emits no branch.
+func flag(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
 // borderLayer copies a border (ascending nodes, values in the dense
 // vector) into its recorded sparse form.
 func borderLayer(nodes []int32, dense []float64) proxLayer {
@@ -381,10 +414,10 @@ func frozen[T any](xs []T) []T {
 }
 
 // reach adds border cell c's share Cγ·v to prox≤n and reports whether
-// that is the first mass the node receives. It is the one place prox≤n is
-// accumulated — propagated steps and replayed narrow layers both go
-// through it — and the conversion rounds the product before the add, so
-// no architecture fuses the two.
+// that is the first mass the node receives. Sparse steps and replayed
+// narrow layers accumulate prox≤n through it, and foldDense makes the
+// same add; the conversion rounds the product before the add, so no
+// architecture fuses the two.
 func reach(all []float64, c int32, v, cg float64) bool {
 	first := all[c] == 0 && v > 0
 	all[c] += float64(cg * v)

@@ -100,6 +100,8 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		{"triple order", sec3TripleSPO, func(p []byte) { swap32(p, 0, 1) }, "spo permutation is not strictly ascending"},
 		{"triple weight", sec3Triples, func(p []byte) { putF64(p[16:], 2) }, "weight 2 outside [0,1]"},
 		{"edge weight", sec3Edges, func(p []byte) { putF64(p[8:], 3) }, "edge weight outside (0,1]"},
+		{"matrix value NaN", sec3MatVal, func(p []byte) { putF64(p, math.NaN()) }, "value NaN at entry 0 is not finite and positive"},
+		{"matrix value 0", sec3MatVal, func(p []byte) { putF64(p[8:], 0) }, "value 0 at entry 1 is not finite and positive"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
 		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
 		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},

@@ -10,10 +10,21 @@
 // The primitive has one canonical floating-point order: every output cell
 // sums its contributions in ascending source-row order, and the non-zero
 // cells are enumerated in ascending index. It is implemented twice — a
-// sparse push over the frontier list (PushSparse) and a dense row-major
-// sweep (PushDense) — and because both perform the same additions in the
-// same order their results are bit-identical; which one runs is decided
-// by the step's edge work (Saturated) and is invisible in the result.
+// sparse push over the frontier list (PushSparse) and a dense flat walk
+// over the matrix's live list (PushDense) — and because both perform the
+// same non-zero additions in the same order their results are
+// bit-identical; which one runs is decided by the step's edge work
+// (Saturated) and is invisible in the result.
+//
+// The live list holds the entries of every row that some entry points to,
+// in CSR order. Past the first step a border is xᵀ·M scaled, so it is zero
+// on every other row; the few such rows where x is not zero (a seeker
+// nothing points to, at depth 0) are spliced into the walk at their place
+// in row order. The walk does not test x: a live row where x is zero adds
+// 0·v, a zero because every stored value is finite, and adding a zero
+// leaves the bits of a cell that started at +0 unchanged (such a cell is
+// never −0).
+//
 // Every byte-identity guarantee upstream (replayed checkpoints, shards,
 // hosts, distributed workers, failover) rests on this and on nothing
 // about the history of the exploration.
@@ -22,16 +33,32 @@ package sparse
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
-// Matrix is an immutable square sparse matrix in CSR layout.
+// Matrix is an immutable square sparse matrix in CSR layout; every value
+// is finite and non-zero. Beside the CSR arrays it holds the live list
+// that PushDense walks — the entries of the covered rows (rows some entry
+// points to) as parallel row/col/val slices in CSR order — and, for each
+// non-empty row that is not covered, ascending, the point where that row
+// splices into the list. Both are derived from the CSR arrays when the
+// matrix is made; neither is serialised.
 type Matrix struct {
 	n      int
 	rowPtr []int32
 	col    []int32
 	val    []float64
+
+	liveRow []int32
+	liveCol []int32
+	liveVal []float64
+	splice  []spliceRow
 }
+
+// spliceRow is a non-empty row nothing points to, and the number of live
+// entries in lower rows: where its CSR entries fall in the walk.
+type spliceRow struct{ row, at int32 }
 
 // Builder accumulates (row, col, value) entries; duplicate coordinates are
 // summed.
@@ -51,10 +78,11 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n, rows: make([][]entry, n)}
 }
 
-// Add accumulates val at (row, col).
+// Add accumulates val at (row, col). val must be finite: PushDense's
+// walk multiplies every value by zero for rows where x is zero.
 func (b *Builder) Add(row, col int, val float64) {
-	if row < 0 || row >= b.n || col < 0 || col >= b.n {
-		panic(fmt.Sprintf("sparse: entry (%d,%d) outside %d×%d matrix", row, col, b.n, b.n))
+	if row < 0 || row >= b.n || col < 0 || col >= b.n || math.IsInf(val, 0) || math.IsNaN(val) {
+		panic(fmt.Sprintf("sparse: entry (%d,%d) = %v is not a finite value inside the %d×%d matrix", row, col, val, b.n, b.n))
 	}
 	b.rows[row] = append(b.rows[row], entry{col: int32(col), val: val})
 	b.entries++
@@ -63,8 +91,8 @@ func (b *Builder) Add(row, col int, val float64) {
 // Build produces the CSR matrix. Each row is ordered by a stable sort on
 // column and every run of one column is summed in the order its entries
 // were added — a matrix value is the same left-to-right sum whatever else
-// the row holds. A run that sums to zero is dropped. Rows are sorted in
-// place; the cost is O(entries · log(widest row)).
+// the row holds. A run that sums to zero is dropped; no run may overflow.
+// Rows are sorted in place; the cost is O(entries · log(widest row)).
 func (b *Builder) Build() *Matrix {
 	m := &Matrix{
 		n:      b.n,
@@ -72,6 +100,7 @@ func (b *Builder) Build() *Matrix {
 		col:    make([]int32, 0, b.entries),
 		val:    make([]float64, 0, b.entries),
 	}
+	covered := make([]bool, b.n)
 	for r, row := range b.rows {
 		slices.SortStableFunc(row, func(x, y entry) int { return cmp.Compare(x.col, y.col) })
 		for i := 0; i < len(row); {
@@ -82,11 +111,41 @@ func (b *Builder) Build() *Matrix {
 			if sum != 0 {
 				m.col = append(m.col, c)
 				m.val = append(m.val, sum)
+				covered[c] = true
 			}
 		}
 		m.rowPtr[r+1] = int32(len(m.col))
 	}
+	m.deriveLive(covered)
 	return m
+}
+
+// deriveLive lays out the live list and the splice points from the CSR
+// arrays and the covered-row marks (covered[r]: some entry has column r).
+func (m *Matrix) deriveLive(covered []bool) {
+	live := 0
+	for r, cov := range covered {
+		if cov {
+			live += int(m.rowPtr[r+1] - m.rowPtr[r])
+		}
+	}
+	m.liveRow = make([]int32, 0, live)
+	m.liveCol = make([]int32, 0, live)
+	m.liveVal = make([]float64, 0, live)
+	for r, cov := range covered {
+		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+		switch {
+		case lo == hi:
+		case !cov:
+			m.splice = append(m.splice, spliceRow{row: int32(r), at: int32(len(m.liveRow))})
+		default:
+			for range hi - lo {
+				m.liveRow = append(m.liveRow, int32(r))
+			}
+			m.liveCol = append(m.liveCol, m.col[lo:hi]...)
+			m.liveVal = append(m.liveVal, m.val[lo:hi]...)
+		}
+	}
 }
 
 // Raw exposes the CSR arrays (dimension, row pointers, column indices,
@@ -98,7 +157,10 @@ func (m *Matrix) Raw() (n int, rowPtr, col []int32, val []float64) {
 
 // FromRaw reconstructs a matrix from CSR arrays as returned by Raw. The
 // slices are retained. It validates the CSR invariants so a corrupt
-// serialisation cannot produce out-of-bounds panics later.
+// serialisation cannot produce out-of-bounds panics later. It refuses a
+// value that is not finite and positive: a stored matrix holds normalised
+// edge weights, and PushDense's walk needs finite values. The covered-row
+// marks the live list is derived from are taken in the same column scan.
 func FromRaw(n int, rowPtr, col []int32, val []float64) (*Matrix, error) {
 	if n < 0 || len(rowPtr) != n+1 {
 		return nil, fmt.Errorf("sparse: rowPtr length %d for dimension %d", len(rowPtr), n)
@@ -114,12 +176,19 @@ func FromRaw(n int, rowPtr, col []int32, val []float64) (*Matrix, error) {
 			return nil, fmt.Errorf("sparse: decreasing rowPtr at row %d", r)
 		}
 	}
-	for _, c := range col {
+	covered := make([]bool, n)
+	for i, c := range col {
 		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("sparse: column %d outside %d×%d matrix", c, n, n)
 		}
+		if v := val[i]; !(v > 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("sparse: value %v at entry %d is not finite and positive", v, i)
+		}
+		covered[c] = true
 	}
-	return &Matrix{n: n, rowPtr: rowPtr, col: col, val: val}, nil
+	m := &Matrix{n: n, rowPtr: rowPtr, col: col, val: val}
+	m.deriveLive(covered)
+	return m, nil
 }
 
 // N returns the dimension.
@@ -147,11 +216,11 @@ func (m *Matrix) RowSum(r int) float64 {
 // PropagateT computes out = xᵀ·M: out[c] = Σ_r x[r]·M[r][c].
 //
 // active must list, in ascending order, exactly the indices where x is
-// non-zero; out must be all zero and have length N. The return value
-// lists the non-zero cells of out in ascending order (a cell whose
-// contributions sum to zero is not listed and holds +0). scratch (a
-// []bool of length N, all false) deduplicates on the sparse path and is
-// all false again on return.
+// non-zero; out must be all +0 (as clear leaves it) and have length N.
+// The return value lists the non-zero cells of out in ascending order (a
+// cell whose contributions sum to zero is not listed and holds +0).
+// scratch (a []bool of length N, all false) deduplicates on the sparse
+// path and is all false again on return.
 //
 // Every cell sums its contributions in ascending source-row order,
 // whichever of the two kernel paths runs, so the result depends on x and
@@ -173,17 +242,23 @@ func (m *Matrix) PropagateT(x []float64, active []int32, out []float64, scratch 
 // denseWorkDiv places the switch between the two kernel paths: a step
 // whose edge work Σ deg(active) reaches N/denseWorkDiv takes PushDense.
 // Both paths perform the same additions in the same order, so the value
-// only moves time, never a bit of the result. Chosen from
+// only moves time, never a bit of the result. PushDense walks the whole
+// live list whatever the frontier, so it costs nearly the same at any
+// work; PushSparse costs ≈ 30–50 ns an edge once deduplication and the
+// sort of the touched list are paid. From
 //
 //	go test ./internal/sparse -run '^$' -bench Push -benchtime 3000x
 //
-// on the serving-scale shape (N = 13,696, 5.5 edges a row): PushDense
-// with its scan of out costs a flat ≈ 28 µs plus ≈ 2.7 ns an edge,
-// PushSparse ≈ 24 ns an edge once deduplication and the sort of the
-// touched list are paid (16.6 µs against 29.1 µs at Σ deg = N/20, 53.3 µs
-// against 32.4 µs at N/8.6), so they cross near N/11. The sparse path is
-// for the two or three narrow rounds that open an exploration, where it
-// costs microseconds; every later round is saturated.
+// on the random serving-size shape (N = 13,696, 5.5 edges a row, every
+// row live; a 2-core Xeon VM, best of three): PushDense with its scan of
+// out ≈ 115–215 µs at every work, PushSparse 22.5 µs at Σ deg = N/20,
+// 83 µs at N/8.6 and 326 µs at N/3.4, so there they cross near N/5. On
+// the serving graph the live list is two thirds of the matrix and has
+// locality: 25-step explorations over the scale-1 twitter users, with
+// each divisor in 6, 8, 16 and 24 interleaved against 12 in one process,
+// differed by under 1 %. The sparse path is for the two or three narrow
+// rounds that open an exploration, where it costs microseconds; every
+// later round is saturated.
 const denseWorkDiv = 12
 
 // Saturated reports whether a step from the given frontier has enough
@@ -234,22 +309,40 @@ func (m *Matrix) PushSparse(x []float64, active []int32, out []float64, scratch 
 }
 
 // PushDense is the saturated-frontier kernel path: it adds xᵀ·M into out
-// by walking every row 0…N-1 and skipping those where x is zero — no
-// frontier list, no deduplication. The caller finds the non-zero cells by
-// scanning out. Bit-identical to PushSparse over the same x.
+// by one flat walk over the live list, with no frontier list, no
+// deduplication and no per-row loop; the caller finds the non-zero cells
+// by scanning out. Each uncovered row where x is not zero is spliced in
+// where it falls in row order, so every cell still takes its non-zero
+// contributions in ascending source row; a live row where x is zero adds a
+// zero, which changes no bit of a cell that started at +0. Bit-identical
+// to PushSparse over the same x — any x, not only a border — when out
+// starts all +0, as PropagateT requires.
 func (m *Matrix) PushDense(x, out []float64) {
-	rowPtr := m.rowPtr[:m.n+1]
-	lo := rowPtr[0]
-	for r, xr := range x[:m.n] {
-		hi := rowPtr[r+1]
-		if xr != 0 {
-			cols := m.col[lo:hi]
-			vals := m.val[lo:hi]
-			for i, c := range cols {
-				out[c] += float64(xr * vals[i])
-			}
+	x = x[:m.n]
+	at := 0
+	for _, s := range m.splice {
+		xr := x[s.row]
+		if xr == 0 {
+			continue
 		}
-		lo = hi
+		m.pushLive(x, out, at, int(s.at))
+		at = int(s.at)
+		lo, hi := m.rowPtr[s.row], m.rowPtr[s.row+1]
+		vals := m.val[lo:hi]
+		for i, c := range m.col[lo:hi] {
+			out[c] += float64(xr * vals[i])
+		}
+	}
+	m.pushLive(x, out, at, len(m.liveRow))
+}
+
+// pushLive walks live entries [lo, hi).
+func (m *Matrix) pushLive(x, out []float64, lo, hi int) {
+	rows := m.liveRow[lo:hi]
+	cols := m.liveCol[lo:hi]
+	vals := m.liveVal[lo:hi]
+	for i, r := range rows {
+		out[cols[i]] += float64(x[r] * vals[i])
 	}
 }
 

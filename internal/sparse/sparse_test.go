@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -428,5 +429,94 @@ func TestBuildMergesInInsertionOrder(t *testing.T) {
 				t.Fatalf("trial %d: value %d (col %d) = %x, reference %x", trial, i, col[i], math.Float64bits(val[i]), math.Float64bits(wantVal[i]))
 			}
 		}
+	}
+}
+
+// TestPushDenseSplicesUncoveredRows: rows 1 and 4 hold entries but
+// nothing points to them, so PushDense must splice them into its walk
+// over the live list (rows 0, 3 and 5; row 2 is covered and empty) at
+// their place in row order. Each of columns 0 and 5 takes two 2⁻⁵³ terms
+// and a 1 whose sum depends on the order: 1+2⁻⁵² in ascending row order,
+// 1 if a spliced row's term were added first or last. Every pattern of
+// zeros on the uncovered rows must leave out bit-equal to PushSparse.
+func TestPushDenseSplicesUncoveredRows(t *testing.T) {
+	tiny := math.Ldexp(1, -53)
+	b := NewBuilder(6)
+	b.Add(0, 0, tiny)
+	b.Add(0, 5, tiny)
+	b.Add(1, 5, tiny)
+	b.Add(3, 0, tiny)
+	b.Add(3, 5, 1)
+	b.Add(4, 0, 1)
+	b.Add(5, 2, 0.5)
+	b.Add(5, 3, 0.5)
+	m := b.Build()
+	if want := []spliceRow{{row: 1, at: 2}, {row: 4, at: 4}}; !slices.Equal(m.splice, want) {
+		t.Fatalf("splice points %v, want %v", m.splice, want)
+	}
+	if want := []int32{0, 0, 3, 3, 5, 5}; !slices.Equal(m.liveRow, want) {
+		t.Fatalf("live rows %v, want %v", m.liveRow, want)
+	}
+	for _, spliced := range [][2]float64{{1, 1}, {0, 1}, {1, 0}, {0, 0}} {
+		x := []float64{1, spliced[0], 1, 1, spliced[1], 1}
+		var active []int32
+		for r, v := range x {
+			if v != 0 {
+				active = append(active, int32(r))
+			}
+		}
+		outS := make([]float64, m.N())
+		m.PushSparse(x, active, outS, make([]bool, m.N()), nil)
+		outD := make([]float64, m.N())
+		m.PushDense(x, outD)
+		for c := range outD {
+			if math.Float64bits(outD[c]) != math.Float64bits(outS[c]) {
+				t.Fatalf("x=%v: out[%d] dense %x sparse %x", x, c, math.Float64bits(outD[c]), math.Float64bits(outS[c]))
+			}
+		}
+		if spliced == [2]float64{1, 1} && (outD[0] != 1+2*tiny || outD[5] != 1+2*tiny) {
+			t.Fatalf("out[0] = %x, out[5] = %x: not summed in ascending row order", math.Float64bits(outD[0]), math.Float64bits(outD[5]))
+		}
+	}
+}
+
+// TestFromRawRefusesValues: a stored value that is not finite and
+// positive is refused (PushDense's walk adds 0·v for rows where x is
+// zero, which is a zero only for finite v); the live list of an accepted
+// matrix is the one Build derives.
+func TestFromRawRefusesValues(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 1, 0.5)
+	b.Add(1, 2, 0.25)
+	b.Add(2, 2, 1)
+	built := b.Build()
+	n, rowPtr, col, val := built.Raw()
+	m, err := FromRaw(n, rowPtr, col, slices.Clone(val))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(m.liveRow, built.liveRow) || !slices.Equal(m.liveCol, built.liveCol) ||
+		!slices.Equal(m.liveVal, built.liveVal) || !slices.Equal(m.splice, built.splice) {
+		t.Fatal("FromRaw derives another live list than Build")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -0.5} {
+		v := slices.Clone(val)
+		v[1] = bad
+		if _, err := FromRaw(n, rowPtr, col, v); err == nil || !strings.Contains(err.Error(), "not finite and positive") {
+			t.Errorf("value %v: FromRaw error %v", bad, err)
+		}
+	}
+}
+
+func TestAddPanicsOnNonFiniteValue(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on value %v", v)
+				}
+			}()
+			NewBuilder(2).Add(0, 1, v)
+		}()
 	}
 }
