@@ -21,9 +21,7 @@ type coldQuery struct {
 
 // coldBattery builds the serving-scale instance the end-to-end benchmark
 // runs on (twitter generator, default size, seed 1: 13,696 nodes) and a
-// fixed seeded battery over it in the benchmark's shape — connected
-// seekers, single keywords from the common and the rare frequency
-// quarter, k 5 and 10.
+// fixed seeded battery over it (batteryQueries, seed 18).
 func coldBattery(tb testing.TB, n int) (*Engine, []coldQuery) {
 	tb.Helper()
 	spec, _ := datagen.Twitter(datagen.DefaultTwitterOptions())
@@ -31,6 +29,14 @@ func coldBattery(tb testing.TB, n int) (*Engine, []coldQuery) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return NewEngine(in, index.Build(in)), batteryQueries(tb, in, n, 18)
+}
+
+// batteryQueries draws n queries over in, in the benchmark's shape:
+// connected seekers, single keywords from the common and the rare
+// frequency quarter, k 5 and 10.
+func batteryQueries(tb testing.TB, in *graph.Instance, n int, seed int64) []coldQuery {
+	tb.Helper()
 	var usable []string
 	for _, k := range in.SortedKeywordsByFrequency() {
 		if in.KeywordFrequency(k) >= 2 {
@@ -47,7 +53,7 @@ func coldBattery(tb testing.TB, n int) (*Engine, []coldQuery) {
 	if quarter == 0 || len(seekers) == 0 {
 		tb.Fatal("instance too small for a battery")
 	}
-	rng := rand.New(rand.NewSource(18))
+	rng := rand.New(rand.NewSource(seed))
 	qs := make([]coldQuery, n)
 	for i := range qs {
 		band := usable[len(usable)-quarter:] // common
@@ -60,7 +66,7 @@ func coldBattery(tb testing.TB, n int) (*Engine, []coldQuery) {
 			k:        5 + 5*(i%2),
 		}
 	}
-	return NewEngine(in, index.Build(in)), qs
+	return qs
 }
 
 // Budget of one cold Engine.Search over the battery, proximity cache off:
@@ -106,17 +112,22 @@ func TestColdSearchAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkColdSearch is the in-process cost of the battery's searches.
+// BenchmarkColdSearch is the in-process cost of the battery's searches,
+// with the rounds a search runs beside it.
 func BenchmarkColdSearch(b *testing.B) {
 	eng, qs := coldBattery(b, 64)
 	opts := Options{Params: score.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
+	rounds := 0
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
 		opts.K = q.k
-		if _, _, err := eng.Search(q.seeker, q.keywords, opts); err != nil {
+		_, st, err := eng.Search(q.seeker, q.keywords, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds += st.Iterations
 	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"s3/internal/graph"
@@ -14,45 +15,65 @@ import (
 	"s3/internal/score"
 )
 
-// batteryDigests pins the answers of the 200-query cold battery, per run,
-// as the SHA-256 of its transcript (see digestBattery). A change that
-// claims not to move an answer bit must leave all three unchanged; one
-// that moves answers on purpose recomputes them and says so.
-var batteryDigests = map[string]string{
-	"cold":        "14874a9ac1d76f85aa96e0a4172b1fdabf68d8f489753090924b00217c7f005a",
-	"warm":        "8af94c1dde226657308aa66f4fc3ad8c3d5387840f21422cde2fc4ddd967f34d",
-	"split-merge": "14874a9ac1d76f85aa96e0a4172b1fdabf68d8f489753090924b00217c7f005a",
+// batteryDigest is one battery run's pair of SHA-256 digests (see
+// digestBattery). The answer-set digest moves only with a semantic change:
+// a change to the bounds may move the transcript, never the sets. A
+// change that claims not to move an answer bit leaves both unchanged; one
+// that moves the transcript on purpose re-pins it and says so.
+type batteryDigest struct{ answers, transcript string }
+
+var batteryDigests = map[string]batteryDigest{
+	"cold": {
+		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
+		transcript: "95e9ad63d304a79f54cd3de28dcf76aa5752c7e93f62d75ddeba9e39981c1f57",
+	},
+	"warm": {
+		answers:    "32aa6650c99a6f06810bca5a953d85aadce96a4fb3fcc80f5e85d2eb27ce13d8",
+		transcript: "3a5c9b39e7b590721711b2ad6715f8c6cba0ea08009faeeef5f2d3e218377cf4",
+	},
+	"split-merge": {
+		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
+		transcript: "95e9ad63d304a79f54cd3de28dcf76aa5752c7e93f62d75ddeba9e39981c1f57",
+	},
 }
 
-// digestBattery runs the battery over eng and hashes, per query, the
-// answer's documents with the exact bits of their score intervals, then
-// the search's Iterations, Reason and ResumedDepth.
-func digestBattery(t *testing.T, h hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache) {
+// digestBattery runs the battery over eng and hashes each query twice:
+// into answers, the answer's documents as a sorted set; into transcript,
+// the documents in answer order with the exact bits of their score
+// intervals, then the search's Iterations, Reason and ResumedDepth.
+func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache) {
 	t.Helper()
 	opts := Options{Params: score.DefaultParams(), ProxCache: pc}
+	var docs []graph.NID
 	for i, q := range qs {
 		opts.K = q.k
 		rs, st, err := eng.Search(q.seeker, q.keywords, opts)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
+		docs = docs[:0]
 		for _, r := range rs {
-			fmt.Fprintf(h, "%d %x %x\n", r.Doc, math.Float64bits(r.Lower), math.Float64bits(r.Upper))
+			docs = append(docs, r.Doc)
+			fmt.Fprintf(transcript, "%d %x %x\n", r.Doc, math.Float64bits(r.Lower), math.Float64bits(r.Upper))
 		}
-		fmt.Fprintf(h, "iter=%d reason=%s resumed=%d\n", st.Iterations, st.Reason, st.ResumedDepth)
+		fmt.Fprintf(transcript, "iter=%d reason=%s resumed=%d\n", st.Iterations, st.Reason, st.ResumedDepth)
+		slices.Sort(docs)
+		fmt.Fprintf(answers, "%d %v\n", i, docs)
 	}
 }
 
-// TestBatteryTranscriptDigest: the battery's answers are byte-identical to
-// the ones recorded in batteryDigests — cold; warm, the battery twice over
-// one proximity cache (the first pass fills it, the second resumes from
-// it, and both are hashed); and cold over the index split four ways by
-// component and merged back, as a shard set's files hold it. The searches
-// are serial, so the race detector has nothing to find here and only
-// stretches the test's few seconds past a minute; it is skipped there.
-func TestBatteryTranscriptDigest(t *testing.T) {
-	if raceEnabled {
-		t.Skip("serial searches: nothing for the race detector")
+// batteryRuns caches battery's digests: both digest tests read one run.
+var batteryRuns map[string]batteryDigest
+
+// battery runs the 200-query cold battery once per test binary and
+// returns its digests per run: cold; warm, the battery twice over one
+// proximity cache (the first pass fills it, the second resumes from it,
+// and both are hashed); and cold over the index split four ways by
+// component and merged back, as a shard set's files hold it.
+func battery(t *testing.T) map[string]batteryDigest {
+	t.Helper()
+	if batteryRuns != nil {
+		return batteryRuns
 	}
 	eng, qs := coldBattery(t, 200)
 	in := eng.in
@@ -68,24 +89,53 @@ func TestBatteryTranscriptDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	runs := []struct {
+	runs := make(map[string]batteryDigest)
+	for _, r := range []struct {
 		name string
-		run  func(h hash.Hash)
+		run  func(a, tr hash.Hash)
 	}{
-		{"cold", func(h hash.Hash) { digestBattery(t, h, eng, qs, nil) }},
-		{"warm", func(h hash.Hash) {
+		{"cold", func(a, tr hash.Hash) { digestBattery(t, a, tr, eng, qs, nil) }},
+		{"warm", func(a, tr hash.Hash) {
 			pc := proxcache.New(64 << 20)
-			digestBattery(t, h, eng, qs, pc)
-			digestBattery(t, h, eng, qs, pc)
+			digestBattery(t, a, tr, eng, qs, pc)
+			digestBattery(t, a, tr, eng, qs, pc)
 		}},
-		{"split-merge", func(h hash.Hash) { digestBattery(t, h, eng.WithIndex(merged), qs, nil) }},
+		{"split-merge", func(a, tr hash.Hash) { digestBattery(t, a, tr, eng.WithIndex(merged), qs, nil) }},
+	} {
+		a, tr := sha256.New(), sha256.New()
+		r.run(a, tr)
+		runs[r.name] = batteryDigest{hex.EncodeToString(a.Sum(nil)), hex.EncodeToString(tr.Sum(nil))}
 	}
-	for _, r := range runs {
-		h := sha256.New()
-		r.run(h)
-		if got, want := hex.EncodeToString(h.Sum(nil)), batteryDigests[r.name]; got != want {
-			t.Errorf("%s battery digest %s, want %s", r.name, got, want)
+	batteryRuns = runs
+	return runs
+}
+
+// checkBattery compares one half of every run's digests with the pinned
+// ones. The searches are serial, so the race detector has nothing to find
+// here and only stretches the battery's few seconds past a minute; it is
+// skipped there.
+func checkBattery(t *testing.T, what string, half func(batteryDigest) string) {
+	if raceEnabled {
+		t.Skip("serial searches: nothing for the race detector")
+	}
+	runs := battery(t)
+	for name, want := range batteryDigests {
+		if got := half(runs[name]); got != half(want) {
+			t.Errorf("%s battery %s digest %s, want %s", name, what, got, half(want))
 		}
 	}
+}
+
+// TestBatteryAnswerSetDigest: every run of the battery returns the answer
+// sets recorded in batteryDigests — the documents, whatever their order
+// and score intervals.
+func TestBatteryAnswerSetDigest(t *testing.T) {
+	checkBattery(t, "answer-set", func(d batteryDigest) string { return d.answers })
+}
+
+// TestBatteryTranscriptDigest: every run of the battery is byte-identical
+// to the transcript recorded in batteryDigests — answer order, the bits of
+// every score interval, Iterations, Reason and ResumedDepth.
+func TestBatteryTranscriptDigest(t *testing.T) {
+	checkBattery(t, "transcript", func(d batteryDigest) string { return d.transcript })
 }

@@ -320,11 +320,11 @@ func closeIterator(pool *sync.Pool, it *score.Iterator, pc *proxcache.Cache, cke
 }
 
 // refresh recomputes the candidates' score intervals at the exploration's
-// current tail and the selection over them.
+// current per-source tail and the selection over them.
 func (x *LocalExecutor) refresh(sp *obs.Span) {
 	it := x.iter()
 	bounds := sp.StartChild("bounds")
-	x.computeBounds(it.TailBound(), it.AllProx())
+	x.computeBounds(it.ColumnTail(), it.AllProx())
 	bounds.End()
 	sel := sp.StartChild("select")
 	x.kept, x.uncertain = x.greedySelect()
@@ -414,7 +414,8 @@ func (x *LocalExecutor) admitComponent(comp int32) {
 }
 
 // computeBounds refreshes every candidate's score interval from the
-// given bounded proximity vector (ComputeCandidateBounds).
+// given bounded proximity vector and per-source tail factor
+// (ComputeCandidateBounds; see score.Scorer.Bounds).
 func (x *LocalExecutor) computeBounds(tail float64, all []float64) {
 	workers := x.workers
 	if workers <= 1 || len(x.cands) < 64 {
@@ -442,6 +443,7 @@ func (x *LocalExecutor) computeBounds(tail float64, all []float64) {
 }
 
 func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
+	colMax := x.e.in.Matrix().ColMax()
 	for _, c := range x.cands[lo:hi] {
 		c.lower, c.upper = 1, 1
 		for _, terms := range c.terms {
@@ -449,7 +451,7 @@ func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
 			for _, t := range terms {
 				p := all[t.src]
 				mLo += t.eta * p
-				h := p + tail
+				h := p + colMax[t.src]*tail
 				if h > 1 {
 					h = 1
 				}

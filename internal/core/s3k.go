@@ -84,9 +84,11 @@ func DefaultOptions() Options {
 	return Options{K: 10, Params: score.DefaultParams()}
 }
 
-// Result is one answer document with its score interval. After a
-// non-any-time stop, Lower and Upper bracket the exact score tightly
-// enough that the answer set is provably a top-k answer.
+// Result is one answer document with its score interval. Lower and Upper
+// always bracket the exact score. What a threshold or exhaustion stop
+// certifies is the answer set: it is a top-k answer (Definition 3.2). The
+// results come in the order the search selected them, upper bound
+// descending (ties by node id), which need not be the exact-score order.
 type Result struct {
 	Doc   graph.NID
 	URI   string

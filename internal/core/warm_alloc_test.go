@@ -73,17 +73,22 @@ func TestWarmSearchAllocBudget(t *testing.T) {
 }
 
 // BenchmarkWarmSearch is the in-process cost of the warm battery's
-// searches: BenchmarkColdSearch minus the exploration.
+// searches: BenchmarkColdSearch minus the exploration, rounds reported
+// the same way.
 func BenchmarkWarmSearch(b *testing.B) {
 	eng, qs, pc := warmBattery(b)
 	opts := Options{Params: score.DefaultParams(), ProxCache: pc}
 	b.ReportAllocs()
 	b.ResetTimer()
+	rounds := 0
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
 		opts.K = q.k
-		if _, _, err := eng.Search(q.seeker, q.keywords, opts); err != nil {
+		_, st, err := eng.Search(q.seeker, q.keywords, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds += st.Iterations
 	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -10,9 +10,11 @@
 // many bytes as a dense vector (12·|border| ≥ 8·N), is the prox≤d vector
 // the recording search held at that depth plus that depth's discovery
 // list; a resumed iterator adopts it by pointing AllProx at it, touching
-// no cell. Either way everything a search round reads — AllProx, the
-// discoveries, n, the tail bounds, Done — is the very bits the recording
-// search computed, so every answer is bit-identical to the cold path.
+// no cell. Each layer also records the border's mass at its depth, which
+// the per-source tail reads and a snapshot has no border to sum. Either
+// way everything a search round reads — AllProx, the discoveries, n, the
+// tail bounds, Done — is the very bits the recording search computed, so
+// every answer is bit-identical to the cold path.
 // Nothing about how a depth was first computed (which kernel path, what
 // frontier history) is left in it: a layer is a function of (matrix,
 // seeker, params, depth).
@@ -136,13 +138,13 @@ func (cp *ProxCheckpoint) Supersedes(old *ProxCheckpoint) bool {
 func (cp *ProxCheckpoint) Bytes() int64 { return cp.bytes }
 
 // Accounting units: a narrow layer's (node, value) pair, a snapshot's cell
-// and discovery; slice headers and the struct are folded into fixed
-// per-layer/per-checkpoint constants.
+// and discovery; slice headers, a layer's recorded mass and the struct are
+// folded into fixed per-layer/per-checkpoint constants.
 const (
 	layerEntryBytes     = 4 + 8
 	snapshotCellBytes   = 8
 	discoveryBytes      = 4
-	layerOverheadBytes  = 96
+	layerOverheadBytes  = 4*24 + 8
 	checkpointBaseBytes = 192
 )
 

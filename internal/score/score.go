@@ -14,9 +14,10 @@
 //
 //   - iterability (property 1): prox≤n = prox≤n−1 + Cγ·borderProx(·,n),
 //     implemented by Iterator.Step;
-//   - long-path attenuation (property 2): prox − prox≤n ≤ B>n = γ^−(n+1)
-//     (Params.TailBound), because normalised out-weights make the path
-//     mass of each length at most 1;
+//   - long-path attenuation (property 2): prox − prox≤n tends to 0, and
+//     is bounded per source by what the border at depth n still carries
+//     (Params.ColumnTail states the bound and the row-sum assumption it
+//     rests on) and uniformly by B>n = γ^−(n+1) (Params.TailBound);
 //   - soundness (property 3): the score is monotone and continuous in the
 //     proximity values (it is a polynomial with non-negative
 //     coefficients);
@@ -63,9 +64,34 @@ func (p Params) Validate() error {
 // [0, 1].
 func (p Params) CGamma() float64 { return (p.Gamma - 1) / p.Gamma }
 
-// TailBound returns B>n = γ^−(n+1): an upper bound on prox − prox≤n
-// (feasibility property 2). It tends to 0 as n grows.
+// TailBound returns B>n = γ^−(n+1), the uniform form of feasibility
+// property 2: ColumnTail's bound for a source whose column maximum is 1,
+// with ρ = 1 and the border's mass at its largest, γ^−n. It tends to 0 as
+// n grows. It drives the precision floor and the depth of ExactProximity
+// and of proximity warming; candidate bounds use the per-source form.
 func (p Params) TailBound(n int) float64 { return math.Pow(p.Gamma, -float64(n+1)) }
+
+// ColumnTail is feasibility property 2 in its per-source form. Let b ≥ 0
+// be the border at depth n with mass ‖b‖₁, c_v the largest entry of
+// column v of the matrix M and ρ its largest row sum. For x ≥ 0,
+// (xᵀM)_v ≤ c_v·‖x‖₁ and ‖xᵀM‖₁ ≤ ρ·‖x‖₁, so
+//
+//	prox(v) − prox≤n(v) = Cγ Σ_{j≥1} (bᵀMʲ)_v / γʲ ≤ c_v · ‖b‖₁ · (γ−1) / (γ(γ−ρ))
+//
+// and ColumnTail returns the factor after c_v. The bound needs ρ < γ. A
+// normalised matrix has ρ ≤ 1 — each row spreads one node's out-weight,
+// so the border's mass is at most γ^−n as well — and sparse.FromRaw
+// refuses a stored matrix with a row above that; ρ enters as measured
+// (sparse.Matrix.RowSumMax), a few ulps over 1. With ρ = 1 the factor is
+// mass/γ. A node nothing points to has c_v = 0: its prox≤n is already
+// exact. At ρ ≥ γ no finite factor holds; ColumnTail returns the largest
+// float, so every upper bound built from it saturates.
+func (p Params) ColumnTail(mass, rho float64) float64 {
+	if !(rho < p.Gamma) {
+		return math.MaxFloat64
+	}
+	return mass * (p.Gamma - 1) / (p.Gamma * (p.Gamma - rho))
+}
 
 // Iterator computes the bounded social proximity prox≤n(u, ·) for growing
 // n, one matrix step at a time — the §5.2 borderProx optimisation. It owns
@@ -102,6 +128,9 @@ type Iterator struct {
 	own  []float64
 	n    int
 	done bool // the border at depth n is empty
+	// mass is the border's ‖b‖₁ at depth n (see borderMass), capped at
+	// (ρ/γ)^n; a replayed depth takes the value its layer recorded.
+	mass float64
 
 	// disc is the scratch buffer behind Step's return value (borrow
 	// semantics, like AllProx).
@@ -143,14 +172,18 @@ const (
 // nil). A saturated depth — one whose border would take at least the
 // bytes of a dense vector, 12·|border| ≥ 8·N — is the prox≤d vector
 // itself plus the nodes first reached at d, ascending (nodes and vals are
-// nil). Layers are immutable once recorded and are shared between
-// checkpoints and, read-only, with the iterators resumed from them.
+// nil). Either form records the border's mass at d, which a replayed
+// snapshot has no border to sum. Layers are immutable once recorded and
+// are shared between checkpoints and, read-only, with the iterators
+// resumed from them.
 type proxLayer struct {
 	nodes []int32
 	vals  []float64
 
 	all  []float64
 	disc []graph.NID
+
+	mass float64
 }
 
 // saturatedLayer reports whether a border of b cells over n nodes is
@@ -201,7 +234,7 @@ func (it *Iterator) Reset(in *graph.Instance, params Params, seeker graph.NID, r
 		clear(it.own)
 	}
 	it.in, it.params, it.seeker = in, params, seeker
-	it.n, it.done = 0, false
+	it.n, it.done, it.mass = 0, false, 1
 	it.rec, it.layers, it.last, it.stale = record, nil, proxLayer{}, false
 	it.border[seeker] = 1
 	it.active = append(it.active[:0], int32(seeker))
@@ -271,12 +304,25 @@ func (it *Iterator) TailBound() float64 {
 	return it.params.TailBound(it.n)
 }
 
+// ColumnTail returns the per-source tail factor at the current depth,
+// Params.ColumnTail over the border's mass and the matrix's RowSumMax:
+// prox(u, v) − prox≤n(u, v) ≤ ColMax[v]·ColumnTail() for every node v (0
+// when Done). A replayed depth reads the mass its checkpoint layer
+// recorded, so the factor is the cold exploration's, bit for bit.
+func (it *Iterator) ColumnTail() float64 {
+	if it.Done() {
+		return 0
+	}
+	return it.params.ColumnTail(it.mass, it.in.Matrix().RowSumMax())
+}
+
 // SourceTailBound bounds prox(u, src) for every source src belonging to —
 // or adjacent to — a component not yet reached at depth n. A connection
 // source is at most two network edges away from some node of its
 // component (author → tag → subject); hence if no component node was
 // reached within n steps, no path of length ≤ n−1 reaches the source:
-// prox(u, src) ≤ B>(n−1) = γ^−n. Used for the unexplored-document
+// prox(u, src) ≤ B>(n−1) = γ^−n, property 2's uniform form (with
+// ColumnTail's row-sum assumption). Used for the unexplored-document
 // threshold of §4.
 func (it *Iterator) SourceTailBound() float64 {
 	if it.Done() {
@@ -310,12 +356,15 @@ func (it *Iterator) Step() []graph.NID {
 	// share to prox≤n, one that is zero (never reached, or its scaled mass
 	// underflowed) does not. The sparse path folds the cells its push
 	// touched, the dense path every cell, without a branch (foldDense).
+	// Both sum the new border's mass in borderMass's order.
+	var mass float64
 	dense := it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active)
 	if dense {
 		m.PushDense(it.border, next)
-		border, disc = foldDense(next, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)
+		border, disc, mass = foldDense(next, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)
 		clear(it.border)
 	} else {
+		var lanes borderMass
 		touched := m.PushSparse(it.border, it.active, next, it.scratch, it.spare)
 		border = touched[:0]
 		for _, c := range touched {
@@ -324,13 +373,19 @@ func (it *Iterator) Step() []graph.NID {
 			if v == 0 {
 				continue
 			}
+			lanes[c&3] += v
 			border = append(border, c)
 			if reach(all, c, v, cg) {
 				disc = append(disc, graph.NID(c))
 			}
 		}
 		sparse.ZeroVec(it.border, it.active)
+		mass = lanes.sum()
 	}
+	// A border at depth n+1 carries at most (ρ/γ)^(n+1), γ^−(n+1) when
+	// ρ = 1; rounding may carry the sum past it, and the cap keeps the
+	// per-source bound no looser than the uniform one.
+	it.mass = min(mass, math.Pow(m.RowSumMax()/it.params.Gamma, float64(it.n+1)))
 	if it.rec {
 		var l proxLayer
 		if saturatedLayer(len(border), len(all)) {
@@ -338,6 +393,7 @@ func (it *Iterator) Step() []graph.NID {
 		} else {
 			l = borderLayer(border, next)
 		}
+		l.mass = it.mass
 		it.layers = append(it.layers, l)
 	}
 	it.border, it.next = next, it.border
@@ -348,32 +404,69 @@ func (it *Iterator) Step() []graph.NID {
 	return disc
 }
 
+// borderMass sums a border's values, ‖b‖₁, in the one order both kernel
+// paths share: cell c adds into lane c mod 4, each lane in ascending c,
+// and the lanes combine pairwise. A cell off the border adds +0, which
+// changes no lane's bits, so the dense fold's pass over every cell and
+// the sparse fold's pass over the border list reach the same sum — and
+// the dense pass, four cells a turn, runs no one serial chain of adds.
+type borderMass [4]float64
+
+func (m *borderMass) sum() float64 { return (m[0] + m[1]) + (m[2] + m[3]) }
+
 // foldDense is the dense path's fold: one pass over every cell of next
 // with no data-dependent branch. Every cell adds its share to prox≤n — a
 // cell off the border adds +0, which leaves prox≤n's bits as they were —
-// and border and disc (each of length len(next)) take every cell id, their
-// cursors advancing by a flag only past the ones listed; they come back
-// cut to what was listed, ascending. The adds and the lists are reach's.
-func foldDense(next, all []float64, border []int32, disc []graph.NID, invGamma, cg float64) ([]int32, []graph.NID) {
+// and its value to the border's mass; border and disc (each of length
+// len(next)) take every cell id, their cursors advancing by a flag only
+// past the ones listed; they come back cut to what was listed, ascending.
+// The adds and the lists are reach's.
+func foldDense(next, all []float64, border []int32, disc []graph.NID, invGamma, cg float64) ([]int32, []graph.NID, float64) {
 	all = all[:len(next)]
 	border = border[:len(next)]
 	disc = disc[:len(next)]
 	nb, nd := 0, 0
-	for c, s := range next {
-		v := s * invGamma
-		next[c] = v
-		a := all[c]
-		all[c] = a + float64(cg*v)
-		// v and a are non-negative, never −0 and never NaN, so testing
-		// their bits against zero is the float test without its NaN
-		// handling: v != 0 (and v > 0), a == 0.
-		on := flag(math.Float64bits(v) != 0)
-		border[nb] = int32(c)
-		nb += on
-		disc[nd] = graph.NID(c)
-		nd += flag(math.Float64bits(a) == 0) & on
+	// list appends cell c to border when on and to disc when first.
+	list := func(c, on, first int) {
+		border[nb], disc[nd] = int32(c), graph.NID(c)
+		nb, nd = nb+on, nd+first
 	}
-	return border[:nb], disc[:nd]
+	// Four cells a turn, one mass lane each, the lanes kept in registers.
+	var m0, m1, m2, m3 float64
+	c := 0
+	for ; c+4 <= len(next); c += 4 {
+		v0, on, first := foldCell(next, all, c, invGamma, cg)
+		list(c, on, first)
+		v1, on, first := foldCell(next, all, c+1, invGamma, cg)
+		list(c+1, on, first)
+		v2, on, first := foldCell(next, all, c+2, invGamma, cg)
+		list(c+2, on, first)
+		v3, on, first := foldCell(next, all, c+3, invGamma, cg)
+		list(c+3, on, first)
+		m0, m1, m2, m3 = m0+v0, m1+v1, m2+v2, m3+v3
+	}
+	mass := borderMass{m0, m1, m2, m3}
+	for ; c < len(next); c++ {
+		v, on, first := foldCell(next, all, c, invGamma, cg)
+		list(c, on, first)
+		mass[c&3] += v
+	}
+	return border[:nb], disc[:nd], mass.sum()
+}
+
+// foldCell scales cell c of next by 1/γ and adds its share to prox≤n,
+// returning the scaled value, 1 if the cell is on the border (else 0) and
+// 1 if that is the first mass the node receives.
+func foldCell(next, all []float64, c int, invGamma, cg float64) (v float64, on, first int) {
+	v = next[c] * invGamma
+	next[c] = v
+	a := all[c]
+	all[c] = a + float64(cg*v)
+	// v and a are non-negative, never −0 and never NaN, so testing their
+	// bits against zero is the float test without its NaN handling:
+	// v != 0 (and v > 0), a == 0.
+	on = flag(math.Float64bits(v) != 0)
+	return v, on, flag(math.Float64bits(a) == 0) & on
 }
 
 // resized returns xs with length n, reallocated only when its capacity is
@@ -435,6 +528,7 @@ func (it *Iterator) replayStep() []graph.NID {
 	l := &it.layers[it.n]
 	it.n++
 	it.stale = true
+	it.mass = l.mass
 	if l.all != nil {
 		// A saturated border is never empty.
 		it.all, it.done = l.all, false
@@ -585,14 +679,17 @@ func (s *Scorer) GroupEvents(comp int32, gi int) []index.Event {
 }
 
 // Bounds computes the lower and upper score bounds of candidate d given
-// the current bounded proximity vector and the tail bound (§4,
-// ComputeCandidateBounds):
+// the current bounded proximity vector and the per-source tail factor
+// (§4, ComputeCandidateBounds):
 //
-//	lower uses prox≤n(u,src);  upper uses min(1, prox≤n(u,src) + tail).
+//	lower uses prox≤n(u,src);  upper uses min(1, prox≤n(u,src) + ColMax[src]·tail)
 //
-// Containment connections resolve their source to d itself.
+// with ColMax the matrix's column maxima. tail is Iterator.ColumnTail at
+// the vector's depth, 0 for an exact vector. Containment connections
+// resolve their source to d itself.
 func (s *Scorer) Bounds(d graph.NID, allProx []float64, tail float64) (lo, hi float64) {
 	lo, hi = 1, 1
+	colMax := s.in.Matrix().ColMax()
 	comp := s.in.CompOf(d)
 	for gi := range s.groups {
 		var mLo, mHi float64
@@ -608,7 +705,7 @@ func (s *Scorer) Bounds(d graph.NID, allProx []float64, tail float64) (lo, hi fl
 			}
 			p := allProx[src]
 			mLo += eta * p
-			mHi += eta * math.Min(1, p+tail)
+			mHi += eta * math.Min(1, p+colMax[src]*tail)
 		}
 		lo *= mLo
 		hi *= mHi

@@ -102,6 +102,7 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		{"edge weight", sec3Edges, func(p []byte) { putF64(p[8:], 3) }, "edge weight outside (0,1]"},
 		{"matrix value NaN", sec3MatVal, func(p []byte) { putF64(p, math.NaN()) }, "value NaN at entry 0 is not finite and positive"},
 		{"matrix value 0", sec3MatVal, func(p []byte) { putF64(p[8:], 0) }, "value 0 at entry 1 is not finite and positive"},
+		{"matrix row sum above 1", sec3MatVal, func(p []byte) { putF64(p, 2) }, "above 1"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
 		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
 		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},

@@ -42,8 +42,9 @@ import (
 // that PushDense walks — the entries of the covered rows (rows some entry
 // points to) as parallel row/col/val slices in CSR order — and, for each
 // non-empty row that is not covered, ascending, the point where that row
-// splices into the list. Both are derived from the CSR arrays when the
-// matrix is made; neither is serialised.
+// splices into the list; and the two norms a proximity tail bound reads,
+// each column's largest entry and the largest row sum. All are derived
+// from the CSR arrays when the matrix is made; none is serialised.
 type Matrix struct {
 	n      int
 	rowPtr []int32
@@ -54,6 +55,9 @@ type Matrix struct {
 	liveCol []int32
 	liveVal []float64
 	splice  []spliceRow
+
+	colMax []float64
+	rowMax float64
 }
 
 // spliceRow is a non-empty row nothing points to, and the number of live
@@ -121,8 +125,11 @@ func (b *Builder) Build() *Matrix {
 }
 
 // deriveLive lays out the live list and the splice points from the CSR
-// arrays and the covered-row marks (covered[r]: some entry has column r).
-func (m *Matrix) deriveLive(covered []bool) {
+// arrays and the covered-row marks (covered[r]: some entry has column r),
+// and in the same pass over the rows takes the column maxima and the
+// largest row sum (see ColMax and RowSumMax). It returns the first row
+// whose sum exceeds 1 by more than rounding can (rowSumSlack), or -1.
+func (m *Matrix) deriveLive(covered []bool) (over int) {
 	live := 0
 	for r, cov := range covered {
 		if cov {
@@ -132,8 +139,24 @@ func (m *Matrix) deriveLive(covered []bool) {
 	m.liveRow = make([]int32, 0, live)
 	m.liveCol = make([]int32, 0, live)
 	m.liveVal = make([]float64, 0, live)
+	colMax := make([]float64, m.n)
+	rowMax := 0.0
+	over = -1
 	for r, cov := range covered {
 		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+		vals := m.val[lo:hi]
+		sum := 0.0
+		for i, c := range m.col[lo:hi] {
+			v := vals[i]
+			sum += v
+			if v > colMax[c] {
+				colMax[c] = v
+			}
+		}
+		rowMax = max(rowMax, sum)
+		if over < 0 && sum > 1+rowSumSlack(int(hi-lo)) {
+			over = r
+		}
 		switch {
 		case lo == hi:
 		case !cov:
@@ -146,7 +169,23 @@ func (m *Matrix) deriveLive(covered []bool) {
 			m.liveVal = append(m.liveVal, m.val[lo:hi]...)
 		}
 	}
+	for c, v := range colMax {
+		colMax[c] = roundUp(v)
+	}
+	m.colMax, m.rowMax = colMax, roundUp(rowMax)
+	return over
 }
+
+// roundUp returns v raised by four ulps or more: the margin ColMax and
+// RowSumMax keep above the values they bound, so a bound built from them
+// still holds over sums that round differently from exact arithmetic.
+func roundUp(v float64) float64 { return v + v*0x1p-50 }
+
+// rowSumSlack is how far above 1 rounding can carry the sum of a row of d
+// normalised weights: each weight is a rounded quotient by a rounded
+// total, and each add of the sum rounds once more. Four ulps of 1 an
+// entry covers the three; the generated graphs use under a tenth of it.
+func rowSumSlack(d int) float64 { return float64(d) * 0x1p-50 }
 
 // Raw exposes the CSR arrays (dimension, row pointers, column indices,
 // values) for serialisation. The slices are shared with the matrix and
@@ -158,9 +197,11 @@ func (m *Matrix) Raw() (n int, rowPtr, col []int32, val []float64) {
 // FromRaw reconstructs a matrix from CSR arrays as returned by Raw. The
 // slices are retained. It validates the CSR invariants so a corrupt
 // serialisation cannot produce out-of-bounds panics later. It refuses a
-// value that is not finite and positive: a stored matrix holds normalised
-// edge weights, and PushDense's walk needs finite values. The covered-row
-// marks the live list is derived from are taken in the same column scan.
+// value that is not finite and positive, and a row whose sum exceeds 1
+// beyond rounding: a stored matrix holds normalised edge weights,
+// PushDense's walk needs finite values, and a proximity tail bound
+// assumes no row sums above 1 (see RowSumMax). The covered-row marks the
+// live list is derived from are taken in the same column scan.
 func FromRaw(n int, rowPtr, col []int32, val []float64) (*Matrix, error) {
 	if n < 0 || len(rowPtr) != n+1 {
 		return nil, fmt.Errorf("sparse: rowPtr length %d for dimension %d", len(rowPtr), n)
@@ -187,7 +228,9 @@ func FromRaw(n int, rowPtr, col []int32, val []float64) (*Matrix, error) {
 		covered[c] = true
 	}
 	m := &Matrix{n: n, rowPtr: rowPtr, col: col, val: val}
-	m.deriveLive(covered)
+	if r := m.deriveLive(covered); r >= 0 {
+		return nil, fmt.Errorf("sparse: row %d sums to %v, above 1", r, m.RowSum(r))
+	}
 	return m, nil
 }
 
@@ -203,6 +246,18 @@ func (m *Matrix) Row(r int, f func(col int, val float64)) {
 		f(int(m.col[i]), m.val[i])
 	}
 }
+
+// ColMax returns, per column v, an upper bound on the largest entry
+// max_r M[r][v]: the entry raised by a few ulps, 0 for a column with no
+// entry. It bounds one step's mass at v, (xᵀ·M)[v] ≤ ColMax[v]·‖x‖₁ for
+// x ≥ 0. The slice is shared with the matrix and must not be modified.
+func (m *Matrix) ColMax() []float64 { return m.colMax }
+
+// RowSumMax returns an upper bound on the largest row sum ρ (the sum
+// raised by a few ulps, 0 for an empty matrix): one step scales a
+// non-negative vector's mass by at most ρ, ‖xᵀ·M‖₁ ≤ ρ·‖x‖₁. A matrix
+// FromRaw accepts has ρ ≤ 1 up to rounding; Build records any value.
+func (m *Matrix) RowSumMax() float64 { return m.rowMax }
 
 // RowSum returns the sum of the entries of a row.
 func (m *Matrix) RowSum(r int) float64 {

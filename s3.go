@@ -292,7 +292,8 @@ func (i *Instance) HasUser(uri string) bool {
 
 // Result is one search answer: a document fragment with its score
 // interval (after a complete search, the interval tightly brackets the
-// exact score; the answer set is provably the top-k).
+// exact score; the answer set is provably the top-k, listed by upper
+// bound, which need not be the exact-score order).
 type Result struct {
 	// URI identifies the fragment (its root node).
 	URI string
