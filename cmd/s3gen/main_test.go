@@ -64,8 +64,8 @@ func TestWriteShardSetFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.NumShards() != 3 {
-		t.Fatalf("loaded %d shards, want 3", si.NumShards())
+	if len(si.Shards()) != 3 {
+		t.Fatalf("loaded %d shards, want 3", len(si.Shards()))
 	}
 	if si.Stats() != in.Stats() {
 		t.Errorf("shard set stats %+v, generated instance %+v", si.Stats(), in.Stats())

@@ -245,16 +245,12 @@ func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, veri
 
 // logShardLayout prints the per-shard layout when serving a shard set.
 func logShardLayout(inst s3.Queryable) {
-	type sharded interface {
-		NumShards() int
-		Shards() []s3.ShardStat
-	}
-	si, ok := inst.(sharded)
-	if !ok || si.NumShards() < 2 {
+	shards := inst.Shards()
+	if len(shards) < 2 {
 		return
 	}
-	log.Printf("sharded: %d shards", si.NumShards())
-	for i, sh := range si.Shards() {
+	log.Printf("sharded: %d shards", len(shards))
+	for i, sh := range shards {
 		log.Printf("  shard %d: %d documents, %d components, %d tags", i, sh.Documents, sh.Components, sh.Tags)
 	}
 }

@@ -206,12 +206,12 @@ func TestServeFromShardSetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, ok := inst.(*s3.ShardedInstance)
+	si, ok := inst.(*s3.Instance)
 	if !ok {
 		t.Fatalf("shard-set loader returned %T", inst)
 	}
-	if si.NumShards() != 3 {
-		t.Fatalf("loaded %d shards, want 3", si.NumShards())
+	if len(si.Shards()) != 3 {
+		t.Fatalf("loaded %d shards, want 3", len(si.Shards()))
 	}
 	srv, err := server.New(server.Config{Instance: inst, Loader: loader})
 	if err != nil {

@@ -2,12 +2,9 @@ package s3
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 
 	"s3/internal/core"
 	"s3/internal/dshard"
-	"s3/internal/graph"
 	"s3/internal/obs"
 	"s3/internal/snap"
 )
@@ -24,13 +21,13 @@ import (
 // The proximity-cache hooks (SetProxCache, WarmProximity) are no-ops
 // here: no workload measures a coordinator-side cache yet.
 type DistributedInstance struct {
+	// substrate is the manifest's: users, extensions and statistics are
+	// answered from it, and its metrics sink is fed by the coordinated
+	// rounds.
+	substrate
 	man    *snap.ManifestSnapshot
 	coord  *dshard.Coordinator
 	cancel context.CancelFunc
-
-	// obsm is the optional search-metrics sink fed by the coordinated
-	// rounds.
-	obsm atomic.Pointer[SearchMetrics]
 }
 
 var _ Queryable = (*DistributedInstance)(nil)
@@ -61,7 +58,7 @@ func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*
 	ctx, cancel := context.WithCancel(context.Background())
 	_ = coord.Probe(ctx)
 	go coord.Run(ctx)
-	return &DistributedInstance{man: man, coord: coord, cancel: cancel}, nil
+	return &DistributedInstance{substrate: substrate{in: man.Base}, man: man, coord: coord, cancel: cancel}, nil
 }
 
 // Probe refreshes worker membership synchronously and reports whether
@@ -69,24 +66,6 @@ func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*
 func (di *DistributedInstance) Probe(ctx context.Context) error {
 	return di.coord.Probe(ctx)
 }
-
-// NumShards returns the shard count of the served set.
-func (di *DistributedInstance) NumShards() int { return len(di.man.Layout.Shards) }
-
-// HasUser reports whether uri names a user (the manifest's substrate
-// carries all users).
-func (di *DistributedInstance) HasUser(uri string) bool {
-	n, ok := di.man.Base.NIDOf(uri)
-	return ok && di.man.Base.KindOf(n) == graph.KindUser
-}
-
-// Extension returns the semantic extension of a keyword.
-func (di *DistributedInstance) Extension(keyword string) []string {
-	return extension(di.man.Base, keyword)
-}
-
-// Stats returns the whole-instance statistics from the manifest.
-func (di *DistributedInstance) Stats() Stats { return di.man.Base.Stats() }
 
 // Shards reports the per-shard rows: content counts from the worker
 // fleet's probed stats, falling back to the manifest layout before the
@@ -120,13 +99,14 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 	for _, o := range opts {
 		o(&cfg)
 	}
-	base := di.man.Base
-	seeker, ok := base.NIDOf(seekerURI)
-	if !ok || base.KindOf(seeker) != graph.KindUser {
-		return nil, SearchInfo{}, fmt.Errorf("s3: unknown seeker %q", seekerURI)
+	base := di.in
+	seeker, err := di.seeker(seekerURI)
+	if err != nil {
+		return nil, SearchInfo{}, err
 	}
-	if cfg.opts.K <= 0 {
-		return nil, SearchInfo{}, fmt.Errorf("s3: k must be positive, got %d", cfg.opts.K)
+	// The check every executor's Begin runs, before anything is fetched.
+	if err := core.CheckQuery(base, seeker, cfg.opts.K); err != nil {
+		return nil, SearchInfo{}, err
 	}
 	groups, possible, err := core.ResolveKeywordGroups(base, keywords)
 	if err != nil {
@@ -176,10 +156,6 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 // SetProxCache is a no-op: a coordinator-side proximity cache is left for
 // when a workload measures it.
 func (di *DistributedInstance) SetProxCache(*ProxCache) {}
-
-// SetSearchMetrics attaches (or with nil, detaches) the instrument
-// bundle fed by subsequent coordinated searches.
-func (di *DistributedInstance) SetSearchMetrics(m *SearchMetrics) { di.obsm.Store(m) }
 
 // AttachRegistry wires the coordinator's wire instruments (fetch
 // round-trip time and bytes) and search counters into r. The serving

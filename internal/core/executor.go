@@ -11,8 +11,8 @@
 // Coordinate over one LocalExecutor.
 //
 // Coordinate still accepts several executors over component-disjoint
-// indexes, each exploring on its own, and merges their selections by
-// score interval (topks.MergeTopK); only benchmark probes run it that
+// indexes, each exploring on its own, and merges their kept lists with
+// one sort by score interval; only the benchmark's probes run it that
 // way. Everything the loop needs from an executor fits in a few dozen
 // bytes per round: the selection is at most k candidates, and the stop
 // decision needs only aggregates (admitted counts, the dominating bound,
@@ -23,13 +23,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/obs"
 	"s3/internal/score"
-	"s3/internal/topks"
 )
 
 // SearchSpec describes one search to an executor. All fields are plain
@@ -390,9 +390,9 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 	}
 }
 
-// thresholdFromMasses builds Bscore over the whole shard set from the
-// per-shard Begin responses: per query keyword, the per-component
-// event-count bound is the maximum across shards.
+// thresholdFromMasses builds Bscore (score.Bscore) over the whole shard
+// set from the per-shard Begin responses: per query keyword, the
+// per-component event-count bound is the maximum across shards.
 func thresholdFromMasses(groups [][]dict.ID, begins []BeginInfo) (func(B float64) float64, error) {
 	masses := make([]int, len(groups))
 	for gi, group := range groups {
@@ -409,50 +409,48 @@ func thresholdFromMasses(groups [][]dict.ID, begins []BeginInfo) (func(B float64
 			masses[gi] += int(m)
 		}
 	}
-	return func(B float64) float64 {
-		t := 1.0
-		for _, mass := range masses {
-			t *= float64(mass) * B
-		}
-		return t
-	}, nil
+	return func(B float64) float64 { return score.Bscore(masses, B) }, nil
 }
 
-// mergeScratch owns one search's merge-path allocations: the per-round
-// list headers and the top-k merger are reused round after round, so the
-// steady-state round loop performs the merge without touching the heap.
+// mergeScratch owns one search's merge buffer: the members' kept lists
+// are appended to it and sorted, round after round, so the steady-state
+// round loop merges without allocating.
 type mergeScratch struct {
-	lists  [][]CandMeta
-	merger *topks.Merger[CandMeta]
+	buf []CandMeta
 }
 
+// newMergeScratch returns a scratch for n members; the buffer grows to
+// the largest round's n·k kept candidates at most.
 func newMergeScratch(n int) *mergeScratch {
-	return &mergeScratch{
-		lists:  make([][]CandMeta, 0, n),
-		merger: topks.NewMerger(metaBefore),
-	}
+	return &mergeScratch{buf: make([]CandMeta, 0, n)}
 }
 
-// mergedSelect combines the shard-local greedy selections into the
-// global one — mergedSelect over wire candidates. The per-shard kept
-// lists are merged by score interval; the walk consumes merged candidates
-// until k are selected or the earliest shard-local uncertainty point is
-// reached, exactly where the single-engine walk over the union would
-// stop (vertical-neighbour interactions never cross shards). The
-// returned slice shares the scratch's backing: valid until the next
-// mergedSelect on the same scratch.
+// mergedSelect combines the members' greedy selections into the global
+// one: their kept lists, sorted by score interval, are walked until k are
+// selected or the earliest member-local uncertainty point is reached,
+// exactly where the single-engine walk over the union would stop
+// (vertical-neighbour interactions never cross members). The returned
+// slice shares the scratch's buffer: valid until the next mergedSelect on
+// the same scratch.
 func (m *mergeScratch) mergedSelect(infos []RoundInfo, k int) ([]CandMeta, bool) {
-	m.lists = m.lists[:0]
+	m.buf = m.buf[:0]
 	var uncertain *CandMeta
 	for i := range infos {
-		if len(infos[i].Kept) > 0 {
-			m.lists = append(m.lists, infos[i].Kept)
-		}
+		m.buf = append(m.buf, infos[i].Kept...)
 		if u := infos[i].Uncertain; u != nil && (uncertain == nil || metaBefore(*u, *uncertain)) {
 			uncertain = u
 		}
 	}
-	merged := m.merger.Merge(k, m.lists)
+	slices.SortFunc(m.buf, func(a, b CandMeta) int {
+		if metaBefore(a, b) {
+			return -1
+		}
+		if metaBefore(b, a) {
+			return 1
+		}
+		return 0
+	})
+	merged := m.buf[:min(k, len(m.buf))]
 	if uncertain == nil {
 		return merged, true
 	}

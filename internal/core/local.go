@@ -150,7 +150,7 @@ func (x *LocalExecutor) TakeSpan() *obs.Span {
 // Begin implements ShardExecutor. The spec is validated here as well as
 // at the query entry points.
 func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
-	if err := checkQuery(x.e.in, spec.Seeker, spec.K); err != nil {
+	if err := CheckQuery(x.e.in, spec.Seeker, spec.K); err != nil {
 		return BeginInfo{}, err
 	}
 	if len(spec.Groups) == 0 {

@@ -197,7 +197,7 @@ func (e *Engine) KeywordGroups(keywords []string) ([][]dict.ID, bool, error) {
 func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
 	start := time.Now()
 	in := e.in
-	if err := checkQuery(in, seeker, opts.K); err != nil {
+	if err := CheckQuery(in, seeker, opts.K); err != nil {
 		return nil, Stats{}, err
 	}
 	root := opts.Trace.Span()
@@ -237,9 +237,10 @@ func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Re
 	return out, stats, nil
 }
 
-// checkQuery is the query validation every entry point shares: a positive
-// k and a seeker that is a user node of the instance.
-func checkQuery(in *graph.Instance, seeker graph.NID, k int) error {
+// CheckQuery is the query validation every entry point shares (Engine.Search,
+// LocalExecutor.Begin, and a distributed coordinator before it fetches): a
+// positive k and a seeker that is a user node of the instance.
+func CheckQuery(in *graph.Instance, seeker graph.NID, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("core: k must be positive, got %d", k)
 	}

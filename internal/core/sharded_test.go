@@ -41,7 +41,7 @@ func shardIndexes(t testing.TB, in *graph.Instance, ix *index.Index, n int) []*i
 // still runs. The executors share opts.ProxCache; ResumedDepth is the
 // first one's.
 func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
-	if err := checkQuery(in, seeker, opts.K); err != nil {
+	if err := CheckQuery(in, seeker, opts.K); err != nil {
 		return nil, Stats{}, err
 	}
 	groups, possible, err := ResolveKeywordGroups(in, keywords)

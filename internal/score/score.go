@@ -21,8 +21,9 @@
 //   - soundness (property 3): the score is monotone and continuous in the
 //     proximity values (it is a polynomial with non-negative
 //     coefficients);
-//   - convergence (property 4): Scorer.Threshold implements Bscore — with
-//     every source proximity below B, score(d) ≤ Π_k maxMass(k)·B → 0.
+//   - convergence (property 4): Bscore — with every source proximity
+//     below B, score(d) ≤ Π_k maxMass(k)·B → 0; the engine's stop test
+//     evaluates it.
 package score
 
 import (
@@ -719,19 +720,16 @@ func (s *Scorer) Exact(d graph.NID, prox []float64) float64 {
 	return lo
 }
 
-// Threshold implements Bscore(q, B) (feasibility property 4): an upper
+// Bscore implements Bscore(q, B) (feasibility property 4): an upper
 // bound on the score of any document all of whose connection sources have
-// proximity at most B. Per group, the connection mass of a single
-// candidate is bounded by the largest per-component event count of the
-// group's keywords (every connection of a candidate lives in its own
-// component, and η ≤ 1).
-func (s *Scorer) Threshold(B float64) float64 {
+// proximity at most B. masses[g] bounds the connection mass of a single
+// candidate for the g-th query keyword: the sum, over the keyword's
+// extension, of the largest per-component event count (every connection
+// of a candidate lives in its own component, and η ≤ 1). The bound is
+// Π_g masses[g]·B.
+func Bscore(masses []int, B float64) float64 {
 	t := 1.0
-	for _, group := range s.groups {
-		mass := 0
-		for _, k := range group {
-			mass += s.ix.MaxCompEvents(k)
-		}
+	for _, mass := range masses {
 		t *= float64(mass) * B
 	}
 	return t

@@ -232,14 +232,22 @@ func TestScoreMonotoneInProximity(t *testing.T) {
 }
 
 // Feasibility property 4 (convergence): with every source proximity below
-// B, score(d) ≤ Threshold(B), and Threshold(B) → 0 as B → 0.
+// B, score(d) ≤ Bscore(masses, B), and Bscore(masses, B) → 0 as B → 0,
+// masses summed as the engine's stop test sums them.
 func TestThresholdBoundsScore(t *testing.T) {
 	for seed := int64(70); seed < 80; seed++ {
 		in, ix := buildRandom(t, seed)
 		p := DefaultParams()
-		sc, err := NewScorer(in, ix, p, testGroups(in))
+		groups := testGroups(in)
+		sc, err := NewScorer(in, ix, p, groups)
 		if err != nil {
 			t.Fatal(err)
+		}
+		masses := make([]int, len(groups))
+		for gi, group := range groups {
+			for _, k := range group {
+				masses[gi] += ix.MaxCompEvents(k)
+			}
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for _, B := range []float64{0.5, 0.1, 0.01} {
@@ -247,15 +255,15 @@ func TestThresholdBoundsScore(t *testing.T) {
 			for i := range prox {
 				prox[i] = rng.Float64() * B
 			}
-			thr := sc.Threshold(B)
+			thr := Bscore(masses, B)
 			for _, d := range candidateNodes(in) {
 				if s := sc.Exact(d, prox); s > thr+1e-12 {
 					t.Fatalf("seed %d: score %v exceeds threshold %v (B=%v)", seed, s, thr, B)
 				}
 			}
 		}
-		if thr := sc.Threshold(0); thr != 0 {
-			t.Fatalf("Threshold(0) = %v, want 0", thr)
+		if thr := Bscore(masses, 0); thr != 0 {
+			t.Fatalf("Bscore(masses, 0) = %v, want 0", thr)
 		}
 	}
 }

@@ -44,8 +44,8 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Instance is the initially served instance: a *s3.Instance or a
-	// *s3.ShardedInstance.
+	// Instance is the initially served instance: a *s3.Instance (a
+	// snapshot or a shard set) or a *s3.DistributedInstance.
 	Instance s3.Queryable
 	// Loader re-loads the instance for POST /reload (typically re-reading
 	// a snapshot file or shard set). nil disables reloading.

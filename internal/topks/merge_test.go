@@ -10,6 +10,15 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+// resultBefore orders Results as collect lists them: upper bound
+// descending, ties by item id ascending.
+func resultBefore(a, b Result) bool {
+	if a.Upper != b.Upper {
+		return a.Upper > b.Upper
+	}
+	return a.Item < b.Item
+}
+
 func TestMergeTopKBasics(t *testing.T) {
 	got := MergeTopK(4, [][]int{{1, 4, 9}, {2, 3}, {}, {5}}, intLess)
 	want := []int{1, 2, 3, 4}
@@ -50,17 +59,17 @@ func TestMergeTopKEqualsGlobalTopK(t *testing.T) {
 				all = append(all, r)
 				lists[s] = append(lists[s], r)
 			}
-			sort.Slice(lists[s], func(i, j int) bool { return ResultBefore(lists[s][i], lists[s][j]) })
+			sort.Slice(lists[s], func(i, j int) bool { return resultBefore(lists[s][i], lists[s][j]) })
 			if len(lists[s]) > k {
 				lists[s] = lists[s][:k]
 			}
 		}
-		sort.Slice(all, func(i, j int) bool { return ResultBefore(all[i], all[j]) })
+		sort.Slice(all, func(i, j int) bool { return resultBefore(all[i], all[j]) })
 		want := all
 		if len(want) > k {
 			want = want[:k]
 		}
-		got := MergeResults(k, lists)
+		got := MergeTopK(k, lists, resultBefore)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d results, want %d", trial, len(got), len(want))
 		}

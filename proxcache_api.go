@@ -78,10 +78,6 @@ func (i *Instance) SetProxCache(pc *ProxCache) {
 	i.prox.Store(pc)
 }
 
-// SetProxCache attaches (or, with nil, detaches) a proximity cache; see
-// Instance.SetProxCache.
-func (si *ShardedInstance) SetProxCache(pc *ProxCache) { si.inst.SetProxCache(pc) }
-
 // WarmProximity pre-explores a seeker's social neighbourhood to maxDepth
 // under the given damping factors and publishes the frontier into the
 // attached proximity cache, so the seeker's next search starts warm. It
@@ -103,10 +99,4 @@ func (i *Instance) WarmProximity(seekerURI string, gamma, eta float64, maxDepth 
 		pc.warmed.Add(1)
 	}
 	return d, seeded
-}
-
-// WarmProximity pre-explores a seeker over the shard set's shared
-// substrate; see Instance.WarmProximity.
-func (si *ShardedInstance) WarmProximity(seekerURI string, gamma, eta float64, maxDepth int) (int, bool) {
-	return si.inst.WarmProximity(seekerURI, gamma, eta, maxDepth)
 }

@@ -222,26 +222,24 @@ func (b *Builder) Build() (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newInstance(in, index.Build(in)), nil
-}
-
-// newInstance wires a frozen graph instance and its index into an engine
-// whose searches count on one shard holding every component, as a
-// one-shard set's do. Building, BuildFromSpec, ReadSnapshot and
-// OpenSnapshot all go through it.
-func newInstance(in *graph.Instance, ix *index.Index) *Instance {
-	load := core.NewShardLoad(1)
-	eng := core.NewEngine(in, ix).WithShardLoad(make([]int32, in.NumComponents()), load)
-	return &Instance{in: in, ix: ix, eng: eng, load: load}
+	return newInstance(in, index.Build(in), nil, 1), nil
 }
 
 // Stats summarises an instance (Figure 4 of the paper).
 type Stats = graph.Stats
 
-// Instance is a frozen, queryable S3 instance. It is immutable (search
-// counters aside) and safe for concurrent searches.
+// Instance is a frozen, queryable S3 instance: a built or snapshot-loaded
+// one, or a shard set (ShardBy, OpenShardSet), whose components are split
+// into N shards as the set's files split them. The split is a file layout
+// and a load signal, not a search topology: a search runs as one engine
+// over the substrate and one index holding every shard's postings, so a
+// shard set answers — documents, order and score intervals — as the
+// unsharded instance does, and its per-shard rows count what a
+// distributed coordinator over the same set counts. A built or loaded
+// instance is one shard holding every component. An Instance is
+// immutable (counters aside) and safe for concurrent searches.
 type Instance struct {
-	in   *graph.Instance
+	substrate
 	ix   *index.Index
 	eng  *core.Engine
 	rdfv rdfView
@@ -250,17 +248,53 @@ type Instance struct {
 	// (Close / MappedBytes); zero for built and copy-loaded instances.
 	lifecycle
 
-	// load counts the searches that matched a component and the rounds
-	// they ran, on the one shard Shards reports.
-	load *core.ShardLoad
+	// content holds each shard's content counts, fixed at construction;
+	// load counts the searches that matched a component on each shard and
+	// the rounds they ran.
+	content []ShardStat
+	load    *core.ShardLoad
 
 	// prox is the optional seeker-proximity checkpoint cache (atomic so it
 	// can be attached or swapped while searches are in flight).
 	prox atomic.Pointer[ProxCache]
+}
 
-	// obsm is the optional search-metrics sink (atomic for the same
-	// reason: the serving layer attaches it while searches may be in
-	// flight across a hot reload).
+// newInstance wires a frozen graph instance and its index into an engine
+// whose searches count on n shards, owner mapping each component to its
+// shard. A nil owner is the one-shard case (n = 1) every built and loaded
+// instance is. Build, BuildFromSpec, ReadSnapshot, OpenSnapshot, ShardBy
+// and OpenShardSet all go through it.
+func newInstance(in *graph.Instance, ix *index.Index, owner []int32, n int) *Instance {
+	if owner == nil {
+		owner = make([]int32, in.NumComponents())
+	}
+	load := core.NewShardLoad(n)
+	content := make([]ShardStat, n)
+	docs, tags := graph.ShardContent(in, owner, n)
+	for s := range content {
+		content[s].Documents, content[s].Tags = docs[s], tags[s]
+	}
+	for _, s := range owner {
+		content[s].Components++
+	}
+	return &Instance{
+		substrate: substrate{in: in},
+		ix:        ix,
+		eng:       core.NewEngine(in, ix).WithShardLoad(owner, load),
+		content:   content,
+		load:      load,
+	}
+}
+
+// substrate answers what the shared substrate alone decides — users,
+// keyword extensions, statistics — and holds the search-metrics sink.
+// Instance and DistributedInstance embed it, so both answer these, and
+// resolve a seeker, the same way.
+type substrate struct {
+	in *graph.Instance
+
+	// obsm is the optional search-metrics sink (atomic: the serving layer
+	// attaches it while searches may be in flight across a hot reload).
 	obsm atomic.Pointer[SearchMetrics]
 }
 
@@ -278,16 +312,27 @@ type SearchMetrics = obs.SearchMetrics
 // SetSearchMetrics attaches (or with nil, detaches) the instrument
 // bundle fed by subsequent searches. Safe to call while searches are in
 // flight.
-func (i *Instance) SetSearchMetrics(m *SearchMetrics) { i.obsm.Store(m) }
+func (s *substrate) SetSearchMetrics(m *SearchMetrics) { s.obsm.Store(m) }
 
-// Stats returns instance statistics.
-func (i *Instance) Stats() Stats { return i.in.Stats() }
+// Stats returns instance statistics (the substrate is shared, the shards
+// partition the content).
+func (s *substrate) Stats() Stats { return s.in.Stats() }
 
 // HasUser reports whether uri names a user of the instance (and may
 // therefore act as a seeker).
-func (i *Instance) HasUser(uri string) bool {
-	n, ok := i.in.NIDOf(uri)
-	return ok && i.in.KindOf(n) == graph.KindUser
+func (s *substrate) HasUser(uri string) bool {
+	n, ok := s.in.NIDOf(uri)
+	return ok && s.in.KindOf(n) == graph.KindUser
+}
+
+// seeker resolves a seeker URI to its node. Whether the node is a user
+// is core.CheckQuery's to say, with the check of k.
+func (s *substrate) seeker(uri string) (graph.NID, error) {
+	n, ok := s.in.NIDOf(uri)
+	if !ok {
+		return graph.NoNID, fmt.Errorf("s3: unknown seeker %q", uri)
+	}
+	return n, nil
 }
 
 // Result is one search answer: a document fragment with its score
@@ -400,9 +445,9 @@ func (i *Instance) SearchInfoed(seekerURI string, keywords []string, opts ...Opt
 	for _, o := range opts {
 		o(&cfg)
 	}
-	seeker, ok := i.in.NIDOf(seekerURI)
-	if !ok {
-		return nil, SearchInfo{}, fmt.Errorf("s3: unknown seeker %q", seekerURI)
+	seeker, err := i.seeker(seekerURI)
+	if err != nil {
+		return nil, SearchInfo{}, err
 	}
 	if pc := i.prox.Load(); pc != nil {
 		cfg.opts.ProxCache = pc.c
@@ -441,11 +486,8 @@ func mapSearchInfo(stats core.Stats) SearchInfo {
 // Extension returns the semantic extension of a keyword in this instance's
 // ontology: the keyword's stemmed form plus every sub-class, sub-property
 // and instance of it (Definition 2.1 of the paper).
-func (i *Instance) Extension(keyword string) []string {
-	return extension(i.in, keyword)
-}
-
-func extension(in *graph.Instance, keyword string) []string {
+func (s *substrate) Extension(keyword string) []string {
+	in := s.in
 	ks := in.Analyzer().Keywords(keyword)
 	if len(ks) == 0 {
 		return nil

@@ -3,15 +3,14 @@ package s3
 import (
 	"slices"
 
-	"s3/internal/core"
 	"s3/internal/graph"
 	"s3/internal/snap"
 )
 
-// Queryable is the serving surface shared by a single Instance and a
-// component-sharded ShardedInstance: everything the query server needs to
-// answer searches, report statistics and describe its shard layout. A
-// plain Instance is the degenerate one-shard case.
+// Queryable is the serving surface shared by an Instance (built, loaded
+// or a shard set) and a DistributedInstance: everything the query server
+// needs to answer searches, report statistics and describe its shard
+// layout.
 type Queryable interface {
 	// HasUser reports whether uri names a user (a valid seeker).
 	HasUser(uri string) bool
@@ -45,10 +44,7 @@ type Queryable interface {
 	Close() error
 }
 
-var (
-	_ Queryable = (*Instance)(nil)
-	_ Queryable = (*ShardedInstance)(nil)
-)
+var _ Queryable = (*Instance)(nil)
 
 // ShardStat summarises one shard of a Queryable.
 type ShardStat struct {
@@ -66,50 +62,25 @@ type ShardStat struct {
 	Rounds uint64
 }
 
-// Shards describes a plain instance as a single shard holding everything.
+// Shards describes the shard layout: per shard, its content counts and
+// the searches that matched a component there with the rounds they ran. A
+// built or loaded instance is one shard holding everything.
 func (i *Instance) Shards() []ShardStat {
-	s := i.in.Stats()
-	searches, rounds := i.load.Shard(0)
-	return []ShardStat{{
-		Documents:  s.Documents,
-		Components: s.Components,
-		Tags:       s.Tags,
-		Searches:   searches,
-		Rounds:     rounds,
-	}}
+	out := slices.Clone(i.content)
+	for s := range out {
+		out[s].Searches, out[s].Rounds = i.load.Shard(s)
+	}
+	return out
 }
-
-// ShardedInstance is a frozen S3 instance whose components are split into
-// N shards, as a shard set's files split them. The split is a file layout
-// and a load signal, not a search topology: a search runs as one engine
-// over the shared substrate (dictionary, node tables, network matrix,
-// ontology) and one index holding every shard's postings, so the result —
-// documents, order and score intervals — is the unsharded instance's. The
-// per-shard rows count what a distributed coordinator over the same set
-// counts. It is immutable (counters aside) and safe for concurrent
-// searches.
-type ShardedInstance struct {
-	// inst searches with an engine that counts every search on load.
-	inst *Instance
-	load *core.ShardLoad
-	// content holds each shard's content counts, fixed at construction.
-	content []ShardStat
-
-	// lifecycle owns the memory mappings behind a LoadMmap shard set.
-	lifecycle
-}
-
-// SetSearchMetrics attaches (or with nil, detaches) the instrument
-// bundle fed by subsequent searches.
-func (si *ShardedInstance) SetSearchMetrics(m *SearchMetrics) { si.inst.SetSearchMetrics(m) }
 
 // ShardBy partitions the instance into n component shards in memory
 // (without going through shard-set files): components are spread by
 // balanced document count, as WriteShardSetFiles spreads them. Searches
 // run over the instance's own index and answer exactly as the instance
 // does; the shards are what Shards reports on. Useful for testing shard
-// layouts before persisting them.
-func (i *Instance) ShardBy(n int) (*ShardedInstance, error) {
+// layouts before persisting them. The result maps nothing itself
+// (MappedBytes is 0, Close a no-op): a mapped i must outlive it.
+func (i *Instance) ShardBy(n int) (*Instance, error) {
 	parts, err := graph.PartitionComponents(i.in, n)
 	if err != nil {
 		return nil, err
@@ -118,63 +89,7 @@ func (i *Instance) ShardBy(n int) (*ShardedInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newShardedInstance(i.eng, owner, n), nil
-}
-
-// newShardedInstance wraps eng as a set of n shards, owner mapping each
-// component to its shard: searches run on eng and count on the shards.
-func newShardedInstance(eng *core.Engine, owner []int32, n int) *ShardedInstance {
-	in := eng.Instance()
-	load := core.NewShardLoad(n)
-	content := make([]ShardStat, n)
-	docs, tags := graph.ShardContent(in, owner, n)
-	for s := range content {
-		content[s].Documents, content[s].Tags = docs[s], tags[s]
-	}
-	for _, s := range owner {
-		content[s].Components++
-	}
-	inst := &Instance{in: in, ix: eng.Index(), eng: eng.WithShardLoad(owner, load)}
-	return &ShardedInstance{inst: inst, load: load, content: content}
-}
-
-// NumShards returns the shard count.
-func (si *ShardedInstance) NumShards() int { return len(si.content) }
-
-// Stats returns the whole-instance statistics (identical to the
-// unsharded instance's: the substrate is shared, the shards partition the
-// content).
-func (si *ShardedInstance) Stats() Stats { return si.inst.Stats() }
-
-// HasUser reports whether uri names a user (users are shared substrate,
-// so every shard can act for any seeker).
-func (si *ShardedInstance) HasUser(uri string) bool { return si.inst.HasUser(uri) }
-
-// Extension returns the semantic extension of a keyword (the ontology is
-// shared substrate).
-func (si *ShardedInstance) Extension(keyword string) []string { return si.inst.Extension(keyword) }
-
-// Shards describes the shard layout: per shard, its content counts and
-// the searches that matched a component there with the rounds they ran.
-func (si *ShardedInstance) Shards() []ShardStat {
-	out := slices.Clone(si.content)
-	for s := range out {
-		out[s].Searches, out[s].Rounds = si.load.Shard(s)
-	}
-	return out
-}
-
-// Search runs an S3k top-k search; the answer equals the unsharded
-// answer.
-func (si *ShardedInstance) Search(seekerURI string, keywords []string, opts ...Option) ([]Result, error) {
-	rs, _, err := si.SearchInfoed(seekerURI, keywords, opts...)
-	return rs, err
-}
-
-// SearchInfoed is Search returning termination information as well. A
-// search counts on every shard holding a component it matched.
-func (si *ShardedInstance) SearchInfoed(seekerURI string, keywords []string, opts ...Option) ([]Result, SearchInfo, error) {
-	return si.inst.SearchInfoed(seekerURI, keywords, opts...)
+	return newInstance(i.in, i.ix, owner, n), nil
 }
 
 // WriteShardSetFiles partitions the instance into n shards and persists
@@ -195,13 +110,13 @@ func (i *Instance) WriteShardSetFiles(manifestPath string, n int) ([]string, err
 // With LoadMmap the shared substrate is a view into the mapped manifest
 // (the merged index lives on the heap); call Close when the instance is
 // retired (after in-flight searches finish) to unmap the files.
-func OpenShardSet(manifestPath string, mode LoadMode) (*ShardedInstance, error) {
+func OpenShardSet(manifestPath string, mode LoadMode) (*Instance, error) {
 	s, err := snap.OpenShardSet(manifestPath, snap.LoadMode(mode))
 	if err != nil {
 		return nil, err
 	}
 	set := s.Set
-	si := newShardedInstance(core.NewEngine(set.Base, set.Index), set.Layout.Owner, len(set.Layout.Shards))
-	si.setMapped(s.MappedBytes(), s.Close)
-	return si, nil
+	i := newInstance(set.Base, set.Index, set.Layout.Owner, len(set.Layout.Shards))
+	i.setMapped(s.MappedBytes(), s.Close)
+	return i, nil
 }

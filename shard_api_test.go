@@ -81,8 +81,8 @@ func TestShardByMatchesInstance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ShardBy(%d): %v", n, err)
 		}
-		if si.NumShards() != n {
-			t.Fatalf("ShardBy(%d) produced %d shards", n, si.NumShards())
+		if len(si.Shards()) != n {
+			t.Fatalf("ShardBy(%d) produced %d shards", n, len(si.Shards()))
 		}
 		if si.Stats() != inst.Stats() {
 			t.Errorf("n=%d: sharded stats diverge", n)
@@ -138,7 +138,7 @@ func TestShardByMatchesInstance(t *testing.T) {
 }
 
 // TestShardStatSemantics pins what ShardStat.Searches and Rounds count on
-// a ShardedInstance at every N, the one-shard set included, and on a plain
+// a shard set at every N, the one-shard set included, and on a plain
 // instance, by the definition a distributed coordinator counts with: Searches is the
 // searches that matched a component on the shard, Rounds the exploration
 // rounds those searches ran.
@@ -198,9 +198,14 @@ func TestShardStatSemantics(t *testing.T) {
 		t.Errorf("N=1: Rounds = %d, want in (0, %d] (the matching searches' rounds)", got.Rounds, iterations)
 	}
 	for name, plain := range plains {
-		if p := plain.Shards()[0]; p.Searches != got.Searches || p.Rounds != got.Rounds {
-			t.Errorf("%s instance counts %d searches / %d rounds, ShardBy(1) %d / %d", name, p.Searches, p.Rounds, got.Searches, got.Rounds)
+		if p := plain.Shards(); len(p) != 1 || p[0] != got {
+			t.Errorf("%s instance's shard rows %+v, ShardBy(1)'s %+v", name, p, got)
 		}
+	}
+	// The one shard's content is the whole instance's.
+	if st := inst.Stats(); got.Documents != st.Documents || got.Components != st.Components || got.Tags != st.Tags {
+		t.Errorf("N=1 holds %d documents / %d components / %d tags, the instance %d / %d / %d",
+			got.Documents, got.Components, got.Tags, st.Documents, st.Components, st.Tags)
 	}
 	// The one shard holds the union of the three: a search touches it iff
 	// it touches some shard of the three, and its rounds count wherever
@@ -323,8 +328,8 @@ func TestShardSetFilesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.NumShards() != 4 {
-		t.Fatalf("loaded %d shards", si.NumShards())
+	if len(si.Shards()) != 4 {
+		t.Fatalf("loaded %d shards", len(si.Shards()))
 	}
 	for _, q := range queries {
 		want, err1 := inst.Search(q[0], []string{q[1]}, s3.WithK(5))
@@ -347,5 +352,80 @@ func TestShardSetFilesRoundTrip(t *testing.T) {
 	}
 	if _, err := s3.OpenShardSet(manifest, s3.LoadCopy); err == nil {
 		t.Error("shard set opened with a missing shard file")
+	}
+}
+
+// TestOpenedShardSetIsAnInstance: an opened shard set is a whole Instance,
+// copied or mapped. It re-serialises to the source instance's snapshot
+// bytes, and its RDF view answers and exports as the source's does.
+func TestOpenedShardSetIsAnInstance(t *testing.T) {
+	inst := buildTestInstance(t, 60, 240, 3)
+	var want, wantRDF bytes.Buffer
+	if err := inst.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.WriteRDF(&wantRDF); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "i.set")
+	if _, err := inst.WriteShardSetFiles(manifest, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []s3.LoadMode{s3.LoadCopy, s3.LoadMmap} {
+		set, err := s3.OpenShardSet(manifest, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, gotRDF bytes.Buffer
+		if err := set.WriteSnapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("mode %d: the shard set's snapshot (%d B) differs from the source's (%d B)", mode, got.Len(), want.Len())
+		}
+		rows, err := set.QueryRDF("?u rdf:type S3:user")
+		if err != nil || len(rows) != inst.Stats().Users {
+			t.Errorf("mode %d: QueryRDF found %d users (%v), want %d", mode, len(rows), err, inst.Stats().Users)
+		}
+		if err := set.WriteRDF(&gotRDF); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotRDF.Bytes(), wantRDF.Bytes()) {
+			t.Errorf("mode %d: the shard set's RDF export differs from the source's", mode)
+		}
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardByMappedInstanceOwnsNoMapping: ShardBy over a mapped instance
+// maps nothing itself, so its Close is a no-op and the mapping is released
+// once, by the instance that owns it.
+func TestShardByMappedInstanceOwnsNoMapping(t *testing.T) {
+	inst := buildTestInstance(t, 60, 240, 3)
+	queries := sampleQueries(t, inst, 3)
+	mapped, err := s3.OpenSnapshot(writeSnapshotTo(t, inst, t.TempDir(), "i.snap"), s3.LoadMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped.MappedBytes() == 0 {
+		t.Fatal("mapped instance reports no mapped bytes")
+	}
+	sharded, err := mapped.ShardBy(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sharded.MappedBytes(); n != 0 {
+		t.Errorf("ShardBy over a mapped instance reports %d mapped bytes, want 0", n)
+	}
+	if err := sharded.Close(); err != nil {
+		t.Fatalf("Close of the sharded instance: %v", err)
+	}
+	// Its Close released nothing: both still answer from the mapping.
+	battery(t, "mapped-after-sharded-close", inst, mapped, queries)
+	battery(t, "sharded-after-its-close", inst, sharded, queries)
+	if err := mapped.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

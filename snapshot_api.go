@@ -59,7 +59,7 @@ func ReadSnapshot(r io.Reader) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newInstance(in, ix), nil
+	return newInstance(in, ix, nil, 1), nil
 }
 
 // OpenSnapshot loads a snapshot file in the given mode. With LoadMmap the
@@ -72,7 +72,7 @@ func OpenSnapshot(path string, mode LoadMode) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	i := newInstance(s.Instance, s.Index)
+	i := newInstance(s.Instance, s.Index, nil, 1)
 	i.setMapped(s.MappedBytes(), s.Close)
 	return i, nil
 }

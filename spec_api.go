@@ -30,5 +30,5 @@ func BuildFromSpec(r io.Reader, lang Lang) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s3: rebuilding spec: %w", err)
 	}
-	return newInstance(in, index.Build(in)), nil
+	return newInstance(in, index.Build(in), nil, 1), nil
 }
