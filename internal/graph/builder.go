@@ -275,8 +275,6 @@ func (b *Builder) Build() (*Instance, error) {
 		in.dictID = append(in.dictID, id)
 		in.kind = append(in.kind, kind)
 		in.parent = append(in.parent, NoNID)
-		in.depth = append(in.depth, 0)
-		in.docOf = append(in.docOf, -1)
 		in.nodeName = append(in.nodeName, dict.NoID)
 		keywords = append(keywords, nil)
 		return n
@@ -285,11 +283,9 @@ func (b *Builder) Build() (*Instance, error) {
 	for _, uri := range b.spec.Users {
 		in.users = append(in.users, addNode(uri, KindUser))
 	}
-	for docIdx, dd := range b.docs {
+	for _, dd := range b.docs {
 		for _, node := range dd.Nodes() {
 			n := addNode(node.URI, KindDocNode)
-			in.docOf[n] = int32(docIdx)
-			in.depth[n] = int32(node.Depth())
 			in.nodeName[n] = d.Intern(node.Name)
 			for _, kw := range node.Keywords {
 				keywords[n] = append(keywords[n], d.Intern(kw))
@@ -317,6 +313,10 @@ func (b *Builder) Build() (*Instance, error) {
 		// so the tag list ascends.
 		in.tagList = append(in.tagList, n)
 		in.tagInfos = append(in.tagInfos, TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)})
+	}
+	var err error
+	if in.depth, in.docOf, err = deriveTree(in.kind, in.parent, in.docRoots); err != nil {
+		return nil, err
 	}
 	in.childOff, in.childList = childrenOf(in.parent)
 	in.kwOff, in.kwList = flatten(keywords)
@@ -389,14 +389,12 @@ func (b *Builder) Build() (*Instance, error) {
 	// freeze into the sorted forms a snapshot stores and a loaded
 	// instance holds.
 	in.dict = d.Freeze()
-	spo, pos := rdf.TriplePerms(ont.Triples())
-	var err error
-	if in.ont, err = rdf.FromTriplesFrozen(in.dict, ont.Triples(), spo, pos); err != nil {
+	if in.ont, err = rdf.FromTriplesFrozen(in.dict, ont.Triples(), rdf.TriplePOS(ont.Triples())); err != nil {
 		return nil, err
 	}
 	in.buildMatrix()
 	in.buildComponents()
-	in.computeStats(b)
+	in.computeStats()
 	if in.nidByID, err = nodesByURI(in.dictID, in.dict.Len()); err != nil {
 		return nil, err
 	}
@@ -420,14 +418,11 @@ func stemKeyword(a text.Analyzer, kw string) string {
 	return kw
 }
 
-// buildMatrix materialises the normalised transition matrix (§2.5). For a
-// node v, the walk may leave from any vertical neighbour m of v; the edge
-// (m → t, w) contributes w / W(v) to M[v][t], with W(v) the total
-// out-weight of the neighbourhood.
-func (in *Instance) buildMatrix() {
+// neighborhoodOutWeights returns W(v) for every node v: the total
+// out-weight of v's vertical neighbourhood (§2.5) — v's own out-edges, its
+// subtree's and its ancestors' for a document node, its own otherwise.
+func (in *Instance) neighborhoodOutWeights() []float64 {
 	n := len(in.dictID)
-	in.totalW = make([]float64, n)
-
 	ownW := make([]float64, n)
 	for v := range ownW {
 		for _, e := range in.OutEdges(NID(v)) {
@@ -452,18 +447,26 @@ func (in *Instance) buildMatrix() {
 			subW[v] = ownW[v]
 		}
 	}
+	// Adding the ancestors' own out-weights turns subW[v] into W(v).
 	for v := 0; v < n; v++ {
-		w := subW[v]
 		for p := in.parent[v]; p != NoNID; p = in.parent[p] {
-			w += ownW[p]
+			subW[v] += ownW[p]
 		}
-		in.totalW[v] = w
 	}
+	return subW
+}
 
+// buildMatrix materialises the normalised transition matrix (§2.5). For a
+// node v, the walk may leave from any vertical neighbour m of v; the edge
+// (m → t, w) contributes w / W(v) to M[v][t], with W(v) the total
+// out-weight of the neighbourhood.
+func (in *Instance) buildMatrix() {
+	n := len(in.dictID)
+	totalW := in.neighborhoodOutWeights()
 	bld := sparse.NewBuilder(n)
 	var members []NID
 	for v := 0; v < n; v++ {
-		if in.totalW[v] == 0 {
+		if totalW[v] == 0 {
 			continue
 		}
 		members = members[:0]
@@ -477,7 +480,7 @@ func (in *Instance) buildMatrix() {
 		}
 		for _, m := range members {
 			for _, e := range in.OutEdges(m) {
-				bld.Add(v, int(e.To), e.W/in.totalW[v])
+				bld.Add(v, int(e.To), e.W/totalW[v])
 			}
 		}
 	}

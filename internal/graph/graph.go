@@ -112,7 +112,9 @@ type PostEdge struct {
 // Instance is a frozen, queryable S3 instance. It is immutable after Build
 // and safe for concurrent readers. It holds the same tables whether it was
 // built or loaded: the ones a snapshot stores, in the form it stores them
-// (see Raw), plus the children lists and URI→node table derived from them.
+// (see Raw), plus what one pass derives from them — depths and document
+// ordinals, children lists, the URI→node table and the statistics — by
+// the same code either way.
 type Instance struct {
 	dict     *dict.Dict
 	ont      *rdf.Ontology
@@ -122,8 +124,8 @@ type Instance struct {
 	dictID   []dict.ID
 	kind     []NodeKind
 	parent   []NID
-	depth    []int32
-	docOf    []int32   // document index for doc nodes, -1 otherwise
+	depth    []int32   // derived from parent (deriveTree)
+	docOf    []int32   // document index for doc nodes, -1 otherwise (deriveTree)
 	nodeName []dict.ID // node name (doc nodes), dict.NoID otherwise
 
 	// Stemmed content keywords (doc nodes) in CSR form: those of v are
@@ -145,7 +147,6 @@ type Instance struct {
 	edgeOff  []int64
 	edgeList []Edge
 
-	totalW []float64
 	matrix *sparse.Matrix
 
 	comp  []int32
@@ -165,7 +166,7 @@ type Instance struct {
 	kwFreqKeys   []dict.ID
 	kwFreqCounts []int32
 
-	stats Stats
+	stats Stats // computeStats
 }
 
 // Dict returns the shared dictionary.
@@ -262,9 +263,6 @@ func (in *Instance) OutEdges(n NID) []Edge {
 // neighbour of v, where W(v) is the total out-weight of v's vertical
 // neighbourhood (§2.5 path normalisation).
 func (in *Instance) Matrix() *sparse.Matrix { return in.matrix }
-
-// NeighborhoodOutWeight returns W(v).
-func (in *Instance) NeighborhoodOutWeight(n NID) float64 { return in.totalW[n] }
 
 // CompOf returns the component id of a document node or tag (-1 for
 // users). Components are the equivalence classes of the reachability

@@ -16,8 +16,12 @@ import (
 // (internal/snap) stores it — per-node lists as CSR offsets plus one flat
 // list. It is the contract between the two packages.
 //
-// Children lists and the URI→node table are intentionally absent — both
-// follow from Parent and DictID, and FromRaw derives them.
+// What one pass over these tables derives is intentionally absent, and
+// FromRaw derives it with the code Builder.Build runs: depths, document
+// ordinals and children lists from Parent and DocRoots, the URI→node
+// table from DictID, and the statistics from the tables. The sorted
+// permutations are the derived arrays it keeps (DictPerm, TriplePOS):
+// sorts to build, linear scans to check.
 //
 // # Immutability contract
 //
@@ -40,10 +44,9 @@ type Raw struct {
 	// built with (queries stem keywords through it).
 	Lang          text.Lang
 	KeepStopwords bool
-	// Triples is the saturated ontology in insertion order; TripleSPO and
-	// TriplePOS list its indices sorted by (S,P,O) and by (P,O,S).
+	// Triples is the saturated ontology in insertion order; TriplePOS
+	// lists its indices sorted by (P,O,S).
 	Triples   []rdf.Triple
-	TripleSPO []int32
 	TriplePOS []int32
 
 	// Node tables, indexed by NID. The content keywords of v are
@@ -51,8 +54,6 @@ type Raw struct {
 	DictID   []dict.ID
 	Kind     []NodeKind
 	Parent   []NID
-	Depth    []int32
-	DocOf    []int32
 	NodeName []dict.ID
 	KwOff    []int64
 	KwList   []dict.ID
@@ -60,7 +61,6 @@ type Raw struct {
 	// Network layer. The out-edges of v are EdgeList[EdgeOff[v]:EdgeOff[v+1]].
 	EdgeOff      []int64
 	EdgeList     []Edge
-	TotalW       []float64
 	MatrixRowPtr []int32
 	MatrixCol    []int32
 	MatrixVal    []float64
@@ -81,8 +81,6 @@ type Raw struct {
 	// so serialising a Raw is deterministic).
 	KwFreqKeys   []dict.ID
 	KwFreqCounts []int32
-
-	Stats Stats
 }
 
 // Raw returns the instance's flat view, FromRaw's exact inverse. It
@@ -97,14 +95,11 @@ func (in *Instance) Raw() *Raw {
 		DictID:        in.dictID,
 		Kind:          in.kind,
 		Parent:        in.parent,
-		Depth:         in.depth,
-		DocOf:         in.docOf,
 		NodeName:      in.nodeName,
 		KwOff:         in.kwOff,
 		KwList:        in.kwList,
 		EdgeOff:       in.edgeOff,
 		EdgeList:      in.edgeList,
-		TotalW:        in.totalW,
 		Comp:          in.comp,
 		NComp:         in.nComp,
 		Users:         in.users,
@@ -115,10 +110,9 @@ func (in *Instance) Raw() *Raw {
 		Posts:         in.posts,
 		KwFreqKeys:    in.kwFreqKeys,
 		KwFreqCounts:  in.kwFreqCounts,
-		Stats:         in.stats,
 	}
 	r.DictArena, r.DictOffs, r.DictPerm = in.dict.Arena()
-	r.TripleSPO, r.TriplePOS = in.ont.Perms()
+	r.TriplePOS = in.ont.Pos()
 	_, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal = in.matrix.Raw()
 	return r
 }
@@ -131,21 +125,22 @@ func (in *Instance) Raw() *Raw {
 // than to rebuild. The Raw's slices are retained (see the immutability
 // contract above).
 //
-// Every check is an allocation-free linear scan. The structural ones keep
-// slicing and tree walks panic-free: offset-table monotonicity, index
-// bounds and parent pre-order. The content ones hold the stored
-// dictionary, triple, tag and frequency-keyword lists to the ascending
-// order their binary searches need, and triple and edge weights to the
-// ranges the builder accepts. The children lists and the URI→node table
-// are derived, each in one pass over Parent or DictID (the latter
-// refusing a URI that names two nodes). So a file that passes its
-// checksums but is internally inconsistent is refused, never served.
+// Every check is a linear scan. The structural ones keep slicing and tree
+// walks panic-free: offset-table monotonicity, index bounds and parent
+// pre-order. The content ones hold the stored dictionary, triple, tag and
+// frequency-keyword lists to the ascending order their binary searches
+// need, and triple and edge weights to the ranges the builder accepts.
+// The rest is derived as Builder.Build derives it, each in one pass:
+// depths and document ordinals over Parent (deriveTree, refusing a tree
+// the builder cannot make), the children lists, the URI→node table over
+// DictID (refusing a URI that names two nodes) and the statistics. So a
+// file that passes its checksums but is internally inconsistent is
+// refused, never served.
 func FromRaw(r *Raw) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
-		"Kind": len(r.Kind), "Parent": len(r.Parent), "Depth": len(r.Depth),
-		"DocOf": len(r.DocOf), "NodeName": len(r.NodeName),
-		"TotalW": len(r.TotalW), "Comp": len(r.Comp),
+		"Kind": len(r.Kind), "Parent": len(r.Parent),
+		"NodeName": len(r.NodeName), "Comp": len(r.Comp),
 	} {
 		if l != n {
 			return nil, fmt.Errorf("graph: raw table %s has %d entries for %d nodes", name, l, n)
@@ -161,7 +156,7 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	ont, err := rdf.FromTriplesFrozen(d, r.Triples, r.TripleSPO, r.TriplePOS)
+	ont, err := rdf.FromTriplesFrozen(d, r.Triples, r.TriplePOS)
 	if err != nil {
 		return nil, err
 	}
@@ -173,14 +168,11 @@ func FromRaw(r *Raw) (*Instance, error) {
 		dictID:       r.DictID,
 		kind:         r.Kind,
 		parent:       r.Parent,
-		depth:        r.Depth,
-		docOf:        r.DocOf,
 		nodeName:     r.NodeName,
 		kwOff:        r.KwOff,
 		kwList:       r.KwList,
 		edgeOff:      r.EdgeOff,
 		edgeList:     r.EdgeList,
-		totalW:       r.TotalW,
 		comp:         r.Comp,
 		nComp:        r.NComp,
 		users:        r.Users,
@@ -191,7 +183,6 @@ func FromRaw(r *Raw) (*Instance, error) {
 		posts:        r.Posts,
 		kwFreqKeys:   r.KwFreqKeys,
 		kwFreqCounts: r.KwFreqCounts,
-		stats:        r.Stats,
 	}
 	if err := checkCSR(r.KwOff, n, len(r.KwList), "content keyword"); err != nil {
 		return nil, err
@@ -199,24 +190,13 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err := checkCSR(r.EdgeOff, n, len(r.EdgeList), "edge"); err != nil {
 		return nil, err
 	}
-	nDocs := len(r.DocRoots)
-	for v := 0; v < n; v++ {
-		// Parent pre-order keeps the ancestor walks cycle-free; uint32
-		// folds the negative case in.
-		if p := r.Parent[v]; p != NoNID && uint32(p) >= uint32(v) {
-			return nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
-		}
-	}
-	var maxURI, maxName1, maxDoc1, maxComp1 uint32
+	var maxURI, maxName1, maxComp1 uint32
 	for v := 0; v < n; v++ {
 		if x := uint32(r.DictID[v]); x > maxURI {
 			maxURI = x
 		}
 		if x := uint32(r.NodeName[v]) + 1; x > maxName1 {
 			maxName1 = x
-		}
-		if x := uint32(r.DocOf[v]) + 1; x > maxDoc1 {
-			maxDoc1 = x
 		}
 		if x := uint32(r.Comp[v]) + 1; x > maxComp1 {
 			maxComp1 = x
@@ -225,9 +205,6 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if n > 0 {
 		if maxURI >= uint32(nd) || maxName1 > uint32(nd) {
 			return nil, fmt.Errorf("graph: node URI or name outside dictionary of %d", nd)
-		}
-		if maxDoc1 > uint32(nDocs) {
-			return nil, fmt.Errorf("graph: node document ordinal outside %d documents", nDocs)
 		}
 		if r.NComp < 0 || maxComp1 > uint32(r.NComp) {
 			return nil, fmt.Errorf("graph: node component outside %d components", r.NComp)
@@ -279,6 +256,9 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err := checkNIDs(r.DocRoots, "document root"); err != nil {
 		return nil, err
 	}
+	if in.depth, in.docOf, err = deriveTree(r.Kind, r.Parent, r.DocRoots); err != nil {
+		return nil, err
+	}
 	if err := checkNIDs(r.TagList, "tag"); err != nil {
 		return nil, err
 	}
@@ -319,6 +299,7 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	in.computeStats()
 	return in, nil
 }
 
@@ -335,6 +316,49 @@ func nodesByURI(dictID []dict.ID, nd int) ([]NID, error) {
 		byID[id] = NID(v) + 1
 	}
 	return byID, nil
+}
+
+// deriveTree derives each node's depth and document ordinal (its
+// document's index in docRoots, -1 outside documents) in one ascending
+// pass over the parent table, which must be in pre-order (every parent
+// below its child) so a parent's values are known before its children's.
+// Only document nodes nest, each document's root is a parentless document
+// node listed once in docRoots, and every document node lies in a listed
+// document; a table that breaks any of these is refused.
+func deriveTree(kind []NodeKind, parent, docRoots []NID) (depth, docOf []int32, err error) {
+	n := len(parent)
+	depth = make([]int32, n)
+	docOf = make([]int32, n)
+	for v := range docOf {
+		docOf[v] = -1
+	}
+	for i, r := range docRoots {
+		if kind[r] != KindDocNode || parent[r] != NoNID {
+			return nil, nil, fmt.Errorf("graph: document root %d is not a parentless document node", r)
+		}
+		if docOf[r] >= 0 {
+			return nil, nil, fmt.Errorf("graph: document root %d is listed twice", r)
+		}
+		docOf[r] = int32(i)
+	}
+	for v, p := range parent {
+		switch {
+		case p == NoNID:
+			if kind[v] == KindDocNode && docOf[v] < 0 {
+				return nil, nil, fmt.Errorf("graph: document node %d lies in no listed document", v)
+			}
+		// Pre-order keeps the ancestor walks cycle-free; uint32 folds the
+		// negative case in.
+		case uint32(p) >= uint32(v):
+			return nil, nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
+		case kind[v] != KindDocNode || kind[p] != KindDocNode:
+			return nil, nil, fmt.Errorf("graph: %s node %d has a %s parent %d; only document nodes nest", kind[v], v, kind[p], p)
+		default:
+			depth[v] = depth[p] + 1
+			docOf[v] = docOf[p]
+		}
+	}
+	return depth, docOf, nil
 }
 
 // childrenOf derives the children lists from a pre-order parent table

@@ -32,17 +32,22 @@ type Stats struct {
 	Components      int
 }
 
-func (in *Instance) computeStats(b *Builder) {
+// computeStats derives the statistics from the instance's tables, for a
+// built and a loaded instance alike. Social edges are the user → user
+// out-edges: Builder.AddSocial makes every one of them, and nothing else
+// does.
+func (in *Instance) computeStats() {
 	s := Stats{
-		Users:           len(in.users),
-		SocialEdges:     len(b.spec.Social),
-		Documents:       len(in.docRoots),
-		Tags:            len(in.tagList),
-		Comments:        len(in.comments),
-		Posts:           len(in.posts),
-		Nodes:           len(in.dictID),
-		OntologyTriples: in.ont.Len(),
-		Components:      in.nComp,
+		Users:              len(in.users),
+		Documents:          len(in.docRoots),
+		Tags:               len(in.tagList),
+		KeywordOccurrences: len(in.kwList),
+		DistinctKeywords:   len(in.kwFreqKeys),
+		Comments:           len(in.comments),
+		Posts:              len(in.posts),
+		Nodes:              len(in.dictID),
+		OntologyTriples:    in.ont.Len(),
+		Components:         in.nComp,
 	}
 	for v := range in.dictID {
 		if in.kind[v] == KindDocNode && in.parent[v] != NoNID {
@@ -51,10 +56,8 @@ func (in *Instance) computeStats(b *Builder) {
 	}
 	// Tree edges count once per non-root document node.
 	s.Edges = len(in.edgeList) + s.Fragments
-	s.KeywordOccurrences = len(in.kwList)
-	s.DistinctKeywords = len(in.kwFreqKeys)
 
-	usersWithEdges, social := 0, 0
+	usersWithEdges := 0
 	for _, u := range in.users {
 		n := 0
 		for _, e := range in.OutEdges(u) {
@@ -64,11 +67,11 @@ func (in *Instance) computeStats(b *Builder) {
 		}
 		if n > 0 {
 			usersWithEdges++
-			social += n
+			s.SocialEdges += n
 		}
 	}
 	if usersWithEdges > 0 {
-		s.AvgSocialDegree = float64(social) / float64(usersWithEdges)
+		s.AvgSocialDegree = float64(s.SocialEdges) / float64(usersWithEdges)
 	}
 	in.stats = s
 }

@@ -1,10 +1,10 @@
 // The sorted form: a read-only saturated ontology over a triple list and
-// two precomputed sorted permutations, answering keyword extensions by
-// binary search instead of hash maps. Nothing is inserted and no
+// its precomputed (P,O,S)-sorted permutation, answering keyword extensions
+// by binary search instead of hash maps. Nothing is inserted and no
 // per-triple allocation happens on construction, which is what lets a
 // memory-mapped snapshot expose its ontology without materialising it:
-// the triple array is the mapped section itself and the permutations are
-// two more mapped arrays. A built instance holds the same form.
+// the triple array is the mapped section itself and the permutation is
+// one more mapped array. A built instance holds the same form.
 package rdf
 
 import (
@@ -18,23 +18,22 @@ import (
 // reads of its RDF layer. It cannot be mutated, so it is safe for
 // concurrent readers by construction.
 type Ontology struct {
-	triples  []Triple
-	spo, pos []int32
+	triples []Triple
+	pos     []int32
 
 	typeP, scP, spP ID
 }
 
 // FromTriplesFrozen builds the sorted form of a saturated triple list,
-// with spo and pos the permutations of triple indices sorted by (S, P, O)
-// and (P, O, S) respectively (as produced by TriplePerms). All three
-// slices are retained without copying.
+// with pos the permutation of triple indices sorted by (P, O, S) (as
+// TriplePOS produces it). Both slices are retained without copying.
 //
 // Triple ids are validated against the dictionary and weights against
-// [0, 1], and each permutation must list the triples in strictly
-// ascending order: that makes it a permutation, keeps every lookup in
-// range, and is the order the binary searches need (a mis-sorted index
-// would return wrong extension sets).
-func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Ontology, error) {
+// [0, 1], and pos must list the triples in strictly ascending order: that
+// makes it a permutation, keeps every lookup in range, is the order the
+// binary searches need (a mis-sorted index would return wrong extension
+// sets), and makes the triples duplicate-free.
+func FromTriplesFrozen(d *dict.Dict, triples []Triple, pos []int32) (*Ontology, error) {
 	nd := ID(d.Len())
 	for i, t := range triples {
 		if t.S >= nd || t.P >= nd || t.O >= nd {
@@ -44,25 +43,16 @@ func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Ontol
 			return nil, fmt.Errorf("rdf: triple %d has weight %v outside [0,1]", i, t.W)
 		}
 	}
-	check := func(perm []int32, name string, less func(a, b Triple) bool) error {
-		if len(perm) != len(triples) {
-			return fmt.Errorf("rdf: %s permutation has %d entries for %d triples", name, len(perm), len(triples))
-		}
-		for i, p := range perm {
-			if p < 0 || int(p) >= len(triples) {
-				return fmt.Errorf("rdf: %s permutation entry %d out of range", name, p)
-			}
-			if i > 0 && !less(triples[perm[i-1]], triples[p]) {
-				return fmt.Errorf("rdf: %s permutation is not strictly ascending at %d", name, i)
-			}
-		}
-		return nil
+	if len(pos) != len(triples) {
+		return nil, fmt.Errorf("rdf: pos permutation has %d entries for %d triples", len(pos), len(triples))
 	}
-	if err := check(spo, "spo", lessSPO); err != nil {
-		return nil, err
-	}
-	if err := check(pos, "pos", lessPOS); err != nil {
-		return nil, err
+	for i, p := range pos {
+		if p < 0 || int(p) >= len(triples) {
+			return nil, fmt.Errorf("rdf: pos permutation entry %d out of range", p)
+		}
+		if i > 0 && !lessPOS(triples[pos[i-1]], triples[p]) {
+			return nil, fmt.Errorf("rdf: pos permutation is not strictly ascending at %d", i)
+		}
 	}
 	// The well-known vocabulary is resolved without interning: the sorted
 	// form never grows the dictionary. An ontology that never mentions a
@@ -75,7 +65,6 @@ func FromTriplesFrozen(d *dict.Dict, triples []Triple, spo, pos []int32) (*Ontol
 	}
 	return &Ontology{
 		triples: triples,
-		spo:     spo,
 		pos:     pos,
 		typeP:   lookup(TypeURI),
 		scP:     lookup(SubClassOfURI),
@@ -90,10 +79,9 @@ func (o *Ontology) Len() int { return len(o.triples) }
 // modified.
 func (o *Ontology) Triples() []Triple { return o.triples }
 
-// Perms returns the (S,P,O)- and (P,O,S)-sorted permutations, in the
-// form FromTriplesFrozen takes them back. They are shared and must not
-// be modified.
-func (o *Ontology) Perms() (spo, pos []int32) { return o.spo, o.pos }
+// Pos returns the (P,O,S)-sorted permutation, in the form
+// FromTriplesFrozen takes it back. It is shared and must not be modified.
+func (o *Ontology) Pos() []int32 { return o.pos }
 
 // Ext returns the extension of keyword k per Definition 2.1, as
 // Graph.Ext does.
@@ -119,29 +107,16 @@ func (o *Ontology) subjects(p, obj ID) []ID {
 	return out
 }
 
-// TriplePerms computes the (S,P,O)- and (P,O,S)-sorted permutations of a
-// triple list — the indexes FromTriplesFrozen wants back. Triples are
-// duplicate-free, so both orders are total and the result deterministic.
-func TriplePerms(triples []Triple) (spo, pos []int32) {
-	spo = make([]int32, len(triples))
-	pos = make([]int32, len(triples))
-	for i := range spo {
-		spo[i] = int32(i)
+// TriplePOS computes the (P,O,S)-sorted permutation of a triple list —
+// the index FromTriplesFrozen wants back. Triples are duplicate-free, so
+// the order is total and the result deterministic.
+func TriplePOS(triples []Triple) []int32 {
+	pos := make([]int32, len(triples))
+	for i := range pos {
 		pos[i] = int32(i)
 	}
-	sort.Slice(spo, func(i, j int) bool { return lessSPO(triples[spo[i]], triples[spo[j]]) })
 	sort.Slice(pos, func(i, j int) bool { return lessPOS(triples[pos[i]], triples[pos[j]]) })
-	return spo, pos
-}
-
-func lessSPO(a, b Triple) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
+	return pos
 }
 
 func lessPOS(a, b Triple) bool {

@@ -45,8 +45,7 @@ func buildSaturated(seed int64) *Graph {
 func TestFrozenMatchesIndexed(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := buildSaturated(seed)
-		spo, pos := TriplePerms(g.Triples())
-		fz, err := FromTriplesFrozen(g.Dict(), g.Triples(), spo, pos)
+		fz, err := FromTriplesFrozen(g.Dict(), g.Triples(), TriplePOS(g.Triples()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,28 +64,28 @@ func TestFrozenMatchesIndexed(t *testing.T) {
 // TestFrozenRejectsBadStructure covers the structural and order validation.
 func TestFrozenRejectsBadStructure(t *testing.T) {
 	g := buildSaturated(3)
-	spo, pos := TriplePerms(g.Triples())
-	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), spo[:1], pos); err == nil {
-		t.Error("short spo permutation accepted")
+	pos := TriplePOS(g.Triples())
+	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), pos[:1]); err == nil {
+		t.Error("short pos permutation accepted")
 	}
-	bad := append([]int32(nil), spo...)
+	bad := append([]int32(nil), pos...)
 	bad[0] = int32(len(g.Triples()))
-	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), bad, pos); err == nil {
-		t.Error("out-of-range spo entry accepted")
+	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), bad); err == nil {
+		t.Error("out-of-range pos entry accepted")
 	}
 	swapped := append([]int32(nil), pos...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), spo, swapped); err == nil {
+	if _, err := FromTriplesFrozen(g.Dict(), g.Triples(), swapped); err == nil {
 		t.Error("mis-sorted pos permutation accepted")
 	}
 	d := dict.New()
-	if _, err := FromTriplesFrozen(d, g.Triples(), spo, pos); err == nil {
+	if _, err := FromTriplesFrozen(d, g.Triples(), pos); err == nil {
 		t.Error("triples outside the dictionary accepted")
 	}
 	for _, w := range []float64{2, -0.5, math.NaN()} {
 		heavy := append([]Triple(nil), g.Triples()...)
 		heavy[0].W = w
-		if _, err := FromTriplesFrozen(g.Dict(), heavy, spo, pos); err == nil {
+		if _, err := FromTriplesFrozen(g.Dict(), heavy, pos); err == nil {
 			t.Errorf("triple weight %v accepted", w)
 		}
 	}

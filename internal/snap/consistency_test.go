@@ -97,13 +97,16 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		want string
 	}{
 		{"dictionary order", sec3DictPerm, func(p []byte) { swap32(p, 0, 1) }, "sort index is not strictly ascending"},
-		{"triple order", sec3TripleSPO, func(p []byte) { swap32(p, 0, 1) }, "spo permutation is not strictly ascending"},
+		{"triple order", sec3TriplePOS, func(p []byte) { swap32(p, 0, 1) }, "pos permutation is not strictly ascending"},
 		{"triple weight", sec3Triples, func(p []byte) { putF64(p[16:], 2) }, "weight 2 outside [0,1]"},
 		{"edge weight", sec3Edges, func(p []byte) { putF64(p[8:], 3) }, "edge weight outside (0,1]"},
 		{"matrix value NaN", sec3MatVal, func(p []byte) { putF64(p, math.NaN()) }, "value NaN at entry 0 is not finite and positive"},
 		{"matrix value 0", sec3MatVal, func(p []byte) { putF64(p[8:], 0) }, "value 0 at entry 1 is not finite and positive"},
 		{"matrix row sum above 1", sec3MatVal, func(p []byte) { putF64(p, 2) }, "above 1"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
+		{"document root listed twice", sec3DocRoots, func(p []byte) { put32(p, 1, get32(p, 0)) }, "is listed twice"},
+		{"tag with a parent", sec3NodeParent, func(p []byte) { put32(p, int(in.Tags()[0]), uint32(in.DocRoots()[0])) }, "only document nodes nest"},
+		{"document root under a user", sec3NodeParent, func(p []byte) { put32(p, int(in.DocRoots()[0]), uint32(in.Users()[0])) }, "is not a parentless document node"},
 		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
 		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},
 		{"event order", sec3IndexEvents, func(p []byte) {

@@ -113,11 +113,12 @@ func assertNotMapped(t testing.TB, path string) {
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
 // writers produce for a hand-built instance and one from each dataset
-// generator. They were recomputed when version 5 stopped storing the
-// children lists, the URI→node table and the per-event and per-posting
-// component sections; every section payload it still writes, other than
-// the manifest's layout and the shard headers (which record the shard-file
-// digests and the substrate's set id), is byte-identical to version 4's.
+// generator. They were recomputed when version 6 stopped storing depths,
+// document ordinals, neighbourhood out-weights, the (S,P,O) triple order
+// and the meta's statistics; every section payload it still writes, other
+// than the meta and the manifest's layout and the shard headers (which
+// record the shard-file digests and the substrate's set id), is
+// byte-identical to version 5's.
 // They change only when the format does — not when the builders are
 // rewritten.
 func TestFormatGolden(t *testing.T) {
@@ -142,13 +143,13 @@ func TestFormatGolden(t *testing.T) {
 		shards             [3]uint32
 	}{
 		{"hand", handSpec(), text.Analyzer{Lang: text.English},
-			0x64dbf7f2, 0xe278d294, [3]uint32{0x81cb5ed0, 0x41e170b7, 0x7bbd504c}},
+			0x38742b09, 0xd2cb6cac, [3]uint32{0x63c10b94, 0x185aefeb, 0x2206cf10}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
-			0x67b8a95b, 0x691b975b, [3]uint32{0x57a7bbe2, 0xe9ec1644, 0xc0aeade8}},
+			0x952771aa, 0xe4e62454, [3]uint32{0x19c0a856, 0x3465d357, 0xd61ff726}},
 		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
-			0xe9c86bce, 0x4e337f01, [3]uint32{0xc017aa51, 0x68c098b1, 0xd4b12b32}},
+			0xa4cecc46, 0x2ab85c97, [3]uint32{0x0a5ab034, 0xf07e8e98, 0x7f0b67f7}},
 		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
-			0x14e64d40, 0x4bdda50d, [3]uint32{0x6660cb93, 0x671bba95, 0x0b058663}},
+			0xc3c9bfd7, 0x1ace1a7e, [3]uint32{0xff4ade89, 0xade61c56, 0x1e1c9977}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer
@@ -164,10 +165,11 @@ func TestFormatGolden(t *testing.T) {
 	}
 }
 
-// TestOtherVersionRejected stamps versions 1 to 4 and 6 into the header of
-// each file kind: every opener, copying or mapping, must answer with the
-// regenerate error — no panic, no mapping left open. (The version field
-// is read before the header checksum, which a version-1 file never had.)
+// TestOtherVersionRejected stamps every version from 1 to Version+1 but
+// Version into the header of each file kind: every opener, copying or
+// mapping, must answer with the regenerate error — no panic, no mapping
+// left open. (The version field is read before the header checksum, which
+// a version-1 file never had.)
 func TestOtherVersionRejected(t *testing.T) {
 	manifestPath, in, ix := writeSetFiles(t, 40, 150, 11, 2)
 	dir := filepath.Dir(manifestPath)
@@ -198,7 +200,10 @@ func TestOtherVersionRejected(t *testing.T) {
 		}
 	}
 
-	for _, ver := range []uint16{1, 2, 3, 4, 6} {
+	for ver := uint16(1); ver <= Version+1; ver++ {
+		if ver == Version {
+			continue
+		}
 		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 			what := func(s string) string { return fmt.Sprintf("%s version=%d mode=%v", s, ver, mode) }
 

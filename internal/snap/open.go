@@ -8,8 +8,9 @@
 // the stored binary-search structures, and open time is the per-section
 // checksum pass, allocation-free scans that check structure and hold the
 // stored sorted permutations to their order, and the linear passes that
-// derive what the file does not store (children lists, the URI→node table,
-// the postings' component summaries) into private memory.
+// derive what the file does not store (depths, document ordinals,
+// children lists, the URI→node table, the statistics, the postings'
+// component summaries) into private memory.
 //
 // LoadCopy reads the file into a private, 8-byte-aligned buffer that the
 // garbage collector owns: nothing is kept open, and the file can be
@@ -141,7 +142,7 @@ func sectionAdvice(id byte) mman.Advice {
 	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents:
 		return mman.AdviseRandom
 	case sec3DictArena, sec3DictOffs, sec3DictPerm,
-		sec3NodeKind, sec3NodeParent, sec3NodeDepth, sec3NodeDocOf, sec3NodeComp,
+		sec3NodeKind, sec3NodeParent, sec3NodeComp,
 		sec3IndexKw, sec3IndexEvOff:
 		return mman.AdviseWillNeed
 	}

@@ -14,13 +14,16 @@
 // arrays behind a fixed-width, checksummed section table (see aligned.go
 // and v3.go), which the one decoder reinterprets in place — in a memory
 // mapping or in a private copy of the file. Besides the tables of the
-// instance it persists the sorted permutations (dictionary, triples),
-// which an open checks in a linear scan instead of re-sorting; what one
-// linear pass derives (children lists, URI→node table, per-posting
-// component summaries) is derived at open time instead of stored. The
-// small bookkeeping sections (meta, shard layout, shard header) are
-// varint-encoded: unsigned varints (encoding/binary), floats as IEEE-754
-// bits in little-endian order, strings length-prefixed.
+// instance it persists two sorted permutations, the dictionary's and the
+// ontology's (P,O,S) order, which an open checks in a linear scan instead
+// of re-sorting; what one linear pass derives (depths, document ordinals,
+// children lists, URI→node table, statistics, per-posting component
+// summaries) is derived at open time instead of stored. The small
+// bookkeeping sections (meta, shard layout, shard header) are
+// varint-encoded: unsigned varints (encoding/binary), strings
+// length-prefixed. The meta holds the analyzer (language, stop-word flag)
+// and the node and component counts, which a worker host reads without
+// the node tables.
 //
 // A file of any other version is rejected with an error that says to
 // regenerate it with s3gen; there is no migration path.
@@ -40,7 +43,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"s3/internal/graph"
 	"s3/internal/index"
@@ -53,7 +55,7 @@ const Magic = "S3SNAP"
 // Version is the one format version this build reads and writes, for
 // snapshots, shard-set manifests and shard files alike (they move in
 // lockstep).
-const Version = 5
+const Version = 6
 
 // regenerate ends the error for a well-formed file this build cannot
 // serve.
@@ -128,11 +130,6 @@ func (e *encoder) bool(b bool) {
 	}
 }
 func (e *encoder) str(s string) { e.uint(uint64(len(s))); e.WriteString(s) }
-func (e *encoder) f64(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	e.Write(b[:])
-}
 
 func encodeMeta(r *graph.Raw) *bytes.Buffer {
 	var e encoder
@@ -140,15 +137,6 @@ func encodeMeta(r *graph.Raw) *bytes.Buffer {
 	e.bool(r.KeepStopwords)
 	e.int(len(r.DictID))
 	e.int(r.NComp)
-	s := r.Stats
-	for _, v := range []int{
-		s.Users, s.SocialEdges, s.Documents, s.Fragments, s.Tags,
-		s.KeywordOccurrences, s.DistinctKeywords, s.Comments, s.Posts,
-		s.Nodes, s.Edges, s.OntologyTriples, s.Components,
-	} {
-		e.int(v)
-	}
-	e.f64(s.AvgSocialDegree)
 	return &e.Buffer
 }
 
@@ -211,19 +199,6 @@ func (d *decoder) byte() byte {
 
 func (d *decoder) bool() bool { return d.byte() != 0 }
 
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("truncated float at offset %d", d.pos)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
-}
-
 func (d *decoder) str() string {
 	n := d.count(1)
 	if d.err != nil {
@@ -244,16 +219,6 @@ func decodeMeta(data []byte, r *graph.Raw) (int, error) {
 	r.KeepStopwords = d.bool()
 	numNodes := int(d.uint())
 	r.NComp = int(d.uint())
-	for _, p := range []*int{
-		&r.Stats.Users, &r.Stats.SocialEdges, &r.Stats.Documents,
-		&r.Stats.Fragments, &r.Stats.Tags, &r.Stats.KeywordOccurrences,
-		&r.Stats.DistinctKeywords, &r.Stats.Comments, &r.Stats.Posts,
-		&r.Stats.Nodes, &r.Stats.Edges, &r.Stats.OntologyTriples,
-		&r.Stats.Components,
-	} {
-		*p = int(d.uint())
-	}
-	r.Stats.AvgSocialDegree = d.f64()
 	if d.err != nil {
 		return 0, fmt.Errorf("snap: meta section: %w", d.err)
 	}

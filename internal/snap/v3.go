@@ -9,11 +9,13 @@
 // Beside the instance's own tables the format stores only the derived
 // structures whose check is cheaper than their derivation: the
 // dictionary's sorted permutation (binary-searched lookups over the string
-// arena) and the ontology's (S,P,O)- and (P,O,S)-sorted triple
-// permutations — sorts to build (graph.Builder.Build runs them), linear
-// scans to check, which every open does. What one linear pass derives is
-// not stored: the children lists, the URI→node table and the connection
-// index's per-posting component summaries are derived at open time.
+// arena) and the ontology's (P,O,S)-sorted triple permutation (the one
+// Ontology.Ext searches) — sorts to build (graph.Builder.Build runs them),
+// linear scans to check, which every open does. What one linear pass
+// derives is not stored: depths, document ordinals, the children lists,
+// the URI→node table, the statistics and the connection index's
+// per-posting component summaries are derived at open time, by the code
+// that derives them for a built instance.
 package snap
 
 import (
@@ -39,20 +41,16 @@ const (
 	sec3NodeDictID  byte = 35 // []dict.ID node URI ids
 	sec3NodeKind    byte = 36 // []byte    node kinds
 	sec3NodeParent  byte = 37 // []NID     tree parents (NoNID for roots)
-	sec3NodeDepth   byte = 38 // []int32   tree depths
-	sec3NodeDocOf   byte = 39 // []int32   document ordinals (-1 outside docs)
 	sec3NodeName    byte = 40 // []dict.ID node names
 	sec3NodeComp    byte = 41 // []int32   component ids
 	sec3NodeKwOff   byte = 42 // []int64   n+1 offsets into the keyword list
 	sec3NodeKwIDs   byte = 43 // []dict.ID flattened content keywords
 	sec3EdgeOff     byte = 44 // []int64   n+1 offsets into the edge array
 	sec3Edges       byte = 45 // []Edge    flattened out-edges (16 B each)
-	sec3TotalW      byte = 46 // []float64 neighbourhood out-weights
 	sec3MatRowPtr   byte = 47 // []int32   CSR row pointers (n+1)
 	sec3MatCol      byte = 48 // []int32   CSR column indices
 	sec3MatVal      byte = 49 // []float64 CSR values
 	sec3Triples     byte = 50 // []Triple  saturated ontology (24 B each)
-	sec3TripleSPO   byte = 51 // []int32   triples sorted by (S,P,O)
 	sec3TriplePOS   byte = 52 // []int32   triples sorted by (P,O,S)
 	sec3Users       byte = 53 // []NID     user nodes
 	sec3DocRoots    byte = 54 // []NID     document roots
@@ -62,8 +60,10 @@ const (
 	sec3Posts       byte = 58 // []PostEdge (8 B each)
 	sec3KwFreqKeys  byte = 59 // []dict.ID frequency keywords (ascending)
 	sec3KwFreqCount byte = 60 // []int32   frequency counts
-	// Ids 61–63 and 67–70 are retired (version 4 stored derived arrays
-	// under them) and must not be reused.
+	// Ids 61–63 and 67–70 (derived arrays version 4 stored) and 38, 39,
+	// 46 and 51 (depths, document ordinals, neighbourhood out-weights and
+	// the (S,P,O) triple order, which version 5 stored) are retired and
+	// must not be reused.
 	sec3IndexKw     byte = 64 // []dict.ID posting keywords (ascending)
 	sec3IndexEvOff  byte = 65 // []int64   nkw+1 offsets into the event array
 	sec3IndexEvents byte = 66 // []Event   flattened events (12 B each)
@@ -74,11 +74,9 @@ const (
 var required3Substrate = []byte{
 	secMeta,
 	sec3DictArena, sec3DictOffs, sec3DictPerm,
-	sec3NodeDictID, sec3NodeKind, sec3NodeParent, sec3NodeDepth,
-	sec3NodeDocOf, sec3NodeName, sec3NodeComp, sec3NodeKwOff, sec3NodeKwIDs,
-	sec3EdgeOff, sec3Edges, sec3TotalW,
-	sec3MatRowPtr, sec3MatCol, sec3MatVal,
-	sec3Triples, sec3TripleSPO, sec3TriplePOS,
+	sec3NodeDictID, sec3NodeKind, sec3NodeParent, sec3NodeName,
+	sec3NodeComp, sec3NodeKwOff, sec3NodeKwIDs, sec3EdgeOff, sec3Edges,
+	sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3Triples, sec3TriplePOS,
 	sec3Users, sec3DocRoots, sec3TagList, sec3TagInfos, sec3Comments, sec3Posts,
 	sec3KwFreqKeys, sec3KwFreqCount,
 }
@@ -263,20 +261,16 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3NodeDictID, true, encU32s(r.DictID)},
 		{sec3NodeKind, true, kinds},
 		{sec3NodeParent, true, encI32s(r.Parent)},
-		{sec3NodeDepth, true, encI32s(r.Depth)},
-		{sec3NodeDocOf, true, encI32s(r.DocOf)},
 		{sec3NodeName, true, encU32s(r.NodeName)},
 		{sec3NodeComp, true, encI32s(r.Comp)},
 		{sec3NodeKwOff, true, encI64s(r.KwOff)},
 		{sec3NodeKwIDs, true, encU32s(r.KwList)},
 		{sec3EdgeOff, true, encI64s(r.EdgeOff)},
 		{sec3Edges, true, encEdges(r.EdgeList)},
-		{sec3TotalW, true, encF64s(r.TotalW)},
 		{sec3MatRowPtr, true, encI32s(r.MatrixRowPtr)},
 		{sec3MatCol, true, encI32s(r.MatrixCol)},
 		{sec3MatVal, true, encF64s(r.MatrixVal)},
 		{sec3Triples, true, encTriples(r.Triples)},
-		{sec3TripleSPO, true, encI32s(r.TripleSPO)},
 		{sec3TriplePOS, true, encI32s(r.TriplePOS)},
 		{sec3Users, true, encI32s(r.Users)},
 		{sec3DocRoots, true, encI32s(r.DocRoots)},
@@ -337,20 +331,16 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.DictID = load[dict.ID](g, sec3NodeDictID, "node URIs")
 	raw.Kind = load[graph.NodeKind](g, sec3NodeKind, "node kinds")
 	raw.Parent = load[graph.NID](g, sec3NodeParent, "node parents")
-	raw.Depth = load[int32](g, sec3NodeDepth, "node depths")
-	raw.DocOf = load[int32](g, sec3NodeDocOf, "node documents")
 	raw.NodeName = load[dict.ID](g, sec3NodeName, "node names")
 	raw.KwOff = load[int64](g, sec3NodeKwOff, "keyword offsets")
 	raw.KwList = load[dict.ID](g, sec3NodeKwIDs, "content keywords")
 	raw.EdgeOff = load[int64](g, sec3EdgeOff, "edge offsets")
 	raw.EdgeList = load[graph.Edge](g, sec3Edges, "edges")
 	raw.Comp = load[int32](g, sec3NodeComp, "node components")
-	raw.TotalW = load[float64](g, sec3TotalW, "out-weights")
 	raw.MatrixRowPtr = load[int32](g, sec3MatRowPtr, "matrix row pointers")
 	raw.MatrixCol = load[int32](g, sec3MatCol, "matrix columns")
 	raw.MatrixVal = load[float64](g, sec3MatVal, "matrix values")
 	raw.Triples = load[rdf.Triple](g, sec3Triples, "ontology triples")
-	raw.TripleSPO = load[int32](g, sec3TripleSPO, "triple spo permutation")
 	raw.TriplePOS = load[int32](g, sec3TriplePOS, "triple pos permutation")
 	raw.Users = load[graph.NID](g, sec3Users, "users")
 	raw.DocRoots = load[graph.NID](g, sec3DocRoots, "document roots")

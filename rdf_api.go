@@ -78,13 +78,5 @@ func (i *Instance) SearchContentOnly(keywords []string, opts ...Option) ([]Resul
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		docURI := r.URI
-		if root := i.in.DocRootOf(r.Doc); root >= 0 {
-			docURI = i.in.URIOf(root)
-		}
-		out = append(out, Result{URI: r.URI, Document: docURI, Lower: r.Lower, Upper: r.Upper})
-	}
-	return out, nil
+	return mapResults(i.in, rs), nil
 }
