@@ -138,16 +138,11 @@ func writeShardSet(in *graph.Instance, ix *index.Index, manifestPath string, n i
 		return err
 	}
 	fmt.Printf("\nshard set written: manifest %s, %d shards\n", manifestPath, n)
-	compShard := make(map[int32]int)
-	for s, comps := range parts {
-		for _, c := range comps {
-			compShard[c] = s
-		}
+	owner, err := graph.ComponentOwners(in.NumComponents(), parts)
+	if err != nil {
+		return err
 	}
-	docs := make([]int, n)
-	for _, r := range in.DocRoots() {
-		docs[compShard[in.CompOf(r)]]++
-	}
+	docs, _ := graph.ShardContent(in, owner, n)
 	for s, comps := range parts {
 		fmt.Printf("  %s: %d components, %d documents\n", paths[s], len(comps), docs[s])
 	}

@@ -245,10 +245,12 @@ func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
 }
 
 // Build freezes the builder into an immutable Instance: it saturates the
-// ontology, assigns dense node ids, materialises network edges with their
-// inverses, freezes the dictionary and the ontology into their sorted
-// forms, and derives the normalised transition matrix, the component
-// partition and the instance statistics.
+// ontology, assigns dense node ids (users, then document nodes in
+// pre-order, then tags), materialises network edges with their inverses,
+// freezes the dictionary and the ontology into their sorted forms, and
+// derives the normalised transition matrix plus, through the derivation
+// FromRaw runs too (derive), the node lists, the keyword frequencies, the
+// component partition and the instance statistics.
 func (b *Builder) Build() (*Instance, error) {
 	d := dict.New()
 	ont := rdf.New(d)
@@ -281,7 +283,7 @@ func (b *Builder) Build() (*Instance, error) {
 	}
 
 	for _, uri := range b.spec.Users {
-		in.users = append(in.users, addNode(uri, KindUser))
+		addNode(uri, KindUser)
 	}
 	for _, dd := range b.docs {
 		for _, node := range dd.Nodes() {
@@ -292,13 +294,14 @@ func (b *Builder) Build() (*Instance, error) {
 			}
 			if p := node.Parent(); p != nil {
 				in.parent[n] = nidOf[mustLookup(d, p.URI)]
-			} else {
-				in.docRoots = append(in.docRoots, n)
 			}
 		}
 	}
+	// Tags are numbered after every user and document node, in order, so
+	// tag info i describes node firstTag+i.
+	firstTag := NID(len(in.dictID))
 	for _, t := range b.spec.Tags {
-		n := addNode(t.URI, KindTag)
+		addNode(t.URI, KindTag)
 		subj := nidOf[mustLookup(d, t.Subject)]
 		auth := nidOf[mustLookup(d, t.Author)]
 		kw := dict.NoID
@@ -309,39 +312,9 @@ func (b *Builder) Build() (*Instance, error) {
 		if t.Type != "" {
 			typ = t.Type
 		}
-		// Tags are numbered after every user and document node, in order,
-		// so the tag list ascends.
-		in.tagList = append(in.tagList, n)
 		in.tagInfos = append(in.tagInfos, TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)})
 	}
-	var err error
-	if in.depth, in.docOf, err = deriveTree(in.kind, in.parent, in.docRoots); err != nil {
-		return nil, err
-	}
-	in.childOff, in.childList = childrenOf(in.parent)
 	in.kwOff, in.kwList = flatten(keywords)
-
-	// Keyword document frequencies (used by workload generators and the
-	// semantic-reachability measure): every keyword id is below nk, so a
-	// dense count per id, read in id order, is the sorted table. A node
-	// counts a keyword once however often it lists it.
-	nk := d.Len()
-	freq := make([]int32, nk)
-	lastNode := make([]NID, nk) // the node plus one that last counted the keyword
-	for v, ks := range keywords {
-		for _, k := range ks {
-			if lastNode[k] != NID(v)+1 {
-				lastNode[k] = NID(v) + 1
-				freq[k]++
-			}
-		}
-	}
-	for k, c := range freq {
-		if c > 0 {
-			in.kwFreqKeys = append(in.kwFreqKeys, dict.ID(k))
-			in.kwFreqCounts = append(in.kwFreqCounts, c)
-		}
-	}
 
 	// Network edges (§2.5): social, postedBy, commentsOn, hasSubject,
 	// hasAuthor — plus the inverse of each non-social edge.
@@ -376,8 +349,8 @@ func (b *Builder) Build() (*Instance, error) {
 		addEdge(tn, cn, 1, PropCommentsOnInv)
 		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: d.Intern(prop)})
 	}
-	for i, n := range in.tagList {
-		ti := in.tagInfos[i]
+	for i, ti := range in.tagInfos {
+		n := firstTag + NID(i)
 		addEdge(n, ti.Subject, 1, PropHasSubject)
 		addEdge(ti.Subject, n, 1, PropHasSubjectInv)
 		addEdge(n, ti.Author, 1, PropHasAuthor)
@@ -389,15 +362,14 @@ func (b *Builder) Build() (*Instance, error) {
 	// freeze into the sorted forms a snapshot stores and a loaded
 	// instance holds.
 	in.dict = d.Freeze()
+	var err error
 	if in.ont, err = rdf.FromTriplesFrozen(in.dict, ont.Triples(), rdf.TriplePOS(ont.Triples())); err != nil {
 		return nil, err
 	}
-	in.buildMatrix()
-	in.buildComponents()
-	in.computeStats()
-	if in.nidByID, err = nodesByURI(in.dictID, in.dict.Len()); err != nil {
+	if err := in.derive(); err != nil {
 		return nil, err
 	}
+	in.buildMatrix()
 	return in, nil
 }
 
@@ -489,7 +461,8 @@ func (in *Instance) buildMatrix() {
 
 // buildComponents partitions document nodes and tags into the §5.2
 // components: the connected components over partOf (the document trees),
-// commentsOn and hasSubject edges.
+// commentsOn and hasSubject edges. Components are numbered in the order
+// of their lowest node.
 func (in *Instance) buildComponents() {
 	n := len(in.dictID)
 	parent := make([]int32, n)
@@ -523,21 +496,44 @@ func (in *Instance) buildComponents() {
 	}
 
 	in.comp = make([]int32, n)
-	rootToComp := make(map[int32]int32)
+	rootComp := make([]int32, n) // a root's component plus one, 0 until numbered
 	for v := 0; v < n; v++ {
 		if in.kind[v] == KindUser {
 			in.comp[v] = -1
 			continue
 		}
 		r := find(int32(v))
-		c, ok := rootToComp[r]
-		if !ok {
-			c = int32(len(rootToComp))
-			rootToComp[r] = c
+		if rootComp[r] == 0 {
+			in.nComp++
+			rootComp[r] = int32(in.nComp)
 		}
-		in.comp[v] = c
+		in.comp[v] = rootComp[r] - 1
 	}
-	in.nComp = len(rootToComp)
+}
+
+// countKeywords derives the keyword document frequencies (used by
+// workload generators and the semantic-reachability measure) from the
+// content keywords: every keyword id is below the dictionary's size, so a
+// dense count per id, read in id order, is the sorted table. A node
+// counts a keyword once however often it lists it.
+func (in *Instance) countKeywords() {
+	nk := in.dict.Len()
+	freq := make([]int32, nk)
+	lastNode := make([]NID, nk) // the node plus one that last counted the keyword
+	for v := range in.dictID {
+		for _, k := range in.KeywordsOf(NID(v)) {
+			if lastNode[k] != NID(v)+1 {
+				lastNode[k] = NID(v) + 1
+				freq[k]++
+			}
+		}
+	}
+	for k, c := range freq {
+		if c > 0 {
+			in.kwFreqKeys = append(in.kwFreqKeys, dict.ID(k))
+			in.kwFreqCounts = append(in.kwFreqCounts, c)
+		}
+	}
 }
 
 // SortedKeywordsByFrequency returns all content keywords sorted by

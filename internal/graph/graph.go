@@ -112,9 +112,10 @@ type PostEdge struct {
 // Instance is a frozen, queryable S3 instance. It is immutable after Build
 // and safe for concurrent readers. It holds the same tables whether it was
 // built or loaded: the ones a snapshot stores, in the form it stores them
-// (see Raw), plus what one pass derives from them — depths and document
-// ordinals, children lists, the URI→node table and the statistics — by
-// the same code either way.
+// (see Raw), plus what the graph determines — the node lists, depths and
+// document ordinals, children lists, the URI→node table, the keyword
+// frequencies, the component partition and the statistics — derived by
+// the same code either way (derive).
 type Instance struct {
 	dict     *dict.Dict
 	ont      *rdf.Ontology
@@ -149,12 +150,13 @@ type Instance struct {
 
 	matrix *sparse.Matrix
 
-	comp  []int32
+	comp  []int32 // buildComponents
 	nComp int
 
+	// Users, document roots and tags, each ascending (deriveTree), and the
+	// tags' descriptions aligned with them.
 	users    []NID
 	docRoots []NID
-	// Tags, ascending, and their descriptions aligned with them.
 	tagList  []NID
 	tagInfos []TagInfo
 	comments []CommentEdge
@@ -162,7 +164,7 @@ type Instance struct {
 
 	// Per-keyword document frequency (number of document nodes whose
 	// content contains the stemmed keyword): two parallel slices ascending
-	// by keyword, binary-searched.
+	// by keyword, binary-searched (countKeywords).
 	kwFreqKeys   []dict.ID
 	kwFreqCounts []int32
 

@@ -51,17 +51,22 @@ func PartitionComponents(in *Instance, n int) ([][]int32, error) {
 
 // ComponentOwners is the owner table of a partition of nComp components
 // into groups: entry c is the group holding component c. It refuses a
-// component that is out of range, in two groups or in none, so a table it
-// returns assigns every component exactly once.
+// component that is in two groups, in none or out of range, so a table it
+// returns assigns every component exactly once. A missing component is
+// reported before an out-of-range one: when nComp is the number of ids the
+// groups list, an id out of range always comes with one left out, and
+// that is the one to name.
 func ComponentOwners(nComp int, groups [][]int32) ([]int32, error) {
 	owner := make([]int32, nComp)
 	for c := range owner {
 		owner[c] = -1
 	}
+	var outside []int32
 	for g, comps := range groups {
 		for _, c := range comps {
 			if c < 0 || int(c) >= nComp {
-				return nil, fmt.Errorf("graph: component %d outside instance of %d components", c, nComp)
+				outside = append(outside, c)
+				continue
 			}
 			if owner[c] != -1 {
 				return nil, fmt.Errorf("graph: component %d assigned to groups %d and %d", c, owner[c], g)
@@ -73,6 +78,9 @@ func ComponentOwners(nComp int, groups [][]int32) ([]int32, error) {
 		if g == -1 {
 			return nil, fmt.Errorf("graph: component %d assigned to no group", c)
 		}
+	}
+	if len(outside) > 0 {
+		return nil, fmt.Errorf("graph: component %d outside instance of %d components", outside[0], nComp)
 	}
 	return owner, nil
 }

@@ -9,19 +9,23 @@ import (
 	"s3/internal/text"
 )
 
-// Raw is the flat, exported view of a frozen Instance: every table needed
+// Raw is the flat, exported view of a frozen Instance: the tables needed
 // to reconstruct it without re-running the build pipeline (no ontology
-// saturation, no matrix normalisation, no component union-find), each in
-// the form the instance holds it and the snapshot serialiser
-// (internal/snap) stores it — per-node lists as CSR offsets plus one flat
-// list. It is the contract between the two packages.
+// saturation, no matrix normalisation), each in the form the instance
+// holds it and the snapshot serialiser (internal/snap) stores it —
+// per-node lists as CSR offsets plus one flat list. It is the contract
+// between the two packages.
 //
-// What one pass over these tables derives is intentionally absent, and
-// FromRaw derives it with the code Builder.Build runs: depths, document
-// ordinals and children lists from Parent and DocRoots, the URI→node
-// table from DictID, and the statistics from the tables. The sorted
-// permutations are the derived arrays it keeps (DictPerm, TriplePOS):
-// sorts to build, linear scans to check.
+// It carries the graph and nothing the graph determines: FromRaw derives
+// the rest with the code Builder.Build runs (see derive) — the user,
+// document-root and tag lists and the depths and document ordinals from
+// Kind and Parent, the children lists, the URI→node table from DictID,
+// the keyword frequencies from the content keywords, the §5.2 component
+// partition from the tree, comment and tag edges, and the statistics. The
+// sorted permutations are the derived arrays it keeps (DictPerm,
+// TriplePOS): sorts to build, linear scans to check. Posts and Comments
+// are kept in the order their spec listed them, which the RDF export
+// follows.
 //
 // # Immutability contract
 //
@@ -65,22 +69,11 @@ type Raw struct {
 	MatrixCol    []int32
 	MatrixVal    []float64
 
-	// Component partition.
-	Comp  []int32
-	NComp int
-
-	// Entity lists. TagInfos is aligned with TagList.
-	Users    []NID
-	DocRoots []NID
-	TagList  []NID
+	// TagInfos describes the KindTag nodes in ascending node order, one
+	// entry each. Comments and Posts are the comment and authorship edges.
 	TagInfos []TagInfo
 	Comments []CommentEdge
 	Posts    []PostEdge
-
-	// Keyword document frequencies, sorted by keyword id (canonical order
-	// so serialising a Raw is deterministic).
-	KwFreqKeys   []dict.ID
-	KwFreqCounts []int32
 }
 
 // Raw returns the instance's flat view, FromRaw's exact inverse. It
@@ -100,16 +93,9 @@ func (in *Instance) Raw() *Raw {
 		KwList:        in.kwList,
 		EdgeOff:       in.edgeOff,
 		EdgeList:      in.edgeList,
-		Comp:          in.comp,
-		NComp:         in.nComp,
-		Users:         in.users,
-		DocRoots:      in.docRoots,
-		TagList:       in.tagList,
 		TagInfos:      in.tagInfos,
 		Comments:      in.comments,
 		Posts:         in.posts,
-		KwFreqKeys:    in.kwFreqKeys,
-		KwFreqCounts:  in.kwFreqCounts,
 	}
 	r.DictArena, r.DictOffs, r.DictPerm = in.dict.Arena()
 	r.TriplePOS = in.ont.Pos()
@@ -125,32 +111,25 @@ func (in *Instance) Raw() *Raw {
 // than to rebuild. The Raw's slices are retained (see the immutability
 // contract above).
 //
-// Every check is a linear scan. The structural ones keep slicing and tree
-// walks panic-free: offset-table monotonicity, index bounds and parent
-// pre-order. The content ones hold the stored dictionary, triple, tag and
-// frequency-keyword lists to the ascending order their binary searches
-// need, and triple and edge weights to the ranges the builder accepts.
-// The rest is derived as Builder.Build derives it, each in one pass:
-// depths and document ordinals over Parent (deriveTree, refusing a tree
-// the builder cannot make), the children lists, the URI→node table over
-// DictID (refusing a URI that names two nodes) and the statistics. So a
-// file that passes its checksums but is internally inconsistent is
-// refused, never served.
+// Every check is a linear scan. The structural ones keep slicing and the
+// derivations panic-free: offset-table monotonicity and index bounds. The
+// content ones hold the stored dictionary and triple permutations to the
+// ascending order their binary searches need, and triple and edge weights
+// to the ranges the builder accepts. The rest is derived as Builder.Build
+// derives it (derive), which refuses a node table the builder cannot
+// make: a parent out of pre-order, a non-document node that nests, an
+// unknown node kind, a URI that names two nodes, a tag count other than
+// the tag infos'. So a file
+// that passes its checksums but is internally inconsistent is refused,
+// never served.
 func FromRaw(r *Raw) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
-		"Kind": len(r.Kind), "Parent": len(r.Parent),
-		"NodeName": len(r.NodeName), "Comp": len(r.Comp),
+		"Kind": len(r.Kind), "Parent": len(r.Parent), "NodeName": len(r.NodeName),
 	} {
 		if l != n {
 			return nil, fmt.Errorf("graph: raw table %s has %d entries for %d nodes", name, l, n)
 		}
-	}
-	if len(r.TagInfos) != len(r.TagList) {
-		return nil, fmt.Errorf("graph: %d tag infos for %d tags", len(r.TagInfos), len(r.TagList))
-	}
-	if len(r.KwFreqCounts) != len(r.KwFreqKeys) {
-		return nil, fmt.Errorf("graph: %d keyword counts for %d keywords", len(r.KwFreqCounts), len(r.KwFreqKeys))
 	}
 	d, err := dict.FromArena(r.DictArena, r.DictOffs, r.DictPerm)
 	if err != nil {
@@ -162,27 +141,20 @@ func FromRaw(r *Raw) (*Instance, error) {
 	}
 	nd := dict.ID(d.Len())
 	in := &Instance{
-		dict:         d,
-		ont:          ont,
-		analyzer:     text.Analyzer{Lang: r.Lang, KeepStopwords: r.KeepStopwords},
-		dictID:       r.DictID,
-		kind:         r.Kind,
-		parent:       r.Parent,
-		nodeName:     r.NodeName,
-		kwOff:        r.KwOff,
-		kwList:       r.KwList,
-		edgeOff:      r.EdgeOff,
-		edgeList:     r.EdgeList,
-		comp:         r.Comp,
-		nComp:        r.NComp,
-		users:        r.Users,
-		docRoots:     r.DocRoots,
-		tagList:      r.TagList,
-		tagInfos:     r.TagInfos,
-		comments:     r.Comments,
-		posts:        r.Posts,
-		kwFreqKeys:   r.KwFreqKeys,
-		kwFreqCounts: r.KwFreqCounts,
+		dict:     d,
+		ont:      ont,
+		analyzer: text.Analyzer{Lang: r.Lang, KeepStopwords: r.KeepStopwords},
+		dictID:   r.DictID,
+		kind:     r.Kind,
+		parent:   r.Parent,
+		nodeName: r.NodeName,
+		kwOff:    r.KwOff,
+		kwList:   r.KwList,
+		edgeOff:  r.EdgeOff,
+		edgeList: r.EdgeList,
+		tagInfos: r.TagInfos,
+		comments: r.Comments,
+		posts:    r.Posts,
 	}
 	if err := checkCSR(r.KwOff, n, len(r.KwList), "content keyword"); err != nil {
 		return nil, err
@@ -190,7 +162,7 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err := checkCSR(r.EdgeOff, n, len(r.EdgeList), "edge"); err != nil {
 		return nil, err
 	}
-	var maxURI, maxName1, maxComp1 uint32
+	var maxURI, maxName1 uint32
 	for v := 0; v < n; v++ {
 		if x := uint32(r.DictID[v]); x > maxURI {
 			maxURI = x
@@ -198,28 +170,20 @@ func FromRaw(r *Raw) (*Instance, error) {
 		if x := uint32(r.NodeName[v]) + 1; x > maxName1 {
 			maxName1 = x
 		}
-		if x := uint32(r.Comp[v]) + 1; x > maxComp1 {
-			maxComp1 = x
-		}
 	}
-	if n > 0 {
-		if maxURI >= uint32(nd) || maxName1 > uint32(nd) {
-			return nil, fmt.Errorf("graph: node URI or name outside dictionary of %d", nd)
-		}
-		if r.NComp < 0 || maxComp1 > uint32(r.NComp) {
-			return nil, fmt.Errorf("graph: node component outside %d components", r.NComp)
-		}
+	if n > 0 && (maxURI >= uint32(nd) || maxName1 > uint32(nd)) {
+		return nil, fmt.Errorf("graph: node URI or name outside dictionary of %d", nd)
 	}
 	// Branch-free max reductions over the flat lists: uint32(x) folds
-	// negatives in, and the +1 bias maps the NoID/NoNID sentinels (-1) to
-	// 0, which every bound accepts.
-	var maxKw1 uint32
+	// negatives in, and the +1 bias maps the NoID sentinel (-1), where a
+	// table allows it, to 0, which every bound accepts.
+	var maxKw uint32
 	for _, k := range r.KwList {
-		if v := uint32(k) + 1; v > maxKw1 {
-			maxKw1 = v
+		if v := uint32(k); v > maxKw {
+			maxKw = v
 		}
 	}
-	if maxKw1 > uint32(nd) {
+	if len(r.KwList) > 0 && maxKw >= uint32(nd) {
 		return nil, fmt.Errorf("graph: content keyword outside dictionary of %d", nd)
 	}
 	var maxTo, maxProp1 uint32
@@ -242,29 +206,6 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if badW {
 		return nil, fmt.Errorf("graph: edge weight outside (0,1]")
 	}
-	checkNIDs := func(vs []NID, what string) error {
-		for _, v := range vs {
-			if uint32(v) >= uint32(n) {
-				return fmt.Errorf("graph: %s node outside instance of %d nodes", what, n)
-			}
-		}
-		return nil
-	}
-	if err := checkNIDs(r.Users, "user"); err != nil {
-		return nil, err
-	}
-	if err := checkNIDs(r.DocRoots, "document root"); err != nil {
-		return nil, err
-	}
-	if in.depth, in.docOf, err = deriveTree(r.Kind, r.Parent, r.DocRoots); err != nil {
-		return nil, err
-	}
-	if err := checkNIDs(r.TagList, "tag"); err != nil {
-		return nil, err
-	}
-	if !strictlyAscending(r.TagList) {
-		return nil, fmt.Errorf("graph: tag list is not strictly ascending")
-	}
 	for _, ti := range r.TagInfos {
 		if ti.Subject < 0 || int(ti.Subject) >= n || ti.Author < 0 || int(ti.Author) >= n {
 			return nil, fmt.Errorf("graph: tag info outside instance of %d nodes", n)
@@ -283,24 +224,38 @@ func FromRaw(r *Raw) (*Instance, error) {
 			return nil, fmt.Errorf("graph: post edge outside instance of %d nodes", n)
 		}
 	}
-	for _, k := range r.KwFreqKeys {
-		if k >= nd && k != dict.NoID {
-			return nil, fmt.Errorf("graph: frequency keyword outside dictionary of %d", nd)
-		}
-	}
-	if !strictlyAscending(r.KwFreqKeys) {
-		return nil, fmt.Errorf("graph: frequency keywords are not strictly ascending")
-	}
-	if in.nidByID, err = nodesByURI(r.DictID, int(nd)); err != nil {
+	if err := in.derive(); err != nil {
 		return nil, err
 	}
-	in.childOff, in.childList = childrenOf(r.Parent)
-	in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal)
-	if err != nil {
+	if in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal); err != nil {
 		return nil, err
 	}
-	in.computeStats()
 	return in, nil
+}
+
+// derive computes every table an instance holds beyond the stored ones,
+// for Builder.Build and FromRaw alike, so it is the one place each of them
+// is assigned: the node lists, depths and document ordinals (deriveTree),
+// the URI→node table, the children lists, the keyword frequencies, the
+// component partition and the statistics. It refuses what the builder
+// cannot make (see deriveTree), and a tag count other than the number of
+// tag infos.
+func (in *Instance) derive() error {
+	if err := in.deriveTree(); err != nil {
+		return err
+	}
+	if len(in.tagInfos) != len(in.tagList) {
+		return fmt.Errorf("graph: %d tag infos for %d tag nodes", len(in.tagInfos), len(in.tagList))
+	}
+	var err error
+	if in.nidByID, err = nodesByURI(in.dictID, in.dict.Len()); err != nil {
+		return err
+	}
+	in.childOff, in.childList = childrenOf(in.parent)
+	in.countKeywords()
+	in.buildComponents()
+	in.computeStats()
+	return nil
 }
 
 // nodesByURI derives the dense URI→node table over a dictionary of nd ids
@@ -318,47 +273,46 @@ func nodesByURI(dictID []dict.ID, nd int) ([]NID, error) {
 	return byID, nil
 }
 
-// deriveTree derives each node's depth and document ordinal (its
-// document's index in docRoots, -1 outside documents) in one ascending
-// pass over the parent table, which must be in pre-order (every parent
-// below its child) so a parent's values are known before its children's.
-// Only document nodes nest, each document's root is a parentless document
-// node listed once in docRoots, and every document node lies in a listed
-// document; a table that breaks any of these is refused.
-func deriveTree(kind []NodeKind, parent, docRoots []NID) (depth, docOf []int32, err error) {
-	n := len(parent)
-	depth = make([]int32, n)
-	docOf = make([]int32, n)
-	for v := range docOf {
-		docOf[v] = -1
-	}
-	for i, r := range docRoots {
-		if kind[r] != KindDocNode || parent[r] != NoNID {
-			return nil, nil, fmt.Errorf("graph: document root %d is not a parentless document node", r)
-		}
-		if docOf[r] >= 0 {
-			return nil, nil, fmt.Errorf("graph: document root %d is listed twice", r)
-		}
-		docOf[r] = int32(i)
-	}
-	for v, p := range parent {
+// deriveTree derives, in one ascending pass over the kind and parent
+// tables, the user, document-root and tag lists (each in ascending node
+// order, the order Builder.Build numbers them in) and each node's depth
+// and document ordinal (its document's index among the roots, -1 outside
+// documents). The parent table must be in pre-order (every parent below
+// its child), so a parent's values are known before its children's, and
+// only document nodes nest; a table that breaks either, or names a kind
+// the builder does not make, is refused.
+func (in *Instance) deriveTree() error {
+	n := len(in.parent)
+	in.depth = make([]int32, n)
+	in.docOf = make([]int32, n)
+	for v, p := range in.parent {
+		k := in.kind[v]
 		switch {
 		case p == NoNID:
-			if kind[v] == KindDocNode && docOf[v] < 0 {
-				return nil, nil, fmt.Errorf("graph: document node %d lies in no listed document", v)
+			in.docOf[v] = -1
+			switch k {
+			case KindUser:
+				in.users = append(in.users, NID(v))
+			case KindDocNode:
+				in.docOf[v] = int32(len(in.docRoots))
+				in.docRoots = append(in.docRoots, NID(v))
+			case KindTag:
+				in.tagList = append(in.tagList, NID(v))
+			default:
+				return fmt.Errorf("graph: node %d has unknown kind %d", v, uint8(k))
 			}
 		// Pre-order keeps the ancestor walks cycle-free; uint32 folds the
 		// negative case in.
 		case uint32(p) >= uint32(v):
-			return nil, nil, fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
-		case kind[v] != KindDocNode || kind[p] != KindDocNode:
-			return nil, nil, fmt.Errorf("graph: %s node %d has a %s parent %d; only document nodes nest", kind[v], v, kind[p], p)
+			return fmt.Errorf("graph: node %d has parent %d out of pre-order", v, p)
+		case k != KindDocNode || in.kind[p] != KindDocNode:
+			return fmt.Errorf("graph: %s node %d has a %s parent %d; only document nodes nest", k, v, in.kind[p], p)
 		default:
-			depth[v] = depth[p] + 1
-			docOf[v] = docOf[p]
+			in.depth[v] = in.depth[p] + 1
+			in.docOf[v] = in.docOf[p]
 		}
 	}
-	return depth, docOf, nil
+	return nil
 }
 
 // childrenOf derives the children lists from a pre-order parent table
@@ -400,16 +354,6 @@ func flatten[T any](rows [][]T) (off []int64, list []T) {
 		list = append(list, r...)
 	}
 	return off, list
-}
-
-// strictlyAscending reports whether s ascends with no repeats.
-func strictlyAscending[T dict.ID | NID](s []T) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] >= s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkCSR validates an n+1-entry offset table spanning [0, total]

@@ -89,6 +89,16 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		t.Fatal("no posting has two events in one component")
 		return 0
 	}
+	// leafRoot finds a document that is one node: no parent, no children.
+	leafRoot := func() int {
+		for _, r := range in.DocRoots() {
+			if len(in.ChildrenOf(r)) == 0 {
+				return int(r)
+			}
+		}
+		t.Fatal("no one-node document")
+		return 0
+	}
 
 	for _, row := range []struct {
 		name string
@@ -104,11 +114,11 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		{"matrix value 0", sec3MatVal, func(p []byte) { putF64(p[8:], 0) }, "value 0 at entry 1 is not finite and positive"},
 		{"matrix row sum above 1", sec3MatVal, func(p []byte) { putF64(p, 2) }, "above 1"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
-		{"document root listed twice", sec3DocRoots, func(p []byte) { put32(p, 1, get32(p, 0)) }, "is listed twice"},
 		{"tag with a parent", sec3NodeParent, func(p []byte) { put32(p, int(in.Tags()[0]), uint32(in.DocRoots()[0])) }, "only document nodes nest"},
-		{"document root under a user", sec3NodeParent, func(p []byte) { put32(p, int(in.DocRoots()[0]), uint32(in.Users()[0])) }, "is not a parentless document node"},
-		{"tag order", sec3TagList, func(p []byte) { swap32(p, 0, 1) }, "tag list is not strictly ascending"},
-		{"frequency keyword order", sec3KwFreqKeys, func(p []byte) { swap32(p, 0, 1) }, "frequency keywords are not strictly ascending"},
+		{"document root under a user", sec3NodeParent, func(p []byte) { put32(p, int(in.DocRoots()[0]), uint32(in.Users()[0])) }, "only document nodes nest"},
+		{"document node retyped as a tag", sec3NodeKind, func(p []byte) { p[leafRoot()] = byte(graph.KindTag) }, "tag infos for"},
+		{"unknown node kind", sec3NodeKind, func(p []byte) { p[0] = 7 }, "unknown kind 7"},
+		{"content keyword NoID", sec3NodeKwIDs, func(p []byte) { put32(p, 0, math.MaxUint32) }, "content keyword outside dictionary"},
 		{"event order", sec3IndexEvents, func(p []byte) {
 			i := sameCompPair()
 			a, b := bytes.Clone(p[12*i:12*i+12]), bytes.Clone(p[12*i+12:12*i+24])
@@ -168,7 +178,7 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, layoutName(manifestPath, 0)), shard, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repointManifest(t, manifestPath, m.Base.NumComponents(), 0, shard, func(d *ShardDesc) { d.Events = events })
+	repointManifest(t, manifestPath, 0, shard, func(d *ShardDesc) { d.Events = events })
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 		set, err := OpenShardSet(manifestPath, mode)
 		wantRefused(t, "shard ownership mode="+mode.String(), "foreign component", set, err)
@@ -191,7 +201,7 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 	if err := os.WriteFile(shardPath, shard, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repointManifest(t, manifestPath, m.Base.NumComponents(), 0, shard)
+	repointManifest(t, manifestPath, 0, shard)
 	for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
 		set, err := OpenShardSet(manifestPath, mode)
 		wantRefused(t, "user-node event mode="+mode.String(), "lies in no component", set, err)

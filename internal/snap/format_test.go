@@ -44,7 +44,7 @@ func rebuildAligned(t testing.TB, data []byte, magic string, edit func(id byte, 
 // repointManifest rewrites the manifest file so that its layout vouches
 // for shard, the new bytes of shard file i, after passing shard i's
 // layout entry through edits.
-func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []byte, edits ...func(*ShardDesc)) {
+func repointManifest(t testing.TB, manifestPath string, i int, shard []byte, edits ...func(*ShardDesc)) {
 	t.Helper()
 	manifest, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -54,7 +54,7 @@ func repointManifest(t testing.TB, manifestPath string, nComp, i int, shard []by
 		if id != secLayout {
 			return p, true
 		}
-		layout, err := decodeLayout(p, nComp)
+		layout, err := decodeLayout(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,12 +113,12 @@ func assertNotMapped(t testing.TB, path string) {
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
 // writers produce for a hand-built instance and one from each dataset
-// generator. They were recomputed when version 6 stopped storing depths,
-// document ordinals, neighbourhood out-weights, the (S,P,O) triple order
-// and the meta's statistics; every section payload it still writes, other
-// than the meta and the manifest's layout and the shard headers (which
-// record the shard-file digests and the substrate's set id), is
-// byte-identical to version 5's.
+// generator. They were recomputed when version 7 stopped storing the
+// component ids, the user, document-root and tag lists, the keyword
+// frequencies and the meta's component count; every section payload it
+// still writes, other than the meta and the manifest's layout and the
+// shard headers (which record the shard-file digests and the substrate's
+// set id), is byte-identical to version 6's.
 // They change only when the format does — not when the builders are
 // rewritten.
 func TestFormatGolden(t *testing.T) {
@@ -143,13 +143,13 @@ func TestFormatGolden(t *testing.T) {
 		shards             [3]uint32
 	}{
 		{"hand", handSpec(), text.Analyzer{Lang: text.English},
-			0x38742b09, 0xd2cb6cac, [3]uint32{0x63c10b94, 0x185aefeb, 0x2206cf10}},
+			0xe662b4d4, 0x56ac3d50, [3]uint32{0x4b6ce201, 0x31d3c1d2, 0x0b8fe129}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
-			0x952771aa, 0xe4e62454, [3]uint32{0x19c0a856, 0x3465d357, 0xd61ff726}},
+			0x95e76b1e, 0xa1471fa2, [3]uint32{0xfd657532, 0x964af477, 0x1ee16908}},
 		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
-			0xa4cecc46, 0x2ab85c97, [3]uint32{0x0a5ab034, 0xf07e8e98, 0x7f0b67f7}},
+			0x2f3cf0de, 0x9c08cd1a, [3]uint32{0x4f4b0775, 0x3445cad4, 0x25f07961}},
 		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
-			0xc3c9bfd7, 0x1ace1a7e, [3]uint32{0xff4ade89, 0xade61c56, 0x1e1c9977}},
+			0x6d4bbdd6, 0x42a2f3f7, [3]uint32{0x63b8b5db, 0xbb1a6c4f, 0xf65b1e94}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer
@@ -223,7 +223,7 @@ func TestOtherVersionRejected(t *testing.T) {
 			stale := stamp(goodShard, ver)
 			put(manifestPath, goodManifest)
 			put(shardPath, stale)
-			repointManifest(t, manifestPath, in.NumComponents(), 0, stale)
+			repointManifest(t, manifestPath, 0, stale)
 			wantSetRejected(t, what("stale shard"), manifestPath, []int{0, 1}, mode)
 			put(shardPath, goodShard)
 			put(manifestPath, goodManifest)

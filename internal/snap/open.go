@@ -142,8 +142,7 @@ func sectionAdvice(id byte) mman.Advice {
 	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents:
 		return mman.AdviseRandom
 	case sec3DictArena, sec3DictOffs, sec3DictPerm,
-		sec3NodeKind, sec3NodeParent, sec3NodeComp,
-		sec3IndexKw, sec3IndexEvOff:
+		sec3NodeKind, sec3NodeParent, sec3IndexKw, sec3IndexEvOff:
 		return mman.AdviseWillNeed
 	}
 	return mman.AdviseNormal

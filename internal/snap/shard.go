@@ -3,9 +3,9 @@
 //
 // The manifest carries the substrate every shard needs verbatim — the
 // dictionary, node tables, network adjacency, normalised transition
-// matrix, entity lists and the saturated ontology (all the sections of a
-// plain snapshot except the connection index) — plus a layout table
-// describing the shard files. The substrate must be shared because the
+// matrix, tag, comment and post tables and the saturated ontology (all
+// the sections of a plain snapshot except the connection index) — plus a
+// layout table describing the shard files. The substrate must be shared because the
 // §3.4 all-paths social proximity is defined over the whole network
 // graph: per-shard proximity over a trimmed graph would change scores.
 // What scales with content and partitions cleanly by the §5.2 component
@@ -239,16 +239,22 @@ func decodeManifest(data []byte) (*graph.Instance, *Layout, []secSpan, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	layout, err := decodeLayout(f.payloads[secLayout], in.NumComponents())
+	layout, err := decodeLayout(f.payloads[secLayout])
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if got, want := len(layout.Owner), in.NumComponents(); got != want {
+		return nil, nil, nil, fmt.Errorf("snap: manifest layout assigns %d components, the instance has %d", got, want)
 	}
 	return in, layout, f.spans, nil
 }
 
-// decodeLayout parses and fully validates the layout section against the
-// base instance's component count.
-func decodeLayout(data []byte, nComp int) (*Layout, error) {
+// decodeLayout parses and validates the layout section on its own: the
+// shards must list every component id from 0 to one below the number of
+// ids they list, each once. A manifest open then holds that count to its
+// substrate's component partition; a worker host, which reads no node
+// table, takes the count from the layout.
+func decodeLayout(data []byte) (*Layout, error) {
 	d := &decoder{data: data}
 	layout := &Layout{SetID: d.uint()}
 	n := d.count(2)
@@ -280,8 +286,10 @@ func decodeLayout(data []byte, nComp int) (*Layout, error) {
 		return nil, fmt.Errorf("snap: manifest describes no shards")
 	}
 	parts := make([][]int32, len(layout.Shards))
+	nComp := 0
 	for s := range layout.Shards {
 		parts[s] = layout.Shards[s].Comps
+		nComp += len(parts[s])
 	}
 	var err error
 	if layout.Owner, err = graph.ComponentOwners(nComp, parts); err != nil {

@@ -256,7 +256,6 @@ func TestWriteShardSetRefusesBadPartitions(t *testing.T) {
 		}
 	}
 
-	nComp := in.NumComponents()
 	for _, row := range []struct {
 		name string
 		edit func(l *Layout)
@@ -264,6 +263,13 @@ func TestWriteShardSetRefusesBadPartitions(t *testing.T) {
 	}{
 		{"component twice", func(l *Layout) { l.Shards[1].Comps = append(l.Shards[1].Comps, l.Shards[0].Comps[0]) }, "assigned to groups 0 and 1"},
 		{"component left out", func(l *Layout) { l.Shards[1].Comps = l.Shards[1].Comps[1:] }, "assigned to no group"},
+		// Without the largest id the layout is a partition on its own, of
+		// one component fewer than the instance derives.
+		{"largest component left out", func(l *Layout) {
+			last := int32(len(l.Owner) - 1)
+			s := &l.Shards[l.Owner[last]]
+			s.Comps = slices.DeleteFunc(s.Comps, func(c int32) bool { return c == last })
+		}, "the instance has"},
 	} {
 		edited := filepath.Join(t.TempDir(), "edited.set")
 		manifest, err := os.ReadFile(manifestPath)
@@ -274,7 +280,7 @@ func TestWriteShardSetRefusesBadPartitions(t *testing.T) {
 			if id != secLayout {
 				return p, true
 			}
-			layout, err := decodeLayout(p, nComp)
+			layout, err := decodeLayout(p)
 			if err != nil {
 				t.Fatal(err)
 			}

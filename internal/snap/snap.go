@@ -1,9 +1,9 @@
 // Package snap implements the versioned binary snapshot format for frozen
-// S3 instances. A snapshot stores what is expensive to recompute from an
-// instance's spec — the interned dictionary, node tables, network
-// adjacency with weights, the normalised transition matrix, the component
-// partition, the saturated ontology and the connection-index postings — so
-// a query engine cold-starts by reading flat arrays from disk instead of
+// S3 instances. A snapshot stores the graph and what is expensive to
+// recompute from an instance's spec — the interned dictionary, node
+// tables, network adjacency with weights, the normalised transition
+// matrix, the saturated ontology and the connection-index postings — so a
+// query engine cold-starts by reading flat arrays from disk instead of
 // re-running ontology saturation, matrix normalisation and the index
 // fixpoint.
 //
@@ -16,13 +16,15 @@
 // mapping or in a private copy of the file. Besides the tables of the
 // instance it persists two sorted permutations, the dictionary's and the
 // ontology's (P,O,S) order, which an open checks in a linear scan instead
-// of re-sorting; what one linear pass derives (depths, document ordinals,
-// children lists, URI→node table, statistics, per-posting component
-// summaries) is derived at open time instead of stored. The small
-// bookkeeping sections (meta, shard layout, shard header) are
-// varint-encoded: unsigned varints (encoding/binary), strings
-// length-prefixed. The meta holds the analyzer (language, stop-word flag)
-// and the node and component counts, which a worker host reads without
+// of re-sorting. Whatever else the graph determines — the user,
+// document-root and tag lists, depths, document ordinals, children lists,
+// the URI→node table, the keyword frequencies, the §5.2 component
+// partition, the statistics and the per-posting component summaries — is
+// derived at open time, by the code that derives it for a built instance,
+// instead of stored. The small bookkeeping sections (meta, shard layout,
+// shard header) are varint-encoded: unsigned varints (encoding/binary),
+// strings length-prefixed. The meta holds the analyzer (language,
+// stop-word flag) and the node count, which a worker host reads without
 // the node tables.
 //
 // A file of any other version is rejected with an error that says to
@@ -55,7 +57,7 @@ const Magic = "S3SNAP"
 // Version is the one format version this build reads and writes, for
 // snapshots, shard-set manifests and shard files alike (they move in
 // lockstep).
-const Version = 6
+const Version = 7
 
 // regenerate ends the error for a well-formed file this build cannot
 // serve.
@@ -136,7 +138,6 @@ func encodeMeta(r *graph.Raw) *bytes.Buffer {
 	e.byte1(byte(r.Lang))
 	e.bool(r.KeepStopwords)
 	e.int(len(r.DictID))
-	e.int(r.NComp)
 	return &e.Buffer
 }
 
@@ -218,7 +219,6 @@ func decodeMeta(data []byte, r *graph.Raw) (int, error) {
 	r.Lang = text.Lang(d.byte())
 	r.KeepStopwords = d.bool()
 	numNodes := int(d.uint())
-	r.NComp = int(d.uint())
 	if d.err != nil {
 		return 0, fmt.Errorf("snap: meta section: %w", d.err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"s3/internal/core"
@@ -106,25 +107,7 @@ func handSpec() graph.Spec {
 }
 
 func TestRoundTripHandInstance(t *testing.T) {
-	in, ix := build(t, handSpec(), text.Analyzer{Lang: text.English})
-	in2, ix2, raw := roundTrip(t, in, ix)
-
-	if in.Stats() != in2.Stats() {
-		t.Errorf("stats changed:\noriginal: %+v\nrestored: %+v", in.Stats(), in2.Stats())
-	}
-	if got, want := searchAll(t, in2, ix2), searchAll(t, in, ix); got != want {
-		t.Errorf("search results changed after round-trip:\noriginal:\n%s\nrestored:\n%s", want, got)
-	}
-
-	// The restored instance must re-serialise to the identical bytes:
-	// the format is canonical.
-	var buf2 bytes.Buffer
-	if err := Write(&buf2, in2, ix2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, buf2.Bytes()) {
-		t.Errorf("snapshot is not canonical: %d bytes vs %d after round-trip", len(raw), buf2.Len())
-	}
+	in2 := checkRoundTrip(t, handSpec(), text.Analyzer{Lang: text.English})
 
 	// Semantic layer must survive: the extension of "degree" includes the
 	// stemmed subclasses.
@@ -160,7 +143,13 @@ func TestRoundTripGeneratedInstances(t *testing.T) {
 	})
 }
 
-func checkRoundTrip(t *testing.T, spec graph.Spec, an text.Analyzer) {
+// checkRoundTrip builds the spec, writes its snapshot and reads it back,
+// and requires the read-back instance to be the built one: the same
+// statistics, search transcript and bytes when written again, and, table
+// by table, what an open derives instead of reading — the user, document
+// and tag lists, every node's component and the keyword frequencies,
+// which the bytes no longer show. It returns the read-back instance.
+func checkRoundTrip(t *testing.T, spec graph.Spec, an text.Analyzer) *graph.Instance {
 	t.Helper()
 	in, ix := build(t, spec, an)
 	in2, ix2, raw := roundTrip(t, in, ix)
@@ -168,15 +157,46 @@ func checkRoundTrip(t *testing.T, spec graph.Spec, an text.Analyzer) {
 		t.Errorf("stats changed:\noriginal: %+v\nrestored: %+v", in.Stats(), in2.Stats())
 	}
 	if got, want := searchAll(t, in2, ix2), searchAll(t, in, ix); got != want {
-		t.Error("search results changed after round-trip")
+		t.Errorf("search results changed after round-trip:\noriginal:\n%s\nrestored:\n%s", want, got)
 	}
 	var buf2 bytes.Buffer
 	if err := Write(&buf2, in2, ix2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf2.Bytes()) {
-		t.Error("snapshot is not canonical after round-trip")
+		t.Errorf("snapshot is not canonical: %d bytes vs %d after round-trip", len(raw), buf2.Len())
 	}
+
+	for _, l := range []struct {
+		name      string
+		got, want []graph.NID
+	}{
+		{"Users", in2.Users(), in.Users()},
+		{"DocRoots", in2.DocRoots(), in.DocRoots()},
+		{"Tags", in2.Tags(), in.Tags()},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			t.Errorf("%s changed: restored %v, built %v", l.name, l.got, l.want)
+		}
+	}
+	if in2.NumComponents() != in.NumComponents() {
+		t.Errorf("NumComponents changed: restored %d, built %d", in2.NumComponents(), in.NumComponents())
+	}
+	for v := range graph.NID(in.NumNodes()) {
+		if got, want := in2.CompOf(v), in.CompOf(v); got != want {
+			t.Errorf("CompOf(%d) changed: restored %d, built %d", v, got, want)
+		}
+	}
+	kws := in.SortedKeywordsByFrequency()
+	if got := in2.SortedKeywordsByFrequency(); !slices.Equal(got, kws) {
+		t.Errorf("SortedKeywordsByFrequency changed: restored %v, built %v", got, kws)
+	}
+	for _, k := range kws {
+		if got, want := in2.KeywordFrequency(k), in.KeywordFrequency(k); got != want {
+			t.Errorf("KeywordFrequency(%s) changed: restored %d, built %d", in.Dict().String(k), got, want)
+		}
+	}
+	return in2
 }
 
 func TestReadRejectsCorruptSnapshots(t *testing.T) {

@@ -6,16 +6,21 @@
 // lets the decoder reinterpret a section as a typed slice with
 // unsafe.Slice instead of decoding it, whether the file is mapped or read.
 //
-// Beside the instance's own tables the format stores only the derived
-// structures whose check is cheaper than their derivation: the
-// dictionary's sorted permutation (binary-searched lookups over the string
-// arena) and the ontology's (P,O,S)-sorted triple permutation (the one
-// Ontology.Ext searches) — sorts to build (graph.Builder.Build runs them),
-// linear scans to check, which every open does. What one linear pass
-// derives is not stored: depths, document ordinals, the children lists,
-// the URI→node table, the statistics and the connection index's
-// per-posting component summaries are derived at open time, by the code
-// that derives them for a built instance.
+// The format stores the graph — the dictionary, the node tables (URI,
+// kind, parent, name, content keywords), the network edges, the
+// normalised transition matrix, the saturated ontology, the tag
+// descriptions, the comment and post edges — and the connection index's
+// events. Of what the graph determines it stores only the structures
+// whose check is cheaper than their derivation: the dictionary's sorted
+// permutation (binary-searched lookups over the string arena) and the
+// ontology's (P,O,S)-sorted triple permutation (the one Ontology.Ext
+// searches) — sorts to build (graph.Builder.Build runs them), linear scans
+// to check, which every open does. Everything else is derived at open
+// time, by the code that derives it for a built instance: the user,
+// document-root and tag lists, depths, document ordinals, the children
+// lists, the URI→node table, the keyword frequencies, the component
+// partition and the statistics (graph.FromRaw), and the connection
+// index's per-posting component summaries (index.FromFlat).
 package snap
 
 import (
@@ -35,35 +40,31 @@ import (
 // varint sections of snap.go). Values are part of the on-disk format;
 // never renumber.
 const (
-	sec3DictArena   byte = 32 // []byte    string arena, entries concatenated in id order
-	sec3DictOffs    byte = 33 // []int64   n+1 arena offsets
-	sec3DictPerm    byte = 34 // []int32   ids in ascending string order
-	sec3NodeDictID  byte = 35 // []dict.ID node URI ids
-	sec3NodeKind    byte = 36 // []byte    node kinds
-	sec3NodeParent  byte = 37 // []NID     tree parents (NoNID for roots)
-	sec3NodeName    byte = 40 // []dict.ID node names
-	sec3NodeComp    byte = 41 // []int32   component ids
-	sec3NodeKwOff   byte = 42 // []int64   n+1 offsets into the keyword list
-	sec3NodeKwIDs   byte = 43 // []dict.ID flattened content keywords
-	sec3EdgeOff     byte = 44 // []int64   n+1 offsets into the edge array
-	sec3Edges       byte = 45 // []Edge    flattened out-edges (16 B each)
-	sec3MatRowPtr   byte = 47 // []int32   CSR row pointers (n+1)
-	sec3MatCol      byte = 48 // []int32   CSR column indices
-	sec3MatVal      byte = 49 // []float64 CSR values
-	sec3Triples     byte = 50 // []Triple  saturated ontology (24 B each)
-	sec3TriplePOS   byte = 52 // []int32   triples sorted by (P,O,S)
-	sec3Users       byte = 53 // []NID     user nodes
-	sec3DocRoots    byte = 54 // []NID     document roots
-	sec3TagList     byte = 55 // []NID     tag nodes (ascending)
-	sec3TagInfos    byte = 56 // []TagInfo aligned with the tag list (16 B each)
-	sec3Comments    byte = 57 // []CommentEdge (12 B each)
-	sec3Posts       byte = 58 // []PostEdge (8 B each)
-	sec3KwFreqKeys  byte = 59 // []dict.ID frequency keywords (ascending)
-	sec3KwFreqCount byte = 60 // []int32   frequency counts
-	// Ids 61–63 and 67–70 (derived arrays version 4 stored) and 38, 39,
-	// 46 and 51 (depths, document ordinals, neighbourhood out-weights and
-	// the (S,P,O) triple order, which version 5 stored) are retired and
-	// must not be reused.
+	sec3DictArena  byte = 32 // []byte    string arena, entries concatenated in id order
+	sec3DictOffs   byte = 33 // []int64   n+1 arena offsets
+	sec3DictPerm   byte = 34 // []int32   ids in ascending string order
+	sec3NodeDictID byte = 35 // []dict.ID node URI ids
+	sec3NodeKind   byte = 36 // []byte    node kinds
+	sec3NodeParent byte = 37 // []NID     tree parents (NoNID for roots)
+	sec3NodeName   byte = 40 // []dict.ID node names
+	sec3NodeKwOff  byte = 42 // []int64   n+1 offsets into the keyword list
+	sec3NodeKwIDs  byte = 43 // []dict.ID flattened content keywords
+	sec3EdgeOff    byte = 44 // []int64   n+1 offsets into the edge array
+	sec3Edges      byte = 45 // []Edge    flattened out-edges (16 B each)
+	sec3MatRowPtr  byte = 47 // []int32   CSR row pointers (n+1)
+	sec3MatCol     byte = 48 // []int32   CSR column indices
+	sec3MatVal     byte = 49 // []float64 CSR values
+	sec3Triples    byte = 50 // []Triple  saturated ontology (24 B each)
+	sec3TriplePOS  byte = 52 // []int32   triples sorted by (P,O,S)
+	sec3TagInfos   byte = 56 // []TagInfo one per tag node, ascending (16 B each)
+	sec3Comments   byte = 57 // []CommentEdge (12 B each)
+	sec3Posts      byte = 58 // []PostEdge (8 B each)
+	// Retired ids, never to be reused: 61–63 and 67–70 (derived arrays
+	// version 4 stored); 38, 39, 46 and 51 (depths, document ordinals,
+	// neighbourhood out-weights and the (S,P,O) triple order, which
+	// version 5 stored); 41, 53, 54, 55, 59 and 60 (component ids, the
+	// user, document-root and tag lists and the keyword frequencies, which
+	// version 6 stored).
 	sec3IndexKw     byte = 64 // []dict.ID posting keywords (ascending)
 	sec3IndexEvOff  byte = 65 // []int64   nkw+1 offsets into the event array
 	sec3IndexEvents byte = 66 // []Event   flattened events (12 B each)
@@ -75,10 +76,9 @@ var required3Substrate = []byte{
 	secMeta,
 	sec3DictArena, sec3DictOffs, sec3DictPerm,
 	sec3NodeDictID, sec3NodeKind, sec3NodeParent, sec3NodeName,
-	sec3NodeComp, sec3NodeKwOff, sec3NodeKwIDs, sec3EdgeOff, sec3Edges,
+	sec3NodeKwOff, sec3NodeKwIDs, sec3EdgeOff, sec3Edges,
 	sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3Triples, sec3TriplePOS,
-	sec3Users, sec3DocRoots, sec3TagList, sec3TagInfos, sec3Comments, sec3Posts,
-	sec3KwFreqKeys, sec3KwFreqCount,
+	sec3TagInfos, sec3Comments, sec3Posts,
 }
 
 // required3Index lists the index sections of a snapshot or shard file.
@@ -262,7 +262,6 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3NodeKind, true, kinds},
 		{sec3NodeParent, true, encI32s(r.Parent)},
 		{sec3NodeName, true, encU32s(r.NodeName)},
-		{sec3NodeComp, true, encI32s(r.Comp)},
 		{sec3NodeKwOff, true, encI64s(r.KwOff)},
 		{sec3NodeKwIDs, true, encU32s(r.KwList)},
 		{sec3EdgeOff, true, encI64s(r.EdgeOff)},
@@ -272,14 +271,9 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3MatVal, true, encF64s(r.MatrixVal)},
 		{sec3Triples, true, encTriples(r.Triples)},
 		{sec3TriplePOS, true, encI32s(r.TriplePOS)},
-		{sec3Users, true, encI32s(r.Users)},
-		{sec3DocRoots, true, encI32s(r.DocRoots)},
-		{sec3TagList, true, encI32s(r.TagList)},
 		{sec3TagInfos, true, encTagInfos(r.TagInfos)},
 		{sec3Comments, true, encComments(r.Comments)},
 		{sec3Posts, true, encPosts(r.Posts)},
-		{sec3KwFreqKeys, true, encU32s(r.KwFreqKeys)},
-		{sec3KwFreqCount, true, encI32s(r.KwFreqCounts)},
 	}
 }
 
@@ -336,20 +330,14 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.KwList = load[dict.ID](g, sec3NodeKwIDs, "content keywords")
 	raw.EdgeOff = load[int64](g, sec3EdgeOff, "edge offsets")
 	raw.EdgeList = load[graph.Edge](g, sec3Edges, "edges")
-	raw.Comp = load[int32](g, sec3NodeComp, "node components")
 	raw.MatrixRowPtr = load[int32](g, sec3MatRowPtr, "matrix row pointers")
 	raw.MatrixCol = load[int32](g, sec3MatCol, "matrix columns")
 	raw.MatrixVal = load[float64](g, sec3MatVal, "matrix values")
 	raw.Triples = load[rdf.Triple](g, sec3Triples, "ontology triples")
 	raw.TriplePOS = load[int32](g, sec3TriplePOS, "triple pos permutation")
-	raw.Users = load[graph.NID](g, sec3Users, "users")
-	raw.DocRoots = load[graph.NID](g, sec3DocRoots, "document roots")
-	raw.TagList = load[graph.NID](g, sec3TagList, "tags")
 	raw.TagInfos = load[graph.TagInfo](g, sec3TagInfos, "tag infos")
 	raw.Comments = load[graph.CommentEdge](g, sec3Comments, "comment edges")
 	raw.Posts = load[graph.PostEdge](g, sec3Posts, "post edges")
-	raw.KwFreqKeys = load[dict.ID](g, sec3KwFreqKeys, "frequency keywords")
-	raw.KwFreqCounts = load[int32](g, sec3KwFreqCount, "frequency counts")
 	if g.err != nil {
 		return nil, g.err
 	}

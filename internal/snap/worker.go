@@ -4,8 +4,9 @@
 // a set — the events of a keyword on a shard — and nothing else: the
 // coordinator runs the exploration over the substrate it maps with the
 // manifest. So OpenWorkerHost reads just two small sections of the
-// manifest (meta, for the node and component counts, and the layout),
-// checksums them, and lets the manifest go; then it binds each hosted
+// manifest (meta, for the node count only, and the layout, whose
+// component ids give the component count), checksums them, and lets the
+// manifest go; then it binds each hosted
 // shard file to that layout and decodes its connection index into an
 // index.Flat. Mapped, a worker host holds its shard files and nothing
 // more: the manifest is loaded through a Files of its own, closed before
@@ -168,7 +169,7 @@ func readWorkerManifest(path string, mode LoadMode) (int, *Layout, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	layout, err := decodeLayout(f.payloads[secLayout], meta.NComp)
+	layout, err := decodeLayout(f.payloads[secLayout])
 	if err != nil {
 		return 0, nil, err
 	}
