@@ -19,29 +19,35 @@ import (
 // digestBattery). The answer-set digest moves only with a semantic change:
 // a change to the bounds may move the transcript, never the sets. A
 // change that claims not to move an answer bit leaves both unchanged; one
-// that moves the transcript on purpose re-pins it and says so.
-type batteryDigest struct{ answers, transcript string }
+// that moves the transcript on purpose re-pins it and says so. A run also
+// counts its searches' rounds, which TestBatteryRounds bounds; the pinned
+// digests leave the count 0.
+type batteryDigest struct {
+	answers, transcript string
+	rounds              int
+}
 
 var batteryDigests = map[string]batteryDigest{
 	"cold": {
 		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
-		transcript: "95e9ad63d304a79f54cd3de28dcf76aa5752c7e93f62d75ddeba9e39981c1f57",
+		transcript: "994c79b1d837f3385950c132b97cf1c524f6470f462ae4bb08f8d6062226d1a4",
 	},
 	"warm": {
 		answers:    "32aa6650c99a6f06810bca5a953d85aadce96a4fb3fcc80f5e85d2eb27ce13d8",
-		transcript: "3a5c9b39e7b590721711b2ad6715f8c6cba0ea08009faeeef5f2d3e218377cf4",
+		transcript: "512d28cb495a2e326005962893e1addf11a1182583bf1da4085007ed7cbf7433",
 	},
 	"split-merge": {
 		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
-		transcript: "95e9ad63d304a79f54cd3de28dcf76aa5752c7e93f62d75ddeba9e39981c1f57",
+		transcript: "994c79b1d837f3385950c132b97cf1c524f6470f462ae4bb08f8d6062226d1a4",
 	},
 }
 
 // digestBattery runs the battery over eng and hashes each query twice:
 // into answers, the answer's documents as a sorted set; into transcript,
 // the documents in answer order with the exact bits of their score
-// intervals, then the search's Iterations, Reason and ResumedDepth.
-func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache) {
+// intervals, then the search's Iterations, Reason and ResumedDepth. It
+// returns the searches' summed Iterations.
+func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache) (rounds int) {
 	t.Helper()
 	opts := Options{Params: score.DefaultParams(), ProxCache: pc}
 	var docs []graph.NID
@@ -59,7 +65,9 @@ func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs 
 		fmt.Fprintf(transcript, "iter=%d reason=%s resumed=%d\n", st.Iterations, st.Reason, st.ResumedDepth)
 		slices.Sort(docs)
 		fmt.Fprintf(answers, "%d %v\n", i, docs)
+		rounds += st.Iterations
 	}
+	return rounds
 }
 
 // batteryRuns caches battery's digests: both digest tests read one run.
@@ -92,19 +100,18 @@ func battery(t *testing.T) map[string]batteryDigest {
 	runs := make(map[string]batteryDigest)
 	for _, r := range []struct {
 		name string
-		run  func(a, tr hash.Hash)
+		run  func(a, tr hash.Hash) int
 	}{
-		{"cold", func(a, tr hash.Hash) { digestBattery(t, a, tr, eng, qs, nil) }},
-		{"warm", func(a, tr hash.Hash) {
+		{"cold", func(a, tr hash.Hash) int { return digestBattery(t, a, tr, eng, qs, nil) }},
+		{"warm", func(a, tr hash.Hash) int {
 			pc := proxcache.New(64 << 20)
-			digestBattery(t, a, tr, eng, qs, pc)
-			digestBattery(t, a, tr, eng, qs, pc)
+			return digestBattery(t, a, tr, eng, qs, pc) + digestBattery(t, a, tr, eng, qs, pc)
 		}},
-		{"split-merge", func(a, tr hash.Hash) { digestBattery(t, a, tr, eng.WithIndex(merged), qs, nil) }},
+		{"split-merge", func(a, tr hash.Hash) int { return digestBattery(t, a, tr, eng.WithIndex(merged), qs, nil) }},
 	} {
 		a, tr := sha256.New(), sha256.New()
-		r.run(a, tr)
-		runs[r.name] = batteryDigest{hex.EncodeToString(a.Sum(nil)), hex.EncodeToString(tr.Sum(nil))}
+		rounds := r.run(a, tr)
+		runs[r.name] = batteryDigest{hex.EncodeToString(a.Sum(nil)), hex.EncodeToString(tr.Sum(nil)), rounds}
 	}
 	batteryRuns = runs
 	return runs
@@ -138,4 +145,22 @@ func TestBatteryAnswerSetDigest(t *testing.T) {
 // every score interval, Iterations, Reason and ResumedDepth.
 func TestBatteryTranscriptDigest(t *testing.T) {
 	checkBattery(t, "transcript", func(d batteryDigest) string { return d.transcript })
+}
+
+// batteryMaxRounds bounds the summed rounds of the cold battery's 200
+// searches (twitter generator, γ = 1.5): 3,332, a mean of 16.66, with the
+// column tail and the two-step ratio tail; 4,548, a mean of 22.74, with
+// the column tail alone.
+const batteryMaxRounds = 3332
+
+// TestBatteryRounds: the cold battery's searches take at most
+// batteryMaxRounds rounds between them, so a change to the bounds that
+// gives rounds back fails here even where it leaves the answers alone.
+func TestBatteryRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("serial searches: nothing for the race detector")
+	}
+	if got := battery(t)["cold"].rounds; got > batteryMaxRounds {
+		t.Errorf("cold battery: %d rounds (a mean of %.2f), at most %d allowed", got, float64(got)/200, batteryMaxRounds)
+	}
 }

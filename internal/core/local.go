@@ -27,10 +27,16 @@ import (
 )
 
 // term is one connection of a candidate: η^|pos| times the proximity of
-// src.
+// src. p1 and p2 are src's prox≤ at the depth the term was last bounded
+// at and the one before, which its two-step ratio tail reads. Before the
+// term has seen a depth they hold 0, which no prox≤ is below: the gain a
+// term admitted fewer than two rounds ago reads is its whole prox≤n,
+// larger than its true gain, so its ratio tail stays a bound — and is the
+// same in every mode, since every mode admits the term in the same round.
 type term struct {
-	eta float64
-	src graph.NID
+	eta    float64
+	src    graph.NID
+	p1, p2 float64
 }
 
 // cand is a candidate document with its per-group connection terms.
@@ -68,6 +74,7 @@ type LocalExecutor struct {
 	ckey     proxcache.Key
 	resumedN int
 	reached  int // nodes discovered so far
+	boundN   int // the depth the candidates were last bounded at, see refresh
 	// comps lists the components matching every query keyword, ascending;
 	// it outlives End (see Matched). want, indexed by component id, marks
 	// those not yet discovered: a discovery admits its component once and
@@ -172,7 +179,7 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 		x.want[c] = true
 	}
 	x.sc, x.seeker, x.params, x.groups, x.k, x.eps = sc, spec.Seeker, spec.Params, spec.Groups, spec.K, spec.Epsilon
-	x.comps, x.resumedN = comps, 0
+	x.comps, x.resumedN, x.boundN = comps, 0, -1
 	info := BeginInfo{Matched: len(comps), GroupMasses: make([][]int32, len(spec.Groups))}
 	for gi, group := range spec.Groups {
 		info.GroupMasses[gi] = make([]int32, len(group))
@@ -320,12 +327,18 @@ func closeIterator(pool *sync.Pool, it *score.Iterator, pc *proxcache.Cache, cke
 }
 
 // refresh recomputes the candidates' score intervals at the exploration's
-// current per-source tail and the selection over them.
+// current per-source tails and the selection over them. The intervals are
+// a function of the depth, and bounding the candidates moves their terms'
+// prox history on by one depth, so they are bounded once a depth: a
+// Finalize at the depth of the last Round keeps that Round's intervals.
 func (x *LocalExecutor) refresh(sp *obs.Span) {
 	it := x.iter()
-	bounds := sp.StartChild("bounds")
-	x.computeBounds(it.ColumnTail(), it.AllProx())
-	bounds.End()
+	if n := it.N(); n != x.boundN {
+		bounds := sp.StartChild("bounds")
+		x.computeBounds(it.ColumnTail(), it.RatioTail(), it.AllProx())
+		bounds.End()
+		x.boundN = n
+	}
 	sel := sp.StartChild("select")
 	x.kept, x.uncertain = x.greedySelect()
 	sel.End()
@@ -414,12 +427,12 @@ func (x *LocalExecutor) admitComponent(comp int32) {
 }
 
 // computeBounds refreshes every candidate's score interval from the
-// given bounded proximity vector and per-source tail factor
-// (ComputeCandidateBounds; see score.Scorer.Bounds).
-func (x *LocalExecutor) computeBounds(tail float64, all []float64) {
+// given bounded proximity vector and the two per-source tail factors
+// (ComputeCandidateBounds; see boundRange).
+func (x *LocalExecutor) computeBounds(tail, ratioTail float64, all []float64) {
 	workers := x.workers
 	if workers <= 1 || len(x.cands) < 64 {
-		x.boundRange(0, len(x.cands), tail, all)
+		x.boundRange(0, len(x.cands), tail, ratioTail, all)
 		return
 	}
 	if workers > runtime.GOMAXPROCS(0) {
@@ -436,22 +449,34 @@ func (x *LocalExecutor) computeBounds(tail float64, all []float64) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			x.boundRange(lo, hi, tail, all)
+			x.boundRange(lo, hi, tail, ratioTail, all)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-func (x *LocalExecutor) boundRange(lo, hi int, tail float64, all []float64) {
+// boundRange bounds candidates [lo, hi): a term's lower bound uses its
+// source's prox≤n p, its upper bound min(1, p + the smaller of the two
+// tails) — the column tail ColMax[src]·tail (Iterator.ColumnTail) and the
+// two-step ratio tail score.RatioBound(ratioTail, p, prox≤(n−2)) — and the
+// term's history moves on to p. At a depth without a ratio below 1 the
+// ratio tail is +∞ or NaN, which loses the comparison.
+func (x *LocalExecutor) boundRange(lo, hi int, tail, ratioTail float64, all []float64) {
 	colMax := x.e.in.Matrix().ColMax()
 	for _, c := range x.cands[lo:hi] {
 		c.lower, c.upper = 1, 1
 		for _, terms := range c.terms {
 			var mLo, mHi float64
-			for _, t := range terms {
+			for i := range terms {
+				t := &terms[i]
 				p := all[t.src]
 				mLo += t.eta * p
-				h := p + colMax[t.src]*tail
+				rest := colMax[t.src] * tail
+				if r := score.RatioBound(ratioTail, p, t.p2); r < rest {
+					rest = r
+				}
+				t.p1, t.p2 = p, t.p1
+				h := p + rest
 				if h > 1 {
 					h = 1
 				}

@@ -119,7 +119,8 @@ func (in *Instance) Raw() *Raw {
 // derives it (derive), which refuses a node table the builder cannot
 // make: a parent out of pre-order, a non-document node that nests, an
 // unknown node kind, a URI that names two nodes, a tag count other than
-// the tag infos'. So a file
+// the tag infos'; and a tag, comment or post between nodes of kinds the
+// builder would not join is refused (checkEdgeKinds). So a file
 // that passes its checksums but is internally inconsistent is refused,
 // never served.
 func FromRaw(r *Raw) (*Instance, error) {
@@ -227,10 +228,49 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err := in.derive(); err != nil {
 		return nil, err
 	}
+	if err := in.checkEdgeKinds(); err != nil {
+		return nil, err
+	}
 	if in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal); err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// checkEdgeKinds refuses a tag, comment or post whose endpoints are of
+// kinds the builder would not join (Builder.AddTag, AddComment, AddPost):
+// a tag's subject must be a document node or a tag and its author a user;
+// a comment must be a document root, its target a document node of
+// another document; a post joins a document node to a user. It reads the
+// derived document ordinals, so it runs after derive.
+func (in *Instance) checkEdgeKinds() error {
+	for i, ti := range in.tagInfos {
+		if k := in.kind[ti.Subject]; k != KindDocNode && k != KindTag {
+			return fmt.Errorf("graph: tag %d has a %s subject %d, not a document node or tag", in.tagList[i], k, ti.Subject)
+		}
+		if k := in.kind[ti.Author]; k != KindUser {
+			return fmt.Errorf("graph: tag %d has a %s author %d, not a user", in.tagList[i], k, ti.Author)
+		}
+	}
+	for _, c := range in.comments {
+		switch {
+		case in.kind[c.Comment] != KindDocNode || in.parent[c.Comment] != NoNID:
+			return fmt.Errorf("graph: comment %d is not a document root", c.Comment)
+		case in.kind[c.Target] != KindDocNode:
+			return fmt.Errorf("graph: comment %d has a %s target %d, not a document node", c.Comment, in.kind[c.Target], c.Target)
+		case in.docOf[c.Target] == in.docOf[c.Comment]:
+			return fmt.Errorf("graph: document %d comments on its own node %d", c.Comment, c.Target)
+		}
+	}
+	for _, p := range in.posts {
+		if k := in.kind[p.Doc]; k != KindDocNode {
+			return fmt.Errorf("graph: post of a %s %d, not a document node", k, p.Doc)
+		}
+		if k := in.kind[p.User]; k != KindUser {
+			return fmt.Errorf("graph: post of %d by a %s %d, not a user", p.Doc, k, p.User)
+		}
+	}
+	return nil
 }
 
 // derive computes every table an instance holds beyond the stored ones,

@@ -10,20 +10,22 @@
 // many bytes as a dense vector (12·|border| ≥ 8·N), is the prox≤d vector
 // the recording search held at that depth plus that depth's discovery
 // list; a resumed iterator adopts it by pointing AllProx at it, touching
-// no cell. Each layer also records the border's mass at its depth, which
-// the per-source tail reads and a snapshot has no border to sum. Either
-// way everything a search round reads — AllProx, the discoveries, n, the
-// tail bounds, Done — is the very bits the recording search computed, so
-// every answer is bit-identical to the cold path.
+// no cell. Each layer also records the border's mass and two-step ratio
+// at its depth, which the per-source tails read and a replay has no
+// borders to take them from. Either way everything a search round reads —
+// AllProx, the discoveries, n, the tail bounds, Done — is the very bits
+// the recording search computed, so every answer is bit-identical to the
+// cold path.
 // Nothing about how a depth was first computed (which kernel path, what
 // frontier history) is left in it: a layer is a function of (matrix,
 // seeker, params, depth).
 //
 // The border itself is what a propagation starts from, and a replay can
-// only start propagating at the checkpoint's last depth — so that is the
-// one border a checkpoint keeps besides its narrow layers (last). A
+// only start propagating at the checkpoint's last depth d; that step's
+// ratio divides by the border at d−1. So those are the two borders a
+// checkpoint keeps besides its narrow layers (last and prevLast). A
 // search that needs to go deeper copies the adopted snapshot into its own
-// vector, scatters that border and propagates on. Iterator.Border and
+// vector, scatters both borders and propagates on. Iterator.Border and
 // BorderProx are accordingly defined at depth 0 and from the checkpoint's
 // depth onward, not strictly inside it.
 package score
@@ -44,11 +46,12 @@ type ProxCheckpoint struct {
 	params Params
 	seeker graph.NID
 	layers []proxLayer
-	// last is the border at depth len(layers), in narrow form: the last
-	// layer itself when that is narrow, a separate copy when it is a
-	// snapshot, empty at depth 0 (the border is the seeker).
-	last  proxLayer
-	bytes int64
+	// last is the border at depth d = len(layers) and prevLast the one at
+	// d−1, in narrow form: the layer itself when that is narrow, a
+	// separate copy when it is a snapshot or depth 0 (the seeker, which no
+	// layer holds). Both are empty at depth 0.
+	last, prevLast proxLayer
+	bytes          int64
 }
 
 // Checkpoint publishes the exploration recorded so far. It returns nil on
@@ -61,22 +64,37 @@ func (it *Iterator) Checkpoint() *ProxCheckpoint {
 		return nil
 	}
 	cp := &ProxCheckpoint{
-		in:     it.in,
-		params: it.params,
-		seeker: it.seeker,
-		layers: slices.Clone(it.layers),
-		last:   it.last,
+		in:       it.in,
+		params:   it.params,
+		seeker:   it.seeker,
+		layers:   slices.Clone(it.layers),
+		last:     it.last,
+		prevLast: it.prevLast,
 	}
-	// An iterator still on its inherited depths passes the inherited border
-	// on; one that propagated holds the live border of the last depth.
+	// An iterator still on its inherited depths passes the inherited
+	// borders on; one that propagated holds the live borders of the last
+	// two depths.
 	if d := len(it.layers); d > 0 && it.n == d && !it.stale {
-		if cp.last = it.layers[d-1]; cp.last.all != nil {
-			cp.last = borderLayer(it.active, it.border)
-		}
+		cp.last = cp.borderAt(d, it.active, it.border)
+		cp.prevLast = cp.borderAt(d-1, it.prevActive, it.prev)
 	}
 	cp.bytes = cp.footprint()
 	return cp
 }
+
+// borderAt is the border at depth k in narrow form: layer k itself when
+// it is narrow, else a copy of the live border given.
+func (cp *ProxCheckpoint) borderAt(k int, nodes []int32, dense []float64) proxLayer {
+	if cp.copied(k) {
+		return borderLayer(nodes, dense)
+	}
+	return cp.layers[k-1]
+}
+
+// copied reports whether the checkpoint keeps the border at depth k as a
+// copy beside its layers: at depth 0, which no layer holds, and at a
+// snapshot-form depth.
+func (cp *ProxCheckpoint) copied(k int) bool { return k == 0 || cp.layers[k-1].all != nil }
 
 // ResumeIterator continues a checkpointed exploration over the same
 // instance. The returned iterator starts at depth 0 with the recorded
@@ -108,7 +126,7 @@ func (it *Iterator) Resume(in *graph.Instance, cp *ProxCheckpoint) error {
 	// reallocate rather than scribble on an array another iterator resumed
 	// from the same checkpoint may also be extending.
 	it.layers = cp.layers[:len(cp.layers):len(cp.layers)]
-	it.last = cp.last
+	it.last, it.prevLast = cp.last, cp.prevLast
 	return nil
 }
 
@@ -138,13 +156,13 @@ func (cp *ProxCheckpoint) Supersedes(old *ProxCheckpoint) bool {
 func (cp *ProxCheckpoint) Bytes() int64 { return cp.bytes }
 
 // Accounting units: a narrow layer's (node, value) pair, a snapshot's cell
-// and discovery; slice headers, a layer's recorded mass and the struct are
-// folded into fixed per-layer/per-checkpoint constants.
+// and discovery; slice headers, a layer's recorded mass and ratio and the
+// struct are folded into fixed per-layer/per-checkpoint constants.
 const (
 	layerEntryBytes     = 4 + 8
 	snapshotCellBytes   = 8
 	discoveryBytes      = 4
-	layerOverheadBytes  = 4*24 + 8
+	layerOverheadBytes  = 4*24 + 2*8
 	checkpointBaseBytes = 192
 )
 
@@ -158,8 +176,14 @@ func (cp *ProxCheckpoint) footprint() int64 {
 	for _, l := range cp.layers {
 		b += l.footprint()
 	}
-	if d := len(cp.layers); d > 0 && cp.layers[d-1].all != nil {
-		b += cp.last.footprint() // a copy, not the last layer itself
+	if d := len(cp.layers); d > 0 {
+		// The kept borders count where they are copies, not layers.
+		if cp.copied(d) {
+			b += cp.last.footprint()
+		}
+		if cp.copied(d - 1) {
+			b += cp.prevLast.footprint()
+		}
 	}
 	return b
 }

@@ -15,13 +15,14 @@ import (
 
 // iterState is a bit-exact snapshot of an iterator's observable state:
 // what every search round reads (n, prox≤n, the discovered list, the tail
-// bounds, Done) and, where captured, the border a propagation starts from.
+// bounds and the two-step ratio, Done) and, where captured, the border a
+// propagation starts from.
 type iterState struct {
-	n             int
-	done          bool
-	tail, srcTail uint64
-	all           []uint64
-	disc          []graph.NID
+	n                    int
+	done                 bool
+	tail, srcTail, ratio uint64
+	all                  []uint64
+	disc                 []graph.NID
 
 	hasBorder bool
 	active    []int32
@@ -50,6 +51,7 @@ func captureState(it *Iterator, disc []graph.NID, border bool) iterState {
 		done:    it.Done(),
 		tail:    math.Float64bits(it.TailBound()),
 		srcTail: math.Float64bits(it.SourceTailBound()),
+		ratio:   math.Float64bits(it.ratio),
 		all:     floatBits(it.AllProx()),
 		disc:    slices.Clone(disc),
 	}
@@ -64,7 +66,7 @@ func captureState(it *Iterator, disc []graph.NID, border bool) iterState {
 // statesEqual compares two states bit for bit; the borders only when both
 // sides captured one.
 func statesEqual(a, b iterState) bool {
-	if a.n != b.n || a.done != b.done || a.tail != b.tail || a.srcTail != b.srcTail ||
+	if a.n != b.n || a.done != b.done || a.tail != b.tail || a.srcTail != b.srcTail || a.ratio != b.ratio ||
 		!slices.Equal(a.all, b.all) || !slices.Equal(a.disc, b.disc) {
 		return false
 	}
@@ -247,7 +249,8 @@ func starInstance(t *testing.T, leaves int) (*graph.Instance, graph.NID) {
 }
 
 // checkpointHash digests every recorded bit of a checkpoint: both forms
-// of every layer and the saved hand-off border.
+// of every layer, their masses and ratios, and the two saved hand-off
+// borders.
 func checkpointHash(cp *ProxCheckpoint) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
@@ -255,7 +258,9 @@ func checkpointHash(cp *ProxCheckpoint) uint64 {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, l := range append(slices.Clone(cp.layers), cp.last) {
+	for _, l := range append(slices.Clone(cp.layers), cp.last, cp.prevLast) {
+		put(math.Float64bits(l.mass))
+		put(math.Float64bits(l.ratio))
 		for _, xs := range [][]float64{l.vals, l.all} {
 			put(uint64(len(xs)))
 			for _, v := range xs {
@@ -373,7 +378,7 @@ func TestReleaseDropsCheckpointReferences(t *testing.T) {
 			it.Step()
 		}
 		it.Release()
-		if it.layers != nil || it.last.nodes != nil || it.last.vals != nil || &it.all[0] != &it.own[0] {
+		if it.layers != nil || it.last.nodes != nil || it.last.vals != nil || it.prevLast.nodes != nil || it.prevLast.vals != nil || &it.all[0] != &it.own[0] {
 			t.Fatalf("stop=%d: released iterator still references the checkpoint", stop)
 		}
 		for _, l := range cp.layers {
@@ -411,8 +416,14 @@ func TestReleaseDropsCheckpointReferences(t *testing.T) {
 func TestCheckpointBytes(t *testing.T) {
 	payload := func(cp *ProxCheckpoint) (bytes int64, dense int) {
 		layers := slices.Clone(cp.layers)
-		if d := len(layers); d > 0 && layers[d-1].all != nil {
-			layers = append(layers, cp.last)
+		if d := len(layers); d > 0 {
+			// The two kept borders, where they are copies.
+			if layers[d-1].all != nil {
+				layers = append(layers, cp.last)
+			}
+			if d == 1 || layers[d-2].all != nil {
+				layers = append(layers, cp.prevLast)
+			}
 		}
 		for _, l := range layers {
 			bytes += int64(4*cap(l.nodes) + 8*cap(l.vals) + 8*cap(l.all) + 4*cap(l.disc))
@@ -433,7 +444,7 @@ func TestCheckpointBytes(t *testing.T) {
 	checkOverhead := func(name string, cp *ProxCheckpoint) {
 		t.Helper()
 		real, _ := payload(cp)
-		slack := int64(checkpointBaseBytes + layerOverheadBytes*(cp.N()+1))
+		slack := int64(checkpointBaseBytes + layerOverheadBytes*(cp.N()+2)) // the layers and the two kept borders
 		if over := cp.Bytes() - real; over < 0 || over > slack {
 			t.Fatalf("%s: Bytes() = %d, slices hold %d (allowed overhead %d)", name, cp.Bytes(), real, slack)
 		}

@@ -41,12 +41,13 @@ func pinned(it *Iterator, k kernelPath) *Iterator {
 // TestKernelPathsStateIdentical: an iterator pinned to the sparse kernel
 // path, one pinned to the dense path and one left to choose are
 // state-identical — AllProx, Border, BorderProx, the discovered list, N,
-// the tail bounds and Done, bit for bit — at every depth until the graph
-// is exhausted or proximity underflows, with ascending borders and
-// discovery lists throughout. A checkpoint recorded on one path resumes
-// bit-identically on the other, whichever side of the kernel switch or of
-// the first snapshot-form depth it is cut on: the round-visible state at
-// every depth, Border and BorderProx from the cut onward.
+// the tail bounds, the two-step ratio and Done, bit for bit — at every
+// depth until the graph is exhausted or proximity underflows, with
+// ascending borders and discovery lists throughout. A checkpoint recorded
+// on one path resumes bit-identically on the other, cut at every depth —
+// so on both sides of the kernel switch and of the first snapshot-form
+// depth: the round-visible state at every depth, Border and BorderProx
+// from the cut onward.
 func TestKernelPathsStateIdentical(t *testing.T) {
 	const maxDepth = 60
 	snapshots := 0 // explorations with a checkpoint cut mid-saturation
@@ -92,22 +93,11 @@ func TestKernelPathsStateIdentical(t *testing.T) {
 				if switched > 0 {
 					crossings++
 				}
-				// Checkpoints just before and just after the switch depth
-				// (the first depths, for a seeker that never crosses it) and
-				// on and after the first depth recorded as a snapshot, each
-				// resumed on the other path.
-				switched = max(switched, 1)
-				cuts := []int{switched - 1, switched, switched + 1}
-				if first := slices.IndexFunc(sp.layers, func(l proxLayer) bool { return l.all != nil }); first >= 0 {
-					cuts = append(cuts, first, first+1, first+2)
-					if first+2 < len(snaps) {
-						snapshots++
-					}
+				// A checkpoint at every depth, each resumed on the other path.
+				if first := slices.IndexFunc(sp.layers, func(l proxLayer) bool { return l.all != nil }); first >= 0 && first+2 < len(snaps) {
+					snapshots++
 				}
-				for _, m := range cuts {
-					if m < 0 || m >= len(snaps) {
-						continue
-					}
+				for m := range snaps {
 					for _, c := range []struct {
 						cp   *ProxCheckpoint
 						path kernelPath

@@ -15,9 +15,11 @@
 //   - iterability (property 1): prox≤n = prox≤n−1 + Cγ·borderProx(·,n),
 //     implemented by Iterator.Step;
 //   - long-path attenuation (property 2): prox − prox≤n tends to 0, and
-//     is bounded per source by what the border at depth n still carries
-//     (Params.ColumnTail states the bound and the row-sum assumption it
-//     rests on) and uniformly by B>n = γ^−(n+1) (Params.TailBound);
+//     is bounded per source twice over — by what the border at depth n
+//     still carries (Params.ColumnTail states the bound and the row-sum
+//     assumption it rests on), and by the source's own gain over the last
+//     two depths times the border's two-step decay ratio (RatioTail) —
+//     and uniformly by B>n = γ^−(n+1) (Params.TailBound);
 //   - soundness (property 3): the score is monotone and continuous in the
 //     proximity values (it is a polynomial with non-negative
 //     coefficients);
@@ -94,6 +96,18 @@ func (p Params) ColumnTail(mass, rho float64) float64 {
 	return mass * (p.Gamma - 1) / (p.Gamma * (p.Gamma - rho))
 }
 
+// RatioBound is the two-step ratio tail of one source: factor (RatioTail
+// at depth n) times the source's gain over the last two depths, its
+// prox≤n p less its prox≤(n−2) p2, raised by p·2^−50. The raise covers
+// how far the difference of the two rounded sums can fall short of
+// Cγ(b_n + b_{n−1}): two rounded adds into prox≤, the two rounded
+// products Cγ·b and the subtraction, each within 2^−53 of p. A factor of
+// +∞ (no ratio below 1 yet) or a NaN history gives +∞ or NaN, which no
+// comparison prefers to a finite bound.
+func RatioBound(factor, p, p2 float64) float64 {
+	return factor * (p - p2 + p*0x1p-50)
+}
+
 // Iterator computes the bounded social proximity prox≤n(u, ·) for growing
 // n, one matrix step at a time — the §5.2 borderProx optimisation. It owns
 // dense work vectors sized to the instance and must not be shared across
@@ -112,15 +126,18 @@ type Iterator struct {
 	seeker graph.NID
 
 	// border[v] = Σ_{p ∈ u⇝v, |p|=n} prox→(p) / γⁿ  (borderProx of §5.2),
-	// non-zero exactly on active (ascending). next is the all-zero vector
-	// the following step accumulates into; spare is the buffer its border
-	// list is built in. While stale (see below) border and active still
-	// describe depth 0.
-	border  []float64
-	active  []int32
-	next    []float64
-	spare   []int32
-	scratch []bool
+	// non-zero exactly on active (ascending); prev and prevActive are the
+	// border at depth n−1, which the next step's ratio reads. next is the
+	// all-zero vector the following step accumulates into; spare is the
+	// buffer its border list is built in. While stale (see below) border
+	// and active still describe depth 0, and prev is empty.
+	border     []float64
+	active     []int32
+	prev       []float64
+	prevActive []int32
+	next       []float64
+	spare      []int32
+	scratch    []bool
 
 	// all[v] = prox≤n(u, v): the iterator's own vector, or — after a
 	// replayed saturated depth — a checkpoint's immutable snapshot, which
@@ -130,8 +147,11 @@ type Iterator struct {
 	n    int
 	done bool // the border at depth n is empty
 	// mass is the border's ‖b‖₁ at depth n (see borderMass), capped at
-	// (ρ/γ)^n; a replayed depth takes the value its layer recorded.
-	mass float64
+	// (ρ/γ)^n; ratio is its two-step ratio r_n (see RatioTail), taken in
+	// ascending cell order (ratioCell). A replayed depth takes the values
+	// its layer recorded.
+	mass  float64
+	ratio float64
 
 	// disc is the scratch buffer behind Step's return value (borrow
 	// semantics, like AllProx).
@@ -149,14 +169,16 @@ type Iterator struct {
 	// the recorded depth. n ≤ len(layers) always; n < len(layers) only
 	// while a resumed iterator still has recorded depths ahead of it.
 	//
-	// A replayed step maintains all, n and done but not the border: stale
-	// marks border/active as not yet describing depth n. The hand-off — the
-	// first real Step, or a Border/BorderProx call, at the inherited depth —
-	// scatters last, the checkpoint's saved border of that depth.
-	rec    bool
-	layers []proxLayer
-	last   proxLayer
-	stale  bool
+	// A replayed step maintains all, n and done but not the borders: stale
+	// marks border/active and prev/prevActive as not yet describing depths
+	// n and n−1. The hand-off — the first real Step, or a Border/BorderProx
+	// call, at the inherited depth — scatters last and prevLast, the
+	// checkpoint's saved borders of those depths.
+	rec      bool
+	layers   []proxLayer
+	last     proxLayer
+	prevLast proxLayer
+	stale    bool
 }
 
 type kernelPath uint8
@@ -173,8 +195,10 @@ const (
 // nil). A saturated depth — one whose border would take at least the
 // bytes of a dense vector, 12·|border| ≥ 8·N — is the prox≤d vector
 // itself plus the nodes first reached at d, ascending (nodes and vals are
-// nil). Either form records the border's mass at d, which a replayed
-// snapshot has no border to sum. Layers are immutable once recorded and
+// nil). Either form records the border's mass and two-step ratio at d,
+// which a replayed snapshot has no border to take them from, and a
+// replayed narrow depth no border two depths back. Layers are immutable
+// once recorded and
 // are shared between checkpoints and, read-only, with the iterators
 // resumed from them.
 type proxLayer struct {
@@ -184,7 +208,7 @@ type proxLayer struct {
 	all  []float64
 	disc []graph.NID
 
-	mass float64
+	mass, ratio float64
 }
 
 // saturatedLayer reports whether a border of b cells over n nodes is
@@ -224,32 +248,36 @@ func (it *Iterator) Reset(in *graph.Instance, params Params, seeker graph.NID, r
 	if len(it.own) != nn {
 		*it = Iterator{
 			border:  make([]float64, nn),
+			prev:    make([]float64, nn),
 			next:    make([]float64, nn),
 			scratch: make([]bool, nn),
 			own:     make([]float64, nn),
 		}
 	} else {
 		clear(it.border)
+		clear(it.prev)
 		clear(it.next)
 		clear(it.scratch)
 		clear(it.own)
 	}
 	it.in, it.params, it.seeker = in, params, seeker
-	it.n, it.done, it.mass = 0, false, 1
-	it.rec, it.layers, it.last, it.stale = record, nil, proxLayer{}, false
+	// Depth 0 has no border two depths back: its ratio is +∞.
+	it.n, it.done, it.mass, it.ratio = 0, false, 1, math.Inf(1)
+	it.rec, it.layers, it.last, it.prevLast, it.stale = record, nil, proxLayer{}, proxLayer{}, false
 	it.border[seeker] = 1
 	it.active = append(it.active[:0], int32(seeker))
+	it.prevActive = it.prevActive[:0]
 	it.all = it.own
 	it.all[seeker] = params.CGamma()
 }
 
 // Release drops every reference the iterator holds into checkpoint
-// memory — the inherited layers, the saved hand-off border, a borrowed
+// memory — the inherited layers, the saved hand-off borders, a borrowed
 // prox≤n snapshot — so an iterator parked in a pool pins no cache entry
 // and can hand no later user a vector the cache owns. Only Reset and
 // Resume are meaningful afterwards.
 func (it *Iterator) Release() {
-	it.layers, it.last, it.rec = nil, proxLayer{}, false
+	it.layers, it.last, it.prevLast, it.rec = nil, proxLayer{}, proxLayer{}, false
 	it.all = it.own
 }
 
@@ -317,6 +345,42 @@ func (it *Iterator) ColumnTail() float64 {
 	return it.params.ColumnTail(it.mass, it.in.Matrix().RowSumMax())
 }
 
+// RatioTail is feasibility property 2 in its two-step ratio form, the
+// factor of RatioBound at the current depth. Let b_n be the border at
+// depth n and r = max_v b_n[v] / b_{n−2}[v] over the cells where b_n is
+// not zero (+∞ when such a cell has b_{n−2} = 0). Each step is
+// b ↦ bᵀM/γ with M ≥ 0, so b_n ≤ r·b_{n−2} carries over, step by step:
+// b_{n+2i} ≤ r^i·b_n and b_{n+2i+1} ≤ r^(i+1)·b_{n−1}. For r < 1
+//
+//	prox(v) − prox≤n(v) = Cγ Σ_{j≥1} b_{n+j}[v] ≤ r/(1−r) · Cγ(b_n + b_{n−1})[v]
+//
+// and Cγ(b_n + b_{n−1})[v] is prox≤n(v) − prox≤(n−2)(v), which is what
+// RatioBound takes. The ratio is over two steps because the social graph
+// is close to bipartite: one-step ratios oscillate, two-step ones settle
+// at the square of the border's decay rate, where the bound is
+// asymptotically exact. RatioTail returns r/(1−r) for r raised by
+// 2^−32, and +∞ when that is not below 1; the ratio of an empty border
+// is 0, and so is its factor.
+//
+// The raise covers propagation rounding. A propagated cell of in-degree
+// d is within (d+1) units of the last place of the exact propagation of
+// the border before it, so each float step can inflate the ratio a
+// border obeys by a factor 1 + 2(d+1)·2^−53, compounding over the steps
+// still ahead. Raising r by 2^−32 covers that while (d+1)·i ≤ 2^19 for
+// the i double steps that follow; past them r^i has taken the remaining
+// tail below the last bit of prox≤n for every r not within a few percent
+// of 1. The quotients taking r round within an ulp, far inside the raise.
+//
+// A replayed depth reads the ratio its checkpoint layer recorded, so the
+// factor is the cold exploration's, bit for bit.
+func (it *Iterator) RatioTail() float64 {
+	r := it.ratio + it.ratio*0x1p-32
+	if !(r < 1) {
+		return math.Inf(1)
+	}
+	return r / (1 - r)
+}
+
 // SourceTailBound bounds prox(u, src) for every source src belonging to —
 // or adjacent to — a component not yet reached at depth n. A connection
 // source is at most two network edges away from some node of its
@@ -356,14 +420,17 @@ func (it *Iterator) Step() []graph.NID {
 	// scale by 1/γ; a cell still non-zero is on the border and adds its
 	// share to prox≤n, one that is zero (never reached, or its scaled mass
 	// underflowed) does not. The sparse path folds the cells its push
-	// touched, the dense path every cell, without a branch (foldDense).
-	// Both sum the new border's mass in borderMass's order.
-	var mass float64
+	// touched, the dense path every cell, with no branch but the ratio's
+	// (foldDense). Both sum the new border's mass in borderMass's order
+	// and take its ratio over the border two depths back in ratioCell's.
+	// That border is spent then and is cleared to become the next step's
+	// accumulator.
+	var mass, ratio float64
 	dense := it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active)
 	if dense {
 		m.PushDense(it.border, next)
-		border, disc, mass = foldDense(next, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)
-		clear(it.border)
+		border, disc, mass, ratio = foldDense(next, it.prev, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)
+		clear(it.prev)
 	} else {
 		var lanes borderMass
 		touched := m.PushSparse(it.border, it.active, next, it.scratch, it.spare)
@@ -375,18 +442,20 @@ func (it *Iterator) Step() []graph.NID {
 				continue
 			}
 			lanes[c&3] += v
+			ratio = ratioCell(ratio, v, it.prev[c])
 			border = append(border, c)
 			if reach(all, c, v, cg) {
 				disc = append(disc, graph.NID(c))
 			}
 		}
-		sparse.ZeroVec(it.border, it.active)
+		sparse.ZeroVec(it.prev, it.prevActive)
 		mass = lanes.sum()
 	}
 	// A border at depth n+1 carries at most (ρ/γ)^(n+1), γ^−(n+1) when
 	// ρ = 1; rounding may carry the sum past it, and the cap keeps the
 	// per-source bound no looser than the uniform one.
 	it.mass = min(mass, math.Pow(m.RowSumMax()/it.params.Gamma, float64(it.n+1)))
+	it.ratio = ratio
 	if it.rec {
 		var l proxLayer
 		if saturatedLayer(len(border), len(all)) {
@@ -394,11 +463,11 @@ func (it *Iterator) Step() []graph.NID {
 		} else {
 			l = borderLayer(border, next)
 		}
-		l.mass = it.mass
+		l.mass, l.ratio = it.mass, it.ratio
 		it.layers = append(it.layers, l)
 	}
-	it.border, it.next = next, it.border
-	it.active, it.spare = border, it.active
+	it.prev, it.border, it.next = it.border, next, it.prev
+	it.prevActive, it.active, it.spare = it.active, border, it.prevActive
 	it.n++
 	it.done = len(border) == 0
 	it.disc = disc
@@ -416,13 +485,16 @@ type borderMass [4]float64
 func (m *borderMass) sum() float64 { return (m[0] + m[1]) + (m[2] + m[3]) }
 
 // foldDense is the dense path's fold: one pass over every cell of next
-// with no data-dependent branch. Every cell adds its share to prox≤n — a
-// cell off the border adds +0, which leaves prox≤n's bits as they were —
-// and its value to the border's mass; border and disc (each of length
-// len(next)) take every cell id, their cursors advancing by a flag only
-// past the ones listed; they come back cut to what was listed, ascending.
-// The adds and the lists are reach's.
-func foldDense(next, all []float64, border []int32, disc []graph.NID, invGamma, cg float64) ([]int32, []graph.NID, float64) {
+// with no data-dependent branch but ratioCell's, which a settled ratio
+// rarely takes. Every cell adds its share to prox≤n — a cell off the
+// border adds +0, which leaves prox≤n's bits as they were — its value to
+// the border's mass, and its quotient over prev (the border two depths
+// back) to the ratio: off the border it is never taken. border and disc
+// (each of length len(next)) take every cell id, their cursors advancing
+// by a flag only past the ones listed; they come back cut to what was
+// listed, ascending. The adds and the lists are reach's.
+func foldDense(next, prev, all []float64, border []int32, disc []graph.NID, invGamma, cg float64) ([]int32, []graph.NID, float64, float64) {
+	prev = prev[:len(next)]
 	all = all[:len(next)]
 	border = border[:len(next)]
 	disc = disc[:len(next)]
@@ -433,26 +505,46 @@ func foldDense(next, all []float64, border []int32, disc []graph.NID, invGamma, 
 		nb, nd = nb+on, nd+first
 	}
 	// Four cells a turn, one mass lane each, the lanes kept in registers.
-	var m0, m1, m2, m3 float64
+	var m0, m1, m2, m3, r float64
 	c := 0
 	for ; c+4 <= len(next); c += 4 {
 		v0, on, first := foldCell(next, all, c, invGamma, cg)
 		list(c, on, first)
+		r = ratioCell(r, v0, prev[c])
 		v1, on, first := foldCell(next, all, c+1, invGamma, cg)
 		list(c+1, on, first)
+		r = ratioCell(r, v1, prev[c+1])
 		v2, on, first := foldCell(next, all, c+2, invGamma, cg)
 		list(c+2, on, first)
+		r = ratioCell(r, v2, prev[c+2])
 		v3, on, first := foldCell(next, all, c+3, invGamma, cg)
 		list(c+3, on, first)
+		r = ratioCell(r, v3, prev[c+3])
 		m0, m1, m2, m3 = m0+v0, m1+v1, m2+v2, m3+v3
 	}
 	mass := borderMass{m0, m1, m2, m3}
 	for ; c < len(next); c++ {
 		v, on, first := foldCell(next, all, c, invGamma, cg)
 		list(c, on, first)
+		r = ratioCell(r, v, prev[c])
 		mass[c&3] += v
 	}
-	return border[:nb], disc[:nd], mass.sum()
+	return border[:nb], disc[:nd], mass.sum(), r
+}
+
+// ratioCell folds one cell into a border's two-step ratio: v is the
+// cell's value at depth n, o at depth n−2, r the ratio over the cells
+// before it. The quotient is taken only when it would raise r, v > r·o,
+// so a cell off the border (v = 0) costs a multiply and a compare, and
+// so does every cell once r is +∞ (r·o is then +∞ or NaN); a border cell
+// two depths back off the border (o = 0) makes r +∞. Both kernel paths
+// fold the border's cells through it in ascending order, so they take
+// the same quotients and reach the same bits.
+func ratioCell(r, v, o float64) float64 {
+	if v > r*o {
+		r = max(r, v/o)
+	}
+	return r
 }
 
 // foldCell scales cell c of next by 1/γ and adds its share to prox≤n,
@@ -529,7 +621,7 @@ func (it *Iterator) replayStep() []graph.NID {
 	l := &it.layers[it.n]
 	it.n++
 	it.stale = true
-	it.mass = l.mass
+	it.mass, it.ratio = l.mass, l.ratio
 	if l.all != nil {
 		// A saturated border is never empty.
 		it.all, it.done = l.all, false
@@ -558,10 +650,11 @@ func (it *Iterator) ownAll() []float64 {
 	return it.own
 }
 
-// handOff makes border/active describe depth n after replayed steps, from
-// the border the checkpoint saved for its last depth. That is the one
-// depth a replay can leave by propagating, so it is the one border a
-// checkpoint keeps.
+// handOff makes border/active describe depth n and prev/prevActive depth
+// n−1 after replayed steps, from the borders the checkpoint saved for its
+// last two depths. The last depth is the one a replay can leave by
+// propagating, and that step's ratio reads the depth before it, so those
+// are the two borders a checkpoint keeps.
 func (it *Iterator) handOff() {
 	if !it.stale {
 		return
@@ -570,11 +663,18 @@ func (it *Iterator) handOff() {
 		panic("score: the border is not kept inside a checkpoint's recorded depths")
 	}
 	sparse.ZeroVec(it.border, it.active) // depth 0, left by Reset
-	for i, c := range it.last.nodes {
-		it.border[c] = it.last.vals[i]
-	}
-	it.active = append(it.active[:0], it.last.nodes...)
+	it.active = scatter(it.border, it.active, it.last)
+	it.prevActive = scatter(it.prev, it.prevActive, it.prevLast) // empty, left by Reset
 	it.stale = false
+}
+
+// scatter writes a narrow layer's values into the all-zero dense vector
+// and returns its node list in list's storage.
+func scatter(dense []float64, list []int32, l proxLayer) []int32 {
+	for i, c := range l.nodes {
+		dense[c] = l.vals[i]
+	}
+	return append(list[:0], l.nodes...)
 }
 
 // ExactProximity iterates until the tail bound falls below eps (or the
@@ -687,7 +787,9 @@ func (s *Scorer) GroupEvents(comp int32, gi int) []index.Event {
 //
 // with ColMax the matrix's column maxima. tail is Iterator.ColumnTail at
 // the vector's depth, 0 for an exact vector. Containment connections
-// resolve their source to d itself.
+// resolve their source to d itself. This is the column tail alone: the
+// search engine also keeps each source's prox history and takes the
+// smaller of this tail and RatioBound's.
 func (s *Scorer) Bounds(d graph.NID, allProx []float64, tail float64) (lo, hi float64) {
 	lo, hi = 1, 1
 	colMax := s.in.Matrix().ColMax()

@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"s3/internal/graph"
@@ -179,5 +180,51 @@ func TestColumnTailIdenticalAcrossPaths(t *testing.T) {
 	}
 	if snapshots == 0 {
 		t.Fatal("no checkpoint is resumed across a snapshot-form depth")
+	}
+}
+
+// TestRatioTailBoundsExactTail checks the two-step ratio form of property
+// 2 on the three generators' graph shapes, at γ ∈ {1.25, 1.5, 4} and
+// every depth to 40: at every node, RatioBound over the iterator's
+// RatioTail and the node's prox≤n and prox≤(n−2) is at least the tail
+// ExactProximity leaves above prox≤n, to within a few ulps. The bound has
+// to come into use — a ratio below 1 — and to beat the column tail at
+// some node, or the check would hold vacuously.
+func TestRatioTailBoundsExactTail(t *testing.T) {
+	const depth = 40
+	used, tighter := 0, 0
+	for name, in := range generatorInstances(t) {
+		users := in.Users()
+		colMax := in.Matrix().ColMax()
+		for _, gamma := range []float64{1.25, 1.5, 4} {
+			p := Params{Gamma: gamma, Eta: 0.8}
+			for _, u := range []graph.NID{users[0], users[len(users)/2], users[len(users)-1]} {
+				exact := ExactProximity(in, p, u, 1e-17)
+				it := NewIterator(in, p, u)
+				// prox≤(n−2) and prox≤(n−1); below depth 0 it is 0.
+				older, old := make([]float64, in.NumNodes()), slices.Clone(it.AllProx())
+				for n := 1; n <= depth && !it.Done(); n++ {
+					it.Step()
+					all, factor, col := it.AllProx(), it.RatioTail(), it.ColumnTail()
+					if factor < math.Inf(1) {
+						used++
+					}
+					for v, a := range all {
+						bound := RatioBound(factor, a, older[v])
+						if tail := exact[v] - a; bound < tail-ulps(exact[v], 4) {
+							t.Fatalf("%s γ=%v u=%d n=%d v=%d: tail %v above its ratio bound %v (factor %v)", name, gamma, u, n, v, tail, bound, factor)
+						}
+						if bound < colMax[v]*col {
+							tighter++
+						}
+					}
+					older, old = old, slices.Clone(all)
+				}
+			}
+		}
+	}
+	t.Logf("%d depths with a ratio below 1, %d node-depths where it beats the column tail", used, tighter)
+	if used == 0 || tighter == 0 {
+		t.Fatalf("the ratio tail is never below 1 (%d) or never tighter than the column tail (%d)", used, tighter)
 	}
 }

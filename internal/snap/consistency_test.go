@@ -100,12 +100,30 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		return 0
 	}
 
+	nid := func(uri string) uint32 {
+		v, ok := in.NIDOf(uri)
+		if !ok {
+			t.Fatalf("no node %s", uri)
+		}
+		return uint32(v)
+	}
+	user, root := uint32(in.Users()[0]), uint32(in.DocRoots()[0])
+
 	for _, row := range []struct {
 		name string
 		sec  byte
 		edit func(p []byte)
 		want string
 	}{
+		// A tag info is (subject, author, keyword, type), a comment edge
+		// (comment, target, prop), a post edge (document, user).
+		{"tag subject a user", sec3TagInfos, func(p []byte) { put32(p, 0, user) }, "not a document node or tag"},
+		{"tag author a document root", sec3TagInfos, func(p []byte) { put32(p, 1, root) }, "not a user"},
+		{"comment target a user", sec3Comments, func(p []byte) { put32(p, 1, user) }, "not a document node"},
+		{"comment from inside a document", sec3Comments, func(p []byte) { put32(p, 0, nid("d:post.1")) }, "is not a document root"},
+		{"comment on its own document", sec3Comments, func(p []byte) { put32(p, 1, get32(p, 0)) }, "comments on its own node"},
+		{"post user a document root", sec3Posts, func(p []byte) { put32(p, 1, root) }, "not a user"},
+		{"post of a user", sec3Posts, func(p []byte) { put32(p, 0, user) }, "not a document node"},
 		{"dictionary order", sec3DictPerm, func(p []byte) { swap32(p, 0, 1) }, "sort index is not strictly ascending"},
 		{"triple order", sec3TriplePOS, func(p []byte) { swap32(p, 0, 1) }, "pos permutation is not strictly ascending"},
 		{"triple weight", sec3Triples, func(p []byte) { putF64(p[16:], 2) }, "weight 2 outside [0,1]"},
