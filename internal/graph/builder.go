@@ -246,11 +246,12 @@ func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
 
 // Build freezes the builder into an immutable Instance: it saturates the
 // ontology, assigns dense node ids (users, then document nodes in
-// pre-order, then tags), materialises network edges with their inverses,
-// freezes the dictionary and the ontology into their sorted forms, and
-// derives the normalised transition matrix plus, through the derivation
-// FromRaw runs too (derive), the node lists, the keyword frequencies, the
-// component partition and the instance statistics.
+// pre-order, then tags), records the social, post, comment and tag
+// relations, freezes the dictionary and the ontology into their sorted
+// forms, and derives, through the derivation FromRaw runs too (derive),
+// the node lists, the network edges with their inverses, the normalised
+// transition matrix, the keyword frequencies, the component partition and
+// the instance statistics.
 func (b *Builder) Build() (*Instance, error) {
 	d := dict.New()
 	ont := rdf.New(d)
@@ -266,8 +267,8 @@ func (b *Builder) Build() (*Instance, error) {
 
 	in := &Instance{analyzer: b.analyzer}
 
-	// Per-node lists (keywords here, out-edges below) are gathered in
-	// locals and frozen into CSR form once complete.
+	// Per-node keyword lists are gathered in a local and frozen into CSR
+	// form once complete.
 	var keywords [][]dict.ID
 	nidOf := make(map[dict.ID]NID)
 	addNode := func(uri string, kind NodeKind) NID {
@@ -298,8 +299,7 @@ func (b *Builder) Build() (*Instance, error) {
 		}
 	}
 	// Tags are numbered after every user and document node, in order, so
-	// tag info i describes node firstTag+i.
-	firstTag := NID(len(in.dictID))
+	// tag info i describes the i-th tag node.
 	for _, t := range b.spec.Tags {
 		addNode(t.URI, KindTag)
 		subj := nidOf[mustLookup(d, t.Subject)]
@@ -316,12 +316,9 @@ func (b *Builder) Build() (*Instance, error) {
 	}
 	in.kwOff, in.kwList = flatten(keywords)
 
-	// Network edges (§2.5): social, postedBy, commentsOn, hasSubject,
-	// hasAuthor — plus the inverse of each non-social edge.
-	out := make([][]Edge, len(in.dictID))
-	addEdge := func(from, to NID, w float64, prop string) {
-		out[from] = append(out[from], Edge{To: to, W: w, Prop: d.Intern(prop)})
-	}
+	// The relations the network edges (§2.5) are derived from (derive).
+	// Each edge property is interned in the order deriveEdges lists the
+	// edges, which fixes its dictionary id.
 	for _, s := range b.spec.Social {
 		prop := s.Prop
 		if prop == "" {
@@ -329,14 +326,12 @@ func (b *Builder) Build() (*Instance, error) {
 		}
 		from := nidOf[mustLookup(d, s.From)]
 		to := nidOf[mustLookup(d, s.To)]
-		addEdge(from, to, s.W, prop)
+		in.social = append(in.social, SocialEdge{From: from, To: to, Prop: d.Intern(prop), W: s.W})
 	}
 	for _, p := range b.spec.Posts {
-		dn := nidOf[mustLookup(d, p.Doc)]
-		un := nidOf[mustLookup(d, p.User)]
-		addEdge(dn, un, 1, PropPostedBy)
-		addEdge(un, dn, 1, PropPostedByInv)
-		in.posts = append(in.posts, PostEdge{Doc: dn, User: un})
+		d.Intern(PropPostedBy)
+		d.Intern(PropPostedByInv)
+		in.posts = append(in.posts, PostEdge{Doc: nidOf[mustLookup(d, p.Doc)], User: nidOf[mustLookup(d, p.User)]})
 	}
 	for _, c := range b.spec.Comments {
 		prop := c.Prop
@@ -345,18 +340,15 @@ func (b *Builder) Build() (*Instance, error) {
 		}
 		cn := nidOf[mustLookup(d, c.Comment)]
 		tn := nidOf[mustLookup(d, c.Target)]
-		addEdge(cn, tn, 1, prop)
-		addEdge(tn, cn, 1, PropCommentsOnInv)
-		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: d.Intern(prop)})
+		pid := d.Intern(prop)
+		d.Intern(PropCommentsOnInv)
+		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: pid})
 	}
-	for i, ti := range in.tagInfos {
-		n := firstTag + NID(i)
-		addEdge(n, ti.Subject, 1, PropHasSubject)
-		addEdge(ti.Subject, n, 1, PropHasSubjectInv)
-		addEdge(n, ti.Author, 1, PropHasAuthor)
-		addEdge(ti.Author, n, 1, PropHasAuthorInv)
+	if len(in.tagInfos) > 0 {
+		for _, prop := range []string{PropHasSubject, PropHasSubjectInv, PropHasAuthor, PropHasAuthorInv} {
+			d.Intern(prop)
+		}
 	}
-	in.edgeOff, in.edgeList = flatten(out)
 
 	// Nothing is interned from here on: the dictionary and the ontology
 	// freeze into the sorted forms a snapshot stores and a loaded
@@ -369,7 +361,6 @@ func (b *Builder) Build() (*Instance, error) {
 	if err := in.derive(); err != nil {
 		return nil, err
 	}
-	in.buildMatrix()
 	return in, nil
 }
 
@@ -388,6 +379,67 @@ func stemKeyword(a text.Analyzer, kw string) string {
 		return ks[0]
 	}
 	return kw
+}
+
+// deriveEdges derives the network edges (§2.5) from the stored relations:
+// each social edge, then for each post, comment and tag its postedBy,
+// commentsOn, hasSubject and hasAuthor edges, each followed by its
+// inverse. A node's out-edges are listed in that order, the order every
+// float sum over them (W(v), the matrix) takes. They are laid out in CSR
+// form by a counting pass and a placing pass over the one sequence. A
+// dictionary that lacks a property a stored relation needs is refused.
+func (in *Instance) deriveEdges() error {
+	var missing string
+	prop := func(uri string, uses int) dict.ID {
+		id, ok := in.dict.Lookup(uri)
+		if !ok && uses > 0 {
+			missing = uri
+		}
+		return id
+	}
+	postedBy, postedByInv := prop(PropPostedBy, len(in.posts)), prop(PropPostedByInv, len(in.posts))
+	commentsOnInv := prop(PropCommentsOnInv, len(in.comments))
+	nt := len(in.tagInfos)
+	hasSubject, hasSubjectInv := prop(PropHasSubject, nt), prop(PropHasSubjectInv, nt)
+	hasAuthor, hasAuthorInv := prop(PropHasAuthor, nt), prop(PropHasAuthorInv, nt)
+	if missing != "" {
+		return fmt.Errorf("graph: the dictionary lacks %s, which a stored relation needs", missing)
+	}
+	each := func(addEdge func(from, to NID, w float64, prop dict.ID)) {
+		for _, s := range in.social {
+			addEdge(s.From, s.To, s.W, s.Prop)
+		}
+		for _, p := range in.posts {
+			addEdge(p.Doc, p.User, 1, postedBy)
+			addEdge(p.User, p.Doc, 1, postedByInv)
+		}
+		for _, c := range in.comments {
+			addEdge(c.Comment, c.Target, 1, c.Prop)
+			addEdge(c.Target, c.Comment, 1, commentsOnInv)
+		}
+		for i, ti := range in.tagInfos {
+			t := in.tagList[i]
+			addEdge(t, ti.Subject, 1, hasSubject)
+			addEdge(ti.Subject, t, 1, hasSubjectInv)
+			addEdge(t, ti.Author, 1, hasAuthor)
+			addEdge(ti.Author, t, 1, hasAuthorInv)
+		}
+	}
+	// As in childrenOf: counted at from+2 and summed, off[from+1] is where
+	// from's edges start, and it advances as they are placed.
+	n := len(in.dictID)
+	off := make([]int64, n+2)
+	each(func(from, _ NID, _ float64, _ dict.ID) { off[from+2]++ })
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	list := make([]Edge, off[n+1])
+	each(func(from, to NID, w float64, prop dict.ID) {
+		list[off[from+1]] = Edge{To: to, Prop: prop, W: w}
+		off[from+1]++
+	})
+	in.edgeOff, in.edgeList = off[:n+1], list
+	return nil
 }
 
 // neighborhoodOutWeights returns W(v) for every node v: the total

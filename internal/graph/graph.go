@@ -74,14 +74,24 @@ func (k NodeKind) String() string {
 	}
 }
 
-// Edge is one directed network edge with its raw (un-normalised) weight.
-// Field order is part of the v3 snapshot ABI: (To, Prop, W) packs into 16
-// bytes with no padding, so an aligned on-disk edge array can be
-// reinterpreted as []Edge without copying (internal/snap).
+// Edge is one directed network edge with its raw (un-normalised) weight,
+// as OutEdges lists it. Edges are derived from the stored relations
+// (derive), never stored themselves.
 type Edge struct {
 	To   NID
 	Prop dict.ID
 	W    float64
+}
+
+// SocialEdge is one weighted social edge between two users, through
+// S3:social or a sub-property of it. Field order is part of the snapshot
+// ABI: it is laid out like rdf.Triple — (From, To, Prop) in bytes 0–11,
+// bytes 12–15 padding, W in 16–23 — so an aligned on-disk array can be
+// reinterpreted as []SocialEdge without copying (internal/snap).
+type SocialEdge struct {
+	From, To NID
+	Prop     dict.ID
+	W        float64
 }
 
 // TagInfo describes a tag resource.
@@ -113,9 +123,10 @@ type PostEdge struct {
 // and safe for concurrent readers. It holds the same tables whether it was
 // built or loaded: the ones a snapshot stores, in the form it stores them
 // (see Raw), plus what the graph determines — the node lists, depths and
-// document ordinals, children lists, the URI→node table, the keyword
-// frequencies, the component partition and the statistics — derived by
-// the same code either way (derive).
+// document ordinals, children lists, the URI→node table, the network
+// out-edges, the transition matrix, the keyword frequencies, the
+// component partition and the statistics — derived by the same code
+// either way (derive).
 type Instance struct {
 	dict     *dict.Dict
 	ont      *rdf.Ontology
@@ -143,12 +154,12 @@ type Instance struct {
 	// node plus one, 0 where the id names no node (nodesByURI).
 	nidByID []NID
 
-	// Direct network out-edges in CSR form: those of v are
+	// Direct network out-edges in CSR form (deriveEdges): those of v are
 	// edgeList[edgeOff[v]:edgeOff[v+1]].
 	edgeOff  []int64
 	edgeList []Edge
 
-	matrix *sparse.Matrix
+	matrix *sparse.Matrix // buildMatrix
 
 	comp  []int32 // buildComponents
 	nComp int
@@ -159,6 +170,7 @@ type Instance struct {
 	docRoots []NID
 	tagList  []NID
 	tagInfos []TagInfo
+	social   []SocialEdge // in spec order
 	comments []CommentEdge
 	posts    []PostEdge
 

@@ -5,27 +5,27 @@ import (
 
 	"s3/internal/dict"
 	"s3/internal/rdf"
-	"s3/internal/sparse"
 	"s3/internal/text"
 )
 
 // Raw is the flat, exported view of a frozen Instance: the tables needed
 // to reconstruct it without re-running the build pipeline (no ontology
-// saturation, no matrix normalisation), each in the form the instance
-// holds it and the snapshot serialiser (internal/snap) stores it —
-// per-node lists as CSR offsets plus one flat list. It is the contract
-// between the two packages.
+// saturation), each in the form the instance holds it and the snapshot
+// serialiser (internal/snap) stores it — per-node lists as CSR offsets
+// plus one flat list. It is the contract between the two packages.
 //
-// It carries the graph and nothing the graph determines: FromRaw derives
-// the rest with the code Builder.Build runs (see derive) — the user,
-// document-root and tag lists and the depths and document ordinals from
-// Kind and Parent, the children lists, the URI→node table from DictID,
-// the keyword frequencies from the content keywords, the §5.2 component
-// partition from the tree, comment and tag edges, and the statistics. The
-// sorted permutations are the derived arrays it keeps (DictPerm,
-// TriplePOS): sorts to build, linear scans to check. Posts and Comments
-// are kept in the order their spec listed them, which the RDF export
-// follows.
+// It carries the graph, each relation once, and nothing the graph
+// determines: FromRaw derives the rest with the code Builder.Build runs
+// (see derive) — the user, document-root and tag lists and the depths
+// and document ordinals from Kind and Parent, the children lists, the
+// URI→node table from DictID, the network out-edges from the social,
+// post, comment and tag relations, the normalised transition matrix from
+// those edges and the tree, the keyword frequencies from the content
+// keywords, the §5.2 component partition from the tree, comment and tag
+// edges, and the statistics. The sorted permutations are the derived
+// arrays it keeps (DictPerm, TriplePOS): sorts to build, linear scans to
+// check. Social, Posts and Comments are kept in the order their spec
+// listed them, which the edge lists and the RDF export follow.
 //
 // # Immutability contract
 //
@@ -62,16 +62,11 @@ type Raw struct {
 	KwOff    []int64
 	KwList   []dict.ID
 
-	// Network layer. The out-edges of v are EdgeList[EdgeOff[v]:EdgeOff[v+1]].
-	EdgeOff      []int64
-	EdgeList     []Edge
-	MatrixRowPtr []int32
-	MatrixCol    []int32
-	MatrixVal    []float64
-
 	// TagInfos describes the KindTag nodes in ascending node order, one
-	// entry each. Comments and Posts are the comment and authorship edges.
+	// entry each. Social, Comments and Posts are the social, comment and
+	// authorship edges.
 	TagInfos []TagInfo
+	Social   []SocialEdge
 	Comments []CommentEdge
 	Posts    []PostEdge
 }
@@ -91,15 +86,13 @@ func (in *Instance) Raw() *Raw {
 		NodeName:      in.nodeName,
 		KwOff:         in.kwOff,
 		KwList:        in.kwList,
-		EdgeOff:       in.edgeOff,
-		EdgeList:      in.edgeList,
 		TagInfos:      in.tagInfos,
+		Social:        in.social,
 		Comments:      in.comments,
 		Posts:         in.posts,
 	}
 	r.DictArena, r.DictOffs, r.DictPerm = in.dict.Arena()
 	r.TriplePOS = in.ont.Pos()
-	_, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal = in.matrix.Raw()
 	return r
 }
 
@@ -114,15 +107,16 @@ func (in *Instance) Raw() *Raw {
 // Every check is a linear scan. The structural ones keep slicing and the
 // derivations panic-free: offset-table monotonicity and index bounds. The
 // content ones hold the stored dictionary and triple permutations to the
-// ascending order their binary searches need, and triple and edge weights
-// to the ranges the builder accepts. The rest is derived as Builder.Build
-// derives it (derive), which refuses a node table the builder cannot
-// make: a parent out of pre-order, a non-document node that nests, an
-// unknown node kind, a URI that names two nodes, a tag count other than
-// the tag infos'; and a tag, comment or post between nodes of kinds the
-// builder would not join is refused (checkEdgeKinds). So a file
-// that passes its checksums but is internally inconsistent is refused,
-// never served.
+// ascending order their binary searches need, triple weights to the range
+// the builder accepts, and social edges to Builder.AddSocial's weight
+// range (0,1] and distinct ends. The rest is derived as
+// Builder.Build derives it (derive), which refuses a node table the
+// builder cannot make: a parent out of pre-order, a non-document node
+// that nests, an unknown node kind, a URI that names two nodes, a tag
+// count other than the tag infos'; a tag, comment or post between nodes
+// of kinds the builder would not join (checkEdgeKinds); and a relation
+// whose property the dictionary lacks. So a file that passes its
+// checksums but is internally inconsistent is refused, never served.
 func FromRaw(r *Raw) (*Instance, error) {
 	n := len(r.DictID)
 	for name, l := range map[string]int{
@@ -151,16 +145,12 @@ func FromRaw(r *Raw) (*Instance, error) {
 		nodeName: r.NodeName,
 		kwOff:    r.KwOff,
 		kwList:   r.KwList,
-		edgeOff:  r.EdgeOff,
-		edgeList: r.EdgeList,
 		tagInfos: r.TagInfos,
+		social:   r.Social,
 		comments: r.Comments,
 		posts:    r.Posts,
 	}
 	if err := checkCSR(r.KwOff, n, len(r.KwList), "content keyword"); err != nil {
-		return nil, err
-	}
-	if err := checkCSR(r.EdgeOff, n, len(r.EdgeList), "edge"); err != nil {
 		return nil, err
 	}
 	var maxURI, maxName1 uint32
@@ -187,25 +177,16 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if len(r.KwList) > 0 && maxKw >= uint32(nd) {
 		return nil, fmt.Errorf("graph: content keyword outside dictionary of %d", nd)
 	}
-	var maxTo, maxProp1 uint32
-	badW := false
-	for i := range r.EdgeList {
-		if v := uint32(r.EdgeList[i].To); v > maxTo {
-			maxTo = v
-		}
-		if v := uint32(r.EdgeList[i].Prop) + 1; v > maxProp1 {
-			maxProp1 = v
-		}
+	for _, e := range r.Social {
+		switch {
+		case uint32(e.From) >= uint32(n) || uint32(e.To) >= uint32(n) || uint32(e.Prop) >= uint32(nd):
+			return nil, fmt.Errorf("graph: social edge outside instance of %d nodes / dictionary of %d", n, nd)
 		// The range Builder.AddSocial accepts; NaN fails it too.
-		if w := r.EdgeList[i].W; !(w > 0 && w <= 1) {
-			badW = true
+		case !(e.W > 0 && e.W <= 1):
+			return nil, fmt.Errorf("graph: social edge weight %v outside (0,1]", e.W)
+		case e.From == e.To:
+			return nil, fmt.Errorf("graph: self social edge on user %d", e.From)
 		}
-	}
-	if len(r.EdgeList) > 0 && (maxTo >= uint32(n) || maxProp1 > uint32(nd)) {
-		return nil, fmt.Errorf("graph: edge outside instance of %d nodes / dictionary of %d", n, nd)
-	}
-	if badW {
-		return nil, fmt.Errorf("graph: edge weight outside (0,1]")
 	}
 	for _, ti := range r.TagInfos {
 		if ti.Subject < 0 || int(ti.Subject) >= n || ti.Author < 0 || int(ti.Author) >= n {
@@ -216,8 +197,8 @@ func FromRaw(r *Raw) (*Instance, error) {
 		}
 	}
 	for _, c := range r.Comments {
-		if c.Comment < 0 || int(c.Comment) >= n || c.Target < 0 || int(c.Target) >= n {
-			return nil, fmt.Errorf("graph: comment edge outside instance of %d nodes", n)
+		if c.Comment < 0 || int(c.Comment) >= n || c.Target < 0 || int(c.Target) >= n || uint32(c.Prop) >= uint32(nd) {
+			return nil, fmt.Errorf("graph: comment edge outside instance of %d nodes / dictionary of %d", n, nd)
 		}
 	}
 	for _, p := range r.Posts {
@@ -228,22 +209,23 @@ func FromRaw(r *Raw) (*Instance, error) {
 	if err := in.derive(); err != nil {
 		return nil, err
 	}
-	if err := in.checkEdgeKinds(); err != nil {
-		return nil, err
-	}
-	if in.matrix, err = sparse.FromRaw(n, r.MatrixRowPtr, r.MatrixCol, r.MatrixVal); err != nil {
-		return nil, err
-	}
 	return in, nil
 }
 
-// checkEdgeKinds refuses a tag, comment or post whose endpoints are of
-// kinds the builder would not join (Builder.AddTag, AddComment, AddPost):
+// checkEdgeKinds refuses a social edge, tag, comment or post whose
+// endpoints are of kinds the builder would not join (Builder.AddSocial,
+// AddTag, AddComment, AddPost): a social edge joins two users;
 // a tag's subject must be a document node or a tag and its author a user;
 // a comment must be a document root, its target a document node of
 // another document; a post joins a document node to a user. It reads the
-// derived document ordinals, so it runs after derive.
+// derived document ordinals, so derive runs it after deriveTree, and
+// before the edges those relations make are derived.
 func (in *Instance) checkEdgeKinds() error {
+	for _, e := range in.social {
+		if in.kind[e.From] != KindUser || in.kind[e.To] != KindUser {
+			return fmt.Errorf("graph: social edge %d → %d joins a %s and a %s, not two users", e.From, e.To, in.kind[e.From], in.kind[e.To])
+		}
+	}
 	for i, ti := range in.tagInfos {
 		if k := in.kind[ti.Subject]; k != KindDocNode && k != KindTag {
 			return fmt.Errorf("graph: tag %d has a %s subject %d, not a document node or tag", in.tagList[i], k, ti.Subject)
@@ -276,10 +258,11 @@ func (in *Instance) checkEdgeKinds() error {
 // derive computes every table an instance holds beyond the stored ones,
 // for Builder.Build and FromRaw alike, so it is the one place each of them
 // is assigned: the node lists, depths and document ordinals (deriveTree),
-// the URI→node table, the children lists, the keyword frequencies, the
-// component partition and the statistics. It refuses what the builder
-// cannot make (see deriveTree), and a tag count other than the number of
-// tag infos.
+// the URI→node table, the children lists, the network out-edges
+// (deriveEdges), the transition matrix (buildMatrix), the keyword
+// frequencies, the component partition and the statistics. It refuses
+// what the builder cannot make (see deriveTree, checkEdgeKinds and
+// deriveEdges), and a tag count other than the number of tag infos.
 func (in *Instance) derive() error {
 	if err := in.deriveTree(); err != nil {
 		return err
@@ -287,11 +270,18 @@ func (in *Instance) derive() error {
 	if len(in.tagInfos) != len(in.tagList) {
 		return fmt.Errorf("graph: %d tag infos for %d tag nodes", len(in.tagInfos), len(in.tagList))
 	}
+	if err := in.checkEdgeKinds(); err != nil {
+		return err
+	}
 	var err error
 	if in.nidByID, err = nodesByURI(in.dictID, in.dict.Len()); err != nil {
 		return err
 	}
 	in.childOff, in.childList = childrenOf(in.parent)
+	if err := in.deriveEdges(); err != nil {
+		return err
+	}
+	in.buildMatrix()
 	in.countKeywords()
 	in.buildComponents()
 	in.computeStats()

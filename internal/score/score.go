@@ -83,9 +83,10 @@ func (p Params) TailBound(n int) float64 { return math.Pow(p.Gamma, -float64(n+1
 //
 // and ColumnTail returns the factor after c_v. The bound needs ρ < γ. A
 // normalised matrix has ρ ≤ 1 — each row spreads one node's out-weight,
-// so the border's mass is at most γ^−n as well — and sparse.FromRaw
-// refuses a stored matrix with a row above that; ρ enters as measured
-// (sparse.Matrix.RowSumMax), a few ulps over 1. With ρ = 1 the factor is
+// so the border's mass is at most γ^−n as well — and an instance's matrix
+// is always that one: every open derives it from the edges as a build
+// does (graph.Instance.Matrix), never reads it from a file; ρ enters as
+// measured (sparse.Matrix.RowSumMax), a few ulps over 1. With ρ = 1 the factor is
 // mass/γ. A node nothing points to has c_v = 0: its prox≤n is already
 // exact. At ρ ≥ γ no finite factor holds; ColumnTail returns the largest
 // float, so every upper bound built from it saturates.

@@ -22,11 +22,13 @@ package snap
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // castagnoli is the CRC-32C table: hardware-accelerated on amd64/arm64,
@@ -58,8 +60,11 @@ type asec struct {
 }
 
 // writeAligned assembles and emits an aligned file of the current format
-// version. Sections must be in ascending id order (the canonical order).
+// version. It lays the sections out in ascending id order (the canonical
+// order) whatever order they are given in; an id given twice is refused.
 func writeAligned(w io.Writer, magic string, secs []asec) error {
+	secs = slices.Clone(secs)
+	slices.SortFunc(secs, func(a, b asec) int { return cmp.Compare(a.id, b.id) })
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	var u16 [2]byte
@@ -81,8 +86,8 @@ func writeAligned(w io.Writer, magic string, secs []asec) error {
 	}
 	placement := make([]placed, 0, len(secs))
 	for i, s := range secs {
-		if i > 0 && secs[i-1].id >= s.id {
-			return fmt.Errorf("snap: aligned sections out of id order")
+		if i > 0 && secs[i-1].id == s.id {
+			return fmt.Errorf("snap: aligned section %d given twice", s.id)
 		}
 		if s.raw {
 			off = (off + rawAlign - 1) &^ (rawAlign - 1)

@@ -116,21 +116,25 @@ func TestResealedInconsistencyRejected(t *testing.T) {
 		want string
 	}{
 		// A tag info is (subject, author, keyword, type), a comment edge
-		// (comment, target, prop), a post edge (document, user).
+		// (comment, target, prop), a post edge (document, user), a social
+		// edge (from, to, prop, padding, weight in bytes 16–23).
 		{"tag subject a user", sec3TagInfos, func(p []byte) { put32(p, 0, user) }, "not a document node or tag"},
 		{"tag author a document root", sec3TagInfos, func(p []byte) { put32(p, 1, root) }, "not a user"},
 		{"comment target a user", sec3Comments, func(p []byte) { put32(p, 1, user) }, "not a document node"},
 		{"comment from inside a document", sec3Comments, func(p []byte) { put32(p, 0, nid("d:post.1")) }, "is not a document root"},
 		{"comment on its own document", sec3Comments, func(p []byte) { put32(p, 1, get32(p, 0)) }, "comments on its own node"},
+		{"comment property outside the dictionary", sec3Comments, func(p []byte) { put32(p, 2, 1<<30) }, "comment edge outside instance"},
 		{"post user a document root", sec3Posts, func(p []byte) { put32(p, 1, root) }, "not a user"},
 		{"post of a user", sec3Posts, func(p []byte) { put32(p, 0, user) }, "not a document node"},
 		{"dictionary order", sec3DictPerm, func(p []byte) { swap32(p, 0, 1) }, "sort index is not strictly ascending"},
 		{"triple order", sec3TriplePOS, func(p []byte) { swap32(p, 0, 1) }, "pos permutation is not strictly ascending"},
 		{"triple weight", sec3Triples, func(p []byte) { putF64(p[16:], 2) }, "weight 2 outside [0,1]"},
-		{"edge weight", sec3Edges, func(p []byte) { putF64(p[8:], 3) }, "edge weight outside (0,1]"},
-		{"matrix value NaN", sec3MatVal, func(p []byte) { putF64(p, math.NaN()) }, "value NaN at entry 0 is not finite and positive"},
-		{"matrix value 0", sec3MatVal, func(p []byte) { putF64(p[8:], 0) }, "value 0 at entry 1 is not finite and positive"},
-		{"matrix row sum above 1", sec3MatVal, func(p []byte) { putF64(p, 2) }, "above 1"},
+		{"edge weight", sec3Social, func(p []byte) { putF64(p[16:], 3) }, "social edge weight 3 outside (0,1]"},
+		{"social edge to a document root", sec3Social, func(p []byte) { put32(p, 1, root) }, "not two users"},
+		{"social edge to itself", sec3Social, func(p []byte) { put32(p, 1, get32(p, 0)) }, "self social edge"},
+		// One letter down keeps the dictionary in order but loses the
+		// property the posts' edges need.
+		{"dictionary lacks postedBy", sec3DictArena, func(p []byte) { p[bytes.Index(p, []byte(graph.PropPostedBy))+len(graph.PropPostedBy)-1]-- }, "lacks S3:postedBy"},
 		{"two nodes share a URI", sec3NodeDictID, func(p []byte) { put32(p, 1, get32(p, 0)) }, "share one URI"},
 		{"tag with a parent", sec3NodeParent, func(p []byte) { put32(p, int(in.Tags()[0]), uint32(in.DocRoots()[0])) }, "only document nodes nest"},
 		{"document root under a user", sec3NodeParent, func(p []byte) { put32(p, int(in.DocRoots()[0]), uint32(in.Users()[0])) }, "only document nodes nest"},

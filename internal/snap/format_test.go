@@ -113,12 +113,12 @@ func assertNotMapped(t testing.TB, path string) {
 
 // TestFormatGolden pins the on-disk bytes: the CRC-32C of every file the
 // writers produce for a hand-built instance and one from each dataset
-// generator. They were recomputed when version 7 stopped storing the
-// component ids, the user, document-root and tag lists, the keyword
-// frequencies and the meta's component count; every section payload it
-// still writes, other than the meta and the manifest's layout and the
-// shard headers (which record the shard-file digests and the substrate's
-// set id), is byte-identical to version 6's.
+// generator. They were recomputed when version 8 stopped storing the
+// network out-edges and the transition matrix and started storing the
+// social edges; every other section payload it writes, other than the
+// manifest's layout and the shard headers (which record the shard-file
+// digests and the substrate's set id), is byte-identical to version 7's,
+// the dictionary and the meta included.
 // They change only when the format does — not when the builders are
 // rewritten.
 func TestFormatGolden(t *testing.T) {
@@ -143,13 +143,13 @@ func TestFormatGolden(t *testing.T) {
 		shards             [3]uint32
 	}{
 		{"hand", handSpec(), text.Analyzer{Lang: text.English},
-			0xe662b4d4, 0x56ac3d50, [3]uint32{0x4b6ce201, 0x31d3c1d2, 0x0b8fe129}},
+			0x4241c5f5, 0x5f0dc362, [3]uint32{0xc2b0e0a1, 0xe51e6a3d, 0x68759f4e}},
 		{"twitter", twitter, text.Analyzer{Lang: text.None},
-			0x95e76b1e, 0xa1471fa2, [3]uint32{0xfd657532, 0x964af477, 0x1ee16908}},
+			0x44fe4cfb, 0x559befde, [3]uint32{0x02aa6e9a, 0x8f5064c2, 0x81c579fe}},
 		{"vodkaster", datagen.Vodkaster(vo), text.Analyzer{Lang: text.None},
-			0x2f3cf0de, 0x9c08cd1a, [3]uint32{0x4f4b0775, 0x3445cad4, 0x25f07961}},
+			0xb4b9bc66, 0x5005f328, [3]uint32{0x125eebc0, 0xc70d109d, 0xe25fc7b2}},
 		{"yelp", datagen.Yelp(yo), text.Analyzer{Lang: text.None},
-			0x6d4bbdd6, 0x42a2f3f7, [3]uint32{0x63b8b5db, 0xbb1a6c4f, 0xf65b1e94}},
+			0x5f4d75bd, 0x268cb53c, [3]uint32{0x91d164d3, 0xb6822415, 0x58ef47b7}},
 	} {
 		in, ix := build(t, tc.spec, tc.an)
 		var buf bytes.Buffer

@@ -9,8 +9,9 @@
 // checksum pass, allocation-free scans that check structure and hold the
 // stored sorted permutations to their order, and the linear passes that
 // derive what the file does not store (depths, document ordinals,
-// children lists, the URI→node table, the statistics, the postings'
-// component summaries) into private memory.
+// children lists, the URI→node table, the network out-edges and the
+// transition matrix, the statistics, the postings' component summaries)
+// into private memory.
 //
 // LoadCopy reads the file into a private, 8-byte-aligned buffer that the
 // garbage collector owns: nothing is kept open, and the file can be
@@ -120,11 +121,11 @@ type ShardSetSnapshot struct {
 	Files
 }
 
-// sectionAdvice classifies a section for madvise: postings and matrix
-// arrays are point-looked-up (per border node, per admitted component) —
-// MADV_RANDOM; the lookup structures every search walks (dictionary, node
-// tables, offsets) are small and hot — MADV_WILLNEED. Everything else
-// keeps the kernel default.
+// sectionAdvice classifies a section for madvise: the postings' events
+// are point-looked-up (per admitted component) — MADV_RANDOM; the lookup
+// structures every search walks (dictionary, node tables, offsets) are
+// small and hot — MADV_WILLNEED. Everything else keeps the kernel
+// default.
 //
 // Every opener gives the advice after its checksum pass has read the
 // advised bytes, so it changes little about which pages are resident in
@@ -134,12 +135,12 @@ type ShardSetSnapshot struct {
 // on a sub-range splits the mapping's VMA at the section boundaries,
 // which drops that huge-page mapping, and the sections nothing touches
 // afterwards stay unmapped. On the twitter scale-1 snapshot (seed 1, on
-// ext4) the mapping's Rss was 1,972 kB with the advice (4 VMAs) and
+// ext4, format version 7, which still stored the matrix) the mapping's Rss was 1,972 kB with the advice (4 VMAs) and
 // 4,020 kB without it (1 VMA, 2,048 kB of it FilePmdMapped), and the
 // benchmark's single-cold peak_rss_mb rose by ≈ 1 MiB without it.
 func sectionAdvice(id byte) mman.Advice {
 	switch id {
-	case sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3IndexEvents:
+	case sec3IndexEvents:
 		return mman.AdviseRandom
 	case sec3DictArena, sec3DictOffs, sec3DictPerm,
 		sec3NodeKind, sec3NodeParent, sec3IndexKw, sec3IndexEvOff:

@@ -1,0 +1,60 @@
+package snap
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"s3/internal/datagen"
+	"s3/internal/graph"
+	"s3/internal/text"
+)
+
+// BenchmarkOpen is the open-time cost of the twitter instance `s3gen
+// -dataset twitter -scale 1 -seed 1` writes: a snapshot mapped and copied,
+// and the manifest of a 4-shard set of it mapped. Each open runs the
+// checksum pass, the checks and every derivation — among them the
+// network out-edges and the transition matrix.
+func BenchmarkOpen(b *testing.B) {
+	o := datagen.DefaultTwitterOptions()
+	o.Seed = 1
+	spec, _ := datagen.Twitter(o)
+	in, ix := build(b, spec, text.Analyzer{Lang: text.None})
+	dir := b.TempDir()
+	var buf bytes.Buffer
+	if err := Write(&buf, in, ix); err != nil {
+		b.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, "t.snap")
+	if err := os.WriteFile(snapPath, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	parts, err := graph.PartitionComponents(in, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, "t.set")
+	if _, err := WriteShardSetFiles(manifestPath, in, ix, parts); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open func() (interface{ Close() error }, error)
+	}{
+		{"snapshot/mmap", func() (interface{ Close() error }, error) { return Open(snapPath, LoadMmap) }},
+		{"snapshot/copy", func() (interface{ Close() error }, error) { return Open(snapPath, LoadCopy) }},
+		{"manifest/mmap", func() (interface{ Close() error }, error) { return OpenManifest(manifestPath, LoadMmap) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := c.open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
+}

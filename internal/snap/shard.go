@@ -2,10 +2,11 @@
 // shared manifest plus one small snapshot per shard.
 //
 // The manifest carries the substrate every shard needs verbatim — the
-// dictionary, node tables, network adjacency, normalised transition
-// matrix, tag, comment and post tables and the saturated ontology (all
-// the sections of a plain snapshot except the connection index) — plus a
-// layout table describing the shard files. The substrate must be shared because the
+// dictionary, node tables, social, tag, comment and post tables and the
+// saturated ontology (all the sections of a plain snapshot except the
+// connection index), from which an open derives the network edges and
+// the normalised transition matrix — plus a layout table describing the
+// shard files. The substrate must be shared because the
 // §3.4 all-paths social proximity is defined over the whole network
 // graph: per-shard proximity over a trimmed graph would change scores.
 // What scales with content and partitions cleanly by the §5.2 component
@@ -17,8 +18,8 @@
 // shard file's digest, so a mixed-up, stale or corrupted set is rejected
 // on read instead of silently serving wrong answers.
 //
-//	manifest:  "S3SHMF" + version + sections {dict, meta, nodes, graph,
-//	           matrix, entities, ontology, layout}
+//	manifest:  "S3SHMF" + version + sections {meta, layout, dict, nodes,
+//	           ontology, entities, social}
 //	shard i:   "S3SHRD" + version + sections {shard header, index slice}
 package snap
 
@@ -133,10 +134,7 @@ func WriteShardSet(manifest io.Writer, shards []io.Writer, names []string, in *g
 		layout.Shards = append(layout.Shards, desc)
 	}
 
-	// secLayout (9) sorts before the raw substrate ids (32+), secMeta (2)
-	// before both; splice it into canonical id order.
-	msecs := append([]asec{subs[0], {secLayout, false, encodeLayout(&layout)}}, subs[1:]...)
-	return writeAligned(manifest, ManifestMagic, msecs)
+	return writeAligned(manifest, ManifestMagic, append(subs, asec{secLayout, false, encodeLayout(&layout)}))
 }
 
 // encodeLayout serialises the manifest's layout section.

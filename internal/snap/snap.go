@@ -1,11 +1,10 @@
 // Package snap implements the versioned binary snapshot format for frozen
-// S3 instances. A snapshot stores the graph and what is expensive to
-// recompute from an instance's spec — the interned dictionary, node
-// tables, network adjacency with weights, the normalised transition
-// matrix, the saturated ontology and the connection-index postings — so a
-// query engine cold-starts by reading flat arrays from disk instead of
-// re-running ontology saturation, matrix normalisation and the index
-// fixpoint.
+// S3 instances. A snapshot stores the graph, each relation once, and what
+// is expensive to recompute from an instance's spec — the interned
+// dictionary, node tables, the social, tag, comment and post relations,
+// the saturated ontology and the connection-index postings — so a query
+// engine cold-starts by reading flat arrays from disk instead of
+// re-running ontology saturation and the index fixpoint.
 //
 // # Format
 //
@@ -18,10 +17,11 @@
 // ontology's (P,O,S) order, which an open checks in a linear scan instead
 // of re-sorting. Whatever else the graph determines — the user,
 // document-root and tag lists, depths, document ordinals, children lists,
-// the URI→node table, the keyword frequencies, the §5.2 component
-// partition, the statistics and the per-posting component summaries — is
-// derived at open time, by the code that derives it for a built instance,
-// instead of stored. The small bookkeeping sections (meta, shard layout,
+// the URI→node table, the network out-edges (each relation's edge and
+// its inverse), the normalised transition matrix, the keyword
+// frequencies, the §5.2 component partition, the statistics and the
+// per-posting component summaries — is derived at open time, by the code
+// that derives it for a built instance, instead of stored. The small bookkeeping sections (meta, shard layout,
 // shard header) are varint-encoded: unsigned varints (encoding/binary),
 // strings length-prefixed. The meta holds the analyzer (language,
 // stop-word flag) and the node count, which a worker host reads without
@@ -57,7 +57,7 @@ const Magic = "S3SNAP"
 // Version is the one format version this build reads and writes, for
 // snapshots, shard-set manifests and shard files alike (they move in
 // lockstep).
-const Version = 7
+const Version = 8
 
 // regenerate ends the error for a well-formed file this build cannot
 // serve.

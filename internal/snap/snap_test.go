@@ -120,6 +120,23 @@ func TestRoundTripHandInstance(t *testing.T) {
 	if got := in2.Analyzer().Keywords("running"); len(got) != 1 || got[0] != "run" {
 		t.Errorf("analyzer lost: Keywords(running) = %v", got)
 	}
+	// The stored social edges are the spec's, in its order.
+	spec := handSpec().Social
+	got := in2.Raw().Social
+	if len(got) != len(spec) {
+		t.Fatalf("%d social edges read back, spec has %d", len(got), len(spec))
+	}
+	for i, s := range spec {
+		prop := s.Prop
+		if prop == "" {
+			prop = graph.PropSocial
+		}
+		e := got[i]
+		if in2.URIOf(e.From) != s.From || in2.URIOf(e.To) != s.To || in2.Dict().String(e.Prop) != prop || e.W != s.W {
+			t.Errorf("social edge %d reads back as %s -%s-> %s (%v), spec %+v", i,
+				in2.URIOf(e.From), in2.Dict().String(e.Prop), in2.URIOf(e.To), e.W, s)
+		}
+	}
 }
 
 func TestRoundTripGeneratedInstances(t *testing.T) {
@@ -147,7 +164,8 @@ func TestRoundTripGeneratedInstances(t *testing.T) {
 // and requires the read-back instance to be the built one: the same
 // statistics, search transcript and bytes when written again, and, table
 // by table, what an open derives instead of reading — the user, document
-// and tag lists, every node's component and the keyword frequencies,
+// and tag lists, every node's component, the keyword frequencies, every
+// node's out-edges and the transition matrix with its norms, bit for bit,
 // which the bytes no longer show. It returns the read-back instance.
 func checkRoundTrip(t *testing.T, spec graph.Spec, an text.Analyzer) *graph.Instance {
 	t.Helper()
@@ -195,6 +213,34 @@ func checkRoundTrip(t *testing.T, spec graph.Spec, an text.Analyzer) *graph.Inst
 		if got, want := in2.KeywordFrequency(k), in.KeywordFrequency(k); got != want {
 			t.Errorf("KeywordFrequency(%s) changed: restored %d, built %d", in.Dict().String(k), got, want)
 		}
+	}
+
+	sameEdge := func(a, b graph.Edge) bool {
+		return a.To == b.To && a.Prop == b.Prop && math.Float64bits(a.W) == math.Float64bits(b.W)
+	}
+	sameSocial := func(a, b graph.SocialEdge) bool {
+		return a.From == b.From && a.To == b.To && a.Prop == b.Prop && math.Float64bits(a.W) == math.Float64bits(b.W)
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for v := range graph.NID(in.NumNodes()) {
+		if got, want := in2.OutEdges(v), in.OutEdges(v); !slices.EqualFunc(got, want, sameEdge) {
+			t.Errorf("OutEdges(%d) changed: restored %v, built %v", v, got, want)
+		}
+	}
+	if got, want := in2.Raw().Social, in.Raw().Social; !slices.EqualFunc(got, want, sameSocial) {
+		t.Errorf("social edges changed: restored %v, built %v", got, want)
+	}
+	m, m2 := in.Matrix(), in2.Matrix()
+	n, rowPtr, col, val := m.Raw()
+	n2, rowPtr2, col2, val2 := m2.Raw()
+	if n2 != n || !slices.Equal(rowPtr2, rowPtr) || !slices.Equal(col2, col) || !slices.EqualFunc(val2, val, sameBits) {
+		t.Errorf("matrix changed: restored %d×%d with %d entries, built %d×%d with %d", n2, n2, len(val2), n, n, len(val))
+	}
+	if !slices.EqualFunc(m2.ColMax(), m.ColMax(), sameBits) {
+		t.Error("matrix ColMax changed")
+	}
+	if !sameBits(m2.RowSumMax(), m.RowSumMax()) {
+		t.Errorf("matrix RowSumMax changed: restored %v, built %v", m2.RowSumMax(), m.RowSumMax())
 	}
 	return in2
 }

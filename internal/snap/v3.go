@@ -6,21 +6,22 @@
 // lets the decoder reinterpret a section as a typed slice with
 // unsafe.Slice instead of decoding it, whether the file is mapped or read.
 //
-// The format stores the graph — the dictionary, the node tables (URI,
-// kind, parent, name, content keywords), the network edges, the
-// normalised transition matrix, the saturated ontology, the tag
-// descriptions, the comment and post edges — and the connection index's
-// events. Of what the graph determines it stores only the structures
-// whose check is cheaper than their derivation: the dictionary's sorted
-// permutation (binary-searched lookups over the string arena) and the
-// ontology's (P,O,S)-sorted triple permutation (the one Ontology.Ext
-// searches) — sorts to build (graph.Builder.Build runs them), linear scans
-// to check, which every open does. Everything else is derived at open
-// time, by the code that derives it for a built instance: the user,
-// document-root and tag lists, depths, document ordinals, the children
-// lists, the URI→node table, the keyword frequencies, the component
-// partition and the statistics (graph.FromRaw), and the connection
-// index's per-posting component summaries (index.FromFlat).
+// The format stores the graph, each relation once — the dictionary, the
+// node tables (URI, kind, parent, name, content keywords), the saturated
+// ontology, the tag descriptions, the social, comment and post edges —
+// and the connection index's events. Of what the graph determines it
+// stores only the structures whose check is cheaper than their
+// derivation: the dictionary's sorted permutation (binary-searched
+// lookups over the string arena) and the ontology's (P,O,S)-sorted triple
+// permutation (the one Ontology.Ext searches) — sorts to build
+// (graph.Builder.Build runs them), linear scans to check, which every
+// open does. Everything else is derived at open time, by the code that
+// derives it for a built instance: the user, document-root and tag lists,
+// depths, document ordinals, the children lists, the URI→node table, the
+// network out-edges and the normalised transition matrix, the keyword
+// frequencies, the component partition and the statistics
+// (graph.FromRaw), and the connection index's per-posting component
+// summaries (index.FromFlat).
 package snap
 
 import (
@@ -49,22 +50,19 @@ const (
 	sec3NodeName   byte = 40 // []dict.ID node names
 	sec3NodeKwOff  byte = 42 // []int64   n+1 offsets into the keyword list
 	sec3NodeKwIDs  byte = 43 // []dict.ID flattened content keywords
-	sec3EdgeOff    byte = 44 // []int64   n+1 offsets into the edge array
-	sec3Edges      byte = 45 // []Edge    flattened out-edges (16 B each)
-	sec3MatRowPtr  byte = 47 // []int32   CSR row pointers (n+1)
-	sec3MatCol     byte = 48 // []int32   CSR column indices
-	sec3MatVal     byte = 49 // []float64 CSR values
 	sec3Triples    byte = 50 // []Triple  saturated ontology (24 B each)
 	sec3TriplePOS  byte = 52 // []int32   triples sorted by (P,O,S)
 	sec3TagInfos   byte = 56 // []TagInfo one per tag node, ascending (16 B each)
 	sec3Comments   byte = 57 // []CommentEdge (12 B each)
 	sec3Posts      byte = 58 // []PostEdge (8 B each)
+	sec3Social     byte = 71 // []SocialEdge in spec order (24 B each)
 	// Retired ids, never to be reused: 61–63 and 67–70 (derived arrays
 	// version 4 stored); 38, 39, 46 and 51 (depths, document ordinals,
 	// neighbourhood out-weights and the (S,P,O) triple order, which
 	// version 5 stored); 41, 53, 54, 55, 59 and 60 (component ids, the
 	// user, document-root and tag lists and the keyword frequencies, which
-	// version 6 stored).
+	// version 6 stored); 44, 45, 47, 48 and 49 (the network out-edges and
+	// the transition matrix, both in CSR form, which version 7 stored).
 	sec3IndexKw     byte = 64 // []dict.ID posting keywords (ascending)
 	sec3IndexEvOff  byte = 65 // []int64   nkw+1 offsets into the event array
 	sec3IndexEvents byte = 66 // []Event   flattened events (12 B each)
@@ -76,9 +74,8 @@ var required3Substrate = []byte{
 	secMeta,
 	sec3DictArena, sec3DictOffs, sec3DictPerm,
 	sec3NodeDictID, sec3NodeKind, sec3NodeParent, sec3NodeName,
-	sec3NodeKwOff, sec3NodeKwIDs, sec3EdgeOff, sec3Edges,
-	sec3MatRowPtr, sec3MatCol, sec3MatVal, sec3Triples, sec3TriplePOS,
-	sec3TagInfos, sec3Comments, sec3Posts,
+	sec3NodeKwOff, sec3NodeKwIDs, sec3Triples, sec3TriplePOS,
+	sec3TagInfos, sec3Comments, sec3Posts, sec3Social,
 }
 
 // required3Index lists the index sections of a snapshot or shard file.
@@ -103,9 +100,10 @@ var errUnaliasableHost = errors.New("snap: this host's struct layout cannot alia
 // element type matches the on-disk encoding, byte for byte.
 func layoutMappable() bool {
 	return hostLittleEndian &&
-		unsafe.Sizeof(graph.Edge{}) == 16 &&
-		unsafe.Offsetof(graph.Edge{}.Prop) == 4 &&
-		unsafe.Offsetof(graph.Edge{}.W) == 8 &&
+		unsafe.Sizeof(graph.SocialEdge{}) == 24 &&
+		unsafe.Offsetof(graph.SocialEdge{}.To) == 4 &&
+		unsafe.Offsetof(graph.SocialEdge{}.Prop) == 8 &&
+		unsafe.Offsetof(graph.SocialEdge{}.W) == 16 &&
 		unsafe.Sizeof(graph.TagInfo{}) == 16 &&
 		unsafe.Offsetof(graph.TagInfo{}.Author) == 4 &&
 		unsafe.Offsetof(graph.TagInfo{}.Keyword) == 8 &&
@@ -169,20 +167,14 @@ func encI64s(a []int64) []byte {
 	return out
 }
 
-func encF64s(a []float64) []byte {
-	out := make([]byte, 8*len(a))
-	for i, v := range a {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-func encEdges(a []graph.Edge) []byte {
-	out := make([]byte, 16*len(a))
+func encSocial(a []graph.SocialEdge) []byte {
+	out := make([]byte, 24*len(a))
 	for i, e := range a {
-		binary.LittleEndian.PutUint32(out[16*i:], uint32(e.To))
-		binary.LittleEndian.PutUint32(out[16*i+4:], uint32(e.Prop))
-		binary.LittleEndian.PutUint64(out[16*i+8:], math.Float64bits(e.W))
+		binary.LittleEndian.PutUint32(out[24*i:], uint32(e.From))
+		binary.LittleEndian.PutUint32(out[24*i+4:], uint32(e.To))
+		binary.LittleEndian.PutUint32(out[24*i+8:], uint32(e.Prop))
+		// bytes 12-15 are padding, left zero
+		binary.LittleEndian.PutUint64(out[24*i+16:], math.Float64bits(e.W))
 	}
 	return out
 }
@@ -264,16 +256,12 @@ func alignedInstanceSections(r *graph.Raw) []asec {
 		{sec3NodeName, true, encU32s(r.NodeName)},
 		{sec3NodeKwOff, true, encI64s(r.KwOff)},
 		{sec3NodeKwIDs, true, encU32s(r.KwList)},
-		{sec3EdgeOff, true, encI64s(r.EdgeOff)},
-		{sec3Edges, true, encEdges(r.EdgeList)},
-		{sec3MatRowPtr, true, encI32s(r.MatrixRowPtr)},
-		{sec3MatCol, true, encI32s(r.MatrixCol)},
-		{sec3MatVal, true, encF64s(r.MatrixVal)},
 		{sec3Triples, true, encTriples(r.Triples)},
 		{sec3TriplePOS, true, encI32s(r.TriplePOS)},
 		{sec3TagInfos, true, encTagInfos(r.TagInfos)},
 		{sec3Comments, true, encComments(r.Comments)},
 		{sec3Posts, true, encPosts(r.Posts)},
+		{sec3Social, true, encSocial(r.Social)},
 	}
 }
 
@@ -328,16 +316,12 @@ func instanceFromPayloads(payloads map[byte][]byte, what string) (*graph.Instanc
 	raw.NodeName = load[dict.ID](g, sec3NodeName, "node names")
 	raw.KwOff = load[int64](g, sec3NodeKwOff, "keyword offsets")
 	raw.KwList = load[dict.ID](g, sec3NodeKwIDs, "content keywords")
-	raw.EdgeOff = load[int64](g, sec3EdgeOff, "edge offsets")
-	raw.EdgeList = load[graph.Edge](g, sec3Edges, "edges")
-	raw.MatrixRowPtr = load[int32](g, sec3MatRowPtr, "matrix row pointers")
-	raw.MatrixCol = load[int32](g, sec3MatCol, "matrix columns")
-	raw.MatrixVal = load[float64](g, sec3MatVal, "matrix values")
 	raw.Triples = load[rdf.Triple](g, sec3Triples, "ontology triples")
 	raw.TriplePOS = load[int32](g, sec3TriplePOS, "triple pos permutation")
 	raw.TagInfos = load[graph.TagInfo](g, sec3TagInfos, "tag infos")
 	raw.Comments = load[graph.CommentEdge](g, sec3Comments, "comment edges")
 	raw.Posts = load[graph.PostEdge](g, sec3Posts, "post edges")
+	raw.Social = load[graph.SocialEdge](g, sec3Social, "social edges")
 	if g.err != nil {
 		return nil, g.err
 	}

@@ -44,7 +44,7 @@ import (
 // non-empty row that is not covered, ascending, the point where that row
 // splices into the list; and the two norms a proximity tail bound reads,
 // each column's largest entry and the largest row sum. All are derived
-// from the CSR arrays when the matrix is made; none is serialised.
+// from the CSR arrays when the matrix is built; none is serialised.
 type Matrix struct {
 	n      int
 	rowPtr []int32
@@ -127,9 +127,8 @@ func (b *Builder) Build() *Matrix {
 // deriveLive lays out the live list and the splice points from the CSR
 // arrays and the covered-row marks (covered[r]: some entry has column r),
 // and in the same pass over the rows takes the column maxima and the
-// largest row sum (see ColMax and RowSumMax). It returns the first row
-// whose sum exceeds 1 by more than rounding can (rowSumSlack), or -1.
-func (m *Matrix) deriveLive(covered []bool) (over int) {
+// largest row sum (see ColMax and RowSumMax).
+func (m *Matrix) deriveLive(covered []bool) {
 	live := 0
 	for r, cov := range covered {
 		if cov {
@@ -141,7 +140,6 @@ func (m *Matrix) deriveLive(covered []bool) (over int) {
 	m.liveVal = make([]float64, 0, live)
 	colMax := make([]float64, m.n)
 	rowMax := 0.0
-	over = -1
 	for r, cov := range covered {
 		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
 		vals := m.val[lo:hi]
@@ -154,9 +152,6 @@ func (m *Matrix) deriveLive(covered []bool) (over int) {
 			}
 		}
 		rowMax = max(rowMax, sum)
-		if over < 0 && sum > 1+rowSumSlack(int(hi-lo)) {
-			over = r
-		}
 		switch {
 		case lo == hi:
 		case !cov:
@@ -173,7 +168,6 @@ func (m *Matrix) deriveLive(covered []bool) (over int) {
 		colMax[c] = roundUp(v)
 	}
 	m.colMax, m.rowMax = colMax, roundUp(rowMax)
-	return over
 }
 
 // roundUp returns v raised by four ulps or more: the margin ColMax and
@@ -181,57 +175,11 @@ func (m *Matrix) deriveLive(covered []bool) (over int) {
 // still holds over sums that round differently from exact arithmetic.
 func roundUp(v float64) float64 { return v + v*0x1p-50 }
 
-// rowSumSlack is how far above 1 rounding can carry the sum of a row of d
-// normalised weights: each weight is a rounded quotient by a rounded
-// total, and each add of the sum rounds once more. Four ulps of 1 an
-// entry covers the three; the generated graphs use under a tenth of it.
-func rowSumSlack(d int) float64 { return float64(d) * 0x1p-50 }
-
 // Raw exposes the CSR arrays (dimension, row pointers, column indices,
-// values) for serialisation. The slices are shared with the matrix and
-// must not be modified.
+// values). The slices are shared with the matrix and must not be
+// modified.
 func (m *Matrix) Raw() (n int, rowPtr, col []int32, val []float64) {
 	return m.n, m.rowPtr, m.col, m.val
-}
-
-// FromRaw reconstructs a matrix from CSR arrays as returned by Raw. The
-// slices are retained. It validates the CSR invariants so a corrupt
-// serialisation cannot produce out-of-bounds panics later. It refuses a
-// value that is not finite and positive, and a row whose sum exceeds 1
-// beyond rounding: a stored matrix holds normalised edge weights,
-// PushDense's walk needs finite values, and a proximity tail bound
-// assumes no row sums above 1 (see RowSumMax). The covered-row marks the
-// live list is derived from are taken in the same column scan.
-func FromRaw(n int, rowPtr, col []int32, val []float64) (*Matrix, error) {
-	if n < 0 || len(rowPtr) != n+1 {
-		return nil, fmt.Errorf("sparse: rowPtr length %d for dimension %d", len(rowPtr), n)
-	}
-	if len(col) != len(val) {
-		return nil, fmt.Errorf("sparse: %d columns but %d values", len(col), len(val))
-	}
-	if rowPtr[0] != 0 || int(rowPtr[n]) != len(col) {
-		return nil, fmt.Errorf("sparse: rowPtr endpoints [%d, %d] for %d entries", rowPtr[0], rowPtr[n], len(col))
-	}
-	for r := 0; r < n; r++ {
-		if rowPtr[r] > rowPtr[r+1] {
-			return nil, fmt.Errorf("sparse: decreasing rowPtr at row %d", r)
-		}
-	}
-	covered := make([]bool, n)
-	for i, c := range col {
-		if c < 0 || int(c) >= n {
-			return nil, fmt.Errorf("sparse: column %d outside %d×%d matrix", c, n, n)
-		}
-		if v := val[i]; !(v > 0 && v <= math.MaxFloat64) {
-			return nil, fmt.Errorf("sparse: value %v at entry %d is not finite and positive", v, i)
-		}
-		covered[c] = true
-	}
-	m := &Matrix{n: n, rowPtr: rowPtr, col: col, val: val}
-	if r := m.deriveLive(covered); r >= 0 {
-		return nil, fmt.Errorf("sparse: row %d sums to %v, above 1", r, m.RowSum(r))
-	}
-	return m, nil
 }
 
 // N returns the dimension.
@@ -255,8 +203,9 @@ func (m *Matrix) ColMax() []float64 { return m.colMax }
 
 // RowSumMax returns an upper bound on the largest row sum ρ (the sum
 // raised by a few ulps, 0 for an empty matrix): one step scales a
-// non-negative vector's mass by at most ρ, ‖xᵀ·M‖₁ ≤ ρ·‖x‖₁. A matrix
-// FromRaw accepts has ρ ≤ 1 up to rounding; Build records any value.
+// non-negative vector's mass by at most ρ, ‖xᵀ·M‖₁ ≤ ρ·‖x‖₁. Build
+// records any value; an instance's matrix, whose rows are normalised
+// out-weights, has ρ ≤ 1 up to rounding.
 func (m *Matrix) RowSumMax() float64 { return m.rowMax }
 
 // RowSum returns the sum of the entries of a row.

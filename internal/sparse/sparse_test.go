@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -480,34 +479,6 @@ func TestPushDenseSplicesUncoveredRows(t *testing.T) {
 	}
 }
 
-// TestFromRawRefusesValues: a stored value that is not finite and
-// positive is refused (PushDense's walk adds 0·v for rows where x is
-// zero, which is a zero only for finite v); the live list of an accepted
-// matrix is the one Build derives.
-func TestFromRawRefusesValues(t *testing.T) {
-	b := NewBuilder(3)
-	b.Add(0, 1, 0.5)
-	b.Add(1, 2, 0.25)
-	b.Add(2, 2, 1)
-	built := b.Build()
-	n, rowPtr, col, val := built.Raw()
-	m, err := FromRaw(n, rowPtr, col, slices.Clone(val))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(m.liveRow, built.liveRow) || !slices.Equal(m.liveCol, built.liveCol) ||
-		!slices.Equal(m.liveVal, built.liveVal) || !slices.Equal(m.splice, built.splice) {
-		t.Fatal("FromRaw derives another live list than Build")
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -0.5} {
-		v := slices.Clone(val)
-		v[1] = bad
-		if _, err := FromRaw(n, rowPtr, col, v); err == nil || !strings.Contains(err.Error(), "not finite and positive") {
-			t.Errorf("value %v: FromRaw error %v", bad, err)
-		}
-	}
-}
-
 func TestAddPanicsOnNonFiniteValue(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
@@ -523,8 +494,7 @@ func TestAddPanicsOnNonFiniteValue(t *testing.T) {
 
 // TestColMaxAndRowSumMax: the two norms a proximity tail bound reads are
 // each column's largest entry and the largest row sum, raised by a few
-// ulps and never below the value; a column with no entry bounds at 0. A
-// matrix FromRaw rebuilds from Raw derives the same bits.
+// ulps and never below the value; a column with no entry bounds at 0.
 func TestColMaxAndRowSumMax(t *testing.T) {
 	b := NewBuilder(4)
 	b.Add(0, 1, 0.5)
@@ -542,38 +512,7 @@ func TestColMaxAndRowSumMax(t *testing.T) {
 	if rho := built.RowSumMax(); rho < 1 || rho > 1+1e-15 {
 		t.Errorf("RowSumMax = %v, want 1 raised by a few ulps", rho)
 	}
-	m, err := FromRaw(built.Raw())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(m.ColMax(), built.ColMax()) || m.RowSumMax() != built.RowSumMax() {
-		t.Fatal("FromRaw derives other norms than Build")
-	}
 	if rho := NewBuilder(3).Build().RowSumMax(); rho != 0 {
 		t.Errorf("empty matrix: RowSumMax = %v, want 0", rho)
-	}
-}
-
-// TestFromRawRefusesRowSumAboveOne: a stored matrix holds normalised
-// weights, and the proximity tail bound assumes no row sums above 1, so
-// FromRaw refuses a row whose sum exceeds 1 by more than rounding — and
-// accepts one that exceeds it by an ulp, as a normalised row can.
-func TestFromRawRefusesRowSumAboveOne(t *testing.T) {
-	for _, c := range []struct {
-		vals []float64
-		ok   bool
-	}{
-		{[]float64{0.5, 0.5, 1}, true},
-		{[]float64{0.5, math.Nextafter(0.5, 1), 1}, true},
-		{[]float64{0.5, 0.5 + 1e-9, 1}, false},
-		{[]float64{0.5, 0.5, 2}, false},
-	} {
-		_, err := FromRaw(2, []int32{0, 2, 3}, []int32{0, 1, 1}, c.vals)
-		if c.ok && err != nil {
-			t.Errorf("values %v: refused: %v", c.vals, err)
-		}
-		if !c.ok && (err == nil || !strings.Contains(err.Error(), "above 1")) {
-			t.Errorf("values %v: FromRaw error %v, want a row sum above 1", c.vals, err)
-		}
 	}
 }

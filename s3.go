@@ -35,10 +35,11 @@
 //
 // An instance persists two ways. EncodeSpec stores the declarative
 // content (users, documents, tags, ontology); BuildFromSpec re-runs the
-// whole build pipeline on load. WriteSnapshot stores the frozen derived
-// state — dictionary, graph tables, normalised matrix, saturated ontology
-// and connection index — in a versioned binary format; ReadSnapshot
-// cold-starts from it in milliseconds, which is what the long-lived query
+// whole build pipeline on load. WriteSnapshot stores the frozen state —
+// dictionary, graph tables, saturated ontology and connection index — in
+// a versioned binary format, from which an open derives the rest (the
+// network edges and normalised matrix among it); ReadSnapshot cold-starts
+// from it in milliseconds, which is what the long-lived query
 // server (cmd/s3serve, internal/server) uses to boot and hot-reload.
 package s3
 

@@ -31,17 +31,18 @@ const (
 )
 
 // WriteSnapshot serialises the frozen instance — dictionary, graph
-// tables, normalised transition matrix, saturated ontology and the
-// connection index — in the versioned binary snapshot format of
-// internal/snap (currently version 6: page-aligned raw sections that a
-// mmap-based reader serves without decoding). Unlike EncodeSpec, which
-// stores the declarative content and re-runs the whole build pipeline on
-// load, a snapshot stores the built structures; only what one linear
-// pass derives more cheaply than a check could verify it (tree depths,
-// document ordinals and children, the URI → node table, the statistics,
-// the postings' component summaries) is left out and rebuilt at open. So ReadSnapshot cold-starts in the time it takes
-// to read flat arrays from disk and scan them — and OpenSnapshot with
-// LoadMmap in little more than the time it takes to map and scan them.
+// tables, saturated ontology and the connection index — in the versioned
+// binary snapshot format of internal/snap (currently version 8:
+// page-aligned raw sections that a mmap-based reader serves without
+// decoding). Unlike EncodeSpec, which stores the declarative content and
+// re-runs the whole build pipeline on load, a snapshot stores the built
+// structures, each relation once; what the graph determines and a linear
+// pass derives (tree depths, document ordinals and children, the URI →
+// node table, the network out-edges and the normalised transition matrix,
+// the statistics, the postings' component summaries) is left out and
+// rebuilt at open, by the code a build runs. So ReadSnapshot cold-starts
+// in the time it takes to read flat arrays from disk, scan them and run
+// those passes — and OpenSnapshot with LoadMmap without the read.
 //
 // The format is canonical: the same instance always produces the same
 // bytes, so snapshots can be content-addressed, cached and diffed.
