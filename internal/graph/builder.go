@@ -386,9 +386,10 @@ func stemKeyword(a text.Analyzer, kw string) string {
 // commentsOn, hasSubject and hasAuthor edges, each followed by its
 // inverse. A node's out-edges are listed in that order, the order every
 // float sum over them (W(v), the matrix) takes. They are laid out in CSR
-// form by a counting pass and a placing pass over the one sequence. A
-// dictionary that lacks a property a stored relation needs is refused.
-func (in *Instance) deriveEdges() error {
+// form by a counting pass and a placing pass over the one sequence: those
+// of v are list[off[v]:off[v+1]]. A dictionary that lacks a property a
+// stored relation needs is refused.
+func (in *Instance) deriveEdges() (off []int64, list []Edge, err error) {
 	var missing string
 	prop := func(uri string, uses int) dict.ID {
 		id, ok := in.dict.Lookup(uri)
@@ -403,7 +404,7 @@ func (in *Instance) deriveEdges() error {
 	hasSubject, hasSubjectInv := prop(PropHasSubject, nt), prop(PropHasSubjectInv, nt)
 	hasAuthor, hasAuthorInv := prop(PropHasAuthor, nt), prop(PropHasAuthorInv, nt)
 	if missing != "" {
-		return fmt.Errorf("graph: the dictionary lacks %s, which a stored relation needs", missing)
+		return nil, nil, fmt.Errorf("graph: the dictionary lacks %s, which a stored relation needs", missing)
 	}
 	each := func(addEdge func(from, to NID, w float64, prop dict.ID)) {
 		for _, s := range in.social {
@@ -428,28 +429,45 @@ func (in *Instance) deriveEdges() error {
 	// As in childrenOf: counted at from+2 and summed, off[from+1] is where
 	// from's edges start, and it advances as they are placed.
 	n := len(in.dictID)
-	off := make([]int64, n+2)
+	off = make([]int64, n+2)
 	each(func(from, _ NID, _ float64, _ dict.ID) { off[from+2]++ })
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	list := make([]Edge, off[n+1])
+	list = make([]Edge, off[n+1])
 	each(func(from, to NID, w float64, prop dict.ID) {
 		list[off[from+1]] = Edge{To: to, Prop: prop, W: w}
 		off[from+1]++
 	})
-	in.edgeOff, in.edgeList = off[:n+1], list
-	return nil
+	return off[:n+1], list, nil
+}
+
+// keepUserEdges keeps the users' rows of the edge CSR (off, list) as the
+// instance's out-edges: past derive nothing reads another node's.
+func (in *Instance) keepUserEdges(off []int64, list []Edge) {
+	uoff := make([]int64, len(off))
+	for v, k := range in.kind {
+		uoff[v+1] = uoff[v]
+		if k == KindUser {
+			uoff[v+1] += off[v+1] - off[v]
+		}
+	}
+	ulist := make([]Edge, uoff[len(in.kind)])
+	for _, u := range in.users {
+		copy(ulist[uoff[u]:], list[off[u]:off[u+1]])
+	}
+	in.edgeOff, in.edgeList = uoff, ulist
 }
 
 // neighborhoodOutWeights returns W(v) for every node v: the total
 // out-weight of v's vertical neighbourhood (§2.5) — v's own out-edges, its
-// subtree's and its ancestors' for a document node, its own otherwise.
-func (in *Instance) neighborhoodOutWeights() []float64 {
+// subtree's and its ancestors' for a document node, its own otherwise —
+// from the full edge CSR deriveEdges returns.
+func (in *Instance) neighborhoodOutWeights(off []int64, list []Edge) []float64 {
 	n := len(in.dictID)
 	ownW := make([]float64, n)
 	for v := range ownW {
-		for _, e := range in.OutEdges(NID(v)) {
+		for _, e := range list[off[v]:off[v+1]] {
 			ownW[v] += e.W
 		}
 	}
@@ -483,10 +501,12 @@ func (in *Instance) neighborhoodOutWeights() []float64 {
 // buildMatrix materialises the normalised transition matrix (§2.5). For a
 // node v, the walk may leave from any vertical neighbour m of v; the edge
 // (m → t, w) contributes w / W(v) to M[v][t], with W(v) the total
-// out-weight of the neighbourhood.
-func (in *Instance) buildMatrix() {
+// out-weight of the neighbourhood. It reads the full edge CSR deriveEdges
+// returns, and adds the rows in ascending order, as sparse.Builder takes
+// them.
+func (in *Instance) buildMatrix(off []int64, list []Edge) {
 	n := len(in.dictID)
-	totalW := in.neighborhoodOutWeights()
+	totalW := in.neighborhoodOutWeights(off, list)
 	bld := sparse.NewBuilder(n)
 	var members []NID
 	for v := 0; v < n; v++ {
@@ -503,7 +523,7 @@ func (in *Instance) buildMatrix() {
 			members = append(members, NID(v))
 		}
 		for _, m := range members {
-			for _, e := range in.OutEdges(m) {
+			for _, e := range list[off[m]:off[m+1]] {
 				bld.Add(v, int(e.To), e.W/totalW[v])
 			}
 		}

@@ -123,8 +123,8 @@ type PostEdge struct {
 // and safe for concurrent readers. It holds the same tables whether it was
 // built or loaded: the ones a snapshot stores, in the form it stores them
 // (see Raw), plus what the graph determines — the node lists, depths and
-// document ordinals, children lists, the URI→node table, the network
-// out-edges, the transition matrix, the keyword frequencies, the
+// document ordinals, children lists, the URI→node table, the users'
+// network out-edges, the transition matrix, the keyword frequencies, the
 // component partition and the statistics — derived by the same code
 // either way (derive).
 type Instance struct {
@@ -154,8 +154,9 @@ type Instance struct {
 	// node plus one, 0 where the id names no node (nodesByURI).
 	nidByID []NID
 
-	// Direct network out-edges in CSR form (deriveEdges): those of v are
-	// edgeList[edgeOff[v]:edgeOff[v+1]].
+	// The users' direct network out-edges in CSR form (deriveEdges,
+	// keepUserEdges): those of v are edgeList[edgeOff[v]:edgeOff[v+1]],
+	// empty for every node that is not a user.
 	edgeOff  []int64
 	edgeList []Edge
 
@@ -265,8 +266,12 @@ func (in *Instance) Comments() []CommentEdge { return in.comments }
 // Posts returns all authorship edges.
 func (in *Instance) Posts() []PostEdge { return in.posts }
 
-// OutEdges returns the direct network out-edges of a node (without the
-// vertical-neighbourhood extension).
+// OutEdges returns the direct network out-edges of a user (without the
+// vertical-neighbourhood extension), in the order derive lists them: its
+// social edges in stored order, then a postedByInv edge per post and a
+// hasAuthorInv edge per tag it authored. It is empty for every other
+// node: the instance keeps only the users' rows, the only ones read once
+// the matrix is built.
 func (in *Instance) OutEdges(n NID) []Edge {
 	lo, hi := in.edgeOff[n], in.edgeOff[n+1]
 	return in.edgeList[lo:hi:hi]

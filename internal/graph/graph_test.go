@@ -88,13 +88,13 @@ func TestExample23PathNormalization(t *testing.T) {
 	in := figure3(t)
 	u0, uri0, a0 := nid(t, in, "u0"), nid(t, in, "URI0"), nid(t, in, "a0")
 
-	if w := in.neighborhoodOutWeights()[u0]; math.Abs(w-1.3) > 1e-12 {
+	if w := NeighborhoodOutWeights(in)[u0]; math.Abs(w-1.3) > 1e-12 {
 		t.Fatalf("W(u0) = %v, want 1.3", w)
 	}
 	if got, want := matrixEntry(in, u0, uri0), 1/1.3; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("normalised weight u0→URI0 = %v, want %v", got, want)
 	}
-	if w := in.neighborhoodOutWeights()[uri0]; math.Abs(w-4) > 1e-12 {
+	if w := NeighborhoodOutWeights(in)[uri0]; math.Abs(w-4) > 1e-12 {
 		t.Fatalf("W(URI0) = %v, want 4", w)
 	}
 	if got := matrixEntry(in, uri0, a0); math.Abs(got-0.25) > 1e-12 {
@@ -107,7 +107,7 @@ func TestExample23PathNormalization(t *testing.T) {
 func TestNormalizationFromDeepNode(t *testing.T) {
 	in := figure3(t)
 	n000 := nid(t, in, "URI0.0.0")
-	if w := in.neighborhoodOutWeights()[n000]; math.Abs(w-3) > 1e-12 {
+	if w := NeighborhoodOutWeights(in)[n000]; math.Abs(w-3) > 1e-12 {
 		t.Fatalf("W(URI0.0.0) = %v, want 3", w)
 	}
 	if got := matrixEntry(in, n000, nid(t, in, "a0")); math.Abs(got-1.0/3) > 1e-12 {
@@ -123,7 +123,7 @@ func TestNormalizationFromDeepNode(t *testing.T) {
 // normalisation divides each edge by the neighbourhood's total out-weight.
 func TestMatrixRowsAreStochastic(t *testing.T) {
 	in := figure3(t)
-	totalW := in.neighborhoodOutWeights()
+	totalW := NeighborhoodOutWeights(in)
 	for v := 0; v < in.NumNodes(); v++ {
 		sum := in.Matrix().RowSum(v)
 		if sum == 0 {

@@ -258,11 +258,11 @@ func (in *Instance) checkEdgeKinds() error {
 // derive computes every table an instance holds beyond the stored ones,
 // for Builder.Build and FromRaw alike, so it is the one place each of them
 // is assigned: the node lists, depths and document ordinals (deriveTree),
-// the URI→node table, the children lists, the network out-edges
-// (deriveEdges), the transition matrix (buildMatrix), the keyword
-// frequencies, the component partition and the statistics. It refuses
-// what the builder cannot make (see deriveTree, checkEdgeKinds and
-// deriveEdges), and a tag count other than the number of tag infos.
+// the URI→node table, the children lists, the users' network out-edges
+// (deriveEdges, keepUserEdges), the transition matrix (buildMatrix), the
+// keyword frequencies, the component partition and the statistics. It
+// refuses what the builder cannot make (see deriveTree, checkEdgeKinds
+// and deriveEdges), and a tag count other than the number of tag infos.
 func (in *Instance) derive() error {
 	if err := in.deriveTree(); err != nil {
 		return err
@@ -278,13 +278,15 @@ func (in *Instance) derive() error {
 		return err
 	}
 	in.childOff, in.childList = childrenOf(in.parent)
-	if err := in.deriveEdges(); err != nil {
+	off, list, err := in.deriveEdges()
+	if err != nil {
 		return err
 	}
-	in.buildMatrix()
+	in.buildMatrix(off, list)
+	in.keepUserEdges(off, list)
 	in.countKeywords()
 	in.buildComponents()
-	in.computeStats()
+	in.computeStats(len(list))
 	return nil
 }
 

@@ -22,7 +22,8 @@ type Stats struct {
 	Posts              int
 	// Nodes and Edges match Figure 4's "Nodes (without keywords)" and
 	// "Edges (without keywords)": instance nodes, and network edges
-	// (inverses included) plus tree edges.
+	// (inverses included) plus tree edges. Edges counts every derived
+	// network edge, not only the users' that OutEdges keeps.
 	Nodes int
 	Edges int
 	// AvgSocialDegree averages outgoing social edges over users having
@@ -33,10 +34,10 @@ type Stats struct {
 }
 
 // computeStats derives the statistics from the instance's tables, for a
-// built and a loaded instance alike. Social edges are the user → user
-// out-edges: Builder.AddSocial makes every one of them, and nothing else
-// does.
-func (in *Instance) computeStats() {
+// built and a loaded instance alike, given the number of network edges
+// deriveEdges derived. Social edges are the user → user out-edges:
+// Builder.AddSocial makes every one of them, and nothing else does.
+func (in *Instance) computeStats(edges int) {
 	s := Stats{
 		Users:              len(in.users),
 		Documents:          len(in.docRoots),
@@ -55,7 +56,7 @@ func (in *Instance) computeStats() {
 		}
 	}
 	// Tree edges count once per non-root document node.
-	s.Edges = len(in.edgeList) + s.Fragments
+	s.Edges = edges + s.Fragments
 
 	usersWithEdges := 0
 	for _, u := range in.users {

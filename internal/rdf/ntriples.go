@@ -127,7 +127,7 @@ func parseNTLine(line string) (s, p, o string, w float64, err error) {
 			err = fmt.Errorf("bad weight %q", rest)
 			return
 		}
-		if w < 0 || w > 1 {
+		if !(w >= 0 && w <= 1) {
 			err = fmt.Errorf("weight %v outside [0,1]", w)
 			return
 		}

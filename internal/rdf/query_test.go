@@ -193,6 +193,7 @@ func TestNTriplesErrors(t *testing.T) {
 		`<a> <b> "unterminated .`,
 		"<a> <b> <c> 1.5 .",
 		"<a> <b> <c> nope .",
+		"<a> <b> <c> NaN .",
 		"<a> .",
 	}
 	for _, src := range cases {

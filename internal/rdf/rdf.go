@@ -104,7 +104,7 @@ func (g *Graph) AddWeighted(s, p, o string, w float64) bool {
 // derived immediately (incremental saturation, cf. the paper's citation of
 // incremental RDF maintenance [10]).
 func (g *Graph) AddT(s, p, o ID, w float64) bool {
-	if w < 0 || w > 1 {
+	if !(w >= 0 && w <= 1) {
 		panic(fmt.Sprintf("rdf: weight %v out of [0,1]", w))
 	}
 	isNew := g.insert(s, p, o, w)

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -44,14 +45,21 @@ func TestWeightedAddKeepsMax(t *testing.T) {
 	}
 }
 
+// TestAddPanicsOnBadWeight: a weight outside [0,1] panics, NaN included
+// (it fails every comparison, so a test for w < 0 || w > 1 lets it by).
 func TestAddPanicsOnBadWeight(t *testing.T) {
-	g := NewWithDict()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on weight > 1")
-		}
-	}()
-	g.AddWeighted("a", "p", "b", 1.5)
+	for _, w := range []float64{1.5, -0.5, math.NaN()} {
+		func() {
+			g := NewWithDict()
+			s, p, o := g.Dict().Intern("a"), g.Dict().Intern("p"), g.Dict().Intern("b")
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on weight %v", w)
+				}
+			}()
+			g.AddT(s, p, o, w)
+		}()
+	}
 }
 
 // The paper's §2.1 example: from (u1 hasFriend u0) and

@@ -160,6 +160,69 @@ func TestRoundTripGeneratedInstances(t *testing.T) {
 	})
 }
 
+// TestOutEdgesAreUserRows pins the OutEdges contract the benchmark's and
+// the battery's seeker lists are drawn with (len(OutEdges(u)) > 0): a
+// user's out-edges are its social edges in stored order, then a
+// postedByInv edge per post it made and a hasAuthorInv edge per tag it
+// authored, in stored order, each computed here from Raw's relations; every
+// other node has none. Built and read-back instances alike; the Figure-4
+// edge counts stay those of the full edge set.
+func TestOutEdgesAreUserRows(t *testing.T) {
+	tw := datagen.DefaultTwitterOptions()
+	tw.Users, tw.Tweets, tw.Seed = 80, 300, 1
+	twSpec, _ := datagen.Twitter(tw)
+	vo := datagen.DefaultVodkasterOptions()
+	vo.Users, vo.Movies = 60, 40
+	yo := datagen.DefaultYelpOptions()
+	yo.Users, yo.Businesses = 60, 40
+	for _, c := range []struct {
+		name               string
+		spec               graph.Spec
+		lang               text.Lang
+		edges, socialEdges int
+	}{
+		{"hand", handSpec(), text.English, 21, 3},
+		{"twitter", twSpec, text.None, 1964, 687},
+		{"vodkaster", datagen.Vodkaster(vo), text.None, 1383, 220},
+		{"yelp", datagen.Yelp(yo), text.None, 1342, 242},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			built, ix := build(t, c.spec, text.Analyzer{Lang: c.lang})
+			loaded, _, _ := roundTrip(t, built, ix)
+			for _, in := range []*graph.Instance{built, loaded} {
+				if st := in.Stats(); st.Edges != c.edges || st.SocialEdges != c.socialEdges {
+					t.Errorf("Stats: %d edges, %d social edges; want %d, %d", st.Edges, st.SocialEdges, c.edges, c.socialEdges)
+				}
+				raw := in.Raw()
+				postedByInv, _ := in.Dict().Lookup(graph.PropPostedByInv)
+				hasAuthorInv, _ := in.Dict().Lookup(graph.PropHasAuthorInv)
+				want := make(map[graph.NID][]graph.Edge)
+				for _, e := range raw.Social {
+					want[e.From] = append(want[e.From], graph.Edge{To: e.To, Prop: e.Prop, W: e.W})
+				}
+				for _, p := range raw.Posts {
+					want[p.User] = append(want[p.User], graph.Edge{To: p.Doc, Prop: postedByInv, W: 1})
+				}
+				for i, ti := range raw.TagInfos {
+					want[ti.Author] = append(want[ti.Author], graph.Edge{To: in.Tags()[i], Prop: hasAuthorInv, W: 1})
+				}
+				for v := range graph.NID(in.NumNodes()) {
+					got := in.OutEdges(v)
+					if in.KindOf(v) != graph.KindUser {
+						if len(got) != 0 {
+							t.Fatalf("OutEdges(%s), a %s: %v, want none", in.URIOf(v), in.KindOf(v), got)
+						}
+						continue
+					}
+					if !slices.Equal(got, want[v]) {
+						t.Fatalf("OutEdges(%s) = %v, want %v", in.URIOf(v), got, want[v])
+					}
+				}
+			}
+		})
+	}
+}
+
 // checkRoundTrip builds the spec, writes its snapshot and reads it back,
 // and requires the read-back instance to be the built one: the same
 // statistics, search transcript and bytes when written again, and, table

@@ -16,14 +16,15 @@
 // bit-identical; which one runs is decided by the step's edge work
 // (Saturated) and is invisible in the result.
 //
-// The live list holds the entries of every row that some entry points to,
-// in CSR order. Past the first step a border is xᵀ·M scaled, so it is zero
-// on every other row; the few such rows where x is not zero (a seeker
-// nothing points to, at depth 0) are spliced into the walk at their place
-// in row order. The walk does not test x: a live row where x is zero adds
-// 0·v, a zero because every stored value is finite, and adding a zero
-// leaves the bits of a cell that started at +0 unchanged (such a cell is
-// never −0).
+// The matrix holds each entry once, in two blocks. The live block is the
+// entries of every row that some entry points to, in CSR order: the list
+// PushDense walks. Past the first step a border is xᵀ·M scaled, so it is
+// zero on every other row; those rows' entries follow, in row order, and
+// the few such rows where x is not zero (a seeker nothing points to, at
+// depth 0) are spliced into the walk at their place in row order. The
+// walk does not test x: a live row where x is zero adds 0·v, a zero
+// because every stored value is finite, and adding a zero leaves the bits
+// of a cell that started at +0 unchanged (such a cell is never −0).
 //
 // Every byte-identity guarantee upstream (replayed checkpoints, shards,
 // hosts, distributed workers, failover) rests on this and on nothing
@@ -31,120 +32,139 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 )
 
-// Matrix is an immutable square sparse matrix in CSR layout; every value
-// is finite and non-zero. Beside the CSR arrays it holds the live list
-// that PushDense walks — the entries of the covered rows (rows some entry
-// points to) as parallel row/col/val slices in CSR order — and, for each
+// Matrix is an immutable square sparse matrix; every value is finite and
+// non-zero. Its entries sit in col/val once each, in two blocks: first
+// the live block, the covered rows (rows some entry points to) in CSR
+// order, which PushDense walks with liveRow naming each entry's row; then
+// the other rows' entries, in row order. rows[r] is where row r's entries
+// lie, whichever block holds them. Beside them it holds, for each
 // non-empty row that is not covered, ascending, the point where that row
-// splices into the list; and the two norms a proximity tail bound reads,
-// each column's largest entry and the largest row sum. All are derived
-// from the CSR arrays when the matrix is built; none is serialised.
+// splices into the live walk, and the two norms a proximity tail bound
+// reads, each column's largest entry and the largest row sum. All are
+// laid out when the matrix is built; none is serialised.
 type Matrix struct {
-	n      int
-	rowPtr []int32
-	col    []int32
-	val    []float64
+	n    int
+	rows []span
+	col  []int32
+	val  []float64
 
 	liveRow []int32
-	liveCol []int32
-	liveVal []float64
 	splice  []spliceRow
 
 	colMax []float64
 	rowMax float64
 }
 
+// span is the range [lo, hi) of col and val that holds one row.
+type span struct{ lo, hi int32 }
+
 // spliceRow is a non-empty row nothing points to, and the number of live
-// entries in lower rows: where its CSR entries fall in the walk.
+// entries in lower rows: where its entries fall in the walk.
 type spliceRow struct{ row, at int32 }
 
-// Builder accumulates (row, col, value) entries; duplicate coordinates are
-// summed.
+// Builder accumulates (row, col, value) entries row by row, in ascending
+// row order; duplicate coordinates are summed. The row being added is
+// summed in one dense accumulator, reused for every row, and each
+// finished row is appended to a CSR that Build lays out as a Matrix.
 type Builder struct {
-	n       int
-	rows    [][]entry
-	entries int
-}
+	n    int
+	row  int       // the row being added
+	acc  []float64 // its sums, by column
+	seen []bool    // acc[c] has taken an add of this row
+	cols []int32   // the columns of this row, in first-add order
 
-type entry struct {
-	col int32
-	val float64
+	rowPtr  []int32 // the finished rows, in CSR form
+	col     []int32
+	val     []float64
+	covered []bool // some finished entry has column r
 }
 
 // NewBuilder returns a builder for an n×n matrix.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, rows: make([][]entry, n)}
+	return &Builder{
+		n:       n,
+		acc:     make([]float64, n),
+		seen:    make([]bool, n),
+		rowPtr:  make([]int32, n+1),
+		covered: make([]bool, n),
+	}
 }
 
-// Add accumulates val at (row, col). val must be finite: PushDense's
-// walk multiplies every value by zero for rows where x is zero.
+// Add accumulates val at (row, col). Rows come in ascending order: a row
+// below one already added panics, as does a coordinate outside the
+// matrix. val must be finite: PushDense's walk multiplies every value by
+// zero for rows where x is zero.
 func (b *Builder) Add(row, col int, val float64) {
 	if row < 0 || row >= b.n || col < 0 || col >= b.n || math.IsInf(val, 0) || math.IsNaN(val) {
 		panic(fmt.Sprintf("sparse: entry (%d,%d) = %v is not a finite value inside the %d×%d matrix", row, col, val, b.n, b.n))
 	}
-	b.rows[row] = append(b.rows[row], entry{col: int32(col), val: val})
-	b.entries++
+	if row < b.row {
+		panic(fmt.Sprintf("sparse: entry in row %d added after row %d", row, b.row))
+	}
+	for b.row < row {
+		b.finishRow()
+	}
+	if !b.seen[col] {
+		b.seen[col] = true
+		b.cols = append(b.cols, int32(col))
+	}
+	b.acc[col] += val
 }
 
-// Build produces the CSR matrix. Each row is ordered by a stable sort on
-// column and every run of one column is summed in the order its entries
-// were added — a matrix value is the same left-to-right sum whatever else
-// the row holds. A run that sums to zero is dropped; no run may overflow.
-// Rows are sorted in place; the cost is O(entries · log(widest row)).
+// finishRow appends the current row's non-zero sums to the CSR in column
+// order, clears the accumulator and moves to the next row.
+func (b *Builder) finishRow() {
+	slices.Sort(b.cols)
+	for _, c := range b.cols {
+		if sum := b.acc[c]; sum != 0 {
+			b.col = append(b.col, c)
+			b.val = append(b.val, sum)
+			b.covered[c] = true
+		}
+		b.acc[c], b.seen[c] = 0, false
+	}
+	b.cols = b.cols[:0]
+	b.row++
+	b.rowPtr[b.row] = int32(len(b.col))
+}
+
+// Build finishes the rows and lays out the matrix. Each cell is the
+// left-to-right sum of what was added at it, in Add order, started from
+// +0, whatever else the row holds; a cell that sums to zero is dropped,
+// and no sum may overflow. The cost is O(entries + n) beside one sort of
+// each row's distinct columns. Build copies the entries out of the
+// builder's CSR, in one pass over the rows that also takes the column
+// maxima and the largest row sum (see ColMax and RowSumMax).
 func (b *Builder) Build() *Matrix {
-	m := &Matrix{
-		n:      b.n,
-		rowPtr: make([]int32, b.n+1),
-		col:    make([]int32, 0, b.entries),
-		val:    make([]float64, 0, b.entries),
+	for b.row < b.n {
+		b.finishRow()
 	}
-	covered := make([]bool, b.n)
-	for r, row := range b.rows {
-		slices.SortStableFunc(row, func(x, y entry) int { return cmp.Compare(x.col, y.col) })
-		for i := 0; i < len(row); {
-			c, sum := row[i].col, 0.0
-			for ; i < len(row) && row[i].col == c; i++ {
-				sum += row[i].val
-			}
-			if sum != 0 {
-				m.col = append(m.col, c)
-				m.val = append(m.val, sum)
-				covered[c] = true
-			}
-		}
-		m.rowPtr[r+1] = int32(len(m.col))
-	}
-	m.deriveLive(covered)
-	return m
-}
-
-// deriveLive lays out the live list and the splice points from the CSR
-// arrays and the covered-row marks (covered[r]: some entry has column r),
-// and in the same pass over the rows takes the column maxima and the
-// largest row sum (see ColMax and RowSumMax).
-func (m *Matrix) deriveLive(covered []bool) {
 	live := 0
-	for r, cov := range covered {
+	for r, cov := range b.covered {
 		if cov {
-			live += int(m.rowPtr[r+1] - m.rowPtr[r])
+			live += int(b.rowPtr[r+1] - b.rowPtr[r])
 		}
 	}
-	m.liveRow = make([]int32, 0, live)
-	m.liveCol = make([]int32, 0, live)
-	m.liveVal = make([]float64, 0, live)
-	colMax := make([]float64, m.n)
+	m := &Matrix{
+		n:       b.n,
+		rows:    make([]span, b.n),
+		col:     make([]int32, len(b.col)),
+		val:     make([]float64, len(b.val)),
+		liveRow: make([]int32, 0, live),
+	}
+	colMax := make([]float64, b.n)
 	rowMax := 0.0
-	for r, cov := range covered {
-		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
-		vals := m.val[lo:hi]
+	rest := int32(live)
+	for r, cov := range b.covered {
+		lo, hi := b.rowPtr[r], b.rowPtr[r+1]
+		vals := b.val[lo:hi]
 		sum := 0.0
-		for i, c := range m.col[lo:hi] {
+		for i, c := range b.col[lo:hi] {
 			v := vals[i]
 			sum += v
 			if v > colMax[c] {
@@ -152,22 +172,27 @@ func (m *Matrix) deriveLive(covered []bool) {
 			}
 		}
 		rowMax = max(rowMax, sum)
+		at := int32(len(m.liveRow))
 		switch {
 		case lo == hi:
+			continue
 		case !cov:
-			m.splice = append(m.splice, spliceRow{row: int32(r), at: int32(len(m.liveRow))})
+			m.splice = append(m.splice, spliceRow{row: int32(r), at: at})
+			at, rest = rest, rest+hi-lo
 		default:
 			for range hi - lo {
 				m.liveRow = append(m.liveRow, int32(r))
 			}
-			m.liveCol = append(m.liveCol, m.col[lo:hi]...)
-			m.liveVal = append(m.liveVal, m.val[lo:hi]...)
 		}
+		m.rows[r] = span{at, at + hi - lo}
+		copy(m.col[at:], b.col[lo:hi])
+		copy(m.val[at:], vals)
 	}
 	for c, v := range colMax {
 		colMax[c] = roundUp(v)
 	}
 	m.colMax, m.rowMax = colMax, roundUp(rowMax)
+	return m
 }
 
 // roundUp returns v raised by four ulps or more: the margin ColMax and
@@ -175,11 +200,20 @@ func (m *Matrix) deriveLive(covered []bool) {
 // still holds over sums that round differently from exact arithmetic.
 func roundUp(v float64) float64 { return v + v*0x1p-50 }
 
-// Raw exposes the CSR arrays (dimension, row pointers, column indices,
-// values). The slices are shared with the matrix and must not be
-// modified.
+// Raw assembles the matrix in CSR form (dimension, row pointers, column
+// indices, values), a fresh copy each call: the matrix keeps no CSR
+// arrays. It serves tests and the benchmark's sparse.edges_per_step probe,
+// which reads row degrees from rowPtr; a search never calls it.
 func (m *Matrix) Raw() (n int, rowPtr, col []int32, val []float64) {
-	return m.n, m.rowPtr, m.col, m.val
+	rowPtr = make([]int32, m.n+1)
+	col = make([]int32, 0, len(m.col))
+	val = make([]float64, 0, len(m.val))
+	for r, s := range m.rows {
+		col = append(col, m.col[s.lo:s.hi]...)
+		val = append(val, m.val[s.lo:s.hi]...)
+		rowPtr[r+1] = int32(len(col))
+	}
+	return m.n, rowPtr, col, val
 }
 
 // N returns the dimension.
@@ -190,7 +224,8 @@ func (m *Matrix) NNZ() int { return len(m.col) }
 
 // Row calls f for every stored entry of the given row.
 func (m *Matrix) Row(r int, f func(col int, val float64)) {
-	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+	s := m.rows[r]
+	for i := s.lo; i < s.hi; i++ {
 		f(int(m.col[i]), m.val[i])
 	}
 }
@@ -210,11 +245,12 @@ func (m *Matrix) RowSumMax() float64 { return m.rowMax }
 
 // RowSum returns the sum of the entries of a row.
 func (m *Matrix) RowSum(r int) float64 {
-	var s float64
-	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-		s += m.val[i]
+	var sum float64
+	s := m.rows[r]
+	for _, v := range m.val[s.lo:s.hi] {
+		sum += v
 	}
-	return s
+	return sum
 }
 
 // PropagateT computes out = xᵀ·M: out[c] = Σ_r x[r]·M[r][c].
@@ -271,7 +307,7 @@ func (m *Matrix) Saturated(active []int32) bool {
 	limit := int32(m.n / denseWorkDiv)
 	var work int32
 	for _, r := range active {
-		work += m.rowPtr[r+1] - m.rowPtr[r]
+		work += m.rows[r].hi - m.rows[r].lo
 		if work >= limit {
 			return true
 		}
@@ -290,7 +326,8 @@ func (m *Matrix) PushSparse(x []float64, active []int32, out []float64, scratch 
 		if xr == 0 {
 			continue
 		}
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+		s := m.rows[r]
+		for i := s.lo; i < s.hi; i++ {
 			c := m.col[i]
 			// The conversion rounds the product before the add, so no
 			// architecture fuses the two differently here and in PushDense.
@@ -331,7 +368,7 @@ func (m *Matrix) PushDense(x, out []float64) {
 		}
 		m.pushLive(x, out, at, int(s.at))
 		at = int(s.at)
-		lo, hi := m.rowPtr[s.row], m.rowPtr[s.row+1]
+		lo, hi := m.rows[s.row].lo, m.rows[s.row].hi
 		vals := m.val[lo:hi]
 		for i, c := range m.col[lo:hi] {
 			out[c] += float64(xr * vals[i])
@@ -343,24 +380,11 @@ func (m *Matrix) PushDense(x, out []float64) {
 // pushLive walks live entries [lo, hi).
 func (m *Matrix) pushLive(x, out []float64, lo, hi int) {
 	rows := m.liveRow[lo:hi]
-	cols := m.liveCol[lo:hi]
-	vals := m.liveVal[lo:hi]
+	cols := m.col[lo:hi]
+	vals := m.val[lo:hi]
 	for i, r := range rows {
 		out[cols[i]] += float64(x[r] * vals[i])
 	}
-}
-
-// MulVec computes out = M·x densely (used by tests as an oracle).
-func (m *Matrix) MulVec(x []float64) []float64 {
-	out := make([]float64, m.n)
-	for r := 0; r < m.n; r++ {
-		var s float64
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			s += m.val[i] * x[m.col[i]]
-		}
-		out[r] = s
-	}
-	return out
 }
 
 // Dense materialises the matrix (tests only; O(n²) memory).

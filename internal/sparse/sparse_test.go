@@ -7,8 +7,25 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
+
+// triple is one Add: row, column, value.
+type triple struct {
+	row, col int
+	val      float64
+}
+
+// buildByRow builds an n×n matrix from entries drawn in any row order: it
+// orders them stably by row, as Builder requires, so each row keeps its
+// add order and every cell the same left-to-right sum.
+func buildByRow(n int, ts []triple) *Matrix {
+	slices.SortStableFunc(ts, func(x, y triple) int { return cmp.Compare(x.row, y.row) })
+	b := NewBuilder(n)
+	for _, t := range ts {
+		b.Add(t.row, t.col, t.val)
+	}
+	return b.Build()
+}
 
 func TestBuildSumsDuplicatesAndDropsZeros(t *testing.T) {
 	b := NewBuilder(3)
@@ -37,6 +54,20 @@ func TestAddPanicsOutOfRange(t *testing.T) {
 	b.Add(0, 2, 1)
 }
 
+// TestAddPanicsOnLowerRow: rows are added in ascending order; an entry
+// in a row below one already added panics, one in the same row does not.
+func TestAddPanicsOnLowerRow(t *testing.T) {
+	b := NewBuilder(4)
+	b.Add(2, 1, 1)
+	b.Add(2, 0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on an entry in a lower row")
+		}
+	}()
+	b.Add(1, 3, 1)
+}
+
 func TestRowIterationSortedColumns(t *testing.T) {
 	b := NewBuilder(4)
 	b.Add(1, 3, 0.3)
@@ -59,11 +90,11 @@ func TestPropagateTMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(20)
-		b := NewBuilder(n)
+		var ts []triple
 		for e := 0; e < n*2; e++ {
-			b.Add(rng.Intn(n), rng.Intn(n), rng.Float64())
+			ts = append(ts, triple{rng.Intn(n), rng.Intn(n), rng.Float64()})
 		}
-		m := b.Build()
+		m := buildByRow(n, ts)
 		dense := m.Dense()
 
 		x := make([]float64, n)
@@ -122,7 +153,7 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(120)
-		b := NewBuilder(n)
+		var ts []triple
 		val := func() float64 {
 			if rng.Intn(8) == 0 {
 				return 1e-200 * rng.Float64() // × a small x: underflows to 0
@@ -130,17 +161,17 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 			return rng.Float64()
 		}
 		for e := rng.Intn(4 * n); e > 0; e-- {
-			b.Add(rng.Intn(n), rng.Intn(n), val())
+			ts = append(ts, triple{rng.Intn(n), rng.Intn(n), val()})
 		}
 		for hubs := rng.Intn(3); hubs > 0; hubs-- {
 			r := rng.Intn(n)
 			for c := 0; c < n; c++ {
 				if rng.Intn(4) != 0 {
-					b.Add(r, c, val())
+					ts = append(ts, triple{r, c, val()})
 				}
 			}
 		}
-		m := b.Build()
+		m := buildByRow(n, ts)
 
 		// Frontier sizes sweep 1 … n; the last trials of a size class use
 		// every node.
@@ -207,49 +238,17 @@ func TestZeroVec(t *testing.T) {
 	}
 }
 
-// Property: MulVec against a straightforward dense implementation.
-func TestQuickMulVec(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(15)
-		b := NewBuilder(n)
-		for e := 0; e < n+rng.Intn(3*n); e++ {
-			b.Add(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
-		}
-		m := b.Build()
-		dense := m.Dense()
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got := m.MulVec(x)
-		for r := 0; r < n; r++ {
-			var want float64
-			for c := 0; c < n; c++ {
-				want += dense[r][c] * x[c]
-			}
-			if math.Abs(got[r]-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // benchFrontier builds the serving-scale shape (the benchmark's twitter
 // scale-1 graph: 13,696 nodes, ≈ 5.5 edges a row) and an ascending
 // frontier over the given fraction of its rows.
 func benchFrontier(frac float64) (m *Matrix, x []float64, active []int32) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 13696
-	bd := NewBuilder(n)
-	for e := 0; e < n*11/2; e++ {
-		bd.Add(rng.Intn(n), rng.Intn(n), rng.Float64())
+	ts := make([]triple, n*11/2)
+	for e := range ts {
+		ts[e] = triple{rng.Intn(n), rng.Intn(n), rng.Float64()}
 	}
-	m = bd.Build()
+	m = buildByRow(n, ts)
 	x = make([]float64, n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < frac {
@@ -290,7 +289,7 @@ func BenchmarkPush(b *testing.B) {
 		m, x, active := benchFrontier(frac)
 		work := 0
 		for _, r := range active {
-			work += int(m.rowPtr[r+1] - m.rowPtr[r])
+			work += int(m.rows[r].hi - m.rows[r].lo)
 		}
 		name := fmt.Sprintf("work=N_%.1f", float64(m.N())/float64(work))
 		out := make([]float64, m.N())
@@ -319,8 +318,8 @@ func BenchmarkPush(b *testing.B) {
 
 // TestBuildHubRow: a row far wider than its neighbours, filled in
 // descending column order, must still come out with strictly ascending,
-// duplicate-summed columns (every row takes the same stable sort; there is
-// no length threshold).
+// duplicate-summed columns (every row goes through the same accumulator;
+// there is no length threshold).
 func TestBuildHubRow(t *testing.T) {
 	const n = 128
 	b := NewBuilder(n)
