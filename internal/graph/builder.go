@@ -503,31 +503,44 @@ func (in *Instance) neighborhoodOutWeights(off []int64, list []Edge) []float64 {
 // (m → t, w) contributes w / W(v) to M[v][t], with W(v) the total
 // out-weight of the neighbourhood. It reads the full edge CSR deriveEdges
 // returns, and adds the rows in ascending order, as sparse.Builder takes
-// them.
+// them, after a counting pass over the same neighbourhoods that sizes the
+// builder's CSR.
 func (in *Instance) buildMatrix(off []int64, list []Edge) {
 	n := len(in.dictID)
 	totalW := in.neighborhoodOutWeights(off, list)
-	bld := sparse.NewBuilder(n)
 	var members []NID
-	for v := 0; v < n; v++ {
-		if totalW[v] == 0 {
-			continue
-		}
-		members = members[:0]
-		if in.kind[v] == KindDocNode {
-			members = in.SubtreeOf(NID(v), members)
-			for p := in.parent[v]; p != NoNID; p = in.parent[p] {
-				members = append(members, p)
+	each := func(visit func(v int, members []NID)) {
+		for v := 0; v < n; v++ {
+			if totalW[v] == 0 {
+				continue
 			}
-		} else {
-			members = append(members, NID(v))
+			members = members[:0]
+			if in.kind[v] == KindDocNode {
+				members = in.SubtreeOf(NID(v), members)
+				for p := in.parent[v]; p != NoNID; p = in.parent[p] {
+					members = append(members, p)
+				}
+			} else {
+				members = append(members, NID(v))
+			}
+			visit(v, members)
 		}
+	}
+	adds := 0
+	each(func(_ int, members []NID) {
+		for _, m := range members {
+			adds += int(off[m+1] - off[m])
+		}
+	})
+	bld := sparse.NewBuilder(n)
+	bld.Grow(adds)
+	each(func(v int, members []NID) {
 		for _, m := range members {
 			for _, e := range list[off[m]:off[m+1]] {
 				bld.Add(v, int(e.To), e.W/totalW[v])
 			}
 		}
-	}
+	})
 	in.matrix = bld.Build()
 }
 

@@ -21,6 +21,15 @@
 //     containment connections of c the carried source is c's root (the
 //     paper's d2 example). Comment chains propagate transitively; cycles
 //     are tolerated (the fixpoint terminates because events form a set).
+//
+// No rule leaves a §5.2 component. The components are the connected
+// components over partOf, commentsOn and hasSubject (graph.Instance.CompOf),
+// and every rule moves a connection along one of those edges only: up a
+// document tree, from a tag to its subject, from a comment to its target.
+// An event is anchored in the component of the document or tag it was
+// read from, and a rule reads only the events and tag connections of one
+// component. The fixpoint of an instance is therefore the union of its
+// components' fixpoints, and Build computes them one component at a time.
 package index
 
 import (
@@ -91,27 +100,7 @@ type Index struct {
 	comps []int32
 }
 
-type eventKey struct {
-	kw   dict.ID
-	frag graph.NID
-	src  graph.NID
-	typ  ConnType
-}
-
-// tagEntry is one connection carried by a tag: keyword kw reaches
-// fragment frag with source src.
-type tagEntry struct {
-	kw   dict.ID
-	frag graph.NID
-	src  graph.NID
-}
-
-// tagEntryKey dedups (tag, connection entry) pairs during the fixpoint.
-type tagEntryKey struct {
-	tag graph.NID
-	tagEntry
-}
-
+// kwEvent is an event of keyword kw.
 type kwEvent struct {
 	kw dict.ID
 	ev Event
@@ -124,105 +113,181 @@ type kwFrag struct {
 	frag graph.NID
 }
 
-// Build computes the connection fixpoint for an instance. Its cost is
-// linear in the instance plus the events it produces: every list the
-// fixpoint re-reads is consumed through a cursor, and no list holds an
-// item twice.
+// tagEntry is one connection carried by a tag — keyword kw reaches
+// fragment frag with source src — the tag named by its position in its
+// component.
+type tagEntry struct {
+	tag  int32
+	kw   dict.ID
+	frag graph.NID
+	src  graph.NID
+}
+
+func (k kwEvent) hash() uint64 {
+	return hash2(uint64(k.kw)<<32|uint64(uint32(k.ev.Frag)), uint64(uint32(k.ev.Src))<<8|uint64(k.ev.Type))
+}
+
+func (k kwFrag) hash() uint64 { return hash2(uint64(k.kw), uint64(uint32(k.frag))) }
+
+func (k tagEntry) hash() uint64 {
+	return hash2(uint64(uint32(k.tag))<<32|uint64(k.kw), uint64(uint32(k.frag))<<32|uint64(uint32(k.src)))
+}
+
+// hash2 mixes two words into a hash whose low bits are as good as its
+// high ones (a splitmix64-style finaliser).
+func hash2(a, b uint64) uint64 {
+	h := a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>32
+}
+
+// tagItem is a tag and its description.
+type tagItem struct {
+	node graph.NID
+	info graph.TagInfo
+}
+
+// Build computes the connection fixpoint for an instance, one component
+// at a time in ascending component id. No rule leaves a component (see the
+// package doc), so a component's fixpoint is final once reached: its
+// events, sorted by (keyword, fragment, type, source), are appended to the
+// output, which therefore lists each keyword's events in canonical order
+// without a sort across components. Its cost is linear in the instance
+// plus the events it produces, beside one sort of each component's events:
+// every list the fixpoint re-reads is consumed through a cursor, no list
+// holds an item twice, and the working sets hold one component.
 func Build(in *graph.Instance) *Index {
-	n := in.NumNodes()
-	// The containment events — one per (node, keyword) — are a floor for
-	// the event and pair sets.
-	contained := 0
-	for v := 0; v < n; v++ {
-		contained += len(in.KeywordsOf(graph.NID(v)))
+	b := newBuilder(in)
+	for c := range in.NumComponents() {
+		b.component(c)
 	}
-	b := &ixBuilder{
-		in:            in,
-		seen:          make(map[eventKey]struct{}, contained),
-		byKw:          make(map[dict.ID][]Event),
-		perDoc:        make([][]kwEvent, n),
-		pairs:         make([][]kwFrag, n),
-		pairSeen:      make(map[kwFrag]struct{}, contained),
-		tags:          make([]tagState, n),
-		tagSeen:       make(map[tagEntryKey]struct{}, len(in.Tags())),
-		commentCursor: make([]int, len(in.Comments())),
-	}
-	b.run()
 	return b.freeze()
 }
 
-// ixBuilder is the state of the fixpoint. perDoc, pairs and tags are
-// indexed by node id, commentCursor by position in in.Comments().
-type ixBuilder struct {
-	in   *graph.Instance
-	seen map[eventKey]struct{}
-	byKw map[dict.ID][]Event
+// builder is the state of the fixpoint.
+type builder struct {
+	in *graph.Instance
 
-	// perDoc[root] lists the events anchored in that document, for rule 4.
-	perDoc [][]kwEvent
-	// pairs[root] lists the distinct (keyword, fragment) pairs among
-	// perDoc[root], in first-seen order, for rule 3: an endorser inherits a
-	// connection once per pair, however many sources — the other
-	// endorsers among them — reach the fragment with that keyword.
-	pairs    [][]kwFrag
-	pairSeen map[kwFrag]struct{}
+	// The document roots, tags and comment edges bucketed by component,
+	// each in instance order: component c's roots are
+	// roots[rootOff[c]:rootOff[c+1]], and likewise for tags and coms.
+	// local[v] is a root's or a tag's position in its component's bucket.
+	rootOff, tagOff, comOff []int32
+	roots                   []graph.NID
+	tags                    []tagItem
+	coms                    []graph.CommentEdge
+	local                   []int32
 
-	tags    []tagState
-	tagSeen map[tagEntryKey]struct{}
+	// The component being computed. evs is its events, threaded by
+	// document root for rule 4; pairs the distinct (keyword, fragment)
+	// pairs among them, by root, for rule 3: an endorser inherits a
+	// connection once per pair, however many sources — the other endorsers
+	// among them — reach the fragment with that keyword; ents the tags'
+	// connections, by tag.
+	ctags   []tagItem
+	evs     ownedSet[kwEvent]
+	pairs   ownedSet[kwFrag]
+	ents    ownedSet[tagEntry]
+	tagCur  []tagCursor
+	comCur  []int32 // per comment edge: the last of the comment's events it carried over
+	nodes   []graph.NID
+	changed bool
 
-	commentCursor []int // how much of perDoc[comment] the edge has carried over
-	changed       bool
+	// out is the events of the components done so far, component by
+	// component, each component's sorted by (keyword, fragment, type,
+	// source); count[kw] is how many are kw's.
+	out   []kwEvent
+	count []int32
 }
 
-// tagState is the connections of one tag and how far the fixpoint has
-// read the lists that feed and drain them.
-type tagState struct {
-	con []tagEntry
-	// endorsed: an endorsement's offset into what it inherits from —
-	// pairs[root of its subject], or the subject tag's con.
-	endorsed int
-	// flowed: how much of con has flowed out to the subject.
-	flowed int
+// tagCursor is how far the fixpoint has read the lists that feed and
+// drain one tag's connections: the last item of each it has read, -1 for
+// none.
+type tagCursor struct {
+	// endorsed: an endorsement's cursor into what it inherits from — the
+	// pairs of its subject's document, or the subject tag's connections.
+	endorsed int32
+	// flowed: the last of its connections that has flowed out to the
+	// subject.
+	flowed int32
 }
 
-// insert adds k to set and reports whether it was absent — one probe of
-// the table where a lookup followed by an assignment makes two.
-func insert[K comparable](set map[K]struct{}, k K) bool {
-	n := len(set)
-	set[k] = struct{}{}
-	return len(set) > n
-}
-
-func (b *ixBuilder) addEvent(kw dict.ID, ev Event) {
-	if !insert(b.seen, eventKey{kw: kw, frag: ev.Frag, src: ev.Src, typ: ev.Type}) {
-		return
+// newBuilder buckets the roots, tags and comment edges by component, and
+// refuses an instance where a tag's subject or a comment's target lies in
+// another component than the tag or the comment: the components are built
+// to rule that out, and the per-component fixpoint rests on it.
+func newBuilder(in *graph.Instance) *builder {
+	b := &builder{in: in, local: make([]int32, in.NumNodes()), count: make([]int32, in.Dict().Len())}
+	tags := make([]tagItem, len(in.Tags()))
+	for i, t := range in.Tags() {
+		ti, _ := in.TagInfoOf(t)
+		if in.CompOf(ti.Subject) != in.CompOf(t) {
+			panic(fmt.Sprintf("index: internal error: tag %d and its subject %d lie in two components", t, ti.Subject))
+		}
+		tags[i] = tagItem{node: t, info: ti}
 	}
-	b.byKw[kw] = append(b.byKw[kw], ev)
-	root := b.in.DocRootOf(ev.Frag)
-	b.perDoc[root] = append(b.perDoc[root], kwEvent{kw: kw, ev: ev})
-	if p := (kwFrag{kw: kw, frag: ev.Frag}); insert(b.pairSeen, p) {
-		b.pairs[root] = append(b.pairs[root], p)
+	for _, ce := range in.Comments() {
+		if in.CompOf(ce.Target) != in.CompOf(ce.Comment) {
+			panic(fmt.Sprintf("index: internal error: comment %d and its target %d lie in two components", ce.Comment, ce.Target))
+		}
 	}
-	b.changed = true
+	b.rootOff, b.roots = bucket(in, in.DocRoots(), func(r graph.NID) graph.NID { return r }, b.local)
+	b.tagOff, b.tags = bucket(in, tags, func(t tagItem) graph.NID { return t.node }, b.local)
+	b.comOff, b.coms = bucket(in, in.Comments(), func(ce graph.CommentEdge) graph.NID { return ce.Comment }, nil)
+	return b
 }
 
-func (b *ixBuilder) addTagEntry(tag graph.NID, e tagEntry) {
-	if !insert(b.tagSeen, tagEntryKey{tag: tag, tagEntry: e}) {
-		return
+// bucket lays items out by the component of node(item) in one counting
+// pass: those of component c are out[off[c]:off[c+1]], in their order in
+// items. If local is not nil, local[node(item)] is set to the item's
+// position in its bucket.
+func bucket[T any](in *graph.Instance, items []T, node func(T) graph.NID, local []int32) (off []int32, out []T) {
+	nc := in.NumComponents()
+	// Counted at c+2 and summed, off[c+1] is where component c starts, and
+	// it advances as c's items are placed.
+	off = make([]int32, nc+2)
+	for _, it := range items {
+		off[in.CompOf(node(it))+2]++
 	}
-	b.tags[tag].con = append(b.tags[tag].con, e)
-	b.changed = true
+	for c := 2; c < len(off); c++ {
+		off[c] += off[c-1]
+	}
+	out = make([]T, len(items))
+	for _, it := range items {
+		c := in.CompOf(node(it)) + 1
+		out[off[c]] = it
+		off[c]++
+	}
+	off = off[:nc+1]
+	if local != nil {
+		for c := range nc {
+			for i := off[c]; i < off[c+1]; i++ {
+				local[node(out[i])] = i - off[c]
+			}
+		}
+	}
+	return off, out
 }
 
-func (b *ixBuilder) run() {
+// component computes the fixpoint of component c and appends its events to
+// the output.
+func (b *builder) component(c int) {
 	in := b.in
+	roots := b.roots[b.rootOff[c]:b.rootOff[c+1]]
+	b.ctags = b.tags[b.tagOff[c]:b.tagOff[c+1]]
+	coms := b.coms[b.comOff[c]:b.comOff[c+1]]
+	b.evs.reset(len(roots))
+	b.pairs.reset(len(roots))
+	b.ents.reset(len(b.ctags))
+	b.tagCur = fill(b.tagCur, len(b.ctags), tagCursor{endorsed: -1, flowed: -1})
+	b.comCur = fill(b.comCur, len(coms), -1)
 
 	// Rule 1: containment events. A keyword a node lists twice is one
 	// event (addEvent deduplicates).
-	var nodes []graph.NID
-	for _, root := range in.DocRoots() {
-		nodes = in.SubtreeOf(root, nodes[:0])
-		for _, n := range nodes {
+	for _, root := range roots {
+		b.nodes = in.SubtreeOf(root, b.nodes[:0])
+		for _, n := range b.nodes {
 			for _, kw := range in.KeywordsOf(n) {
 				b.addEvent(kw, Event{Frag: n, Src: graph.NoNID, Type: Contains})
 			}
@@ -231,62 +296,93 @@ func (b *ixBuilder) run() {
 
 	// Rule 2 base: keyword tags contribute (kw, φ(tag), author) where
 	// φ(tag) is the document node at the bottom of the subject chain.
-	for _, tag := range in.Tags() {
-		ti, _ := in.TagInfoOf(tag)
-		if ti.Keyword == dict.NoID {
+	for i, t := range b.ctags {
+		if t.info.Keyword == dict.NoID {
 			continue
 		}
-		b.addTagEntry(tag, tagEntry{kw: ti.Keyword, frag: b.bottomFragment(tag), src: ti.Author})
+		b.addTagEntry(tagEntry{tag: int32(i), kw: t.info.Keyword, frag: b.bottomFragment(t.info.Subject), src: t.info.Author})
 	}
 
 	// Fixpoint: endorsement inheritance, tag-chain flow and comment
 	// propagation feed each other. A step reads each list from its cursor
-	// to the length it had when the step reached it; what the step itself
-	// appends is the next round's.
+	// to its end, what the step itself appends included.
 	for {
 		b.changed = false
 		b.stepTags()
-		b.stepComments()
+		b.stepComments(coms)
 		if !b.changed {
 			break
 		}
 	}
-}
 
-// bottomFragment walks the subject chain of a tag down to a document node.
-func (b *ixBuilder) bottomFragment(tag graph.NID) graph.NID {
-	cur := tag
-	for b.in.KindOf(cur) == graph.KindTag {
-		ti, _ := b.in.TagInfoOf(cur)
-		cur = ti.Subject
+	// The fixpoint is reached: the set's hash index is done with, so its
+	// items may be sorted in place.
+	slices.SortFunc(b.evs.items, func(x, y kwEvent) int {
+		switch {
+		case x.kw != y.kw:
+			return cmp.Compare(x.kw, y.kw)
+		case x.ev == y.ev:
+			return 0
+		case precedes(&x.ev, &y.ev):
+			return -1
+		}
+		return 1
+	})
+	for _, ke := range b.evs.items {
+		b.count[ke.kw]++
 	}
-	return cur
+	b.out = append(b.out, b.evs.items...)
 }
 
-func (b *ixBuilder) stepTags() {
+// addEvent adds an event of the component, threaded by its document root.
+func (b *builder) addEvent(kw dict.ID, ev Event) {
+	root := b.local[b.in.DocRootOf(ev.Frag)]
+	if !b.evs.add(root, kwEvent{kw: kw, ev: ev}) {
+		return
+	}
+	b.pairs.add(root, kwFrag{kw: kw, frag: ev.Frag})
+	b.changed = true
+}
+
+func (b *builder) addTagEntry(e tagEntry) {
+	if b.ents.add(e.tag, e) {
+		b.changed = true
+	}
+}
+
+// bottomFragment walks a subject chain of the component down to a
+// document node.
+func (b *builder) bottomFragment(subject graph.NID) graph.NID {
+	for b.in.KindOf(subject) == graph.KindTag {
+		subject = b.ctags[b.local[subject]].info.Subject
+	}
+	return subject
+}
+
+func (b *builder) stepTags() {
 	in := b.in
-	for _, tag := range in.Tags() {
-		ti, _ := in.TagInfoOf(tag)
-		st := &b.tags[tag]
+	for i, t := range b.ctags {
+		tag, ti, cur := int32(i), t.info, &b.tagCur[i]
 		onDoc := in.KindOf(ti.Subject) == graph.KindDocNode
 
 		// Rule 3: endorsements inherit the subject's connections with the
 		// endorser as source.
 		if ti.Keyword == dict.NoID {
 			if onDoc {
-				list := b.pairs[in.DocRootOf(ti.Subject)]
-				for _, p := range list[st.endorsed:] {
-					if in.IsAncestorOrSelf(ti.Subject, p.frag) {
-						b.addTagEntry(tag, tagEntry{kw: p.kw, frag: p.frag, src: ti.Author})
+				root := b.local[in.DocRootOf(ti.Subject)]
+				for p := b.pairs.after(root, cur.endorsed); p >= 0; p = b.pairs.next[p] {
+					cur.endorsed = p
+					if pf := b.pairs.items[p]; in.IsAncestorOrSelf(ti.Subject, pf.frag) {
+						b.addTagEntry(tagEntry{tag: tag, kw: pf.kw, frag: pf.frag, src: ti.Author})
 					}
 				}
-				st.endorsed = len(list)
 			} else { // endorsement of a tag
-				list := b.tags[ti.Subject].con
-				for _, e := range list[st.endorsed:] {
-					b.addTagEntry(tag, tagEntry{kw: e.kw, frag: e.frag, src: ti.Author})
+				for p := b.ents.after(b.local[ti.Subject], cur.endorsed); p >= 0; p = b.ents.next[p] {
+					cur.endorsed = p
+					e := b.ents.items[p]
+					e.tag, e.src = tag, ti.Author
+					b.addTagEntry(e)
 				}
-				st.endorsed = len(list)
 			}
 		}
 
@@ -294,22 +390,25 @@ func (b *ixBuilder) stepTags() {
 		// ancestors (as events) if the subject is a document node, or into
 		// the subject tag (higher-level tags add their connections to the
 		// thing they annotate).
-		list := st.con
-		for _, e := range list[st.flowed:] {
+		for p := b.ents.after(tag, cur.flowed); p >= 0; p = b.ents.next[p] {
+			cur.flowed = p
+			e := b.ents.items[p]
 			if onDoc {
 				b.addEvent(e.kw, Event{Frag: e.frag, Src: e.src, Type: RelatedTo})
 			} else {
-				b.addTagEntry(ti.Subject, e)
+				e.tag = b.local[ti.Subject]
+				b.addTagEntry(e)
 			}
 		}
-		st.flowed = len(list)
 	}
 }
 
-func (b *ixBuilder) stepComments() {
-	for ci, ce := range b.in.Comments() {
-		list := b.perDoc[ce.Comment] // the comment is a document root
-		for _, ke := range list[b.commentCursor[ci]:] {
+func (b *builder) stepComments(coms []graph.CommentEdge) {
+	for i, ce := range coms {
+		root := b.local[ce.Comment] // the comment is a document root
+		for p := b.evs.after(root, b.comCur[i]); p >= 0; p = b.evs.next[p] {
+			b.comCur[i] = p
+			ke := b.evs.items[p]
 			src := ke.ev.Src
 			if ke.ev.Type == Contains {
 				// The source of a containment connection of the comment is
@@ -318,37 +417,130 @@ func (b *ixBuilder) stepComments() {
 			}
 			b.addEvent(ke.kw, Event{Frag: ce.Target, Src: src, Type: CommentsOn})
 		}
-		b.commentCursor[ci] = len(list)
 	}
 }
 
-// freeze sorts every keyword's events by (component, fragment, type,
-// source) — a total order on the events of one keyword, so the frozen
-// index depends on the set the fixpoint reached and not on the order it
-// reached it in.
-func (b *ixBuilder) freeze() *Index {
-	in := b.in
-	ix := newIndex(in, len(b.byKw))
-	type keyed struct {
-		comp int32
-		ev   Event
+// freeze lays the output out as the flat form — keywords ascending, each
+// one's events in the order the components appended them — and derives
+// the index from it.
+func (b *builder) freeze() *Index {
+	f := Flat{EvOff: []int64{0}, Evs: make([]Event, len(b.out))}
+	// count[kw] becomes where kw's next event goes.
+	at := int32(0)
+	for kw, n := range b.count {
+		if n > 0 {
+			f.Kws = append(f.Kws, dict.ID(kw))
+			b.count[kw] = at
+			at += n
+			f.EvOff = append(f.EvOff, int64(at))
+		}
 	}
-	var buf []keyed
-	for kw, evs := range b.byKw {
-		buf = buf[:0]
-		for _, e := range evs {
-			buf = append(buf, keyed{comp: in.CompOf(e.Frag), ev: e})
-		}
-		slices.SortFunc(buf, func(x, y keyed) int { return compareEvents(x.comp, x.ev, y.comp, y.ev) })
-		for i, k := range buf {
-			evs[i] = k.ev
-		}
-		if err := ix.add(kw, evs); err != nil {
-			// addEvent filed each event once, so the sorted postings ascend.
-			panic("index: internal error: " + err.Error())
-		}
+	for _, ke := range b.out {
+		f.Evs[b.count[ke.kw]] = ke.ev
+		b.count[ke.kw]++
+	}
+	ix, err := FromFlat(b.in, f)
+	if err != nil {
+		// Each component's events are distinct and sorted, and the
+		// components come in ascending order, so the postings ascend.
+		panic("index: internal error: " + err.Error())
 	}
 	return ix
+}
+
+// setItem is what an ownedSet holds.
+type setItem interface {
+	comparable
+	hash() uint64
+}
+
+// ownedSet is a set of one component's items that keeps them in insertion
+// order and threads them into one list per owner — a document root or a
+// tag of the component, by its position there — without a slice per
+// owner. It is reset for each component, at a cost in what that component
+// uses, not in the largest component seen.
+type ownedSet[K setItem] struct {
+	items []K
+	// slots is an open-addressing hash index over items, probed linearly:
+	// an item's position plus one, 0 for a free slot. It is kept at most
+	// half full.
+	slots []int32
+	// next[i] is the item after i in its owner's list, -1 at its end;
+	// head and tail are each owner's first and last item, -1 for none.
+	next       []int32
+	head, tail []int32
+}
+
+// minSlots is the hash index's size after a reset, a power of two.
+const minSlots = 16
+
+// reset empties the set for a component with the given number of owners.
+func (s *ownedSet[K]) reset(owners int) {
+	s.items, s.next = s.items[:0], s.next[:0]
+	s.slots = fill(s.slots, minSlots, 0)
+	s.head = fill(s.head, owners, -1)
+	s.tail = fill(s.tail, owners, -1)
+}
+
+// add adds k to the set and to owner's list, and reports whether it was
+// absent.
+func (s *ownedSet[K]) add(owner int32, k K) bool {
+	if 2*len(s.items) >= len(s.slots) {
+		s.rehash(2 * len(s.slots))
+	}
+	mask := uint64(len(s.slots) - 1)
+	i := k.hash() & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if s.items[s.slots[i]-1] == k {
+			return false
+		}
+	}
+	n := int32(len(s.items))
+	s.items = append(s.items, k)
+	s.slots[i] = n + 1
+	s.next = append(s.next, -1)
+	if t := s.tail[owner]; t < 0 {
+		s.head[owner] = n
+	} else {
+		s.next[t] = n
+	}
+	s.tail[owner] = n
+	return true
+}
+
+// rehash re-indexes the items in a table of size slots.
+func (s *ownedSet[K]) rehash(slots int) {
+	s.slots = fill(s.slots, slots, 0)
+	mask := uint64(slots - 1)
+	for p, k := range s.items {
+		i := k.hash() & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(p + 1)
+	}
+}
+
+// after returns the item after cur in owner's list — its first for
+// cur < 0 — or -1 at the end.
+func (s *ownedSet[K]) after(owner, cur int32) int32 {
+	if cur < 0 {
+		return s.head[owner]
+	}
+	return s.next[cur]
+}
+
+// fill returns s resized to n, reusing its array when it is large enough,
+// with every element set to v.
+func fill[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // newIndex returns an empty index over in with room for nkw postings.
@@ -376,8 +568,8 @@ func (ix *Index) add(kw dict.ID, evs []Event) error {
 
 // summarize is the one derivation of a posting's component summary. It
 // checks that evs, whose fragments must be nodes of in, lie in components
-// (a user node has none) and are strictly in canonical order
-// (compareEvents), appends their distinct components in event order to
+// (a user node has none) and are strictly in canonical order — by
+// component, then by (fragment, type, source) (precedes) — appends their distinct components in event order to
 // comps and returns it with the longest single-component run.
 func summarize(in *graph.Instance, evs []Event, comps []int32) ([]int32, int, error) {
 	var prev int32
@@ -398,21 +590,6 @@ func summarize(in *graph.Instance, evs []Event, comps []int32) ([]int32, int, er
 		prev = c
 	}
 	return comps, longest, nil
-}
-
-// compareEvents orders two events of one keyword, a in component ca and b
-// in cb, by (component, fragment, type, source): the canonical order of a
-// posting — total, since a posting holds each event once.
-func compareEvents(ca int32, a Event, cb int32, b Event) int {
-	switch {
-	case ca != cb:
-		return cmp.Compare(ca, cb)
-	case a == b:
-		return 0
-	case precedes(&a, &b):
-		return -1
-	}
-	return 1
 }
 
 // precedes reports whether a sorts strictly before b by (fragment, type,

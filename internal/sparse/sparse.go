@@ -95,6 +95,14 @@ func NewBuilder(n int) *Builder {
 	}
 }
 
+// Grow reserves room in the builder's CSR for the entries of adds more
+// Add calls — a row holds no more entries than it took adds — so a caller
+// that counts its adds first builds with no reallocation.
+func (b *Builder) Grow(adds int) {
+	b.col = slices.Grow(b.col, adds)
+	b.val = slices.Grow(b.val, adds)
+}
+
 // Add accumulates val at (row, col). Rows come in ascending order: a row
 // below one already added panics, as does a coordinate outside the
 // matrix. val must be finite: PushDense's walk multiplies every value by

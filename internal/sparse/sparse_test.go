@@ -44,6 +44,37 @@ func TestBuildSumsDuplicatesAndDropsZeros(t *testing.T) {
 	}
 }
 
+// TestGrowReservesCSR: after Grow(k), k adds — duplicates and a cell that
+// cancels among them — fill the builder's CSR without reallocating it,
+// and the matrix is bit for bit the one an unreserved builder makes.
+func TestGrowReservesCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 40
+	var ts []triple
+	for r := 0; r < n; r++ {
+		for k := rng.Intn(6); k > 0; k-- {
+			ts = append(ts, triple{r, rng.Intn(n), rng.Float64()})
+		}
+	}
+	ts = append(ts, triple{n - 1, 0, 0.5}, triple{n - 1, 0, -0.5})
+	plain, grown := NewBuilder(n), NewBuilder(n)
+	grown.Grow(len(ts))
+	col, val := &grown.col[:1][0], &grown.val[:1][0]
+	for _, e := range ts {
+		plain.Add(e.row, e.col, e.val)
+		grown.Add(e.row, e.col, e.val)
+	}
+	want, got := plain.Build(), grown.Build()
+	if &grown.col[0] != col || &grown.val[0] != val {
+		t.Error("the adds reallocated a CSR Grow reserved")
+	}
+	_, wp, wc, wv := want.Raw()
+	_, gp, gc, gv := got.Raw()
+	if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+		t.Error("a reserved builder built another matrix")
+	}
+}
+
 func TestAddPanicsOutOfRange(t *testing.T) {
 	b := NewBuilder(2)
 	defer func() {
