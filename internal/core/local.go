@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sync"
 
-	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
 	"s3/internal/obs"
@@ -67,7 +66,6 @@ type LocalExecutor struct {
 	sc       *score.Scorer // nil outside a search
 	seeker   graph.NID
 	params   score.Params
-	groups   [][]dict.ID
 	k        int
 	eps      float64
 	it       *score.Iterator // opened on first need, see iter
@@ -171,20 +169,20 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 	if err != nil {
 		return BeginInfo{}, err
 	}
-	comps := x.e.ix.CompsForGroups(spec.Groups)
+	comps := index.MatchingComps(sc.Postings())
 	if n := x.e.in.NumComponents(); len(x.want) != n {
 		x.want = make([]bool, n)
 	}
 	for _, c := range comps {
 		x.want[c] = true
 	}
-	x.sc, x.seeker, x.params, x.groups, x.k, x.eps = sc, spec.Seeker, spec.Params, spec.Groups, spec.K, spec.Epsilon
+	x.sc, x.seeker, x.params, x.k, x.eps = sc, spec.Seeker, spec.Params, spec.K, spec.Epsilon
 	x.comps, x.resumedN, x.boundN = comps, 0, -1
 	info := BeginInfo{Matched: len(comps), GroupMasses: make([][]int32, len(spec.Groups))}
-	for gi, group := range spec.Groups {
+	for gi, group := range sc.Postings() {
 		info.GroupMasses[gi] = make([]int32, len(group))
-		for j, k := range group {
-			info.GroupMasses[gi][j] = int32(x.e.ix.MaxCompEvents(k))
+		for j, p := range group {
+			info.GroupMasses[gi][j] = int32(p.MaxCompEvents())
 		}
 	}
 	if sp != nil {
@@ -275,7 +273,7 @@ func (x *LocalExecutor) End() {
 			x.want[c] = false
 		}
 	}
-	x.it, x.sc, x.groups = nil, nil, nil
+	x.it, x.sc = nil, nil
 	x.reached, x.admitted = 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
 	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil
@@ -395,14 +393,15 @@ func carve[T any](slab *[]T, n int) []T {
 func (x *LocalExecutor) admitComponent(comp int32) {
 	x.admitted++
 	in := x.e.in
+	groups := x.sc.Postings()
 	x.evs = x.evs[:0]
-	for gi := range x.groups {
+	for gi := range groups {
 		x.evs = append(x.evs, x.sc.GroupEvents(comp, gi))
 	}
-	x.docs = x.e.ix.AppendCandidatesInComp(x.docs[:0], comp, x.groups, &x.candScratch)
+	x.docs = x.e.ix.AppendCandidatesInComp(x.docs[:0], comp, groups, &x.candScratch)
 	for _, d := range x.docs {
 		c := &carve(&x.candSlab, 1)[0]
-		c.d, c.terms = d, carve(&x.listSlab, len(x.groups))
+		c.d, c.terms = d, carve(&x.listSlab, len(groups))
 		for gi, evs := range x.evs {
 			// A group's list is at most its events long, so with that much
 			// room reserved the appends below never leave the chunk.

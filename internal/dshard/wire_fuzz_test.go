@@ -75,10 +75,11 @@ func loadWireFixture() *wireFixture {
 // appendShardBlocks appends the blocks a worker hosting shards sends for
 // kws, from the whole instance's index split by the layout.
 func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kws []dict.ID) {
+	f := ix.Flat()
 	for _, s := range shards {
 		for _, k := range kws {
 			var evs []index.Event
-			for _, ev := range ix.Events(k) {
+			for _, ev := range f.Events(k) {
 				if sub.owner[sub.eng.Instance().CompOf(ev.Frag)] == int32(s) {
 					evs = append(evs, ev)
 				}

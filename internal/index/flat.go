@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"s3/internal/dict"
@@ -20,16 +21,11 @@ type Flat struct {
 	Evs   []Event
 }
 
-// Flat lays the index out in its flat form, the events copied into one new
-// array.
+// Flat returns the flat form the index holds: the arrays Build laid out or
+// a file stored, not a copy, each capped at its length. They are
+// read-only, like graph.Raw's — for a mapped file they are the mapping.
 func (ix *Index) Flat() Flat {
-	kws := ix.Keywords()
-	f := Flat{Kws: kws, EvOff: make([]int64, 1, len(kws)+1), Evs: make([]Event, 0, ix.NumEvents())}
-	for _, kw := range kws {
-		f.Evs = append(f.Evs, ix.byKw[kw].evs...)
-		f.EvOff = append(f.EvOff, int64(len(f.Evs)))
-	}
-	return f
+	return Flat{Kws: slices.Clip(ix.f.Kws), EvOff: slices.Clip(ix.f.EvOff), Evs: slices.Clip(ix.f.Evs)}
 }
 
 // Validate checks whatever could make a read of the flat form panic or
@@ -72,11 +68,11 @@ func (f *Flat) Validate(numNodes int) error {
 	return nil
 }
 
-// Events returns the events of keyword k (nil when it has none): a
-// binary search over Kws, then a sub-slice by EvOff. The flat form must
-// have passed Validate.
+// Events returns the events of keyword k (nil when it has none): the
+// keyword lookup, then a sub-slice by EvOff. The flat form must have
+// passed Validate.
 func (f *Flat) Events(k dict.ID) []Event {
-	i, ok := slices.BinarySearch(f.Kws, k)
+	i, ok := f.find(k)
 	if !ok {
 		return nil
 	}
@@ -84,25 +80,35 @@ func (f *Flat) Events(k dict.ID) []Event {
 	return f.Evs[lo:hi:hi]
 }
 
+// find is the package's one keyword lookup: k's position in Kws, by a
+// binary search.
+func (f *Flat) find(k dict.ID) (int, bool) { return slices.BinarySearch(f.Kws, k) }
+
 // FromFlat reconstructs an index over a frozen instance from its flat
-// form. The events are not copied: every posting is a sub-slice of f.Evs
-// (which points into a snapshot's bytes — see graph.Raw's immutability
-// contract). The arrays are checked by Validate first. Then each
-// posting's component list and run bound are derived from its events,
-// which must be strictly in canonical order (summarize), so a file whose
-// events are out of order is refused, never served. All the postings'
-// component lists share one backing array.
+// form, which it holds: nothing is copied (the arrays may point into a
+// snapshot's bytes — see graph.Raw's immutability contract). The arrays
+// are checked by Validate first. Then each posting's component list, and
+// where each component's run of events starts, are derived from its
+// events, which must be strictly in canonical order (summarize), so a file
+// whose events are out of order is refused, never served. All the
+// postings' summaries share one backing array of each.
 func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 	if err := f.Validate(in.NumNodes()); err != nil {
 		return nil, err
 	}
-	ix := newIndex(in, len(f.Kws))
+	if len(f.Evs) > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d events, more than an index holds", len(f.Evs))
+	}
+	ix := &Index{in: in, f: f, compOff: make([]int32, 1, len(f.Kws)+1)}
 	for i, kw := range f.Kws {
 		lo, hi := f.EvOff[i], f.EvOff[i+1]
-		if err := ix.add(kw, f.Evs[lo:hi:hi]); err != nil {
-			return nil, err
+		var err error
+		if ix.comps, ix.first, err = summarize(in, f.Evs[lo:hi], int32(lo), ix.comps, ix.first); err != nil {
+			return nil, fmt.Errorf("index: posting of keyword %d: %w", kw, err)
 		}
+		ix.compOff = append(ix.compOff, int32(len(ix.comps)))
 	}
+	ix.first = append(ix.first, int32(len(f.Evs)))
 	return ix, nil
 }
 
@@ -110,7 +116,7 @@ func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 // of in, are strictly in the canonical order of a posting: the order
 // Events returns and a shard file stores.
 func CheckOrder(in *graph.Instance, evs []Event) error {
-	_, _, err := summarize(in, evs, nil)
+	_, _, err := summarize(in, evs, 0, nil, nil)
 	return err
 }
 

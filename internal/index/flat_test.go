@@ -9,19 +9,31 @@ import (
 	"s3/internal/graph"
 )
 
+// cloneFlat returns a deep copy of f: Index.Flat shares the index's
+// arrays, so a fixture that edits a flat form in place edits a copy.
+func cloneFlat(f Flat) Flat {
+	return Flat{Kws: slices.Clone(f.Kws), EvOff: slices.Clone(f.EvOff), Evs: slices.Clone(f.Evs)}
+}
+
 // TestFlatEventsAndValidate checks that Flat.Events answers what the
 // index it was laid out from answers, that FromFlat derives the same
 // component summaries Build does, and that Validate (which FromFlat runs
-// too) rejects every array that would make a read panic.
+// too) rejects every array that would make a read panic, each row editing
+// a copy of a valid flat form.
 func TestFlatEventsAndValidate(t *testing.T) {
 	in, ix := figure1(t)
 	f := ix.Flat()
 	if err := f.Validate(in.NumNodes()); err != nil {
 		t.Fatal(err)
 	}
-	for _, kw := range ix.Keywords() {
-		if !slices.Equal(f.Events(kw), ix.Events(kw)) {
-			t.Errorf("keyword %d: flat events %v, index %v", kw, f.Events(kw), ix.Events(kw))
+	for _, kw := range f.Kws {
+		p := ix.Posting(kw)
+		var byComp []Event
+		for _, c := range p.Comps() {
+			byComp = append(byComp, p.InComp(c)...)
+		}
+		if !slices.Equal(f.Events(kw), byComp) {
+			t.Errorf("keyword %d: flat events %v, index by component %v", kw, f.Events(kw), byComp)
 		}
 	}
 	if evs := f.Events(f.Kws[len(f.Kws)-1] + 1); evs != nil {
@@ -31,10 +43,11 @@ func TestFlatEventsAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kw := range ix.Keywords() {
-		if !slices.Equal(loaded.Comps(kw), ix.Comps(kw)) || loaded.MaxCompEvents(kw) != ix.MaxCompEvents(kw) {
+	for _, kw := range f.Kws {
+		l, b := loaded.Posting(kw), ix.Posting(kw)
+		if !slices.Equal(l.Comps(), b.Comps()) || l.MaxCompEvents() != b.MaxCompEvents() {
 			t.Errorf("keyword %d: FromFlat derives %v / %d, Build %v / %d", kw,
-				loaded.Comps(kw), loaded.MaxCompEvents(kw), ix.Comps(kw), ix.MaxCompEvents(kw))
+				l.Comps(), l.MaxCompEvents(), b.Comps(), b.MaxCompEvents())
 		}
 	}
 
@@ -48,7 +61,7 @@ func TestFlatEventsAndValidate(t *testing.T) {
 		"source too big":    func(f *Flat) { f.Evs[0].Src = n },
 		"unknown type":      func(f *Flat) { f.Evs[0].Type = CommentsOn + 1 },
 	} {
-		bad := ix.Flat()
+		bad := cloneFlat(f)
 		mutate(&bad)
 		if err := bad.Validate(in.NumNodes()); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -90,9 +103,10 @@ func TestUserFragmentRefused(t *testing.T) {
 	in, ix := figure1(t)
 	user := in.Users()[0]
 	const want = "lies in no component"
-	for _, kw := range ix.Keywords() {
-		for _, at := range []int{0, len(ix.Events(kw)) - 1} {
-			evs := slices.Clone(ix.Events(kw))
+	f := ix.Flat()
+	for _, kw := range f.Kws {
+		for _, at := range []int{0, len(f.Events(kw)) - 1} {
+			evs := slices.Clone(f.Events(kw))
 			evs[at].Frag = user
 			flat := Flat{Kws: []dict.ID{kw}, EvOff: []int64{0, int64(len(evs))}, Evs: evs}
 			if _, err := FromFlat(in, flat); err == nil || !strings.Contains(err.Error(), want) {

@@ -36,7 +36,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"s3/internal/dict"
 	"s3/internal/graph"
@@ -77,27 +76,17 @@ type Event struct {
 	Type ConnType
 }
 
-// posting is the events of one keyword in canonical order, with what
-// summarize reads off them.
-type posting struct {
-	evs []Event
-	// lo and hi delimit, in the index's comps, the components holding an
-	// event, ascending.
-	lo, hi int32
-	// maxRun is the most events in a single component; since every
-	// connection of a single candidate d lives in d's component and η ≤ 1,
-	// it bounds the connection mass Σ η^|pos| of any candidate for the
-	// keyword (used for the §4 threshold).
-	maxRun int32
-}
-
-// Index is the frozen connection index of an instance. It is immutable
-// and safe for concurrent readers.
+// Index is the frozen connection index of an instance: the flat form it
+// was built or opened from, plus the component summaries FromFlat derives
+// from it. It is immutable and safe for concurrent readers.
 type Index struct {
-	in   *graph.Instance
-	byKw map[dict.ID]posting
-	// comps holds every posting's component list, back to back.
-	comps []int32
+	in *graph.Instance
+	f  Flat
+	// comps holds every posting's component list back to back, each
+	// ascending: posting i's is comps[compOff[i]:compOff[i+1]]. first[j]
+	// is where, in f.Evs, the events of comps[j] start; the run ends where
+	// the next one starts, and first ends with the sentinel len(f.Evs).
+	comps, compOff, first []int32
 }
 
 // kwEvent is an event of keyword kw.
@@ -543,53 +532,28 @@ func fill[T any](s []T, n int, v T) []T {
 	return s
 }
 
-// newIndex returns an empty index over in with room for nkw postings.
-func newIndex(in *graph.Instance, nkw int) *Index {
-	return &Index{in: in, byKw: make(map[dict.ID]posting, nkw)}
-}
-
-// add files evs under kw, deriving the posting's component list (appended
-// to ix.comps) and run bound with summarize. It refuses a second posting
-// of kw.
-func (ix *Index) add(kw dict.ID, evs []Event) error {
-	lo := len(ix.comps)
-	comps, maxRun, err := summarize(ix.in, evs, ix.comps)
-	if err != nil {
-		return fmt.Errorf("index: posting of keyword %d: %w", kw, err)
-	}
-	ix.comps = comps
-	n := len(ix.byKw)
-	ix.byKw[kw] = posting{evs: evs, lo: int32(lo), hi: int32(len(comps)), maxRun: int32(maxRun)}
-	if len(ix.byKw) == n {
-		return fmt.Errorf("index: duplicate posting for keyword %d", kw)
-	}
-	return nil
-}
-
 // summarize is the one derivation of a posting's component summary. It
 // checks that evs, whose fragments must be nodes of in, lie in components
 // (a user node has none) and are strictly in canonical order — by
-// component, then by (fragment, type, source) (precedes) — appends their distinct components in event order to
-// comps and returns it with the longest single-component run.
-func summarize(in *graph.Instance, evs []Event, comps []int32) ([]int32, int, error) {
+// component, then by (fragment, type, source) (precedes) — and appends
+// their distinct components in event order to comps, and where each one's
+// run starts (base plus its offset in evs) to first.
+func summarize(in *graph.Instance, evs []Event, base int32, comps, first []int32) ([]int32, []int32, error) {
 	var prev int32
-	run, longest := 0, 0
 	for i := range evs {
 		c := in.CompOf(evs[i].Frag)
 		switch {
 		case c < 0:
-			return nil, 0, fmt.Errorf("event fragment %d lies in no component", evs[i].Frag)
+			return nil, nil, fmt.Errorf("event fragment %d lies in no component", evs[i].Frag)
 		case i == 0 || c > prev:
 			comps = append(comps, c)
-			run = 0
+			first = append(first, base+int32(i))
 		case c < prev || !precedes(&evs[i-1], &evs[i]):
-			return nil, 0, fmt.Errorf("events out of canonical order at %d", i)
+			return nil, nil, fmt.Errorf("events out of canonical order at %d", i)
 		}
-		run++
-		longest = max(longest, run)
 		prev = c
 	}
-	return comps, longest, nil
+	return comps, first, nil
 }
 
 // precedes reports whether a sorts strictly before b by (fragment, type,
@@ -604,67 +568,98 @@ func precedes(a, b *Event) bool {
 	return a.Src < b.Src
 }
 
-// Keywords returns the indexed keywords in ascending id order.
-func (ix *Index) Keywords() []dict.ID {
-	out := make([]dict.ID, 0, len(ix.byKw))
-	for kw := range ix.byKw {
-		out = append(out, kw)
+// Posting is one keyword's posting resolved in an index: what a search
+// looks each of its keywords up once for, so that an admitted (keyword,
+// component) costs a binary search over the posting's component ids and a
+// slice. The zero Posting is that of a keyword without events.
+type Posting struct {
+	evs   []Event // the index's events, the posting's among them
+	comps []int32 // ascending
+	first []int32 // where each component's run starts, then where the last one ends
+}
+
+// Posting resolves keyword k by the one keyword lookup, the binary search
+// over the keywords that Flat.Events makes too.
+func (ix *Index) Posting(k dict.ID) Posting {
+	i, ok := ix.f.find(k)
+	if !ok {
+		return Posting{}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	lo, hi := ix.compOff[i], ix.compOff[i+1]
+	return Posting{evs: ix.f.Evs, comps: ix.comps[lo:hi:hi], first: ix.first[lo : hi+1 : hi+1]}
+}
+
+// Resolve resolves every keyword of the groups into one backing array:
+// Resolve(groups)[g][j] is Posting(groups[g][j]).
+func (ix *Index) Resolve(groups [][]dict.ID) [][]Posting {
+	n := 0
+	for _, group := range groups {
+		n += len(group)
+	}
+	all, out := make([]Posting, n), make([][]Posting, len(groups))
+	for gi, group := range groups {
+		out[gi], all = all[:len(group):len(group)], all[len(group):]
+		for j, k := range group {
+			out[gi][j] = ix.Posting(k)
+		}
+	}
 	return out
 }
 
-// Events returns all events of an explicit keyword, sorted by component.
-func (ix *Index) Events(k dict.ID) []Event { return ix.byKw[k].evs }
+// Comps returns the ascending ids of the components holding an event of
+// the posting. It must not be modified.
+func (p Posting) Comps() []int32 { return p.comps }
 
-// EventsInComp returns the events of keyword k anchored in the given
-// component: a binary search over the events by their fragments'
-// components.
-func (ix *Index) EventsInComp(k dict.ID, comp int32) []Event {
-	evs := ix.byKw[k].evs
-	lo := sort.Search(len(evs), func(i int) bool { return ix.in.CompOf(evs[i].Frag) >= comp })
-	evs = evs[lo:]
-	return evs[:sort.Search(len(evs), func(i int) bool { return ix.in.CompOf(evs[i].Frag) > comp })]
+// InComp returns the posting's events anchored in the given component.
+func (p Posting) InComp(comp int32) []Event {
+	j, ok := slices.BinarySearch(p.comps, comp)
+	if !ok {
+		return nil
+	}
+	lo, hi := p.first[j], p.first[j+1]
+	return p.evs[lo:hi:hi]
 }
 
-// Comps returns the sorted component ids containing at least one event of
-// keyword k.
-func (ix *Index) Comps(k dict.ID) []int32 {
-	p := ix.byKw[k]
-	return ix.comps[p.lo:p.hi:p.hi]
+// MaxCompEvents returns the most events the posting has in a single
+// component, its longest run. Every connection of a candidate d lies in
+// d's component and η ≤ 1, so it bounds |con(d, k)| and the connection
+// mass Σ η^|pos| of any candidate for the keyword (the §4 threshold).
+func (p Posting) MaxCompEvents() int {
+	longest := int32(0)
+	for j := range p.comps {
+		longest = max(longest, p.first[j+1]-p.first[j])
+	}
+	return int(longest)
 }
-
-// MaxCompEvents returns the maximum number of events of k within a single
-// component — an upper bound on |con(d, k)| for any candidate d.
-func (ix *Index) MaxCompEvents(k dict.ID) int { return int(ix.byKw[k].maxRun) }
 
 // CompsForGroups intersects, across keyword groups (each group being the
 // semantic extension of one query keyword), the unions of components
 // matching the group. A returned component contains at least one event for
 // every query keyword — the §5.2 pruning grain.
 func (ix *Index) CompsForGroups(groups [][]dict.ID) []int32 {
-	if len(groups) == 0 {
-		return nil
-	}
-	counts := make(map[int32]int)
-	for _, group := range groups {
-		inGroup := make(map[int32]struct{})
-		for _, k := range group {
-			for _, c := range ix.Comps(k) {
-				inGroup[c] = struct{}{}
-			}
-		}
-		for c := range inGroup {
-			counts[c]++
-		}
-	}
+	return MatchingComps(ix.Resolve(groups))
+}
+
+// MatchingComps is CompsForGroups over resolved groups: ascending, nil
+// when none matches.
+func MatchingComps(groups [][]Posting) []int32 {
 	var out []int32
-	for c, n := range counts {
-		if n == len(groups) {
-			out = append(out, c)
+	for gi, group := range groups {
+		var union []int32
+		for _, p := range group {
+			union = append(union, p.comps...)
+		}
+		slices.Sort(union)
+		union = slices.Compact(union)
+		if gi == 0 {
+			out = union
+		} else {
+			out = out[:intersectSorted(out, union)]
+		}
+		if len(out) == 0 {
+			return nil
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -673,7 +668,7 @@ func (ix *Index) CompsForGroups(groups [][]dict.ID) []int32 {
 // as in CompsForGroups): for every group some event's fragment lies in d's
 // subtree. Result is sorted.
 func (ix *Index) CandidatesInComp(comp int32, groups [][]dict.ID) []graph.NID {
-	return ix.AppendCandidatesInComp(nil, comp, groups, new(CandScratch))
+	return ix.AppendCandidatesInComp(nil, comp, ix.Resolve(groups), new(CandScratch))
 }
 
 // CandScratch is the working memory of AppendCandidatesInComp. A search
@@ -683,17 +678,17 @@ type CandScratch struct {
 	covered []graph.NID
 }
 
-// AppendCandidatesInComp appends CandidatesInComp(comp, groups) to dst.
-// The nodes covered by a group are gathered by walking up from each
-// event's fragment, sorted and deduplicated; the first group's set is
-// appended and every further one intersected into it in place, so the
-// appended run is ascending.
-func (ix *Index) AppendCandidatesInComp(dst []graph.NID, comp int32, groups [][]dict.ID, sc *CandScratch) []graph.NID {
+// AppendCandidatesInComp appends CandidatesInComp(comp, groups) to dst,
+// the groups resolved. The nodes covered by a group are gathered by
+// walking up from each event's fragment, sorted and deduplicated; the
+// first group's set is appended and every further one intersected into it
+// in place, so the appended run is ascending.
+func (ix *Index) AppendCandidatesInComp(dst []graph.NID, comp int32, groups [][]Posting, sc *CandScratch) []graph.NID {
 	base := len(dst)
 	for gi, group := range groups {
 		covered := sc.covered[:0]
-		for _, k := range group {
-			for _, ev := range ix.EventsInComp(k, comp) {
+		for _, p := range group {
+			for _, ev := range p.InComp(comp) {
 				for d := ev.Frag; d != graph.NoNID; d = ix.in.ParentOf(d) {
 					covered = append(covered, d)
 				}
@@ -716,7 +711,7 @@ func (ix *Index) AppendCandidatesInComp(dst []graph.NID, comp int32, groups [][]
 
 // intersectSorted keeps, at the front of a, the elements also in b (both
 // ascending and duplicate-free) and returns how many there are.
-func intersectSorted(a, b []graph.NID) int {
+func intersectSorted[T cmp.Ordered](a, b []T) int {
 	n, j := 0, 0
 	for _, v := range a {
 		for j < len(b) && b[j] < v {
@@ -733,9 +728,8 @@ func intersectSorted(a, b []graph.NID) int {
 // ConOf reconstructs con(d, k') for one explicit keyword (diagnostics and
 // tests; the scorer works from events directly).
 func (ix *Index) ConOf(d graph.NID, k dict.ID) []Event {
-	comp := ix.in.CompOf(d)
 	var out []Event
-	for _, ev := range ix.EventsInComp(k, comp) {
+	for _, ev := range ix.Posting(k).InComp(ix.in.CompOf(d)) {
 		if ix.in.IsAncestorOrSelf(d, ev.Frag) {
 			out = append(out, ev)
 		}
@@ -744,10 +738,4 @@ func (ix *Index) ConOf(d graph.NID, k dict.ID) []Event {
 }
 
 // NumEvents returns the total number of indexed events.
-func (ix *Index) NumEvents() int {
-	total := 0
-	for _, p := range ix.byKw {
-		total += len(p.evs)
-	}
-	return total
-}
+func (ix *Index) NumEvents() int { return len(ix.f.Evs) }

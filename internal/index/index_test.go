@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"s3/internal/dict"
@@ -308,7 +309,7 @@ func TestCompsAndCandidates(t *testing.T) {
 	uni := kwid(t, in, "university")
 	d0 := nidOf(t, in, "d0")
 
-	comps := ix.Comps(uni)
+	comps := ix.Posting(uni).Comps()
 	if len(comps) != 1 || comps[0] != in.CompOf(d0) {
 		t.Fatalf("Comps(university) = %v, want the single d0 component", comps)
 	}
@@ -388,10 +389,10 @@ func TestMaxCompEvents(t *testing.T) {
 	uni := kwid(t, in, "university")
 	// Three university events live in d0's component: containment in d2.1,
 	// the tag on d0.5.1 and the comment connection on d0.3.2.
-	if got := ix.MaxCompEvents(uni); got != 3 {
+	if got := ix.Posting(uni).MaxCompEvents(); got != 3 {
 		t.Fatalf("MaxCompEvents(university) = %d, want 3", got)
 	}
-	if got := ix.MaxCompEvents(in.Dict().Intern("missing")); got != 0 {
+	if got := ix.Posting(in.Dict().Intern("missing")).MaxCompEvents(); got != 0 {
 		t.Fatalf("MaxCompEvents(missing) = %d, want 0", got)
 	}
 }
@@ -399,14 +400,63 @@ func TestMaxCompEvents(t *testing.T) {
 func TestEventsInCompSlicing(t *testing.T) {
 	in, ix := figure1(t)
 	uni := kwid(t, in, "university")
-	all := ix.Events(uni)
+	f, p := ix.Flat(), ix.Posting(uni)
+	all := f.Events(uni)
 	comp := in.CompOf(nidOf(t, in, "d0"))
-	inComp := ix.EventsInComp(uni, comp)
+	inComp := p.InComp(comp)
 	if len(inComp) != len(all) {
-		t.Fatalf("EventsInComp = %d events, want all %d", len(inComp), len(all))
+		t.Fatalf("InComp = %d events, want all %d", len(inComp), len(all))
 	}
-	if got := ix.EventsInComp(uni, comp+999); len(got) != 0 {
-		t.Fatalf("EventsInComp(unknown comp) = %v, want empty", got)
+	if got := p.InComp(comp + 999); len(got) != 0 {
+		t.Fatalf("InComp(unknown comp) = %v, want empty", got)
+	}
+}
+
+// TestPostingMatchesScan holds the resolved posting to a scan of the flat
+// form, on figure1 and on the twitter serving instance: for every indexed
+// keyword, and for absent ids below, between and above the indexed ones,
+// Comps is its events' distinct components in order and MaxCompEvents its
+// longest run; and for every component id in [-1, NumComponents], InComp
+// is its events filtered by CompOf.
+func TestPostingMatchesScan(t *testing.T) {
+	fig, figIx := figure1(t)
+	twitter := servingInstance(t, "twitter", 1)
+	for _, c := range []struct {
+		name string
+		in   *graph.Instance
+		ix   *Index
+	}{{"figure1", fig, figIx}, {"twitter", twitter, Build(twitter)}} {
+		f := c.ix.Flat()
+		gap := slices.IndexFunc(f.Kws[1:], func(k dict.ID) bool { return !slices.Contains(f.Kws, k-1) })
+		if f.Kws[0] == 0 || gap < 0 {
+			t.Fatalf("%s: keywords %d…%d leave no absent id below or between them", c.name, f.Kws[0], f.Kws[len(f.Kws)-1])
+		}
+		absent := []dict.ID{f.Kws[0] - 1, f.Kws[gap+1] - 1, f.Kws[len(f.Kws)-1] + 1}
+		for _, kw := range append(slices.Clone(f.Kws), absent...) {
+			var comps []int32
+			byComp := map[int32][]Event{}
+			longest := 0
+			for _, e := range f.Events(kw) {
+				cc := c.in.CompOf(e.Frag)
+				if len(byComp[cc]) == 0 {
+					comps = append(comps, cc)
+				}
+				byComp[cc] = append(byComp[cc], e)
+				longest = max(longest, len(byComp[cc]))
+			}
+			p := c.ix.Posting(kw)
+			if !slices.Equal(p.Comps(), comps) {
+				t.Fatalf("%s keyword %d: Comps %v, events' components %v", c.name, kw, p.Comps(), comps)
+			}
+			if p.MaxCompEvents() != longest {
+				t.Fatalf("%s keyword %d: MaxCompEvents %d, longest run %d", c.name, kw, p.MaxCompEvents(), longest)
+			}
+			for comp := int32(-1); comp <= int32(c.in.NumComponents()); comp++ {
+				if got := p.InComp(comp); !slices.Equal(got, byComp[comp]) {
+					t.Fatalf("%s keyword %d: InComp(%d) = %v, filter %v", c.name, kw, comp, got, byComp[comp])
+				}
+			}
+		}
 	}
 }
 

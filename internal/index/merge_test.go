@@ -16,16 +16,18 @@ import (
 // and per keyword the same events, component list and run bound.
 func sameIndex(t testing.TB, got, want *Index) {
 	t.Helper()
-	if !slices.Equal(got.Keywords(), want.Keywords()) {
-		t.Fatalf("keywords %v, want %v", got.Keywords(), want.Keywords())
+	gf, wf := got.Flat(), want.Flat()
+	if !slices.Equal(gf.Kws, wf.Kws) {
+		t.Fatalf("keywords %v, want %v", gf.Kws, wf.Kws)
 	}
-	for _, kw := range want.Keywords() {
-		if !slices.Equal(got.Events(kw), want.Events(kw)) {
-			t.Fatalf("keyword %d: events %v, want %v", kw, got.Events(kw), want.Events(kw))
+	for _, kw := range wf.Kws {
+		if !slices.Equal(gf.Events(kw), wf.Events(kw)) {
+			t.Fatalf("keyword %d: events %v, want %v", kw, gf.Events(kw), wf.Events(kw))
 		}
-		if !slices.Equal(got.Comps(kw), want.Comps(kw)) || got.MaxCompEvents(kw) != want.MaxCompEvents(kw) {
+		g, w := got.Posting(kw), want.Posting(kw)
+		if !slices.Equal(g.Comps(), w.Comps()) || g.MaxCompEvents() != w.MaxCompEvents() {
 			t.Fatalf("keyword %d: comps %v / %d, want %v / %d", kw,
-				got.Comps(kw), got.MaxCompEvents(kw), want.Comps(kw), want.MaxCompEvents(kw))
+				g.Comps(), g.MaxCompEvents(), w.Comps(), w.MaxCompEvents())
 		}
 	}
 }
@@ -76,8 +78,9 @@ func TestMergeRefusesSharedComponent(t *testing.T) {
 	const kw = 5
 	a := Event{Frag: 6, Src: 15, Type: CommentsOn}
 	b := Event{Frag: 15, Src: graph.NoNID, Type: Contains}
-	if !slices.Contains(ix.Events(kw), a) || !slices.Contains(ix.Events(kw), b) || in.CompOf(a.Frag) != in.CompOf(b.Frag) {
-		t.Fatalf("figure1 changed: keyword %d has events %v", kw, ix.Events(kw))
+	f := ix.Flat()
+	if !slices.Contains(f.Events(kw), a) || !slices.Contains(f.Events(kw), b) || in.CompOf(a.Frag) != in.CompOf(b.Frag) {
+		t.Fatalf("figure1 changed: keyword %d has events %v", kw, f.Events(kw))
 	}
 	one := func(ev Event) Flat { return Flat{Kws: []dict.ID{kw}, EvOff: []int64{0, 1}, Evs: []Event{ev}} }
 	for name, parts := range map[string][]Flat{
@@ -142,9 +145,10 @@ func decodeParts(b []byte) []Flat {
 // parts hold, checked by brute force: per keyword, exactly the multiset
 // of the parts' events, strictly in canonical order, with every component
 // from a single part; Comps the distinct components in event order;
-// MaxCompEvents the longest single-component run; and EventsInComp the
-// events filtered by component. Seeds: figure1's postings as one part and
-// split four ways, one with an event outside the instance, one with an
+// MaxCompEvents the longest single-component run; and InComp the events
+// filtered by component (the Posting handle's methods). Seeds: figure1's
+// postings as one part and split four ways, one with an event outside the
+// instance (on a copy, since Flat shares the index's arrays), one with an
 // event repeated, and one whose first posting a second part repeats.
 func FuzzMerge(f *testing.F) {
 	in, ix := figure1(f)
@@ -157,7 +161,7 @@ func FuzzMerge(f *testing.F) {
 	f.Add(seed(2, func(i int) int { return i % 2 }))
 	f.Add(seed(2, func(i int) int { return 1 - 2*i/nev }))
 	f.Add(seed(4, func(i int) int { return i / 3 }))
-	outside := ix.Flat()
+	outside := cloneFlat(good)
 	outside.Evs[0].Frag = -1
 	f.Add(encodeParts([]Flat{outside}))
 	repeated := Flat{Kws: good.Kws, EvOff: slices.Clone(good.EvOff), Evs: slices.Insert(slices.Clone(good.Evs), 0, good.Evs[0])}
@@ -199,11 +203,12 @@ func FuzzMerge(f *testing.F) {
 			kws = append(kws, kw)
 		}
 		slices.Sort(kws)
-		if !slices.Equal(got.Keywords(), kws) {
-			t.Fatalf("keywords %v, parts hold %v", got.Keywords(), kws)
+		gf := got.Flat()
+		if !slices.Equal(gf.Kws, kws) {
+			t.Fatalf("keywords %v, parts hold %v", gf.Kws, kws)
 		}
 		for _, kw := range kws {
-			evs := got.Events(kw)
+			p, evs := got.Posting(kw), gf.Events(kw)
 			want := slices.SortedFunc(slices.Values(given[kw]), byKey)
 			if !slices.Equal(slices.SortedFunc(slices.Values(evs), byKey), want) {
 				t.Fatalf("keyword %d: events %v, parts hold %v", kw, evs, want)
@@ -220,15 +225,15 @@ func FuzzMerge(f *testing.F) {
 				}
 				runs[c]++
 			}
-			if !slices.Equal(got.Comps(kw), comps) {
-				t.Fatalf("keyword %d: Comps %v, events' components %v", kw, got.Comps(kw), comps)
+			if !slices.Equal(p.Comps(), comps) {
+				t.Fatalf("keyword %d: Comps %v, events' components %v", kw, p.Comps(), comps)
 			}
 			longest := 0
 			for _, n := range runs {
 				longest = max(longest, n)
 			}
-			if got.MaxCompEvents(kw) != longest {
-				t.Fatalf("keyword %d: MaxCompEvents %d, longest run %d", kw, got.MaxCompEvents(kw), longest)
+			if p.MaxCompEvents() != longest {
+				t.Fatalf("keyword %d: MaxCompEvents %d, longest run %d", kw, p.MaxCompEvents(), longest)
 			}
 			for _, c := range append(comps, -1, int32(in.NumComponents())) {
 				var want []Event
@@ -237,8 +242,8 @@ func FuzzMerge(f *testing.F) {
 						want = append(want, e)
 					}
 				}
-				if inComp := got.EventsInComp(kw, c); !slices.Equal(inComp, want) {
-					t.Fatalf("keyword %d: EventsInComp(%d) = %v, filter %v", kw, c, inComp, want)
+				if inComp := p.InComp(c); !slices.Equal(inComp, want) {
+					t.Fatalf("keyword %d: InComp(%d) = %v, filter %v", kw, c, inComp, want)
 				}
 			}
 		}

@@ -141,12 +141,12 @@ func TestIndexMatchesNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := Build(in)
+		f := Build(in).Flat()
 		want := naiveBuild(in)
 
 		// Every oracle event must be indexed, and vice versa.
 		for kw, m := range want {
-			got := ix.Events(kw)
+			got := f.Events(kw)
 			if len(got) != len(m) {
 				t.Fatalf("seed %d: keyword %s has %d events, oracle %d",
 					seed, in.Dict().String(kw), len(got), len(m))
@@ -163,7 +163,7 @@ func TestIndexMatchesNaiveOracle(t *testing.T) {
 			nodes = in.SubtreeOf(root, nodes)
 			for _, n := range nodes {
 				for _, kw := range in.KeywordsOf(n) {
-					if len(ix.Events(kw)) == 0 {
+					if len(f.Events(kw)) == 0 {
 						t.Fatalf("seed %d: contained keyword %s has no events", seed, in.Dict().String(kw))
 					}
 				}

@@ -693,16 +693,16 @@ func ExactProximity(in *graph.Instance, params Params, seeker graph.NID, eps flo
 
 // Scorer evaluates the concrete S3k score of one query over one instance.
 // The query is fixed by its keyword groups: groups[i] is the semantic
-// extension Ext(k_i) of the i-th query keyword (Definition 2.1). A Scorer
-// caches merged per-component event lists and is safe for single-goroutine
-// use.
+// extension Ext(k_i) of the i-th query keyword (Definition 2.1), whose
+// keywords it resolves in the index once. A Scorer caches merged
+// per-component event lists of multi-keyword groups and is safe for
+// single-goroutine use.
 type Scorer struct {
-	in     *graph.Instance
-	ix     *index.Index
-	params Params
-	groups [][]dict.ID
+	in       *graph.Instance
+	params   Params
+	postings [][]index.Posting // postings[i][j] is groups[i][j]'s
 
-	cache map[compGroup][]index.Event
+	cache map[compGroup][]index.Event // made on first use
 
 	// etaPow memoises η^rel by relative fragment depth: the per-term hot
 	// paths (Bounds, candidate admission) look fragment-depth powers up
@@ -727,12 +727,10 @@ func NewScorer(in *graph.Instance, ix *index.Index, params Params, groups [][]di
 		return nil, fmt.Errorf("score: empty query")
 	}
 	return &Scorer{
-		in:     in,
-		ix:     ix,
-		params: params,
-		groups: groups,
-		cache:  make(map[compGroup][]index.Event),
-		etaPow: []float64{1},
+		in:       in,
+		params:   params,
+		postings: ix.Resolve(groups),
+		etaPow:   []float64{1},
 	}, nil
 }
 
@@ -745,8 +743,9 @@ func (s *Scorer) EtaPow(rel int) float64 {
 	return s.etaPow[rel]
 }
 
-// Groups returns the keyword groups of the query.
-func (s *Scorer) Groups() [][]dict.ID { return s.groups }
+// Postings returns the query's resolved postings, shaped like its groups.
+// They must not be modified.
+func (s *Scorer) Postings() [][]index.Posting { return s.postings }
 
 // GroupEvents returns the deduplicated union, over the keywords of group
 // gi, of the events anchored in the component — i.e. the materialised
@@ -754,12 +753,12 @@ func (s *Scorer) Groups() [][]dict.ID { return s.groups }
 // tuples, so an identical tuple contributed by two extension keywords
 // counts once (Definition 2.1 keeps extensions lossless).
 func (s *Scorer) GroupEvents(comp int32, gi int) []index.Event {
-	if group := s.groups[gi]; len(group) == 1 {
+	if group := s.postings[gi]; len(group) == 1 {
 		// One keyword means one event list and nothing to deduplicate
 		// (the index stores each (type, f, src) once per keyword) — the
-		// common no-extension case is two binary searches, cheaper than
-		// the cache it would otherwise fill.
-		return s.ix.EventsInComp(group[0], comp)
+		// common no-extension case is one binary search, cheaper than the
+		// cache it would otherwise fill.
+		return group[0].InComp(comp)
 	}
 	key := compGroup{comp: comp, group: gi}
 	if evs, ok := s.cache[key]; ok {
@@ -767,14 +766,17 @@ func (s *Scorer) GroupEvents(comp int32, gi int) []index.Event {
 	}
 	var merged []index.Event
 	seen := make(map[index.Event]struct{})
-	for _, k := range s.groups[gi] {
-		for _, ev := range s.ix.EventsInComp(k, comp) {
+	for _, p := range s.postings[gi] {
+		for _, ev := range p.InComp(comp) {
 			if _, dup := seen[ev]; dup {
 				continue
 			}
 			seen[ev] = struct{}{}
 			merged = append(merged, ev)
 		}
+	}
+	if s.cache == nil {
+		s.cache = make(map[compGroup][]index.Event)
 	}
 	s.cache[key] = merged
 	return merged
@@ -795,7 +797,7 @@ func (s *Scorer) Bounds(d graph.NID, allProx []float64, tail float64) (lo, hi fl
 	lo, hi = 1, 1
 	colMax := s.in.Matrix().ColMax()
 	comp := s.in.CompOf(d)
-	for gi := range s.groups {
+	for gi := range s.postings {
 		var mLo, mHi float64
 		for _, ev := range s.GroupEvents(comp, gi) {
 			rel, ok := s.in.PosLen(d, ev.Frag)

@@ -246,7 +246,7 @@ func TestThresholdBoundsScore(t *testing.T) {
 		masses := make([]int, len(groups))
 		for gi, group := range groups {
 			for _, k := range group {
-				masses[gi] += ix.MaxCompEvents(k)
+				masses[gi] += ix.Posting(k).MaxCompEvents()
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -286,7 +286,7 @@ func TestGroupEventsDeduplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gi := range sc.Groups() {
+	for gi := range sc.Postings() {
 		for comp := int32(0); comp < int32(in.NumComponents()); comp++ {
 			evs := sc.GroupEvents(comp, gi)
 			seen := make(map[index.Event]struct{}, len(evs))
@@ -338,11 +338,12 @@ func TestGroupEventsSingleKeyword(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Comps(kw)) == 0 {
+	p := ix.Posting(kw)
+	if len(p.Comps()) == 0 {
 		t.Fatal("keyword kw0 matches no components")
 	}
-	for _, comp := range ix.Comps(kw) {
-		want := ix.EventsInComp(kw, comp)
+	for _, comp := range p.Comps() {
+		want := p.InComp(comp)
 		got := s.GroupEvents(comp, 0)
 		if len(got) != len(want) {
 			t.Fatalf("component %d: %d events, want %d", comp, len(got), len(want))

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,5 +57,21 @@ func BenchmarkOpen(b *testing.B) {
 				s.Close()
 			}
 		})
+	}
+}
+
+// BenchmarkWrite is what Write costs for the same instance, to io.Discard:
+// the index's sections are its flat form as Build laid it out, encoded.
+func BenchmarkWrite(b *testing.B) {
+	o := datagen.DefaultTwitterOptions()
+	o.Seed = 1
+	spec, _ := datagen.Twitter(o)
+	in, ix := build(b, spec, text.Analyzer{Lang: text.None})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(io.Discard, in, ix); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

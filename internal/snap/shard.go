@@ -372,7 +372,7 @@ func decodeShard(data []byte, b *setBase, i int) (index.Flat, *index.Index, []se
 	// The derived component lists name every event's component, and
 	// FromFlat refused a fragment in none.
 	for _, kw := range flat.Kws {
-		for _, c := range ix.Comps(kw) {
+		for _, c := range ix.Posting(kw).Comps() {
 			if b.layout.Owner[c] != int32(i) {
 				return index.Flat{}, nil, nil, fmt.Errorf("snap: shard %d carries an event of foreign component %d", i, c)
 			}

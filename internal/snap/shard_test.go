@@ -103,8 +103,9 @@ func TestShardSetRoundTrip(t *testing.T) {
 			if events != ix.NumEvents() || set.Index.NumEvents() != ix.NumEvents() {
 				t.Errorf("shards hold %d events, merged index %d, instance %d", events, set.Index.NumEvents(), ix.NumEvents())
 			}
-			for _, kw := range ix.Keywords() {
-				if !slices.Equal(set.Index.Events(kw), ix.Events(kw)) {
+			got, want := set.Index.Flat(), ix.Flat()
+			for _, kw := range want.Kws {
+				if !slices.Equal(got.Events(kw), want.Events(kw)) {
 					t.Fatalf("keyword %d: merged events diverge", kw)
 				}
 			}

@@ -61,11 +61,11 @@ func assertWorkerPostings(t *testing.T, manifestPath string, hosted []int, mode 
 	_, tags := graph.ShardContent(set.Base, set.Layout.Owner, len(set.Layout.Shards))
 	var files int64
 	for i, s := range hosted {
-		ix, flat := set.Indexes[s], &host.Postings[i]
-		kws := append(ix.Keywords(), flat.Kws...)
+		six, flat := set.Indexes[s].Flat(), &host.Postings[i]
+		kws := append(six.Kws, flat.Kws...)
 		slices.Sort(kws)
 		for _, kw := range slices.Compact(kws) {
-			if want, got := encEvents(ix.Events(kw)), encEvents(flat.Events(kw)); !bytes.Equal(got, want) {
+			if want, got := encEvents(six.Events(kw)), encEvents(flat.Events(kw)); !bytes.Equal(got, want) {
 				t.Fatalf("%s shard %d keyword %d: worker events %x, shard set %x", what, s, kw, got, want)
 			}
 		}
