@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§5): one benchmark per
-// table/figure, plus ablation benches for the design choices DESIGN.md
-// calls out. Absolute numbers depend on the host and on the synthetic
-// scale; the asserted outcome is the *shape* (see EXPERIMENTS.md).
+// table/figure, plus ablation and serving-path benches. Absolute
+// numbers depend on the host and on the synthetic scale; performance
+// claims come from benchmark/ (README, "Development").
 //
 // Run with: go test -bench=. -benchmem
 package s3
@@ -76,17 +76,13 @@ func BenchmarkFig4_InstanceStats(b *testing.B) {
 
 // timeWorkloads runs Search over pre-built workload queries, one query per
 // benchmark op (round-robin).
-func timeWorkloads(b *testing.B, d *bench.Dataset, id bench.WorkloadID, gamma float64, workers int) {
+func timeWorkloads(b *testing.B, d *bench.Dataset, id bench.WorkloadID, gamma float64) {
 	b.Helper()
 	w, err := bench.BuildWorkload(d.In, id, 16, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{
-		K:       id.K,
-		Params:  score.Params{Gamma: gamma, Eta: 0.8},
-		Workers: workers,
-	}
+	opts := core.Options{K: id.K, Params: score.Params{Gamma: gamma, Eta: 0.8}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,7 +118,7 @@ func BenchmarkFig5_QueryTimesTwitter(b *testing.B) {
 	for _, id := range bench.PaperWorkloads() {
 		for _, gamma := range []float64{1.25, 1.5, 2} {
 			b.Run(fmt.Sprintf("S3k/w=%s/gamma=%.4g", id, gamma), func(b *testing.B) {
-				timeWorkloads(b, i1, id, gamma, 0)
+				timeWorkloads(b, i1, id, gamma)
 			})
 		}
 		for _, alpha := range []float64{0.25, 0.5, 0.75} {
@@ -139,7 +135,7 @@ func BenchmarkFig5b_QueryTimesVodkaster(b *testing.B) {
 	_, i2, _ := datasets(b)
 	for _, id := range bench.PaperWorkloads() {
 		b.Run(fmt.Sprintf("S3k/w=%s/gamma=1.5", id), func(b *testing.B) {
-			timeWorkloads(b, i2, id, 1.5, 0)
+			timeWorkloads(b, i2, id, 1.5)
 		})
 		b.Run(fmt.Sprintf("TopkS/w=%s/alpha=0.5", id), func(b *testing.B) {
 			timeTopkS(b, i2, id, 0.5)
@@ -153,7 +149,7 @@ func BenchmarkFig6_QueryTimesYelp(b *testing.B) {
 	for _, id := range bench.PaperWorkloads() {
 		for _, gamma := range []float64{1.25, 1.5, 2} {
 			b.Run(fmt.Sprintf("S3k/w=%s/gamma=%.4g", id, gamma), func(b *testing.B) {
-				timeWorkloads(b, i3, id, gamma, 0)
+				timeWorkloads(b, i3, id, gamma)
 			})
 		}
 		for _, alpha := range []float64{0.25, 0.5, 0.75} {
@@ -171,7 +167,7 @@ func BenchmarkFig7_VaryK(b *testing.B) {
 	for _, id := range bench.KSweepWorkloads() {
 		for _, gamma := range []float64{1.5, 4} {
 			b.Run(fmt.Sprintf("w=%s/gamma=%.4g", id, gamma), func(b *testing.B) {
-				timeWorkloads(b, i1, id, gamma, 0)
+				timeWorkloads(b, i1, id, gamma)
 			})
 		}
 	}
@@ -184,7 +180,7 @@ func BenchmarkFig8_Quality(b *testing.B) {
 	i1, i2, i3 := datasets(b)
 	for _, d := range []*bench.Dataset{i1, i2, i3} {
 		b.Run(d.Name, func(b *testing.B) {
-			id := bench.WorkloadID{Freq: Common8(), L: 1, K: 5}
+			id := bench.WorkloadID{Freq: bench.Common, L: 1, K: 5}
 			w, err := bench.BuildWorkload(d.In, id, 16, 7)
 			if err != nil {
 				b.Fatal(err)
@@ -214,23 +210,7 @@ func BenchmarkFig8_Quality(b *testing.B) {
 	}
 }
 
-// Common8 returns the Common frequency (helper keeping the benchmark body
-// readable).
-func Common8() bench.Frequency { return bench.Common }
-
-// --- Ablation benches (design choices called out in DESIGN.md §6) ---
-
-// BenchmarkAblation_ParallelScoring compares sequential candidate scoring
-// with the §5.2-style parallel mode.
-func BenchmarkAblation_ParallelScoring(b *testing.B) {
-	i1, _, _ := datasets(b)
-	id := bench.WorkloadID{Freq: bench.Common, L: 1, K: 10}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			timeWorkloads(b, i1, id, 1.5, workers)
-		})
-	}
-}
+// --- Ablation benches ---
 
 // BenchmarkAblation_AnytimeBudget measures the any-time mode of Theorem
 // 4.3: capped exploration depth versus running to the provable stop.

@@ -35,14 +35,12 @@ func main() {
 		queries = flag.Int("queries", 20, "queries per workload (paper: 100)")
 		scale   = flag.Float64("scale", 1, "dataset size multiplier")
 		seed    = flag.Int64("seed", 42, "workload seed")
-		workers = flag.Int("workers", 0, "parallel scoring workers per query (0 = sequential)")
 	)
 	flag.Parse()
 
 	cfg := bench.DefaultFigureConfig()
 	cfg.QueriesPerWorkload = *queries
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 
 	need := func(names ...string) bool {
 		if *fig == "all" {

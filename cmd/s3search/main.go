@@ -38,7 +38,6 @@ type options struct {
 	k        int
 	gamma    float64
 	eta      float64
-	workers  int
 	baseline bool
 }
 
@@ -54,7 +53,6 @@ func main() {
 	flag.IntVar(&o.k, "k", 5, "number of results")
 	flag.Float64Var(&o.gamma, "gamma", 1.5, "social damping γ > 1")
 	flag.Float64Var(&o.eta, "eta", 0.8, "structural damping η ∈ (0,1)")
-	flag.IntVar(&o.workers, "workers", 0, "parallel scoring workers (0 = sequential)")
 	flag.BoolVar(&o.baseline, "baseline", true, "also run the TopkS baseline (α = 0.5)")
 	flag.Parse()
 	if o.query == "" {
@@ -95,11 +93,7 @@ func run(o options, w io.Writer) error {
 	}
 
 	keywords := strings.Fields(o.query)
-	opts := core.Options{
-		K:       o.k,
-		Params:  score.Params{Gamma: o.gamma, Eta: o.eta},
-		Workers: o.workers,
-	}
+	opts := core.Options{K: o.k, Params: score.Params{Gamma: o.gamma, Eta: o.eta}}
 	results, stats, err := eng.Search(seekerNID, keywords, opts)
 	if err != nil {
 		return err

@@ -104,22 +104,13 @@ func (di *DistributedInstance) SearchInfoed(seekerURI string, keywords []string,
 	if err != nil {
 		return nil, SearchInfo{}, err
 	}
-	// The check every executor's Begin runs, before anything is fetched.
-	if err := core.CheckQuery(base, seeker, cfg.opts.K); err != nil {
-		return nil, SearchInfo{}, err
-	}
-	groups, possible, err := core.ResolveKeywordGroups(base, keywords)
+	// Validated and resolved before anything is fetched.
+	spec, possible, err := core.Query(base, seeker, keywords, cfg.opts.K, cfg.opts.Params, cfg.opts.Trace)
 	if err != nil {
 		return nil, SearchInfo{}, err
 	}
 	if !possible {
 		return nil, SearchInfo{Exact: true}, nil
-	}
-	spec := core.SearchSpec{
-		Seeker: seeker,
-		Groups: groups,
-		K:      cfg.opts.K,
-		Params: cfg.opts.Params,
 	}
 	copts := core.CoordOptions{
 		MaxIterations: cfg.opts.MaxIterations,

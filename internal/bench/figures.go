@@ -73,7 +73,6 @@ type FigureConfig struct {
 	Gammas             []float64 // S3k γ sweep (paper: 1.25, 1.5, 2)
 	Alphas             []float64 // TopkS α sweep (paper: 0.25, 0.5, 0.75)
 	Eta                float64
-	Workers            int
 }
 
 // DefaultFigureConfig mirrors the paper's parameter grid.
@@ -144,11 +143,7 @@ func Fig5(d *Dataset, cfg FigureConfig) (string, error) {
 		}
 		cells := []string{id.String()}
 		for _, g := range cfg.Gammas {
-			opts := core.Options{
-				K:       id.K,
-				Params:  score.Params{Gamma: g, Eta: cfg.Eta},
-				Workers: cfg.Workers,
-			}
+			opts := core.Options{K: id.K, Params: score.Params{Gamma: g, Eta: cfg.Eta}}
 			ds, err := TimeS3k(d, w, opts)
 			if err != nil {
 				return "", err
@@ -180,11 +175,7 @@ func Fig7(d *Dataset, cfg FigureConfig) (string, error) {
 			return "", err
 		}
 		for _, g := range []float64{1.5, 4} {
-			opts := core.Options{
-				K:       id.K,
-				Params:  score.Params{Gamma: g, Eta: cfg.Eta},
-				Workers: cfg.Workers,
-			}
+			opts := core.Options{K: id.K, Params: score.Params{Gamma: g, Eta: cfg.Eta}}
 			ds, err := TimeS3k(d, w, opts)
 			if err != nil {
 				return "", err
@@ -215,11 +206,7 @@ func Fig8(cfg FigureConfig, datasets ...*Dataset) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			opts := core.Options{
-				K:       id.K,
-				Params:  score.Params{Gamma: 1.5, Eta: cfg.Eta},
-				Workers: cfg.Workers,
-			}
+			opts := core.Options{K: id.K, Params: score.Params{Gamma: 1.5, Eta: cfg.Eta}}
 			q, err := CompareWorkload(d, w, opts, 0.5)
 			if err != nil {
 				return "", err

@@ -8,7 +8,7 @@
 // and holds the only loop that runs it: Coordinate. Every search —
 // Engine.Search over one instance or a shard set's merged index, and a
 // distributed coordinator's over the postings its workers sent — is
-// Coordinate over one LocalExecutor.
+// Engine.Run: Coordinate over one LocalExecutor.
 //
 // Coordinate still accepts several executors over component-disjoint
 // indexes, each exploring on its own, and merges their kept lists with

@@ -98,14 +98,14 @@ func TestIntervalsContainExactScore(t *testing.T) {
 					pc := proxcache.New(64 << 20)
 					eng.WarmProximity(pc, q.seeker, params, depth)
 					cp := pc.Get(proxcache.Key{Seeker: q.seeker, Params: params}, in)
-					x = checkedExecutor{NewShardExecutor(eng, 0).WithProxCache(pc), check}
+					x = checkedExecutor{&LocalExecutor{e: eng, pc: pc}, check}
 					_, warm, err := Coordinate([]ShardExecutor{x}, spec, CoordOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if warm.Iterations != cold.Iterations || x.ResumedDepth() != cp.N() {
+					if warm.Iterations != cold.Iterations || x.resumedN != cp.N() {
 						t.Fatalf("γ=%v seeker=%d %v: warm search ran %d rounds resuming %d, cold %d",
-							gamma, q.seeker, q.keywords, warm.Iterations, x.ResumedDepth(), cold.Iterations)
+							gamma, q.seeker, q.keywords, warm.Iterations, x.resumedN, cold.Iterations)
 					}
 					// A snapshot-form layer costs a dense vector.
 					if cp.Bytes() >= int64(8*in.NumNodes()) && warm.Iterations > cp.N() {

@@ -14,7 +14,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -49,8 +48,7 @@ type cand struct {
 // LocalExecutor runs the rounds of one search over an engine. It serves
 // one search at a time (Begin … End) and may be reused for the next.
 type LocalExecutor struct {
-	e       *Engine
-	workers int
+	e *Engine
 
 	// pc, when non-nil, resumes the iterator from the deepest cached
 	// frontier when it is opened and publishes the deepened frontier at
@@ -74,10 +72,11 @@ type LocalExecutor struct {
 	reached  int // nodes discovered so far
 	boundN   int // the depth the candidates were last bounded at, see refresh
 	// comps lists the components matching every query keyword, ascending;
-	// it outlives End (see Matched). want, indexed by component id, marks
-	// those not yet discovered: a discovery admits its component once and
-	// clears its mark. End clears the marks left, so the table is all
-	// false between searches and an executor reused keeps it.
+	// it outlives End, for Engine.Run's shard load. want, indexed by
+	// component id, marks those not yet discovered: a discovery admits its
+	// component once and clears its mark. End clears the marks left, so
+	// the table is all false between searches and an executor reused
+	// keeps it.
 	comps    []int32
 	want     []bool
 	admitted int // matched components discovered so far
@@ -107,41 +106,13 @@ type LocalExecutor struct {
 	order []*cand
 }
 
-// NewShardExecutor returns an executor over the engine: its first round
-// opens a proximity iterator for the spec's seeker, and every Round
-// advances it one layer. workers parallelises candidate bound computation
-// (0 or 1: serial).
-func NewShardExecutor(e *Engine, workers int) *LocalExecutor {
-	return &LocalExecutor{e: e, workers: workers}
+// NewShardExecutor returns an untraced, uncached executor over the
+// engine: its first round opens a proximity iterator for the spec's
+// seeker, and every Round advances it one layer. The int argument is
+// ignored. A search runs its executor through Engine.Run.
+func NewShardExecutor(e *Engine, _ int) *LocalExecutor {
+	return &LocalExecutor{e: e}
 }
-
-// WithProxCache wires a seeker-proximity checkpoint cache: the iterator
-// resumes from it when opened and publishes back at End. Replayed depths
-// are bit-identical to a fresh exploration, so round responses do not
-// change.
-func (x *LocalExecutor) WithProxCache(pc *proxcache.Cache) *LocalExecutor {
-	x.pc = pc
-	return x
-}
-
-// WithTracing enables per-call span recording: each Begin, Round and
-// Finalize builds a span subtree (with step / admit / bounds / select
-// stage children), collected by Coordinate's trace. Tracing is
-// observational only.
-func (x *LocalExecutor) WithTracing(on bool) *LocalExecutor {
-	x.traced = on
-	return x
-}
-
-// ResumedDepth reports how many exploration rounds the iterator of the
-// current (or most recently ended) search replayed from a cached
-// checkpoint: 0 on a cold start, or when the search never explored.
-func (x *LocalExecutor) ResumedDepth() int { return x.resumedN }
-
-// Matched returns the components matching every query keyword of the
-// current (or most recently ended) search, ascending: the list Begin
-// computed. It must not be modified.
-func (x *LocalExecutor) Matched() []int32 { return x.comps }
 
 // TakeSpan implements the coordinator's span collection: it returns the
 // span subtree recorded by the most recent protocol call and clears it
@@ -155,7 +126,7 @@ func (x *LocalExecutor) TakeSpan() *obs.Span {
 // Begin implements ShardExecutor. The spec is validated here as well as
 // at the query entry points.
 func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
-	if err := CheckQuery(x.e.in, spec.Seeker, spec.K); err != nil {
+	if err := checkQuery(x.e.in, spec.Seeker, spec.K); err != nil {
 		return BeginInfo{}, err
 	}
 	if len(spec.Groups) == 0 {
@@ -425,44 +396,17 @@ func (x *LocalExecutor) admitComponent(comp int32) {
 	}
 }
 
-// computeBounds refreshes every candidate's score interval from the
-// given bounded proximity vector and the two per-source tail factors
-// (ComputeCandidateBounds; see boundRange).
+// computeBounds refreshes every candidate's score interval
+// (ComputeCandidateBounds) from the bounded proximity vector and the two
+// per-source tail factors: a term's lower bound uses its source's prox≤n
+// p, its upper bound min(1, p + the smaller of the two tails) — the
+// column tail ColMax[src]·tail (Iterator.ColumnTail) and the two-step
+// ratio tail score.RatioBound(ratioTail, p, prox≤(n−2)) — and the term's
+// history moves on to p. At a depth without a ratio below 1 the ratio
+// tail is +∞ or NaN, which loses the comparison.
 func (x *LocalExecutor) computeBounds(tail, ratioTail float64, all []float64) {
-	workers := x.workers
-	if workers <= 1 || len(x.cands) < 64 {
-		x.boundRange(0, len(x.cands), tail, ratioTail, all)
-		return
-	}
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(x.cands) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(x.cands))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			x.boundRange(lo, hi, tail, ratioTail, all)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// boundRange bounds candidates [lo, hi): a term's lower bound uses its
-// source's prox≤n p, its upper bound min(1, p + the smaller of the two
-// tails) — the column tail ColMax[src]·tail (Iterator.ColumnTail) and the
-// two-step ratio tail score.RatioBound(ratioTail, p, prox≤(n−2)) — and the
-// term's history moves on to p. At a depth without a ratio below 1 the
-// ratio tail is +∞ or NaN, which loses the comparison.
-func (x *LocalExecutor) boundRange(lo, hi int, tail, ratioTail float64, all []float64) {
 	colMax := x.e.in.Matrix().ColMax()
-	for _, c := range x.cands[lo:hi] {
+	for _, c := range x.cands {
 		c.lower, c.upper = 1, 1
 		for _, terms := range c.terms {
 			var mLo, mHi float64

@@ -12,7 +12,7 @@ import (
 	"s3/internal/text"
 )
 
-// TestShardExecutorWarmResume covers NewShardExecutor with a cache:
+// TestShardExecutorWarmResume covers LocalExecutors with a cache:
 // coordinated searches over one executor per component slice with a
 // proximity cache must answer byte-identically to cold executors — on
 // the first (cache-filling) pass and on the second (frontier-resuming)
@@ -49,9 +49,9 @@ func TestShardExecutorWarmResume(t *testing.T) {
 				}
 				execs := make([]ShardExecutor, shards)
 				for i := range execs {
-					le := NewShardExecutor(NewEngine(in, ixs[i]), 0)
+					le := &LocalExecutor{e: NewEngine(in, ixs[i])}
 					if warm {
-						le = le.WithProxCache(caches[i])
+						le.pc = caches[i]
 					}
 					execs[i] = le
 				}

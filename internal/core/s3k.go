@@ -56,9 +56,6 @@ type Options struct {
 	// Budget caps wall-clock time; 0 means unlimited (any-time
 	// termination as well).
 	Budget time.Duration
-	// Workers parallelises candidate bound computation (§5.2 runs eight
-	// threads; we size by GOMAXPROCS). 0 or 1 disables parallelism.
-	Workers int
 	// ProxCache, when non-nil, caches seeker-proximity checkpoints across
 	// searches: exploration resumes from the deepest cached frontier for
 	// (seeker, Params) and the final frontier is published back after the
@@ -157,10 +154,11 @@ func NewEngine(in *graph.Instance, ix *index.Index) *Engine {
 
 // WithIndex returns an engine over the same instance with another
 // connection index — one of the instance's, or one built over it from
-// fetched postings — sharing this engine's iterator pool, so a process
-// that builds an index per search still recycles its iterators.
+// fetched postings — sharing this engine's iterator pool and shard load,
+// so a process that builds an index per search still recycles its
+// iterators and counts its searches on one load.
 func (e *Engine) WithIndex(ix *index.Index) *Engine {
-	return &Engine{in: e.in, ix: ix, iters: e.iters}
+	return &Engine{in: e.in, ix: ix, iters: e.iters, load: e.load, owner: e.owner}
 }
 
 // WithShardLoad returns an engine like e, sharing its iterator pool,
@@ -191,56 +189,75 @@ func (e *Engine) KeywordGroups(keywords []string) ([][]dict.ID, bool, error) {
 
 // Search runs S3k for the query (seeker, keywords) and returns the top-k
 // answer (Definition 3.2): the k best-scoring documents such that no
-// result is a vertical neighbour of a better one. It validates the query,
-// resolves its keywords, runs Coordinate over one LocalExecutor and maps
-// the selection to Results.
+// result is a vertical neighbour of a better one. It is Query, then Run,
+// then the selection's URIs.
 func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
 	start := time.Now()
-	in := e.in
-	if err := CheckQuery(in, seeker, opts.K); err != nil {
-		return nil, Stats{}, err
-	}
-	root := opts.Trace.Span()
-	resolve := root.StartChild("resolve")
-	groups, possible, err := ResolveKeywordGroups(in, keywords)
-	resolve.End()
+	spec, possible, err := Query(e.in, seeker, keywords, opts.K, opts.Params, opts.Trace)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	if !possible {
 		return nil, Stats{Reason: StopNoMatch, Elapsed: time.Since(start)}, nil
 	}
-
-	x := NewShardExecutor(e, opts.Workers).WithProxCache(opts.ProxCache).WithTracing(opts.Trace != nil)
-	sel, stats, err := Coordinate([]ShardExecutor{x},
-		SearchSpec{Seeker: seeker, Groups: groups, K: opts.K, Params: opts.Params},
-		CoordOptions{
-			Ctx:           opts.Ctx,
-			MaxIterations: opts.MaxIterations,
-			Budget:        opts.Budget,
-			Start:         start,
-			Trace:         opts.Trace,
-			Obs:           opts.Obs,
-		})
+	sel, stats, err := e.Run(spec, CoordOptions{
+		Ctx:           opts.Ctx,
+		MaxIterations: opts.MaxIterations,
+		Budget:        opts.Budget,
+		Start:         start,
+		Trace:         opts.Trace,
+		Obs:           opts.Obs,
+	}, opts.ProxCache)
 	if err != nil {
 		return nil, stats, err
 	}
-	if e.load != nil {
-		e.load.Add(e.owner, x.Matched(), stats.Iterations)
-	}
-	stats.ResumedDepth = x.ResumedDepth()
-	root.SetInt("resumed_depth", int64(stats.ResumedDepth))
 	out := make([]Result, len(sel))
 	for i, c := range sel {
-		out[i] = Result{Doc: c.Doc, URI: in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}
+		out[i] = Result{Doc: c.Doc, URI: e.in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}
 	}
 	return out, stats, nil
 }
 
-// CheckQuery is the query validation every entry point shares (Engine.Search,
-// LocalExecutor.Begin, and a distributed coordinator before it fetches): a
+// Query is the first half of every search, wherever its rounds run: it
+// validates the query — a positive k and a seeker that is a user node of
+// the instance — and resolves its keywords (ResolveKeywordGroups) under
+// the trace's "resolve" span. possible is false when some keyword can
+// never match, and the answer is then empty without a search.
+func Query(in *graph.Instance, seeker graph.NID, keywords []string, k int, params score.Params, trace *obs.Trace) (spec SearchSpec, possible bool, err error) {
+	if err := checkQuery(in, seeker, k); err != nil {
+		return SearchSpec{}, false, err
+	}
+	resolve := trace.Span().StartChild("resolve")
+	groups, possible, err := ResolveKeywordGroups(in, keywords)
+	resolve.End()
+	if err != nil || !possible {
+		return SearchSpec{}, false, err
+	}
+	return SearchSpec{Seeker: seeker, Groups: groups, K: k, Params: params}, true, nil
+}
+
+// Run is the second half: Coordinate over one LocalExecutor on the
+// engine's index — tracing when copts.Trace is set, and resuming from and
+// publishing to pc when it is non-nil. A completed search counts on the
+// engine's shard load, and its stats report the depth pc let it skip.
+// The selection is best-first; the caller resolves URIs.
+func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache) ([]CandMeta, Stats, error) {
+	x := &LocalExecutor{e: e, pc: pc, traced: copts.Trace != nil}
+	sel, stats, err := Coordinate([]ShardExecutor{x}, spec, copts)
+	if err != nil {
+		return nil, stats, err
+	}
+	if e.load != nil {
+		e.load.Add(e.owner, x.comps, stats.Iterations)
+	}
+	stats.ResumedDepth = x.resumedN
+	copts.Trace.Span().SetInt("resumed_depth", int64(stats.ResumedDepth))
+	return sel, stats, nil
+}
+
+// checkQuery is the query validation of Query and LocalExecutor.Begin: a
 // positive k and a seeker that is a user node of the instance.
-func CheckQuery(in *graph.Instance, seeker graph.NID, k int) error {
+func checkQuery(in *graph.Instance, seeker graph.NID, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("core: k must be positive, got %d", k)
 	}

@@ -198,30 +198,6 @@ func TestSiblingResurrection(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	params := score.DefaultParams()
-	for seed := int64(200); seed < 215; seed++ {
-		e := buildRandomEngine(t, seed)
-		seeker := e.Instance().Users()[0]
-		seq, _, err := e.Search(seeker, []string{"kw0", "kw1"}, Options{K: 4, Params: params, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, _, err := e.Search(seeker, []string{"kw0", "kw1"}, Options{K: 4, Params: params, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq) != len(par) {
-			t.Fatalf("seed %d: sequential %v vs parallel %v", seed, uris(seq), uris(par))
-		}
-		for i := range seq {
-			if seq[i].Doc != par[i].Doc {
-				t.Fatalf("seed %d rank %d: %s vs %s", seed, i, seq[i].URI, par[i].URI)
-			}
-		}
-	}
-}
-
 func TestSearchIsDeterministic(t *testing.T) {
 	e := buildRandomEngine(t, 300)
 	seeker := e.Instance().Users()[0]

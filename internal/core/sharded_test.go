@@ -41,7 +41,7 @@ func shardIndexes(t testing.TB, in *graph.Instance, ix *index.Index, n int) []*i
 // still runs. The executors share opts.ProxCache; ResumedDepth is the
 // first one's.
 func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywords []string, opts Options) ([]Result, Stats, error) {
-	if err := CheckQuery(in, seeker, opts.K); err != nil {
+	if err := checkQuery(in, seeker, opts.K); err != nil {
 		return nil, Stats{}, err
 	}
 	groups, possible, err := ResolveKeywordGroups(in, keywords)
@@ -51,7 +51,7 @@ func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywo
 	xs := make([]*LocalExecutor, len(ixs))
 	execs := make([]ShardExecutor, len(ixs))
 	for i, ix := range ixs {
-		xs[i] = NewShardExecutor(NewEngine(in, ix), 0).WithProxCache(opts.ProxCache)
+		xs[i] = &LocalExecutor{e: NewEngine(in, ix), pc: opts.ProxCache}
 		execs[i] = xs[i]
 	}
 	sel, stats, err := Coordinate(execs,
@@ -60,7 +60,7 @@ func coordinated(in *graph.Instance, ixs []*index.Index, seeker graph.NID, keywo
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.ResumedDepth = xs[0].ResumedDepth()
+	stats.ResumedDepth = xs[0].resumedN
 	rs := make([]Result, len(sel))
 	for i, c := range sel {
 		rs[i] = Result{Doc: c.Doc, URI: in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}

@@ -4,10 +4,10 @@ import "sync/atomic"
 
 // ShardLoad is the per-shard load signal of a component-partitioned set:
 // per shard, the searches that matched a component the shard owns and the
-// rounds those searches ran. An in-process shard set (Engine.WithShardLoad)
-// and a distributed coordinator both count with it, from the matched list
-// of the search's executor (LocalExecutor.Matched), so their per-shard
-// rows mean the same. It is safe for concurrent use.
+// rounds those searches ran. An in-process shard set and a distributed
+// coordinator both count with it (Engine.WithShardLoad), from the matched
+// list of the search's executor (Engine.Run), so their per-shard rows
+// mean the same. It is safe for concurrent use.
 type ShardLoad struct {
 	searches, rounds []atomic.Uint64
 }

@@ -147,15 +147,15 @@ type Degradation struct {
 }
 
 // substrate is what searches run over: an engine over the set's base
-// instance, whose iterator pool lives as long as the coordinator, and the
-// layout's component → shard table.
+// instance, whose iterator pool lives as long as the coordinator and
+// whose searches count on load, and the layout's component → shard table.
 type substrate struct {
 	eng   *core.Engine
 	owner []int32
 }
 
-func newSubstrate(in *graph.Instance, layout *snap.Layout) *substrate {
-	return &substrate{eng: core.NewEngine(in, nil), owner: layout.Owner}
+func newSubstrate(in *graph.Instance, layout *snap.Layout, load *core.ShardLoad) *substrate {
+	return &substrate{eng: core.NewEngine(in, nil).WithShardLoad(layout.Owner, load), owner: layout.Owner}
 }
 
 // check accepts the block a reply carries for shard only if every event
@@ -241,7 +241,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if err := c.checkLayout(cfg.Layout); err != nil {
 			return nil, err
 		}
-		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout))
+		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout, c.load))
 	}
 	for _, u := range cfg.WorkerURLs {
 		c.workers = append(c.workers, &workerRef{url: u, shard: -1})
@@ -469,7 +469,7 @@ func (c *Coordinator) loadSubstrate(ctx context.Context) error {
 		}
 		var man *snap.ManifestSnapshot
 		if man, err = c.fetchManifest(ctx, w.url); err == nil {
-			c.sub.Store(newSubstrate(man.Base, man.Layout))
+			c.sub.Store(newSubstrate(man.Base, man.Layout, c.load))
 			return nil
 		}
 	}
@@ -699,12 +699,10 @@ func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial
 	if err != nil {
 		return nil, core.Stats{}, nil, err
 	}
-	x := core.NewShardExecutor(sub.eng.WithIndex(ix), 0).WithTracing(copts.Trace != nil)
-	sel, stats, err := core.Coordinate([]core.ShardExecutor{x}, spec, copts)
+	sel, stats, err := sub.eng.WithIndex(ix).Run(spec, copts, nil)
 	if err != nil {
 		return nil, stats, nil, err
 	}
-	c.load.Add(sub.owner, x.Matched(), stats.Iterations)
 	var deg *Degradation
 	if len(lost) > 0 {
 		deg = &Degradation{Lost: lost, Served: served}

@@ -99,7 +99,19 @@ func FromFlat(in *graph.Instance, f Flat) (*Index, error) {
 	if len(f.Evs) > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %d events, more than an index holds", len(f.Evs))
 	}
-	ix := &Index{in: in, f: f, compOff: make([]int32, 1, len(f.Kws)+1)}
+	// One pass counts the summary entries — a posting's component changes
+	// — so the summaries are allocated once, at their size.
+	n := 0
+	for i := range f.Kws {
+		prev := int32(-1)
+		for _, ev := range f.Evs[f.EvOff[i]:f.EvOff[i+1]] {
+			if c := in.CompOf(ev.Frag); c != prev {
+				n, prev = n+1, c
+			}
+		}
+	}
+	ix := &Index{in: in, f: f, compOff: make([]int32, 1, len(f.Kws)+1),
+		comps: make([]int32, 0, n), first: make([]int32, 0, n+1)}
 	for i, kw := range f.Kws {
 		lo, hi := f.EvOff[i], f.EvOff[i+1]
 		var err error

@@ -406,6 +406,11 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("iterations = %d, want a search of several rounds", resp.Iterations)
 	}
 
+	// The coordinator runs the entry every mode runs, so its tree has the
+	// same stages as a single instance's, with the fetch beside them.
+	if kids := spanNames(resp.Trace); !kids["resolve"] || !kids["fetch"] || !kids["begin"] {
+		t.Fatalf("trace root children %v, want resolve, fetch and begin spans", kids)
+	}
 	// One stitched tree: the fetch holds one host span per worker, each
 	// carrying the worker-side span that crossed the wire.
 	fetch := findSpan(resp.Trace, "fetch")

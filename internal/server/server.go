@@ -481,6 +481,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	if sr.Eta == 0 {
 		sr.Eta = 0.8
 	}
+	// Refused before admission: a request that can never succeed must not
+	// queue for a slot, nor be told to retry when it is shed.
+	if sr.Gamma <= 1 {
+		writeError(w, &httpError{status: http.StatusBadRequest, msg: "gamma must be > 1"})
+		return
+	}
+	if sr.Eta <= 0 || sr.Eta >= 1 {
+		writeError(w, &httpError{status: http.StatusBadRequest, msg: "eta must be in (0,1)"})
+		return
+	}
 
 	state := s.cur.Acquire()
 	defer state.Release()
@@ -688,15 +698,9 @@ func (s *Server) runSearch(ctx context.Context, state *generation, sr *searchReq
 		opts = append(opts, s3.WithPartial())
 	}
 	if sr.Gamma != 0 {
-		if sr.Gamma <= 1 {
-			return nil, &httpError{status: http.StatusBadRequest, msg: "gamma must be > 1"}
-		}
 		opts = append(opts, s3.WithGamma(sr.Gamma))
 	}
 	if sr.Eta != 0 {
-		if sr.Eta <= 0 || sr.Eta >= 1 {
-			return nil, &httpError{status: http.StatusBadRequest, msg: "eta must be in (0,1)"}
-		}
 		opts = append(opts, s3.WithEta(sr.Eta))
 	}
 	if sr.BudgetMS > 0 {

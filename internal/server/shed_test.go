@@ -121,6 +121,42 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 }
 
+// TestBadParamsRefusedBeforeAdmission: a γ or η outside its domain can
+// never succeed, so it is refused with 400 before admission — even with
+// every worker slot busy it neither queues nor is shed with a 429 that
+// invites a retry, and it does not count as a search that failed after
+// validation.
+func TestBadParamsRefusedBeforeAdmission(t *testing.T) {
+	inst := testInstance(t, 60, 240, 3)
+	seeker, kw := aQuery(t, inst)
+	s := newTestServer(t, Config{
+		Instance:     inst,
+		Workers:      1,
+		MaxQueue:     1,
+		MaxQueueWait: 300 * time.Millisecond,
+	})
+	h := s.Handler()
+	s.sem <- struct{}{} // the only worker slot is held
+	defer func() { <-s.sem }()
+
+	for _, bad := range []string{`"gamma":0.5`, `"gamma":1`, `"eta":1`, `"eta":-0.5`} {
+		start := time.Now()
+		rec, _ := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],%s}`, seeker, kw, bad))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s with every slot busy = %d: %s", bad, rec.Code, rec.Body.String())
+		}
+		if d := time.Since(start); d >= s.maxQueueWait {
+			t.Errorf("%s took %v: it waited for admission", bad, d)
+		}
+		if n := s.waiting.Load(); n != 0 {
+			t.Errorf("%s: %d requests waiting, want 0", bad, n)
+		}
+	}
+	if n := s.searchErrors.Value(); n != 0 {
+		t.Errorf("search errors = %d, want 0: a refused request is not a failed search", n)
+	}
+}
+
 // TestPartialBypassesCache: ?partial=1 answers are coverage-dependent,
 // so they must neither be served from the result cache nor populate it,
 // and a full-coverage instance never reports them degraded.

@@ -327,7 +327,7 @@ func (s *substrate) HasUser(uri string) bool {
 }
 
 // seeker resolves a seeker URI to its node. Whether the node is a user
-// is core.CheckQuery's to say, with the check of k.
+// is core.Query's to say, with the check of k.
 func (s *substrate) seeker(uri string) (graph.NID, error) {
 	n, ok := s.in.NIDOf(uri)
 	if !ok {
@@ -404,11 +404,6 @@ func WithBudget(d time.Duration) Option {
 // WithMaxIterations caps the exploration depth (any-time termination).
 func WithMaxIterations(n int) Option {
 	return func(c *searchConfig) { c.opts.MaxIterations = n }
-}
-
-// WithWorkers parallelises candidate scoring across goroutines.
-func WithWorkers(n int) Option {
-	return func(c *searchConfig) { c.opts.Workers = n }
 }
 
 // WithTrace records the search's span tree into t (nil disables). The

@@ -147,7 +147,7 @@ func TestSearchOptions(t *testing.T) {
 	inst := buildFigure1(t)
 	// Any-time budget produces a (possibly partial) answer without error.
 	_, info, err := inst.SearchInfoed("u1", []string{"university"},
-		WithK(2), WithMaxIterations(1), WithGamma(2), WithEta(0.5), WithWorkers(4))
+		WithK(2), WithMaxIterations(1), WithGamma(2), WithEta(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
