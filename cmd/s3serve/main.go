@@ -147,8 +147,10 @@ func main() {
 		}
 	}
 
+	// A coordinator ignores a proximity cache (DistributedInstance's
+	// SetProxCache is a no-op), so it gets none and /stats says so.
 	proxBytes := int64(*proxMB) << 20
-	if *proxMB <= 0 {
+	if *proxMB <= 0 || *coord {
 		proxBytes = -1
 	}
 	srv, err := server.New(server.Config{

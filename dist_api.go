@@ -18,8 +18,8 @@ import (
 // same shard set in one process; worker membership is driven by their
 // /healthz, and a failed fetch is re-issued on surviving replicas.
 //
-// The proximity-cache hooks (SetProxCache, WarmProximity) are no-ops
-// here: no workload measures a coordinator-side cache yet.
+// SetProxCache is a no-op here: no workload measures a coordinator-side
+// proximity cache yet.
 type DistributedInstance struct {
 	// substrate is the manifest's: users, extensions and statistics are
 	// answered from it, and its metrics sink is fed by the coordinated
@@ -153,11 +153,6 @@ func (di *DistributedInstance) SetProxCache(*ProxCache) {}
 // layer calls this once after opening, before the instance takes
 // traffic.
 func (di *DistributedInstance) AttachRegistry(r *obs.Registry) { di.coord.AttachRegistry(r) }
-
-// WarmProximity is a no-op for the same reason.
-func (di *DistributedInstance) WarmProximity(string, float64, float64, int) (int, bool) {
-	return 0, false
-}
 
 // MappedBytes reports the manifest mapping backing the coordinator.
 func (di *DistributedInstance) MappedBytes() int64 { return di.man.MappedBytes() }

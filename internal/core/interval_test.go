@@ -88,7 +88,8 @@ func TestIntervalsContainExactScore(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Warm half-way: the search resumes a checkpoint whose
+					// Warm half-way: a search stopped at depth publishes its
+					// frontier, and the next one resumes a checkpoint whose
 					// layers reach past a saturated depth, then propagates
 					// from the checkpoint's last border.
 					depth := cold.Iterations / 2
@@ -96,7 +97,9 @@ func TestIntervalsContainExactScore(t *testing.T) {
 						continue
 					}
 					pc := proxcache.New(64 << 20)
-					eng.WarmProximity(pc, q.seeker, params, depth)
+					if _, _, err := eng.Search(q.seeker, q.keywords, Options{K: q.k, Params: params, MaxIterations: depth, ProxCache: pc}); err != nil {
+						t.Fatal(err)
+					}
 					cp := pc.Get(proxcache.Key{Seeker: q.seeker, Params: params}, in)
 					x = checkedExecutor{&LocalExecutor{e: eng, pc: pc}, check}
 					_, warm, err := Coordinate([]ShardExecutor{x}, spec, CoordOptions{})

@@ -112,59 +112,3 @@ func TestCachedSearchEqualsUncached(t *testing.T) {
 		})
 	}
 }
-
-// TestWarmProximitySeedsSearch: an explicitly warmed cache serves the next
-// search (cache hit), deepens monotonically, and leaves answers
-// byte-identical.
-func TestWarmProximitySeedsSearch(t *testing.T) {
-	o := datagen.DefaultTwitterOptions()
-	o.Users, o.Tweets, o.Seed = 60, 240, 7
-	spec, _ := datagen.Twitter(o)
-	in, err := graph.BuildSpec(spec, text.Analyzer{Lang: text.None})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.Build(in)
-	eng := NewEngine(in, ix)
-	seekers, kwSets := queries(in)
-	seeker, kws := seekers[0], kwSets[0]
-	params := score.DefaultParams()
-	opts := Options{K: 5, Params: params}
-
-	want, wantStats, err := eng.Search(seeker, kws, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pc := proxcache.New(64 << 20)
-	if d, seeded := eng.WarmProximity(pc, seeker, params, 4); d != 4 || !seeded {
-		t.Fatalf("WarmProximity = (%d, %v), want (4, true)", d, seeded)
-	}
-	// Warming again shallower is a no-op that reports the covered depth.
-	if d, seeded := eng.WarmProximity(pc, seeker, params, 2); d != 4 || seeded {
-		t.Fatalf("re-warm = (%d, %v), want (4, false)", d, seeded)
-	}
-	if d, seeded := eng.WarmProximity(pc, seeker, params, 6); d != 6 || !seeded {
-		t.Fatalf("deepen = (%d, %v), want (6, true)", d, seeded)
-	}
-	// Non-user and nil-cache warms are rejected.
-	if d, seeded := eng.WarmProximity(pc, graph.NID(in.NumNodes()), params, 3); d != 0 || seeded {
-		t.Fatalf("out-of-range seeker warmed to (%d, %v)", d, seeded)
-	}
-	if d, seeded := eng.WarmProximity(nil, seeker, params, 3); d != 0 || seeded {
-		t.Fatalf("nil cache warmed to (%d, %v)", d, seeded)
-	}
-
-	opts.ProxCache = pc
-	got, gotStats, err := eng.Search(seeker, kws, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if transcript(got, gotStats) != transcript(want, wantStats) {
-		t.Fatalf("warmed search diverged:\nuncached:\n%s\nwarmed:\n%s",
-			transcript(want, wantStats), transcript(got, gotStats))
-	}
-	if st := pc.Stats(); st.Hits == 0 {
-		t.Fatalf("warmed search did not hit the cache: %+v", st)
-	}
-}

@@ -267,35 +267,6 @@ func checkQuery(in *graph.Instance, seeker graph.NID, k int) error {
 	return nil
 }
 
-// WarmProximity pre-explores a seeker's social neighbourhood to the given
-// depth (bounded by graph exhaustion and the precision floor) and
-// publishes the frontier into the cache, deepening any existing
-// checkpoint, on a pooled iterator like a search's. The next search for
-// (seeker, params) replays the recorded depths instead of propagating the
-// matrix. It returns the depth now covered by the cache for the key (0
-// when warming is not possible) and whether this call actually deepened
-// it — a no-op on an already-covered key reports seeded == false.
-func (e *Engine) WarmProximity(pc *proxcache.Cache, seeker graph.NID, params score.Params, maxDepth int) (depth int, seeded bool) {
-	if pc == nil || maxDepth <= 0 {
-		return 0, false
-	}
-	if int(seeker) < 0 || int(seeker) >= e.in.NumNodes() || e.in.KindOf(seeker) != graph.KindUser {
-		return 0, false
-	}
-	if err := params.Validate(); err != nil {
-		return 0, false
-	}
-	it, key, covered := openIterator(e.iters, e.in, seeker, params, pc)
-	for !it.Done() && it.N() < maxDepth && it.TailBound() >= 1e-15 {
-		it.Step()
-	}
-	// Nothing is new when the cache already covered maxDepth, or the graph
-	// was exhausted within the covered depth.
-	depth = it.RecordedDepth()
-	closeIterator(e.iters, it, pc, key, covered)
-	return depth, depth > covered
-}
-
 // CandidateCount returns how many distinct documents satisfy the
 // conjunctive keyword condition of the given groups, across all matching
 // components — the "candidates examined" notion used by the §5.4

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -74,10 +75,10 @@ func TestProxCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestReloadReseedsProximity: a reload purges the stale checkpoints, the
-// result-cache replay re-publishes the frontiers of the queries it
-// re-executes, and explicit pre-exploration covers the hot seekers the
-// replay left cold.
+// TestReloadReseedsProximity: a reload purges the stale checkpoints and
+// the result-cache replay re-publishes the frontiers of the queries it
+// re-executes — and only those: a hot query that matches nothing explores
+// nothing, before the reload or after it.
 func TestReloadReseedsProximity(t *testing.T) {
 	small := testInstance(t, 40, 150, 3)
 	big := testInstance(t, 60, 240, 4)
@@ -88,17 +89,14 @@ func TestReloadReseedsProximity(t *testing.T) {
 	h := s.Handler()
 	seeker, kw := aQuery(t, small)
 	postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw))
-	// A second hot seeker whose (exact, cacheable) query matches nothing:
-	// its replay publishes no frontier, so only the explicit re-seeding
-	// pass warms it.
+	// A second hot seeker whose (exact, cacheable) query matches nothing.
 	other := otherSeeker(t, small, big, seeker)
 	postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":["zz-no-such-keyword"],"k":5}`, other))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/reload", nil))
 	var reloaded struct {
-		Warmed     int `json:"warmed"`
-		ProxWarmed int `json:"prox_warmed"`
+		Warmed int `json:"warmed"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &reloaded); err != nil {
 		t.Fatal(err)
@@ -106,20 +104,56 @@ func TestReloadReseedsProximity(t *testing.T) {
 	if reloaded.Warmed != 2 {
 		t.Errorf("reload replayed %d result-cache entries, want 2", reloaded.Warmed)
 	}
-	// The first seeker's frontier was re-published by its replayed search
-	// (deeper than the seed depth — a no-op seed, not counted); only the
-	// no-match seeker needed an explicit seed.
-	if reloaded.ProxWarmed != 1 {
-		t.Errorf("reload pre-explored %d seekers, want 1", reloaded.ProxWarmed)
+	// Everything cached now belongs to the new instance: the replayed
+	// matching query's frontier, nothing stale.
+	if ps := statsProx(t, s); ps.Entries != 1 {
+		t.Errorf("checkpoints after reload = %d, want 1: %+v", ps.Entries, ps)
 	}
-	ps := statsProx(t, s)
-	if ps.Warmed != 1 {
-		t.Errorf("prox warmed counter = %d, want 1", ps.Warmed)
+}
+
+// TestReloadKeepsHottestCheckpoint: the replay re-runs the hot queries
+// oldest first, so the most recent seeker's frontier is published last
+// and a budget of a few checkpoints keeps it; nothing after the replay
+// may evict it. A search of that seeker the result cache cannot answer
+// (another k) then resumes the checkpoint.
+func TestReloadKeepsHottestCheckpoint(t *testing.T) {
+	inst := testInstance(t, 60, 240, 3)
+	hot := someQueries(t, inst, 4)
+	last := hot[len(hot)-1]
+	search := func(q query, k int, noCache bool) string {
+		return fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":%d,"no_cache":%v}`, q.seeker, q.kw, k, noCache)
 	}
-	// Everything cached now belongs to the new instance: the replayed hot
-	// query's frontier plus the explicit seed, nothing stale.
-	if ps.Entries != 2 {
-		t.Errorf("checkpoints after re-seeding reload = %d, want 2: %+v", ps.Entries, ps)
+
+	// One checkpoint's size: the last seeker's search, alone in a cache.
+	sizer := newTestServer(t, Config{Instance: inst})
+	postSearch(t, sizer.Handler(), search(last, 5, false))
+	one := statsProx(t, sizer).Bytes
+	if one == 0 {
+		t.Fatal("the sizing search published no checkpoint")
+	}
+
+	s := newTestServer(t, Config{
+		Instance:       inst,
+		ProxCacheBytes: one * 5 / 2,
+		Loader:         func() (s3.Queryable, error) { return inst, nil },
+	})
+	h := s.Handler()
+	for _, q := range hot {
+		if rec, _ := postSearch(t, h, search(q, 5, false)); rec.Code != http.StatusOK {
+			t.Fatalf("search %v = %d: %s", q, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/reload", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /reload = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec, resp := postSearch(t, h, search(last, 3, true))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("post-reload search = %d: %s", rec.Code, rec.Body.String())
+	}
+	if !resp.Warm {
+		t.Errorf("the hottest seeker's search ran cold after the reload: %+v", statsProx(t, s))
 	}
 }
 

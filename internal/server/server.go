@@ -28,6 +28,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -363,6 +364,11 @@ func writeError(w http.ResponseWriter, e *httpError) {
 	writeJSON(w, e.status, map[string]string{"error": e.msg})
 }
 
+// maxSearchBody caps a POST /search body: a query is a seeker, a few
+// keywords and scalars, and a larger body is refused (413) before it is
+// decoded.
+const maxSearchBody = 1 << 20
+
 // searchRequest is the POST /search body.
 type searchRequest struct {
 	// Seeker is the querying user's URI.
@@ -453,7 +459,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	bypass := wantTrace || wantPartial
 
 	var sr searchRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSearchBody)).Decode(&sr); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("search body exceeds %d bytes", maxSearchBody)})
+			return
+		}
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "invalid JSON body: " + err.Error()})
 		return
 	}
@@ -806,7 +816,6 @@ type proxCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 	Stores    uint64 `json:"stores"`
 	Rejected  uint64 `json:"rejected"`
-	Warmed    uint64 `json:"warmed"`
 }
 
 // shardStatsJSON is one shard's row in /stats: its content counts plus
@@ -876,7 +885,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Evictions: st.Evictions,
 			Stores:    st.Stores,
 			Rejected:  st.Rejected,
-			Warmed:    st.Warmed,
 		}
 	}
 	writeJSON(w, http.StatusOK, &statsResponse{
@@ -957,13 +965,11 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	s.cache.purge()
 	s.mu.Unlock()
 	warmed := s.warmCache(next, hot)
-	proxWarmed := s.warmProximity(next, hot)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      "reloaded",
-		"version":     next.Version,
-		"warmed":      warmed,
-		"prox_warmed": proxWarmed,
-		"instance":    inst.Stats(),
+		"status":   "reloaded",
+		"version":  next.Version,
+		"warmed":   warmed,
+		"instance": inst.Stats(),
 	})
 }
 
@@ -1000,48 +1006,6 @@ func (s *Server) warmCache(state *generation, hot []searchRequest) int {
 		warmed++
 	}
 	s.warmed.Add(uint64(warmed))
-	return warmed
-}
-
-// warmProxDepth is how deep a post-reload proximity seed explores: deep
-// enough to cover the expensive early frontier growth of a typical search,
-// shallow enough that warming many seekers stays cheap. Searches needing
-// more depth continue from the seeded frontier.
-const warmProxDepth = 8
-
-// maxWarmSeekers bounds how many distinct seekers a reload pre-explores.
-const maxWarmSeekers = 128
-
-// warmProximity re-seeds the proximity cache after a reload for the
-// hottest seekers (in result-cache recency order): queries the bounded
-// result-cache replay re-executed have already re-published their
-// frontiers, and this covers the remaining (seeker, γ, η) combinations —
-// including the tail the replay cap skipped — so a result-cache miss
-// right after a reload still starts from a warm frontier. Returns how
-// many seeds were performed.
-func (s *Server) warmProximity(state *generation, hot []searchRequest) int {
-	if s.prox == nil {
-		return 0
-	}
-	type proxTriple struct {
-		seeker     string
-		gamma, eta float64
-	}
-	seen := make(map[proxTriple]struct{})
-	warmed := 0
-	for _, sr := range hot {
-		if len(seen) >= maxWarmSeekers {
-			break
-		}
-		t := proxTriple{seeker: sr.Seeker, gamma: sr.Gamma, eta: sr.Eta}
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		if _, seeded := state.Value.inst.WarmProximity(sr.Seeker, sr.Gamma, sr.Eta, warmProxDepth); seeded {
-			warmed++
-		}
-	}
 	return warmed
 }
 

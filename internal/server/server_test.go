@@ -37,28 +37,36 @@ func testInstance(t testing.TB, users, tweets int, seed int64) *s3.Instance {
 // instance.
 func aQuery(t testing.TB, inst *s3.Instance) (string, string) {
 	t.Helper()
-	seeker, kw := pickQuery(inst)
-	if seeker == "" || kw == "" {
-		t.Fatal("test instance has no usable query")
-	}
-	return seeker, kw
+	q := someQueries(t, inst, 1)[0]
+	return q.seeker, q.kw
 }
 
-func pickQuery(inst *s3.Instance) (string, string) {
+// query is a one-keyword search that produces results on a test instance.
+type query struct{ seeker, kw string }
+
+// someQueries returns n queries of distinct seekers that produce results
+// on the instance.
+func someQueries(t testing.TB, inst *s3.Instance, n int) []query {
+	t.Helper()
 	// The generated twitter dataset names users tw:uN and uses hashtag-like
-	// keywords; probe a few combinations until one yields results.
-	for u := 0; u < 50; u++ {
+	// keywords; probe a few combinations until enough yield results.
+	var qs []query
+	for u := 0; u < 50 && len(qs) < n; u++ {
 		seeker := fmt.Sprintf("tw:u%d", u)
 		if !inst.HasUser(seeker) {
 			continue
 		}
 		for _, kw := range []string{"#h1", "#h2", "#h3", "#h5", "#h8"} {
 			if rs, err := inst.Search(seeker, []string{kw}, s3.WithK(3)); err == nil && len(rs) > 0 {
-				return seeker, kw
+				qs = append(qs, query{seeker, kw})
+				break
 			}
 		}
 	}
-	return "", ""
+	if len(qs) < n {
+		t.Fatalf("test instance has %d usable queries of distinct seekers, want %d", len(qs), n)
+	}
+	return qs
 }
 
 func newTestServer(t testing.TB, cfg Config) *Server {
@@ -435,6 +443,7 @@ func TestErrorResponses(t *testing.T) {
 		{"missing keywords", "POST", "/search", `{"seeker":"tw:u0"}`, http.StatusBadRequest},
 		{"negative k", "POST", "/search", `{"seeker":"tw:u0","keywords":["x"],"k":-1}`, http.StatusBadRequest},
 		{"unknown seeker", "POST", "/search", `{"seeker":"nobody","keywords":["x"]}`, http.StatusNotFound},
+		{"oversized body", "POST", "/search", `{"seeker":"` + strings.Repeat("x", 2<<20) + `","keywords":["x"]}`, http.StatusRequestEntityTooLarge},
 		{"bad gamma", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"gamma":0.5}`, http.StatusBadRequest},
 		{"bad eta", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"eta":2}`, http.StatusBadRequest},
 		{"reload without loader", "POST", "/reload", "", http.StatusNotImplemented},

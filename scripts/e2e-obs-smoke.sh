@@ -4,8 +4,9 @@
 # plus a pprof debug listener) from the built binaries and assert the
 # observability surface actually serves: /metrics parses on every
 # process, the mapped worker maps exactly its shard files, POST
-# /search?trace=1 returns a stitched trace, /debug/traces retains it, and
-# /debug/pprof answers on the debug listener. Run by CI next to the
+# /search?trace=1 returns a stitched trace, /debug/traces retains it,
+# /debug/pprof answers on the debug listener, and the coordinator's /stats
+# reports its proximity cache off. Run by CI next to the
 # benchmark smoke.
 set -eu
 cd "$(dirname "$0")/.."
@@ -65,6 +66,10 @@ while [ "$(curl -sf http://127.0.0.1:18080/stats | grep -o '"healthy":true' | wc
 	fi
 	sleep 0.1
 done
+
+# The coordinator runs without a proximity cache, and /stats says so.
+curl -sf http://127.0.0.1:18080/stats | grep -o '"prox_cache":{[^}]*}' | grep -q '"enabled":false' ||
+	{ echo "e2e-obs-smoke: coordinator /stats reports a proximity cache" >&2; exit 1; }
 
 # The mapped worker holds its hosted shard files and nothing else: not
 # the manifest.

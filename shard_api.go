@@ -31,10 +31,6 @@ type Queryable interface {
 	// SetSearchMetrics attaches the instrument bundle fed by subsequent
 	// searches (nil detaches). Safe while searches are in flight.
 	SetSearchMetrics(*SearchMetrics)
-	// WarmProximity pre-explores a seeker to maxDepth under (gamma, eta)
-	// and seeds the attached proximity cache, returning the covered depth
-	// and whether this call actually performed a seed.
-	WarmProximity(seekerURI string, gamma, eta float64, maxDepth int) (int, bool)
 	// MappedBytes reports how many snapshot bytes back the instance
 	// through memory mappings (0 when copy-loaded).
 	MappedBytes() int64
