@@ -25,9 +25,11 @@
 // over the substrate it maps with the manifest: it fetches the query
 // keywords' postings from each worker host in one binary exchange and
 // explores in process. A worker reads only the manifest's meta and layout
-// and keeps nothing but its hosted shard files; answers are
-// byte-identical to the single-process shard set. A worker hosting several
-// shards (-shards-of) answers for all of them in one reply:
+// and keeps nothing but its hosted shard files, which it checksums before
+// /healthz reports serving: a corrupt shard file fails the worker's start
+// with the digest error. Answers are byte-identical to the single-process
+// shard set. A worker hosting several shards (-shards-of) answers for all
+// of them in one reply:
 //
 //	s3serve -shardset i1.set -shards-of 0,2 -mmap -addr :8081
 //	s3serve -shardset i1.set -shards-of 1,3 -mmap -addr :8082
@@ -82,21 +84,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("s3serve: ")
 	var (
-		snapPath   = flag.String("snapshot", "", "serve the instance from this binary snapshot (fast cold start)")
-		setPath    = flag.String("shardset", "", "serve a sharded instance from this shard-set manifest (s3gen -shards)")
-		mmap       = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
-		shardsOf   = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset to a coordinator from one process (one postings reply per search for all of them; e.g. -shards-of 0,2, or -shards-of 1 for one shard)")
-		verifyMode = flag.String("verify", "lazy", "worker mode: snapshot checksum verification: lazy (CRC pass overlaps serving; a fault flips /healthz to corrupt) | eager (verify fully before readiness)")
-		coord      = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
-		workerURL  = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
-		addr       = flag.String("addr", ":8080", "listen address")
-		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
-		proxMB     = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables; ignored in worker and coordinator mode)")
-		workers    = flag.Int("workers", 0, "max concurrently executing searches (0 = GOMAXPROCS)")
-		maxQueue   = flag.Int("max-queue", 0, "max searches waiting for a worker slot before arrivals are shed with 429 (0 = 8x workers, negative = unbounded)")
-		queueWait  = flag.Int("queue-wait-ms", 0, "max milliseconds a queued search waits for a worker slot before 429 (0 = 2000, negative = uncapped)")
-		slowMS     = flag.Int("slowlog-ms", 0, "log a JSON line to stderr for every search slower than this many milliseconds (0 disables)")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (empty disables)")
+		snapPath  = flag.String("snapshot", "", "serve the instance from this binary snapshot (fast cold start)")
+		setPath   = flag.String("shardset", "", "serve a sharded instance from this shard-set manifest (s3gen -shards)")
+		mmap      = flag.Bool("mmap", false, "memory-map -snapshot / -shardset files and serve zero-copy views (O(page-fault) cold start and reload; a file of another format version fails the load — regenerate it with s3gen)")
+		shardsOf  = flag.String("shards-of", "", "worker mode: serve these comma-separated shards of -shardset to a coordinator from one process (one postings reply per search for all of them; e.g. -shards-of 0,2, or -shards-of 1 for one shard)")
+		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
+		workerURL = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		cacheSize = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
+		proxMB    = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables; ignored in worker and coordinator mode)")
+		workers   = flag.Int("workers", 0, "max concurrently executing searches (0 = GOMAXPROCS)")
+		maxQueue  = flag.Int("max-queue", 0, "max searches waiting for a worker slot before arrivals are shed with 429 (0 = 8x workers, negative = unbounded)")
+		queueWait = flag.Int("queue-wait-ms", 0, "max milliseconds a queued search waits for a worker slot before 429 (0 = 2000, negative = uncapped)")
+		slowMS    = flag.Int("slowlog-ms", 0, "log a JSON line to stderr for every search slower than this many milliseconds (0 disables)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (empty disables)")
 	)
 	flag.Parse()
 
@@ -113,11 +114,7 @@ func main() {
 		if *setPath == "" || *snapPath != "" || *coord {
 			log.Fatal("-shards-of requires -shardset (and excludes -snapshot and -coordinator)")
 		}
-		verify, err := parseVerify(*verifyMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runWorker(*setPath, shards, mode, *addr, verify)
+		runWorker(*setPath, shards, mode, *addr)
 		return
 	}
 
@@ -221,12 +218,11 @@ func serveHTTP(addr string, handler http.Handler, drain func()) {
 // /healthz reporting "loading"; the shards load in the background and
 // readiness flips to "serving" when they are queryable — exactly what a
 // coordinator's membership probe expects.
-func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string, verify snap.VerifyMode) {
+func runWorker(setPath string, shards []int, mode s3.LoadMode, addr string) {
 	w := dshard.NewWorker(dshard.WorkerConfig{
 		ManifestPath: setPath,
 		Shards:       shards,
 		Mode:         snap.LoadMode(mode),
-		Verify:       verify,
 	})
 	go func() {
 		start := time.Now()
@@ -322,15 +318,4 @@ func parseShardList(s string) ([]int, error) {
 		return nil, fmt.Errorf("-shards-of: no shards in %q", s)
 	}
 	return shards, nil
-}
-
-func parseVerify(s string) (snap.VerifyMode, error) {
-	switch s {
-	case "lazy":
-		return snap.VerifyLazy, nil
-	case "eager":
-		return snap.VerifyEager, nil
-	default:
-		return 0, fmt.Errorf("unknown -verify %q (want lazy or eager)", s)
-	}
 }

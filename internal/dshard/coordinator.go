@@ -107,8 +107,7 @@ type workerRef struct {
 	probing atomic.Bool
 
 	mu      sync.Mutex
-	shard   int   // first hosted shard, for /stats; -1 until probed
-	shards  []int // every shard the worker hosts
+	shards  []int // every shard the worker hosts, as last probed
 	healthy bool
 	lastErr string
 	stats   *WorkerStats
@@ -131,7 +130,6 @@ type workerRef struct {
 // exposed through its /stats.
 type WorkerStatus struct {
 	URL     string       `json:"url"`
-	Shard   int          `json:"shard"`
 	Shards  []int        `json:"shards,omitempty"`
 	Healthy bool         `json:"healthy"`
 	Breaker string       `json:"breaker"`
@@ -244,7 +242,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout, c.load))
 	}
 	for _, u := range cfg.WorkerURLs {
-		c.workers = append(c.workers, &workerRef{url: u, shard: -1})
+		c.workers = append(c.workers, &workerRef{url: u})
 	}
 	c.AttachRegistry(cfg.Registry)
 	return c, nil
@@ -293,16 +291,12 @@ func (c *Coordinator) AttachRegistry(r *obs.Registry) {
 func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	var hb healthzBody
 	code, err := c.getJSON(ctx, w.url+"/healthz", &hb)
-	healthy := false
 	var lastErr string
-	shard := -1
-	var hosted []int
 	switch {
 	case err != nil:
 		lastErr = err.Error()
 	case hb.Status != "serving" || code != http.StatusOK:
 		lastErr = fmt.Sprintf("worker is %s", hb.Status)
-		shard = hb.Shard
 	case hb.Proto != protoVersion:
 		// One protocol, no negotiation: a worker from another release is
 		// never sent a frame it might misread.
@@ -314,22 +308,14 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	case len(hb.Shards) == 0:
 		lastErr = "worker reports no hosted shards"
 	default:
-		hosted = hb.Shards
-		bad := -1
-		for _, hs := range hosted {
+		for _, hs := range hb.Shards {
 			if hs < 0 || hs >= c.cfg.ShardCount {
-				bad = hs
+				lastErr = fmt.Sprintf("worker reports shard %d of %d", hs, c.cfg.ShardCount)
 				break
 			}
 		}
-		if bad >= 0 {
-			lastErr = fmt.Sprintf("worker reports shard %d of %d", bad, c.cfg.ShardCount)
-			hosted = nil
-			break
-		}
-		healthy = true
-		shard = hosted[0]
 	}
+	healthy := err == nil && lastErr == ""
 	var st *WorkerStats
 	if healthy {
 		var ws WorkerStats
@@ -338,7 +324,9 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 		}
 	}
 	w.mu.Lock()
-	w.shard, w.shards, w.healthy, w.lastErr = shard, hosted, healthy, lastErr
+	// Whatever the verdict, /stats lists the shards the worker reported;
+	// only a healthy worker's are routed to.
+	w.shards, w.healthy, w.lastErr = hb.Shards, healthy, lastErr
 	if st != nil {
 		w.stats = st
 	}
@@ -863,7 +851,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	}
 	for _, w := range c.workers {
 		w.mu.Lock()
-		ws := WorkerStatus{URL: w.url, Shard: w.shard, Shards: w.shards, Healthy: w.healthy,
+		ws := WorkerStatus{URL: w.url, Shards: w.shards, Healthy: w.healthy,
 			Breaker: breakerName(w.brState), Error: w.lastErr, Stats: w.stats}
 		w.mu.Unlock()
 		out.Workers = append(out.Workers, ws)

@@ -403,6 +403,89 @@ func TestWorkerLifecycleStates(t *testing.T) {
 	}
 }
 
+// TestUnhealthyWorkerListsShards: the coordinator's /stats row of a
+// worker that is not serving lists the shards its /healthz reported, so
+// an operator sees which shards lost a replica, while no search is routed
+// to it.
+func TestUnhealthyWorkerListsShards(t *testing.T) {
+	to := datagen.DefaultTwitterOptions()
+	to.Users, to.Tweets, to.Seed = 30, 90, 2
+	spec, _ := datagen.Twitter(to)
+	in, ix := buildInstance(t, spec)
+	manifestPath := writeSet(t, in, ix, 2)
+	m, err := snap.OpenManifest(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{1, 0}, Mode: snap.LoadCopy})
+	srv := httptest.NewServer(w.Handler()) // never loaded: /healthz stays 503 loading
+	defer srv.Close()
+	c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: []string{srv.URL}, ShardCount: 2, SetID: m.Layout.SetID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Probe(context.Background()); err == nil {
+		t.Fatal("probe accepted a loading worker")
+	}
+	st := c.Stats().Workers[0]
+	if st.Healthy || !slices.Equal(st.Shards, []int{1, 0}) || st.Error != "worker is loading" {
+		t.Fatalf("loading worker's row: %+v, want unhealthy, shards [1 0], worker is loading", st)
+	}
+}
+
+// TestCorruptShardWorkerNeverServes: a worker over a shard file with any
+// single byte flipped fails its Load with a snap error, and its /healthz
+// stays 503 "loading" — it never answers a postings request from bytes
+// that fail their checksum. It asks for snap.VerifyLazy, which every open
+// ignores, so no setting can defer the check.
+func TestCorruptShardWorkerNeverServes(t *testing.T) {
+	to := datagen.DefaultTwitterOptions()
+	to.Users, to.Tweets, to.Seed = 30, 90, 2
+	spec, _ := datagen.Twitter(to)
+	in, ix := buildInstance(t, spec)
+	manifestPath := writeSet(t, in, ix, 2)
+	m, err := snap.OpenManifest(manifestPath, snap.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardPath := filepath.Join(filepath.Dir(manifestPath), m.Layout.Shards[1].Name)
+	m.Close()
+	orig, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each flip replaces the file by rename, as a snapshot is replaced, so
+	// a mapping of an earlier version is never cut short under its reader.
+	replace := func(data []byte) {
+		if err := os.WriteFile(shardPath+".tmp", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(shardPath+".tmp", shardPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer replace(orig)
+	for off := 0; off < len(orig); off += 29 {
+		mut := bytes.Clone(orig)
+		mut[off] ^= 0x5a
+		replace(mut)
+		w := NewWorker(WorkerConfig{ManifestPath: manifestPath, Shards: []int{0, 1}, Mode: snap.LoadMmap, Verify: snap.VerifyLazy})
+		if err := w.Load(); err == nil || !strings.HasPrefix(err.Error(), "snap:") {
+			t.Fatalf("offset %d of %d: Load = %v, want a snap error", off, len(orig), err)
+		}
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var hb healthzBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &hb); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusServiceUnavailable || hb.Status != "loading" {
+			t.Fatalf("offset %d: /healthz %d %q after a failed Load, want 503 loading", off, rec.Code, hb.Status)
+		}
+	}
+}
+
 // postPostings sends one postings request straight to a worker and
 // returns the status it answered with.
 func postPostings(t testing.TB, url string, r postingsRequest) int {

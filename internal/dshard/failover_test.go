@@ -291,7 +291,7 @@ func stubHealthz(t *testing.T, setID uint64, healthy *atomic.Bool) *httptest.Ser
 			return
 		}
 		json.NewEncoder(rw).Encode(map[string]any{
-			"status": "serving", "shard": 0, "shards": []int{0}, "shard_count": 1,
+			"status": "serving", "shards": []int{0}, "shard_count": 1,
 			"set_id": fmt.Sprintf("%016x", setID), "proto": protoVersion,
 		})
 	})

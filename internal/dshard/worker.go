@@ -47,10 +47,9 @@ type WorkerConfig struct {
 	ManifestPath string
 	Shards       []int
 	Mode         snap.LoadMode
-	// Verify selects when snapshot payload checksums run: snap.VerifyEager
-	// (default) fails the Load on corruption; snap.VerifyLazy starts
-	// serving as soon as the section tables parse and flips the worker
-	// unhealthy if the background pass finds corruption.
+	// Verify is ignored: every open verifies before it returns, so a
+	// corrupt shard file fails the Load. It is kept until ROADMAP 13(a)
+	// drops the argument from benchmark/probes.go.
 	Verify snap.VerifyMode
 	// ProxCacheBytes is ignored: a worker explores nothing, so it has no
 	// proximity checkpoints to cache. The field stays for callers that
@@ -218,11 +217,6 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer gen.Release()
-	if err := gen.Value.ws.VerifyErr(); err != nil {
-		w.rejected.Add(1)
-		writeErr(rw, http.StatusServiceUnavailable, "snapshot failed verification: %v", err)
-		return
-	}
 	hosted := make([]int, len(r.shards))
 	for i, shard := range r.shards {
 		idx, ok := w.shardIdx[shard]
@@ -289,9 +283,7 @@ func (w *Worker) handleManifest(rw http.ResponseWriter, req *http.Request) {
 // decide whether to route to it (status).
 type healthzBody struct {
 	Status string `json:"status"`
-	Shard  int    `json:"shard"`
-	// Shards lists every shard ordinal this process hosts; Shard is the
-	// first of them.
+	// Shards lists every shard ordinal this process hosts.
 	Shards     []int  `json:"shards,omitempty"`
 	ShardCount int    `json:"shard_count"`
 	SetID      string `json:"set_id"`
@@ -301,33 +293,17 @@ type healthzBody struct {
 	Proto int `json:"proto,omitempty"`
 }
 
-// firstShard is the "shard" the wire bodies report: the first hosted
-// ordinal (-1 for a worker configured with none, which never loads).
-func (w *Worker) firstShard() int {
-	if len(w.cfg.Shards) == 0 {
-		return -1
-	}
-	return w.cfg.Shards[0]
-}
-
 func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	state := w.state.Load()
-	body := healthzBody{Status: stateName(state), Shard: w.firstShard(), Shards: w.cfg.Shards, Proto: protoVersion}
+	body := healthzBody{Status: stateName(state), Shards: w.cfg.Shards, Proto: protoVersion}
 	status := http.StatusServiceUnavailable
-	verified := true
 	if gen := w.cur.Acquire(); gen != nil {
 		body.ShardCount = len(gen.Value.ws.Layout.Shards)
 		body.SetID = fmt.Sprintf("%016x", gen.Value.ws.Layout.SetID)
 		body.Version = gen.Version
-		if err := gen.Value.ws.VerifyErr(); err != nil {
-			// Deferred verification found corruption: report unready so the
-			// coordinator routes away.
-			body.Status = "corrupt"
-			verified = false
-		}
 		gen.Release()
 	}
-	if state == StateServing && verified {
+	if state == StateServing {
 		status = http.StatusOK
 	}
 	writeJSON(rw, status, &body)
@@ -352,7 +328,6 @@ type WorkerShardRow struct {
 type WorkerStats struct {
 	Role        string           `json:"role"`
 	Status      string           `json:"status"`
-	Shard       int              `json:"shard"`
 	ShardCount  int              `json:"shard_count"`
 	SetID       string           `json:"set_id"`
 	Version     uint64           `json:"version"`
@@ -369,7 +344,6 @@ func (w *Worker) Stats() WorkerStats {
 	st := WorkerStats{
 		Role:     "worker",
 		Status:   stateName(w.state.Load()),
-		Shard:    w.firstShard(),
 		UptimeMS: time.Since(w.start).Milliseconds(),
 		Searches: w.searches.Load(),
 		Rejected: w.rejected.Load(),

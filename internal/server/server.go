@@ -381,9 +381,11 @@ type searchRequest struct {
 	Gamma float64 `json:"gamma,omitempty"`
 	// Eta is the structural damping factor η ∈ (0,1) (default 0.8).
 	Eta float64 `json:"eta,omitempty"`
-	// BudgetMS caps wall-clock search time (any-time mode; uncached).
+	// BudgetMS caps wall-clock search time (any-time mode; uncached; 0
+	// means no cap, a negative value is refused).
 	BudgetMS int `json:"budget_ms,omitempty"`
-	// MaxIterations caps exploration depth (any-time mode; uncached).
+	// MaxIterations caps exploration depth (any-time mode; uncached; 0
+	// means no cap, a negative value is refused).
 	MaxIterations int `json:"max_iterations,omitempty"`
 	// NoCache bypasses the result cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -499,6 +501,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	}
 	if sr.Eta <= 0 || sr.Eta >= 1 {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "eta must be in (0,1)"})
+		return
+	}
+	if sr.BudgetMS < 0 || sr.MaxIterations < 0 {
+		writeError(w, &httpError{status: http.StatusBadRequest, msg: "budget_ms and max_iterations must not be negative"})
 		return
 	}
 

@@ -446,6 +446,8 @@ func TestErrorResponses(t *testing.T) {
 		{"oversized body", "POST", "/search", `{"seeker":"` + strings.Repeat("x", 2<<20) + `","keywords":["x"]}`, http.StatusRequestEntityTooLarge},
 		{"bad gamma", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"gamma":0.5}`, http.StatusBadRequest},
 		{"bad eta", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"eta":2}`, http.StatusBadRequest},
+		{"negative budget", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"budget_ms":-1}`, http.StatusBadRequest},
+		{"negative max iterations", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"max_iterations":-1}`, http.StatusBadRequest},
 		{"reload without loader", "POST", "/reload", "", http.StatusNotImplemented},
 		{"missing extension kw", "GET", "/extension", "", http.StatusBadRequest},
 		{"wrong method", "GET", "/search", "", http.StatusMethodNotAllowed},

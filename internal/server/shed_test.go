@@ -121,11 +121,11 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 }
 
-// TestBadParamsRefusedBeforeAdmission: a γ or η outside its domain can
-// never succeed, so it is refused with 400 before admission — even with
-// every worker slot busy it neither queues nor is shed with a 429 that
-// invites a retry, and it does not count as a search that failed after
-// validation.
+// TestBadParamsRefusedBeforeAdmission: a γ or η outside its domain, or a
+// negative budget or iteration cap, can never succeed, so it is refused
+// with 400 before admission — even with every worker slot busy it neither
+// queues nor is shed with a 429 that invites a retry, and it does not
+// count as a search that failed after validation.
 func TestBadParamsRefusedBeforeAdmission(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)
@@ -139,7 +139,7 @@ func TestBadParamsRefusedBeforeAdmission(t *testing.T) {
 	s.sem <- struct{}{} // the only worker slot is held
 	defer func() { <-s.sem }()
 
-	for _, bad := range []string{`"gamma":0.5`, `"gamma":1`, `"eta":1`, `"eta":-0.5`} {
+	for _, bad := range []string{`"gamma":0.5`, `"gamma":1`, `"eta":1`, `"eta":-0.5`, `"budget_ms":-1`, `"max_iterations":-1`} {
 		start := time.Now()
 		rec, _ := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],%s}`, seeker, kw, bad))
 		if rec.Code != http.StatusBadRequest {

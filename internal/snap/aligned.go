@@ -28,7 +28,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // castagnoli is the CRC-32C table: hardware-accelerated on amd64/arm64,
@@ -203,13 +206,10 @@ type alignedFile struct {
 // everything): skipped sections are bounds-checked through the table but
 // their payloads are neither checksummed nor touched, so a reader that
 // needs a few small sections of a mapped file faults in only their pages.
-// The kept payloads' checksum pass is memory-bandwidth bound and the
-// dominant cost of a mapped cold start: it runs inline (parallel) when dv
-// is nil and in dv's background collector otherwise (see verify.go).
-// Header and table validation is synchronous either way. It is the one
+// The kept payloads are checksummed before it returns. It is the one
 // entry of every decode, so it is where a host that cannot view the
 // format in place is refused.
-func readAligned(data []byte, magic string, what string, keep []byte, dv *DeferredVerify) (*alignedFile, error) {
+func readAligned(data []byte, magic string, what string, keep []byte) (*alignedFile, error) {
 	if !layoutMappable() {
 		return nil, errUnaliasableHost
 	}
@@ -225,10 +225,46 @@ func readAligned(data []byte, magic string, what string, keep []byte, dv *Deferr
 		f.payloads[en.id] = data[en.off : en.off+en.len]
 		f.spans = append(f.spans, en)
 	}
-	if err := dv.check(func() error { return verifyAlignedSpans(data, f.spans, what) }); err != nil {
+	if err := verifyAlignedSpans(data, f.spans, what); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// verifyAlignedSpans checksums the given section payloads of data in
+// parallel: the pass is memory-bandwidth bound and the dominant cost of
+// a mapped cold start, so spreading it over cores directly shortens the
+// open.
+func verifyAlignedSpans(data []byte, spans []secSpan, what string) error {
+	var bad atomic.Int32
+	bad.Store(-1)
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(spans) {
+		workers = len(spans)
+	}
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(spans) {
+					return
+				}
+				sp := spans[i]
+				if uint64(crc32.Checksum(data[sp.off:sp.off+sp.len], castagnoli)) != sp.sum {
+					bad.Store(int32(sp.id))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if id := bad.Load(); id >= 0 {
+		return fmt.Errorf("snap: section %d of %s fails its checksum", id, what)
+	}
+	return nil
 }
 
 // requireSections reports the first of ids missing from a file's payloads.

@@ -20,7 +20,7 @@ import (
 // payload to write and whether to keep the section at all.
 func rebuildAligned(t testing.TB, data []byte, magic string, edit func(id byte, payload []byte) ([]byte, bool)) []byte {
 	t.Helper()
-	f, err := readAligned(data, magic, "file under test", nil, nil)
+	f, err := readAligned(data, magic, "file under test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +84,14 @@ func wantRegenerate(t testing.TB, what string, opened interface{ Close() error }
 }
 
 // wantSetRejected fails unless every open of the shard set — all shards
-// in one process, or a worker host of hosted under either verify mode —
-// ends in the regenerate error.
+// in one process, or a worker host of hosted — ends in the regenerate
+// error.
 func wantSetRejected(t testing.TB, what, manifestPath string, hosted []int, mode LoadMode) {
 	t.Helper()
 	set, err := OpenShardSet(manifestPath, mode)
 	wantRegenerate(t, what+": OpenShardSet", set, err)
-	for _, verify := range []VerifyMode{VerifyEager, VerifyLazy} {
-		w, err := OpenWorkerHost(manifestPath, hosted, mode, verify)
-		wantRegenerate(t, fmt.Sprintf("%s: OpenWorkerHost verify=%v", what, verify), w, err)
-	}
+	w, err := OpenWorkerHost(manifestPath, hosted, mode, VerifyEager)
+	wantRegenerate(t, what+": OpenWorkerHost", w, err)
 }
 
 // assertNotMapped fails if the process still maps a file whose path

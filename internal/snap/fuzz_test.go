@@ -154,7 +154,7 @@ func FuzzDecodeShard(f *testing.F) {
 		}
 		// What a worker host does with the same file: validate the flat
 		// postings, then answer every keyword.
-		if flat, _, _, err := decodeWorkerShard(data, vouching, 0, base.NumNodes(), nil); err == nil {
+		if flat, _, _, err := decodeWorkerShard(data, vouching, 0, base.NumNodes()); err == nil {
 			for _, kw := range flat.Kws {
 				flat.Events(kw)
 			}
@@ -186,6 +186,6 @@ func TestShardFuzzRegressionReachesValidate(t *testing.T) {
 	const want = "unknown connection type"
 	_, _, _, err = decodeShard(data, newSetBase(base, vouching), 0)
 	wantRefused(t, "decodeShard", want, nil, err)
-	_, _, _, err = decodeWorkerShard(data, vouching, 0, base.NumNodes(), nil)
+	_, _, _, err = decodeWorkerShard(data, vouching, 0, base.NumNodes())
 	wantRefused(t, "decodeWorkerShard", want, nil, err)
 }

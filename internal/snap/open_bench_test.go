@@ -14,9 +14,11 @@ import (
 
 // BenchmarkOpen is the open-time cost of the twitter instance `s3gen
 // -dataset twitter -scale 1 -seed 1` writes: a snapshot mapped and copied,
-// and the manifest of a 4-shard set of it mapped. Each open runs the
-// checksum pass, the checks and every derivation — among them the
-// network out-edges and the transition matrix.
+// the manifest of a 4-shard set of it mapped, and a worker host of shards
+// 0 and 2 of that set mapped (the shape of a two-worker deployment's
+// first worker). Each open runs the checksum pass, the checks and every
+// derivation — among them the network out-edges and the transition
+// matrix.
 func BenchmarkOpen(b *testing.B) {
 	o := datagen.DefaultTwitterOptions()
 	o.Seed = 1
@@ -46,6 +48,9 @@ func BenchmarkOpen(b *testing.B) {
 		{"snapshot/mmap", func() (interface{ Close() error }, error) { return Open(snapPath, LoadMmap) }},
 		{"snapshot/copy", func() (interface{ Close() error }, error) { return Open(snapPath, LoadCopy) }},
 		{"manifest/mmap", func() (interface{ Close() error }, error) { return OpenManifest(manifestPath, LoadMmap) }},
+		{"workerhost/mmap", func() (interface{ Close() error }, error) {
+			return OpenWorkerHost(manifestPath, []int{0, 2}, LoadMmap, VerifyEager)
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

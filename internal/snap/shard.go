@@ -226,7 +226,7 @@ func validateShardName(name string) error {
 // section spans alongside.
 func decodeManifest(data []byte) (*graph.Instance, *Layout, []secSpan, error) {
 	const what = "shard-set manifest"
-	f, err := readAligned(data, ManifestMagic, what, nil, nil)
+	f, err := readAligned(data, ManifestMagic, what, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -298,23 +298,17 @@ func decodeLayout(data []byte) (*Layout, error) {
 
 // parseShard validates shard i's file against the manifest layout — file
 // digest, container, required sections, linking header (set id, ordinal,
-// component assignment) — without decoding its tables. With dv the
-// digest pass is deferred along with the payload checksums.
-func parseShard(data []byte, layout *Layout, i int, dv *DeferredVerify) (*alignedFile, shardHeader, error) {
+// component assignment) — without decoding its tables.
+func parseShard(data []byte, layout *Layout, i int) (*alignedFile, shardHeader, error) {
 	const what = "shard snapshot"
 	if i < 0 || i >= len(layout.Shards) {
 		return nil, shardHeader{}, fmt.Errorf("snap: shard %d outside layout of %d shards", i, len(layout.Shards))
 	}
 	desc := layout.Shards[i]
-	if err := dv.check(func() error {
-		if uint64(crc32.Checksum(data, castagnoli)) != desc.Sum {
-			return fmt.Errorf("snap: shard %d (%s) digest mismatch: file does not match manifest", i, desc.Name)
-		}
-		return nil
-	}); err != nil {
-		return nil, shardHeader{}, err
+	if uint64(crc32.Checksum(data, castagnoli)) != desc.Sum {
+		return nil, shardHeader{}, fmt.Errorf("snap: shard %d (%s) digest mismatch: file does not match manifest", i, desc.Name)
 	}
-	f, err := readAligned(data, ShardMagic, what, nil, dv)
+	f, err := readAligned(data, ShardMagic, what, nil)
 	if err != nil {
 		return nil, shardHeader{}, err
 	}
@@ -351,7 +345,7 @@ func newSetBase(in *graph.Instance, layout *Layout) *setBase {
 // postings and their index over the base instance (views of data), plus
 // the file's section spans.
 func decodeShard(data []byte, b *setBase, i int) (index.Flat, *index.Index, []secSpan, error) {
-	f, hdr, err := parseShard(data, b.layout, i, nil)
+	f, hdr, err := parseShard(data, b.layout, i)
 	if err != nil {
 		return index.Flat{}, nil, nil, err
 	}

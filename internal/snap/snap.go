@@ -98,7 +98,7 @@ func Read(r io.Reader) (*graph.Instance, *index.Index, error) {
 // spans alongside.
 func decodeSnapshot(data []byte) (*graph.Instance, *index.Index, []secSpan, error) {
 	const what = "snapshot"
-	f, err := readAligned(data, Magic, what, nil, nil)
+	f, err := readAligned(data, Magic, what, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -11,13 +11,12 @@
 // index.Flat. Mapped, a worker host holds its shard files and nothing
 // more: the manifest is loaded through a Files of its own, closed before
 // the open returns, and each shard file through the WorkerSnapshot's
-// Files, whose Close unmaps them once deferred verification is done.
+// Files, whose Close unmaps them.
 //
-// Integrity: the manifest's two sections are checksummed during the open
-// in either mode. VerifyEager checksums every shard payload during the
-// open too; VerifyLazy defers the shard-file digests and section CRCs to
-// a background collector surfaced through WaitVerify/VerifyErr (see
-// verify.go).
+// Integrity: like every other open, OpenWorkerHost checksums what it
+// keeps before it returns — the manifest's two sections, and each hosted
+// shard file's digest and section payloads — so a corrupt shard file
+// fails the open, and a worker over it never serves.
 package snap
 
 import (
@@ -40,43 +39,23 @@ type WorkerSnapshot struct {
 	Postings []index.Flat
 	Tags     []int
 	Files
-
-	// verify collects the integrity checks a VerifyLazy open deferred
-	// (nil after an eager open: everything already verified).
-	verify *DeferredVerify
 }
 
-// WaitVerify blocks until any deferred integrity checks complete and
-// returns the first failure (nil immediately after an eager open).
-func (s *WorkerSnapshot) WaitVerify() error {
-	if s.verify == nil {
-		return nil
-	}
-	return s.verify.Wait()
-}
+// VerifyMode is ignored: every open verifies before it returns. It is
+// kept until ROADMAP 13(a) drops the argument from benchmark/probes.go.
+type VerifyMode int
 
-// VerifyErr reports, without blocking, any deferred-verification failure
-// found so far (always nil after an eager open).
-func (s *WorkerSnapshot) VerifyErr() error {
-	if s.verify == nil {
-		return nil
-	}
-	return s.verify.Err()
-}
-
-// Close unmaps the shard files, first waiting out any deferred
-// verification still reading them.
-func (s *WorkerSnapshot) Close() error {
-	if s.verify != nil {
-		_ = s.verify.Wait()
-	}
-	return s.Files.Close()
-}
+// The VerifyMode values, both ignored (see VerifyMode).
+const (
+	VerifyEager VerifyMode = iota
+	VerifyLazy
+)
 
 // OpenWorkerHost opens a set of co-hosted shards for one worker process:
 // the manifest's meta and layout, then each hosted shard file's postings.
-// See the package comment for what is read and when it is verified.
-func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify VerifyMode) (*WorkerSnapshot, error) {
+// See the package comment for what is read and verified. The VerifyMode
+// is ignored (see VerifyMode).
+func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, _ VerifyMode) (*WorkerSnapshot, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("snap: worker host needs at least one shard")
 	}
@@ -98,13 +77,8 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 	}
 
 	out := &WorkerSnapshot{Layout: layout, Shards: append([]int(nil), shards...), Files: Files{Mode: mode}}
-	var dv *DeferredVerify
-	if verify == VerifyLazy {
-		dv = &DeferredVerify{}
-		out.verify = dv
-	}
 	fail := func(err error) (*WorkerSnapshot, error) {
-		out.Close() // waits out deferred verification before unmapping
+		out.Close()
 		return nil, err
 	}
 	for _, shard := range shards {
@@ -112,7 +86,7 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 		if err != nil {
 			return fail(fmt.Errorf("snap: opening shard %d: %w", shard, err))
 		}
-		flat, hdr, spans, err := decodeWorkerShard(sdata, layout, shard, numNodes, dv)
+		flat, hdr, spans, err := decodeWorkerShard(sdata, layout, shard, numNodes)
 		if err != nil {
 			return fail(err)
 		}
@@ -126,9 +100,9 @@ func OpenWorkerHost(manifestPath string, shards []int, mode LoadMode, verify Ver
 // decodeWorkerShard binds shard i's file to the layout and decodes its
 // connection index into a validated index.Flat over an instance of
 // numNodes nodes, as views of data, returning the file's section spans
-// alongside. With dv the checksum passes are deferred.
-func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int, dv *DeferredVerify) (index.Flat, shardHeader, []secSpan, error) {
-	f, hdr, err := parseShard(data, layout, i, dv)
+// alongside.
+func decodeWorkerShard(data []byte, layout *Layout, i, numNodes int) (index.Flat, shardHeader, []secSpan, error) {
+	f, hdr, err := parseShard(data, layout, i)
 	if err != nil {
 		return index.Flat{}, hdr, nil, err
 	}
@@ -157,7 +131,7 @@ func readWorkerManifest(path string, mode LoadMode) (int, *Layout, error) {
 		return 0, nil, err
 	}
 	keep := []byte{secMeta, secLayout}
-	f, err := readAligned(data, ManifestMagic, what, keep, nil)
+	f, err := readAligned(data, ManifestMagic, what, keep)
 	if err != nil {
 		return 0, nil, err
 	}
