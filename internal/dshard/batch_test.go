@@ -8,9 +8,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -77,6 +80,109 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 	if _, _, err := decodePostingsReply(append(bytes.Clone(reply), 0), shards, kws, owns, time.Now()); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+}
+
+// TestReplyDecodeLimits: a CRC-valid reply claiming more events than a
+// frame of 9-byte events could hold is refused before the decoder grows
+// anything for them, and an event whose varint is cut short, overflows or
+// names a node past int32 is refused.
+func TestReplyDecodeLimits(t *testing.T) {
+	// Zero bytes encode the Contains event on node 0, then its repeats:
+	// two bytes an event, so the count fits the frame and only the cap
+	// refuses it.
+	n := maxReplyEvents + 1
+	e := &enc{}
+	e.u32(uint32(n))
+	e.b = append(e.b, make([]byte, minEventSize*n)...)
+	p, err := readBody(bytes.NewReader(appendRecord(nil, e.b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = decodePostingsReply(p, []int{0}, []dict.ID{1}, acceptAll, time.Now())
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("a reply of %d events: %v, want the cap's refusal", n, err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("refusing %d events allocated %d bytes", n, grown)
+	}
+
+	for name, tc := range map[string]struct {
+		event []byte
+		want  string
+	}{
+		"fragment varint cut short": {[]byte{0x80, 0x80}, "truncated"},
+		"source varint cut short":   {[]byte{0x00, 0x80}, "truncated"},
+		"source missing":            {[]byte{0x80, 0x01}, "truncated"},
+		"varint past 64 bits":       {bytes.Repeat([]byte{0xff}, 11), "overflows"},
+		"fragment past int32":       {append(binary.AppendUvarint(nil, zigzag(math.MaxInt32+1)*3), 0), "out of range"},
+		"source past int32":         {binary.AppendUvarint([]byte{0x00}, math.MaxInt32+2), "out of range"},
+	} {
+		e := &enc{}
+		e.u32(1)
+		e.b = append(e.b, tc.event...)
+		if _, _, err := decodePostingsReply(e.b, []int{0}, []dict.ID{1}, acceptAll, time.Now()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestPostingsReplyFramed: a worker states its postings reply's length
+// and sends it unchunked, so no terminator can trail the record in a
+// write of its own. The request asks for every keyword: net/http states
+// the length by itself only of a body that fits its 2 KiB buffer.
+func TestPostingsReplyFramed(t *testing.T) {
+	_, set, _, servers := smallTopology(t)
+	kws := set.Set.Base.SortedKeywordsByFrequency()
+	slices.Sort(kws)
+	r := postingsRequest{shards: []int{0}, kws: kws}
+	resp, err := http.Post(servers[0].URL+pathPostings, "application/octet-stream", bytes.NewReader(appendRecord(nil, appendPostingsRequest(nil, r))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d, %v", resp.StatusCode, err)
+	}
+	if len(body) <= 2<<10 {
+		t.Fatalf("a %d-byte reply fits net/http's buffers", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, transfer encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	p, err := readBody(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodePostingsReply(p, r.shards, r.kws, acceptAll, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkPostingsCodec encodes and decodes the reply a one-shard worker
+// sends for the most common keyword of a serving-scale twitter instance,
+// and reports its wire bytes per event.
+func BenchmarkPostingsCodec(b *testing.B) {
+	spec, _ := datagen.Twitter(datagen.DefaultTwitterOptions())
+	in, ix := buildInstance(b, spec)
+	kws := in.SortedKeywordsByFrequency()
+	kw := []dict.ID{kws[len(kws)-1]}
+	f := ix.Flat()
+	evs := f.Events(kw[0])
+	e := &enc{}
+	b.ReportAllocs()
+	for b.Loop() {
+		e.b = e.b[:0]
+		appendEvents(e, evs)
+		if _, _, err := decodePostingsReply(e.b, []int{0}, kw, acceptAll, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(e.b))/float64(len(evs)), "B/event")
+	b.ReportMetric(float64(len(evs)), "events")
 }
 
 // smallSpec is the corpus the transport tests share: big enough to need

@@ -361,11 +361,14 @@ func TestGroupingIndependence(t *testing.T) {
 // admitting everything. Acyclic, the seeker's island is one edge to a
 // friend who posted nothing: the exploration is exhausted after a couple
 // of rounds (the stop test passes on that very round — nothing reachable
-// can score — so the reason reads threshold). Cyclic, seeker and friend
-// follow each other (the border never empties), the friend's one document
-// leaves the selection short of k, and the unreached component holds "kw"
-// in so many fragments that its threshold outlasts the tail: only the
-// precision floor stops the search.
+// can score — so the reason reads threshold). Cyclic, the island is a
+// directed triangle of users, seeker → friend → third → seeker, with no
+// document: the border is one user, never the one it was two steps
+// before, so the two-step ratio stays infinite and the source bound of
+// the unreached component never drops to 0 (a two-cycle's ratio turns
+// finite and does zero it: score.Iterator.SourceTailBound). That
+// component holds "kw" in so many fragments that its threshold outlasts
+// the tail: only the precision floor stops the search.
 func islandSet(t *testing.T, cyclic bool) (*snap.ShardSetSnapshot, string) {
 	t.Helper()
 	b := graph.NewBuilder(text.Analyzer{Lang: text.None})
@@ -388,8 +391,9 @@ func islandSet(t *testing.T, cyclic bool) (*snap.ShardSetSnapshot, string) {
 	must(b.AddUser("hermit"))
 	must(b.AddSocial("seeker", "friend", 1, ""))
 	if cyclic {
-		must(b.AddSocial("friend", "seeker", 1, ""))
-		post("near", "friend", 1)
+		must(b.AddUser("third"))
+		must(b.AddSocial("friend", "third", 1, ""))
+		must(b.AddSocial("third", "seeker", 1, ""))
 	}
 	post("far", "hermit", 4000)
 	in, err := b.Build()

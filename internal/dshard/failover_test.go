@@ -14,12 +14,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"s3/internal/core"
+	"s3/internal/index"
 	"s3/internal/snap"
 )
 
@@ -171,8 +173,9 @@ func swapShards(inner http.Handler) http.Handler {
 }
 
 // repeatEvent wraps a worker handler so that every postings reply repeats
-// the first event of its first non-empty block: a well-formed reply, under
-// a valid CRC, that counts one connection twice.
+// the first event of its first non-empty block: the reply decoded and
+// encoded again by appendEvents, a well-formed reply under a valid CRC
+// that counts one connection twice.
 func repeatEvent(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != pathPostings {
@@ -193,21 +196,23 @@ func repeatEvent(inner http.Handler) http.Handler {
 			http.Error(rw, "worker failed", http.StatusInternalServerError)
 			return
 		}
-		d, e, repeated := &dec{b: reply}, &enc{}, false
-		for range len(r.shards) * len(r.kws) {
-			n := int(d.u32())
-			evs := d.b[d.off : d.off+eventSize*n]
-			d.off += len(evs)
-			if n > 0 && !repeated {
-				e.u32(uint32(n + 1))
-				e.b = append(e.b, evs[:eventSize]...)
-				repeated = true
-			} else {
-				e.u32(uint32(n))
-			}
-			e.b = append(e.b, evs...)
+		parts, sp, err := decodePostingsReply(reply, r.shards, r.kws, acceptAll, time.Now())
+		if err != nil {
+			http.Error(rw, "worker reply failed to decode", http.StatusInternalServerError)
+			return
 		}
-		e.b = append(e.b, d.b[d.off:]...) // the span block, if any
+		e, repeated := &enc{}, false
+		for j := range parts {
+			for _, k := range r.kws {
+				evs := parts[j].Events(k)
+				if len(evs) > 0 && !repeated {
+					evs = append([]index.Event{evs[0]}, evs...)
+					repeated = true
+				}
+				appendEvents(e, evs)
+			}
+		}
+		encodeSpanBlock(e, sp)
 		rw.Write(appendRecord(nil, e.b))
 	})
 }
@@ -215,8 +220,8 @@ func repeatEvent(inner http.Handler) http.Handler {
 // wantFailoverExact runs the chaos battery against two workers that each
 // host both shards of the small topology, the first behind wrap: every
 // answer must equal the reference, and the first worker's replies must
-// have been failed over at least once.
-func wantFailoverExact(t *testing.T, wrap func(http.Handler) http.Handler, what string) {
+// have been failed over at least once. It returns the coordinator.
+func wantFailoverExact(t *testing.T, wrap func(http.Handler) http.Handler, what string) *Coordinator {
 	t.Helper()
 	manifestPath, set, _, _ := smallTopology(t)
 	var urls []string
@@ -246,6 +251,7 @@ func wantFailoverExact(t *testing.T, wrap func(http.Handler) http.Handler, what 
 	if coord.failovers.Load() == 0 {
 		t.Fatalf("the replies of %s never triggered a failover", what)
 	}
+	return coord
 }
 
 // TestFailoverOnMisShardedReply: a worker answering for the wrong shard
@@ -260,8 +266,12 @@ func TestFailoverOnMisShardedReply(t *testing.T) {
 // count that connection twice, in the candidates' scores and in the run
 // bound. The coordinator rejects a block that is not strictly in canonical
 // order and fails its shards over to a replica, so the answer stays exact.
+// The refusal must be the order check's, not a decoding failure.
 func TestFailoverOnRepeatedEvent(t *testing.T) {
-	wantFailoverExact(t, repeatEvent, "a worker repeating an event")
+	coord := wantFailoverExact(t, repeatEvent, "a worker repeating an event")
+	if msg := coord.Stats().Workers[0].Error; !strings.Contains(msg, "out of canonical order") {
+		t.Fatalf("the repeating worker was benched for %q, want the canonical-order refusal", msg)
+	}
 }
 
 // deepQuery finds a query of the set's battery whose search runs at least

@@ -24,10 +24,18 @@
 // u32 · payload`. Payloads:
 //
 //	request  traceID u64 · nShards u32 · shard u32… · nKw u32 · kw u32…
-//	reply    per requested shard, per requested keyword: n u32 · (frag u32 · src u32 · type u8)×n
+//	reply    per requested shard, per requested keyword: n u32 · event×n
 //	         · [span block]
+//	event    uvarint(zigzag(Δfrag)·3 + type) · uvarint(zigzag(Δsrc))  when (frag, type) repeats
+//	         uvarint(zigzag(Δfrag)·3 + type) · uvarint(src+1)          otherwise
 //
 // A shard's events for a keyword are its index.Events, in canonical order.
+// Each event is written against the one before it in its block (the
+// first against the zero event): the fragment as a delta, the source as a
+// delta only after an event of the same fragment and type, and otherwise
+// offset by one, so a Contains event's source, −1, is 0: a common
+// keyword's events take ≈ 2.3 bytes each, so a reply leaves in fewer
+// link writes.
 // The coordinator decodes each shard's blocks into that shard's
 // index.Flat, the form its shard file stores, and merges the shards'
 // postings by component as an in-process shard set does: no sort.
@@ -51,6 +59,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -64,10 +73,14 @@ import (
 // lets a malformed body size an allocation.
 const (
 	maxFrameSize = 64 << 20
-	maxWireSpans = 512
-	maxSpanName  = 256
-	maxSpanAttrs = 32
-	maxAttrLen   = 1024
+	// maxReplyEvents caps the events of one postings reply at what a
+	// frame of 9-byte events could hold, so the decoder's worst case
+	// stays ≈ 85 MiB of index.Event however small varints make an event.
+	maxReplyEvents = maxFrameSize / 9
+	maxWireSpans   = 512
+	maxSpanName    = 256
+	maxSpanAttrs   = 32
+	maxAttrLen     = 1024
 	// maxHostShards caps the shards of one request; a conforming
 	// coordinator never exceeds the set's shard count.
 	maxHostShards = 256
@@ -87,8 +100,8 @@ const (
 // also bumps when only the floats a search computes change (7: ascending
 // summation; 8–10: versions of the round protocol, whose workers ran the
 // exploration; 11: one postings exchange per host, the coordinator
-// explores).
-const protoVersion = 11
+// explores; 12: varint events).
+const protoVersion = 12
 
 // --- records ---
 
@@ -163,7 +176,6 @@ func cutShort(err error) error {
 // enc is a little-endian frame builder.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v byte)    { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 
@@ -178,16 +190,6 @@ func (d *dec) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("dshard: "+format, args...)
 	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail("truncated frame")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
 }
 
 func (d *dec) u32() uint32 {
@@ -208,6 +210,15 @@ func (d *dec) u64() uint64 {
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
 	return v
+}
+
+// varintErr fails the frame for binary.Uvarint's length n ≤ 0.
+func (d *dec) varintErr(n int) {
+	if n == 0 {
+		d.fail("truncated frame")
+	} else {
+		d.fail("varint overflows 64 bits")
+	}
 }
 
 // count reads a list length and rejects one whose items, at least size
@@ -399,17 +410,69 @@ func decodePostingsRequest(b []byte) (postingsRequest, error) {
 	return r, d.done()
 }
 
-// eventSize is the wire size of one event.
-const eventSize = 9
+// minEventSize is the fewest bytes an event takes on the wire: two
+// one-byte varints.
+const minEventSize = 2
 
-// appendEvents appends one (shard, keyword) block of a postings reply.
+// zigzag maps a signed delta to an unsigned varint value, small for
+// small magnitudes of either sign; unzigzag inverts it.
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// appendEvents appends one (shard, keyword) block of a postings reply:
+// its event count, then each event against the one before it. Events are
+// index.Events as a file stores them: Type a ConnType, Frag and Src node
+// ids, Src at least NoNID.
 func appendEvents(e *enc, evs []index.Event) {
-	e.u32(uint32(len(evs)))
-	for _, ev := range evs {
-		e.u32(uint32(ev.Frag))
-		e.u32(uint32(ev.Src))
-		e.u8(byte(ev.Type))
+	b := binary.LittleEndian.AppendUint32(e.b, uint32(len(evs)))
+	var prev index.Event
+	for i, ev := range evs {
+		b = binary.AppendUvarint(b, zigzag(int64(ev.Frag)-int64(prev.Frag))*3+uint64(ev.Type))
+		if i > 0 && ev.Frag == prev.Frag && ev.Type == prev.Type {
+			b = binary.AppendUvarint(b, zigzag(int64(ev.Src)-int64(prev.Src)))
+		} else {
+			b = binary.AppendUvarint(b, uint64(int64(ev.Src)+1))
+		}
+		prev = ev
 	}
+	e.b = b
+}
+
+// events appends a block's n events to evs, the inverse of appendEvents.
+// A node id outside [NoNID, MaxInt32] fails the frame.
+func (d *dec) events(evs []index.Event, n int) []index.Event {
+	b := d.b[d.off:]
+	var prev index.Event
+	for i := 0; i < n; i++ {
+		h, m := binary.Uvarint(b)
+		if m <= 0 {
+			d.varintErr(m)
+			return evs
+		}
+		v, l := binary.Uvarint(b[m:])
+		if l <= 0 {
+			d.varintErr(l)
+			return evs
+		}
+		b = b[m+l:]
+		ev := index.Event{Type: index.ConnType(h % 3)}
+		frag := int64(prev.Frag) + unzigzag(h/3)
+		var src int64
+		if i > 0 && frag == int64(prev.Frag) && ev.Type == prev.Type {
+			src = int64(prev.Src) + unzigzag(v)
+		} else {
+			src = int64(min(v, math.MaxInt32+2)) - 1 // capped below int64's wrap, still out of range
+		}
+		if frag < int64(graph.NoNID) || frag > math.MaxInt32 || src < int64(graph.NoNID) || src > math.MaxInt32 {
+			d.fail("event (%d, %d) names a node id out of range", frag, src)
+			return evs
+		}
+		ev.Frag, ev.Src = graph.NID(frag), graph.NID(src)
+		evs = append(evs, ev)
+		prev = ev
+	}
+	d.off = len(d.b) - len(b)
+	return evs
 }
 
 // blockCheck vets the block of one keyword's events a reply carries for a
@@ -424,16 +487,19 @@ type blockCheck func(shard int, evs []index.Event) error
 func decodePostingsReply(p []byte, shards []int, kws []dict.ID, check blockCheck, base time.Time) ([]index.Flat, *obs.Span, error) {
 	d := &dec{b: p}
 	out := make([]index.Flat, len(shards))
+	total := 0
 	for j, s := range shards {
 		f := &out[j]
 		f.EvOff = []int64{0}
 		for k := 0; k < len(kws) && d.err == nil; k++ {
-			n := d.count(eventSize, "events")
-			start := len(f.Evs)
-			f.Evs = slices.Grow(f.Evs, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				f.Evs = append(f.Evs, index.Event{Frag: graph.NID(d.u32()), Src: graph.NID(d.u32()), Type: index.ConnType(d.u8())})
+			n := d.count(minEventSize, "events")
+			if d.err == nil && n > maxReplyEvents-total {
+				d.fail("%d events in one reply (cap %d)", total+n, maxReplyEvents)
+				break
 			}
+			total += n
+			start := len(f.Evs)
+			f.Evs = d.events(slices.Grow(f.Evs, n), n)
 			if d.err == nil {
 				d.err = check(s, f.Evs[start:])
 			}

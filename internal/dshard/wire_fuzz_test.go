@@ -3,6 +3,7 @@ package dshard
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -73,10 +74,12 @@ func loadWireFixture() *wireFixture {
 	return &fixture
 }
 
-// appendShardBlocks appends the blocks a worker hosting shards sends for
-// kws, from the whole instance's index split by the layout.
-func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kws []dict.ID) {
+// shardBlocks returns the blocks a worker hosting shards sends for kws,
+// per shard per keyword, from the whole instance's index split by the
+// layout.
+func shardBlocks(ix *index.Index, sub *substrate, shards []int, kws []dict.ID) [][]index.Event {
 	f := ix.Flat()
+	var blocks [][]index.Event
 	for _, s := range shards {
 		for _, k := range kws {
 			var evs []index.Event
@@ -85,8 +88,16 @@ func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kw
 					evs = append(evs, ev)
 				}
 			}
-			appendEvents(e, evs)
+			blocks = append(blocks, evs)
 		}
+	}
+	return blocks
+}
+
+// appendShardBlocks appends shardBlocks' blocks as a worker sends them.
+func appendShardBlocks(e *enc, ix *index.Index, sub *substrate, shards []int, kws []dict.ID) {
+	for _, evs := range shardBlocks(ix, sub, shards, kws) {
+		appendEvents(e, evs)
 	}
 }
 
@@ -294,15 +305,19 @@ func FuzzDecodePostingsReply(f *testing.F) {
 	crcFlipped := bytes.Clone(pristine)
 	crcFlipped[5] ^= 0x20
 	// Point the first event of the reply past the last node.
-	outside := bytes.Clone(fx.reply)
-	off := 0
-	for binary.LittleEndian.Uint32(outside[off:]) == 0 {
-		off += 4
+	blocks := shardBlocks(fx.ix, fx.sub, fx.req.shards, fx.req.kws)
+	outside := &enc{}
+	moved := false
+	for _, evs := range blocks {
+		if len(evs) > 0 && !moved {
+			evs = slices.Clone(evs)
+			evs[0].Frag, moved = graph.NID(fx.sub.eng.Instance().NumNodes()), true
+		}
+		appendEvents(outside, evs)
 	}
-	binary.LittleEndian.PutUint32(outside[off+4:], uint32(fx.sub.eng.Instance().NumNodes()))
 	swapped := &enc{}
 	appendShardBlocks(swapped, fx.ix, fx.sub, []int{1, 0}, fx.req.kws)
-	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], reseal(oversized), crcFlipped, reseal(outside), reseal(swapped.b)} {
+	for i, b := range [][]byte{pristine, pristine[:len(pristine)/2], reseal(oversized), crcFlipped, reseal(outside.b), reseal(swapped.b)} {
 		if (i == 0) != (replyBodyErr(b) == nil) {
 			f.Fatalf("seed %d: decode error %v", i, replyBodyErr(b))
 		}
@@ -312,6 +327,58 @@ func FuzzDecodePostingsReply(f *testing.F) {
 		_ = replyBodyErr(b)
 		if replyBodyErr(flipBit(pristine, bit)) == nil {
 			t.Fatalf("bit %d flipped: the reply decoded without error", bit%uint32(8*len(pristine)))
+		}
+	})
+}
+
+// fuzzEvents reads events from b, 9 bytes each: a selector byte (type
+// and value width), then a fragment and a source of that width, so runs
+// of one fragment and type, small deltas and the id range's ends all
+// occur. Frag lies in [0, MaxInt32] and Src in [NoNID, MaxInt32−1]: the
+// ids a file can hold.
+func fuzzEvents(b []byte) []index.Event {
+	var evs []index.Event
+	for ; len(b) >= 9; b = b[9:] {
+		mask := uint32(1)<<(b[0]>>2%32) - 1
+		evs = append(evs, index.Event{
+			Frag: graph.NID(binary.LittleEndian.Uint32(b[1:]) & mask & math.MaxInt32),
+			Src:  graph.NID(binary.LittleEndian.Uint32(b[5:])&mask&math.MaxInt32) - 1,
+			Type: index.ConnType(b[0] % 3),
+		})
+	}
+	return evs
+}
+
+// FuzzEventsRoundTrip: any events a file can hold encode to a block that
+// decodes to the same events, and any bytes decode as a block without a
+// panic. Seeds: the fixture reply's blocks, as events and as bytes.
+func FuzzEventsRoundTrip(f *testing.F) {
+	fx := loadWireFixture()
+	for _, evs := range shardBlocks(fx.ix, fx.sub, fx.req.shards, fx.req.kws) {
+		var b []byte
+		for _, ev := range evs {
+			b = append(b, 31<<2|byte(ev.Type))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Frag))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Src+1))
+		}
+		f.Add(b)
+		e := &enc{}
+		appendEvents(e, evs)
+		f.Add(e.b)
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 27))
+	kws := []dict.ID{1}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, _, _ = decodePostingsReply(b, []int{0}, kws, acceptAll, time.Unix(0, 0))
+		evs := fuzzEvents(b)
+		e := &enc{}
+		appendEvents(e, evs)
+		parts, _, err := decodePostingsReply(e.b, []int{0}, kws, acceptAll, time.Unix(0, 0))
+		if err != nil {
+			t.Fatalf("%d events: %v", len(evs), err)
+		}
+		if !slices.Equal(parts[0].Evs, evs) {
+			t.Fatalf("%d events decoded to %d others:\n%v\n%v", len(evs), len(parts[0].Evs), evs, parts[0].Evs)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,8 +261,13 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 			Spans:     tr.JSON(),
 		})
 	}
+	// One Write of a body whose length the header states: net/http sends
+	// it unchunked, with no terminator to trail the record in a write of
+	// its own.
+	body := sealRecord(e, start)
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = rw.Write(sealRecord(e, start))
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = rw.Write(body)
 }
 
 // handleManifest serves the manifest file, so a coordinator started

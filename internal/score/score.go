@@ -390,8 +390,20 @@ func (it *Iterator) RatioTail() float64 {
 // prox(u, src) ≤ B>(n−1) = γ^−n, property 2's uniform form (with
 // ColumnTail's row-sum assumption). Used for the unexplored-document
 // threshold of §4.
+//
+// Once the two-step ratio is finite (see RatioTail) the bound is 0. A
+// finite ratio means supp(b_n) ⊆ supp(b_{n−2}), and a border's support is
+// the out-neighbourhood of the one before it, so supp(b_{n+1}) ⊆
+// supp(b_{n−1}) and supp(b_{n+2}) ⊆ supp(b_n): by induction every later
+// border stays inside nodes already reached. A node that no border has
+// reached never will be, so neither will a component no node of which
+// was reached, nor a source two edges from it, which would reach that
+// component within two more steps: prox(u, src) = 0. Floats only shrink
+// a support: a cell whose mass underflows is 0, unreached, and it is
+// unreached in every float exploration, ExactProximity included, since
+// each steps this one kernel in one summation order.
 func (it *Iterator) SourceTailBound() float64 {
-	if it.Done() {
+	if it.Done() || it.ratio < math.Inf(1) {
 		return 0
 	}
 	return math.Pow(it.params.Gamma, -float64(it.n))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"s3/internal/graph"
+	"s3/internal/index"
 	"s3/internal/sparse"
 )
 
@@ -226,5 +227,64 @@ func TestRatioTailBoundsExactTail(t *testing.T) {
 	t.Logf("%d depths with a ratio below 1, %d node-depths where it beats the column tail", used, tighter)
 	if used == 0 || tighter == 0 {
 		t.Fatalf("the ratio tail is never below 1 (%d) or never tighter than the column tail (%d)", used, tighter)
+	}
+}
+
+// TestSourceTailBoundDominatesExact checks SourceTailBound on the three
+// generators' graph shapes, at γ ∈ {1.25, 1.5, 4} and every depth to 40:
+// for every component no node of which prox≤n has reached, the bound is
+// at least ExactProximity at each source of the component's events (the
+// fragment itself for a Contains event). The bound has to drop to 0 —
+// a finite two-step ratio — while such a component is left, or the check
+// would hold vacuously.
+func TestSourceTailBoundDominatesExact(t *testing.T) {
+	const depth = 40
+	zeroed := 0
+	for name, in := range generatorInstances(t) {
+		f := index.Build(in).Flat()
+		sources := make([][]graph.NID, in.NumComponents())
+		for _, ev := range f.Evs {
+			src := ev.Src
+			if ev.Type == index.Contains {
+				src = ev.Frag
+			}
+			c := in.CompOf(ev.Frag)
+			sources[c] = append(sources[c], src)
+		}
+		users := in.Users()
+		for _, gamma := range []float64{1.25, 1.5, 4} {
+			p := Params{Gamma: gamma, Eta: 0.8}
+			for _, u := range []graph.NID{users[0], users[len(users)/2], users[len(users)-1]} {
+				exact := ExactProximity(in, p, u, 1e-17)
+				it := NewIterator(in, p, u)
+				for n := 1; n <= depth && !it.Done(); n++ {
+					it.Step()
+					reached := make([]bool, in.NumComponents())
+					for v, a := range it.AllProx() {
+						if c := in.CompOf(graph.NID(v)); a != 0 && c >= 0 {
+							reached[c] = true
+						}
+					}
+					bound := it.SourceTailBound()
+					for c, srcs := range sources {
+						if reached[c] || len(srcs) == 0 {
+							continue
+						}
+						for _, src := range srcs {
+							if exact[src] > bound+ulps(bound, 4) {
+								t.Fatalf("%s γ=%v u=%d n=%d: source %d of unreached component %d has prox %v above its bound %v", name, gamma, u, n, src, c, exact[src], bound)
+							}
+						}
+						if bound == 0 {
+							zeroed++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d unreached components checked against a bound of 0", zeroed)
+	if zeroed == 0 {
+		t.Fatal("the source bound is never 0 while a matched component is unreached")
 	}
 }
