@@ -132,12 +132,11 @@ func chaosQueries(t *testing.T, set *snap.ShardSetSnapshot) []chaosQuery {
 }
 
 func chaosCoordinator(t *testing.T, set *snap.ShardSetSnapshot, urls []string,
-	tr http.RoundTripper, rpcTimeout time.Duration) *Coordinator {
+	tr http.RoundTripper, timeout time.Duration) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(CoordinatorConfig{
 		WorkerURLs: urls, ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
-		Client:     &http.Client{Timeout: 30 * time.Second, Transport: tr},
-		RPCTimeout: rpcTimeout,
+		Client: &http.Client{Timeout: timeout, Transport: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +313,9 @@ func TestChaosCancellation(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
-	coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), -1) // no RPC timeout: only the context can end the stall
+	// The client's bound, and the RPC timeout, outlast the wait below: only
+	// the context can end the stall in time.
+	coord := chaosCoordinator(t, set, urls, newTransport(len(urls)), 30*time.Second)
 	leakCheck(t)(coord.client)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -330,7 +331,7 @@ func TestChaosCancellation(t *testing.T) {
 		if err == nil {
 			t.Fatal("cancelled search returned no error")
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled search did not return")
 	}
 }

@@ -96,11 +96,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // 400 an appError; a reply that fails its CRC, is cut short or does not
 // decode is an error like a reset.
 func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check blockCheck) ([]index.Flat, *obs.Span, error) {
-	if c.cfg.RPCTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RPCTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
+	defer cancel()
 	frame := appendRecord(nil, appendPostingsRequest(nil, r))
 	start := time.Now()
 	body := &countingReader{}

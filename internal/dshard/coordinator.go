@@ -1,7 +1,7 @@
 // The coordinator: runs every search over the substrate it maps,
 // gathering the query keywords' postings from per-shard worker replicas,
-// with /healthz-driven membership, failover onto surviving replicas, and
-// per-worker /stats aggregation.
+// with /healthz-driven membership (a worker is serving or benched),
+// failover onto surviving replicas, and per-worker /stats aggregation.
 package dshard
 
 import (
@@ -50,80 +50,35 @@ type CoordinatorConfig struct {
 	// fleet (see newTransport) — the membership probe then doubles as
 	// connection pre-warming, so the first search never pays a dial.
 	Client *http.Client
-	// ProbeInterval paces the background membership refresh (default 5s).
-	ProbeInterval time.Duration
-	// RPCTimeout bounds each postings fetch, reply included (0 picks 10s;
-	// negative disables the bound, leaving only the client's own timeout).
-	// A timed-out fetch is a transport error: the worker is benched and its
-	// shards are fetched from replicas.
-	RPCTimeout time.Duration
 	// Registry, when non-nil, receives the coordinator's wire instruments
 	// (fetch round-trip time and bytes) and search counters.
 	Registry *obs.Registry
 }
 
-// Circuit breaker states, per worker. Closed admits searches; open
-// rejects them until its (exponentially backed-off, jittered) window
-// expires and a probe succeeds; half-open admits one trial search (or
-// closes after two consecutive healthy probes, so an idle fleet still
-// recovers without traffic).
-const (
-	brClosed = iota
-	brHalfOpen
-	brOpen
-)
+// ErrUnavailable is wrapped by every error that says a search found no
+// live replica for some shard, or no substrate to run over yet: the
+// fleet, not the query, is at fault, so retrying later may succeed.
+var ErrUnavailable = errors.New("dshard: no healthy worker")
 
-func breakerName(s int) string {
-	switch s {
-	case brHalfOpen:
-		return "half-open"
-	case brOpen:
-		return "open"
-	default:
-		return "closed"
-	}
-}
+// probeInterval paces each worker's membership probe, ±25% jitter.
+const probeInterval = 5 * time.Second
 
-// breakerThreshold is how many consecutive failures (search-RPC or probe)
-// open a closed worker's breaker; any failure of a half-open worker
-// re-opens it immediately.
-const breakerThreshold = 3
+// rpcTimeout bounds each postings fetch, reply included. A timed-out
+// fetch is a transport error: the worker is benched and its shards are
+// fetched from replicas.
+const rpcTimeout = 10 * time.Second
 
-// breakerMaxLevel caps the open window's exponential growth at
-// ProbeInterval << (breakerMaxLevel-1) — with the default 5s interval,
-// re-probes of a dead worker back off 5s → 10s → 20s → 40s and stay
-// there.
-const breakerMaxLevel = 4
-
-// halfOpenProbes is how many consecutive healthy probes close a
-// half-open breaker when no trial search arrives.
-const halfOpenProbes = 2
-
-// workerRef is one worker URL with its probed identity and health.
+// workerRef is one worker URL with its probed identity and health: a
+// worker is serving (healthy, routed to) or benched (a failed fetch or
+// probe, lastErr saying why) until its next healthy probe.
 type workerRef struct {
 	url string
-
-	// probing guards against overlapping probes of one worker.
-	probing atomic.Bool
 
 	mu      sync.Mutex
 	shards  []int // every shard the worker hosts, as last probed
 	healthy bool
 	lastErr string
 	stats   *WorkerStats
-
-	// Circuit breaker state, under mu: consecutive failures, the state
-	// machine, the exponential open-window level, when the open window
-	// expires, whether the half-open trial token is out, how many
-	// consecutive healthy probes the half-open state has seen, and when
-	// the probe scheduler owes this worker its next probe.
-	brFails   int
-	brState   int
-	brLevel   int
-	openUntil time.Time
-	trial     bool
-	brProbes  int
-	nextProbe time.Time
 }
 
 // WorkerStatus is the coordinator's aggregated view of one worker, as
@@ -132,7 +87,6 @@ type WorkerStatus struct {
 	URL     string       `json:"url"`
 	Shards  []int        `json:"shards,omitempty"`
 	Healthy bool         `json:"healthy"`
-	Breaker string       `json:"breaker"`
 	Error   string       `json:"error,omitempty"`
 	Stats   *WorkerStats `json:"stats,omitempty"`
 }
@@ -218,14 +172,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second, Transport: newTransport(len(cfg.WorkerURLs))}
 	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 5 * time.Second
-	}
-	if cfg.RPCTimeout == 0 {
-		cfg.RPCTimeout = 10 * time.Second
-	} else if cfg.RPCTimeout < 0 {
-		cfg.RPCTimeout = 0
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		client: cfg.Client,
@@ -277,12 +223,15 @@ func (c *Coordinator) AttachRegistry(r *obs.Registry) {
 		"Failovers: a shard's postings re-fetched from a replica after its worker failed.",
 		func() float64 { return float64(c.failovers.Load()) })
 	for _, w := range c.workers {
-		r.GaugeFunc("s3_coord_breaker_state",
-			"Per-worker circuit breaker state: 0 closed, 1 half-open, 2 open.",
+		r.GaugeFunc("s3_coord_worker_healthy",
+			"Per-worker membership: 1 routed to, 0 benched until a healthy probe.",
 			func() float64 {
 				w.mu.Lock()
 				defer w.mu.Unlock()
-				return float64(w.brState)
+				if w.healthy {
+					return 1
+				}
+				return 0
 			}, obs.L("worker", w.url))
 	}
 }
@@ -330,49 +279,7 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	if st != nil {
 		w.stats = st
 	}
-	// Probe outcomes drive the circuit breaker alongside search RPCs: an
-	// open worker's successful probe admits a trial (half-open), repeated
-	// healthy probes close it even without search traffic, and probe
-	// failures extend the open window's backoff.
-	if healthy {
-		switch w.brState {
-		case brOpen:
-			w.brState = brHalfOpen
-			w.brProbes = 1
-			w.trial = false
-		case brHalfOpen:
-			w.brProbes++
-			if w.brProbes >= halfOpenProbes && !w.trial {
-				w.brState = brClosed
-				w.brLevel, w.brFails = 0, 0
-			}
-		default:
-			w.brFails = 0
-		}
-	} else {
-		w.brFails++
-		if w.brState != brClosed || w.brFails >= breakerThreshold {
-			c.openBreakerLocked(w)
-		}
-	}
 	w.mu.Unlock()
-}
-
-// openBreakerLocked trips w's breaker (w.mu held): the open window grows
-// exponentially with each consecutive trip, capped, with full jitter so
-// coordinators that benched a worker together do not re-probe it
-// together.
-func (c *Coordinator) openBreakerLocked(w *workerRef) {
-	w.brState = brOpen
-	w.trial = false
-	w.brProbes = 0
-	if w.brLevel < breakerMaxLevel {
-		w.brLevel++
-	}
-	d := c.cfg.ProbeInterval << (w.brLevel - 1)
-	d = d/2 + time.Duration(mrand.Int64N(int64(d/2)+1))
-	w.openUntil = time.Now().Add(d)
-	w.nextProbe = w.openUntil
 }
 
 // get fetches url, reading at most limit bytes of the body.
@@ -409,7 +316,6 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 		go func(w *workerRef) {
 			defer wg.Done()
 			c.probeWorker(ctx, w)
-			c.scheduleProbe(w)
 		}(w)
 	}
 	wg.Wait()
@@ -429,7 +335,7 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 	}
 	for s, ok := range covered {
 		if !ok {
-			return fmt.Errorf("dshard: no healthy worker for shard %d", s)
+			return fmt.Errorf("%w for shard %d", ErrUnavailable, s)
 		}
 	}
 	return subErr
@@ -482,105 +388,62 @@ func (c *Coordinator) fetchManifest(ctx context.Context, base string) (*snap.Man
 	return man, nil
 }
 
-// scheduleProbe sets when the Run loop owes w its next probe: the
-// breaker's open window for open workers (already exponentially backed
-// off and jittered), the probe interval ±25% jitter otherwise. The
-// jitter de-synchronizes re-probes both across workers and across
-// coordinators — without it, every coordinator that watched a worker die
-// re-probes it on the same tick (and re-floods it on the same tick when
-// it returns).
-func (c *Coordinator) scheduleProbe(w *workerRef) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.brState == brOpen {
-		w.nextProbe = w.openUntil
-		return
-	}
-	base := c.cfg.ProbeInterval
-	jitter := time.Duration(mrand.Int64N(int64(base)/2+1)) - base/4
-	w.nextProbe = time.Now().Add(base + jitter)
+// probeDelay draws the wait before a worker's next probe: the probe
+// interval ±25%, so probes stay spread across workers and coordinators
+// instead of every coordinator that watched a worker die re-probing it,
+// and re-flooding it once it returns, on the same tick.
+func probeDelay() time.Duration {
+	return probeInterval*3/4 + time.Duration(mrand.Int64N(int64(probeInterval/2)+1))
 }
 
-// Run probes workers until the context ends — unhealthy workers rejoin
-// automatically once their /healthz turns serving again (the second half
-// of a /reload + drain roll). The loop ticks well below the probe
-// interval and fires only the probes that are due, each on its own
-// jittered schedule (scheduleProbe); a per-worker guard keeps a slow
-// probe from stacking another behind it.
+// Run probes every worker on a loop of its own until the context ends,
+// each loop sleeping probeDelay between probes; a benched worker rejoins
+// on its first healthy probe (the second half of a /reload + drain roll).
+// Run returns once every loop has.
 func (c *Coordinator) Run(ctx context.Context) {
-	tick := c.cfg.ProbeInterval / 8
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			for _, w := range c.workers {
-				w.mu.Lock()
-				due := !now.Before(w.nextProbe)
-				w.mu.Unlock()
-				if due && w.probing.CompareAndSwap(false, true) {
-					go func(w *workerRef) {
-						defer w.probing.Store(false)
-						c.probeWorker(ctx, w)
-						c.scheduleProbe(w)
-					}(w)
+	var wg sync.WaitGroup
+	for _, w := range c.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := time.NewTimer(probeDelay())
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
 				}
+				c.probeWorker(ctx, w)
+				t.Reset(probeDelay())
 			}
-		}
+		}()
 	}
+	wg.Wait()
 }
 
-// pickShard selects one admissible replica of a shard, skipping excluded
-// workers: closed-breaker replicas first (rotating), then a half-open one
-// whose trial token is free — the trial IS the probe request of the
-// half-open state, and its outcome (noteWorkerSuccess / Failure) decides
-// whether the breaker closes or re-opens.
+// pickShard rotates among the healthy replicas of a shard, skipping
+// excluded workers.
 func (c *Coordinator) pickShard(shard int, excluded map[*workerRef]bool) (*workerRef, error) {
-	var closed, half []*workerRef
+	var live []*workerRef
 	for _, w := range c.workers {
 		if excluded[w] {
 			continue
 		}
 		w.mu.Lock()
 		ok := w.healthy && slices.Contains(w.shards, shard)
-		state := w.brState
 		w.mu.Unlock()
-		if !ok {
-			continue
-		}
-		switch state {
-		case brClosed:
-			closed = append(closed, w)
-		case brHalfOpen:
-			half = append(half, w)
+		if ok {
+			live = append(live, w)
 		}
 	}
-	if len(closed) > 0 {
-		return closed[int(c.rr[shard].Add(1))%len(closed)], nil
+	if len(live) == 0 {
+		return nil, fmt.Errorf("%w for shard %d", ErrUnavailable, shard)
 	}
-	for _, w := range half {
-		w.mu.Lock()
-		take := w.healthy && w.brState == brHalfOpen && !w.trial
-		if take {
-			w.trial = true
-		}
-		w.mu.Unlock()
-		if take {
-			return w, nil
-		}
-	}
-	return nil, fmt.Errorf("dshard: no healthy worker for shard %d", shard)
+	return live[int(c.rr[shard].Add(1))%len(live)], nil
 }
 
-// pickCover picks one replica per shard; shards with none admissible come
+// pickCover picks one replica per shard; shards with none healthy come
 // back in lost instead of failing the pick (partial mode serves the
 // rest).
 func (c *Coordinator) pickCover(excluded map[*workerRef]bool) (refs []*workerRef, lost []int) {
@@ -595,55 +458,28 @@ func (c *Coordinator) pickCover(excluded map[*workerRef]bool) (refs []*workerRef
 	return refs, lost
 }
 
-// noteWorkerFailure benches a worker until the next successful probe and
-// feeds its circuit breaker: breakerThreshold consecutive failures — or
-// any failure of a half-open worker's trial — open it.
-func (c *Coordinator) noteWorkerFailure(w *workerRef, err error) {
+// bench takes a worker whose fetch failed out of routing until its next
+// healthy probe.
+func (w *workerRef) bench(err error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.healthy = false
 	w.lastErr = err.Error()
-	w.trial = false
-	w.brFails++
-	if w.brState != brClosed || w.brFails >= breakerThreshold {
-		c.openBreakerLocked(w)
-	}
-}
-
-// noteWorkerSuccess records a worker finishing a search cleanly: resets
-// the failure streak and closes a half-open breaker (the trial passed).
-func (c *Coordinator) noteWorkerSuccess(w *workerRef) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.brFails = 0
-	w.trial = false
-	if w.brState == brHalfOpen {
-		w.brState = brClosed
-		w.brLevel, w.brProbes = 0, 0
-	}
-}
-
-// noteWorkerReleased hands back a half-open trial token without a
-// verdict (the search failed elsewhere).
-func (c *Coordinator) noteWorkerReleased(w *workerRef) {
-	w.mu.Lock()
-	w.trial = false
 	w.mu.Unlock()
 }
 
 // Search runs one search across the shard set: it fetches the query
 // keywords' postings from one replica of every shard — one request per
 // host — and runs S3k over its substrate and those postings. A host whose
-// fetch fails is benched (its breaker fed) until a probe sees it healthy
-// again, and its shards are fetched from other replicas. Answers are
-// byte-identical to the in-process shard set's over the same files.
+// fetch fails is benched until a probe sees it healthy again, and its
+// shards are fetched from other replicas. Answers are byte-identical to
+// the in-process shard set's over the same files.
 func (c *Coordinator) Search(spec core.SearchSpec, copts core.CoordOptions) ([]core.CandMeta, core.Stats, error) {
 	sel, stats, _, err := c.search(spec, copts, false)
 	return sel, stats, err
 }
 
 // SearchPartial is Search under graceful degradation: when a shard has no
-// admissible replica at all, the search proceeds over the surviving
+// healthy replica at all, the search proceeds over the surviving
 // shards and the non-nil Degradation names what was lost and what was
 // served. A fully covered search returns a nil Degradation (the answer
 // is exact); a search with no surviving shards still errors.
@@ -667,7 +503,7 @@ func (c *Coordinator) search(spec core.SearchSpec, copts core.CoordOptions, part
 func (c *Coordinator) run(spec core.SearchSpec, copts core.CoordOptions, partial bool) ([]core.CandMeta, core.Stats, *Degradation, error) {
 	sub := c.sub.Load()
 	if sub == nil {
-		return nil, core.Stats{}, nil, errors.New("dshard: no substrate: no healthy worker has served the manifest yet")
+		return nil, core.Stats{}, nil, fmt.Errorf("%w has served the manifest yet (no substrate)", ErrUnavailable)
 	}
 	ctx := copts.Ctx
 	if ctx == nil {
@@ -718,8 +554,7 @@ type hostFetch struct {
 func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID, traceID uint64, span *obs.Span, partial bool) (parts []index.Flat, served, lost []int, err error) {
 	refs, lost := c.pickCover(nil)
 	if len(lost) > 0 && (!partial || len(lost) == c.cfg.ShardCount) {
-		c.release(refs)
-		return nil, nil, nil, fmt.Errorf("dshard: no healthy worker for shard %d", lost[0])
+		return nil, nil, nil, fmt.Errorf("%w for shard %d", ErrUnavailable, lost[0])
 	}
 	excluded := make(map[*workerRef]bool)
 	var lastErr error
@@ -759,16 +594,14 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 		for _, h := range hosts {
 			switch {
 			case h.err == nil:
-				c.noteWorkerSuccess(h.ref)
 				parts = append(parts, h.parts...)
 				served = append(served, h.shards...)
 			case isFatal(ctx, h.err):
-				c.noteWorkerReleased(h.ref)
 				if fatal == nil {
 					fatal = h.err
 				}
 			default:
-				c.noteWorkerFailure(h.ref, h.err)
+				h.ref.bench(h.err)
 				excluded[h.ref] = true
 				lastErr = h.err
 				failed = append(failed, h.shards...)
@@ -781,14 +614,13 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 			break
 		}
 		if attempt == len(c.workers) {
-			return nil, nil, nil, fmt.Errorf("%w (after %d retries)", lastErr, attempt)
+			return nil, nil, nil, fmt.Errorf("%w: %w (after %d retries)", ErrUnavailable, lastErr, attempt)
 		}
 		c.retries.Add(1)
 		for _, s := range failed {
 			ref, err := c.pickShard(s, excluded)
 			if err != nil {
 				if !partial {
-					c.release(refs)
 					return nil, nil, nil, fmt.Errorf("%w (after: %v)", err, lastErr)
 				}
 				lost = append(lost, s)
@@ -799,21 +631,11 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 		}
 	}
 	if len(served) == 0 {
-		return nil, nil, nil, fmt.Errorf("dshard: no healthy worker for any shard (after: %v)", lastErr)
+		return nil, nil, nil, fmt.Errorf("%w for any shard (after: %v)", ErrUnavailable, lastErr)
 	}
 	slices.Sort(served)
 	slices.Sort(lost)
 	return parts, served, lost, nil
-}
-
-// release hands back the half-open trial tokens of picked workers that
-// will not be asked.
-func (c *Coordinator) release(refs []*workerRef) {
-	for _, ref := range refs {
-		if ref != nil {
-			c.noteWorkerReleased(ref)
-		}
-	}
 }
 
 // CoordinatorStats is the aggregated serving view the coordinator's
@@ -851,8 +673,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	}
 	for _, w := range c.workers {
 		w.mu.Lock()
-		ws := WorkerStatus{URL: w.url, Shards: w.shards, Healthy: w.healthy,
-			Breaker: breakerName(w.brState), Error: w.lastErr, Stats: w.stats}
+		ws := WorkerStatus{URL: w.url, Shards: w.shards, Healthy: w.healthy, Error: w.lastErr, Stats: w.stats}
 		w.mu.Unlock()
 		out.Workers = append(out.Workers, ws)
 		if ws.Stats != nil {

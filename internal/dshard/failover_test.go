@@ -1,5 +1,5 @@
 // Tests for the resilience layer: record CRC integrity, mis-sharded
-// replies, the per-worker circuit breaker, the jittered probe schedule,
+// replies, benching and reinstating workers, the jittered probe schedule,
 // worker drain across a restart, and membership refresh racing live
 // searches.
 package dshard
@@ -22,6 +22,7 @@ import (
 
 	"s3/internal/core"
 	"s3/internal/index"
+	"s3/internal/obs"
 	"s3/internal/snap"
 )
 
@@ -287,208 +288,125 @@ func deepQuery(t *testing.T, set *snap.ShardSetSnapshot, minRounds int) core.Sea
 	return core.SearchSpec{}
 }
 
-// stubHealthz serves a minimal worker /healthz (+ empty /stats) whose
-// health is toggled by the test: the breaker tests drive probe outcomes
-// without paying for a real worker.
-func stubHealthz(t *testing.T, setID uint64, healthy *atomic.Bool) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, req *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		if !healthy.Load() {
+// TestMembershipBenchesUntilHealthyProbe: a worker is serving or benched.
+// A failed fetch benches it (no pick routes to it; /stats and the
+// s3_coord_worker_healthy gauge say so), a failed probe keeps it benched,
+// and one healthy probe reinstates it fully: after any number of failures
+// a reinstated worker takes every pick, with no trial search in between.
+func TestMembershipBenchesUntilHealthyProbe(t *testing.T) {
+	_, set, workers, servers := smallTopology(t)
+	// Shard 0's only worker fails its postings while failing is set and
+	// reports itself draining while down is set.
+	var failing, down atomic.Bool
+	inner := workers[0].Handler()
+	w0 := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		switch {
+		case req.URL.Path == pathPostings && failing.Load():
+			http.Error(rw, "injected failure", http.StatusInternalServerError)
+		case req.URL.Path == "/healthz" && down.Load():
 			rw.WriteHeader(http.StatusServiceUnavailable)
 			json.NewEncoder(rw).Encode(map[string]any{"status": "draining"})
-			return
+		default:
+			inner.ServeHTTP(rw, req)
 		}
-		json.NewEncoder(rw).Encode(map[string]any{
-			"status": "serving", "shards": []int{0}, "shard_count": 1,
-			"set_id": fmt.Sprintf("%016x", setID), "proto": protoVersion,
-		})
-	})
-	mux.HandleFunc("/stats", func(rw http.ResponseWriter, req *http.Request) {
-		rw.Write([]byte("{}"))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestBreakerStateMachine drives the per-worker circuit breaker through
-// its full cycle: failures open it, a healthy probe half-opens it, the
-// half-open state admits exactly one trial, a passed trial (or two
-// consecutive healthy probes, for an idle fleet) closes it, and a failed
-// trial re-opens it.
-func TestBreakerStateMachine(t *testing.T) {
-	const setID = 0x5e71d
-	var healthy atomic.Bool
-	healthy.Store(true)
-	srv := stubHealthz(t, setID, &healthy)
-
+	}))
+	t.Cleanup(w0.Close)
+	reg := obs.NewRegistry()
 	c, err := NewCoordinator(CoordinatorConfig{
-		WorkerURLs: []string{srv.URL}, ShardCount: 1, SetID: setID,
-		ProbeInterval: time.Second,
+		WorkerURLs: []string{w0.URL, servers[1].URL},
+		ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	w := c.workers[0]
-	state := func() int {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.brState
-	}
-
-	c.probeWorker(ctx, w)
-	if state() != brClosed {
-		t.Fatalf("breaker %s after a healthy probe, want closed", breakerName(state()))
-	}
-
-	// Below the threshold the breaker stays closed (the worker is benched
-	// by healthy=false, but not held open).
-	boom := fmt.Errorf("boom")
-	c.noteWorkerFailure(w, boom)
-	c.noteWorkerFailure(w, boom)
-	if state() != brClosed {
-		t.Fatalf("breaker %s after %d failures, want closed", breakerName(state()), breakerThreshold-1)
-	}
-	c.noteWorkerFailure(w, boom)
-	if state() != brOpen {
-		t.Fatalf("breaker %s after %d failures, want open", breakerName(state()), breakerThreshold)
-	}
-	w.mu.Lock()
-	window := time.Until(w.openUntil)
-	level := w.brLevel
-	w.mu.Unlock()
-	if level != 1 {
-		t.Fatalf("first trip at level %d, want 1", level)
-	}
-	// Full jitter over [interval/2, interval].
-	if window < 400*time.Millisecond || window > 1100*time.Millisecond {
-		t.Fatalf("level-1 open window %v outside [0.5s, 1s]", window)
-	}
-	if _, err := c.pickShard(0, nil); err == nil {
-		t.Fatal("open worker admitted a search")
-	}
-
-	// A healthy probe half-opens; the half-open state hands out exactly
-	// one trial token.
-	c.probeWorker(ctx, w)
-	if state() != brHalfOpen {
-		t.Fatalf("breaker %s after a healthy probe of an open worker, want half-open", breakerName(state()))
-	}
-	if _, err := c.pickShard(0, nil); err != nil {
-		t.Fatalf("half-open worker refused its trial: %v", err)
-	}
-	if _, err := c.pickShard(0, nil); err == nil {
-		t.Fatal("half-open worker admitted a second concurrent search")
-	}
-	c.noteWorkerSuccess(w)
-	if state() != brClosed {
-		t.Fatalf("breaker %s after a passed trial, want closed", breakerName(state()))
-	}
-
-	// A failed trial re-opens immediately (no threshold for half-open).
-	for i := 0; i < breakerThreshold; i++ {
-		c.noteWorkerFailure(w, boom)
-	}
-	c.probeWorker(ctx, w)
-	if _, err := c.pickShard(0, nil); err != nil {
-		t.Fatalf("half-open worker refused its trial: %v", err)
-	}
-	c.noteWorkerFailure(w, boom)
-	if state() != brOpen {
-		t.Fatalf("breaker %s after a failed trial, want open", breakerName(state()))
-	}
-
-	// Idle recovery: two consecutive healthy probes close a half-open
-	// breaker with no search traffic at all.
-	c.probeWorker(ctx, w)
-	if state() != brHalfOpen {
-		t.Fatalf("breaker %s, want half-open", breakerName(state()))
-	}
-	c.probeWorker(ctx, w)
-	if state() != brClosed {
-		t.Fatalf("breaker %s after %d healthy probes, want closed", breakerName(state()), halfOpenProbes)
-	}
-}
-
-// TestBreakerBackoff: consecutive trips grow the open window
-// exponentially — with full jitter, capped at breakerMaxLevel.
-func TestBreakerBackoff(t *testing.T) {
-	const interval = time.Second
-	c, err := NewCoordinator(CoordinatorConfig{
-		WorkerURLs: []string{"http://w0"}, ShardCount: 1, SetID: 1,
-		ProbeInterval: interval,
-	})
-	if err != nil {
+	if err := c.Probe(ctx); err != nil {
 		t.Fatal(err)
 	}
 	w := c.workers[0]
-	for trip := 1; trip <= breakerMaxLevel+2; trip++ {
-		w.mu.Lock()
-		c.openBreakerLocked(w)
-		level, window := w.brLevel, time.Until(w.openUntil)
-		next := w.nextProbe
-		until := w.openUntil
-		w.mu.Unlock()
-		wantLevel := trip
-		if wantLevel > breakerMaxLevel {
-			wantLevel = breakerMaxLevel
+	gauge := fmt.Sprintf("s3_coord_worker_healthy{worker=%q} ", w0.URL)
+	serving := func(want bool, when string) {
+		t.Helper()
+		var b strings.Builder
+		reg.WriteTo(&b)
+		value := "0"
+		if want {
+			value = "1"
 		}
-		if level != wantLevel {
-			t.Fatalf("trip %d: level %d, want %d", trip, level, wantLevel)
+		if !strings.Contains(b.String(), gauge+value+"\n") {
+			t.Fatalf("%s: no %s%s in /metrics:\n%s", when, gauge, value, b.String())
 		}
-		d := interval << (wantLevel - 1)
-		if window < d/2-100*time.Millisecond || window > d+100*time.Millisecond {
-			t.Fatalf("trip %d: open window %v outside [%v, %v]", trip, window, d/2, d)
+		if got := c.Stats().Workers[0].Healthy; got != want {
+			t.Fatalf("%s: /stats lists the worker healthy=%v, want %v", when, got, want)
 		}
-		if !next.Equal(until) {
-			t.Fatalf("trip %d: next probe %v != open window end %v", trip, next, until)
+		picked, err := c.pickShard(0, nil)
+		if want && picked != w {
+			t.Fatalf("%s: pick of shard 0 = %v, %v; want the worker", when, picked, err)
 		}
+		if !want && !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("%s: pick of shard 0 = %v, %v; want ErrUnavailable", when, picked, err)
+		}
+	}
+	serving(true, "after the first probe")
+
+	spec := deepQuery(t, set, 1)
+	failing.Store(true)
+	if _, _, err := c.Search(spec, core.CoordOptions{}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("search over a failing only replica returned %v, want ErrUnavailable", err)
+	}
+	serving(false, "after a failed fetch")
+	if msg := c.Stats().Workers[0].Error; !strings.Contains(msg, "HTTP 500") {
+		t.Fatalf("the benched worker's error is %q, want the failed fetch's", msg)
+	}
+
+	failing.Store(false)
+	down.Store(true)
+	c.probeWorker(ctx, w)
+	serving(false, "after a failed probe")
+
+	down.Store(false)
+	c.probeWorker(ctx, w)
+	serving(true, "after one healthy probe")
+	if _, _, err := c.Search(spec, core.CoordOptions{}); err != nil {
+		t.Fatalf("search after the worker was reinstated: %v", err)
+	}
+
+	// However often it failed, one healthy probe reinstates it for every
+	// search at once.
+	for i := 0; i < 3; i++ {
+		w.bench(errors.New("boom"))
+	}
+	c.probeWorker(ctx, w)
+	picks := make([]*workerRef, 2)
+	var wg sync.WaitGroup
+	for i := range picks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			picks[i], _ = c.pickShard(0, nil)
+		}()
+	}
+	wg.Wait()
+	if picks[0] != w || picks[1] != w {
+		t.Fatalf("concurrent picks after three failures and a healthy probe got %v, want the worker twice", picks)
 	}
 }
 
-// TestProbeJitter is the thundering-herd regression: per-worker probe
-// times must spread over the ±25% jitter window instead of landing every
-// worker on the same tick, and an open worker's next probe must be its
-// (already backed-off, jittered) window end.
+// TestProbeJitter is the thundering-herd regression: the waits between a
+// worker's probes must spread over the ±25% jitter window instead of
+// landing every worker on the same tick.
 func TestProbeJitter(t *testing.T) {
-	const interval = time.Second
-	c, err := NewCoordinator(CoordinatorConfig{
-		WorkerURLs: []string{"http://w0"}, ShardCount: 1, SetID: 1,
-		ProbeInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := c.workers[0]
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 64; i++ {
-		c.scheduleProbe(w)
-		w.mu.Lock()
-		d := time.Until(w.nextProbe)
-		w.mu.Unlock()
-		if d < interval*3/4-50*time.Millisecond || d > interval*5/4+50*time.Millisecond {
-			t.Fatalf("probe scheduled %v out, outside %v±25%%", d, interval)
+		d := probeDelay()
+		if d < probeInterval*3/4 || d > probeInterval*5/4 {
+			t.Fatalf("probe delay %v outside %v±25%%", d, probeInterval)
 		}
 		seen[d.Round(time.Millisecond)] = true
 	}
 	if len(seen) < 8 {
-		t.Fatalf("probe schedule collapsed onto %d distinct offsets over 64 draws — jitter missing", len(seen))
-	}
-
-	w.mu.Lock()
-	w.brState = brOpen
-	w.openUntil = time.Now().Add(42 * time.Second)
-	w.mu.Unlock()
-	c.scheduleProbe(w)
-	w.mu.Lock()
-	next, until := w.nextProbe, w.openUntil
-	w.brState = brClosed
-	w.mu.Unlock()
-	if !next.Equal(until) {
-		t.Fatalf("open worker's next probe %v, want its window end %v", next, until)
+		t.Fatalf("probe delays collapsed onto %d distinct offsets over 64 draws — jitter missing", len(seen))
 	}
 }
 
@@ -604,9 +522,10 @@ func TestWorkerDrainAndRestart(t *testing.T) {
 	}
 }
 
-// TestMembershipRefreshDuringSearches races the background probe loop
-// against concurrent searches (run under -race in CI): membership
-// refresh must never perturb an answer or trip the race detector.
+// TestMembershipRefreshDuringSearches races a loop of membership probes
+// against concurrent searches (run under -race in CI): membership refresh
+// must never perturb an answer or trip the race detector. The background
+// probe loops run beside them and return once their context ends.
 func TestMembershipRefreshDuringSearches(t *testing.T) {
 	_, set, _, servers := smallTopology(t)
 	urls := make([]string, len(servers))
@@ -615,8 +534,7 @@ func TestMembershipRefreshDuringSearches(t *testing.T) {
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		WorkerURLs: urls, ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
-		Client:        &http.Client{Timeout: 10 * time.Second},
-		ProbeInterval: 20 * time.Millisecond,
+		Client: &http.Client{Timeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -624,16 +542,36 @@ func TestMembershipRefreshDuringSearches(t *testing.T) {
 	if err := coord.Probe(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go coord.Run(ctx)
-
 	spec := deepQuery(t, set, 2)
 	wantSel, wantStats, err := coord.Search(spec, core.CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := metaTranscript(wantSel, wantStats)
+
+	stop := make(chan struct{})
+	var loops sync.WaitGroup
+	loops.Add(1)
+	go func() {
+		defer loops.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := coord.Probe(context.Background()); err != nil {
+				t.Errorf("probe during searches: %v", err)
+				return
+			}
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		coord.Run(ctx)
+		close(ran)
+	}()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -655,6 +593,14 @@ func TestMembershipRefreshDuringSearches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	loops.Wait()
+	cancel()
+	select {
+	case <-ran:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return after its context ended")
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)

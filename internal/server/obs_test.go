@@ -354,6 +354,41 @@ func findSpan(sp *obs.SpanJSON, prefix string) *obs.SpanJSON {
 	return nil
 }
 
+// TestNoLiveReplicaIsUnavailable: a distributed search that finds no live
+// worker for some shard answers 503 — the fleet, not the query, is at
+// fault — and so does a coalesced follower's own search.
+func TestNoLiveReplicaIsUnavailable(t *testing.T) {
+	inst := testInstance(t, 60, 240, 3)
+	seeker, kw := aQuery(t, inst)
+	manifest := filepath.Join(t.TempDir(), "down.set")
+	if _, err := inst.WriteShardSetFiles(manifest, 1); err != nil {
+		t.Fatal(err)
+	}
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	di, err := s3.OpenCoordinator(manifest, []string{gone.URL}, s3.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	h := newTestServer(t, Config{Instance: di}).Handler()
+
+	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/search", strings.NewReader(body)))
+			if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "no healthy worker for shard 0") {
+				t.Errorf("search with shard 0 down = %d %s, want 503 naming the shard", rec.Code, rec.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestDistributedObservability is the end-to-end acceptance check: a
 // coordinator-mode server over two worker processes answers a ?trace=1
 // search with ONE stitched span tree (the fetch from each worker, carrying

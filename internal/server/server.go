@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"s3"
+	"s3/internal/dshard"
 	"s3/internal/obs"
 	"s3/internal/snap"
 )
@@ -732,10 +733,13 @@ func (s *Server) runSearch(ctx context.Context, state *generation, sr *searchReq
 	s.searches.Add(1)
 	results, info, err := state.Value.inst.SearchInfoed(sr.Seeker, sr.Keywords, opts...)
 	if err != nil {
-		if ctx.Err() != nil {
-			// A 503 also sends coalesced followers, whose clients are still
-			// there, to a search of their own.
+		// A 503 also sends coalesced followers, whose clients are still
+		// there, to a search of their own.
+		switch {
+		case ctx.Err() != nil:
 			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "client went away"}
+		case errors.Is(err, dshard.ErrUnavailable):
+			return nil, &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}
 		}
 		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
 	}
