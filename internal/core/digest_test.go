@@ -40,20 +40,37 @@ var batteryDigests = map[string]batteryDigest{
 		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
 		transcript: "50e316ab0244cfcab501d6463205a5090c331df5e98dc3f9f8aa71958fc4b007",
 	},
+	"pre-explored": {
+		answers:    "19b66c77da93603e6924caa5153e53687a185d256902ad3aaf4a1ba05b35d08e",
+		transcript: "50e316ab0244cfcab501d6463205a5090c331df5e98dc3f9f8aa71958fc4b007",
+	},
 }
 
 // digestBattery runs the battery over eng and hashes each query twice:
 // into answers, the answer's documents as a sorted set; into transcript,
 // the documents in answer order with the exact bits of their score
 // intervals, then the search's Iterations, Reason and ResumedDepth. It
-// returns the searches' summed Iterations.
-func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache) (rounds int) {
+// returns each search's Iterations. With depth non-nil, search i is
+// handed an iterator Explore took and stepped depth(i) times (see
+// exploredSearch) instead of running Search.
+func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs []coldQuery, pc *proxcache.Cache, depth func(i int) int) (rounds []int) {
 	t.Helper()
 	opts := Options{Params: score.DefaultParams(), ProxCache: pc}
 	var docs []graph.NID
 	for i, q := range qs {
 		opts.K = q.k
-		rs, st, err := eng.Search(q.seeker, q.keywords, opts)
+		var rs []Result
+		var st Stats
+		var err error
+		if depth == nil {
+			rs, st, err = eng.Search(q.seeker, q.keywords, opts)
+		} else {
+			it := eng.Explore(q.seeker, opts.Params)
+			for it != nil && it.N() < depth(i) && !it.Done() {
+				it.Step()
+			}
+			rs, st, err = exploredSearch(eng, q.seeker, q.keywords, opts, it)
+		}
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -65,10 +82,31 @@ func digestBattery(t *testing.T, answers, transcript hash.Hash, eng *Engine, qs 
 		fmt.Fprintf(transcript, "iter=%d reason=%s resumed=%d\n", st.Iterations, st.Reason, st.ResumedDepth)
 		slices.Sort(docs)
 		fmt.Fprintf(answers, "%d %v\n", i, docs)
-		rounds += st.Iterations
+		rounds = append(rounds, st.Iterations)
 	}
 	return rounds
 }
+
+// exploredSearch is Search as a distributed coordinator runs it, over an
+// iterator Explore handed out and the caller stepped ahead: Query, then
+// Run over that iterator (or Drop when there is no search to run).
+func exploredSearch(eng *Engine, seeker graph.NID, keywords []string, opts Options, it *score.Iterator) ([]Result, Stats, error) {
+	spec, possible, err := Query(eng.in, seeker, keywords, opts.K, opts.Params, nil)
+	if err != nil || !possible {
+		eng.Drop(it)
+		return nil, Stats{Reason: StopNoMatch}, err
+	}
+	sel, st, err := eng.Run(spec, CoordOptions{}, nil, it)
+	out := make([]Result, len(sel))
+	for i, c := range sel {
+		out[i] = Result{Doc: c.Doc, URI: eng.in.URIOf(c.Doc), Lower: c.Lower, Upper: c.Upper}
+	}
+	return out, st, err
+}
+
+// exploreCap is the depth cap of the distributed coordinator's explorer
+// (dshard's exploreCap).
+const exploreCap = 16
 
 // batteryRuns caches battery's digests: both digest tests read one run.
 var batteryRuns map[string]batteryDigest
@@ -76,8 +114,11 @@ var batteryRuns map[string]batteryDigest
 // battery runs the 200-query cold battery once per test binary and
 // returns its digests per run: cold; warm, the battery twice over one
 // proximity cache (the first pass fills it, the second resumes from it,
-// and both are hashed); and cold over the index split four ways by
-// component and merged back, as a shard set's files hold it.
+// and both are hashed); cold over the index split four ways by component
+// and merged back, as a shard set's files hold it; and pre-explored, each
+// search handed an iterator stepped ahead to a depth that varies with the
+// query — 0, half its cold rounds, the coordinator's cap, or 3 past its
+// stop round — as a distributed coordinator hands one over.
 func battery(t *testing.T) map[string]batteryDigest {
 	t.Helper()
 	if batteryRuns != nil {
@@ -98,19 +139,31 @@ func battery(t *testing.T) map[string]batteryDigest {
 		t.Fatal(err)
 	}
 	runs := make(map[string]batteryDigest)
+	var cold []int // each cold search's rounds, which pre-explored reads
 	for _, r := range []struct {
 		name string
-		run  func(a, tr hash.Hash) int
+		run  func(a, tr hash.Hash) []int
 	}{
-		{"cold", func(a, tr hash.Hash) int { return digestBattery(t, a, tr, eng, qs, nil) }},
-		{"warm", func(a, tr hash.Hash) int {
-			pc := proxcache.New(64 << 20)
-			return digestBattery(t, a, tr, eng, qs, pc) + digestBattery(t, a, tr, eng, qs, pc)
+		{"cold", func(a, tr hash.Hash) []int {
+			cold = digestBattery(t, a, tr, eng, qs, nil, nil)
+			return cold
 		}},
-		{"split-merge", func(a, tr hash.Hash) int { return digestBattery(t, a, tr, eng.WithIndex(merged), qs, nil) }},
+		{"warm", func(a, tr hash.Hash) []int {
+			pc := proxcache.New(64 << 20)
+			return append(digestBattery(t, a, tr, eng, qs, pc, nil), digestBattery(t, a, tr, eng, qs, pc, nil)...)
+		}},
+		{"split-merge", func(a, tr hash.Hash) []int { return digestBattery(t, a, tr, eng.WithIndex(merged), qs, nil, nil) }},
+		{"pre-explored", func(a, tr hash.Hash) []int {
+			return digestBattery(t, a, tr, eng, qs, nil, func(i int) int {
+				return [...]int{0, cold[i] / 2, exploreCap, cold[i] + 3}[i%4]
+			})
+		}},
 	} {
 		a, tr := sha256.New(), sha256.New()
-		rounds := r.run(a, tr)
+		rounds := 0
+		for _, n := range r.run(a, tr) {
+			rounds += n
+		}
 		runs[r.name] = batteryDigest{hex.EncodeToString(a.Sum(nil)), hex.EncodeToString(tr.Sum(nil)), rounds}
 	}
 	batteryRuns = runs

@@ -171,3 +171,59 @@ func TestPooledIteratorHoldsNoCheckpoint(t *testing.T) {
 		t.Fatalf("warm searches hit the cache %d times, want ≥ 3", st.Hits)
 	}
 }
+
+// TestRewindAcrossGoroutines plays the distributed coordinator's hand-off
+// under concurrency: each search takes an iterator with Explore on its
+// own goroutine, another goroutine steps it ahead (to a depth that varies
+// with the query, yielding between steps) and is waited for, then Run
+// rewinds and replays it. Every answer must equal the serial cold one;
+// under -race this is the check that the hand-off orders the stepping
+// goroutine's writes before the search's reads. An iterator explored for
+// another seeker is refused.
+func TestRewindAcrossGoroutines(t *testing.T) {
+	opts := Options{K: 5, Params: score.DefaultParams()}
+	e := twitterEngine(t, 150, 600, 5)
+	want := searchBattery(t, e, opts)
+	seekers, kwSets := queries(e.in)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			q := 0
+			for _, u := range seekers {
+				for _, kws := range kwSets {
+					it := e.Explore(u, opts.Params)
+					depth := (w + 3*q) % 20
+					stepped := make(chan struct{})
+					go func() {
+						defer close(stepped)
+						for it.N() < depth && !it.Done() {
+							it.Step()
+							runtime.Gosched()
+						}
+					}()
+					<-stepped
+					rs, st, err := exploredSearch(e, u, kws, opts, it)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := transcript(rs, st); got != want[q] {
+						t.Errorf("worker %d query %d (explored to %d): answer\n%swant\n%s", w, q, depth, got, want[q])
+						return
+					}
+					q++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	spec, _, err := Query(e.in, seekers[0], kwSets[0], opts.K, opts.Params, nil)
+	must(t, err)
+	if _, _, err := e.Run(spec, CoordOptions{}, nil, e.Explore(seekers[1], opts.Params)); err == nil {
+		t.Fatal("Run took an iterator explored for another seeker")
+	}
+}

@@ -207,7 +207,7 @@ func (e *Engine) Search(seeker graph.NID, keywords []string, opts Options) ([]Re
 		Start:         start,
 		Trace:         opts.Trace,
 		Obs:           opts.Obs,
-	}, opts.ProxCache)
+	}, opts.ProxCache, nil)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -241,8 +241,23 @@ func Query(in *graph.Instance, seeker graph.NID, keywords []string, k int, param
 // publishing to pc when it is non-nil. A completed search counts on the
 // engine's shard load, and its stats report the depth pc let it skip.
 // The selection is best-first; the caller resolves URIs.
-func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache) ([]CandMeta, Stats, error) {
+//
+// explored, when non-nil, is the search's iterator, taken with Explore
+// for spec's seeker and params and stepped ahead of the search: Run
+// rewinds it (score.Iterator.Rewind) and its rounds replay the recorded
+// depths before they propagate further, so the answer is bit-identical
+// to a cold search's. pc is then not used, and the search is not warm
+// (Stats.ResumedDepth stays 0). Run owns explored on every path.
+func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache, explored *score.Iterator) ([]CandMeta, Stats, error) {
 	x := &LocalExecutor{e: e, pc: pc, traced: copts.Trace != nil}
+	if explored != nil {
+		if explored.Seeker() != spec.Seeker || explored.Params() != spec.Params {
+			e.Drop(explored)
+			return nil, Stats{}, fmt.Errorf("core: explored iterator is not the search's seeker and params")
+		}
+		explored.Rewind()
+		x.pc, x.it = nil, explored
+	}
 	sel, stats, err := Coordinate([]ShardExecutor{x}, spec, copts)
 	if err != nil {
 		return nil, stats, err
@@ -253,6 +268,34 @@ func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache) (
 	stats.ResumedDepth = x.resumedN
 	copts.Trace.Span().SetInt("resumed_depth", int64(stats.ResumedDepth))
 	return sel, stats, nil
+}
+
+// Explore takes a pooled recording iterator for a search of seeker under
+// params, for the caller to step ahead of the search — on one goroutine
+// at a time — and hand to Run, or to Drop if the search never runs. It
+// returns nil when seeker is not a user node or params are invalid, which
+// the search itself reports. Take it on the goroutine that runs the
+// search, where End puts it back: taken on the stepping goroutine
+// instead, a heap profile of the coordinator showed several times as
+// many iterators' vectors live.
+func (e *Engine) Explore(seeker graph.NID, params score.Params) *score.Iterator {
+	if checkQuery(e.in, seeker, 1) != nil || params.Validate() != nil {
+		return nil
+	}
+	it, _ := e.iters.Get().(*score.Iterator)
+	if it == nil {
+		it = new(score.Iterator)
+	}
+	it.Reset(e.in, params, seeker, true)
+	return it
+}
+
+// Drop returns an iterator Explore handed out, which no Run took, to the
+// pool, holding no recorded layer. A nil iterator is ignored.
+func (e *Engine) Drop(it *score.Iterator) {
+	if it != nil {
+		closeIterator(e.iters, it, nil, proxcache.Key{}, 0)
+	}
 }
 
 // checkQuery is the query validation of Query and LocalExecutor.Begin: a

@@ -32,6 +32,7 @@ package score
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"s3/internal/graph"
@@ -128,6 +129,35 @@ func (it *Iterator) Resume(in *graph.Instance, cp *ProxCheckpoint) error {
 	it.layers = cp.layers[:len(cp.layers):len(cp.layers)]
 	it.last, it.prevLast = cp.last, cp.prevLast
 	return nil
+}
+
+// Rewind restarts a recording iterator that was never resumed at depth 0
+// with its own recorded layers ahead of it, and stops recording: each Step
+// replays a layer, as on a resumed iterator, until the recorded depth is
+// passed, then propagates for real. Stepped d times it is identical — bit
+// for bit — to NewIterator stepped d times, in AllProx, the discovered
+// list, N, the tail bounds and Done, for every d. It takes no checkpoint
+// and clears no vector but prox≤n: the live borders still describe the
+// recorded depth and the one before it, which is where a propagation past
+// the layers starts, so Border and BorderProx are defined from the
+// recorded depth onward (at depth 0 too when nothing was recorded), and
+// the first propagating Step scatters nothing. Rewinding lets one
+// goroutine step an exploration ahead of a search that another then runs
+// from depth 0 (see core.Engine.Explore); it panics on an iterator that
+// is not recording, or was resumed and sits inside its inherited depths.
+func (it *Iterator) Rewind() {
+	if !it.rec || it.stale || it.n != len(it.layers) {
+		panic("score: Rewind needs a recording iterator at its own recorded depth")
+	}
+	it.rec = false
+	if it.n == 0 {
+		return
+	}
+	clear(it.own)
+	it.all = it.own
+	it.all[it.seeker] = it.params.CGamma()
+	it.n, it.done, it.mass, it.ratio = 0, false, 1, math.Inf(1)
+	it.stale, it.rewound = true, true
 }
 
 // N returns the exploration depth the checkpoint covers.

@@ -21,6 +21,7 @@ type iterState struct {
 	n                    int
 	done                 bool
 	tail, srcTail, ratio uint64
+	colTail, ratioTail   uint64
 	all                  []uint64
 	disc                 []graph.NID
 
@@ -38,8 +39,9 @@ func floatBits(xs []float64) []uint64 {
 }
 
 // borderDefined is the Border/BorderProx contract: everywhere except
-// strictly inside a resumed iterator's inherited depths.
-func borderDefined(it *Iterator) bool { return it.n == 0 || it.n >= len(it.layers) }
+// strictly inside a resumed iterator's inherited depths, and on a rewound
+// one from its recorded depth on.
+func borderDefined(it *Iterator) bool { return it.n == 0 && !it.rewound || it.n >= len(it.layers) }
 
 // captureState snapshots the iterator after a Step that returned disc.
 // With border set it also reads Border/BorderProx where they are defined —
@@ -47,13 +49,15 @@ func borderDefined(it *Iterator) bool { return it.n == 0 || it.n >= len(it.layer
 // depth; without, the next Step has to.
 func captureState(it *Iterator, disc []graph.NID, border bool) iterState {
 	s := iterState{
-		n:       it.N(),
-		done:    it.Done(),
-		tail:    math.Float64bits(it.TailBound()),
-		srcTail: math.Float64bits(it.SourceTailBound()),
-		ratio:   math.Float64bits(it.ratio),
-		all:     floatBits(it.AllProx()),
-		disc:    slices.Clone(disc),
+		n:         it.N(),
+		done:      it.Done(),
+		tail:      math.Float64bits(it.TailBound()),
+		srcTail:   math.Float64bits(it.SourceTailBound()),
+		ratio:     math.Float64bits(it.ratio),
+		colTail:   math.Float64bits(it.ColumnTail()),
+		ratioTail: math.Float64bits(it.RatioTail()),
+		all:       floatBits(it.AllProx()),
+		disc:      slices.Clone(disc),
 	}
 	if border && borderDefined(it) {
 		s.hasBorder = true
@@ -67,6 +71,7 @@ func captureState(it *Iterator, disc []graph.NID, border bool) iterState {
 // sides captured one.
 func statesEqual(a, b iterState) bool {
 	if a.n != b.n || a.done != b.done || a.tail != b.tail || a.srcTail != b.srcTail || a.ratio != b.ratio ||
+		a.colTail != b.colTail || a.ratioTail != b.ratioTail ||
 		!slices.Equal(a.all, b.all) || !slices.Equal(a.disc, b.disc) {
 		return false
 	}
@@ -85,6 +90,11 @@ func statesEqual(a, b iterState) bool {
 // the hand-off depth m onward. Each checkpoint is walked twice — once
 // reading the border at m, so Border() performs the hand-off, once not, so
 // the first propagating Step does.
+//
+// The rewound column: a recording iterator stepped to D — 0, 1, its first
+// snapshot-form depth, and past Done — then rewound (Rewind) and stepped
+// d ≤ D+3 times matches the fresh iterator stepped d times in the same
+// state, with Border and BorderProx from D on.
 func TestResumeStateIdentical(t *testing.T) {
 	const maxDepth = 18
 	type fixture struct {
@@ -106,7 +116,8 @@ func TestResumeStateIdentical(t *testing.T) {
 	hub, _ := star.NIDOf("hub")
 	fixtures = append(fixtures, fixture{"star", star, []graph.NID{leaf, hub}})
 
-	adopted := 0 // snapshot-form depths replayed
+	adopted := 0                    // snapshot-form depths replayed
+	rewoundSat, rewoundDone := 0, 0 // rewound at a first snapshot-form depth, past Done
 	for _, fx := range fixtures {
 		in := fx.in
 		for _, params := range []Params{DefaultParams(), {Gamma: 2, Eta: 0.5}} {
@@ -170,11 +181,55 @@ func TestResumeStateIdentical(t *testing.T) {
 						}
 					}
 				}
+
+				depths := []int{0, min(1, total)}
+				if i := slices.IndexFunc(cps[total].layers, func(l proxLayer) bool { return l.all != nil }); i >= 0 {
+					depths = append(depths, i+1)
+					rewoundSat++
+				}
+				if ref.Done() {
+					depths = append(depths, total)
+					rewoundDone++
+				}
+				for _, D := range depths {
+					it := NewRecordingIterator(in, params, u)
+					for it.N() < D {
+						it.Step()
+					}
+					if it.Done() {
+						it.Step() // past Done: a no-op the rewind must not mind
+					}
+					it.Rewind()
+					if got := captureState(it, nil, true); !statesEqual(got, snaps[0]) || got.hasBorder != (D == 0) {
+						t.Fatalf("%s u=%d D=%d: rewound initial state differs (border compared = %v)", fx.name, u, D, got.hasBorder)
+					}
+					last := D + 3
+					if !ref.Done() {
+						last = min(last, total)
+					}
+					for d := 1; d <= last; d++ {
+						disc := it.Step()
+						want := snaps[min(d, total)]
+						if d > total {
+							want.disc = nil
+						}
+						got := captureState(it, disc, true)
+						if !statesEqual(got, want) {
+							t.Fatalf("%s u=%d D=%d d=%d: rewound state differs", fx.name, u, D, d)
+						}
+						if got.hasBorder != (d >= D) {
+							t.Fatalf("%s u=%d D=%d d=%d: border compared = %v", fx.name, u, D, d, got.hasBorder)
+						}
+					}
+				}
 			}
 		}
 	}
 	if adopted == 0 {
 		t.Fatal("no fixture recorded a snapshot-form depth")
+	}
+	if rewoundSat == 0 || rewoundDone == 0 {
+		t.Fatalf("rewound at a snapshot-form depth %d times, past Done %d times: want both", rewoundSat, rewoundDone)
 	}
 }
 
@@ -220,6 +275,43 @@ func TestCheckpointMisuse(t *testing.T) {
 	}
 	if deep.Bytes() <= shallow.Bytes() {
 		t.Fatalf("deeper checkpoint not bigger: %d vs %d", deep.Bytes(), shallow.Bytes())
+	}
+}
+
+// TestRewindMisuse: Rewind refuses an iterator that is not recording — a
+// plain one, or one already rewound — and a resumed one inside its
+// inherited depths, whose borders are not live; a rewound iterator
+// publishes no checkpoint.
+func TestRewindMisuse(t *testing.T) {
+	in, _ := buildRandom(t, 7)
+	u := in.Users()[0]
+	params := DefaultParams()
+	rec := NewRecordingIterator(in, params, u)
+	rec.Step()
+	rec.Step()
+	cp := rec.Checkpoint()
+	rec.Rewind()
+	if rec.Checkpoint() != nil {
+		t.Fatal("rewound iterator published a checkpoint")
+	}
+	resumed, err := ResumeIterator(in, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.Step()
+	for name, it := range map[string]*Iterator{
+		"plain":   NewIterator(in, params, u),
+		"rewound": rec,
+		"resumed": resumed,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Rewind of a %s iterator did not panic", name)
+				}
+			}()
+			it.Rewind()
+		}()
 	}
 }
 

@@ -167,19 +167,23 @@ type Iterator struct {
 	// starts with the layers of its checkpoint already filled in and
 	// replays them — adopting a saturated depth's snapshot, folding a
 	// narrow depth's border — before falling back to real propagation past
-	// the recorded depth. n ≤ len(layers) always; n < len(layers) only
-	// while a resumed iterator still has recorded depths ahead of it.
+	// the recorded depth. While recording, n ≤ len(layers); n <
+	// len(layers) only while a resumed or rewound iterator still has
+	// recorded depths ahead of it.
 	//
 	// A replayed step maintains all, n and done but not the borders: stale
 	// marks border/active and prev/prevActive as not yet describing depths
 	// n and n−1. The hand-off — the first real Step, or a Border/BorderProx
 	// call, at the inherited depth — scatters last and prevLast, the
-	// checkpoint's saved borders of those depths.
+	// checkpoint's saved borders of those depths; on a rewound iterator
+	// (see Rewind) the live borders already describe them, and it scatters
+	// nothing.
 	rec      bool
 	layers   []proxLayer
 	last     proxLayer
 	prevLast proxLayer
 	stale    bool
+	rewound  bool
 }
 
 type kernelPath uint8
@@ -264,7 +268,7 @@ func (it *Iterator) Reset(in *graph.Instance, params Params, seeker graph.NID, r
 	it.in, it.params, it.seeker = in, params, seeker
 	// Depth 0 has no border two depths back: its ratio is +∞.
 	it.n, it.done, it.mass, it.ratio = 0, false, 1, math.Inf(1)
-	it.rec, it.layers, it.last, it.prevLast, it.stale = record, nil, proxLayer{}, proxLayer{}, false
+	it.rec, it.layers, it.last, it.prevLast, it.stale, it.rewound = record, nil, proxLayer{}, proxLayer{}, false, false
 	it.border[seeker] = 1
 	it.active = append(it.active[:0], int32(seeker))
 	it.prevActive = it.prevActive[:0]
@@ -675,9 +679,11 @@ func (it *Iterator) handOff() {
 	if it.n < len(it.layers) {
 		panic("score: the border is not kept inside a checkpoint's recorded depths")
 	}
-	sparse.ZeroVec(it.border, it.active) // depth 0, left by Reset
-	it.active = scatter(it.border, it.active, it.last)
-	it.prevActive = scatter(it.prev, it.prevActive, it.prevLast) // empty, left by Reset
+	if !it.rewound {
+		sparse.ZeroVec(it.border, it.active) // depth 0, left by Reset
+		it.active = scatter(it.border, it.active, it.last)
+		it.prevActive = scatter(it.prev, it.prevActive, it.prevLast) // empty, left by Reset
+	}
 	it.stale = false
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -463,6 +464,15 @@ func TestDistributedObservability(t *testing.T) {
 	}
 	if hosts != 2 {
 		t.Fatalf("%d host spans under fetch, want one per worker", hosts)
+	}
+	// Beside them, the exploration the coordinator stepped while it waited,
+	// with the depth it reached when the fetch landed.
+	explore := findSpan(fetch, "explore")
+	if explore == nil {
+		t.Fatalf("no explore span under fetch: %+v", fetch)
+	}
+	if d, err := strconv.Atoi(explore.Attrs["depth"]); err != nil || d < 0 {
+		t.Fatalf("explore span depth %q, want a depth", explore.Attrs["depth"])
 	}
 	// The coordinator runs the rounds: each round span holds its shard
 	// scatter span with the executor's exec.round inside.
