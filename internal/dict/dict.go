@@ -10,18 +10,17 @@
 // arena plus a sorted permutation for binary-searched lookups — the form a
 // snapshot stores, so a loaded dictionary (FromArena) is a view of the
 // file with no per-entry allocation — and a small mutex-guarded overflow
-// that accepts Intern of strings the base lacks. A builder interns into
-// the overflow of an empty base (New) and calls Freeze once it is done,
-// which lays everything into a fresh base; later Intern calls (the lazy
-// RDF export, say) go to the overflow again and never reach the base that
-// Arena hands the snapshot writer. Every method is safe for concurrent
-// use.
+// that accepts Intern of strings the base lacks. An instance builder lays
+// out the arena itself and hands it to FromArena; New gives an empty base
+// whose overflow takes every string (a standalone RDF graph's, say).
+// Later Intern calls (the lazy RDF export, say) go to the overflow and
+// never reach the base that Arena hands the snapshot writer. Every method
+// is safe for concurrent use.
 package dict
 
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 )
@@ -164,7 +163,7 @@ func (d *Dict) String(id ID) string {
 
 // FromArena reconstructs a dictionary over a contiguous string arena:
 // entry i is arena[offs[i]:offs[i+1]], and perm lists the ids in
-// ascending string order (the lookup index, as Freeze produces it). The
+// ascending string order (the lookup index, as Arena returns it). The
 // arena, offsets and perm are retained as the base without copying — the
 // caller owns their lifetime and must keep them readable and unmodified
 // for as long as the dictionary (or any instance built over it) is in
@@ -197,35 +196,6 @@ func FromArena(arena []byte, offs []int64, perm []int32) (*Dict, error) {
 		}
 	}
 	return d, nil
-}
-
-// Freeze returns a dictionary whose base holds every string of d — base
-// and overflow — under the same ids, in a fresh arena with its sorted
-// permutation, and whose overflow is empty. d itself is unchanged.
-func (d *Dict) Freeze() *Dict {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := d.baseLen() + len(d.more)
-	size := len(d.arena)
-	for _, s := range d.more {
-		size += len(s)
-	}
-	arena := make([]byte, 0, size)
-	arena = append(arena, d.arena...)
-	offs := make([]int64, 1, n+1)
-	offs = append(offs, d.offs[1:]...)
-	for _, s := range d.more {
-		arena = append(arena, s...)
-		offs = append(offs, int64(len(arena)))
-	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		return bytes.Compare(arena[offs[a]:offs[a+1]], arena[offs[b]:offs[b+1]])
-	})
-	return &Dict{arena: arena, offs: offs, perm: perm}
 }
 
 // Arena returns the base in the form FromArena takes back: the string

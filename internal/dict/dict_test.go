@@ -214,42 +214,3 @@ func TestFromArenaRejectsBadStructure(t *testing.T) {
 		t.Error("duplicate strings accepted")
 	}
 }
-
-// TestFreezeKeepsIDs checks that Freeze lays a builder's strings into a
-// base under the same ids, with the permutation FromArena accepts (the
-// one arenaOf sorts), and that strings interned afterwards stay out of
-// the base that Arena hands the snapshot writer.
-func TestFreezeKeepsIDs(t *testing.T) {
-	strs := []string{"urn:b", "urn:a", "", "kw:zeta", "kw:alpha", "é"}
-	d := New()
-	for _, s := range strs {
-		d.Intern(s)
-	}
-	fz := d.Freeze()
-	if d.Len() != len(strs) || fz.Len() != len(strs) {
-		t.Fatalf("Len() = %d before / %d after the freeze, want %d", d.Len(), fz.Len(), len(strs))
-	}
-	arena, offs, perm := fz.Arena()
-	wantArena, wantOffs, wantPerm := arenaOf(strs)
-	if fmt.Sprint(arena, offs, perm) != fmt.Sprint(wantArena, wantOffs, wantPerm) {
-		t.Fatalf("Arena() = %v %v %v, want %v %v %v", arena, offs, perm, wantArena, wantOffs, wantPerm)
-	}
-	if _, err := FromArena(arena, offs, perm); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range strs {
-		if id, ok := fz.Lookup(s); !ok || id != ID(i) || fz.String(ID(i)) != s {
-			t.Errorf("frozen Lookup(%q) = %d/%v, want %d", s, id, ok, i)
-		}
-	}
-	if id := fz.Intern("late"); id != ID(len(strs)) || fz.String(id) != "late" {
-		t.Fatalf("Intern after the freeze = %d, want %d", id, len(strs))
-	}
-	if a, o, p := fz.Arena(); len(a) != len(arena) || len(o) != len(offs) || len(p) != len(perm) {
-		t.Fatal("a string interned after the freeze reached the base")
-	}
-	again := fz.Freeze()
-	if again.Len() != len(strs)+1 || again.String(ID(len(strs))) != "late" {
-		t.Fatal("refreezing lost the overflow")
-	}
-}

@@ -51,30 +51,106 @@ type TagSpec struct{ URI, Subject, Author, Keyword, Type string }
 
 // Builder incrementally assembles and validates a Spec, then freezes it
 // into an Instance. Builders are single-goroutine objects.
+//
+// Every string it is fed goes into one table (strTable) as it is added,
+// and each reference to a node resolves there, once, to the node's kind
+// and its ordinal among the nodes of that kind: users in the order added,
+// document nodes in pre-order, document after document, and tags in the
+// order added. Build numbers the nodes from those ordinals and assigns the
+// dictionary's ids without hashing those strings again.
 type Builder struct {
-	spec     Spec
 	analyzer text.Analyzer
+	strs     strTable
 
-	userSet map[string]struct{}
-	nodeURI map[string]NodeKind // all instance node URIs
-	docSet  map[string]int      // doc root URI → index in spec.Docs
-	docs    []*doc.Document     // finalised trees, same order as spec.Docs
+	// The accumulated spec, every string by its table position. The
+	// ontology holds each sub-property or sub-class declaration of a
+	// relation's property or class once, where it was first used.
+	ontology [][3]int32
+	users    []int32     // URIs
+	roots    []*doc.Node // document roots, as given
+	nodes    []docNode   // document nodes, numbered by their ordinal
+	kwOff    []int32     // node j's content keywords are kws[kwOff[j]:kwOff[j+1]]
+	kws      []int32
+	social   []socialRef
+	posts    []postRef
+	comments []commentRef
+	tags     []tagRef
+
+	uris, stack []int32 // AddDocument's work buffers
+}
+
+// docNode is one document node: its URI and name, the ordinals of its
+// parent (-1 for a root) and of its document's root.
+type docNode struct{ uri, name, parent, root int32 }
+
+// socialRef is a social edge between two users by ordinal; prop is the
+// position of its property, -1 when it was given empty.
+type socialRef struct {
+	from, to, prop int32
+	w              float64
+}
+
+// postRef is a post: a document node and a user, by ordinal.
+type postRef struct{ doc, user int32 }
+
+// commentRef is a comment: the ordinals of the comment's root and of the
+// target node, and its property's position, -1 when it was given empty.
+type commentRef struct{ comment, target, prop int32 }
+
+// tagRef is a tag: its URI, its subject (a document node or tag), its
+// author's ordinal, and the positions of its keyword, the keyword's stem
+// and its type, each -1 when it was given empty.
+type tagRef struct {
+	uri           int32
+	subjectKind   NodeKind
+	subject       int32
+	author        int32
+	keyword, stem int32
+	typ           int32
 }
 
 // NewBuilder returns a builder using the given text analyzer for document
 // content and tag keywords.
 func NewBuilder(analyzer text.Analyzer) *Builder {
-	return &Builder{
-		analyzer: analyzer,
-		userSet:  make(map[string]struct{}),
-		nodeURI:  make(map[string]NodeKind),
-		docSet:   make(map[string]int),
-	}
+	return newBuilder(analyzer, 0)
 }
 
-// AddOntologyTriple records a weight-1 RDF statement (schema or fact).
+// newBuilder returns a builder whose string table has room for about n
+// strings.
+func newBuilder(analyzer text.Analyzer, n int) *Builder {
+	return &Builder{analyzer: analyzer, strs: newStrTable(n), kwOff: []int32{0}}
+}
+
+// AddOntologyTriple records a weight-1 RDF statement (schema or fact). A
+// statement that declares a property a sub-property of S3:social or
+// S3:commentsOn, or a class a subclass of S3:relatedTo, stands for the
+// declaration AddSocial, AddComment or AddTag would make of it.
 func (b *Builder) AddOntologyTriple(s, p, o string) {
-	b.spec.Ontology = append(b.spec.Ontology, [3]string{s, p, o})
+	t := [3]int32{b.strs.add(s), b.strs.add(p), b.strs.add(o)}
+	switch {
+	case p == rdf.SubPropertyOfURI && o == PropSocial:
+		b.strs.ents[t[0]].decl |= declSocial
+	case p == rdf.SubPropertyOfURI && o == PropCommentsOn:
+		b.strs.ents[t[0]].decl |= declCommentsOn
+	case p == rdf.SubClassOfURI && o == ClassRelatedTo:
+		b.strs.ents[t[0]].decl |= declRelatedTo
+	}
+	b.ontology = append(b.ontology, t)
+}
+
+// declare records, the first time name is used as the property or class
+// of a relation, the statement that it is a sub-property or subclass (rel)
+// of super, and returns name's position; -1 for an empty name.
+func (b *Builder) declare(name string, flag uint8, rel, super string) int32 {
+	if name == "" {
+		return -1
+	}
+	p := b.strs.add(name)
+	if name != super && b.strs.ents[p].decl&flag == 0 {
+		b.strs.ents[p].decl |= flag
+		b.ontology = append(b.ontology, [3]int32{p, b.strs.add(rel), b.strs.add(super)})
+	}
+	return p
 }
 
 // AddUser registers a user URI. Adding the same user twice is a no-op.
@@ -82,132 +158,225 @@ func (b *Builder) AddUser(uri string) error {
 	if uri == "" {
 		return fmt.Errorf("graph: empty user URI")
 	}
-	if _, dup := b.userSet[uri]; dup {
-		return nil
+	p := b.strs.add(uri)
+	if e := b.strs.ents[p]; e.ord != 0 {
+		if e.kind == KindUser {
+			return nil
+		}
+		return fmt.Errorf("graph: URI %q already used by a %s", uri, e.kind)
 	}
-	if k, taken := b.nodeURI[uri]; taken {
-		return fmt.Errorf("graph: URI %q already used by a %s", uri, k)
-	}
-	b.userSet[uri] = struct{}{}
-	b.nodeURI[uri] = KindUser
-	b.spec.Users = append(b.spec.Users, uri)
+	b.users = append(b.users, p)
+	b.strs.ents[p].kind, b.strs.ents[p].ord = KindUser, int32(len(b.users))
 	return nil
 }
 
 // AddSocial records a weighted social edge between two existing users,
 // optionally through a named sub-property of S3:social (the sub-property
-// fact is added to the ontology automatically).
+// fact is added to the ontology at its first use).
 func (b *Builder) AddSocial(from, to string, w float64, prop string) error {
-	if _, ok := b.userSet[from]; !ok {
+	f, ok := b.strs.findNode(from, KindUser)
+	if !ok {
 		return fmt.Errorf("graph: social edge from unknown user %q", from)
 	}
-	if _, ok := b.userSet[to]; !ok {
+	g, ok := b.strs.findNode(to, KindUser)
+	if !ok {
 		return fmt.Errorf("graph: social edge to unknown user %q", to)
 	}
-	if from == to {
+	if f == g {
 		return fmt.Errorf("graph: self social edge on %q", from)
 	}
 	if !(w > 0 && w <= 1) {
 		return fmt.Errorf("graph: social weight %v outside (0,1]", w)
 	}
-	if prop != "" && prop != PropSocial {
-		b.AddOntologyTriple(prop, rdf.SubPropertyOfURI, PropSocial)
-	}
-	b.spec.Social = append(b.spec.Social, SocialSpec{From: from, To: to, W: w, Prop: prop})
+	p := b.declare(prop, declSocial, rdf.SubPropertyOfURI, PropSocial)
+	b.social = append(b.social, socialRef{from: f, to: g, prop: p, w: w})
 	return nil
 }
 
-// AddDocument finalises and registers a document tree. Node keyword sets
-// are computed from Text with the builder's analyzer unless already set.
+// AddDocument finalises (doc.New) and registers a document tree. Each
+// node's keywords are its Keywords if set, else those the builder's
+// analyzer finds in its Text; they stay inside the builder, and the
+// nodes' Keywords are left as given.
 func (b *Builder) AddDocument(root *doc.Node) error {
 	d, err := doc.New(root)
 	if err != nil {
 		return err
 	}
-	if _, dup := b.docSet[d.URI()]; dup {
-		return fmt.Errorf("graph: duplicate document %q", d.URI())
-	}
-	for _, n := range d.Nodes() {
-		if k, taken := b.nodeURI[n.URI]; taken {
-			return fmt.Errorf("graph: node URI %q already used by a %s", n.URI, k)
+	nodes := d.Nodes()
+	uris := b.uris[:0]
+	for i, n := range nodes {
+		p := b.strs.add(n.URI)
+		if e := b.strs.ents[p]; e.ord != 0 {
+			if i == 0 && e.kind == KindDocNode && b.nodes[e.ord-1].root == e.ord-1 {
+				return fmt.Errorf("graph: duplicate document %q", n.URI)
+			}
+			return fmt.Errorf("graph: node URI %q already used by a %s", n.URI, e.kind)
 		}
+		uris = append(uris, p)
 	}
-	for _, n := range d.Nodes() {
-		b.nodeURI[n.URI] = KindDocNode
-		if n.Keywords == nil && n.Text != "" {
-			n.Keywords = b.analyzer.Keywords(n.Text)
+	b.uris = uris
+	// In pre-order a node's parent is the last node met one level up: the
+	// stack holds the ordinal of the last node met at each depth.
+	first := int32(len(b.nodes))
+	stack := b.stack[:0]
+	for i, n := range nodes {
+		j := first + int32(i)
+		parent := int32(-1)
+		if dep := n.Depth(); dep > 0 {
+			stack = stack[:dep]
+			parent = stack[dep-1]
 		}
+		stack = append(stack, j)
+		b.strs.ents[uris[i]].kind, b.strs.ents[uris[i]].ord = KindDocNode, j+1
+		b.nodes = append(b.nodes, docNode{uri: uris[i], name: b.strs.add(n.Name), parent: parent, root: first})
+		kws := n.Keywords
+		if kws == nil && n.Text != "" {
+			kws = b.analyzer.Keywords(n.Text)
+		}
+		for _, kw := range kws {
+			b.kws = append(b.kws, b.strs.add(kw))
+		}
+		b.kwOff = append(b.kwOff, int32(len(b.kws)))
 	}
-	b.docSet[d.URI()] = len(b.spec.Docs)
-	b.spec.Docs = append(b.spec.Docs, root)
-	b.docs = append(b.docs, d)
+	b.stack = stack
+	b.roots = append(b.roots, root)
 	return nil
 }
 
 // AddPost records that an existing document node was posted by an existing
 // user.
 func (b *Builder) AddPost(docNode, user string) error {
-	if b.nodeURI[docNode] != KindDocNode {
+	d, ok := b.strs.findNode(docNode, KindDocNode)
+	if !ok {
 		return fmt.Errorf("graph: post of unknown document node %q", docNode)
 	}
-	if _, ok := b.userSet[user]; !ok {
+	u, ok := b.strs.findNode(user, KindUser)
+	if !ok {
 		return fmt.Errorf("graph: post by unknown user %q", user)
 	}
-	b.spec.Posts = append(b.spec.Posts, PostSpec{Doc: docNode, User: user})
+	b.posts = append(b.posts, postRef{doc: d, user: u})
 	return nil
 }
 
 // AddComment records that document comment comments on node target,
-// optionally through a sub-property of S3:commentsOn.
+// optionally through a sub-property of S3:commentsOn (the sub-property
+// fact is added to the ontology at its first use).
 func (b *Builder) AddComment(comment, target, prop string) error {
-	ci, ok := b.docSet[comment]
-	if !ok {
+	c, ok := b.strs.findNode(comment, KindDocNode)
+	if !ok || b.nodes[c].root != c {
 		return fmt.Errorf("graph: comment %q is not a registered document root", comment)
 	}
-	if b.nodeURI[target] != KindDocNode {
+	g, ok := b.strs.findNode(target, KindDocNode)
+	if !ok {
 		return fmt.Errorf("graph: comment target %q is not a document node", target)
 	}
-	if _, inSelf := b.docs[ci].Node(target); inSelf {
+	if b.nodes[g].root == c {
 		return fmt.Errorf("graph: document %q cannot comment on its own node %q", comment, target)
 	}
-	if prop != "" && prop != PropCommentsOn {
-		b.AddOntologyTriple(prop, rdf.SubPropertyOfURI, PropCommentsOn)
-	}
-	b.spec.Comments = append(b.spec.Comments, CommentSpec{Comment: comment, Target: target, Prop: prop})
+	p := b.declare(prop, declCommentsOn, rdf.SubPropertyOfURI, PropCommentsOn)
+	b.comments = append(b.comments, commentRef{comment: c, target: g, prop: p})
 	return nil
 }
 
 // AddTag declares a tag by author on subject (a document node or an
 // earlier tag — the latter gives the higher-level annotations of R4).
 // keyword == "" declares an endorsement. typ may name a subclass of
-// S3:relatedTo.
+// S3:relatedTo (the subclass fact is added to the ontology at its first
+// use).
 func (b *Builder) AddTag(uri, subject, author, keyword, typ string) error {
 	if uri == "" {
 		return fmt.Errorf("graph: empty tag URI")
 	}
-	if k, taken := b.nodeURI[uri]; taken {
-		return fmt.Errorf("graph: URI %q already used by a %s", uri, k)
+	p := b.strs.add(uri)
+	if e := b.strs.ents[p]; e.ord != 0 {
+		return fmt.Errorf("graph: URI %q already used by a %s", uri, e.kind)
 	}
-	if k, ok := b.nodeURI[subject]; !ok || (k != KindDocNode && k != KindTag) {
+	var subj strEntry
+	if s, ok := b.strs.find(subject); ok {
+		subj = b.strs.ents[s]
+	}
+	if subj.ord == 0 || (subj.kind != KindDocNode && subj.kind != KindTag) {
 		return fmt.Errorf("graph: tag subject %q is not a document node or tag", subject)
 	}
-	if _, ok := b.userSet[author]; !ok {
+	a, ok := b.strs.findNode(author, KindUser)
+	if !ok {
 		return fmt.Errorf("graph: tag author %q is not a user", author)
 	}
-	if typ != "" && typ != ClassRelatedTo {
-		b.AddOntologyTriple(typ, rdf.SubClassOfURI, ClassRelatedTo)
+	tr := tagRef{uri: p, subjectKind: subj.kind, subject: subj.ord - 1, author: a, keyword: -1, stem: -1}
+	tr.typ = b.declare(typ, declRelatedTo, rdf.SubClassOfURI, ClassRelatedTo)
+	if keyword != "" {
+		tr.keyword = b.strs.add(keyword)
+		if b.strs.ents[tr.keyword].stem == 0 {
+			b.strs.ents[tr.keyword].stem = b.strs.add(stemKeyword(b.analyzer, keyword)) + 1
+		}
+		tr.stem = b.strs.ents[tr.keyword].stem - 1
 	}
-	b.nodeURI[uri] = KindTag
-	b.spec.Tags = append(b.spec.Tags, TagSpec{URI: uri, Subject: subject, Author: author, Keyword: keyword, Type: typ})
+	b.tags = append(b.tags, tr)
+	b.strs.ents[p].kind, b.strs.ents[p].ord = KindTag, int32(len(b.tags))
 	return nil
 }
 
-// Spec returns a copy of the accumulated specification.
-func (b *Builder) Spec() Spec { return b.spec }
+// Spec returns the accumulated specification: the strings as given, each
+// sub-property or subclass declaration once, and the document roots as
+// given (their Keywords untouched by the analyzer).
+func (b *Builder) Spec() Spec {
+	str := func(p int32) string {
+		if p < 0 {
+			return ""
+		}
+		return b.strs.strs[p]
+	}
+	user := func(u int32) string { return str(b.users[u]) }
+	node := func(j int32) string { return str(b.nodes[j].uri) }
+	spec := Spec{
+		Ontology: make([][3]string, len(b.ontology)),
+		Users:    make([]string, len(b.users)),
+		Social:   make([]SocialSpec, len(b.social)),
+		Docs:     b.roots,
+		Posts:    make([]PostSpec, len(b.posts)),
+		Comments: make([]CommentSpec, len(b.comments)),
+		Tags:     make([]TagSpec, len(b.tags)),
+	}
+	for i, t := range b.ontology {
+		spec.Ontology[i] = [3]string{str(t[0]), str(t[1]), str(t[2])}
+	}
+	for i := range b.users {
+		spec.Users[i] = user(int32(i))
+	}
+	for i, s := range b.social {
+		spec.Social[i] = SocialSpec{From: user(s.from), To: user(s.to), W: s.w, Prop: str(s.prop)}
+	}
+	for i, p := range b.posts {
+		spec.Posts[i] = PostSpec{Doc: node(p.doc), User: user(p.user)}
+	}
+	for i, c := range b.comments {
+		spec.Comments[i] = CommentSpec{Comment: node(c.comment), Target: node(c.target), Prop: str(c.prop)}
+	}
+	for i, t := range b.tags {
+		subject := node(t.subject)
+		if t.subjectKind == KindTag {
+			subject = str(b.tags[t.subject].uri)
+		}
+		spec.Tags[i] = TagSpec{URI: str(t.uri), Subject: subject, Author: user(t.author), Keyword: str(t.keyword), Type: str(t.typ)}
+	}
+	return spec
+}
 
-// BuildSpec validates and freezes a Spec into an Instance in one call.
+// BuildSpec validates and freezes a Spec into an Instance in one call,
+// with the builder's tables sized from the spec. It reads the spec and
+// keeps no reference to its slices, with one exception: the document
+// trees are finalised in place — doc.New gives every node its parent
+// pointer and Dewey position, and a URI when it had none. Node keywords
+// the analyzer finds are not written back.
 func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
-	b := NewBuilder(analyzer)
+	b := newBuilder(analyzer, 3*len(spec.Ontology)+len(spec.Users)+4*len(spec.Docs)+2*len(spec.Tags))
+	b.ontology = make([][3]int32, 0, len(spec.Ontology)+3)
+	b.users = make([]int32, 0, len(spec.Users))
+	b.social = make([]socialRef, 0, len(spec.Social))
+	b.roots = make([]*doc.Node, 0, len(spec.Docs))
+	b.posts = make([]postRef, 0, len(spec.Posts))
+	b.comments = make([]commentRef, 0, len(spec.Comments))
+	b.tags = make([]tagRef, 0, len(spec.Tags))
 	for _, t := range spec.Ontology {
 		b.AddOntologyTriple(t[0], t[1], t[2])
 	}
@@ -246,115 +415,135 @@ func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
 
 // Build freezes the builder into an immutable Instance: it saturates the
 // ontology, assigns dense node ids (users, then document nodes in
-// pre-order, then tags), records the social, post, comment and tag
-// relations, freezes the dictionary and the ontology into their sorted
-// forms, and derives, through the derivation FromRaw runs too (derive),
-// the node lists, the network edges with their inverses, the normalised
-// transition matrix, the keyword frequencies, the component partition and
-// the instance statistics.
+// pre-order, then tags) from the ordinals their references resolved to,
+// records the social, post, comment and tag relations, lays out the
+// dictionary and freezes the ontology into its sorted form, and derives,
+// through the derivation FromRaw runs too (derive), the node lists, the
+// network edges with their inverses, the normalised transition matrix,
+// the keyword frequencies, the component partition and the statistics.
+//
+// The dictionary's ids are the order in which this walk first meets each
+// string — the RDFS vocabulary rdf.New interns, the ontology triple by
+// triple (subject, property, object), the S3 schema, the user URIs, each
+// document node's URI, name and keywords, each tag's URI, keyword stem
+// and class, then the relations' properties in deriveEdges' order — and a
+// snapshot stores them: a change to this order changes every file built.
 func (b *Builder) Build() (*Instance, error) {
-	d := dict.New()
-	ont := rdf.New(d)
-	for _, t := range b.spec.Ontology {
-		ont.Add(t[0], t[1], t[2])
+	// rdf.New interns the RDFS vocabulary into a dictionary of its own;
+	// those strings take the first ids here, in its order.
+	rdfs := dict.New()
+	ont := rdf.New(rdfs)
+	d := newDictBuilder(&b.strs)
+	k := func(s string) dict.ID { return d.id(b.strs.add(s)) }
+	for i := range rdfs.Len() {
+		k(rdfs.String(dict.ID(i)))
+	}
+	for _, t := range b.ontology {
+		ont.AddT(d.id(t[0]), d.id(t[1]), d.id(t[2]), 1)
 	}
 	// The schema of the S3 namespace itself (§2.3).
-	ont.Add(PropPartOf, rdf.DomainURI, ClassDoc)
-	ont.Add(PropPartOf, rdf.RangeURI, ClassDoc)
-	ont.Add(PropContains, rdf.DomainURI, ClassDoc)
-	ont.Add(PropNodeName, rdf.DomainURI, ClassDoc)
+	ont.AddT(k(PropPartOf), k(rdf.DomainURI), k(ClassDoc), 1)
+	ont.AddT(k(PropPartOf), k(rdf.RangeURI), k(ClassDoc), 1)
+	ont.AddT(k(PropContains), k(rdf.DomainURI), k(ClassDoc), 1)
+	ont.AddT(k(PropNodeName), k(rdf.DomainURI), k(ClassDoc), 1)
 	ont.Saturate()
 
-	in := &Instance{analyzer: b.analyzer}
-
-	// Per-node keyword lists are gathered in a local and frozen into CSR
-	// form once complete.
-	var keywords [][]dict.ID
-	nidOf := make(map[dict.ID]NID)
-	addNode := func(uri string, kind NodeKind) NID {
-		id := d.Intern(uri)
-		n := NID(len(in.dictID))
-		nidOf[id] = n
-		in.dictID = append(in.dictID, id)
-		in.kind = append(in.kind, kind)
-		in.parent = append(in.parent, NoNID)
-		in.nodeName = append(in.nodeName, dict.NoID)
-		keywords = append(keywords, nil)
-		return n
+	nu, nd := len(b.users), len(b.nodes)
+	n := nu + nd + len(b.tags)
+	in := &Instance{
+		analyzer: b.analyzer,
+		dictID:   make([]dict.ID, n),
+		kind:     make([]NodeKind, n),
+		parent:   make([]NID, n),
+		nodeName: make([]dict.ID, n),
+		kwOff:    make([]int64, n+1),
+		kwList:   make([]dict.ID, len(b.kws)),
+		tagInfos: make([]TagInfo, len(b.tags)),
+		social:   make([]SocialEdge, len(b.social)),
+		posts:    make([]PostEdge, len(b.posts)),
+		comments: make([]CommentEdge, len(b.comments)),
 	}
-
-	for _, uri := range b.spec.Users {
-		addNode(uri, KindUser)
+	for v := range in.parent {
+		in.parent[v] = NoNID
+		in.nodeName[v] = dict.NoID
 	}
-	for _, dd := range b.docs {
-		for _, node := range dd.Nodes() {
-			n := addNode(node.URI, KindDocNode)
-			in.nodeName[n] = d.Intern(node.Name)
-			for _, kw := range node.Keywords {
-				keywords[n] = append(keywords[n], d.Intern(kw))
-			}
-			if p := node.Parent(); p != nil {
-				in.parent[n] = nidOf[mustLookup(d, p.URI)]
-			}
+	for u, p := range b.users {
+		in.dictID[u] = d.id(p)
+	}
+	docNID := func(j int32) NID { return NID(nu) + NID(j) }
+	// or is p, or def for a string given empty (-1).
+	or := func(p, def int32) int32 {
+		if p < 0 {
+			return def
+		}
+		return p
+	}
+	for j, dn := range b.nodes {
+		v := docNID(int32(j))
+		in.dictID[v] = d.id(dn.uri)
+		in.kind[v] = KindDocNode
+		in.nodeName[v] = d.id(dn.name)
+		lo, hi := b.kwOff[j], b.kwOff[j+1]
+		for i := lo; i < hi; i++ {
+			in.kwList[i] = d.id(b.kws[i])
+		}
+		in.kwOff[v+1] = int64(hi)
+		if dn.parent >= 0 {
+			in.parent[v] = docNID(dn.parent)
 		}
 	}
 	// Tags are numbered after every user and document node, in order, so
 	// tag info i describes the i-th tag node.
-	for _, t := range b.spec.Tags {
-		addNode(t.URI, KindTag)
-		subj := nidOf[mustLookup(d, t.Subject)]
-		auth := nidOf[mustLookup(d, t.Author)]
+	relatedTo := b.strs.add(ClassRelatedTo)
+	for i, t := range b.tags {
+		v := NID(nu + nd + i)
+		in.dictID[v] = d.id(t.uri)
+		in.kind[v] = KindTag
+		subj := docNID(t.subject)
+		if t.subjectKind == KindTag {
+			subj = NID(nu+nd) + NID(t.subject)
+		}
 		kw := dict.NoID
-		if t.Keyword != "" {
-			kw = d.Intern(stemKeyword(b.analyzer, t.Keyword))
+		if t.stem >= 0 {
+			kw = d.id(t.stem)
 		}
-		typ := ClassRelatedTo
-		if t.Type != "" {
-			typ = t.Type
-		}
-		in.tagInfos = append(in.tagInfos, TagInfo{Subject: subj, Author: auth, Keyword: kw, Type: d.Intern(typ)})
+		in.tagInfos[i] = TagInfo{Subject: subj, Author: NID(t.author), Keyword: kw, Type: d.id(or(t.typ, relatedTo))}
 	}
-	in.kwOff, in.kwList = flatten(keywords)
+	for v := nu + nd; v < n; v++ {
+		in.kwOff[v+1] = in.kwOff[v]
+	}
 
 	// The relations the network edges (§2.5) are derived from (derive).
 	// Each edge property is interned in the order deriveEdges lists the
 	// edges, which fixes its dictionary id.
-	for _, s := range b.spec.Social {
-		prop := s.Prop
-		if prop == "" {
-			prop = PropSocial
-		}
-		from := nidOf[mustLookup(d, s.From)]
-		to := nidOf[mustLookup(d, s.To)]
-		in.social = append(in.social, SocialEdge{From: from, To: to, Prop: d.Intern(prop), W: s.W})
+	social, commentsOn, commentsOnInv := b.strs.add(PropSocial), b.strs.add(PropCommentsOn), b.strs.add(PropCommentsOnInv)
+	for i, s := range b.social {
+		in.social[i] = SocialEdge{From: NID(s.from), To: NID(s.to), Prop: d.id(or(s.prop, social)), W: s.w}
 	}
-	for _, p := range b.spec.Posts {
-		d.Intern(PropPostedBy)
-		d.Intern(PropPostedByInv)
-		in.posts = append(in.posts, PostEdge{Doc: nidOf[mustLookup(d, p.Doc)], User: nidOf[mustLookup(d, p.User)]})
+	if len(b.posts) > 0 {
+		k(PropPostedBy)
+		k(PropPostedByInv)
 	}
-	for _, c := range b.spec.Comments {
-		prop := c.Prop
-		if prop == "" {
-			prop = PropCommentsOn
-		}
-		cn := nidOf[mustLookup(d, c.Comment)]
-		tn := nidOf[mustLookup(d, c.Target)]
-		pid := d.Intern(prop)
-		d.Intern(PropCommentsOnInv)
-		in.comments = append(in.comments, CommentEdge{Comment: cn, Target: tn, Prop: pid})
+	for i, p := range b.posts {
+		in.posts[i] = PostEdge{Doc: docNID(p.doc), User: NID(p.user)}
 	}
-	if len(in.tagInfos) > 0 {
-		for _, prop := range []string{PropHasSubject, PropHasSubjectInv, PropHasAuthor, PropHasAuthorInv} {
-			d.Intern(prop)
+	for i, c := range b.comments {
+		in.comments[i] = CommentEdge{Comment: docNID(c.comment), Target: docNID(c.target), Prop: d.id(or(c.prop, commentsOn))}
+		d.id(commentsOnInv)
+	}
+	if len(b.tags) > 0 {
+		for _, p := range []string{PropHasSubject, PropHasSubjectInv, PropHasAuthor, PropHasAuthorInv} {
+			k(p)
 		}
 	}
 
 	// Nothing is interned from here on: the dictionary and the ontology
 	// freeze into the sorted forms a snapshot stores and a loaded
 	// instance holds.
-	in.dict = d.Freeze()
 	var err error
+	if in.dict, err = d.freeze(); err != nil {
+		return nil, err
+	}
 	if in.ont, err = rdf.FromTriplesFrozen(in.dict, ont.Triples(), rdf.TriplePOS(ont.Triples())); err != nil {
 		return nil, err
 	}
@@ -362,14 +551,6 @@ func (b *Builder) Build() (*Instance, error) {
 		return nil, err
 	}
 	return in, nil
-}
-
-func mustLookup(d *dict.Dict, uri string) dict.ID {
-	id, ok := d.Lookup(uri)
-	if !ok {
-		panic(fmt.Sprintf("graph: internal error: URI %q not interned", uri))
-	}
-	return id
 }
 
 // stemKeyword runs a tag keyword through the same pipeline as document
@@ -464,83 +645,92 @@ func (in *Instance) keepUserEdges(off []int64, list []Edge) {
 // subtree's and its ancestors' for a document node, its own otherwise —
 // from the full edge CSR deriveEdges returns.
 func (in *Instance) neighborhoodOutWeights(off []int64, list []Edge) []float64 {
-	n := len(in.dictID)
-	ownW := make([]float64, n)
+	ownW := make([]float64, len(in.dictID))
 	for v := range ownW {
 		for _, e := range list[off[v]:off[v+1]] {
 			ownW[v] += e.W
 		}
 	}
-	// subW[v] = Σ ownW over v's subtree (doc nodes; ownW for the rest).
-	subW := make([]float64, n)
-	var subtreeWeight func(v NID) float64
-	subtreeWeight = func(v NID) float64 {
-		w := ownW[v]
+	return neighborhoodSums(in, ownW)
+}
+
+// neighborhoodSums returns, for every node v, the sum of own over v's
+// vertical neighbourhood: its subtree's and then its ancestors' for a
+// document node, its own otherwise.
+func neighborhoodSums[T int64 | float64](in *Instance, own []T) []T {
+	n := len(own)
+	// sub[v] = Σ own over v's subtree (doc nodes; own for the rest).
+	sub := make([]T, n)
+	var subtree func(v NID) T
+	subtree = func(v NID) T {
+		w := own[v]
 		for _, c := range in.ChildrenOf(v) {
-			w += subtreeWeight(c)
+			w += subtree(c)
 		}
-		subW[v] = w
+		sub[v] = w
 		return w
 	}
 	for v := 0; v < n; v++ {
 		if in.kind[v] == KindDocNode && in.parent[v] == NoNID {
-			subtreeWeight(NID(v))
+			subtree(NID(v))
 		} else if in.kind[v] != KindDocNode {
-			subW[v] = ownW[v]
+			sub[v] = own[v]
 		}
 	}
-	// Adding the ancestors' own out-weights turns subW[v] into W(v).
+	// Adding the ancestors' own values completes the neighbourhood.
 	for v := 0; v < n; v++ {
 		for p := in.parent[v]; p != NoNID; p = in.parent[p] {
-			subW[v] += ownW[p]
+			sub[v] += own[p]
 		}
 	}
-	return subW
+	return sub
 }
 
 // buildMatrix materialises the normalised transition matrix (§2.5). For a
 // node v, the walk may leave from any vertical neighbour m of v; the edge
 // (m → t, w) contributes w / W(v) to M[v][t], with W(v) the total
 // out-weight of the neighbourhood. It reads the full edge CSR deriveEdges
-// returns, and adds the rows in ascending order, as sparse.Builder takes
-// them, after a counting pass over the same neighbourhoods that sizes the
-// builder's CSR.
+// returns and adds the rows in ascending order, as sparse.Builder takes
+// them: row v's adds are its neighbours' edges, v's subtree in pre-order
+// then its ancestors upward, each neighbour's in edge order. That order is
+// the summation order: each cell is the left-to-right sum of its adds,
+// and the counts of the neighbourhoods' edges size the builder's add
+// list.
 func (in *Instance) buildMatrix(off []int64, list []Edge) {
 	n := len(in.dictID)
 	totalW := in.neighborhoodOutWeights(off, list)
-	var members []NID
-	each := func(visit func(v int, members []NID)) {
-		for v := 0; v < n; v++ {
-			if totalW[v] == 0 {
-				continue
-			}
-			members = members[:0]
-			if in.kind[v] == KindDocNode {
-				members = in.SubtreeOf(NID(v), members)
-				for p := in.parent[v]; p != NoNID; p = in.parent[p] {
-					members = append(members, p)
-				}
-			} else {
-				members = append(members, NID(v))
-			}
-			visit(v, members)
+	deg := make([]int64, n)
+	for v := range deg {
+		deg[v] = off[v+1] - off[v]
+	}
+	adds := int64(0)
+	for v, d := range neighborhoodSums(in, deg) {
+		if totalW[v] != 0 {
+			adds += d
 		}
 	}
-	adds := 0
-	each(func(_ int, members []NID) {
-		for _, m := range members {
-			adds += int(off[m+1] - off[m])
-		}
-	})
 	bld := sparse.NewBuilder(n)
-	bld.Grow(adds)
-	each(func(v int, members []NID) {
+	bld.Grow(int(adds))
+	var members []NID
+	for v := 0; v < n; v++ {
+		if totalW[v] == 0 {
+			continue
+		}
+		members = members[:0]
+		if in.kind[v] == KindDocNode {
+			members = in.SubtreeOf(NID(v), members)
+			for p := in.parent[v]; p != NoNID; p = in.parent[p] {
+				members = append(members, p)
+			}
+		} else {
+			members = append(members, NID(v))
+		}
 		for _, m := range members {
 			for _, e := range list[off[m]:off[m+1]] {
 				bld.Add(v, int(e.To), e.W/totalW[v])
 			}
 		}
-	})
+	}
 	in.matrix = bld.Build()
 }
 

@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"s3/internal/doc"
+	"s3/internal/rdf"
 	"s3/internal/text"
 )
 
@@ -480,4 +482,112 @@ func inExtension(in *Instance, k, b string) bool {
 	kid, ok1 := in.Dict().Lookup(k)
 	bid, ok2 := in.Dict().Lookup(b)
 	return ok1 && ok2 && slices.Contains(in.Ontology().Ext(kid), bid)
+}
+
+// A Spec built twice, with two analyzers, is analysed by each: the first
+// build leaves the caller's nodes' Keywords as given, so the second does
+// not index the first one's stems.
+func TestBuildSpecLeavesKeywordsUnset(t *testing.T) {
+	spec := Spec{Docs: []*doc.Node{{URI: "d", Name: "post", Text: "Running dogs and cats"}}}
+	words := func(a text.Analyzer) []string {
+		t.Helper()
+		in, err := BuildSpec(spec, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, k := range in.KeywordsOf(nid(t, in, "d")) {
+			out = append(out, in.Dict().String(k))
+		}
+		return out
+	}
+	if got, want := words(text.Analyzer{Lang: text.English}), []string{"run", "dog", "cat"}; !slices.Equal(got, want) {
+		t.Fatalf("English keywords %q, want %q", got, want)
+	}
+	if spec.Docs[0].Keywords != nil {
+		t.Fatalf("BuildSpec wrote keywords %q into the caller's node", spec.Docs[0].Keywords)
+	}
+	if got, want := words(text.Analyzer{Lang: text.None}), []string{"running", "dogs", "and", "cats"}; !slices.Equal(got, want) {
+		t.Fatalf("keywords without stemming %q, want %q: the first build's analysis leaked", got, want)
+	}
+}
+
+// Each sub-property or subclass declaration a relation makes is recorded
+// once, at its first use, however many relations use it; a declaration
+// the ontology already states is not repeated.
+func TestDeclarationsRecordedOnce(t *testing.T) {
+	b := NewBuilder(text.Analyzer{Lang: text.None})
+	b.AddOntologyTriple("tw:repliesTo", rdf.SubPropertyOfURI, PropCommentsOn)
+	for i := range 100 {
+		u := fmt.Sprintf("u%d", i)
+		if err := b.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := b.AddSocial(u, "u0", 0.5, "vdk:follow"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_ = b.AddDocument(&doc.Node{URI: "d"})
+	_ = b.AddDocument(&doc.Node{URI: "e"})
+	for i := range 3 {
+		if err := b.AddComment("e", "d", "tw:repliesTo"); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTag(fmt.Sprintf("a%d", i), "d", "u1", "k", "NLP:recognize"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][3]string{
+		{"tw:repliesTo", rdf.SubPropertyOfURI, PropCommentsOn},
+		{"vdk:follow", rdf.SubPropertyOfURI, PropSocial},
+		{"NLP:recognize", rdf.SubClassOfURI, ClassRelatedTo},
+	}
+	if got := b.Spec().Ontology; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ontology %q, want %q", got, want)
+	}
+	in, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inExtension(in, PropSocial, "vdk:follow") || !inExtension(in, ClassRelatedTo, "NLP:recognize") {
+		t.Fatal("a declaration recorded once is missing from the ontology")
+	}
+}
+
+// Spec gives back what the builder was fed, strings as given.
+func TestBuilderSpecRoundTrip(t *testing.T) {
+	spec := figure3Spec(t)
+	spec.Ontology = [][3]string{{"k0", rdf.SubClassOfURI, "k"}}
+	spec.Social[0].Prop = "vdk:follow"
+	spec.Tags = append(spec.Tags, TagSpec{URI: "a1", Subject: "a0", Author: "u0", Type: ClassRelatedTo})
+	b := NewBuilder(text.Analyzer{Lang: text.None})
+	for _, tr := range spec.Ontology {
+		b.AddOntologyTriple(tr[0], tr[1], tr[2])
+	}
+	for _, u := range spec.Users {
+		_ = b.AddUser(u)
+	}
+	for _, s := range spec.Social {
+		_ = b.AddSocial(s.From, s.To, s.W, s.Prop)
+	}
+	for _, d := range spec.Docs {
+		_ = b.AddDocument(d)
+	}
+	for _, p := range spec.Posts {
+		_ = b.AddPost(p.Doc, p.User)
+	}
+	for _, c := range spec.Comments {
+		_ = b.AddComment(c.Comment, c.Target, c.Prop)
+	}
+	for _, tg := range spec.Tags {
+		if err := b.AddTag(tg.URI, tg.Subject, tg.Author, tg.Keyword, tg.Type); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec.Ontology = append(spec.Ontology, [3]string{"vdk:follow", rdf.SubPropertyOfURI, PropSocial})
+	if got := b.Spec(); !reflect.DeepEqual(got, spec) {
+		t.Fatalf("Spec() = %+v\nwant %+v", got, spec)
+	}
 }

@@ -374,20 +374,6 @@ func childrenOf(parent []NID) (off []int32, list []NID) {
 	return off[:n+1], list
 }
 
-// flatten freezes per-node lists into CSR form, the one an instance holds
-// them in: the list of v is list[off[v]:off[v+1]].
-func flatten[T any](rows [][]T) (off []int64, list []T) {
-	off = make([]int64, len(rows)+1)
-	for v, r := range rows {
-		off[v+1] = off[v] + int64(len(r))
-	}
-	list = make([]T, 0, off[len(rows)])
-	for _, r := range rows {
-		list = append(list, r...)
-	}
-	return off, list
-}
-
 // checkCSR validates an n+1-entry offset table spanning [0, total]
 // monotonically — the structural invariant behind every flattened list.
 func checkCSR(off []int64, n, total int, what string) error {

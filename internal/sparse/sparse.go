@@ -68,36 +68,26 @@ type span struct{ lo, hi int32 }
 type spliceRow struct{ row, at int32 }
 
 // Builder accumulates (row, col, value) entries row by row, in ascending
-// row order; duplicate coordinates are summed. The row being added is
-// summed in one dense accumulator, reused for every row, and each
-// finished row is appended to a CSR that Build lays out as a Matrix.
+// row order; duplicate coordinates are summed. Add only records: it counts
+// the entry's row and appends its column and value to the add list. Build
+// places the adds by column with one stable counting pass, sums each
+// cell's adds there, then places the sums by row with a second pass
+// straight into the Matrix's layout.
 type Builder struct {
-	n    int
-	row  int       // the row being added
-	acc  []float64 // its sums, by column
-	seen []bool    // acc[c] has taken an add of this row
-	cols []int32   // the columns of this row, in first-add order
-
-	rowPtr  []int32 // the finished rows, in CSR form
-	col     []int32
-	val     []float64
-	covered []bool // some finished entry has column r
+	n      int
+	row    int     // the highest row added so far
+	rowLen []int32 // the number of adds of each row
+	col    []int32 // the adds' columns and values, in Add order
+	val    []float64
 }
 
 // NewBuilder returns a builder for an n×n matrix.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		n:       n,
-		acc:     make([]float64, n),
-		seen:    make([]bool, n),
-		rowPtr:  make([]int32, n+1),
-		covered: make([]bool, n),
-	}
+	return &Builder{n: n, rowLen: make([]int32, n)}
 }
 
-// Grow reserves room in the builder's CSR for the entries of adds more
-// Add calls — a row holds no more entries than it took adds — so a caller
-// that counts its adds first builds with no reallocation.
+// Grow reserves room in the builder's add list for adds more Add calls, so
+// a caller that counts its adds first builds with no reallocation.
 func (b *Builder) Grow(adds int) {
 	b.col = slices.Grow(b.col, adds)
 	b.val = slices.Grow(b.val, adds)
@@ -108,96 +98,140 @@ func (b *Builder) Grow(adds int) {
 // matrix. val must be finite: PushDense's walk multiplies every value by
 // zero for rows where x is zero.
 func (b *Builder) Add(row, col int, val float64) {
-	if row < 0 || row >= b.n || col < 0 || col >= b.n || math.IsInf(val, 0) || math.IsNaN(val) {
-		panic(fmt.Sprintf("sparse: entry (%d,%d) = %v is not a finite value inside the %d×%d matrix", row, col, val, b.n, b.n))
+	if uint(row) >= uint(b.n) || uint(col) >= uint(b.n) || row < b.row || math.IsInf(val, 0) || math.IsNaN(val) {
+		b.refuse(row, col, val)
 	}
-	if row < b.row {
+	b.row = row
+	b.rowLen[row]++
+	b.col = append(b.col, int32(col))
+	b.val = append(b.val, val)
+}
+
+// refuse panics on an entry Add does not take.
+func (b *Builder) refuse(row, col int, val float64) {
+	if row < b.row && row >= 0 {
 		panic(fmt.Sprintf("sparse: entry in row %d added after row %d", row, b.row))
 	}
-	for b.row < row {
-		b.finishRow()
-	}
-	if !b.seen[col] {
-		b.seen[col] = true
-		b.cols = append(b.cols, int32(col))
-	}
-	b.acc[col] += val
+	panic(fmt.Sprintf("sparse: entry (%d,%d) = %v is not a finite value inside the %d×%d matrix", row, col, val, b.n, b.n))
 }
 
-// finishRow appends the current row's non-zero sums to the CSR in column
-// order, clears the accumulator and moves to the next row.
-func (b *Builder) finishRow() {
-	slices.Sort(b.cols)
-	for _, c := range b.cols {
-		if sum := b.acc[c]; sum != 0 {
-			b.col = append(b.col, c)
-			b.val = append(b.val, sum)
-			b.covered[c] = true
-		}
-		b.acc[c], b.seen[c] = 0, false
-	}
-	b.cols = b.cols[:0]
-	b.row++
-	b.rowPtr[b.row] = int32(len(b.col))
-}
-
-// Build finishes the rows and lays out the matrix. Each cell is the
+// Build sums the adds and lays out the matrix. Each cell is the
 // left-to-right sum of what was added at it, in Add order, started from
 // +0, whatever else the row holds; a cell that sums to zero is dropped,
-// and no sum may overflow. The cost is O(entries + n) beside one sort of
-// each row's distinct columns. Build copies the entries out of the
-// builder's CSR, in one pass over the rows that also takes the column
-// maxima and the largest row sum (see ColMax and RowSumMax).
+// and no sum may overflow. The cost is O(adds + n), in passes: the adds
+// are placed by column, stably, so each column lists its adds in row
+// order and a cell's adds lie together in add order; each such run is
+// summed in place, taking the column maxima (see ColMax); the rows' spans
+// are laid out from the sums' counts; the sums are placed by row, column
+// by column, so each row's come in ascending column; and each row is
+// summed in that order for the largest row sum (see RowSumMax). The
+// matrix keeps the builder's add list as its entries' storage: the
+// builder must not be used afterwards.
 func (b *Builder) Build() *Matrix {
-	for b.row < b.n {
-		b.finishRow()
+	n := b.n
+	cols, vals := b.col, b.val
+	// Counted at c+2 and summed, colPtr[c+1] is where column c's adds
+	// start; it advances past them as they are placed.
+	colPtr := make([]int32, n+2)
+	for _, c := range cols {
+		colPtr[c+2]++
 	}
-	live := 0
-	for r, cov := range b.covered {
-		if cov {
-			live += int(b.rowPtr[r+1] - b.rowPtr[r])
+	for c := 2; c < len(colPtr); c++ {
+		colPtr[c] += colPtr[c-1]
+	}
+	byColRow := make([]int32, len(cols))
+	byColVal := make([]float64, len(cols))
+	k := 0
+	for r, adds := range b.rowLen {
+		for end := k + int(adds); k < end; k++ {
+			c := cols[k]
+			at := colPtr[c+1]
+			colPtr[c+1]++
+			byColRow[at], byColVal[at] = int32(r), vals[k]
+		}
+	}
+	// Sum each cell's run in place, dropping zero sums: colPtr[:n+1]
+	// becomes the sums' column CSR, and rowLen counts each row's sums. A
+	// run's sum starts at its first add, not at +0: that changes only the
+	// sign of a zero sum, and zero sums are dropped.
+	rowLen := b.rowLen
+	clear(rowLen)
+	colMax := make([]float64, n)
+	nnz := int32(0)
+	for c := 0; c < n; c++ {
+		lo, hi := colPtr[c], colPtr[c+1]
+		colPtr[c] = nnz
+		top := 0.0
+		for i := lo; i < hi; i++ {
+			r, sum := byColRow[i], byColVal[i]
+			for i+1 < hi && byColRow[i+1] == r {
+				i++
+				sum += byColVal[i]
+			}
+			if sum != 0 {
+				byColRow[nnz], byColVal[nnz] = r, sum
+				nnz++
+				rowLen[r]++
+				if sum > top {
+					top = sum
+				}
+			}
+		}
+		colMax[c] = roundUp(top)
+	}
+	colPtr[n] = nnz
+	covered := func(r int) bool { return colPtr[r+1] > colPtr[r] }
+
+	// The rows' spans: the covered rows' first, in row order, as the live
+	// block; then the others'. rowLen becomes each row's write cursor.
+	live := int32(0)
+	for r, l := range rowLen {
+		if covered(r) {
+			live += l
 		}
 	}
 	m := &Matrix{
-		n:       b.n,
-		rows:    make([]span, b.n),
-		col:     make([]int32, len(b.col)),
-		val:     make([]float64, len(b.val)),
+		n:       n,
+		rows:    make([]span, n),
+		col:     cols[:nnz],
+		val:     vals[:nnz],
 		liveRow: make([]int32, 0, live),
 	}
-	colMax := make([]float64, b.n)
-	rowMax := 0.0
-	rest := int32(live)
-	for r, cov := range b.covered {
-		lo, hi := b.rowPtr[r], b.rowPtr[r+1]
-		vals := b.val[lo:hi]
-		sum := 0.0
-		for i, c := range b.col[lo:hi] {
-			v := vals[i]
-			sum += v
-			if v > colMax[c] {
-				colMax[c] = v
-			}
-		}
-		rowMax = max(rowMax, sum)
+	rest := live
+	for r, l := range rowLen {
 		at := int32(len(m.liveRow))
 		switch {
-		case lo == hi:
+		case l == 0:
 			continue
-		case !cov:
+		case !covered(r):
 			m.splice = append(m.splice, spliceRow{row: int32(r), at: at})
-			at, rest = rest, rest+hi-lo
+			at, rest = rest, rest+l
 		default:
-			for range hi - lo {
+			for range l {
 				m.liveRow = append(m.liveRow, int32(r))
 			}
 		}
-		m.rows[r] = span{at, at + hi - lo}
-		copy(m.col[at:], b.col[lo:hi])
-		copy(m.val[at:], vals)
+		m.rows[r] = span{at, at + l}
+		rowLen[r] = at
 	}
-	for c, v := range colMax {
-		colMax[c] = roundUp(v)
+	// By row, column by column: each row's sums in ascending column.
+	for c := 0; c < n; c++ {
+		for i := colPtr[c]; i < colPtr[c+1]; i++ {
+			r := byColRow[i]
+			at := rowLen[r]
+			rowLen[r]++
+			m.col[at], m.val[at] = int32(c), byColVal[i]
+		}
+	}
+	rowMax := 0.0
+	for _, s := range m.rows {
+		sum := 0.0
+		for _, v := range m.val[s.lo:s.hi] {
+			sum += v
+		}
+		if sum > rowMax {
+			rowMax = sum
+		}
 	}
 	m.colMax, m.rowMax = colMax, roundUp(rowMax)
 	return m

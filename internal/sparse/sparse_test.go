@@ -546,3 +546,63 @@ func TestColMaxAndRowSumMax(t *testing.T) {
 		t.Errorf("empty matrix: RowSumMax = %v, want 0", rho)
 	}
 }
+
+// TestBuildSumsEachCellInAddOrder: every cell is the left-to-right sum of
+// its adds in Add order, from +0, whatever the row's other cells and
+// however the adds interleave — values whose sum depends on the order
+// show it — a zero sum is dropped, each row lists its cells in ascending
+// column, and the norms are those of the cells.
+func TestBuildSumsEachCellInAddOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vals := []float64{1e16, -1e16, 1, 0.1, 3, -0.5, math.Copysign(0, -1), 2.5e-8}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(30)
+		b := NewBuilder(n)
+		want := make([]map[int]float64, n)
+		for r := range want {
+			want[r] = map[int]float64{}
+			for k := rng.Intn(12); k > 0; k-- {
+				c, v := rng.Intn(min(n, 5)), vals[rng.Intn(len(vals))]
+				if rng.Intn(2) == 0 {
+					c = rng.Intn(n)
+				}
+				b.Add(r, c, v)
+				want[r][c] += v
+			}
+		}
+		m := b.Build()
+		_, rowPtr, col, val := m.Raw()
+		colMax, rowMax := make([]float64, n), 0.0
+		for r := range want {
+			var cols []int
+			for c, v := range want[r] {
+				if v != 0 {
+					cols = append(cols, c)
+				}
+			}
+			slices.Sort(cols)
+			got := col[rowPtr[r]:rowPtr[r+1]]
+			if len(got) != len(cols) {
+				t.Fatalf("trial %d row %d: columns %v, want %v", trial, r, got, cols)
+			}
+			sum := 0.0
+			for i, c := range cols {
+				v := want[r][c]
+				if int(got[i]) != c || math.Float64bits(val[int(rowPtr[r])+i]) != math.Float64bits(v) {
+					t.Fatalf("trial %d cell (%d,%d) = %v at column %d, want %v", trial, r, c, val[int(rowPtr[r])+i], got[i], v)
+				}
+				sum += v
+				colMax[c] = max(colMax[c], v)
+			}
+			rowMax = max(rowMax, sum)
+		}
+		for c, v := range colMax {
+			if m.ColMax()[c] != roundUp(v) {
+				t.Fatalf("trial %d ColMax[%d] = %v, want %v", trial, c, m.ColMax()[c], roundUp(v))
+			}
+		}
+		if m.RowSumMax() != roundUp(rowMax) {
+			t.Fatalf("trial %d RowSumMax = %v, want %v", trial, m.RowSumMax(), roundUp(rowMax))
+		}
+	}
+}

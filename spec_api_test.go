@@ -2,8 +2,11 @@ package s3
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"s3/internal/graph"
 )
 
 // A spec written by one builder rebuilds into an equivalent instance:
@@ -68,5 +71,41 @@ func TestSpecRoundTripThroughFacade(t *testing.T) {
 func TestBuildFromSpecErrors(t *testing.T) {
 	if _, err := BuildFromSpec(strings.NewReader("not a gob stream"), English); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// An encoded spec carries a relationship's sub-property declaration once,
+// however many edges use the relationship.
+func TestEncodeSpecDeclaresOnce(t *testing.T) {
+	b := NewBuilder(English)
+	for i := range 101 {
+		if err := b.AddUser(fmt.Sprintf("u%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := b.AddSocialAs(fmt.Sprintf("u%d", i), "u0", 0.5, "vdk:follow"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := b.EncodeSpec(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := graph.DecodeSpec(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Social) != 100 {
+		t.Fatalf("%d social edges, want 100", len(spec.Social))
+	}
+	declared := 0
+	for _, tr := range spec.Ontology {
+		if tr == [3]string{"vdk:follow", "rdfs:subPropertyOf", graph.PropSocial} {
+			declared++
+		}
+	}
+	if declared != 1 || len(spec.Ontology) != 1 {
+		t.Fatalf("the spec's %d ontology triples declare vdk:follow %d times, want once", len(spec.Ontology), declared)
 	}
 }
