@@ -25,14 +25,15 @@ bench-e2e-smoke:
 # input — the distributed tier's wire (internal/dshard), the snapshot
 # files (internal/snap), the connection index (internal/index), which
 # a coordinator's fetched postings enter through index.Merge, and the
-# text analyzer (internal/text), which every query keyword goes through — for
-# FUZZTIME each (go test -fuzz takes one package and one target per
-# invocation). Minimisation is capped: left at its 60 s default,
+# text analyzer (internal/text), which every query keyword goes through,
+# and the document path (internal/graph: an XML or JSON document parsed,
+# added and built) — for FUZZTIME each (go test -fuzz takes one package
+# and one target per invocation). Minimisation is capped: left at its 60 s default,
 # shrinking one multi-kB snapshot input that found new coverage outlasts
 # the whole smoke.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	for p in ./internal/dshard ./internal/snap ./internal/index ./internal/text; do \
+	for p in ./internal/dshard ./internal/snap ./internal/index ./internal/text ./internal/graph; do \
 		for f in $$(go test $$p -list '^Fuzz' | grep '^Fuzz'); do \
 			go test $$p -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s || exit 1; \
 		done; \

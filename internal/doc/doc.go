@@ -1,7 +1,9 @@
 // Package doc implements the structured-document substrate of the S3 model
 // (paper §2.3): unranked ordered trees of named nodes, each with a URI, a
-// name and text content, plus Dewey-style positions implementing the
-// pos(d, f) function used by the score.
+// name and text content. A tree is plain data that Walk reads, deriving
+// the Dewey URI of a node given none; pos(d, f), the vertical neighbours
+// of Definition 2.2 and the rest of the tree algebra are answered by the
+// graph instance a builder freezes the trees into.
 //
 // Documents can be built programmatically or parsed from XML / JSON
 // (the two concrete syntaxes the paper mentions).
@@ -20,158 +22,64 @@ import (
 // Node is one document node. A fragment of a document d is the subtree
 // rooted at any node of d, identified by that node's URI.
 type Node struct {
-	// URI identifies the node (and the fragment it roots). If empty when
-	// the Document is finalised, a Dewey-style URI is derived from the
-	// parent's: parent.URI + "." + (1-based child index), as in the
-	// paper's d0.3.2.
+	// URI identifies the node (and the fragment it roots). If empty, Walk
+	// derives a Dewey-style URI from the parent's: parent URI + "." +
+	// (1-based child index), as in the paper's d0.3.2. The root must
+	// have one: it identifies the document.
 	URI string
 	// Name is the node name (XML element name, JSON key, ...).
 	Name string
 	// Text is the raw text content of this node (not of its subtree).
 	Text string
-	// Keywords is the stemmed keyword set of Text; filled by the instance
-	// builder using a text.Analyzer.
+	// Keywords is the keyword set of the node's content. When nil, the
+	// instance builder uses the keywords its text.Analyzer finds in Text,
+	// and keeps them to itself: it writes nothing into the node.
 	Keywords []string
 
 	Children []*Node
-
-	parent *Node
-	pos    []int // Dewey path from the document root; nil for the root
 }
 
-// Parent returns the parent node (nil for the root). Valid after New.
-func (n *Node) Parent() *Node { return n.parent }
-
-// Pos returns the Dewey path of the node relative to the document root:
-// pos(root, n) in the paper's notation. The root has an empty path.
-// The returned slice must not be modified.
-func (n *Node) Pos() []int { return n.pos }
-
-// Depth returns len(Pos()): the number of edges from the root.
-func (n *Node) Depth() int { return len(n.pos) }
-
-// Document is a finalised, validated document tree.
-type Document struct {
-	root  *Node
-	byURI map[string]*Node
-	nodes []*Node // pre-order
-}
-
-// New finalises a tree rooted at root: it assigns missing URIs, computes
-// Dewey positions and parent pointers, and validates that URIs are unique
-// and non-empty. The root must have a URI (it identifies the document).
-func New(root *Node) (*Document, error) {
+// Walk visits the tree rooted at root in pre-order (document order), the
+// order of Frag(root): each node with its URI, given or derived, and its
+// depth, the number of edges from the root, which is |pos(root, n)|. It
+// refuses a nil root, a root without a URI and a nil child, and stops at
+// the first error visit returns. It writes nothing into the nodes.
+func Walk(root *Node, visit func(n *Node, uri string, depth int) error) error {
 	if root == nil {
-		return nil, fmt.Errorf("doc: nil root")
+		return fmt.Errorf("doc: nil root")
 	}
 	if root.URI == "" {
-		return nil, fmt.Errorf("doc: document root has no URI")
+		return fmt.Errorf("doc: document root has no URI")
 	}
-	d := &Document{root: root, byURI: make(map[string]*Node)}
-	var walk func(n *Node, pos []int) error
-	walk = func(n *Node, pos []int) error {
-		n.pos = pos
-		if n.URI == "" {
-			n.URI = fmt.Sprintf("%s.%d", n.parent.URI, pos[len(pos)-1])
+	var walk func(n *Node, uri string, depth int) error
+	walk = func(n *Node, uri string, depth int) error {
+		if err := visit(n, uri, depth); err != nil {
+			return err
 		}
-		if _, dup := d.byURI[n.URI]; dup {
-			return fmt.Errorf("doc: duplicate node URI %q in document %q", n.URI, root.URI)
-		}
-		d.byURI[n.URI] = n
-		d.nodes = append(d.nodes, n)
 		for i, c := range n.Children {
 			if c == nil {
-				return fmt.Errorf("doc: nil child under %q", n.URI)
+				return fmt.Errorf("doc: nil child under %q", uri)
 			}
-			c.parent = n
-			child := make([]int, len(pos)+1)
-			copy(child, pos)
-			child[len(pos)] = i + 1
-			if err := walk(c, child); err != nil {
+			cu := c.URI
+			if cu == "" {
+				cu = uri + "." + strconv.Itoa(i+1)
+			}
+			if err := walk(c, cu, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(root, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Root returns the document root node.
-func (d *Document) Root() *Node { return d.root }
-
-// URI returns the document URI (the root node's URI).
-func (d *Document) URI() string { return d.root.URI }
-
-// Node resolves a node by URI.
-func (d *Document) Node(uri string) (*Node, bool) {
-	n, ok := d.byURI[uri]
-	return n, ok
-}
-
-// Nodes returns all nodes in pre-order (document order). The slice is
-// shared and must not be modified. Every node is the root of one fragment,
-// so this is also Frag(d).
-func (d *Document) Nodes() []*Node { return d.nodes }
-
-// Len returns the number of nodes (fragments).
-func (d *Document) Len() int { return len(d.nodes) }
-
-// IsAncestorOrSelf reports whether a is an ancestor of b or a == b, i.e.
-// whether the fragment rooted at b belongs to Frag(a). Both nodes must
-// belong to the same document for a true result.
-func IsAncestorOrSelf(a, b *Node) bool {
-	if a == b {
-		return true
-	}
-	for p := b.parent; p != nil; p = p.parent {
-		if p == a {
-			return true
-		}
-	}
-	return false
-}
-
-// VerticalNeighbors reports whether a and b are vertical neighbours per
-// Definition 2.2: one is a fragment of the other (ancestor-or-self in
-// either direction).
-func VerticalNeighbors(a, b *Node) bool {
-	return IsAncestorOrSelf(a, b) || IsAncestorOrSelf(b, a)
-}
-
-// PosLen returns |pos(d, f)| — the length of the Dewey path of f relative
-// to ancestor d — and whether f ∈ Frag(d).
-func PosLen(d, f *Node) (int, bool) {
-	if !IsAncestorOrSelf(d, f) {
-		return 0, false
-	}
-	return f.Depth() - d.Depth(), true
-}
-
-// FragmentText concatenates the text of the fragment rooted at n, in
-// document order, separated by single spaces.
-func FragmentText(n *Node) string {
-	var parts []string
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if s := strings.TrimSpace(m.Text); s != "" {
-			parts = append(parts, s)
-		}
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return strings.Join(parts, " ")
+	return walk(root, root.URI, 0)
 }
 
 // ParseXML parses an XML document into a tree. Element names become node
 // names; character data becomes the containing node's text; attributes
-// become child nodes named "@attr". The root node receives the given URI,
-// every other node a derived Dewey URI.
-func ParseXML(uri string, r io.Reader) (*Document, error) {
+// become child nodes named "@attr". The root node receives the given URI;
+// every other node is left without one, for Walk to derive. Anything but
+// whitespace, comments and processing instructions after the root
+// element is refused.
+func ParseXML(uri string, r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var stack []*Node
 	var root *Node
@@ -209,38 +117,48 @@ func ParseXML(uri string, r io.Reader) (*Document, error) {
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
-			if len(stack) > 0 {
-				top := stack[len(stack)-1]
-				s := strings.TrimSpace(string(t))
-				if s != "" {
-					if top.Text != "" {
-						top.Text += " "
-					}
-					top.Text += s
-				}
+			s := strings.TrimSpace(string(t))
+			if s == "" {
+				break
 			}
+			if len(stack) == 0 {
+				if root != nil {
+					return nil, fmt.Errorf("doc: text after the root element in XML for %q", uri)
+				}
+				break
+			}
+			top := stack[len(stack)-1]
+			if top.Text != "" {
+				top.Text += " "
+			}
+			top.Text += s
 		}
 	}
 	if root == nil {
 		return nil, fmt.Errorf("doc: empty XML for %q", uri)
 	}
-	return New(root)
+	return root, nil
 }
 
-// ParseJSON parses a JSON value into a tree. Objects map each key to a
+// ParseJSON parses one JSON value into a tree. Objects map each key to a
 // child node named after the key (keys are visited in sorted order so the
 // tree is deterministic); arrays map each element to a child named "item";
-// scalars become text content.
-func ParseJSON(uri string, r io.Reader) (*Document, error) {
+// scalars become text content. The root node, named "root", receives the
+// given URI; every other node is left without one, for Walk to derive.
+// Anything but whitespace after the value is refused.
+func ParseJSON(uri string, r io.Reader) (*Node, error) {
 	var v any
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("doc: parsing JSON for %q: %w", uri, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("doc: content after the JSON value for %q", uri)
+	}
 	root := &Node{URI: uri, Name: "root"}
 	appendJSON(root, v)
-	return New(root)
+	return root, nil
 }
 
 func appendJSON(n *Node, v any) {

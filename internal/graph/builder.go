@@ -21,8 +21,9 @@ type Spec struct {
 	Ontology [][3]string
 	Users    []string
 	Social   []SocialSpec
-	// Docs holds document trees; each is finalised with doc.New at build
-	// time, so only URI/Name/Text/Children need to be populated.
+	// Docs holds document trees, which building only reads: a node's URI
+	// may be left empty below the root (doc.Walk derives it), and its
+	// Keywords nil for the analyzer to find them in Text.
 	Docs     []*doc.Node
 	Posts    []PostSpec
 	Comments []CommentSpec
@@ -76,7 +77,7 @@ type Builder struct {
 	comments []commentRef
 	tags     []tagRef
 
-	uris, stack []int32 // AddDocument's work buffers
+	stack []int32 // AddDocument's work buffer
 }
 
 // docNode is one document node: its URI and name, the ordinals of its
@@ -193,42 +194,36 @@ func (b *Builder) AddSocial(from, to string, w float64, prop string) error {
 	return nil
 }
 
-// AddDocument finalises (doc.New) and registers a document tree. Each
+// AddDocument registers a document tree, walking it once (doc.Walk):
+// every node by the URI it was given or Walk derives, in pre-order. Each
 // node's keywords are its Keywords if set, else those the builder's
-// analyzer finds in its Text; they stay inside the builder, and the
-// nodes' Keywords are left as given.
+// analyzer finds in its Text; they stay inside the builder. The tree is
+// only read. A refused document leaves the builder as it was.
 func (b *Builder) AddDocument(root *doc.Node) error {
-	d, err := doc.New(root)
-	if err != nil {
-		return err
-	}
-	nodes := d.Nodes()
-	uris := b.uris[:0]
-	for i, n := range nodes {
-		p := b.strs.add(n.URI)
-		if e := b.strs.ents[p]; e.ord != 0 {
-			if i == 0 && e.kind == KindDocNode && b.nodes[e.ord-1].root == e.ord-1 {
-				return fmt.Errorf("graph: duplicate document %q", n.URI)
-			}
-			return fmt.Errorf("graph: node URI %q already used by a %s", n.URI, e.kind)
-		}
-		uris = append(uris, p)
-	}
-	b.uris = uris
 	// In pre-order a node's parent is the last node met one level up: the
-	// stack holds the ordinal of the last node met at each depth.
-	first := int32(len(b.nodes))
+	// stack holds the ordinal of the last node met at each depth. A URI
+	// already naming a node of this document is a duplicate within it.
+	first, nkws := int32(len(b.nodes)), len(b.kws)
 	stack := b.stack[:0]
-	for i, n := range nodes {
-		j := first + int32(i)
-		parent := int32(-1)
-		if dep := n.Depth(); dep > 0 {
-			stack = stack[:dep]
-			parent = stack[dep-1]
+	err := doc.Walk(root, func(n *doc.Node, uri string, depth int) error {
+		p := b.strs.add(uri)
+		if e := b.strs.ents[p]; e.ord != 0 {
+			switch {
+			case e.kind == KindDocNode && e.ord-1 >= first:
+				return fmt.Errorf("doc: duplicate node URI %q in document %q", uri, root.URI)
+			case depth == 0 && e.kind == KindDocNode && b.nodes[e.ord-1].root == e.ord-1:
+				return fmt.Errorf("graph: duplicate document %q", uri)
+			}
+			return fmt.Errorf("graph: node URI %q already used by a %s", uri, e.kind)
+		}
+		j, parent := int32(len(b.nodes)), int32(-1)
+		if depth > 0 {
+			stack = stack[:depth]
+			parent = stack[depth-1]
 		}
 		stack = append(stack, j)
-		b.strs.ents[uris[i]].kind, b.strs.ents[uris[i]].ord = KindDocNode, j+1
-		b.nodes = append(b.nodes, docNode{uri: uris[i], name: b.strs.add(n.Name), parent: parent, root: first})
+		b.strs.ents[p].kind, b.strs.ents[p].ord = KindDocNode, j+1
+		b.nodes = append(b.nodes, docNode{uri: p, name: b.strs.add(n.Name), parent: parent, root: first})
 		kws := n.Keywords
 		if kws == nil && n.Text != "" {
 			kws = b.analyzer.Keywords(n.Text)
@@ -237,8 +232,16 @@ func (b *Builder) AddDocument(root *doc.Node) error {
 			b.kws = append(b.kws, b.strs.add(kw))
 		}
 		b.kwOff = append(b.kwOff, int32(len(b.kws)))
-	}
+		return nil
+	})
 	b.stack = stack
+	if err != nil {
+		for _, dn := range b.nodes[first:] {
+			b.strs.ents[dn.uri].kind, b.strs.ents[dn.uri].ord = 0, 0
+		}
+		b.nodes, b.kws, b.kwOff = b.nodes[:first], b.kws[:nkws], b.kwOff[:first+1]
+		return err
+	}
 	b.roots = append(b.roots, root)
 	return nil
 }
@@ -363,11 +366,9 @@ func (b *Builder) Spec() Spec {
 }
 
 // BuildSpec validates and freezes a Spec into an Instance in one call,
-// with the builder's tables sized from the spec. It reads the spec and
-// keeps no reference to its slices, with one exception: the document
-// trees are finalised in place — doc.New gives every node its parent
-// pointer and Dewey position, and a URI when it had none. Node keywords
-// the analyzer finds are not written back.
+// with the builder's tables sized from the spec. It only reads the spec,
+// walking each document tree once and writing nothing into it, and keeps
+// no reference to its slices, so builds of one spec may run at once.
 func BuildSpec(spec Spec, analyzer text.Analyzer) (*Instance, error) {
 	b := newBuilder(analyzer, 3*len(spec.Ontology)+len(spec.Users)+4*len(spec.Docs)+2*len(spec.Tags))
 	b.ontology = make([][3]int32, 0, len(spec.Ontology)+3)

@@ -159,6 +159,22 @@ func TestVerticalNeighborhood(t *testing.T) {
 	if l, ok := in.PosLen(uri0, n000); !ok || l != 2 {
 		t.Fatalf("PosLen(URI0, URI0.0.0) = %d,%v, want 2,true", l, ok)
 	}
+	n00 := nid(t, in, "URI0.0")
+	if !in.IsAncestorOrSelf(n000, n000) || !in.IsAncestorOrSelf(n00, n000) || in.IsAncestorOrSelf(n000, n00) {
+		t.Fatal("ancestor-or-self: self and URI0.0 above URI0.0.0, not below")
+	}
+	if l, ok := in.PosLen(n00, n000); !ok || l != 1 {
+		t.Fatalf("PosLen(URI0.0, URI0.0.0) = %d,%v, want 1,true", l, ok)
+	}
+	if l, ok := in.PosLen(uri0, uri0); !ok || l != 0 {
+		t.Fatalf("PosLen(URI0, URI0) = %d,%v, want 0,true", l, ok)
+	}
+	if _, ok := in.PosLen(n000, n00); ok {
+		t.Fatal("PosLen must fail when f is not in Frag(d)")
+	}
+	if _, ok := in.PosLen(n01, n000); ok {
+		t.Fatal("PosLen must fail across disjoint subtrees")
+	}
 }
 
 // There is a single component: URI0's tree, URI1 (comments on URI0.1) and
@@ -264,6 +280,53 @@ func TestBuilderValidation(t *testing.T) {
 		_ = b.AddDocument(&doc.Node{URI: "d"})
 		if err := b.AddDocument(&doc.Node{URI: "d"}); err == nil {
 			t.Fatal("expected error")
+		}
+	})
+	t.Run("duplicate node URI", func(t *testing.T) {
+		b := NewBuilder(a)
+		err := b.AddDocument(&doc.Node{URI: "d", Children: []*doc.Node{{URI: "x"}, {URI: "x"}}})
+		if err == nil || err.Error() != `doc: duplicate node URI "x" in document "d"` {
+			t.Fatalf("explicit duplicate: %v", err)
+		}
+	})
+	t.Run("explicit URI clashing with derived", func(t *testing.T) {
+		b := NewBuilder(a)
+		err := b.AddDocument(&doc.Node{URI: "d", Children: []*doc.Node{{URI: "d.2"}, {Name: "x"}}})
+		if err == nil || err.Error() != `doc: duplicate node URI "d.2" in document "d"` {
+			t.Fatalf("d.2 beside an unnamed second child: %v", err)
+		}
+	})
+	t.Run("refused document leaves no trace", func(t *testing.T) {
+		b := NewBuilder(a)
+		_ = b.AddUser("u")
+		err := b.AddDocument(&doc.Node{URI: "d", Children: []*doc.Node{{URI: "x", Text: "lost"}, {Name: "s", Children: []*doc.Node{{URI: "x"}}}}})
+		if err == nil {
+			t.Fatal("expected error")
+		}
+		if err := b.AddPost("x", "u"); err == nil {
+			t.Fatal("a refused document's node took a post")
+		}
+		if err := b.AddDocument(&doc.Node{URI: "d", Children: []*doc.Node{{URI: "x", Keywords: []string{"kept"}}, {Name: "s"}}}); err != nil {
+			t.Fatalf("the same URIs in a later document: %v", err)
+		}
+		if err := b.AddPost("x", "u"); err != nil {
+			t.Fatal(err)
+		}
+		in, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.NumNodes(); got != 4 {
+			t.Fatalf("%d nodes, want u, d, x and d.2", got)
+		}
+		if ks := in.KeywordsOf(nid(t, in, "x")); len(ks) != 1 || in.Dict().String(ks[0]) != "kept" {
+			t.Fatalf("keywords of x = %v, want only kept", ks)
+		}
+		if _, ok := in.Dict().Lookup("lost"); ok {
+			t.Fatal("the refused document's keyword is in the dictionary")
+		}
+		if in.ParentOf(nid(t, in, "d.2")) != nid(t, in, "d") {
+			t.Fatal("d.2's parent is not d")
 		}
 	})
 	t.Run("doc URI clashing with user", func(t *testing.T) {
@@ -484,31 +547,56 @@ func inExtension(in *Instance, k, b string) bool {
 	return ok1 && ok2 && slices.Contains(in.Ontology().Ext(kid), bid)
 }
 
-// A Spec built twice, with two analyzers, is analysed by each: the first
-// build leaves the caller's nodes' Keywords as given, so the second does
-// not index the first one's stems.
+// cloneNode returns a deep copy of the tree rooted at n.
+func cloneNode(n *doc.Node) *doc.Node {
+	c := *n
+	c.Keywords = slices.Clone(n.Keywords)
+	c.Children = nil
+	for _, ch := range n.Children {
+		c.Children = append(c.Children, cloneNode(ch))
+	}
+	return &c
+}
+
+// A Spec built twice, with two analyzers, is analysed by each: a build
+// only reads the spec — the caller's nodes keep their Keywords as given
+// and no derived URI — so the second does not index the first one's
+// stems, and the spec reads as before the builds.
 func TestBuildSpecLeavesKeywordsUnset(t *testing.T) {
-	spec := Spec{Docs: []*doc.Node{{URI: "d", Name: "post", Text: "Running dogs and cats"}}}
-	words := func(a text.Analyzer) []string {
+	spec := Spec{Docs: []*doc.Node{{URI: "d", Name: "post", Text: "Running dogs and cats", Children: []*doc.Node{
+		{Name: "sec", Text: "Sleeping cats", Children: []*doc.Node{{Name: "par", Text: "dogs"}}},
+		{Name: "sec", Keywords: []string{"given"}},
+	}}}}
+	before := Spec{Docs: []*doc.Node{cloneNode(spec.Docs[0])}}
+	words := func(a text.Analyzer, uri string) []string {
 		t.Helper()
 		in, err := BuildSpec(spec, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
-		for _, k := range in.KeywordsOf(nid(t, in, "d")) {
+		for _, k := range in.KeywordsOf(nid(t, in, uri)) {
 			out = append(out, in.Dict().String(k))
 		}
 		return out
 	}
-	if got, want := words(text.Analyzer{Lang: text.English}), []string{"run", "dog", "cat"}; !slices.Equal(got, want) {
+	if got, want := words(text.Analyzer{Lang: text.English}, "d"), []string{"run", "dog", "cat"}; !slices.Equal(got, want) {
 		t.Fatalf("English keywords %q, want %q", got, want)
 	}
 	if spec.Docs[0].Keywords != nil {
 		t.Fatalf("BuildSpec wrote keywords %q into the caller's node", spec.Docs[0].Keywords)
 	}
-	if got, want := words(text.Analyzer{Lang: text.None}), []string{"running", "dogs", "and", "cats"}; !slices.Equal(got, want) {
+	if got, want := words(text.Analyzer{Lang: text.None}, "d"), []string{"running", "dogs", "and", "cats"}; !slices.Equal(got, want) {
 		t.Fatalf("keywords without stemming %q, want %q: the first build's analysis leaked", got, want)
+	}
+	if got, want := words(text.Analyzer{Lang: text.None}, "d.1"), []string{"sleeping", "cats"}; !slices.Equal(got, want) {
+		t.Fatalf("keywords of d.1 %q, want %q", got, want)
+	}
+	if got, want := words(text.Analyzer{Lang: text.English}, "d.2"), []string{"given"}; !slices.Equal(got, want) {
+		t.Fatalf("keywords of d.2 %q, want the given %q", got, want)
+	}
+	if !reflect.DeepEqual(spec, before) {
+		t.Fatalf("BuildSpec wrote into the spec: %+v, was %+v", spec.Docs[0], before.Docs[0])
 	}
 }
 

@@ -96,7 +96,11 @@ type DocNode struct {
 func (n *DocNode) toDoc() *doc.Node {
 	out := &doc.Node{URI: n.URI, Name: n.Name, Text: n.Text}
 	for _, c := range n.Children {
-		out.Children = append(out.Children, c.toDoc())
+		var dc *doc.Node // a nil child stays nil, for the builder to refuse
+		if c != nil {
+			dc = c.toDoc()
+		}
+		out.Children = append(out.Children, dc)
 	}
 	return out
 }
@@ -145,20 +149,20 @@ func (b *Builder) AddDocumentText(uri, name, content string) error {
 
 // AddDocumentXML parses an XML document and adds it under the given URI.
 func (b *Builder) AddDocumentXML(uri string, r io.Reader) error {
-	d, err := doc.ParseXML(uri, r)
+	root, err := doc.ParseXML(uri, r)
 	if err != nil {
 		return err
 	}
-	return b.b.AddDocument(d.Root())
+	return b.b.AddDocument(root)
 }
 
 // AddDocumentJSON parses a JSON document and adds it under the given URI.
 func (b *Builder) AddDocumentJSON(uri string, r io.Reader) error {
-	d, err := doc.ParseJSON(uri, r)
+	root, err := doc.ParseJSON(uri, r)
 	if err != nil {
 		return err
 	}
-	return b.b.AddDocument(d.Root())
+	return b.b.AddDocument(root)
 }
 
 // AddPost records that a document (or fragment) was posted by a user.

@@ -245,6 +245,26 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// A nil child is refused, not dereferenced, and the refused document
+// leaves the builder as it was: its URIs are free for the next one.
+func TestAddDocumentNilChild(t *testing.T) {
+	b := NewBuilder(Raw)
+	bad := &DocNode{URI: "d", Children: []*DocNode{{Name: "sec", Children: []*DocNode{nil}}}}
+	if err := b.AddDocument(bad); err == nil || err.Error() != `doc: nil child under "d.1"` {
+		t.Fatalf("AddDocument with a nil child: %v", err)
+	}
+	if err := b.AddDocument(&DocNode{URI: "d", Children: []*DocNode{{Name: "sec"}}}); err != nil {
+		t.Fatalf("the refused document's URIs stay taken: %v", err)
+	}
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := inst.Stats(); s.Documents != 1 || s.Fragments != 1 {
+		t.Fatalf("stats = %+v, want one document with one fragment", s)
+	}
+}
+
 // Concurrent searches over one instance must be safe.
 func TestConcurrentSearches(t *testing.T) {
 	inst := buildFigure1(t)
