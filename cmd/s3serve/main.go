@@ -1,8 +1,8 @@
 // Command s3serve runs the long-lived S3 query server: it loads a frozen
 // instance from a binary snapshot or a component-sharded shard set, and
 // serves S3k searches over an HTTP JSON API with result
-// caching, concurrent-query coalescing, a bounded search worker pool and
-// atomic hot reload (with cache re-warming).
+// caching, a bounded search worker pool and atomic hot reload (with cache
+// re-warming).
 //
 // Usage:
 //

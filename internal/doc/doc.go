@@ -76,14 +76,16 @@ func Walk(root *Node, visit func(n *Node, uri string, depth int) error) error {
 // ParseXML parses an XML document into a tree. Element names become node
 // names; character data becomes the containing node's text; attributes
 // become child nodes named "@attr". The root node receives the given URI;
-// every other node is left without one, for Walk to derive. Anything but
-// whitespace, comments and processing instructions after the root
-// element is refused.
+// every other node is left without one, for Walk to derive. Outside the
+// root element only whitespace, comments, processing instructions, the
+// prolog and a leading byte-order mark are allowed; any other text is
+// refused.
 func ParseXML(uri string, r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var stack []*Node
 	var root *Node
 	for {
+		start := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -117,15 +119,16 @@ func ParseXML(uri string, r io.Reader) (*Node, error) {
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
-			s := strings.TrimSpace(string(t))
+			s := string(t)
+			if start == 0 {
+				s = strings.TrimPrefix(s, "\ufeff")
+			}
+			s = strings.TrimSpace(s)
 			if s == "" {
 				break
 			}
 			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("doc: text after the root element in XML for %q", uri)
-				}
-				break
+				return nil, fmt.Errorf("doc: text outside the root element in XML for %q", uri)
 			}
 			top := stack[len(stack)-1]
 			if top.Text != "" {

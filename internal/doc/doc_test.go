@@ -163,6 +163,7 @@ func TestParseXMLErrors(t *testing.T) {
 		"<a>t</a><b/>",
 		"<a>t</a>trailing text",
 		"<a>t</a>\n<!-- c -->x",
+		"junk<a>t</a>",
 	} {
 		if _, err := ParseXML("x", strings.NewReader(src)); err == nil {
 			t.Errorf("ParseXML(%q) accepted", src)
@@ -170,14 +171,21 @@ func TestParseXMLErrors(t *testing.T) {
 	}
 }
 
-// Whitespace, comments and processing instructions may follow the root.
+// Whitespace, comments and processing instructions may surround the root,
+// and a byte-order mark may open the document.
 func TestParseXMLAllowsTrailingMarkup(t *testing.T) {
-	root, err := ParseXML("x", strings.NewReader("<a>t</a>\n  <!-- done --><?pi x?>\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Name != "a" || root.Text != "t" {
-		t.Fatalf("root = %+v", root)
+	for _, src := range []string{
+		"<a>t</a>\n  <!-- done --><?pi x?>\n",
+		"\ufeff<?xml version=\"1.0\"?><!-- c --><a>t</a>",
+	} {
+		root, err := ParseXML("x", strings.NewReader(src))
+		if err != nil {
+			t.Errorf("ParseXML(%q): %v", src, err)
+			continue
+		}
+		if root.Name != "a" || root.Text != "t" {
+			t.Errorf("ParseXML(%q) root = %+v", src, root)
+		}
 	}
 }
 

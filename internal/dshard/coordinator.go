@@ -52,9 +52,6 @@ type CoordinatorConfig struct {
 	// fleet (see newTransport) — the membership probe then doubles as
 	// connection pre-warming, so the first search never pays a dial.
 	Client *http.Client
-	// Registry, when non-nil, receives the coordinator's wire instruments
-	// (fetch round-trip time and bytes) and search counters.
-	Registry *obs.Registry
 }
 
 // ErrUnavailable is wrapped by every error that says a search found no
@@ -192,7 +189,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for _, u := range cfg.WorkerURLs {
 		c.workers = append(c.workers, &workerRef{url: u})
 	}
-	c.AttachRegistry(cfg.Registry)
 	return c, nil
 }
 

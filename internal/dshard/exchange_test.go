@@ -160,10 +160,11 @@ func TestOneExchangePerHost(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second, Transport: dialCounting(newTransport(len(urls)), &dials)}
 	leakCheck(t)(client)
 	c, err := NewCoordinator(CoordinatorConfig{WorkerURLs: urls, ShardCount: 4, SetID: m.Layout.SetID,
-		Substrate: m.Base, Layout: m.Layout, Client: client, Registry: obs.NewRegistry()})
+		Substrate: m.Base, Layout: m.Layout, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.AttachRegistry(obs.NewRegistry())
 	if err := c.Probe(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -315,11 +315,11 @@ func TestMembershipBenchesUntilHealthyProbe(t *testing.T) {
 	c, err := NewCoordinator(CoordinatorConfig{
 		WorkerURLs: []string{w0.URL, servers[1].URL},
 		ShardCount: len(set.Set.Layout.Shards), SetID: set.Set.Layout.SetID,
-		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.AttachRegistry(reg)
 	ctx := context.Background()
 	if err := c.Probe(ctx); err != nil {
 		t.Fatal(err)

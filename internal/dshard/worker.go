@@ -56,9 +56,6 @@ type WorkerConfig struct {
 	// proximity checkpoints to cache. The field stays for callers that
 	// still set it.
 	ProxCacheBytes int64
-	// Registry receives the worker's instruments (nil creates a private
-	// one); the worker serves it at GET /metrics either way.
-	Registry *obs.Registry
 }
 
 // loadedShards is what a worker hot-swaps: the opened shards and how long
@@ -97,14 +94,11 @@ type Worker struct {
 
 // NewWorker returns a worker in the loading state; call Load to serve.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	w := &Worker{
 		cfg:      cfg,
 		shardIdx: make(map[int]int, len(cfg.Shards)),
 		start:    time.Now(),
-		reg:      cfg.Registry,
+		reg:      obs.NewRegistry(),
 		traces:   obs.NewTraceRing(0),
 		touched:  make([]atomic.Uint64, len(cfg.Shards)),
 	}

@@ -1,11 +1,14 @@
 package server
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // lruCache is a fixed-capacity least-recently-used map from query keys to
-// finished search responses. It is not safe for concurrent use; the
-// Server guards it with its mutex.
+// finished search responses. It is safe for concurrent use.
 type lruCache struct {
+	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
@@ -31,6 +34,8 @@ func newLRUCache(capacity int) *lruCache {
 
 // get returns the cached response and promotes the entry.
 func (c *lruCache) get(key string) (*searchResponse, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
@@ -47,6 +52,8 @@ func (c *lruCache) put(key string, req searchRequest, val *searchResponse) {
 	if c.cap <= 0 {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).val = val
 		c.order.MoveToFront(el)
@@ -64,6 +71,8 @@ func (c *lruCache) put(key string, req searchRequest, val *searchResponse) {
 // requests returns the cached requests in recency order (most recently
 // used first) — the hot query set a reload replays.
 func (c *lruCache) requests() []searchRequest {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]searchRequest, 0, c.order.Len())
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*lruEntry).req)
@@ -74,8 +83,15 @@ func (c *lruCache) requests() []searchRequest {
 // purge drops every entry (hot reload invalidates all cached answers) but
 // keeps the lifetime counters.
 func (c *lruCache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.order.Init()
 	clear(c.items)
 }
 
-func (c *lruCache) len() int { return c.order.Len() }
+// stats returns the capacity, the entries held and the lifetime counters.
+func (c *lruCache) stats() cacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return cacheStats{Capacity: c.cap, Size: c.order.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+}

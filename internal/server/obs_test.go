@@ -357,7 +357,7 @@ func findSpan(sp *obs.SpanJSON, prefix string) *obs.SpanJSON {
 
 // TestNoLiveReplicaIsUnavailable: a distributed search that finds no live
 // worker for some shard answers 503 — the fleet, not the query, is at
-// fault — and so does a coalesced follower's own search.
+// fault — and so does each of several identical requests sent at once.
 func TestNoLiveReplicaIsUnavailable(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)

@@ -6,10 +6,11 @@
 // instance is held in a snap.Current so it can be hot-swapped
 // (POST /reload) while searches are in flight; finished answers go
 // through an LRU result cache, which is re-warmed after a reload by
-// replaying the cached queries against the new instance; identical
-// concurrent queries are coalesced into a single engine call; and a
-// bounded worker pool caps the number of searches executing at once
-// regardless of how many connections the HTTP layer accepts.
+// replaying the cached queries against the new instance; and a bounded
+// worker pool caps the number of searches executing at once regardless of
+// how many connections the HTTP layer accepts. A result-cache miss runs
+// its own search: an S3k answer is personal to its seeker, so identical
+// requests in flight at once are too rare to share one engine call.
 //
 // Endpoints:
 //
@@ -78,9 +79,6 @@ type Config struct {
 	// LoadMS records how long the initial Instance load took (surfaced in
 	// /stats; reload times are measured by the server itself).
 	LoadMS int64
-	// Registry receives the process's instruments and backs GET /metrics;
-	// nil gets a fresh registry (Registry() returns it either way).
-	Registry *obs.Registry
 	// SlowLog, when non-nil, receives one JSON line per search slower
 	// than its threshold (searches are then always traced so the line can
 	// carry a per-stage breakdown).
@@ -115,13 +113,6 @@ func (v served) Close() error { return v.inst.Close() }
 // cache keys' and /stats' version).
 type generation = snap.Generation[served]
 
-// call is one in-flight search other identical requests can wait on.
-type call struct {
-	done chan struct{}
-	resp *searchResponse
-	err  *httpError
-}
-
 // Server serves S3k queries over HTTP. Create with New.
 type Server struct {
 	cfg   Config
@@ -136,9 +127,7 @@ type Server struct {
 	maxQueue     int64
 	maxQueueWait time.Duration
 
-	mu       sync.Mutex
-	cache    *lruCache
-	inflight map[string]*call
+	cache *lruCache
 
 	// prox is the seeker-proximity checkpoint cache, attached to every
 	// served instance generation and purged across reloads. nil when
@@ -154,11 +143,10 @@ type Server struct {
 	// its in-flight requests finish (liveness stays green on /livez).
 	draining atomic.Bool
 
-	// lifetime counters (atomics; mu not required)
-	searches  atomic.Uint64
-	coalesced atomic.Uint64
-	reloads   atomic.Uint64
-	warmed    atomic.Uint64
+	// lifetime counters
+	searches atomic.Uint64
+	reloads  atomic.Uint64
+	warmed   atomic.Uint64
 
 	// observability: the process registry behind GET /metrics, the
 	// engine-level search instruments attached to every served instance
@@ -176,10 +164,9 @@ type Server struct {
 // search outcomes label the HTTP latency histogram: how the answer was
 // produced, from cheapest to most expensive.
 const (
-	outcomeCached    = "cached"    // result-cache hit
-	outcomeCoalesced = "coalesced" // joined an identical in-flight search
-	outcomeWarm      = "warm"      // ran, resuming a proximity checkpoint
-	outcomeCold      = "cold"      // ran from scratch
+	outcomeCached = "cached" // result-cache hit
+	outcomeWarm   = "warm"   // ran, resuming a proximity checkpoint
+	outcomeCold   = "cold"   // ran from scratch
 )
 
 // New wires a server around an instance.
@@ -202,10 +189,7 @@ func New(cfg Config) (*Server, error) {
 	if proxBytes == 0 {
 		proxBytes = DefaultProxCacheBytes
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	maxQueue := int64(cfg.MaxQueue)
 	if maxQueue == 0 {
 		maxQueue = int64(8 * workers)
@@ -227,14 +211,13 @@ func New(cfg Config) (*Server, error) {
 		maxQueue:     maxQueue,
 		maxQueueWait: maxQueueWait,
 		cache:        newLRUCache(cacheSize),
-		inflight:     make(map[string]*call),
 		reg:          reg,
 		sm:           obs.NewSearchMetrics(reg),
 		traces:       obs.NewTraceRing(0),
 		slow:         cfg.SlowLog,
 	}
-	s.outcomes = make(map[string]*obs.Histogram, 4)
-	for _, o := range []string{outcomeCached, outcomeCoalesced, outcomeWarm, outcomeCold} {
+	s.outcomes = make(map[string]*obs.Histogram, 3)
+	for _, o := range []string{outcomeCached, outcomeWarm, outcomeCold} {
 		s.outcomes[o] = reg.Histogram("s3_http_search_seconds",
 			"POST /search latency by how the answer was produced.", nil, obs.L("outcome", o))
 	}
@@ -263,25 +246,16 @@ func (s *Server) registerFuncMetrics() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("s3_server_generation", "Load generation of the served instance (bumped by /reload).",
 		func() float64 { return float64(s.cur.Peek().Version) })
-	r.CounterFunc("s3_http_searches_total", "Engine searches executed (cache hits and coalesced joins excluded).",
+	r.CounterFunc("s3_http_searches_total", "Engine searches executed (cache hits excluded).",
 		func() float64 { return float64(s.searches.Load()) })
-	r.CounterFunc("s3_http_coalesced_total", "Requests that joined an identical in-flight search.",
-		func() float64 { return float64(s.coalesced.Load()) })
 	r.CounterFunc("s3_reloads_total", "Successful instance reloads.",
 		func() float64 { return float64(s.reloads.Load()) })
 	r.CounterFunc("s3_slowlog_emitted_total", "Slow-query log lines written.",
 		func() float64 { return float64(s.slow.Emitted()) })
-	cacheCount := func(pick func() uint64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(pick())
-		}
-	}
-	r.CounterFunc("s3_cache_hits_total", "Result-cache hits.", cacheCount(func() uint64 { return s.cache.hits }))
-	r.CounterFunc("s3_cache_misses_total", "Result-cache misses.", cacheCount(func() uint64 { return s.cache.misses }))
-	r.CounterFunc("s3_cache_evictions_total", "Result-cache LRU evictions.", cacheCount(func() uint64 { return s.cache.evictions }))
-	r.GaugeFunc("s3_cache_size", "Result-cache entries currently held.", cacheCount(func() uint64 { return uint64(s.cache.len()) }))
+	r.CounterFunc("s3_cache_hits_total", "Result-cache hits.", func() float64 { return float64(s.cache.stats().Hits) })
+	r.CounterFunc("s3_cache_misses_total", "Result-cache misses.", func() float64 { return float64(s.cache.stats().Misses) })
+	r.CounterFunc("s3_cache_evictions_total", "Result-cache LRU evictions.", func() float64 { return float64(s.cache.stats().Evictions) })
+	r.GaugeFunc("s3_cache_size", "Result-cache entries currently held.", func() float64 { return float64(s.cache.stats().Size) })
 	r.CounterFunc("s3_cache_warmed_total", "Cache entries re-computed by post-reload warming.",
 		func() float64 { return float64(s.warmed.Load()) })
 	prox := func(pick func(s3.ProxCacheStats) float64) func() float64 {
@@ -455,11 +429,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Request-ID", rid)
 	wantTrace := req.URL.Query().Get("trace") == "1"
 	// ?partial=1 opts into a degraded answer when shards are down. Like
-	// tracing it bypasses the cache and coalescing: a degraded answer is
+	// tracing it bypasses the cache: a degraded answer is
 	// coverage-dependent, never safe to reuse or to hand to a request
 	// that did not opt in.
 	wantPartial := req.URL.Query().Get("partial") == "1"
-	bypass := wantTrace || wantPartial
 
 	var sr searchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSearchBody)).Decode(&sr); err != nil {
@@ -486,8 +459,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Normalize omitted parameters to their engine defaults before keying,
-	// so "gamma omitted" and "gamma":1.5 share one cache entry and
-	// coalesce with each other.
+	// so "gamma omitted" and "gamma":1.5 share one cache entry.
 	if sr.Gamma == 0 {
 		sr.Gamma = 1.5
 	}
@@ -517,84 +489,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// A ?trace=1 request exists to watch a real search run, so it bypasses
-	// the result cache and coalescing entirely — a hit would return
-	// instantly with nothing to trace. ?partial=1 bypasses for coverage
-	// reasons (see above).
-	key := sr.cacheKey(state.Version)
-	if sr.cacheable() && !bypass {
-		s.mu.Lock()
+	// the result cache — a hit would return instantly with nothing to
+	// trace. ?partial=1 bypasses it for coverage reasons (see above).
+	useCache := sr.cacheable() && !wantTrace && !wantPartial
+	var key string
+	if useCache {
+		key = sr.cacheKey(state.Version)
 		if resp, ok := s.cache.get(key); ok {
-			s.mu.Unlock()
 			cached := *resp
 			cached.Cached = true
 			s.outcomes[outcomeCached].ObserveSince(t0)
 			writeJSON(w, http.StatusOK, &cached)
 			return
 		}
-		// Not cached: join an identical in-flight search if one exists,
-		// otherwise become the leader for this key.
-		if c, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			s.coalesced.Add(1)
-			select {
-			case <-c.done:
-			case <-req.Context().Done():
-				writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: "client went away"})
-				return
-			}
-			if c.err != nil {
-				// The leader may have failed for reasons private to it —
-				// typically its client disconnecting while queued. This
-				// request's client is still here, so fall back to an
-				// uncoalesced search instead of inheriting the failure.
-				if c.err.status == http.StatusServiceUnavailable {
-					resp, herr := s.observedSearch(req.Context(), state, &sr, rid, wantTrace, false)
-					if herr != nil {
-						writeError(w, herr)
-						return
-					}
-					writeJSON(w, http.StatusOK, resp)
-					return
-				}
-				writeError(w, c.err)
-				return
-			}
-			resp := *c.resp
-			resp.Cached = true
-			s.outcomes[outcomeCoalesced].ObserveSince(t0)
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-		c := &call{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.mu.Unlock()
-
-		resp, herr := s.observedSearch(req.Context(), state, &sr, rid, wantTrace, false)
-		c.resp, c.err = resp, herr
-		s.mu.Lock()
-		delete(s.inflight, key)
-		if herr == nil && resp.Exact {
-			// Cache a copy without the trace: retained span trees belong to
-			// the ring, not to every future cache hit.
-			clean := *resp
-			clean.TraceID, clean.Trace = "", nil
-			s.cache.put(key, sr, &clean)
-		}
-		s.mu.Unlock()
-		close(c.done)
-
-		if herr != nil {
-			writeError(w, herr)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-
 	resp, herr := s.observedSearch(req.Context(), state, &sr, rid, wantTrace, wantPartial)
 	if herr != nil {
 		writeError(w, herr)
 		return
+	}
+	if useCache && resp.Exact {
+		s.cache.put(key, sr, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -733,8 +648,8 @@ func (s *Server) runSearch(ctx context.Context, state *generation, sr *searchReq
 	s.searches.Add(1)
 	results, info, err := state.Value.inst.SearchInfoed(sr.Seeker, sr.Keywords, opts...)
 	if err != nil {
-		// A 503 also sends coalesced followers, whose clients are still
-		// there, to a search of their own.
+		// A 503 says the request, not the query, failed: its client went
+		// away or the fleet has no live replica.
 		switch {
 		case ctx.Err() != nil:
 			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "client went away"}
@@ -848,24 +763,14 @@ type cacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Coalesced uint64 `json:"coalesced"`
 	Warmed    uint64 `json:"warmed"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	state := s.cur.Acquire()
 	defer state.Release()
-	s.mu.Lock()
-	cs := cacheStats{
-		Capacity:  s.cache.cap,
-		Size:      s.cache.len(),
-		Hits:      s.cache.hits,
-		Misses:    s.cache.misses,
-		Evictions: s.cache.evictions,
-		Coalesced: s.coalesced.Load(),
-		Warmed:    s.warmed.Load(),
-	}
-	s.mu.Unlock()
+	cs := s.cache.stats()
+	cs.Warmed = s.warmed.Load()
 	shards := state.Value.inst.Shards()
 	rows := make([]shardStatsJSON, len(shards))
 	for i, sh := range shards {
@@ -953,9 +858,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	loaded := served{inst: inst, loadedAt: time.Now(), loadMS: time.Since(loadStart).Milliseconds()}
 	// Remember what the cache held before the swap invalidates it: those
 	// keys are the hot query set, worth paying for again up front.
-	s.mu.Lock()
 	hot := s.cache.requests()
-	s.mu.Unlock()
 	if s.prox != nil {
 		// Proximity checkpoints are bound to the outgoing instance; drop
 		// them and attach the cache to the incoming one before it serves.
@@ -971,9 +874,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	s.reloads.Add(1)
 	next := s.cur.Acquire()
 	defer next.Release()
-	s.mu.Lock()
 	s.cache.purge()
-	s.mu.Unlock()
 	warmed := s.warmCache(next, hot)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "reloaded",
@@ -1010,9 +911,7 @@ func (s *Server) warmCache(state *generation, hot []searchRequest) int {
 		if herr != nil || !resp.Exact {
 			continue
 		}
-		s.mu.Lock()
 		s.cache.put(sr.cacheKey(state.Version), sr, resp)
-		s.mu.Unlock()
 		warmed++
 	}
 	s.warmed.Add(uint64(warmed))

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"s3"
 	"s3/internal/datagen"
@@ -168,102 +167,6 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	}
 }
 
-// Identical concurrent requests are coalesced: followers wait for the
-// leader's engine call instead of running their own. The test registers
-// the in-flight call directly so the hand-off is deterministic.
-func TestInflightDeduplication(t *testing.T) {
-	inst := testInstance(t, 60, 240, 3)
-	seeker, kw := aQuery(t, inst)
-	s := newTestServer(t, Config{Instance: inst})
-	h := s.Handler()
-
-	// The handler normalizes omitted gamma/eta before keying.
-	sr := searchRequest{Seeker: seeker, Keywords: []string{kw}, K: 5, Gamma: 1.5, Eta: 0.8}
-	key := sr.cacheKey(s.Version())
-	leader := &call{done: make(chan struct{})}
-	s.mu.Lock()
-	s.inflight[key] = leader
-	s.mu.Unlock()
-
-	got := make(chan searchResponse, 1)
-	go func() {
-		_, resp := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw))
-		got <- resp
-	}()
-
-	select {
-	case <-got:
-		t.Fatal("follower returned before the in-flight leader finished")
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	leader.resp = &searchResponse{Results: []searchResult{{URI: "sentinel"}}, Exact: true}
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(leader.done)
-
-	select {
-	case resp := <-got:
-		if len(resp.Results) != 1 || resp.Results[0].URI != "sentinel" {
-			t.Errorf("follower did not receive the leader's answer: %+v", resp)
-		}
-		if !resp.Cached {
-			t.Error("coalesced answer not marked cached")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("follower never unblocked")
-	}
-	if s.coalesced.Load() != 1 {
-		t.Errorf("coalesced counter = %d, want 1", s.coalesced.Load())
-	}
-}
-
-// A leader that dies because its own client disconnected must not fail
-// the waiters: they fall back to running the search themselves.
-func TestCoalescedWaiterSurvivesLeaderCancellation(t *testing.T) {
-	inst := testInstance(t, 60, 240, 3)
-	seeker, kw := aQuery(t, inst)
-	s := newTestServer(t, Config{Instance: inst})
-	h := s.Handler()
-
-	sr := searchRequest{Seeker: seeker, Keywords: []string{kw}, K: 5, Gamma: 1.5, Eta: 0.8}
-	key := sr.cacheKey(s.Version())
-	leader := &call{done: make(chan struct{})}
-	s.mu.Lock()
-	s.inflight[key] = leader
-	s.mu.Unlock()
-
-	type result struct {
-		code int
-		resp searchResponse
-	}
-	got := make(chan result, 1)
-	go func() {
-		rec, resp := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw))
-		got <- result{rec.Code, resp}
-	}()
-
-	// Leader fails with the queued-cancellation error.
-	leader.err = &httpError{status: http.StatusServiceUnavailable, msg: "request cancelled while queued"}
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(leader.done)
-
-	select {
-	case r := <-got:
-		if r.code != http.StatusOK {
-			t.Fatalf("waiter inherited leader's failure: %d", r.code)
-		}
-		if len(r.resp.Results) == 0 {
-			t.Error("waiter's fallback search returned nothing")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never completed")
-	}
-}
-
 // Crafted seeker/keyword strings must not collide on one cache key.
 func TestCacheKeyIsCollisionFree(t *testing.T) {
 	a := searchRequest{Seeker: "u1\x1ffoo", Keywords: []string{"bar"}, K: 5}
@@ -353,6 +256,16 @@ func TestConcurrentSearchesAreCorrect(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+
+	// Every request was a cache hit or an engine search of its own, and
+	// the cache holds one entry per distinct query.
+	cs := s.cache.stats()
+	if got := s.searches.Load() + cs.Hits; got != 64 {
+		t.Errorf("%d engine searches + %d cache hits = %d, want 64", s.searches.Load(), cs.Hits, got)
+	}
+	if cs.Size != len(queries) {
+		t.Errorf("cache holds %d entries, want %d (one per distinct query)", cs.Size, len(queries))
+	}
 }
 
 func TestReloadSwapsInstanceAndWarmsCache(t *testing.T) {
@@ -406,10 +319,7 @@ func TestReloadSwapsInstanceAndWarmsCache(t *testing.T) {
 	if s.warmed.Load() != 1 {
 		t.Errorf("warmed counter = %d, want 1", s.warmed.Load())
 	}
-	s.mu.Lock()
-	cached := s.cache.len()
-	s.mu.Unlock()
-	if cached != 1 {
+	if cached := s.cache.stats().Size; cached != 1 {
 		t.Errorf("cache holds %d entries after warmed reload, want 1", cached)
 	}
 	if _, resp := postSearch(t, h, body); !resp.Cached || resp.Version != 2 {

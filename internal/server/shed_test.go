@@ -210,8 +210,8 @@ func TestPartialBypassesCache(t *testing.T) {
 
 // TestCancelledSearchIsUnavailable: a search whose client has gone away —
 // here before it starts, with a worker slot free — stops at its first
-// round and answers 503, the status on which coalesced followers run a
-// search of their own, never 400.
+// round and answers 503, which blames the request rather than the query,
+// never 400.
 func TestCancelledSearchIsUnavailable(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)
