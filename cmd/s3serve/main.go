@@ -15,7 +15,7 @@
 // Sharded serving — generate a shard set and point -shardset at the
 // manifest; the shards' postings are merged into one index at open, every
 // query answers exactly as on the unsharded instance, and /stats reports
-// each shard's load:
+// each shard's content:
 //
 //	s3gen -dataset twitter -shards 4 -snap i1.set
 //	s3serve -shardset i1.set -addr :8080

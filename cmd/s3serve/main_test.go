@@ -279,9 +279,8 @@ func TestServeFromShardSetEndToEnd(t *testing.T) {
 		Instance   s3.Stats `json:"instance"`
 		ShardCount int      `json:"shard_count"`
 		Shards     []struct {
-			Documents  int    `json:"documents"`
-			Components int    `json:"components"`
-			Searches   uint64 `json:"searches"`
+			Documents  int `json:"documents"`
+			Components int `json:"components"`
 		} `json:"shards"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&stats)
@@ -295,18 +294,14 @@ func TestServeFromShardSetEndToEnd(t *testing.T) {
 	if stats.ShardCount != 3 || len(stats.Shards) != 3 {
 		t.Fatalf("stats report %d shards (%d rows), want 3", stats.ShardCount, len(stats.Shards))
 	}
-	docs, comps, searches := 0, 0, uint64(0)
+	docs, comps := 0, 0
 	for _, sh := range stats.Shards {
 		docs += sh.Documents
 		comps += sh.Components
-		searches += sh.Searches
 	}
 	if docs != built.Stats().Documents || comps != built.Stats().Components {
 		t.Errorf("shard rows sum to %d docs / %d comps, instance has %d / %d",
 			docs, comps, built.Stats().Documents, built.Stats().Components)
-	}
-	if searches == 0 {
-		t.Error("no shard reports any fanned-out search")
 	}
 
 	// Hot reload re-reads the shard set.
@@ -392,9 +387,8 @@ func startTestWorker(t *testing.T, manifest string, shard int) *httptest.Server 
 // pipeline over loopback: shard set on disk → two shard workers (mapped)
 // → coordinator through the public HTTP API. Every answer must
 // be byte-identical to searching the in-memory instance directly, /stats
-// must expose the aggregated per-worker counters, and the per-shard rows
-// must be the ones the same set opened in process reports for the same
-// searches.
+// must expose the per-worker statuses, and the per-shard rows must be the
+// ones the same set opened in process reports.
 func TestServeDistributedEndToEnd(t *testing.T) {
 	o := datagen.DefaultTwitterOptions()
 	o.Users, o.Tweets, o.Seed = 60, 240, 11
@@ -441,9 +435,6 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every seeker: on a few queries each shard's matched components are
-	// all discovered in the first round, which cannot tell "rounds the
-	// searches ran" from "rounds that carried candidates on the shard".
 	checked := 0
 	for u := 0; u < 60; u++ {
 		seeker := fmt.Sprintf("tw:u%d", u)
@@ -479,9 +470,6 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 			if !got.Exact {
 				t.Fatalf("distributed search for %s %q not exact", seeker, kw)
 			}
-			if _, err := local.Search(seeker, []string{kw}, s3.WithK(5)); err != nil {
-				t.Fatal(err)
-			}
 			if len(got.Results) != len(want) {
 				t.Fatalf("distributed search for %s %q: %d results, want %d", seeker, kw, len(got.Results), len(want))
 			}
@@ -497,13 +485,7 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 		t.Fatal("no queries checked")
 	}
 
-	// /stats must carry the coordinator's aggregated per-worker view with
-	// the stable per-shard counter rows. Worker counters are collected by
-	// the membership probe; refresh it so this test sees the searches it
-	// just ran (production refreshes every probe interval).
-	if err := di.Probe(t.Context()); err != nil {
-		t.Fatal(err)
-	}
+	// /stats must carry the coordinator's per-worker view.
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -515,11 +497,6 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 			Workers []struct {
 				Healthy bool `json:"healthy"`
 			} `json:"workers"`
-			Shards []struct {
-				Shard    int    `json:"shard"`
-				Searches uint64 `json:"searches"`
-				Rounds   uint64 `json:"rounds"`
-			} `json:"shards"`
 		} `json:"distributed"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
@@ -531,15 +508,6 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 	}
 	if len(stats.Distributed.Workers) != 2 || !stats.Distributed.Workers[0].Healthy || !stats.Distributed.Workers[1].Healthy {
 		t.Fatalf("stats workers: %+v", stats.Distributed.Workers)
-	}
-	rounds := uint64(0)
-	searches := uint64(0)
-	for _, row := range stats.Distributed.Shards {
-		rounds += row.Rounds
-		searches += row.Searches
-	}
-	if searches == 0 || rounds == 0 {
-		t.Fatalf("aggregated worker counters empty: searches=%d rounds=%d", searches, rounds)
 	}
 	dist, inproc := di.Shards(), local.Shards()
 	if len(dist) != len(inproc) {

@@ -21,9 +21,9 @@ import (
 // SetProxCache is a no-op here: no workload measures a coordinator-side
 // proximity cache yet.
 type DistributedInstance struct {
-	// substrate is the manifest's: users, extensions and statistics are
-	// answered from it, and its metrics sink is fed by the coordinated
-	// rounds.
+	// substrate is the manifest's: users, extensions, statistics and
+	// shard rows are answered from it, and its metrics sink is fed by the
+	// coordinated rounds.
 	substrate
 	man    *snap.ManifestSnapshot
 	coord  *dshard.Coordinator
@@ -58,32 +58,18 @@ func OpenCoordinator(manifestPath string, workerURLs []string, mode LoadMode) (*
 	ctx, cancel := context.WithCancel(context.Background())
 	_ = coord.Probe(ctx)
 	go coord.Run(ctx)
-	return &DistributedInstance{substrate: substrate{in: man.Base}, man: man, coord: coord, cancel: cancel}, nil
+	return &DistributedInstance{
+		substrate: newSubstrate(man.Base, man.Layout.Owner, len(man.Layout.Shards)),
+		man:       man,
+		coord:     coord,
+		cancel:    cancel,
+	}, nil
 }
 
 // Probe refreshes worker membership synchronously and reports whether
 // every shard has a healthy worker (startup diagnostics).
 func (di *DistributedInstance) Probe(ctx context.Context) error {
 	return di.coord.Probe(ctx)
-}
-
-// Shards reports the per-shard rows: content counts from the worker
-// fleet's probed stats, falling back to the manifest layout before the
-// first probe lands, and the coordinator's own search and round counts.
-func (di *DistributedInstance) Shards() []ShardStat {
-	cs := di.coord.Stats()
-	out := make([]ShardStat, len(di.man.Layout.Shards))
-	for s, desc := range di.man.Layout.Shards {
-		out[s] = ShardStat{Documents: desc.Docs, Components: len(desc.Comps)}
-		if s < len(cs.Shards) {
-			row := cs.Shards[s]
-			if row.Documents > 0 || row.Components > 0 {
-				out[s].Documents, out[s].Components, out[s].Tags = row.Documents, row.Components, row.Tags
-			}
-			out[s].Searches, out[s].Rounds = row.Searches, row.Rounds
-		}
-	}
-	return out
 }
 
 // Search runs a distributed S3k top-k search; the answer equals the
@@ -163,6 +149,6 @@ func (di *DistributedInstance) Close() error {
 	return di.man.Close()
 }
 
-// DistributedStats exposes the coordinator's aggregated per-worker view
+// DistributedStats exposes the coordinator's counters and per-worker view
 // (picked up by the serving layer's /stats).
 func (di *DistributedInstance) DistributedStats() any { return di.coord.Stats() }

@@ -3,6 +3,7 @@ package s3_test
 import (
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"s3"
@@ -71,6 +72,38 @@ func TestQueryErrorsAgreeAcrossModes(t *testing.T) {
 			} else if err.Error() != want {
 				t.Errorf("%s: %s says %q, %s says %q", c.name, m.name, err, modes[0].name, want)
 			}
+		}
+	}
+}
+
+// TestCoordinatorShardRowsNeedNoWorker: a coordinator reports its shard
+// rows from its own manifest, so over worker URLs that never answer they
+// already equal the rows of the same set opened in process, tags
+// included.
+func TestCoordinatorShardRowsNeedNoWorker(t *testing.T) {
+	inst := buildTestInstance(t, 60, 240, 3)
+	manifest := filepath.Join(t.TempDir(), "rows.set")
+	if _, err := inst.WriteShardSetFiles(manifest, 3); err != nil {
+		t.Fatal(err)
+	}
+	gone := httptest.NewServer(nil)
+	gone.Close()
+	dist, err := s3.OpenCoordinator(manifest, []string{gone.URL}, s3.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dist.Close()
+	local, err := s3.OpenShardSet(manifest, s3.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := local.Shards()
+	if !slices.Equal(dist.Shards(), want) {
+		t.Fatalf("coordinator rows %+v, in-process rows %+v", dist.Shards(), want)
+	}
+	for s, row := range want {
+		if row.Tags == 0 {
+			t.Fatalf("shard %d holds no tag, so the rows cannot show where tags come from: %+v", s, want)
 		}
 	}
 }

@@ -71,12 +71,11 @@ type LocalExecutor struct {
 	resumedN int
 	reached  int // nodes discovered so far
 	boundN   int // the depth the candidates were last bounded at, see refresh
-	// comps lists the components matching every query keyword, ascending;
-	// it outlives End, for Engine.Run's shard load. want, indexed by
-	// component id, marks those not yet discovered: a discovery admits its
-	// component once and clears its mark. End clears the marks left, so
-	// the table is all false between searches and an executor reused
-	// keeps it.
+	// comps lists the components matching every query keyword, ascending.
+	// want, indexed by component id, marks those not yet discovered: a
+	// discovery admits its component once and clears its mark. End clears
+	// the marks left, so the table is all false between searches and an
+	// executor reused keeps it.
 	comps    []int32
 	want     []bool
 	admitted int // matched components discovered so far
@@ -244,7 +243,7 @@ func (x *LocalExecutor) End() {
 			x.want[c] = false
 		}
 	}
-	x.it, x.sc = nil, nil
+	x.it, x.sc, x.comps = nil, nil, nil
 	x.reached, x.admitted = 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
 	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil

@@ -136,15 +136,10 @@ type Engine struct {
 	// iters recycles the proximity iterators of the searches run over this
 	// engine (see LocalExecutor.iter): a search takes one, with its
 	// instance-sized work vectors, and its End puts it back. The pool is
-	// shared only by the engines WithIndex and WithShardLoad derive, which
-	// run over the same instance, so a vector never serves another
-	// instance, let alone one of another size.
+	// shared only by the engines WithIndex derives, which run over the
+	// same instance, so a vector never serves another instance, let alone
+	// one of another size.
 	iters *sync.Pool
-
-	// load, when non-nil, counts every completed search on the shards of
-	// owner's table that hold a component the search matched.
-	load  *ShardLoad
-	owner []int32
 }
 
 // NewEngine pairs an instance with its connection index.
@@ -154,19 +149,10 @@ func NewEngine(in *graph.Instance, ix *index.Index) *Engine {
 
 // WithIndex returns an engine over the same instance with another
 // connection index — one of the instance's, or one built over it from
-// fetched postings — sharing this engine's iterator pool and shard load,
-// so a process that builds an index per search still recycles its
-// iterators and counts its searches on one load.
+// fetched postings — sharing this engine's iterator pool, so a process
+// that builds an index per search still recycles its iterators.
 func (e *Engine) WithIndex(ix *index.Index) *Engine {
-	return &Engine{in: e.in, ix: ix, iters: e.iters, load: e.load, owner: e.owner}
-}
-
-// WithShardLoad returns an engine like e, sharing its iterator pool,
-// whose searches also count on load: each completed search adds itself to
-// the shards (owner maps a component to its shard) holding a component it
-// matched, from the matched list its executor computed (ShardLoad.Add).
-func (e *Engine) WithShardLoad(owner []int32, load *ShardLoad) *Engine {
-	return &Engine{in: e.in, ix: e.ix, iters: e.iters, load: load, owner: owner}
+	return &Engine{in: e.in, ix: ix, iters: e.iters}
 }
 
 // Instance returns the engine's instance.
@@ -238,9 +224,9 @@ func Query(in *graph.Instance, seeker graph.NID, keywords []string, k int, param
 
 // Run is the second half: Coordinate over one LocalExecutor on the
 // engine's index — tracing when copts.Trace is set, and resuming from and
-// publishing to pc when it is non-nil. A completed search counts on the
-// engine's shard load, and its stats report the depth pc let it skip.
-// The selection is best-first; the caller resolves URIs.
+// publishing to pc when it is non-nil. A completed search's stats report
+// the depth pc let it skip. The selection is best-first; the caller
+// resolves URIs.
 //
 // explored, when non-nil, is the search's iterator, taken with Explore
 // for spec's seeker and params and stepped ahead of the search: Run
@@ -261,9 +247,6 @@ func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache, e
 	sel, stats, err := Coordinate([]ShardExecutor{x}, spec, copts)
 	if err != nil {
 		return nil, stats, err
-	}
-	if e.load != nil {
-		e.load.Add(e.owner, x.comps, stats.Iterations)
 	}
 	stats.ResumedDepth = x.resumedN
 	copts.Trace.Span().SetInt("resumed_depth", int64(stats.ResumedDepth))

@@ -1,7 +1,7 @@
 // The coordinator: runs every search over the substrate it maps,
 // gathering the query keywords' postings from per-shard worker replicas,
-// with /healthz-driven membership (a worker is serving or benched),
-// failover onto surviving replicas, and per-worker /stats aggregation.
+// with /healthz-driven membership (a worker is serving or benched) and
+// failover onto surviving replicas.
 package dshard
 
 import (
@@ -77,17 +77,15 @@ type workerRef struct {
 	shards  []int // every shard the worker hosts, as last probed
 	healthy bool
 	lastErr string
-	stats   *WorkerStats
 }
 
-// WorkerStatus is the coordinator's aggregated view of one worker, as
-// exposed through its /stats.
+// WorkerStatus is the coordinator's view of one worker, as exposed
+// through its /stats: what the worker's last /healthz probe said.
 type WorkerStatus struct {
-	URL     string       `json:"url"`
-	Shards  []int        `json:"shards,omitempty"`
-	Healthy bool         `json:"healthy"`
-	Error   string       `json:"error,omitempty"`
-	Stats   *WorkerStats `json:"stats,omitempty"`
+	URL     string `json:"url"`
+	Shards  []int  `json:"shards,omitempty"`
+	Healthy bool   `json:"healthy"`
+	Error   string `json:"error,omitempty"`
 }
 
 // Degradation describes a partial answer: the shards that had no healthy
@@ -98,15 +96,15 @@ type Degradation struct {
 }
 
 // substrate is what searches run over: an engine over the set's base
-// instance, whose iterator pool lives as long as the coordinator and
-// whose searches count on load, and the layout's component → shard table.
+// instance, whose iterator pool lives as long as the coordinator, and the
+// layout's component → shard table.
 type substrate struct {
 	eng   *core.Engine
 	owner []int32
 }
 
-func newSubstrate(in *graph.Instance, layout *snap.Layout, load *core.ShardLoad) *substrate {
-	return &substrate{eng: core.NewEngine(in, nil).WithShardLoad(layout.Owner, load), owner: layout.Owner}
+func newSubstrate(in *graph.Instance, layout *snap.Layout) *substrate {
+	return &substrate{eng: core.NewEngine(in, nil), owner: layout.Owner}
 }
 
 // check accepts the block a reply carries for shard only if every event
@@ -152,9 +150,6 @@ type Coordinator struct {
 	retries   atomic.Uint64
 	failures  atomic.Uint64
 	failovers atomic.Uint64
-	// load counts, per shard, the searches that matched components there
-	// and the rounds those searches ran.
-	load *core.ShardLoad
 
 	metrics *rpcMetrics
 }
@@ -175,7 +170,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:    cfg,
 		client: cfg.Client,
 		rr:     make([]atomic.Uint32, cfg.ShardCount),
-		load:   core.NewShardLoad(cfg.ShardCount),
 	}
 	if (cfg.Substrate == nil) != (cfg.Layout == nil) {
 		return nil, fmt.Errorf("dshard: coordinator needs both a substrate and its layout, or neither")
@@ -184,7 +178,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if err := c.checkLayout(cfg.Layout); err != nil {
 			return nil, err
 		}
-		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout, c.load))
+		c.sub.Store(newSubstrate(cfg.Substrate, cfg.Layout))
 	}
 	for _, u := range cfg.WorkerURLs {
 		c.workers = append(c.workers, &workerRef{url: u})
@@ -234,7 +228,8 @@ func (c *Coordinator) AttachRegistry(r *obs.Registry) {
 	}
 }
 
-// probeWorker refreshes one worker's identity, health and stats.
+// probeWorker refreshes one worker's identity and health from its
+// /healthz.
 func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 	var hb healthzBody
 	code, err := c.getJSON(ctx, w.url+"/healthz", &hb)
@@ -262,21 +257,10 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *workerRef) {
 			}
 		}
 	}
-	healthy := err == nil && lastErr == ""
-	var st *WorkerStats
-	if healthy {
-		var ws WorkerStats
-		if code, err := c.getJSON(ctx, w.url+"/stats", &ws); err == nil && code == http.StatusOK {
-			st = &ws
-		}
-	}
 	w.mu.Lock()
 	// Whatever the verdict, /stats lists the shards the worker reported;
 	// only a healthy worker's are routed to.
-	w.shards, w.healthy, w.lastErr = hb.Shards, healthy, lastErr
-	if st != nil {
-		w.stats = st
-	}
+	w.shards, w.healthy, w.lastErr = hb.Shards, err == nil && lastErr == "", lastErr
 	w.mu.Unlock()
 }
 
@@ -361,7 +345,7 @@ func (c *Coordinator) loadSubstrate(ctx context.Context) error {
 		}
 		var man *snap.ManifestSnapshot
 		if man, err = c.fetchManifest(ctx, w.url); err == nil {
-			c.sub.Store(newSubstrate(man.Base, man.Layout, c.load))
+			c.sub.Store(newSubstrate(man.Base, man.Layout))
 			return nil
 		}
 	}
@@ -685,24 +669,21 @@ func (c *Coordinator) gather(ctx context.Context, sub *substrate, kws []dict.ID,
 	return parts, served, lost, nil
 }
 
-// CoordinatorStats is the aggregated serving view the coordinator's
-// /stats exposes: its own counters plus the per-worker statuses and
-// per-shard rows.
+// CoordinatorStats is the serving view the coordinator's /stats exposes:
+// its own counters plus the per-worker statuses.
 type CoordinatorStats struct {
-	Role       string           `json:"role"`
-	ShardCount int              `json:"shard_count"`
-	SetID      string           `json:"set_id"`
-	Searches   uint64           `json:"searches"`
-	Retries    uint64           `json:"retries"`
-	Failures   uint64           `json:"failures"`
-	Failovers  uint64           `json:"failovers"`
-	Workers    []WorkerStatus   `json:"workers"`
-	Shards     []WorkerShardRow `json:"shards"`
+	Role       string         `json:"role"`
+	ShardCount int            `json:"shard_count"`
+	SetID      string         `json:"set_id"`
+	Searches   uint64         `json:"searches"`
+	Retries    uint64         `json:"retries"`
+	Failures   uint64         `json:"failures"`
+	Failovers  uint64         `json:"failovers"`
+	Workers    []WorkerStatus `json:"workers"`
 }
 
-// Stats snapshots the coordinator's view: per-worker statuses from the
-// last probe and per-shard rows — content counts from any replica of the
-// shard, search and round counts from the searches this coordinator ran.
+// Stats snapshots the coordinator's view: its counters and per-worker
+// statuses from the last probe.
 func (c *Coordinator) Stats() CoordinatorStats {
 	out := CoordinatorStats{
 		Role:       "coordinator",
@@ -713,29 +694,10 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		Failures:   c.failures.Load(),
 		Failovers:  c.failovers.Load(),
 	}
-	rows := make([]WorkerShardRow, c.cfg.ShardCount)
-	for s := range rows {
-		rows[s].Shard = s
-		rows[s].Searches, rows[s].Rounds = c.load.Shard(s)
-	}
 	for _, w := range c.workers {
 		w.mu.Lock()
-		ws := WorkerStatus{URL: w.url, Shards: w.shards, Healthy: w.healthy, Error: w.lastErr, Stats: w.stats}
+		out.Workers = append(out.Workers, WorkerStatus{URL: w.url, Shards: w.shards, Healthy: w.healthy, Error: w.lastErr})
 		w.mu.Unlock()
-		out.Workers = append(out.Workers, ws)
-		if ws.Stats != nil {
-			// A multi-shard worker reports one row per hosted shard; each
-			// row is keyed by its own shard, not the worker's primary.
-			for _, r := range ws.Stats.Shards {
-				if r.Shard < 0 || r.Shard >= len(rows) {
-					continue
-				}
-				rows[r.Shard].Documents = r.Documents
-				rows[r.Shard].Components = r.Components
-				rows[r.Shard].Tags = r.Tags
-			}
-		}
 	}
-	out.Shards = rows
 	return out
 }

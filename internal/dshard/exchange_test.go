@@ -31,7 +31,7 @@ import (
 )
 
 // wireLog records what a worker was asked: the path of every request but
-// the membership probe's, and every postings request.
+// the membership probe's one /healthz, and every postings request.
 type wireLog struct {
 	mu       sync.Mutex
 	paths    []string
@@ -40,7 +40,7 @@ type wireLog struct {
 
 func (l *wireLog) wrap(t testing.TB, inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/healthz" || req.URL.Path == "/stats" {
+		if req.URL.Path == "/healthz" {
 			inner.ServeHTTP(rw, req)
 			return
 		}
@@ -147,6 +147,7 @@ func dialCounting(tr *http.Transport, n *atomic.Int64) *http.Transport {
 // seeded battery sends each host exactly one request — a postings request
 // for the shards it was picked for — and nothing else, dials no connection
 // after the first search, and answers byte-identically to Engine.Search.
+// The membership probe before it asks each host for /healthz alone.
 func TestOneExchangePerHost(t *testing.T) {
 	in, ix := buildInstance(t, datasets(t)["twitter"])
 	manifestPath := writeSet(t, in, ix, 4)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"s3/internal/core"
 	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
@@ -60,7 +59,7 @@ func loadWireFixture() *wireFixture {
 		if err != nil {
 			panic(err)
 		}
-		fixture.sub = newSubstrate(in, &snap.Layout{Shards: []snap.ShardDesc{{Comps: parts[0]}, {Comps: parts[1]}}, Owner: owner}, core.NewShardLoad(2))
+		fixture.sub = newSubstrate(in, &snap.Layout{Shards: []snap.ShardDesc{{Comps: parts[0]}, {Comps: parts[1]}}, Owner: owner})
 		fixture.ix = index.Build(in)
 		kws := in.SortedKeywordsByFrequency()
 		fixture.req = postingsRequest{traceID: 7, shards: []int{0, 1}, kws: []dict.ID{kws[len(kws)/4], kws[len(kws)/2], kws[len(kws)-1]}}

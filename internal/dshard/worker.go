@@ -76,16 +76,16 @@ func (l loadedShards) Close() error { return l.ws.Close() }
 type Worker struct {
 	cfg WorkerConfig
 	// shardIdx maps hosted shard ordinal → index in cfg.Shards (and in
-	// the per-shard slices below and the snapshot's Postings).
+	// the snapshot's Postings).
 	shardIdx map[int]int
 	state    atomic.Int32
 	cur      snap.Current[loadedShards]
 	reloadMu sync.Mutex
 
 	start    time.Time
-	searches atomic.Uint64   // postings requests answered
-	touched  []atomic.Uint64 // per hosted shard: requests that found events there
-	rejected atomic.Uint64   // requests refused while not serving
+	searches atomic.Uint64 // postings requests answered
+	touched  atomic.Uint64 // per hosted shard a request found events on, summed
+	rejected atomic.Uint64 // requests refused while not serving
 
 	reg        *obs.Registry
 	rpcSeconds *obs.Histogram
@@ -100,7 +100,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		start:    time.Now(),
 		reg:      obs.NewRegistry(),
 		traces:   obs.NewTraceRing(0),
-		touched:  make([]atomic.Uint64, len(cfg.Shards)),
 	}
 	for i, s := range cfg.Shards {
 		w.shardIdx[s] = i
@@ -114,13 +113,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w.reg.CounterFunc("s3_worker_rejected_total", "Postings requests refused (not serving).",
 		func() float64 { return float64(w.rejected.Load()) })
 	w.reg.CounterFunc("s3_worker_shard_searches_total", "Postings requests that found events on this worker's shards (summed over hosted shards).",
-		func() float64 {
-			var n uint64
-			for i := range w.touched {
-				n += w.touched[i].Load()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(w.touched.Load()) })
 	w.reg.GaugeFunc("s3_worker_generation", "Loaded snapshot generation (increments per reload).", func() float64 {
 		if g := w.cur.Peek(); g != nil {
 			return float64(g.Version)
@@ -236,7 +229,7 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 			found += len(evs)
 		}
 		if found > 0 {
-			w.touched[idx].Add(1)
+			w.touched.Add(1)
 		}
 		events += found
 	}
@@ -309,19 +302,14 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	writeJSON(rw, status, &body)
 }
 
-// WorkerShardRow is the per-shard counter row exported by /stats — the
-// stable shape a rebalancer (and the coordinator's aggregation) consumes.
-// It matches the serving layer's per-shard rows field for field. On a
-// worker, Searches counts the postings requests that found events on the
-// shard and Rounds stays 0: the coordinator runs the rounds, and counts
-// both in its own rows.
+// WorkerShardRow is one hosted shard's row in a worker's /stats: the
+// content the shard's components hold, field for field the serving
+// layer's per-shard row.
 type WorkerShardRow struct {
-	Shard      int    `json:"shard"`
-	Documents  int    `json:"documents"`
-	Components int    `json:"components"`
-	Tags       int    `json:"tags"`
-	Searches   uint64 `json:"searches"`
-	Rounds     uint64 `json:"rounds"`
+	Shard      int `json:"shard"`
+	Documents  int `json:"documents"`
+	Components int `json:"components"`
+	Tags       int `json:"tags"`
 }
 
 // WorkerStats is the /stats body of a worker.
@@ -362,7 +350,6 @@ func (w *Worker) Stats() WorkerStats {
 				Documents:  desc.Docs,
 				Components: len(desc.Comps),
 				Tags:       gen.Value.ws.Tags[i],
-				Searches:   w.touched[i].Load(),
 			}
 		}
 		gen.Release()

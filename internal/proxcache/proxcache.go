@@ -19,9 +19,10 @@
 // others, and keeps no reference past its End. Replacement is
 // deepen-only: a shallower checkpoint never overwrites a deeper one for
 // the same key, so concurrent searches racing to publish can only improve
-// the cache. Entries recorded over a stale instance generation (after a
-// hot reload) are detected on lookup and dropped — the instance pointer
-// is part of checkpoint identity.
+// the cache. The instance pointer is part of checkpoint identity: binding
+// the cache to a new instance generation (after a hot reload) drops the
+// entries of every other, and an unbound cache drops a stale entry when a
+// lookup finds it.
 package proxcache
 
 import (
@@ -49,10 +50,11 @@ type Cache struct {
 	order    *list.List // front = most recently used
 	items    map[Key]*list.Element
 
-	// bound, when non-nil, is the only instance whose checkpoints Put
-	// accepts: it stops searches still in flight across a hot reload from
-	// re-populating the cache with entries that would pin the outgoing
-	// instance in memory.
+	// bound, when non-nil, is the only instance whose checkpoints the
+	// cache holds: it stops searches still in flight across a hot reload
+	// from re-populating the cache with entries that would pin the
+	// outgoing instance in memory, or from evicting the entries of the
+	// incoming one.
 	bound *graph.Instance
 
 	hits, misses, evictions, stores, rejected uint64
@@ -77,20 +79,34 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// Bind restricts Put to checkpoints recorded over the given instance
-// (nil lifts the restriction). Serving layers bind the cache to each
-// newly installed instance generation, so a search that was still
-// running against the previous generation cannot publish a stale — and
-// instance-pinning — checkpoint after the purge.
+// Bind restricts the cache to checkpoints recorded over the given
+// instance: it drops every entry recorded over another, and Put then
+// rejects theirs, under one lock (nil lifts the restriction and drops
+// nothing). Serving layers bind the cache to each newly installed
+// instance generation, so a search that was still running against the
+// previous generation cannot publish a stale — and instance-pinning —
+// checkpoint, however its end interleaves with the reload.
 func (c *Cache) Bind(in *graph.Instance) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bound = in
+	if in == nil {
+		return
+	}
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if !el.Value.(*entry).cp.For(in) {
+			c.removeLocked(el)
+		}
+		el = next
+	}
 }
 
-// Get returns the deepest checkpoint cached for the key, or nil. The
-// instance pointer guards against stale entries: a checkpoint recorded
-// over a different instance generation is removed and reported as a miss.
+// Get returns the deepest checkpoint cached for the key, or nil. A
+// checkpoint recorded over a different instance generation is a miss; an
+// unbound cache also removes it, while a bound one keeps it, since it is
+// then the bound instance's and the caller a search still running on
+// another.
 func (c *Cache) Get(k Key, in *graph.Instance) *score.ProxCheckpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,7 +117,9 @@ func (c *Cache) Get(k Key, in *graph.Instance) *score.ProxCheckpoint {
 			c.order.MoveToFront(el)
 			return e.cp
 		}
-		c.removeLocked(el)
+		if c.bound == nil {
+			c.removeLocked(el)
+		}
 	}
 	c.misses++
 	return nil
@@ -156,8 +174,8 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= e.cp.Bytes()
 }
 
-// Purge drops every entry (a hot reload invalidates all checkpoints) but
-// keeps the lifetime counters.
+// Purge drops every entry but keeps the lifetime counters and the
+// binding.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -187,14 +187,66 @@ func TestPurgeAndCounters(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers the cache from many goroutines (meaningful
+// TestBindDropsOtherInstances: Bind drops every entry recorded over
+// another instance in the same step that starts rejecting their
+// publications, so a search of the outgoing generation that ends during
+// a reload cannot leave a checkpoint pinning it. The lifetime counters
+// stay.
+func TestBindDropsOtherInstances(t *testing.T) {
+	a, b := buildInstance(t, 7), buildInstance(t, 7)
+	k := Key{Seeker: a.Users()[0], Params: score.DefaultParams()}
+	c := New(1 << 20)
+	c.Bind(a)
+	c.Put(k, checkpointAt(a, k.Seeker, 3))
+	if c.Get(k, a) == nil {
+		t.Fatal("miss after put")
+	}
+	c.Bind(b)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("A's checkpoint survived Bind(B): entries=%d bytes=%d", st.Entries, st.Bytes)
+	}
+	if c.Get(k, a) != nil {
+		t.Fatal("hit on A's checkpoint after Bind(B)")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Stores != 1 {
+		t.Fatalf("hits=%d misses=%d stores=%d, want 1/1/1", st.Hits, st.Misses, st.Stores)
+	}
+	// Binding to the instance the entries were recorded over keeps them.
+	c.Put(k, checkpointAt(b, k.Seeker, 3))
+	c.Bind(b)
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("Bind(B) dropped B's checkpoint: entries=%d", st.Entries)
+	}
+}
+
+// TestBoundGetFromOtherInstanceMisses: a lookup by a search still running
+// on another generation misses without evicting the bound generation's
+// checkpoint for the same seeker.
+func TestBoundGetFromOtherInstanceMisses(t *testing.T) {
+	a, b := buildInstance(t, 8), buildInstance(t, 8)
+	k := Key{Seeker: b.Users()[0], Params: score.DefaultParams()}
+	c := New(1 << 20)
+	c.Bind(b)
+	c.Put(k, checkpointAt(b, k.Seeker, 3))
+	if c.Get(k, a) != nil {
+		t.Fatal("B's checkpoint returned for a lookup over A")
+	}
+	if got := c.Get(k, b); got == nil || got.N() != 3 {
+		t.Fatalf("a lookup over A evicted B's checkpoint: %v", got)
+	}
+}
+
+// TestConcurrentAccess hammers the cache from many goroutines searching
+// two instance generations while they rebind and purge it (meaningful
 // under -race).
 func TestConcurrentAccess(t *testing.T) {
-	in := buildInstance(t, 5)
-	users := in.Users()
-	cps := make([]*score.ProxCheckpoint, len(users))
-	for i, u := range users {
-		cps[i] = checkpointAt(in, u, 1+i%4)
+	gens := []*graph.Instance{buildInstance(t, 5), buildInstance(t, 5)}
+	users := gens[0].Users()
+	cps := make([][]*score.ProxCheckpoint, len(gens))
+	for g, in := range gens {
+		for i, u := range users {
+			cps[g] = append(cps[g], checkpointAt(in, u, 1+i%4))
+		}
 	}
 	c := New(8 << 10) // small enough to force constant eviction
 	var wg sync.WaitGroup
@@ -203,13 +255,17 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				g := (w + i/50) % len(gens)
+				if i%50 == 0 {
+					c.Bind(gens[g])
+				}
 				u := users[(w+i)%len(users)]
 				k := Key{Seeker: u, Params: score.DefaultParams()}
-				if cp := c.Get(k, in); cp != nil {
+				if cp := c.Get(k, gens[g]); cp != nil {
 					_ = cp.N()
 				}
-				c.Put(k, cps[(w+i)%len(users)])
-				if i%50 == 0 {
+				c.Put(k, cps[g][(w+i)%len(users)])
+				if i%50 == 25 {
 					c.Purge()
 				}
 			}

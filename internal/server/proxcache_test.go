@@ -75,7 +75,7 @@ func TestProxCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestReloadReseedsProximity: a reload purges the stale checkpoints and
+// TestReloadReseedsProximity: a reload drops the stale checkpoints and
 // the result-cache replay re-publishes the frontiers of the queries it
 // re-executes — and only those: a hot query that matches nothing explores
 // nothing, before the reload or after it.

@@ -129,8 +129,8 @@ type Server struct {
 
 	cache *lruCache
 
-	// prox is the seeker-proximity checkpoint cache, attached to every
-	// served instance generation and purged across reloads. nil when
+	// prox is the seeker-proximity checkpoint cache, attached (and so
+	// bound) to every served instance generation in turn. nil when
 	// disabled.
 	prox *s3.ProxCache
 
@@ -716,15 +716,15 @@ type statsResponse struct {
 	Shards     []shardStatsJSON `json:"shards"`
 	Cache      cacheStats       `json:"cache"`
 	ProxCache  proxCacheStats   `json:"prox_cache"`
-	// Distributed carries the coordinator's aggregated view (per-worker
-	// statuses and per-shard counters) when the served instance is a
-	// distributed coordinator; absent otherwise.
+	// Distributed carries the coordinator's view (its counters and
+	// per-worker statuses) when the served instance is a distributed
+	// coordinator; absent otherwise.
 	Distributed any `json:"distributed,omitempty"`
 }
 
 // distributedStatsProvider is implemented by instances that front a
 // worker fleet (the distributed coordinator): DistributedStats returns
-// the aggregated per-worker view for /stats.
+// the per-worker view for /stats.
 type distributedStatsProvider interface {
 	DistributedStats() any
 }
@@ -743,18 +743,14 @@ type proxCacheStats struct {
 	Rejected  uint64 `json:"rejected"`
 }
 
-// shardStatsJSON is one shard's row in /stats: its content counts plus
-// the cumulative search and round-work counters. The shape is stable —
-// {shard, documents, components, tags, searches, rounds} — and matches
-// the rows a distributed worker exports, so a rebalancer can consume
-// either side without translation.
+// shardStatsJSON is one shard's row in /stats, its content counts:
+// {shard, documents, components, tags}, the shape of a distributed
+// worker's rows.
 type shardStatsJSON struct {
-	Shard      int    `json:"shard"`
-	Documents  int    `json:"documents"`
-	Components int    `json:"components"`
-	Tags       int    `json:"tags"`
-	Searches   uint64 `json:"searches"`
-	Rounds     uint64 `json:"rounds"`
+	Shard      int `json:"shard"`
+	Documents  int `json:"documents"`
+	Components int `json:"components"`
+	Tags       int `json:"tags"`
 }
 
 type cacheStats struct {
@@ -779,8 +775,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Documents:  sh.Documents,
 			Components: sh.Components,
 			Tags:       sh.Tags,
-			Searches:   sh.Searches,
-			Rounds:     sh.Rounds,
 		}
 	}
 	var distributed any
@@ -860,9 +854,9 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	// keys are the hot query set, worth paying for again up front.
 	hot := s.cache.requests()
 	if s.prox != nil {
-		// Proximity checkpoints are bound to the outgoing instance; drop
-		// them and attach the cache to the incoming one before it serves.
-		s.prox.Purge()
+		// Attaching the cache to the incoming instance before it serves
+		// binds it there, which drops the outgoing instance's checkpoints
+		// in the same step.
 		inst.SetProxCache(s.prox)
 	}
 	s.instrument(inst)

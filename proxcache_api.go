@@ -29,16 +29,11 @@ type ProxCacheStats = proxcache.Stats
 // Stats returns the cache's current counters.
 func (p *ProxCache) Stats() ProxCacheStats { return p.c.Stats() }
 
-// Purge drops every cached checkpoint (lifetime counters are kept).
-// Checkpoints are bound to a loaded instance, so purge after swapping the
-// served instance; stale entries are also detected and dropped lazily.
-func (p *ProxCache) Purge() { p.c.Purge() }
-
 // SetProxCache attaches (or, with nil, detaches) a proximity cache.
 // Subsequent searches consult and feed it. Attaching also binds the cache
-// to this instance: a cache serves one instance generation at a time, and
-// publications from searches still in flight against a previously bound
-// instance are dropped.
+// to this instance: a cache serves one instance generation at a time, so
+// the checkpoints of a previously bound instance are dropped, as are
+// publications from searches still in flight against it.
 func (i *Instance) SetProxCache(pc *ProxCache) {
 	if pc != nil {
 		pc.c.Bind(i.in)

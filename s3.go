@@ -235,14 +235,14 @@ type Stats = graph.Stats
 
 // Instance is a frozen, queryable S3 instance: a built or snapshot-loaded
 // one, or a shard set (ShardBy, OpenShardSet), whose components are split
-// into N shards as the set's files split them. The split is a file layout
-// and a load signal, not a search topology: a search runs as one engine
-// over the substrate and one index holding every shard's postings, so a
-// shard set answers — documents, order and score intervals — as the
-// unsharded instance does, and its per-shard rows count what a
-// distributed coordinator over the same set counts. A built or loaded
+// into N shards as the set's files split them. The split is a file
+// layout, not a search topology: a search runs as one engine over the
+// substrate and one index holding every shard's postings, so a shard set
+// answers — documents, order and score intervals — as the unsharded
+// instance does, and its per-shard rows are the content counts a
+// distributed coordinator over the same set reports. A built or loaded
 // instance is one shard holding every component. An Instance is
-// immutable (counters aside) and safe for concurrent searches.
+// immutable and safe for concurrent searches.
 type Instance struct {
 	substrate
 	ix   *index.Index
@@ -253,50 +253,33 @@ type Instance struct {
 	// (Close / MappedBytes); zero for built and copy-loaded instances.
 	lifecycle
 
-	// content holds each shard's content counts, fixed at construction;
-	// load counts the searches that matched a component on each shard and
-	// the rounds they ran.
-	content []ShardStat
-	load    *core.ShardLoad
-
 	// prox is the optional seeker-proximity checkpoint cache (atomic so it
 	// can be attached or swapped while searches are in flight).
 	prox atomic.Pointer[ProxCache]
 }
 
-// newInstance wires a frozen graph instance and its index into an engine
-// whose searches count on n shards, owner mapping each component to its
-// shard. A nil owner is the one-shard case (n = 1) every built and loaded
-// instance is. Build, BuildFromSpec, ReadSnapshot, OpenSnapshot, ShardBy
-// and OpenShardSet all go through it.
+// newInstance wires a frozen graph instance and its index into an engine,
+// with rows for n shards, owner mapping each component to its shard. A
+// nil owner is the one-shard case (n = 1) every built and loaded instance
+// is. Build, BuildFromSpec, ReadSnapshot, OpenSnapshot, ShardBy and
+// OpenShardSet all go through it.
 func newInstance(in *graph.Instance, ix *index.Index, owner []int32, n int) *Instance {
-	if owner == nil {
-		owner = make([]int32, in.NumComponents())
-	}
-	load := core.NewShardLoad(n)
-	content := make([]ShardStat, n)
-	docs, tags := graph.ShardContent(in, owner, n)
-	for s := range content {
-		content[s].Documents, content[s].Tags = docs[s], tags[s]
-	}
-	for _, s := range owner {
-		content[s].Components++
-	}
 	return &Instance{
-		substrate: substrate{in: in},
+		substrate: newSubstrate(in, owner, n),
 		ix:        ix,
-		eng:       core.NewEngine(in, ix).WithShardLoad(owner, load),
-		content:   content,
-		load:      load,
+		eng:       core.NewEngine(in, ix),
 	}
 }
 
-// substrate answers what the shared substrate alone decides — users,
-// keyword extensions, statistics — and holds the search-metrics sink.
-// Instance and DistributedInstance embed it, so both answer these, and
-// resolve a seeker, the same way.
+// substrate answers what the shared substrate and the shard table alone
+// decide — users, keyword extensions, statistics, shard rows — and holds
+// the search-metrics sink. Instance and DistributedInstance embed it, so
+// both answer these, and resolve a seeker, the same way.
 type substrate struct {
 	in *graph.Instance
+
+	// shards holds each shard's content counts, fixed at construction.
+	shards []ShardStat
 
 	// obsm is the optional search-metrics sink (atomic: the serving layer
 	// attaches it while searches may be in flight across a hot reload).

@@ -23,7 +23,7 @@ type Queryable interface {
 	// Stats returns whole-instance statistics.
 	Stats() Stats
 	// Shards describes the shard layout: one entry per shard with its
-	// content counts and lifetime search count.
+	// content counts.
 	Shards() []ShardStat
 	// SetProxCache attaches a seeker-proximity checkpoint cache consulted
 	// and fed by subsequent searches (nil detaches).
@@ -42,32 +42,36 @@ type Queryable interface {
 
 var _ Queryable = (*Instance)(nil)
 
-// ShardStat summarises one shard of a Queryable.
+// ShardStat is one shard's row of a Queryable: the content the shard's
+// components hold. Users are shared by every shard and counted in none.
 type ShardStat struct {
-	// Documents, Components and Tags count the shard's content.
 	Documents  int
 	Components int
 	Tags       int
-	// Searches counts the queries that matched a component on this shard
-	// (a plain instance is one shard holding every component).
-	Searches uint64
-	// Rounds counts the exploration rounds of those searches — with
-	// Searches, the load signal a shard rebalancer consumes. A sharded
-	// instance and a distributed coordinator over the same set count it
-	// the same way.
-	Rounds uint64
 }
 
-// Shards describes the shard layout: per shard, its content counts and
-// the searches that matched a component there with the rounds they ran. A
-// built or loaded instance is one shard holding everything.
-func (i *Instance) Shards() []ShardStat {
-	out := slices.Clone(i.content)
-	for s := range out {
-		out[s].Searches, out[s].Rounds = i.load.Shard(s)
+// newSubstrate pairs a substrate with its rows for n shards, owner
+// mapping each of its components to a shard; a nil owner is one shard
+// holding every component. An in-process shard set and a coordinator
+// over the same set derive their rows here, so they report the same.
+func newSubstrate(in *graph.Instance, owner []int32, n int) substrate {
+	if owner == nil {
+		owner = make([]int32, in.NumComponents())
 	}
-	return out
+	rows := make([]ShardStat, n)
+	docs, tags := graph.ShardContent(in, owner, n)
+	for s := range rows {
+		rows[s].Documents, rows[s].Tags = docs[s], tags[s]
+	}
+	for _, s := range owner {
+		rows[s].Components++
+	}
+	return substrate{in: in, shards: rows}
 }
+
+// Shards describes the shard layout: per shard, its content counts. A
+// built or loaded instance is one shard holding everything.
+func (s *substrate) Shards() []ShardStat { return slices.Clone(s.shards) }
 
 // ShardBy partitions the instance into n component shards in memory
 // (without going through shard-set files): components are spread by

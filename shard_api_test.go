@@ -116,35 +116,15 @@ func TestShardByMatchesInstance(t *testing.T) {
 			t.Errorf("n=%d: unknown seeker accepted", n)
 		}
 	}
-
-	// Per-shard search counters: after the queries above, every fanned-out
-	// search is accounted for somewhere.
-	si, err := inst.ShardBy(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if _, err := si.Search(q[0], []string{q[1]}, s3.WithK(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := uint64(0)
-	for _, sh := range si.Shards() {
-		total += sh.Searches
-	}
-	if total == 0 {
-		t.Error("no shard counted any search")
-	}
 }
 
-// TestShardStatSemantics pins what ShardStat.Searches and Rounds count on
-// a shard set at every N, the one-shard set included, and on a plain
-// instance, by the definition a distributed coordinator counts with: Searches is the
-// searches that matched a component on the shard, Rounds the exploration
-// rounds those searches ran.
+// TestShardStatSemantics pins what a ShardStat holds on a shard set at
+// every N, the one-shard set included, and on a plain instance: the
+// content of the shard's components, which no search changes. A plain
+// instance, fresh from each constructor, is one shard holding every
+// component, and the rows of any N add up to it.
 func TestShardStatSemantics(t *testing.T) {
 	inst := buildTestInstance(t, 60, 240, 3)
-	queries := sampleQueries(t, inst, 5)
 	one, err := inst.ShardBy(1)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +133,6 @@ func TestShardStatSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plain instances, fresh from each constructor, count as one shard
-	// holding every component.
 	var snapshot bytes.Buffer
 	if err := inst.WriteSnapshot(&snapshot); err != nil {
 		t.Fatal(err)
@@ -164,39 +142,8 @@ func TestShardStatSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	plains := map[string]*s3.Instance{"built": buildTestInstance(t, 60, 240, 3), "read": read}
-	iterations := uint64(0)
-	for _, q := range queries {
-		_, info, err := one.SearchInfoed(q[0], []string{q[1]}, s3.WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		iterations += uint64(info.Iterations)
-		for _, qi := range []s3.Queryable{many, plains["built"], plains["read"]} {
-			if _, err := qi.Search(q[0], []string{q[1]}, s3.WithK(5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// A query no component matches fans out nowhere and carries no work,
-	// and neither does a search cancelled before it starts.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, qi := range []s3.Queryable{one, many, plains["built"], plains["read"]} {
-		if rs, err := qi.Search(queries[0][0], []string{"no-such-keyword-anywhere"}); err != nil || len(rs) != 0 {
-			t.Fatalf("no-match query: %v, %v", rs, err)
-		}
-		if _, err := qi.Search(queries[0][0], []string{queries[0][1]}, s3.WithContext(cancelled)); err == nil {
-			t.Fatal("a cancelled search succeeded")
-		}
-	}
 
 	got := one.Shards()[0]
-	if got.Searches != uint64(len(queries)) {
-		t.Errorf("N=1: Searches = %d, want %d (the matching searches only)", got.Searches, len(queries))
-	}
-	if got.Rounds == 0 || got.Rounds > iterations {
-		t.Errorf("N=1: Rounds = %d, want in (0, %d] (the matching searches' rounds)", got.Rounds, iterations)
-	}
 	for name, plain := range plains {
 		if p := plain.Shards(); len(p) != 1 || p[0] != got {
 			t.Errorf("%s instance's shard rows %+v, ShardBy(1)'s %+v", name, p, got)
@@ -207,19 +154,15 @@ func TestShardStatSemantics(t *testing.T) {
 		t.Errorf("N=1 holds %d documents / %d components / %d tags, the instance %d / %d / %d",
 			got.Documents, got.Components, got.Tags, st.Documents, st.Components, st.Tags)
 	}
-	// The one shard holds the union of the three: a search touches it iff
-	// it touches some shard of the three, and its rounds count wherever
-	// it does.
-	var maxS, sumS, maxR, sumR uint64
+	// The one shard holds the union of the three.
+	var sum s3.ShardStat
 	for _, sh := range many.Shards() {
-		maxS, sumS = max(maxS, sh.Searches), sumS+sh.Searches
-		maxR, sumR = max(maxR, sh.Rounds), sumR+sh.Rounds
+		sum.Documents += sh.Documents
+		sum.Components += sh.Components
+		sum.Tags += sh.Tags
 	}
-	if got.Searches < maxS || got.Searches > sumS {
-		t.Errorf("Searches: N=1 counts %d, N=3 max %d sum %d", got.Searches, maxS, sumS)
-	}
-	if got.Rounds < maxR || got.Rounds > sumR {
-		t.Errorf("Rounds: N=1 counts %d, N=3 max %d sum %d", got.Rounds, maxR, sumR)
+	if sum != got {
+		t.Errorf("N=3 rows sum to %+v, N=1 holds %+v", sum, got)
 	}
 }
 
