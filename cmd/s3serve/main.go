@@ -1,8 +1,7 @@
 // Command s3serve runs the long-lived S3 query server: it loads a frozen
 // instance from a binary snapshot or a component-sharded shard set, and
-// serves S3k searches over an HTTP JSON API with result
-// caching, a bounded search worker pool and atomic hot reload (with cache
-// re-warming).
+// serves S3k searches over an HTTP JSON API with a seeker-proximity
+// checkpoint cache, a bounded search worker pool and atomic hot reload.
 //
 // Usage:
 //
@@ -91,7 +90,9 @@ func main() {
 		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter/gather searches for -shardset across -worker-urls")
 		workerURL = flag.String("worker-urls", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8081,http://h2:8082)")
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheSize = flag.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (negative disables)")
+		// -cache is accepted and ignored until ROADMAP 13(a) stops
+		// benchmark/workloads.go from passing it.
+		_         = flag.Int("cache", 0, "ignored (there is no result cache; kept so existing command lines still parse)")
 		proxMB    = flag.Int("proxcache-mb", int(server.DefaultProxCacheBytes>>20), "seeker-proximity checkpoint cache budget in MiB (<= 0 disables; ignored in worker and coordinator mode)")
 		workers   = flag.Int("workers", 0, "max concurrently executing searches (0 = GOMAXPROCS)")
 		maxQueue  = flag.Int("max-queue", 0, "max searches waiting for a worker slot before arrivals are shed with 429 (0 = 8x workers, negative = unbounded)")
@@ -153,7 +154,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Instance:       inst,
 		Loader:         loader,
-		CacheSize:      *cacheSize,
 		ProxCacheBytes: proxBytes,
 		Workers:        *workers,
 		MaxQueue:       *maxQueue,

@@ -446,7 +446,7 @@ func TestServeDistributedEndToEnd(t *testing.T) {
 			if err != nil || len(want) == 0 {
 				continue
 			}
-			body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5,"no_cache":true}`, seeker, kw)
+			body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
 			resp, err := http.Post(ts.URL+"/search", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)

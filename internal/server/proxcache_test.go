@@ -24,17 +24,15 @@ func statsProx(t *testing.T, s *Server) proxCacheStats {
 	return body.ProxCache
 }
 
-// TestProxCacheWarmPath exercises the serving warm path under the result
-// cache: a request that bypasses the result cache still reuses the
-// seeker's cached exploration frontier, with byte-identical answers.
+// TestProxCacheWarmPath exercises the serving warm path: a repeat of a
+// request reuses the seeker's cached exploration frontier, with
+// byte-identical answers.
 func TestProxCacheWarmPath(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
+	seeker, kw := aQuery(t, inst)
 	s := newTestServer(t, Config{Instance: inst})
 	h := s.Handler()
-	seeker, kw := aQuery(t, inst)
-	// no_cache skips the result cache, so every request reaches the
-	// engine — the second one over a warm proximity frontier.
-	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5,"no_cache":true}`, seeker, kw)
+	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
 
 	_, cold := postSearch(t, h, body)
 	ps := statsProx(t, s)
@@ -47,8 +45,8 @@ func TestProxCacheWarmPath(t *testing.T) {
 
 	_, warm := postSearch(t, h, body)
 	ps = statsProx(t, s)
-	if ps.Hits == 0 {
-		t.Fatalf("warm search did not hit the prox cache: %+v", ps)
+	if cold.Warm || !warm.Warm || ps.Hits == 0 {
+		t.Fatalf("the repeat did not resume the cold search's checkpoint (warm flags %v, %v): %+v", cold.Warm, warm.Warm, ps)
 	}
 	if len(cold.Results) == 0 || len(cold.Results) != len(warm.Results) {
 		t.Fatalf("result shape diverged: %d vs %d", len(cold.Results), len(warm.Results))
@@ -75,97 +73,43 @@ func TestProxCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestReloadReseedsProximity: a reload drops the stale checkpoints and
-// the result-cache replay re-publishes the frontiers of the queries it
-// re-executes — and only those: a hot query that matches nothing explores
-// nothing, before the reload or after it.
-func TestReloadReseedsProximity(t *testing.T) {
-	small := testInstance(t, 40, 150, 3)
-	big := testInstance(t, 60, 240, 4)
-	s := newTestServer(t, Config{
-		Instance: small,
-		Loader:   func() (s3.Queryable, error) { return big, nil },
-	})
-	h := s.Handler()
-	seeker, kw := aQuery(t, small)
-	postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw))
-	// A second hot seeker whose (exact, cacheable) query matches nothing.
-	other := otherSeeker(t, small, big, seeker)
-	postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":["zz-no-such-keyword"],"k":5}`, other))
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/reload", nil))
-	var reloaded struct {
-		Warmed int `json:"warmed"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &reloaded); err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.Warmed != 2 {
-		t.Errorf("reload replayed %d result-cache entries, want 2", reloaded.Warmed)
-	}
-	// Everything cached now belongs to the new instance: the replayed
-	// matching query's frontier, nothing stale.
-	if ps := statsProx(t, s); ps.Entries != 1 {
-		t.Errorf("checkpoints after reload = %d, want 1: %+v", ps.Entries, ps)
-	}
-}
-
-// TestReloadKeepsHottestCheckpoint: the replay re-runs the hot queries
-// oldest first, so the most recent seeker's frontier is published last
-// and a budget of a few checkpoints keeps it; nothing after the replay
-// may evict it. A search of that seeker the result cache cannot answer
-// (another k) then resumes the checkpoint.
-func TestReloadKeepsHottestCheckpoint(t *testing.T) {
+// TestReloadDropsCheckpoints: a reload of the same content binds the
+// proximity cache to the incoming instance, which drops every checkpoint
+// of the outgoing one and replays nothing, so a hot seeker's next search
+// explores from scratch and publishes again for its repeat.
+func TestReloadDropsCheckpoints(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
-	hot := someQueries(t, inst, 4)
-	last := hot[len(hot)-1]
-	search := func(q query, k int, noCache bool) string {
-		return fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":%d,"no_cache":%v}`, q.seeker, q.kw, k, noCache)
-	}
-
-	// One checkpoint's size: the last seeker's search, alone in a cache.
-	sizer := newTestServer(t, Config{Instance: inst})
-	postSearch(t, sizer.Handler(), search(last, 5, false))
-	one := statsProx(t, sizer).Bytes
-	if one == 0 {
-		t.Fatal("the sizing search published no checkpoint")
-	}
-
+	seeker, kw := aQuery(t, inst)
 	s := newTestServer(t, Config{
-		Instance:       inst,
-		ProxCacheBytes: one * 5 / 2,
-		Loader:         func() (s3.Queryable, error) { return inst, nil },
+		Instance: inst,
+		Loader:   func() (s3.Queryable, error) { return testInstance(t, 60, 240, 3), nil },
 	})
 	h := s.Handler()
-	for _, q := range hot {
-		if rec, _ := postSearch(t, h, search(q, 5, false)); rec.Code != http.StatusOK {
-			t.Fatalf("search %v = %d: %s", q, rec.Code, rec.Body.String())
-		}
+	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
+	postSearch(t, h, body)
+	if ps := statsProx(t, s); ps.Entries == 0 {
+		t.Fatalf("the hot seeker's search published no checkpoint: %+v", ps)
 	}
+
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/reload", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /reload = %d: %s", rec.Code, rec.Body.String())
 	}
-	rec, resp := postSearch(t, h, search(last, 3, true))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("post-reload search = %d: %s", rec.Code, rec.Body.String())
+	var reply map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
 	}
-	if !resp.Warm {
-		t.Errorf("the hottest seeker's search ran cold after the reload: %+v", statsProx(t, s))
+	if _, ok := reply["warmed"]; ok {
+		t.Errorf("reload reply reports warmed: %s", rec.Body.String())
 	}
-}
-
-// otherSeeker picks a user present in both instances, different from avoid.
-func otherSeeker(t *testing.T, a, b *s3.Instance, avoid string) string {
-	t.Helper()
-	for u := 0; u < 50; u++ {
-		s := fmt.Sprintf("tw:u%d", u)
-		if s != avoid && a.HasUser(s) && b.HasUser(s) {
-			return s
-		}
+	if ps := statsProx(t, s); ps.Entries != 0 {
+		t.Errorf("checkpoints after reload = %d, want 0: %+v", ps.Entries, ps)
 	}
-	t.Fatal("no second seeker available")
-	return ""
+	if _, resp := postSearch(t, h, body); resp.Warm {
+		t.Error("the hot seeker's first search after the reload resumed a checkpoint")
+	}
+	if _, resp := postSearch(t, h, body); !resp.Warm {
+		t.Errorf("the hot seeker's repeat after the reload ran cold: %+v", statsProx(t, s))
+	}
 }

@@ -4,13 +4,11 @@
 // through the s3.Queryable abstraction (a plain instance is the
 // degenerate one-shard case, with no behavioural difference). The
 // instance is held in a snap.Current so it can be hot-swapped
-// (POST /reload) while searches are in flight; finished answers go
-// through an LRU result cache, which is re-warmed after a reload by
-// replaying the cached queries against the new instance; and a bounded
-// worker pool caps the number of searches executing at once regardless of
-// how many connections the HTTP layer accepts. A result-cache miss runs
-// its own search: an S3k answer is personal to its seeker, so identical
-// requests in flight at once are too rare to share one engine call.
+// (POST /reload) while searches are in flight, and a bounded worker pool
+// caps the number of searches executing at once regardless of how many
+// connections the HTTP layer accepts. Every search reaches the engine: an
+// S3k answer is personal to its seeker, so what is worth reusing is the
+// seeker's proximity exploration, which the proximity cache keeps.
 //
 // Endpoints:
 //
@@ -34,7 +32,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,14 +50,13 @@ type Config struct {
 	// Loader re-loads the instance for POST /reload (typically re-reading
 	// a snapshot file or shard set). nil disables reloading.
 	Loader func() (s3.Queryable, error)
-	// CacheSize is the result-cache capacity in entries; 0 picks the
-	// default (1024), negative disables caching.
+	// CacheSize is ignored: there is no result cache. It is kept until
+	// ROADMAP 13(a) drops it from benchmark/probes.go.
 	CacheSize int
 	// ProxCacheBytes budgets the seeker-proximity checkpoint cache that
-	// serves the warm path under the result cache: a result-cache miss
-	// whose seeker has a cached exploration frontier resumes it instead of
-	// re-propagating the social graph. 0 picks the default (64 MiB),
-	// negative disables it.
+	// serves the warm path: a search whose seeker has a cached exploration
+	// frontier resumes it instead of re-propagating the social graph. 0
+	// picks the default (64 MiB), negative disables it.
 	ProxCacheBytes int64
 	// Workers bounds concurrently executing searches; 0 picks
 	// GOMAXPROCS.
@@ -85,9 +81,6 @@ type Config struct {
 	SlowLog *obs.SlowLog
 }
 
-// DefaultCacheSize is the result-cache capacity when Config leaves it 0.
-const DefaultCacheSize = 1024
-
 // DefaultProxCacheBytes is the proximity-cache budget when Config leaves
 // it 0.
 const DefaultProxCacheBytes int64 = 64 << 20
@@ -110,7 +103,7 @@ type served struct {
 func (v served) Close() error { return v.inst.Close() }
 
 // generation is one installed instance with its load generation (the
-// cache keys' and /stats' version).
+// version /search and /stats report).
 type generation = snap.Generation[served]
 
 // Server serves S3k queries over HTTP. Create with New.
@@ -126,8 +119,6 @@ type Server struct {
 	waiting      atomic.Int64
 	maxQueue     int64
 	maxQueueWait time.Duration
-
-	cache *lruCache
 
 	// prox is the seeker-proximity checkpoint cache, attached (and so
 	// bound) to every served instance generation in turn. nil when
@@ -146,7 +137,6 @@ type Server struct {
 	// lifetime counters
 	searches atomic.Uint64
 	reloads  atomic.Uint64
-	warmed   atomic.Uint64
 
 	// observability: the process registry behind GET /metrics, the
 	// engine-level search instruments attached to every served instance
@@ -162,11 +152,10 @@ type Server struct {
 }
 
 // search outcomes label the HTTP latency histogram: how the answer was
-// produced, from cheapest to most expensive.
+// produced.
 const (
-	outcomeCached = "cached" // result-cache hit
-	outcomeWarm   = "warm"   // ran, resuming a proximity checkpoint
-	outcomeCold   = "cold"   // ran from scratch
+	outcomeWarm = "warm" // resumed a proximity checkpoint
+	outcomeCold = "cold" // explored from scratch
 )
 
 // New wires a server around an instance.
@@ -177,13 +166,6 @@ func New(cfg Config) (*Server, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	cacheSize := cfg.CacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
-	}
-	if cacheSize < 0 {
-		cacheSize = 0
 	}
 	proxBytes := cfg.ProxCacheBytes
 	if proxBytes == 0 {
@@ -210,14 +192,13 @@ func New(cfg Config) (*Server, error) {
 		start:        time.Now(),
 		maxQueue:     maxQueue,
 		maxQueueWait: maxQueueWait,
-		cache:        newLRUCache(cacheSize),
 		reg:          reg,
 		sm:           obs.NewSearchMetrics(reg),
 		traces:       obs.NewTraceRing(0),
 		slow:         cfg.SlowLog,
 	}
-	s.outcomes = make(map[string]*obs.Histogram, 3)
-	for _, o := range []string{outcomeCached, outcomeWarm, outcomeCold} {
+	s.outcomes = make(map[string]*obs.Histogram, 2)
+	for _, o := range []string{outcomeWarm, outcomeCold} {
 		s.outcomes[o] = reg.Histogram("s3_http_search_seconds",
 			"POST /search latency by how the answer was produced.", nil, obs.L("outcome", o))
 	}
@@ -238,26 +219,21 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// registerFuncMetrics exposes the server's existing atomics and cache
-// statistics through the registry without restructuring them.
+// registerFuncMetrics exposes the server's existing atomics and
+// proximity-cache statistics through the registry without restructuring
+// them.
 func (s *Server) registerFuncMetrics() {
 	r := s.reg
 	r.GaugeFunc("s3_uptime_seconds", "Seconds since the serving process started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("s3_server_generation", "Load generation of the served instance (bumped by /reload).",
 		func() float64 { return float64(s.cur.Peek().Version) })
-	r.CounterFunc("s3_http_searches_total", "Engine searches executed (cache hits excluded).",
+	r.CounterFunc("s3_http_searches_total", "Engine searches executed.",
 		func() float64 { return float64(s.searches.Load()) })
 	r.CounterFunc("s3_reloads_total", "Successful instance reloads.",
 		func() float64 { return float64(s.reloads.Load()) })
 	r.CounterFunc("s3_slowlog_emitted_total", "Slow-query log lines written.",
 		func() float64 { return float64(s.slow.Emitted()) })
-	r.CounterFunc("s3_cache_hits_total", "Result-cache hits.", func() float64 { return float64(s.cache.stats().Hits) })
-	r.CounterFunc("s3_cache_misses_total", "Result-cache misses.", func() float64 { return float64(s.cache.stats().Misses) })
-	r.CounterFunc("s3_cache_evictions_total", "Result-cache LRU evictions.", func() float64 { return float64(s.cache.stats().Evictions) })
-	r.GaugeFunc("s3_cache_size", "Result-cache entries currently held.", func() float64 { return float64(s.cache.stats().Size) })
-	r.CounterFunc("s3_cache_warmed_total", "Cache entries re-computed by post-reload warming.",
-		func() float64 { return float64(s.warmed.Load()) })
 	prox := func(pick func(s3.ProxCacheStats) float64) func() float64 {
 		return func() float64 {
 			if s.prox == nil {
@@ -356,14 +332,12 @@ type searchRequest struct {
 	Gamma float64 `json:"gamma,omitempty"`
 	// Eta is the structural damping factor η ∈ (0,1) (default 0.8).
 	Eta float64 `json:"eta,omitempty"`
-	// BudgetMS caps wall-clock search time (any-time mode; uncached; 0
-	// means no cap, a negative value is refused).
+	// BudgetMS caps wall-clock search time (any-time mode; 0 means no
+	// cap, a negative value is refused).
 	BudgetMS int `json:"budget_ms,omitempty"`
-	// MaxIterations caps exploration depth (any-time mode; uncached; 0
-	// means no cap, a negative value is refused).
+	// MaxIterations caps exploration depth (any-time mode; 0 means no
+	// cap, a negative value is refused).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// NoCache bypasses the result cache for this request.
-	NoCache bool `json:"no_cache,omitempty"`
 }
 
 type searchResult struct {
@@ -378,47 +352,22 @@ type searchResponse struct {
 	Exact      bool           `json:"exact"`
 	Iterations int            `json:"iterations"`
 	ElapsedMS  float64        `json:"elapsed_ms"`
-	Cached     bool           `json:"cached"`
 	// Warm is true when the search resumed a proximity-cache checkpoint
 	// instead of exploring from scratch.
 	Warm    bool   `json:"warm,omitempty"`
 	Version uint64 `json:"version"`
 	// Degraded and ShardsServed are set only on ?partial=1 answers that
 	// ran without full shard coverage: the answer is the top-k of the
-	// listed shards, not of the whole corpus. Never cached.
+	// listed shards, not of the whole corpus.
 	Degraded     bool  `json:"degraded,omitempty"`
 	ShardsServed []int `json:"shards_served,omitempty"`
 	// TraceID and Trace are set only on ?trace=1 responses: the span tree
-	// of the search that produced this answer. Never cached.
+	// of the search that produced this answer.
 	TraceID string        `json:"trace_id,omitempty"`
 	Trace   *obs.SpanJSON `json:"trace,omitempty"`
 }
 
-// cacheKey canonicalises a request; the instance version makes stale
-// entries unreachable even before the reload purge completes. Seeker and
-// keywords are client-controlled strings, so each is length-prefixed —
-// plain concatenation would let crafted values collide with a different
-// user's personalized results.
-func (r *searchRequest) cacheKey(version uint64) string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(version, 10))
-	fmt.Fprintf(&b, "|%d:%s", len(r.Seeker), r.Seeker)
-	for _, kw := range r.Keywords {
-		fmt.Fprintf(&b, "|%d:%s", len(kw), kw)
-	}
-	fmt.Fprintf(&b, "|%d|%g|%g|%d|%d", r.K, r.Gamma, r.Eta, r.BudgetMS, r.MaxIterations)
-	return b.String()
-}
-
-// cacheable reports whether the answer is safe to reuse: any-time
-// requests stop on wall-clock or iteration budgets, so their answers are
-// not reproducible and never enter the cache.
-func (r *searchRequest) cacheable() bool {
-	return !r.NoCache && r.BudgetMS == 0 && r.MaxIterations == 0
-}
-
 func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
-	t0 := time.Now()
 	// Honor a client-supplied X-Request-ID (so one id follows a request
 	// through client logs, the slow-query log and /debug/traces), generate
 	// one otherwise, and echo it on every response.
@@ -428,10 +377,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", rid)
 	wantTrace := req.URL.Query().Get("trace") == "1"
-	// ?partial=1 opts into a degraded answer when shards are down. Like
-	// tracing it bypasses the cache: a degraded answer is
-	// coverage-dependent, never safe to reuse or to hand to a request
-	// that did not opt in.
+	// ?partial=1 opts into a degraded answer when shards are down: a
+	// degraded answer is coverage-dependent, so only a request that opted
+	// in may get one.
 	wantPartial := req.URL.Query().Get("partial") == "1"
 
 	var sr searchRequest
@@ -458,8 +406,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "k must be positive"})
 		return
 	}
-	// Normalize omitted parameters to their engine defaults before keying,
-	// so "gamma omitted" and "gamma":1.5 share one cache entry.
+	// Fill in omitted parameters with their engine defaults, so the checks
+	// below validate the values the search will run with.
 	if sr.Gamma == 0 {
 		sr.Gamma = 1.5
 	}
@@ -488,28 +436,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// A ?trace=1 request exists to watch a real search run, so it bypasses
-	// the result cache — a hit would return instantly with nothing to
-	// trace. ?partial=1 bypasses it for coverage reasons (see above).
-	useCache := sr.cacheable() && !wantTrace && !wantPartial
-	var key string
-	if useCache {
-		key = sr.cacheKey(state.Version)
-		if resp, ok := s.cache.get(key); ok {
-			cached := *resp
-			cached.Cached = true
-			s.outcomes[outcomeCached].ObserveSince(t0)
-			writeJSON(w, http.StatusOK, &cached)
-			return
-		}
-	}
 	resp, herr := s.observedSearch(req.Context(), state, &sr, rid, wantTrace, wantPartial)
 	if herr != nil {
 		writeError(w, herr)
 		return
-	}
-	if useCache && resp.Exact {
-		s.cache.put(key, sr, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -625,15 +555,9 @@ func (s *Server) runSearch(ctx context.Context, state *generation, sr *searchReq
 	}
 	defer func() { <-s.sem }()
 
-	opts := []s3.Option{s3.WithK(sr.K), s3.WithContext(ctx)}
+	opts := []s3.Option{s3.WithK(sr.K), s3.WithGamma(sr.Gamma), s3.WithEta(sr.Eta), s3.WithContext(ctx)}
 	if partial {
 		opts = append(opts, s3.WithPartial())
-	}
-	if sr.Gamma != 0 {
-		opts = append(opts, s3.WithGamma(sr.Gamma))
-	}
-	if sr.Eta != 0 {
-		opts = append(opts, s3.WithEta(sr.Eta))
 	}
 	if sr.BudgetMS > 0 {
 		opts = append(opts, s3.WithBudget(time.Duration(sr.BudgetMS)*time.Millisecond))
@@ -714,7 +638,6 @@ type statsResponse struct {
 	Reloads    uint64           `json:"reloads"`
 	ShardCount int              `json:"shard_count"`
 	Shards     []shardStatsJSON `json:"shards"`
-	Cache      cacheStats       `json:"cache"`
 	ProxCache  proxCacheStats   `json:"prox_cache"`
 	// Distributed carries the coordinator's view (its counters and
 	// per-worker statuses) when the served instance is a distributed
@@ -730,7 +653,7 @@ type distributedStatsProvider interface {
 }
 
 // proxCacheStats is the /stats view of the seeker-proximity checkpoint
-// cache (the warm path under the result cache).
+// cache (the warm path).
 type proxCacheStats struct {
 	Enabled   bool   `json:"enabled"`
 	MaxBytes  int64  `json:"max_bytes"`
@@ -753,20 +676,9 @@ type shardStatsJSON struct {
 	Tags       int `json:"tags"`
 }
 
-type cacheStats struct {
-	Capacity  int    `json:"capacity"`
-	Size      int    `json:"size"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Warmed    uint64 `json:"warmed"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	state := s.cur.Acquire()
 	defer state.Release()
-	cs := s.cache.stats()
-	cs.Warmed = s.warmed.Load()
 	shards := state.Value.inst.Shards()
 	rows := make([]shardStatsJSON, len(shards))
 	for i, sh := range shards {
@@ -810,7 +722,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Reloads:     s.reloads.Load(),
 		ShardCount:  len(shards),
 		Shards:      rows,
-		Cache:       cs,
 		ProxCache:   ps,
 		Distributed: distributed,
 	})
@@ -850,9 +761,6 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	loaded := served{inst: inst, loadedAt: time.Now(), loadMS: time.Since(loadStart).Milliseconds()}
-	// Remember what the cache held before the swap invalidates it: those
-	// keys are the hot query set, worth paying for again up front.
-	hot := s.cache.requests()
 	if s.prox != nil {
 		// Attaching the cache to the incoming instance before it serves
 		// binds it there, which drops the outgoing instance's checkpoints
@@ -866,50 +774,11 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	// unlinked or rewritten immediately.
 	s.cur.Install(loaded)
 	s.reloads.Add(1)
-	next := s.cur.Acquire()
-	defer next.Release()
-	s.cache.purge()
-	warmed := s.warmCache(next, hot)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "reloaded",
-		"version":  next.Version,
-		"warmed":   warmed,
+		"version":  s.cur.Peek().Version,
 		"instance": inst.Stats(),
 	})
-}
-
-// maxWarmReplay bounds how many cached queries a reload re-executes:
-// replaying an entire large cache serially would hold up the /reload
-// response (and reloadMu) for minutes, so only the hottest entries are
-// paid for up front — the rest refill organically.
-const maxWarmReplay = 256
-
-// warmCache replays the pre-reload hot query set against the freshly
-// swapped-in instance so the first clients after a reload keep hitting
-// the cache. At most maxWarmReplay most-recently-used entries are
-// replayed, oldest-first so the new cache ends up with the same recency
-// order the old one had; queries whose seeker vanished from the new
-// instance are skipped. Returns how many entries were warmed (also
-// accumulated in the cache.warmed counter).
-func (s *Server) warmCache(state *generation, hot []searchRequest) int {
-	if len(hot) > maxWarmReplay {
-		hot = hot[:maxWarmReplay]
-	}
-	warmed := 0
-	for i := len(hot) - 1; i >= 0; i-- {
-		sr := hot[i]
-		if !state.Value.inst.HasUser(sr.Seeker) {
-			continue
-		}
-		resp, herr := s.runSearch(context.Background(), state, &sr, nil, false)
-		if herr != nil || !resp.Exact {
-			continue
-		}
-		s.cache.put(sr.cacheKey(state.Version), sr, resp)
-		warmed++
-	}
-	s.warmed.Add(uint64(warmed))
-	return warmed
 }
 
 // Instance returns the currently served instance (tests and diagnostics).

