@@ -2,7 +2,7 @@
 # `go test ./...`; the targets here add the CI smokes. Performance is
 # measured by benchmark/ (see benchmark/README.md), not from here.
 
-.PHONY: build test race bench-e2e-smoke fuzz-smoke metrics-lint
+.PHONY: build test race bench-e2e-smoke fuzz-smoke metrics-lint fma-lint
 
 build:
 	go build ./...
@@ -44,3 +44,10 @@ fuzz-smoke:
 # nothing registers.
 metrics-lint:
 	sh scripts/metrics-lint.sh
+
+# fma-lint cross-compiles the module for arm64, ppc64le, riscv64 and s390x
+# and fails if the compiler fuses a multiply and an add into one rounding
+# anywhere: amd64 never fuses, so a fused line computes other bits there
+# than the digests pinned on amd64.
+fma-lint:
+	sh scripts/fma-lint.sh

@@ -46,7 +46,7 @@ func SpearmanL1(t1, t2 []graph.NID) float64 {
 			missing += float64(r2)
 		}
 	}
-	l1 := 2*float64(k-inter)*float64(k+1) + common - missing
+	l1 := float64(2*(k-inter)*(k+1)) + common - missing
 	// The paper's formula assumes two full k-lists; with lists of unequal
 	// length the normalised distance can leave [0, 1], so clamp.
 	maxL1 := float64(k * (k + 1))

@@ -143,46 +143,15 @@ type CoordOptions struct {
 	Budget        time.Duration
 	// Start anchors the budget clock (the caller's search start).
 	Start time.Time
-	// Trace, when non-nil, records the search's stages (begin, each round
-	// with a span per executor, finalize) as spans under the trace's root.
-	// Executors that implement TakeSpan (tracing-enabled local ones)
-	// contribute their own span subtrees, stitched under their executor's
-	// span. Tracing is observational only: it never changes the answer.
+	// Trace, when non-nil, gets the search's round count and stop reason
+	// as attributes of its root span. The stage spans (begin, each round,
+	// finalize) are recorded by the executor that does the work: Engine.Run
+	// hands its LocalExecutor the same root. Tracing is observational
+	// only: it never changes the answer.
 	Trace *obs.Trace
 	// Obs, when non-nil, receives the search's metrics observations
 	// (rounds per search, per-round latency).
 	Obs *obs.SearchMetrics
-}
-
-// spanSource is implemented by executors that collect a span subtree per
-// protocol call (LocalExecutor with tracing enabled). TakeSpan returns the
-// subtree recorded by the most recent call and clears it.
-type spanSource interface {
-	TakeSpan() *obs.Span
-}
-
-// maxTracedRounds caps per-round span recording: a long any-time search
-// must not grow an unbounded trace tree (the round histogram still sees
-// every round).
-const maxTracedRounds = 256
-
-// scatter runs f for every executor in order, each under its own "shard"
-// child span of parent (nil: none) with the span subtree the executor
-// collected attached, and returns the first error.
-func scatter(parent *obs.Span, execs []ShardExecutor, f func(i int) error) error {
-	var first error
-	for i, ex := range execs {
-		sp := parent.StartChild("shard")
-		sp.SetInt("shard", int64(i))
-		if err := f(i); err != nil && first == nil {
-			first = err
-		}
-		sp.End()
-		if src, ok := ex.(spanSource); ok {
-			sp.Attach(src.TakeSpan())
-		}
-	}
-	return first
 }
 
 // Coordinate is the S3k round loop (Algorithm 1) and the only place the
@@ -214,16 +183,13 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 	}()
 
-	beginSpan := root.StartChild("begin")
 	begins := make([]BeginInfo, len(execs))
-	if err := scatter(beginSpan, execs, func(i int) error {
-		var err error
-		begins[i], err = execs[i].Begin(spec)
-		return err
-	}); err != nil {
-		return nil, stats, err
+	var err error
+	for i, ex := range execs {
+		if begins[i], err = ex.Begin(spec); err != nil {
+			return nil, stats, err
+		}
 	}
-	beginSpan.End()
 	totalMatched := 0
 	for _, b := range begins {
 		totalMatched += b.Matched
@@ -249,38 +215,25 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			stats.Candidates += info.Candidates
 		}
 		stats.Elapsed = time.Since(start)
-		if root != nil {
-			root.SetInt("rounds", int64(stats.Iterations))
-			root.SetAttr("stop", string(reason))
-		}
+		root.SetInt("rounds", int64(stats.Iterations))
+		root.SetAttr("stop", string(reason))
 		if copts.Obs != nil {
 			copts.Obs.Rounds.Observe(float64(stats.Iterations))
 		}
 		return sel, stats, nil
 	}
 	finalize := func() ([]CandMeta, error) {
-		fin := root.StartChild("finalize")
-		if err := scatter(fin, execs, func(i int) error {
+		for i, ex := range execs {
 			var err error
-			infos[i], err = execs[i].Finalize()
-			return err
-		}); err != nil {
-			return nil, err
+			if infos[i], err = ex.Finalize(); err != nil {
+				return nil, err
+			}
 		}
 		sel, _ := merge.mergedSelect(infos, spec.K)
-		fin.End()
 		return sel, nil
 	}
 
-	// One closure for every round's scatter, not one per round.
-	round := func(i int) error {
-		var err error
-		infos[i], err = execs[i].Round()
-		return err
-	}
-
 	n, done := 0, false
-	tracedRounds := 0
 	for {
 		if copts.Ctx != nil {
 			if err := copts.Ctx.Err(); err != nil {
@@ -303,18 +256,14 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 			return finish(sel, StopBudget)
 		}
 
-		var sp *obs.Span
-		if root != nil && tracedRounds < maxTracedRounds {
-			sp = root.StartChild("round")
-			tracedRounds++
-		}
 		var roundStart time.Time
-		if sp != nil || copts.Obs != nil {
+		if copts.Obs != nil {
 			roundStart = time.Now()
 		}
-
-		if err := scatter(sp, execs, round); err != nil {
-			return nil, stats, err
+		for i, ex := range execs {
+			if infos[i], err = ex.Round(); err != nil {
+				return nil, stats, err
+			}
 		}
 		n, done = infos[0].N, infos[0].Done
 		admitted := 0
@@ -339,16 +288,10 @@ func Coordinate(execs []ShardExecutor, spec SearchSpec, copts CoordOptions) ([]C
 		}
 		selection, certain := merge.mergedSelect(infos, spec.K)
 
-		// The round span covers the executors' rounds and the merge; the
-		// stop decision below is a handful of comparisons.
+		// The round's latency covers the executors' rounds and the merge;
+		// the stop decision below is a handful of comparisons.
 		if copts.Obs != nil {
 			copts.Obs.RoundSeconds.Observe(time.Since(roundStart).Seconds())
-		}
-		if sp != nil {
-			sp.SetInt("n", int64(n))
-			sp.SetInt("admitted", int64(admitted))
-			sp.SetInt("kept", int64(len(selection)))
-			sp.End()
 		}
 
 		// The answer is final when the selection is trustworthy, cannot

@@ -55,10 +55,11 @@ type LocalExecutor struct {
 	// End.
 	pc *proxcache.Cache
 
-	// traced enables per-call span recording; span holds the most recent
-	// call's subtree until TakeSpan collects it.
-	traced bool
-	span   *obs.Span
+	// root, when non-nil, is the search's trace root: Begin, Finalize and
+	// the first maxTracedRounds Rounds record their stage span under it.
+	// traced counts the round spans recorded.
+	root   *obs.Span
+	traced int
 
 	// Per-search state, installed by Begin and dropped by End.
 	sc       *score.Scorer // nil outside a search
@@ -113,27 +114,21 @@ func NewShardExecutor(e *Engine, _ int) *LocalExecutor {
 	return &LocalExecutor{e: e}
 }
 
-// TakeSpan implements the coordinator's span collection: it returns the
-// span subtree recorded by the most recent protocol call and clears it
-// (nil when tracing is off).
-func (x *LocalExecutor) TakeSpan() *obs.Span {
-	sp := x.span
-	x.span = nil
-	return sp
-}
+// maxTracedRounds caps per-round span recording: a long any-time search
+// must not grow an unbounded trace tree (the round histogram still sees
+// every round).
+const maxTracedRounds = 256
 
 // Begin implements ShardExecutor. The spec is validated here as well as
 // at the query entry points.
 func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
+	sp := x.root.StartChild("begin")
+	defer sp.End()
 	if err := checkQuery(x.e.in, spec.Seeker, spec.K); err != nil {
 		return BeginInfo{}, err
 	}
 	if len(spec.Groups) == 0 {
 		return BeginInfo{}, fmt.Errorf("core: empty keyword groups")
-	}
-	var sp *obs.Span
-	if x.traced {
-		sp = obs.NewSpan("exec.begin")
 	}
 	sc, err := score.NewScorer(x.e.in, x.e.ix, spec.Params, spec.Groups)
 	if err != nil {
@@ -155,11 +150,7 @@ func (x *LocalExecutor) Begin(spec SearchSpec) (BeginInfo, error) {
 			info.GroupMasses[gi][j] = int32(p.MaxCompEvents())
 		}
 	}
-	if sp != nil {
-		sp.SetInt("matched", int64(len(comps)))
-		sp.End()
-		x.span = sp
-	}
+	sp.SetInt("matched", int64(len(comps)))
 	return info, nil
 }
 
@@ -177,8 +168,9 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 		return RoundInfo{}, fmt.Errorf("core: Round without Begin")
 	}
 	var sp *obs.Span
-	if x.traced {
-		sp = obs.NewSpan("exec.round")
+	if x.root != nil && x.traced < maxTracedRounds {
+		sp = x.root.StartChild("round")
+		x.traced++
 	}
 	step := sp.StartChild("step")
 	discovered := x.iter().Step()
@@ -206,7 +198,6 @@ func (x *LocalExecutor) Round() (RoundInfo, error) {
 		sp.SetInt("candidates", int64(len(x.cands)))
 		sp.SetInt("kept", int64(len(x.kept)))
 		sp.End()
-		x.span = sp
 	}
 	return info, nil
 }
@@ -216,17 +207,13 @@ func (x *LocalExecutor) Finalize() (RoundInfo, error) {
 	if x.sc == nil {
 		return RoundInfo{}, fmt.Errorf("core: Finalize without Begin")
 	}
-	var sp *obs.Span
-	if x.traced {
-		sp = obs.NewSpan("exec.finalize")
-	}
+	sp := x.root.StartChild("finalize")
 	x.refresh(sp)
 	info := x.roundInfo()
 	if sp != nil {
 		sp.SetInt("candidates", int64(len(x.cands)))
 		sp.SetInt("kept", int64(len(x.kept)))
 		sp.End()
-		x.span = sp
 	}
 	return info, nil
 }
@@ -244,7 +231,7 @@ func (x *LocalExecutor) End() {
 		}
 	}
 	x.it, x.sc, x.comps = nil, nil, nil
-	x.reached, x.admitted = 0, 0
+	x.reached, x.admitted, x.traced = 0, 0, 0
 	x.cands, x.kept, x.uncertain, x.order = nil, nil, nil, nil
 	x.candSlab, x.listSlab, x.termSlab = nil, nil, nil
 }
@@ -412,7 +399,7 @@ func (x *LocalExecutor) computeBounds(tail, ratioTail float64, all []float64) {
 			for i := range terms {
 				t := &terms[i]
 				p := all[t.src]
-				mLo += t.eta * p
+				mLo += float64(t.eta * p)
 				rest := colMax[t.src] * tail
 				if r := score.RatioBound(ratioTail, p, t.p2); r < rest {
 					rest = r
@@ -422,7 +409,7 @@ func (x *LocalExecutor) computeBounds(tail, ratioTail float64, all []float64) {
 				if h > 1 {
 					h = 1
 				}
-				mHi += t.eta * h
+				mHi += float64(t.eta * h)
 			}
 			c.lower *= mLo
 			c.upper *= mHi

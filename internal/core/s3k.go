@@ -64,9 +64,10 @@ type Options struct {
 	// documents, order and score intervals — are byte-identical with and
 	// without the cache.
 	ProxCache *proxcache.Cache
-	// Trace, when non-nil, records the search's stages (resolution, each
-	// exploration round) as spans under the trace's root. Tracing is
-	// observational only: it never changes the answer.
+	// Trace, when non-nil, records the search's stages as spans under the
+	// trace's root: resolve, begin, each exploration round (with its step,
+	// admit, bounds and select) and finalize. Tracing is observational
+	// only: it never changes the answer.
 	Trace *obs.Trace
 	// Obs, when non-nil, receives the search's metrics observations
 	// (rounds per search, per-round latency).
@@ -223,10 +224,10 @@ func Query(in *graph.Instance, seeker graph.NID, keywords []string, k int, param
 }
 
 // Run is the second half: Coordinate over one LocalExecutor on the
-// engine's index — tracing when copts.Trace is set, and resuming from and
-// publishing to pc when it is non-nil. A completed search's stats report
-// the depth pc let it skip. The selection is best-first; the caller
-// resolves URIs.
+// engine's index — the executor recording its stage spans under
+// copts.Trace's root when that is set, and resuming from and publishing
+// to pc when it is non-nil. A completed search's stats report the depth
+// pc let it skip. The selection is best-first; the caller resolves URIs.
 //
 // explored, when non-nil, is the search's iterator, taken with Explore
 // for spec's seeker and params and stepped ahead of the search: Run
@@ -235,7 +236,7 @@ func Query(in *graph.Instance, seeker graph.NID, keywords []string, k int, param
 // to a cold search's. pc is then not used, and the search is not warm
 // (Stats.ResumedDepth stays 0). Run owns explored on every path.
 func (e *Engine) Run(spec SearchSpec, copts CoordOptions, pc *proxcache.Cache, explored *score.Iterator) ([]CandMeta, Stats, error) {
-	x := &LocalExecutor{e: e, pc: pc, traced: copts.Trace != nil}
+	x := &LocalExecutor{e: e, pc: pc, root: copts.Trace.Span()}
 	if explored != nil {
 		if explored.Seeker() != spec.Seeker || explored.Params() != spec.Params {
 			e.Drop(explored)

@@ -62,7 +62,7 @@ func RandomSpec(rng *rand.Rand, o RandomOptions) graph.Spec {
 	for i := 0; i < nUsers; i++ {
 		for j := 0; j < nUsers; j++ {
 			if i != j && rng.Float64() < o.EdgeDensity {
-				w := 0.1 + 0.9*rng.Float64()
+				w := 0.1 + float64(0.9*rng.Float64())
 				spec.Social = append(spec.Social, graph.SocialSpec{
 					From: spec.Users[i], To: spec.Users[j], W: w,
 				})
@@ -119,7 +119,7 @@ func RandomSpec(rng *rand.Rand, o RandomOptions) graph.Spec {
 	}
 
 	// Tags: keyword tags, endorsements, and occasionally tags on tags.
-	nTags := int(float64(nDocs) * o.TagDensity * (1 + rng.Float64()))
+	nTags := int(float64(nDocs) * o.TagDensity * (1 + float64(rng.Float64())))
 	var tagURIs []string
 	for ti := 0; ti < nTags; ti++ {
 		uri := fmt.Sprintf("tag%d", ti)

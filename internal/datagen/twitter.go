@@ -104,7 +104,7 @@ func Twitter(o TwitterOptions) (graph.Spec, Report) {
 				continue
 			}
 			seenEdge[[2]int{u, v}] = true
-			w := 0.1 + 0.9*rng.Float64()
+			w := 0.1 + float64(0.9*rng.Float64())
 			spec.Social = append(spec.Social, graph.SocialSpec{
 				From: users[u], To: users[v], W: w, Prop: "tw:similar",
 			})

@@ -82,7 +82,7 @@ func PowerLawDegrees(rng *rand.Rand, n int, avgDeg float64, maxDeg int) []int {
 	scale := avgDeg * float64(n) / sum
 	out := make([]int, n)
 	for i := range raw {
-		d := int(raw[i]*scale + 0.5)
+		d := int(float64(raw[i]*scale) + 0.5)
 		if d > maxDeg {
 			d = maxDeg
 		}

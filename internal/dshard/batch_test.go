@@ -30,7 +30,8 @@ import (
 
 // TestBatchedWireRoundTrip covers a reply batching several shards'
 // blocks: it decodes only whole, for exactly the shards requested, with
-// every event vetted against the shard whose block carries it.
+// every event vetted against the shard whose block carries it, and with
+// no tail or exactly a traced reply's 8-byte handling time.
 func TestBatchedWireRoundTrip(t *testing.T) {
 	shards := []int{0, 2}
 	// Shard s owns the fragments with s == frag % 4.
@@ -77,8 +78,17 @@ func TestBatchedWireRoundTrip(t *testing.T) {
 			t.Fatalf("reply truncated to %d of %d bytes accepted", cut, len(reply))
 		}
 	}
-	if _, _, err := decodePostingsReply(append(bytes.Clone(reply), 0), shards, kws, owns, time.Now()); err == nil {
-		t.Error("trailing garbage accepted")
+	// A reply ends after its blocks or after a traced reply's 8-byte
+	// handling time: any other tail fails it.
+	traced := binary.LittleEndian.AppendUint64(bytes.Clone(reply), 42)
+	if _, sp, err := decodePostingsReply(traced, shards, kws, owns, time.Now()); err != nil || sp == nil || sp.Dur != 42*time.Microsecond {
+		t.Fatalf("traced reply: span %+v, error %v", sp, err)
+	}
+	for _, tail := range []int{1, 2, 3, 4, 5, 6, 7, 9, 16} {
+		cut := append(bytes.Clone(reply), make([]byte, tail)...)
+		if _, _, err := decodePostingsReply(cut, shards, kws, owns, time.Now()); err == nil {
+			t.Errorf("a tail of %d bytes accepted", tail)
+		}
 	}
 }
 

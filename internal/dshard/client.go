@@ -92,9 +92,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // fetch asks the worker at base for the events of kws on shards, bounded
 // by the RPC timeout, and decodes the reply, vetting every event with
-// check. Any non-200 status is an error carrying the worker's message, a
-// 400 an appError; a reply that fails its CRC, is cut short or does not
-// decode is an error like a reset.
+// check; a traced reply also yields the worker.postings span. Any non-200
+// status is an error carrying the worker's message, a 400 an appError; a
+// reply that fails its CRC, is cut short, has a tail other than a traced
+// reply's or does not decode is an error like a reset.
 func (c *Coordinator) fetch(ctx context.Context, base string, r postingsRequest, check blockCheck) ([]index.Flat, *obs.Span, error) {
 	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()

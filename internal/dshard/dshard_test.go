@@ -524,8 +524,9 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A reply for two shards and two keywords: each shard's blocks come
-	// back as that shard's flat postings, the span block with its tree.
+	// A traced reply for two shards and two keywords: each shard's blocks
+	// come back as that shard's flat postings, and the worker's handling
+	// time as the worker.postings span of what was asked and decoded.
 	blocks := [][][]index.Event{
 		{{{Frag: 4, Src: graph.NoNID, Type: index.Contains}}, nil},
 		{{{Frag: 9, Src: 2, Type: index.RelatedTo}, {Frag: 11, Src: 3, Type: index.CommentsOn}}, {{Frag: 12, Src: 5, Type: index.RelatedTo}}},
@@ -536,8 +537,10 @@ func TestWireRoundTrip(t *testing.T) {
 			appendEvents(e, evs)
 		}
 	}
-	encodeSpanBlock(e, sampleSpan())
-	parts, sp, err := decodePostingsReply(e.b, []int{1, 3}, []dict.ID{2, 9}, acceptAll, time.Now())
+	untraced := len(e.b)
+	e.u64(1234)
+	base := time.Now()
+	parts, sp, err := decodePostingsReply(e.b, []int{1, 3}, []dict.ID{2, 9}, acceptAll, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +551,12 @@ func TestWireRoundTrip(t *testing.T) {
 	if fmt.Sprint(parts) != fmt.Sprint(want) {
 		t.Fatalf("postings reply round trip: %v != %v", parts, want)
 	}
-	if sp == nil || sp.Name != "exec.round" || len(sp.Children) != 1 {
-		t.Fatalf("span block round trip: %+v", sp)
+	if sp == nil || sp.Name != "worker.postings" || !sp.Start.Equal(base) || sp.Dur != 1234*time.Microsecond ||
+		fmt.Sprint(sp.Attrs) != "[{shards [1 3]} {keywords 2} {events 4}]" {
+		t.Fatalf("duration round trip: %+v", sp)
+	}
+	if got, sp, err := decodePostingsReply(e.b[:untraced], []int{1, 3}, []dict.ID{2, 9}, acceptAll, base); err != nil || sp != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("untraced reply: %v, span %+v, error %v", got, sp, err)
 	}
 }
 

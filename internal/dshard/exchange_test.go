@@ -293,7 +293,7 @@ func TestFailoverSessionsBeginLikeAnyOther(t *testing.T) {
 	failedOver := 0
 	for qi, q := range chaosQueries(t, set) {
 		traceID := uint64(qi + 1)
-		sel, stats, err := coord.Search(q.spec, core.CoordOptions{Trace: obs.NewTraceWithID(traceID, "search")})
+		sel, stats, err := coord.Search(q.spec, core.CoordOptions{Trace: &obs.Trace{ID: traceID, Root: obs.NewSpan("search")}})
 		if err != nil {
 			t.Fatal(err)
 		}

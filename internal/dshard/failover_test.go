@@ -175,8 +175,9 @@ func swapShards(inner http.Handler) http.Handler {
 
 // repeatEvent wraps a worker handler so that every postings reply repeats
 // the first event of its first non-empty block: the reply decoded and
-// encoded again by appendEvents, a well-formed reply under a valid CRC
-// that counts one connection twice.
+// encoded again by appendEvents (a traced reply's handling time after
+// them), a well-formed reply under a valid CRC that counts one connection
+// twice.
 func repeatEvent(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != pathPostings {
@@ -213,7 +214,9 @@ func repeatEvent(inner http.Handler) http.Handler {
 				appendEvents(e, evs)
 			}
 		}
-		encodeSpanBlock(e, sp)
+		if sp != nil {
+			e.u64(uint64(sp.Dur.Microseconds()))
+		}
 		rw.Write(appendRecord(nil, e.b))
 	})
 }

@@ -25,7 +25,7 @@
 //
 //	request  traceID u64 · nShards u32 · shard u32… · nKw u32 · kw u32…
 //	reply    per requested shard, per requested keyword: n u32 · event×n
-//	         · [span block]
+//	         · [busy µs u64]
 //	event    uvarint(zigzag(Δfrag)·3 + type) · uvarint(zigzag(Δsrc))  when (frag, type) repeats
 //	         uvarint(zigzag(Δfrag)·3 + type) · uvarint(src+1)          otherwise
 //
@@ -38,7 +38,10 @@
 // link writes.
 // The coordinator decodes each shard's blocks into that shard's
 // index.Flat, the form its shard file stores, and merges the shards'
-// postings by component as an in-process shard set does: no sort.
+// postings by component as an in-process shard set does: no sort. A
+// traced request's reply ends with the worker's handling time in
+// microseconds, from which the coordinator builds the worker.postings
+// span of its trace (postingsSpan); an untraced reply has no tail.
 //
 // CRC rule: the receiver checks a record's CRC before decoding it, and a
 // body must end where its record does. A fault that flips bits in transit
@@ -77,10 +80,6 @@ const (
 	// frame of 9-byte events could hold, so the decoder's worst case
 	// stays ≈ 85 MiB of index.Event however small varints make an event.
 	maxReplyEvents = maxFrameSize / 9
-	maxWireSpans   = 512
-	maxSpanName    = 256
-	maxSpanAttrs   = 32
-	maxAttrLen     = 1024
 	// maxHostShards caps the shards of one request; a conforming
 	// coordinator never exceeds the set's shard count.
 	maxHostShards = 256
@@ -100,8 +99,9 @@ const (
 // also bumps when only the floats a search computes change (7: ascending
 // summation; 8–10: versions of the round protocol, whose workers ran the
 // exploration; 11: one postings exchange per host, the coordinator
-// explores; 12: varint events).
-const protoVersion = 12
+// explores; 12: varint events; 13: a traced reply ends with the worker's
+// handling time instead of a span tree).
+const protoVersion = 13
 
 // --- records ---
 
@@ -234,25 +234,6 @@ func (d *dec) count(size int, what string) int {
 	return n
 }
 
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-func (d *dec) str(max int) string {
-	n := int(d.u32())
-	if d.err == nil && n > max {
-		d.fail("string of %d bytes (cap %d)", n, max)
-	}
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail("truncated frame")
-		return ""
-	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
-}
-
 func (d *dec) done() error {
 	if d.err != nil {
 		return d.err
@@ -263,108 +244,11 @@ func (d *dec) done() error {
 	return nil
 }
 
-// --- span blocks ---
-
-// encodeSpanBlock appends root's span tree in preorder: count, then per
-// span its parent's index in the stream (the sentinel for the root), its
-// name, start offset and duration in microseconds (relative to the
-// block's root span) and attributes. Offsets are block-relative because
-// worker and coordinator clocks are not comparable — the decoder rebases
-// onto a coordinator-side anchor.
-const spanNoParent = ^uint32(0)
-
-func encodeSpanBlock(e *enc, root *obs.Span) {
-	if root == nil {
-		return // untraced: no block
-	}
-	type item struct {
-		sp     *obs.Span
-		parent uint32
-	}
-	flat := make([]item, 0, 16)
-	var walk func(sp *obs.Span, parent uint32)
-	walk = func(sp *obs.Span, parent uint32) {
-		if sp == nil || len(flat) >= maxWireSpans {
-			return
-		}
-		idx := uint32(len(flat))
-		flat = append(flat, item{sp, parent})
-		for _, c := range sp.Children {
-			walk(c, idx)
-		}
-	}
-	walk(root, spanNoParent)
-	base := root.Start
-	e.u32(uint32(len(flat)))
-	for _, it := range flat {
-		e.u32(it.parent)
-		name := it.sp.Name
-		if len(name) > maxSpanName {
-			name = name[:maxSpanName]
-		}
-		e.str(name)
-		e.u64(uint64(max(it.sp.Start.Sub(base).Microseconds(), 0)))
-		e.u64(uint64(max(it.sp.Dur.Microseconds(), 0)))
-		attrs := it.sp.Attrs
-		if len(attrs) > maxSpanAttrs {
-			attrs = attrs[:maxSpanAttrs]
-		}
-		e.u32(uint32(len(attrs)))
-		for _, a := range attrs {
-			e.str(a.Key)
-			e.str(a.Value)
-		}
-	}
-}
-
-// decodeSpanBlock reads one span block, rebasing span start times onto
-// base (the coordinator-side moment the RPC began).
-func decodeSpanBlock(d *dec, base time.Time) *obs.Span {
-	n := int(d.u32())
-	if d.err == nil && n > maxWireSpans {
-		d.fail("%d wire spans", n)
-	}
-	spans := make([]*obs.Span, 0, min(n, 64))
-	for i := 0; i < n && d.err == nil; i++ {
-		parent := d.u32()
-		name := d.str(maxSpanName)
-		startUS := d.u64()
-		durUS := d.u64()
-		sp := &obs.Span{
-			Name:  name,
-			Start: base.Add(time.Duration(startUS) * time.Microsecond),
-			Dur:   time.Duration(durUS) * time.Microsecond,
-		}
-		na := int(d.u32())
-		if d.err == nil && na > maxSpanAttrs {
-			d.fail("%d span attrs", na)
-		}
-		for j := 0; j < na && d.err == nil; j++ {
-			sp.Attrs = append(sp.Attrs, obs.Attr{Key: d.str(maxSpanName), Value: d.str(maxAttrLen)})
-		}
-		switch {
-		case parent == spanNoParent:
-			if i != 0 {
-				d.fail("span %d claims to be a second root", i)
-			}
-		case int(parent) >= len(spans):
-			d.fail("span %d references parent %d out of order", i, parent)
-		default:
-			spans[parent].Children = append(spans[parent].Children, sp)
-		}
-		spans = append(spans, sp)
-	}
-	if d.err != nil || len(spans) == 0 {
-		return nil
-	}
-	return spans[0]
-}
-
 // --- postings ---
 
 // postingsRequest asks a worker for the events of kws on a list of its
 // hosted shards. traceID, when non-zero, asks the worker to record the
-// request in its trace ring and return its span.
+// request in its trace ring and to end its reply with its handling time.
 type postingsRequest struct {
 	traceID uint64
 	shards  []int
@@ -479,11 +363,28 @@ func (d *dec) events(evs []index.Event, n int) []index.Event {
 // shard; a non-nil error rejects the whole reply.
 type blockCheck func(shard int, evs []index.Event) error
 
+// busyLen is the length of a traced reply's tail: the worker's handling
+// time, u64 microseconds.
+const busyLen = 8
+
+// postingsSpan is the worker.postings span of a traced postings request:
+// the worker files it in its trace ring, and the coordinator builds the
+// same span from the handling time the reply ends with.
+func postingsSpan(start time.Time, busy time.Duration, shards []int, kws, events int) *obs.Span {
+	sp := &obs.Span{Name: "worker.postings", Start: start, Dur: busy}
+	sp.SetAttr("shards", fmt.Sprint(shards))
+	sp.SetInt("keywords", int64(kws))
+	sp.SetInt("events", int64(events))
+	return sp
+}
+
 // decodePostingsReply reads the reply to a request for kws (ascending) on
 // shards and returns, per requested shard, its blocks as one index.Flat of
-// the keywords it has events for, plus the worker's span (nil when
-// untraced). Every block passes check before it is kept; base anchors the
-// span's start times.
+// the keywords it has events for. Every block passes check before it is
+// kept. After the blocks a reply has no tail, or exactly the worker's
+// handling time (a traced reply), which returns its postingsSpan starting
+// at base, the moment the request left: worker and coordinator clocks are
+// not comparable. Any other tail fails the reply.
 func decodePostingsReply(p []byte, shards []int, kws []dict.ID, check blockCheck, base time.Time) ([]index.Flat, *obs.Span, error) {
 	d := &dec{b: p}
 	out := make([]index.Flat, len(shards))
@@ -510,8 +411,8 @@ func decodePostingsReply(p []byte, shards []int, kws []dict.ID, check blockCheck
 		}
 	}
 	var sp *obs.Span
-	if d.err == nil && d.off < len(d.b) {
-		sp = decodeSpanBlock(d, base)
+	if d.err == nil && len(d.b)-d.off == busyLen {
+		sp = postingsSpan(base, time.Duration(d.u64())*time.Microsecond, shards, len(kws), total)
 	}
 	if err := d.done(); err != nil {
 		return nil, nil, err

@@ -13,31 +13,19 @@ import (
 	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
-	"s3/internal/obs"
 	"s3/internal/snap"
 	"s3/internal/text"
 )
 
-func sampleSpan() *obs.Span {
-	root := obs.NewSpan("exec.round")
-	child := obs.NewSpan("exec.round")
-	child.SetInt("shard", 1)
-	child.End()
-	root.Attach(child)
-	root.End()
-	return root
-}
-
 // wireFixture is a live 2-shard set's substrate, a request for three of
 // its keywords on both shards, and the reply payload a worker hosting
-// both would send (span block included): the shapes the corruption tests
-// and fuzz targets start from.
+// both would send (traced: its handling time included): the shapes the
+// corruption tests and fuzz targets start from.
 type wireFixture struct {
-	sub     *substrate
-	ix      *index.Index
-	req     postingsRequest
-	reply   []byte
-	spanLen int
+	sub   *substrate
+	ix    *index.Index
+	req   postingsRequest
+	reply []byte
 }
 
 var (
@@ -66,9 +54,8 @@ func loadWireFixture() *wireFixture {
 		slices.Sort(fixture.req.kws)
 		e := &enc{}
 		appendShardBlocks(e, fixture.ix, fixture.sub, fixture.req.shards, fixture.req.kws)
-		n := len(e.b)
-		encodeSpanBlock(e, sampleSpan())
-		fixture.reply, fixture.spanLen = e.b, len(e.b)-n
+		e.u64(1234)
+		fixture.reply = e.b
 	})
 	return &fixture
 }
@@ -140,29 +127,30 @@ func framed(check func(t *testing.T, p []byte) error) func(t *testing.T, b []byt
 
 // wireDecoder is one decoder of the protocol with a pristine frame for it.
 // check decodes b and fails the test if a frame that decoded WITHOUT error
-// violates the decoder's own caps or contract; optionalTail is how many
-// trailing bytes of frame are optional (span blocks), where a truncation
-// may legitimately yield a valid shorter frame.
+// violates the decoder's own caps or contract; tail is the length of the
+// frame's optional tail (a traced reply's handling time, busyLen bytes):
+// the frame without it is valid too, and without only part of it is not.
 type wireDecoder struct {
-	name         string
-	frame        []byte
-	optionalTail int
-	check        func(t *testing.T, b []byte) error
+	name  string
+	frame []byte
+	tail  int
+	check func(t *testing.T, b []byte) error
 }
 
 // wireDecoders lists the frames the corruption storm and the fuzz targets
-// start from. The postings-, record- and span- entries are the fixture's exchange as
-// it crosses the wire. The beginset-, rounds- and finalize- entries keep
+// start from. The postings- and record- entries are the fixture's exchange
+// as it crosses the wire. The beginset-, rounds- and finalize- entries keep
 // the names of the round-protocol exchanges (proto 10 and before) whose
 // fuzz targets now drive them, and carry the shapes the fixture's exchange
 // does not take: the request record as a worker reads it, the smallest
 // request, a request at the shard cap, a one-shard reply record, an
 // untraced reply (no optional tail, so every cut must fail) and a reply
-// of empty blocks.
+// of empty blocks. The span-block entry keeps the name of the span tree a
+// traced reply ended with up to proto 12; its fuzz target now drives what
+// replaced it, a traced reply's tail, alone as the reply to a request for
+// no shards.
 func wireDecoders() []wireDecoder {
 	fx := loadWireFixture()
-	var span enc
-	encodeSpanBlock(&span, sampleSpan())
 	replyFor := func(shards []int) func(*testing.T, []byte) error {
 		return func(_ *testing.T, b []byte) error { return replyErr(b, shards) }
 	}
@@ -177,43 +165,30 @@ func wireDecoders() []wireDecoder {
 	for range len(fx.req.shards) * len(fx.req.kws) {
 		appendEvents(empty, nil)
 	}
-	blocks := len(empty.b)
-	encodeSpanBlock(empty, sampleSpan())
+	empty.u64(1234)
 	return []wireDecoder{
 		{name: "postings-request", frame: appendPostingsRequest(nil, fx.req), check: checkRequest},
-		{name: "postings-reply", frame: fx.reply, optionalTail: fx.spanLen, check: replyFor(fx.req.shards)},
+		{name: "postings-reply", frame: fx.reply, tail: busyLen, check: replyFor(fx.req.shards)},
 		{name: "record-stream", frame: appendRecord(nil, fx.reply), check: framed(replyFor(fx.req.shards))},
 		{name: "beginset-request", frame: appendRecord(nil, appendPostingsRequest(nil, fx.req)), check: framed(checkRequest)},
 		{name: "rounds-request", frame: appendPostingsRequest(nil, smallest), check: checkRequest},
 		{name: "finalize-request", frame: appendPostingsRequest(nil, atCap), check: checkRequest},
 		{name: "beginset-reply", frame: appendRecord(nil, oneShard.b), check: framed(replyFor([]int{1}))},
-		{name: "rounds-reply", frame: fx.reply[:len(fx.reply)-fx.spanLen], check: replyFor(fx.req.shards)},
-		{name: "finalize-reply", frame: empty.b, optionalTail: len(empty.b) - blocks, check: replyFor(fx.req.shards)},
+		{name: "rounds-reply", frame: fx.reply[:len(fx.reply)-busyLen], check: replyFor(fx.req.shards)},
+		{name: "finalize-reply", frame: empty.b, tail: busyLen, check: replyFor(fx.req.shards)},
 		{
 			name:  "span-block",
-			frame: span.b,
+			frame: binary.LittleEndian.AppendUint64(nil, 1234),
+			tail:  busyLen,
 			check: func(t *testing.T, b []byte) error {
-				d := &dec{b: b}
-				root := decodeSpanBlock(d, time.Unix(0, 0))
-				if err := d.done(); err != nil {
-					return err
+				_, sp, err := decodePostingsReply(b, nil, fx.req.kws, fx.sub.check, time.Unix(0, 0))
+				if err == nil && len(b) == busyLen && (sp == nil || sp.Dur != time.Duration(binary.LittleEndian.Uint64(b))*time.Microsecond) {
+					t.Fatalf("tail %x decoded to span %+v", b, sp)
 				}
-				n := 0
-				var walk func(sp *obs.Span)
-				walk = func(sp *obs.Span) {
-					if sp == nil {
-						return
-					}
-					n++
-					for _, c := range sp.Children {
-						walk(c)
-					}
+				if err == nil && len(b) != 0 && len(b) != busyLen {
+					t.Fatalf("a %d-byte tail decoded", len(b))
 				}
-				walk(root)
-				if n > maxWireSpans {
-					t.Fatalf("decoded %d spans past the cap", n)
-				}
-				return nil
+				return err
 			},
 		},
 	}
@@ -223,7 +198,8 @@ func wireDecoders() []wireDecoder {
 // truncation point and a deterministic storm of random bit flips: a
 // corrupted frame must either decode (flips inside ids or list bodies can
 // be shape-preserving) or fail with an error — never panic, hang, or size
-// an allocation past the decode caps. This is the tolerance a peer relies
+// an allocation past the decode caps — and a cut frame must fail unless
+// the cut removes exactly a traced reply's tail. This is the tolerance a peer relies
 // on when the other end (or the network) misbehaves and the CRC happens to
 // agree.
 func TestWireCorruption(t *testing.T) {
@@ -232,14 +208,17 @@ func TestWireCorruption(t *testing.T) {
 			if err := wd.check(t, wd.frame); err != nil {
 				t.Fatalf("pristine frame rejected: %v", err)
 			}
-			// Outside the optional tail the frame has no optional interior,
-			// so every strict prefix must be rejected; inside it, survival
-			// plus the decoder's invariants is the assertion.
+			// The frame has no optional interior, so every strict prefix
+			// must be rejected but the frame without its whole tail; and
+			// so must a byte past the frame.
 			for cut := 0; cut < len(wd.frame); cut++ {
 				err := wd.check(t, wd.frame[:cut])
-				if err == nil && cut < len(wd.frame)-wd.optionalTail {
-					t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(wd.frame))
+				if untraced := wd.tail > 0 && cut == len(wd.frame)-wd.tail; (err == nil) != untraced {
+					t.Fatalf("truncation at %d/%d bytes: error %v", cut, len(wd.frame), err)
 				}
+			}
+			if wd.check(t, append(bytes.Clone(wd.frame), 0)) == nil {
+				t.Fatalf("a byte past the %d-byte frame decoded without error", len(wd.frame))
 			}
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20000; trial++ {

@@ -178,7 +178,8 @@ func writeErr(rw http.ResponseWriter, status int, format string, args ...any) {
 // (which must all be hosted here — a stale membership view gets 409, a
 // failover trigger) and every requested keyword, the shard's events.
 func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
-	defer w.rpcSeconds.ObserveSince(time.Now())
+	begun := time.Now()
+	defer w.rpcSeconds.ObserveSince(begun)
 	if w.state.Load() != StateServing {
 		w.rejected.Add(1)
 		writeErr(rw, http.StatusServiceUnavailable, "worker is %s", stateName(w.state.Load()))
@@ -214,10 +215,6 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 		}
 		hosted[i] = idx
 	}
-	var tr *obs.Trace
-	if r.traceID != 0 {
-		tr = obs.NewTraceWithID(r.traceID, "worker.postings")
-	}
 	e, start := openRecord(nil)
 	events := 0
 	for _, idx := range hosted {
@@ -234,18 +231,14 @@ func (w *Worker) handlePostings(rw http.ResponseWriter, req *http.Request) {
 		events += found
 	}
 	w.searches.Add(1)
-	if tr != nil {
-		sp := tr.Span()
-		sp.SetAttr("shards", fmt.Sprint(r.shards))
-		sp.SetInt("keywords", int64(len(r.kws)))
-		sp.SetInt("events", int64(events))
-		tr.Finish()
-		encodeSpanBlock(e, sp)
+	if r.traceID != 0 {
+		busy := time.Since(begun)
+		e.u64(uint64(busy.Microseconds()))
 		w.traces.Add(&obs.TraceRecord{
-			TraceID:   obs.IDString(tr.TraceID()),
-			Start:     sp.Start,
-			ElapsedMS: float64(sp.Dur.Microseconds()) / 1000,
-			Spans:     tr.JSON(),
+			TraceID:   obs.IDString(r.traceID),
+			Start:     begun,
+			ElapsedMS: float64(busy.Microseconds()) / 1000,
+			Spans:     postingsSpan(begun, busy, r.shards, len(r.kws), events).JSON(begun),
 		})
 	}
 	// One Write of a body whose length the header states: net/http sends

@@ -3,8 +3,8 @@
 // start time, a duration and a few attributes. Traces are opt-in per
 // request, cost nothing when absent (every Span method is nil-safe, so
 // call sites thread a possibly-nil span unconditionally), and carry a
-// 64-bit id that crosses the dshard wire so worker-side spans stitch
-// into the coordinator's tree.
+// 64-bit id that crosses the dshard wire, so a worker files its span of a
+// distributed search under the coordinator's id.
 package obs
 
 import (
@@ -53,8 +53,8 @@ func (s *Span) End() {
 	}
 }
 
-// Attach adds an externally built span (e.g. decoded worker-side spans)
-// as a child.
+// Attach adds a separately built span as a child (e.g. the
+// worker.postings span a coordinator builds from a postings reply).
 func (s *Span) Attach(c *Span) {
 	if s != nil && c != nil {
 		s.Children = append(s.Children, c)
@@ -75,7 +75,7 @@ func (s *Span) SetInt(k string, v int64) {
 	}
 }
 
-// Trace is one search's span tree plus the id that stitches
+// Trace is one search's span tree plus the id that files its
 // coordinator-side and worker-side spans together.
 type Trace struct {
 	ID   uint64
@@ -85,11 +85,6 @@ type Trace struct {
 // NewTrace starts a trace with a fresh id.
 func NewTrace(name string) *Trace {
 	return &Trace{ID: NewID(), Root: NewSpan(name)}
-}
-
-// NewTraceWithID starts a trace under a propagated id (worker side).
-func NewTraceWithID(id uint64, name string) *Trace {
-	return &Trace{ID: id, Root: NewSpan(name)}
 }
 
 // TraceID returns the trace id, 0 for a nil trace (the wire encoding of

@@ -26,6 +26,15 @@
 //   - convergence (property 4): Bscore — with every source proximity
 //     below B, score(d) ≤ Π_k maxMass(k)·B → 0; the engine's stop test
 //     evaluates it.
+//
+// One float semantics on every host: the Go spec lets a compiler fuse
+// x*y + z into a single rounding, and gc does so on arm64, ppc64le,
+// riscv64 and s390x, never on amd64. So every product that feeds a sum in
+// this module is written float64(x*y): the explicit conversion rounds the
+// product first, and every host computes the same bits — the same
+// generated data, proximity sums, bounds and answers. make fma-lint
+// cross-compiles the module for those architectures and fails on any
+// fused instruction.
 package score
 
 import (
@@ -106,7 +115,7 @@ func (p Params) ColumnTail(mass, rho float64) float64 {
 // +∞ (no ratio below 1 yet) or a NaN history gives +∞ or NaN, which no
 // comparison prefers to a finite bound.
 func RatioBound(factor, p, p2 float64) float64 {
-	return factor * (p - p2 + p*0x1p-50)
+	return factor * (p - p2 + float64(p*0x1p-50))
 }
 
 // Iterator computes the bounded social proximity prox≤n(u, ·) for growing
@@ -379,7 +388,7 @@ func (it *Iterator) ColumnTail() float64 {
 // A replayed depth reads the ratio its checkpoint layer recorded, so the
 // factor is the cold exploration's, bit for bit.
 func (it *Iterator) RatioTail() float64 {
-	r := it.ratio + it.ratio*0x1p-32
+	r := it.ratio + float64(it.ratio*0x1p-32)
 	if !(r < 1) {
 		return math.Inf(1)
 	}
@@ -453,7 +462,7 @@ func (it *Iterator) Step() []graph.NID {
 		touched := m.PushSparse(it.border, it.active, next, it.scratch, it.spare)
 		border = touched[:0]
 		for _, c := range touched {
-			v := next[c] * invGamma
+			v := float64(next[c] * invGamma)
 			next[c] = v
 			if v == 0 {
 				continue
@@ -568,7 +577,7 @@ func ratioCell(r, v, o float64) float64 {
 // returning the scaled value, 1 if the cell is on the border (else 0) and
 // 1 if that is the first mass the node receives.
 func foldCell(next, all []float64, c int, invGamma, cg float64) (v float64, on, first int) {
-	v = next[c] * invGamma
+	v = float64(next[c] * invGamma)
 	next[c] = v
 	a := all[c]
 	all[c] = a + float64(cg*v)
@@ -828,8 +837,8 @@ func (s *Scorer) Bounds(d graph.NID, allProx []float64, tail float64) (lo, hi fl
 				src = d
 			}
 			p := allProx[src]
-			mLo += eta * p
-			mHi += eta * math.Min(1, p+colMax[src]*tail)
+			mLo += float64(eta * p)
+			mHi += float64(eta * math.Min(1, p+float64(colMax[src]*tail)))
 		}
 		lo *= mLo
 		hi *= mHi

@@ -103,9 +103,67 @@ func spanNames(root *obs.SpanJSON) map[string]bool {
 
 var hexID = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
+// checkStageSpans asserts the stage spans of a traced search's tree, the
+// same in every mode: no shard or exec.* span anywhere (the executor
+// writes its stages straight under the root), begin carries matched, and
+// each of the search's rounds is one round span carrying n and admitted
+// with step, admit, bounds and select as direct children.
+func checkStageSpans(t *testing.T, root *obs.SpanJSON, iterations int) {
+	t.Helper()
+	var walk func(sp *obs.SpanJSON)
+	walk = func(sp *obs.SpanJSON) {
+		if sp.Name == "shard" || strings.HasPrefix(sp.Name, "exec.") {
+			t.Fatalf("trace carries a %s span: %+v", sp.Name, sp)
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	rounds := 0
+	for _, c := range root.Children {
+		switch c.Name {
+		case "begin":
+			if c.Attrs["matched"] == "" {
+				t.Fatalf("begin span attrs %v, want matched", c.Attrs)
+			}
+		case "round":
+			rounds++
+			if c.Attrs["n"] == "" || c.Attrs["admitted"] == "" {
+				t.Fatalf("round span attrs %v, want n and admitted", c.Attrs)
+			}
+			kids := spanNames(c)
+			for _, stage := range []string{"step", "admit", "bounds", "select"} {
+				if !kids[stage] {
+					t.Fatalf("round span has no %s child: %+v", stage, c)
+				}
+			}
+		}
+	}
+	if rounds != iterations || rounds < 1 {
+		t.Fatalf("%d round spans for a %d-round search", rounds, iterations)
+	}
+}
+
+// TestTraceAndRequestID: a ?trace=1 search answers with its span tree,
+// filed in the ring under the request id, for a plain instance and for a
+// shard set alike.
 func TestTraceAndRequestID(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)
+	sharded, err := inst.ShardBy(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		inst s3.Queryable
+	}{{"instance", inst}, {"shardset", sharded}} {
+		t.Run(tc.name, func(t *testing.T) { traceAndRequestID(t, tc.inst, seeker, kw) })
+	}
+}
+
+func traceAndRequestID(t *testing.T, inst s3.Queryable, seeker, kw string) {
 	s := newTestServer(t, Config{Instance: inst})
 	h := s.Handler()
 	body := fmt.Sprintf(`{"seeker":%q,"keywords":[%q],"k":5}`, seeker, kw)
@@ -130,28 +188,13 @@ func TestTraceAndRequestID(t *testing.T) {
 	if resp.Trace == nil || resp.Trace.Name != "search" {
 		t.Fatalf("trace root = %+v, want a span named search", resp.Trace)
 	}
+	// Every mode runs the same round loop, so every tree has the same
+	// stages: queue, resolve and begin, then the rounds.
 	kids := spanNames(resp.Trace)
-	if !kids["queue"] {
-		t.Fatalf("trace root children %v, want a queue span", kids)
+	if !kids["queue"] || !kids["resolve"] || !kids["begin"] || !kids["round"] {
+		t.Fatalf("trace root children %v, want queue, resolve, begin and round spans", kids)
 	}
-	if !kids["round"] {
-		t.Fatalf("trace root children %v, want at least one round span", kids)
-	}
-	// A single instance runs the same round loop as every other mode, so
-	// its tree has the same stages: resolve and begin, and per round the
-	// one member's executor subtree down to the step.
-	if !kids["resolve"] || !kids["begin"] {
-		t.Fatalf("trace root children %v, want resolve and begin spans", kids)
-	}
-	round := findSpan(resp.Trace, "round")
-	if round.Attrs["n"] == "" || round.Attrs["admitted"] == "" {
-		t.Fatalf("round span attrs %v, want n and admitted", round.Attrs)
-	}
-	for _, stage := range []string{"shard", "exec.round", "step", "admit", "bounds", "select"} {
-		if findSpan(round, stage) == nil {
-			t.Fatalf("round span has no %s span below it: %+v", stage, round)
-		}
-	}
+	checkStageSpans(t, resp.Trace, resp.Iterations)
 
 	// The trace was retained in the ring with the request id attached.
 	found := false
@@ -378,10 +421,11 @@ func TestNoLiveReplicaIsUnavailable(t *testing.T) {
 
 // TestDistributedObservability is the end-to-end acceptance check: a
 // coordinator-mode server over two worker processes answers a ?trace=1
-// search with ONE stitched span tree (the fetch from each worker, carrying
-// the worker-side span back over the wire, then the coordinator's own
-// rounds), all three processes expose parseable /metrics, and the workers
-// retain the propagated trace id in their own /debug/traces rings.
+// search with ONE span tree (the fetch from each worker, each holding the
+// worker.postings span built from the worker's reported time, then the
+// coordinator's own rounds), all three processes expose parseable
+// /metrics, and the workers file the same span under the propagated
+// trace id in their own /debug/traces rings.
 func TestDistributedObservability(t *testing.T) {
 	inst := testInstance(t, 60, 240, 3)
 	seeker, kw := aQuery(t, inst)
@@ -433,23 +477,45 @@ func TestDistributedObservability(t *testing.T) {
 	if kids := spanNames(resp.Trace); !kids["resolve"] || !kids["fetch"] || !kids["begin"] {
 		t.Fatalf("trace root children %v, want resolve, fetch and begin spans", kids)
 	}
-	// One stitched tree: the fetch holds one host span per worker, each
-	// carrying the worker-side span that crossed the wire.
+	// One tree: the fetch holds one host span per worker, each holding one
+	// worker.postings span that the coordinator built from the request, the
+	// events it decoded and the worker's handling time. The worker filed
+	// the same span from what it decoded and encoded, so the two agree,
+	// and the worker's time is inside the host's round trip.
 	fetch := findSpan(resp.Trace, "fetch")
 	if fetch == nil {
 		t.Fatalf("no fetch span in distributed trace: %+v", resp.Trace)
 	}
-	hosts := 0
+	hosts, events := 0, 0
 	for _, c := range fetch.Children {
-		if c.Name == "host" {
-			if findSpan(c, "worker.postings") == nil {
-				t.Fatalf("host span carries no worker-side span — trace did not cross the wire: %+v", c)
-			}
-			hosts++
+		if c.Name != "host" {
+			continue
 		}
+		hosts++
+		if len(c.Children) != 1 || c.Children[0].Name != "worker.postings" {
+			t.Fatalf("host span holds %+v, want one worker.postings span", c.Children)
+		}
+		wp := c.Children[0]
+		if wp.Attrs["shards"] != c.Attrs["shards"] || wp.DurUS > c.DurUS {
+			t.Fatalf("worker.postings %+v under host %+v: want the host's shards and no longer a duration", wp, c)
+		}
+		filed := workerTrace(t, c.Attrs["worker"], resp.TraceID)
+		if filed == nil {
+			t.Fatalf("worker %s never filed trace %s", c.Attrs["worker"], resp.TraceID)
+		}
+		for _, k := range []string{"shards", "keywords", "events"} {
+			if wp.Attrs[k] != filed.Attrs[k] {
+				t.Fatalf("worker.postings %s = %q, the worker filed %q", k, wp.Attrs[k], filed.Attrs[k])
+			}
+		}
+		n, err := strconv.Atoi(wp.Attrs["events"])
+		if err != nil || wp.Attrs["keywords"] == "0" {
+			t.Fatalf("worker.postings attrs %v", wp.Attrs)
+		}
+		events += n
 	}
-	if hosts != 2 {
-		t.Fatalf("%d host spans under fetch, want one per worker", hosts)
+	if hosts != 2 || events == 0 {
+		t.Fatalf("%d host spans under fetch with %d events, want one per worker and the query's events", hosts, events)
 	}
 	// Beside them, the exploration the coordinator stepped while it waited,
 	// with the depth it reached when the fetch landed.
@@ -460,24 +526,8 @@ func TestDistributedObservability(t *testing.T) {
 	if d, err := strconv.Atoi(explore.Attrs["depth"]); err != nil || d < 0 {
 		t.Fatalf("explore span depth %q, want a depth", explore.Attrs["depth"])
 	}
-	// The coordinator runs the rounds: each round span holds its shard
-	// scatter span with the executor's exec.round inside.
-	rounds := 0
-	for _, c := range resp.Trace.Children {
-		if c.Name == "round" {
-			if findSpan(findSpan(c, "shard"), "exec.round") == nil {
-				t.Fatalf("round span carries no exec.round: %+v", c)
-			}
-			rounds++
-		}
-	}
-	if rounds < 2 {
-		t.Fatalf("%d traced rounds, want one per round of a %d-round search", rounds, resp.Iterations)
-	}
-	begin := findSpan(resp.Trace, "begin")
-	if begin == nil || findSpan(begin, "exec.begin") == nil {
-		t.Fatal("begin phase lost its executor span")
-	}
+	// The coordinator runs the rounds, with the stages of every mode.
+	checkStageSpans(t, resp.Trace, resp.Iterations)
 
 	// Coordinator-mode /metrics: HTTP outcome + engine rounds + wire RPC
 	// instruments, all on one registry.
@@ -512,7 +562,7 @@ func TestDistributedObservability(t *testing.T) {
 			t.Fatalf("worker %s saw %v postings requests, want >= 1", srv.URL, got)
 		}
 		answered += ws["s3_worker_searches_total"]
-		if !workerHasTrace(t, srv.URL, resp.TraceID) {
+		if workerTrace(t, srv.URL, resp.TraceID) == nil {
 			t.Fatalf("worker %s never retained trace %s", srv.URL, resp.TraceID)
 		}
 	}
@@ -539,7 +589,10 @@ func scrapeURL(t testing.TB, url string) map[string]float64 {
 	return obstest.ParseExposition(t, string(body))
 }
 
-func workerHasTrace(t testing.TB, base, traceID string) bool {
+// workerTrace returns the span tree the worker at base filed under
+// traceID in its /debug/traces ring (nil when it filed none), checking
+// that its root is the worker.postings span.
+func workerTrace(t testing.TB, base, traceID string) *obs.SpanJSON {
 	t.Helper()
 	res, err := http.Get(base + "/debug/traces")
 	if err != nil {
@@ -557,8 +610,8 @@ func workerHasTrace(t testing.TB, base, traceID string) bool {
 			if tr.Spans == nil || tr.Spans.Name != "worker.postings" {
 				t.Fatalf("worker trace %s has wrong root: %+v", traceID, tr.Spans)
 			}
-			return true
+			return tr.Spans
 		}
 	}
-	return false
+	return nil
 }

@@ -269,10 +269,6 @@ func (s *Server) instrument(inst s3.Queryable) {
 	}
 }
 
-// Registry returns the process registry behind GET /metrics (s3serve adds
-// its own instruments to it).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

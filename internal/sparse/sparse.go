@@ -240,7 +240,7 @@ func (b *Builder) Build() *Matrix {
 // roundUp returns v raised by four ulps or more: the margin ColMax and
 // RowSumMax keep above the values they bound, so a bound built from them
 // still holds over sums that round differently from exact arithmetic.
-func roundUp(v float64) float64 { return v + v*0x1p-50 }
+func roundUp(v float64) float64 { return v + float64(v*0x1p-50) }
 
 // Raw assembles the matrix in CSR form (dimension, row pointers, column
 // indices, values), a fresh copy each call: the matrix keeps no CSR

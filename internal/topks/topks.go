@@ -63,11 +63,11 @@ type uitItem struct {
 // lower/upper bound the final blended score given the frontier proximity
 // (every unvisited tagger has proximity ≤ frontier).
 func (c *uitItem) lower(alpha float64) float64 {
-	return alpha*c.social + (1-alpha)*c.content
+	return float64(alpha*c.social) + float64((1-alpha)*c.content)
 }
 
 func (c *uitItem) upper(alpha, frontier float64) float64 {
-	return alpha*(c.social+frontier*float64(c.remaining)) + (1-alpha)*c.content
+	return float64(alpha*(c.social+float64(frontier*float64(c.remaining)))) + float64((1-alpha)*c.content)
 }
 
 // userDist is the max-product Dijkstra frontier entry.
@@ -297,7 +297,7 @@ func (e *Engine) ExactScores(seeker graph.NID, keywords []dict.ID, alpha float64
 				continue
 			}
 			if _, cand := out[ik.Item]; cand {
-				out[ik.Item] += alpha * p
+				out[ik.Item] += float64(alpha * p)
 			}
 		}
 	}

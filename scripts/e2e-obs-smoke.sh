@@ -4,7 +4,7 @@
 # plus a pprof debug listener) from the built binaries and assert the
 # observability surface actually serves: /metrics parses on every
 # process, the mapped worker maps exactly its shard files, POST
-# /search?trace=1 returns a stitched trace, /debug/traces retains it,
+# /search?trace=1 returns one trace tree, /debug/traces retains it,
 # /debug/pprof answers on the debug listener, and the coordinator's /stats
 # reports its proximity cache off. Run by CI next to the
 # benchmark smoke.
@@ -100,10 +100,16 @@ if [ -z "$trace_id" ]; then
 	echo "e2e-obs-smoke: traced search returned no trace_id: $resp" >&2
 	exit 1
 fi
-# The coordinator runs the rounds itself: its own executor's exec.round
-# spans, after the fetch that carried each worker's span back.
-if ! printf '%s' "$resp" | grep -q '"name":"exec.round"'; then
+# The coordinator runs the rounds itself: round spans holding its
+# executor's step spans, after the fetch whose host spans hold the
+# worker.postings spans built from each worker's reported time.
+if ! printf '%s' "$resp" | grep -q '"name":"round"' ||
+	! printf '%s' "$resp" | grep -q '"name":"step"'; then
 	echo "e2e-obs-smoke: trace carries no executor round spans: $resp" >&2
+	exit 1
+fi
+if printf '%s' "$resp" | grep -q '"name":"shard"\|"name":"exec\.'; then
+	echo "e2e-obs-smoke: trace carries a shard or exec.* span: $resp" >&2
 	exit 1
 fi
 if ! printf '%s' "$resp" | grep -q '"name":"worker.postings"'; then
