@@ -26,14 +26,15 @@ bench-e2e-smoke:
 # files (internal/snap), the connection index (internal/index), which
 # a coordinator's fetched postings enter through index.Merge, and the
 # text analyzer (internal/text), which every query keyword goes through,
-# and the document path (internal/graph: an XML or JSON document parsed,
-# added and built) — for FUZZTIME each (go test -fuzz takes one package
-# and one target per invocation). Minimisation is capped: left at its 60 s default,
-# shrinking one multi-kB snapshot input that found new coverage outlasts
-# the whole smoke.
+# the document path (internal/graph: an XML or JSON document parsed,
+# added and built) and the search API (internal/server: a POST /search
+# body with its ?trace and ?partial flags) — for FUZZTIME each (go test
+# -fuzz takes one package and one target per invocation). Minimisation
+# is capped: left at its 60 s default, shrinking one multi-kB snapshot
+# input that found new coverage outlasts the whole smoke.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	for p in ./internal/dshard ./internal/snap ./internal/index ./internal/text ./internal/graph; do \
+	for p in ./internal/dshard ./internal/snap ./internal/index ./internal/text ./internal/graph ./internal/server; do \
 		for f in $$(go test $$p -list '^Fuzz' | grep '^Fuzz'); do \
 			go test $$p -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s || exit 1; \
 		done; \

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	s3search -dataset twitter -query "class-retoka" -k 5
+//	s3search -dataset twitter -query "class-tu" -k 5
 //	s3search -spec i1.spec -seeker tw:u17 -query "#h3" -k 10 -gamma 2
 //	s3search -snapshot i1.snap -query "#h3"   # cold-start from a snapshot
 package main
@@ -171,17 +171,13 @@ func load(o options) (*graph.Instance, *index.Index, error) {
 	return in, index.Build(in), nil
 }
 
-// resolveKeywords stems query keywords and resolves them to dictionary
-// ids for the UIT baseline (which takes no semantic extension).
+// resolveKeywords resolves query keywords to dictionary ids for the UIT
+// baseline (which takes no semantic extension) as the S3k search does
+// (core.ResolveKeyword), so both answer the same query.
 func resolveKeywords(in *graph.Instance, kws []string) []dict.ID {
 	var out []dict.ID
-	an := in.Analyzer()
 	for _, kw := range kws {
-		stems := an.Keywords(kw)
-		if len(stems) == 0 {
-			continue
-		}
-		if id, ok := in.Dict().Lookup(stems[0]); ok {
+		if _, id, ok := core.ResolveKeyword(in, kw); ok {
 			out = append(out, id)
 		}
 	}

@@ -3,11 +3,13 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"s3/internal/core"
 	"s3/internal/datagen"
+	"s3/internal/dict"
 	"s3/internal/graph"
 	"s3/internal/index"
 	"s3/internal/score"
@@ -122,6 +124,29 @@ func TestRunErrors(t *testing.T) {
 	o.snapPath = filepath.Join(t.TempDir(), "missing.snap")
 	if err := run(o, &strings.Builder{}); err == nil {
 		t.Error("missing snapshot accepted")
+	}
+}
+
+// TestResolveKeywordsTakesURIsVerbatim: the baseline resolves a keyword
+// as the S3k search does, so a URI the vocabulary holds is that term, not
+// its first stem ("http").
+func TestResolveKeywordsTakesURIsVerbatim(t *testing.T) {
+	const coffee = "http://ex.org/Coffee"
+	b := graph.NewBuilder(text.Analyzer{Lang: text.English})
+	if err := b.AddUser("u0"); err != nil {
+		t.Fatal(err)
+	}
+	b.AddOntologyTriple("http://ex.org/Espresso", "rdfs:subClassOf", coffee)
+	in, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok := in.Dict().Lookup(coffee)
+	if !ok {
+		t.Fatalf("%s not in the vocabulary", coffee)
+	}
+	if got := resolveKeywords(in, []string{coffee, "unheard-of"}); !slices.Equal(got, []dict.ID{id}) {
+		t.Fatalf("resolveKeywords = %v, want [%d]", got, id)
 	}
 }
 

@@ -235,21 +235,12 @@ func NewDataset(name string, in *graph.Instance) *Dataset {
 }
 
 // KeywordIDs resolves query keyword strings to their dictionary ids (for
-// the UIT baseline, which takes no semantic extension). Like the S3k
-// engine, verbatim vocabulary hits (URIs, hashtags) win over the text
-// pipeline.
+// the UIT baseline, which takes no semantic extension) as the S3k engine
+// does (core.ResolveKeyword), dropping those the vocabulary lacks.
 func (d *Dataset) KeywordIDs(kws []string) []dict.ID {
 	var out []dict.ID
 	for _, k := range kws {
-		if id, ok := d.In.Dict().Lookup(k); ok {
-			out = append(out, id)
-			continue
-		}
-		stems := d.In.Analyzer().Keywords(k)
-		if len(stems) == 0 {
-			continue
-		}
-		if id, ok := d.In.Dict().Lookup(stems[0]); ok {
+		if _, id, ok := core.ResolveKeyword(d.In, k); ok {
 			out = append(out, id)
 		}
 	}

@@ -440,25 +440,39 @@ func mergedMaxOtherMeta(infos []RoundInfo, sel []CandMeta) float64 {
 	return maxOther
 }
 
+// ResolveKeyword resolves one raw query keyword to the vocabulary term it
+// names. §2 puts URIs (and hashtags) in the keyword space verbatim, so a
+// keyword the vocabulary holds as it stands is that term; any other goes
+// through the instance's analyzer and names its first stem. term is ""
+// when the analyzer keeps nothing of the keyword (a stop word); ok
+// reports whether the vocabulary holds term, and id is then its
+// dictionary id. Every query path resolves its keywords here.
+func ResolveKeyword(in *graph.Instance, kw string) (term string, id dict.ID, ok bool) {
+	if id, ok := in.Dict().Lookup(kw); ok {
+		return kw, id, true
+	}
+	stems := in.Analyzer().Keywords(kw)
+	if len(stems) == 0 {
+		return "", 0, false
+	}
+	id, ok = in.Dict().Lookup(stems[0])
+	return stems[0], id, ok
+}
+
 // ResolveKeywordGroups resolves raw query keywords to their stemmed
 // semantic extensions over an instance's shared substrate (dictionary +
 // saturated ontology); see Engine.KeywordGroups. The substrate is
 // identical in every process mapping the same snapshot, so a coordinator
 // may resolve once and ship dictionary ids to shard executors.
 func ResolveKeywordGroups(in *graph.Instance, keywords []string) ([][]dict.ID, bool, error) {
-	an := in.Analyzer()
 	var groups [][]dict.ID
 	for _, kw := range keywords {
-		id, ok := in.Dict().Lookup(kw)
-		if !ok {
-			stems := an.Keywords(kw)
-			if len(stems) == 0 {
-				continue
-			}
-			id, ok = in.Dict().Lookup(stems[0])
-			if !ok {
-				return nil, false, nil
-			}
+		term, id, ok := ResolveKeyword(in, kw)
+		switch {
+		case term == "":
+			continue
+		case !ok:
+			return nil, false, nil
 		}
 		groups = append(groups, in.Ontology().Ext(id))
 	}

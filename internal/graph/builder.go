@@ -310,7 +310,7 @@ func (b *Builder) AddTag(uri, subject, author, keyword, typ string) error {
 	if keyword != "" {
 		tr.keyword = b.strs.add(keyword)
 		if b.strs.ents[tr.keyword].stem == 0 {
-			b.strs.ents[tr.keyword].stem = b.strs.add(stemKeyword(b.analyzer, keyword)) + 1
+			b.strs.ents[tr.keyword].stem = b.strs.add(b.analyzer.Term(keyword)) + 1
 		}
 		tr.stem = b.strs.ents[tr.keyword].stem - 1
 	}
@@ -552,15 +552,6 @@ func (b *Builder) Build() (*Instance, error) {
 		return nil, err
 	}
 	return in, nil
-}
-
-// stemKeyword runs a tag keyword through the same pipeline as document
-// content so that tag and content keywords live in one vocabulary.
-func stemKeyword(a text.Analyzer, kw string) string {
-	if ks := a.Keywords(kw); len(ks) > 0 {
-		return ks[0]
-	}
-	return kw
 }
 
 // deriveEdges derives the network edges (§2.5) from the stored relations:

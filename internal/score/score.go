@@ -167,8 +167,10 @@ type Iterator struct {
 	// semantics, like AllProx).
 	disc []graph.NID
 
-	// kernel pins one sparse kernel path (tests); the zero value lets the
-	// matrix choose by the step's edge work.
+	// kernel pins one sparse kernel path past depth 0 (tests); the zero
+	// value lets the matrix choose by the step's edge work. The step from
+	// depth 0 is always sparse: that border is the seeker alone, whose row
+	// may lie outside the live block PushDense walks.
 	kernel kernelPath
 
 	// Checkpoint support. When rec is true every step records the depth it
@@ -452,7 +454,7 @@ func (it *Iterator) Step() []graph.NID {
 	// That border is spent then and is cleared to become the next step's
 	// accumulator.
 	var mass, ratio float64
-	dense := it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active)
+	dense := it.n > 0 && (it.kernel == kernelDense || it.kernel == kernelAuto && m.Saturated(it.active))
 	if dense {
 		m.PushDense(it.border, next)
 		border, disc, mass, ratio = foldDense(next, it.prev, all, resized(it.spare, len(next)), resized(disc, len(next)), invGamma, cg)

@@ -37,8 +37,10 @@ import (
 	"time"
 
 	"s3"
+	"s3/internal/core"
 	"s3/internal/dshard"
 	"s3/internal/obs"
+	"s3/internal/score"
 	"s3/internal/snap"
 )
 
@@ -396,30 +398,28 @@ func (s *Server) handleSearch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if sr.K == 0 {
-		sr.K = 10
+		sr.K = core.DefaultOptions().K
 	}
 	if sr.K < 0 {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "k must be positive"})
 		return
 	}
-	// Fill in omitted parameters with their engine defaults, so the checks
-	// below validate the values the search will run with.
-	if sr.Gamma == 0 {
-		sr.Gamma = 1.5
+	// Fill in omitted parameters with their engine defaults, so the check
+	// below validates the values the search will run with. Refused before
+	// admission: a request that can never succeed must not queue for a
+	// slot, nor be told to retry when it is shed.
+	params := score.DefaultParams()
+	if sr.Gamma != 0 {
+		params.Gamma = sr.Gamma
 	}
-	if sr.Eta == 0 {
-		sr.Eta = 0.8
+	if sr.Eta != 0 {
+		params.Eta = sr.Eta
 	}
-	// Refused before admission: a request that can never succeed must not
-	// queue for a slot, nor be told to retry when it is shed.
-	if sr.Gamma <= 1 {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "gamma must be > 1"})
+	if err := params.Validate(); err != nil {
+		writeError(w, &httpError{status: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
-	if sr.Eta <= 0 || sr.Eta >= 1 {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "eta must be in (0,1)"})
-		return
-	}
+	sr.Gamma, sr.Eta = params.Gamma, params.Eta
 	if sr.BudgetMS < 0 || sr.MaxIterations < 0 {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "budget_ms and max_iterations must not be negative"})
 		return

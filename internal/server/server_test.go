@@ -270,30 +270,33 @@ func TestReloadSwapsInstanceAndWarmsCache(t *testing.T) {
 	}
 }
 
+// errorCases are requests a server over testInstance(t, 40, 150, 3)
+// refuses, with the status each gets; FuzzSearchRequest seeds from the
+// /search bodies.
+var errorCases = []struct {
+	name, method, path, body string
+	want                     int
+}{
+	{"bad json", "POST", "/search", "{", http.StatusBadRequest},
+	{"missing seeker", "POST", "/search", `{"keywords":["x"]}`, http.StatusBadRequest},
+	{"missing keywords", "POST", "/search", `{"seeker":"tw:u0"}`, http.StatusBadRequest},
+	{"negative k", "POST", "/search", `{"seeker":"tw:u0","keywords":["x"],"k":-1}`, http.StatusBadRequest},
+	{"unknown seeker", "POST", "/search", `{"seeker":"nobody","keywords":["x"]}`, http.StatusNotFound},
+	{"oversized body", "POST", "/search", `{"seeker":"` + strings.Repeat("x", 2<<20) + `","keywords":["x"]}`, http.StatusRequestEntityTooLarge},
+	{"bad gamma", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"gamma":0.5}`, http.StatusBadRequest},
+	{"bad eta", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"eta":2}`, http.StatusBadRequest},
+	{"negative budget", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"budget_ms":-1}`, http.StatusBadRequest},
+	{"negative max iterations", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"max_iterations":-1}`, http.StatusBadRequest},
+	{"reload without loader", "POST", "/reload", "", http.StatusNotImplemented},
+	{"missing extension kw", "GET", "/extension", "", http.StatusBadRequest},
+	{"wrong method", "GET", "/search", "", http.StatusMethodNotAllowed},
+}
+
 func TestErrorResponses(t *testing.T) {
 	inst := testInstance(t, 40, 150, 3)
 	s := newTestServer(t, Config{Instance: inst})
 	h := s.Handler()
-
-	cases := []struct {
-		name, method, path, body string
-		want                     int
-	}{
-		{"bad json", "POST", "/search", "{", http.StatusBadRequest},
-		{"missing seeker", "POST", "/search", `{"keywords":["x"]}`, http.StatusBadRequest},
-		{"missing keywords", "POST", "/search", `{"seeker":"tw:u0"}`, http.StatusBadRequest},
-		{"negative k", "POST", "/search", `{"seeker":"tw:u0","keywords":["x"],"k":-1}`, http.StatusBadRequest},
-		{"unknown seeker", "POST", "/search", `{"seeker":"nobody","keywords":["x"]}`, http.StatusNotFound},
-		{"oversized body", "POST", "/search", `{"seeker":"` + strings.Repeat("x", 2<<20) + `","keywords":["x"]}`, http.StatusRequestEntityTooLarge},
-		{"bad gamma", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"gamma":0.5}`, http.StatusBadRequest},
-		{"bad eta", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"eta":2}`, http.StatusBadRequest},
-		{"negative budget", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"budget_ms":-1}`, http.StatusBadRequest},
-		{"negative max iterations", "POST", "/search", `{"seeker":"tw:u0","keywords":["#h1"],"max_iterations":-1}`, http.StatusBadRequest},
-		{"reload without loader", "POST", "/reload", "", http.StatusNotImplemented},
-		{"missing extension kw", "GET", "/extension", "", http.StatusBadRequest},
-		{"wrong method", "GET", "/search", "", http.StatusMethodNotAllowed},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)

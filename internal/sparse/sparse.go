@@ -18,13 +18,13 @@
 //
 // The matrix holds each entry once, in two blocks. The live block is the
 // entries of every row that some entry points to, in CSR order: the list
-// PushDense walks. Past the first step a border is xᵀ·M scaled, so it is
-// zero on every other row; those rows' entries follow, in row order, and
-// the few such rows where x is not zero (a seeker nothing points to, at
-// depth 0) are spliced into the walk at their place in row order. The
-// walk does not test x: a live row where x is zero adds 0·v, a zero
-// because every stored value is finite, and adding a zero leaves the bits
-// of a cell that started at +0 unchanged (such a cell is never −0).
+// PushDense walks. The other rows' entries follow, in row order, and
+// PushDense never reads them: past the first step a border is xᵀ·M
+// scaled, so it is zero on every row no entry points to, and the first
+// step, from the seeker alone, takes PushSparse. The walk does not test
+// x: a live row where x is zero adds 0·v, a zero because every stored
+// value is finite, and adding a zero leaves the bits of a cell that
+// started at +0 unchanged (such a cell is never −0).
 //
 // Every byte-identity guarantee upstream (replayed checkpoints, shards,
 // hosts, distributed workers, failover) rests on this and on nothing
@@ -42,11 +42,9 @@ import (
 // the live block, the covered rows (rows some entry points to) in CSR
 // order, which PushDense walks with liveRow naming each entry's row; then
 // the other rows' entries, in row order. rows[r] is where row r's entries
-// lie, whichever block holds them. Beside them it holds, for each
-// non-empty row that is not covered, ascending, the point where that row
-// splices into the live walk, and the two norms a proximity tail bound
-// reads, each column's largest entry and the largest row sum. All are
-// laid out when the matrix is built; none is serialised.
+// lie, whichever block holds them. Beside them it holds the two norms a
+// proximity tail bound reads, each column's largest entry and the largest
+// row sum. All are laid out when the matrix is built; none is serialised.
 type Matrix struct {
 	n    int
 	rows []span
@@ -54,7 +52,6 @@ type Matrix struct {
 	val  []float64
 
 	liveRow []int32
-	splice  []spliceRow
 
 	colMax []float64
 	rowMax float64
@@ -62,10 +59,6 @@ type Matrix struct {
 
 // span is the range [lo, hi) of col and val that holds one row.
 type span struct{ lo, hi int32 }
-
-// spliceRow is a non-empty row nothing points to, and the number of live
-// entries in lower rows: where its entries fall in the walk.
-type spliceRow struct{ row, at int32 }
 
 // Builder accumulates (row, col, value) entries row by row, in ascending
 // row order; duplicate coordinates are summed. Add only records: it counts
@@ -204,7 +197,6 @@ func (b *Builder) Build() *Matrix {
 		case l == 0:
 			continue
 		case !covered(r):
-			m.splice = append(m.splice, spliceRow{row: int32(r), at: at})
 			at, rest = rest, rest+l
 		default:
 			for range l {
@@ -306,9 +298,11 @@ func (m *Matrix) RowSum(r int) float64 {
 //
 // Every cell sums its contributions in ascending source-row order,
 // whichever of the two kernel paths runs, so the result depends on x and
-// M alone — bit for bit.
+// M alone — bit for bit. x may be any vector: a saturated frontier takes
+// PushDense only when each of its rows lies in the live block.
 func (m *Matrix) PropagateT(x []float64, active []int32, out []float64, scratch []bool) []int32 {
-	if !m.Saturated(active) {
+	live := int32(len(m.liveRow))
+	if !m.Saturated(active) || slices.ContainsFunc(active, func(r int32) bool { return m.rows[r].hi > live }) {
 		return m.PushSparse(x, active, out, scratch, nil)
 	}
 	m.PushDense(x, out)
@@ -365,9 +359,6 @@ func (m *Matrix) PushSparse(x []float64, active []int32, out []float64, scratch 
 	touched := buf[:0]
 	for _, r := range active {
 		xr := x[r]
-		if xr == 0 {
-			continue
-		}
 		s := m.rows[r]
 		for i := s.lo; i < s.hi; i++ {
 			c := m.col[i]
@@ -392,38 +383,26 @@ func (m *Matrix) PushSparse(x []float64, active []int32, out []float64, scratch 
 }
 
 // PushDense is the saturated-frontier kernel path: it adds xᵀ·M into out
-// by one flat walk over the live list, with no frontier list, no
+// by one flat walk over the live block, with no frontier list, no
 // deduplication and no per-row loop; the caller finds the non-zero cells
-// by scanning out. Each uncovered row where x is not zero is spliced in
-// where it falls in row order, so every cell still takes its non-zero
-// contributions in ascending source row; a live row where x is zero adds a
-// zero, which changes no bit of a cell that started at +0. Bit-identical
-// to PushSparse over the same x — any x, not only a border — when out
+// by scanning out. x must be zero on every row outside the live block, as
+// every border past depth 0 is: a border cell is a column some entry
+// points to. The walk takes the live rows in ascending order, so every
+// cell takes its non-zero contributions in ascending source row; a live
+// row where x is zero adds a zero, which changes no bit of a cell that
+// started at +0. Bit-identical to PushSparse over the same x when out
 // starts all +0, as PropagateT requires.
+//
+// Kept out of line: inlined into score's Iterator.Step, the walk made a
+// cold search slower (BenchmarkColdSearch -cpu 1 -benchtime 3000x on a
+// 2-core VM: median 1.68 against 1.41 ms, slower in 6 of 6 interleaved
+// pairs).
+//
+//go:noinline
 func (m *Matrix) PushDense(x, out []float64) {
 	x = x[:m.n]
-	at := 0
-	for _, s := range m.splice {
-		xr := x[s.row]
-		if xr == 0 {
-			continue
-		}
-		m.pushLive(x, out, at, int(s.at))
-		at = int(s.at)
-		lo, hi := m.rows[s.row].lo, m.rows[s.row].hi
-		vals := m.val[lo:hi]
-		for i, c := range m.col[lo:hi] {
-			out[c] += float64(xr * vals[i])
-		}
-	}
-	m.pushLive(x, out, at, len(m.liveRow))
-}
-
-// pushLive walks live entries [lo, hi).
-func (m *Matrix) pushLive(x, out []float64, lo, hi int) {
-	rows := m.liveRow[lo:hi]
-	cols := m.col[lo:hi]
-	vals := m.val[lo:hi]
+	rows := m.liveRow
+	cols, vals := m.col[:len(rows)], m.val[:len(rows)]
 	for i, r := range rows {
 		out[cols[i]] += float64(x[r] * vals[i])
 	}

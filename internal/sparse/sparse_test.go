@@ -177,11 +177,15 @@ func TestPropagateTMatchesDense(t *testing.T) {
 // TestKernelPathsBitIdentical is the canonical-order property: over
 // random matrices (short rows, hub rows touching most columns, entries
 // small enough that products underflow to zero) and random ascending
-// frontiers from one node to every node, PushSparse and PushDense leave
-// bit-equal out vectors and name the same ascending non-zero cells — and
-// PropagateT, whichever it picks, agrees with both.
+// frontiers from one node to every node, PropagateT — whichever path it
+// picks — leaves out bit-equal to PushSparse and names the same
+// ascending non-zero cells; and over the same frontier zeroed on the rows
+// no entry points to, the only input PushDense takes, PushDense does too.
+// Both of PropagateT's routes for a saturated frontier are taken: dense
+// inside the live block, sparse outside it.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
+	routed := map[bool]int{} // saturated frontiers by whether they lie in the live block
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(120)
 		var ts []triple
@@ -203,6 +207,11 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 			}
 		}
 		m := buildByRow(n, ts)
+		_, rowPtr, col, _ := m.Raw()
+		covered := make([]bool, n)
+		for _, c := range col {
+			covered[c] = true
+		}
 
 		// Frontier sizes sweep 1 … n; the last trials of a size class use
 		// every node.
@@ -211,7 +220,6 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 			size = n
 		}
 		x := make([]float64, n)
-		var active []int32
 		for _, r := range rng.Perm(n)[:size] {
 			x[r] = rng.Float64()
 			if rng.Intn(6) == 0 {
@@ -221,43 +229,70 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 				x[r] = 1
 			}
 		}
-		for r, v := range x {
-			if v != 0 {
-				active = append(active, int32(r))
+		xLive := slices.Clone(x)
+		for r := range xLive {
+			if !covered[r] {
+				xLive[r] = 0
 			}
 		}
-
 		scratch := make([]bool, n)
-		outS := make([]float64, n)
-		nextS := m.PushSparse(x, active, outS, scratch, nil)
-		outD := make([]float64, n)
-		m.PushDense(x, outD)
-		var nextD []int32
-		for c, v := range outD {
-			if v != 0 {
-				nextD = append(nextD, int32(c))
+		for _, x := range [][]float64{x, xLive} {
+			var active []int32
+			inLive := true
+			for r, v := range x {
+				if v != 0 {
+					active = append(active, int32(r))
+					inLive = inLive && (covered[r] || rowPtr[r] == rowPtr[r+1])
+				}
+			}
+			if m.Saturated(active) {
+				routed[inLive]++
+			}
+			outS := make([]float64, n)
+			nextS := m.PushSparse(x, active, outS, scratch, nil)
+			outP := make([]float64, n)
+			nextP := m.PropagateT(x, active, outP, scratch)
+			for c := 0; c < n; c++ {
+				if math.Float64bits(outP[c]) != math.Float64bits(outS[c]) {
+					t.Fatalf("trial %d (n=%d, |active|=%d): out[%d] sparse %x entry %x", trial, n, len(active), c,
+						math.Float64bits(outS[c]), math.Float64bits(outP[c]))
+				}
+			}
+			if !slices.Equal(nextP, nextS) {
+				t.Fatalf("trial %d: next lists differ: sparse %v entry %v", trial, nextS, nextP)
+			}
+			if !slices.IsSorted(nextS) {
+				t.Fatalf("trial %d: next not ascending: %v", trial, nextS)
+			}
+			for i, s := range scratch {
+				if s {
+					t.Fatalf("trial %d: scratch[%d] not reset", trial, i)
+				}
+			}
+			if !inLive {
+				continue
+			}
+			outD := make([]float64, n)
+			m.PushDense(x, outD)
+			var nextD []int32
+			for c, v := range outD {
+				if v != 0 {
+					nextD = append(nextD, int32(c))
+				}
+			}
+			for c := 0; c < n; c++ {
+				if math.Float64bits(outD[c]) != math.Float64bits(outS[c]) {
+					t.Fatalf("trial %d (n=%d, |active|=%d): out[%d] sparse %x dense %x", trial, n, len(active), c,
+						math.Float64bits(outS[c]), math.Float64bits(outD[c]))
+				}
+			}
+			if !slices.Equal(nextD, nextS) {
+				t.Fatalf("trial %d: next lists differ: sparse %v dense %v", trial, nextS, nextD)
 			}
 		}
-		outP := make([]float64, n)
-		nextP := m.PropagateT(x, active, outP, scratch)
-
-		for c := 0; c < n; c++ {
-			if math.Float64bits(outS[c]) != math.Float64bits(outD[c]) || math.Float64bits(outP[c]) != math.Float64bits(outD[c]) {
-				t.Fatalf("trial %d (n=%d, |active|=%d): out[%d] sparse %x dense %x entry %x", trial, n, len(active), c,
-					math.Float64bits(outS[c]), math.Float64bits(outD[c]), math.Float64bits(outP[c]))
-			}
-		}
-		if !slices.Equal(nextS, nextD) || !slices.Equal(nextP, nextD) {
-			t.Fatalf("trial %d: next lists differ: sparse %v dense %v entry %v", trial, nextS, nextD, nextP)
-		}
-		if !slices.IsSorted(nextD) {
-			t.Fatalf("trial %d: next not ascending: %v", trial, nextD)
-		}
-		for i, s := range scratch {
-			if s {
-				t.Fatalf("trial %d: scratch[%d] not reset", trial, i)
-			}
-		}
+	}
+	if routed[true] == 0 || routed[false] == 0 {
+		t.Fatalf("saturated frontiers inside / outside the live block: %d / %d, want both", routed[true], routed[false])
 	}
 }
 
@@ -462,12 +497,14 @@ func TestBuildMergesInInsertionOrder(t *testing.T) {
 }
 
 // TestPushDenseSplicesUncoveredRows: rows 1 and 4 hold entries but
-// nothing points to them, so PushDense must splice them into its walk
-// over the live list (rows 0, 3 and 5; row 2 is covered and empty) at
-// their place in row order. Each of columns 0 and 5 takes two 2⁻⁵³ terms
-// and a 1 whose sum depends on the order: 1+2⁻⁵² in ascending row order,
-// 1 if a spliced row's term were added first or last. Every pattern of
-// zeros on the uncovered rows must leave out bit-equal to PushSparse.
+// nothing points to them, so their entries lie after the live block
+// (rows 0, 3 and 5; row 2 is covered and empty) and PushDense never walks
+// them. Each of columns 0 and 5 takes two 2⁻⁵³ terms and a 1 whose sum
+// depends on the order: 1+2⁻⁵² in ascending row order, 1 if an
+// uncovered row's term were added first or last. PropagateT must route
+// every frontier non-zero on row 1 or 4 through PushSparse and leave out
+// bit-equal to it, summing in ascending row order; with rows 1 and 4 zero
+// it may walk the live block, and PushDense must match PushSparse.
 func TestPushDenseSplicesUncoveredRows(t *testing.T) {
 	tiny := math.Ldexp(1, -53)
 	b := NewBuilder(6)
@@ -480,31 +517,47 @@ func TestPushDenseSplicesUncoveredRows(t *testing.T) {
 	b.Add(5, 2, 0.5)
 	b.Add(5, 3, 0.5)
 	m := b.Build()
-	if want := []spliceRow{{row: 1, at: 2}, {row: 4, at: 4}}; !slices.Equal(m.splice, want) {
-		t.Fatalf("splice points %v, want %v", m.splice, want)
-	}
 	if want := []int32{0, 0, 3, 3, 5, 5}; !slices.Equal(m.liveRow, want) {
 		t.Fatalf("live rows %v, want %v", m.liveRow, want)
 	}
-	for _, spliced := range [][2]float64{{1, 1}, {0, 1}, {1, 0}, {0, 0}} {
-		x := []float64{1, spliced[0], 1, 1, spliced[1], 1}
+	if want := []span{{6, 7}, {7, 8}}; m.rows[1] != want[0] || m.rows[4] != want[1] {
+		t.Fatalf("uncovered rows' spans %v %v, want %v after the live block", m.rows[1], m.rows[4], want)
+	}
+	for _, uncovered := range [][2]float64{{1, 1}, {0, 1}, {1, 0}, {0, 0}} {
+		x := []float64{1, uncovered[0], 1, 1, uncovered[1], 1}
 		var active []int32
 		for r, v := range x {
 			if v != 0 {
 				active = append(active, int32(r))
 			}
 		}
+		if !m.Saturated(active) {
+			t.Fatalf("x=%v: frontier not saturated", x)
+		}
 		outS := make([]float64, m.N())
-		m.PushSparse(x, active, outS, make([]bool, m.N()), nil)
+		nextS := m.PushSparse(x, active, outS, make([]bool, m.N()), nil)
+		outP := make([]float64, m.N())
+		nextP := m.PropagateT(x, active, outP, make([]bool, m.N()))
+		for c := range outP {
+			if math.Float64bits(outP[c]) != math.Float64bits(outS[c]) {
+				t.Fatalf("x=%v: out[%d] entry %x sparse %x", x, c, math.Float64bits(outP[c]), math.Float64bits(outS[c]))
+			}
+		}
+		if !slices.Equal(nextP, nextS) {
+			t.Fatalf("x=%v: next lists differ: sparse %v entry %v", x, nextS, nextP)
+		}
+		if uncovered == [2]float64{1, 1} && (outP[0] != 1+2*tiny || outP[5] != 1+2*tiny) {
+			t.Fatalf("out[0] = %x, out[5] = %x: not summed in ascending row order", math.Float64bits(outP[0]), math.Float64bits(outP[5]))
+		}
+		if uncovered != [2]float64{0, 0} {
+			continue
+		}
 		outD := make([]float64, m.N())
 		m.PushDense(x, outD)
 		for c := range outD {
 			if math.Float64bits(outD[c]) != math.Float64bits(outS[c]) {
 				t.Fatalf("x=%v: out[%d] dense %x sparse %x", x, c, math.Float64bits(outD[c]), math.Float64bits(outS[c]))
 			}
-		}
-		if spliced == [2]float64{1, 1} && (outD[0] != 1+2*tiny || outD[5] != 1+2*tiny) {
-			t.Fatalf("out[0] = %x, out[5] = %x: not summed in ascending row order", math.Float64bits(outD[0]), math.Float64bits(outD[5]))
 		}
 	}
 }

@@ -97,6 +97,17 @@ func (a Analyzer) Keywords(text string) []string {
 	return out
 }
 
+// Term returns the index term a word maps to: its first keyword, or the
+// word itself when the pipeline keeps none of it (a stop word). Tag
+// keywords and ontology terms go through it, so they share the content
+// vocabulary.
+func (a Analyzer) Term(word string) string {
+	if ks := a.Keywords(word); len(ks) > 0 {
+		return ks[0]
+	}
+	return word
+}
+
 // Stem stems a single lower-case token according to the analyzer language.
 // Hashtags and mentions are returned unstemmed (they are identifiers).
 func (a Analyzer) Stem(tok string) string {

@@ -211,11 +211,7 @@ func (b *Builder) AddTriple(s, p, o string) {
 // Stem runs a word through the builder's text pipeline, returning the
 // index term it maps to (useful when writing ontology triples).
 func (b *Builder) Stem(word string) string {
-	ks := b.lang.analyzer().Keywords(word)
-	if len(ks) == 0 {
-		return word
-	}
-	return ks[0]
+	return b.lang.analyzer().Term(word)
 }
 
 // Build validates and freezes the instance: it saturates the ontology,
@@ -467,17 +463,18 @@ func mapSearchInfo(stats core.Stats) SearchInfo {
 }
 
 // Extension returns the semantic extension of a keyword in this instance's
-// ontology: the keyword's stemmed form plus every sub-class, sub-property
-// and instance of it (Definition 2.1 of the paper).
+// ontology: the term a search resolves the keyword to (the keyword itself
+// when the vocabulary holds it verbatim, else its stemmed form) plus every
+// sub-class, sub-property and instance of it (Definition 2.1 of the
+// paper).
 func (s *substrate) Extension(keyword string) []string {
 	in := s.in
-	ks := in.Analyzer().Keywords(keyword)
-	if len(ks) == 0 {
+	term, id, ok := core.ResolveKeyword(in, keyword)
+	switch {
+	case term == "":
 		return nil
-	}
-	id, ok := in.Dict().Lookup(ks[0])
-	if !ok {
-		return []string{ks[0]}
+	case !ok:
+		return []string{term}
 	}
 	var out []string
 	for _, e := range in.Ontology().Ext(id) {

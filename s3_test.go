@@ -1,9 +1,12 @@
 package s3
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"s3/internal/core"
 )
 
 // buildFigure1 reproduces the paper's motivating example (Figure 1)
@@ -140,6 +143,44 @@ func TestExtension(t *testing.T) {
 	}
 	if got := inst.Extension(""); got != nil {
 		t.Fatalf("Extension of empty = %v", got)
+	}
+}
+
+// TestExtensionResolvesAsSearch: §2 puts URIs in the keyword space
+// verbatim, so a URI keyword the vocabulary holds is that term, not its
+// stems; Extension must name exactly the group a search resolves it to.
+func TestExtensionResolvesAsSearch(t *testing.T) {
+	b := NewBuilder(English)
+	if err := b.AddUser("u0"); err != nil {
+		t.Fatal(err)
+	}
+	const coffee, espresso = "http://ex.org/Coffee", "http://ex.org/Espresso"
+	b.AddTriple(espresso, "rdfs:subClassOf", coffee)
+	if err := b.AddDocumentText("d0", "post", "an espresso a day"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddPost("d0", "u0"); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kw := range []string{coffee, espresso, "espresso"} {
+		groups, ok, err := core.ResolveKeywordGroups(inst.in, []string{kw})
+		if err != nil || !ok {
+			t.Fatalf("%s: resolved to %v, %v, %v", kw, groups, ok, err)
+		}
+		var want []string
+		for _, id := range groups[0] {
+			want = append(want, inst.in.Dict().String(id))
+		}
+		if got := inst.Extension(kw); !slices.Equal(got, want) {
+			t.Errorf("Extension(%s) = %v, search resolves %v", kw, got, want)
+		}
+	}
+	if got := inst.Extension(coffee); !slices.Contains(got, coffee) || !slices.Contains(got, espresso) {
+		t.Errorf("Extension(%s) = %v, want both URIs", coffee, got)
 	}
 }
 
